@@ -137,8 +137,11 @@ type Result struct {
 	// Cliques holds the maximal quasi-cliques (sorted vertex sets in
 	// canonical order). With KeepNonMaximal it holds all candidates.
 	Cliques [][]V
-	// Candidates is the number of distinct candidates found before
-	// the maximality filter.
+	// Candidates is the number of candidate emissions, repeats
+	// included, before deduplication and the maximality filter — the
+	// same count on the serial and the parallel paths. Decomposing
+	// tasks adds emissions (see miner.Result), so it can differ between
+	// two runs that return the same Cliques.
 	Candidates int
 	// Wall is the mining wall time (excluding graph loading).
 	Wall time.Duration

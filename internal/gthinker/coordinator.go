@@ -414,14 +414,21 @@ func (c *coordinator) loop(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
+			// A round that moved nothing leaves the termination window
+			// open (a transfer would show in the counters terminated
+			// compares anyway): with StealInterval below StatusInterval
+			// a reset on every tick starved termination detection.
+			moved := 0
 			if complete {
-				if _, err := c.stealRound(sts); err != nil {
+				if moved, err = c.stealRound(sts); err != nil {
 					if serr := c.stealFailed(err); serr != nil {
 						return serr
 					}
 				}
 			}
-			prev = nil
+			if !complete || err != nil || moved > 0 {
+				prev = nil
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gthinker
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -94,5 +95,29 @@ func TestScanSkipsDeadAndToleratesFailures(t *testing.T) {
 		if sts[m].AllSpawned {
 			t.Fatalf("machine %d should have a zero status, got %+v", m, sts[m])
 		}
+	}
+}
+
+// TestTerminationNotStarvedBySteals: with the steal period below the
+// status period every status scan is followed by steal ticks before
+// the next one. An idle steal round must not restart the two-scan
+// termination window, or an idle cluster is only declared done when
+// the scheduler happens to deliver two status ticks back to back
+// (seconds to minutes in the worker-kill e2e, which polls at 5 ms and
+// steals at 1 ms).
+func TestTerminationNotStarvedBySteals(t *testing.T) {
+	sc := &slowControl{n: 3}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, _, err := RunCoordinator(ctx, sc, Config{
+		Machines: 3, WorkersPerMachine: 1,
+		StatusInterval: 5 * time.Millisecond, StealInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("idle cluster not declared terminated: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("termination of an idle cluster took %v", elapsed)
 	}
 }

@@ -69,6 +69,18 @@ func newApp(g *graph.Graph, cfg Config, workers int) *app {
 	return a
 }
 
+// collected hands over what the job's workers gathered: each worker's
+// distinct candidates, one part per worker for quasiclique.Finalize,
+// and the total number of emissions, repeats included.
+func (a *app) collected() (parts [][][]graph.V, emitted int64) {
+	parts = make([][][]graph.V, len(a.collectors))
+	for i, col := range a.collectors {
+		parts[i] = col.Sets()
+		emitted += col.Emitted()
+	}
+	return parts, emitted
+}
+
 // Spawn is Algorithm 4: one task per vertex v with degree ≥ k, pulling
 // the adjacency lists of v's larger neighbors.
 func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {

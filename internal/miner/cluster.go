@@ -184,12 +184,15 @@ func DecodeJobSpec(data []byte) (Config, gthinker.Config, error) {
 }
 
 // resultsMagic versions the worker→coordinator result flush.
-var resultsMagic = [4]byte{'Q', 'R', 'S', '1'}
+var resultsMagic = [4]byte{'Q', 'R', 'S', '2'}
 
-// AppendResults encodes candidate quasi-clique sets for the opResults
-// flush.
-func AppendResults(dst []byte, sets [][]graph.V) []byte {
+// AppendResults encodes one machine's opResults flush: the sets it
+// ships and, next to them, how many candidates its workers emitted —
+// the shipped sets are survivors of the machine's own filter, so the
+// count cannot be recovered from them.
+func AppendResults(dst []byte, sets [][]graph.V, emitted int64) []byte {
 	dst = append(dst, resultsMagic[:]...)
+	dst = store.AppendU64(dst, uint64(emitted))
 	dst = store.AppendU32(dst, uint32(len(sets)))
 	for _, s := range sets {
 		dst = store.AppendU32(dst, uint32(len(s)))
@@ -200,44 +203,43 @@ func AppendResults(dst []byte, sets [][]graph.V) []byte {
 
 // DecodeResults reverses AppendResults, bounds-checking every count
 // against the bytes present before allocating.
-func DecodeResults(data []byte) ([][]graph.V, error) {
+func DecodeResults(data []byte) (sets [][]graph.V, emitted int64, err error) {
 	if len(data) < 4 || string(data[:4]) != string(resultsMagic[:]) {
-		return nil, fmt.Errorf("miner: bad results magic")
+		return nil, 0, fmt.Errorf("miner: bad results magic")
 	}
 	c := store.NewCursor(data[4:])
+	emitted = int64(c.U64())
 	n := int(c.U32())
 	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("miner: malformed results: %w", err)
+		return nil, 0, fmt.Errorf("miner: malformed results: %w", err)
 	}
 	if n > c.Remaining()/4 {
-		return nil, fmt.Errorf("miner: results claim %d sets in %d bytes", n, c.Remaining())
+		return nil, 0, fmt.Errorf("miner: results claim %d sets in %d bytes", n, c.Remaining())
 	}
-	sets := make([][]graph.V, n)
+	sets = make([][]graph.V, n)
 	for i := range sets {
 		sets[i] = c.U32s(int(c.U32()))
 	}
 	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("miner: malformed results: %w", err)
+		return nil, 0, fmt.Errorf("miner: malformed results: %w", err)
 	}
 	if c.Remaining() != 0 {
-		return nil, fmt.Errorf("miner: %d trailing bytes in results", c.Remaining())
+		return nil, 0, fmt.Errorf("miner: %d trailing bytes in results", c.Remaining())
 	}
-	return sets, nil
+	return sets, emitted, nil
 }
 
-// workerResults merges one worker process's per-worker collectors and
-// encodes the candidates (still pre-maximality-filter: the filter
-// needs the cluster-wide set, so it runs on the coordinator).
+// workerResults finalizes one worker process's collectors — so unless
+// the job skips the filter, only the sets that are maximal on this
+// machine travel; the coordinator filters the union — and encodes them
+// with the machine's emission count.
 func workerResults(a gthinker.App) ([]byte, error) {
 	ma, ok := a.(*app)
 	if !ok {
 		return nil, fmt.Errorf("miner: results requested from %T", a)
 	}
-	all := quasiclique.NewCollector()
-	for _, col := range ma.collectors {
-		all.Merge(col)
-	}
-	return AppendResults(nil, all.Sets()), nil
+	parts, emitted := ma.collected()
+	return AppendResults(nil, quasiclique.Finalize(parts, ma.cfg.Options.SkipMaximalityFilter), emitted), nil
 }
 
 // HostWorker loads the graph file, validates it against the manifest,

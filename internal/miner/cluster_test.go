@@ -49,9 +49,12 @@ func TestJobSpecRoundTrip(t *testing.T) {
 
 func TestResultsRoundTrip(t *testing.T) {
 	sets := [][]graph.V{{1, 2, 3}, {7, 9}, {}}
-	got, err := DecodeResults(AppendResults(nil, sets))
+	got, emitted, err := DecodeResults(AppendResults(nil, sets, 1<<40+5))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if emitted != 1<<40+5 {
+		t.Fatalf("emission count came back as %d", emitted)
 	}
 	if len(got) != len(sets) {
 		t.Fatalf("%d sets, want %d", len(got), len(sets))
@@ -66,9 +69,9 @@ func TestResultsRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	data := AppendResults(nil, sets)
-	for _, bad := range [][]byte{{}, data[:3], data[:len(data)-2], append(append([]byte{}, data...), 1), []byte("QRS9....")} {
-		if _, err := DecodeResults(bad); err == nil {
+	data := AppendResults(nil, sets, 3)
+	for _, bad := range [][]byte{{}, data[:3], data[:9], data[:len(data)-2], append(append([]byte{}, data...), 1), []byte("QRS9....")} {
+		if _, _, err := DecodeResults(bad); err == nil {
 			t.Fatalf("corrupt results of %d bytes accepted", len(bad))
 		}
 	}

@@ -65,11 +65,21 @@ func (c Config) withDefaults() Config {
 
 // Result is the outcome of a parallel mining run.
 type Result struct {
-	// Cliques are the final maximal quasi-cliques (or raw candidates
-	// when Options.SkipMaximalityFilter is set), canonically ordered.
+	// Cliques are the final maximal quasi-cliques (or every distinct
+	// candidate when Options.SkipMaximalityFilter is set), canonically
+	// ordered. A job stopped early — cancelled, or out of TimeBudget —
+	// returns the same post-processing of whatever its workers had
+	// collected by then: valid quasi-cliques, maximal among themselves,
+	// not necessarily maximal in the graph.
 	Cliques [][]graph.V
-	// Candidates counts distinct candidates before the maximality
-	// filter.
+	// Candidates counts candidate emissions, repeats included: what
+	// the search produced before any deduplication or filtering, summed
+	// over workers (and, on a process cluster, carried in each
+	// machine's results frame next to the sets it ships). It is
+	// quasiclique.MineStats.Candidates for the same search; a search
+	// that decomposes tasks emits more, because the parent of an
+	// offloaded subtree cannot wait to learn whether the subtree found
+	// a superset and has to emit its own set.
 	Candidates int
 	// Engine reports engine-level metrics (queues, spilling,
 	// stealing, per-worker busy time).

@@ -4,6 +4,29 @@
 // (Algorithms 5–8), and both decomposition strategies: size-threshold
 // (Algorithm 8) and the paper's headline time-delayed decomposition
 // (Algorithms 9–10).
+//
+// # Post-processing
+//
+// The search emits valid quasi-cliques that need not be maximal, so
+// every job ends with the maximality filter — and nothing of it runs
+// on one goroutine behind an idle cluster. Each worker collects into
+// its own quasiclique.Collector. When the engine returns, app.collected
+// hands the collectors to quasiclique.Finalize, the one finalize
+// function that serial MineGraph, Session.Mine, the worker process and
+// ProcsPool.RunJob all call: it filters every worker's candidates on
+// their own, W goroutines side by side (a set that is not maximal
+// among one worker's finds is not maximal at all), and then filters
+// the union of the survivors once. Duplicates are dropped there too —
+// equal sets end up adjacent in canonical order — so there is no
+// merged collector and no second hash pass. On a process cluster the
+// worker half runs inside workerResults, so a machine ships only its
+// own survivors (about a tenth of its candidates on a dense core)
+// plus its emission count, and the coordinator filters the union of
+// the machines' frames. The filter itself (quasiclique.FilterMaximal)
+// splits the sets into vertex-disjoint components and answers
+// containment from per-vertex posting bitmaps; see maximal.go there.
+// Options.SkipMaximalityFilter turns all of it off: every distinct
+// candidate comes back and no pre-filter runs anywhere.
 package miner
 
 import (

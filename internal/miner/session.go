@@ -53,17 +53,6 @@ func abortedRun(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// finalizeSets orders (and, unless skipped, maximality-filters) the
-// merged candidate sets into the final result.
-func finalizeSets(all *quasiclique.Collector, cfg Config) [][]graph.V {
-	sets := all.Sets()
-	if !cfg.Options.SkipMaximalityFilter {
-		return quasiclique.FilterMaximal(sets)
-	}
-	quasiclique.SortSets(sets)
-	return sets
-}
-
 // Session mines many jobs over one graph on one in-process cluster.
 // The engine (runtimes, partitions, vertex cache, and under
 // InProcessTCP the sockets) is built lazily on the first Mine and
@@ -113,12 +102,9 @@ func (s *Session) Mine(ctx context.Context, cfg Config) (*Result, error) {
 	if runErr != nil && !abortedRun(runErr) {
 		return nil, runErr
 	}
-	all := quasiclique.NewCollector()
-	for _, c := range app.collectors {
-		all.Merge(c)
-	}
-	res := &Result{Candidates: all.Len(), Engine: met, Recorder: app.rec, Trace: s.eng.Trace()}
-	res.Cliques = finalizeSets(all, cfg)
+	parts, emitted := app.collected()
+	res := &Result{Candidates: int(emitted), Engine: met, Recorder: app.rec, Trace: s.eng.Trace()}
+	res.Cliques = quasiclique.Finalize(parts, cfg.Options.SkipMaximalityFilter)
 	return res, runErr
 }
 
@@ -337,7 +323,11 @@ func (p *ProcsPool) RunJob(ctx context.Context, cfg Config) (*Result, error) {
 		trace = obs.Merge(traces...)
 	}
 
-	all := quasiclique.NewCollector()
+	// Each machine ships what survived its own workers' filters (every
+	// distinct candidate when the filter is skipped) and its emission
+	// count; the union is one part of the final filter.
+	var union [][]graph.V
+	var emitted int64
 	for m := 0; m < p.ecfg.Machines; m++ {
 		if isDead(m) {
 			continue
@@ -347,14 +337,13 @@ func (p *ProcsPool) RunJob(ctx context.Context, cfg Config) (*Result, error) {
 			p.broken = err
 			return nil, fmt.Errorf("miner: results from machine %d: %w", m, err)
 		}
-		sets, err := DecodeResults(data)
+		sets, n, err := DecodeResults(data)
 		if err != nil {
 			p.broken = err
 			return nil, fmt.Errorf("miner: results from machine %d: %w", m, err)
 		}
-		for _, s := range sets {
-			all.Add(s)
-		}
+		union = append(union, sets...)
+		emitted += n
 	}
 
 	met := gthinker.MergeMachineMetrics(perMachine)
@@ -370,8 +359,8 @@ func (p *ProcsPool) RunJob(ctx context.Context, cfg Config) (*Result, error) {
 	// Per-root recorder data stays in the worker processes; the
 	// cluster result carries an empty recorder so downstream reporting
 	// (experiments tables) need no special case.
-	res := &Result{Candidates: all.Len(), Engine: met, Recorder: metrics.NewRecorder(), Trace: trace}
-	res.Cliques = finalizeSets(all, cfg)
+	res := &Result{Candidates: int(emitted), Engine: met, Recorder: metrics.NewRecorder(), Trace: trace}
+	res.Cliques = quasiclique.Finalize([][][]graph.V{union}, cfg.Options.SkipMaximalityFilter)
 	return res, runErr
 }
 

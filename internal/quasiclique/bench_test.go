@@ -1,9 +1,12 @@
 package quasiclique
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"gthinkerqc/internal/graph"
+	"gthinkerqc/internal/vset"
 )
 
 // benchGraph mirrors the generator in internal/graph's benchmarks.
@@ -81,5 +84,81 @@ func BenchmarkCollectorAdd(b *testing.B) {
 	c := NewCollector()
 	for i := 0; i < b.N; i++ {
 		c.Add(sets[i%len(sets)])
+	}
+}
+
+// denseCoreCandidates imitates what mining one dense 32-vertex core
+// emits: a few thousand large sets over the same 32 vertices and, for
+// each, about ten subsets that lost one to three members — ~36k sets in
+// one component, nine in ten contained in another.
+func denseCoreCandidates() [][]graph.V {
+	rng := rand.New(rand.NewSource(1))
+	var sets [][]graph.V
+	for len(sets) < 36000 {
+		perm := rng.Perm(32)
+		top := make([]graph.V, 19+rng.Intn(4))
+		for i := range top {
+			top[i] = graph.V(1000 + perm[i])
+		}
+		vset.Sort(top)
+		sets = append(sets, top)
+		for k := 0; k < 10; k++ {
+			sub := slices.Clone(top)
+			for d := 1 + rng.Intn(3); d > 0; d-- {
+				i := rng.Intn(len(sub))
+				sub = slices.Delete(sub, i, i+1)
+			}
+			sets = append(sets, sub)
+		}
+	}
+	return sets
+}
+
+// disjointCommunityCandidates imitates a graph of many small planted
+// communities: 4000 vertex-disjoint 16-vertex blocks, each emitting
+// its full set and a handful of subsets.
+func disjointCommunityCandidates() [][]graph.V {
+	rng := rand.New(rand.NewSource(2))
+	var sets [][]graph.V
+	for c := 0; c < 4000; c++ {
+		full := make([]graph.V, 16)
+		for i := range full {
+			full[i] = graph.V(c*20 + i)
+		}
+		sets = append(sets, full)
+		for k := 0; k < 5; k++ {
+			sub := slices.Clone(full)
+			for d := 1 + rng.Intn(4); d > 0; d-- {
+				i := rng.Intn(len(sub))
+				sub = slices.Delete(sub, i, i+1)
+			}
+			sets = append(sets, sub)
+		}
+	}
+	return sets
+}
+
+// BenchmarkFilterMaximal measures the maximality post-filter on the two
+// shapes that pull its index in opposite directions: one component
+// with long posting rows, and thousands of components with one-word
+// rows where any per-component overhead shows.
+func BenchmarkFilterMaximal(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		sets [][]graph.V
+	}{
+		{"dense-core", denseCoreCandidates()},
+		{"disjoint-communities", disjointCommunityCandidates()},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			kept := 0
+			for i := 0; i < b.N; i++ {
+				kept = len(FilterMaximal(shape.sets))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(shape.sets)), "ns/candidate")
+			b.ReportMetric(float64(kept), "kept")
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package quasiclique
 
 import (
-	"sort"
-
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/vset"
 )
@@ -71,80 +69,6 @@ func IsSubsetSorted(a, b []graph.V) bool {
 		i++
 	}
 	return true
-}
-
-// FilterMaximal removes duplicates and every set that is a strict
-// subset of another set in the input — the paper's post-processing
-// phase that turns the miner's candidate stream into the final maximal
-// quasi-clique set. Input sets must be sorted; output is in canonical
-// order (size descending, then lexicographic).
-func FilterMaximal(sets [][]graph.V) [][]graph.V {
-	// Deduplicate by 64-bit fingerprint with a collision bucket,
-	// like Collector.Add (no string key materialized per set).
-	seen := make(map[uint64][]uint32, len(sets))
-	uniq := make([][]graph.V, 0, len(sets))
-next:
-	for _, s := range sets {
-		fp := fingerprintSet(s)
-		for _, i := range seen[fp] {
-			if vset.Equal(uniq[i], s) {
-				continue next
-			}
-		}
-		seen[fp] = append(seen[fp], uint32(len(uniq)))
-		uniq = append(uniq, s)
-	}
-	// Large to small: a set can only be contained in a strictly
-	// larger one, which was already indexed.
-	SortSets(uniq)
-	byVertex := map[graph.V][]int{} // vertex -> indices of kept sets
-	kept := make([][]graph.V, 0, len(uniq))
-	for _, s := range uniq {
-		if len(s) == 0 {
-			continue
-		}
-		contained := false
-		// Any superset of s must contain s[0]; probe the shortest
-		// candidate list among s's members for fewer subset tests.
-		probe := s[0]
-		for _, v := range s[1:] {
-			if len(byVertex[v]) < len(byVertex[probe]) {
-				probe = v
-			}
-		}
-		for _, idx := range byVertex[probe] {
-			if IsSubsetSorted(s, kept[idx]) {
-				contained = true
-				break
-			}
-		}
-		if contained {
-			continue
-		}
-		idx := len(kept)
-		kept = append(kept, s)
-		for _, v := range s {
-			byVertex[v] = append(byVertex[v], idx)
-		}
-	}
-	return kept
-}
-
-// SortSets orders sets canonically: size descending, then
-// lexicographically by content.
-func SortSets(sets [][]graph.V) {
-	sort.Slice(sets, func(i, j int) bool {
-		a, b := sets[i], sets[j]
-		if len(a) != len(b) {
-			return len(a) > len(b)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
 }
 
 // SetsEqual reports whether two collections contain the same sets,

@@ -19,8 +19,9 @@ type MineStats struct {
 	Roots int
 	// Nodes is the total number of set-enumeration tree nodes.
 	Nodes int64
-	// Candidates is the number of quasi-clique candidates emitted
-	// before deduplication and the maximality filter.
+	// Candidates is the number of candidate emissions, repeats
+	// included, before deduplication and the maximality filter (the
+	// same count miner.Result.Candidates carries for parallel runs).
 	Candidates int64
 	// Results is the final result count.
 	Results int
@@ -32,10 +33,11 @@ type MineStats struct {
 // collision bucket, so adding a duplicate allocates nothing (the old
 // map[string]bool built a 4·|S|-byte string key per Add). It is not
 // safe for concurrent use; the parallel engine gives each worker its
-// own collector and merges.
+// own collector and hands their sets to Finalize.
 type Collector struct {
-	seen map[uint64][]uint32 // fingerprint → indices into sets
-	sets [][]graph.V
+	seen    map[uint64][]uint32 // fingerprint → indices into sets
+	sets    [][]graph.V
+	emitted int64
 }
 
 // NewCollector returns an empty Collector.
@@ -57,6 +59,7 @@ func fingerprintSet(S []graph.V) uint64 {
 
 // Add records the sorted vertex set S if it has not been seen.
 func (c *Collector) Add(S []graph.V) {
+	c.emitted++
 	fp := fingerprintSet(S)
 	for _, i := range c.seen[fp] {
 		if vset.Equal(c.sets[i], S) {
@@ -67,18 +70,11 @@ func (c *Collector) Add(S []graph.V) {
 	c.sets = append(c.sets, S)
 }
 
-// Merge folds other's sets into c.
-func (c *Collector) Merge(other *Collector) {
-	for _, s := range other.sets {
-		c.Add(s)
-	}
-}
-
 // Sets returns the collected sets (shared storage).
 func (c *Collector) Sets() [][]graph.V { return c.sets }
 
-// Len returns the number of distinct sets collected.
-func (c *Collector) Len() int { return len(c.sets) }
+// Emitted returns the number of Add calls, repeats included.
+func (c *Collector) Emitted() int64 { return c.emitted }
 
 // MineGraph runs the paper's serial algorithm over an entire graph:
 // global k-core shrink (T1), then one root task per surviving vertex v
@@ -133,12 +129,7 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 			stats.Roots++
 		}
 	}
-	results := col.Sets()
-	if !opt.SkipMaximalityFilter {
-		results = FilterMaximal(results)
-	} else {
-		SortSets(results)
-	}
+	results := Finalize([][][]graph.V{col.Sets()}, opt.SkipMaximalityFilter)
 	stats.Results = len(results)
 	return results, stats, ctxErr
 }

@@ -370,15 +370,18 @@ func TestCollector(t *testing.T) {
 	c.Add([]graph.V{1, 2})
 	c.Add([]graph.V{1, 2}) // dup
 	c.Add([]graph.V{3})
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.Sets()) != 2 {
+		t.Fatalf("Len = %d", len(c.Sets()))
 	}
 	c2 := NewCollector()
 	c2.Add([]graph.V{3}) // dup with c
 	c2.Add([]graph.V{4})
-	c.Merge(c2)
-	if c.Len() != 3 {
-		t.Fatalf("after merge Len = %d", c.Len())
+	if c.Emitted() != 3 || c2.Emitted() != 2 {
+		t.Fatalf("Emitted = %d, %d, want 3, 2", c.Emitted(), c2.Emitted())
+	}
+	// Collectors meet in Finalize, which drops cross-collector repeats.
+	if got := Finalize([][][]graph.V{c.Sets(), c2.Sets()}, true); len(got) != 3 {
+		t.Fatalf("Finalize of both = %v, want 3 distinct sets", got)
 	}
 }
 

@@ -125,15 +125,14 @@ func TestCollectorFingerprintDedup(t *testing.T) {
 	c.Add([]graph.V{})        // empty set is a valid key
 	c.Add([]graph.V{})        // dup empty
 	c.Add([]graph.V{1, 2, 4}) // dup
-	if c.Len() != 4 {
-		t.Fatalf("len = %d, want 4", c.Len())
+	if len(c.Sets()) != 4 {
+		t.Fatalf("len = %d, want 4", len(c.Sets()))
 	}
 	other := NewCollector()
 	other.Add([]graph.V{2, 3}) // dup of c's
 	other.Add([]graph.V{7, 8})
-	c.Merge(other)
-	if c.Len() != 5 {
-		t.Fatalf("after merge len = %d, want 5", c.Len())
+	if got := Finalize([][][]graph.V{c.Sets(), other.Sets()}, true); len(got) != 5 {
+		t.Fatalf("Finalize of both = %d sets, want 5", len(got))
 	}
 }
 

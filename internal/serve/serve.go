@@ -337,7 +337,8 @@ type jobStatus struct {
 	Cached  bool    `json:"cached,omitempty"`
 	Partial bool    `json:"partial,omitempty"`
 	Cliques int     `json:"cliques,omitempty"`
-	// Candidates counts distinct pre-filter candidates.
+	// Candidates counts candidate emissions, repeats included, before
+	// deduplication and the maximality filter (miner.Result.Candidates).
 	Candidates int    `json:"candidates,omitempty"`
 	WallMS     int64  `json:"wall_ms,omitempty"`
 	Error      string `json:"error,omitempty"`
