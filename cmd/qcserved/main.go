@@ -103,28 +103,29 @@ func main() {
 	}
 
 	ecfg := gthinker.Config{Machines: *machines, WorkersPerMachine: *threads}
-	var backend serve.Backend
+	// One session either way; -procs only moves its machines out of
+	// this process.
+	var session *miner.Session
 	if *procs > 0 {
 		bin, err := miner.ResolveQCWorker(*qcworker)
 		if err != nil {
 			fatal(err)
 		}
 		ecfg.Machines = *procs
-		pool, err := miner.StartProcsPool(ecfg, miner.ProcsConfig{
+		session, err = miner.StartProcsPool(ecfg, miner.ProcsConfig{
 			GraphPath: binPath,
 			Command:   miner.QCWorkerCommand(bin, binPath),
 		})
 		if err != nil {
 			fatal(err)
 		}
-		backend = serve.PoolBackend(pool)
 		logf("deployed %d qcworker processes", *procs)
 	} else {
-		backend = serve.SessionBackend(miner.NewSession(g, ecfg))
+		session = miner.NewSession(g, ecfg)
 	}
 
 	server := serve.NewServer(serve.Config{
-		Backend:       backend,
+		Backend:       session,
 		Fingerprint:   fmt.Sprintf("%s:%d:%d", absPath, g.NumVertices(), g.NumEdges()),
 		Quota:         *quota,
 		CacheSize:     *cacheSize,
@@ -137,7 +138,14 @@ func main() {
 	}
 	logf("|V|=%d |E|=%d, serving on http://%s", g.NumVertices(), g.NumEdges(), ln.Addr())
 
-	httpSrv := &http.Server{Handler: server.Handler()}
+	// Bound what a slow or stalled client can hold: its request headers
+	// and its idle keep-alive connection. Response writes stay unbounded
+	// — a result stream is as long as the result set.
+	httpSrv := &http.Server{
+		Handler:           server.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

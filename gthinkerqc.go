@@ -196,38 +196,50 @@ func MineParallel(g *Graph, cfg Config) (*Result, error) {
 // returned together with ctx.Err().
 func MineParallelContext(ctx context.Context, g *Graph, cfg Config) (*Result, error) {
 	start := time.Now()
+	mcfg, ecfg := cfg.sessionConfigs()
+	ecfg.SpillDir = cfg.SpillDir
+	if cfg.RangePartition {
+		ecfg.PartitionBounds = g.RangeBounds(max(cfg.Machines, 1))
+	}
+	res, err := miner.MineContext(ctx, g, mcfg, ecfg)
+	return cfg.result(start, res, err)
+}
+
+// sessionConfigs maps the public Config onto the session layer's two:
+// the per-job mining parameters and the cluster's engine shape.
+func (c Config) sessionConfigs() (miner.Config, gthinker.Config) {
 	strategy := miner.TimeDelayed
-	if cfg.SizeThresholdOnly {
+	if c.SizeThresholdOnly {
 		strategy = miner.SizeThreshold
 	}
-	var bounds []uint32
-	if cfg.RangePartition {
-		bounds = g.RangeBounds(max(cfg.Machines, 1))
-	}
-	res, err := miner.MineContext(ctx, g, miner.Config{
-		Params:   cfg.params(),
-		Options:  cfg.options(),
-		TauSplit: cfg.TauSplit,
-		TauTime:  cfg.TauTime,
-		Strategy: strategy,
-	}, gthinker.Config{
-		Machines:          cfg.Machines,
-		WorkersPerMachine: cfg.WorkersPerMachine,
-		PartitionBounds:   bounds,
-		QueueCap:          cfg.QueueCap,
-		BatchSize:         cfg.BatchSize,
-		SpillDir:          cfg.SpillDir,
-		FrameTimeout:      cfg.FrameTimeout,
-		DeadAfterPolls:    cfg.DeadAfterPolls,
-		FaultSpec:         cfg.FaultPlan,
-		Trace:             cfg.TracePath != "",
-		DebugAddr:         cfg.DebugAddr,
-		Progress:          cfg.Progress,
-	})
+	return miner.Config{
+			Params:   c.params(),
+			Options:  c.options(),
+			TauSplit: c.TauSplit,
+			TauTime:  c.TauTime,
+			Strategy: strategy,
+		}, gthinker.Config{
+			Machines:          c.Machines,
+			WorkersPerMachine: c.WorkersPerMachine,
+			QueueCap:          c.QueueCap,
+			BatchSize:         c.BatchSize,
+			FrameTimeout:      c.FrameTimeout,
+			DeadAfterPolls:    c.DeadAfterPolls,
+			FaultSpec:         c.FaultPlan,
+			Trace:             c.TracePath != "",
+			DebugAddr:         c.DebugAddr,
+			Progress:          c.Progress,
+		}
+}
+
+// result turns a session's outcome into the public Result, exporting
+// the trace if one was asked for. A job stopped early keeps both its
+// partial result and its error.
+func (c Config) result(start time.Time, res *miner.Result, err error) (*Result, error) {
 	if res == nil {
 		return nil, err
 	}
-	if werr := writeTrace(cfg.TracePath, res.Trace); werr != nil && err == nil {
+	if werr := writeTrace(c.TracePath, res.Trace); werr != nil && err == nil {
 		err = werr
 	}
 	return &Result{
@@ -260,8 +272,9 @@ type ClusterOptions struct {
 	//			"-manifest", manifestPath, "-machine", strconv.Itoa(machine))
 	//	}
 	WorkerCommand func(machine int, manifestPath string) *exec.Cmd
-	// ManifestDir receives the generated partition manifest; empty
-	// uses the graph file's directory.
+	// ManifestDir receives the generated partition manifest and keeps
+	// it afterwards; empty writes it to os.TempDir() and removes it when
+	// the run ends.
 	ManifestDir string
 }
 
@@ -275,28 +288,8 @@ type ClusterOptions struct {
 // temporary directory.
 func MineCluster(ctx context.Context, cfg Config, opts ClusterOptions) (*Result, error) {
 	start := time.Now()
-	strategy := miner.TimeDelayed
-	if cfg.SizeThresholdOnly {
-		strategy = miner.SizeThreshold
-	}
-	res, err := miner.MineProcs(ctx, miner.Config{
-		Params:   cfg.params(),
-		Options:  cfg.options(),
-		TauSplit: cfg.TauSplit,
-		TauTime:  cfg.TauTime,
-		Strategy: strategy,
-	}, gthinker.Config{
-		Machines:          cfg.Machines,
-		WorkersPerMachine: cfg.WorkersPerMachine,
-		QueueCap:          cfg.QueueCap,
-		BatchSize:         cfg.BatchSize,
-		FrameTimeout:      cfg.FrameTimeout,
-		DeadAfterPolls:    cfg.DeadAfterPolls,
-		FaultSpec:         cfg.FaultPlan,
-		Trace:             cfg.TracePath != "",
-		DebugAddr:         cfg.DebugAddr,
-		Progress:          cfg.Progress,
-	}, miner.ProcsConfig{
+	mcfg, ecfg := cfg.sessionConfigs()
+	res, err := miner.MineProcs(ctx, mcfg, ecfg, miner.ProcsConfig{
 		GraphPath:      opts.GraphPath,
 		Command:        opts.WorkerCommand,
 		ManifestDir:    opts.ManifestDir,
@@ -305,16 +298,7 @@ func MineCluster(ctx context.Context, cfg Config, opts ClusterOptions) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if err := writeTrace(cfg.TracePath, res.Trace); err != nil {
-		return nil, err
-	}
-	return &Result{
-		Cliques:    res.Cliques,
-		Candidates: res.Candidates,
-		Wall:       time.Since(start),
-		Engine:     res.Engine,
-		Tasks:      res.Recorder,
-	}, nil
+	return cfg.result(start, res, nil)
 }
 
 // IsQuasiClique reports whether the sorted vertex set S induces a

@@ -14,7 +14,8 @@ import (
 // the full experiment suite runs in minutes on a laptop; the structural
 // features that drive the paper's observations (dense planted cores
 // over a sparse heavy-tailed background; for YouTube, a "hard core"
-// producing extreme task-time skew) are preserved. See DESIGN.md §3.
+// producing extreme task-time skew) are preserved; each stand-in's
+// ScaleNote says how it relates to the real dataset.
 type Standin struct {
 	Name      string
 	PaperV    int // |V| of the real dataset

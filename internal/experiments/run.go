@@ -5,7 +5,7 @@
 // benchmarks are thin wrappers over this package.
 //
 // Scaling note: the stand-ins are up to 25× smaller than the paper's
-// graphs (DESIGN.md §3), so the τtime sweeps use milliseconds where
+// graphs (datagen.Standin.ScaleNote), so the τtime sweeps use milliseconds where
 // the paper uses seconds — the same numerals at 1/1000 scale, keeping
 // the ratio of τtime to per-task mining time comparable.
 package experiments
@@ -396,35 +396,27 @@ func Run(spec RunSpec) (Outcome, error) {
 	start := time.Now()
 	var res *miner.Result
 	plan, fto, dap := faultConfig()
+	ecfg := gthinker.Config{
+		Machines:           spec.Cluster.Machines,
+		WorkersPerMachine:  spec.Cluster.Workers,
+		DisableGlobalQueue: spec.DisableGlobalQueue,
+		FaultSpec:          plan,
+		FrameTimeout:       fto,
+		DeadAfterPolls:     dap,
+	}
+	applyObs(&ecfg)
 	if procs, bin := procsWanted(); procs > 0 {
 		path, perr := datasetFile(spec.Dataset)
 		if perr != nil {
 			return Outcome{}, perr
 		}
-		ecfg := gthinker.Config{
-			Machines:           procs,
-			WorkersPerMachine:  spec.Cluster.Workers,
-			DisableGlobalQueue: spec.DisableGlobalQueue,
-			FaultSpec:          plan,
-			FrameTimeout:       fto,
-			DeadAfterPolls:     dap,
-		}
-		applyObs(&ecfg)
+		ecfg.Machines = procs
 		res, err = miner.MineProcs(context.Background(), mcfg, ecfg, miner.ProcsConfig{
 			GraphPath: path,
 			Command:   miner.QCWorkerCommand(bin, path),
 		})
 	} else {
-		ecfg := gthinker.Config{
-			Machines:           spec.Cluster.Machines,
-			WorkersPerMachine:  spec.Cluster.Workers,
-			DisableGlobalQueue: spec.DisableGlobalQueue,
-			InProcessTCP:       tcpWanted(),
-			FaultSpec:          plan,
-			FrameTimeout:       fto,
-			DeadAfterPolls:     dap,
-		}
-		applyObs(&ecfg)
+		ecfg.InProcessTCP = tcpWanted()
 		res, err = miner.Mine(g, mcfg, ecfg)
 	}
 	if err != nil {

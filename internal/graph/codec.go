@@ -8,7 +8,7 @@ import (
 	"os"
 )
 
-// Binary codec for graphs. The current version ("GQC2") serializes the
+// Binary codec for graphs. The format ("GQC2") serializes the
 // CSR arrays verbatim so a prebuilt graph loads with two contiguous
 // array reads and zero per-vertex work:
 //
@@ -18,8 +18,9 @@ import (
 //	offsets   [n+1]uint32
 //	neighbors [2m]uint32  (packed sorted adjacency)
 //
-// The legacy version ("GQC1": degree array + concatenated adjacency)
-// is still readable; ReadBinary dispatches on the magic.
+// Files of the retired "GQC1" layout (degree array + concatenated
+// adjacency) are refused with an "unsupported version" error that says
+// how to regenerate them, not mistaken for corruption.
 
 var (
 	magicV2 = [4]byte{'G', 'Q', 'C', '2'}
@@ -91,20 +92,25 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary, accepting
-// both the current CSR format and the legacy degree-array format. CSR
-// loads get O(|E|) structural validation (monotone offsets, in-range
-// IDs, strictly sorted rows) — enough to make a corrupt file an error
+// ReadBinary deserializes a graph written by WriteBinary. Loads get
+// O(|E|) structural validation (monotone offsets, in-range IDs,
+// strictly sorted rows) — enough to make a corrupt file an error
 // instead of a panic without paying the per-edge symmetry search of
 // full Validate, which would dominate the contiguous-read fast path
-// on large graphs; legacy loads are fully validated. Callers loading
-// untrusted files that need the symmetry guarantee can run Validate
-// themselves.
+// on large graphs. Callers loading untrusted files that need the
+// symmetry guarantee can run Validate themselves.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, ioBufSize)
 	var m4 [4]byte
 	if _, err := io.ReadFull(br, m4[:]); err != nil {
 		return nil, fmt.Errorf("graph: read magic: %w", err)
+	}
+	switch m4 {
+	case magicV2:
+	case magicV1:
+		return nil, fmt.Errorf("graph: unsupported version %q: only GQC2 files are read; regenerate the file from its edge list (qcconvert, qcgen)", m4[:])
+	default:
+		return nil, fmt.Errorf("graph: bad magic %q", m4[:])
 	}
 	var hdr [12]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -115,31 +121,17 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if 2*m > uint64(^uint32(0)) {
 		return nil, fmt.Errorf("graph: edge count %d exceeds uint32 offsets", m)
 	}
-	switch m4 {
-	case magicV2:
-		g, err := readCSR(br, n, m)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.validateStructure(); err != nil {
-			return nil, err
-		}
-		return g, nil
-	case magicV1:
-		g, err := readLegacy(br, n, m)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-		return g, nil
-	default:
-		return nil, fmt.Errorf("graph: bad magic %q", m4[:])
+	g, err := readCSR(br, n, m)
+	if err != nil {
+		return nil, err
 	}
+	if err := g.validateStructure(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-// readCSR reads the v2 payload: the two CSR arrays, verbatim.
+// readCSR reads the payload: the two CSR arrays, verbatim.
 func readCSR(br io.Reader, n int, m uint64) (*Graph, error) {
 	buf := make([]byte, chunkSize)
 	offsets := make([]uint32, n+1)
@@ -150,31 +142,6 @@ func readCSR(br io.Reader, n int, m uint64) (*Graph, error) {
 		return nil, fmt.Errorf("graph: offsets end %d != 2m = %d", offsets[n], 2*m)
 	}
 	neighbors := make([]V, 2*m)
-	if err := readUint32s(br, neighbors, buf); err != nil {
-		return nil, fmt.Errorf("graph: read adjacency: %w", err)
-	}
-	return &Graph{offsets: offsets, neighbors: neighbors, m: int(m)}, nil
-}
-
-// readLegacy reads the v1 payload (per-vertex degrees followed by the
-// concatenated adjacency) into CSR form.
-func readLegacy(br io.Reader, n int, m uint64) (*Graph, error) {
-	buf := make([]byte, chunkSize)
-	degs := make([]uint32, n)
-	if err := readUint32s(br, degs, buf); err != nil {
-		return nil, fmt.Errorf("graph: read degrees: %w", err)
-	}
-	offsets := make([]uint32, n+1)
-	var total uint64
-	for v, d := range degs {
-		offsets[v] = uint32(total)
-		total += uint64(d)
-	}
-	offsets[n] = uint32(total)
-	if total != 2*m {
-		return nil, fmt.Errorf("graph: degree sum %d != 2m = %d", total, 2*m)
-	}
-	neighbors := make([]V, total)
 	if err := readUint32s(br, neighbors, buf); err != nil {
 		return nil, fmt.Errorf("graph: read adjacency: %w", err)
 	}

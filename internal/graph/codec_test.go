@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -68,37 +69,15 @@ func TestBinaryRoundtripFile(t *testing.T) {
 	requireGraphsEqual(t, g, g2)
 }
 
-// writeLegacy emits the v1 format (degrees + concatenated adjacency)
-// so the backward-compat path stays covered even though WriteBinary
-// now emits v2.
-func writeLegacy(g *Graph) []byte {
-	var buf bytes.Buffer
-	buf.Write(magicV1[:])
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(g.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(g.NumEdges()))
-	buf.Write(hdr)
-	var w [4]byte
-	for v := 0; v < g.NumVertices(); v++ {
-		binary.LittleEndian.PutUint32(w[:], uint32(g.Degree(V(v))))
-		buf.Write(w[:])
+// TestReadBinaryRetiredVersion: a GQC1 file is refused for its
+// version — an error that says so and how to regenerate the file —
+// rather than read, or reported as a corrupt GQC2.
+func TestReadBinaryRetiredVersion(t *testing.T) {
+	old := append([]byte("GQC1"), make([]byte, 12)...) // a header-only GQC1 file
+	_, err := ReadBinary(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version") || !strings.Contains(err.Error(), "GQC1") {
+		t.Fatalf("GQC1 file: err = %v, want an unsupported-version error naming it", err)
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Adj(V(v)) {
-			binary.LittleEndian.PutUint32(w[:], u)
-			buf.Write(w[:])
-		}
-	}
-	return buf.Bytes()
-}
-
-func TestReadBinaryLegacyFormat(t *testing.T) {
-	g := codecTestGraph()
-	g2, err := ReadBinary(bytes.NewReader(writeLegacy(g)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireGraphsEqual(t, g, g2)
 }
 
 func TestReadBinaryBadMagic(t *testing.T) {

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -51,21 +50,6 @@ func csrGraph(rows [][]V, m int) *Graph {
 	}
 	offsets[len(rows)] = uint32(len(neighbors))
 	return &Graph{offsets: offsets, neighbors: neighbors, m: m}
-}
-
-func TestReadBinaryCorruptDegreeSum(t *testing.T) {
-	// Craft a legacy-format header whose degree sum disagrees with 2m.
-	var buf bytes.Buffer
-	buf.Write(magicV1[:])
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:4], 2)  // n = 2
-	binary.LittleEndian.PutUint64(hdr[4:12], 5) // m = 5 (impossible)
-	buf.Write(hdr)
-	deg := make([]byte, 8) // degrees 0, 0
-	buf.Write(deg)
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("corrupt degree sum accepted")
-	}
 }
 
 func TestReadBinaryTruncated(t *testing.T) {

@@ -1,630 +1,320 @@
 package gthinker
 
 import (
-	"bufio"
+	"context"
+	"errors"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/obs"
 )
 
-// WorkerHostConfig configures one hosted machine runtime.
-type WorkerHostConfig struct {
-	// Graph is the full graph this machine serves its partition of
-	// (typically an mmap'd GQC2 file in a worker process, the shared
-	// in-memory graph in the in-process composition).
-	Graph *graph.Graph
-	// MachineID is the machine this host will serve. The join
-	// handshake must name the same id.
-	MachineID int
-	// Machines, when non-zero, pins the expected cluster size; a join
-	// naming a different size is rejected. Zero accepts the
-	// coordinator's size (it is still fingerprint-checked against the
-	// manifest by the process main).
-	Machines int
-	// ControlAddr / VertexAddr / TaskAddr are listen addresses; empty
-	// means 127.0.0.1:0 (dynamic, reported through the handshake).
-	ControlAddr string
-	VertexAddr  string
-	TaskAddr    string
+// Cluster is a composed cluster, ready to run jobs one at a time: a
+// ControlPlane over its machines plus whatever must be torn down when
+// it closes. The constructors differ only in where the machines live
+// (NewLocalCluster: this process; StartProcsCluster: qcworker child
+// processes) and how they are reached (direct calls or framed
+// sockets); RunJob is the one job lifecycle all of them share. Not
+// safe for concurrent use — wrap it in a Scheduler to queue
+// overlapping submissions.
+type Cluster struct {
+	cfg      Config
+	ctl      ControlPlane
+	teardown func(dead []bool) error
 
-	// App + AppConfig preset the application (the in-process
-	// composition, where the engine already built it). Ignored when
-	// NewApp is set.
-	App       App
-	AppConfig Config
-	// NewApp builds the application from the coordinator's opaque job
-	// spec at join time (the worker-process mode: cmd/qcworker wires
-	// the miner's spec decoder here).
-	NewApp func(spec []byte, machines int) (App, Config, error)
-	// Results encodes the app's results for the opResults flush after
-	// shutdown; nil makes opResults an error (in-process compositions
-	// read app state directly).
-	Results func(app App) ([]byte, error)
+	// Machines living in this process (nil for child processes). Their
+	// hosts take each job's application from app — a Go value cannot
+	// cross even a loopback socket — and spill to one shared disk,
+	// whose footprint disk tracks so PeakSpillBytes is the process-wide
+	// peak of the sum rather than a sum of per-machine peaks.
+	hosts []*WorkerHost
+	app   appSlot
+	disk  diskAccount
 
-	// FaultSpec, when non-empty, overrides the job config's fault plan
-	// for THIS host (cmd/qcworker threads a per-process -faultplan
-	// through it, so a chaos test can inject faults into one machine of
-	// a homogeneous cluster). Empty defers to the coordinator's
-	// Config.FaultSpec carried in the job spec.
-	FaultSpec string
-	// Trace forces span tracing on for this host even when the job spec
-	// does not request it (cmd/qcworker threads -trace through it, so a
-	// single worker can be traced locally without the coordinator
-	// collecting cluster-wide). False defers to the job config.
-	Trace bool
-	// Kill is invoked when the fault plan's kill directive fires on
-	// this machine. Nil defaults to tearing the host down in-process
-	// (Close); a real worker process should exit hard instead
-	// (cmd/qcworker sets os.Exit) so the crash looks like a genuine
-	// worker loss to the coordinator.
-	Kill func()
-
-	// presetVerts hands the host a precomputed vertex partition (the
-	// in-process engine partitions all machines in one pass); nil
-	// derives it from the ownership hash at join.
-	presetVerts []graph.V
+	jobSeq uint64
+	dead   []bool // machines lost to past jobs
+	closed bool
 }
 
-// WorkerHost runs ONE MachineRuntime behind the framed TCP protocol:
-// a control server (join/status/steal/metrics/shutdown), a vertex
-// server for the data plane, and a task server for incoming stolen
-// batches. cmd/qcworker runs exactly one host per OS process; the
-// in-process TCP engine runs N of them behind loopback sockets — the
-// same code path either way.
-type WorkerHost struct {
-	hc WorkerHostConfig
-
-	ctl *controlServer
-
-	mu      sync.Mutex
-	app     App
-	cfg     Config
-	rt      *MachineRuntime
-	vserver *VertexServer
-	tserver *TaskServer
-	tr      *TCPTransport
-	fault   *FaultPlan
-	joined  bool
-	wired   bool
-	stopped bool
-	killed  bool
-
-	// miningPolls counts status polls that observed spawning underway;
-	// the fault plan's kill directive fires on the Nth such poll so a
-	// seeded kill always lands mid-run, never before mining starts.
-	miningPolls atomic.Uint64
-
-	exitOnce sync.Once
-	exitCh   chan struct{}
+// appSlot hands the current job's application to the in-process
+// hosts, whose control handlers may run on socket goroutines.
+type appSlot struct {
+	mu  sync.Mutex
+	app App
 }
 
-// StartWorkerHost begins listening for the coordinator on the control
-// address. The runtime is built at join time and starts mining at
-// start time.
-func StartWorkerHost(hc WorkerHostConfig) (*WorkerHost, error) {
-	if hc.Graph == nil {
-		return nil, fmt.Errorf("gthinker: worker host needs a graph")
-	}
-	if hc.App == nil && hc.NewApp == nil {
-		return nil, fmt.Errorf("gthinker: worker host needs an App or a NewApp factory")
-	}
-	h := &WorkerHost{hc: hc, exitCh: make(chan struct{})}
-	addr := hc.ControlAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ctl, err := serveControl(addr, h)
-	if err != nil {
-		return nil, err
-	}
-	h.ctl = ctl
-	return h, nil
+func (s *appSlot) set(app App) {
+	s.mu.Lock()
+	s.app = app
+	s.mu.Unlock()
 }
 
-// ControlAddr returns the bound control-plane address.
-func (h *WorkerHost) ControlAddr() string { return h.ctl.addr() }
-
-// Runtime returns the hosted runtime (nil before the join handshake).
-func (h *WorkerHost) Runtime() *MachineRuntime {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.rt
+func (s *appSlot) get() App {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.app
 }
 
-// WaitExit blocks until the coordinator sends opExit (or Close is
-// called).
-func (h *WorkerHost) WaitExit() { <-h.exitCh }
+// ErrClusterClosed is returned by RunJob after Close.
+var ErrClusterClosed = errors.New("gthinker: cluster is closed")
 
-// Close tears the host down: control and data servers, transport, and
-// the runtime's workers.
-func (h *WorkerHost) Close() {
-	h.exitOnce.Do(func() { close(h.exitCh) })
-	h.ctl.close()
-	h.mu.Lock()
-	rt, vs, ts, tr := h.rt, h.vserver, h.tserver, h.tr
-	h.mu.Unlock()
-	if rt != nil {
-		rt.Stop()
-	}
-	if tr != nil {
-		tr.Close()
-	}
-	if ts != nil {
-		ts.Close()
-	}
-	if vs != nil {
-		vs.Close()
-	}
-	// A worker process owns its spill directory (the engine sweep that
-	// empties it in-process does not exist here); without this, a
-	// cancelled or failed run leaks spilled task files.
-	if rt != nil {
-		rt.CleanupSpill()
-	}
+// Job is one unit of work for a Cluster. Machines living in the
+// caller's process run App as it is; machines in worker processes
+// rebuild their application from Spec (WorkerHostConfig.NewApp). A
+// cluster has one kind of machine, so a caller fills in the one its
+// constructor calls for.
+type Job struct {
+	App  App
+	Spec []byte
 }
 
-func (h *WorkerHost) handleJoin(r joinRequest) (vaddr, taddr string, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.joined {
-		return "", "", fmt.Errorf("gthinker: machine %d joined twice", h.hc.MachineID)
-	}
-	if r.MachineID != h.hc.MachineID {
-		return "", "", fmt.Errorf("gthinker: this host serves machine %d, not %d", h.hc.MachineID, r.MachineID)
-	}
-	if h.hc.Machines != 0 && r.Machines != h.hc.Machines {
-		return "", "", fmt.Errorf("gthinker: manifest names %d machines, coordinator %d", h.hc.Machines, r.Machines)
-	}
-	if r.Machines < 1 || h.hc.MachineID >= r.Machines {
-		return "", "", fmt.Errorf("gthinker: machine %d cannot serve a cluster of %d", h.hc.MachineID, r.Machines)
-	}
-	if r.NumVerts != h.hc.Graph.NumVertices() || r.NumEdges != uint64(h.hc.Graph.NumEdges()) {
-		return "", "", fmt.Errorf("gthinker: graph fingerprint mismatch: serving |V|=%d |E|=%d, coordinator expects |V|=%d |E|=%d",
-			h.hc.Graph.NumVertices(), h.hc.Graph.NumEdges(), r.NumVerts, r.NumEdges)
-	}
-	app, cfg := h.hc.App, h.hc.AppConfig
-	if h.hc.NewApp != nil {
-		app, cfg, err = h.hc.NewApp(r.Spec, r.Machines)
-		if err != nil {
-			return "", "", err
-		}
-	}
-	cfg.Machines = r.Machines
-	if h.hc.Trace {
-		cfg.Trace = true
-	}
+// JobResult is what a job leaves behind besides the application's own
+// state.
+type JobResult struct {
+	// Metrics merges every surviving machine's counters with the
+	// coordinator's scheduling counters.
+	Metrics *Metrics
+	// Trace is the cluster-wide span timeline (machines plus
+	// coordinator) when Config.Trace is set; nil otherwise.
+	Trace *obs.Trace
+	// Results holds each machine's opaque result frame, in machine
+	// order; empty for machines that died or whose host shares the
+	// caller's process (read the Job's App instead).
+	Results [][]byte
+}
+
+// NewLocalCluster composes cfg.Machines machines inside this process
+// over g, which must stay immutable while the cluster lives. By default
+// they are reached by direct calls; with cfg.InProcessTCP each sits
+// behind its own control, vertex, and task servers on loopback TCP and
+// is joined and driven exactly like a qcworker process.
+func NewLocalCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
+	return newLocalCluster(g, cfg, nil)
+}
+
+// newLocalCluster is NewLocalCluster with the direct-call composition's
+// data plane injectable: tests hand each machine a failing or
+// hand-wired Transport through it. Nil means a loopback per machine.
+func newLocalCluster(g *graph.Graph, cfg Config, transport func(machine int) Transport) (*Cluster, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	c := &Cluster{cfg: cfg}
+	if transport == nil {
+		transport = func(int) Transport { return newLoopback(g, cfg.partition()) }
+	}
 
-	spec := cfg.FaultSpec
-	if h.hc.FaultSpec != "" {
-		spec = h.hc.FaultSpec
-	}
-	fault, err := ParseFaultPlan(spec)
-	if err != nil {
-		return "", "", err
-	}
-	h.fault = fault
-
-	rt, err := newMachineRuntimeVerts(h.hc.Graph, app, cfg, h.hc.MachineID, nil, h.hc.presetVerts)
-	if err != nil {
-		return "", "", err
-	}
-	va := h.hc.VertexAddr
-	if va == "" {
-		va = "127.0.0.1:0"
-	}
-	vs, err := ServeVertexTable(va, h.hc.Graph)
-	if err != nil {
-		rt.CleanupSpill()
-		return "", "", err
-	}
-	taddr = ""
-	if rt.spillCodec != nil {
-		ta := h.hc.TaskAddr
-		if ta == "" {
-			ta = "127.0.0.1:0"
-		}
-		ts, err := ServeTasks(ta, rt.spillCodec, rt.DeliverTasks)
+	// One spill root holds every machine's spill subdirectory, so a
+	// user-provided SpillDir ends empty and a cluster-owned temp dir is
+	// removed wholesale.
+	rcfg := cfg
+	ownSpill := cfg.SpillDir == ""
+	if ownSpill {
+		dir, err := os.MkdirTemp("", "gthinker-spill-")
 		if err != nil {
-			vs.Close()
-			rt.CleanupSpill()
-			return "", "", err
-		}
-		h.tserver = ts
-		taddr = ts.Addr()
-	}
-	h.app, h.cfg, h.rt, h.vserver = app, cfg, rt, vs
-	h.joined = true
-	return vs.Addr(), taddr, nil
-}
-
-// handleStart wires the data plane: the runtime gets a TCPTransport
-// over the full peer address table. Mining starts separately (opRun),
-// so a coordinator can compose a cluster before executing a job — the
-// in-process engine wires at NewEngine and runs at Run.
-func (h *WorkerHost) handleStart(vaddrs, taddrs []string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.joined {
-		return fmt.Errorf("gthinker: start before join")
-	}
-	if h.wired {
-		return fmt.Errorf("gthinker: machine %d wired twice", h.hc.MachineID)
-	}
-	if len(vaddrs) != h.cfg.Machines {
-		return fmt.Errorf("gthinker: address table of %d machines for a cluster of %d", len(vaddrs), h.cfg.Machines)
-	}
-	tr := NewTCPTransport(vaddrs, h.hc.Graph.NumVertices())
-	complete := h.rt.spillCodec != nil
-	for _, t := range taddrs {
-		if t == "" {
-			complete = false
-		}
-	}
-	if complete {
-		tr.SetTaskAddrs(taddrs)
-	}
-	tr.Configure(h.cfg.DialTimeout, h.cfg.FrameTimeout, h.fault)
-	h.tr = tr
-	h.rt.SetTransport(tr, true)
-	h.wired = true
-	return nil
-}
-
-// handleRun starts mining job `job`. The first run after the join can
-// reuse the join-time application as-is; any later run — and any run
-// that delivers a fresh spec — resets the runtime onto a new jobState
-// (same graph, same partition, warm cache) with an application rebuilt
-// from this job's parameters. This is what makes one joined worker
-// serve many queries without re-handshaking.
-func (h *WorkerHost) handleRun(job uint64, spec []byte) error {
-	h.mu.Lock()
-	if !h.wired {
-		h.mu.Unlock()
-		return fmt.Errorf("gthinker: machine %d has no transport yet", h.hc.MachineID)
-	}
-	rt, app := h.rt, h.app
-	if len(spec) > 0 && h.hc.NewApp != nil {
-		newApp, _, err := h.hc.NewApp(spec, h.cfg.Machines)
-		if err != nil {
-			h.mu.Unlock()
-			return err
-		}
-		app = newApp
-		h.app = newApp
-	}
-	h.stopped = false
-	h.miningPolls.Store(0)
-	h.mu.Unlock()
-	jb := rt.jb()
-	if jb.started.Load() || job != jb.id || len(spec) > 0 {
-		if err := rt.ResetJob(app, job); err != nil {
-			return err
-		}
-	}
-	return rt.Start()
-}
-
-// resetForJob realigns the host's bookkeeping when an in-process
-// composition (Engine.ResetJob) resets the hosted runtime directly
-// instead of over the wire via opRun: the app the collection handlers
-// will read results from, the shutdown latch, and the fault-injection
-// poll counter all track the new job.
-func (h *WorkerHost) resetForJob(app App) {
-	h.mu.Lock()
-	h.app = app
-	h.stopped = false
-	h.miningPolls.Store(0)
-	h.mu.Unlock()
-}
-
-func (h *WorkerHost) runtime() (*MachineRuntime, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.wired {
-		return nil, fmt.Errorf("gthinker: machine %d has no transport yet", h.hc.MachineID)
-	}
-	return h.rt, nil
-}
-
-// jobRuntime is runtime() plus the version-4 job check: a frame
-// stamped with a job this host is not on is answered with an error,
-// never with another job's state.
-func (h *WorkerHost) jobRuntime(job uint64) (*MachineRuntime, error) {
-	rt, err := h.runtime()
-	if err != nil {
-		return nil, err
-	}
-	if cur := rt.JobID(); job != cur {
-		return nil, fmt.Errorf("gthinker: machine %d is on job %d, not job %d", h.hc.MachineID, cur, job)
-	}
-	return rt, nil
-}
-
-func (h *WorkerHost) handleStatus(job uint64) (MachineStatus, error) {
-	rt, err := h.jobRuntime(job)
-	if err != nil {
-		return MachineStatus{}, err
-	}
-	h.mu.Lock()
-	killed := h.killed
-	h.mu.Unlock()
-	if killed {
-		return MachineStatus{}, fmt.Errorf("gthinker: fault injection: machine %d is dead", h.hc.MachineID)
-	}
-	st := rt.Status()
-	// Kill hook: count only polls that observed mining underway, so a
-	// seeded kill=M@N lands on the Nth mid-run poll and the crash
-	// exercises real recovery (respawn + redirect), not a startup race.
-	if h.fault != nil && st.Spawned > 0 {
-		n := h.miningPolls.Add(1)
-		if h.fault.ShouldKill(h.hc.MachineID, n) {
-			h.mu.Lock()
-			h.killed = true
-			kill := h.hc.Kill
-			h.mu.Unlock()
-			if kill != nil {
-				kill()
-			} else {
-				// In-process: tear the host down off this goroutine —
-				// Close blocks on the control server's handler waitgroup,
-				// which includes the connection running THIS handler.
-				go h.Close()
-			}
-			return MachineStatus{}, fmt.Errorf("gthinker: fault injection: machine %d killed on poll %d", h.hc.MachineID, n)
-		}
-	}
-	return st, nil
-}
-
-// handleRecover applies a coordinator recovery directive to the hosted
-// runtime: redirect fetches for the dead machine, re-deliver retained
-// batches, and (on the adopter) re-own the dead machine's partitions.
-func (h *WorkerHost) handleRecover(d RecoverDirective) error {
-	rt, err := h.runtime()
-	if err != nil {
-		return err
-	}
-	return rt.RecoverPeer(d)
-}
-
-func (h *WorkerHost) handleSteal(job uint64, recv, want int) (int, error) {
-	rt, err := h.jobRuntime(job)
-	if err != nil {
-		return 0, err
-	}
-	return rt.StealTo(recv, want)
-}
-
-func (h *WorkerHost) handleShutdown(job uint64) error {
-	rt, err := h.jobRuntime(job)
-	if err != nil {
-		return err
-	}
-	h.mu.Lock()
-	h.stopped = true
-	h.mu.Unlock()
-	rt.Stop()
-	return nil
-}
-
-// afterShutdown guards the reads that need the workers joined, and —
-// version 4 — pins them to the job the coordinator thinks it is
-// collecting.
-func (h *WorkerHost) afterShutdown(job uint64) (*MachineRuntime, App, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.stopped {
-		return nil, nil, fmt.Errorf("gthinker: machine %d still running (shutdown first)", h.hc.MachineID)
-	}
-	if h.rt != nil {
-		if cur := h.rt.JobID(); job != cur {
-			return nil, nil, fmt.Errorf("gthinker: machine %d is on job %d, not job %d", h.hc.MachineID, cur, job)
-		}
-	}
-	return h.rt, h.app, nil
-}
-
-func (h *WorkerHost) handleMetrics(job uint64) (*Metrics, error) {
-	rt, _, err := h.afterShutdown(job)
-	if err != nil {
-		return nil, err
-	}
-	return rt.LocalMetrics(), nil
-}
-
-// handleTrace snapshots the hosted runtime's span rings for the
-// coordinator's cluster-wide timeline merge. Like metrics it is only
-// meaningful once the workers have quiesced, so it shares the
-// shutdown guard.
-func (h *WorkerHost) handleTrace(job uint64) (*obs.Trace, error) {
-	rt, _, err := h.afterShutdown(job)
-	if err != nil {
-		return nil, err
-	}
-	return rt.TraceSnapshot(), nil
-}
-
-func (h *WorkerHost) handleResults(job uint64) ([]byte, error) {
-	_, app, err := h.afterShutdown(job)
-	if err != nil {
-		return nil, err
-	}
-	if h.hc.Results == nil {
-		return nil, fmt.Errorf("gthinker: machine %d has no results encoder", h.hc.MachineID)
-	}
-	return h.hc.Results(app)
-}
-
-func (h *WorkerHost) handleExit() error {
-	h.exitOnce.Do(func() { close(h.exitCh) })
-	return nil
-}
-
-// WorkerReadyPrefix is the line a worker process prints on stdout once
-// its control server listens; the text after it is the control
-// address the coordinator should dial.
-const WorkerReadyPrefix = "GTHINKER-WORKER READY control="
-
-// PrintWorkerReady emits the readiness line for w's host.
-func PrintWorkerReady(w io.Writer, h *WorkerHost) {
-	fmt.Fprintf(w, "%s%s\n", WorkerReadyPrefix, h.ControlAddr())
-}
-
-// WorkerProcs manages a set of spawned worker OS processes. Each
-// child is reaped exactly once (exec.Cmd.Wait is not safe to call
-// concurrently): Kill and Wait both funnel through the per-child
-// reap, so a timeout-then-kill sequence cannot race the reaper.
-type WorkerProcs struct {
-	cmds     []*exec.Cmd
-	waitOnce []sync.Once
-	waitErr  []error
-	// ControlAddrs holds each worker's reported control address, in
-	// machine order.
-	ControlAddrs []string
-}
-
-// reap waits for child i exactly once and returns its exit error.
-func (p *WorkerProcs) reap(i int) error {
-	p.waitOnce[i].Do(func() { p.waitErr[i] = p.cmds[i].Wait() })
-	return p.waitErr[i]
-}
-
-// signalKill sends SIGKILL to every child without reaping.
-func (p *WorkerProcs) signalKill() {
-	for _, cmd := range p.cmds {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-	}
-}
-
-// SpawnWorkerProcs launches one worker process per machine via the
-// command factory, scans each child's stdout for its readiness line,
-// and returns the collected control addresses. The factory's command
-// must print WorkerReadyPrefix+addr on stdout (cmd/qcworker does);
-// stderr passes through to this process. On any error the children
-// already spawned are killed.
-func SpawnWorkerProcs(machines int, command func(machine int) *exec.Cmd, timeout time.Duration) (*WorkerProcs, error) {
-	p := &WorkerProcs{
-		ControlAddrs: make([]string, machines),
-		waitOnce:     make([]sync.Once, machines),
-		waitErr:      make([]error, machines),
-	}
-	type ready struct {
-		machine int
-		addr    string
-		err     error
-	}
-	readyCh := make(chan ready, machines)
-	for i := 0; i < machines; i++ {
-		cmd := command(i)
-		if cmd.Stderr == nil {
-			cmd.Stderr = os.Stderr
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			p.Kill()
 			return nil, err
 		}
-		if err := cmd.Start(); err != nil {
-			p.Kill()
-			return nil, fmt.Errorf("gthinker: spawn worker %d: %w", i, err)
-		}
-		p.cmds = append(p.cmds, cmd)
-		go func(machine int, r io.Reader) {
-			sc := bufio.NewScanner(r)
-			for sc.Scan() {
-				line := sc.Text()
-				if addr, ok := strings.CutPrefix(line, WorkerReadyPrefix); ok {
-					readyCh <- ready{machine: machine, addr: addr}
-					// Keep draining so the child never blocks on a full
-					// stdout pipe.
-					for sc.Scan() {
-					}
-					return
-				}
-			}
-			readyCh <- ready{machine: machine, err: fmt.Errorf("gthinker: worker %d exited before reporting ready", machine)}
-		}(i, stdout)
+		rcfg.SpillDir = dir
+	} else if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
+		return nil, err
 	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for n := 0; n < machines; n++ {
-		select {
-		case r := <-readyCh:
-			if r.err != nil {
-				p.Kill()
-				return nil, r.err
-			}
-			p.ControlAddrs[r.machine] = r.addr
-		case <-deadline.C:
-			p.Kill()
-			return nil, fmt.Errorf("gthinker: workers not ready after %v", timeout)
+	c.teardown = func([]bool) error {
+		if cc, ok := c.ctl.(*ClusterClient); ok {
+			cc.Close()
 		}
+		for _, h := range c.hosts {
+			h.Close()
+		}
+		if ownSpill {
+			os.RemoveAll(rcfg.SpillDir)
+		}
+		return nil
 	}
-	return p, nil
+
+	for i, verts := range cfg.partition().partitionAll(g.NumVertices()) {
+		hc := WorkerHostConfig{
+			Graph: g, MachineID: i,
+			NewApp: func([]byte, int) (App, Config, error) {
+				return c.app.get(), rcfg, nil
+			},
+			presetVerts: verts,
+			diskParent:  &c.disk,
+		}
+		var h *WorkerHost
+		var err error
+		if cfg.InProcessTCP {
+			h, err = StartWorkerHost(hc)
+		} else {
+			h, err = newDirectHost(hc, cfg.Machines, transport(i))
+		}
+		if err != nil {
+			c.teardown(nil)
+			return nil, err
+		}
+		c.hosts = append(c.hosts, h)
+	}
+	if !cfg.InProcessTCP {
+		c.ctl = &directControl{hosts: c.hosts}
+		return c, nil
+	}
+	ctlAddrs := make([]string, len(c.hosts))
+	for i, h := range c.hosts {
+		ctlAddrs[i] = h.ControlAddr()
+	}
+	cc, err := joinCluster(cfg, ctlAddrs, g.NumVertices(), uint64(g.NumEdges()), nil)
+	if err != nil {
+		c.teardown(nil)
+		return nil, err
+	}
+	c.ctl = cc
+	return c, nil
 }
 
-// Cmds exposes the spawned process handles (tests kill one mid-run to
-// exercise worker-loss handling).
-func (p *WorkerProcs) Cmds() []*exec.Cmd { return p.cmds }
-
-// Kill terminates every child immediately and reaps it.
-func (p *WorkerProcs) Kill() {
-	p.signalKill()
-	for i := range p.cmds {
-		p.reap(i)
+// StartProcsCluster joins and wires the worker processes procs (see
+// SpawnWorkerProcs) into a cluster, handing each joinSpec — the opaque
+// spec its NewApp derives the engine configuration from — and takes
+// ownership of them: they are killed if the handshake fails, and asked
+// to exit (then reaped, within exitTimeout) when the cluster closes.
+// numVerts and numEdges fingerprint the graph every worker must serve.
+func StartProcsCluster(cfg Config, procs *WorkerProcs, numVerts int, numEdges uint64, joinSpec []byte, exitTimeout time.Duration) (*Cluster, error) {
+	cfg = cfg.withDefaults()
+	cc, err := joinCluster(cfg, procs.ControlAddrs, numVerts, numEdges, joinSpec)
+	if err != nil {
+		procs.Kill()
+		return nil, err
 	}
-}
-
-// Wait reaps every child, failing if any exits non-zero or the
-// timeout passes (stragglers are then killed and reaped before
-// returning).
-func (p *WorkerProcs) Wait(timeout time.Duration) error {
-	return p.WaitLive(timeout, nil)
-}
-
-// WaitLive reaps every child like Wait, but first kills the children
-// the dead mask marks (machines the coordinator declared lost — a
-// crashed worker already exited; a fault-injected one may be wedged)
-// and ignores their exit status. nil dead means all must exit clean.
-func (p *WorkerProcs) WaitLive(timeout time.Duration, dead []bool) error {
-	for i, cmd := range p.cmds {
-		if i < len(dead) && dead[i] && cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-	}
-	done := make(chan error, 1)
-	go func() {
+	return &Cluster{cfg: cfg, ctl: cc, teardown: func(dead []bool) error {
 		var first error
-		for i := range p.cmds {
-			err := p.reap(i)
-			if i < len(dead) && dead[i] {
+		for m := 0; m < cc.Machines(); m++ {
+			if m < len(dead) && dead[m] {
 				continue
 			}
-			if err != nil && first == nil {
-				first = fmt.Errorf("gthinker: worker %d: %w", i, err)
+			if err := cc.Exit(m); err != nil && first == nil {
+				first = fmt.Errorf("gthinker: exit machine %d: %w", m, err)
 			}
 		}
-		done <- first
-	}()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(timeout):
-		// Unblock the reaper goroutine by killing the stragglers, then
-		// let IT finish the reaps — cmd.Wait must not run twice.
-		p.signalKill()
-		<-done
-		return fmt.Errorf("gthinker: workers still running after %v", timeout)
+		if err := procs.WaitLive(exitTimeout, dead); err != nil {
+			procs.Kill()
+			if first == nil {
+				first = err
+			}
+		}
+		cc.Close()
+		return first
+	}}, nil
+}
+
+// RunJob runs one job to completion — the one lifecycle every
+// composition shares: start the job on every machine, drive the
+// coordinator loop (status polls, termination detection, steals,
+// recovery), shut every machine down, collect each survivor's metrics,
+// trace, and result frame, and merge. When ctx is cancelled or expires
+// the machines stop promptly (in-flight Compute calls observe
+// Ctx.Aborted) and what they had gathered is returned together with
+// the context error; any other failure returns no result. The cluster
+// stays usable after either, unless the job lost a machine: the
+// survivors adopted its partitions for that job only (its result is
+// complete), so later jobs are refused.
+func (c *Cluster) RunJob(ctx context.Context, job Job) (*JobResult, error) {
+	if c.closed {
+		return nil, ErrClusterClosed
 	}
+	if c.dead != nil {
+		return nil, fmt.Errorf("gthinker: cluster is degraded: lost a machine during job %d", c.jobSeq)
+	}
+	c.jobSeq++
+	c.app.set(job.App)
+	// Only the peak is per-job; current is zero here because every job
+	// ends by sweeping what it left on disk (below).
+	c.disk.peak.Store(0)
+	start := time.Now()
+	n := c.ctl.Machines()
+
+	co := newCoordinator(c.ctl, c.cfg)
+	var runErr error
+	for m := 0; m < n && runErr == nil; m++ {
+		runErr = c.ctl.Run(m, c.jobSeq, job.Spec)
+	}
+	if runErr == nil {
+		runErr = co.run(ctx)
+	}
+	if err := co.shutdown(); runErr == nil {
+		runErr = err
+	}
+	// Join in-process workers from THIS goroutine too: the shutdown may
+	// have crossed a socket, and the caller is about to read application
+	// state the workers wrote. An aborted job's spill leftovers go now,
+	// not at each machine's next reset: the machines share this
+	// process's disk account, and the next job's peak-of-sum must not
+	// start from files of this one.
+	for _, h := range c.hosts {
+		h.Runtime().Stop()
+		h.Runtime().sweepSpill()
+	}
+	st := co.stats()
+	c.dead = st.Dead
+	if runErr != nil && !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded) {
+		return nil, runErr
+	}
+
+	// A recovered-from machine stays out of every collection: the
+	// adopter re-mined its partitions, so the corpse's partial work
+	// would double-count.
+	per := make([]*Metrics, n)
+	res := &JobResult{Results: make([][]byte, n)}
+	traces := []*obs.Trace{st.Trace}
+	for m := 0; m < n; m++ {
+		if m < len(st.Dead) && st.Dead[m] {
+			continue
+		}
+		var err error
+		if per[m], err = c.ctl.CollectMetrics(m); err != nil {
+			return nil, fmt.Errorf("gthinker: metrics from machine %d: %w", m, err)
+		}
+		if c.cfg.Trace {
+			tr, err := c.ctl.CollectTrace(m)
+			if err != nil {
+				return nil, fmt.Errorf("gthinker: trace from machine %d: %w", m, err)
+			}
+			traces = append(traces, tr)
+		}
+		if res.Results[m], err = c.ctl.CollectResults(m); err != nil {
+			return nil, fmt.Errorf("gthinker: results from machine %d: %w", m, err)
+		}
+	}
+	if c.cfg.Trace {
+		res.Trace = obs.Merge(traces...)
+	}
+
+	met := MergeMachineMetrics(per)
+	met.Wall = time.Since(start)
+	met.StealRounds = st.StealRounds
+	met.TasksStolen = st.TasksStolen
+	met.OffCycleSteals = st.OffCycleSteals
+	met.Recoveries = st.Recoveries
+	met.DeadMachines = st.DeadMachines
+	if rs, ok := c.ctl.(RetryStats); ok {
+		met.RetriedDials += rs.RetriedDials()
+		met.RetriedOps += rs.RetriedOps()
+	}
+	if c.hosts != nil {
+		met.PeakSpillBytes = c.disk.peak.Load()
+	}
+	res.Metrics = met
+	return res, runErr
+}
+
+// Close tears the cluster down: in-process machines stop, sweep their
+// spill files, and close their sockets; worker processes are asked to
+// exit and reaped. Idempotent.
+func (c *Cluster) Close() error {
+	if c.closed {
+		return nil
+	}
+	c.closed = true
+	return c.teardown(c.dead)
 }

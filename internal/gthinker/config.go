@@ -6,33 +6,6 @@ import (
 	"time"
 )
 
-// SpillFormat selects the on-disk encoding of spilled task batches.
-type SpillFormat int
-
-const (
-	// SpillAuto (default) uses the raw columnar format when the App
-	// implements TaskCodec and gob otherwise.
-	SpillAuto SpillFormat = iota
-	// SpillGob forces the reflective gob encoding (legacy format,
-	// works for any gob-registered payload).
-	SpillGob
-	// SpillColumnar forces the raw columnar format (GQS1, see
-	// internal/store); NewEngine rejects it if the App does not
-	// implement TaskCodec.
-	SpillColumnar
-)
-
-func (f SpillFormat) String() string {
-	switch f {
-	case SpillGob:
-		return "gob"
-	case SpillColumnar:
-		return "columnar"
-	default:
-		return "auto"
-	}
-}
-
 // Config sizes the simulated cluster and its queues.
 type Config struct {
 	// Machines is the number of simulated machines (vertex-table
@@ -74,28 +47,15 @@ type Config struct {
 	// DisableGlobalQueue routes every task to local queues, reverting
 	// the paper's reforge (ablation: original G-thinker behavior).
 	DisableGlobalQueue bool
-	// Transport overrides the inter-machine data plane; nil uses the
-	// in-process loopback. A Transport serves batched adjacency
-	// fetches (FetchAdjBatch: the engine issues one round trip per
-	// owning machine when resolving a task's pulls); if it also
-	// implements TaskChannel, the stealing master ships stolen
-	// big-task batches through it as GQS1 bytes instead of moving
-	// them in memory. For a socket path, wire a NewTCPTransport to
-	// one VertexServer (and optionally one TaskServer + TaskSink) per
-	// machine before the engine runs — or set InProcessTCP to have
-	// the engine do exactly that on loopback TCP.
-	Transport Transport
-	// InProcessTCP bootstraps a real socket deployment inside the
-	// process: one VertexServer per machine, one TaskServer per
-	// machine when the App implements TaskCodec, and a TCPTransport
-	// connecting them on 127.0.0.1. Every remote adjacency pull and
-	// every stolen big-task batch then crosses a real socket
-	// (qcbench -tcp). Mutually exclusive with Transport.
+	// InProcessTCP selects how the machines of an in-process cluster
+	// are reached: false (default) composes them over direct calls —
+	// an ownership-checked loopback data plane and in-memory steals;
+	// true puts every machine behind its own control, vertex, and task
+	// servers on 127.0.0.1 and drives them with the same framed
+	// protocol a qcworker process speaks, so every remote adjacency
+	// pull, stolen big-task batch, status poll, and metrics flush
+	// crosses a real socket (qcbench -tcp).
 	InProcessTCP bool
-	// SpillFormat selects the task-batch spill encoding; the zero
-	// value (SpillAuto) picks the raw columnar format whenever the
-	// App provides a TaskCodec.
-	SpillFormat SpillFormat
 	// FrameTimeout bounds each framed request/response exchange on
 	// the control and data planes (one conn deadline per attempt), so
 	// a hung peer surfaces as a timeout instead of a stuck run.
@@ -219,7 +179,7 @@ func (c Config) stealIdlePolls() int {
 }
 
 // TotalWorkers returns Machines × WorkersPerMachine with defaults
-// applied; apps use it to size per-worker state before NewEngine.
+// applied; apps use it to size per-worker state before a job runs.
 func (c Config) TotalWorkers() int {
 	c = c.withDefaults()
 	return c.Machines * c.WorkersPerMachine
@@ -237,12 +197,6 @@ func (c Config) validate() error {
 	}
 	if c.BatchSize > c.QueueCap {
 		return fmt.Errorf("gthinker: BatchSize %d exceeds QueueCap %d", c.BatchSize, c.QueueCap)
-	}
-	if c.SpillFormat < SpillAuto || c.SpillFormat > SpillColumnar {
-		return fmt.Errorf("gthinker: unknown SpillFormat %d", c.SpillFormat)
-	}
-	if c.InProcessTCP && c.Transport != nil {
-		return fmt.Errorf("gthinker: InProcessTCP and Transport are mutually exclusive")
 	}
 	if c.PartitionBounds != nil {
 		if len(c.PartitionBounds) != c.Machines+1 {

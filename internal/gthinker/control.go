@@ -14,7 +14,7 @@ import (
 // coordinator needs to run a cluster of isolated machine runtimes —
 // termination detection, steal directives, and metrics flushes cross
 // the same length-prefixed frames as adjacency batches, so one process
-// per machine (cmd/qcworker) needs nothing the in-process composition
+// per machine (cmd/qcworker) needs nothing an InProcessTCP cluster
 // does not also exercise. See the op table in tcp.go.
 
 // controlProtoVersion is the handshake version; a coordinator and
@@ -149,11 +149,7 @@ func appendAddrTable(dst []byte, vaddrs, taddrs []string) []byte {
 	dst = store.AppendU32(dst, uint32(len(vaddrs)))
 	for i := range vaddrs {
 		dst = store.AppendString(dst, vaddrs[i])
-		t := ""
-		if i < len(taddrs) {
-			t = taddrs[i]
-		}
-		dst = store.AppendString(dst, t)
+		dst = store.AppendString(dst, taddrs[i])
 	}
 	return dst
 }
@@ -370,10 +366,10 @@ func (s *controlServer) handle(conn net.Conn) {
 	})
 }
 
-// ClusterClient is the coordinator's ControlPlane over framed TCP: one
-// pooled connection per machine's control server. It drives both the
-// in-process TCP composition and real qcworker processes — the
-// coordinator cannot tell the difference, which is the point.
+// ClusterClient is the ControlPlane over framed TCP: one pooled
+// connection per machine's control server. It drives both an
+// InProcessTCP cluster and real qcworker processes — the coordinator
+// cannot tell the difference, which is the point.
 //
 // Methods are safe for one coordinator goroutine per machine; the
 // shutdown→metrics→results ordering guarantee relies on each machine's
@@ -387,89 +383,67 @@ type ClusterClient struct {
 
 	// job is the id the client stamps on every job-scoped frame
 	// (status polls, steal directives, shutdown, metrics/trace/results
-	// collection). RunJob advances it; 0 until the first RunJob, which
-	// matches a freshly joined worker's runtime.
+	// collection). Run advances it.
 	job atomic.Uint64
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// DialCluster returns a client for the given per-machine control
-// addresses. Connections are established lazily, with timed dials and
-// a retry-once on the idempotent opStatus poll; Configure tightens or
-// relaxes the windows.
-func DialCluster(ctlAddrs []string) *ClusterClient {
+// Machines returns the cluster size.
+func (c *ClusterClient) Machines() int { return len(c.pool.addrs) }
+
+// joinCluster dials the machines' control servers and runs the
+// handshake up to the point where jobs can run: every machine joins
+// with the shared identity (cluster size, graph fingerprint, spec) —
+// checking it, building its runtime, and reporting its data-plane
+// listen addresses — and then receives the full peer address table to
+// wire its TCPTransport over.
+func joinCluster(cfg Config, ctlAddrs []string, numVerts int, numEdges uint64, spec []byte) (*ClusterClient, error) {
+	if cfg.Machines != len(ctlAddrs) {
+		return nil, fmt.Errorf("gthinker: joining %d machines with %d control addresses", cfg.Machines, len(ctlAddrs))
+	}
+	fault, err := ParseFaultPlan(cfg.FaultSpec)
+	if err != nil {
+		return nil, err
+	}
+	// Connections are established lazily, with timed dials and a
+	// retry-once on the idempotent opStatus poll; zero DialTimeout /
+	// FrameTimeout keep the defaults, a negative FrameTimeout disables
+	// the deadline.
 	c := &ClusterClient{pool: newConnPool(ctlAddrs)}
 	c.pool.opAttempts = ctlOpAttempts
 	c.pool.retriedDials = &c.retriedDials
 	c.pool.retriedOps = &c.retriedOps
-	return c
-}
-
-// Configure applies the hardening knobs from cfg (DialTimeout,
-// FrameTimeout, FaultSpec) to the control connections. Zero values
-// keep the defaults; a negative FrameTimeout disables the deadline.
-func (c *ClusterClient) Configure(cfg Config) error {
-	fault, err := ParseFaultPlan(cfg.FaultSpec)
-	if err != nil {
-		return err
-	}
 	c.pool.configure(cfg.DialTimeout, cfg.FrameTimeout, fault)
-	return nil
-}
-
-// Machines returns the cluster size.
-func (c *ClusterClient) Machines() int { return len(c.pool.addrs) }
-
-// Join performs machine m's join handshake and returns its data-plane
-// listen addresses.
-func (c *ClusterClient) Join(m int, r joinRequest) (vaddr, taddr string, err error) {
-	resp, err := c.pool.roundTrip(m, opJoin, appendJoinRequest(nil, r), maxFramePayload, &c.sent, &c.recvd)
-	if err != nil {
-		return "", "", err
+	fail := func(err error) (*ClusterClient, error) {
+		c.Close()
+		return nil, err
 	}
-	cur := store.NewCursor(resp)
-	vaddr = cur.String(maxCtlAddr)
-	taddr = cur.String(maxCtlAddr)
-	if err := cur.Err(); err != nil {
-		return "", "", fmt.Errorf("gthinker: malformed join reply: %w", err)
-	}
-	return vaddr, taddr, nil
-}
-
-// JoinAll joins every machine with the shared identity (cluster size,
-// graph fingerprint, job spec) and returns the collected address
-// tables.
-func (c *ClusterClient) JoinAll(machines, numVerts int, numEdges uint64, spec []byte) (vaddrs, taddrs []string, err error) {
-	if machines != c.Machines() {
-		return nil, nil, fmt.Errorf("gthinker: joining %d machines with %d control addresses", machines, c.Machines())
-	}
-	vaddrs = make([]string, machines)
-	taddrs = make([]string, machines)
-	for m := 0; m < machines; m++ {
-		vaddrs[m], taddrs[m], err = c.Join(m, joinRequest{
-			MachineID: m, Machines: machines,
+	vaddrs := make([]string, cfg.Machines)
+	taddrs := make([]string, cfg.Machines)
+	for m := range vaddrs {
+		resp, err := c.pool.roundTrip(m, opJoin, appendJoinRequest(nil, joinRequest{
+			MachineID: m, Machines: cfg.Machines,
 			NumVerts: numVerts, NumEdges: numEdges, Spec: spec,
-		})
+		}), maxFramePayload, &c.sent, &c.recvd)
 		if err != nil {
-			return nil, nil, fmt.Errorf("gthinker: join machine %d: %w", m, err)
+			return fail(fmt.Errorf("gthinker: join machine %d: %w", m, err))
+		}
+		cur := store.NewCursor(resp)
+		vaddrs[m] = cur.String(maxCtlAddr)
+		taddrs[m] = cur.String(maxCtlAddr)
+		if err := cur.Err(); err != nil {
+			return fail(fmt.Errorf("gthinker: malformed join reply from machine %d: %w", m, err))
 		}
 	}
-	return vaddrs, taddrs, nil
-}
-
-// StartTransports distributes the full peer address table to every
-// machine; each builds its TCPTransport (mining starts separately,
-// with RunAll).
-func (c *ClusterClient) StartTransports(vaddrs, taddrs []string) error {
-	payload := appendAddrTable(nil, vaddrs, taddrs)
-	for m := 0; m < c.Machines(); m++ {
-		if _, err := c.pool.roundTrip(m, opStart, payload, maxFramePayload, &c.sent, &c.recvd); err != nil {
-			return fmt.Errorf("gthinker: start machine %d: %w", m, err)
+	table := appendAddrTable(nil, vaddrs, taddrs)
+	for m := range vaddrs {
+		if _, err := c.pool.roundTrip(m, opStart, table, maxFramePayload, &c.sent, &c.recvd); err != nil {
+			return fail(fmt.Errorf("gthinker: start machine %d: %w", m, err))
 		}
 	}
-	return nil
+	return c, nil
 }
 
 // jobHeader starts a job-scoped request payload with the current job
@@ -478,37 +452,19 @@ func (c *ClusterClient) jobHeader() []byte {
 	return store.AppendU64(nil, c.job.Load())
 }
 
-// JobID returns the job id the client currently stamps on job-scoped
-// frames.
-func (c *ClusterClient) JobID() uint64 { return c.job.Load() }
-
-// SetJob changes the stamped job id without issuing opRun — for
-// compositions (the in-process engine) that reset and start runtimes
-// directly but still poll status through this client.
-func (c *ClusterClient) SetJob(job uint64) { c.job.Store(job) }
-
-// RunJob starts mining job `job` on every machine. A non-empty spec
-// is delivered per machine so the worker rebuilds its application
-// with this job's parameters (γ, min-size, options) before starting;
-// an empty spec reuses whatever application the join installed. All
-// subsequent job-scoped frames are stamped with this id.
-func (c *ClusterClient) RunJob(job uint64, spec []byte) error {
+// Run starts mining job `job` on machine m: the spec is delivered so
+// the worker rebuilds its application with this job's parameters (γ,
+// min-size, options) before starting. All subsequent job-scoped frames
+// are stamped with this id.
+func (c *ClusterClient) Run(m int, job uint64, spec []byte) error {
 	c.job.Store(job)
 	payload := store.AppendU64(nil, job)
 	payload = store.AppendU32(payload, uint32(len(spec)))
 	payload = append(payload, spec...)
-	for m := 0; m < c.Machines(); m++ {
-		if _, err := c.pool.roundTrip(m, opRun, payload, maxFramePayload, &c.sent, &c.recvd); err != nil {
-			return fmt.Errorf("gthinker: run machine %d: %w", m, err)
-		}
+	if _, err := c.pool.roundTrip(m, opRun, payload, maxFramePayload, &c.sent, &c.recvd); err != nil {
+		return fmt.Errorf("gthinker: run machine %d: %w", m, err)
 	}
 	return nil
-}
-
-// RunAll starts mining on every machine, reusing the join-time app
-// and the current job id (the single-job compositions).
-func (c *ClusterClient) RunAll() error {
-	return c.RunJob(c.job.Load(), nil)
 }
 
 // Status polls machine m's liveness report.
@@ -561,8 +517,8 @@ func (c *ClusterClient) CollectMetrics(m int) (*Metrics, error) {
 }
 
 // CollectTrace fetches machine m's retained trace spans (empty when
-// tracing is disabled there). Only valid after Shutdown(m). The
-// reply is accepted up to the absolute frame ceiling, like Results: a
+// tracing is disabled there). Only valid after Shutdown(m). The reply
+// is accepted up to the absolute frame ceiling, like CollectResults: a
 // full set of per-worker rings legitimately exceeds the request
 // budget.
 func (c *ClusterClient) CollectTrace(m int) (*obs.Trace, error) {
@@ -573,13 +529,13 @@ func (c *ClusterClient) CollectTrace(m int) (*obs.Trace, error) {
 	return obs.DecodeTrace(resp)
 }
 
-// Results fetches machine m's app-level result bytes (opaque to the
-// engine; the app's cluster glue decodes and merges them). Only valid
+// CollectResults fetches machine m's app-level result bytes (opaque to
+// the engine; the app's session decodes and merges them). Only valid
 // after Shutdown(m). Unlike request traffic, the reply is accepted up
 // to the absolute frame ceiling: a worker's whole result set ships as
 // one frame, and a big mining run legitimately exceeds the 64 MiB
 // request budget (writeFrame allows the same ceiling on the sender).
-func (c *ClusterClient) Results(m int) ([]byte, error) {
+func (c *ClusterClient) CollectResults(m int) ([]byte, error) {
 	return c.pool.roundTrip(m, opResults, c.jobHeader(), maxWireFrame, &c.sent, &c.recvd)
 }
 

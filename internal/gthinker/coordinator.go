@@ -13,16 +13,20 @@ import (
 	"gthinkerqc/internal/obs"
 )
 
-// ControlPlane is the coordinator's view of the cluster: one entry per
+// ControlPlane is how a cluster's machines are reached: one entry per
 // machine, addressed by machine id. It is the ONLY channel through
-// which cross-machine scheduling decisions flow — the coordinator
-// never reads another machine's memory. Implementations: localControl
-// (direct method calls on in-process runtimes) and ClusterClient
-// (framed TCP ops against per-machine control servers, in-process or
-// across real OS processes).
+// which a job is started, scheduled, stopped, and collected — the
+// coordinator never reads another machine's memory. Implementations:
+// directControl (method calls on WorkerHosts living in this process)
+// and ClusterClient (framed TCP ops against per-machine control
+// servers, in this process or in qcworker processes). Every job-scoped
+// call after Run addresses the job Run named.
 type ControlPlane interface {
 	// Machines returns the cluster size.
 	Machines() int
+	// Run resets machine m onto job `job`, running the application its
+	// host makes of spec, and starts mining.
+	Run(m int, job uint64, spec []byte) error
 	// Status returns machine m's liveness report.
 	Status(m int) (MachineStatus, error)
 	// Steal directs machine donor to ship up to want big tasks to
@@ -33,11 +37,16 @@ type ControlPlane interface {
 	// the dead machine, and (on the adopter) take over the dead
 	// machine's root-task partitions.
 	Recover(m int, d RecoverDirective) error
-	// Shutdown stops machine m's workers and joins them. Idempotent.
+	// Shutdown stops machine m's workers, joins them, and reports the
+	// machine's failure if its job recorded one. Idempotent.
 	Shutdown(m int) error
-	// CollectMetrics returns machine m's local metrics. Only valid
-	// after Shutdown(m).
+	// CollectMetrics, CollectTrace, and CollectResults return machine
+	// m's local metrics, its trace spans (empty when tracing is off),
+	// and its host's opaque result frame (empty when the host shares
+	// the caller's process). Only valid after Shutdown(m).
 	CollectMetrics(m int) (*Metrics, error)
+	CollectTrace(m int) (*obs.Trace, error)
+	CollectResults(m int) ([]byte, error)
 }
 
 // RecoverDirective tells a survivor how to absorb a dead machine. The
@@ -76,63 +85,61 @@ func (e *MachineLostError) Unwrap() error { return e.Err }
 
 func (e *MachineLostError) Is(target error) bool { return target == ErrMachineLost }
 
-// localControl is the in-process ControlPlane: direct calls into the
-// runtimes, with steals as in-memory queue moves (the loopback
-// composition — one process, no serialization).
-type localControl struct {
-	rts []*MachineRuntime
+// directControl is the ControlPlane over machines living in this
+// process and reached without sockets: every call is the WorkerHost
+// handler a control server would have dispatched to, invoked as a
+// method, and steals are in-memory queue moves.
+type directControl struct {
+	hosts []*WorkerHost
+	job   uint64 // set by Run, before the coordinator's goroutines exist
 }
 
-func (lc *localControl) Machines() int { return len(lc.rts) }
+func (dc *directControl) Machines() int { return len(dc.hosts) }
 
-func (lc *localControl) Status(m int) (MachineStatus, error) {
-	return lc.rts[m].Status(), nil
+func (dc *directControl) Run(m int, job uint64, spec []byte) error {
+	dc.job = job
+	return dc.hosts[m].handleRun(job, spec)
+}
+
+func (dc *directControl) Status(m int) (MachineStatus, error) {
+	return dc.hosts[m].handleStatus(dc.job)
 }
 
 // Steal moves tasks donor→recv in memory. Delivery precedes the
 // donor-side uncount, preserving the never-under-count invariant the
 // termination scan relies on.
-func (lc *localControl) Steal(donor, recv, want int) (int, error) {
-	batch := lc.rts[donor].stealLocal(want)
+func (dc *directControl) Steal(donor, recv, want int) (int, error) {
+	from, to := dc.hosts[donor].rt, dc.hosts[recv].rt
+	batch := from.stealLocal(want)
 	if len(batch) == 0 {
 		return 0, nil
 	}
-	lc.rts[recv].DeliverTasks(batch)
-	lc.rts[donor].finishSteal(len(batch))
+	to.DeliverTasks(batch)
+	from.finishSteal(len(batch))
 	return len(batch), nil
 }
 
-func (lc *localControl) Recover(m int, d RecoverDirective) error {
-	return lc.rts[m].RecoverPeer(d)
+func (dc *directControl) Recover(m int, d RecoverDirective) error {
+	return dc.hosts[m].handleRecover(d)
 }
 
-func (lc *localControl) Shutdown(m int) error {
-	lc.rts[m].Stop()
-	return nil
+func (dc *directControl) Shutdown(m int) error { return dc.hosts[m].handleShutdown(dc.job) }
+
+func (dc *directControl) CollectMetrics(m int) (*Metrics, error) {
+	return dc.hosts[m].handleMetrics(dc.job)
 }
 
-func (lc *localControl) CollectMetrics(m int) (*Metrics, error) {
-	return lc.rts[m].LocalMetrics(), nil
+func (dc *directControl) CollectTrace(m int) (*obs.Trace, error) {
+	return dc.hosts[m].handleTrace(dc.job)
 }
 
-// localSteal overlays in-memory stealing on another control plane —
-// the in-process TCP composition uses it when the app provides no
-// TaskCodec (nothing can serialize a task for the wire, but the
-// runtimes still share a process, so the pre-PR5 memory move remains
-// available).
-type localSteal struct {
-	ControlPlane
-	rts []*MachineRuntime
+func (dc *directControl) CollectResults(m int) ([]byte, error) {
+	return dc.hosts[m].handleResults(dc.job)
 }
 
-func (ls *localSteal) Steal(donor, recv, want int) (int, error) {
-	lc := localControl{rts: ls.rts}
-	return lc.Steal(donor, recv, want)
-}
-
-// CoordinatorStats reports the scheduling decisions a coordinator made
+// coordinatorStats reports the scheduling decisions a coordinator made
 // over one run.
-type CoordinatorStats struct {
+type coordinatorStats struct {
 	StealRounds    uint64
 	TasksStolen    uint64
 	OffCycleSteals uint64
@@ -154,20 +161,6 @@ type CoordinatorStats struct {
 	// merge it with the per-machine snapshots for the cluster-wide
 	// timeline.
 	Trace *obs.Trace
-}
-
-// RunCoordinator drives an already-composed cluster to completion:
-// status polling, termination detection, steal directives, shutdown,
-// and the final per-machine metrics collection, all through ctl. It is
-// the multi-process coordinator's engine-free entry point (the Engine
-// wraps the same loop around its in-process runtimes). The returned
-// metrics slice holds one entry per machine; entries are nil for
-// machines that could not be reached on the failure path.
-func RunCoordinator(ctx context.Context, ctl ControlPlane, cfg Config) ([]*Metrics, CoordinatorStats, error) {
-	cfg = cfg.withDefaults()
-	c := newCoordinator(ctl, cfg)
-	err := c.run(ctx)
-	return c.perMachine, c.stats(), err
 }
 
 // ewmaAlpha smooths the coordinator's per-machine backlog estimate:
@@ -215,8 +208,6 @@ type coordinator struct {
 	// coordinator's own scheduling spans on pid -1 / track 0.
 	lv     *LiveView
 	tracer *obs.Tracer
-
-	perMachine []*Metrics // collected after shutdown; may hold nils on failure
 }
 
 func newCoordinator(ctl ControlPlane, cfg Config) *coordinator {
@@ -240,8 +231,8 @@ func newCoordinator(ctl ControlPlane, cfg Config) *coordinator {
 	return c
 }
 
-func (c *coordinator) stats() CoordinatorStats {
-	s := CoordinatorStats{
+func (c *coordinator) stats() coordinatorStats {
+	s := coordinatorStats{
 		StealRounds:    c.stealRounds,
 		TasksStolen:    c.tasksStolen,
 		OffCycleSteals: c.offCycleSteals,
@@ -263,48 +254,33 @@ func (c *coordinator) stats() CoordinatorStats {
 	return s
 }
 
-// deadMask returns the per-machine dead flags (nil when nothing died).
-func (c *coordinator) deadMask() []bool { return c.stats().Dead }
-
-// run drives the cluster to completion: it polls, steals, detects
-// termination (or failure, or cancellation), shuts every machine down,
-// and collects per-machine metrics. The returned error is nil only for
-// a clean termination. The observability side-cars — debug HTTP server
-// and -progress ticker — live exactly as long as the loop, so both the
-// Engine and the engine-free RunCoordinator entry points get them.
+// run drives the started job to completion: it polls, steals, and
+// detects termination (or failure, or cancellation). The returned
+// error is nil only for a clean termination. The observability
+// side-cars — debug HTTP server and -progress ticker — live exactly as
+// long as the loop.
 func (c *coordinator) run(ctx context.Context) error {
 	stopObs, err := c.startObs()
 	if err != nil {
 		return err
 	}
-	err = c.loop(ctx)
-	stopObs()
+	defer stopObs()
+	return c.loop(ctx)
+}
+
+// shutdown stops every machine still alive (a dead one cannot answer)
+// and returns the first failure a machine reports.
+func (c *coordinator) shutdown() error {
+	var first error
 	for m := 0; m < c.ctl.Machines(); m++ {
 		if !c.alive[m] {
-			continue // a dead machine cannot answer a shutdown
-		}
-		if serr := c.ctl.Shutdown(m); serr != nil && err == nil {
-			err = serr
-		}
-	}
-	// Metrics collection is best-effort on the failure path: a dead
-	// worker process cannot answer, but the survivors' numbers are
-	// still worth aggregating.
-	c.perMachine = make([]*Metrics, c.ctl.Machines())
-	for m := range c.perMachine {
-		if !c.alive[m] {
 			continue
 		}
-		met, merr := c.ctl.CollectMetrics(m)
-		if merr != nil {
-			if err == nil {
-				err = merr
-			}
-			continue
+		if err := c.ctl.Shutdown(m); err != nil && first == nil {
+			first = err
 		}
-		c.perMachine[m] = met
 	}
-	return err
+	return first
 }
 
 // startObs brings up the coordinator's observability side-cars per the

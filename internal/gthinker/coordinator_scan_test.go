@@ -10,8 +10,11 @@ import (
 
 // slowControl is a ControlPlane whose every status poll sleeps for a
 // fixed delay — the scan-latency fixture. Machines listed in fail
-// answer polls with an error instead (after the same delay).
+// answer polls with an error instead (after the same delay). The
+// embedded nil interface stands in for the job-start and collection
+// calls the coordinator never makes.
 type slowControl struct {
+	ControlPlane
 	n     int
 	delay time.Duration
 	fail  map[int]bool
@@ -32,7 +35,6 @@ func (s *slowControl) Status(m int) (MachineStatus, error) {
 func (s *slowControl) Steal(donor, recv, want int) (int, error) { return 0, nil }
 func (s *slowControl) Recover(m int, d RecoverDirective) error  { return nil }
 func (s *slowControl) Shutdown(m int) error                     { return nil }
-func (s *slowControl) CollectMetrics(m int) (*Metrics, error)   { return &Metrics{}, nil }
 
 // TestScanPollsConcurrently pins the coordinator's status scan to
 // concurrent fan-out: 8 machines × 10 ms per poll must complete in
@@ -110,7 +112,7 @@ func TestTerminationNotStarvedBySteals(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, _, err := RunCoordinator(ctx, sc, Config{
+	_, err := runCoordinator(ctx, sc, Config{
 		Machines: 3, WorkersPerMachine: 1,
 		StatusInterval: 5 * time.Millisecond, StealInterval: time.Millisecond,
 	})

@@ -27,32 +27,39 @@
 //     reused as the wire format), health probes, and the control
 //     plane below.
 //
-// # Architecture: runtimes composed by a coordinator
+// # Architecture: one cluster, one job path
 //
 // The unit of execution is the MachineRuntime: ONE machine's vertex
 // partition, queues, spill lists, cache, and mining workers. A
 // runtime owns no cross-machine state — its data plane is the
 // Transport interface (adjacency fetches in, stolen GQS1 task batches
-// in and out) and its control plane is the MachineStatus /
-// StealTo / Stop surface the coordinator drives. The cluster is then
-// a composition, three ways:
+// in and out). Every runtime is hosted by a WorkerHost, which answers
+// the control plane for it: run a job, report status, execute a steal
+// directive, absorb a dead peer, shut down, and hand over metrics,
+// trace spans, and the application's result frame.
 //
-//   - Engine (default): N runtimes in one process, loopback Transport
-//     (direct reads of the shared graph, ownership-validated), and a
-//     localControl plane of direct method calls.
-//   - Engine with Config.InProcessTCP: N runtimes each behind its own
-//     WorkerHost — control, vertex, and task servers on 127.0.0.1 —
-//     joined and driven by a ClusterClient over real sockets. Every
-//     remote pull, stolen batch, liveness poll, steal directive, and
-//     metrics flush crosses the wire.
-//   - cmd/qcworker: ONE runtime per OS process, hosted by the same
-//     WorkerHost; any coordinator (qcmine -procs, qcbench -procs, or
-//     miner.MineProcs) composes real processes from a partition
-//     manifest. Separate hosts need only routable addresses in the
-//     manifest — nothing above the Transport changes.
+// A Cluster is a ControlPlane over N such hosts plus whatever must be
+// closed with it. There is one way to run a job on it —
+// Cluster.RunJob: start the job on every machine, drive the
+// coordinator loop, shut every machine down, collect and merge what
+// the survivors hold — and the constructors differ only along two
+// axes:
 //
-// In every composition the coordinator makes cross-machine decisions
-// exclusively from MachineStatus reports: termination is declared
+//   - where the machines live: in this process (NewLocalCluster, all
+//     machines sharing one graph and one application value per job) or
+//     in qcworker child processes (StartProcsCluster, each mapping the
+//     graph file and rebuilding the application from the job's spec);
+//   - how they are reached: by direct calls (directControl invoking
+//     the host's handlers as methods, a loopback Transport reading the
+//     shared graph, steals as in-memory queue moves — the default for
+//     local machines) or over framed sockets (ClusterClient against
+//     each host's control server, TCPTransports between vertex and
+//     task servers — Config.InProcessTCP for local machines, always
+//     for processes). Every remote pull, stolen batch, liveness poll,
+//     steal directive, and metrics flush then crosses the wire.
+//
+// The coordinator makes cross-machine decisions exclusively from
+// MachineStatus reports: termination is declared
 // when two consecutive scans agree that every machine has spawned its
 // partition, counts zero live tasks, and has identical sentOut/recvIn
 // transfer counters (a stolen task is counted by its receiver before
@@ -78,19 +85,21 @@
 //	qcworker -graph g.bin -manifest cluster.gqm -machine 0   # × N
 //
 // each worker prints "GTHINKER-WORKER READY control=<addr>"; the
-// coordinator dials every control address (DialCluster) and runs the
-// lifecycle: opJoin (identity check + job spec) → opStart (peer
-// address table; workers build their TCPTransports) → opRun (mining
-// starts) → opStatus polling / opStealDo directives → opShutdown →
-// opMetrics + opResults flushes → opExit. The op table lives in
+// coordinator dials every control address (StartProcsCluster) and
+// runs the lifecycle: opJoin (identity check + engine shape) → opStart
+// (peer address table; workers build their TCPTransports), then per
+// job opRun (job id + spec; mining starts) → opStatus polling /
+// opStealDo directives → opShutdown → opMetrics + opTrace + opResults
+// flushes, and finally opExit. The op table lives in
 // tcp.go; the app-opaque job-spec and result encodings for the
 // quasi-clique miner live in internal/miner (AppendJobSpec,
 // AppendResults).
 //
 // Engine mechanisms the paper evaluates all live above the Transport
-// interface, so the in-process compositions exercise the same code
-// paths as the distributed deployment; see DESIGN.md §3 for the
-// substitution argument.
+// and ControlPlane interfaces, so a local cluster exercises the same
+// code paths as the distributed deployment: substituting one for the
+// other changes how bytes and calls travel, never what is computed,
+// and CI holds every composition bit-identical to the serial miner.
 //
 // # Failure model and recovery
 //
@@ -160,11 +169,10 @@
 //     dead and driving recovery / one survivor adopting its work
 //
 // Pid is the machine id (-1 = coordinator), Tid the worker (negative
-// = a machine's control track). At shutdown each composition merges
-// every participant's snapshot into one Trace: the Engine reads its
-// in-process runtimes directly, while multi-process coordinators pull
-// each worker's spans over the control plane (opTrace, OTR1 wire
-// format) before releasing it — so `qcmine -procs 4 -trace out.json`
+// = a machine's control track). After shutdown Cluster.RunJob merges
+// every participant's snapshot into one Trace, pulling each machine's
+// spans over the control plane (a method call, or opTrace in the OTR1
+// wire format) — so `qcmine -procs 4 -trace out.json`
 // writes ONE cluster-wide timeline, loadable in Perfetto or
 // chrome://tracing (obs.WriteChromeTraceFile). Metrics.TraceSpans /
 // TraceDropped account for ring overflow.

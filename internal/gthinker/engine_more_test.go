@@ -2,7 +2,6 @@ package gthinker
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -46,71 +45,77 @@ func TestMetricsHelpers(t *testing.T) {
 
 func TestStealRoundDirect(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
-	e, err := NewEngine(g, &nilApp{}, Config{Machines: 2, WorkersPerMachine: 1, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 1, SpillDir: t.TempDir()})
+	rts := installJob(t, c, &nilApp{})
+	co := newCoordinator(c.ctl, c.cfg)
 	// Load machine 0 with 10 big tasks; machine 1 has none.
 	for i := 0; i < 10; i++ {
-		e.runtimes[0].jb().qglobal.pushBack(NewTask(i))
+		rts[0].jb().qglobal.pushBack(NewTask(nil))
 	}
-	if _, err := e.coord.stealRoundNow(); err != nil {
+	if _, err := co.stealRoundNow(); err != nil {
 		t.Fatal(err)
 	}
-	m0, m1 := e.runtimes[0].jb().qglobal.len(), e.runtimes[1].jb().qglobal.len()
+	m0, m1 := rts[0].jb().qglobal.len(), rts[1].jb().qglobal.len()
 	if m1 == 0 {
 		t.Fatalf("no tasks stolen: %d / %d", m0, m1)
 	}
 	if m0+m1 != 10 {
 		t.Fatalf("tasks lost in stealing: %d + %d", m0, m1)
 	}
-	if e.coord.tasksStolen == 0 || e.coord.stealRounds == 0 {
+	if co.tasksStolen == 0 || co.stealRounds == 0 {
 		t.Fatal("steal counters not updated")
 	}
 	// Balanced queues: nothing moves.
-	before := e.coord.tasksStolen
-	e.coord.stealRoundNow()
-	e.coord.stealRoundNow()
-	after := e.coord.tasksStolen
+	before := co.tasksStolen
+	co.stealRoundNow()
+	co.stealRoundNow()
+	after := co.tasksStolen
 	if after-before > uint64(m0+m1) {
 		t.Fatalf("stealing thrashes on balanced queues: %d moved", after-before)
 	}
 	// Empty queues: no-op.
-	e2, _ := NewEngine(g, &nilApp{}, Config{Machines: 2, SpillDir: t.TempDir()})
-	e2.coord.stealRoundNow()
-	if e2.coord.tasksStolen != 0 {
+	c2 := testCluster(t, g, Config{Machines: 2, SpillDir: t.TempDir()})
+	installJob(t, c2, &nilApp{})
+	co2 := newCoordinator(c2.ctl, c2.cfg)
+	co2.stealRoundNow()
+	if co2.tasksStolen != 0 {
 		t.Fatal("stole from empty cluster")
 	}
 }
 
 func TestEngineRunContextCancelled(t *testing.T) {
-	gob.Register(&fanPayload{})
 	g := datagen.ErdosRenyi(50, 0.3, 2)
 	// Deep fan-out keeps the engine busy long enough to cancel.
+	// Tiny queues make both machines spill, so the abort strands files.
 	app := &fanApp{spawnDepth: 6, fanout: 4}
-	e, err := NewEngine(g, app, Config{Machines: 1, WorkersPerMachine: 2, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := testCluster(t, g, Config{
+		Machines: 2, WorkersPerMachine: 2, QueueCap: 4, BatchSize: 2, SpillDir: t.TempDir(),
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, err = e.RunContext(ctx)
+	res, err := c.RunJob(ctx, Job{App: app})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
+	}
+	if res == nil || res.Metrics == nil {
+		t.Fatal("a cancelled job must still report what it gathered")
+	}
+	// The job itself sweeps what it stranded, on every machine, so the
+	// next job's process-wide spill peak starts from an empty disk.
+	if res.Metrics.SpillBytesWritten == 0 {
+		t.Fatal("the job did not spill; the sweep is not exercised")
+	}
+	if cur := c.disk.current.Load(); cur != 0 {
+		t.Fatalf("%d spill bytes still accounted after an aborted job", cur)
 	}
 }
 
 // failingTransport errors on every fetch: the engine must surface the
 // error and terminate rather than hang.
 type failingTransport struct{ fetches atomic.Uint64 }
-
-func (f *failingTransport) FetchAdj(int, graph.V) ([]graph.V, error) {
-	f.fetches.Add(1)
-	return nil, errors.New("synthetic transport failure")
-}
 
 func (f *failingTransport) FetchAdjBatch(int, []graph.V, [][]graph.V) ([][]graph.V, error) {
 	f.fetches.Add(1)
@@ -121,17 +126,17 @@ func (f *failingTransport) Fetches() uint64 { return f.fetches.Load() }
 func TestEngineTransportFailure(t *testing.T) {
 	g := datagen.ErdosRenyi(100, 0.1, 3)
 	app := &triApp{g: g}
-	e, err := NewEngine(g, app, Config{
-		Machines: 3, WorkersPerMachine: 1,
-		SpillDir: t.TempDir(), Transport: &failingTransport{},
-	})
+	c, err := newLocalCluster(g, Config{
+		Machines: 3, WorkersPerMachine: 1, SpillDir: t.TempDir(),
+	}, func(int) Transport { return &failingTransport{} })
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	done := make(chan struct{})
 	var runErr error
 	go func() {
-		_, runErr = e.Run()
+		_, runErr = c.RunJob(context.Background(), Job{App: app})
 		close(done)
 	}()
 	select {
@@ -156,7 +161,7 @@ func TestVertexServerMalformedRequest(t *testing.T) {
 	// Out-of-range vertex: the server answers with an explicit opError
 	// frame naming the problem — not a silently dropped connection
 	// that the client reports as a bare EOF.
-	_, err = tr.FetchAdj(0, 9999)
+	_, err = fetchOne(tr, 0, 9999)
 	if err == nil {
 		t.Fatal("out-of-range fetch succeeded")
 	}
@@ -164,7 +169,7 @@ func TestVertexServerMalformedRequest(t *testing.T) {
 		t.Fatalf("error does not carry the server's message: %v", err)
 	}
 	// The transport recovers with a fresh connection afterwards.
-	adj, err := tr.FetchAdj(0, 3)
+	adj, err := fetchOne(tr, 0, 3)
 	if err != nil {
 		t.Fatalf("recovery fetch failed: %v", err)
 	}

@@ -9,14 +9,6 @@ import (
 	"gthinkerqc/internal/graph"
 )
 
-// vecApp is a do-nothing app that provides the vecCodec TaskCodec, so
-// engines built on it get columnar spilling and a working task
-// channel.
-type vecApp struct {
-	nilApp
-	vecCodec
-}
-
 // TestStealRefillsFromSpilledBacklog is the regression test for the
 // steal-master stall: a donor whose big tasks all sit in spill files
 // (bigPending counts them) used to donate nothing because the steal
@@ -24,13 +16,12 @@ type vecApp struct {
 // donor paid refill I/O alone.
 func TestStealRefillsFromSpilledBacklog(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
-	e, err := NewEngine(g, vecApp{}, Config{
+	c := testCluster(t, g, Config{
 		Machines: 2, WorkersPerMachine: 1,
 		QueueCap: 8, BatchSize: 4, SpillDir: t.TempDir(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rts := installJob(t, c, nilApp{})
+	co := newCoordinator(c.ctl, c.cfg)
 	// Machine 0's entire backlog is on disk, as after QueueCap
 	// overflow: two spilled batches, an empty queue.
 	mkTasks := func(n int) []*Task {
@@ -40,66 +31,62 @@ func TestStealRefillsFromSpilledBacklog(t *testing.T) {
 		}
 		return ts
 	}
-	if err := e.runtimes[0].jb().lbig.spill(mkTasks(4)); err != nil {
+	if err := rts[0].jb().lbig.spill(mkTasks(4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.runtimes[0].jb().lbig.spill(mkTasks(4)); err != nil {
+	if err := rts[0].jb().lbig.spill(mkTasks(4)); err != nil {
 		t.Fatal(err)
 	}
-	if e.runtimes[0].jb().qglobal.len() != 0 || e.runtimes[0].bigPending() != 8 {
+	if rts[0].jb().qglobal.len() != 0 || rts[0].bigPending() != 8 {
 		t.Fatalf("setup wrong: queue=%d pending=%d",
-			e.runtimes[0].jb().qglobal.len(), e.runtimes[0].bigPending())
+			rts[0].jb().qglobal.len(), rts[0].bigPending())
 	}
 
-	if _, err := e.coord.stealRoundNow(); err != nil {
+	if _, err := co.stealRoundNow(); err != nil {
 		t.Fatal(err)
 	}
 
-	if got := e.runtimes[1].jb().qglobal.len(); got == 0 {
+	if got := rts[1].jb().qglobal.len(); got == 0 {
 		t.Fatal("spilled backlog donated nothing")
 	}
-	if e.coord.tasksStolen == 0 {
+	if co.tasksStolen == 0 {
 		t.Fatal("steal counter not updated")
 	}
 	// Nothing was lost: queued tasks plus tasks still on disk cover
 	// the original eight.
-	remaining := e.runtimes[0].jb().qglobal.len() + e.runtimes[0].jb().lbig.count() +
-		e.runtimes[1].jb().qglobal.len()
+	remaining := rts[0].jb().qglobal.len() + rts[0].jb().lbig.count() +
+		rts[1].jb().qglobal.len()
 	if remaining != 8 {
 		t.Fatalf("tasks lost in spill-backed steal: %d of 8 remain", remaining)
 	}
-	e.cleanupSpill()
 }
 
 // TestStealFromPartialRefill: a refilled batch larger than the steal
 // request leaves the excess on the donor's queue, not on the floor.
 func TestStealFromPartialRefill(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
-	e, err := NewEngine(g, vecApp{}, Config{
+	c := testCluster(t, g, Config{
 		Machines: 2, WorkersPerMachine: 1,
 		QueueCap: 8, BatchSize: 8, SpillDir: t.TempDir(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rts := installJob(t, c, nilApp{})
 	ts := make([]*Task, 6)
 	for i := range ts {
 		ts[i] = NewTask([]graph.V{graph.V(i)})
 	}
-	if err := e.runtimes[0].jb().lbig.spill(ts); err != nil {
+	if err := rts[0].jb().lbig.spill(ts); err != nil {
 		t.Fatal(err)
 	}
-	batch := e.runtimes[0].stealLocal(2)
+	batch := rts[0].stealLocal(2)
 	if len(batch) != 2 {
 		t.Fatalf("stealLocal returned %d tasks, want 2", len(batch))
 	}
-	if got := e.runtimes[0].jb().qglobal.len(); got != 4 {
+	if got := rts[0].jb().qglobal.len(); got != 4 {
 		t.Fatalf("refill excess lost: %d queued, want 4", got)
 	}
-	if e.runtimes[0].jb().lbig.count() != 0 {
+	if rts[0].jb().lbig.count() != 0 {
 		t.Fatal("spill file not consumed")
 	}
-	e.cleanupSpill()
 }
 
 // TestStealRoundShipsRemote drives one steal round over the in-process
@@ -110,36 +97,31 @@ func TestStealFromPartialRefill(t *testing.T) {
 // the sender's Task pointers.
 func TestStealRoundShipsRemote(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
-	e, err := NewEngine(g, vecApp{}, Config{
+	c := testCluster(t, g, Config{
 		Machines: 2, WorkersPerMachine: 1,
 		SpillDir: t.TempDir(), InProcessTCP: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.closeOwnedNetwork()
-	if e.runtimes[0].taskChannel() == nil {
-		t.Fatal("in-process TCP engine has no task channel")
-	}
-	if _, ok := e.ctl.(*ClusterClient); !ok {
-		t.Fatalf("in-process TCP control plane is %T, want *ClusterClient", e.ctl)
+	rts := installJob(t, c, nilApp{})
+	co := newCoordinator(c.ctl, c.cfg)
+	if _, ok := c.ctl.(*ClusterClient); !ok {
+		t.Fatalf("in-process TCP control plane is %T, want *ClusterClient", c.ctl)
 	}
 	orig := make(map[uint64]*Task, 10)
 	for i := 0; i < 10; i++ {
 		tk := NewTask([]graph.V{graph.V(i), graph.V(i * 2)})
 		tk.Pulls = []graph.V{graph.V(i + 50)}
 		orig[tk.ID] = tk
-		e.runtimes[0].jb().qglobal.pushBack(tk)
+		rts[0].jb().qglobal.pushBack(tk)
 	}
 
-	if _, err := e.coord.stealRoundNow(); err != nil {
+	if _, err := co.stealRoundNow(); err != nil {
 		t.Fatal(err)
 	}
 
-	if e.runtimes[0].jb().tasksStolenRemote.Load() == 0 {
+	if rts[0].jb().tasksStolenRemote.Load() == 0 {
 		t.Fatal("steal moved tasks in memory despite a configured task channel")
 	}
-	got := e.runtimes[1].jb().qglobal.popBackBatch(100)
+	got := rts[1].jb().qglobal.popBackBatch(100)
 	if len(got) == 0 {
 		t.Fatal("receiver got nothing")
 	}
@@ -159,13 +141,13 @@ func TestStealRoundShipsRemote(t *testing.T) {
 			t.Fatalf("task %d payload corrupted: %v vs %v", tk.ID, p, q)
 		}
 	}
-	if int(e.runtimes[0].jb().tasksStolenRemote.Load()) != len(got) {
+	if int(rts[0].jb().tasksStolenRemote.Load()) != len(got) {
 		t.Fatalf("remote-steal counter %d != received %d",
-			e.runtimes[0].jb().tasksStolenRemote.Load(), len(got))
+			rts[0].jb().tasksStolenRemote.Load(), len(got))
 	}
-	if e.runtimes[1].jb().recvIn.Load() != uint64(len(got)) || e.runtimes[0].jb().sentOut.Load() != uint64(len(got)) {
+	if rts[1].jb().recvIn.Load() != uint64(len(got)) || rts[0].jb().sentOut.Load() != uint64(len(got)) {
 		t.Fatalf("transfer counters wrong: sentOut=%d recvIn=%d moved=%d",
-			e.runtimes[0].jb().sentOut.Load(), e.runtimes[1].jb().recvIn.Load(), len(got))
+			rts[0].jb().sentOut.Load(), rts[1].jb().recvIn.Load(), len(got))
 	}
 }
 
@@ -176,67 +158,67 @@ func TestStealRoundShipsRemote(t *testing.T) {
 // idle machine would starve until the (never-arriving) steal tick.
 func TestStealHysteresisOffCycle(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
-	run := func(idlePolls int) (*Metrics, *Engine) {
-		e, err := NewEngine(g, &countingApp{}, Config{
+	run := func(idlePolls int) *Metrics {
+		// Machine 0 ends up holding a skewed backlog of slow big tasks
+		// (one root there fans out into 64 of them); machine 1 spawns
+		// nothing and sits idle.
+		return mustRunApp(t, g, &skewApp{root: OwnedVertices(g.NumVertices(), 0, 2)[0]}, Config{
 			Machines: 2, WorkersPerMachine: 1,
 			SpillDir:       t.TempDir(),
 			StealInterval:  time.Hour, // the periodic master never fires
 			StatusInterval: 200 * time.Microsecond,
 			StealIdlePolls: idlePolls,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Machine 0 holds a skewed backlog of slow big tasks; machine 1
-		// spawns nothing and sits idle. Tasks are preloaded (and
-		// accounted live) before Run, like a donor mid-job.
-		for i := 0; i < 64; i++ {
-			e.runtimes[0].jb().qglobal.pushBack(NewTask(nil))
-			e.runtimes[0].jb().live.Add(1)
-			e.runtimes[0].jb().bigTasks.Add(1)
-		}
-		met, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return met, e
+		}).Metrics
 	}
 
-	met, _ := run(2)
+	met := run(2)
 	if met.TasksStolen == 0 || met.OffCycleSteals == 0 {
 		t.Fatalf("hysteresis never fired: stolen=%d offcycle=%d rounds=%d",
 			met.TasksStolen, met.OffCycleSteals, met.StealRounds)
 	}
-	if met.TasksFinished != 64 {
-		t.Fatalf("finished %d of 64 preloaded tasks", met.TasksFinished)
+	if met.TasksFinished != 65 {
+		t.Fatalf("finished %d of 65 tasks", met.TasksFinished)
 	}
 
 	// Disabled hysteresis (negative): the same skew drains donor-side
 	// only — no steals can happen inside the run.
-	met, _ = run(-1)
+	met = run(-1)
 	if met.TasksStolen != 0 || met.OffCycleSteals != 0 {
 		t.Fatalf("steals happened with hysteresis disabled and a 1h period: stolen=%d offcycle=%d",
 			met.TasksStolen, met.OffCycleSteals)
 	}
-	if met.TasksFinished != 64 {
-		t.Fatalf("finished %d of 64 preloaded tasks", met.TasksFinished)
+	if met.TasksFinished != 65 {
+		t.Fatalf("finished %d of 65 tasks", met.TasksFinished)
 	}
 }
 
-// countingApp computes slowly enough that a skewed backlog outlives
-// several status polls; every task is big.
-type countingApp struct {
-	vecApp
-	computed atomic.Int64
+// skewApp puts the whole job on one machine: the task spawned from
+// vertex root adds 64 subtasks, each slow enough that the backlog
+// outlives several status polls; every task is big.
+type skewApp struct {
+	nilApp
+	root graph.V
 }
 
-func (a *countingApp) Compute(t *Task, _ map[graph.V][]graph.V, _ *Ctx) bool {
-	time.Sleep(time.Millisecond)
-	a.computed.Add(1)
+func (a *skewApp) Spawn(v graph.V, _ []graph.V, _ *Ctx) *Task {
+	if v != a.root {
+		return nil
+	}
+	return NewTask([]graph.V{64})
+}
+
+func (a *skewApp) Compute(t *Task, _ map[graph.V][]graph.V, ctx *Ctx) bool {
+	p := t.Payload.([]graph.V)
+	for i := graph.V(0); i < p[0]; i++ {
+		ctx.AddTask(NewTask([]graph.V{0}))
+	}
+	if p[0] == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	return false
 }
 
-func (a *countingApp) IsBig(*Task) bool { return true }
+func (a *skewApp) IsBig(*Task) bool { return true }
 
 // slowSpawnApp widens the spawn/termination race window: Spawn takes
 // longer than the watcher tick, so a scan that treats an advanced
@@ -246,6 +228,7 @@ func (a *countingApp) IsBig(*Task) bool { return true }
 // back off qlocal within the same step and computed even after a
 // premature doneFlag).
 type slowSpawnApp struct {
+	toyCodec
 	computed atomic.Int64
 }
 
@@ -274,14 +257,7 @@ func TestSpawnTerminationRace(t *testing.T) {
 	const runs = 50
 	app := &slowSpawnApp{}
 	for i := 0; i < runs; i++ {
-		e, err := NewEngine(g, app, Config{Machines: 1, WorkersPerMachine: 1, SpillDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		met, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		met := mustRunApp(t, g, app, Config{Machines: 1, WorkersPerMachine: 1, SpillDir: dir}).Metrics
 		if met.TasksSpawned != 1 || met.TasksFinished != 1 {
 			t.Fatalf("run %d dropped the final task: spawned=%d finished=%d",
 				i, met.TasksSpawned, met.TasksFinished)

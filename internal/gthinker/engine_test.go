@@ -1,7 +1,6 @@
 package gthinker
 
 import (
-	"encoding/gob"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +18,7 @@ type triPayload struct {
 }
 
 type triApp struct {
+	toyCodec
 	g     *graph.Graph
 	count atomic.Int64
 }
@@ -87,14 +87,7 @@ func TestEngineTriangleCounting(t *testing.T) {
 	} {
 		app := &triApp{g: g}
 		cfg.SpillDir = t.TempDir()
-		e, err := NewEngine(g, app, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		met, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		met := mustRunApp(t, g, app, cfg).Metrics
 		if app.count.Load() != want {
 			t.Fatalf("cfg %dx%d: triangles = %d, want %d",
 				cfg.Machines, cfg.WorkersPerMachine, app.count.Load(), want)
@@ -119,6 +112,7 @@ type fanPayload struct {
 }
 
 type fanApp struct {
+	toyCodec
 	spawnDepth int
 	fanout     int
 	computed   atomic.Int64
@@ -145,19 +139,11 @@ func (a *fanApp) Compute(t *Task, _ map[graph.V][]graph.V, ctx *Ctx) bool {
 func (a *fanApp) IsBig(t *Task) bool { return t.Payload.(*fanPayload).Depth >= 2 }
 
 func TestEngineSubtaskFanOut(t *testing.T) {
-	gob.Register(&fanPayload{})
 	g := datagen.ErdosRenyi(10, 0.3, 1) // 10 spawn roots
 	app := &fanApp{spawnDepth: 3, fanout: 3}
-	e, err := NewEngine(g, app, Config{
+	met := mustRunApp(t, g, app, Config{
 		Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Metrics
 	// Each root expands into 1+3+9+27 = 40 computed tasks, 27 leaves.
 	if got := app.computed.Load(); got != 10*40 {
 		t.Fatalf("computed = %d, want 400", got)
@@ -176,20 +162,12 @@ func TestEngineSubtaskFanOut(t *testing.T) {
 // TestEngineSpillPath forces the spill path with a tiny queue capacity
 // and verifies tasks survive the disk round trip.
 func TestEngineSpillPath(t *testing.T) {
-	gob.Register(&fanPayload{})
 	g := datagen.ErdosRenyi(4, 1.0, 1)
 	app := &fanApp{spawnDepth: 2, fanout: 16}
-	e, err := NewEngine(g, app, Config{
+	met := mustRunApp(t, g, app, Config{
 		Machines: 1, WorkersPerMachine: 1,
 		QueueCap: 8, BatchSize: 4, SpillDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Metrics
 	// 4 roots × (1 + 16 + 256) computed tasks.
 	if got := app.computed.Load(); got != 4*273 {
 		t.Fatalf("computed = %d, want %d", got, 4*273)
@@ -205,20 +183,12 @@ func TestEngineSpillPath(t *testing.T) {
 // TestEngineStealing verifies big tasks migrate between machines when
 // one machine owns all the heavy roots.
 func TestEngineStealing(t *testing.T) {
-	gob.Register(&fanPayload{})
 	g := datagen.ErdosRenyi(40, 0.2, 3)
 	app := &fanApp{spawnDepth: 3, fanout: 4}
-	e, err := NewEngine(g, app, Config{
+	met := mustRunApp(t, g, app, Config{
 		Machines: 4, WorkersPerMachine: 1,
 		SpillDir: t.TempDir(), StealInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Metrics
 	want := int64(40 * (1 + 4 + 16 + 64))
 	if got := app.computed.Load(); got != want {
 		t.Fatalf("computed = %d, want %d", got, want)
@@ -231,50 +201,29 @@ func TestEngineStealing(t *testing.T) {
 func TestEngineNoTasks(t *testing.T) {
 	g := datagen.ErdosRenyi(50, 0.1, 2)
 	app := &nilApp{}
-	e, err := NewEngine(g, app, Config{Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	met := mustRunApp(t, g, app, Config{Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir()}).Metrics
 	if met.TasksSpawned != 0 || met.TasksFinished != 0 {
 		t.Fatalf("metrics = %+v", met)
 	}
 }
 
-type nilApp struct{}
-
-func (nilApp) Spawn(graph.V, []graph.V, *Ctx) *Task            { return nil }
-func (nilApp) Compute(*Task, map[graph.V][]graph.V, *Ctx) bool { return false }
-func (nilApp) IsBig(*Task) bool                                { return false }
-
 func TestEngineConfigValidation(t *testing.T) {
 	g := datagen.ErdosRenyi(5, 0.5, 1)
-	if _, err := NewEngine(g, &nilApp{}, Config{Machines: -1}); err == nil {
+	if _, err := NewLocalCluster(g, Config{Machines: -1}); err == nil {
 		t.Fatal("negative machines accepted")
 	}
-	if _, err := NewEngine(g, &nilApp{}, Config{QueueCap: 2, BatchSize: 50}); err == nil {
+	if _, err := NewLocalCluster(g, Config{QueueCap: 2, BatchSize: 50}); err == nil {
 		t.Fatal("batch > queue accepted")
 	}
 }
 
 func TestEngineDisableGlobalQueue(t *testing.T) {
-	gob.Register(&fanPayload{})
 	g := datagen.ErdosRenyi(10, 0.3, 1)
 	app := &fanApp{spawnDepth: 2, fanout: 3}
-	e, err := NewEngine(g, app, Config{
+	met := mustRunApp(t, g, app, Config{
 		Machines: 2, WorkersPerMachine: 2,
 		SpillDir: t.TempDir(), DisableGlobalQueue: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Metrics
 	if met.BigTasks != 0 {
 		t.Fatalf("global queue used despite ablation: %d big tasks", met.BigTasks)
 	}

@@ -1,0 +1,112 @@
+package gthinker
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"gthinkerqc/internal/graph"
+	"gthinkerqc/internal/store"
+)
+
+// toyCodec is the TaskCodec half every toy app in these tests embeds:
+// a payload travels as a kind word followed by its fields flattened to
+// uint32s.
+type toyCodec struct{}
+
+func (toyCodec) AppendTaskPayload(dst []byte, payload any) ([]byte, error) {
+	switch p := payload.(type) {
+	case []graph.V:
+		return store.AppendU32s(store.AppendU32(dst, 'v'), p), nil
+	case *fanPayload:
+		return store.AppendU32s(store.AppendU32(dst, 'f'), []uint32{uint32(p.Depth), uint32(p.Fanout)}), nil
+	case *triPayload:
+		return store.AppendU32s(store.AppendU32(store.AppendU32(dst, 't'), p.Root), p.Adj), nil
+	}
+	return nil, fmt.Errorf("toyCodec: bad payload %T", payload)
+}
+
+func (toyCodec) DecodeTaskPayload(data []byte) (any, error) {
+	c := store.NewCursor(data)
+	kind := c.U32()
+	words := c.U32s(c.Remaining() / 4)
+	switch {
+	case c.Err() != nil:
+		return nil, c.Err()
+	case kind == 'v':
+		return words, nil
+	case kind == 'f' && len(words) == 2:
+		return &fanPayload{Depth: int(words[0]), Fanout: int(words[1])}, nil
+	case kind == 't' && len(words) >= 1:
+		return &triPayload{Root: words[0], Adj: words[1:]}, nil
+	}
+	return nil, fmt.Errorf("toyCodec: bad payload kind %q with %d words", kind, len(words))
+}
+
+// nilApp spawns nothing; other toy apps embed it for the App methods
+// they do not care about.
+type nilApp struct{ toyCodec }
+
+func (nilApp) Spawn(graph.V, []graph.V, *Ctx) *Task            { return nil }
+func (nilApp) Compute(*Task, map[graph.V][]graph.V, *Ctx) bool { return false }
+func (nilApp) IsBig(*Task) bool                                { return false }
+
+// testCluster composes a local cluster over g that closes with the
+// test.
+func testCluster(t testing.TB, g *graph.Graph, cfg Config) *Cluster {
+	t.Helper()
+	c, err := NewLocalCluster(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// mustRunApp runs app as the one job of a fresh local cluster and
+// expects it to succeed.
+func mustRunApp(t testing.TB, g *graph.Graph, app App, cfg Config) *JobResult {
+	t.Helper()
+	res, err := testCluster(t, g, cfg).RunJob(context.Background(), Job{App: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// installJob puts every machine of c onto a job running app without
+// starting its workers, so a white-box test can load queues and drive
+// the coordinator's steal rounds by hand. Job 0 is what an idle
+// ClusterClient stamps on its frames.
+func installJob(t testing.TB, c *Cluster, app App) []*MachineRuntime {
+	t.Helper()
+	rts := make([]*MachineRuntime, len(c.hosts))
+	for i, h := range c.hosts {
+		rts[i] = h.Runtime()
+		if err := rts[i].ResetJob(app, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rts
+}
+
+// runCoordinator drives a scripted ControlPlane through the part of
+// Cluster.RunJob a fake can answer: the coordinator loop, then
+// shutdown.
+func runCoordinator(ctx context.Context, ctl ControlPlane, cfg Config) (coordinatorStats, error) {
+	co := newCoordinator(ctl, cfg.withDefaults())
+	err := co.run(ctx)
+	if serr := co.shutdown(); err == nil {
+		err = serr
+	}
+	return co.stats(), err
+}
+
+// fetchOne is a one-vertex FetchAdjBatch.
+func fetchOne(tr Transport, owner int, v graph.V) ([]graph.V, error) {
+	out, err := tr.FetchAdjBatch(owner, []graph.V{v}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}

@@ -1,6 +1,7 @@
 package gthinker
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -10,9 +11,10 @@ import (
 	"gthinkerqc/internal/obs"
 )
 
-// jobState is the per-job half of a MachineRuntime: everything a
-// mining job mutates — spawn/adopt cursors, task queues, spill lists,
-// liveness accounting, counters, the tracer — separated from the
+// jobState is the per-job half of a MachineRuntime: the job's
+// application and everything a mining job mutates — spawn/adopt
+// cursors, task queues, spill lists, liveness accounting, counters,
+// the tracer — separated from the
 // per-process half (mmap'd graph, vertex partition, warm remote-vertex
 // cache, workers with their scratch buffers, transport) so one runtime
 // can serve many jobs against the same graph. A fresh jobState is
@@ -24,6 +26,12 @@ type jobState struct {
 	// through every frame so a stale worker and a coordinator can
 	// detect that they disagree about which job is running.
 	id uint64
+
+	// app is the job's application: its UDFs run the tasks and its
+	// TaskCodec half serializes them for spill files and the wire. Nil
+	// only on the never-started placeholder job a fresh runtime holds
+	// until its first ResetJob.
+	app App
 
 	// spawnCursor walks the runtime's own vertex partition.
 	spawnCursor atomic.Int64
@@ -125,17 +133,40 @@ func (rt *MachineRuntime) jb() *jobState { return rt.job.Load() }
 // (0 until the first ResetJob).
 func (rt *MachineRuntime) JobID() uint64 { return rt.jb().id }
 
+// AppendTaskPayload and DecodeTaskPayload make the runtime a TaskCodec
+// that always serializes with the CURRENT job's application: the task
+// server outlives jobs, so it holds the runtime, never one job's app.
+// Between join and the first run there is no app; a task frame that
+// arrives then is refused (an opError reply), not dereferenced.
+func (rt *MachineRuntime) AppendTaskPayload(dst []byte, payload any) ([]byte, error) {
+	app := rt.jb().app
+	if app == nil {
+		return nil, errNoJob
+	}
+	return app.AppendTaskPayload(dst, payload)
+}
+
+func (rt *MachineRuntime) DecodeTaskPayload(data []byte) (any, error) {
+	app := rt.jb().app
+	if app == nil {
+		return nil, errNoJob
+	}
+	return app.DecodeTaskPayload(data)
+}
+
+var errNoJob = errors.New("gthinker: machine is not on a job")
+
 // aborted is the workers' cancellation probe for whatever job is
 // current — bound once per worker Ctx at construction, valid across
 // job resets.
 func (rt *MachineRuntime) aborted() bool { return rt.jb().doneFlag.Load() }
 
-// newJobState builds the runtime-level state of one job: fresh
-// cursors, queues, spill list, counters, and (when tracing is on) a
-// fresh tracer.
-func (rt *MachineRuntime) newJobState(id uint64) *jobState {
-	jb := &jobState{id: id}
-	jb.lbig = newSpillList(rt.spillDir, "big", &rt.disk, rt.spillCodec)
+// newJobState builds the runtime-level state of one job running app:
+// fresh cursors, queues, spill list, counters, and (when tracing is
+// on) a fresh tracer.
+func (rt *MachineRuntime) newJobState(id uint64, app App) *jobState {
+	jb := &jobState{id: id, app: app}
+	jb.lbig = newSpillList(rt.spillDir, "big", &rt.disk, app)
 	if rt.cfg.Trace {
 		// One track per worker (tid = dense worker id) plus the control
 		// track (tid = -(machine+1), distinct from the coordinator's
@@ -163,17 +194,10 @@ func (rt *MachineRuntime) ResetJob(app App, job uint64) error {
 	if old.started.Load() && !old.stopped.Load() {
 		return fmt.Errorf("gthinker: machine %d reset to job %d while job %d is still running", rt.id, job, old.id)
 	}
-	codec, err := resolveSpillCodec(app, rt.cfg.SpillFormat)
-	if err != nil {
-		return err
-	}
 	// A cancelled or failed job can leave spill files behind; unlink
 	// them so they cannot bleed into the new job's lists, and rebuild
 	// the directory (CleanupSpill may have removed it).
-	old.lbig.removeAll()
-	for _, w := range rt.workers {
-		w.lsmall.removeAll()
-	}
+	rt.sweepSpill()
 	if err := os.MkdirAll(rt.spillDir, 0o755); err != nil {
 		return err
 	}
@@ -182,13 +206,11 @@ func (rt *MachineRuntime) ResetJob(app App, job uint64) error {
 	// release them. Clear all pins (no task can legitimately hold one
 	// between jobs) so the cache stays evictable — its rows stay warm.
 	rt.cache.unpinAll()
-	rt.app = app
-	rt.spillCodec = codec
 	rt.disk.resetJobCounters()
-	jb := rt.newJobState(job)
+	jb := rt.newJobState(job, app)
 	rt.job.Store(jb)
 	for _, w := range rt.workers {
-		w.resetJob(jb, codec)
+		w.resetJob(jb)
 	}
 	return nil
 }

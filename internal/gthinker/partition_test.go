@@ -87,10 +87,10 @@ func TestPartitionRangeClamped(t *testing.T) {
 func TestLoopbackRangeOwnership(t *testing.T) {
 	g := graph.FromEdges(6, [][2]graph.V{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
 	tr := newLoopback(g, partition{machines: 2, bounds: []uint32{0, 3, 6}})
-	if _, err := tr.FetchAdj(0, 2); err != nil {
+	if _, err := fetchOne(tr, 0, 2); err != nil {
 		t.Fatalf("fetch of owned vertex failed: %v", err)
 	}
-	if _, err := tr.FetchAdj(0, 3); err == nil {
+	if _, err := fetchOne(tr, 0, 3); err == nil {
 		t.Fatal("fetch of vertex 3 from machine 0 should fail under bounds [0,3,6]")
 	}
 }
@@ -127,20 +127,12 @@ func TestEngineRangePartition(t *testing.T) {
 	want := bruteTriangles(g)
 	for _, tcp := range []bool{false, true} {
 		app := &triApp{g: g}
-		e, err := NewEngine(g, app, Config{
+		met := mustRunApp(t, g, app, Config{
 			Machines: 3, WorkersPerMachine: 2,
 			SpillDir:        t.TempDir(),
 			PartitionBounds: g.RangeBounds(3),
 			InProcessTCP:    tcp,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		met, err := e.Run()
-		e.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		}).Metrics
 		if app.count.Load() != want {
 			t.Fatalf("tcp=%v: triangles = %d, want %d", tcp, app.count.Load(), want)
 		}

@@ -1,7 +1,6 @@
 package gthinker
 
 import (
-	"encoding/gob"
 	"sync"
 	"testing"
 
@@ -95,9 +94,8 @@ func TestReadyConcurrent(t *testing.T) {
 }
 
 func TestSpillListRoundTrip(t *testing.T) {
-	gob.Register([]graph.V{})
 	var acct diskAccount
-	l := newSpillList(t.TempDir(), "test", &acct, nil)
+	l := newSpillList(t.TempDir(), "test", &acct, toyCodec{})
 	in := make([]*Task, 10)
 	for i := range in {
 		in[i] = NewTask([]graph.V{graph.V(i), graph.V(i * 2)})
@@ -149,7 +147,7 @@ func TestSpillListRoundTrip(t *testing.T) {
 
 func TestSpillEmptyBatchNoop(t *testing.T) {
 	var acct diskAccount
-	l := newSpillList(t.TempDir(), "x", &acct, nil)
+	l := newSpillList(t.TempDir(), "x", &acct, toyCodec{})
 	if err := l.spill(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,11 @@ import (
 
 // fakeControl is a scripted ControlPlane for coordinator unit tests:
 // statusFn decides each machine's poll outcome from its 1-based call
-// count, and every Recover directive is recorded.
+// count, and every Recover directive is recorded. The embedded nil
+// interface stands in for the job-start and collection calls the
+// coordinator never makes.
 type fakeControl struct {
+	ControlPlane
 	n        int
 	statusFn func(m, call int) (MachineStatus, error)
 
@@ -57,8 +60,6 @@ func (f *fakeControl) Shutdown(m int) error {
 	return nil
 }
 
-func (f *fakeControl) CollectMetrics(m int) (*Metrics, error) { return &Metrics{}, nil }
-
 // idleStatus is a terminated machine's report.
 func idleStatus() (MachineStatus, error) {
 	return MachineStatus{AllSpawned: true, Spawned: 1}, nil
@@ -87,7 +88,7 @@ func TestCoordinatorRecoversLostMachine(t *testing.T) {
 		}
 		return idleStatus()
 	})
-	_, stats, err := RunCoordinator(context.Background(), fake, recoveryTestConfig())
+	stats, err := runCoordinator(context.Background(), fake, recoveryTestConfig())
 	if err != nil {
 		t.Fatalf("run did not survive the machine loss: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestCoordinatorToleratesTransientPollFailures(t *testing.T) {
 		}
 		return idleStatus()
 	})
-	_, stats, err := RunCoordinator(context.Background(), fake, recoveryTestConfig())
+	stats, err := runCoordinator(context.Background(), fake, recoveryTestConfig())
 	if err != nil {
 		t.Fatalf("transient poll failures aborted the run: %v", err)
 	}
@@ -154,7 +155,7 @@ func TestCoordinatorDisableRecovery(t *testing.T) {
 	})
 	cfg := recoveryTestConfig()
 	cfg.DisableRecovery = true
-	_, _, err := RunCoordinator(context.Background(), fake, cfg)
+	_, err := runCoordinator(context.Background(), fake, cfg)
 	if err == nil {
 		t.Fatal("lost machine with DisableRecovery did not fail the run")
 	}
@@ -180,7 +181,7 @@ func TestCoordinatorNoSurvivors(t *testing.T) {
 	})
 	cfg := recoveryTestConfig()
 	cfg.Machines = 1
-	_, _, err := RunCoordinator(context.Background(), fake, cfg)
+	_, err := runCoordinator(context.Background(), fake, cfg)
 	if !errors.Is(err, ErrMachineLost) {
 		t.Fatalf("want ErrMachineLost when no survivors remain, got %v", err)
 	}
@@ -205,7 +206,7 @@ func TestCoordinatorMultiLossTransfersSegments(t *testing.T) {
 		}
 		return idleStatus()
 	})
-	_, stats, err := RunCoordinator(context.Background(), fake, recoveryTestConfig())
+	stats, err := runCoordinator(context.Background(), fake, recoveryTestConfig())
 	if err != nil {
 		t.Fatalf("run did not survive the double loss: %v", err)
 	}

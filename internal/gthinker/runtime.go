@@ -22,17 +22,14 @@ import (
 // about the rest of the cluster flows through its Transport (data
 // plane: adjacency fetches, stolen task batches) and through the
 // control-plane methods the coordinator calls (Status, StealTo, Stop).
-// A cluster is a composition of runtimes: N of them in one process
-// behind a loopback or in-process-TCP control plane (Engine), or one
-// per OS process hosted by a WorkerHost (cmd/qcworker).
+// A cluster is a composition of runtimes, each hosted by a WorkerHost:
+// N of them in this process, or one per qcworker OS process.
 type MachineRuntime struct {
 	id  int
 	g   *graph.Graph
-	app App
 	cfg Config
 
-	transport    Transport
-	ownTransport bool // stats are this runtime's alone (not shared)
+	transport Transport
 
 	verts []graph.V // local vertex partition (sorted)
 	part  partition // vertex-ownership function (hash or range)
@@ -41,14 +38,13 @@ type MachineRuntime struct {
 	workers []*worker
 	disk    diskAccount
 
-	spillDir   string
-	ownSpill   bool
-	spillCodec TaskCodec // nil = gob spill format
+	spillDir string
+	ownSpill bool
 
 	// job holds the state of the job currently (or most recently)
-	// installed on this runtime: the cursors, queues, spill lists,
-	// liveness accounting, counters, and tracer that must reset
-	// between jobs (see jobState). Everything above amortizes across
+	// installed on this runtime: the application, cursors, queues,
+	// spill lists, liveness accounting, counters, and tracer that must
+	// reset between jobs (see jobState). Everything above amortizes across
 	// jobs — the graph, the partition, the warm remote-vertex cache,
 	// the workers with their scratch buffers, and the transport.
 	// Swapped atomically by ResetJob so a concurrent status poll or
@@ -119,20 +115,16 @@ func (s *heapSampler) sampleNow() uint64 {
 	return uint64(s.peak.Load())
 }
 
-// NewMachineRuntime builds the runtime for machine id of a cluster of
+// newMachineRuntime builds the runtime for machine id of a cluster of
 // cfg.Machines machines. The graph must be immutable for the duration
 // (each process maps or loads its own copy; in-process compositions
-// share one). tr is the data plane; it may be installed later with
-// SetTransport (the worker-host join/start handshake learns peer
-// addresses after construction) but must be non-nil before Start.
-func NewMachineRuntime(g *graph.Graph, app App, cfg Config, id int, tr Transport) (*MachineRuntime, error) {
-	return newMachineRuntimeVerts(g, app, cfg, id, tr, nil)
-}
-
-// newMachineRuntimeVerts is NewMachineRuntime with an optional
-// precomputed partition (nil derives it): the in-process engine
-// partitions all machines in one pass instead of M hash sweeps.
-func newMachineRuntimeVerts(g *graph.Graph, app App, cfg Config, id int, tr Transport, verts []graph.V) (*MachineRuntime, error) {
+// share one). verts is an optional precomputed partition (nil derives
+// it): the in-process cluster partitions all machines in one pass
+// instead of M hash sweeps. The runtime holds neither a data plane nor
+// an application yet: its host installs the first with SetTransport
+// (the join/start handshake learns peer addresses after construction)
+// and every job brings the second through ResetJob.
+func newMachineRuntime(g *graph.Graph, cfg Config, id int, verts []graph.V) (*MachineRuntime, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -140,13 +132,7 @@ func newMachineRuntimeVerts(g *graph.Graph, app App, cfg Config, id int, tr Tran
 	if id < 0 || id >= cfg.Machines {
 		return nil, fmt.Errorf("gthinker: machine id %d out of range [0,%d)", id, cfg.Machines)
 	}
-	rt := &MachineRuntime{id: id, g: g, app: app, cfg: cfg, transport: tr, part: cfg.partition()}
-
-	codec, err := resolveSpillCodec(app, cfg.SpillFormat)
-	if err != nil {
-		return nil, err
-	}
-	rt.spillCodec = codec
+	rt := &MachineRuntime{id: id, g: g, cfg: cfg, part: cfg.partition()}
 
 	if cfg.SpillDir == "" {
 		dir, err := os.MkdirTemp("", "gthinker-spill-")
@@ -167,12 +153,12 @@ func newMachineRuntimeVerts(g *graph.Graph, app App, cfg Config, id int, tr Tran
 	}
 	rt.verts = verts
 	rt.cache = newVertexCache(cfg.CacheCap)
-	jb := rt.newJobState(0)
+	jb := rt.newJobState(0, nil)
 	rt.job.Store(jb)
 	base := id * cfg.WorkersPerMachine
 	for j := 0; j < cfg.WorkersPerMachine; j++ {
 		w := &worker{id: base + j, rt: rt, tracer: jb.tracer, track: j,
-			lsmall: newSpillList(rt.spillDir, "small-"+strconv.Itoa(j), &rt.disk, codec)}
+			lsmall: newSpillList(rt.spillDir, "small-"+strconv.Itoa(j), &rt.disk, nil)}
 		w.ctx = Ctx{WorkerID: base + j, MachineID: id, aborted: rt.aborted}
 		rt.workers = append(rt.workers, w)
 	}
@@ -188,24 +174,6 @@ func (rt *MachineRuntime) ctlTrack() int { return rt.cfg.WorkersPerMachine }
 // control plane's trace-collection op calls it after shutdown.
 func (rt *MachineRuntime) TraceSnapshot() *obs.Trace {
 	return rt.jb().tracer.Snapshot()
-}
-
-// resolveSpillCodec picks the spill encoding once: columnar (GQS1 raw
-// arrays) when the app can encode its own payloads, reflective gob
-// otherwise.
-func resolveSpillCodec(app App, f SpillFormat) (TaskCodec, error) {
-	switch f {
-	case SpillColumnar:
-		c, ok := app.(TaskCodec)
-		if !ok {
-			return nil, fmt.Errorf("gthinker: SpillColumnar requires the App to implement TaskCodec (%T does not)", app)
-		}
-		return c, nil
-	case SpillAuto:
-		c, _ := app.(TaskCodec)
-		return c, nil
-	}
-	return nil, nil
 }
 
 // OwnedVertices returns the sorted vertex partition of machine id in a
@@ -230,8 +198,8 @@ func OwnedVertices(n, id, machines int) []graph.V {
 
 // partitionVertices computes every machine's partition in ONE pass
 // over the vertices (counting first sizes each partition exactly, so
-// the slices are single contiguous allocations). The in-process
-// engine uses it instead of M OwnedVertices calls, which would hash
+// the slices are single contiguous allocations). An in-process
+// cluster uses it instead of M OwnedVertices calls, which would hash
 // every vertex 2M times; a worker process genuinely needs only its
 // own partition and pays OwnedVertices once.
 func partitionVertices(n, machines int) [][]graph.V {
@@ -256,10 +224,7 @@ func (rt *MachineRuntime) ID() int { return rt.id }
 // SetTransport installs the data plane. Must be called before Start
 // (the worker-host handshake builds the transport only after the
 // coordinator distributes peer addresses).
-func (rt *MachineRuntime) SetTransport(tr Transport, owned bool) {
-	rt.transport = tr
-	rt.ownTransport = owned
-}
+func (rt *MachineRuntime) SetTransport(tr Transport) { rt.transport = tr }
 
 // Start launches the current job's workers and the heap sampler. It
 // returns immediately; the runtime mines until Stop.
@@ -268,6 +233,9 @@ func (rt *MachineRuntime) Start() error {
 		return fmt.Errorf("gthinker: machine %d started without a transport", rt.id)
 	}
 	jb := rt.jb()
+	if jb.app == nil {
+		return fmt.Errorf("gthinker: machine %d started without a job (ResetJob first)", rt.id)
+	}
 	if !jb.started.CompareAndSwap(false, true) {
 		return fmt.Errorf("gthinker: machine %d job %d started twice", rt.id, jb.id)
 	}
@@ -284,7 +252,7 @@ func (rt *MachineRuntime) Start() error {
 
 // Stop halts the current job and joins its workers. Idempotent; safe
 // to call from any goroutine (the control plane's shutdown handler,
-// the engine's final sweep). After Stop returns, non-atomic worker
+// the cluster's final sweep). After Stop returns, non-atomic worker
 // state (busy times, call counters) is safe to read from the caller's
 // goroutine, and the runtime is eligible for ResetJob.
 func (rt *MachineRuntime) Stop() {
@@ -443,7 +411,7 @@ func (rt *MachineRuntime) RecoverPeer(d RecoverDirective) error {
 	jb.retainMu.Unlock()
 	reowned := 0
 	for _, data := range batches {
-		tasks, err := decodeTaskBatch(data, rt.spillCodec)
+		tasks, err := decodeTaskBatch(data, jb.app)
 		if err != nil {
 			return fmt.Errorf("gthinker: machine %d re-owning batch shipped to dead machine %d: %w", rt.id, d.Dead, err)
 		}
@@ -490,7 +458,7 @@ func (rt *MachineRuntime) bigPending() int {
 
 // isBig classifies a task, honoring the DisableGlobalQueue ablation.
 func (rt *MachineRuntime) isBig(t *Task) bool {
-	return !rt.cfg.DisableGlobalQueue && rt.app.IsBig(t)
+	return !rt.cfg.DisableGlobalQueue && rt.jb().app.IsBig(t)
 }
 
 // addGlobal enqueues a big task, spilling a tail batch if the queue
@@ -508,8 +476,8 @@ func (rt *MachineRuntime) addGlobal(t *Task) {
 }
 
 // DeliverTasks lands a batch of stolen tasks on this machine's global
-// queue — the TaskServer's delivery callback and the in-memory steal
-// move share it. Liveness and the transfer counter are bumped BEFORE
+// queue — the TaskServer's delivery callback and the direct-call
+// control plane's in-memory steal move share it. Liveness and the transfer counter are bumped BEFORE
 // the tasks become poppable, so no scan can observe a reachable task
 // that is not yet counted.
 func (rt *MachineRuntime) DeliverTasks(tasks []*Task) {
@@ -567,20 +535,6 @@ func (rt *MachineRuntime) finishSteal(n int) {
 	jb.live.Add(-int64(n))
 }
 
-// taskChannel returns the transport's task channel when remote task
-// shipping is possible: the transport implements it, delivery is
-// configured, and the app has a codec to serialize payloads.
-func (rt *MachineRuntime) taskChannel() TaskChannel {
-	if rt.spillCodec == nil {
-		return nil
-	}
-	tc, ok := rt.transport.(TaskChannel)
-	if !ok || !tc.TaskChannelReady() {
-		return nil
-	}
-	return tc
-}
-
 // StealTo executes a coordinator steal directive on the donor side:
 // pop up to want big tasks and ship them to machine recv through the
 // transport's task channel as GQS1 bytes — the same serialization as
@@ -593,9 +547,9 @@ func (rt *MachineRuntime) StealTo(recv, want int) (int, error) {
 	if recv < 0 || recv >= rt.cfg.Machines || recv == rt.id {
 		return 0, fmt.Errorf("gthinker: steal directive to invalid machine %d", recv)
 	}
-	tc := rt.taskChannel()
-	if tc == nil {
-		return 0, fmt.Errorf("gthinker: machine %d has no task channel (app provides no TaskCodec or transport cannot ship tasks)", rt.id)
+	tc, ok := rt.transport.(TaskChannel)
+	if !ok {
+		return 0, fmt.Errorf("gthinker: machine %d has no task channel (its transport cannot ship tasks)", rt.id)
 	}
 	jb := rt.jb()
 	var start time.Time
@@ -631,7 +585,7 @@ func (rt *MachineRuntime) shipChunk(tc TaskChannel, recv int, batch []*Task) (in
 	defer batchEncoders.Put(enc)
 	k := len(batch)
 	for {
-		data, err := encodeTaskBatch(enc, batch[:k], rt.spillCodec)
+		data, err := encodeTaskBatch(enc, batch[:k], rt.jb().app)
 		if err != nil {
 			return 0, err
 		}
@@ -692,30 +646,35 @@ func (rt *MachineRuntime) liveCounters() *Metrics {
 	met.SpillBytesRead = rt.disk.read.Load()
 	met.RefillBatches = rt.disk.refills.Load()
 	met.PeakSpillBytes = rt.disk.peak.Load()
-	if rt.ownTransport {
-		met.RemoteFetches = rt.transport.Fetches()
-		if ts, ok := rt.transport.(TransportStats); ok {
-			met.BatchedFetches = ts.BatchedFetches()
-			met.WireBytesSent, met.WireBytesReceived = ts.WireBytes()
-		}
-		if rs, ok := rt.transport.(RetryStats); ok {
-			met.RetriedDials = rs.RetriedDials()
-			met.RetriedOps = rs.RetriedOps()
-		}
+	met.RemoteFetches = rt.transport.Fetches()
+	if ts, ok := rt.transport.(TransportStats); ok {
+		met.BatchedFetches = ts.BatchedFetches()
+		met.WireBytesSent, met.WireBytesReceived = ts.WireBytes()
+	}
+	if rs, ok := rt.transport.(RetryStats); ok {
+		met.RetriedDials = rs.RetriedDials()
+		met.RetriedOps = rs.RetriedOps()
 	}
 	met.TraceSpans, met.TraceDropped = jb.tracer.Counts()
 	met.Kernel = bitset.KernelVariant()
 	return met
 }
 
-// CleanupSpill removes whatever the run left in this machine's spill
-// directory. A clean run's spill files were already unlinked by their
-// refills; leftovers exist only after cancellation or failure.
-func (rt *MachineRuntime) CleanupSpill() {
+// sweepSpill unlinks the spill files the current job still lists and
+// takes them off the disk accounts; the directory stays. The job's
+// workers must have stopped.
+func (rt *MachineRuntime) sweepSpill() {
 	rt.jb().lbig.removeAll()
 	for _, w := range rt.workers {
 		w.lsmall.removeAll()
 	}
+}
+
+// CleanupSpill removes whatever the run left in this machine's spill
+// directory. A clean run's spill files were already unlinked by their
+// refills; leftovers exist only after cancellation or failure.
+func (rt *MachineRuntime) CleanupSpill() {
+	rt.sweepSpill()
 	if rt.ownSpill {
 		os.RemoveAll(rt.spillDir)
 		return

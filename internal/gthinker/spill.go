@@ -1,9 +1,7 @@
 package gthinker
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,7 +14,7 @@ import (
 // diskAccount tracks spill-disk usage of one machine (Table 2's
 // "Disk" column and the paper's 22 TB-overflow anecdote), on both the
 // write and the refill side. An optional parent account tracks the
-// footprint across machines SHARING a disk: the in-process engine
+// footprint across machines SHARING a disk: an in-process cluster
 // parents every runtime's account, so its PeakSpillBytes is the true
 // peak of the process-wide sum (summing per-machine peaks would
 // overstate a peak at t=1 on one machine and t=2 on another);
@@ -72,9 +70,8 @@ func (a *diskAccount) remove(n int64) {
 
 // spillList is one task-file list (Lsmall of a worker or Lbig of a
 // machine): batches of tasks encoded to disk, refilled LIFO so the
-// most recently deferred work resumes first. With a non-nil codec the
-// batches use the raw columnar GQS1 format (internal/store); without
-// one they are gob streams.
+// most recently deferred work resumes first. Batches use the raw
+// columnar GQS1 format (internal/store), payloads encoded by codec.
 //
 // Writes are double-buffered: spill() encodes the batch on the calling
 // mining thread, then hands the bytes to a background goroutine and
@@ -94,7 +91,7 @@ type spillList struct {
 	files []*spillFile
 	werr  error // first async write failure, surfaced on the next spill
 	acct  *diskAccount
-	codec TaskCodec // nil = gob
+	codec TaskCodec
 
 	slot chan struct{} // capacity 1: the single in-flight write token
 }
@@ -148,24 +145,11 @@ func (l *spillList) spill(tasks []*Task) error {
 	if len(tasks) == 0 {
 		return nil
 	}
-	ext := ".gob"
-	var data []byte
-	var enc *store.BatchEncoder
-	if l.codec != nil {
-		ext = ".gqs"
-		enc = batchEncoders.Get().(*store.BatchEncoder)
-		var err error
-		data, err = encodeTaskBatch(enc, tasks, l.codec)
-		if err != nil {
-			batchEncoders.Put(enc)
-			return fmt.Errorf("gthinker: spill: %w", err)
-		}
-	} else {
-		var err error
-		data, err = encodeGob(tasks)
-		if err != nil {
-			return err
-		}
+	enc := batchEncoders.Get().(*store.BatchEncoder)
+	data, err := encodeTaskBatch(enc, tasks, l.codec)
+	if err != nil {
+		batchEncoders.Put(enc)
+		return fmt.Errorf("gthinker: spill: %w", err)
 	}
 
 	// Wait for the previous write to land (the encode above already
@@ -177,23 +161,19 @@ func (l *spillList) spill(tasks []*Task) error {
 	if err := l.werr; err != nil {
 		l.mu.Unlock()
 		l.slot <- struct{}{}
-		if enc != nil {
-			batchEncoders.Put(enc)
-		}
+		batchEncoders.Put(enc)
 		return err
 	}
 	l.seq++
-	path := filepath.Join(l.dir, fmt.Sprintf("%s-%06d%s", l.name, l.seq, ext))
+	path := filepath.Join(l.dir, fmt.Sprintf("%s-%06d.gqs", l.name, l.seq))
 	sf := &spillFile{path: path, count: len(tasks), done: make(chan struct{})}
 	l.files = append(l.files, sf)
 	l.mu.Unlock()
 
 	go func() {
 		err := os.WriteFile(path, data, 0o644)
-		if enc != nil {
-			// data aliases enc's buffer: recycle only after the write.
-			batchEncoders.Put(enc)
-		}
+		// data aliases enc's buffer: recycle only after the write.
+		batchEncoders.Put(enc)
 		if err != nil {
 			// A failed write can leave a partial file that nothing
 			// tracks; unlink it so the shutdown sweep's empty-SpillDir
@@ -213,22 +193,6 @@ func (l *spillList) spill(tasks []*Task) error {
 		l.slot <- struct{}{}
 	}()
 	return nil
-}
-
-// encodeGob encodes tasks as the legacy gob stream into memory (the
-// write-behind goroutine owns the file I/O).
-func encodeGob(tasks []*Task) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(len(tasks)); err != nil {
-		return nil, fmt.Errorf("gthinker: spill encode: %w", err)
-	}
-	for _, t := range tasks {
-		if err := enc.Encode(t); err != nil {
-			return nil, fmt.Errorf("gthinker: spill encode task: %w", err)
-		}
-	}
-	return buf.Bytes(), nil
 }
 
 // encodeTaskBatch encodes tasks as one GQS1 batch via codec — the one
@@ -325,11 +289,7 @@ func (l *spillList) refill() (tasks []*Task, ok bool, err error) {
 			return nil, false, sf.err
 		}
 	}
-	if l.codec != nil {
-		tasks, err = readColumnar(sf.path, l.codec)
-	} else {
-		tasks, err = readGob(sf.path)
-	}
+	tasks, err = readColumnar(sf.path, l.codec)
 	if err == nil {
 		err = os.Remove(sf.path)
 	}
@@ -359,29 +319,6 @@ func readColumnar(path string, codec TaskCodec) ([]*Task, error) {
 	tasks, err := decodeTaskBatch(data, codec)
 	if err != nil {
 		return nil, fmt.Errorf("gthinker: refill %s: %w", path, err)
-	}
-	return tasks, nil
-}
-
-// readGob loads one legacy gob batch.
-func readGob(path string) ([]*Task, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("gthinker: refill: %w", err)
-	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var n int
-	if err := dec.Decode(&n); err != nil {
-		return nil, fmt.Errorf("gthinker: refill decode: %w", err)
-	}
-	tasks := make([]*Task, 0, n)
-	for i := 0; i < n; i++ {
-		var t Task
-		if err := dec.Decode(&t); err != nil {
-			return nil, fmt.Errorf("gthinker: refill decode task: %w", err)
-		}
-		tasks = append(tasks, &t)
 	}
 	return tasks, nil
 }

@@ -1,7 +1,6 @@
 package gthinker
 
 import (
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -13,9 +12,8 @@ import (
 
 // subCodec spills *quasiclique.Sub payloads through the raw columnar
 // path — the same shape the miner's payload codec produces, so this
-// benchmark isolates format cost (gob reflection + per-field
-// allocation vs verbatim arrays + pointer fix-up) on realistic task
-// bytes.
+// benchmark measures the format (verbatim arrays out, pointer fix-up
+// in) on realistic task bytes.
 type subCodec struct{}
 
 func (subCodec) AppendTaskPayload(dst []byte, payload any) ([]byte, error) {
@@ -72,11 +70,12 @@ func dedupSorted(vs []graph.V) []graph.V {
 	return out
 }
 
-func benchSpillRoundTrip(b *testing.B, codec TaskCodec) {
-	gob.Register(&quasiclique.Sub{})
+// BenchmarkSpillRefillColumnar is the GQS1 path: flat arrays verbatim
+// out, sequential read + pointer fix-up in.
+func BenchmarkSpillRefillColumnar(b *testing.B) {
 	tasks := benchBatch(b, 32)
 	var acct diskAccount
-	l := newSpillList(b.TempDir(), "bench", &acct, codec)
+	l := newSpillList(b.TempDir(), "bench", &acct, subCodec{})
 	// One warm-up round trip to size buffers and report bytes/op.
 	if err := l.spill(tasks); err != nil {
 		b.Fatal(err)
@@ -100,11 +99,3 @@ func benchSpillRoundTrip(b *testing.B, codec TaskCodec) {
 		}
 	}
 }
-
-// BenchmarkSpillRefillGob is the pre-PR path: one reflective encode
-// per task out, one reflective decode (plus dozens of allocations) in.
-func BenchmarkSpillRefillGob(b *testing.B) { benchSpillRoundTrip(b, nil) }
-
-// BenchmarkSpillRefillColumnar is the GQS1 path: flat arrays verbatim
-// out, sequential read + pointer fix-up in.
-func BenchmarkSpillRefillColumnar(b *testing.B) { benchSpillRoundTrip(b, subCodec{}) }

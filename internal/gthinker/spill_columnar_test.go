@@ -1,39 +1,13 @@
 package gthinker
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/store"
 )
-
-// vecCodec spills []graph.V payloads as raw arrays — the minimal
-// TaskCodec for exercising the engine's columnar path without pulling
-// in the miner.
-type vecCodec struct{}
-
-func (vecCodec) AppendTaskPayload(dst []byte, payload any) ([]byte, error) {
-	vs, ok := payload.([]graph.V)
-	if !ok {
-		return nil, fmt.Errorf("vecCodec: bad payload %T", payload)
-	}
-	dst = store.AppendU32(dst, uint32(len(vs)))
-	return store.AppendU32s(dst, vs), nil
-}
-
-func (vecCodec) DecodeTaskPayload(data []byte) (any, error) {
-	c := store.NewCursor(data)
-	vs := c.U32s(int(c.U32()))
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return vs, nil
-}
 
 func mkVecTasks(n int) []*Task {
 	ts := make([]*Task, n)
@@ -46,7 +20,7 @@ func mkVecTasks(n int) []*Task {
 func TestSpillListColumnarRoundTrip(t *testing.T) {
 	var acct diskAccount
 	dir := t.TempDir()
-	l := newSpillList(dir, "col", &acct, vecCodec{})
+	l := newSpillList(dir, "col", &acct, toyCodec{})
 	in := make([]*Task, 10)
 	for i := range in {
 		in[i] = NewTask([]graph.V{graph.V(i), graph.V(i * 2)})
@@ -94,7 +68,7 @@ func TestSpillListColumnarRoundTrip(t *testing.T) {
 func TestSpillListColumnarRejectsCorruptFile(t *testing.T) {
 	var acct diskAccount
 	dir := t.TempDir()
-	l := newSpillList(dir, "col", &acct, vecCodec{})
+	l := newSpillList(dir, "col", &acct, toyCodec{})
 	if err := l.spill(mkVecTasks(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +100,7 @@ func TestSpillListColumnarRejectsCorruptFile(t *testing.T) {
 func TestSpillListRemoveAll(t *testing.T) {
 	var acct diskAccount
 	dir := t.TempDir()
-	l := newSpillList(dir, "col", &acct, vecCodec{})
+	l := newSpillList(dir, "col", &acct, toyCodec{})
 	for i := 0; i < 3; i++ {
 		if err := l.spill(mkVecTasks(2)); err != nil {
 			t.Fatal(err)
@@ -147,18 +121,5 @@ func TestSpillListRemoveAll(t *testing.T) {
 	}
 	if _, ok, err := l.refill(); ok || err != nil {
 		t.Fatalf("refill after removeAll: %v %v", ok, err)
-	}
-}
-
-// TestEngineRejectsColumnarWithoutCodec: forcing SpillColumnar on an
-// app without a TaskCodec must fail fast at construction.
-func TestEngineRejectsColumnarWithoutCodec(t *testing.T) {
-	g := datagen.ErdosRenyi(5, 0.5, 1)
-	_, err := NewEngine(g, &nilApp{}, Config{SpillDir: t.TempDir(), SpillFormat: SpillColumnar})
-	if err == nil || !strings.Contains(err.Error(), "TaskCodec") {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := NewEngine(g, &nilApp{}, Config{SpillDir: t.TempDir(), SpillFormat: SpillFormat(99)}); err == nil {
-		t.Fatal("bogus SpillFormat accepted")
 	}
 }

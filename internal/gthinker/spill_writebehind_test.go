@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"gthinkerqc/internal/graph"
 )
 
 // TestSpillRefillWaitsForWrite pops a batch right after spilling it,
@@ -14,7 +12,7 @@ import (
 // write-behind instead of reading a half-written file.
 func TestSpillRefillWaitsForWrite(t *testing.T) {
 	var acct diskAccount
-	l := newSpillList(t.TempDir(), "wb", &acct, vecCodec{})
+	l := newSpillList(t.TempDir(), "wb", &acct, toyCodec{})
 	for round := 0; round < 50; round++ {
 		in := mkVecTasks(8)
 		if err := l.spill(in); err != nil {
@@ -43,7 +41,7 @@ func TestSpillRefillWaitsForWrite(t *testing.T) {
 func TestSpillRemoveAllDrainsInflight(t *testing.T) {
 	var acct diskAccount
 	dir := t.TempDir()
-	l := newSpillList(dir, "wb", &acct, vecCodec{})
+	l := newSpillList(dir, "wb", &acct, toyCodec{})
 	for i := 0; i < 5; i++ {
 		if err := l.spill(mkVecTasks(3)); err != nil {
 			t.Fatal(err)
@@ -67,7 +65,7 @@ func TestSpillRemoveAllDrainsInflight(t *testing.T) {
 func TestSpillWriteBehindErrorSurfaces(t *testing.T) {
 	var acct diskAccount
 	dir := filepath.Join(t.TempDir(), "missing", "deeper") // unwritable
-	l := newSpillList(dir, "wb", &acct, vecCodec{})
+	l := newSpillList(dir, "wb", &acct, toyCodec{})
 	if err := l.spill(mkVecTasks(2)); err != nil {
 		t.Fatalf("first spill should fail asynchronously, got sync error: %v", err)
 	}
@@ -87,28 +85,4 @@ func TestSpillWriteBehindErrorSurfaces(t *testing.T) {
 			acct.written.Load(), acct.current.Load())
 	}
 	l.removeAll() // must not panic or unlink anything
-}
-
-// TestSpillWriteBehindGob runs the same overlap through the legacy gob
-// encoding (nil codec).
-func TestSpillWriteBehindGob(t *testing.T) {
-	var acct diskAccount
-	l := newSpillList(t.TempDir(), "wb", &acct, nil)
-	in := make([]*Task, 6)
-	for i := range in {
-		in[i] = NewTask([]graph.V{graph.V(i)})
-		in[i].Pulls = []graph.V{graph.V(i + 7)}
-	}
-	if err := l.spill(in); err != nil {
-		t.Fatal(err)
-	}
-	out, ok, err := l.refill()
-	if err != nil || !ok || len(out) != 6 {
-		t.Fatalf("refill: %v %v len=%d", ok, err, len(out))
-	}
-	for i := range out {
-		if out[i].Pulls[0] != graph.V(i+7) {
-			t.Fatalf("task %d corrupted", i)
-		}
-	}
 }

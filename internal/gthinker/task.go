@@ -9,9 +9,8 @@ import (
 var taskSeq atomic.Uint64
 
 // Task is one unit of divide-and-conquer work. The engine treats the
-// payload opaquely; apps cast it back in their Compute UDF.
-//
-// Fields are exported for gob serialization (disk spilling).
+// payload opaquely; apps cast it back in their Compute UDF and
+// serialize it through their TaskCodec half.
 type Task struct {
 	ID      uint64
 	Payload any
@@ -72,7 +71,11 @@ func (c *Ctx) reset() {
 // Spawn creates the initial task for a vertex of the local table, and
 // Compute processes one task iteration against the frontier of pulled
 // adjacency lists, returning true if the task needs more iterations.
+// Every App also serializes its own task payloads (TaskCodec): queued
+// tasks spill to disk and stolen ones cross the wire in one format.
 type App interface {
+	TaskCodec
+
 	// Spawn may return nil to skip the vertex. adj is the vertex's
 	// adjacency list in the (immutable) global graph.
 	Spawn(v graph.V, adj []graph.V, ctx *Ctx) *Task
@@ -87,12 +90,11 @@ type App interface {
 	IsBig(t *Task) bool
 }
 
-// TaskCodec is an optional App extension that turns disk spilling
-// into raw array I/O. Apps that implement it (in addition to App) get
-// the columnar GQS1 batch format of internal/store instead of gob:
-// spill writes each payload's flat arrays verbatim and refill is one
-// sequential read plus pointer fix-up, with no reflection and no
-// per-field allocation.
+// TaskCodec is the payload-serialization half of App, named on its own
+// because a TaskServer needs nothing else. Payloads travel inside the
+// columnar GQS1 batch format of internal/store: spill writes each
+// payload's flat arrays verbatim and refill is one sequential read
+// plus pointer fix-up, with no reflection and no per-field allocation.
 type TaskCodec interface {
 	// AppendTaskPayload appends the payload's raw encoding to dst and
 	// returns the extended buffer (append-style).

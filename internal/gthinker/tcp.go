@@ -55,8 +55,13 @@ import (
 //	opStart     payload: machines u32, machines × { vertex, task }
 //	            addresses. The worker builds its peer transport
 //	            (TCPTransport) from the table. reply: empty.
-//	opRun       payload: empty. Starts the machine's mining workers.
-//	            reply: empty.
+//	opRun       payload: job u64, specLen u32 + opaque app job spec.
+//	            Resets the machine onto that job with the application
+//	            built from the spec and starts its mining workers.
+//	            reply: empty. Every later job-scoped op (opStatus,
+//	            opStealDo, opShutdown, opMetrics, opTrace, opResults)
+//	            prefixes its payload with the same job u64 and is
+//	            refused by a machine that is on another job.
 //	opStatus    payload: empty. reply: flags u8 (bit0 = all spawned),
 //	            live u64, bigPending u64, sentOut u64, recvIn u64,
 //	            spawned u64, failure string — the liveness report
@@ -74,7 +79,8 @@ import (
 //	            opShutdown.
 //	opShutdown  payload: empty. Stops and joins the machine's workers;
 //	            the process keeps serving (metrics/results flushes
-//	            follow). reply: empty.
+//	            follow). reply: empty, or opError carrying the failure
+//	            the machine's job recorded.
 //	opExit      payload: empty. reply: empty; the worker host's
 //	            WaitExit returns and the process terminates.
 //	opRecover   payload: dead u32, fallback u32, adopter u32,
@@ -384,9 +390,9 @@ type TaskServer struct {
 }
 
 // ServeTasks starts a task channel endpoint on addr. deliver receives
-// each decoded batch (typically Engine.TaskSink, which pushes onto the
-// machine's global queue); it runs on the connection goroutine and
-// must be safe for concurrent use.
+// each decoded batch (typically MachineRuntime.DeliverTasks, which
+// pushes onto the machine's global queue); it runs on the connection
+// goroutine and must be safe for concurrent use.
 func ServeTasks(addr string, codec TaskCodec, deliver func([]*Task)) (*TaskServer, error) {
 	if codec == nil || deliver == nil {
 		return nil, fmt.Errorf("gthinker: task server needs a codec and a deliver callback")
@@ -464,7 +470,7 @@ func retryBackoff(base time.Duration, a int) time.Duration {
 
 // dialWithRetry dials addr with a per-attempt timeout and up to
 // `attempts` tries separated by jittered exponential backoff. All
-// dials in the package — data plane, task channel, and DialCluster's
+// dials in the package — data plane, task channel, and joinCluster's
 // control connections — go through here.
 func dialWithRetry(addr string, timeout time.Duration, attempts int) (net.Conn, error) {
 	return dialRetryInject(addr, timeout, attempts, nil, nil)
@@ -761,15 +767,6 @@ func (t *TCPTransport) SetTaskAddrs(addrs []string) {
 	t.tasks.configure(t.dialTimeout, t.frameTimeout, t.fault)
 }
 
-// FetchAdj performs a one-vertex batch round trip.
-func (t *TCPTransport) FetchAdj(owner int, v graph.V) ([]graph.V, error) {
-	out, err := t.FetchAdjBatch(owner, []graph.V{v}, nil)
-	if err != nil {
-		return nil, fmt.Errorf("gthinker: fetch %d from %d: %w", v, owner, err)
-	}
-	return out[0], nil
-}
-
 // FetchAdjBatch fetches the adjacency lists of ids from their owner,
 // appended to dst, normally in one round trip; when the server answers
 // a prefix to keep a reply inside the frame budget, the remainder is
@@ -844,12 +841,6 @@ func (t *TCPTransport) SendTasks(dest int, batch []byte) error {
 	}
 	t.shipped.Add(1)
 	return nil
-}
-
-// TaskChannelReady reports whether SetTaskAddrs configured the task
-// channel.
-func (t *TCPTransport) TaskChannelReady() bool {
-	return t.tasks != nil && len(t.tasks.addrs) > 0
 }
 
 // Health performs one opHealth round trip to machine's VertexServer

@@ -38,7 +38,7 @@ func BenchmarkTCPFetchPerVertex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, id := range ids {
-			if _, err := tr.FetchAdj(0, id); err != nil {
+			if _, err := fetchOne(tr, 0, id); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -76,7 +76,7 @@ func BenchmarkTaskWireBatch(b *testing.B) {
 		tasks[i].Pulls = payload[:16]
 	}
 	delivered := 0
-	srv, err := ServeTasks("127.0.0.1:0", vecCodec{}, func(ts []*Task) { delivered += len(ts) })
+	srv, err := ServeTasks("127.0.0.1:0", toyCodec{}, func(ts []*Task) { delivered += len(ts) })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func BenchmarkTaskWireBatch(b *testing.B) {
 	var enc store.BatchEncoder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := encodeTaskBatch(&enc, tasks, vecCodec{})
+		data, err := encodeTaskBatch(&enc, tasks, toyCodec{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package gthinker
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"net"
@@ -25,7 +26,7 @@ func TestVertexServerRoundTrip(t *testing.T) {
 	tr := NewTCPTransport([]string{srv.Addr()}, g.NumVertices())
 	defer tr.Close()
 	for v := 0; v < g.NumVertices(); v++ {
-		adj, err := tr.FetchAdj(0, graph.V(v))
+		adj, err := fetchOne(tr, 0, graph.V(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestFetchAdjBatchParity(t *testing.T) {
 			t.Fatalf("%d lists for %d ids", len(adjs), len(ids))
 		}
 		for i, id := range ids {
-			single, err := tr.FetchAdj(0, id)
+			single, err := fetchOne(tr, 0, id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,17 +95,14 @@ func TestFetchAdjBatchParity(t *testing.T) {
 func TestTCPTransportErrors(t *testing.T) {
 	tr := NewTCPTransport([]string{"127.0.0.1:1"}, 10) // nothing listens here
 	defer tr.Close()
-	if _, err := tr.FetchAdj(0, 0); err == nil {
+	if _, err := fetchOne(tr, 0, 0); err == nil {
 		t.Fatal("dial to dead server succeeded")
 	}
-	if _, err := tr.FetchAdj(5, 0); err == nil {
+	if _, err := fetchOne(tr, 5, 0); err == nil {
 		t.Fatal("out-of-range owner accepted")
 	}
 	if err := tr.SendTasks(0, nil); err == nil || !strings.Contains(err.Error(), "task channel") {
 		t.Fatalf("unconfigured task channel accepted a send: %v", err)
-	}
-	if tr.TaskChannelReady() {
-		t.Fatal("task channel ready without addresses")
 	}
 }
 
@@ -149,7 +147,7 @@ func TestTCPBoundedAllocation(t *testing.T) {
 	frame = append(frame, payload...)
 	tr := NewTCPTransport([]string{rogueServer(t, frame)}, 100)
 	defer tr.Close()
-	if _, err := tr.FetchAdj(0, 3); err == nil || !strings.Contains(err.Error(), "exceeds vertex count") {
+	if _, err := fetchOne(tr, 0, 3); err == nil || !strings.Contains(err.Error(), "exceeds vertex count") {
 		t.Fatalf("huge degree accepted: %v", err)
 	}
 
@@ -159,7 +157,7 @@ func TestTCPBoundedAllocation(t *testing.T) {
 	huge := append([]byte{opAdjBatch}, binary.LittleEndian.AppendUint32(nil, 1<<31)...)
 	tr2 := NewTCPTransport([]string{rogueServer(t, huge)}, 100)
 	defer tr2.Close()
-	if _, err := tr2.FetchAdj(0, 3); err == nil || !strings.Contains(err.Error(), "exceeds size limit") {
+	if _, err := fetchOne(tr2, 0, 3); err == nil || !strings.Contains(err.Error(), "exceeds size limit") {
 		t.Fatalf("oversized frame accepted: %v", err)
 	}
 
@@ -170,7 +168,7 @@ func TestTCPBoundedAllocation(t *testing.T) {
 	frameO = append(frameO, over...)
 	trO := NewTCPTransport([]string{rogueServer(t, frameO)}, 100)
 	defer trO.Close()
-	if _, err := trO.FetchAdj(0, 3); err == nil || !strings.Contains(err.Error(), "answers") {
+	if _, err := fetchOne(trO, 0, 3); err == nil || !strings.Contains(err.Error(), "answers") {
 		t.Fatalf("over-answered response accepted: %v", err)
 	}
 
@@ -181,7 +179,7 @@ func TestTCPBoundedAllocation(t *testing.T) {
 	frame3 = append(frame3, short...)
 	tr3 := NewTCPTransport([]string{rogueServer(t, frame3)}, 100)
 	defer tr3.Close()
-	if _, err := tr3.FetchAdj(0, 3); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := fetchOne(tr3, 0, 3); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated response accepted: %v", err)
 	}
 }
@@ -286,7 +284,7 @@ func TestTaskServerWireRoundTrip(t *testing.T) {
 	in[4].Payload = nil
 	var got []*Task
 	done := make(chan struct{})
-	srv, err := ServeTasks("127.0.0.1:0", vecCodec{}, func(tasks []*Task) {
+	srv, err := ServeTasks("127.0.0.1:0", toyCodec{}, func(tasks []*Task) {
 		got = tasks
 		close(done)
 	})
@@ -297,11 +295,8 @@ func TestTaskServerWireRoundTrip(t *testing.T) {
 	tr := NewTCPTransport(nil, 1)
 	tr.SetTaskAddrs([]string{srv.Addr()})
 	defer tr.Close()
-	if !tr.TaskChannelReady() {
-		t.Fatal("task channel not ready")
-	}
 	var enc store.BatchEncoder
-	data, err := encodeTaskBatch(&enc, in, vecCodec{})
+	data, err := encodeTaskBatch(&enc, in, toyCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,6 +330,62 @@ func TestTaskServerWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTaskFrameBeforeFirstJob: a socket host's task server is up from
+// join, but the machine has no application until its first run. A
+// payload-carrying task frame arriving in that window is socket input
+// like any other — it must be refused with an error reply, not take
+// the process down — and the host must still run a job afterwards.
+func TestTaskFrameBeforeFirstJob(t *testing.T) {
+	g := datagen.ErdosRenyi(120, 0.08, 5)
+	c := testCluster(t, g, Config{
+		Machines: 2, WorkersPerMachine: 1, InProcessTCP: true, SpillDir: t.TempDir(),
+	})
+	var enc store.BatchEncoder
+	data, err := encodeTaskBatch(&enc, []*Task{NewTask([]graph.V{1, 2, 3})}, toyCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = c.hosts[0].tr.SendTasks(1, data)
+	if err == nil || !strings.Contains(err.Error(), "not on a job") {
+		t.Fatalf("task frame to an idle machine: %v", err)
+	}
+	app := &triApp{g: g}
+	if _, err := c.RunJob(context.Background(), Job{App: app}); err != nil {
+		t.Fatal(err)
+	}
+	if want := bruteTriangles(g); app.count.Load() != want {
+		t.Fatalf("triangles after the refused frame = %d, want %d", app.count.Load(), want)
+	}
+}
+
+// TestHostRuntimeHiddenUntilWired: between join (runtime built) and
+// start (transport installed) Runtime() stays nil, so qcworker's debug
+// scrape reports "no series" instead of reading a runtime without a
+// data plane.
+func TestHostRuntimeHiddenUntilWired(t *testing.T) {
+	g := datagen.ErdosRenyi(40, 0.1, 3)
+	h, err := StartWorkerHost(WorkerHostConfig{Graph: g, NewApp: func([]byte, int) (App, Config, error) {
+		return nilApp{}, Config{WorkersPerMachine: 1, SpillDir: t.TempDir()}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	va, ta, err := h.handleJoin(joinRequest{Machines: 1, NumVerts: g.NumVertices(), NumEdges: uint64(g.NumEdges())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Runtime() != nil {
+		t.Fatal("runtime visible before the transport is wired")
+	}
+	if err := h.handleStart([]string{va}, []string{ta}); err != nil {
+		t.Fatal(err)
+	}
+	if rt := h.Runtime(); rt == nil || rt.LiveMetrics() == nil {
+		t.Fatal("no runtime after start")
+	}
+}
+
 // TestEngineTCPTransport runs the triangle-counting app over real
 // sockets: one vertex server per simulated machine, every remote
 // adjacency fetch a TCP round trip. The count must match the loopback
@@ -360,20 +411,30 @@ func TestEngineTCPTransport(t *testing.T) {
 		}
 	}()
 
-	tr := NewTCPTransport(addrs, g.NumVertices())
-	defer tr.Close()
+	// One hand-wired transport per machine, in place of the loopback.
+	var trs []*TCPTransport
+	defer func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}()
 	app := &triApp{g: g}
-	e, err := NewEngine(g, app, Config{
-		Machines: machines, WorkersPerMachine: 2,
-		SpillDir: t.TempDir(), Transport: tr,
+	c, err := newLocalCluster(g, Config{
+		Machines: machines, WorkersPerMachine: 2, SpillDir: t.TempDir(),
+	}, func(int) Transport {
+		tr := NewTCPTransport(addrs, g.NumVertices())
+		trs = append(trs, tr)
+		return tr
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	met, err := e.Run()
+	defer c.Close()
+	res, err := c.RunJob(context.Background(), Job{App: app})
 	if err != nil {
 		t.Fatal(err)
 	}
+	met := res.Metrics
 	if app.count.Load() != want {
 		t.Fatalf("triangles over TCP = %d, want %d", app.count.Load(), want)
 	}
@@ -438,12 +499,12 @@ func FuzzAdjBatchResponse(f *testing.F) {
 // (the opTaskSteal path).
 func FuzzTaskBatchDecode(f *testing.F) {
 	var enc store.BatchEncoder
-	good, _ := encodeTaskBatch(&enc, mkVecTasks(3), vecCodec{})
+	good, _ := encodeTaskBatch(&enc, mkVecTasks(3), toyCodec{})
 	f.Add(append([]byte(nil), good...))
 	f.Add([]byte("GQS1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeTaskBatch(data, vecCodec{}) // must not panic
+		decodeTaskBatch(data, toyCodec{}) // must not panic
 	})
 }
 

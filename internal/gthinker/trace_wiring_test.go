@@ -2,7 +2,6 @@ package gthinker
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"testing"
 
@@ -19,26 +18,18 @@ func spanKindCounts(tr *obs.Trace) map[obs.SpanKind]int {
 }
 
 // TestEngineTraceWiring: Config.Trace must thread tracers down to every
-// worker and surface the merged timeline through Engine.Trace, with the
+// worker and surface the merged timeline in the JobResult, with the
 // span accounting visible in the metrics.
 func TestEngineTraceWiring(t *testing.T) {
-	gob.Register(&fanPayload{})
 	g := datagen.ErdosRenyi(20, 0.3, 5)
 	app := &fanApp{spawnDepth: 2, fanout: 3}
-	e, err := NewEngine(g, app, Config{
+	res := mustRunApp(t, g, app, Config{
 		Machines: 2, WorkersPerMachine: 2,
 		SpillDir: t.TempDir(), Trace: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := e.Trace()
+	met, tr := res.Metrics, res.Trace
 	if tr == nil {
-		t.Fatal("Config.Trace set but Engine.Trace() is nil")
+		t.Fatal("Config.Trace set but JobResult.Trace is nil")
 	}
 	counts := spanKindCounts(tr)
 	if counts[obs.KindSpawn] == 0 {
@@ -82,18 +73,12 @@ func TestEngineTraceWiring(t *testing.T) {
 func TestEngineTraceDisabled(t *testing.T) {
 	g := datagen.ErdosRenyi(30, 0.2, 4)
 	app := &triApp{g: g}
-	e, err := NewEngine(g, app, Config{
+	res := mustRunApp(t, g, app, Config{
 		Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := e.Trace(); tr != nil {
-		t.Fatalf("tracing disabled but Engine.Trace() = %d spans", len(tr.Spans))
+	met := res.Metrics
+	if tr := res.Trace; tr != nil {
+		t.Fatalf("tracing disabled but JobResult.Trace = %d spans", len(tr.Spans))
 	}
 	if met.TraceSpans != 0 || met.TraceDropped != 0 {
 		t.Fatalf("tracing disabled but span accounting nonzero: %+v", met)
@@ -107,23 +92,16 @@ func TestEngineTraceInProcessTCP(t *testing.T) {
 	g := datagen.ErdosRenyi(300, 0.05, 7)
 	want := bruteTriangles(g)
 	app := &triApp{g: g}
-	e, err := NewEngine(g, app, Config{
+	res := mustRunApp(t, g, app, Config{
 		Machines: 2, WorkersPerMachine: 2,
 		SpillDir: t.TempDir(), InProcessTCP: true, Trace: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	met, tr := res.Metrics, res.Trace
 	if app.count.Load() != want {
 		t.Fatalf("triangles = %d, want %d", app.count.Load(), want)
 	}
-	tr := e.Trace()
 	if tr == nil {
-		t.Fatal("Engine.Trace() is nil")
+		t.Fatal("JobResult.Trace is nil")
 	}
 	counts := spanKindCounts(tr)
 	if met.RemoteFetches > 0 && counts[obs.KindFetch] == 0 {

@@ -25,10 +25,6 @@ import (
 // ids that machine `owner` does not own — a mis-routed fetch is a
 // partitioning bug, not a request to satisfy from somewhere else.
 type Transport interface {
-	// FetchAdj returns the adjacency list of v owned by machine
-	// `owner`. Equivalent to a one-element FetchAdjBatch; kept for
-	// single-vertex callers and tests.
-	FetchAdj(owner int, v graph.V) ([]graph.V, error)
 	// FetchAdjBatch returns the adjacency lists of ids (all owned by
 	// machine `owner`) in one round trip, appended to dst. The
 	// engine's resolve path groups a task's cache-missed pulls by
@@ -50,10 +46,6 @@ type TaskChannel interface {
 	// its acknowledgement; on return the tasks are on dest's global
 	// queue.
 	SendTasks(dest int, batch []byte) error
-	// TaskChannelReady reports whether task delivery is configured
-	// (e.g. the TCP transport knows every machine's TaskServer
-	// address).
-	TaskChannelReady() bool
 }
 
 // Redirector is an optional Transport extension used by worker-loss
@@ -87,7 +79,8 @@ type TransportStats interface {
 }
 
 // loopback is the in-process Transport standing in for the cluster
-// network (DESIGN.md §3). It validates ownership exactly like a real
+// network when machines are reached by direct calls (see the
+// composition section of doc.go). It validates ownership exactly like a real
 // per-machine vertex server would: a fetch routed to the wrong owner
 // fails loudly instead of being silently satisfied from the shared
 // graph, so partitioning bugs surface in loopback tests too.
@@ -114,15 +107,6 @@ func (t *loopback) checkOwned(own int, v graph.V) error {
 		return fmt.Errorf("gthinker: vertex %d routed to machine %d but owned by %d", v, own, o)
 	}
 	return nil
-}
-
-func (t *loopback) FetchAdj(own int, v graph.V) ([]graph.V, error) {
-	if err := t.checkOwned(own, v); err != nil {
-		return nil, err
-	}
-	t.fetches.Add(1)
-	t.batches.Add(1)
-	return t.g.Adj(v), nil
 }
 
 func (t *loopback) FetchAdjBatch(own int, ids []graph.V, dst [][]graph.V) ([][]graph.V, error) {
@@ -206,7 +190,7 @@ func (p partition) ownedVertices(n, id int) []graph.V {
 }
 
 // partitionAll computes every machine's partition (the in-process
-// engine's one-pass equivalent of M ownedVertices calls).
+// cluster's one-pass equivalent of M ownedVertices calls).
 func (p partition) partitionAll(n int) [][]graph.V {
 	if p.bounds == nil {
 		return partitionVertices(n, p.machines)

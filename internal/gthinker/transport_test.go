@@ -45,13 +45,13 @@ func TestLoopbackValidatesOwner(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "owned by") {
 		t.Fatalf("wrong error for mis-routed fetch: %v", err)
 	}
-	if _, err := tr.FetchAdj(1, theirs[0]); err == nil {
+	if _, err := fetchOne(tr, 1, theirs[0]); err == nil {
 		t.Fatal("mis-routed single fetch accepted")
 	}
-	if _, err := tr.FetchAdj(9, mine[0]); err == nil {
+	if _, err := fetchOne(tr, 9, mine[0]); err == nil {
 		t.Fatal("out-of-range machine accepted")
 	}
-	if _, err := tr.FetchAdj(1, graph.V(1<<20)); err == nil {
+	if _, err := fetchOne(tr, 1, graph.V(1<<20)); err == nil {
 		t.Fatal("out-of-range vertex accepted")
 	}
 }

@@ -41,10 +41,10 @@ type worker struct {
 // busy time, tracer alias — keeping the warm per-process half
 // (adjScratch, and whatever the app pools per worker). Only called
 // between jobs, when the worker goroutine has exited.
-func (w *worker) resetJob(jb *jobState, codec TaskCodec) {
+func (w *worker) resetJob(jb *jobState) {
 	w.qlocal = deque{}
 	w.blocal.reset()
-	w.lsmall = newSpillList(w.lsmall.dir, w.lsmall.name, w.lsmall.acct, codec)
+	w.lsmall = newSpillList(w.lsmall.dir, w.lsmall.name, w.lsmall.acct, jb.app)
 	w.busy = 0
 	w.tracer = jb.tracer
 }
@@ -204,7 +204,7 @@ func (w *worker) spawnBatch() {
 			jb.live.Add(-1)
 			return
 		}
-		t := rt.app.Spawn(v, rt.g.Adj(v), &w.ctx)
+		t := jb.app.Spawn(v, rt.g.Adj(v), &w.ctx)
 		if t == nil {
 			jb.live.Add(-1)
 			continue
@@ -331,7 +331,7 @@ func (w *worker) compute(t *Task) {
 	for {
 		w.ctx.reset()
 		start := time.Now()
-		more := rt.app.Compute(t, t.frontier, &w.ctx)
+		more := jb.app.Compute(t, t.frontier, &w.ctx)
 		dur := time.Since(start)
 		w.busy += dur
 		jb.computeCalls.Add(1)

@@ -1,10 +1,9 @@
 // Multi-process deployment glue: the app-level halves of the cluster
 // protocol. The gthinker control plane ships two opaque byte blobs —
-// the job spec a coordinator hands every worker at join, and the
-// result set a worker hands back after shutdown — and this file owns
-// both encodings for the quasi-clique miner, plus the worker-process
-// entry point (cmd/qcworker) and the coordinator-side MineProcs that
-// composes real OS processes into one mining run.
+// the job spec a coordinator hands every worker at join and with each
+// run, and the result set a worker hands back after shutdown — and
+// this file owns both encodings for the quasi-clique miner, plus the
+// worker-process entry point (cmd/qcworker) and the one-shot MineProcs.
 package miner
 
 import (
@@ -22,8 +21,11 @@ import (
 	"gthinkerqc/internal/store"
 )
 
-// jobSpecMagic versions the miner job spec carried inside opJoin.
-var jobSpecMagic = [4]byte{'Q', 'J', 'S', '1'}
+// jobSpecMagic versions the miner job spec carried inside opJoin and
+// opRun. QJS2 dropped QJS1's spill-format byte; a worker built for the
+// other layout is refused at join instead of mis-parsing every field
+// after it.
+var jobSpecMagic = [4]byte{'Q', 'J', 'S', '2'}
 
 // option bitmask positions for the quasiclique.Options booleans.
 const (
@@ -100,7 +102,6 @@ func AppendJobSpec(dst []byte, cfg Config, ecfg gthinker.Config) []byte {
 		ef |= ecfgTrace
 	}
 	dst = store.AppendU32(dst, ef)
-	dst = append(dst, byte(ecfg.SpillFormat))
 	dst = store.AppendU64(dst, uint64(ecfg.FrameTimeout))
 	dst = store.AppendU64(dst, uint64(ecfg.DialTimeout))
 	dst = store.AppendU64(dst, uint64(int64(ecfg.DeadAfterPolls)))
@@ -116,8 +117,12 @@ func AppendJobSpec(dst []byte, cfg Config, ecfg gthinker.Config) []byte {
 func DecodeJobSpec(data []byte) (Config, gthinker.Config, error) {
 	var cfg Config
 	var ecfg gthinker.Config
-	if len(data) < 4 || string(data[:4]) != string(jobSpecMagic[:]) {
+	if len(data) < 4 || string(data[:3]) != string(jobSpecMagic[:3]) {
 		return cfg, ecfg, fmt.Errorf("miner: bad job spec magic")
+	}
+	if data[3] != jobSpecMagic[3] {
+		return cfg, ecfg, fmt.Errorf("miner: unsupported job spec version %q (this build speaks %q); coordinator and qcworker must come from the same build",
+			data[:4], jobSpecMagic[:])
 	}
 	c := store.NewCursor(data[4:])
 	cfg.Params.Gamma = math.Float64frombits(c.U64())
@@ -159,10 +164,6 @@ func DecodeJobSpec(data []byte) (Config, gthinker.Config, error) {
 	ecfg.DisableGlobalQueue = ef&ecfgDisableGlobalQueue != 0
 	ecfg.DisableRecovery = ef&ecfgDisableRecovery != 0
 	ecfg.Trace = ef&ecfgTrace != 0
-	fb := c.Bytes(1)
-	if len(fb) == 1 {
-		ecfg.SpillFormat = gthinker.SpillFormat(fb[0])
-	}
 	ecfg.FrameTimeout = time.Duration(c.U64())
 	ecfg.DialTimeout = time.Duration(c.U64())
 	ecfg.DeadAfterPolls = int(int64(c.U64()))
@@ -363,8 +364,9 @@ type ProcsConfig struct {
 	// qcworker (or an equivalent host) against manifestPath and print
 	// the gthinker.WorkerReadyPrefix line on stdout.
 	Command func(machineID int, manifestPath string) *exec.Cmd
-	// ManifestDir receives the generated manifest file; empty uses the
-	// graph file's directory.
+	// ManifestDir receives the generated manifest file and keeps it
+	// after the pool closes, for inspection. Empty writes it to
+	// os.TempDir() and removes it on close.
 	ManifestDir string
 	// RangePartition switches the deployment from splitmix hash
 	// ownership to contiguous vertex ranges (store.OwnerSchemeRange):
@@ -381,18 +383,16 @@ type ProcsConfig struct {
 }
 
 // MineProcs mines the graph at pcfg.GraphPath on a cluster of REAL
-// worker OS processes, one per ecfg.Machines: it writes the partition
-// manifest, spawns and joins the workers, runs the coordinator loop
-// (termination detection, steal directives) over the control plane,
-// and merges the workers' result flushes. Results are bit-identical to
-// the in-process engine on the same graph — the processes execute the
-// same MachineRuntime the engine composes in-process.
+// worker OS processes, one per ecfg.Machines. It is a one-job session:
+// start the pool, mine, close. Results are bit-identical to an
+// in-process cluster on the same graph — the processes host the same
+// MachineRuntime, driven through the same job lifecycle.
 func MineProcs(ctx context.Context, cfg Config, ecfg gthinker.Config, pcfg ProcsConfig) (*Result, error) {
 	pool, err := StartProcsPool(ecfg, pcfg)
 	if err != nil {
 		return nil, err
 	}
-	res, runErr := pool.RunJob(ctx, cfg)
+	res, runErr := pool.Mine(ctx, cfg)
 	cerr := pool.Close()
 	if runErr != nil {
 		return res, runErr

@@ -1,7 +1,9 @@
 package miner
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,7 +28,9 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		Machines: 4, WorkersPerMachine: 3, QueueCap: 64, BatchSize: 8,
 		CacheCap: 1 << 10, StealInterval: 5 * time.Millisecond,
 		StatusInterval: 2 * time.Millisecond, StealIdlePolls: -1,
-		DisableStealing: true, SpillFormat: gthinker.SpillColumnar,
+		DisableStealing: true, DisableRecovery: true, Trace: true,
+		FrameTimeout: 7 * time.Second, DialTimeout: 3 * time.Second,
+		DeadAfterPolls: 9, FaultSpec: "5:reset=0.01",
 	}
 	gcfg, gecfg, err := DecodeJobSpec(AppendJobSpec(nil, cfg, ecfg))
 	if err != nil {
@@ -39,7 +43,13 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		t.Fatalf("engine config round trip:\n got  %+v\n want %+v", gecfg, ecfg)
 	}
 
+	// A spec from a build with another layout (QJS1 carried a
+	// spill-format byte) is refused by version, not mis-parsed.
 	data := AppendJobSpec(nil, cfg, ecfg)
+	stale := append([]byte("QJS1"), data[4:]...)
+	if _, _, err := DecodeJobSpec(stale); err == nil || !strings.Contains(err.Error(), "unsupported job spec version") {
+		t.Fatalf("QJS1 spec: err = %v, want an unsupported-version error", err)
+	}
 	for _, bad := range [][]byte{{}, data[:3], data[:len(data)-1], append(append([]byte{}, data...), 7), []byte("XXXX")} {
 		if _, _, err := DecodeJobSpec(bad); err == nil {
 			t.Fatalf("corrupt job spec of %d bytes accepted", len(bad))
@@ -75,4 +85,42 @@ func TestResultsRoundTrip(t *testing.T) {
 			t.Fatalf("corrupt results of %d bytes accepted", len(bad))
 		}
 	}
+}
+
+// FuzzDecodeJobSpec and FuzzDecodeResults feed arbitrary bytes to the
+// two decoders that parse what a socket delivered: they must reject
+// garbage with an error — never panic or allocate past the bytes
+// present — and whatever they accept must re-encode to the same bytes.
+func FuzzDecodeJobSpec(f *testing.F) {
+	f.Add(AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 0.9, MinSize: 5}},
+		gthinker.Config{Machines: 2, FaultSpec: "1:dialfail=0.5"}))
+	f.Add([]byte("QJS1"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, ecfg, err := DecodeJobSpec(data)
+		if err != nil {
+			return
+		}
+		// Encoding applies defaults, so compare at the fixed point.
+		again := AppendJobSpec(nil, cfg, ecfg)
+		cfg2, ecfg2, err := DecodeJobSpec(again)
+		if err != nil || !bytes.Equal(AppendJobSpec(nil, cfg2, ecfg2), again) {
+			t.Fatalf("accepted spec does not round-trip: %v", err)
+		}
+	})
+}
+
+func FuzzDecodeResults(f *testing.F) {
+	f.Add(AppendResults(nil, [][]graph.V{{1, 2, 3}, {}, {9}}, 7))
+	f.Add(append([]byte("QRS2"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sets, emitted, err := DecodeResults(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(AppendResults(nil, sets, emitted), data) {
+			t.Fatal("accepted results frame does not re-encode to itself")
+		}
+	})
 }

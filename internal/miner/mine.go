@@ -47,8 +47,8 @@ type Config struct {
 	Strategy Strategy
 	// TimeBudget bounds the whole job's wall time; 0 means unlimited.
 	// It travels in the job spec like every other per-query parameter,
-	// and the session/pool entry points enforce it with a context
-	// deadline, so a budgeted job returns its partial results with
+	// and Session.Mine enforces it with a context deadline, so a
+	// budgeted job returns its partial results with
 	// context.DeadlineExceeded.
 	TimeBudget time.Duration
 }

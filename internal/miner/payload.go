@@ -10,10 +10,10 @@
 // The search emits valid quasi-cliques that need not be maximal, so
 // every job ends with the maximality filter — and nothing of it runs
 // on one goroutine behind an idle cluster. Each worker collects into
-// its own quasiclique.Collector. When the engine returns, app.collected
+// its own quasiclique.Collector. When the job returns, app.collected
 // hands the collectors to quasiclique.Finalize, the one finalize
-// function that serial MineGraph, Session.Mine, the worker process and
-// ProcsPool.RunJob all call: it filters every worker's candidates on
+// function that serial MineGraph, Session.Mine and the worker process
+// all call: it filters every worker's candidates on
 // their own, W goroutines side by side (a set that is not maximal
 // among one worker's finds is not maximal at all), and then filters
 // the union of the survivors once. Duplicates are dropped there too —
@@ -21,8 +21,8 @@
 // merged collector and no second hash pass. On a process cluster the
 // worker half runs inside workerResults, so a machine ships only its
 // own survivors (about a tenth of its candidates on a dense core)
-// plus its emission count, and the coordinator filters the union of
-// the machines' frames. The filter itself (quasiclique.FilterMaximal)
+// plus its emission count, and the session filters the union of the
+// machines' frames. The filter itself (quasiclique.FilterMaximal)
 // splits the sets into vertex-disjoint components and answers
 // containment from per-vertex posting bitmaps; see maximal.go there.
 // Options.SkipMaximalityFilter turns all of it off: every distinct
@@ -30,14 +30,12 @@
 package miner
 
 import (
-	"encoding/gob"
-
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/quasiclique"
 )
 
-// Payload is the task state carried between compute iterations. All
-// fields are exported for gob (disk spilling of queued tasks).
+// Payload is the task state carried between compute iterations;
+// spillcodec.go serializes it for spill files and the wire.
 type Payload struct {
 	// Iteration ∈ {1, 2, 3} selects the next compute stage.
 	Iteration int
@@ -57,10 +55,6 @@ type Payload struct {
 	Sub *quasiclique.Sub
 	S   []uint32
 	Ext []uint32
-}
-
-func init() {
-	gob.Register(&Payload{})
 }
 
 // extSize estimates |ext(S)| for big-task classification before the

@@ -159,14 +159,15 @@ func TestWorkerShipsSurvivorsOnly(t *testing.T) {
 			Options: quasiclique.Options{SkipMaximalityFilter: skip},
 		}
 		a := newApp(g, cfg, 3)
-		eng, err := gthinker.NewEngine(g, a, gthinker.Config{Machines: 1, WorkersPerMachine: 3})
+		cluster, err := gthinker.NewLocalCluster(g, gthinker.Config{Machines: 1, WorkersPerMachine: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.RunJobContext(context.Background()); err != nil {
+		_, err = cluster.RunJob(context.Background(), gthinker.Job{App: a})
+		cluster.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Close()
 		var all [][]graph.V
 		var emitted int64
 		for _, col := range a.collectors {

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,151 +78,6 @@ func writeProcsGraph(t *testing.T, dir string) (*graph.Graph, string) {
 		t.Fatal(err)
 	}
 	return g, path
-}
-
-// TestMineProcsBitIdentical is the multi-process end-to-end: three
-// REAL worker OS processes, each mapping the graph file and serving
-// one partition, composed by MineProcs from a generated manifest. The
-// results must be bit-identical to the serial miner and to the
-// in-process TCP engine on the same graph, and the aggregated metrics
-// must show the work actually crossed process boundaries.
-func TestMineProcsBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns OS processes")
-	}
-	dir := t.TempDir()
-	g, graphPath := writeProcsGraph(t, dir)
-	par := quasiclique.Params{Gamma: 0.8, MinSize: 7}
-	cfg := Config{Params: par, TauTime: time.Nanosecond, TauSplit: 4}
-	ecfg := gthinker.Config{
-		Machines: 3, WorkersPerMachine: 2,
-		StealInterval: time.Millisecond,
-	}
-
-	serial, _, err := quasiclique.MineGraph(g, par, quasiclique.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) == 0 {
-		t.Fatal("planted graph yields no results; parameters are wrong")
-	}
-	tcpCfg := ecfg
-	tcpCfg.SpillDir = t.TempDir()
-	tcpCfg.InProcessTCP = true
-	inproc, err := Mine(g, cfg, tcpCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := MineProcs(context.Background(), cfg, ecfg, ProcsConfig{
-		GraphPath: graphPath,
-		Command:   helperWorkerCommand(graphPath),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !quasiclique.SetsEqual(res.Cliques, serial) {
-		t.Fatalf("multi-process results diverge from serial: %d vs %d cliques",
-			len(res.Cliques), len(serial))
-	}
-	if !quasiclique.SetsEqual(res.Cliques, inproc.Cliques) {
-		t.Fatalf("multi-process results diverge from in-process TCP: %d vs %d cliques",
-			len(res.Cliques), len(inproc.Cliques))
-	}
-	met := res.Engine
-	if met.TasksSpawned == 0 || met.TasksFinished != met.TasksSpawned+met.SubtasksAdded {
-		t.Fatalf("task accounting over the wire: %+v", met)
-	}
-	if met.RemoteFetches == 0 || met.BatchedFetches == 0 {
-		t.Fatalf("no cross-process adjacency fetches: %+v", met)
-	}
-	if met.WireBytesSent == 0 || met.WireBytesReceived == 0 {
-		t.Fatal("wire traffic not accounted")
-	}
-	if len(met.WorkerBusy) != ecfg.Machines*ecfg.WorkersPerMachine {
-		t.Fatalf("aggregated %d worker busy entries, want %d",
-			len(met.WorkerBusy), ecfg.Machines*ecfg.WorkersPerMachine)
-	}
-	if met.TasksStolen != 0 && met.TasksStolenRemote != met.TasksStolen {
-		t.Fatalf("multi-process run stole in memory: %d of %d remote",
-			met.TasksStolenRemote, met.TasksStolen)
-	}
-	t.Logf("procs run: %v", met)
-}
-
-// TestProcsPoolMultiJob is the one-graph-many-jobs gate for REAL
-// worker OS processes: one pool — spawned, joined, and wired exactly
-// once — runs three jobs with different query parameters, each
-// delivered per-run over opRun, plus a canceled job in the middle.
-// Every completed job must be bit-identical to a fresh serial mine
-// with its parameters, proving the per-job spec actually reaches the
-// workers (job 2's γ/min-size differ from the bootstrap spec's and
-// from job 1's) and that reset-between-jobs leaks nothing.
-func TestProcsPoolMultiJob(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns OS processes")
-	}
-	dir := t.TempDir()
-	g, graphPath := writeProcsGraph(t, dir)
-	ecfg := gthinker.Config{
-		Machines: 2, WorkersPerMachine: 2,
-		StealInterval: time.Millisecond,
-	}
-	pool, err := StartProcsPool(ecfg, ProcsConfig{
-		GraphPath: graphPath,
-		Command:   helperWorkerCommand(graphPath),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	jobs := []quasiclique.Params{
-		{Gamma: 0.8, MinSize: 7},
-		{Gamma: 0.9, MinSize: 5},
-	}
-	for i, par := range jobs {
-		want, _, err := quasiclique.MineGraph(g, par, quasiclique.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := pool.RunJob(context.Background(), Config{
-			Params: par, TauTime: time.Nanosecond, TauSplit: 4,
-		})
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		if !quasiclique.SetsEqual(res.Cliques, want) {
-			t.Fatalf("job %d (γ=%v τ=%d) diverges from serial: %d vs %d cliques",
-				i, par.Gamma, par.MinSize, len(res.Cliques), len(want))
-		}
-	}
-
-	// A canceled job must not poison the pool for the job after it.
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := pool.RunJob(canceled, Config{
-		Params: jobs[0], TauTime: time.Nanosecond, TauSplit: 4,
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled job err = %v, want context.Canceled", err)
-	}
-	want, _, err := quasiclique.MineGraph(g, jobs[0], quasiclique.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pool.RunJob(context.Background(), Config{
-		Params: jobs[0], TauTime: time.Nanosecond, TauSplit: 4,
-	})
-	if err != nil {
-		t.Fatalf("job after cancel: %v", err)
-	}
-	if !quasiclique.SetsEqual(res.Cliques, want) {
-		t.Fatalf("post-cancel job diverges from serial: %d vs %d cliques",
-			len(res.Cliques), len(want))
-	}
-	if err := pool.Close(); err != nil {
-		t.Fatalf("pool close: %v", err)
-	}
 }
 
 // TestMineProcsWorkerKilledRecovers is the worker-loss end-to-end: a
@@ -294,10 +150,11 @@ func TestMineProcsWorkerKilledNoRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
-	dir := t.TempDir()
-	g, graphPath := writeProcsGraph(t, dir)
-	cfg := Config{Params: quasiclique.Params{Gamma: 0.8, MinSize: 7}, TauTime: time.Nanosecond, TauSplit: 4}
-	engineCfg := gthinker.Config{
+	_, graphPath := writeProcsGraph(t, t.TempDir())
+	var workers []*exec.Cmd
+	var kill sync.Once
+	command := helperWorkerCommand(graphPath)
+	pool, err := StartProcsPool(gthinker.Config{
 		Machines: 2, WorkersPerMachine: 2,
 		StealInterval:   time.Millisecond,
 		StatusInterval:  5 * time.Millisecond,
@@ -305,69 +162,46 @@ func TestMineProcsWorkerKilledNoRecovery(t *testing.T) {
 		DialTimeout:     time.Second,
 		FrameTimeout:    5 * time.Second,
 		DisableRecovery: true,
-	}
-
-	man := &store.Manifest{
-		Scheme:      store.OwnerSchemeSplitmix,
-		NumVertices: g.NumVertices(),
-		NumEdges:    uint64(g.NumEdges()),
-		Machines:    make([]store.MachineSpec, engineCfg.Machines),
-	}
-	manifestPath := filepath.Join(dir, "cluster.gqm")
-	if err := store.WriteManifestFile(manifestPath, man); err != nil {
-		t.Fatal(err)
-	}
-	procs, err := gthinker.SpawnWorkerProcs(engineCfg.Machines, func(m int) *exec.Cmd {
-		return helperWorkerCommand(graphPath)(m, manifestPath)
-	}, 30*time.Second)
+		// Kill machine 1 under the running job: on the first status
+		// poll any machine answers.
+		StatusSink: func(int, gthinker.MachineStatus) {
+			kill.Do(func() { workers[1].Process.Kill() })
+		},
+	}, ProcsConfig{
+		GraphPath: graphPath,
+		Command: func(machine int, manifestPath string) *exec.Cmd {
+			cmd := command(machine, manifestPath)
+			workers = append(workers, cmd)
+			return cmd
+		},
+		ExitTimeout: 5 * time.Second,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer procs.Kill()
-
-	cc := gthinker.DialCluster(procs.ControlAddrs)
-	defer cc.Close()
-	if err := cc.Configure(engineCfg); err != nil {
-		t.Fatal(err)
-	}
-	spec := AppendJobSpec(nil, cfg, engineCfg)
-	vaddrs, taddrs, err := cc.JoinAll(engineCfg.Machines, g.NumVertices(), uint64(g.NumEdges()), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.StartTransports(vaddrs, taddrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill machine 1 while the job runs.
-	if err := procs.Cmds()[1].Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
+	defer pool.Close()
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := gthinker.RunCoordinator(context.Background(), cc, engineCfg)
+		_, err := pool.Mine(context.Background(), Config{
+			Params: quasiclique.Params{Gamma: 0.8, MinSize: 7}, TauTime: time.Nanosecond, TauSplit: 4,
+		})
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("coordinator succeeded with a dead worker and recovery disabled")
-		}
 		if !errors.Is(err, gthinker.ErrMachineLost) {
 			t.Fatalf("want ErrMachineLost, got: %v", err)
 		}
-		t.Logf("coordinator failed as expected: %v", err)
+		t.Logf("job failed as expected: %v", err)
 	case <-time.After(60 * time.Second):
 		t.Fatal("coordinator hung on a dead worker")
 	}
 }
 
-// TestMineProcsRangePartition is TestMineProcsBitIdentical under the
-// range-partition deployment: the pool derives equal-entry bounds,
+// TestMineProcsRangePartition is the process leg of
+// TestCompositionsBitIdentical, on 3×2, under the range-partition
+// deployment: the pool derives equal-entry bounds,
 // ships them in the manifest, and each worker process adopts range
 // ownership (plus the madvise residency hint on its owned byte span).
 // Results must be bit-identical to the serial miner.

@@ -8,10 +8,10 @@ import (
 	"gthinkerqc/internal/store"
 )
 
-// The app implements gthinker.TaskCodec, so spilled task batches use
-// the raw columnar GQS1 format instead of gob. A Payload is a handful
-// of flat uint32 arrays (plus the Sub's three), so its record is the
-// arrays written verbatim, little-endian:
+// The app's gthinker.TaskCodec half: spilled and stolen task batches
+// use the raw columnar GQS1 format. A Payload is a handful of flat
+// uint32 arrays (plus the Sub's three), so its record is the arrays
+// written verbatim, little-endian:
 //
 //	iteration uint32
 //	root      uint32

@@ -127,7 +127,7 @@ func TestMakeSubtaskRoundTrip(t *testing.T) {
 	sub := SubFromGraph(g, all)
 	S := []uint32{1, 3}      // b, d
 	ext := []uint32{4, 7, 8} // e, h, i
-	child, s2, e2 := MakeSubtask(sub, S, ext)
+	child, s2, e2 := MakeSubtaskScratch(sub, S, ext, new(Scratch))
 	if child.N() != 5 {
 		t.Fatalf("child N = %d", child.N())
 	}
@@ -336,7 +336,7 @@ func TestDecompositionEquivalence(t *testing.T) {
 				calls := 0
 				m.TimedOut = func() bool { calls++; return calls > K }
 				m.Offload = func(S, ext []uint32) {
-					child, s2, e2 := MakeSubtask(tk.sub, S, ext)
+					child, s2, e2 := MakeSubtaskScratch(tk.sub, S, ext, new(Scratch))
 					queue = append(queue, task{child, s2, e2})
 				}
 				m.RecursiveMine(tk.S, tk.ext)

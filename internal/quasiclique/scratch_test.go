@@ -2,10 +2,10 @@ package quasiclique
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"gthinkerqc/internal/graph"
+	"gthinkerqc/internal/store"
 	"gthinkerqc/internal/vset"
 )
 
@@ -65,9 +65,10 @@ func TestBuildRootSubScratchMatches(t *testing.T) {
 	}
 }
 
-// TestSubGobRoundtrip covers the packed spill codec for task-local
-// subgraphs, including empty rows.
-func TestSubGobRoundtrip(t *testing.T) {
+// TestSubRawRoundtripOwned covers the packed spill codec for a
+// task-local subgraph built over caller-owned labels, including empty
+// rows.
+func TestSubRawRoundtripOwned(t *testing.T) {
 	g := benchGraph(300, 4)
 	verts := g.Within2(37, nil)
 	var scOwned Scratch
@@ -75,12 +76,8 @@ func TestSubGobRoundtrip(t *testing.T) {
 	if &sub.Label[0] != &verts[0] {
 		t.Fatal("owned subFromGraph copied verts")
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sub); err != nil {
-		t.Fatal(err)
-	}
 	var back Sub
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+	if err := back.DecodeRaw(store.NewCursor(sub.AppendRaw(nil))); err != nil {
 		t.Fatal(err)
 	}
 	if !vset.Equal(sub.Label, back.Label) {
@@ -93,23 +90,6 @@ func TestSubGobRoundtrip(t *testing.T) {
 		if !vset.Equal(sub.Adj[i], back.Adj[i]) {
 			t.Fatalf("row %d differs", i)
 		}
-	}
-}
-
-// TestSubGobDecodeCorrupt checks that a row-length/payload mismatch is
-// an error, not a panic, when refilling spilled tasks.
-func TestSubGobDecodeCorrupt(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	// Label of 2, rows claiming 3 entries, but only 1 in the flat array.
-	for _, v := range []any{[]graph.V{5, 9}, []uint32{2, 1}, []uint32{1}} {
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var s Sub
-	if err := s.GobDecode(buf.Bytes()); err == nil {
-		t.Fatal("corrupt Sub accepted")
 	}
 }
 

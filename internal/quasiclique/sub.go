@@ -1,8 +1,6 @@
 package quasiclique
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"gthinkerqc/internal/bitset"
@@ -269,9 +267,7 @@ func (s *Sub) DegreeInto(v uint32, stamp []int64, epoch int64) int {
 //	rowLens [n]uint32
 //	flat    [flatLen]uint32
 //
-// It is the raw twin of GobEncode (which stays as the wire/legacy
-// codec); DecodeRaw restores it with pointer fix-up instead of a
-// reflective decode.
+// DecodeRaw restores it with pointer fix-up, no reflective decode.
 func (s *Sub) AppendRaw(dst []byte) []byte {
 	total := 0
 	for _, row := range s.Adj {
@@ -316,52 +312,5 @@ func (s *Sub) DecodeRaw(c *store.Cursor) error {
 	s.Adj = adj
 	s.Dense = nil
 	s.TwoHop = nil
-	return nil
-}
-
-// GobEncode serializes the Sub for the engine's task-spill codec as
-// three flat arrays (labels, row lengths, packed adjacency) instead of
-// one slice header per row.
-func (s *Sub) GobEncode() ([]byte, error) {
-	var b bytes.Buffer
-	enc := gob.NewEncoder(&b)
-	rowLen := make([]uint32, len(s.Adj))
-	total := 0
-	for i, row := range s.Adj {
-		rowLen[i] = uint32(len(row))
-		total += len(row)
-	}
-	flat := make([]uint32, 0, total)
-	for _, row := range s.Adj {
-		flat = append(flat, row...)
-	}
-	for _, v := range []any{s.Label, rowLen, flat} {
-		if err := enc.Encode(v); err != nil {
-			return nil, err
-		}
-	}
-	return b.Bytes(), nil
-}
-
-// GobDecode restores a Sub spilled by GobEncode, rebuilding the packed
-// row layout.
-func (s *Sub) GobDecode(data []byte) error {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	var rowLen, flat []uint32
-	for _, v := range []any{&s.Label, &rowLen, &flat} {
-		if err := dec.Decode(v); err != nil {
-			return err
-		}
-	}
-	s.Adj = make([][]uint32, len(rowLen))
-	off := 0
-	for i, n := range rowLen {
-		end := off + int(n)
-		if end > len(flat) {
-			return fmt.Errorf("quasiclique: corrupt Sub: rows need %d entries, have %d", end, len(flat))
-		}
-		s.Adj[i] = flat[off:end:end]
-		off = end
-	}
 	return nil
 }

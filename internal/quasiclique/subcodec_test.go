@@ -1,7 +1,6 @@
 package quasiclique
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -52,35 +51,6 @@ func TestSubRawRoundTrip(t *testing.T) {
 			if s.Label[j] != got.Label[j] {
 				t.Fatalf("sub %d: label %d differs", i, j)
 			}
-		}
-	}
-}
-
-// TestSubRawMatchesGob pins the two codecs to each other: whatever the
-// reflective path restores, the raw path must restore too.
-func TestSubRawMatchesGob(t *testing.T) {
-	s := buildCodecSub(t)
-	gobBytes, err := s.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaGob Sub
-	if err := viaGob.GobDecode(gobBytes); err != nil {
-		t.Fatal(err)
-	}
-	var viaRaw Sub
-	if err := viaRaw.DecodeRaw(store.NewCursor(s.AppendRaw(nil))); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaGob.Label, viaRaw.Label) {
-		t.Fatal("labels diverge between codecs")
-	}
-	if len(viaGob.Adj) != len(viaRaw.Adj) {
-		t.Fatal("row counts diverge between codecs")
-	}
-	for v := range viaGob.Adj {
-		if !reflect.DeepEqual(append([]uint32{}, viaGob.Adj[v]...), append([]uint32{}, viaRaw.Adj[v]...)) {
-			t.Fatalf("row %d diverges between codecs", v)
 		}
 	}
 }

@@ -118,10 +118,3 @@ func MakeSubtaskScratch(parent *Sub, S, ext []uint32, sc *Scratch) (*Sub, []uint
 	copy(e2, extV)
 	return &Sub{Label: label, Adj: adj}, s2, e2
 }
-
-// MakeSubtask is the convenience form with one-shot scratch, kept for
-// callers outside the pooled spawn loop.
-func MakeSubtask(parent *Sub, S, ext []uint32) (*Sub, []uint32, []uint32) {
-	var sc Scratch
-	return MakeSubtaskScratch(parent, S, ext, &sc)
-}

@@ -100,7 +100,6 @@ func TestMakeSubtaskMatchesReference(t *testing.T) {
 		}{
 			{"Into", func() (*Sub, []uint32, []uint32) { return MakeSubtaskInto(parent, S, ext, &sc) }},
 			{"Scratch", func() (*Sub, []uint32, []uint32) { return MakeSubtaskScratch(parent, S, ext, &sc) }},
-			{"Compat", func() (*Sub, []uint32, []uint32) { return MakeSubtask(parent, S, ext) }},
 		} {
 			gotSub, gotS, gotExt := form.call()
 			if !subsEqual(gotSub, wantSub) {
@@ -193,12 +192,6 @@ func BenchmarkMakeSubtask(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			MakeSubtaskScratch(parent, S, ext, &sc)
-		}
-	})
-	b.Run("compat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MakeSubtask(parent, S, ext)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package serve turns one loaded graph into a long-lived quasi-clique
 // query service (cmd/qcserved is its daemon): an HTTP/JSON API over
-// the session layer — one in-process miner.Session or one
-// multi-process miner.ProcsPool — with a priority+FIFO job queue,
+// the session layer — one miner.Session, its machines in this process
+// or in qcworker processes — with a priority+FIFO job queue,
 // per-job wall-clock budgets, an admission quota, and an LRU result
 // cache. The expensive state (the mmap'd graph, the joined worker
 // processes, the warm remote-vertex cache) is paid once at startup;
@@ -40,7 +40,8 @@
 //
 // A submission is answered 202 with {"id":"j1","state":"queued"} (or
 // 200 with "cached":true — see below; or 400 for invalid parameters;
-// or 429 when the quota of in-flight jobs is full). Jobs progress
+// 413 for a body over 64 KiB; or 429 when the quota of in-flight jobs
+// is full). Jobs progress
 // queued → running → one of three terminal states:
 //
 //   - done: results are ready. A job whose time_budget_ms expired is

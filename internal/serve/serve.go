@@ -16,32 +16,20 @@ import (
 	"gthinkerqc/internal/quasiclique"
 )
 
-// Backend mines one job at a time against a fixed graph. Both
-// session flavors satisfy it via the adapters below.
+// Backend mines one job at a time against a fixed graph.
+// *miner.Session is the implementation; tests substitute fakes.
 type Backend interface {
 	Mine(ctx context.Context, cfg miner.Config) (*miner.Result, error)
 	Close() error
 }
 
-type sessionBackend struct{ s *miner.Session }
+// SessionBackend serves jobs from a mining session, wherever its
+// machines live.
+func SessionBackend(s *miner.Session) Backend { return s }
 
-func (b sessionBackend) Mine(ctx context.Context, cfg miner.Config) (*miner.Result, error) {
-	return b.s.Mine(ctx, cfg)
-}
-func (b sessionBackend) Close() error { b.s.Close(); return nil }
-
-// SessionBackend serves jobs from an in-process mining session.
-func SessionBackend(s *miner.Session) Backend { return sessionBackend{s} }
-
-type poolBackend struct{ p *miner.ProcsPool }
-
-func (b poolBackend) Mine(ctx context.Context, cfg miner.Config) (*miner.Result, error) {
-	return b.p.RunJob(ctx, cfg)
-}
-func (b poolBackend) Close() error { return b.p.Close() }
-
-// PoolBackend serves jobs from a pool of worker OS processes.
-func PoolBackend(p *miner.ProcsPool) Backend { return poolBackend{p} }
+// PoolBackend is SessionBackend, under the name it had when a pool of
+// worker processes was a type of its own.
+func PoolBackend(p *miner.ProcsPool) Backend { return SessionBackend(p) }
 
 // JobRequest is the POST /v1/jobs body: the per-query parameters.
 // Everything beyond gamma/min_size is optional.
@@ -62,6 +50,10 @@ type JobRequest struct {
 	DenseThreshold    int     `json:"dense_threshold,omitempty"`
 	DenseMinDensity   float64 `json:"dense_min_density,omitempty"`
 }
+
+// maxJobRequestBytes caps a POST /v1/jobs body. A job request is a few
+// hundred bytes of JSON; anything near this is not one.
+const maxJobRequestBytes = 64 << 10
 
 // config maps the request onto a miner job config.
 func (r JobRequest) config(defaultBudget time.Duration) miner.Config {
@@ -418,8 +410,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &apiError{http.StatusBadRequest, "malformed job request: " + err.Error()})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, &apiError{code, "malformed job request: " + err.Error()})
 			return
 		}
 		j, err := s.Submit(req)

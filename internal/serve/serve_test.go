@@ -332,7 +332,8 @@ func waitQuota(t *testing.T, srv *Server, want int) {
 }
 
 // TestServeBadRequests covers the API's refusals: malformed JSON,
-// invalid parameters, unknown jobs, and premature result fetches.
+// invalid parameters, an oversized body, unknown jobs, and premature
+// result fetches.
 func TestServeBadRequests(t *testing.T) {
 	backend := &blockingBackend{gate: make(chan struct{})}
 	defer close(backend.gate)
@@ -354,6 +355,18 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	if code := post(`{"gamma":0.2,"min_size":5}`); code != http.StatusBadRequest {
 		t.Fatalf("invalid gamma: HTTP %d, want 400", code)
+	}
+	// A well-formed request padded past the body cap: without the cap
+	// it would be admitted (unknown fields are ignored).
+	huge := `{"gamma":0.9,"min_size":5,"pad":"` + strings.Repeat("x", maxJobRequestBytes) + `"}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d, want 413", code)
+	}
+	srv.mu.Lock()
+	admitted := len(srv.jobs)
+	srv.mu.Unlock()
+	if admitted != 0 {
+		t.Fatalf("%d jobs exist after three refused submissions", admitted)
 	}
 	if resp, err := http.Get(hs.URL + "/v1/jobs/j999"); err != nil {
 		t.Fatal(err)

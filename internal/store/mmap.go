@@ -24,7 +24,7 @@ var mmapDisabled = false
 // When Mapped reports true the Graph's CSR arrays alias the mapping:
 // the Graph, and every adjacency slice obtained from it, must not be
 // used after Close. When the zero-copy path was not available (non-
-// unix platform, legacy GQC1 file, big-endian host, mmap failure) the
+// unix platform, big-endian host, mmap failure) the
 // graph lives on the heap, Mapped reports false, and Close is a no-op
 // that only invalidates the handle.
 type MappedGraph struct {
@@ -95,9 +95,9 @@ func (m *MappedGraph) AdviseWillNeed(lo, hi graph.V) error {
 // the header, the exact file size, and the O(n) offsets invariants —
 // deliberately not the O(|E|) row scan of the heap loader, so load
 // cost stays independent of graph size; the adjacency bytes are
-// trusted the way a cache file written by this process is. Legacy or
-// unmappable files are read into the heap instead (Mapped()==false);
-// a malformed file is an error either way.
+// trusted the way a cache file written by this process is. When the
+// file cannot be mapped it is read into the heap instead
+// (Mapped()==false); a malformed file is an error either way.
 func MapGraph(path string) (*MappedGraph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -112,9 +112,8 @@ func MapGraph(path string) (*MappedGraph, error) {
 	var magic [4]byte
 	copy(magic[:], hdr[:4])
 	if magic != gqc2Magic {
-		// GQC1 (or any future readable version): not CSR-verbatim, so
-		// delegate to the graph codec's heap loader, which dispatches
-		// on the magic and fully validates.
+		// Not CSR-verbatim: the graph codec's loader owns the verdict
+		// (a retired version, or not a graph file at all).
 		return heapFallback(path)
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[4:8]))

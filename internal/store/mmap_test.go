@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gthinkerqc/internal/datagen"
@@ -118,34 +119,23 @@ func TestMapGraphFallbackPath(t *testing.T) {
 	}
 }
 
-// TestMapGraphLegacyV1 builds a GQC1 (degree-array) file by hand; the
-// loader cannot alias it and must fall back to the heap reader.
-func TestMapGraphLegacyV1(t *testing.T) {
+// TestMapGraphRetiredVersion: a well-formed GQC1 (degree-array) file is
+// refused by name — the cluster path a stale file would enter through.
+func TestMapGraphRetiredVersion(t *testing.T) {
 	// Triangle 0-1-2: degrees [2 2 2], adjacency 1 2 / 0 2 / 0 1.
 	var b []byte
 	b = append(b, 'G', 'Q', 'C', '1')
 	b = binary.LittleEndian.AppendUint32(b, 3)
 	b = binary.LittleEndian.AppendUint64(b, 3)
-	for _, d := range []uint32{2, 2, 2} {
-		b = binary.LittleEndian.AppendUint32(b, d)
-	}
-	for _, v := range []uint32{1, 2, 0, 2, 0, 1} {
+	for _, v := range []uint32{2, 2, 2, 1, 2, 0, 2, 0, 1} {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
 	path := filepath.Join(t.TempDir(), "v1.gqc")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := store.MapGraph(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.Mapped() {
-		t.Fatal("legacy file cannot be mapped")
-	}
-	if m.Graph().NumVertices() != 3 || m.Graph().NumEdges() != 3 {
-		t.Fatalf("loaded %d/%d", m.Graph().NumVertices(), m.Graph().NumEdges())
+	if _, err := store.MapGraph(path); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("GQC1 file: err = %v, want an unsupported-version error", err)
 	}
 }
 

@@ -46,10 +46,9 @@
 //
 // # GQS1 — columnar task-spill batches (spill.go)
 //
-// Task batches spilled by the G-thinker engine used to be gob streams:
-// one reflective encode per task on the way out, one reflective decode
-// (plus dozens of small allocations) on the way back in. GQS1 replaces
-// that with length-prefixed raw records:
+// Task batches spilled by the G-thinker engine are length-prefixed raw
+// records — no reflection on the way out, no per-field allocation on
+// the way back in:
 //
 //	magic   [4]byte  "GQS1"
 //	count   uint32   number of task records
