@@ -68,7 +68,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer ds.Close()
-		m := *machine
 		ds.AddSource(func() []obs.Sample {
 			// The runtime exists only after the coordinator's join; an
 			// early scrape sees no series, not an error.
@@ -76,7 +75,7 @@ func main() {
 			if rt == nil {
 				return nil
 			}
-			return gthinker.MetricsSamples(rt.LiveMetrics(), m)
+			return rt.Samples()
 		})
 		fmt.Fprintf(os.Stderr, "qcworker: debug server listening on http://%s\n", ds.Addr())
 	}

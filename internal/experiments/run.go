@@ -428,7 +428,7 @@ func Run(spec RunSpec) (Outcome, error) {
 		Results:     len(res.Cliques),
 		Candidates:  res.Candidates,
 		PeakRAM:     res.Engine.PeakHeapAlloc,
-		PeakDisk:    res.Engine.PeakSpillBytes,
+		PeakDisk:    int64(res.Engine.PeakSpillBytes),
 		TotalMining: res.Recorder.TotalMining(),
 		TotalMater:  res.Recorder.TotalMaterialize(),
 		Subtasks:    res.Engine.SubtasksAdded,

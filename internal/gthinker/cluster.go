@@ -292,17 +292,15 @@ func (c *Cluster) RunJob(ctx context.Context, job Job) (*JobResult, error) {
 
 	met := MergeMachineMetrics(per)
 	met.Wall = time.Since(start)
-	met.StealRounds = st.StealRounds
-	met.TasksStolen = st.TasksStolen
-	met.OffCycleSteals = st.OffCycleSteals
-	met.Recoveries = st.Recoveries
-	met.DeadMachines = st.DeadMachines
+	// The control plane's own retries join the coordinator's rows, and
+	// everything merges by the same rules as a machine's counters.
 	if rs, ok := c.ctl.(RetryStats); ok {
-		met.RetriedDials += rs.RetriedDials()
-		met.RetriedOps += rs.RetriedOps()
+		st.RetriedDials = rs.RetriedDials()
+		st.RetriedOps = rs.RetriedOps()
 	}
+	met.Counters.merge(&st.Counters)
 	if c.hosts != nil {
-		met.PeakSpillBytes = c.disk.peak.Load()
+		met.PeakSpillBytes = uint64(c.disk.peak.Load())
 	}
 	res.Metrics = met
 	return res, runErr

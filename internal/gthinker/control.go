@@ -18,17 +18,15 @@ import (
 // does not also exercise. See the op table in tcp.go.
 
 // controlProtoVersion is the handshake version; a coordinator and
-// worker disagreeing on it refuse to pair. Version 2 added the spawn
-// cursor to the status reply and the opRecover directive; version 3
-// added the live counter samples to the status reply, the trace
-// counters to the metrics payload, and the opTrace collection op.
-// Version 4 made the cluster multi-job: a JobID prefixes the opRun,
-// opStatus, opStealDo, opShutdown, opMetrics, opResults, and opTrace
-// payloads (a stale worker and a coordinator disagreeing about which
-// job is running fail loudly instead of mixing two jobs' state), and
-// opRun carries a per-job spec so one joined cluster can run many
-// jobs with different parameters without re-handshaking.
-const controlProtoVersion = 4
+// worker disagreeing on it refuse to pair. Since version 4 the cluster
+// is multi-job: a JobID prefixes the opRun, opStatus, opStealDo,
+// opShutdown, opMetrics, opResults, and opTrace payloads (a stale
+// worker and a coordinator disagreeing about which job is running fail
+// loudly instead of mixing two jobs' state), and opRun carries a
+// per-job spec so one joined cluster can run many jobs with different
+// parameters without re-handshaking. Version 5 ships the whole counter
+// table (metrics.go) in the status reply and the metrics payload.
+const controlProtoVersion = 5
 
 // Control-plane ops (continuing the tcp.go data-plane numbering).
 const (
@@ -103,12 +101,7 @@ func appendStatus(dst []byte, st MachineStatus) []byte {
 	dst = store.AppendU64(dst, st.SentOut)
 	dst = store.AppendU64(dst, st.RecvIn)
 	dst = store.AppendU64(dst, uint64(st.Spawned))
-	dst = store.AppendU64(dst, st.ComputeCalls)
-	dst = store.AppendU64(dst, st.TasksFinished)
-	dst = store.AppendU64(dst, st.SubtasksAdded)
-	dst = store.AppendU64(dst, st.SpillBytes)
-	dst = store.AppendU64(dst, st.CacheHits)
-	dst = store.AppendU64(dst, st.CacheMisses)
+	dst = appendCounters(dst, &st.Counters)
 	return store.AppendString(dst, st.Failure)
 }
 
@@ -127,12 +120,7 @@ func decodeStatus(data []byte) (MachineStatus, error) {
 	st.SentOut = c.U64()
 	st.RecvIn = c.U64()
 	st.Spawned = int64(c.U64())
-	st.ComputeCalls = c.U64()
-	st.TasksFinished = c.U64()
-	st.SubtasksAdded = c.U64()
-	st.SpillBytes = c.U64()
-	st.CacheHits = c.U64()
-	st.CacheMisses = c.U64()
+	st.Counters = decodeCounters(c)
 	st.Failure = c.String(maxFailureLen)
 	if err := c.Err(); err != nil {
 		return MachineStatus{}, fmt.Errorf("gthinker: malformed status reply: %w", err)

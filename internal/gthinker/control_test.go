@@ -3,53 +3,15 @@ package gthinker
 import (
 	"reflect"
 	"testing"
-	"time"
 )
-
-func TestMetricsWireRoundTrip(t *testing.T) {
-	m := &Metrics{
-		Wall: 123 * time.Millisecond, TasksSpawned: 1, SubtasksAdded: 2,
-		TasksFinished: 3, ComputeCalls: 4, BigTasks: 5, SmallTasks: 6,
-		LocalReads: 7, RemoteFetches: 8, BatchedFetches: 9,
-		WireBytesSent: 10, WireBytesReceived: 11, CacheHits: 12,
-		CacheMisses: 13, CacheEvicted: 14, SpillFiles: 15,
-		SpillBytesWritten: 16, SpillBytesRead: 17, RefillBatches: 18,
-		PeakSpillBytes: 19, StealRounds: 20, TasksStolen: 21,
-		TasksStolenRemote: 22, OffCycleSteals: 23, PeakHeapAlloc: 24,
-		Recoveries: 25, RetriedDials: 26, RetriedOps: 27, DeadMachines: 28,
-		// Tracing counters rode in with protocol v3; a codec missing them
-		// would silently zero the trace accounting on the wire.
-		TraceSpans: 29, TraceDropped: 30,
-		WorkerBusy: []time.Duration{time.Second, 2 * time.Second},
-		Kernel:     "avx2",
-	}
-	got, err := decodeMetrics(appendMetrics(nil, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("metrics wire round trip:\n got  %+v\n want %+v", got, m)
-	}
-	// Corruption must be rejected, not crash.
-	data := appendMetrics(nil, m)
-	for _, bad := range [][]byte{{}, data[:9], data[:len(data)-3], append(append([]byte{}, data...), 1)} {
-		if _, err := decodeMetrics(bad); err == nil {
-			t.Fatalf("corrupt metrics payload of %d bytes accepted", len(bad))
-		}
-	}
-}
 
 func TestStatusWireRoundTrip(t *testing.T) {
 	for _, st := range []MachineStatus{
 		{},
 		{AllSpawned: true, Live: 42, BigPending: 7, SentOut: 3, RecvIn: 9, Spawned: 4711},
-		// The protocol-v3 live counter samples piggybacked on the poll:
-		// losing any of them would freeze the coordinator's live view.
-		{
-			AllSpawned: true, Live: 1, BigPending: 2, SentOut: 3, RecvIn: 4,
-			Spawned: 5, ComputeCalls: 6, TasksFinished: 7, SubtasksAdded: 8,
-			SpillBytes: 9, CacheHits: 10, CacheMisses: 11,
-		},
+		// The counter snapshot piggybacked on the poll: losing any row
+		// would freeze that series in the coordinator's live view.
+		{AllSpawned: true, Live: 1, BigPending: 2, SentOut: 3, RecvIn: 4, Spawned: 5, Counters: distinctCounters(6)},
 		{AllSpawned: true, Failure: "machine on fire"},
 	} {
 		got, err := decodeStatus(appendStatus(nil, st))
@@ -60,8 +22,11 @@ func TestStatusWireRoundTrip(t *testing.T) {
 			t.Fatalf("status round trip: %+v vs %+v", got, st)
 		}
 	}
-	if _, err := decodeStatus([]byte{1, 2}); err == nil {
-		t.Fatal("truncated status accepted")
+	data := appendStatus(nil, MachineStatus{Failure: "x"})
+	for _, bad := range [][]byte{{}, {1, 2}, data[:len(data)-1], append(append([]byte{}, data...), 1)} {
+		if _, err := decodeStatus(bad); err == nil {
+			t.Fatalf("corrupt status reply of %d bytes accepted", len(bad))
+		}
 	}
 }
 

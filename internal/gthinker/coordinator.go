@@ -137,21 +137,12 @@ func (dc *directControl) CollectResults(m int) ([]byte, error) {
 	return dc.hosts[m].handleResults(dc.job)
 }
 
-// coordinatorStats reports the scheduling decisions a coordinator made
-// over one run.
+// coordinatorStats is what a coordinator leaves behind after one run.
 type coordinatorStats struct {
-	StealRounds    uint64
-	TasksStolen    uint64
-	OffCycleSteals uint64
-	// StealErrors counts steal directives that failed against a
-	// machine that had not (yet) been declared dead; with recovery
-	// enabled they are tolerated, not fatal.
-	StealErrors uint64
-	// Recoveries counts recovery events (one per machine declared
-	// dead and successfully absorbed by the survivors).
-	Recoveries uint64
-	// DeadMachines counts machines declared dead during the run.
-	DeadMachines uint64
+	// Counters holds the coordinator-owned rows of the counter table
+	// (steals, steal errors, recoveries, dead machines); every other
+	// row is zero.
+	Counters
 	// Dead marks, per machine, whether it was declared dead — callers
 	// collecting results or exits must skip those machines. Nil when
 	// nothing died.
@@ -185,22 +176,16 @@ type coordinator struct {
 	ctl ControlPlane
 	cfg Config
 
-	stealRounds    uint64
-	tasksStolen    uint64
-	offCycleSteals uint64
-	stealErrors    uint64
-	recoveries     uint64
+	// counts holds the coordinator-owned rows of the counter table.
+	counts Counters
 
 	// Durable per-machine state for worker-loss recovery, maintained
-	// from status polls: liveness, consecutive poll-failure counts,
-	// the last successful status (spawn cursor included — logged with
-	// a loss so the operator can see how much work it represents), and
+	// from status polls: liveness, consecutive poll-failure counts, and
 	// the hash-partition segments each live machine currently owns
 	// (initially its own id; a dead machine's segments transfer
 	// wholesale to one adopter, transitively across multiple losses).
 	alive     []bool
 	failPolls []int
-	lastSt    []MachineStatus
 	segs      [][]int
 
 	// lv is the continuously-updated observability view fed from every
@@ -217,7 +202,6 @@ func newCoordinator(ctl ControlPlane, cfg Config) *coordinator {
 		cfg:       cfg,
 		alive:     make([]bool, n),
 		failPolls: make([]int, n),
-		lastSt:    make([]MachineStatus, n),
 		segs:      make([][]int, n),
 	}
 	for m := 0; m < n; m++ {
@@ -232,16 +216,9 @@ func newCoordinator(ctl ControlPlane, cfg Config) *coordinator {
 }
 
 func (c *coordinator) stats() coordinatorStats {
-	s := coordinatorStats{
-		StealRounds:    c.stealRounds,
-		TasksStolen:    c.tasksStolen,
-		OffCycleSteals: c.offCycleSteals,
-		StealErrors:    c.stealErrors,
-		Recoveries:     c.recoveries,
-	}
+	s := coordinatorStats{Counters: c.counts}
 	for m, a := range c.alive {
 		if !a {
-			s.DeadMachines++
 			if s.Dead == nil {
 				s.Dead = make([]bool, len(c.alive))
 			}
@@ -378,7 +355,7 @@ func (c *coordinator) loop(ctx context.Context) error {
 						continue
 					}
 					if moved > 0 {
-						c.offCycleSteals++
+						c.counts.OffCycleSteals++
 						prev = nil // queues moved; restart the termination window
 						continue
 					}
@@ -417,7 +394,7 @@ func (c *coordinator) stealFailed(err error) error {
 	if c.cfg.DisableRecovery {
 		return err
 	}
-	c.stealErrors++
+	c.counts.StealErrors++
 	return nil
 }
 
@@ -473,13 +450,12 @@ func (c *coordinator) scan() ([]MachineStatus, bool, error) {
 		if st.Failure != "" {
 			return nil, false, fmt.Errorf("gthinker: machine %d failed: %s", m, st.Failure)
 		}
-		c.lastSt[m] = st
 		c.lv.Observe(m, st)
 		if c.cfg.StatusSink != nil {
 			c.cfg.StatusSink(m, st)
 		}
 	}
-	c.lv.ObserveSched(c.stealRounds, c.tasksStolen, c.offCycleSteals, c.stealErrors, c.recoveries)
+	c.lv.ObserveCoordinator(c.counts)
 	return sts, complete, nil
 }
 
@@ -503,6 +479,7 @@ func (c *coordinator) recoverMachine(m int, cause error) error {
 		rstart = time.Now()
 	}
 	c.alive[m] = false
+	c.counts.DeadMachines++
 	c.lv.ObserveDead(m)
 	var survivors []int
 	for i, a := range c.alive {
@@ -527,7 +504,7 @@ func (c *coordinator) recoverMachine(m int, cause error) error {
 			return lost
 		}
 	}
-	c.recoveries++
+	c.counts.Recoveries++
 	if c.tracer != nil {
 		c.tracer.Record(0, obs.KindRecover, rstart, time.Since(rstart), uint64(m), 0)
 	}
@@ -633,8 +610,8 @@ func (c *coordinator) stealFor(recv int, sts []MachineStatus) (int, error) {
 		return 0, err
 	}
 	if moved > 0 {
-		c.tasksStolen += uint64(moved)
-		c.stealRounds++
+		c.counts.TasksStolen += uint64(moved)
+		c.counts.StealRounds++
 		if c.tracer != nil {
 			c.tracer.Record(0, obs.KindSteal, sstart, time.Since(sstart), uint64(moved), 1)
 		}
@@ -711,13 +688,13 @@ func (c *coordinator) stealRound(sts []MachineStatus) (int, error) {
 		if moved == 0 {
 			continue
 		}
-		c.tasksStolen += uint64(moved)
+		c.counts.TasksStolen += uint64(moved)
 		counts[hi] -= moved
 		counts[recv] += moved
 		movedTotal += moved
 	}
 	if movedTotal > 0 {
-		c.stealRounds++
+		c.counts.StealRounds++
 		if c.tracer != nil {
 			c.tracer.Record(0, obs.KindSteal, sstart, time.Since(sstart), uint64(movedTotal), 0)
 		}

@@ -177,17 +177,24 @@
 // chrome://tracing (obs.WriteChromeTraceFile). Metrics.TraceSpans /
 // TraceDropped account for ring overflow.
 //
+// Every engine counter is defined once, as a row of counterTable
+// (metrics.go): its Counters field, series name, help text, and merge
+// rule. The opMetrics and opStatus codecs, MergeMachineMetrics and
+// both /metrics renderings are loops over that table, so it is the
+// metric reference, and a series name means the same thing wherever
+// it is scraped.
+//
 // The debug server (Config.DebugAddr; -debug-addr on qcmine, qcbench,
 // qcworker; ":0" picks a port and logs it) serves /metrics (Prometheus
 // text), /healthz, /debug/vars (expvar), and /debug/pprof/* while the
-// run is live. The coordinator's /metrics exports the cluster view —
-// per-machine liveness, queue depths, backlog EWMAs, and the live
-// counter samples below — and a qcworker's exports its own runtime's
-// counters plus the kernel variant.
+// run is live. A qcworker exports its own runtime's rows plus the
+// kernel variant; the coordinator exports every machine's rows under
+// a machine label, its own rows unlabelled, and the gauges only a
+// status poll knows (liveness, queue depths, backlog EWMA, spawn
+// cursor).
 //
 // Live metrics piggyback on the status poll: each MachineStatus
-// carries monotonic counter samples (compute calls, finished tasks,
-// subtasks, spill bytes, cache hits/misses) read from the runtime's
+// carries the machine's Counters snapshot, read from the runtime's
 // existing atomics, so the coordinator's LiveView is continuously
 // current at StatusInterval resolution with zero extra RPCs. The same
 // view feeds Config.Progress one-line summaries and Config.StatusSink

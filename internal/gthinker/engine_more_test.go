@@ -62,14 +62,14 @@ func TestStealRoundDirect(t *testing.T) {
 	if m0+m1 != 10 {
 		t.Fatalf("tasks lost in stealing: %d + %d", m0, m1)
 	}
-	if co.tasksStolen == 0 || co.stealRounds == 0 {
+	if co.counts.TasksStolen == 0 || co.counts.StealRounds == 0 {
 		t.Fatal("steal counters not updated")
 	}
 	// Balanced queues: nothing moves.
-	before := co.tasksStolen
+	before := co.counts.TasksStolen
 	co.stealRoundNow()
 	co.stealRoundNow()
-	after := co.tasksStolen
+	after := co.counts.TasksStolen
 	if after-before > uint64(m0+m1) {
 		t.Fatalf("stealing thrashes on balanced queues: %d moved", after-before)
 	}
@@ -78,7 +78,7 @@ func TestStealRoundDirect(t *testing.T) {
 	installJob(t, c2, &nilApp{})
 	co2 := newCoordinator(c2.ctl, c2.cfg)
 	co2.stealRoundNow()
-	if co2.tasksStolen != 0 {
+	if co2.counts.TasksStolen != 0 {
 		t.Fatal("stole from empty cluster")
 	}
 }

@@ -49,7 +49,7 @@ func TestStealRefillsFromSpilledBacklog(t *testing.T) {
 	if got := rts[1].jb().qglobal.len(); got == 0 {
 		t.Fatal("spilled backlog donated nothing")
 	}
-	if co.tasksStolen == 0 {
+	if co.counts.TasksStolen == 0 {
 		t.Fatal("steal counter not updated")
 	}
 	// Nothing was lost: queued tasks plus tasks still on disk cover

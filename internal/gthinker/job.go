@@ -80,7 +80,6 @@ type jobState struct {
 
 	bigTasks          atomic.Uint64
 	smallTasks        atomic.Uint64
-	stolenIn          atomic.Uint64
 	spawnedTasks      atomic.Uint64
 	subtasksAdded     atomic.Uint64
 	tasksStolenRemote atomic.Uint64

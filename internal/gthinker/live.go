@@ -24,12 +24,7 @@ type LiveView struct {
 	seen    []bool
 	alive   []bool
 	ewma    []float64
-
-	stealRounds    uint64
-	tasksStolen    uint64
-	offCycleSteals uint64
-	stealErrors    uint64
-	recoveries     uint64
+	coord   Counters // the coordinator's own rows
 }
 
 // NewLiveView builds a view over n machines.
@@ -68,65 +63,52 @@ func (lv *LiveView) ObserveDead(m int) {
 	}
 }
 
-// ObserveSched records the coordinator's scheduling counters.
-func (lv *LiveView) ObserveSched(stealRounds, tasksStolen, offCycle, stealErrors, recoveries uint64) {
+// ObserveCoordinator records the coordinator's own counters.
+func (lv *LiveView) ObserveCoordinator(c Counters) {
 	lv.mu.Lock()
-	lv.stealRounds = stealRounds
-	lv.tasksStolen = tasksStolen
-	lv.offCycleSteals = offCycle
-	lv.stealErrors = stealErrors
-	lv.recoveries = recoveries
+	lv.coord = c
 	lv.mu.Unlock()
 }
 
-// Samples renders the view in the debug server's sample model: one
-// labelled series per machine for the live counters, plus the
-// coordinator's scheduling totals. The method matches the
-// obs.DebugServer source signature.
+func machineLabel(m int) []obs.Label {
+	return []obs.Label{{Key: "machine", Value: strconv.Itoa(m)}}
+}
+
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Samples renders the view in the debug server's sample model: per
+// machine, the liveness gauges only a status poll knows plus the
+// machine's counter rows, then the coordinator's rows unlabelled. The
+// method matches the obs.DebugServer source signature.
 func (lv *LiveView) Samples() []obs.Sample {
 	lv.mu.Lock()
 	defer lv.mu.Unlock()
 	var out []obs.Sample
 	for m := range lv.sts {
-		lbl := []obs.Label{{Key: "machine", Value: strconv.Itoa(m)}}
-		up := 0.0
-		if lv.alive[m] {
-			up = 1
-		}
+		lbl := machineLabel(m)
 		out = append(out,
-			obs.Sample{Name: "gthinker_machine_up", Labels: lbl, Value: up})
+			obs.Sample{Name: "gthinker_machine_up", Labels: lbl, Value: boolGauge(lv.alive[m])})
 		if !lv.seen[m] {
 			continue
 		}
-		st := lv.sts[m]
-		spawnedDone := 0.0
-		if st.AllSpawned {
-			spawnedDone = 1
-		}
+		st := &lv.sts[m]
 		out = append(out,
 			obs.Sample{Name: "gthinker_live_tasks", Labels: lbl, Value: float64(st.Live)},
 			obs.Sample{Name: "gthinker_big_pending", Labels: lbl, Value: float64(st.BigPending)},
 			obs.Sample{Name: "gthinker_backlog_ewma", Labels: lbl, Value: lv.ewma[m]},
-			obs.Sample{Name: "gthinker_all_spawned", Labels: lbl, Value: spawnedDone},
-			obs.Sample{Name: "gthinker_spawned_tasks_total", Labels: lbl, Value: float64(st.Spawned)},
-			obs.Sample{Name: "gthinker_compute_calls_total", Labels: lbl, Value: float64(st.ComputeCalls)},
-			obs.Sample{Name: "gthinker_tasks_finished_total", Labels: lbl, Value: float64(st.TasksFinished)},
-			obs.Sample{Name: "gthinker_subtasks_total", Labels: lbl, Value: float64(st.SubtasksAdded)},
-			obs.Sample{Name: "gthinker_spill_bytes_total", Labels: lbl, Value: float64(st.SpillBytes)},
-			obs.Sample{Name: "gthinker_cache_hits_total", Labels: lbl, Value: float64(st.CacheHits)},
-			obs.Sample{Name: "gthinker_cache_misses_total", Labels: lbl, Value: float64(st.CacheMisses)},
+			obs.Sample{Name: "gthinker_all_spawned", Labels: lbl, Value: boolGauge(st.AllSpawned)},
+			obs.Sample{Name: "gthinker_spawn_cursor", Labels: lbl, Value: float64(st.Spawned)},
 			obs.Sample{Name: "gthinker_tasks_sent_total", Labels: lbl, Value: float64(st.SentOut)},
 			obs.Sample{Name: "gthinker_tasks_received_total", Labels: lbl, Value: float64(st.RecvIn)},
 		)
+		out = st.Counters.samples(out, lbl, false)
 	}
-	out = append(out,
-		obs.Sample{Name: "gthinker_steal_rounds_total", Value: float64(lv.stealRounds)},
-		obs.Sample{Name: "gthinker_tasks_stolen_total", Value: float64(lv.tasksStolen)},
-		obs.Sample{Name: "gthinker_offcycle_steals_total", Value: float64(lv.offCycleSteals)},
-		obs.Sample{Name: "gthinker_steal_errors_total", Value: float64(lv.stealErrors)},
-		obs.Sample{Name: "gthinker_recoveries_total", Value: float64(lv.recoveries)},
-	)
-	return out
+	return lv.coord.samples(out, nil, true)
 }
 
 // String renders the one-line -progress summary.
@@ -151,58 +133,9 @@ func (lv *LiveView) String() string {
 	}
 	s := fmt.Sprintf("t=%v live=%d big-pending=%d spawned=%d finished=%d stolen=%d(%d rounds)",
 		time.Since(lv.started).Round(time.Millisecond),
-		live, pending, spawned, finished, lv.tasksStolen, lv.stealRounds)
-	if lv.recoveries > 0 || dead > 0 {
-		s += fmt.Sprintf(" recovered=%d dead=%d", lv.recoveries, dead)
+		live, pending, spawned, finished, lv.coord.TasksStolen, lv.coord.StealRounds)
+	if lv.coord.Recoveries > 0 || dead > 0 {
+		s += fmt.Sprintf(" recovered=%d dead=%d", lv.coord.Recoveries, dead)
 	}
 	return s + " live/machine=[" + strings.Join(perMachine, " ") + "]"
-}
-
-// MetricsSamples renders a Metrics snapshot in the debug server's
-// sample model — the worker-process side of /metrics, where the
-// runtime's LiveMetrics counters are scraped mid-run. machine labels
-// every series; pass a negative value for an unlabelled (aggregate)
-// rendering.
-func MetricsSamples(met *Metrics, machine int) []obs.Sample {
-	if met == nil {
-		return nil
-	}
-	var lbl []obs.Label
-	if machine >= 0 {
-		lbl = []obs.Label{{Key: "machine", Value: strconv.Itoa(machine)}}
-	}
-	s := func(name string, v float64) obs.Sample {
-		return obs.Sample{Name: name, Labels: lbl, Value: v}
-	}
-	out := []obs.Sample{
-		s("gthinker_spawned_tasks_total", float64(met.TasksSpawned)),
-		s("gthinker_subtasks_total", float64(met.SubtasksAdded)),
-		s("gthinker_tasks_finished_total", float64(met.TasksFinished)),
-		s("gthinker_compute_calls_total", float64(met.ComputeCalls)),
-		s("gthinker_big_tasks_total", float64(met.BigTasks)),
-		s("gthinker_small_tasks_total", float64(met.SmallTasks)),
-		s("gthinker_local_reads_total", float64(met.LocalReads)),
-		s("gthinker_remote_fetches_total", float64(met.RemoteFetches)),
-		s("gthinker_batched_fetches_total", float64(met.BatchedFetches)),
-		s("gthinker_wire_bytes_sent_total", float64(met.WireBytesSent)),
-		s("gthinker_wire_bytes_received_total", float64(met.WireBytesReceived)),
-		s("gthinker_cache_hits_total", float64(met.CacheHits)),
-		s("gthinker_cache_misses_total", float64(met.CacheMisses)),
-		s("gthinker_cache_evicted_total", float64(met.CacheEvicted)),
-		s("gthinker_spill_files_total", float64(met.SpillFiles)),
-		s("gthinker_spill_bytes_total", float64(met.SpillBytesWritten)),
-		s("gthinker_spill_bytes_read_total", float64(met.SpillBytesRead)),
-		s("gthinker_refill_batches_total", float64(met.RefillBatches)),
-		s("gthinker_peak_spill_bytes", float64(met.PeakSpillBytes)),
-		s("gthinker_tasks_stolen_wire_total", float64(met.TasksStolenRemote)),
-		s("gthinker_retried_dials_total", float64(met.RetriedDials)),
-		s("gthinker_retried_ops_total", float64(met.RetriedOps)),
-		s("gthinker_trace_spans_total", float64(met.TraceSpans)),
-		s("gthinker_trace_dropped_total", float64(met.TraceDropped)),
-	}
-	if met.Kernel != "" {
-		kl := append(append([]obs.Label(nil), lbl...), obs.Label{Key: "variant", Value: met.Kernel})
-		out = append(out, obs.Sample{Name: "gthinker_kernel_info", Labels: kl, Value: 1})
-	}
-	return out
 }

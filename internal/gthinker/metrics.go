@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"time"
 
+	"gthinkerqc/internal/obs"
 	"gthinkerqc/internal/store"
 )
 
-// Metrics reports one engine run. Aggregate counters are summed over
-// all machines and workers after the run completes.
-type Metrics struct {
-	Wall time.Duration
-
+// Counters holds every scalar engine counter. All fields are uint64 and
+// the struct is comparable, so one snapshot copies by value into a
+// status reply, a Metrics, or the coordinator's live view. counterTable
+// describes each field exactly once; the wire codec, the cluster merge
+// and the Prometheus exposition are loops over that table.
+type Counters struct {
 	TasksSpawned  uint64 // tasks created by Spawn
 	SubtasksAdded uint64 // tasks created by Compute (decomposition)
 	TasksFinished uint64
@@ -32,11 +34,11 @@ type Metrics struct {
 	CacheMisses       uint64
 	CacheEvicted      uint64
 
-	SpillFiles        int64
-	SpillBytesWritten int64
-	SpillBytesRead    int64 // bytes read back by batch refills
-	RefillBatches     int64 // spill files refilled (and unlinked)
-	PeakSpillBytes    int64 // high-water mark of on-disk task bytes
+	SpillFiles        uint64
+	SpillBytesWritten uint64
+	SpillBytesRead    uint64 // bytes read back by batch refills
+	RefillBatches     uint64 // spill files refilled (and unlinked)
+	PeakSpillBytes    uint64 // high-water mark of on-disk task bytes
 
 	StealRounds uint64 // master periods that moved at least one task
 	TasksStolen uint64
@@ -48,17 +50,15 @@ type Metrics struct {
 	// idle-machine hysteresis between StealInterval ticks (a subset of
 	// StealRounds).
 	OffCycleSteals uint64
-
-	// WorkerBusy is per-worker accumulated Compute time (dense worker
-	// IDs across machines). The spread between workers is the paper's
-	// load-balance evidence.
-	WorkerBusy []time.Duration
+	// StealErrors counts steal directives that failed against a machine
+	// that had not (yet) been declared dead; with recovery enabled they
+	// are tolerated, not fatal.
+	StealErrors uint64
 
 	PeakHeapAlloc uint64 // sampled runtime heap high-water mark
 
-	// Fault-tolerance counters. Recoveries and DeadMachines are
-	// coordinator-owned (machines report zero); RetriedDials and
-	// RetriedOps sum each machine's transport hardening retries — a
+	// Fault-tolerance counters. RetriedDials and RetriedOps sum each
+	// machine's transport hardening retries and the control plane's — a
 	// non-zero value on a "healthy" run means the cluster was quietly
 	// riding through transient network trouble.
 	Recoveries   uint64 // worker-loss recoveries executed
@@ -72,6 +72,119 @@ type Metrics struct {
 	// has holes and the ring capacity should grow.
 	TraceSpans   uint64
 	TraceDropped uint64
+}
+
+// mergeRule says how one counter combines across the machines of a
+// cluster.
+type mergeRule uint8
+
+const (
+	mergeSum         mergeRule = iota // every machine counts its own share
+	mergeMax                          // a high-water mark of something machines do not share (one heap per process)
+	mergeCoordinator                  // counted by the coordinator alone: machines report zero and leave it off their /metrics
+)
+
+// counterDesc describes one Counters field.
+type counterDesc struct {
+	name  string // Prometheus series name; "_total" marks a counter, anything else a gauge
+	help  string
+	rule  mergeRule
+	field func(*Counters) *uint64
+}
+
+// counterTable is the single definition of every engine counter, in
+// wire order. Adding a counter is a Counters field, its row here, and
+// the line that reads its source.
+var counterTable = []counterDesc{
+	{"gthinker_spawned_tasks_total", "root tasks created by Spawn", mergeSum, func(c *Counters) *uint64 { return &c.TasksSpawned }},
+	{"gthinker_subtasks_total", "tasks created by Compute (decomposition)", mergeSum, func(c *Counters) *uint64 { return &c.SubtasksAdded }},
+	{"gthinker_tasks_finished_total", "tasks whose Compute returned done", mergeSum, func(c *Counters) *uint64 { return &c.TasksFinished }},
+	{"gthinker_compute_calls_total", "Compute invocations", mergeSum, func(c *Counters) *uint64 { return &c.ComputeCalls }},
+	{"gthinker_big_tasks_total", "tasks routed to the machine-global queue", mergeSum, func(c *Counters) *uint64 { return &c.BigTasks }},
+	{"gthinker_small_tasks_total", "tasks routed to a worker-local queue", mergeSum, func(c *Counters) *uint64 { return &c.SmallTasks }},
+	{"gthinker_local_reads_total", "vertex-table reads served locally", mergeSum, func(c *Counters) *uint64 { return &c.LocalReads }},
+	{"gthinker_remote_fetches_total", "adjacency lists fetched across machines", mergeSum, func(c *Counters) *uint64 { return &c.RemoteFetches }},
+	{"gthinker_batched_fetches_total", "remote fetch round trips", mergeSum, func(c *Counters) *uint64 { return &c.BatchedFetches }},
+	{"gthinker_wire_bytes_sent_total", "data-plane bytes written, frame headers included", mergeSum, func(c *Counters) *uint64 { return &c.WireBytesSent }},
+	{"gthinker_wire_bytes_received_total", "data-plane bytes read", mergeSum, func(c *Counters) *uint64 { return &c.WireBytesReceived }},
+	{"gthinker_cache_hits_total", "remote-vertex cache hits", mergeSum, func(c *Counters) *uint64 { return &c.CacheHits }},
+	{"gthinker_cache_misses_total", "remote-vertex cache misses", mergeSum, func(c *Counters) *uint64 { return &c.CacheMisses }},
+	{"gthinker_cache_evicted_total", "remote-vertex cache evictions", mergeSum, func(c *Counters) *uint64 { return &c.CacheEvicted }},
+	{"gthinker_spill_files_total", "task spill files written", mergeSum, func(c *Counters) *uint64 { return &c.SpillFiles }},
+	{"gthinker_spill_bytes_total", "task bytes spilled to disk", mergeSum, func(c *Counters) *uint64 { return &c.SpillBytesWritten }},
+	{"gthinker_spill_bytes_read_total", "task bytes read back by batch refills", mergeSum, func(c *Counters) *uint64 { return &c.SpillBytesRead }},
+	{"gthinker_refill_batches_total", "spill files refilled and unlinked", mergeSum, func(c *Counters) *uint64 { return &c.RefillBatches }},
+	{"gthinker_peak_spill_bytes", "high-water mark of on-disk task bytes", mergeSum, func(c *Counters) *uint64 { return &c.PeakSpillBytes }},
+	{"gthinker_steal_rounds_total", "steal rounds that moved at least one task", mergeCoordinator, func(c *Counters) *uint64 { return &c.StealRounds }},
+	{"gthinker_tasks_stolen_total", "tasks moved between machines by steal directives", mergeCoordinator, func(c *Counters) *uint64 { return &c.TasksStolen }},
+	{"gthinker_tasks_stolen_wire_total", "stolen tasks shipped over the task channel", mergeSum, func(c *Counters) *uint64 { return &c.TasksStolenRemote }},
+	{"gthinker_offcycle_steals_total", "steal rounds fired by the idle-machine hysteresis", mergeCoordinator, func(c *Counters) *uint64 { return &c.OffCycleSteals }},
+	{"gthinker_steal_errors_total", "steal directives that failed and were tolerated", mergeCoordinator, func(c *Counters) *uint64 { return &c.StealErrors }},
+	{"gthinker_peak_heap_bytes", "sampled runtime heap high-water mark", mergeMax, func(c *Counters) *uint64 { return &c.PeakHeapAlloc }},
+	{"gthinker_recoveries_total", "worker-loss recoveries executed", mergeCoordinator, func(c *Counters) *uint64 { return &c.Recoveries }},
+	{"gthinker_retried_dials_total", "dial attempts beyond the first", mergeSum, func(c *Counters) *uint64 { return &c.RetriedDials }},
+	{"gthinker_retried_ops_total", "idempotent op retries beyond the first", mergeSum, func(c *Counters) *uint64 { return &c.RetriedOps }},
+	{"gthinker_dead_machines_total", "machines declared dead", mergeCoordinator, func(c *Counters) *uint64 { return &c.DeadMachines }},
+	{"gthinker_trace_spans_total", "spans recorded into the trace rings", mergeSum, func(c *Counters) *uint64 { return &c.TraceSpans }},
+	{"gthinker_trace_dropped_total", "spans the trace rings overwrote before a snapshot", mergeSum, func(c *Counters) *uint64 { return &c.TraceDropped }},
+}
+
+// merge folds another machine's (or the coordinator's) counters into c
+// by each row's rule.
+func (c *Counters) merge(o *Counters) {
+	for i := range counterTable {
+		d := &counterTable[i]
+		dst, v := d.field(c), *d.field(o)
+		if d.rule != mergeMax {
+			*dst += v
+		} else if v > *dst {
+			*dst = v
+		}
+	}
+}
+
+// appendCounters encodes c: one little-endian u64 per table row.
+func appendCounters(dst []byte, c *Counters) []byte {
+	for i := range counterTable {
+		dst = store.AppendU64(dst, *counterTable[i].field(c))
+	}
+	return dst
+}
+
+// decodeCounters reverses appendCounters; a short read surfaces as the
+// cursor's sticky error.
+func decodeCounters(cur *store.Cursor) Counters {
+	var c Counters
+	for i := range counterTable {
+		*counterTable[i].field(&c) = cur.U64()
+	}
+	return c
+}
+
+// samples appends c's rows in the debug server's sample model: the
+// coordinator-owned rows when coord is set, every other row otherwise.
+func (c *Counters) samples(dst []obs.Sample, lbl []obs.Label, coord bool) []obs.Sample {
+	for i := range counterTable {
+		d := &counterTable[i]
+		if (d.rule == mergeCoordinator) == coord {
+			dst = append(dst, obs.Sample{Name: d.name, Help: d.help, Labels: lbl, Value: float64(*d.field(c))})
+		}
+	}
+	return dst
+}
+
+// Metrics reports one engine run: the counters summed over all
+// machines and workers after the run completes, plus what is not a
+// counter.
+type Metrics struct {
+	Wall time.Duration
+
+	Counters
+
+	// WorkerBusy is per-worker accumulated Compute time (dense worker
+	// IDs across machines). The spread between workers is the paper's
+	// load-balance evidence.
+	WorkerBusy []time.Duration
 
 	// Kernel names the bitset kernel variant the machine mined with
 	// ("avx2" or "scalar"); a cluster merge reports "mixed" when
@@ -109,51 +222,19 @@ func (m *Metrics) BusyImbalance() float64 {
 	return float64(max) / float64(mean)
 }
 
-// MergeMachineMetrics sums per-machine metrics slices into one cluster
-// aggregate: counters add, WorkerBusy concatenates in machine order
-// (preserving dense worker IDs), and PeakHeapAlloc takes the maximum —
-// machines of a multi-process deployment do not share a heap.
-// Coordinator-owned counters (Wall, StealRounds, TasksStolen,
-// OffCycleSteals) are left for the caller.
+// MergeMachineMetrics folds per-machine metrics into one cluster
+// aggregate: counters combine by their table rule, WorkerBusy
+// concatenates in machine order (preserving dense worker IDs), and
+// Kernel reads "mixed" when machines disagree. Wall is left for the
+// caller.
 func MergeMachineMetrics(per []*Metrics) *Metrics {
 	out := &Metrics{}
 	for _, m := range per {
 		if m == nil {
 			continue
 		}
-		out.TasksSpawned += m.TasksSpawned
-		out.SubtasksAdded += m.SubtasksAdded
-		out.TasksFinished += m.TasksFinished
-		out.ComputeCalls += m.ComputeCalls
-		out.BigTasks += m.BigTasks
-		out.SmallTasks += m.SmallTasks
-		out.LocalReads += m.LocalReads
-		out.RemoteFetches += m.RemoteFetches
-		out.BatchedFetches += m.BatchedFetches
-		out.WireBytesSent += m.WireBytesSent
-		out.WireBytesReceived += m.WireBytesReceived
-		out.CacheHits += m.CacheHits
-		out.CacheMisses += m.CacheMisses
-		out.CacheEvicted += m.CacheEvicted
-		out.SpillFiles += m.SpillFiles
-		out.SpillBytesWritten += m.SpillBytesWritten
-		out.SpillBytesRead += m.SpillBytesRead
-		out.RefillBatches += m.RefillBatches
-		out.PeakSpillBytes += m.PeakSpillBytes
-		out.StealRounds += m.StealRounds
-		out.TasksStolen += m.TasksStolen
-		out.TasksStolenRemote += m.TasksStolenRemote
-		out.OffCycleSteals += m.OffCycleSteals
-		out.Recoveries += m.Recoveries
-		out.RetriedDials += m.RetriedDials
-		out.RetriedOps += m.RetriedOps
-		out.DeadMachines += m.DeadMachines
-		out.TraceSpans += m.TraceSpans
-		out.TraceDropped += m.TraceDropped
+		out.Counters.merge(&m.Counters)
 		out.WorkerBusy = append(out.WorkerBusy, m.WorkerBusy...)
-		if m.PeakHeapAlloc > out.PeakHeapAlloc {
-			out.PeakHeapAlloc = m.PeakHeapAlloc
-		}
 		switch {
 		case m.Kernel == "":
 		case out.Kernel == "":
@@ -189,48 +270,16 @@ func (m *Metrics) String() string {
 }
 
 // appendMetrics encodes one machine's metrics for the control plane's
-// opMetrics flush: the fixed counters little-endian in declaration
-// order, then the per-worker busy times. All fields that are signed in
-// Metrics are non-negative in practice and ship as u64.
+// opMetrics flush: wall time, the counter table, the per-worker busy
+// times, the kernel name.
 func appendMetrics(dst []byte, m *Metrics) []byte {
 	dst = store.AppendU64(dst, uint64(m.Wall))
-	dst = store.AppendU64(dst, m.TasksSpawned)
-	dst = store.AppendU64(dst, m.SubtasksAdded)
-	dst = store.AppendU64(dst, m.TasksFinished)
-	dst = store.AppendU64(dst, m.ComputeCalls)
-	dst = store.AppendU64(dst, m.BigTasks)
-	dst = store.AppendU64(dst, m.SmallTasks)
-	dst = store.AppendU64(dst, m.LocalReads)
-	dst = store.AppendU64(dst, m.RemoteFetches)
-	dst = store.AppendU64(dst, m.BatchedFetches)
-	dst = store.AppendU64(dst, m.WireBytesSent)
-	dst = store.AppendU64(dst, m.WireBytesReceived)
-	dst = store.AppendU64(dst, m.CacheHits)
-	dst = store.AppendU64(dst, m.CacheMisses)
-	dst = store.AppendU64(dst, m.CacheEvicted)
-	dst = store.AppendU64(dst, uint64(m.SpillFiles))
-	dst = store.AppendU64(dst, uint64(m.SpillBytesWritten))
-	dst = store.AppendU64(dst, uint64(m.SpillBytesRead))
-	dst = store.AppendU64(dst, uint64(m.RefillBatches))
-	dst = store.AppendU64(dst, uint64(m.PeakSpillBytes))
-	dst = store.AppendU64(dst, m.StealRounds)
-	dst = store.AppendU64(dst, m.TasksStolen)
-	dst = store.AppendU64(dst, m.TasksStolenRemote)
-	dst = store.AppendU64(dst, m.OffCycleSteals)
-	dst = store.AppendU64(dst, m.PeakHeapAlloc)
-	dst = store.AppendU64(dst, m.Recoveries)
-	dst = store.AppendU64(dst, m.RetriedDials)
-	dst = store.AppendU64(dst, m.RetriedOps)
-	dst = store.AppendU64(dst, m.DeadMachines)
-	dst = store.AppendU64(dst, m.TraceSpans)
-	dst = store.AppendU64(dst, m.TraceDropped)
+	dst = appendCounters(dst, &m.Counters)
 	dst = store.AppendU32(dst, uint32(len(m.WorkerBusy)))
 	for _, b := range m.WorkerBusy {
 		dst = store.AppendU64(dst, uint64(b))
 	}
-	dst = store.AppendU32(dst, uint32(len(m.Kernel)))
-	dst = append(dst, m.Kernel...)
-	return dst
+	return store.AppendString(dst, m.Kernel)
 }
 
 // maxWireWorkers bounds the WorkerBusy count accepted off the wire
@@ -244,38 +293,8 @@ const maxWireKernelName = 64
 // decodeMetrics decodes one appendMetrics payload.
 func decodeMetrics(data []byte) (*Metrics, error) {
 	c := store.NewCursor(data)
-	m := &Metrics{}
-	m.Wall = time.Duration(c.U64())
-	m.TasksSpawned = c.U64()
-	m.SubtasksAdded = c.U64()
-	m.TasksFinished = c.U64()
-	m.ComputeCalls = c.U64()
-	m.BigTasks = c.U64()
-	m.SmallTasks = c.U64()
-	m.LocalReads = c.U64()
-	m.RemoteFetches = c.U64()
-	m.BatchedFetches = c.U64()
-	m.WireBytesSent = c.U64()
-	m.WireBytesReceived = c.U64()
-	m.CacheHits = c.U64()
-	m.CacheMisses = c.U64()
-	m.CacheEvicted = c.U64()
-	m.SpillFiles = int64(c.U64())
-	m.SpillBytesWritten = int64(c.U64())
-	m.SpillBytesRead = int64(c.U64())
-	m.RefillBatches = int64(c.U64())
-	m.PeakSpillBytes = int64(c.U64())
-	m.StealRounds = c.U64()
-	m.TasksStolen = c.U64()
-	m.TasksStolenRemote = c.U64()
-	m.OffCycleSteals = c.U64()
-	m.PeakHeapAlloc = c.U64()
-	m.Recoveries = c.U64()
-	m.RetriedDials = c.U64()
-	m.RetriedOps = c.U64()
-	m.DeadMachines = c.U64()
-	m.TraceSpans = c.U64()
-	m.TraceDropped = c.U64()
+	m := &Metrics{Wall: time.Duration(c.U64())}
+	m.Counters = decodeCounters(c)
 	nb := int(c.U32())
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("gthinker: malformed metrics payload: %w", err)
@@ -287,14 +306,7 @@ func decodeMetrics(data []byte) (*Metrics, error) {
 	for i := range m.WorkerBusy {
 		m.WorkerBusy[i] = time.Duration(c.U64())
 	}
-	nk := int(c.U32())
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("gthinker: malformed metrics payload: %w", err)
-	}
-	if nk > maxWireKernelName || nk > c.Remaining() {
-		return nil, fmt.Errorf("gthinker: metrics payload claims %d-byte kernel name in %d bytes", nk, c.Remaining())
-	}
-	m.Kernel = string(c.Bytes(nk))
+	m.Kernel = c.String(maxWireKernelName)
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("gthinker: malformed metrics payload: %w", err)
 	}

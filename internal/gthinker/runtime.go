@@ -107,12 +107,11 @@ func (s *heapSampler) release() {
 }
 
 // sampleNow takes one immediate sample (short jobs can finish between
-// ticks) and returns the current peak.
-func (s *heapSampler) sampleNow() uint64 {
+// ticks).
+func (s *heapSampler) sampleNow() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	raiseTo(&s.peak, int64(ms.HeapAlloc))
-	return uint64(s.peak.Load())
 }
 
 // newMachineRuntime builds the runtime for machine id of a cluster of
@@ -296,17 +295,12 @@ type MachineStatus struct {
 	// partition plus adopted ones) — the durable spawn cursor the
 	// coordinator tracks per machine for loss accounting.
 	Spawned int64
-	// Live counter samples, piggybacked on the status poll so the
-	// coordinator holds a continuously-updated per-machine view (its
-	// debug server and -progress line) instead of learning everything
-	// at the shutdown metrics flush. Monotone except CacheHits/Misses
-	// rounding; all cheap atomic reads on the machine.
-	ComputeCalls  uint64
-	TasksFinished uint64
-	SubtasksAdded uint64
-	SpillBytes    uint64 // spill bytes written so far
-	CacheHits     uint64
-	CacheMisses   uint64
+	// Counters is the machine's live counter snapshot, piggybacked on
+	// the status poll so the coordinator holds a continuously-updated
+	// per-machine view (its debug server and -progress line) instead of
+	// learning everything at the shutdown metrics flush. All cheap
+	// atomic reads on the machine.
+	Counters
 	// Failure carries the machine's first error, or "".
 	Failure string
 }
@@ -318,18 +312,14 @@ type MachineStatus struct {
 func (rt *MachineRuntime) Status() MachineStatus {
 	jb := rt.jb()
 	st := MachineStatus{
-		AllSpawned:    rt.allSpawned(jb),
-		Live:          jb.live.Load(),
-		BigPending:    int64(rt.bigPending()),
-		SentOut:       jb.sentOut.Load(),
-		RecvIn:        jb.recvIn.Load(),
-		Spawned:       rt.spawnedCount(jb),
-		ComputeCalls:  jb.computeCalls.Load(),
-		TasksFinished: jb.tasksFinished.Load(),
-		SubtasksAdded: jb.subtasksAdded.Load(),
-		SpillBytes:    uint64(rt.disk.written.Load()),
+		AllSpawned: rt.allSpawned(jb),
+		Live:       jb.live.Load(),
+		BigPending: int64(rt.bigPending()),
+		SentOut:    jb.sentOut.Load(),
+		RecvIn:     jb.recvIn.Load(),
+		Spawned:    rt.spawnedCount(jb),
+		Counters:   rt.liveCounters(),
 	}
-	st.CacheHits, st.CacheMisses, _ = rt.cache.stats()
 	if err := jb.loadErr(); err != nil {
 		st.Failure = err.Error()
 	}
@@ -491,7 +481,6 @@ func (rt *MachineRuntime) DeliverTasks(tasks []*Task) {
 	}
 	jb.live.Add(int64(len(tasks)))
 	jb.recvIn.Add(uint64(len(tasks)))
-	jb.stolenIn.Add(uint64(len(tasks)))
 	jb.qglobal.pushBackAll(tasks)
 	if jb.tracer != nil {
 		jb.tracer.Record(rt.ctlTrack(), obs.KindStealRecv, start, time.Since(start), uint64(len(tasks)), 0)
@@ -606,58 +595,64 @@ func (rt *MachineRuntime) shipChunk(tc TaskChannel, recv int, batch []*Task) (in
 }
 
 // LocalMetrics assembles this machine's metrics slice. Workers must be
-// stopped first (Stop): busy times and call counters are plain fields
-// owned by the worker goroutines while they run.
+// stopped first (Stop): busy times are plain fields owned by the worker
+// goroutines while they run.
 func (rt *MachineRuntime) LocalMetrics() *Metrics {
-	met := rt.liveCounters()
+	procHeap.sampleNow()
+	met := &Metrics{Counters: rt.liveCounters(), Kernel: bitset.KernelVariant()}
 	for _, w := range rt.workers {
 		met.WorkerBusy = append(met.WorkerBusy, w.busy)
 	}
-	met.PeakHeapAlloc = procHeap.sampleNow()
 	return met
 }
 
-// LiveMetrics assembles the counter subset of this machine's metrics
-// that is safe to read WHILE mining runs: everything in LocalMetrics
-// except per-worker busy times (plain fields owned by the worker
-// goroutines) and the stop-the-world heap sample. The worker host's
-// debug server serves it per scrape.
-func (rt *MachineRuntime) LiveMetrics() *Metrics {
-	return rt.liveCounters()
+// Samples renders this machine's rows of the counter table, plus the
+// kernel variant, in the debug server's sample model — a qcworker's
+// /metrics. Safe while mining runs; the method matches the
+// obs.DebugServer source signature.
+func (rt *MachineRuntime) Samples() []obs.Sample {
+	lbl := machineLabel(rt.id)
+	c := rt.liveCounters()
+	return append(c.samples(nil, lbl, false), obs.Sample{
+		Name:   "gthinker_kernel_info",
+		Labels: []obs.Label{lbl[0], {Key: "variant", Value: bitset.KernelVariant()}},
+		Value:  1,
+	})
 }
 
-func (rt *MachineRuntime) liveCounters() *Metrics {
+// liveCounters reads every machine-side counter from its source: job
+// atomics, the cache, the disk account, the transport, the tracer, and
+// the heap sampler's last peak. Coordinator-owned rows stay zero.
+func (rt *MachineRuntime) liveCounters() Counters {
 	jb := rt.jb()
-	met := &Metrics{}
-	met.BigTasks = jb.bigTasks.Load()
-	met.SmallTasks = jb.smallTasks.Load()
-	h, mi, ev := rt.cache.stats()
-	met.CacheHits = h
-	met.CacheMisses = mi
-	met.CacheEvicted = ev
-	met.ComputeCalls = jb.computeCalls.Load()
-	met.TasksFinished = jb.tasksFinished.Load()
-	met.LocalReads = jb.localReads.Load()
-	met.TasksSpawned = jb.spawnedTasks.Load()
-	met.SubtasksAdded = jb.subtasksAdded.Load()
-	met.TasksStolenRemote = jb.tasksStolenRemote.Load()
-	met.SpillFiles = rt.disk.files.Load()
-	met.SpillBytesWritten = rt.disk.written.Load()
-	met.SpillBytesRead = rt.disk.read.Load()
-	met.RefillBatches = rt.disk.refills.Load()
-	met.PeakSpillBytes = rt.disk.peak.Load()
-	met.RemoteFetches = rt.transport.Fetches()
+	c := Counters{
+		TasksSpawned:      jb.spawnedTasks.Load(),
+		SubtasksAdded:     jb.subtasksAdded.Load(),
+		TasksFinished:     jb.tasksFinished.Load(),
+		ComputeCalls:      jb.computeCalls.Load(),
+		BigTasks:          jb.bigTasks.Load(),
+		SmallTasks:        jb.smallTasks.Load(),
+		LocalReads:        jb.localReads.Load(),
+		RemoteFetches:     rt.transport.Fetches(),
+		SpillFiles:        uint64(rt.disk.files.Load()),
+		SpillBytesWritten: uint64(rt.disk.written.Load()),
+		SpillBytesRead:    uint64(rt.disk.read.Load()),
+		RefillBatches:     uint64(rt.disk.refills.Load()),
+		PeakSpillBytes:    uint64(rt.disk.peak.Load()),
+		TasksStolenRemote: jb.tasksStolenRemote.Load(),
+		PeakHeapAlloc:     uint64(procHeap.peak.Load()),
+	}
+	c.CacheHits, c.CacheMisses, c.CacheEvicted = rt.cache.stats()
 	if ts, ok := rt.transport.(TransportStats); ok {
-		met.BatchedFetches = ts.BatchedFetches()
-		met.WireBytesSent, met.WireBytesReceived = ts.WireBytes()
+		c.BatchedFetches = ts.BatchedFetches()
+		c.WireBytesSent, c.WireBytesReceived = ts.WireBytes()
 	}
 	if rs, ok := rt.transport.(RetryStats); ok {
-		met.RetriedDials = rs.RetriedDials()
-		met.RetriedOps = rs.RetriedOps()
+		c.RetriedDials = rs.RetriedDials()
+		c.RetriedOps = rs.RetriedOps()
 	}
-	met.TraceSpans, met.TraceDropped = jb.tracer.Counts()
-	met.Kernel = bitset.KernelVariant()
-	return met
+	c.TraceSpans, c.TraceDropped = jb.tracer.Counts()
+	return c
 }
 
 // sweepSpill unlinks the spill files the current job still lists and

@@ -381,7 +381,7 @@ func TestHostRuntimeHiddenUntilWired(t *testing.T) {
 	if err := h.handleStart([]string{va}, []string{ta}); err != nil {
 		t.Fatal(err)
 	}
-	if rt := h.Runtime(); rt == nil || rt.LiveMetrics() == nil {
+	if rt := h.Runtime(); rt == nil || len(rt.Samples()) == 0 {
 		t.Fatal("no runtime after start")
 	}
 }

@@ -8,6 +8,7 @@ package miner
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -27,28 +28,91 @@ import (
 // after it.
 var jobSpecMagic = [4]byte{'Q', 'J', 'S', '2'}
 
-// option bitmask positions for the quasiclique.Options booleans.
-const (
-	optDisableKCore = 1 << iota
-	optDisableLookahead
-	optDisableCoverVertex
-	optDisableCriticalVertex
-	optDisableUpperBound
-	optDisableLowerBound
-	optDisableDegreePruning
-	optQuickCompat
-	optSkipMaximalityFilter
-	optDisableTwoHopCache
-	optNoSIMD
-)
+// specWalker visits the job spec's fields in wire order: encoding
+// (cur nil) appends each to buf, decoding reads each from cur. Both
+// directions walk jobSpecFields, so a field is spelled once.
+type specWalker struct {
+	buf []byte
+	cur *store.Cursor
+}
 
-// engine flag bitmask positions.
-const (
-	ecfgDisableStealing = 1 << iota
-	ecfgDisableGlobalQueue
-	ecfgDisableRecovery
-	ecfgTrace
-)
+// num carries v as width little-endian bytes.
+func (w *specWalker) num(width int, v uint64) uint64 {
+	var b [8]byte
+	if w.cur == nil {
+		binary.LittleEndian.PutUint64(b[:], v)
+		w.buf = append(w.buf, b[:width]...)
+		return v
+	}
+	copy(b[:], w.cur.Bytes(width))
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (w *specWalker) float(p *float64)     { *p = math.Float64frombits(w.num(8, math.Float64bits(*p))) }
+func (w *specWalker) dur(p *time.Duration) { *p = time.Duration(w.num(8, uint64(*p))) }
+func (w *specWalker) narrow(p *int)        { *p = int(w.num(4, uint64(uint32(*p)))) }
+
+// wide carries an int whose negative values mean something ("off").
+func (w *specWalker) wide(p *int) { *p = int(int64(w.num(8, uint64(int64(*p))))) }
+
+// flags carries booleans as one u32 bitmask, bit i for bits[i].
+func (w *specWalker) flags(bits ...*bool) {
+	var mask uint64
+	for i, b := range bits {
+		if *b {
+			mask |= 1 << i
+		}
+	}
+	mask = w.num(4, mask)
+	for i, b := range bits {
+		*b = mask&(1<<i) != 0
+	}
+}
+
+// str carries a u32 length and that many bytes; a decoded length is
+// checked against the bytes present before anything is copied.
+func (w *specWalker) str(p *string) {
+	if w.cur == nil {
+		w.buf = store.AppendString(w.buf, *p)
+	} else {
+		*p = w.cur.String(w.cur.Remaining())
+	}
+}
+
+// jobSpecFields is the QJS2 layout after the magic: every field of the
+// miner and engine configs that crosses the wire, in order. The engine
+// config travels without a SpillDir (each worker process spills into
+// its own temporary directory) and without transport fields (the
+// handshake wires those).
+func jobSpecFields(w *specWalker, cfg *Config, ecfg *gthinker.Config) {
+	o := &cfg.Options
+	w.float(&cfg.Params.Gamma)
+	w.narrow(&cfg.Params.MinSize)
+	w.narrow(&cfg.TauSplit)
+	w.dur(&cfg.TauTime)
+	cfg.Strategy = Strategy(w.num(1, uint64(cfg.Strategy)))
+	w.flags(&o.DisableKCore, &o.DisableLookahead, &o.DisableCoverVertex,
+		&o.DisableCriticalVertex, &o.DisableUpperBound, &o.DisableLowerBound,
+		&o.DisableDegreePruning, &o.QuickCompat, &o.SkipMaximalityFilter,
+		&o.DisableTwoHopCache, &o.NoSIMD)
+	w.wide(&o.DenseThreshold)
+	w.float(&o.DenseMinDensity)
+	w.dur(&cfg.TimeBudget)
+
+	w.narrow(&ecfg.Machines)
+	w.narrow(&ecfg.WorkersPerMachine)
+	w.narrow(&ecfg.QueueCap)
+	w.narrow(&ecfg.BatchSize)
+	w.narrow(&ecfg.CacheCap)
+	w.dur(&ecfg.StealInterval)
+	w.dur(&ecfg.StatusInterval)
+	w.wide(&ecfg.StealIdlePolls)
+	w.flags(&ecfg.DisableStealing, &ecfg.DisableGlobalQueue, &ecfg.DisableRecovery, &ecfg.Trace)
+	w.dur(&ecfg.FrameTimeout)
+	w.dur(&ecfg.DialTimeout)
+	w.wide(&ecfg.DeadAfterPolls)
+	w.str(&ecfg.FaultSpec)
+}
 
 // AppendJobSpec encodes the mining job (miner config + engine shape)
 // for the join handshake, so every worker process mines with exactly
@@ -56,64 +120,12 @@ const (
 // is not N command lines.
 func AppendJobSpec(dst []byte, cfg Config, ecfg gthinker.Config) []byte {
 	cfg = cfg.withDefaults()
-	dst = append(dst, jobSpecMagic[:]...)
-	dst = store.AppendU64(dst, math.Float64bits(cfg.Params.Gamma))
-	dst = store.AppendU32(dst, uint32(cfg.Params.MinSize))
-	dst = store.AppendU32(dst, uint32(cfg.TauSplit))
-	dst = store.AppendU64(dst, uint64(cfg.TauTime))
-	dst = append(dst, byte(cfg.Strategy))
-	var opt uint32
-	for i, b := range []bool{
-		cfg.Options.DisableKCore, cfg.Options.DisableLookahead,
-		cfg.Options.DisableCoverVertex, cfg.Options.DisableCriticalVertex,
-		cfg.Options.DisableUpperBound, cfg.Options.DisableLowerBound,
-		cfg.Options.DisableDegreePruning, cfg.Options.QuickCompat,
-		cfg.Options.SkipMaximalityFilter, cfg.Options.DisableTwoHopCache,
-		cfg.Options.NoSIMD,
-	} {
-		if b {
-			opt |= 1 << i
-		}
-	}
-	dst = store.AppendU32(dst, opt)
-	dst = store.AppendU64(dst, uint64(int64(cfg.Options.DenseThreshold)))
-	dst = store.AppendU64(dst, math.Float64bits(cfg.Options.DenseMinDensity))
-	dst = store.AppendU64(dst, uint64(cfg.TimeBudget))
-
-	dst = store.AppendU32(dst, uint32(ecfg.Machines))
-	dst = store.AppendU32(dst, uint32(ecfg.WorkersPerMachine))
-	dst = store.AppendU32(dst, uint32(ecfg.QueueCap))
-	dst = store.AppendU32(dst, uint32(ecfg.BatchSize))
-	dst = store.AppendU32(dst, uint32(ecfg.CacheCap))
-	dst = store.AppendU64(dst, uint64(ecfg.StealInterval))
-	dst = store.AppendU64(dst, uint64(ecfg.StatusInterval))
-	dst = store.AppendU64(dst, uint64(int64(ecfg.StealIdlePolls)))
-	var ef uint32
-	if ecfg.DisableStealing {
-		ef |= ecfgDisableStealing
-	}
-	if ecfg.DisableGlobalQueue {
-		ef |= ecfgDisableGlobalQueue
-	}
-	if ecfg.DisableRecovery {
-		ef |= ecfgDisableRecovery
-	}
-	if ecfg.Trace {
-		ef |= ecfgTrace
-	}
-	dst = store.AppendU32(dst, ef)
-	dst = store.AppendU64(dst, uint64(ecfg.FrameTimeout))
-	dst = store.AppendU64(dst, uint64(ecfg.DialTimeout))
-	dst = store.AppendU64(dst, uint64(int64(ecfg.DeadAfterPolls)))
-	dst = store.AppendU32(dst, uint32(len(ecfg.FaultSpec)))
-	dst = append(dst, ecfg.FaultSpec...)
-	return dst
+	w := specWalker{buf: append(dst, jobSpecMagic[:]...)}
+	jobSpecFields(&w, &cfg, &ecfg)
+	return w.buf
 }
 
-// DecodeJobSpec reverses AppendJobSpec. The engine config comes back
-// without a SpillDir (each worker process spills into its own
-// temporary directory) and without transport fields (the handshake
-// wires those).
+// DecodeJobSpec reverses AppendJobSpec.
 func DecodeJobSpec(data []byte) (Config, gthinker.Config, error) {
 	var cfg Config
 	var ecfg gthinker.Config
@@ -124,62 +136,13 @@ func DecodeJobSpec(data []byte) (Config, gthinker.Config, error) {
 		return cfg, ecfg, fmt.Errorf("miner: unsupported job spec version %q (this build speaks %q); coordinator and qcworker must come from the same build",
 			data[:4], jobSpecMagic[:])
 	}
-	c := store.NewCursor(data[4:])
-	cfg.Params.Gamma = math.Float64frombits(c.U64())
-	cfg.Params.MinSize = int(c.U32())
-	cfg.TauSplit = int(c.U32())
-	cfg.TauTime = time.Duration(c.U64())
-	sb := c.Bytes(1)
-	if len(sb) == 1 {
-		cfg.Strategy = Strategy(sb[0])
-	}
-	opt := c.U32()
-	cfg.Options = quasiclique.Options{
-		DisableKCore:          opt&optDisableKCore != 0,
-		DisableLookahead:      opt&optDisableLookahead != 0,
-		DisableCoverVertex:    opt&optDisableCoverVertex != 0,
-		DisableCriticalVertex: opt&optDisableCriticalVertex != 0,
-		DisableUpperBound:     opt&optDisableUpperBound != 0,
-		DisableLowerBound:     opt&optDisableLowerBound != 0,
-		DisableDegreePruning:  opt&optDisableDegreePruning != 0,
-		QuickCompat:           opt&optQuickCompat != 0,
-		SkipMaximalityFilter:  opt&optSkipMaximalityFilter != 0,
-		DisableTwoHopCache:    opt&optDisableTwoHopCache != 0,
-		NoSIMD:                opt&optNoSIMD != 0,
-	}
-	cfg.Options.DenseThreshold = int(int64(c.U64()))
-	cfg.Options.DenseMinDensity = math.Float64frombits(c.U64())
-	cfg.TimeBudget = time.Duration(c.U64())
-
-	ecfg.Machines = int(c.U32())
-	ecfg.WorkersPerMachine = int(c.U32())
-	ecfg.QueueCap = int(c.U32())
-	ecfg.BatchSize = int(c.U32())
-	ecfg.CacheCap = int(c.U32())
-	ecfg.StealInterval = time.Duration(c.U64())
-	ecfg.StatusInterval = time.Duration(c.U64())
-	ecfg.StealIdlePolls = int(int64(c.U64()))
-	ef := c.U32()
-	ecfg.DisableStealing = ef&ecfgDisableStealing != 0
-	ecfg.DisableGlobalQueue = ef&ecfgDisableGlobalQueue != 0
-	ecfg.DisableRecovery = ef&ecfgDisableRecovery != 0
-	ecfg.Trace = ef&ecfgTrace != 0
-	ecfg.FrameTimeout = time.Duration(c.U64())
-	ecfg.DialTimeout = time.Duration(c.U64())
-	ecfg.DeadAfterPolls = int(int64(c.U64()))
-	nf := int(c.U32())
-	if err := c.Err(); err != nil {
+	w := specWalker{cur: store.NewCursor(data[4:])}
+	jobSpecFields(&w, &cfg, &ecfg)
+	if err := w.cur.Err(); err != nil {
 		return cfg, ecfg, fmt.Errorf("miner: malformed job spec: %w", err)
 	}
-	if nf > c.Remaining() {
-		return cfg, ecfg, fmt.Errorf("miner: job spec claims %d-byte fault plan in %d bytes", nf, c.Remaining())
-	}
-	ecfg.FaultSpec = string(c.Bytes(nf))
-	if err := c.Err(); err != nil {
-		return cfg, ecfg, fmt.Errorf("miner: malformed job spec: %w", err)
-	}
-	if c.Remaining() != 0 {
-		return cfg, ecfg, fmt.Errorf("miner: %d trailing bytes in job spec", c.Remaining())
+	if w.cur.Remaining() != 0 {
+		return cfg, ecfg, fmt.Errorf("miner: %d trailing bytes in job spec", w.cur.Remaining())
 	}
 	return cfg, ecfg, nil
 }

@@ -2,6 +2,7 @@ package miner
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,6 +55,37 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		if _, _, err := DecodeJobSpec(bad); err == nil {
 			t.Fatalf("corrupt job spec of %d bytes accepted", len(bad))
 		}
+	}
+}
+
+// TestJobSpecGolden pins the QJS2 bytes of one fully-populated config,
+// captured before the encoder and decoder were folded onto one field
+// list: field order, widths and flag bit positions are the protocol.
+func TestJobSpecGolden(t *testing.T) {
+	const golden = "514a5332333333333333eb3f090000004d000000c0c62d0000000000012d050000ffffffffffffffff" +
+		"000000000000c03f00046bf4140000000400000003000000400000000800000000040000404b4c0000000000" +
+		"80841e0000000000ffffffffffffffff0d00000000863ba101000000005ed0b200000000090000000000000" +
+		"00c000000353a72657365743d302e3031"
+	cfg := Config{
+		Params: quasiclique.Params{Gamma: 0.85, MinSize: 9},
+		Options: quasiclique.Options{
+			DisableKCore: true, DisableCoverVertex: true, DisableCriticalVertex: true,
+			DisableLowerBound: true, SkipMaximalityFilter: true, NoSIMD: true,
+			DenseThreshold: -1, DenseMinDensity: 0.125,
+		},
+		TauSplit: 77, TauTime: 3 * time.Millisecond, Strategy: SizeThreshold,
+		TimeBudget: 90 * time.Second,
+	}
+	ecfg := gthinker.Config{
+		Machines: 4, WorkersPerMachine: 3, QueueCap: 64, BatchSize: 8,
+		CacheCap: 1 << 10, StealInterval: 5 * time.Millisecond,
+		StatusInterval: 2 * time.Millisecond, StealIdlePolls: -1,
+		DisableStealing: true, DisableRecovery: true, Trace: true,
+		FrameTimeout: 7 * time.Second, DialTimeout: 3 * time.Second,
+		DeadAfterPolls: 9, FaultSpec: "5:reset=0.01",
+	}
+	if got := hex.EncodeToString(AppendJobSpec(nil, cfg, ecfg)); got != golden {
+		t.Fatalf("QJS2 bytes changed:\n got  %s\n want %s", got, golden)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -20,9 +21,11 @@ type Label struct {
 }
 
 // Sample is one metric observation. Names ending in "_total" are
-// exposed as counters, everything else as gauges.
+// exposed as counters, everything else as gauges. Help, when set,
+// becomes the family's HELP line.
 type Sample struct {
 	Name   string
+	Help   string
 	Labels []Label
 	Value  float64
 }
@@ -109,14 +112,24 @@ func (s *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, src := range sources {
 		samples = append(samples, src()...)
 	}
-	// Stable output: group by name (one TYPE line per family), then by
-	// label set.
-	sort.SliceStable(samples, func(a, b int) bool { return samples[a].Name < samples[b].Name })
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = WriteExposition(w, samples) // a failed write means the scraper went away
+}
+
+// WriteExposition renders samples in the Prometheus text format — the
+// one writer behind every /metrics in this repository. Output is
+// stable: samples group by name (one HELP and one TYPE line per
+// family) and keep their given order within a family; the slice is
+// sorted in place.
+func WriteExposition(w io.Writer, samples []Sample) error {
+	sort.SliceStable(samples, func(a, b int) bool { return samples[a].Name < samples[b].Name })
 	var b strings.Builder
 	lastName := ""
 	for _, sm := range samples {
 		if sm.Name != lastName {
+			if sm.Help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", sm.Name, sm.Help)
+			}
 			typ := "gauge"
 			if strings.HasSuffix(sm.Name, "_total") {
 				typ = "counter"
@@ -142,7 +155,8 @@ func (s *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		b.WriteString(formatValue(sm.Value))
 		b.WriteByte('\n')
 	}
-	w.Write([]byte(b.String()))
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 func escapeLabel(v string) string {

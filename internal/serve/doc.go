@@ -14,7 +14,7 @@
 //	GET    /v1/jobs/{id}           job status
 //	GET    /v1/jobs/{id}/results   stream results (NDJSON)
 //	DELETE /v1/jobs/{id}           cancel a queued or running job
-//	GET    /metrics                service counters (plain text)
+//	GET    /metrics                service counters (Prometheus text, HELP and TYPE lines)
 //	GET    /healthz                liveness
 //
 // The POST body carries the per-query parameters; only gamma and

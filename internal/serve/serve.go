@@ -13,6 +13,7 @@ import (
 
 	"gthinkerqc/internal/gthinker"
 	"gthinkerqc/internal/miner"
+	"gthinkerqc/internal/obs"
 	"gthinkerqc/internal/quasiclique"
 )
 
@@ -492,20 +493,21 @@ func (s *Server) streamResults(w http.ResponseWriter, j *job) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	submitted, completed, failed, canceled := s.submitted, s.completed, s.failed, s.canceled
-	hits, active := s.cacheHits, s.active
-	s.mu.Unlock()
 	entries := 0
 	if s.cache != nil {
 		entries = s.cache.len()
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "qcserved_jobs_submitted_total %d\n", submitted)
-	fmt.Fprintf(w, "qcserved_jobs_completed_total %d\n", completed)
-	fmt.Fprintf(w, "qcserved_jobs_failed_total %d\n", failed)
-	fmt.Fprintf(w, "qcserved_jobs_canceled_total %d\n", canceled)
-	fmt.Fprintf(w, "qcserved_jobs_active %d\n", active)
-	fmt.Fprintf(w, "qcserved_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "qcserved_cache_entries %d\n", entries)
+	s.mu.Lock()
+	samples := []obs.Sample{
+		{Name: "qcserved_jobs_submitted_total", Help: "jobs accepted, cache hits included", Value: float64(s.submitted)},
+		{Name: "qcserved_jobs_completed_total", Help: "jobs that reached done, cache hits and expired budgets included", Value: float64(s.completed)},
+		{Name: "qcserved_jobs_failed_total", Help: "jobs that ended failed", Value: float64(s.failed)},
+		{Name: "qcserved_jobs_canceled_total", Help: "jobs that ended canceled", Value: float64(s.canceled)},
+		{Name: "qcserved_jobs_active", Help: "jobs queued or mining now", Value: float64(s.active)},
+		{Name: "qcserved_cache_hits_total", Help: "submissions answered from the result cache", Value: float64(s.cacheHits)},
+		{Name: "qcserved_cache_entries", Help: "result sets held by the cache", Value: float64(entries)},
+	}
+	s.mu.Unlock()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = obs.WriteExposition(w, samples) // a failed write means the scraper went away
 }
