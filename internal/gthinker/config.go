@@ -28,17 +28,21 @@ type Config struct {
 	// StealInterval is the master's load-balancing period (the paper
 	// uses 1 s on a real cluster; the in-process default is 20 ms).
 	StealInterval time.Duration
-	// StatusInterval is the coordinator's liveness-poll period: every
-	// tick it asks each machine's control plane for a MachineStatus,
-	// feeding termination detection and the steal-ahead hysteresis.
+	// StatusInterval is the longest a busy machine holds a status
+	// reply, and so the cadence of the coordinator's view of a working
+	// cluster (steal planning, hysteresis streaks, the live metrics)
+	// and its failure-detection heartbeat: a machine that stops
+	// answering is noticed one interval later. It is not a termination
+	// delay — a machine that goes quiescent or fails answers at once.
 	// Default 1 ms.
 	StatusInterval time.Duration
 	// StealIdlePolls is the steal-ahead hysteresis trigger: when a
 	// machine reports itself completely idle (all local vertices
-	// spawned, nothing alive) for this many consecutive status polls
-	// while another machine's big-task backlog EWMA stays ≥ 1, the
-	// coordinator runs an off-cycle steal round immediately instead of
-	// waiting for the next StealInterval tick. 0 means the default
+	// spawned, nothing alive) for this many consecutive status scans
+	// (one per StatusInterval while any machine works) while another
+	// machine's big-task backlog EWMA stays ≥ 1, the coordinator runs
+	// an off-cycle steal round immediately instead of waiting for the
+	// next StealInterval tick. 0 means the default
 	// (4); a negative value disables off-cycle stealing.
 	StealIdlePolls int
 	// DisableStealing turns off the big-task stealing master
@@ -153,16 +157,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// defaultDeadAfterPolls: with the 1 ms status poll and the control
-// plane's retry-once, five consecutive failed polls is decisively dead
-// rather than momentarily slow.
+// defaultDeadAfterPolls: with failed polls paced one StatusInterval
+// apart and the control plane's retry-once, five consecutive failures
+// is decisively dead rather than momentarily slow.
 const defaultDeadAfterPolls = 5
 
 // defaultStealIdlePolls is the hysteresis streak length when
-// Config.StealIdlePolls is left zero: with the 1 ms default status
-// poll, four polls of sustained idleness trigger an off-cycle steal —
-// well under the 20 ms steal period it is meant to beat, well above
-// the single-poll noise of a queue mid-refill.
+// Config.StealIdlePolls is left zero: at the default 1 ms scan cadence
+// of a working cluster, four scans of sustained idleness trigger an
+// off-cycle steal — well under the 20 ms steal period it is meant to
+// beat, well above the single-scan noise of a queue mid-refill.
 const defaultStealIdlePolls = 4
 
 // stealIdlePolls resolves the hysteresis knob to an effective streak
@@ -197,6 +201,10 @@ func (c Config) validate() error {
 	}
 	if c.BatchSize > c.QueueCap {
 		return fmt.Errorf("gthinker: BatchSize %d exceeds QueueCap %d", c.BatchSize, c.QueueCap)
+	}
+	if c.FrameTimeout > 0 && c.StatusInterval >= c.FrameTimeout {
+		return fmt.Errorf("gthinker: StatusInterval %v must be below FrameTimeout %v (a busy machine holds its status reply that long)",
+			c.StatusInterval, c.FrameTimeout)
 	}
 	if c.PartitionBounds != nil {
 		if len(c.PartitionBounds) != c.Machines+1 {

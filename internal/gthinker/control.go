@@ -180,7 +180,7 @@ type controlHandler interface {
 	handleTrace(job uint64) (*obs.Trace, error)
 	handleResults(job uint64) ([]byte, error)
 	handleShutdown(job uint64) error
-	handleExit() error
+	handleExit()
 }
 
 // splitJobID strips the u64 job-id prefix that version 4 adds to the
@@ -347,9 +347,13 @@ func (s *controlServer) handle(conn net.Conn) {
 			}
 			return nil, s.h.handleShutdown(job)
 		case opExit:
-			return nil, s.h.handleExit()
+			return nil, nil // acted on once the ack is flushed, below
 		default:
 			return nil, fmt.Errorf("gthinker: control server: unknown op 0x%02x", op)
+		}
+	}, func(op byte) {
+		if op == opExit {
+			s.h.handleExit()
 		}
 	})
 }

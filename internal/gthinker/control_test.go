@@ -1,8 +1,12 @@
 package gthinker
 
 import (
+	"io"
+	"net"
 	"reflect"
 	"testing"
+
+	"gthinkerqc/internal/datagen"
 )
 
 func TestStatusWireRoundTrip(t *testing.T) {
@@ -78,5 +82,82 @@ func TestAddrTableRoundTrip(t *testing.T) {
 	}
 	if _, _, err := decodeAddrTable([]byte{255, 255, 255, 255}); err == nil {
 		t.Fatal("absurd machine count accepted")
+	}
+}
+
+func exitTestHost(t *testing.T) *WorkerHost {
+	t.Helper()
+	h, err := StartWorkerHost(WorkerHostConfig{Graph: datagen.ErdosRenyi(10, 0.2, 1), NewApp: func([]byte, int) (App, Config, error) {
+		return nilApp{}, Config{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestExitReleasedAfterAck pins the order the opExit handler must keep:
+// acknowledge, then release WaitExit. A worker process's main goroutine
+// answers WaitExit with Close, which tears the control connection down;
+// released first, it can cut the connection under the ack and the
+// coordinator reports "exit machine 1: EOF" for a worker that obeyed.
+// A synchronous pipe makes the order observable: its writer stays
+// inside Write until the reader has taken every byte, so after one
+// byte of the ack the server is provably still writing it.
+func TestExitReleasedAfterAck(t *testing.T) {
+	h := exitTestHost(t)
+	defer h.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	served := make(chan struct{})
+	go func() {
+		h.ctl.handle(server)
+		close(served)
+	}()
+	defer func() {
+		server.Close()
+		<-served
+	}()
+
+	if _, err := client.Write([]byte{opExit, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	ack := make([]byte, frameHeaderLen)
+	if _, err := io.ReadFull(client, ack[:1]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-h.exitCh:
+		t.Fatal("WaitExit was released while the opExit ack was still being written")
+	default:
+	}
+	if _, err := io.ReadFull(client, ack[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if ack[0] != opExit {
+		t.Fatalf("reply op 0x%02x to opExit", ack[0])
+	}
+	h.WaitExit() // hangs (and the test times out) if the ack does not release it
+}
+
+// TestExitAckSurvivesHostClose is the same contract end to end, over
+// real sockets: 200 hosts whose main goroutine does WaitExit(); Close()
+// must all acknowledge their exit.
+func TestExitAckSurvivesHostClose(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		h := exitTestHost(t)
+		closed := make(chan struct{})
+		go func() {
+			h.WaitExit()
+			h.Close()
+			close(closed)
+		}()
+		cc := &ClusterClient{pool: newConnPool([]string{h.ControlAddr()})}
+		err := cc.Exit(0)
+		cc.Close()
+		<-closed
+		if err != nil {
+			t.Fatalf("exit %d: %v", i, err)
+		}
 	}
 }

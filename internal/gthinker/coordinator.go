@@ -310,10 +310,18 @@ func (c *coordinator) startObs() (func(), error) {
 	}, nil
 }
 
+// loop scans the machines back to back. Pacing comes from the
+// machines, not from a ticker: a busy machine holds its status reply
+// for up to StatusInterval and releases it the instant it goes
+// quiescent or fails (MachineRuntime.awaitQuiet), so a scan of a
+// working cluster takes one interval, and the scan in which the last
+// task finishes returns at that moment. The confirming scan follows at
+// once — every machine is quiescent and answers immediately — so the
+// termination tail is two round trips, not two ticks. Steal rounds
+// ride on the scans: the periodic master when its ticker has fired,
+// else the off-cycle hysteresis.
 func (c *coordinator) loop(ctx context.Context) error {
 	n := c.ctl.Machines()
-	statusTick := time.NewTicker(c.cfg.StatusInterval)
-	defer statusTick.Stop()
 	stealEnabled := !c.cfg.DisableStealing && n > 1
 	var stealC <-chan time.Time
 	if stealEnabled {
@@ -327,63 +335,90 @@ func (c *coordinator) loop(ctx context.Context) error {
 	idle := make([]int, n)
 	var prev []MachineStatus
 	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-statusTick.C:
-			sts, complete, err := c.scan()
-			if err != nil {
-				return err
-			}
-			if !complete {
-				// A machine missed a poll (or was just recovered):
-				// no termination or steal decision on a partial view.
-				prev = nil
-				continue
-			}
-			if c.terminated(prev, sts) {
-				return nil
-			}
-			if stealEnabled && hyst > 0 {
-				if recv := c.hysteresis(sts, ewma, idle, hyst); recv >= 0 {
-					moved, err := c.stealFor(recv, sts)
-					if err != nil {
-						if serr := c.stealFailed(err); serr != nil {
-							return serr
-						}
-						prev = nil
-						continue
-					}
-					if moved > 0 {
-						c.counts.OffCycleSteals++
-						prev = nil // queues moved; restart the termination window
-						continue
-					}
-				}
-			}
-			prev = sts
-		case <-stealC:
-			sts, complete, err := c.scan()
-			if err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		start := time.Now()
+		sts, complete, err := c.scan()
+		if err != nil {
+			return err
+		}
+		switch {
+		case !complete:
+			// A machine missed a poll (or was just recovered): no
+			// termination or steal decision on a partial view.
+			prev = nil
+		case c.terminated(prev, sts):
+			return nil
+		default:
 			// A round that moved nothing leaves the termination window
 			// open (a transfer would show in the counters terminated
-			// compares anyway): with StealInterval below StatusInterval
-			// a reset on every tick starved termination detection.
-			moved := 0
-			if complete {
-				if moved, err = c.stealRound(sts); err != nil {
-					if serr := c.stealFailed(err); serr != nil {
-						return serr
-					}
+			// compares anyway); one that moved tasks restarts it.
+			prev = sts
+			if stealEnabled {
+				restart, err := c.rebalance(sts, stealC, ewma, idle, hyst)
+				if err != nil {
+					return err
+				}
+				if restart {
+					prev = nil
 				}
 			}
-			if !complete || err != nil || moved > 0 {
-				prev = nil
+		}
+		if prev != nil && c.quiescent(prev) {
+			continue // the confirming scan, taken immediately
+		}
+		// Machines at work held their replies, so the interval has
+		// passed already. The timer only paces a scan that came back
+		// early with nothing to confirm: a failed poll — StatusInterval
+		// is the failure-detection heartbeat — or a control plane that
+		// does not hold.
+		if d := c.cfg.StatusInterval - time.Since(start); d > 0 {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(d):
 			}
 		}
 	}
+}
+
+// rebalance runs the steal decision of one complete scan: the
+// master's periodic round when its ticker has fired, and, when that
+// moved nothing, an off-cycle steal for a machine the hysteresis
+// reports starved. restart reports that queues moved — or a transfer
+// failed half-way and was tolerated — so the scan is stale.
+func (c *coordinator) rebalance(sts []MachineStatus, stealC <-chan time.Time, ewma []float64, idle []int, hyst int) (restart bool, err error) {
+	recv := -1
+	if hyst > 0 {
+		recv = c.hysteresis(sts, ewma, idle, hyst)
+	}
+	moved := 0
+	select {
+	case <-stealC:
+		moved, err = c.stealRound(sts)
+	default:
+	}
+	if moved == 0 && err == nil && recv >= 0 {
+		if moved, err = c.stealFor(recv, sts); moved > 0 {
+			c.counts.OffCycleSteals++
+		}
+	}
+	if err != nil {
+		return true, c.stealFailed(err)
+	}
+	return moved > 0, nil
+}
+
+// quiescent reports that every live machine of a complete scan is
+// quiescent.
+func (c *coordinator) quiescent(sts []MachineStatus) bool {
+	for i, st := range sts {
+		if c.alive[i] && !st.quiescent() {
+			return false
+		}
+	}
+	return true
 }
 
 // stealFailed classifies a failed steal directive: with recovery
@@ -399,11 +434,12 @@ func (c *coordinator) stealFailed(err error) error {
 }
 
 // scan polls every live machine once — concurrently, so the scan
-// takes one round-trip rather than the sum of them (with a slow or
-// dying machine holding its frame-timeout window, a sequential scan
-// of N machines would stall termination detection N times as long).
-// Each poll is bounded by the control transport's frame deadline, so
-// the fan-in wait is bounded too. Poll results are then folded in
+// takes as long as its slowest reply rather than the sum of them (a
+// busy machine holds its reply for up to StatusInterval, and with a
+// dying machine holding its frame-timeout window a sequential scan of
+// N machines would stall termination detection N times as long). Each
+// poll is bounded by the control transport's frame deadline, so the
+// fan-in wait is bounded too. Poll results are then folded in
 // serially, machine order, preserving the original bookkeeping: a
 // failed poll increments that machine's consecutive-failure count —
 // transient drops are already retried once inside the control
@@ -512,28 +548,20 @@ func (c *coordinator) recoverMachine(m int, cause error) error {
 }
 
 // terminated reports whether two consecutive scans prove the job done.
-// One idle scan is not enough: machine A can be read before a task is
-// stolen into it and machine B after donating it, summing to zero
-// while the task lives on. Any completed transfer bumps a monotone
-// sentOut/recvIn counter, so two scans that BOTH read all-spawned and
-// zero live, with identical transfer counters, bracket a window in
-// which no task existed anywhere. Dead machines are excluded: their
-// adopted work is accounted by the survivors spawning it.
+// One idle scan is not enough, however promptly it arrives: machine A
+// can be read before a task is stolen into it and machine B after
+// donating it, summing to zero while the task lives on. Any completed
+// transfer bumps a monotone sentOut/recvIn counter, so two scans that
+// BOTH read all-spawned and zero live, with identical transfer
+// counters, bracket a window in which no task existed anywhere. Dead
+// machines are excluded: their adopted work is accounted by the
+// survivors spawning it.
 func (c *coordinator) terminated(prev, cur []MachineStatus) bool {
-	if prev == nil {
+	if prev == nil || !c.quiescent(prev) || !c.quiescent(cur) {
 		return false
 	}
 	for i := range cur {
-		if !c.alive[i] {
-			continue
-		}
-		if !cur[i].AllSpawned || cur[i].Live != 0 {
-			return false
-		}
-		if !prev[i].AllSpawned || prev[i].Live != 0 {
-			return false
-		}
-		if cur[i].SentOut != prev[i].SentOut || cur[i].RecvIn != prev[i].RecvIn {
+		if c.alive[i] && (cur[i].SentOut != prev[i].SentOut || cur[i].RecvIn != prev[i].RecvIn) {
 			return false
 		}
 	}
@@ -555,7 +583,7 @@ func (c *coordinator) hysteresis(sts []MachineStatus, ewma []float64, idle []int
 			continue
 		}
 		ewma[i] = ewmaAlpha*float64(st.BigPending) + (1-ewmaAlpha)*ewma[i]
-		if st.AllSpawned && st.Live == 0 {
+		if st.quiescent() {
 			idle[i]++
 		} else {
 			idle[i] = 0

@@ -58,13 +58,86 @@
 //     for processes). Every remote pull, stolen batch, liveness poll,
 //     steal directive, and metrics flush then crosses the wire.
 //
+// # Scheduling: the worker loop and what wakes it
+//
+// A mining thread repeats one step (worker.step), in priority order:
+// compute a ready big task (Bglobal), compute a ready small task
+// (Blocal), pop the machine's big-task queue (Qglobal, refilled from
+// Lbig when it runs low; a missed try-lock falls through instead of
+// blocking), pop its own queue (Qlocal, refilled from Lsmall and, when
+// that is empty too, by the spawn scan).
+//
+// The spawn scan (worker.spawnScan) claims root vertices off the
+// machine's shared cursor — its own partition, then any partition
+// adopted from a dead peer — and counts TASKS, not vertices: a stretch
+// of vertices that fails the application's spawn test is skipped in
+// place, and the scan ends only with C tasks queued, a big task queued
+// (one refill must not flood Qglobal), the roots exhausted, or the job
+// over. A query selective enough that no vertex spawns costs one pass
+// over the partition, a few milliseconds per 100k vertices.
+//
+// A step that finds nothing parks the thread (worker.park): it
+// registers as a sleeper, looks once more at everything another
+// goroutine could have fed — Bglobal, Qglobal, Lbig, the spawn cursor,
+// the adopted list; with blocking reads this time — and blocks. Every
+// path that makes shared work visible wakes sleepers after publishing
+// it (jobState.wake; one atomic load when nobody sleeps):
+//
+//   - a big task entering Qglobal: spawned, created by Compute, refilled
+//     from Lbig, returned by a failed steal shipment;
+//   - a stolen batch landing (DeliverTasks — the task server's callback,
+//     the in-memory steal move, and recovery's re-owned batches);
+//   - a resolved big task entering Bglobal;
+//   - a dead peer's partition being adopted;
+//   - the job ending: Stop and fail close one channel every parked
+//     thread also waits on.
+//
+// Register-then-look on one side and publish-then-wake on the other
+// mean a wake-up is never lost: either the sleeper's look sees the
+// work or the producer's load sees the sleeper. A token can outlive
+// the work it announced (another thread took it); the woken thread
+// finds nothing and parks again. No thread spins, yields in a loop, or
+// sleeps on a timer, so an idle machine uses no CPU and a task that
+// arrives is picked up at once.
+//
+// # Termination: signalled, then confirmed
+//
 // The coordinator makes cross-machine decisions exclusively from
-// MachineStatus reports: termination is declared
-// when two consecutive scans agree that every machine has spawned its
-// partition, counts zero live tasks, and has identical sentOut/recvIn
-// transfer counters (a stolen task is counted by its receiver before
-// the donor uncounts it, so the cluster-wide live sum never
-// under-counts — no scan ordering can miss a task in flight).
+// MachineStatus reports, and the status exchange is a long poll. A
+// machine counts the tasks alive on it (live: queued, buffered,
+// spilled, in flight, plus one for every spawn scan in progress). The
+// decrement that takes live to zero on a machine whose roots are all
+// spawned is the quiescence edge (MachineRuntime.release): nothing is
+// left there unless another machine sends something. A status request
+// that finds the machine quiescent, or its job failed or stopped, is
+// answered at once; otherwise the reply is held until that edge, the
+// job's end, or Config.StatusInterval — whichever comes first
+// (MachineRuntime.awaitQuiet). One mechanism serves direct calls,
+// loopback sockets and worker processes; there is no reverse channel.
+//
+// The coordinator scans all machines concurrently and back to back
+// (coordinator.loop). While anything works, a scan lasts one
+// StatusInterval — the cadence of steal planning, hysteresis streaks
+// and the live metrics — and the scan during which the last machine
+// drains returns the moment it does. Termination is declared when two
+// consecutive scans agree that every machine has spawned its roots,
+// counts zero live tasks, and has identical sentOut/recvIn transfer
+// counters; the second follows the first immediately, since quiescent
+// machines do not hold their replies. The prompt edge does not make
+// the second scan redundant: the replies of one scan are read at
+// different instants, so machine A can be read before a task is stolen
+// into it and machine B after donating it — each quiescent when read,
+// the task alive throughout. A stolen task is counted by its receiver
+// (live, recvIn) before the donor uncounts it (live, sentOut), so the
+// cluster-wide live sum never under-counts and any completed transfer
+// moves a monotone counter: two all-quiescent scans with equal
+// counters bracket a window in which no task existed anywhere.
+//
+// A failed poll is not held by anyone, so the coordinator spaces
+// scans that found a machine unreachable one StatusInterval apart:
+// that, times Config.DeadAfterPolls, is the failure-detection latency.
+// Cancellation reaches a machine as Stop, which releases its parked
+// threads and any held reply directly.
 //
 // # Deploying a multi-process cluster
 //
@@ -88,7 +161,7 @@
 // coordinator dials every control address (StartProcsCluster) and
 // runs the lifecycle: opJoin (identity check + engine shape) → opStart
 // (peer address table; workers build their TCPTransports), then per
-// job opRun (job id + spec; mining starts) → opStatus polling /
+// job opRun (job id + spec; mining starts) → opStatus long polls /
 // opStealDo directives → opShutdown → opMetrics + opTrace + opResults
 // flushes, and finally opExit. The op table lives in
 // tcp.go; the app-opaque job-spec and result encodings for the
@@ -156,7 +229,8 @@
 // is a nil pointer — Record is a single branch. The span taxonomy
 // mirrors the engine's moving parts:
 //
-//   - spawn — one batch of root tasks spawned from the partition
+//   - spawn — one spawn scan over the partition (args: tasks
+//     spawned, root vertices tested)
 //   - compute — one app Compute call (arg: subtasks created)
 //   - spill / refill — task batches crossing the disk boundary
 //   - fetch — one batched remote adjacency round trip (args: owning
@@ -193,10 +267,10 @@
 // status poll knows (liveness, queue depths, backlog EWMA, spawn
 // cursor).
 //
-// Live metrics piggyback on the status poll: each MachineStatus
+// Live metrics piggyback on the status exchange: each MachineStatus
 // carries the machine's Counters snapshot, read from the runtime's
-// existing atomics, so the coordinator's LiveView is continuously
-// current at StatusInterval resolution with zero extra RPCs. The same
+// existing atomics, so the coordinator's LiveView is current to within
+// one StatusInterval with zero extra RPCs. The same
 // view feeds Config.Progress one-line summaries and Config.StatusSink
 // (how qcbench's process-wide debug server tracks whichever cell is
 // currently mining).

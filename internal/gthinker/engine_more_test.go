@@ -50,7 +50,7 @@ func TestStealRoundDirect(t *testing.T) {
 	co := newCoordinator(c.ctl, c.cfg)
 	// Load machine 0 with 10 big tasks; machine 1 has none.
 	for i := 0; i < 10; i++ {
-		rts[0].jb().qglobal.pushBack(NewTask(nil))
+		rts[0].jb().pushGlobal(NewTask(nil))
 	}
 	if _, err := co.stealRoundNow(); err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func TestStealRoundShipsRemote(t *testing.T) {
 		tk := NewTask([]graph.V{graph.V(i), graph.V(i * 2)})
 		tk.Pulls = []graph.V{graph.V(i + 50)}
 		orig[tk.ID] = tk
-		rts[0].jb().qglobal.pushBack(tk)
+		rts[0].jb().pushGlobal(tk)
 	}
 
 	if _, err := co.stealRoundNow(); err != nil {

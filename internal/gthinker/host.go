@@ -355,6 +355,9 @@ func (h *WorkerHost) handleStatus(job uint64) (MachineStatus, error) {
 	if killed {
 		return MachineStatus{}, fmt.Errorf("gthinker: fault injection: machine %d is dead", h.hc.MachineID)
 	}
+	// A long poll: this is how every composition's coordinator learns
+	// of termination and failure the moment they happen.
+	rt.awaitQuiet(h.cfg.StatusInterval)
 	st := rt.Status()
 	// Kill hook: count only polls that observed mining underway, so a
 	// seeded kill=M@N lands on the Nth mid-run poll and the crash
@@ -454,9 +457,12 @@ func (h *WorkerHost) handleResults(job uint64) ([]byte, error) {
 	return h.hc.Results(rt.jb().app)
 }
 
-func (h *WorkerHost) handleExit() error {
+// handleExit releases WaitExit. The control server calls it only after
+// the opExit acknowledgement is flushed: the host's main goroutine
+// answers WaitExit with Close, which would otherwise cut the control
+// connection under its own ack.
+func (h *WorkerHost) handleExit() {
 	h.exitOnce.Do(func() { close(h.exitCh) })
-	return nil
 }
 
 // WorkerReadyPrefix is the line a worker process prints on stdout once

@@ -18,9 +18,9 @@ import (
 // per-process half (mmap'd graph, vertex partition, warm remote-vertex
 // cache, workers with their scratch buffers, transport) so one runtime
 // can serve many jobs against the same graph. A fresh jobState is
-// installed by MachineRuntime.ResetJob between jobs; zero values are
-// ready to use, so "reset" is allocation of a new struct, not
-// field-by-field clearing.
+// installed by MachineRuntime.ResetJob between jobs, so "reset" is
+// allocation of a new struct (newJobState), not field-by-field
+// clearing.
 type jobState struct {
 	// id tags this job cluster-wide: the control plane threads it
 	// through every frame so a stale worker and a coordinator can
@@ -75,6 +75,20 @@ type jobState struct {
 	recvIn   atomic.Uint64
 	doneFlag atomic.Bool
 
+	// The machine's wake primitive. A worker that finds no work
+	// registers in sleepers, re-checks the shared queues, and blocks on
+	// wakeCh (one token per wake, capacity = workers); whoever makes
+	// shared work visible calls wake, which costs one atomic load while
+	// nobody sleeps. doneCh closes together with doneFlag, so Stop and
+	// fail release every parked worker and every held status reply at
+	// once. quietCh (capacity 1) carries the quiescence edge — live
+	// reaching zero on a fully spawned machine — to a status handler
+	// holding its reply (MachineRuntime.awaitQuiet).
+	sleepers atomic.Int32
+	wakeCh   chan struct{}
+	quietCh  chan struct{}
+	doneCh   chan struct{}
+
 	errMu sync.Mutex
 	err   error
 
@@ -85,8 +99,8 @@ type jobState struct {
 	tasksStolenRemote atomic.Uint64
 
 	// Formerly plain per-worker fields, migrated to job atomics so
-	// the 1 ms status poll can sample them live (the incremental
-	// counter snapshots the coordinator's debug view is built from).
+	// a status reply can sample them live (the incremental counter
+	// snapshots the coordinator's debug view is built from).
 	// Per-worker busy time stays a plain worker field: it is only read
 	// after Stop.
 	computeCalls  atomic.Uint64
@@ -106,15 +120,49 @@ type jobState struct {
 }
 
 // fail records the job's first error and stops the machine's workers.
-// The coordinator observes the failure in the next Status poll and
-// tears the rest of the cluster down.
+// A held status reply is released with it, so the coordinator learns
+// of the failure at once and tears the rest of the cluster down.
 func (jb *jobState) fail(err error) {
 	jb.errMu.Lock()
 	if jb.err == nil {
 		jb.err = err
 	}
 	jb.errMu.Unlock()
-	jb.doneFlag.Store(true)
+	jb.halt()
+}
+
+// halt ends the job on this machine: workers leave their loop at the
+// next check, parked ones wake, held status replies go out.
+func (jb *jobState) halt() {
+	if jb.doneFlag.CompareAndSwap(false, true) {
+		close(jb.doneCh)
+	}
+}
+
+// wake releases up to n parked workers. Call it AFTER the work is
+// visible in a shared queue: a worker registers as a sleeper before
+// its final look at those queues, so either this load sees it or its
+// look sees the work.
+func (jb *jobState) wake(n int) {
+	for s := int(jb.sleepers.Load()); n > 0 && s > 0; n, s = n-1, s-1 {
+		select {
+		case jb.wakeCh <- struct{}{}:
+		default:
+			return // every worker already has a token pending
+		}
+	}
+}
+
+// pushGlobal makes big tasks poppable on the machine-wide queue.
+func (jb *jobState) pushGlobal(ts ...*Task) {
+	jb.qglobal.pushBackAll(ts)
+	jb.wake(len(ts))
+}
+
+// pushReady makes a resolved big task computable by any worker.
+func (jb *jobState) pushReady(t *Task) {
+	jb.bglobal.push(t)
+	jb.wake(1)
 }
 
 func (jb *jobState) loadErr() error {
@@ -164,7 +212,11 @@ func (rt *MachineRuntime) aborted() bool { return rt.jb().doneFlag.Load() }
 // fresh cursors, queues, spill list, counters, and (when tracing is
 // on) a fresh tracer.
 func (rt *MachineRuntime) newJobState(id uint64, app App) *jobState {
-	jb := &jobState{id: id, app: app}
+	jb := &jobState{id: id, app: app,
+		wakeCh:  make(chan struct{}, rt.cfg.WorkersPerMachine),
+		quietCh: make(chan struct{}, 1),
+		doneCh:  make(chan struct{}),
+	}
 	jb.lbig = newSpillList(rt.spillDir, "big", &rt.disk, app)
 	if rt.cfg.Trace {
 		// One track per worker (tid = dense worker id) plus the control

@@ -11,9 +11,8 @@ import (
 )
 
 // LiveView is the coordinator's continuously-updated per-machine
-// picture, built from the counter samples piggybacked on the 1 ms
-// status polls. It serves two consumers concurrently with the poll
-// loop: the debug server's /metrics endpoint (Samples) and the
+// picture, built from the counter samples piggybacked on the status
+// replies. It serves two consumers concurrently with the scan loop: the debug server's /metrics endpoint (Samples) and the
 // -progress log line (String). External callers can also feed one
 // through Config.StatusSink — qcbench runs a single process-wide view
 // across experiment cells that way.

@@ -67,12 +67,6 @@ func (q *lockedDeque) len() int {
 	return q.d.len()
 }
 
-func (q *lockedDeque) pushBack(t *Task) {
-	q.mu.Lock()
-	q.d.pushBack(t)
-	q.mu.Unlock()
-}
-
 func (q *lockedDeque) pushBackAll(ts []*Task) {
 	q.mu.Lock()
 	q.d.pushBackAll(ts)

@@ -58,7 +58,7 @@ func TestDequePushFront(t *testing.T) {
 
 func TestLockedDequeTryPop(t *testing.T) {
 	var q lockedDeque
-	q.pushBack(NewTask(1))
+	q.pushBackAll([]*Task{NewTask(1)})
 	q.mu.Lock()
 	if _, ok := q.tryPopFront(); ok {
 		t.Fatal("tryPopFront succeeded while locked")

@@ -256,7 +256,7 @@ func (rt *MachineRuntime) Start() error {
 // goroutine, and the runtime is eligible for ResetJob.
 func (rt *MachineRuntime) Stop() {
 	jb := rt.jb()
-	jb.doneFlag.Store(true)
+	jb.halt()
 	if !jb.started.Load() || !jb.stopped.CompareAndSwap(false, true) {
 		// Never started, or another caller is joining the workers; wait
 		// for that caller's outcome so every Stop returns post-join.
@@ -269,9 +269,8 @@ func (rt *MachineRuntime) Stop() {
 	procHeap.release()
 }
 
-// fail records the job's first error and stops the machine's workers.
-// The coordinator observes the failure in the next Status poll and
-// tears the rest of the cluster down.
+// fail records the job's first error and stops the machine's workers
+// (see jobState.fail).
 func (rt *MachineRuntime) fail(err error) { rt.jb().fail(err) }
 
 // Err returns the current job's first failure, or nil.
@@ -296,7 +295,7 @@ type MachineStatus struct {
 	// coordinator tracks per machine for loss accounting.
 	Spawned int64
 	// Counters is the machine's live counter snapshot, piggybacked on
-	// the status poll so the coordinator holds a continuously-updated
+	// the status reply so the coordinator holds a continuously-updated
 	// per-machine view (its debug server and -progress line) instead of
 	// learning everything at the shutdown metrics flush. All cheap
 	// atomic reads on the machine.
@@ -305,10 +304,15 @@ type MachineStatus struct {
 	Failure string
 }
 
+// quiescent reports a machine with every root spawned and no task
+// alive: nothing is left for it to do unless another machine sends
+// something.
+func (st MachineStatus) quiescent() bool { return st.AllSpawned && st.Live == 0 }
+
 // Status returns the runtime's current liveness report. AllSpawned is
-// read before Live: spawnBatch reserves liveness before it advances
-// the spawn cursor, so this order can never observe the final vertex
-// as spawned with its task not yet counted.
+// read before Live: the spawn scan reserves liveness before it claims
+// a vertex, so this order can never observe the final vertex as
+// spawned with its task not yet counted.
 func (rt *MachineRuntime) Status() MachineStatus {
 	jb := rt.jb()
 	st := MachineStatus{
@@ -330,19 +334,81 @@ func (rt *MachineRuntime) allSpawned(jb *jobState) bool {
 	return int(jb.spawnCursor.Load()) >= len(rt.verts) && jb.adoptPending.Load() == 0
 }
 
-// spawnedCount returns the number of root tasks spawned: the own
-// cursor (which idle workers overshoot; clamp it) plus adopted spawns.
+// spawnedCount returns the number of root vertices claimed for
+// spawning: the own cursor plus adopted ones.
 func (rt *MachineRuntime) spawnedCount(jb *jobState) int64 {
-	cur := jb.spawnCursor.Load()
-	if cur > int64(len(rt.verts)) {
-		cur = int64(len(rt.verts))
+	return jb.spawnCursor.Load() + jb.adoptSpawned.Load()
+}
+
+// nextRoot claims the next un-spawned root vertex: the machine's own
+// partition first, then adopted ones (a dead machine's partition,
+// re-owned by recovery). The cursor stops at the partition's end. The
+// caller holds liveness (see worker.spawnScan).
+func (rt *MachineRuntime) nextRoot(jb *jobState) (graph.V, bool) {
+	for {
+		cur := jb.spawnCursor.Load()
+		if int(cur) >= len(rt.verts) {
+			return rt.nextAdopted()
+		}
+		if jb.spawnCursor.CompareAndSwap(cur, cur+1) {
+			return rt.verts[cur], true
+		}
 	}
-	return cur + jb.adoptSpawned.Load()
+}
+
+// quiescent reports that nothing is left to do on this machine: every
+// root spawned, no task alive. Same read order as Status.
+func (rt *MachineRuntime) quiescent(jb *jobState) bool {
+	return rt.allSpawned(jb) && jb.live.Load() == 0
+}
+
+// release uncounts n tasks that finished or left this machine. The
+// call that takes live to zero on a fully spawned machine IS the
+// quiescence edge — allSpawned only turns true under a spawn scan's
+// liveness hold, so no other path leads into that state — and it posts
+// the edge for a status handler holding its reply.
+func (rt *MachineRuntime) release(jb *jobState, n int) {
+	if jb.live.Add(-int64(n)) == 0 && rt.allSpawned(jb) {
+		select {
+		case jb.quietCh <- struct{}{}:
+		default: // an unread edge is already posted
+		}
+	}
+}
+
+// awaitQuiet holds a status reply until the machine is worth hearing
+// from: it returns at once when the machine is quiescent or its job
+// has ended (stopped or failed), otherwise on the quiescence edge, the
+// job's end, or after hold — whichever comes first. That turns the
+// coordinator's status exchange into the termination signal: the
+// reply leaves the instant the last task finishes.
+func (rt *MachineRuntime) awaitQuiet(hold time.Duration) {
+	jb := rt.jb()
+	if rt.quiescent(jb) || jb.doneFlag.Load() {
+		return
+	}
+	timer := time.NewTimer(hold)
+	defer timer.Stop()
+	for {
+		select {
+		case <-jb.quietCh:
+			// The edge may predate new work (a steal landed, a partition
+			// was adopted): only a machine quiescent NOW answers early.
+			if rt.quiescent(jb) {
+				return
+			}
+		case <-jb.doneCh:
+			return
+		case <-timer.C:
+			return
+		}
+	}
 }
 
 // adopt appends extra root vertices for this runtime to spawn —
 // recovery only: the dead machine's partitions. Pending is raised
-// before the vertices become visible so AllSpawned flips false first.
+// before the vertices become visible so AllSpawned flips false first;
+// every worker is woken, since each may scan them.
 func (rt *MachineRuntime) adopt(verts []graph.V) {
 	if len(verts) == 0 {
 		return
@@ -352,10 +418,11 @@ func (rt *MachineRuntime) adopt(verts []graph.V) {
 	jb.adoptPending.Add(int64(len(verts)))
 	jb.adoptVerts = append(jb.adoptVerts, verts...)
 	jb.adoptMu.Unlock()
+	jb.wake(len(rt.workers))
 }
 
-// nextAdopted hands out one adopted root vertex. The caller must have
-// reserved liveness (live.Add(1)) already: pending is decremented
+// nextAdopted hands out one adopted root vertex. The caller must hold
+// liveness (the spawn scan's) already: pending is decremented
 // here, under the lock, so the scan-visible order is live-up before
 // pending-down — AllSpawned can never flip true with the final
 // adopted task uncounted.
@@ -455,7 +522,7 @@ func (rt *MachineRuntime) isBig(t *Task) bool {
 // overflows.
 func (rt *MachineRuntime) addGlobal(t *Task) {
 	jb := rt.jb()
-	jb.qglobal.pushBack(t)
+	jb.pushGlobal(t)
 	jb.bigTasks.Add(1)
 	if jb.qglobal.len() > rt.cfg.QueueCap {
 		batch := jb.qglobal.popBackBatch(rt.cfg.BatchSize)
@@ -481,7 +548,7 @@ func (rt *MachineRuntime) DeliverTasks(tasks []*Task) {
 	}
 	jb.live.Add(int64(len(tasks)))
 	jb.recvIn.Add(uint64(len(tasks)))
-	jb.qglobal.pushBackAll(tasks)
+	jb.pushGlobal(tasks...)
 	if jb.tracer != nil {
 		jb.tracer.Record(rt.ctlTrack(), obs.KindStealRecv, start, time.Since(start), uint64(len(tasks)), 0)
 	}
@@ -510,7 +577,7 @@ func (rt *MachineRuntime) stealLocal(want int) []*Task {
 			need = len(refill)
 		}
 		batch = append(batch, refill[:need]...)
-		jb.qglobal.pushBackAll(refill[need:])
+		jb.pushGlobal(refill[need:]...)
 	}
 	return batch
 }
@@ -521,7 +588,7 @@ func (rt *MachineRuntime) stealLocal(want int) []*Task {
 func (rt *MachineRuntime) finishSteal(n int) {
 	jb := rt.jb()
 	jb.sentOut.Add(uint64(n))
-	jb.live.Add(-int64(n))
+	rt.release(jb, n)
 }
 
 // StealTo executes a coordinator steal directive on the donor side:
@@ -550,7 +617,7 @@ func (rt *MachineRuntime) StealTo(recv, want int) (int, error) {
 	for len(batch) > 0 {
 		k, err := rt.shipChunk(tc, recv, batch)
 		if err != nil {
-			jb.qglobal.pushBackAll(batch)
+			jb.pushGlobal(batch...)
 			return moved, err
 		}
 		moved += k

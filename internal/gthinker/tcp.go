@@ -64,10 +64,14 @@ import (
 //	            refused by a machine that is on another job.
 //	opStatus    payload: empty. reply: flags u8 (bit0 = all spawned),
 //	            live u64, bigPending u64, sentOut u64, recvIn u64,
-//	            spawned u64, failure string — the liveness report
-//	            feeding the coordinator's termination detection, steal
-//	            planner, and per-machine durable-state tracking for
-//	            worker-loss recovery.
+//	            spawned u64, the counter table, failure string — the
+//	            liveness report feeding the coordinator's termination
+//	            detection, steal planner, and per-machine durable-state
+//	            tracking for worker-loss recovery. A long poll: a busy
+//	            machine holds the reply for up to its StatusInterval
+//	            and sends it the instant it goes quiescent or its job
+//	            fails, so the exchange doubles as the termination and
+//	            failure signal.
 //	opStealDo   payload: recv u32, want u32 — a steal directive: the
 //	            donor pops up to want big tasks and ships them to
 //	            machine recv itself (opTaskSteal, GQS1 bytes); the
@@ -194,11 +198,13 @@ func readFrame(r *bufio.Reader, maxPayload int) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// serveFrames is the per-connection loop shared by both servers: read
+// serveFrames is the per-connection loop shared by all servers: read
 // a request frame, dispatch it, write the reply. A dispatch error is
 // reported to the client as an opError frame and closes the
-// connection (after opError the stream state is not trusted).
-func serveFrames(conn net.Conn, maxReq int, dispatch func(op byte, payload []byte) ([]byte, error)) {
+// connection (after opError the stream state is not trusted). replied,
+// when non-nil, runs after each successful reply is flushed — for an
+// op whose effect must not overtake its own acknowledgement.
+func serveFrames(conn net.Conn, maxReq int, dispatch func(op byte, payload []byte) ([]byte, error), replied func(op byte)) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
@@ -216,6 +222,9 @@ func serveFrames(conn net.Conn, maxReq int, dispatch func(op byte, payload []byt
 		}
 		if err := writeFrame(w, op, resp); err != nil {
 			return
+		}
+		if replied != nil {
+			replied(op)
 		}
 	}
 }
@@ -323,7 +332,7 @@ func (s *VertexServer) handle(conn net.Conn) {
 		default:
 			return nil, fmt.Errorf("gthinker: vertex server: unknown op 0x%02x", op)
 		}
-	})
+	}, nil)
 }
 
 // adjBatch answers one batched fetch. Malformed requests (bad counts,
@@ -429,7 +438,7 @@ func (s *TaskServer) handle(conn net.Conn) {
 		default:
 			return nil, fmt.Errorf("gthinker: task server: unknown op 0x%02x", op)
 		}
-	})
+	}, nil)
 }
 
 // Dial and retry policy. Every dial in the package goes through

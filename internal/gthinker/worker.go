@@ -2,7 +2,6 @@ package gthinker
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"gthinkerqc/internal/graph"
@@ -84,28 +83,47 @@ func (w *worker) route(t *Task) {
 //	      small task (Blocal);
 //	pop:  try the global queue (refilled from Lbig when low; a failed
 //	      try-lock falls through), else the local queue (refilled from
-//	      Lsmall, then by spawning — stopping the spawn batch at the
-//	      first big task).
+//	      Lsmall, then by the spawn scan — which stops at the first big
+//	      task).
+//
+// A step that finds nothing parks the worker until shared work shows
+// up or the job ends; it never spins and never sleeps on a timer.
 func (w *worker) run() {
-	idle := 0
-	for !w.rt.jb().doneFlag.Load() {
-		if w.step() {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle < 16 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(100 * time.Microsecond)
+	jb := w.rt.jb()
+	for !jb.doneFlag.Load() {
+		if !w.step(jb) {
+			w.park(jb)
 		}
 	}
 }
 
+// park blocks until another goroutine makes work visible to this
+// worker or the job ends. step returned false, so everything the
+// worker owns (Qlocal, Lsmall, Blocal) is empty and only the shared
+// sources can feed it: Bglobal, Qglobal backed by Lbig, the spawn
+// cursor, the adopted list. The worker registers as a sleeper BEFORE
+// looking at them one last time — with blocking reads, not the
+// try-lock step uses — so a producer that published just before the
+// look is seen by it, and one that publishes after sees the sleeper
+// and sends a token (jobState.wake). A token can outlive the work it
+// announced (another worker took it); the woken worker then finds
+// nothing and parks again.
+func (w *worker) park(jb *jobState) {
+	jb.sleepers.Add(1)
+	defer jb.sleepers.Add(-1)
+	if jb.bglobal.len() > 0 || w.rt.bigPending() > 0 || !w.rt.allSpawned(jb) {
+		return
+	}
+	select {
+	case <-jb.wakeCh:
+	case <-jb.doneCh:
+	}
+}
+
 // step performs one scheduling action; false means no work was found.
-func (w *worker) step() bool {
+func (w *worker) step(jb *jobState) bool {
 	// Push phase: big ready tasks are prioritized across the machine.
-	if t := w.rt.jb().bglobal.pop(); t != nil {
+	if t := jb.bglobal.pop(); t != nil {
 		w.compute(t)
 		return true
 	}
@@ -114,23 +132,25 @@ func (w *worker) step() bool {
 		return true
 	}
 	// Pop phase.
-	if t := w.popGlobal(); t != nil {
+	if t := w.popGlobal(jb); t != nil {
 		w.resolve(t)
 		return true
 	}
-	if t := w.popLocal(); t != nil {
+	t, spawned := w.popLocal()
+	if t != nil {
 		w.resolve(t)
 		return true
 	}
-	return false
+	// A scan whose only task was big queued it globally: progress, and
+	// the next step pops it.
+	return spawned
 }
 
 // popGlobal implements the second reforge change: always try the
 // machine's big-task queue first, refilling it from Lbig when it runs
 // low; a try-lock failure (another thread holds it) falls back to the
 // local path immediately instead of blocking.
-func (w *worker) popGlobal() *Task {
-	jb := w.rt.jb()
+func (w *worker) popGlobal(jb *jobState) *Task {
 	if jb.qglobal.len() < w.rt.cfg.BatchSize {
 		var start time.Time
 		if w.tracer != nil {
@@ -139,7 +159,10 @@ func (w *worker) popGlobal() *Task {
 		if batch, ok, err := jb.lbig.refill(); err != nil {
 			jb.fail(err)
 		} else if ok {
-			jb.qglobal.pushBackAll(batch)
+			// Between refill taking the file off Lbig and this push the
+			// batch is in neither place; a worker that parked in that
+			// window is woken here.
+			jb.pushGlobal(batch...)
 			w.tracer.Record(w.track, obs.KindRefill, start, time.Since(start), uint64(len(batch)), 0)
 		}
 	}
@@ -147,10 +170,10 @@ func (w *worker) popGlobal() *Task {
 	return t
 }
 
-// popLocal pops from the worker's own queue, refilling from Lsmall
-// first and then by spawning fresh tasks from the machine's vertex
-// partition.
-func (w *worker) popLocal() *Task {
+// popLocal pops from the worker's own queue, refilling it first when
+// it runs low: from Lsmall, else by the spawn scan. spawned reports
+// that the scan queued at least one task somewhere.
+func (w *worker) popLocal() (t *Task, spawned bool) {
 	if w.qlocal.len() < w.rt.cfg.BatchSize {
 		var start time.Time
 		if w.tracer != nil {
@@ -162,61 +185,62 @@ func (w *worker) popLocal() *Task {
 			w.qlocal.pushBackAll(batch)
 			w.tracer.Record(w.track, obs.KindRefill, start, time.Since(start), uint64(len(batch)), 0)
 		} else {
-			w.spawnBatch()
+			spawned = w.spawnScan()
 		}
 	}
-	return w.qlocal.popFront()
+	return w.qlocal.popFront(), spawned
 }
 
-// spawnBatch spawns up to C tasks from un-spawned local vertices. Per
-// the third reforge change it stops as soon as a spawned task is big,
-// so one refill cannot flood the global queue.
+// spawnScan walks un-spawned root vertices until it has queued C
+// tasks — tasks, not vertices: a stretch of the partition that fails
+// the app's spawn test is skipped in place, so the scan ends only with
+// a task queued, the cursor and the adopted list exhausted, or the job
+// done. Per the third reforge change it also stops as soon as a
+// spawned task is big, so one refill cannot flood the global queue.
+// It reports whether it queued anything.
 //
-// Liveness is reserved BEFORE the spawn cursor advances: termination
-// detection fires on allSpawned && live == 0, and the cursor is what
-// makes allSpawned true, so incrementing live only after Spawn
-// returned left a window where a status scan could observe the final
-// vertex as spawned with nothing alive and end the job before its
-// task ever reached a queue.
-func (w *worker) spawnBatch() {
+// The scan holds one unit of liveness from before its first claim
+// until every task it spawned is counted: termination detection fires
+// on allSpawned && live == 0, and claiming the last vertex is what
+// makes allSpawned true, so without the hold a status read could see
+// the final vertex as spawned with nothing alive and end the job
+// before its task ever reached a queue.
+func (w *worker) spawnScan() bool {
 	rt := w.rt
 	jb := rt.jb()
+	if rt.allSpawned(jb) {
+		return false
+	}
 	var start time.Time
 	if w.tracer != nil {
 		start = time.Now()
 	}
-	spawned := 0
-	defer func() {
-		if w.tracer != nil && spawned > 0 {
-			w.tracer.Record(w.track, obs.KindSpawn, start, time.Since(start), uint64(spawned), 0)
+	jb.live.Add(1)
+	spawned, scanned := 0, 0
+	for spawned < rt.cfg.BatchSize && !jb.doneFlag.Load() {
+		v, ok := rt.nextRoot(jb)
+		if !ok {
+			break
 		}
-	}()
-	for i := 0; i < rt.cfg.BatchSize; i++ {
-		jb.live.Add(1)
-		var v graph.V
-		if idx := int(jb.spawnCursor.Add(1)) - 1; idx < len(rt.verts) {
-			v = rt.verts[idx]
-		} else if av, ok := rt.nextAdopted(); ok {
-			// Adopted vertices (a dead machine's partition, re-owned by
-			// recovery) spawn after the home partition is exhausted.
-			v = av
-		} else {
-			jb.live.Add(-1)
-			return
-		}
+		scanned++
 		t := jb.app.Spawn(v, rt.g.Adj(v), &w.ctx)
 		if t == nil {
-			jb.live.Add(-1)
 			continue
 		}
+		jb.live.Add(1)
 		jb.spawnedTasks.Add(1)
 		spawned++
 		if rt.isBig(t) {
 			rt.addGlobal(t)
-			return // stop at first big task
+			break // stop at first big task
 		}
 		w.addLocal(t)
 	}
+	rt.release(jb, 1)
+	if scanned > 0 {
+		w.tracer.Record(w.track, obs.KindSpawn, start, time.Since(start), uint64(spawned), uint64(scanned))
+	}
+	return spawned > 0
 }
 
 // resolve satisfies a task's pull requests — local table reads for
@@ -257,7 +281,7 @@ func (w *worker) resolve(t *Task) {
 	t.frontier = frontier
 	t.pinned = remote
 	if rt.isBig(t) {
-		rt.jb().bglobal.push(t)
+		rt.jb().pushReady(t)
 	} else {
 		w.blocal.push(t)
 	}
@@ -350,7 +374,7 @@ func (w *worker) compute(t *Task) {
 		}
 		if !more {
 			jb.tasksFinished.Add(1)
-			jb.live.Add(-1)
+			rt.release(jb, 1)
 			return
 		}
 		if len(w.ctx.pulls) == 0 {

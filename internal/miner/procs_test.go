@@ -98,12 +98,14 @@ func TestMineProcsWorkerKilledRecovers(t *testing.T) {
 	ecfg := gthinker.Config{
 		Machines: 4, WorkersPerMachine: 2,
 		StealInterval:  time.Millisecond,
-		StatusInterval: 5 * time.Millisecond,
+		StatusInterval: time.Millisecond,
 		DeadAfterPolls: 3,
 		DialTimeout:    time.Second,
 		FrameTimeout:   5 * time.Second,
-		// Kill machine 1 on its 5th status poll that observed mining.
-		FaultSpec: "9:kill=1@5",
+		// Kill machine 1 on its 2nd status poll that observed mining
+		// (a busy machine answers one per StatusInterval; the job lasts
+		// tens of them).
+		FaultSpec: "9:kill=1@2",
 	}
 
 	serial, _, err := quasiclique.MineGraph(g, par, quasiclique.Options{})

@@ -28,7 +28,8 @@ import (
 type SpanKind uint8
 
 const (
-	// KindSpawn is one spawnBatch call (arg1 = tasks spawned).
+	// KindSpawn is one spawn scan (arg1 = tasks spawned, arg2 = root
+	// vertices tested to find them).
 	KindSpawn SpanKind = iota
 	// KindCompute is one Compute call (arg1 = subtasks created).
 	KindCompute

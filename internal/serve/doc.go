@@ -10,7 +10,7 @@
 // # API
 //
 //	POST   /v1/jobs                submit a query (JSON body below)
-//	GET    /v1/jobs                list all jobs
+//	GET    /v1/jobs                list the jobs the server remembers
 //	GET    /v1/jobs/{id}           job status
 //	GET    /v1/jobs/{id}/results   stream results (NDJSON)
 //	DELETE /v1/jobs/{id}           cancel a queued or running job
@@ -57,6 +57,12 @@
 // bit-identical to a serial mine, and the engine owns every core
 // while mining); concurrency lives at admission. Queued jobs dispatch
 // by priority, FIFO within a priority band.
+//
+// The server remembers every queued and running job and the most
+// recent finished ones — as many as the result cache holds entries
+// (128 by default). An older finished job is forgotten together with
+// its result set; its id answers 404 from then on. Fetch results
+// promptly, or resubmit: an identical query is usually a cache hit.
 //
 // GET /v1/jobs/{id}/results streams NDJSON — one JSON array of
 // member vertex IDs per line, one line per quasi-clique, in canonical

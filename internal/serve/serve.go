@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -88,7 +89,9 @@ type Config struct {
 	// it are answered 429. Default 64.
 	Quota int
 	// CacheSize is the LRU result cache capacity in entries (0 =
-	// default 128, negative disables caching).
+	// default 128, negative disables caching). The server also keeps
+	// that many finished jobs (128 without a cache) addressable by id;
+	// older ones are forgotten and answer 404.
 	CacheSize int
 	// DefaultBudget applies to jobs submitted without a time budget;
 	// 0 means such jobs are unbounded.
@@ -128,12 +131,14 @@ type Server struct {
 	sched *gthinker.Scheduler
 	cache *lruCache
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string // submission order, for listing
-	seq    uint64
-	active int // queued + running, the quota denominator
-	closed bool
+	mu       sync.Mutex
+	jobs     map[string]*job
+	order    []string // submission order, for listing
+	finished []string // finish order: the retained terminal jobs, oldest first
+	retain   int      // cap on finished; queued and running jobs are never dropped
+	seq      uint64
+	active   int // queued + running, the quota denominator
+	closed   bool
 
 	submitted uint64
 	completed uint64
@@ -148,19 +153,36 @@ func NewServer(cfg Config) *Server {
 	if cfg.Quota == 0 {
 		cfg.Quota = 64
 	}
+	retain := cfg.CacheSize
+	if retain <= 0 {
+		retain = 128
+	}
 	var cache *lruCache
 	if cfg.CacheSize >= 0 {
-		n := cfg.CacheSize
-		if n == 0 {
-			n = 128
-		}
-		cache = newLRUCache(n)
+		cache = newLRUCache(retain)
 	}
 	return &Server{
-		cfg:   cfg,
-		sched: gthinker.NewScheduler(),
-		cache: cache,
-		jobs:  make(map[string]*job),
+		cfg:    cfg,
+		sched:  gthinker.NewScheduler(),
+		cache:  cache,
+		jobs:   make(map[string]*job),
+		retain: retain,
+	}
+}
+
+// retire records that job id reached a terminal state and forgets the
+// oldest finished jobs beyond the retention cap, result sets included:
+// a long-lived server's memory must not grow with the jobs it has
+// served. Caller holds s.mu.
+func (s *Server) retire(id string) {
+	s.finished = append(s.finished, id)
+	for len(s.finished) > s.retain {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old)
+		if i := slices.Index(s.order, old); i >= 0 {
+			s.order = slices.Delete(s.order, i, i+1)
+		}
 	}
 }
 
@@ -226,6 +248,7 @@ func (s *Server) Submit(req JobRequest) (*job, error) {
 			j.result = res
 			s.jobs[id] = j
 			s.order = append(s.order, id)
+			s.retire(id)
 			s.submitted++
 			s.cacheHits++
 			s.completed++
@@ -299,6 +322,7 @@ func (s *Server) watch(j *job, key [32]byte) {
 
 	s.mu.Lock()
 	s.active--
+	s.retire(j.id)
 	switch state {
 	case StateDone:
 		s.completed++

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -388,5 +389,111 @@ func TestServeBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusConflict {
 			t.Fatalf("results before done: HTTP %d, want 409", resp.StatusCode)
 		}
+	}
+}
+
+// TestServeFinishedJobRetention pushes 1 000 jobs through one server:
+// it may remember no more finished jobs than its retention cap, the
+// forgotten ids must answer 404, the remembered ones 200, and a job
+// still running is kept however many finish around it.
+func TestServeFinishedJobRetention(t *testing.T) {
+	const retain, total = 16, 1000
+	backend := &blockingBackend{}
+	srv := NewServer(Config{Backend: backend, Fingerprint: "fake", CacheSize: retain})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	code := func(id string) int {
+		resp, err := http.Get(hs.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var ids []string
+	submit := func(minSize int) *job {
+		j, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: minSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.id)
+		return j
+	}
+
+	// Mined jobs, every fourth a repeat of its predecessor (a cache
+	// hit, finished the moment it is admitted).
+	for i := 0; i < total/2; i++ {
+		submit(2 + i - i%4/3)
+		waitQuota(t, srv, 0)
+	}
+	// Then a job held in the running state while cache hits finish
+	// around it.
+	gate := make(chan struct{})
+	backend.mu.Lock()
+	backend.gate = gate
+	backend.mu.Unlock()
+	running := submit(2 + total)
+	ids = ids[:len(ids)-1]
+	for len(ids) < total {
+		if j := submit(total / 2); !j.cached {
+			t.Fatalf("job %s was mined, want a cache hit", j.id)
+		}
+	}
+
+	srv.mu.Lock()
+	jobs, order, finished := len(srv.jobs), len(srv.order), len(srv.finished)
+	srv.mu.Unlock()
+	if finished != retain || jobs != retain+1 || order != retain+1 {
+		t.Fatalf("server remembers %d jobs (%d listed, %d finished), want %d finished + 1 running", jobs, order, finished, retain)
+	}
+	for i, id := range ids {
+		want := http.StatusNotFound
+		if i >= total-retain {
+			want = http.StatusOK
+		}
+		if got := code(id); got != want {
+			t.Fatalf("job %s (%d of %d): status %d, want %d", id, i+1, total, got, want)
+		}
+	}
+	if got := code(running.id); got != http.StatusOK {
+		t.Fatalf("running job %s was forgotten: status %d", running.id, got)
+	}
+	close(gate)
+	if st := waitDone(t, hs.URL, running.id); st.State != string(StateDone) {
+		t.Fatalf("held job ended %s", st.State)
+	}
+}
+
+// TestServeSelectiveJobFloor is the job-floor regression at the
+// service boundary: a selective query — one whose degree test passes
+// no vertex of a 60 000-vertex sparse graph — must be answered in
+// milliseconds by a warm server, submit to done. It took ~0.6 s while
+// the engine slept through the spawn scan.
+func TestServeSelectiveJobFloor(t *testing.T) {
+	g := datagen.ErdosRenyiM(60000, 180000, 7)
+	srv := NewServer(Config{
+		Backend:     SessionBackend(miner.NewSession(g, gthinker.Config{Machines: 1, WorkersPerMachine: 2})),
+		Fingerprint: "sparse",
+	})
+	defer srv.Close()
+	var walls []time.Duration
+	for i := 0; i < 6; i++ { // distinct queries, so none is a cache hit; the first warms the session
+		start := time.Now()
+		j, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: 40 + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.qj.Done()
+		if err := j.qj.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			walls = append(walls, time.Since(start))
+		}
+	}
+	slices.Sort(walls)
+	if median := walls[len(walls)/2]; median >= 100*time.Millisecond {
+		t.Fatalf("median selective job took %v (all: %v), want < 100ms", median, walls)
 	}
 }
