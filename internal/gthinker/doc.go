@@ -22,10 +22,10 @@
 //     from their spill lists so a backlog on disk still donates,
 //   - a batched RPC plane (tcp.go): a multi-op length-prefixed frame
 //     protocol serving adjacency batches (one round trip per owning
-//     machine per task, not per vertex), a task channel shipping
-//     stolen big-task batches as GQS1 bytes (the spill serialization
-//     reused as the wire format), health probes, and the control
-//     plane below.
+//     machine per batch of C tasks, not per task or vertex), a task
+//     channel shipping stolen big-task batches as GQS1 bytes (the
+//     spill serialization reused as the wire format), health probes,
+//     and the control plane below.
 //
 // # Architecture: one cluster, one job path
 //
@@ -62,10 +62,12 @@
 //
 // A mining thread repeats one step (worker.step), in priority order:
 // compute a ready big task (Bglobal), compute a ready small task
-// (Blocal), pop the machine's big-task queue (Qglobal, refilled from
-// Lbig when it runs low; a missed try-lock falls through instead of
-// blocking), pop its own queue (Qlocal, refilled from Lsmall and, when
-// that is empty too, by the spawn scan).
+// (Blocal), resolve the tasks those computes left waiting on pulls
+// (the pending list), pop the machine's big-task queue (Qglobal,
+// refilled from Lbig when it runs low; a missed try-lock falls through
+// instead of blocking), pop up to C tasks off its own queue (Qlocal,
+// refilled from Lsmall and, when that is empty too, by the spawn scan).
+// Whatever a step pops it resolves, as one batch (next section).
 //
 // The spawn scan (worker.spawnScan) claims root vertices off the
 // machine's shared cursor — its own partition, then any partition
@@ -99,6 +101,57 @@
 // finds nothing and parks again. No thread spins, yields in a loop, or
 // sleeps on a timer, so an idle machine uses no CPU and a task that
 // arrives is picked up at once.
+//
+// # Data plane: resolving a batch
+//
+// A task's input is the adjacency lists it pulled, and for the tasks
+// that dominate by count — a root and its two-hop neighbourhood — the
+// input is most of the cost. So tasks are resolved a batch at a time
+// (worker.resolveBatch, the only resolve path): the up to C =
+// Config.BatchSize tasks one pop took off Qlocal, the pending list, or
+// a single big task off Qglobal. One pass splits the batch's pulls
+// into reads of the local table and remote lookups; one cache acquire
+// pins every row already held; the lookups that missed are
+// deduplicated and grouped by owner, and each owner is asked once
+// (Transport.FetchAdjBatch) for the whole batch — an id wanted by k
+// tasks crosses the wire once and counts one miss and k-1 hits; one
+// insert pins the fetched rows, once per lookup. A task leaves with
+// its frontier — [][]graph.V parallel to Task.Pulls, a window of the
+// batch's one allocation — for its ready buffer: Bglobal if it is big,
+// else the worker's Blocal. Everything else the resolve needs is the
+// worker's reused scratch, so a warm batch allocates twice however
+// many tasks and pulls it holds.
+//
+// The pending list is what keeps batches full after the first
+// iteration. A task whose Compute asks for more pulls is not resolved
+// on the spot; it joins its worker's pending list, and the step after
+// Blocal drains resolves that list as one batch, before anything new
+// is popped — started tasks finish first, and at most 2C small tasks
+// live outside the spillable Qlocal.
+//
+// Resolving never computes, not even a task with nothing to pull: it
+// goes to its ready buffer like the rest. Compute stays one task per
+// step, so between any two computes a thread looks at Bglobal again,
+// and a big task that becomes ready while the thread holds C resolved
+// small ones runs next, not C tasks later. What a held batch does
+// delay is the thread's next pop of Qglobal, where the tasks that fan
+// out wait, so a batch is no longer than it pays to be: a popped task
+// with nothing to pull ends its batch, and a stream of pull-less
+// subtasks is popped one task at a time.
+//
+// A remote row is pinned in the cache once per (task, pull) from the
+// batch's acquire or insert until that task's Compute returns, which
+// releases the task's pins in one call; the frontier is valid for
+// exactly that long. Rows of different tasks of one batch are unpinned
+// at different times, as each is computed.
+//
+// A fetch that fails (an error, or the wrong number of lists) fails
+// the job and drops the whole batch. Nothing the batch fetched was
+// inserted — insertion waits until every owner has answered — and the
+// pins its acquire took are released from the lists the batch already
+// holds, so the cache ends neither poisoned nor pinned. Tasks another
+// batch resolved earlier keep their pins until the next job's reset
+// clears every pin (vertexCache.unpinAll).
 //
 // # Termination: signalled, then confirmed
 //
@@ -233,14 +286,25 @@
 //     spawned, root vertices tested)
 //   - compute — one app Compute call (arg: subtasks created)
 //   - spill / refill — task batches crossing the disk boundary
+//   - resolve — one batch of tasks having its pulls resolved (args:
+//     tasks, remote lookups); recorded only for a batch that pulled
+//     something
 //   - fetch — one batched remote adjacency round trip (args: owning
-//     machine, vertex count)
+//     machine, vertex count), nested inside its batch's resolve
 //   - steal-send / steal-recv — a stolen GQS1 batch leaving a donor /
 //     landing at a receiver
 //   - steal-round — one coordinator rebalance decision (arg2=1 for an
 //     off-cycle steal)
 //   - recover / recover-peer — the coordinator declaring a machine
 //     dead and driving recovery / one survivor adopting its work
+//
+// A resolve span's self time — its duration less the fetches inside it
+// — is the splitting, cache and bookkeeping work of the data plane. The
+// standing benchmark names five kinds (compute, fetch, spill, refill,
+// spawn) and reports the rest of a thread's time as
+// gthinker.idle_share, so that number is parked time plus resolve self
+// time; the trace JSON (qcbench -trace, qcmine -trace) separates the
+// two.
 //
 // Pid is the machine id (-1 = coordinator), Tid the worker (negative
 // = a machine's control track). After shutdown Cluster.RunJob merges

@@ -207,7 +207,7 @@ func (a *skewApp) Spawn(v graph.V, _ []graph.V, _ *Ctx) *Task {
 	return NewTask([]graph.V{64})
 }
 
-func (a *skewApp) Compute(t *Task, _ map[graph.V][]graph.V, ctx *Ctx) bool {
+func (a *skewApp) Compute(t *Task, _ [][]graph.V, ctx *Ctx) bool {
 	p := t.Payload.([]graph.V)
 	for i := graph.V(0); i < p[0]; i++ {
 		ctx.AddTask(NewTask([]graph.V{0}))
@@ -237,7 +237,7 @@ func (a *slowSpawnApp) Spawn(v graph.V, adj []graph.V, _ *Ctx) *Task {
 	return NewTask([]graph.V{v})
 }
 
-func (a *slowSpawnApp) Compute(t *Task, _ map[graph.V][]graph.V, _ *Ctx) bool {
+func (a *slowSpawnApp) Compute(t *Task, _ [][]graph.V, _ *Ctx) bool {
 	a.computed.Add(1)
 	return false
 }

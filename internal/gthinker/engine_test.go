@@ -38,15 +38,15 @@ func (a *triApp) Spawn(v graph.V, adj []graph.V, _ *Ctx) *Task {
 	return t
 }
 
-func (a *triApp) Compute(t *Task, frontier map[graph.V][]graph.V, _ *Ctx) bool {
+func (a *triApp) Compute(t *Task, frontier [][]graph.V, _ *Ctx) bool {
 	p := t.Payload.(*triPayload)
 	inAdj := map[graph.V]bool{}
 	for _, u := range p.Adj {
 		inAdj[u] = true
 	}
 	n := int64(0)
-	for _, u := range p.Adj {
-		for _, w := range frontier[u] {
+	for i, u := range p.Adj { // Spawn pulled p.Adj: frontier[i] is Adj(u)
+		for _, w := range frontier[i] {
 			if w > u && inAdj[w] {
 				n++
 			}
@@ -123,7 +123,7 @@ func (a *fanApp) Spawn(v graph.V, adj []graph.V, _ *Ctx) *Task {
 	return NewTask(&fanPayload{Depth: a.spawnDepth, Fanout: a.fanout})
 }
 
-func (a *fanApp) Compute(t *Task, _ map[graph.V][]graph.V, ctx *Ctx) bool {
+func (a *fanApp) Compute(t *Task, _ [][]graph.V, ctx *Ctx) bool {
 	a.computed.Add(1)
 	p := t.Payload.(*fanPayload)
 	if p.Depth == 0 {

@@ -47,9 +47,9 @@ func (toyCodec) DecodeTaskPayload(data []byte) (any, error) {
 // they do not care about.
 type nilApp struct{ toyCodec }
 
-func (nilApp) Spawn(graph.V, []graph.V, *Ctx) *Task            { return nil }
-func (nilApp) Compute(*Task, map[graph.V][]graph.V, *Ctx) bool { return false }
-func (nilApp) IsBig(*Task) bool                                { return false }
+func (nilApp) Spawn(graph.V, []graph.V, *Ctx) *Task  { return nil }
+func (nilApp) Compute(*Task, [][]graph.V, *Ctx) bool { return false }
+func (nilApp) IsBig(*Task) bool                      { return false }
 
 // testCluster composes a local cluster over g that closes with the
 // test.
@@ -109,4 +109,17 @@ func fetchOne(tr Transport, owner int, v graph.V) ([]graph.V, error) {
 		return nil, err
 	}
 	return out[0], nil
+}
+
+// pinnedRows counts the cached rows some task still holds a pin on.
+func (c *vertexCache) pinnedRows() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.rows {
+		if e.refs > 0 {
+			n++
+		}
+	}
+	return n
 }

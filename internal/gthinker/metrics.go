@@ -24,9 +24,10 @@ type Counters struct {
 	LocalReads    uint64 // vertex-table reads served locally
 	RemoteFetches uint64 // adjacency lists fetched across machines
 	// BatchedFetches counts remote fetch round trips: the resolve path
-	// groups a task's cache-missed pulls by owning machine, so this is
-	// O(owners) per task where RemoteFetches is O(pulls). The ratio is
-	// the latency saving of the batched RPC plane.
+	// groups the cache-missed pulls of a batch of C tasks by owning
+	// machine, so this is O(owners) per batch where RemoteFetches is
+	// O(pulls). The ratio is the latency saving of the batched RPC
+	// plane.
 	BatchedFetches    uint64
 	WireBytesSent     uint64 // transport bytes written (frame headers included)
 	WireBytesReceived uint64 // transport bytes read

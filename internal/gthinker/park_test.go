@@ -36,7 +36,7 @@ func (a *countApp) Spawn(v graph.V, _ []graph.V, _ *Ctx) *Task {
 	return NewTask([]graph.V{v})
 }
 
-func (a *countApp) Compute(*Task, map[graph.V][]graph.V, *Ctx) bool {
+func (a *countApp) Compute(*Task, [][]graph.V, *Ctx) bool {
 	a.computed <- struct{}{}
 	return false
 }
@@ -185,7 +185,7 @@ type blockApp struct {
 
 func (a *blockApp) Spawn(v graph.V, _ []graph.V, _ *Ctx) *Task { return NewTask([]graph.V{v}) }
 
-func (a *blockApp) Compute(_ *Task, _ map[graph.V][]graph.V, ctx *Ctx) bool {
+func (a *blockApp) Compute(_ *Task, _ [][]graph.V, ctx *Ctx) bool {
 	a.running.Add(1)
 	for !ctx.Aborted() {
 		runtime.Gosched()

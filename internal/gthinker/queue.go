@@ -31,6 +31,16 @@ func (d *deque) popFront() *Task {
 	return t
 }
 
+// popFrontBatch moves up to n tasks from the head onto dst (one
+// resolve batch: the tasks that run next).
+func (d *deque) popFrontBatch(dst []*Task, n int) []*Task {
+	n = min(n, len(d.items))
+	dst = append(dst, d.items[:n]...)
+	clear(d.items[:n])
+	d.items = d.items[n:]
+	return dst
+}
+
 // popBackBatch removes up to n tasks from the tail (the spill victim
 // set: the tasks that would run last anyway).
 func (d *deque) popBackBatch(n int) []*Task {
@@ -96,8 +106,9 @@ func (q *lockedDeque) popBackBatch(n int) []*Task {
 	return q.d.popBackBatch(n)
 }
 
-// ready is an unbounded multi-producer multi-consumer buffer of tasks
-// whose pulled data is available (Blocal / Bglobal).
+// ready is an unbounded multi-producer multi-consumer buffer of big
+// tasks whose pulled data is available (Bglobal). Blocal, which only
+// its worker touches, is a plain slice on the worker.
 type ready struct {
 	mu sync.Mutex
 	d  deque
@@ -119,12 +130,4 @@ func (r *ready) len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.d.len()
-}
-
-// reset drops any abandoned tasks (a cancelled job leaves resolved
-// tasks behind in its ready buffers) so the next job starts empty.
-func (r *ready) reset() {
-	r.mu.Lock()
-	r.d = deque{}
-	r.mu.Unlock()
 }

@@ -158,32 +158,39 @@ func TestSpillEmptyBatchNoop(t *testing.T) {
 
 func TestVertexCache(t *testing.T) {
 	c := newVertexCache(2)
-	out := map[graph.V][]graph.V{}
-	missing := c.acquire([]graph.V{1, 2}, out)
+	ids, at := []graph.V{1, 2}, []int32{0, 1}
+	out := make([][]graph.V, 2)
+	missing := c.acquire(ids, at, out, nil)
 	if len(missing) != 2 {
 		t.Fatalf("missing = %v", missing)
 	}
-	c.insert(1, []graph.V{9})
-	c.insert(2, []graph.V{8})
-	out = map[graph.V][]graph.V{}
-	missing = c.acquire([]graph.V{1, 2}, out)
-	if len(missing) != 0 || len(out) != 2 {
+	c.insert(ids, [][]graph.V{{9}, {8}}, []int32{1, 1})
+	missing = c.acquire(ids, at, out, nil)
+	if len(missing) != 0 || out[0][0] != 9 || out[1][0] != 8 {
 		t.Fatalf("acquire after insert: missing=%v out=%v", missing, out)
 	}
 	// Entries are pinned twice (insert + acquire): eviction must skip
 	// them even over capacity.
-	c.insert(3, []graph.V{7}) // over cap, but 1 and 2 are pinned
-	if _, ok := c.entries[1]; !ok {
+	c.insert([]graph.V{3}, [][]graph.V{{7}}, []int32{1}) // over cap, but 1 and 2 are pinned
+	if _, ok := c.index[1]; !ok {
 		t.Fatal("pinned entry evicted")
 	}
 	// Release everything: next insert evicts someone.
 	c.release([]graph.V{1, 1, 2, 2, 3})
-	c.insert(4, []graph.V{6})
-	if len(c.entries) > 3 {
-		t.Fatalf("cache grew unbounded: %d", len(c.entries))
+	if n := c.pinnedRows(); n != 0 {
+		t.Fatalf("%d rows still pinned after releasing every pin", n)
+	}
+	// One id wanted by three lookups of a batch: one miss, two hits,
+	// three pins.
+	c.insert([]graph.V{4}, [][]graph.V{{6}}, []int32{3})
+	if len(c.index) > 3 {
+		t.Fatalf("cache grew unbounded: %d", len(c.index))
+	}
+	if e := c.rows[c.index[4]]; e.refs != 3 {
+		t.Fatalf("row wanted by 3 lookups holds %d pins", e.refs)
 	}
 	hits, misses, _ := c.stats()
-	if hits != 2 || misses != 2 {
+	if hits != 4 || misses != 4 {
 		t.Fatalf("stats: hits=%d misses=%d", hits, misses)
 	}
 }

@@ -19,12 +19,13 @@ type Task struct {
 	// the next iteration.
 	Pulls []graph.V
 
-	// frontier holds resolved adjacency lists while the task sits in
-	// a ready buffer. Never spilled (only queued, unresolved tasks are
-	// spilled to disk).
-	frontier map[graph.V][]graph.V
-	// pinned lists the remote vertices holding cache references on
-	// this task's behalf, released after Compute returns.
+	// frontier holds the resolved adjacency lists, parallel to Pulls,
+	// while the task sits in a ready buffer: a window of its resolve
+	// batch's one allocation. Never spilled (only queued, unresolved
+	// tasks are spilled to disk).
+	frontier [][]graph.V
+	// pinned lists the remote members of Pulls, each holding one cache
+	// reference on this task's behalf, released after Compute returns.
 	pinned []graph.V
 }
 
@@ -79,11 +80,14 @@ type App interface {
 	// Spawn may return nil to skip the vertex. adj is the vertex's
 	// adjacency list in the (immutable) global graph.
 	Spawn(v graph.V, adj []graph.V, ctx *Ctx) *Task
-	// Compute runs one iteration of t. Frontier maps each pulled
-	// vertex to its adjacency list; the data is only valid during the
-	// call (the paper: "vertices in frontier are released by G-thinker
-	// right after compute returns").
-	Compute(t *Task, frontier map[graph.V][]graph.V, ctx *Ctx) bool
+	// Compute runs one iteration of t. frontier is parallel to t.Pulls:
+	// frontier[i] is the adjacency list of t.Pulls[i], in the order the
+	// previous iteration (or Spawn) requested them; it is nil when that
+	// iteration pulled nothing. The slice and its rows are only valid
+	// during the call (the paper: "vertices in frontier are released by
+	// G-thinker right after compute returns") — copy what must outlive
+	// it.
+	Compute(t *Task, frontier [][]graph.V, ctx *Ctx) bool
 	// IsBig classifies a task: big tasks go to the machine-shared
 	// global queue and are eligible for stealing. For the miner this
 	// is |ext(S)| > τsplit.

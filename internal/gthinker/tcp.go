@@ -96,10 +96,10 @@ import (
 //	            designated adopter — takes over spawning the listed
 //	            hash partitions' root tasks. reply: empty.
 //
-// Batching is the point: the engine resolves a task's remote pulls
-// with one opAdjBatch per owning machine instead of one round trip
-// per vertex, and a stolen batch of C big tasks crosses the wire as
-// one opTaskSteal frame. All integers are little-endian, matching the
+// Batching is the point: the engine resolves the remote pulls of a
+// batch of C tasks with one opAdjBatch per owning machine instead of
+// one round trip per task or vertex, and a stolen batch of C big tasks
+// crosses the wire as one opTaskSteal frame. All integers are little-endian, matching the
 // GQS1/GQC2 on-disk formats.
 //
 // Allocation off the wire is bounded on both sides: a frame's payload

@@ -15,9 +15,9 @@ import (
 //
 // Contract: FetchAdjBatch(owner, ids, dst) returns exactly one
 // adjacency list per requested id, in request order, appended to dst
-// (which may be nil). The OUTER slice is caller-owned scratch — the
-// caller may reuse it for its next call once it has copied the inner
-// lists out. The INNER lists are read by concurrent tasks and retained
+// (which may be nil, or hold the answers of the batch's earlier
+// owners). The OUTER slice is caller-owned scratch — the caller may
+// reuse it for its next batch once it has copied the inner lists out. The INNER lists are read by concurrent tasks and retained
 // by the vertex cache, so they must stay immutable and valid for the
 // lifetime of the run (aliasing a receive buffer is fine as long as
 // that buffer is never reused). Implementations must be safe for
@@ -27,9 +27,10 @@ import (
 type Transport interface {
 	// FetchAdjBatch returns the adjacency lists of ids (all owned by
 	// machine `owner`) in one round trip, appended to dst. The
-	// engine's resolve path groups a task's cache-missed pulls by
-	// owner and issues one call per owner, so remote latency is paid
-	// O(owners) times per task instead of O(pulls).
+	// engine's resolve path deduplicates the cache-missed pulls of a
+	// whole batch of tasks, groups them by owner and issues one call
+	// per owner per batch, so remote latency is paid O(owners) times
+	// per C tasks instead of O(pulls) or O(tasks).
 	FetchAdjBatch(owner int, ids []graph.V, dst [][]graph.V) ([][]graph.V, error)
 	// Fetches returns the number of adjacency lists fetched remotely
 	// (each id of a batch counts once).

@@ -2,6 +2,7 @@ package gthinker
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gthinkerqc/internal/graph"
@@ -16,14 +17,22 @@ type worker struct {
 
 	qlocal deque
 	lsmall *spillList
-	blocal ready
 	ctx    Ctx
 
-	// adjScratch is the reusable destination for FetchAdjBatch's outer
-	// slice: the transport appends the fetched lists into it and the
-	// resolve path copies them out into the frontier map before the
-	// next call, so the outer allocation is paid once per worker.
-	adjScratch [][]graph.V
+	// blocal is the ready buffer of small tasks: the batch resolveBatch
+	// resolved last, computed front to back from bnext. Only this worker
+	// touches it, and it is refilled only once it has drained.
+	blocal []*Task
+	bnext  int
+	// pending holds the tasks whose last Compute asked for pulls. They
+	// are resolved as one batch once blocal has drained and before new
+	// tasks are popped, so started tasks finish first.
+	pending []*Task
+	// batch is the pop phase's hand-over to resolveBatch: up to C tasks
+	// off qlocal, or one big task off Qglobal.
+	batch []*Task
+
+	rs resolveScratch
 
 	// tracer/track alias rt.tracer and this worker's ring; nil tracer
 	// (tracing off) short-circuits every Record to one branch.
@@ -36,16 +45,36 @@ type worker struct {
 	busy time.Duration
 }
 
+// resolveScratch is what resolveBatch reuses from one batch to the
+// next, so a warm resolve allocates only what its tasks keep (the
+// frontier and the pin lists).
+type resolveScratch struct {
+	at      []int32     // frontier slot of each remote lookup, parallel to the batch's pin list
+	missing []int32     // positions, in the pin list, of the lookups the cache missed
+	keys    []uint64    // owner<<32|id of each missed lookup, parallel to missing
+	want    []uint64    // keys, sorted and deduplicated: what crosses the wire, grouped by owner
+	ids     []graph.V   // the ids of want; an owner's request is a window of it
+	refs    []int32     // lookups per member of want
+	adjs    [][]graph.V // FetchAdjBatch's destination, parallel to want
+}
+
 // resetJob clears the worker's per-job half — queues, spill list,
-// busy time, tracer alias — keeping the warm per-process half
-// (adjScratch, and whatever the app pools per worker). Only called
+// busy time, tracer alias — keeping the warm per-process half (the
+// resolve scratch, and whatever the app pools per worker). Only called
 // between jobs, when the worker goroutine has exited.
 func (w *worker) resetJob(jb *jobState) {
 	w.qlocal = deque{}
-	w.blocal.reset()
+	w.blocal, w.bnext = dropTasks(w.blocal), 0
+	w.pending = dropTasks(w.pending)
 	w.lsmall = newSpillList(w.lsmall.dir, w.lsmall.name, w.lsmall.acct, jb.app)
 	w.busy = 0
 	w.tracer = jb.tracer
+}
+
+// dropTasks empties ts for reuse without keeping its tasks reachable.
+func dropTasks(ts []*Task) []*Task {
+	clear(ts)
+	return ts[:0]
 }
 
 // addLocal enqueues a small task on this worker, spilling on overflow.
@@ -80,11 +109,12 @@ func (w *worker) route(t *Task) {
 // run is the mining-thread main loop, the reforged Algorithm 3:
 //
 //	push: compute a ready big task (Bglobal) first, else a ready
-//	      small task (Blocal);
+//	      small task (Blocal); once Blocal has drained, resolve the
+//	      tasks those computes left waiting on pulls, as one batch;
 //	pop:  try the global queue (refilled from Lbig when low; a failed
 //	      try-lock falls through), else the local queue (refilled from
 //	      Lsmall, then by the spawn scan — which stops at the first big
-//	      task).
+//	      task), up to C tasks at a time, and resolve what was popped.
 //
 // A step that finds nothing parks the worker until shared work shows
 // up or the job ends; it never spins and never sleeps on a timer.
@@ -99,9 +129,9 @@ func (w *worker) run() {
 
 // park blocks until another goroutine makes work visible to this
 // worker or the job ends. step returned false, so everything the
-// worker owns (Qlocal, Lsmall, Blocal) is empty and only the shared
-// sources can feed it: Bglobal, Qglobal backed by Lbig, the spawn
-// cursor, the adopted list. The worker registers as a sleeper BEFORE
+// worker owns (Qlocal, Lsmall, Blocal, the pending list) is empty and
+// only the shared sources can feed it: Bglobal, Qglobal backed by Lbig,
+// the spawn cursor, the adopted list. The worker registers as a sleeper BEFORE
 // looking at them one last time — with blocking reads, not the
 // try-lock step uses — so a producer that published just before the
 // look is seen by it, and one that publishes after sees the sleeper
@@ -121,29 +151,53 @@ func (w *worker) park(jb *jobState) {
 }
 
 // step performs one scheduling action; false means no work was found.
+// Compute is one task per step, so the Bglobal-first check runs
+// between any two computes; resolving never computes.
 func (w *worker) step(jb *jobState) bool {
 	// Push phase: big ready tasks are prioritized across the machine.
 	if t := jb.bglobal.pop(); t != nil {
 		w.compute(t)
 		return true
 	}
-	if t := w.blocal.pop(); t != nil {
+	if t := w.popReady(); t != nil {
 		w.compute(t)
 		return true
 	}
-	// Pop phase.
-	if t := w.popGlobal(jb); t != nil {
-		w.resolve(t)
+	// Blocal has drained: the started tasks waiting on pulls go next.
+	if len(w.pending) > 0 {
+		w.resolveBatch(w.pending)
+		w.pending = dropTasks(w.pending)
 		return true
 	}
-	t, spawned := w.popLocal()
-	if t != nil {
-		w.resolve(t)
+	// Pop phase.
+	spawned := false
+	if t := w.popGlobal(jb); t != nil {
+		w.batch = append(w.batch, t)
+	} else {
+		spawned = w.popLocal()
+	}
+	if len(w.batch) > 0 {
+		w.resolveBatch(w.batch)
+		w.batch = dropTasks(w.batch)
 		return true
 	}
 	// A scan whose only task was big queued it globally: progress, and
 	// the next step pops it.
 	return spawned
+}
+
+// popReady takes the next task of the resolved batch off Blocal.
+func (w *worker) popReady() *Task {
+	if w.bnext == len(w.blocal) {
+		return nil
+	}
+	t := w.blocal[w.bnext]
+	w.blocal[w.bnext] = nil
+	w.bnext++
+	if w.bnext == len(w.blocal) {
+		w.blocal, w.bnext = w.blocal[:0], 0
+	}
+	return t
 }
 
 // popGlobal implements the second reforge change: always try the
@@ -170,11 +224,13 @@ func (w *worker) popGlobal(jb *jobState) *Task {
 	return t
 }
 
-// popLocal pops from the worker's own queue, refilling it first when
-// it runs low: from Lsmall, else by the spawn scan. spawned reports
-// that the scan queued at least one task somewhere.
-func (w *worker) popLocal() (t *Task, spawned bool) {
-	if w.qlocal.len() < w.rt.cfg.BatchSize {
+// popLocal moves the next batch — up to C tasks — from the worker's
+// own queue into w.batch, refilling the queue first when it runs low:
+// from Lsmall, else by the spawn scan. spawned reports that the scan
+// queued at least one task somewhere.
+func (w *worker) popLocal() (spawned bool) {
+	c := w.rt.cfg.BatchSize
+	if w.qlocal.len() < c {
 		var start time.Time
 		if w.tracer != nil {
 			start = time.Now()
@@ -188,7 +244,20 @@ func (w *worker) popLocal() (t *Task, spawned bool) {
 			spawned = w.spawnScan()
 		}
 	}
-	return w.qlocal.popFront(), spawned
+	// A task with nothing to pull ends the batch it is popped in: company
+	// saves it no round trip, and every ready small task a thread holds
+	// is computed before the thread looks at Qglobal again, where the
+	// tasks that fan out wait. A stream of pull-less subtasks is popped
+	// one at a time.
+	n := min(c, w.qlocal.len())
+	for i, t := range w.qlocal.items[:n] {
+		if len(t.Pulls) == 0 {
+			n = i + 1
+			break
+		}
+	}
+	w.batch = w.qlocal.popFrontBatch(w.batch, n)
+	return spawned
 }
 
 // spawnScan walks un-spawned root vertices until it has queued C
@@ -243,112 +312,178 @@ func (w *worker) spawnScan() bool {
 	return spawned > 0
 }
 
-// resolve satisfies a task's pull requests — local table reads for
-// owned vertices, cache/transport for remote ones — and moves it to
-// the appropriate ready buffer. Tasks without pulls compute
-// immediately (Algorithm 5: iteration 2 flows straight into 3).
-func (w *worker) resolve(t *Task) {
-	if len(t.Pulls) == 0 {
-		w.compute(t)
+// resolveBatch satisfies the pull requests of ts — up to C tasks off
+// Qlocal, the pending list, or one big task — and moves every task to
+// its ready buffer; it is the only resolve path, and it never
+// computes. The batch pays for its remote data once: one pass splits
+// the pulls into local table reads and remote lookups, one cache
+// acquire pins the rows already held, the misses are deduplicated and
+// grouped by owner into one FetchAdjBatch per owner, and one insert
+// pins the fetched rows for every task that wanted them. Each task's
+// frontier is a window of one allocation, its pin list of another;
+// everything else is the worker's scratch.
+//
+// A transport failure fails the job and drops the whole batch: the
+// pins acquire took are given back from the lists the batch already
+// holds, and nothing it fetched was inserted, so the cache ends
+// neither poisoned nor pinned.
+func (w *worker) resolveBatch(ts []*Task) {
+	rt := w.rt
+	jb := rt.jb()
+	pulls := 0
+	for _, t := range ts {
+		pulls += len(t.Pulls)
+	}
+	if pulls == 0 {
+		w.pushReady(jb, ts)
 		return
 	}
-	rt := w.rt
-	frontier := make(map[graph.V][]graph.V, len(t.Pulls))
-	var remote []graph.V
-	local := 0
-	for _, id := range t.Pulls {
-		if rt.part.owner(id) == rt.id {
-			frontier[id] = rt.g.Adj(id)
-			local++
-		} else {
-			remote = append(remote, id)
+	var start time.Time
+	if w.tracer != nil {
+		start = time.Now()
+	}
+	rs := &w.rs
+	frontier := make([][]graph.V, pulls)
+	// pins lists the batch's remote lookups, allocated at the first one
+	// with room for every pull still to come: tasks hold windows of it,
+	// so no append may reallocate it. A batch that pulls only local
+	// vertices has none.
+	var pins []graph.V
+	at := rs.at[:0]
+	slot := 0
+	for _, t := range ts {
+		first := len(pins)
+		for _, id := range t.Pulls {
+			if rt.part.owner(id) == rt.id {
+				frontier[slot] = rt.g.Adj(id)
+			} else {
+				if pins == nil {
+					pins = make([]graph.V, 0, pulls-slot)
+				}
+				pins = append(pins, id)
+				at = append(at, int32(slot))
+			}
+			slot++
+		}
+		t.frontier = frontier[slot-len(t.Pulls) : slot : slot]
+		t.pinned = pins[first:len(pins):len(pins)]
+	}
+	rs.at = at
+	if local := pulls - len(pins); local > 0 {
+		jb.localReads.Add(uint64(local))
+	}
+	ok := true
+	if len(pins) > 0 {
+		rs.missing = rt.cache.acquire(pins, at, frontier, rs.missing[:0])
+		if len(rs.missing) > 0 {
+			ok = w.fetchMissing(pins, frontier)
 		}
 	}
-	if local > 0 {
-		rt.jb().localReads.Add(uint64(local))
+	if w.tracer != nil {
+		w.tracer.Record(w.track, obs.KindResolve, start, time.Since(start), uint64(len(ts)), uint64(len(pins)))
 	}
-	if len(remote) > 0 {
-		missing := rt.cache.acquire(remote, frontier)
-		if len(missing) > 0 && !w.fetchMissing(missing, frontier) {
-			// Transport failure: the machine is stopping. Unpin what
-			// acquire pinned (fetchMissing already unpinned its own
-			// inserts) and drop the task — nothing will run it, and
-			// nothing poisoned the cache.
-			w.releaseExcept(remote, missing)
-			return
-		}
-	}
-	t.frontier = frontier
-	t.pinned = remote
-	if rt.isBig(t) {
-		rt.jb().pushReady(t)
-	} else {
-		w.blocal.push(t)
+	if ok {
+		w.pushReady(jb, ts)
 	}
 }
 
-// fetchMissing pulls the cache-missed remote vertices through the
-// transport, grouped into one batched round trip per owning machine —
-// a task with p pulls spread over k machines pays k network latencies,
-// not p. Fetched lists are inserted pre-pinned and added to frontier.
-// On failure it records the error, unpins everything it inserted, and
-// returns false with the cache unpoisoned.
-func (w *worker) fetchMissing(missing []graph.V, frontier map[graph.V][]graph.V) bool {
-	rt := w.rt
-	byOwner := make([][]graph.V, rt.cfg.Machines)
-	for _, id := range missing {
-		o := rt.part.owner(id)
-		byOwner[o] = append(byOwner[o], id)
+// pushReady moves resolved tasks to their ready buffers: big ones to
+// the machine's Bglobal, the rest to this worker's Blocal.
+func (w *worker) pushReady(jb *jobState, ts []*Task) {
+	for _, t := range ts {
+		if w.rt.isBig(t) {
+			jb.pushReady(t)
+		} else {
+			w.blocal = append(w.blocal, t)
+		}
 	}
-	inserted := make([]graph.V, 0, len(missing))
-	for o, ids := range byOwner {
-		if len(ids) == 0 {
-			continue
+}
+
+// fetchMissing pulls the lookups of a batch that the cache missed
+// (rs.missing, positions in pins) through the transport and stores
+// their rows in the frontier. An id wanted by k lookups crosses the
+// wire once: the missed (owner, id) pairs are sorted and deduplicated,
+// which also groups them by owner, so each owner gets one round trip
+// for the whole batch. Only when every owner has answered are the rows
+// inserted, pinned once per lookup. On failure it records the error,
+// releases the pins acquire took, and returns false.
+func (w *worker) fetchMissing(pins []graph.V, frontier [][]graph.V) bool {
+	rt := w.rt
+	rs := &w.rs
+	keys := rs.keys[:0]
+	for _, j := range rs.missing {
+		id := pins[j]
+		keys = append(keys, uint64(rt.part.owner(id))<<32|uint64(id))
+	}
+	rs.keys = keys
+	rs.want = append(rs.want[:0], keys...)
+	slices.Sort(rs.want)
+	rs.want = slices.Compact(rs.want)
+	want := rs.want
+	ids := rs.ids[:0]
+	for _, key := range want {
+		ids = append(ids, graph.V(key))
+	}
+	rs.ids = ids
+
+	adjs := rs.adjs[:0]
+	for lo := 0; lo < len(want); {
+		owner := int(want[lo] >> 32)
+		hi := lo + 1
+		for hi < len(want) && int(want[hi]>>32) == owner {
+			hi++
 		}
 		var fstart time.Time
 		if w.tracer != nil {
 			fstart = time.Now()
 		}
-		adjs, err := rt.transport.FetchAdjBatch(o, ids, w.adjScratch[:0])
+		got, err := rt.transport.FetchAdjBatch(owner, ids[lo:hi], adjs)
 		if w.tracer != nil {
-			w.tracer.Record(w.track, obs.KindFetch, fstart, time.Since(fstart), uint64(o), uint64(len(ids)))
+			w.tracer.Record(w.track, obs.KindFetch, fstart, time.Since(fstart), uint64(owner), uint64(hi-lo))
 		}
-		if err == nil && len(adjs) != len(ids) {
-			err = fmt.Errorf("gthinker: transport returned %d adjacency lists for %d ids", len(adjs), len(ids))
+		if err == nil && len(got) != hi {
+			err = fmt.Errorf("gthinker: transport returned %d adjacency lists for %d ids", len(got)-lo, hi-lo)
 		}
 		if err != nil {
 			rt.fail(err)
-			rt.cache.release(inserted)
+			w.releaseHits(pins)
 			return false
 		}
-		w.adjScratch = adjs[:0] // keep the (possibly grown) backing array
-		for i, id := range ids {
-			rt.cache.insert(id, adjs[i])
-			frontier[id] = adjs[i]
-			inserted = append(inserted, id)
-		}
+		adjs = got
+		lo = hi
 	}
+	rs.adjs = adjs // keep the (possibly grown) backing array
+
+	refs := append(rs.refs[:0], make([]int32, len(want))...)
+	for k, j := range rs.missing {
+		i, _ := slices.BinarySearch(want, keys[k])
+		frontier[rs.at[j]] = adjs[i]
+		refs[i]++
+	}
+	rs.refs = refs
+	rt.cache.insert(ids, adjs, refs)
 	return true
 }
 
-// releaseExcept unpins the members of ids that are not in skip (the
-// failed-resolve path: acquire pinned exactly the non-missing ids).
-func (w *worker) releaseExcept(ids, skip []graph.V) {
-	inSkip := make(map[graph.V]bool, len(skip))
-	for _, id := range skip {
-		inSkip[id] = true
-	}
-	held := ids[:0]
-	for _, id := range ids {
-		if !inSkip[id] {
-			held = append(held, id)
+// releaseHits unpins what acquire pinned for a batch that is being
+// dropped: every member of pins but the missed lookups, whose
+// positions rs.missing lists in ascending order.
+func (w *worker) releaseHits(pins []graph.V) {
+	held := make([]graph.V, 0, len(pins)-len(w.rs.missing))
+	missing := w.rs.missing
+	for j, id := range pins {
+		if len(missing) > 0 && int(missing[0]) == j {
+			missing = missing[1:]
+			continue
 		}
+		held = append(held, id)
 	}
 	w.rt.cache.release(held)
 }
 
-// compute runs Compute iterations until the task suspends on pulls or
-// finishes, routing any subtasks it creates.
+// compute runs Compute iterations until the task suspends on pulls
+// (it joins the pending list) or finishes, routing any subtasks it
+// creates.
 func (w *worker) compute(t *Task) {
 	rt := w.rt
 	jb := rt.jb()
@@ -361,11 +496,10 @@ func (w *worker) compute(t *Task) {
 		jb.computeCalls.Add(1)
 		w.tracer.Record(w.track, obs.KindCompute, start, dur, uint64(len(w.ctx.newTasks)), 0)
 
-		if t.pinned != nil {
+		if len(t.pinned) > 0 {
 			rt.cache.release(t.pinned)
-			t.pinned = nil
 		}
-		t.frontier = nil
+		t.frontier, t.pinned = nil, nil
 
 		for _, nt := range w.ctx.newTasks {
 			jb.subtasksAdded.Add(1)
@@ -381,7 +515,7 @@ func (w *worker) compute(t *Task) {
 			continue // next iteration immediately
 		}
 		t.Pulls = append([]graph.V(nil), w.ctx.pulls...)
-		w.resolve(t)
+		w.pending = append(w.pending, t)
 		return
 	}
 }

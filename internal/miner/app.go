@@ -82,7 +82,8 @@ func (a *app) collected() (parts [][][]graph.V, emitted int64) {
 }
 
 // Spawn is Algorithm 4: one task per vertex v with degree ≥ k, pulling
-// the adjacency lists of v's larger neighbors.
+// the adjacency lists of v's larger neighbors — in ascending order,
+// which iteration1 relies on.
 func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {
 	if len(adj) < a.k {
 		return nil
@@ -111,56 +112,63 @@ func (a *app) IsBig(t *gthinker.Task) bool {
 }
 
 // Compute dispatches on the task iteration (Algorithm 5).
-func (a *app) Compute(t *gthinker.Task, frontier map[graph.V][]graph.V, ctx *gthinker.Ctx) bool {
+func (a *app) Compute(t *gthinker.Task, frontier [][]graph.V, ctx *gthinker.Ctx) bool {
 	p := t.Payload.(*Payload)
 	switch p.Iteration {
 	case 1:
-		return a.iteration1(t, p, frontier, ctx)
+		return a.iteration1(p, t.Pulls, frontier, ctx)
 	case 2:
-		return a.iteration2(p, frontier, a.scratches[ctx.WorkerID])
+		return a.iteration2(p, t.Pulls, frontier, a.scratches[ctx.WorkerID])
 	default:
 		return a.iteration3(p, ctx)
 	}
 }
 
-// iteration1 is Algorithm 6: absorb the pulled 1-hop neighborhood,
-// degree-filter it (Theorem 2), peel the partial subgraph to its
-// k-core counting unpulled 2-hop destinations toward degrees, and pull
-// those 2-hop vertices.
-func (a *app) iteration1(t *gthinker.Task, p *Payload, frontier map[graph.V][]graph.V, ctx *gthinker.Ctx) bool {
+// iteration1 is Algorithm 6: absorb the pulled 1-hop neighborhood
+// (frontier[i] is the adjacency list of pulls[i]), degree-filter it
+// (Theorem 2), peel the partial subgraph to its k-core counting
+// unpulled 2-hop destinations toward degrees, and pull those 2-hop
+// vertices.
+func (a *app) iteration1(p *Payload, pulls []graph.V, frontier [][]graph.V, ctx *gthinker.Ctx) bool {
 	v := p.Root
 	n := a.g.NumVertices()
 	ws := a.scratches[ctx.WorkerID]
 
 	// V1/V2 split by global degree (lines 3–4); V2 members are marked
-	// in the scratch instead of a per-call set.
+	// in the scratch instead of a per-call set. Spawn pulled in
+	// ascending order, so V1 comes out sorted.
 	ws.begin(n)
-	v1 := make([]graph.V, 0, len(frontier))
-	for u, adj := range frontier {
-		if len(adj) >= a.k {
+	v1 := make([]graph.V, 0, len(pulls))
+	cells := 0
+	for i, u := range pulls {
+		if len(frontier[i]) >= a.k {
 			v1 = append(v1, u)
+			cells += len(frontier[i])
 		} else {
 			ws.marks.Mark(u)
 		}
 	}
-	vset.Sort(v1)
 
 	// t.g over V1 ∪ {v} (lines 5–9): keep destinations w ≥ v that are
 	// not degree-pruned; destinations beyond V1 ∪ v are unpulled
-	// 2-hop vertices and stay untouched.
+	// 2-hop vertices and stay untouched. V1's rows share one backing
+	// array, each capped at its own end.
 	p.GVerts = append(make([]graph.V, 0, len(v1)+1), v)
 	p.GVerts = append(p.GVerts, v1...)
-	p.GAdj = make([][]graph.V, len(p.GVerts))
+	p.GAdj = make([][]graph.V, 1, len(p.GVerts))
 	p.GAdj[0] = v1 // v's neighbors > v with degree ≥ k
-	for i, u := range v1 {
-		src := frontier[u]
-		row := make([]graph.V, 0, len(src))
+	flat := make([]graph.V, 0, cells)
+	for _, src := range frontier {
+		if len(src) < a.k {
+			continue
+		}
+		start := len(flat)
 		for _, w := range src {
 			if w >= v && !ws.marks.Marked(w) {
-				row = append(row, w)
+				flat = append(flat, w)
 			}
 		}
-		p.GAdj[i+1] = row
+		p.GAdj = append(p.GAdj, flat[start:len(flat):len(flat)])
 	}
 
 	// Line 10: t.g ← k-core(t.g), counting unpulled destinations.
@@ -173,7 +181,7 @@ func (a *app) iteration1(t *gthinker.Task, p *Payload, frontier map[graph.V][]gr
 	// each vertex as it is pulled, so the pull set needs no map either.
 	ws.begin(n)
 	ws.marks.Mark(v)
-	for u := range frontier {
+	for _, u := range pulls {
 		ws.marks.Mark(u)
 	}
 	for _, row := range p.GAdj {
@@ -185,7 +193,6 @@ func (a *app) iteration1(t *gthinker.Task, p *Payload, frontier map[graph.V][]gr
 		}
 	}
 	p.Iteration = 2
-	_ = t
 	return true
 }
 
@@ -245,9 +252,10 @@ func (a *app) peelPartial(p *Payload, ws *wscratch) bool {
 }
 
 // iteration2 is Algorithm 7: absorb the pulled 2-hop vertices
-// (degree-filtered), induce the exact subgraph over the final member
-// set, peel to the k-core, and set up the mining state.
-func (a *app) iteration2(p *Payload, frontier map[graph.V][]graph.V, ws *wscratch) bool {
+// (degree-filtered; frontier[i] is the adjacency list of pulls[i]),
+// induce the exact subgraph over the final member set, peel to the
+// k-core, and set up the mining state.
+func (a *app) iteration2(p *Payload, pulls []graph.V, frontier [][]graph.V, ws *wscratch) bool {
 	v := p.Root
 	ws.begin(a.g.NumVertices())
 	// Collect the member set: the peeled partial subgraph plus every
@@ -262,7 +270,8 @@ func (a *app) iteration2(p *Payload, frontier map[graph.V][]graph.V, ws *wscratc
 		verts = append(verts, u)
 		ws.rows = append(ws.rows, p.GAdj[i])
 	}
-	for u, adj := range frontier {
+	for i, adj := range frontier {
+		u := pulls[i]
 		if len(adj) >= a.k && !ws.marks.Marked(u) {
 			ws.marks.Mark(u)
 			ws.idxA[u] = uint32(len(ws.rows))

@@ -55,8 +55,13 @@ const (
 	// KindRecoverPeer is a survivor absorbing a recovery directive
 	// (arg1 = dead machine id, arg2 = re-owned tasks).
 	KindRecoverPeer
+	// KindResolve is one batch of tasks having its pulls resolved
+	// (arg1 = tasks, arg2 = remote lookups); the batch's KindFetch
+	// round trips nest inside it. Appended last: the kind bytes of
+	// stored OTR1 traces keep their meaning.
+	KindResolve
 
-	numSpanKinds = int(KindRecoverPeer) + 1
+	numSpanKinds = int(KindResolve) + 1
 )
 
 // spanNames maps each kind to its Chrome event name and argument
@@ -72,6 +77,7 @@ var spanNames = [numSpanKinds]struct{ name, arg1, arg2 string }{
 	KindSteal:       {"steal-round", "moved", "offcycle"},
 	KindRecover:     {"recover", "dead", ""},
 	KindRecoverPeer: {"recover-peer", "dead", "reowned"},
+	KindResolve:     {"resolve", "tasks", "remote_ids"},
 }
 
 func (k SpanKind) String() string {
