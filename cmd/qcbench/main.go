@@ -3,20 +3,28 @@
 //
 // Usage:
 //
-//	qcbench -exp all            # everything (a few minutes)
+//	qcbench -exp all            # everything (about ten seconds)
 //	qcbench -exp table2         # one experiment
-//	qcbench -exp table5a -machines 1 -threads 1,2,4
+//	qcbench -exp table5a -machines 1 -tlist 1,2,4
 //	qcbench -exp table2 -cpuprofile cpu.pb.gz -memprofile heap.pb.gz
-//	qcbench -exp table2 -bincache /tmp/qc   # cache graphs; later runs
-//	                                        # mmap them zero-copy
-//	                                        # (-mmap=false to heap-load)
-//	qcbench -exp table2 -machines 4 -tcp    # the same simulated cluster
+//	qcbench -exp table2 -machines 4 -tcp    # the same in-process cluster
 //	                                        # over real loopback sockets
-//	                                        # (batched adjacency RPCs +
-//	                                        # GQS1 task-steal frames)
+//	qcbench -exp table5b -procs 1 -mlist 1,2,4   # machines are qcworker
+//	                                             # processes
+//	qcbench -exp all -csvdir out            # raw series next to the tables
 //
 // Experiments: table1 table2 table3 table4 table5a table5b table6
 // fig1 fig2 fig3 ablation quickmiss kernel decomp all
+//
+// qcbench prints tables; everything about one mine lives in the tools
+// that mine. To trace a stand-in, inject faults into it, watch its
+// /metrics, time the scalar kernels or print its heaviest roots:
+//
+//	qcgen -type standin -name YouTube -o yt.bin    # prints its Table 2 γ, τsize
+//	qcmine -input yt.bin -gamma 0.9 -minsize 16 -trace t.json -debug-addr :6060 \
+//	       -faultplan ... -frame-timeout ... -dead-after ... -nosimd -rootstats 10
+//
+// and qcconvert -budget is the external-memory write path.
 //
 // -cpuprofile / -memprofile write pprof profiles of the selected
 // experiments (kernel work like the mining hot loop can be profiled
@@ -28,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -47,64 +56,24 @@ func main() {
 		mlist      = flag.String("mlist", "1,2,4", "machine counts for table5b")
 		figDS      = flag.String("figure-dataset", "YouTube", "dataset for figures 1-3")
 		csvDir     = flag.String("csvdir", "", "also write raw series as CSV files into this directory")
-		binCache   = flag.String("bincache", "", "cache stand-in graphs in this directory as binary CSR files (mmap'd zero-copy on later runs)")
-		useMmap    = flag.Bool("mmap", true, "with -bincache: mmap cached graphs and alias the CSR arrays into the mapping instead of reading them into the heap")
-		convBudget = flag.String("convertbudget", "", "with -bincache: write cache files through the external-memory converter under this sort budget (bytes; k/m/g suffixes) instead of an in-memory serialize")
-		useTCP     = flag.Bool("tcp", false, "run the simulated cluster over real loopback sockets: per-machine vertex/task servers plus a batched TCP transport (remote pulls and stolen task batches cross the wire)")
-		procs      = flag.Int("procs", 0, "run every experiment cell on N REAL qcworker OS processes (one vertex partition each, composed from a generated partition manifest over the TCP control plane); overrides -machines/-tcp")
+		useTCP     = flag.Bool("tcp", false, "reach the in-process machines over real loopback sockets: per-machine vertex/task servers plus a batched TCP transport (remote pulls and stolen task batches cross the wire)")
+		procs      = flag.Int("procs", 0, "make every cell's machines REAL qcworker OS processes (one vertex partition each, composed from a generated partition manifest over the TCP control plane), N of them unless the experiment sweeps the machine count; overrides -machines/-tcp")
 		qcworker   = flag.String("qcworker", "", "path to the qcworker binary for -procs (default: next to this binary, then $PATH)")
-		noSIMD     = flag.Bool("nosimd", false, "force the scalar bitset kernels (disable the vectorized AVX2 path) for A/B timing")
-		frameTO    = flag.Duration("frame-timeout", 0, "cluster frame-exchange deadline (0 = default 30s, negative disables)")
-		deadAfter  = flag.Int("dead-after", 0, "consecutive failed status polls before a worker is declared dead (0 = default 5)")
-		faultPlan  = flag.String("faultplan", "", "seeded fault-injection plan for chaos benchmarking, e.g. '7:dialfail=0.1,kill=1@3'")
-		tracePath  = flag.String("trace", "", "record execution timelines across every cell and write the merged Chrome trace-event JSON to this file at exit (load in Perfetto)")
-		debugAddr  = flag.String("debug-addr", "", "serve live /metrics, /healthz, expvar, and pprof on this address while experiments run (e.g. :6060, or :0 for a dynamic port)")
-		rootStats  = flag.Int("rootstats", 0, "print each cell's N heaviest root tasks (by attributed mining time) to stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
 	flag.Parse()
-	if *binCache != "" {
-		experiments.SetBinaryCacheDir(*binCache)
-	}
-	experiments.SetUseMmap(*useMmap)
-	if *convBudget != "" {
-		b, err := parseBytes(*convBudget)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qcbench: -convertbudget: %v\n", err)
-			os.Exit(2)
-		}
-		experiments.SetConvertBudget(b)
-	}
-	experiments.SetUseTCP(*useTCP)
-	experiments.SetNoSIMD(*noSIMD)
-	experiments.SetFaultPlan(*faultPlan)
-	experiments.SetFrameTimeout(*frameTO)
-	experiments.SetDeadAfter(*deadAfter)
-	experiments.SetRootStats(*rootStats)
-	flushTrace := func() {
-		if err := experiments.FlushTrace(); err != nil {
-			fmt.Fprintf(os.Stderr, "qcbench: trace: %v\n", err)
-		}
-	}
-	if *tracePath != "" {
-		experiments.SetTrace(*tracePath)
-		defer flushTrace()
-	}
-	if *debugAddr != "" {
-		if err := experiments.SetDebugAddr(*debugAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "qcbench: debug-addr: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	cluster := experiments.Cluster{Machines: *machines, Workers: *threads, Sockets: *useTCP}
 	if *procs > 0 {
 		bin, err := miner.ResolveQCWorker(*qcworker)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qcbench: -procs: %v\n", err)
 			os.Exit(1)
 		}
-		experiments.SetProcs(*procs, bin)
-		defer experiments.CleanupProcs()
+		cluster.Machines = *procs
+		cluster.Worker = func(machine int, graphPath, manifestPath string) *exec.Cmd {
+			return miner.QCWorkerCommand(bin, graphPath)(machine, manifestPath)
+		}
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -139,12 +108,7 @@ func main() {
 			}
 		}()
 	}
-	// die reports a failure and exits WITHOUT losing the deferred
-	// -procs temp-dir cleanup or the partial trace (os.Exit skips
-	// defers).
 	die := func(format string, args ...any) {
-		flushTrace()
-		experiments.CleanupProcs()
 		fmt.Fprintf(os.Stderr, format, args...)
 		os.Exit(1)
 	}
@@ -166,7 +130,6 @@ func main() {
 			die("qcbench: csv %s: %v\n", name, err)
 		}
 	}
-	cluster := experiments.Cluster{Machines: *machines, Workers: *threads}
 	w := os.Stdout
 
 	run := func(name string, fn func() error) {
@@ -214,23 +177,31 @@ func main() {
 		writeCSV("table4.csv", func(f *os.File) error { return experiments.WriteGridCSV(f, g) })
 		return nil
 	})
-	run("table5a", func() error {
-		rows, err := experiments.Table5Vertical("Enron", *machines, parseInts(*tlist))
+	// scale runs one Table 5 sweep: the default cluster with one
+	// dimension replaced by each entry of counts.
+	scale := func(csvName, caption string, counts []int, reshape func(c *experiments.Cluster, n int)) error {
+		shapes := make([]experiments.Cluster, len(counts))
+		for i, n := range counts {
+			shapes[i] = cluster
+			reshape(&shapes[i], n)
+		}
+		rows, err := experiments.ScaleSweep("Enron", shapes)
 		if err != nil {
 			return err
 		}
-		experiments.PrintScale(w, rows,
-			fmt.Sprintf("Table 5(a): Vertical Scalability on Enron (%d machines)", *machines))
+		experiments.PrintScale(w, rows, caption)
+		writeCSV(csvName, func(f *os.File) error { return experiments.WriteScaleCSV(f, rows) })
 		return nil
+	}
+	run("table5a", func() error {
+		return scale("table5a.csv",
+			fmt.Sprintf("Table 5(a): Vertical Scalability on Enron (%d machines)", cluster.Machines),
+			parseInts(*tlist), func(c *experiments.Cluster, n int) { c.Workers = n })
 	})
 	run("table5b", func() error {
-		rows, err := experiments.Table5Horizontal("Enron", parseInts(*mlist), *threads)
-		if err != nil {
-			return err
-		}
-		experiments.PrintScale(w, rows,
-			fmt.Sprintf("Table 5(b): Horizontal Scalability on Enron (%d threads)", *threads))
-		return nil
+		return scale("table5b.csv",
+			fmt.Sprintf("Table 5(b): Horizontal Scalability on Enron (%d threads)", cluster.Workers),
+			parseInts(*mlist), func(c *experiments.Cluster, n int) { c.Machines = n })
 	})
 	run("table6", func() error {
 		rows, err := experiments.Table6("Hyves", experiments.Table6TauTimes(), cluster)
@@ -336,23 +307,4 @@ func parseInts(s string) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// parseBytes parses "512", "64k", "256m", "2g" (case-insensitive).
-func parseBytes(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
 }

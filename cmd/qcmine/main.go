@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"gthinkerqc"
-	"gthinkerqc/internal/experiments"
+	"gthinkerqc/internal/metrics"
 	"gthinkerqc/internal/miner"
 )
 
@@ -137,10 +137,17 @@ func main() {
 		}
 	}
 	if *rootStats > 0 {
-		if res.Tasks == nil {
+		var top []metrics.RootStat
+		if res.Tasks != nil {
+			top = res.Tasks.TopK(*rootStats)
+		}
+		if len(top) == 0 {
 			fmt.Fprintln(os.Stderr, "qcmine: -rootstats: no per-root statistics on this path (serial or multi-process run)")
 		} else {
-			experiments.PrintRootStats(os.Stderr, "qcmine", res.Tasks, *rootStats)
+			fmt.Fprintf(os.Stderr, "qcmine: top %d roots by mining time (total mining %v, materialize %v)\n",
+				len(top), res.Tasks.TotalMining().Round(time.Microsecond),
+				res.Tasks.TotalMaterialize().Round(time.Microsecond))
+			metrics.WriteRootTable(os.Stderr, top)
 		}
 	}
 }

@@ -12,7 +12,7 @@
 //
 //	GTHINKER-WORKER READY control=<addr>
 //
-// on stdout; the coordinator (qcmine -procs / qcbench -procs, or any
+// on stdout; the coordinator (qcmine -procs, or any
 // ClusterClient) dials that address, sends the join handshake carrying
 // the job spec, distributes peer addresses, and drives the run. The
 // worker binds the addresses named in its manifest row, or dynamic

@@ -29,7 +29,7 @@
 //
 //   - build with the noasm tag (the assembly is not even assembled;
 //     CI keeps this leg green so the portable kernels cannot rot);
-//   - call SetSIMD(false) at runtime (the qcmine/qcbench -nosimd flag
+//   - call SetSIMD(false) at runtime (the qcmine -nosimd flag
 //     and Options.NoSIMD knob do this) for rebuild-free A/B runs;
 //   - run on a non-amd64 or pre-AVX2 host, where detection fails.
 //

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -111,10 +112,13 @@ func TestBarabasiAlbert(t *testing.T) {
 	if g.MaxDegree() < 10 {
 		t.Fatalf("BA max degree = %d, expected heavy tail", g.MaxDegree())
 	}
-	// Determinism.
+	// Determinism, row by row: every vertex adds exactly mAttach edges,
+	// so the edge count alone cannot tell two different graphs apart.
 	g2 := BarabasiAlbert(500, 5, 3, 99)
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatal("BA not deterministic")
+	for v := 0; v < g.NumVertices(); v++ {
+		if !slices.Equal(g.Adj(graph.V(v)), g2.Adj(graph.V(v))) {
+			t.Fatalf("BA not deterministic: vertex %d has neighbours %v, then %v", v, g.Adj(graph.V(v)), g2.Adj(graph.V(v)))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"fmt"
+	"slices"
 
 	"gthinkerqc/internal/graph"
 )
@@ -72,8 +73,11 @@ func BarabasiAlbert(n, m0, mAttach int, seed uint64) *graph.Graph {
 			endpoints = append(endpoints, graph.V(i), graph.V(j))
 		}
 	}
+	// chosen keeps selection order: the endpoint list, and with it every
+	// later draw, must not depend on map iteration order.
+	chosen := make([]graph.V, 0, mAttach)
 	for v := m0; v < n; v++ {
-		chosen := map[graph.V]bool{}
+		chosen = chosen[:0]
 		for len(chosen) < mAttach {
 			var t graph.V
 			if len(endpoints) == 0 {
@@ -81,17 +85,17 @@ func BarabasiAlbert(n, m0, mAttach int, seed uint64) *graph.Graph {
 			} else {
 				t = endpoints[rng.Intn(len(endpoints))]
 			}
-			if int(t) == v || chosen[t] {
+			if int(t) == v || slices.Contains(chosen, t) {
 				// Fall back to uniform to guarantee progress in
 				// degenerate corners.
 				t = graph.V(rng.Intn(v))
-				if int(t) == v || chosen[t] {
+				if int(t) == v || slices.Contains(chosen, t) {
 					continue
 				}
 			}
-			chosen[t] = true
+			chosen = append(chosen, t)
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			b.AddEdge(graph.V(v), t)
 			endpoints = append(endpoints, graph.V(v), t)
 		}

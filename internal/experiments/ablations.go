@@ -89,13 +89,13 @@ func AblationDecomposition(dataset string, cluster Cluster, tauTime time.Duratio
 	var rows []DecompRow
 	for _, v := range variants {
 		out, err := Run(RunSpec{
-			Dataset: dataset, Cluster: cluster,
+			Dataset: dataset,
 			TauTime: tauTime, MinSize: minSize,
 			SizeThresholdOnly:  v.sizeThreshold,
 			KeepNonMaximal:     true,
 			DisableGlobalQueue: v.disableGlobal,
 			NoDecomposition:    v.noDecomp,
-		})
+		}, cluster)
 		if err != nil {
 			return nil, err
 		}

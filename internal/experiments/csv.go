@@ -8,7 +8,7 @@ import (
 )
 
 // CSV exporters so the figure/table series can be plotted externally
-// (qcbench -csv writes them next to the textual tables).
+// (qcbench -csvdir writes them next to the textual tables).
 
 // WriteFigureCSV emits one row per spawned task: root, subgraph size,
 // mining nanoseconds, materialization nanoseconds, subtasks — the raw
@@ -58,13 +58,14 @@ func WriteGridCSV(w io.Writer, g *Grid) error {
 	return cw.Error()
 }
 
-// WriteScaleCSV emits scalability rows.
+// WriteScaleCSV emits scalability rows with the derived speedup and
+// busy-fraction columns, so the curve plots without recomputation.
 func WriteScaleCSV(w io.Writer, rows []ScaleRow) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"machines", "workers", "time_ns", "ram_bytes", "disk_bytes", "busy_ns", "imbalance", "stolen"}); err != nil {
+	if err := cw.Write([]string{"machines", "workers", "time_ns", "ram_bytes", "disk_bytes", "busy_ns", "imbalance", "stolen", "speedup", "busy_fraction"}); err != nil {
 		return err
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		rec := []string{
 			strconv.Itoa(r.Machines),
 			strconv.Itoa(r.Workers),
@@ -74,6 +75,8 @@ func WriteScaleCSV(w io.Writer, rows []ScaleRow) error {
 			strconv.FormatInt(int64(r.TotalBusy), 10),
 			fmt.Sprintf("%.4f", r.Imbalance),
 			strconv.FormatUint(r.Stolen, 10),
+			fmt.Sprintf("%.4f", Speedup(rows, i)),
+			fmt.Sprintf("%.4f", r.BusyFraction()),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

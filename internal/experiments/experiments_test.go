@@ -2,14 +2,25 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gthinkerqc/internal/gthinker"
+	"gthinkerqc/internal/miner"
 )
 
 // The experiment smoke tests use the small datasets so the whole file
-// runs in a few seconds; full-scale regeneration happens in the
-// repository-root benchmarks and cmd/qcbench.
+// runs in a few seconds; full-scale regeneration happens in
+// cmd/qcbench.
+
+// small is the shape the smoke tests mine on.
+var small = Cluster{Machines: 1, Workers: 2}
 
 func TestTable1(t *testing.T) {
 	rows, err := Table1()
@@ -32,7 +43,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestRunSmallDataset(t *testing.T) {
-	out, err := Run(RunSpec{Dataset: "CX_GSE1730"})
+	out, err := Run(RunSpec{Dataset: "CX_GSE1730"}, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +54,17 @@ func TestRunSmallDataset(t *testing.T) {
 		t.Fatalf("timings missing: %+v", out)
 	}
 	// Unknown dataset errors.
-	if _, err := Run(RunSpec{Dataset: "nope"}); err == nil {
+	if _, err := Run(RunSpec{Dataset: "nope"}, small); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
 
 func TestKeepNonMaximalGrowsCounts(t *testing.T) {
-	raw, err := Run(RunSpec{Dataset: "CX_GSE10158", KeepNonMaximal: true})
+	raw, err := Run(RunSpec{Dataset: "CX_GSE10158", KeepNonMaximal: true}, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := Run(RunSpec{Dataset: "CX_GSE10158"})
+	filtered, err := Run(RunSpec{Dataset: "CX_GSE10158"}, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +76,7 @@ func TestKeepNonMaximalGrowsCounts(t *testing.T) {
 func TestSmallGrid(t *testing.T) {
 	g, err := RunGrid("CX_GSE1730",
 		[]time.Duration{10 * time.Millisecond, 100 * time.Microsecond},
-		[]int{500, 50}, DefaultCluster)
+		[]int{500, 50}, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +99,7 @@ func TestSmallGrid(t *testing.T) {
 }
 
 func TestScalabilitySmoke(t *testing.T) {
-	rows, err := Table5Vertical("CX_GSE10158", 1, []int{1, 2})
+	rows, err := ScaleSweep("CX_GSE10158", []Cluster{{Machines: 1, Workers: 1}, {Machines: 1, Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +109,7 @@ func TestScalabilitySmoke(t *testing.T) {
 	if rows[0].TotalBusy == 0 {
 		t.Fatal("busy time missing")
 	}
-	hrows, err := Table5Horizontal("CX_GSE10158", []int{1, 2}, 1)
+	hrows, err := ScaleSweep("CX_GSE10158", []Cluster{{Machines: 1, Workers: 1}, {Machines: 2, Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +118,99 @@ func TestScalabilitySmoke(t *testing.T) {
 	if !strings.Contains(buf.String(), "Machines") {
 		t.Fatal("scale printout malformed")
 	}
+	// The first row is the baseline of the speedup column, and a worker
+	// cannot be busy for longer than the job ran.
+	if got := Speedup(hrows, 0); got != 1 {
+		t.Fatalf("first row's speedup = %v, want 1", got)
+	}
+	for _, r := range hrows {
+		if b := r.BusyFraction(); b <= 0 || b > 1 {
+			t.Fatalf("busy fraction %v outside (0, 1]: %+v", b, r)
+		}
+	}
+	if !strings.Contains(buf.String(), "speedup") || !strings.Contains(buf.String(), "busy") {
+		t.Fatal("scale printout lacks the derived columns")
+	}
+}
+
+// TestHelperWorkerProcess is not a test: it is the body of the worker
+// OS processes TestScaleSweepHonoursShape spawns by re-executing this
+// test binary — cmd/qcworker's main with flags read from the
+// environment, as in internal/miner's procs tests.
+func TestHelperWorkerProcess(t *testing.T) {
+	if os.Getenv("QCWORKER_HELPER") != "1" {
+		t.Skip("helper process body, not a test")
+	}
+	machine, err := strconv.Atoi(os.Getenv("QCWORKER_MACHINE"))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "helper:", err)
+		os.Exit(1)
+	}
+	host, cleanup, err := miner.HostWorker(os.Getenv("QCWORKER_GRAPH"), os.Getenv("QCWORKER_MANIFEST"), machine, "", false)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "helper:", err)
+		os.Exit(1)
+	}
+	gthinker.PrintWorkerReady(os.Stdout, host)
+	host.WaitExit()
+	cleanup()
+	os.Exit(0)
+}
+
+// TestScaleSweepHonoursShape pins that a machine sweep runs each row
+// on the machine count it is labelled with, on both compositions that
+// have machines to count: worker processes (where the parent of this
+// change ran every row on the -procs count) and loopback sockets.
+func TestScaleSweepHonoursShape(t *testing.T) {
+	for _, procs := range []bool{true, false} {
+		name := "sockets"
+		if procs {
+			name = "processes"
+		}
+		t.Run(name, func(t *testing.T) {
+			if procs && testing.Short() {
+				t.Skip("spawns OS processes")
+			}
+			shapes := []Cluster{{Machines: 1, Workers: 1, Sockets: true}, {Machines: 2, Workers: 1, Sockets: true}}
+			spawned := make([]atomic.Int32, len(shapes))
+			if procs {
+				for i := range shapes {
+					i := i
+					shapes[i].Worker = func(machine int, graphPath, manifestPath string) *exec.Cmd {
+						spawned[i].Add(1)
+						cmd := exec.Command(os.Args[0], "-test.run", "^TestHelperWorkerProcess$")
+						cmd.Env = append(os.Environ(),
+							"QCWORKER_HELPER=1",
+							"QCWORKER_GRAPH="+graphPath,
+							"QCWORKER_MANIFEST="+manifestPath,
+							"QCWORKER_MACHINE="+strconv.Itoa(machine))
+						return cmd
+					}
+				}
+			}
+			rows, err := ScaleSweep("CX_GSE1730", shapes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != len(shapes) {
+				t.Fatalf("rows = %d", len(rows))
+			}
+			for i, r := range rows {
+				m := shapes[i].Machines
+				if r.Machines != m || r.Threads != m {
+					t.Fatalf("row %d labelled %d machines ran on %d worker threads", i, r.Machines, r.Threads)
+				}
+				if got := int(spawned[i].Load()); procs && got != m {
+					t.Fatalf("row %d spawned %d worker processes, want %d", i, got, m)
+				}
+			}
+		})
+	}
 }
 
 func TestTable6Smoke(t *testing.T) {
 	rows, err := Table6("CX_GSE1730",
-		[]time.Duration{10 * time.Millisecond, 50 * time.Microsecond}, DefaultCluster)
+		[]time.Duration{10 * time.Millisecond, 50 * time.Microsecond}, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +230,7 @@ func TestTable6Smoke(t *testing.T) {
 }
 
 func TestFigures(t *testing.T) {
-	f, err := CollectFigureData("CX_GSE10158", DefaultCluster)
+	f, err := CollectFigureData("CX_GSE10158", small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +317,7 @@ func TestFutureWorkKernelSmoke(t *testing.T) {
 }
 
 func TestAblationDecompositionSmoke(t *testing.T) {
-	rows, err := AblationDecomposition("CX_GSE10158", DefaultCluster, 0, 0)
+	rows, err := AblationDecomposition("CX_GSE10158", small, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ type FigureData struct {
 // CollectFigureData runs the dataset once and snapshots per-root
 // statistics.
 func CollectFigureData(dataset string, cluster Cluster) (*FigureData, error) {
-	out, err := Run(RunSpec{Dataset: dataset, Cluster: cluster, KeepNonMaximal: true})
+	out, err := Run(RunSpec{Dataset: dataset, KeepNonMaximal: true}, cluster)
 	if err != nil {
 		return nil, err
 	}

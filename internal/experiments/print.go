@@ -84,15 +84,17 @@ func PrintGrid(w io.Writer, g *Grid, caption string) {
 	}
 }
 
-// PrintScale renders a scalability table (Table 5a/5b).
+// PrintScale renders a scalability table (Table 5a/5b). speedup is
+// against the first row; busy is ScaleRow.BusyFraction.
 func PrintScale(w io.Writer, rows []ScaleRow, caption string) {
 	fmt.Fprintf(w, "%s\n", caption)
-	fmt.Fprintf(w, "%9s %9s %10s %9s %9s %12s %10s %8s\n",
-		"Machines", "Threads", "Time", "RAM", "Disk", "TotalBusy", "Imbalance", "Stolen")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%9d %9d %10s %9s %9s %12s %10.2f %8d\n",
+	fmt.Fprintf(w, "%9s %9s %10s %9s %9s %12s %10s %8s %8s %6s\n",
+		"Machines", "Threads", "Time", "RAM", "Disk", "TotalBusy", "Imbalance", "Stolen", "speedup", "busy")
+	for i, r := range rows {
+		fmt.Fprintf(w, "%9d %9d %10s %9s %9s %12s %10.2f %8d %8.2f %6.2f\n",
 			r.Machines, r.Workers, fmtDur(r.Time), fmtBytes(int64(r.RAM)),
-			fmtBytes(r.Disk), fmtDur(r.TotalBusy), r.Imbalance, r.Stolen)
+			fmtBytes(r.Disk), fmtDur(r.TotalBusy), r.Imbalance, r.Stolen,
+			Speedup(rows, i), r.BusyFraction())
 	}
 }
 
@@ -133,11 +135,7 @@ func PrintFigure1(w io.Writer, f *FigureData) {
 // PrintFigure2 renders the top-k task times.
 func PrintFigure2(w io.Writer, f *FigureData, k int) {
 	fmt.Fprintf(w, "Figure 2: Time of Top-%d Tasks on %s\n", k, f.Dataset)
-	fmt.Fprintf(w, "%6s %10s %10s %10s %10s\n", "rank", "root", "|V(g)|", "mining", "subtasks")
-	for i, s := range f.Figure2(k) {
-		fmt.Fprintf(w, "%6d %10d %10d %10s %10d\n",
-			i+1, s.Root, s.SubSize, fmtDur(s.Mining), s.Subtasks)
-	}
+	metrics.WriteRootTable(w, f.Figure2(k))
 }
 
 // PrintFigure3 renders the comparable-size / divergent-time cohorts.

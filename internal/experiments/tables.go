@@ -60,11 +60,11 @@ type Table2Row struct {
 func Table2(cluster Cluster) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, s := range datagen.Standins() {
-		raw, err := Run(RunSpec{Dataset: s.Name, Cluster: cluster, KeepNonMaximal: true})
+		raw, err := Run(RunSpec{Dataset: s.Name, KeepNonMaximal: true}, cluster)
 		if err != nil {
 			return nil, err
 		}
-		filtered, err := Run(RunSpec{Dataset: s.Name, Cluster: cluster})
+		filtered, err := Run(RunSpec{Dataset: s.Name}, cluster)
 		if err != nil {
 			return nil, err
 		}
@@ -111,9 +111,8 @@ func RunGrid(dataset string, tauTimes []time.Duration, tauSplits []int, cluster 
 		resRow := make([]int, 0, len(tauSplits))
 		for _, ts := range tauSplits {
 			out, err := Run(RunSpec{
-				Dataset: dataset, TauTime: tt, TauSplit: ts,
-				Cluster: cluster, KeepNonMaximal: true,
-			})
+				Dataset: dataset, TauTime: tt, TauSplit: ts, KeepNonMaximal: true,
+			}, cluster)
 			if err != nil {
 				return nil, err
 			}
@@ -142,9 +141,13 @@ func Table4(cluster Cluster) (*Grid, error) {
 type ScaleRow struct {
 	Machines int
 	Workers  int
-	Time     time.Duration
-	RAM      uint64
-	Disk     int64
+	// Threads is how many workers the engine reported busy time for:
+	// Machines × Workers when the cell ran on the shape it is labelled
+	// with.
+	Threads int
+	Time    time.Duration
+	RAM     uint64
+	Disk    int64
 	// TotalBusy is the aggregate per-worker compute time: if it stays
 	// flat while Time drops, the speedup is real parallelism, not
 	// reduced work.
@@ -154,45 +157,45 @@ type ScaleRow struct {
 	Stolen    uint64
 }
 
-// Table5Vertical varies threads per machine at a fixed machine count
-// (paper Table 5a: 16 machines × {4,8,16,32} threads; scaled to the
-// host by the caller).
-func Table5Vertical(dataset string, machines int, workerCounts []int) ([]ScaleRow, error) {
+// ScaleSweep mines the dataset once per cluster shape (paper Table 5:
+// (a) varies threads per machine at a fixed machine count, (b) the
+// machine count at fixed threads; the caller scales the lists to the
+// host).
+func ScaleSweep(dataset string, shapes []Cluster) ([]ScaleRow, error) {
 	var rows []ScaleRow
-	for _, w := range workerCounts {
-		out, err := Run(RunSpec{Dataset: dataset,
-			Cluster: Cluster{Machines: machines, Workers: w}, KeepNonMaximal: true})
+	for _, c := range shapes {
+		out, err := Run(RunSpec{Dataset: dataset, KeepNonMaximal: true}, c)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, scaleRow(machines, w, out))
+		rows = append(rows, ScaleRow{
+			Machines: c.Machines, Workers: c.Workers,
+			Threads: len(out.Engine.WorkerBusy),
+			Time:    out.Wall, RAM: out.PeakRAM, Disk: out.PeakDisk,
+			TotalBusy: out.Engine.TotalBusy(),
+			Imbalance: out.Engine.BusyImbalance(),
+			Stolen:    out.Engine.TasksStolen,
+		})
 	}
 	return rows, nil
 }
 
-// Table5Horizontal varies the machine count at fixed threads per
-// machine (paper Table 5b).
-func Table5Horizontal(dataset string, machineCounts []int, workers int) ([]ScaleRow, error) {
-	var rows []ScaleRow
-	for _, m := range machineCounts {
-		out, err := Run(RunSpec{Dataset: dataset,
-			Cluster: Cluster{Machines: m, Workers: workers}, KeepNonMaximal: true})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, scaleRow(m, workers, out))
+// Speedup is the first row's time over row i's: the scaling curve.
+func Speedup(rows []ScaleRow, i int) float64 {
+	if rows[i].Time <= 0 {
+		return 0
 	}
-	return rows, nil
+	return float64(rows[0].Time) / float64(rows[i].Time)
 }
 
-func scaleRow(m, w int, out Outcome) ScaleRow {
-	return ScaleRow{
-		Machines: m, Workers: w,
-		Time: out.Wall, RAM: out.PeakRAM, Disk: out.PeakDisk,
-		TotalBusy: out.Engine.TotalBusy(),
-		Imbalance: out.Engine.BusyImbalance(),
-		Stolen:    out.Engine.TasksStolen,
+// BusyFraction is the share of the row's thread time (wall time ×
+// machines × workers) its workers spent computing; where the curve
+// flattens, this says whether threads idled or did more work.
+func (r ScaleRow) BusyFraction() float64 {
+	if r.Time <= 0 || r.Threads <= 0 {
+		return 0
 	}
+	return float64(r.TotalBusy) / (float64(r.Time) * float64(r.Threads))
 }
 
 // ---------------------------------------------------------------- Table 6
@@ -222,8 +225,7 @@ func Table6TauTimes() []time.Duration {
 func Table6(dataset string, tauTimes []time.Duration, cluster Cluster) ([]Table6Row, error) {
 	var rows []Table6Row
 	for _, tt := range tauTimes {
-		out, err := Run(RunSpec{Dataset: dataset, TauTime: tt,
-			Cluster: cluster, KeepNonMaximal: true})
+		out, err := Run(RunSpec{Dataset: dataset, TauTime: tt, KeepNonMaximal: true}, cluster)
 		if err != nil {
 			return nil, err
 		}

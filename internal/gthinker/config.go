@@ -58,7 +58,7 @@ type Config struct {
 	// servers on 127.0.0.1 and drives them with the same framed
 	// protocol a qcworker process speaks, so every remote adjacency
 	// pull, stolen big-task batch, status poll, and metrics flush
-	// crosses a real socket (qcbench -tcp).
+	// crosses a real socket.
 	InProcessTCP bool
 	// FrameTimeout bounds each framed request/response exchange on
 	// the control and data planes (one conn deadline per attempt), so
@@ -117,8 +117,7 @@ type Config struct {
 	// the coordinator makes (machine id, its report). It is invoked
 	// from the coordinator's poll loop, so it must be fast and must
 	// not call back into the control plane. Coordinator-side only —
-	// callers use it to feed an external live view (qcbench's debug
-	// server does).
+	// callers use it to feed an external live view.
 	StatusSink func(machine int, st MachineStatus)
 }
 

@@ -204,9 +204,8 @@
 //
 //	qcgen -o g.bin -type standin -name Enron
 //	qcmine -input g.bin -gamma 0.85 -minsize 10 -procs 4 -threads 2
-//	qcbench -exp table2 -procs 4 -qcworker ./qcworker
 //
-// Manual composition (what those commands do):
+// Manual composition (what that command does):
 //
 //	qcworker -graph g.bin -manifest cluster.gqm -machine 0   # × N
 //
@@ -274,7 +273,7 @@
 // Three instruments share one design rule: zero cost when off, and no
 // new synchronization on the mining hot path when on.
 //
-// Span tracing (Config.Trace; -trace on qcmine, qcbench, qcworker)
+// Span tracing (Config.Trace; -trace on qcmine and qcworker)
 // records fixed-size span records into per-worker ring buffers
 // (internal/obs.Tracer): an atomic cursor claims slots, timestamps are
 // absolute epoch nanoseconds so spans from different processes merge
@@ -303,8 +302,7 @@
 // standing benchmark names five kinds (compute, fetch, spill, refill,
 // spawn) and reports the rest of a thread's time as
 // gthinker.idle_share, so that number is parked time plus resolve self
-// time; the trace JSON (qcbench -trace, qcmine -trace) separates the
-// two.
+// time; the trace JSON (qcmine -trace) separates the two.
 //
 // Pid is the machine id (-1 = coordinator), Tid the worker (negative
 // = a machine's control track). After shutdown Cluster.RunJob merges
@@ -322,7 +320,7 @@
 // metric reference, and a series name means the same thing wherever
 // it is scraped.
 //
-// The debug server (Config.DebugAddr; -debug-addr on qcmine, qcbench,
+// The debug server (Config.DebugAddr; -debug-addr on qcmine and
 // qcworker; ":0" picks a port and logs it) serves /metrics (Prometheus
 // text), /healthz, /debug/vars (expvar), and /debug/pprof/* while the
 // run is live. A qcworker exports its own runtime's rows plus the
@@ -335,7 +333,6 @@
 // carries the machine's Counters snapshot, read from the runtime's
 // existing atomics, so the coordinator's LiveView is current to within
 // one StatusInterval with zero extra RPCs. The same
-// view feeds Config.Progress one-line summaries and Config.StatusSink
-// (how qcbench's process-wide debug server tracks whichever cell is
-// currently mining).
+// view feeds Config.Progress one-line summaries; Config.StatusSink
+// hands every status reply to a caller that keeps a view of its own.
 package gthinker

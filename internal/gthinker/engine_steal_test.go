@@ -1,6 +1,7 @@
 package gthinker
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,22 +157,36 @@ func TestStealRoundShipsRemote(t *testing.T) {
 // and the steal period is far longer than the run — only the
 // coordinator's idle-machine hysteresis can move work. Without it the
 // idle machine would starve until the (never-arriving) steal tick.
+// The backlog is gated: its tasks block until the coordinator's own
+// status view shows machine 1 received something, so the job cannot
+// end before the hysteresis fires however slowly this test is
+// scheduled; a regression shows as the deadline opening the gate and
+// the counters staying zero, not as a hang.
 func TestStealHysteresisOffCycle(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
-	run := func(idlePolls int) *Metrics {
-		// Machine 0 ends up holding a skewed backlog of slow big tasks
-		// (one root there fans out into 64 of them); machine 1 spawns
-		// nothing and sits idle.
-		return mustRunApp(t, g, &skewApp{root: OwnedVertices(g.NumVertices(), 0, 2)[0]}, Config{
-			Machines: 2, WorkersPerMachine: 1,
-			SpillDir:       t.TempDir(),
-			StealInterval:  time.Hour, // the periodic master never fires
-			StatusInterval: 200 * time.Microsecond,
-			StealIdlePolls: idlePolls,
-		}).Metrics
+	cfg := Config{
+		Machines: 2, WorkersPerMachine: 1,
+		StealInterval:  time.Hour, // the periodic master never fires
+		StatusInterval: 200 * time.Microsecond,
 	}
+	// Machine 0 ends up holding a skewed backlog of big tasks (one root
+	// there fans out into 64 of them); machine 1 spawns nothing and
+	// sits idle.
+	root := OwnedVertices(g.NumVertices(), 0, 2)[0]
 
-	met := run(2)
+	gate := make(chan struct{})
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	deadline := time.AfterFunc(10*time.Second, release)
+	defer deadline.Stop()
+	cfg.SpillDir = t.TempDir()
+	cfg.StealIdlePolls = 2
+	cfg.StatusSink = func(machine int, st MachineStatus) {
+		if machine == 1 && st.RecvIn > 0 {
+			release()
+		}
+	}
+	met := mustRunApp(t, g, &skewApp{root: root, gate: gate}, cfg).Metrics
 	if met.TasksStolen == 0 || met.OffCycleSteals == 0 {
 		t.Fatalf("hysteresis never fired: stolen=%d offcycle=%d rounds=%d",
 			met.TasksStolen, met.OffCycleSteals, met.StealRounds)
@@ -181,8 +196,12 @@ func TestStealHysteresisOffCycle(t *testing.T) {
 	}
 
 	// Disabled hysteresis (negative): the same skew drains donor-side
-	// only — no steals can happen inside the run.
-	met = run(-1)
+	// only — no steals can happen inside the run. Ungated: each task
+	// sleeps instead, so the backlog outlives several status polls.
+	cfg.SpillDir = t.TempDir()
+	cfg.StealIdlePolls = -1
+	cfg.StatusSink = nil
+	met = mustRunApp(t, g, &skewApp{root: root}, cfg).Metrics
 	if met.TasksStolen != 0 || met.OffCycleSteals != 0 {
 		t.Fatalf("steals happened with hysteresis disabled and a 1h period: stolen=%d offcycle=%d",
 			met.TasksStolen, met.OffCycleSteals)
@@ -193,11 +212,12 @@ func TestStealHysteresisOffCycle(t *testing.T) {
 }
 
 // skewApp puts the whole job on one machine: the task spawned from
-// vertex root adds 64 subtasks, each slow enough that the backlog
-// outlives several status polls; every task is big.
+// vertex root adds 64 subtasks; every task is big. A subtask waits for
+// gate when there is one, and otherwise sleeps a millisecond.
 type skewApp struct {
 	nilApp
 	root graph.V
+	gate <-chan struct{}
 }
 
 func (a *skewApp) Spawn(v graph.V, _ []graph.V, _ *Ctx) *Task {
@@ -212,7 +232,11 @@ func (a *skewApp) Compute(t *Task, _ [][]graph.V, ctx *Ctx) bool {
 	for i := graph.V(0); i < p[0]; i++ {
 		ctx.AddTask(NewTask([]graph.V{0}))
 	}
-	if p[0] == 0 {
+	switch {
+	case p[0] != 0:
+	case a.gate != nil:
+		<-a.gate
+	default:
 		time.Sleep(time.Millisecond)
 	}
 	return false

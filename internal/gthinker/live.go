@@ -14,8 +14,7 @@ import (
 // picture, built from the counter samples piggybacked on the status
 // replies. It serves two consumers concurrently with the scan loop: the debug server's /metrics endpoint (Samples) and the
 // -progress log line (String). External callers can also feed one
-// through Config.StatusSink — qcbench runs a single process-wide view
-// across experiment cells that way.
+// through Config.StatusSink.
 type LiveView struct {
 	mu      sync.Mutex
 	started time.Time

@@ -9,6 +9,8 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -118,6 +120,18 @@ func (r *Recorder) TopK(k int) []RootStat {
 		k = len(all)
 	}
 	return all[:k]
+}
+
+// WriteRootTable renders root tasks in the order given (PerRoot and
+// TopK return heaviest first) as an aligned table: the per-root
+// mining/materialization split behind the paper's Figure 2.
+func WriteRootTable(w io.Writer, roots []RootStat) {
+	fmt.Fprintf(w, "%6s %10s %8s %12s %12s %9s\n", "rank", "root", "|V(g)|", "mining", "materialize", "subtasks")
+	for i, s := range roots {
+		fmt.Fprintf(w, "%6d %10d %8d %12v %12v %9d\n",
+			i+1, s.Root, s.SubSize, s.Mining.Round(time.Microsecond),
+			s.Materialize.Round(time.Microsecond), s.Subtasks)
+	}
 }
 
 // Histogram buckets root mining times into powers-of-ten bins

@@ -286,8 +286,8 @@ func HostWorker(graphPath, manifestPath string, machineID int, faultSpec string,
 
 // ResolveQCWorker finds the qcworker binary for a coordinator CLI: an
 // explicit path, the directory holding the calling binary, then
-// $PATH. Shared by qcmine and qcbench so their resolution rules cannot
-// diverge.
+// $PATH. Shared by every coordinator CLI so their resolution rules
+// cannot diverge.
 func ResolveQCWorker(explicit string) (string, error) {
 	if explicit != "" {
 		if _, err := os.Stat(explicit); err != nil {
@@ -309,8 +309,8 @@ func ResolveQCWorker(explicit string) (string, error) {
 
 // QCWorkerCommand returns the standard worker command factory for a
 // ProcsConfig: run the qcworker binary at bin against graphPath and
-// the generated manifest. qcmine's coordinator mode and qcbench
-// -procs share it so the invocation contract cannot diverge.
+// the generated manifest. Every coordinator CLI shares it so the
+// invocation contract cannot diverge.
 func QCWorkerCommand(bin, graphPath string) func(machine int, manifestPath string) *exec.Cmd {
 	return func(machine int, manifestPath string) *exec.Cmd {
 		return exec.Command(bin,

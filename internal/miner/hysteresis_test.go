@@ -12,15 +12,16 @@ import (
 // TestMineHysteresisSkewedPlanted mines a planted graph whose big
 // tasks concentrate on whichever machines own the community roots,
 // with the periodic steal master disabled in practice (1 h period):
-// only the coordinator's idle-machine hysteresis can rebalance. The
-// run must produce results identical to the serial miner, and across
-// a few seeds the off-cycle path must actually move tasks — if the
-// hysteresis regresses to never firing, no steal can happen at all
-// and the test fails.
+// only the coordinator's idle-machine hysteresis can rebalance. Every
+// run must produce results identical to the serial miner, and a run
+// that stole anything must have recorded the off-cycle rounds that
+// moved it. Whether a given run steals is a matter of timing — the
+// whole job lasts a few milliseconds — so that the hysteresis fires at
+// all is pinned where it holds by construction, on gated tasks:
+// gthinker's TestStealHysteresisOffCycle.
 func TestMineHysteresisSkewedPlanted(t *testing.T) {
 	par := quasiclique.Params{Gamma: 0.8, MinSize: 7}
-	sawOffCycle := false
-	for seed := uint64(1); seed <= 5 && !sawOffCycle; seed++ {
+	for seed := uint64(1); seed <= 5; seed++ {
 		// ONE heavy community: its root's decomposition floods exactly
 		// one machine's global queue with big subtasks while the
 		// machines owning only background vertices drain and idle.
@@ -54,16 +55,10 @@ func TestMineHysteresisSkewedPlanted(t *testing.T) {
 				seed, len(res.Cliques), len(want))
 		}
 		met := res.Engine
-		if met.TasksStolen > 0 {
-			if met.OffCycleSteals == 0 {
-				t.Fatalf("seed %d: %d tasks stolen with a 1h period but no off-cycle rounds recorded",
-					seed, met.TasksStolen)
-			}
-			sawOffCycle = true
-			t.Logf("seed %d: %d tasks stolen in %d off-cycle rounds", seed, met.TasksStolen, met.OffCycleSteals)
+		if met.TasksStolen > 0 && met.OffCycleSteals == 0 {
+			t.Fatalf("seed %d: %d tasks stolen with a 1h period but no off-cycle rounds recorded",
+				seed, met.TasksStolen)
 		}
-	}
-	if !sawOffCycle {
-		t.Fatal("no seed produced an off-cycle steal: the hysteresis never fires")
+		t.Logf("seed %d: %d tasks stolen in %d off-cycle rounds", seed, met.TasksStolen, met.OffCycleSteals)
 	}
 }

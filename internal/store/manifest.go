@@ -21,7 +21,7 @@ import (
 //
 // The per-machine addresses are TCP listen addresses; an empty string
 // means "dynamic" — the worker binds :0 and reports the bound address
-// through its join handshake (the single-host qcbench/qcmine flow).
+// through its join handshake (the single-host qcmine flow).
 // Pre-assigned addresses are for multi-host deployments where workers
 // must bind known endpoints.
 //
