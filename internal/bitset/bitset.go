@@ -29,8 +29,9 @@
 //
 //   - build with the noasm tag (the assembly is not even assembled;
 //     CI keeps this leg green so the portable kernels cannot rot);
-//   - call SetSIMD(false) at runtime (the qcmine -nosimd flag
-//     and Options.NoSIMD knob do this) for rebuild-free A/B runs;
+//   - call SetSIMD(false) at runtime, once, for rebuild-free A/B runs
+//     (qcmine -nosimd does, for its own process only: mining never
+//     touches the switch);
 //   - run on a non-amd64 or pre-AVX2 host, where detection fails.
 //
 // # Length preconditions
@@ -391,7 +392,7 @@ func CountWords(w []uint64) int {
 }
 
 // AndCount returns the population count of a ∩ b without writing
-// anything — the dense kernel's degree-into-set query. Only the first
+// anything — the miner's degree-into-set query. Only the first
 // min(len(a), len(b)) words are read.
 func AndCount(a, b []uint64) int {
 	if len(b) < len(a) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"gthinkerqc/internal/datagen"
@@ -11,11 +12,20 @@ import (
 // AblationRow measures one pruning-rule variant of the serial miner.
 type AblationRow struct {
 	Variant    string
-	Time       time.Duration
-	Nodes      int64 // set-enumeration tree nodes expanded
+	Time       time.Duration // median of ablationRuns warm runs
+	Nodes      int64         // set-enumeration tree nodes expanded
 	Candidates int64
 	Results    int
 }
+
+// NsPerNode is the row's time per expanded tree node.
+func (r AblationRow) NsPerNode() float64 {
+	return float64(r.Time.Nanoseconds()) / float64(max(r.Nodes, 1))
+}
+
+// ablationRuns is how many timed runs an ablation row's time is the
+// median of, after one untimed warm-up run.
+const ablationRuns = 5
 
 // AblationPruning runs the serial miner on one dataset with individual
 // pruning techniques disabled — quantifying the claims of Section 4
@@ -42,13 +52,22 @@ func AblationPruning(dataset string) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, v := range variants {
-		start := time.Now()
+		// The warm-up run gives the counts, which every run repeats.
 		results, stats, err := quasiclique.MineGraph(g, par, v.opt)
 		if err != nil {
 			return nil, err
 		}
+		times := make([]time.Duration, ablationRuns)
+		for i := range times {
+			start := time.Now()
+			if _, _, err := quasiclique.MineGraph(g, par, v.opt); err != nil {
+				return nil, err
+			}
+			times[i] = time.Since(start)
+		}
+		slices.Sort(times)
 		rows = append(rows, AblationRow{
-			Variant: v.name, Time: time.Since(start),
+			Variant: v.name, Time: times[len(times)/2],
 			Nodes: stats.Nodes, Candidates: stats.Candidates,
 			Results: len(results),
 		})

@@ -281,6 +281,22 @@ func TestAblationPruningSmoke(t *testing.T) {
 	if !strings.Contains(buf.String(), "k-core") {
 		t.Fatal("ablation printout malformed")
 	}
+	// Every row prints its time per tree node, read back from the
+	// column after time.
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if head := strings.Fields(lines[1]); len(head) < 3 || head[2] != "ns/node" {
+		t.Fatalf("no ns/node column after time: %q", lines[1])
+	}
+	for i, r := range rows {
+		if r.Time <= 0 || r.NsPerNode() <= 0 {
+			t.Fatalf("variant %q: time %v, %v ns/node", r.Variant, r.Time, r.NsPerNode())
+		}
+		f := strings.Fields(lines[2+i])
+		want := fmt.Sprintf("%.0f", r.NsPerNode())
+		if got := f[len(f)-4]; got != want {
+			t.Fatalf("variant %q prints %s ns/node, want %s", r.Variant, got, want)
+		}
+	}
 }
 
 func TestAblationQuickMissSmoke(t *testing.T) {

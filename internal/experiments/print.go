@@ -163,13 +163,14 @@ func PrintFigure3(w io.Writer, f *FigureData, n int) {
 	}
 }
 
-// PrintAblation renders pruning-rule ablations.
+// PrintAblation renders pruning-rule ablations; time is the median of
+// warm runs.
 func PrintAblation(w io.Writer, rows []AblationRow, dataset string) {
-	fmt.Fprintf(w, "Ablation: pruning rules on %s (serial)\n", dataset)
-	fmt.Fprintf(w, "%-32s %10s %12s %12s %9s\n", "variant", "time", "tree nodes", "candidates", "results")
+	fmt.Fprintf(w, "Ablation: pruning rules on %s (serial; time is the median of %d warm runs)\n", dataset, ablationRuns)
+	fmt.Fprintf(w, "%-32s %10s %9s %12s %12s %9s\n", "variant", "time", "ns/node", "tree nodes", "candidates", "results")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-32s %10s %12d %12d %9d\n",
-			r.Variant, fmtDur(r.Time), r.Nodes, r.Candidates, r.Results)
+		fmt.Fprintf(w, "%-32s %10s %9.0f %12d %12d %9d\n",
+			r.Variant, fmtDur(r.Time), r.NsPerNode(), r.Nodes, r.Candidates, r.Results)
 	}
 }
 

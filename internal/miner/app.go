@@ -3,7 +3,6 @@ package miner
 import (
 	"time"
 
-	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/gthinker"
 	"gthinkerqc/internal/kcore"
@@ -50,10 +49,6 @@ type app struct {
 }
 
 func newApp(g *graph.Graph, cfg Config, workers int) *app {
-	// Kernel selection is process-global; apply the run's knob before
-	// any worker mines. Options travel in the job spec, so remote
-	// qcworker runtimes land here too.
-	bitset.SetSIMD(!cfg.Options.NoSIMD)
 	a := &app{g: g, cfg: cfg, k: cfg.Params.K(), rec: metrics.NewRecorder()}
 	a.collectors = make([]*quasiclique.Collector, workers)
 	a.scratches = make([]*wscratch, workers)
@@ -342,9 +337,11 @@ func (a *app) iteration3(p *Payload, ctx *gthinker.Ctx) bool {
 
 	var mater time.Duration
 	subtasks := 0
+	// S and ext index the Sub the miner is bound to, which a split of
+	// an oversized task rebinds to each child.
 	offload := func(S, ext []uint32) {
 		t0 := time.Now()
-		child, s2, e2 := quasiclique.MakeSubtaskScratch(sub, S, ext, &ws.qs)
+		child, s2, e2 := quasiclique.MakeSubtaskScratch(m.Sub, S, ext, &ws.qs)
 		nt := gthinker.NewTask(&Payload{
 			Iteration: 3, Root: p.Root, Sub: child, S: s2, Ext: e2,
 		})

@@ -23,10 +23,11 @@ import (
 )
 
 // jobSpecMagic versions the miner job spec carried inside opJoin and
-// opRun. QJS2 dropped QJS1's spill-format byte; a worker built for the
-// other layout is refused at join instead of mis-parsing every field
+// opRun. QJS2 dropped QJS1's spill-format byte; QJS3 dropped the two
+// kernel flags and the two dense-kernel scalars. A worker built for
+// another layout is refused at join instead of mis-parsing every field
 // after it.
-var jobSpecMagic = [4]byte{'Q', 'J', 'S', '2'}
+var jobSpecMagic = [4]byte{'Q', 'J', 'S', '3'}
 
 // specWalker visits the job spec's fields in wire order: encoding
 // (cur nil) appends each to buf, decoding reads each from cur. Both
@@ -79,7 +80,7 @@ func (w *specWalker) str(p *string) {
 	}
 }
 
-// jobSpecFields is the QJS2 layout after the magic: every field of the
+// jobSpecFields is the QJS3 layout after the magic: every field of the
 // miner and engine configs that crosses the wire, in order. The engine
 // config travels without a SpillDir (each worker process spills into
 // its own temporary directory) and without transport fields (the
@@ -93,10 +94,7 @@ func jobSpecFields(w *specWalker, cfg *Config, ecfg *gthinker.Config) {
 	cfg.Strategy = Strategy(w.num(1, uint64(cfg.Strategy)))
 	w.flags(&o.DisableKCore, &o.DisableLookahead, &o.DisableCoverVertex,
 		&o.DisableCriticalVertex, &o.DisableUpperBound, &o.DisableLowerBound,
-		&o.DisableDegreePruning, &o.QuickCompat, &o.SkipMaximalityFilter,
-		&o.DisableTwoHopCache, &o.NoSIMD)
-	w.wide(&o.DenseThreshold)
-	w.float(&o.DenseMinDensity)
+		&o.DisableDegreePruning, &o.QuickCompat, &o.SkipMaximalityFilter)
 	w.dur(&cfg.TimeBudget)
 
 	w.narrow(&ecfg.Machines)

@@ -19,8 +19,6 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		Options: quasiclique.Options{
 			DisableLookahead: true, QuickCompat: true,
 			SkipMaximalityFilter: true,
-			DenseThreshold:       -1, DenseMinDensity: 0.125,
-			DisableTwoHopCache: true, NoSIMD: true,
 		},
 		TauSplit: 77, TauTime: 3 * time.Millisecond, Strategy: SizeThreshold,
 		TimeBudget: 90 * time.Second,
@@ -45,11 +43,14 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	}
 
 	// A spec from a build with another layout (QJS1 carried a
-	// spill-format byte) is refused by version, not mis-parsed.
+	// spill-format byte, QJS2 the kernel flags and scalars) is refused
+	// by version, not mis-parsed.
 	data := AppendJobSpec(nil, cfg, ecfg)
-	stale := append([]byte("QJS1"), data[4:]...)
-	if _, _, err := DecodeJobSpec(stale); err == nil || !strings.Contains(err.Error(), "unsupported job spec version") {
-		t.Fatalf("QJS1 spec: err = %v, want an unsupported-version error", err)
+	for _, old := range []string{"QJS1", "QJS2"} {
+		stale := append([]byte(old), data[4:]...)
+		if _, _, err := DecodeJobSpec(stale); err == nil || !strings.Contains(err.Error(), "unsupported job spec version") {
+			t.Fatalf("%s spec: err = %v, want an unsupported-version error", old, err)
+		}
 	}
 	for _, bad := range [][]byte{{}, data[:3], data[:len(data)-1], append(append([]byte{}, data...), 7), []byte("XXXX")} {
 		if _, _, err := DecodeJobSpec(bad); err == nil {
@@ -58,20 +59,17 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobSpecGolden pins the QJS2 bytes of one fully-populated config,
-// captured before the encoder and decoder were folded onto one field
-// list: field order, widths and flag bit positions are the protocol.
+// TestJobSpecGolden pins the QJS3 bytes of one fully-populated config:
+// field order, widths and flag bit positions are the protocol.
 func TestJobSpecGolden(t *testing.T) {
-	const golden = "514a5332333333333333eb3f090000004d000000c0c62d0000000000012d050000ffffffffffffffff" +
-		"000000000000c03f00046bf4140000000400000003000000400000000800000000040000404b4c0000000000" +
-		"80841e0000000000ffffffffffffffff0d00000000863ba101000000005ed0b200000000090000000000000" +
-		"00c000000353a72657365743d302e3031"
+	const golden = "514a5333333333333333eb3f090000004d000000c0c62d0000000000012d01000000046bf414000000" +
+		"0400000003000000400000000800000000040000404b4c000000000080841e0000000000ffffffffffffffff" +
+		"0d00000000863ba101000000005ed0b20000000009000000000000000c000000353a72657365743d302e3031"
 	cfg := Config{
 		Params: quasiclique.Params{Gamma: 0.85, MinSize: 9},
 		Options: quasiclique.Options{
 			DisableKCore: true, DisableCoverVertex: true, DisableCriticalVertex: true,
-			DisableLowerBound: true, SkipMaximalityFilter: true, NoSIMD: true,
-			DenseThreshold: -1, DenseMinDensity: 0.125,
+			DisableLowerBound: true, SkipMaximalityFilter: true,
 		},
 		TauSplit: 77, TauTime: 3 * time.Millisecond, Strategy: SizeThreshold,
 		TimeBudget: 90 * time.Second,
@@ -85,7 +83,7 @@ func TestJobSpecGolden(t *testing.T) {
 		DeadAfterPolls: 9, FaultSpec: "5:reset=0.01",
 	}
 	if got := hex.EncodeToString(AppendJobSpec(nil, cfg, ecfg)); got != golden {
-		t.Fatalf("QJS2 bytes changed:\n got  %s\n want %s", got, golden)
+		t.Fatalf("QJS3 bytes changed:\n got  %s\n want %s", got, golden)
 	}
 }
 
@@ -126,7 +124,7 @@ func TestResultsRoundTrip(t *testing.T) {
 func FuzzDecodeJobSpec(f *testing.F) {
 	f.Add(AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 0.9, MinSize: 5}},
 		gthinker.Config{Machines: 2, FaultSpec: "1:dialfail=0.5"}))
-	f.Add([]byte("QJS1"))
+	f.Add([]byte("QJS2"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, ecfg, err := DecodeJobSpec(data)

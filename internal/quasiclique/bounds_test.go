@@ -8,9 +8,8 @@ import (
 )
 
 // mkMinerState builds a Miner over a random graph with a random
-// disjoint (S, ext) split and fills the degree scratch arrays exactly
-// the way iterativeBounding does before calling computeUpper /
-// computeLower.
+// disjoint (S, ext) split and stages the degrees exactly the way
+// iterativeBounding does before calling computeUpper / computeLower.
 func mkMinerState(t *testing.T, seed int64, gamma float64) (*Miner, []uint32, []uint32, int) {
 	return mkMinerStateP(t, seed, gamma, 0.5)
 }
@@ -45,25 +44,7 @@ func mkMinerStateP(t *testing.T, seed int64, gamma, p float64) (*Miner, []uint32
 	}
 	m := NewMiner(sub, Params{Gamma: gamma, MinSize: 2}, Options{})
 	m.Emit = func([]uint32) {}
-	epS := m.stampAll(m.sStamp, S)
-	epE := m.stampAll(m.eStamp, ext)
-	sumS := 0
-	for _, v := range S {
-		ds, de := 0, 0
-		for _, u := range sub.Adj[v] {
-			if m.sStamp[u] == epS {
-				ds++
-			} else if m.eStamp[u] == epE {
-				de++
-			}
-		}
-		m.dS[v], m.dE[v] = int32(ds), int32(de)
-		sumS += ds
-	}
-	for _, u := range ext {
-		m.dS[u] = int32(sub.DegreeInto(u, m.sStamp, epS))
-	}
-	return m, S, ext, sumS
+	return m, S, ext, m.stageDegrees(S, ext)
 }
 
 // validExtensionSizes brute-forces every Z ⊆ ext and returns the sizes

@@ -50,35 +50,23 @@ func denseBenchTask(b *testing.B, n int, p float64, par Params) (*Sub, []uint32,
 
 // BenchmarkRecursiveMine measures the set-enumeration kernel on one
 // dense task, including the per-task miner rebind the drivers pay.
-// The dense sub-benchmark is the default configuration (bitset
-// kernel); sparse forces the stamp-scan kernel on the same task.
 func BenchmarkRecursiveMine(b *testing.B) {
 	par := Params{Gamma: 0.85, MinSize: 5}
 	sub, S, extT := denseBenchTask(b, 150, 0.22, par)
-	for _, bc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"dense", Options{}},
-		{"sparse", Options{DenseThreshold: -1}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			m := NewPooledMiner(par, bc.opt)
-			m.Emit = func([]uint32) {}
-			ext := make([]uint32, len(extT))
-			var nodes int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(ext, extT)
-				m.Reset(sub)
-				m.RecursiveMine(S, ext)
-				nodes = m.Nodes
-			}
-			b.ReportMetric(float64(nodes), "nodes/op")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
-		})
+	m := NewPooledMiner(par, Options{})
+	m.Emit = func([]uint32) {}
+	ext := make([]uint32, len(extT))
+	var nodes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(ext, extT)
+		m.Reset(sub)
+		m.RecursiveMine(S, ext)
+		nodes = m.Nodes
 	}
+	b.ReportMetric(float64(nodes), "nodes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
 }
 
 // BenchmarkMineGraph is the end-to-end serial driver on a random

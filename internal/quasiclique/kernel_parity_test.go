@@ -8,249 +8,173 @@ import (
 	"gthinkerqc/internal/graph"
 )
 
-// forceDense makes every task subgraph use the bitset kernel;
-// forceSparse disables it everywhere.
-var (
-	forceDense  = Options{DenseThreshold: math.MaxInt}
-	forceSparse = Options{DenseThreshold: -1}
-)
+// withMatrixCap runs fn with the miner's matrix cap lowered to c, so
+// every task subgraph above c vertices takes the split path.
+func withMatrixCap(c int, fn func()) {
+	old := matrixCap
+	matrixCap = c
+	defer func() { matrixCap = old }()
+	fn()
+}
 
-// TestDenseSparseKernelParity mines randomized graphs across sizes,
-// densities, γ, and τsize with the bitset kernel forced on vs forced
-// off: the sorted result sets must be identical (and match the
-// exhaustive oracle on the small instances).
-func TestDenseSparseKernelParity(t *testing.T) {
-	configs := []Params{
-		{Gamma: 0.5, MinSize: 3},
-		{Gamma: 0.6, MinSize: 3},
-		{Gamma: 0.7, MinSize: 4},
-		{Gamma: 0.9, MinSize: 4},
-		{Gamma: 1.0, MinSize: 3},
+// mineCapped is MineGraph with the matrix cap lowered to c.
+func mineCapped(t *testing.T, g *graph.Graph, par Params, opt Options, c int) [][]graph.V {
+	t.Helper()
+	var got [][]graph.V
+	var err error
+	withMatrixCap(c, func() { got, _, err = MineGraph(g, par, opt) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, par := range configs {
-		for seed := int64(0); seed < 30; seed++ {
-			n := 6 + int(seed%10)
-			p := 0.25 + 0.5*float64(seed%5)/5
-			g := randomGraph(seed*13+int64(par.MinSize), n, p)
-			dense, _, err := MineGraph(g, par, forceDense)
-			if err != nil {
-				t.Fatal(err)
+	return got
+}
+
+// allVertexSub is the Sub over every vertex of g, rooted at vertex 0:
+// the Sub, S = {0} and ext = the rest.
+func allVertexSub(g *graph.Graph) (*Sub, []uint32, []uint32) {
+	all := make([]graph.V, g.NumVertices())
+	for i := range all {
+		all[i] = graph.V(i)
+	}
+	sub := SubFromGraph(g, all)
+	ext := make([]uint32, 0, sub.N()-1)
+	for i := 1; i < sub.N(); i++ {
+		ext = append(ext, uint32(i))
+	}
+	return sub, []uint32{0}, ext
+}
+
+// mineDirect drives RecursiveMine on one Sub with a fresh miner and
+// returns the emission stream translated through m.Sub.
+func mineDirect(sub *Sub, S, ext []uint32, par Params) ([][]graph.V, *Miner) {
+	m := NewMiner(sub, par, Options{})
+	var got [][]graph.V
+	m.Emit = func(locals []uint32) { got = append(got, m.Sub.Labels(locals)) }
+	m.RecursiveMine(append([]uint32(nil), S...), append([]uint32(nil), ext...))
+	return got, m
+}
+
+// TestMinerParityDirect drives RecursiveMine directly (no driver) on
+// one Sub mined whole and mined through the split path: every emission
+// of both is a valid quasi-clique, and the maximal sets among them are
+// the same.
+func TestMinerParityDirect(t *testing.T) {
+	par := Params{Gamma: 0.6, MinSize: 3}
+	for seed := int64(0); seed < 20; seed++ {
+		g := randomGraph(seed, 12, 0.4)
+		sub, S, ext := allVertexSub(g)
+		whole, _ := mineDirect(sub, S, ext, par)
+		var split [][]graph.V
+		withMatrixCap(4, func() { split, _ = mineDirect(sub, S, ext, par) })
+		for _, set := range append(append([][]graph.V{}, whole...), split...) {
+			if len(set) < par.MinSize || !IsQuasiClique(g, set, par.Gamma) {
+				t.Fatalf("seed=%d: emitted %v is not a quasi-clique of ≥ %d vertices", seed, set, par.MinSize)
 			}
-			sparse, _, err := MineGraph(g, par, forceSparse)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !SetsEqual(dense, sparse) {
-				t.Fatalf("γ=%v τ=%d seed=%d n=%d p=%.2f: kernels disagree\n dense  %v\n sparse %v",
-					par.Gamma, par.MinSize, seed, n, p, dense, sparse)
-			}
-			if want := NaiveMaximal(g, par); !SetsEqual(dense, want) {
-				t.Fatalf("γ=%v τ=%d seed=%d: kernels agree but wrong\n got  %v\n want %v",
-					par.Gamma, par.MinSize, seed, dense, want)
-			}
+		}
+		if !SetsEqual(FilterMaximal(whole), FilterMaximal(split)) {
+			t.Fatalf("seed=%d: whole and split runs disagree\n whole %v\n split %v",
+				seed, FilterMaximal(whole), FilterMaximal(split))
 		}
 	}
 }
 
-// TestDenseSparseKernelParityLarger runs bigger sparse random graphs
-// (beyond oracle reach) where root subgraphs vary widely in size, so
-// both kernels cover non-trivial enumeration trees.
-func TestDenseSparseKernelParityLarger(t *testing.T) {
-	par := Params{Gamma: 0.8, MinSize: 4}
-	for seed := int64(0); seed < 4; seed++ {
-		g := randomGraph(seed, 120, 0.12)
-		dense, _, err := MineGraph(g, par, forceDense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse, _, err := MineGraph(g, par, forceSparse)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !SetsEqual(dense, sparse) {
-			t.Fatalf("seed=%d: kernels disagree (%d vs %d results)", seed, len(dense), len(sparse))
-		}
-	}
-}
-
-// TestDenseThresholdStraddle sets DenseThreshold so that some task
-// subgraphs of the same run are mined dense and others sparse, and
-// checks the mixed run against both pure runs. It also verifies the
-// straddle actually happened (both kernels saw work).
-func TestDenseThresholdStraddle(t *testing.T) {
+// TestMatrixCapStraddle sets the matrix cap between the smallest and
+// largest root subgraph, so some tasks of one run are mined on their
+// matrix and others split, and checks the run against the uncapped
+// one.
+func TestMatrixCapStraddle(t *testing.T) {
 	par := Params{Gamma: 0.7, MinSize: 3}
+	straddled := 0
 	for seed := int64(1); seed <= 10; seed++ {
 		g := randomGraph(seed, 40, 0.2)
-		// Find a threshold between the smallest and largest root
-		// subgraph so the run genuinely mixes kernels.
 		gk, kept := PrepareGraph(g, par, Options{})
 		minN, maxN := math.MaxInt, 0
 		for _, v := range kept {
 			if sub, _ := BuildRootSub(gk, v, par, Options{}); sub != nil {
-				if sub.N() < minN {
-					minN = sub.N()
-				}
-				if sub.N() > maxN {
-					maxN = sub.N()
-				}
+				minN, maxN = min(minN, sub.N()), max(maxN, sub.N())
 			}
 		}
 		if minN >= maxN {
 			continue // all tasks the same size: nothing to straddle
 		}
-		mixed := Options{DenseThreshold: (minN + maxN) / 2}
-		got, _, err := MineGraph(g, par, mixed)
+		straddled++
+		want, _, err := MineGraph(g, par, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := MineGraph(g, par, forceSparse)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !SetsEqual(got, want) {
-			t.Fatalf("seed=%d threshold=%d: mixed-kernel run disagrees", seed, mixed.DenseThreshold)
+		if got := mineCapped(t, g, par, Options{}, (minN+maxN)/2); !SetsEqual(got, want) {
+			t.Fatalf("seed=%d cap=%d: straddling run disagrees", seed, (minN+maxN)/2)
 		}
 	}
-}
-
-// TestMinerParityDirect drives RecursiveMine directly (no driver, no
-// maximality filter) on one subgraph with both kernels and compares
-// the raw emission streams, which must match set-for-set in order.
-func TestMinerParityDirect(t *testing.T) {
-	par := Params{Gamma: 0.6, MinSize: 3}
-	for seed := int64(0); seed < 20; seed++ {
-		g := randomGraph(seed, 12, 0.4)
-		all := make([]graph.V, g.NumVertices())
-		for i := range all {
-			all[i] = graph.V(i)
-		}
-		sub := SubFromGraph(g, all)
-		run := func(opt Options) [][]graph.V {
-			m := NewMiner(sub, par, opt)
-			var got [][]graph.V
-			m.Emit = func(locals []uint32) { got = append(got, sub.Labels(locals)) }
-			S := []uint32{0}
-			ext := make([]uint32, 0, sub.N()-1)
-			for i := 1; i < sub.N(); i++ {
-				ext = append(ext, uint32(i))
-			}
-			m.RecursiveMine(S, ext)
-			return got
-		}
-		dense := run(forceDense)
-		sparse := run(forceSparse)
-		if len(dense) != len(sparse) {
-			t.Fatalf("seed=%d: emission counts differ: %d vs %d", seed, len(dense), len(sparse))
-		}
-		for i := range dense {
-			if !setEqualV(dense[i], sparse[i]) {
-				t.Fatalf("seed=%d emission %d: %v vs %v", seed, i, dense[i], sparse[i])
-			}
-		}
+	if straddled == 0 {
+		t.Fatal("no seed had root subgraphs of different sizes")
 	}
 }
 
 // TestPooledMinerReuse reuses one miner across many differently-sized
-// subgraphs (exercising Reset's monotonic growth and dense/sparse
-// switching) and checks each task against a fresh miner.
+// subgraphs whose sizes hop across a lowered matrix cap (exercising
+// Reset's monotonic growth and the switch between mining on the matrix
+// and splitting) and checks each task against a fresh miner, emission
+// for emission and on Nodes.
 func TestPooledMinerReuse(t *testing.T) {
 	par := Params{Gamma: 0.6, MinSize: 3}
-	pooled := NewPooledMiner(par, Options{DenseThreshold: 10})
-	var got [][]graph.V
-	pooled.Emit = func(locals []uint32) { got = append(got, pooled.Sub.Labels(locals)) }
-	for seed := int64(0); seed < 30; seed++ {
-		n := 5 + int(seed*3%13) // sizes hop around the threshold
-		g := randomGraph(seed, n, 0.45)
-		all := make([]graph.V, n)
-		for i := range all {
-			all[i] = graph.V(i)
-		}
-		sub := SubFromGraph(g, all)
-		got = got[:0]
-		pooled.Reset(sub)
-		S := []uint32{0}
-		ext := make([]uint32, 0, sub.N()-1)
-		for i := 1; i < sub.N(); i++ {
-			ext = append(ext, uint32(i))
-		}
-		pooled.RecursiveMine(S, ext)
-
-		fresh := NewMiner(sub, par, Options{DenseThreshold: 10})
-		var want [][]graph.V
-		fresh.Emit = func(locals []uint32) { want = append(want, sub.Labels(locals)) }
-		ext = ext[:0]
-		for i := 1; i < sub.N(); i++ {
-			ext = append(ext, uint32(i))
-		}
-		fresh.RecursiveMine(S, ext)
-
-		if len(got) != len(want) {
-			t.Fatalf("seed=%d n=%d: pooled emitted %d, fresh %d", seed, n, len(got), len(want))
-		}
-		for i := range got {
-			if !setEqualV(got[i], want[i]) {
-				t.Fatalf("seed=%d emission %d: pooled %v, fresh %v", seed, i, got[i], want[i])
-			}
-		}
-		if pooled.Nodes != fresh.Nodes {
-			t.Fatalf("seed=%d: pooled expanded %d nodes, fresh %d", seed, pooled.Nodes, fresh.Nodes)
-		}
-	}
-}
-
-// TestEpochBeyondInt32 mines one task to populate the stamp arrays
-// with low epochs, then pins the pooled miner's (int64) epoch counter
-// just below the int32 boundary and mines again: crossing 2³¹ must be
-// a non-event — no truncation, no collision with the stale low-epoch
-// marks — producing exactly a fresh miner's emissions. Guards against
-// regressing to a narrower counter, which a pooled miner genuinely
-// exhausts mid-task on big runs.
-func TestEpochBeyondInt32(t *testing.T) {
-	par := Params{Gamma: 0.6, MinSize: 3}
-	for _, opt := range []Options{forceSparse, forceDense} {
-		for seed := int64(0); seed < 10; seed++ {
-			g := randomGraph(seed, 11, 0.45)
-			all := make([]graph.V, g.NumVertices())
-			for i := range all {
-				all[i] = graph.V(i)
-			}
-			sub := SubFromGraph(g, all)
-			rootExt := func() []uint32 {
-				ext := make([]uint32, 0, sub.N()-1)
-				for i := 1; i < sub.N(); i++ {
-					ext = append(ext, uint32(i))
-				}
-				return ext
-			}
-			m := NewPooledMiner(par, opt)
-			var got [][]graph.V
-			m.Emit = func(locals []uint32) { got = append(got, m.Sub.Labels(locals)) }
-			m.Reset(sub)
-			m.RecursiveMine([]uint32{0}, rootExt()) // stamps now hold low epochs
-			m.epoch = math.MaxInt32 - 3             // cross 2³¹ mid-task
+	withMatrixCap(10, func() {
+		pooled := NewPooledMiner(par, Options{})
+		var got [][]graph.V
+		pooled.Emit = func(locals []uint32) { got = append(got, pooled.Sub.Labels(locals)) }
+		for seed := int64(0); seed < 30; seed++ {
+			n := 5 + int(seed*3%13) // sizes hop around the cap
+			sub, S, ext := allVertexSub(randomGraph(seed, n, 0.45))
 			got = got[:0]
-			m.Reset(sub)
-			m.RecursiveMine([]uint32{0}, rootExt())
-			// Only the stamp-based sparse kernel reliably burns
-			// enough generations to cross the boundary; the dense
-			// kernel may not touch the counter at all.
-			if opt.DenseThreshold < 0 && m.epoch <= math.MaxInt32 {
-				t.Fatalf("seed=%d: epoch stayed below 2³¹ (epoch=%d); test graph too small", seed, m.epoch)
-			}
-
-			fresh := NewMiner(sub, par, opt)
-			var want [][]graph.V
-			fresh.Emit = func(locals []uint32) { want = append(want, sub.Labels(locals)) }
-			fresh.RecursiveMine([]uint32{0}, rootExt())
+			pooled.Reset(sub)
+			pooled.RecursiveMine(S, append([]uint32(nil), ext...))
+			want, fresh := mineDirect(sub, S, ext, par)
 			if len(got) != len(want) {
-				t.Fatalf("opt=%+v seed=%d: boundary-crossing miner emitted %d, fresh %d", opt, seed, len(got), len(want))
+				t.Fatalf("seed=%d n=%d: pooled emitted %d, fresh %d", seed, n, len(got), len(want))
 			}
 			for i := range got {
 				if !setEqualV(got[i], want[i]) {
-					t.Fatalf("opt=%+v seed=%d emission %d: %v vs %v", opt, seed, i, got[i], want[i])
+					t.Fatalf("seed=%d emission %d: pooled %v, fresh %v", seed, i, got[i], want[i])
 				}
 			}
+			if pooled.Nodes != fresh.Nodes {
+				t.Fatalf("seed=%d: pooled expanded %d nodes, fresh %d", seed, pooled.Nodes, fresh.Nodes)
+			}
 		}
+	})
+}
+
+// TestOversizeNeverBuildsBigMatrix mines a Sub of three times a
+// lowered cap: no matrix above the cap is ever built, the miner is
+// bound to that Sub again afterwards, and the maximal sets match the
+// Sub mined whole.
+func TestOversizeNeverBuildsBigMatrix(t *testing.T) {
+	const c = 8
+	par := Params{Gamma: 0.6, MinSize: 3}
+	for seed := int64(0); seed < 5; seed++ {
+		g := randomGraph(seed, 3*c, 0.35)
+		sub, S, ext := allVertexSub(g)
+		want, _ := mineDirect(sub, S, ext, par)
+		withMatrixCap(c, func() {
+			m := NewMiner(sub, par, Options{})
+			var got [][]graph.V
+			m.Emit = func(locals []uint32) {
+				if m.mat.N() > c {
+					t.Fatalf("seed=%d: %d-row matrix built under a cap of %d", seed, m.mat.N(), c)
+				}
+				got = append(got, m.Sub.Labels(locals))
+			}
+			m.RecursiveMine(append([]uint32(nil), S...), append([]uint32(nil), ext...))
+			if m.mat.N() > c {
+				t.Fatalf("seed=%d: %d-row matrix after mining under a cap of %d", seed, m.mat.N(), c)
+			}
+			if m.Sub != sub {
+				t.Fatalf("seed=%d: miner left bound to a %d-vertex child", seed, m.Sub.N())
+			}
+			if !SetsEqual(FilterMaximal(got), FilterMaximal(want)) {
+				t.Fatalf("seed=%d: split run disagrees with the whole-matrix run", seed)
+			}
+		})
 	}
 }
 
@@ -266,105 +190,57 @@ func setEqualV(a, b []graph.V) bool {
 	return true
 }
 
-// TestKernelVariantParityMatrix is the PR 6 guardrail: every kernel
-// configuration — dense with and without the two-hop row cache, dense
-// with the vector kernels forced off, and sparse — must produce the
-// same emission stream IN ORDER when driving RecursiveMine directly,
-// and identical final result sets through the full driver.
+// TestKernelVariantParityMatrix: the vector and the scalar bitset
+// kernels must produce the same emission stream IN ORDER when driving
+// RecursiveMine directly, and identical final result sets through the
+// full driver.
 func TestKernelVariantParityMatrix(t *testing.T) {
-	variants := []struct {
-		name string
-		opt  Options
-	}{
-		{"dense", forceDense},
-		{"dense-no-twohop", Options{DenseThreshold: math.MaxInt, DisableTwoHopCache: true}},
-		{"dense-nosimd", Options{DenseThreshold: math.MaxInt, NoSIMD: true}},
-		{"sparse", forceSparse},
-	}
-	defer bitset.SetSIMD(true) // restore process default for later tests
+	defer bitset.SetSIMD(bitset.SIMDEnabled()) // restore the process default
 	par := Params{Gamma: 0.6, MinSize: 3}
 	for seed := int64(0); seed < 15; seed++ {
 		g := randomGraph(seed*7+1, 14, 0.45)
-		all := make([]graph.V, g.NumVertices())
-		for i := range all {
-			all[i] = graph.V(i)
-		}
-		sub := SubFromGraph(g, all)
-		run := func(opt Options) [][]graph.V {
-			bitset.SetSIMD(!opt.NoSIMD) // RecursiveMine bypasses the driver's switch
-			m := NewMiner(sub, par, opt)
-			var got [][]graph.V
-			m.Emit = func(locals []uint32) { got = append(got, sub.Labels(locals)) }
-			ext := make([]uint32, 0, sub.N()-1)
-			for i := 1; i < sub.N(); i++ {
-				ext = append(ext, uint32(i))
-			}
-			m.RecursiveMine([]uint32{0}, ext)
-			return got
-		}
-		base := run(variants[0].opt)
-		for _, v := range variants[1:] {
-			got := run(v.opt)
-			if len(got) != len(base) {
-				t.Fatalf("seed=%d %s: emitted %d, dense emitted %d", seed, v.name, len(got), len(base))
-			}
-			for i := range got {
-				if !setEqualV(got[i], base[i]) {
-					t.Fatalf("seed=%d %s emission %d: %v vs %v", seed, v.name, i, got[i], base[i])
-				}
-			}
-		}
-		// Full-driver result sets across the same matrix.
-		want, _, err := MineGraph(g, par, variants[0].opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range variants[1:] {
-			got, _, err := MineGraph(g, par, v.opt)
-			if err != nil {
+		sub, S, ext := allVertexSub(g)
+		var streams [2][][]graph.V
+		var results [2][][]graph.V
+		for i, simd := range []bool{true, false} {
+			bitset.SetSIMD(simd)
+			streams[i], _ = mineDirect(sub, S, ext, par)
+			var err error
+			if results[i], _, err = MineGraph(g, par, Options{}); err != nil {
 				t.Fatal(err)
 			}
-			if !SetsEqual(got, want) {
-				t.Fatalf("seed=%d %s: driver results disagree\n got  %v\n want %v", seed, v.name, got, want)
+		}
+		if len(streams[0]) != len(streams[1]) {
+			t.Fatalf("seed=%d: avx2 emitted %d, scalar %d", seed, len(streams[0]), len(streams[1]))
+		}
+		for i := range streams[0] {
+			if !setEqualV(streams[0][i], streams[1][i]) {
+				t.Fatalf("seed=%d emission %d: avx2 %v, scalar %v", seed, i, streams[0][i], streams[1][i])
 			}
+		}
+		if !SetsEqual(results[0], results[1]) {
+			t.Fatalf("seed=%d: driver results disagree\n avx2   %v\n scalar %v", seed, results[0], results[1])
 		}
 	}
 }
 
 // TestTwoHopCacheAcrossReuse reuses one pooled miner across tasks so
 // the epoch-stamped two-hop RowCache must correctly invalidate: a row
-// built for one subgraph must never leak into the next.
+// built for one subgraph must never leak into the next. Each task is
+// checked against a fresh miner, emission for emission.
 func TestTwoHopCacheAcrossReuse(t *testing.T) {
 	par := Params{Gamma: 0.6, MinSize: 3}
-	m := NewPooledMiner(par, forceDense)
+	m := NewPooledMiner(par, Options{})
 	var got [][]graph.V
-	var sub *Sub
-	m.Emit = func(locals []uint32) { got = append(got, sub.Labels(locals)) }
+	m.Emit = func(locals []uint32) { got = append(got, m.Sub.Labels(locals)) }
 	for seed := int64(0); seed < 25; seed++ {
-		g := randomGraph(seed*31+5, 8+int(seed%9), 0.5)
-		all := make([]graph.V, g.NumVertices())
-		for i := range all {
-			all[i] = graph.V(i)
-		}
-		sub = SubFromGraph(g, all)
+		sub, S, ext := allVertexSub(randomGraph(seed*31+5, 8+int(seed%9), 0.5))
 		m.Reset(sub)
 		got = got[:0]
-		ext := make([]uint32, 0, sub.N()-1)
-		for i := 1; i < sub.N(); i++ {
-			ext = append(ext, uint32(i))
-		}
-		m.RecursiveMine([]uint32{0}, ext)
-
-		fresh := NewMiner(sub, par, Options{DenseThreshold: math.MaxInt, DisableTwoHopCache: true})
-		var want [][]graph.V
-		fresh.Emit = func(locals []uint32) { want = append(want, sub.Labels(locals)) }
-		ext2 := make([]uint32, 0, sub.N()-1)
-		for i := 1; i < sub.N(); i++ {
-			ext2 = append(ext2, uint32(i))
-		}
-		fresh.RecursiveMine([]uint32{0}, ext2)
+		m.RecursiveMine(S, append([]uint32(nil), ext...))
+		want, _ := mineDirect(sub, S, ext, par)
 		if len(got) != len(want) {
-			t.Fatalf("seed=%d: pooled miner emitted %d, fresh uncached %d", seed, len(got), len(want))
+			t.Fatalf("seed=%d: pooled miner emitted %d, fresh %d", seed, len(got), len(want))
 		}
 		for i := range got {
 			if !setEqualV(got[i], want[i]) {

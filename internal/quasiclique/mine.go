@@ -3,7 +3,6 @@ package quasiclique
 import (
 	"context"
 
-	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/kcore"
 	"gthinkerqc/internal/vset"
@@ -92,7 +91,6 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 	if err := par.Validate(); err != nil {
 		return nil, stats, err
 	}
-	bitset.SetSIMD(!opt.NoSIMD)
 	gk, kept := PrepareGraph(g, par, opt)
 	stats.KCoreKept = len(kept)
 	col := NewCollector()
@@ -166,31 +164,21 @@ func PrepareGraph(g *graph.Graph, par Params, opt Options) (*graph.Graph, []grap
 // RootStats reports one root task's work.
 type RootStats struct {
 	Mined      bool
-	SubSize    int
 	Nodes      int64
 	Candidates int64
 }
 
-// MineRoot mines all quasi-cliques whose minimum vertex is v: it
-// builds the task subgraph over {v} ∪ {u ∈ B̄(v) : u > v}, shrinks it
-// to its k-core (Algorithms 6–7 do the same while pulling), and runs
+// mineRoot mines all quasi-cliques whose minimum vertex is v on a
+// pooled miner (Emit/Abort already installed) and per-run scratch: it
+// builds the task subgraph over {v} ∪ {u ∈ B̄(v) : u > v}, shrunk to its
+// k-core (Algorithms 6–7 do the same while pulling), and runs
 // RecursiveMine rooted at S = {v}.
-func MineRoot(gk *graph.Graph, v graph.V, par Params, opt Options, col *Collector) RootStats {
-	var s Scratch
-	m := NewPooledMiner(par, opt)
-	m.Emit = func(locals []uint32) { col.Add(m.Sub.Labels(locals)) }
-	return mineRoot(gk, v, par, opt, m, &s)
-}
-
-// mineRoot mines one root task on a pooled miner (Emit/Abort already
-// installed) and per-run scratch.
 func mineRoot(gk *graph.Graph, v graph.V, par Params, opt Options, m *Miner, s *Scratch) RootStats {
 	var rs RootStats
 	sub, localV := BuildRootSubScratch(gk, v, par, opt, s)
 	if sub == nil {
 		return rs
 	}
-	rs.SubSize = sub.N()
 	m.Reset(sub)
 	s.rootS = append(s.rootS[:0], localV)
 	s.rootExt = s.rootExt[:0]

@@ -193,34 +193,89 @@ func randomGraph(seed int64, n int, p float64) *graph.Graph {
 	return b.MustBuild()
 }
 
-// TestMineMatchesNaive is the central correctness property: over many
-// random graphs and parameter combinations, the full algorithm (after
-// the maximality filter) must return exactly the ground-truth set of
-// maximal quasi-cliques.
-func TestMineMatchesNaive(t *testing.T) {
-	configs := []Params{
-		{Gamma: 0.5, MinSize: 2},
-		{Gamma: 0.5, MinSize: 3},
-		{Gamma: 0.6, MinSize: 3},
-		{Gamma: 0.7, MinSize: 4},
-		{Gamma: 0.8, MinSize: 3},
-		{Gamma: 0.9, MinSize: 4},
-		{Gamma: 1.0, MinSize: 3},
+// plantedGraph is a G(n, p) background with blocks of size b planted
+// at edge density q, each over a random vertex set.
+func plantedGraph(rng *rand.Rand, n int, p float64, blocks, b int, q float64) *graph.Graph {
+	adj := make([][]bool, n)
+	for i := range adj {
+		adj[i] = make([]bool, n)
 	}
-	seeds := 40
-	for _, par := range configs {
-		for seed := int64(0); seed < int64(seeds); seed++ {
-			n := 5 + int(seed%8)
-			p := 0.25 + 0.5*float64(seed%4)/4
-			g := randomGraph(seed*7+int64(par.MinSize), n, p)
-			want := NaiveMaximal(g, par)
-			got, _, err := MineGraph(g, par, Options{})
-			if err != nil {
-				t.Fatal(err)
+	link := func(i, j int, prob float64) {
+		if i != j && rng.Float64() < prob {
+			adj[i][j], adj[j][i] = true, true
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			link(i, j, p)
+		}
+	}
+	for k := 0; k < blocks; k++ {
+		members := rng.Perm(n)[:b]
+		for x, i := range members {
+			for _, j := range members[x+1:] {
+				link(i, j, q)
 			}
-			if !SetsEqual(got, want) {
-				t.Fatalf("γ=%v τ=%d seed=%d n=%d p=%.2f:\n got  %v\n want %v\n graph edges: %d",
-					par.Gamma, par.MinSize, seed, n, p, got, want, g.NumEdges())
+		}
+	}
+	bld := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if adj[i][j] {
+				bld.AddEdge(graph.V(i), graph.V(j))
+			}
+		}
+	}
+	return bld.MustBuild()
+}
+
+// TestMineMatchesNaive is the miner's differential oracle: over seeded
+// random G(n, p) and planted-block graphs of at most 18 vertices, for
+// every γ ∈ {0.5, …, 1.0} and τsize ∈ {2, …, 5}, the exhaustive answer,
+// MineGraph, and MineGraph with the matrix cap lowered to 4 — every
+// root task above four vertices split — must agree. -short runs a
+// third of the seeds.
+func TestMineMatchesNaive(t *testing.T) {
+	seeds := int64(48)
+	if testing.Short() {
+		seeds /= 3
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var g *graph.Graph
+		var n int
+		var p float64
+		kind := "G(n,p)"
+		if seed%2 == 0 {
+			n, p = 5+rng.Intn(12), 0.2+0.6*rng.Float64()
+			g = randomGraph(seed, n, p)
+		} else {
+			kind = "planted"
+			n, p = 10+rng.Intn(9), 0.1+0.2*rng.Float64()
+			g = plantedGraph(rng, n, p, 1+rng.Intn(2), 5+rng.Intn(4), 0.75+0.25*rng.Float64())
+		}
+		for _, gamma := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
+			// A superset of a valid set meets any size threshold the
+			// set does, so the answer at τsize is the answer at 2 cut
+			// to sets of at least τsize.
+			all := NaiveMaximal(g, Params{Gamma: gamma, MinSize: 2})
+			for tau := 2; tau <= 5; tau++ {
+				par := Params{Gamma: gamma, MinSize: tau}
+				var want [][]graph.V
+				for _, set := range all {
+					if len(set) >= tau {
+						want = append(want, set)
+					}
+				}
+				got, _, err := MineGraph(g, par, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				split := mineCapped(t, g, par, Options{}, 4)
+				if !SetsEqual(got, want) || !SetsEqual(split, want) {
+					t.Fatalf("seed=%d %s n=%d p=%.3f γ=%v τsize=%d:\n mined %v\n split %v\n want  %v",
+						seed, kind, n, p, gamma, tau, got, split, want)
+				}
 			}
 		}
 	}
@@ -228,7 +283,7 @@ func TestMineMatchesNaive(t *testing.T) {
 
 // TestMineAblationsMatch verifies that disabling any pruning rule (or
 // all of them) never changes the final result set — the rules are pure
-// optimizations.
+// optimizations — on tasks mined whole and on tasks split.
 func TestMineAblationsMatch(t *testing.T) {
 	opts := []Options{
 		{DisableKCore: true},
@@ -256,6 +311,9 @@ func TestMineAblationsMatch(t *testing.T) {
 			}
 			if !SetsEqual(got, want) {
 				t.Fatalf("seed=%d opt[%d]=%+v:\n got  %v\n want %v", seed, i, o, got, want)
+			}
+			if got := mineCapped(t, g, par, o, 4); !SetsEqual(got, want) {
+				t.Fatalf("seed=%d opt[%d]=%+v split at 4 vertices:\n got  %v\n want %v", seed, i, o, got, want)
 			}
 		}
 	}
@@ -316,7 +374,9 @@ func TestQuickCompatMissesResults(t *testing.T) {
 // as independent tasks at arbitrary timeout points) must produce the
 // same final results as pure backtracking. The virtual timeout fires
 // after K bounding calls, for several K, reproducing Figure 9's mixed
-// granularity.
+// granularity. With the matrix cap lowered to 4 the root tasks are
+// split, so offloads also come from split children, as in the engine:
+// the off-load materialises from m.Sub, the Sub the miner is bound to.
 func TestDecompositionEquivalence(t *testing.T) {
 	type task struct {
 		sub    *Sub
@@ -326,40 +386,44 @@ func TestDecompositionEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		g := randomGraph(seed, 6+int(seed%8), 0.45)
 		want := NaiveMaximal(g, par)
-		for _, K := range []int{0, 1, 3, 10} {
-			gk, kept := PrepareGraph(g, par, Options{})
-			col := NewCollector()
-			var queue []task
-			mineTask := func(tk task) {
-				m := NewMiner(tk.sub, par, Options{})
-				m.Emit = func(locals []uint32) { col.Add(tk.sub.Labels(locals)) }
-				calls := 0
-				m.TimedOut = func() bool { calls++; return calls > K }
-				m.Offload = func(S, ext []uint32) {
-					child, s2, e2 := MakeSubtaskScratch(tk.sub, S, ext, new(Scratch))
-					queue = append(queue, task{child, s2, e2})
+		for _, c := range []int{matrixCap, 4} {
+			for _, K := range []int{0, 1, 3, 10} {
+				gk, kept := PrepareGraph(g, par, Options{})
+				col := NewCollector()
+				var queue []task
+				mineTask := func(tk task) {
+					m := NewMiner(tk.sub, par, Options{})
+					m.Emit = func(locals []uint32) { col.Add(m.Sub.Labels(locals)) }
+					calls := 0
+					m.TimedOut = func() bool { calls++; return calls > K }
+					m.Offload = func(S, ext []uint32) {
+						child, s2, e2 := MakeSubtaskScratch(m.Sub, S, ext, new(Scratch))
+						queue = append(queue, task{child, s2, e2})
+					}
+					m.RecursiveMine(tk.S, tk.ext)
 				}
-				m.RecursiveMine(tk.S, tk.ext)
-			}
-			for _, v := range kept {
-				sub, localV := BuildRootSub(gk, v, par, Options{})
-				if sub == nil {
-					continue
+				for _, v := range kept {
+					sub, localV := BuildRootSub(gk, v, par, Options{})
+					if sub == nil {
+						continue
+					}
+					ext := make([]uint32, 0, sub.N()-1)
+					for i := 1; i < sub.N(); i++ {
+						ext = append(ext, uint32(i))
+					}
+					queue = append(queue, task{sub, []uint32{localV}, ext})
 				}
-				ext := make([]uint32, 0, sub.N()-1)
-				for i := 1; i < sub.N(); i++ {
-					ext = append(ext, uint32(i))
+				withMatrixCap(c, func() {
+					for len(queue) > 0 {
+						tk := queue[len(queue)-1]
+						queue = queue[:len(queue)-1]
+						mineTask(tk)
+					}
+				})
+				got := FilterMaximal(col.Sets())
+				if !SetsEqual(got, want) {
+					t.Fatalf("seed=%d cap=%d K=%d:\n got  %v\n want %v", seed, c, K, got, want)
 				}
-				queue = append(queue, task{sub, []uint32{localV}, ext})
-			}
-			for len(queue) > 0 {
-				tk := queue[len(queue)-1]
-				queue = queue[:len(queue)-1]
-				mineTask(tk)
-			}
-			got := FilterMaximal(col.Sets())
-			if !SetsEqual(got, want) {
-				t.Fatalf("seed=%d K=%d:\n got  %v\n want %v", seed, K, got, want)
 			}
 		}
 	}
@@ -429,12 +493,20 @@ func TestMineCliques(t *testing.T) {
 		}
 		g := graph.FromEdges(n, edges)
 		for _, gamma := range []float64{0.5, 0.8, 1.0} {
-			got, _, err := MineGraph(g, Params{Gamma: gamma, MinSize: 2}, Options{})
+			par := Params{Gamma: gamma, MinSize: 2}
+			got, _, err := MineGraph(g, par, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != 1 || len(got[0]) != n {
 				t.Fatalf("K%d γ=%v: got %v", n, gamma, got)
+			}
+			// Split, every root above the cap: the look-ahead of the first
+			// candidate takes the whole clique without expanding a node.
+			var stats MineStats
+			withMatrixCap(2, func() { got, stats, err = MineGraph(g, par, Options{}) })
+			if err != nil || len(got) != 1 || len(got[0]) != n || stats.Nodes != 0 {
+				t.Fatalf("K%d γ=%v split: got %v after %d nodes (err %v)", n, gamma, got, stats.Nodes, err)
 			}
 		}
 	}

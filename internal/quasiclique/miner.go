@@ -9,6 +9,12 @@ import (
 	"gthinkerqc/internal/vset"
 )
 
+// matrixCap is the largest task subgraph the miner builds a matrix for:
+// at 1 024 vertices the matrix and the two-hop cache take 128 KiB each
+// per miner. RecursiveMine splits a bigger Sub (see split). A variable
+// only so the package's tests can lower it.
+var matrixCap = 1024
+
 // Miner runs the paper's recursive mining algorithm (Algorithm 2) over
 // one task-local subgraph. It is the workhorse shared by the serial
 // driver (MineGraph) and the parallel G-thinker app: the parallel
@@ -17,33 +23,30 @@ import (
 //
 // A Miner is single-goroutine and designed for per-worker pooling:
 // construct one with NewPooledMiner, then Reset it onto each task's
-// subgraph. All internal state — stamp arrays, the dense adjacency
-// matrix, and the per-depth recursion arena — grows monotonically and
-// is reused across tasks, so steady-state mining allocates nothing per
-// expanded tree node. NewMiner remains as the one-shot convenience
-// constructor (NewPooledMiner + Reset).
+// subgraph. All internal state — the adjacency matrix, the two-hop
+// cache, the membership rows, and the per-depth recursion arena —
+// grows monotonically and is reused across tasks, so steady-state
+// mining allocates nothing per expanded tree node. NewMiner remains as
+// the one-shot convenience constructor (NewPooledMiner + Reset).
 //
-// For subgraphs with at most Options.DenseThreshold vertices, Reset
-// builds a flat bitset adjacency matrix (Sub.BuildDense) and every hot
-// set operation — degree-into-set, the quasi-clique checks, two-hop
-// filtering, bound degree passes, and cover-vertex intersections —
-// runs as popcount-over-AND word loops instead of per-element stamp
-// scans. Larger subgraphs fall back to the epoch-stamped sparse
-// kernel. Both kernels compute identical values, so the enumeration
-// tree and the emitted results are identical.
+// Every rule runs on the bound Sub's bitset adjacency matrix (see the
+// package doc's "One representation").
 type Miner struct {
 	Sub *Sub
 	Par Params
 	Opt Options
 
-	// Emit receives every candidate quasi-clique as local indices
-	// (unsorted). The slice is only valid during the call.
+	// Emit receives every candidate quasi-clique as local indices of
+	// m.Sub (unsorted). The slice is only valid during the call. A split
+	// rebinds m.Sub to each child it mines, so translate through m.Sub,
+	// not through a Sub captured when the task started.
 	Emit func(locals []uint32)
 
 	// TimedOut, when non-nil and returning true, switches the miner
 	// into decomposition mode: instead of recursing into a child
 	// ⟨S′, ext(S′)⟩ it calls Offload(S′, ext′) (Algorithm 10 lines
-	// 18–24). Offload must copy its arguments if it retains them.
+	// 18–24). S′ and ext′ are local indices of m.Sub. Offload must copy
+	// its arguments if it retains them.
 	TimedOut func() bool
 	Offload  func(S, ext []uint32)
 
@@ -53,45 +56,32 @@ type Miner struct {
 	// context-style cancellation of long mining runs.
 	Abort func() bool
 
-	// Counters, zeroed by Reset.
+	// Counters, zeroed by Reset; they accumulate across the children a
+	// split mines.
 	Nodes        int64 // set-enumeration tree nodes expanded
 	EmitCount    int64 // candidates emitted
 	OffloadCount int64 // subtrees wrapped into subtasks
 
-	// Scratch state (epoch-stamped to avoid clearing). Epochs are
-	// int64: pooled miners accumulate generations across every task of
-	// a run, and an int32 counter could genuinely wrap mid-task on big
-	// mining jobs, silently colliding with stale marks. 2⁶³ cannot be
-	// exhausted.
-	epoch   int64
-	sStamp  []int64 // membership of S
-	eStamp  []int64 // membership of ext(S)
-	tStamp  []int64 // transient marks (two-hop sets, Γ(u))
-	t2Stamp []int64 // transient marks (cover set)
-	dS      []int32 // degree toward S, per local vertex
-	dE      []int32 // degree toward ext(S), per local vertex
-	unionBf []uint32
-	byDeg   []uint32 // prefixByDegree ordering buffer
-	prefix  []int    // prefixByDegree sums buffer
-
-	// Dense kernel state: the flat adjacency matrix attached to Sub by
-	// Reset, plus stride-sized membership rows mirroring the stamp
-	// arrays (sStamp→sBits, eStamp→eBits, tStamp→tBits, t2Stamp→
-	// t2Bits), so the two kernels have the same non-interference
-	// structure.
+	// mat is the bound Sub's adjacency matrix (row v = Γ(v) as bits).
+	// twoHop lazily caches each vertex's two-hop row — Γ(v) ∪
+	// ⋃_{u∈Γ(v)} Γ(u) — which depends only on the Sub, so a row built
+	// once serves filterTwoHopInto at every depth of the tree. Both
+	// belong to m.Sub only while it is within matrixCap.
 	mat    bitset.Matrix
+	twoHop bitset.RowCache
+
+	// Stride-sized membership rows: S, ext(S), and two transient rows
+	// (sets under test, the cover set).
 	sBits  []uint64
 	eBits  []uint64
 	tBits  []uint64
 	t2Bits []uint64
 
-	// thCache lazily caches per-vertex two-hop reachability rows for
-	// the dense kernel (attached to Sub.TwoHop by Reset): the two-hop
-	// set of v depends only on the task subgraph, so once built a row
-	// serves every filterTwoHopInto(v, …) at any tree depth instead of
-	// re-ORing Γ(v)'s rows each time. Epoch-stamped, so Reset
-	// invalidates without clearing.
-	thCache bitset.RowCache
+	dS      []int32 // degree toward S, per local vertex
+	dE      []int32 // degree toward ext(S), per local vertex
+	unionBf []uint32
+	byDeg   []uint32 // prefixByDegree ordering buffer
+	prefix  []int    // prefixByDegree sums buffer
 
 	// Recursion arena: frames[d] holds the reusable S′/ext′ buffers
 	// for children produced at depth d, sized by Reset so the slice
@@ -100,10 +90,11 @@ type Miner struct {
 
 	// applyCover / critical-vertex scratch, live only within one call.
 	coverBuf []uint32
-	candBuf  []uint32
-	candBuf2 []uint32
 	critBuf  []uint32
 	mergeBuf []uint32
+
+	// sc materialises a split's children, which are copied out of it.
+	sc Scratch
 }
 
 // frame is one recursion level's child buffers.
@@ -126,31 +117,27 @@ func NewPooledMiner(par Params, opt Options) *Miner {
 	return &Miner{Par: par, Opt: opt}
 }
 
-// Reset rebinds the miner to sub and zeroes the per-task counters.
-// Every internal buffer is retained and grown monotonically, so a
-// pooled miner reaches a steady state with no per-task allocation.
-// When sub fits the dense threshold, Reset builds sub's bitset
-// adjacency matrix in the miner-owned storage; the previous Sub's
-// dense view (if it was this miner's) is detached.
+// Reset binds the miner to sub and zeroes the per-task counters. Every
+// internal buffer is retained and grown monotonically, so a pooled
+// miner reaches a steady state with no per-task allocation. For a Sub
+// of at most 1 024 vertices Reset builds its adjacency matrix in
+// miner-owned storage; a bigger Sub gets none, and RecursiveMine splits
+// it.
 func (m *Miner) Reset(sub *Sub) {
-	if m.Sub != nil && m.Sub != sub {
-		if m.Sub.Dense == &m.mat {
-			m.Sub.Dense = nil
-		}
-		if m.Sub.TwoHop == &m.thCache {
-			m.Sub.TwoHop = nil
-		}
-	}
+	m.bind(sub)
+	m.Nodes, m.EmitCount, m.OffloadCount = 0, 0, 0
+}
+
+// bind is Reset without touching the counters.
+func (m *Miner) bind(sub *Sub) {
 	m.Sub = sub
 	n := sub.N()
-	if len(m.sStamp) < n {
-		m.sStamp = make([]int64, n)
-		m.eStamp = make([]int64, n)
-		m.tStamp = make([]int64, n)
-		m.t2Stamp = make([]int64, n)
+	if n > matrixCap {
+		return
+	}
+	if len(m.dS) < n {
 		m.dS = make([]int32, n)
 		m.dE = make([]int32, n)
-		m.epoch = 0
 	}
 	// Each recursion level grows S by ≥ 1 vertex, so depth < n and
 	// frames never needs to grow (which would move frame pointers)
@@ -160,65 +147,25 @@ func (m *Miner) Reset(sub *Sub) {
 		copy(frames, m.frames)
 		m.frames = frames
 	}
-	sub.Dense = nil
-	sub.TwoHop = nil
-	if n > 0 && m.useDense(sub) {
-		sub.BuildDense(&m.mat)
-		stride := m.mat.Stride()
-		if cap(m.sBits) < stride {
-			m.sBits = make([]uint64, stride)
-			m.eBits = make([]uint64, stride)
-			m.tBits = make([]uint64, stride)
-			m.t2Bits = make([]uint64, stride)
-		}
-		m.sBits = m.sBits[:stride]
-		m.eBits = m.eBits[:stride]
-		m.tBits = m.tBits[:stride]
-		m.t2Bits = m.t2Bits[:stride]
-		if !m.Opt.DisableTwoHopCache {
-			m.thCache.Reset(n)
-			sub.TwoHop = &m.thCache
+	m.mat.Reset(n)
+	for i, row := range sub.Adj {
+		r := m.mat.Row(i)
+		for _, u := range row {
+			bitset.SetBit(r, int(u))
 		}
 	}
-	m.Nodes, m.EmitCount, m.OffloadCount = 0, 0, 0
-}
-
-// useDense decides the kernel for sub: size-capped by DenseThreshold
-// as before, and — adaptively — density-gated above DenseAlwaysN
-// vertices, so a nearly-empty big subgraph keeps its short adjacency
-// walks instead of paying stride-width bitset scans. Both kernels
-// compute identical values, so this choice never affects results.
-func (m *Miner) useDense(sub *Sub) bool {
-	n := sub.N()
-	if n > m.Opt.denseThreshold() {
-		return false
+	m.twoHop.Reset(n)
+	stride := m.mat.Stride()
+	if cap(m.sBits) < stride {
+		m.sBits = make([]uint64, stride)
+		m.eBits = make([]uint64, stride)
+		m.tBits = make([]uint64, stride)
+		m.t2Bits = make([]uint64, stride)
 	}
-	if n <= DenseAlwaysN {
-		return true
-	}
-	minDensity := m.Opt.denseMinDensity()
-	if minDensity <= 0 {
-		return true
-	}
-	entries := 0
-	for _, row := range sub.Adj {
-		entries += len(row)
-	}
-	return float64(entries) >= minDensity*float64(n)*float64(n)
-}
-
-// nextEpoch starts a new stamp generation.
-func (m *Miner) nextEpoch() int64 {
-	m.epoch++
-	return m.epoch
-}
-
-func (m *Miner) stampAll(arr []int64, xs []uint32) int64 {
-	e := m.nextEpoch()
-	for _, x := range xs {
-		arr[x] = e
-	}
-	return e
+	m.sBits = m.sBits[:stride]
+	m.eBits = m.eBits[:stride]
+	m.tBits = m.tBits[:stride]
+	m.t2Bits = m.t2Bits[:stride]
 }
 
 // checkEmit emits S if it is a valid quasi-clique of size ≥ τsize and
@@ -238,18 +185,9 @@ func (m *Miner) checkEmit(S []uint32) bool {
 // so no reachability check is needed.
 func (m *Miner) isQC(S []uint32) bool {
 	need := CeilMul(m.Par.Gamma, len(S)-1)
-	if d := m.Sub.Dense; d != nil {
-		bitset.FillBits(m.tBits, S)
-		for _, v := range S {
-			if bitset.AndCount(d.Row(int(v)), m.tBits) < need {
-				return false
-			}
-		}
-		return true
-	}
-	ep := m.stampAll(m.tStamp, S)
+	bitset.FillBits(m.tBits, S)
 	for _, v := range S {
-		if m.Sub.DegreeInto(v, m.tStamp, ep) < need {
+		if bitset.AndCount(m.mat.Row(int(v)), m.tBits) < need {
 			return false
 		}
 	}
@@ -259,39 +197,18 @@ func (m *Miner) isQC(S []uint32) bool {
 // isUnionQC reports whether S ∪ rem induces a γ-quasi-clique (the
 // lookahead test of Algorithm 2 lines 8–10).
 func (m *Miner) isUnionQC(S, rem []uint32) bool {
-	n := len(S) + len(rem)
-	need := CeilMul(m.Par.Gamma, n-1)
-	if d := m.Sub.Dense; d != nil {
-		bitset.FillBits(m.tBits, S)
-		for _, v := range rem {
-			bitset.SetBit(m.tBits, int(v))
-		}
-		for _, v := range S {
-			if bitset.AndCount(d.Row(int(v)), m.tBits) < need {
-				return false
-			}
-		}
-		for _, v := range rem {
-			if bitset.AndCount(d.Row(int(v)), m.tBits) < need {
-				return false
-			}
-		}
-		return true
-	}
-	ep := m.nextEpoch()
-	for _, v := range S {
-		m.tStamp[v] = ep
-	}
+	need := CeilMul(m.Par.Gamma, len(S)+len(rem)-1)
+	bitset.FillBits(m.tBits, S)
 	for _, v := range rem {
-		m.tStamp[v] = ep
+		bitset.SetBit(m.tBits, int(v))
 	}
 	for _, v := range S {
-		if m.Sub.DegreeInto(v, m.tStamp, ep) < need {
+		if bitset.AndCount(m.mat.Row(int(v)), m.tBits) < need {
 			return false
 		}
 	}
 	for _, v := range rem {
-		if m.Sub.DegreeInto(v, m.tStamp, ep) < need {
+		if bitset.AndCount(m.mat.Row(int(v)), m.tBits) < need {
 			return false
 		}
 	}
@@ -306,71 +223,64 @@ func (m *Miner) emitUnion(S, rem []uint32) {
 	m.Emit(m.unionBf)
 }
 
+// emitInduced emits all of sub when it induces a γ-quasi-clique of at
+// least τsize vertices: the emission check of a set that is a whole
+// Sub, read off the Sub's own degrees, so it needs no matrix. It points
+// m.Sub at sub for Emit.
+func (m *Miner) emitInduced(sub *Sub) bool {
+	n := sub.N()
+	if n < m.Par.MinSize {
+		return false
+	}
+	need := CeilMul(m.Par.Gamma, n-1)
+	for _, row := range sub.Adj {
+		if len(row) < need {
+			return false
+		}
+	}
+	m.unionBf = m.unionBf[:0]
+	for v := 0; v < n; v++ {
+		m.unionBf = append(m.unionBf, uint32(v))
+	}
+	m.Sub = sub
+	m.EmitCount++
+	m.Emit(m.unionBf)
+	return true
+}
+
 // filterTwoHopInto appends to dst the members of cand within two hops
 // of v in the task subgraph (diameter pruning P1 applied to ext(S′),
-// Algorithm 2 line 12) and returns the extended slice.
+// Algorithm 2 line 12) and returns the extended slice. cand keeps its
+// order (it carries applyCover's reordering), so membership is tested
+// per element rather than extracted from the row — extraction would
+// resort it and change the enumeration order.
 func (m *Miner) filterTwoHopInto(v uint32, cand, dst []uint32) []uint32 {
-	if m.Sub.Dense != nil {
-		// cand keeps its order (it carries applyCover's reordering), so
-		// membership is tested per element rather than extracted from
-		// the bitmap — extraction would resort it and change the
-		// enumeration order.
-		tb := m.twoHopRow(int(v))
-		for _, u := range cand {
-			if bitset.TestBit(tb, int(u)) {
-				dst = append(dst, u)
-			}
-		}
-		return dst
-	}
-	ep := m.nextEpoch()
-	adjV := m.Sub.Adj[v]
-	for _, u := range adjV {
-		m.tStamp[u] = ep
-	}
-	for _, u := range adjV {
-		for _, w := range m.Sub.Adj[u] {
-			m.tStamp[w] = ep
-		}
-	}
+	tb := m.twoHopRow(int(v))
 	for _, u := range cand {
-		if m.tStamp[u] == ep {
+		if bitset.TestBit(tb, int(u)) {
 			dst = append(dst, u)
 		}
 	}
 	return dst
 }
 
-// twoHopRow returns the two-hop reachability row of v — the bits of
-// Γ(v) ∪ ⋃_{u∈Γ(v)} Γ(u) — building and caching it on first use when
-// the task has a TwoHop cache attached, or materializing it into the
-// transient tBits row otherwise. The row depends only on the task
-// subgraph, never on S/ext, so caching across the whole enumeration
-// tree is sound.
+// twoHopRow returns v's two-hop row, building it into the cache on
+// first use.
 func (m *Miner) twoHopRow(v int) []uint64 {
-	d := m.Sub.Dense
-	c := m.Sub.TwoHop
-	var r []uint64
-	if c != nil {
-		r = c.Row(v)
-		if c.Built(v) {
-			return r
-		}
-	} else {
-		r = m.tBits
+	r := m.twoHop.Row(v)
+	if m.twoHop.Built(v) {
+		return r
 	}
-	row := d.Row(v)
+	row := m.mat.Row(v)
 	copy(r, row)
 	for wi, x := range row {
 		base := wi * 64
 		for x != 0 {
-			bitset.OrWith(r, d.Row(base+bits.TrailingZeros64(x)))
+			bitset.OrWith(r, m.mat.Row(base+bits.TrailingZeros64(x)))
 			x &= x - 1
 		}
 	}
-	if c != nil {
-		c.MarkBuilt(v)
-	}
+	m.twoHop.MarkBuilt(v)
 	return r
 }
 
@@ -396,49 +306,12 @@ type boundsResult struct {
 // false implies the returned ext is non-empty.
 func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []uint32) {
 	gamma := m.Par.Gamma
-	d := m.Sub.Dense
 	for {
 		if len(ext) == 0 {
 			m.checkEmit(S)
 			return true, S, ext
 		}
-		var epS, epE int64
-		if d != nil {
-			bitset.FillBits(m.sBits, S)
-			bitset.FillBits(m.eBits, ext)
-		} else {
-			epS = m.stampAll(m.sStamp, S)
-			epE = m.stampAll(m.eStamp, ext)
-		}
-		// SS/ES degrees for S members; SE degrees for ext members
-		// (EE degrees are delayed until Type I, per the paper's T2).
-		sumS := 0
-		for _, v := range S {
-			ds, de := 0, 0
-			if d != nil {
-				row := d.Row(int(v))
-				ds = bitset.AndCount(row, m.sBits)
-				de = bitset.AndCount(row, m.eBits)
-			} else {
-				for _, u := range m.Sub.Adj[v] {
-					if m.sStamp[u] == epS {
-						ds++
-					} else if m.eStamp[u] == epE {
-						de++
-					}
-				}
-			}
-			m.dS[v], m.dE[v] = int32(ds), int32(de)
-			sumS += ds
-		}
-		for _, u := range ext {
-			if d != nil {
-				m.dS[u] = int32(bitset.AndCount(d.Row(int(u)), m.sBits))
-			} else {
-				m.dS[u] = int32(m.Sub.DegreeInto(u, m.sStamp, epS))
-			}
-		}
-
+		sumS := m.stageDegrees(S, ext)
 		ub := m.computeUpper(S, ext, sumS)
 		if ub.prune {
 			if !ub.pruneSelf {
@@ -465,17 +338,8 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 					continue
 				}
 				// I = Γ(v) ∩ ext(S); all of I must join S.
-				I := m.critBuf[:0]
-				if d != nil {
-					bitset.AndTo(m.tBits, d.Row(int(v)), m.eBits)
-					I = bitset.AppendBits(I, m.tBits)
-				} else {
-					for _, u := range m.Sub.Adj[v] {
-						if m.eStamp[u] == epE {
-							I = append(I, u)
-						}
-					}
-				}
+				bitset.AndTo(m.tBits, m.mat.Row(int(v)), m.eBits)
+				I := bitset.AppendBits(m.critBuf[:0], m.tBits)
 				m.critBuf = I
 				if len(I) == 0 {
 					continue
@@ -488,7 +352,7 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 				}
 				m.mergeBuf = vset.Union(m.mergeBuf[:0], S, I)
 				S = append(S[:0], m.mergeBuf...)
-				ext = removeMarked(ext, I, m)
+				ext = m.removeMarked(ext, I)
 				moved = true
 				break
 			}
@@ -526,11 +390,7 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 		// Type I pruning (Theorems 3, 5, 7). EE degrees computed here,
 		// only when Type II did not already settle the node.
 		for _, u := range ext {
-			if d != nil {
-				m.dE[u] = int32(bitset.AndCount(d.Row(int(u)), m.eBits))
-			} else {
-				m.dE[u] = int32(m.Sub.DegreeInto(u, m.eStamp, epE))
-			}
+			m.dE[u] = int32(bitset.AndCount(m.mat.Row(int(u)), m.eBits))
 		}
 		kept := ext[:0]
 		removed := false
@@ -561,6 +421,26 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 			return false, S, ext
 		}
 	}
+}
+
+// stageDegrees loads the membership rows of S and ext and the degrees
+// the bounds read — dS and dE of S members, dS of ext members; EE
+// degrees are delayed until Type I, per the paper's T2 — and returns
+// Σ_{v∈S} dS(v).
+func (m *Miner) stageDegrees(S, ext []uint32) int {
+	bitset.FillBits(m.sBits, S)
+	bitset.FillBits(m.eBits, ext)
+	sumS := 0
+	for _, v := range S {
+		row := m.mat.Row(int(v))
+		ds := bitset.AndCount(row, m.sBits)
+		m.dS[v], m.dE[v] = int32(ds), int32(bitset.AndCount(row, m.eBits))
+		sumS += ds
+	}
+	for _, u := range ext {
+		m.dS[u] = int32(bitset.AndCount(m.mat.Row(int(u)), m.sBits))
+	}
+	return sumS
 }
 
 // computeUpper derives U_S (P4, Eqs 1–4). Requires dS/dE of S members
@@ -651,8 +531,13 @@ func (m *Miner) prefixByDegree(ext []uint32) []int {
 //
 // All per-node state lives in the miner's depth-indexed recursion
 // arena: the only copies made are at the Offload boundary, whose
-// contract already requires the callee to copy.
+// contract already requires the callee to copy — and at a split, which
+// materialises each child of a Sub above 1 024 vertices.
 func (m *Miner) RecursiveMine(S, ext []uint32) bool {
+	if sub := m.Sub; sub.N() > matrixCap {
+		defer func() { m.Sub = sub }()
+		return m.split(sub, S, ext)
+	}
 	return m.mine(S, ext, 0)
 }
 
@@ -691,30 +576,131 @@ func (m *Miner) mine(S, ext []uint32, depth int) bool {
 			}
 			continue
 		}
-		prunedB, S2, ext2 := m.iterativeBounding(fr.S, fr.ext)
-		fr.S, fr.ext = S2, ext2 // keep any grown capacity for reuse
-		if prunedB || len(S2)+len(ext2) < m.Par.MinSize {
-			continue
-		}
-		if m.TimedOut != nil && m.Offload != nil && m.TimedOut() {
-			// Time-delayed decomposition (Algorithm 10 lines 18–24):
-			// wrap the subtree as an independent task. The outcome of
-			// the subtask is unknown here, so G(S′) must be emission-
-			// checked now; a later subtask result may supersede it and
-			// the post-filter removes it then.
-			m.OffloadCount++
-			m.Offload(S2, ext2)
-			m.checkEmit(S2)
-			continue
-		}
-		f := m.mine(S2, ext2, depth+1)
-		if f {
-			found = true
-		} else if m.checkEmit(S2) {
+		if m.descend(fr, depth+1) {
 			found = true
 		}
 	}
 	return found
+}
+
+// descend finishes the loop body of Algorithm 2 for the child
+// ⟨fr.S, fr.ext⟩ whose ext is diameter-filtered and non-empty:
+// bounding, the size cut, then off-load or recursion at depth, and the
+// emission check of G(S′) when nothing below it was found. It reports
+// whether something was found.
+func (m *Miner) descend(fr *frame, depth int) bool {
+	pruned, S2, ext2 := m.iterativeBounding(fr.S, fr.ext)
+	fr.S, fr.ext = S2, ext2 // keep any grown capacity for reuse
+	if pruned || len(S2)+len(ext2) < m.Par.MinSize {
+		return false
+	}
+	if m.TimedOut != nil && m.Offload != nil && m.TimedOut() {
+		// Time-delayed decomposition (Algorithm 10 lines 18–24): wrap
+		// the subtree as an independent task. The outcome of the
+		// subtask is unknown here, so G(S′) must be emission-checked
+		// now; a later subtask result may supersede it and the
+		// post-filter removes it then.
+		m.OffloadCount++
+		m.Offload(S2, ext2)
+		m.checkEmit(S2)
+		return false
+	}
+	return m.mine(S2, ext2, depth) || m.checkEmit(S2)
+}
+
+// split mines ⟨S, ext⟩ of parent, a Sub above matrixCap and so without
+// a matrix. It enumerates children as mine does, with the rules a Sub's
+// adjacency answers without a matrix: the look-ahead of the first
+// candidate, the diameter filter (through one n-bit two-hop row built
+// from parent.Adj) and, on each materialised child, the degree rule of
+// Theorem 3 (mineChild). The cover vertex, the look-ahead past the
+// first candidate and the rest of bounding wait for a child's matrix.
+// A child that finds nothing has G(S′) emission-checked, the
+// conservative emission mine makes, so results stay exact.
+func (m *Miner) split(parent *Sub, S, ext []uint32) bool {
+	// A task's S ∪ ext is its whole Sub, and there the look-ahead of
+	// the first candidate is read off the Sub's degrees.
+	if !m.Opt.DisableLookahead && len(S)+len(ext) == parent.N() && m.emitInduced(parent) {
+		return true
+	}
+	hop := make([]uint64, bitset.WordsFor(parent.N()))
+	var S2, ext2 []uint32
+	found := false
+	for i, v := range ext {
+		if m.Abort != nil && m.Abort() {
+			break
+		}
+		if len(S)+len(ext)-i < m.Par.MinSize {
+			break
+		}
+		m.Nodes++
+		S2 = insertSortedInto(S2[:0], S, v)
+		clear(hop)
+		for _, u := range parent.Adj[v] {
+			bitset.SetBit(hop, int(u))
+			for _, w := range parent.Adj[u] {
+				bitset.SetBit(hop, int(w))
+			}
+		}
+		ext2 = ext2[:0]
+		for _, u := range ext[i+1:] {
+			if bitset.TestBit(hop, int(u)) {
+				ext2 = append(ext2, u)
+			}
+		}
+		if len(ext2) == 0 && m.Opt.QuickCompat {
+			continue // Quick misses G(S′)'s check here (the paper, T6)
+		}
+		if m.mineChild(parent, S2, ext2) {
+			found = true
+		}
+	}
+	return found
+}
+
+// mineChild mines the split child ⟨S, ext⟩ of parent as a task of its
+// own: materialised and cut by Theorem 3 until it fits the cap, then
+// bound to this miner and continued as in mine (descend). A child the
+// cut cannot bring under the cap is split again, and G(S) emission-
+// checked if that finds nothing.
+func (m *Miner) mineChild(parent *Sub, S, ext []uint32) bool {
+	sub, S, ext := MakeSubtaskScratch(parent, S, ext, &m.sc)
+	for len(ext) > 0 && sub.N() > matrixCap {
+		kept := m.degreeCut(sub, S, ext)
+		if len(kept) == len(ext) {
+			return m.split(sub, S, ext) || m.mineChild(sub, S, nil)
+		}
+		sub, S, ext = MakeSubtaskScratch(sub, S, kept, &m.sc)
+	}
+	if len(ext) == 0 {
+		return m.emitInduced(sub) // sub is G(S)
+	}
+	m.bind(sub)
+	return m.descend(&frame{S: S, ext: ext}, 0)
+}
+
+// degreeCut returns the members of ext that survive Theorem 3 (P3) on a
+// Sub that is exactly S ∪ ext: there a vertex's degree toward ext is its
+// degree less its degree toward S, so the rule needs no matrix.
+func (m *Miner) degreeCut(sub *Sub, S, ext []uint32) []uint32 {
+	if m.Opt.DisableDegreePruning {
+		return ext
+	}
+	dS := make([]int32, sub.N())
+	for _, v := range S {
+		for _, u := range sub.Adj[v] {
+			dS[u]++
+		}
+	}
+	var kept []uint32
+	for _, u := range ext {
+		a := int(dS[u])
+		b := len(sub.Adj[u]) - a
+		if a+b >= CeilMul(m.Par.Gamma, len(S)+b) {
+			kept = append(kept, u)
+		}
+	}
+	return kept
 }
 
 // applyCover implements cover-vertex pruning (P7): it finds the cover
@@ -725,89 +711,28 @@ func (m *Miner) applyCover(S, ext []uint32) ([]uint32, int) {
 	if len(ext) == 0 {
 		return ext, 0
 	}
-	gamma := m.Par.Gamma
-	thresh := CeilMul(gamma, len(S))
+	thresh := CeilMul(m.Par.Gamma, len(S))
 	bestLen := 0
-	if d := m.Sub.Dense; d != nil {
-		bitset.FillBits(m.sBits, S)
-		bitset.FillBits(m.eBits, ext)
-		for _, v := range S {
-			m.dS[v] = int32(bitset.AndCount(d.Row(int(v)), m.sBits))
-		}
-		for _, u := range ext {
-			row := d.Row(int(u))
-			// Applicability: dS(u) ≥ ⌈γ|S|⌉.
-			if bitset.AndCount(row, m.sBits) < thresh {
-				continue
-			}
-			// Γ_ext(u); skip early if it cannot beat the current best
-			// (the paper's note under Algorithm 2 line 2).
-			cnt := bitset.AndCountTo(m.tBits, row, m.eBits)
-			if cnt <= bestLen {
-				continue
-			}
-			ok := true
-			for _, v := range S {
-				if bitset.TestBit(row, int(v)) {
-					continue // v adjacent to u
-				}
-				// Applicability: non-neighbors v need dS(v) ≥ ⌈γ|S|⌉.
-				if int(m.dS[v]) < thresh {
-					ok = false
-					break
-				}
-				cnt = bitset.AndCountTo(m.tBits, m.tBits, d.Row(int(v)))
-				if cnt <= bestLen {
-					ok = false
-					break
-				}
-			}
-			if ok && cnt > bestLen {
-				bestLen = cnt
-				copy(m.t2Bits, m.tBits)
-			}
-		}
-		if bestLen == 0 {
-			return ext, 0
-		}
-		m.coverBuf = bitset.AppendBits(m.coverBuf[:0], m.t2Bits)
-		w := 0
-		for _, u := range ext {
-			if !bitset.TestBit(m.t2Bits, int(u)) {
-				ext[w] = u
-				w++
-			}
-		}
-		copy(ext[w:], m.coverBuf)
-		return ext, bestLen
-	}
-	epS := m.stampAll(m.sStamp, S)
-	epE := m.stampAll(m.eStamp, ext)
+	bitset.FillBits(m.sBits, S)
+	bitset.FillBits(m.eBits, ext)
 	for _, v := range S {
-		m.dS[v] = int32(m.Sub.DegreeInto(v, m.sStamp, epS))
+		m.dS[v] = int32(bitset.AndCount(m.mat.Row(int(v)), m.sBits))
 	}
-	bestCover := m.coverBuf[:0]
-	cand, cand2 := m.candBuf, m.candBuf2
 	for _, u := range ext {
+		row := m.mat.Row(int(u))
 		// Applicability: dS(u) ≥ ⌈γ|S|⌉.
-		if int(m.Sub.DegreeInto(u, m.sStamp, epS)) < thresh {
+		if bitset.AndCount(row, m.sBits) < thresh {
 			continue
 		}
 		// Γ_ext(u); skip early if it cannot beat the current best
 		// (the paper's note under Algorithm 2 line 2).
-		cand = cand[:0]
-		for _, w := range m.Sub.Adj[u] {
-			if m.eStamp[w] == epE {
-				cand = append(cand, w)
-			}
-		}
-		if len(cand) <= bestLen {
+		cnt := bitset.AndCountTo(m.tBits, row, m.eBits)
+		if cnt <= bestLen {
 			continue
 		}
-		epU := m.stampAll(m.tStamp, m.Sub.Adj[u])
 		ok := true
 		for _, v := range S {
-			if m.tStamp[v] == epU {
+			if bitset.TestBit(row, int(v)) {
 				continue // v adjacent to u
 			}
 			// Applicability: non-neighbors v need dS(v) ≥ ⌈γ|S|⌉.
@@ -815,31 +740,29 @@ func (m *Miner) applyCover(S, ext []uint32) ([]uint32, int) {
 				ok = false
 				break
 			}
-			cand2 = vset.Intersect(cand2[:0], cand, m.Sub.Adj[v])
-			cand, cand2 = cand2, cand
-			if len(cand) <= bestLen {
+			cnt = bitset.AndCountTo(m.tBits, m.tBits, m.mat.Row(int(v)))
+			if cnt <= bestLen {
 				ok = false
 				break
 			}
 		}
-		if ok && len(cand) > bestLen {
-			bestLen = len(cand)
-			bestCover = append(bestCover[:0], cand...)
+		if ok && cnt > bestLen {
+			bestLen = cnt
+			copy(m.t2Bits, m.tBits)
 		}
 	}
-	m.coverBuf, m.candBuf, m.candBuf2 = bestCover, cand, cand2
 	if bestLen == 0 {
 		return ext, 0
 	}
-	epC := m.stampAll(m.t2Stamp, bestCover)
+	m.coverBuf = bitset.AppendBits(m.coverBuf[:0], m.t2Bits)
 	w := 0
 	for _, u := range ext {
-		if m.t2Stamp[u] != epC {
+		if !bitset.TestBit(m.t2Bits, int(u)) {
 			ext[w] = u
 			w++
 		}
 	}
-	copy(ext[w:], bestCover)
+	copy(ext[w:], m.coverBuf)
 	return ext, bestLen
 }
 
@@ -853,11 +776,11 @@ func insertSortedInto(dst, S []uint32, v uint32) []uint32 {
 }
 
 // removeMarked returns ext minus the members of I, filtering in place.
-func removeMarked(ext, I []uint32, m *Miner) []uint32 {
-	ep := m.stampAll(m.t2Stamp, I)
+func (m *Miner) removeMarked(ext, I []uint32) []uint32 {
+	bitset.FillBits(m.t2Bits, I)
 	out := ext[:0]
 	for _, u := range ext {
-		if m.t2Stamp[u] != ep {
+		if !bitset.TestBit(m.t2Bits, int(u)) {
 			out = append(out, u)
 		}
 	}

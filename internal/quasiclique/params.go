@@ -16,30 +16,28 @@
 // NewPooledMiner, install Emit (and, for parallel mining, TimedOut/
 // Offload/Abort) once, then call Reset(sub) before each task. Reset
 // rebinds the miner, zeroes the per-task counters, and retains every
-// internal buffer — stamp arrays, the dense adjacency matrix, and the
+// internal buffer — the adjacency matrix, the two-hop cache, and the
 // per-depth recursion arena all grow monotonically — so steady-state
 // mining allocates nothing per expanded tree node. A Miner is
 // single-goroutine; pool one per worker, never share across workers.
 //
-// # Dense kernel tuning
+// # One representation
 //
-// Task subgraphs with at most Options.DenseThreshold vertices are
-// mined against a flat bitset adjacency matrix: degree and
-// intersection queries become popcount-over-AND word loops of
-// ⌈n/64⌉ words instead of per-element adjacency scans. The matrix
-// costs n·⌈n/64⌉·8 bytes of pooled (reused) memory per miner — 128 KiB
-// at the default threshold of 1024 — and pays off on exactly the
-// dense, high-degree subgraphs where set enumeration explodes. Task
-// subgraphs are post-k-core two-hop neighborhoods, so most fit well
-// under the default; raise the threshold if profiles show sparse-path
-// time on bigger tasks (memory grows quadratically), lower it or
-// disable (-1) on nearly-empty subgraphs where adjacency scans are
-// already short. The selection is also adaptive on MEASURED edge
-// density: above DenseAlwaysN (64) vertices the matrix is built only
-// when 2m/n² reaches Options.DenseMinDensity (default 0.02), so a
-// nearly-empty big subgraph keeps its short adjacency walks without
-// tuning. Dense and sparse kernels compute identical values, so the
-// choice never affects results.
+// Every pruning rule is written once, against the bound task
+// subgraph's bitset adjacency matrix: degree and intersection queries
+// are popcount-over-AND loops of ⌈n/64⌉ words. The matrix costs
+// n·⌈n/64⌉·8 bytes of pooled memory per miner, twice that with the
+// two-hop row cache, so a miner builds one only for task subgraphs of
+// at most 1 024 vertices (128 KiB + 128 KiB). Task subgraphs are
+// post-k-core two-hop neighborhoods and almost always fit far below
+// that. One that does not is split at its first level: each child
+// ⟨S ∪ {v}, ext′⟩ is diameter-filtered from the adjacency lists,
+// materialised, cut by Theorem 3 (which a Sub's own degrees answer)
+// until it fits, and mined on its own matrix — or split again. The
+// split level has no cover vertex, no look-ahead past the first
+// candidate and no bounding, so only its search tree differs; a child
+// that finds nothing gets mine's conservative emission check, so
+// results stay exact.
 package quasiclique
 
 import (
@@ -129,72 +127,4 @@ type Options struct {
 	// output, mirroring the paper's released code ("currently we do
 	// not include a processing step to remove non-maximal results").
 	SkipMaximalityFilter bool
-	// DenseThreshold caps the task-subgraph size for which the miner
-	// builds the dense bitset adjacency matrix (see the package doc's
-	// tuning notes). 0 means DefaultDenseThreshold; a negative value
-	// disables the dense kernel. Like the pruning toggles, it never
-	// changes the result set — only speed.
-	DenseThreshold int
-	// DenseMinDensity gates the dense kernel on MEASURED task edge
-	// density: a subgraph of n > DenseAlwaysN vertices builds the
-	// bitset matrix only when 2m/n² (directed adjacency entries over
-	// n²) reaches this floor. Nearly-empty big subgraphs otherwise pay
-	// ⌈n/64⌉-word scans where their adjacency walks are shorter. 0
-	// means DefaultDenseMinDensity; a negative value disables the gate
-	// (size-only selection, the pre-adaptive behavior). Never changes
-	// the result set — only speed.
-	DenseMinDensity float64
-	// DisableTwoHopCache turns off the lazily built per-vertex two-hop
-	// bitmap rows of the dense kernel, recomputing each two-hop set by
-	// ORing adjacency rows on every filterTwoHop call (the pre-cache
-	// behavior). The cache costs one extra n×⌈n/64⌉-word arena per
-	// miner. Never changes the result set — only speed.
-	DisableTwoHopCache bool
-	// NoSIMD forces the scalar bitset kernels even on hosts with the
-	// vectorized implementations (bitset.SetSIMD(false)), for A/B
-	// timing without rebuilding. Note the switch is process-global, not
-	// per-run: the driver applies it at run start. Never changes the
-	// result set — the kernels are verified bit-identical.
-	NoSIMD bool
-}
-
-// DefaultDenseThreshold is the task-subgraph size up to which the
-// miner builds the dense bitset adjacency matrix when
-// Options.DenseThreshold is left zero.
-const DefaultDenseThreshold = 1024
-
-// denseThreshold resolves the Options field to an effective limit.
-func (o Options) denseThreshold() int {
-	switch {
-	case o.DenseThreshold < 0:
-		return 0
-	case o.DenseThreshold == 0:
-		return DefaultDenseThreshold
-	default:
-		return o.DenseThreshold
-	}
-}
-
-// DenseAlwaysN is the subgraph size up to which the dense matrix is
-// built regardless of measured density: a ≤64-vertex matrix is one
-// word per row, cheaper than measuring.
-const DenseAlwaysN = 64
-
-// DefaultDenseMinDensity is the edge-density floor (2m/n²) for the
-// dense kernel on subgraphs above DenseAlwaysN vertices when
-// Options.DenseMinDensity is left zero. At 2m/n² = 0.02 the average
-// adjacency row is n/50 entries — around the point where walking it
-// costs as much as scanning the n/64-word bitset row it would replace.
-const DefaultDenseMinDensity = 0.02
-
-// denseMinDensity resolves the Options field; 0 disables the gate.
-func (o Options) denseMinDensity() float64 {
-	switch {
-	case o.DenseMinDensity < 0:
-		return 0
-	case o.DenseMinDensity == 0:
-		return DefaultDenseMinDensity
-	default:
-		return o.DenseMinDensity
-	}
 }

@@ -3,7 +3,6 @@ package quasiclique
 import (
 	"fmt"
 
-	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/kcore"
 	"gthinkerqc/internal/store"
@@ -15,26 +14,11 @@ import (
 // strictly increasing, so comparisons on local indices agree with
 // global ID order (which the set-enumeration tree relies on). Adj rows
 // built by this package share one packed backing array (CSR-style),
-// mirroring the graph substrate's layout.
+// mirroring the graph substrate's layout. A Sub is only the subgraph:
+// the bitset matrix mining runs on belongs to the Miner bound to it.
 type Sub struct {
 	Label []graph.V
 	Adj   [][]uint32 // sorted local adjacency
-
-	// Dense, when non-nil, is the flat adjacency bit matrix of the
-	// subgraph (row v = Γ(v) as bits). It is transient mining state,
-	// not part of the subgraph's identity: the storage belongs to the
-	// Miner currently bound to this Sub (Miner.Reset attaches it for
-	// subgraphs up to the dense threshold and detaches it when the
-	// miner moves on), and it is never serialized.
-	Dense *bitset.Matrix
-
-	// TwoHop, when non-nil, lazily caches per-vertex two-hop
-	// reachability rows (row v = vertices within two hops of v) over
-	// the same universe as Dense. Like Dense it is transient mining
-	// state owned by the bound Miner, attached only alongside Dense,
-	// and never serialized. Rows are built on first use by
-	// Miner.twoHopRow; consult Built before reading one.
-	TwoHop *bitset.RowCache
 }
 
 // N returns the number of local vertices.
@@ -229,34 +213,6 @@ func (s *Sub) PeelKCoreScratch(k int, sc *Scratch) (*Sub, []uint32) {
 	return s.InduceScratch(sc.keep, sc), sc.keep
 }
 
-// BuildDense fills m with the flat adjacency bit matrix of s and
-// attaches it as s.Dense. The matrix storage stays owned by the
-// caller (in practice the pooled Miner), so the view is only valid
-// while that owner remains bound to s.
-func (s *Sub) BuildDense(m *bitset.Matrix) {
-	m.Reset(s.N())
-	for i, row := range s.Adj {
-		r := m.Row(i)
-		for _, u := range row {
-			bitset.SetBit(r, int(u))
-		}
-	}
-	s.Dense = m
-}
-
-// DegreeInto counts, for vertex v, how many neighbors u have
-// stamp[u] == epoch. The caller stamps the membership set first; this
-// is how the miner computes the SS/SE/ES/EE degree quadruple (T2).
-func (s *Sub) DegreeInto(v uint32, stamp []int64, epoch int64) int {
-	d := 0
-	for _, u := range s.Adj[v] {
-		if stamp[u] == epoch {
-			d++
-		}
-	}
-	return d
-}
-
 // AppendRaw appends the Sub's columnar encoding for the engine's GQS1
 // spill path: the three flat arrays written verbatim, little-endian,
 // with no reflection —
@@ -310,7 +266,5 @@ func (s *Sub) DecodeRaw(c *store.Cursor) error {
 	}
 	s.Label = label
 	s.Adj = adj
-	s.Dense = nil
-	s.TwoHop = nil
 	return nil
 }

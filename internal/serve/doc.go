@@ -21,13 +21,19 @@
 // min_size are required:
 //
 //	{
-//	  "gamma": 0.9,            // degree ratio γ ∈ [0.5, 1]
-//	  "min_size": 10,          // minimum quasi-clique size τsize
-//	  "tau_split": 256,        // big-task threshold (optional)
-//	  "tau_time_ms": 100,      // decomposition budget (optional)
-//	  "time_budget_ms": 60000, // wall-clock budget (optional)
-//	  "priority": 5            // queue priority, higher first (optional)
+//	  "gamma": 0.9,                 // degree ratio γ ∈ [0.5, 1]
+//	  "min_size": 10,               // minimum quasi-clique size τsize
+//	  "tau_split": 256,             // big-task threshold (optional)
+//	  "tau_time_ms": 100,           // decomposition budget (optional)
+//	  "time_budget_ms": 60000,      // wall-clock budget (optional)
+//	  "priority": 5,                // queue priority, higher first (optional)
+//	  "size_threshold_only": false, // decompose by tau_split alone (optional)
+//	  "keep_non_maximal": false     // skip the maximality filter (optional)
 //	}
+//
+// A body naming any other field is refused with 400 and the field's
+// name, so a misspelled or retired option fails instead of being
+// silently ignored.
 //
 // curl examples:
 //

@@ -45,12 +45,11 @@ type JobRequest struct {
 	// completes the job with the partial results found so far.
 	TimeBudgetMS int64 `json:"time_budget_ms,omitempty"`
 	// Priority orders the queue (higher first, FIFO within a band).
-	Priority          int     `json:"priority,omitempty"`
-	NoSIMD            bool    `json:"no_simd,omitempty"`
-	SizeThresholdOnly bool    `json:"size_threshold_only,omitempty"`
-	KeepNonMaximal    bool    `json:"keep_non_maximal,omitempty"`
-	DenseThreshold    int     `json:"dense_threshold,omitempty"`
-	DenseMinDensity   float64 `json:"dense_min_density,omitempty"`
+	Priority int `json:"priority,omitempty"`
+	// SizeThresholdOnly decomposes by τsplit alone (Algorithm 8).
+	SizeThresholdOnly bool `json:"size_threshold_only,omitempty"`
+	// KeepNonMaximal skips the maximality post-filter.
+	KeepNonMaximal bool `json:"keep_non_maximal,omitempty"`
 }
 
 // maxJobRequestBytes caps a POST /v1/jobs body. A job request is a few
@@ -68,10 +67,7 @@ func (r JobRequest) config(defaultBudget time.Duration) miner.Config {
 	if r.SizeThresholdOnly {
 		cfg.Strategy = miner.SizeThreshold
 	}
-	cfg.Options.NoSIMD = r.NoSIMD
 	cfg.Options.SkipMaximalityFilter = r.KeepNonMaximal
-	cfg.Options.DenseThreshold = r.DenseThreshold
-	cfg.Options.DenseMinDensity = r.DenseMinDensity
 	if cfg.TimeBudget == 0 {
 		cfg.TimeBudget = defaultBudget
 	}
@@ -214,7 +210,7 @@ func (s *Server) Close() error {
 }
 
 // cacheKey is the LRU key: the graph fingerprint plus the canonical
-// job spec — the QJS1 encoding of the query with the wall budget
+// job spec — the job-spec encoding of the query with the wall budget
 // zeroed (a budget changes when the job stops, not what a COMPLETED
 // job finds) and defaults applied, so equivalent submissions collide
 // regardless of how sparsely they were written.
@@ -435,7 +431,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req JobRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes)).Decode(&req); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobRequestBytes))
+		dec.DisallowUnknownFields() // a misspelled or retired option is an error, not a no-op
+		if err := dec.Decode(&req); err != nil {
 			code := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {

@@ -357,9 +357,14 @@ func TestServeBadRequests(t *testing.T) {
 	if code := post(`{"gamma":0.2,"min_size":5}`); code != http.StatusBadRequest {
 		t.Fatalf("invalid gamma: HTTP %d, want 400", code)
 	}
+	// A request naming a field the API does not have is refused, not
+	// admitted with the field dropped.
+	if code := post(`{"gamma":0.9,"min_size":4,"dense_threshold":-1}`); code != http.StatusBadRequest {
+		t.Fatalf("unknown field: HTTP %d, want 400", code)
+	}
 	// A well-formed request padded past the body cap: without the cap
-	// it would be admitted (unknown fields are ignored).
-	huge := `{"gamma":0.9,"min_size":5,"pad":"` + strings.Repeat("x", maxJobRequestBytes) + `"}`
+	// it would be admitted.
+	huge := `{"gamma":0.9,` + strings.Repeat(" ", maxJobRequestBytes) + `"min_size":5}`
 	if code := post(huge); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: HTTP %d, want 413", code)
 	}
@@ -367,7 +372,7 @@ func TestServeBadRequests(t *testing.T) {
 	admitted := len(srv.jobs)
 	srv.mu.Unlock()
 	if admitted != 0 {
-		t.Fatalf("%d jobs exist after three refused submissions", admitted)
+		t.Fatalf("%d jobs exist after four refused submissions", admitted)
 	}
 	if resp, err := http.Get(hs.URL + "/v1/jobs/j999"); err != nil {
 		t.Fatal(err)
