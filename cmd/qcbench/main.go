@@ -14,7 +14,7 @@
 //	qcbench -exp all -csvdir out            # raw series next to the tables
 //
 // Experiments: table1 table2 table3 table4 table5a table5b table6
-// fig1 fig2 fig3 ablation quickmiss kernel decomp all
+// fig1 fig2 fig3 ablation quickmiss decomp all; any other name exits 2
 //
 // qcbench prints tables; everything about one mine lives in the tools
 // that mine. To trace a stand-in, inject faults into it, watch its
@@ -132,10 +132,16 @@ func main() {
 	}
 	w := os.Stdout
 
+	// names lists every experiment for the unknown -exp message; ran
+	// records whether -exp selected any of them ("all" selects every one).
+	var names []string
+	ran := false
 	run := func(name string, fn func() error) {
+		names = append(names, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		fmt.Fprintf(w, "==== %s ====\n", name)
 		if err := fn(); err != nil {
 			die("qcbench: %s: %v\n", name, err)
@@ -266,18 +272,6 @@ func main() {
 		experiments.PrintQuickMiss(w, rows)
 		return nil
 	})
-	run("kernel", func() error {
-		var rows []experiments.KernelRow
-		for _, ds := range []string{"CX_GSE10158", "YouTube"} {
-			row, err := experiments.FutureWorkKernel(ds, 0.95)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-		}
-		experiments.PrintKernel(w, rows)
-		return nil
-	})
 	run("decomp", func() error {
 		// Hyves at its Table-2 defaults; YouTube in the head-of-line
 		// regime (τsize 24: one hard-core task dominates) with a
@@ -294,6 +288,11 @@ func main() {
 		experiments.PrintDecomp(w, rows, "YouTube (τsize=24, τtime=1ms)")
 		return nil
 	})
+
+	if !ran {
+		fmt.Fprintf(os.Stderr, "qcbench: unknown -exp %q; valid: %s all\n", *exp, strings.Join(names, " "))
+		os.Exit(2)
+	}
 }
 
 func parseInts(s string) []int {

@@ -1,20 +1,19 @@
-// Command qcstats summarizes a graph: size, degree distribution, core
-// decomposition, trussness, and — for small graphs — the maximum
-// clique. Useful for choosing γ and τsize before mining: the paper's
-// Theorem 2 prunes every vertex of degree < ⌈γ(τsize−1)⌉, so the core
-// histogram predicts how much of the graph a parameter choice removes.
+// Command qcstats summarizes a graph: size, degree distribution and
+// core decomposition. Useful for choosing γ and τsize before mining:
+// the paper's Theorem 2 prunes every vertex of degree < ⌈γ(τsize−1)⌉,
+// so the pruning preview's k-core size predicts how much of the graph
+// a parameter choice removes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"gthinkerqc"
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/ktruss"
+	"gthinkerqc/internal/kcore"
 	"gthinkerqc/internal/quasiclique"
 )
 
@@ -23,7 +22,6 @@ func main() {
 		input   = flag.String("input", "", "graph file (.txt edge list or .bin)")
 		gamma   = flag.Float64("gamma", 0.9, "γ for the pruning preview")
 		minsize = flag.Int("minsize", 10, "τsize for the pruning preview")
-		truss   = flag.Bool("truss", false, "also compute the truss decomposition (O(m^1.5))")
 	)
 	flag.Parse()
 	if *input == "" {
@@ -50,31 +48,21 @@ func main() {
 	fmt.Println("degree distribution:")
 	printLogHist(hist)
 
-	cores := gthinkerqc.CoreNumbers(g)
-	maxCore := 0
-	coreHist := map[int]int{}
+	cores := kcore.CoreNumbers(g)
+	// Pruning preview (Theorem 2): the k-core is every vertex of core
+	// number at least k.
+	k := quasiclique.CeilMul(*gamma, *minsize-1)
+	maxCore, kept := 0, 0
 	for _, c := range cores {
-		coreHist[c]++
-		if c > maxCore {
-			maxCore = c
+		maxCore = max(maxCore, c)
+		if c >= k {
+			kept++
 		}
 	}
 	fmt.Printf("degeneracy (max core): %d\n", maxCore)
-
-	// Pruning preview (Theorem 2).
-	k := quasiclique.CeilMul(*gamma, *minsize-1)
-	kept := len(gthinkerqc.KCore(g, k))
 	fmt.Printf("pruning preview: γ=%.2f τsize=%d ⇒ k=%d; k-core keeps %d/%d vertices (%.1f%%)\n",
 		*gamma, *minsize, k, kept, g.NumVertices(),
 		100*float64(kept)/float64(max(1, g.NumVertices())))
-
-	if *truss {
-		fmt.Printf("max trussness: %d\n", ktruss.MaxTrussness(g))
-	}
-	if g.NumVertices() <= 2000 {
-		mc := len(gthinkerqc.MaximalCliques(g, 2))
-		fmt.Printf("maximal cliques (≥2): %d\n", mc)
-	}
 }
 
 func printLogHist(hist []int) {
@@ -112,12 +100,4 @@ func printLogHist(hist []int) {
 		bar := strings.Repeat("#", int(40*float64(b.n)/float64(maxN)))
 		fmt.Printf("  deg %-12s %8d %s\n", label, b.n, bar)
 	}
-	_ = sort.SearchInts
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gthinkerqc/internal/datagen"
-	"gthinkerqc/internal/kernel"
 	"gthinkerqc/internal/quasiclique"
 )
 
@@ -129,76 +128,6 @@ func AblationDecomposition(dataset string, cluster Cluster, tauTime time.Duratio
 		})
 	}
 	return rows, nil
-}
-
-// KernelRow compares exact mining with the kernel-expansion heuristic
-// of [32] — the paper's stated future work.
-type KernelRow struct {
-	Dataset     string
-	ExactTime   time.Duration
-	ExactCount  int
-	KernelTime  time.Duration // kernel mining + expansion
-	KernelCount int
-	Kernels     int
-	// CoveredExact counts exact maximal quasi-cliques that some
-	// kernel-expansion result covers at ≥ 80% of their vertices (the
-	// recall proxy [32] reports).
-	CoveredExact int
-}
-
-// FutureWorkKernel runs exact serial mining and kernel expansion on
-// one dataset and compares cost and recall.
-func FutureWorkKernel(dataset string, kernelGamma float64) (KernelRow, error) {
-	g, s, err := buildDataset(dataset)
-	if err != nil {
-		return KernelRow{}, err
-	}
-	par := quasiclique.Params{Gamma: s.Gamma, MinSize: s.MinSize}
-	t0 := time.Now()
-	exact, _, err := quasiclique.MineGraph(g, par, quasiclique.Options{})
-	if err != nil {
-		return KernelRow{}, err
-	}
-	exactTime := time.Since(t0)
-
-	t1 := time.Now()
-	kres, kstats, err := kernel.Expand(g, kernel.Config{
-		Gamma:       s.Gamma,
-		KernelGamma: kernelGamma,
-		MinSize:     s.MinSize,
-		// Kernels may be smaller than the target size; they only grow.
-		KernelMinSize: s.MinSize * 3 / 4,
-	})
-	if err != nil {
-		return KernelRow{}, err
-	}
-	kernelTime := time.Since(t1)
-
-	covered := 0
-	for _, e := range exact {
-		in := map[uint32]bool{}
-		for _, v := range e {
-			in[uint32(v)] = true
-		}
-		for _, k := range kres {
-			hit := 0
-			for _, v := range k {
-				if in[uint32(v)] {
-					hit++
-				}
-			}
-			if float64(hit) >= 0.8*float64(len(e)) {
-				covered++
-				break
-			}
-		}
-	}
-	return KernelRow{
-		Dataset:   dataset,
-		ExactTime: exactTime, ExactCount: len(exact),
-		KernelTime: kernelTime, KernelCount: len(kres),
-		Kernels: kstats.Kernels, CoveredExact: covered,
-	}, nil
 }
 
 // QuickMissRow quantifies the results missed by the original Quick

@@ -314,24 +314,6 @@ func TestAblationQuickMissSmoke(t *testing.T) {
 	}
 }
 
-func TestFutureWorkKernelSmoke(t *testing.T) {
-	row, err := FutureWorkKernel("CX_GSE1730", 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.ExactCount == 0 {
-		t.Fatal("exact mining found nothing")
-	}
-	if row.CoveredExact > row.ExactCount {
-		t.Fatalf("coverage accounting broken: %+v", row)
-	}
-	var buf bytes.Buffer
-	PrintKernel(&buf, []KernelRow{row})
-	if !strings.Contains(buf.String(), "kernel") {
-		t.Fatal("kernel printout malformed")
-	}
-}
-
 func TestAblationDecompositionSmoke(t *testing.T) {
 	rows, err := AblationDecomposition("CX_GSE10158", small, 0, 0)
 	if err != nil {

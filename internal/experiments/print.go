@@ -193,19 +193,6 @@ func PrintQuickMiss(w io.Writer, rows []QuickMissRow) {
 	}
 }
 
-// PrintKernel renders the future-work kernel-expansion comparison.
-func PrintKernel(w io.Writer, rows []KernelRow) {
-	fmt.Fprintf(w, "Future work [32]: kernel expansion vs. exact mining (serial)\n")
-	fmt.Fprintf(w, "%-13s %12s %8s %12s %8s %9s %14s\n",
-		"dataset", "exact time", "exact#", "kernel time", "found#", "kernels", "covered-exact")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-13s %12s %8d %12s %8d %9d %10d/%d\n",
-			r.Dataset, fmtDur(r.ExactTime), r.ExactCount,
-			fmtDur(r.KernelTime), r.KernelCount, r.Kernels,
-			r.CoveredExact, r.ExactCount)
-	}
-}
-
 // histBinsTotal is a small helper for tests.
 func histBinsTotal(bins []metrics.HistBin) int {
 	t := 0

@@ -27,46 +27,10 @@ func IsSorted(xs []uint32) bool {
 	return true
 }
 
-// Dedup sorts xs and removes duplicates in place, returning the
-// shortened slice.
-func Dedup(xs []uint32) []uint32 {
-	if len(xs) < 2 {
-		return xs
-	}
-	Sort(xs)
-	w := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[w-1] {
-			xs[w] = xs[i]
-			w++
-		}
-	}
-	return xs[:w]
-}
-
 // Contains reports whether sorted xs contains x, by binary search.
 func Contains(xs []uint32, x uint32) bool {
 	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= x })
 	return i < len(xs) && xs[i] == x
-}
-
-// Intersect appends a ∩ b (both sorted strictly increasing) to dst and
-// returns the extended slice.
-func Intersect(dst, a, b []uint32) []uint32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
 }
 
 // IntersectCount returns |a ∩ b| for sorted strictly increasing a, b.
@@ -108,35 +72,6 @@ func Union(dst, a, b []uint32) []uint32 {
 	dst = append(dst, a[i:]...)
 	dst = append(dst, b[j:]...)
 	return dst
-}
-
-// Difference appends a \ b (both sorted strictly increasing) to dst and
-// returns the extended slice.
-func Difference(dst, a, b []uint32) []uint32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return append(dst, a[i:]...)
-}
-
-// Remove deletes x from sorted xs in place if present, returning the
-// shortened slice.
-func Remove(xs []uint32, x uint32) []uint32 {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= x })
-	if i >= len(xs) || xs[i] != x {
-		return xs
-	}
-	return append(xs[:i], xs[i+1:]...)
 }
 
 // Equal reports whether a and b hold the same elements in the same
