@@ -109,11 +109,13 @@ func TestCompositionsBitIdentical(t *testing.T) {
 		// τtime = 1 ns decomposes maximally: every task times out at
 		// once and wraps its subtrees into subtasks.
 		{name: "time-delayed", cfg: Config{TauTime: time.Nanosecond, TauSplit: 4}},
-		// Size-threshold decomposition with a tiny τsplit floods the
-		// 4-task queues, so batches of Sub-carrying tasks hit disk and
-		// come back (and, on more than one machine, get stolen from
-		// disk).
-		{name: "size-threshold-spill", cfg: Config{Strategy: SizeThreshold, TauSplit: 2}, spill: true},
+		// Size-threshold decomposition over 2-task queues: at τsplit 7
+		// every job has computes that route three or more small
+		// subtasks at once onto their own worker's local queue, which
+		// no other thread pops, so batches of Sub-carrying tasks hit
+		// disk and come back however the threads are scheduled. Which
+		// subtasks a compute makes depends only on its task.
+		{name: "size-threshold-spill", cfg: Config{Strategy: SizeThreshold, TauSplit: 7}, spill: true},
 	}
 
 	for _, comp := range compositions {
@@ -125,7 +127,7 @@ func TestCompositionsBitIdentical(t *testing.T) {
 				ecfg := comp.ecfg
 				ecfg.StealInterval = time.Millisecond
 				if strat.spill {
-					ecfg.QueueCap, ecfg.BatchSize = 4, 2
+					ecfg.QueueCap, ecfg.BatchSize = 2, 2
 				}
 				var s *Session
 				spillDir := ""

@@ -2,6 +2,8 @@ package quasiclique
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"gthinkerqc/internal/graph"
@@ -154,7 +156,7 @@ func TestBoundsAgreeOnContradiction(t *testing.T) {
 		}
 		gamma := m.Par.Gamma
 		// Feasibility of the sum condition must form an interval.
-		prefix := m.prefixByDegree(ext)
+		prefix := m.prefix // staged by mkMinerStateP
 		feasible := make([]bool, len(ext)+1)
 		first, last := -1, -1
 		for tt := 0; tt <= len(ext); tt++ {
@@ -293,6 +295,72 @@ func TestIterativeBoundingContract(t *testing.T) {
 				t.Fatalf("seed=%d: bounding pruned %d which appears in a valid quasi-clique (S=%v ext=%v)",
 					seed, u, S, orig)
 			}
+		}
+	}
+}
+
+// TestThresholdTables: the miner's threshold tables agree with CeilMul
+// and FloorDiv at every index up to the largest matrix a miner builds,
+// for each γ in turn on one pooled miner — so a γ change between Resets
+// refills them.
+func TestThresholdTables(t *testing.T) {
+	const n = 1024
+	sub := &Sub{Label: make([]graph.V, n), Adj: make([][]uint32, n)}
+	m := NewPooledMiner(Params{MinSize: 2}, Options{})
+	for _, gamma := range []float64{0.5, 0.6, 2.0 / 3, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0} {
+		m.Par.Gamma = gamma
+		m.Reset(sub)
+		for k := 0; k <= n; k++ {
+			if got, want := m.ceilMul[k], CeilMul(gamma, k); got != want {
+				t.Fatalf("γ=%v: ceilMul[%d] = %d, CeilMul = %d", gamma, k, got, want)
+			}
+			if got, want := m.floorDiv[k], FloorDiv(k, gamma); got != want {
+				t.Fatalf("γ=%v: floorDiv[%d] = %d, FloorDiv = %d", gamma, k, got, want)
+			}
+		}
+	}
+}
+
+// sortedPrefix is prefixByDegree's oracle: ext's dS values sorted
+// non-increasing, then summed.
+func sortedPrefix(dS []int32, ext []uint32) []int {
+	d := make([]int, len(ext))
+	for i, u := range ext {
+		d[i] = int(dS[u])
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(d)))
+	prefix := make([]int, len(ext)+1)
+	for i, x := range d {
+		prefix[i+1] = prefix[i] + x
+	}
+	return prefix
+}
+
+// TestPrefixByDegreeCounting: the counting-pass prefix equals the
+// sort-based one on random degrees toward S — ties, zeros, an empty
+// ext, and a top no degree reaches included.
+func TestPrefixByDegreeCounting(t *testing.T) {
+	const n = 130 // three words
+	rng := rand.New(rand.NewSource(5))
+	m := NewMiner(&Sub{Label: make([]graph.V, n), Adj: make([][]uint32, n)}, Params{Gamma: 0.8, MinSize: 2}, Options{})
+	for trial := 0; trial < 2000; trial++ {
+		perm := rng.Perm(n)
+		sLen := 1 + rng.Intn(n-1)
+		ext := make([]uint32, rng.Intn(n-sLen+1))
+		for i := range ext {
+			ext[i] = uint32(perm[sLen+i])
+		}
+		top := rng.Intn(sLen + 1) // few distinct values when small
+		for _, u := range ext {
+			if rng.Intn(4) > 0 {
+				m.dS[u] = int32(rng.Intn(top + 1))
+			} else {
+				m.dS[u] = 0
+			}
+		}
+		got := m.prefixByDegree(ext, sLen)
+		if want := sortedPrefix(m.dS, ext); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (|S|=%d, top=%d): counting %v, sorted %v", trial, sLen, top, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package quasiclique
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"gthinkerqc/internal/bitset"
@@ -114,18 +115,21 @@ func TestMatrixCapStraddle(t *testing.T) {
 // TestPooledMinerReuse reuses one miner across many differently-sized
 // subgraphs whose sizes hop across a lowered matrix cap (exercising
 // Reset's monotonic growth and the switch between mining on the matrix
-// and splitting) and checks each task against a fresh miner, emission
-// for emission and on Nodes.
+// and splitting) while Par.Gamma changes between Resets (exercising the
+// threshold tables' refill), and checks each task against a fresh
+// miner, emission for emission and on Nodes.
 func TestPooledMinerReuse(t *testing.T) {
-	par := Params{Gamma: 0.6, MinSize: 3}
+	gammas := []float64{0.6, 0.75, 0.6, 0.9, 0.5, 2.0 / 3}
 	withMatrixCap(10, func() {
-		pooled := NewPooledMiner(par, Options{})
+		pooled := NewPooledMiner(Params{Gamma: gammas[0], MinSize: 3}, Options{})
 		var got [][]graph.V
 		pooled.Emit = func(locals []uint32) { got = append(got, pooled.Sub.Labels(locals)) }
 		for seed := int64(0); seed < 30; seed++ {
 			n := 5 + int(seed*3%13) // sizes hop around the cap
+			par := Params{Gamma: gammas[seed%int64(len(gammas))], MinSize: 3}
 			sub, S, ext := allVertexSub(randomGraph(seed, n, 0.45))
 			got = got[:0]
+			pooled.Par = par
 			pooled.Reset(sub)
 			pooled.RecursiveMine(S, append([]uint32(nil), ext...))
 			want, fresh := mineDirect(sub, S, ext, par)
@@ -142,6 +146,41 @@ func TestPooledMinerReuse(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRecursiveMineSteadyStateAllocs: once a pooled miner has mined a
+// task, binding and mining it again allocates nothing — every buffer,
+// the threshold tables and the degree-prefix buffers included, is kept
+// across Resets. One task per matrix width: a 24-vertex planted core
+// and BenchmarkRecursiveMine's 3-word task.
+func TestRecursiveMineSteadyStateAllocs(t *testing.T) {
+	for _, c := range []struct {
+		words int
+		tk    benchTask
+	}{
+		{1, rootBenchTask(t, "1word", plantedGraph(rand.New(rand.NewSource(42)), 40, 0.05, 1, 24, 0.85), Params{Gamma: 0.85, MinSize: 10})},
+		{3, rootBenchTask(t, "3word", denseGraph(150, 0.22), Params{Gamma: 0.85, MinSize: 5})},
+	} {
+		tk := c.tk
+		if got := bitset.WordsFor(tk.sub.N()); got != c.words {
+			t.Fatalf("%s: task of %d vertices spans %d words", tk.name, tk.sub.N(), got)
+		}
+		m := NewPooledMiner(tk.par, Options{})
+		m.Emit = func([]uint32) {}
+		ext := make([]uint32, len(tk.ext))
+		run := func() {
+			copy(ext, tk.ext)
+			m.Reset(tk.sub)
+			m.RecursiveMine(tk.S, ext)
+		}
+		run() // warm the buffers
+		if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+			t.Fatalf("%s: %v allocs per Reset + RecursiveMine on a warm miner, want 0", tk.name, allocs)
+		}
+		if m.Nodes == 0 {
+			t.Fatalf("%s: expanded no nodes", tk.name)
+		}
+	}
 }
 
 // TestOversizeNeverBuildsBigMatrix mines a Sub of three times a

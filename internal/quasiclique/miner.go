@@ -2,7 +2,6 @@ package quasiclique
 
 import (
 	"math/bits"
-	"slices"
 	"sort"
 
 	"gthinkerqc/internal/bitset"
@@ -31,6 +30,19 @@ var matrixCap = 1024
 //
 // Every rule runs on the bound Sub's bitset adjacency matrix (see the
 // package doc's "One representation").
+//
+// Per-node cost. Three things keep a search-tree node down to its
+// popcounts. (1) Every degree threshold is a table lookup: Reset fills
+// ⌈γ·k⌉ and ⌊x/γ⌋ for k, x ∈ [0, n] from CeilMul and FloorDiv, the one
+// definition of each rounding, and refills them only when n outgrows
+// them or Par.Gamma changed. (2) Each bounding round stages the degrees
+// once (stageDegrees) and builds the degree-sorted prefix sums of U_S
+// and L_S from them once, by counting rather than sorting. (3) The
+// cover-vertex search reads what bounding staged: mine is only ever
+// entered on a node whose membership rows and degrees toward S are
+// current for exactly ⟨S, ext⟩ — descend calls it when
+// iterativeBounding has just returned from a staging round that removed
+// nothing, and RecursiveMine stages the root.
 type Miner struct {
 	Sub *Sub
 	Par Params
@@ -80,8 +92,14 @@ type Miner struct {
 	dS      []int32 // degree toward S, per local vertex
 	dE      []int32 // degree toward ext(S), per local vertex
 	unionBf []uint32
-	byDeg   []uint32 // prefixByDegree ordering buffer
-	prefix  []int    // prefixByDegree sums buffer
+	hist    []int32 // prefixByDegree's dS histogram
+	prefix  []int   // prefixByDegree's sums, as of the last stageDegrees
+
+	// ceilMul[k] = CeilMul(γ, k) and floorDiv[x] = FloorDiv(x, γ) for
+	// k, x ∈ [0, n], filled for γ = tableGamma.
+	ceilMul    []int
+	floorDiv   []int
+	tableGamma float64
 
 	// Recursion arena: frames[d] holds the reusable S′/ext′ buffers
 	// for children produced at depth d, sized by Reset so the slice
@@ -122,7 +140,7 @@ func NewPooledMiner(par Params, opt Options) *Miner {
 // miner reaches a steady state with no per-task allocation. For a Sub
 // of at most 1 024 vertices Reset builds its adjacency matrix in
 // miner-owned storage; a bigger Sub gets none, and RecursiveMine splits
-// it.
+// it. Par may change between tasks: Reset reads it.
 func (m *Miner) Reset(sub *Sub) {
 	m.bind(sub)
 	m.Nodes, m.EmitCount, m.OffloadCount = 0, 0, 0
@@ -138,6 +156,22 @@ func (m *Miner) bind(sub *Sub) {
 	if len(m.dS) < n {
 		m.dS = make([]int32, n)
 		m.dE = make([]int32, n)
+		m.hist = make([]int32, n+1)
+		m.prefix = make([]int, n+1)
+	}
+	// Every threshold the recursion looks up is indexed by a set size,
+	// a degree, or |S| plus a bound on the extension, and S ∪ ext is a
+	// subset of the bound Sub, so no index exceeds n.
+	if len(m.ceilMul) <= n || m.tableGamma != m.Par.Gamma {
+		if len(m.ceilMul) <= n {
+			m.ceilMul = make([]int, n+1)
+			m.floorDiv = make([]int, n+1)
+		}
+		for k := range m.ceilMul {
+			m.ceilMul[k] = CeilMul(m.Par.Gamma, k)
+			m.floorDiv[k] = FloorDiv(k, m.Par.Gamma)
+		}
+		m.tableGamma = m.Par.Gamma
 	}
 	// Each recursion level grows S by ≥ 1 vertex, so depth < n and
 	// frames never needs to grow (which would move frame pointers)
@@ -182,9 +216,9 @@ func (m *Miner) checkEmit(S []uint32) bool {
 // isQC reports whether the set S (local indices) induces a
 // γ-quasi-clique. For γ ≥ 0.5 the degree condition implies
 // connectivity (any two non-adjacent members must share a neighbor),
-// so no reachability check is needed.
+// so no reachability check is needed. S must be non-empty.
 func (m *Miner) isQC(S []uint32) bool {
-	need := CeilMul(m.Par.Gamma, len(S)-1)
+	need := m.ceilMul[len(S)-1]
 	bitset.FillBits(m.tBits, S)
 	for _, v := range S {
 		if bitset.AndCount(m.mat.Row(int(v)), m.tBits) < need {
@@ -197,7 +231,7 @@ func (m *Miner) isQC(S []uint32) bool {
 // isUnionQC reports whether S ∪ rem induces a γ-quasi-clique (the
 // lookahead test of Algorithm 2 lines 8–10).
 func (m *Miner) isUnionQC(S, rem []uint32) bool {
-	need := CeilMul(m.Par.Gamma, len(S)+len(rem)-1)
+	need := m.ceilMul[len(S)+len(rem)-1]
 	bitset.FillBits(m.tBits, S)
 	for _, v := range rem {
 		bitset.SetBit(m.tBits, int(v))
@@ -305,7 +339,7 @@ type boundsResult struct {
 // ownership of both input slices and mutates them in place. pruned ==
 // false implies the returned ext is non-empty.
 func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []uint32) {
-	gamma := m.Par.Gamma
+	need := m.ceilMul
 	for {
 		if len(ext) == 0 {
 			m.checkEmit(S)
@@ -331,7 +365,7 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 
 		// Critical-vertex pruning (P6, Theorem 9): needs L_S.
 		if lb.have && !m.Opt.DisableCriticalVertex {
-			crit := CeilMul(gamma, len(S)+lb.value-1)
+			crit := need[len(S)+lb.value-1]
 			moved := false
 			for _, v := range S {
 				if int(m.dS[v]+m.dE[v]) != crit {
@@ -369,16 +403,16 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 		extOnlyPruned := false
 		for _, v := range S {
 			a, b := int(m.dS[v]), int(m.dE[v])
-			if !m.Opt.DisableDegreePruning && a+b < CeilMul(gamma, len(S)-1+b) {
+			if !m.Opt.DisableDegreePruning && a+b < need[len(S)-1+b] {
 				return true, S, ext // Thm 4(ii): S and extensions pruned
 			}
-			if ub.have && a+ub.value < CeilMul(gamma, len(S)+ub.value-1) {
+			if ub.have && a+ub.value < need[len(S)+ub.value-1] {
 				return true, S, ext // Thm 6: includes S′ = S
 			}
-			if lb.have && a+b < CeilMul(gamma, len(S)+lb.value-1) {
+			if lb.have && a+b < need[len(S)+lb.value-1] {
 				return true, S, ext // Thm 8: includes S′ = S
 			}
-			if !m.Opt.DisableDegreePruning && b == 0 && a < CeilMul(gamma, len(S)) {
+			if !m.Opt.DisableDegreePruning && b == 0 && a < need[len(S)] {
 				extOnlyPruned = true // Thm 4(i): spares S itself
 			}
 		}
@@ -397,13 +431,13 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 		for _, u := range ext {
 			a, b := int(m.dS[u]), int(m.dE[u])
 			drop := false
-			if !m.Opt.DisableDegreePruning && a+b < CeilMul(gamma, len(S)+b) {
+			if !m.Opt.DisableDegreePruning && a+b < need[len(S)+b] {
 				drop = true // Thm 3
 			}
-			if !drop && ub.have && a+ub.value-1 < CeilMul(gamma, len(S)+ub.value-1) {
+			if !drop && ub.have && a+ub.value-1 < need[len(S)+ub.value-1] {
 				drop = true // Thm 5
 			}
-			if !drop && lb.have && a+b < CeilMul(gamma, len(S)+lb.value-1) {
+			if !drop && lb.have && a+b < need[len(S)+lb.value-1] {
 				drop = true // Thm 7
 			}
 			if drop {
@@ -425,8 +459,8 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 
 // stageDegrees loads the membership rows of S and ext and the degrees
 // the bounds read — dS and dE of S members, dS of ext members; EE
-// degrees are delayed until Type I, per the paper's T2 — and returns
-// Σ_{v∈S} dS(v).
+// degrees are delayed until Type I, per the paper's T2 — builds the
+// degree prefix U_S and L_S share, and returns Σ_{v∈S} dS(v).
 func (m *Miner) stageDegrees(S, ext []uint32) int {
 	bitset.FillBits(m.sBits, S)
 	bitset.FillBits(m.eBits, ext)
@@ -440,23 +474,23 @@ func (m *Miner) stageDegrees(S, ext []uint32) int {
 	for _, u := range ext {
 		m.dS[u] = int32(bitset.AndCount(m.mat.Row(int(u)), m.sBits))
 	}
+	m.prefix = m.prefixByDegree(ext, len(S))
 	return sumS
 }
 
-// computeUpper derives U_S (P4, Eqs 1–4). Requires dS/dE of S members
-// and dS of ext members to be current.
+// computeUpper derives U_S (P4, Eqs 1–4). Requires stageDegrees(S, ext).
 func (m *Miner) computeUpper(S, ext []uint32, sumS int) boundsResult {
 	if m.Opt.DisableUpperBound {
 		return boundsResult{}
 	}
-	gamma := m.Par.Gamma
+	need := m.ceilMul
 	dmin := int(m.dS[S[0]] + m.dE[S[0]])
 	for _, v := range S[1:] {
 		if d := int(m.dS[v] + m.dE[v]); d < dmin {
 			dmin = d
 		}
 	}
-	umin := FloorDiv(dmin, gamma) + 1 - len(S) // Eq (3)
+	umin := m.floorDiv[dmin] + 1 - len(S) // Eq (3)
 	if umin < 1 {
 		// No extension size is feasible; G(S) itself remains a
 		// candidate (the paper's note below Eq (4)).
@@ -465,21 +499,20 @@ func (m *Miner) computeUpper(S, ext []uint32, sumS int) boundsResult {
 	if umin > len(ext) {
 		umin = len(ext)
 	}
-	prefix := m.prefixByDegree(ext)
 	for t := umin; t >= 1; t-- { // Eq (4): max feasible t
-		if sumS+prefix[t] >= len(S)*CeilMul(gamma, len(S)+t-1) {
+		if sumS+m.prefix[t] >= len(S)*need[len(S)+t-1] {
 			return boundsResult{value: t, have: true}
 		}
 	}
 	return boundsResult{prune: true}
 }
 
-// computeLower derives L_S (P5, Eqs 6–8).
+// computeLower derives L_S (P5, Eqs 6–8). Requires stageDegrees(S, ext).
 func (m *Miner) computeLower(S, ext []uint32, sumS int) boundsResult {
 	if m.Opt.DisableLowerBound {
 		return boundsResult{}
 	}
-	gamma := m.Par.Gamma
+	need := m.ceilMul
 	dminS := int(m.dS[S[0]])
 	for _, v := range S[1:] {
 		if d := int(m.dS[v]); d < dminS {
@@ -488,7 +521,7 @@ func (m *Miner) computeLower(S, ext []uint32, sumS int) boundsResult {
 	}
 	lmin := -1
 	for t := 0; t <= len(ext); t++ { // Eq (7)
-		if dminS+t >= CeilMul(gamma, len(S)+t-1) {
+		if dminS+t >= need[len(S)+t-1] {
 			lmin = t
 			break
 		}
@@ -496,9 +529,8 @@ func (m *Miner) computeLower(S, ext []uint32, sumS int) boundsResult {
 	if lmin < 0 {
 		return boundsResult{prune: true, pruneSelf: true}
 	}
-	prefix := m.prefixByDegree(ext)
 	for t := lmin; t <= len(ext); t++ { // Eq (8): min feasible t
-		if sumS+prefix[t] >= len(S)*CeilMul(gamma, len(S)+t-1) {
+		if sumS+m.prefix[t] >= len(S)*need[len(S)+t-1] {
 			return boundsResult{value: t, have: true}
 		}
 	}
@@ -506,18 +538,24 @@ func (m *Miner) computeLower(S, ext []uint32, sumS int) boundsResult {
 }
 
 // prefixByDegree returns prefix[t] = Σ_{i≤t} dS(u_i) with ext sorted by
-// dS non-increasing (Figures 6 and 7). The returned slice aliases the
-// miner's scratch buffer and is valid until the next call.
-func (m *Miner) prefixByDegree(ext []uint32) []int {
-	m.byDeg = append(m.byDeg[:0], ext...)
-	slices.SortFunc(m.byDeg, func(a, b uint32) int { return int(m.dS[b] - m.dS[a]) })
-	if cap(m.prefix) < len(ext)+1 {
-		m.prefix = make([]int, len(ext)+1)
+// dS non-increasing (Figures 6 and 7), for ext's dS values in [0, top].
+// The sums depend only on the multiset of those values, so ties cannot
+// change them and a counting pass stands in for the sort. The returned
+// slice aliases the miner's prefix buffer.
+func (m *Miner) prefixByDegree(ext []uint32, top int) []int {
+	hist := m.hist[:top+1]
+	clear(hist)
+	for _, u := range ext {
+		hist[m.dS[u]]++
 	}
 	prefix := m.prefix[:len(ext)+1]
 	prefix[0] = 0
-	for i, u := range m.byDeg {
-		prefix[i+1] = prefix[i] + int(m.dS[u])
+	i := 0
+	for d := top; d >= 0; d-- {
+		for c := hist[d]; c > 0; c-- {
+			prefix[i+1] = prefix[i] + d
+			i++
+		}
 	}
 	return prefix
 }
@@ -538,9 +576,13 @@ func (m *Miner) RecursiveMine(S, ext []uint32) bool {
 		defer func() { m.Sub = sub }()
 		return m.split(sub, S, ext)
 	}
+	m.stageDegrees(S, ext)
 	return m.mine(S, ext, 0)
 }
 
+// mine expands the node ⟨S, ext⟩, whose degrees are staged: sBits,
+// eBits and dS of every vertex of S ∪ ext describe exactly ⟨S, ext⟩
+// (see the Miner doc's "Per-node cost").
 func (m *Miner) mine(S, ext []uint32, depth int) bool {
 	found := false
 	coverLen := 0
@@ -706,24 +748,19 @@ func (m *Miner) degreeCut(sub *Sub, S, ext []uint32) []uint32 {
 // applyCover implements cover-vertex pruning (P7): it finds the cover
 // vertex u ∈ ext maximizing |C_S(u)| (Eq 9), moves C_S(u) to the tail
 // of ext in place, and returns the reordered list plus the tail
-// length.
+// length. It reads eBits and dS as staged for ⟨S, ext⟩ (see mine).
 func (m *Miner) applyCover(S, ext []uint32) ([]uint32, int) {
 	if len(ext) == 0 {
 		return ext, 0
 	}
-	thresh := CeilMul(m.Par.Gamma, len(S))
+	thresh := m.ceilMul[len(S)]
 	bestLen := 0
-	bitset.FillBits(m.sBits, S)
-	bitset.FillBits(m.eBits, ext)
-	for _, v := range S {
-		m.dS[v] = int32(bitset.AndCount(m.mat.Row(int(v)), m.sBits))
-	}
 	for _, u := range ext {
-		row := m.mat.Row(int(u))
 		// Applicability: dS(u) ≥ ⌈γ|S|⌉.
-		if bitset.AndCount(row, m.sBits) < thresh {
+		if int(m.dS[u]) < thresh {
 			continue
 		}
+		row := m.mat.Row(int(u))
 		// Γ_ext(u); skip early if it cannot beat the current best
 		// (the paper's note under Algorithm 2 line 2).
 		cnt := bitset.AndCountTo(m.tBits, row, m.eBits)
