@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// benchWidths spans 256-bit rows (4 words, a 256-vertex subgraph)
-// through 256k-bit rows, bracketing the dense-threshold subgraph
-// sizes the miner actually sees.
-var benchWidths = []int{4, 16, 64, 256, 1024, 4096}
+// benchWidths spans one-word rows (a task of at most 64 vertices, the
+// width every harness task mines at) through 256k-bit rows.
+var benchWidths = []int{1, 2, 4, 16, 64, 256, 1024, 4096}
 
 // benchVariants runs fn once per kernel variant actually available on
 // this host, restoring the dispatch setting after.

@@ -23,7 +23,11 @@
 // external dependency — and every exported kernel dispatches through
 // one predictable branch on an atomic flag. Rows shorter than
 // minAsmWords stay on the scalar loops, whose per-call cost is lower
-// than the vector setup.
+// than the vector setup. Before any of that, FillBits, AndCount and
+// OrWith test for one-word rows — every task subgraph of at most 64
+// vertices — and handle them in a path the compiler inlines into the
+// caller: one OnesCount64, or one word built in a register and stored
+// once, with no call, clamp or flag load.
 //
 // Three ways to force the portable path:
 //
@@ -51,7 +55,9 @@
 // Add the scalar loop (xxxGeneric) next to the existing ones, the
 // assembly routine to bitset_amd64.s, its //go:noescape declaration to
 // dispatch_amd64.go, a stub to dispatch_noasm.go, and an exported
-// wrapper here that clamps lengths and dispatches on simdOn. Then
+// wrapper here that clamps lengths and dispatches on simdOn (if the
+// miner calls it per node, give it the one-word path and put it in
+// CI's inline check, as AndCount has). Then
 // extend the parity fuzz target (FuzzKernelParity) so the two
 // implementations are compared bit-for-bit, including odd lengths and
 // unaligned tails.
@@ -375,12 +381,30 @@ func TestBit(w []uint64, i int) bool {
 	return w[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
-// FillBits clears dst and sets the bit of every member of xs.
+// FillBits, AndCount and OrWith are "test for one word, else call the
+// general body" and nothing more, to stay within the compiler's inline
+// budget of 80 (see the package doc's kernel dispatch); CI fails if
+// go build -gcflags=-m stops reporting "can inline" for the three.
+// AndTo and AndCountTo take three rows, and the guard, the call and the
+// one-word body cost about 90 together, so they stay single functions;
+// the miner calls them far less often.
+
+// FillBits clears dst and sets the bit of every member of xs. A member
+// outside dst panics with an index out of range.
 func FillBits(dst []uint64, xs []uint32) {
-	clear(dst)
-	for _, x := range xs {
-		dst[x/wordBits] |= 1 << (uint64(x) % wordBits)
+	if len(dst) == 1 {
+		// hi ORs every member, so it reaches 64 iff some member does,
+		// and then the store below is out of range.
+		var w uint64
+		var hi uint32
+		for _, x := range xs {
+			w |= 1 << (x % wordBits)
+			hi |= x
+		}
+		dst[hi/wordBits] = w
+		return
 	}
+	fillBitsGeneric(dst, xs)
 }
 
 // CountWords returns the population count of the row.
@@ -395,13 +419,10 @@ func CountWords(w []uint64) int {
 // anything — the miner's degree-into-set query. Only the first
 // min(len(a), len(b)) words are read.
 func AndCount(a, b []uint64) int {
-	if len(b) < len(a) {
-		a = a[:len(b)]
+	if min(len(a), len(b)) == 1 {
+		return bits.OnesCount64(a[0] & b[0])
 	}
-	if simdOn.Load() && len(a) >= minAsmWords {
-		return andCountAsm(&a[0], &b[0], len(a))
-	}
-	return andCountGeneric(a, b)
+	return andCountDispatch(a, b)
 }
 
 // AndTo stores a ∩ b into dst. Only the first min(len) words of the
@@ -436,11 +457,32 @@ func AndWith(dst, a []uint64) {
 
 // OrWith replaces dst with dst ∪ a over the first min(len) words.
 func OrWith(dst, a []uint64) {
-	if len(a) < len(dst) {
-		dst = dst[:len(a)]
+	if min(len(dst), len(a)) == 1 {
+		dst[0] |= a[0]
+		return
 	}
-	if simdOn.Load() && len(dst) >= minAsmWords {
-		orWithAsm(&dst[0], &a[0], len(dst))
+	orWithDispatch(dst, a)
+}
+
+// General bodies of the wrappers above: clamp every operand to the
+// shortest (which also drops the scalar loop's bounds checks), then the
+// assembly for rows of at least minAsmWords when it is on, else the
+// scalar loop.
+
+func andCountDispatch(a, b []uint64) int {
+	n := min(len(a), len(b))
+	a, b = a[:n], b[:n]
+	if simdOn.Load() && n >= minAsmWords {
+		return andCountAsm(&a[0], &b[0], n)
+	}
+	return andCountGeneric(a, b)
+}
+
+func orWithDispatch(dst, a []uint64) {
+	n := min(len(dst), len(a))
+	dst, a = dst[:n], a[:n]
+	if simdOn.Load() && n >= minAsmWords {
+		orWithAsm(&dst[0], &a[0], n)
 		return
 	}
 	orWithGeneric(dst, a)
@@ -448,6 +490,13 @@ func OrWith(dst, a []uint64) {
 
 // Scalar kernel bodies: the portable fallback (and the reference the
 // assembly is fuzzed against). Callers have already clamped lengths.
+
+func fillBitsGeneric(dst []uint64, xs []uint32) {
+	clear(dst)
+	for _, x := range xs {
+		dst[x/wordBits] |= 1 << (uint64(x) % wordBits)
+	}
+}
 
 func countWordsGeneric(w []uint64) int {
 	c := 0

@@ -135,11 +135,15 @@ func TestKernelUnalignedTails(t *testing.T) {
 
 // TestKernelLengthClamping checks the min-length guards: mismatched
 // operand lengths only touch the common prefix and never read or
-// write out of bounds.
+// write out of bounds. The one-word cases sit on the inlined path's
+// guard: AndCount([1], [0]) is 0, not a read of b[0].
 func TestKernelLengthClamping(t *testing.T) {
 	withSIMD(t, func(t *testing.T, simd bool) {
 		rng := rand.New(rand.NewSource(11))
-		for _, tc := range []struct{ la, lb int }{{20, 12}, {12, 20}, {9, 8}, {8, 9}, {16, 0}, {0, 16}, {1, 40}} {
+		for _, tc := range []struct{ la, lb int }{
+			{20, 12}, {12, 20}, {9, 8}, {8, 9}, {16, 0}, {0, 16}, {1, 40},
+			{1, 0}, {0, 1}, {1, 1}, {1, 2}, {2, 1},
+		} {
 			a := randRow(rng, tc.la)
 			b := randRow(rng, tc.lb)
 			n := min(tc.la, tc.lb)
@@ -172,8 +176,59 @@ func TestKernelLengthClamping(t *testing.T) {
 					t.Fatalf("simd=%v la=%d lb=%d: AndCountTo wrote past clamped length at word %d", simd, tc.la, tc.lb, n+i)
 				}
 			}
+
+			dst = randRow(rng, tc.la)
+			wantOr := append([]uint64(nil), dst...)
+			orWithGeneric(wantOr[:n], b[:n])
+			OrWith(dst, b)
+			for i := range dst {
+				if dst[i] != wantOr[i] {
+					t.Fatalf("simd=%v la=%d lb=%d: OrWith word %d = %#x want %#x (clamped length %d)", simd, tc.la, tc.lb, i, dst[i], wantOr[i], n)
+				}
+			}
 		}
 	})
+}
+
+// TestFillBits checks both paths against a SetBit loop: a one-word row
+// (built in a register) and a two-word row (the general body), each
+// refilled over stale bits.
+func TestFillBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, words := range []int{1, 2} {
+		for trial := 0; trial < 200; trial++ {
+			xs := make([]uint32, rng.Intn(2*wordBits))
+			for i := range xs {
+				xs[i] = uint32(rng.Intn(words * wordBits))
+			}
+			want := make([]uint64, words)
+			for _, x := range xs {
+				SetBit(want, int(x))
+			}
+			got := randRow(rng, words) // stale bits FillBits must clear
+			FillBits(got, xs)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("words=%d xs=%v: word %d = %#x want %#x", words, xs, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestFillBitsOutOfRangePanics checks that a member past a one-word row
+// panics on the inlined path, as it does on the general body.
+func TestFillBitsOutOfRangePanics(t *testing.T) {
+	for _, xs := range [][]uint32{{64}, {3, 64}, {127, 5}, {1 << 31}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FillBits(1 word, %v) did not panic", xs)
+				}
+			}()
+			FillBits(make([]uint64, 1), xs)
+		}()
+	}
 }
 
 // TestKernelAliasing checks the documented exact-aliasing contracts:

@@ -79,29 +79,6 @@ func KCoreMask(g *graph.Graph, k int) []bool {
 	return keep
 }
 
-// KCoreVertices returns the sorted vertex set of the k-core of g.
-func KCoreVertices(g *graph.Graph, k int) []graph.V {
-	keep := KCoreMask(g, k)
-	var out []graph.V
-	for v, ok := range keep {
-		if ok {
-			out = append(out, graph.V(v))
-		}
-	}
-	return out
-}
-
-// Degeneracy returns the maximum core number of g (0 for empty graphs).
-func Degeneracy(g *graph.Graph) int {
-	max := 0
-	for _, c := range CoreNumbers(g) {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // PeelLocal peels a task-local subgraph, given local adjacency lists
 // over indices [0, n), down to its k-core. It returns keep[i] = true
 // iff local vertex i survives. Neighbors listed in adj that are out of

@@ -22,9 +22,6 @@ func TestCoreNumbersSmall(t *testing.T) {
 			t.Fatalf("core = %v, want %v", core, want)
 		}
 	}
-	if d := Degeneracy(g); d != 2 {
-		t.Fatalf("degeneracy = %d, want 2", d)
-	}
 }
 
 func TestCoreNumbersClique(t *testing.T) {
@@ -43,17 +40,22 @@ func TestCoreNumbersClique(t *testing.T) {
 	}
 }
 
-func TestKCoreVertices(t *testing.T) {
+func TestKCoreMask(t *testing.T) {
 	g := triangleWithTail()
-	got := KCoreVertices(g, 2)
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("2-core = %v, want [0 1 2]", got)
-	}
-	if len(KCoreVertices(g, 3)) != 0 {
-		t.Fatal("3-core should be empty")
-	}
-	if len(KCoreVertices(g, 0)) != 5 {
-		t.Fatal("0-core should be all vertices")
+	for _, tc := range []struct {
+		k    int
+		want []bool
+	}{
+		{0, []bool{true, true, true, true, true}},
+		{2, []bool{true, true, true, false, false}},
+		{3, []bool{false, false, false, false, false}},
+	} {
+		got := KCoreMask(g, tc.k)
+		for v := range tc.want {
+			if got[v] != tc.want[v] {
+				t.Fatalf("%d-core mask = %v, want %v", tc.k, got, tc.want)
+			}
+		}
 	}
 }
 
@@ -61,9 +63,6 @@ func TestEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(0, nil)
 	if len(CoreNumbers(g)) != 0 {
 		t.Fatal("core numbers of empty graph")
-	}
-	if Degeneracy(g) != 0 {
-		t.Fatal("degeneracy of empty graph")
 	}
 }
 

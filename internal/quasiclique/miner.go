@@ -31,7 +31,7 @@ var matrixCap = 1024
 // Every rule runs on the bound Sub's bitset adjacency matrix (see the
 // package doc's "One representation").
 //
-// Per-node cost. Three things keep a search-tree node down to its
+// Per-node cost. Four things keep a search-tree node down to its
 // popcounts. (1) Every degree threshold is a table lookup: Reset fills
 // ⌈γ·k⌉ and ⌊x/γ⌋ for k, x ∈ [0, n] from CeilMul and FloorDiv, the one
 // definition of each rounding, and refills them only when n outgrows
@@ -42,7 +42,11 @@ var matrixCap = 1024
 // entered on a node whose membership rows and degrees toward S are
 // current for exactly ⟨S, ext⟩ — descend calls it when
 // iterativeBounding has just returned from a staging round that removed
-// nothing, and RecursiveMine stages the root.
+// nothing, and RecursiveMine stages the root. (4) On a Sub of at most 64
+// vertices every row is one word, and bitset.FillBits and AndCount (and
+// OrWith, for two-hop rows) inline a one-word path into these loops: a
+// degree is one OnesCount64 and a membership row is built in a
+// register, with no call.
 type Miner struct {
 	Sub *Sub
 	Par Params
