@@ -46,6 +46,22 @@ const (
 // maxCtlAddr bounds one address string read off the wire.
 const maxCtlAddr = 1 << 12
 
+// maxFailureLen bounds the failure string accepted off the wire.
+const maxFailureLen = 1 << 16
+
+// maxAdoptList bounds the opRecover partition list read off the wire
+// (a machine can only ever adopt every other machine's partition once,
+// so any sane list is tiny; this is a decode-time allocation bound).
+const maxAdoptList = 1 << 16
+
+// Each control payload below is one walk (store.Walker) that both the
+// sender's encode and the receiver's decode run; tcp.go's op table
+// names the walk of every op.
+
+// ctlVersion is controlProtoVersion as the u32 a join request opens
+// with.
+var ctlVersion = string(store.AppendU32(nil, controlProtoVersion))
+
 // joinRequest is the coordinator's opJoin payload: the identity the
 // worker must agree with before it serves (protocol version, its own
 // machine id, the cluster size, the graph fingerprint) plus the
@@ -58,112 +74,82 @@ type joinRequest struct {
 	Spec      []byte
 }
 
-func appendJoinRequest(dst []byte, r joinRequest) []byte {
-	dst = store.AppendU32(dst, controlProtoVersion)
-	dst = store.AppendU32(dst, uint32(r.MachineID))
-	dst = store.AppendU32(dst, uint32(r.Machines))
-	dst = store.AppendU32(dst, uint32(r.NumVerts))
-	dst = store.AppendU64(dst, r.NumEdges)
-	dst = store.AppendU32(dst, uint32(len(r.Spec)))
-	return append(dst, r.Spec...)
+func (r *joinRequest) walk(w *store.Walker) {
+	w.Const(ctlVersion, "control protocol version")
+	store.U32(w, &r.MachineID)
+	store.U32(w, &r.Machines)
+	store.U32(w, &r.NumVerts)
+	store.U64(w, &r.NumEdges)
+	w.Bytes(&r.Spec, maxFramePayload)
 }
 
-func decodeJoinRequest(data []byte) (joinRequest, error) {
-	c := store.NewCursor(data)
-	if v := c.U32(); c.Err() == nil && v != controlProtoVersion {
-		return joinRequest{}, fmt.Errorf("gthinker: control protocol version %d, want %d", v, controlProtoVersion)
+// addrPair walks one machine's vertex- and task-server addresses: the
+// opJoin reply, and each row of the opStart address table.
+func addrPair(vaddr, taddr *string) func(*store.Walker) {
+	return func(w *store.Walker) {
+		w.String(vaddr, maxCtlAddr)
+		w.String(taddr, maxCtlAddr)
 	}
-	r := joinRequest{
-		MachineID: int(c.U32()),
-		Machines:  int(c.U32()),
-		NumVerts:  int(c.U32()),
-		NumEdges:  c.U64(),
-	}
-	r.Spec = c.Bytes(int(c.U32()))
-	if err := c.Err(); err != nil {
-		return joinRequest{}, fmt.Errorf("gthinker: malformed join request: %w", err)
-	}
-	if c.Remaining() != 0 {
-		return joinRequest{}, fmt.Errorf("gthinker: %d trailing bytes in join request", c.Remaining())
-	}
-	return r, nil
 }
 
-// appendStatus encodes a MachineStatus reply.
-func appendStatus(dst []byte, st MachineStatus) []byte {
-	var flags byte
-	if st.AllSpawned {
-		flags |= 1
+// addrTable is the opStart payload: every machine's addresses, in
+// machine order.
+type addrTable struct{ vaddrs, taddrs []string }
+
+func (t *addrTable) walk(w *store.Walker) {
+	n := w.Count(len(t.vaddrs), maxFramePayload/8, 8)
+	if w.Decoding() {
+		t.vaddrs, t.taddrs = make([]string, n), make([]string, n)
 	}
-	dst = append(dst, flags)
-	dst = store.AppendU64(dst, uint64(st.Live))
-	dst = store.AppendU64(dst, uint64(st.BigPending))
-	dst = store.AppendU64(dst, st.SentOut)
-	dst = store.AppendU64(dst, st.RecvIn)
-	dst = store.AppendU64(dst, uint64(st.Spawned))
-	dst = appendCounters(dst, &st.Counters)
-	return store.AppendString(dst, st.Failure)
+	for i := range t.vaddrs {
+		addrPair(&t.vaddrs[i], &t.taddrs[i])(w)
+	}
 }
 
-// maxFailureLen bounds the failure string accepted off the wire.
-const maxFailureLen = 1 << 16
-
-func decodeStatus(data []byte) (MachineStatus, error) {
-	c := store.NewCursor(data)
-	flags := c.Bytes(1)
-	st := MachineStatus{}
-	if len(flags) == 1 {
-		st.AllSpawned = flags[0]&1 != 0
-	}
-	st.Live = int64(c.U64())
-	st.BigPending = int64(c.U64())
-	st.SentOut = c.U64()
-	st.RecvIn = c.U64()
-	st.Spawned = int64(c.U64())
-	st.Counters = decodeCounters(c)
-	st.Failure = c.String(maxFailureLen)
-	if err := c.Err(); err != nil {
-		return MachineStatus{}, fmt.Errorf("gthinker: malformed status reply: %w", err)
-	}
-	if c.Remaining() != 0 {
-		return MachineStatus{}, fmt.Errorf("gthinker: %d trailing bytes in status reply", c.Remaining())
-	}
-	return st, nil
+// walk visits the opStatus reply.
+func (st *MachineStatus) walk(w *store.Walker) {
+	w.Flags(1, &st.AllSpawned)
+	store.U64(w, &st.Live)
+	store.U64(w, &st.BigPending)
+	store.U64(w, &st.SentOut)
+	store.U64(w, &st.RecvIn)
+	store.U64(w, &st.Spawned)
+	st.Counters.walk(w)
+	w.String(&st.Failure, maxFailureLen)
 }
 
-// appendAddrTable encodes the opStart payload: every machine's vertex
-// and task server addresses, in machine order.
-func appendAddrTable(dst []byte, vaddrs, taddrs []string) []byte {
-	dst = store.AppendU32(dst, uint32(len(vaddrs)))
-	for i := range vaddrs {
-		dst = store.AppendString(dst, vaddrs[i])
-		dst = store.AppendString(dst, taddrs[i])
-	}
-	return dst
+// jobRequest is a job-scoped request: the job id every such op opens
+// with, then opRun's spec or opStealDo's receiver and count.
+type jobRequest struct {
+	job        uint64
+	spec       []byte
+	recv, want int
 }
 
-func decodeAddrTable(data []byte) (vaddrs, taddrs []string, err error) {
-	c := store.NewCursor(data)
-	n := int(c.U32())
-	if e := c.Err(); e != nil {
-		return nil, nil, fmt.Errorf("gthinker: malformed start payload: %w", e)
-	}
-	if n < 1 || n > c.Remaining()/8+1 {
-		return nil, nil, fmt.Errorf("gthinker: start payload claims %d machines in %d bytes", n, c.Remaining())
-	}
-	vaddrs = make([]string, n)
-	taddrs = make([]string, n)
-	for i := 0; i < n; i++ {
-		vaddrs[i] = c.String(maxCtlAddr)
-		taddrs[i] = c.String(maxCtlAddr)
-	}
-	if e := c.Err(); e != nil {
-		return nil, nil, fmt.Errorf("gthinker: malformed start payload: %w", e)
-	}
-	if c.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("gthinker: %d trailing bytes in start payload", c.Remaining())
-	}
-	return vaddrs, taddrs, nil
+func (r *jobRequest) walk(w *store.Walker) { store.U64(w, &r.job) }
+
+func (r *jobRequest) walkRun(w *store.Walker) {
+	r.walk(w)
+	w.Bytes(&r.spec, maxFramePayload)
+}
+
+func (r *jobRequest) walkSteal(w *store.Walker) {
+	r.walk(w)
+	store.U32(w, &r.recv)
+	store.U32(w, &r.want)
+}
+
+// stealReply walks the opStealDo reply: the number of tasks moved.
+func stealReply(moved *int) func(*store.Walker) {
+	return func(w *store.Walker) { store.U32(w, moved) }
+}
+
+// walk visits the opRecover payload.
+func (d *RecoverDirective) walk(w *store.Walker) {
+	store.U32(w, &d.Dead)
+	store.U32(w, &d.Fallback)
+	store.U32(w, &d.Adopter)
+	store.Slice(w, &d.Adopt, maxAdoptList, 4, func(id *int) { store.U32(w, id) })
 }
 
 // controlHandler is what a ControlServer dispatches into — implemented
@@ -181,57 +167,6 @@ type controlHandler interface {
 	handleResults(job uint64) ([]byte, error)
 	handleShutdown(job uint64) error
 	handleExit()
-}
-
-// splitJobID strips the u64 job-id prefix that version 4 adds to the
-// job-scoped control ops.
-func splitJobID(payload []byte) (uint64, []byte, error) {
-	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("gthinker: control frame lacks a job id (%d bytes)", len(payload))
-	}
-	c := store.NewCursor(payload[:8])
-	return c.U64(), payload[8:], nil
-}
-
-// maxAdoptList bounds the opRecover partition list read off the wire
-// (a machine can only ever adopt every other machine's partition once,
-// so any sane list is tiny; this is a decode-time allocation bound).
-const maxAdoptList = 1 << 16
-
-// appendRecover encodes a RecoverDirective (opRecover payload).
-func appendRecover(dst []byte, d RecoverDirective) []byte {
-	dst = store.AppendU32(dst, uint32(d.Dead))
-	dst = store.AppendU32(dst, uint32(d.Fallback))
-	dst = store.AppendU32(dst, uint32(d.Adopter))
-	dst = store.AppendU32(dst, uint32(len(d.Adopt)))
-	for _, id := range d.Adopt {
-		dst = store.AppendU32(dst, uint32(id))
-	}
-	return dst
-}
-
-func decodeRecover(data []byte) (RecoverDirective, error) {
-	c := store.NewCursor(data)
-	d := RecoverDirective{
-		Dead:     int(c.U32()),
-		Fallback: int(c.U32()),
-		Adopter:  int(c.U32()),
-	}
-	n := int(c.U32())
-	if c.Err() == nil && (n < 0 || n > maxAdoptList || n > c.Remaining()/4) {
-		return RecoverDirective{}, fmt.Errorf("gthinker: recover directive claims %d partitions in %d bytes", n, c.Remaining())
-	}
-	d.Adopt = make([]int, n)
-	for i := range d.Adopt {
-		d.Adopt[i] = int(c.U32())
-	}
-	if err := c.Err(); err != nil {
-		return RecoverDirective{}, fmt.Errorf("gthinker: malformed recover directive: %w", err)
-	}
-	if c.Remaining() != 0 {
-		return RecoverDirective{}, fmt.Errorf("gthinker: %d trailing bytes in recover directive", c.Remaining())
-	}
-	return d, nil
 }
 
 // controlServer answers control-plane ops for one machine.
@@ -252,110 +187,85 @@ func (s *controlServer) addr() string { return s.l.addr() }
 func (s *controlServer) close() error { return s.l.close() }
 
 func (s *controlServer) handle(conn net.Conn) {
-	serveFrames(conn, maxFramePayload, func(op byte, payload []byte) ([]byte, error) {
-		switch op {
-		case opJoin:
-			r, err := decodeJoinRequest(payload)
-			if err != nil {
-				return nil, err
-			}
-			vaddr, taddr, err := s.h.handleJoin(r)
-			if err != nil {
-				return nil, err
-			}
-			out := store.AppendString(nil, vaddr)
-			return store.AppendString(out, taddr), nil
-		case opStart:
-			vaddrs, taddrs, err := decodeAddrTable(payload)
-			if err != nil {
-				return nil, err
-			}
-			return nil, s.h.handleStart(vaddrs, taddrs)
-		case opStatus:
-			job, rest, err := splitJobID(payload)
-			if err != nil || len(rest) != 0 {
-				return nil, fmt.Errorf("gthinker: malformed status request")
-			}
-			st, err := s.h.handleStatus(job)
-			if err != nil {
-				return nil, err
-			}
-			return appendStatus(nil, st), nil
-		case opStealDo:
-			job, rest, err := splitJobID(payload)
-			if err != nil {
-				return nil, err
-			}
-			c := store.NewCursor(rest)
-			recv := int(c.U32())
-			want := int(c.U32())
-			if err := c.Err(); err != nil || c.Remaining() != 0 {
-				return nil, fmt.Errorf("gthinker: malformed steal directive")
-			}
-			moved, err := s.h.handleSteal(job, recv, want)
-			if err != nil {
-				return nil, err
-			}
-			return store.AppendU32(nil, uint32(moved)), nil
-		case opRecover:
-			d, err := decodeRecover(payload)
-			if err != nil {
-				return nil, err
-			}
-			return nil, s.h.handleRecover(d)
-		case opMetrics:
-			job, rest, err := splitJobID(payload)
-			if err != nil || len(rest) != 0 {
-				return nil, fmt.Errorf("gthinker: malformed metrics request")
-			}
-			met, err := s.h.handleMetrics(job)
-			if err != nil {
-				return nil, err
-			}
-			return appendMetrics(nil, met), nil
-		case opTrace:
-			job, rest, err := splitJobID(payload)
-			if err != nil || len(rest) != 0 {
-				return nil, fmt.Errorf("gthinker: malformed trace request")
-			}
-			tr, err := s.h.handleTrace(job)
-			if err != nil {
-				return nil, err
-			}
-			return obs.AppendTrace(nil, tr), nil
-		case opResults:
-			job, rest, err := splitJobID(payload)
-			if err != nil || len(rest) != 0 {
-				return nil, fmt.Errorf("gthinker: malformed results request")
-			}
-			return s.h.handleResults(job)
-		case opRun:
-			job, rest, err := splitJobID(payload)
-			if err != nil {
-				return nil, err
-			}
-			c := store.NewCursor(rest)
-			spec := c.Bytes(int(c.U32()))
-			if err := c.Err(); err != nil || c.Remaining() != 0 {
-				return nil, fmt.Errorf("gthinker: malformed run request")
-			}
-			return nil, s.h.handleRun(job, spec)
-		case opShutdown:
-			job, rest, err := splitJobID(payload)
-			if err != nil || len(rest) != 0 {
-				return nil, fmt.Errorf("gthinker: malformed shutdown request")
-			}
-			return nil, s.h.handleShutdown(job)
-		case opExit:
-			return nil, nil // acted on once the ack is flushed, below
-		default:
-			return nil, fmt.Errorf("gthinker: control server: unknown op 0x%02x", op)
-		}
-	}, func(op byte) {
+	serveFrames(conn, maxFramePayload, s.dispatch, func(op byte) {
 		if op == opExit {
 			s.h.handleExit()
 		}
 	})
+}
+
+// dispatch decodes one request through its op's walk and answers it.
+func (s *controlServer) dispatch(op byte, payload []byte) ([]byte, error) {
+	var (
+		join  joinRequest
+		table addrTable
+		rec   RecoverDirective
+		req   jobRequest
+	)
+	walk, what := req.walk, "job request"
+	switch op {
+	case opJoin:
+		walk, what = join.walk, "join request"
+	case opStart:
+		walk, what = table.walk, "address table"
+	case opRun:
+		walk, what = req.walkRun, "run request"
+	case opStealDo:
+		walk, what = req.walkSteal, "steal directive"
+	case opRecover:
+		walk, what = rec.walk, "recover directive"
+	case opExit:
+		walk, what = func(*store.Walker) {}, "exit request"
+	case opStatus, opMetrics, opTrace, opResults, opShutdown:
+	default:
+		return nil, fmt.Errorf("gthinker: control server: unknown op 0x%02x", op)
+	}
+	if err := store.Decode(payload, what, walk); err != nil {
+		return nil, err
+	}
+	switch op {
+	case opJoin:
+		vaddr, taddr, err := s.h.handleJoin(join)
+		if err != nil {
+			return nil, err
+		}
+		return store.Encode(nil, addrPair(&vaddr, &taddr)), nil
+	case opStart:
+		return nil, s.h.handleStart(table.vaddrs, table.taddrs)
+	case opRun:
+		return nil, s.h.handleRun(req.job, req.spec)
+	case opStatus:
+		st, err := s.h.handleStatus(req.job)
+		if err != nil {
+			return nil, err
+		}
+		return store.Encode(nil, st.walk), nil
+	case opStealDo:
+		moved, err := s.h.handleSteal(req.job, req.recv, req.want)
+		if err != nil {
+			return nil, err
+		}
+		return store.Encode(nil, stealReply(&moved)), nil
+	case opRecover:
+		return nil, s.h.handleRecover(rec)
+	case opMetrics:
+		met, err := s.h.handleMetrics(req.job)
+		if err != nil {
+			return nil, err
+		}
+		return store.Encode(nil, met.walk), nil
+	case opTrace:
+		tr, err := s.h.handleTrace(req.job)
+		if err != nil {
+			return nil, err
+		}
+		return obs.AppendTrace(nil, tr), nil
+	case opResults:
+		return s.h.handleResults(req.job)
+	case opShutdown:
+		return nil, s.h.handleShutdown(req.job)
+	}
+	return nil, nil // opExit: acted on once the ack is flushed, above
 }
 
 // ClusterClient is the ControlPlane over framed TCP: one pooled
@@ -412,37 +322,33 @@ func joinCluster(cfg Config, ctlAddrs []string, numVerts int, numEdges uint64, s
 		c.Close()
 		return nil, err
 	}
-	vaddrs := make([]string, cfg.Machines)
-	taddrs := make([]string, cfg.Machines)
-	for m := range vaddrs {
-		resp, err := c.pool.roundTrip(m, opJoin, appendJoinRequest(nil, joinRequest{
-			MachineID: m, Machines: cfg.Machines,
-			NumVerts: numVerts, NumEdges: numEdges, Spec: spec,
-		}), maxFramePayload, &c.sent, &c.recvd)
+	table := addrTable{make([]string, cfg.Machines), make([]string, cfg.Machines)}
+	for m := range table.vaddrs {
+		req := joinRequest{MachineID: m, Machines: cfg.Machines, NumVerts: numVerts, NumEdges: numEdges, Spec: spec}
+		resp, err := c.call(m, opJoin, req.walk, maxFramePayload)
+		if err == nil {
+			err = store.Decode(resp, "join reply", addrPair(&table.vaddrs[m], &table.taddrs[m]))
+		}
 		if err != nil {
 			return fail(fmt.Errorf("gthinker: join machine %d: %w", m, err))
 		}
-		cur := store.NewCursor(resp)
-		vaddrs[m] = cur.String(maxCtlAddr)
-		taddrs[m] = cur.String(maxCtlAddr)
-		if err := cur.Err(); err != nil {
-			return fail(fmt.Errorf("gthinker: malformed join reply from machine %d: %w", m, err))
-		}
 	}
-	table := appendAddrTable(nil, vaddrs, taddrs)
-	for m := range vaddrs {
-		if _, err := c.pool.roundTrip(m, opStart, table, maxFramePayload, &c.sent, &c.recvd); err != nil {
+	for m := range table.vaddrs {
+		if _, err := c.call(m, opStart, table.walk, maxFramePayload); err != nil {
 			return fail(fmt.Errorf("gthinker: start machine %d: %w", m, err))
 		}
 	}
 	return c, nil
 }
 
-// jobHeader starts a job-scoped request payload with the current job
-// id.
-func (c *ClusterClient) jobHeader() []byte {
-	return store.AppendU64(nil, c.job.Load())
+// call sends op to machine m with the payload walk encodes and returns
+// the reply.
+func (c *ClusterClient) call(m int, op byte, walk func(*store.Walker), maxResp int) ([]byte, error) {
+	return c.pool.roundTrip(m, op, store.Encode(nil, walk), maxResp, &c.sent, &c.recvd)
 }
+
+// current is the request header of the job Run last started.
+func (c *ClusterClient) current() *jobRequest { return &jobRequest{job: c.job.Load()} }
 
 // Run starts mining job `job` on machine m: the spec is delivered so
 // the worker rebuilds its application with this job's parameters (γ,
@@ -450,10 +356,8 @@ func (c *ClusterClient) jobHeader() []byte {
 // are stamped with this id.
 func (c *ClusterClient) Run(m int, job uint64, spec []byte) error {
 	c.job.Store(job)
-	payload := store.AppendU64(nil, job)
-	payload = store.AppendU32(payload, uint32(len(spec)))
-	payload = append(payload, spec...)
-	if _, err := c.pool.roundTrip(m, opRun, payload, maxFramePayload, &c.sent, &c.recvd); err != nil {
+	req := jobRequest{job: job, spec: spec}
+	if _, err := c.call(m, opRun, req.walkRun, maxFramePayload); err != nil {
 		return fmt.Errorf("gthinker: run machine %d: %w", m, err)
 	}
 	return nil
@@ -461,39 +365,35 @@ func (c *ClusterClient) Run(m int, job uint64, spec []byte) error {
 
 // Status polls machine m's liveness report.
 func (c *ClusterClient) Status(m int) (MachineStatus, error) {
-	resp, err := c.pool.roundTrip(m, opStatus, c.jobHeader(), maxFramePayload, &c.sent, &c.recvd)
-	if err != nil {
-		return MachineStatus{}, err
+	var st MachineStatus
+	resp, err := c.call(m, opStatus, c.current().walk, maxFramePayload)
+	if err == nil {
+		err = store.Decode(resp, "status reply", st.walk)
 	}
-	return decodeStatus(resp)
+	return st, err
 }
 
 // Steal directs machine donor to ship up to want big tasks to recv.
 func (c *ClusterClient) Steal(donor, recv, want int) (int, error) {
-	req := c.jobHeader()
-	req = store.AppendU32(req, uint32(recv))
-	req = store.AppendU32(req, uint32(want))
-	resp, err := c.pool.roundTrip(donor, opStealDo, req, maxFramePayload, &c.sent, &c.recvd)
-	if err != nil {
-		return 0, err
+	req := c.current()
+	req.recv, req.want = recv, want
+	var moved int
+	resp, err := c.call(donor, opStealDo, req.walkSteal, maxFramePayload)
+	if err == nil {
+		err = store.Decode(resp, "steal reply", stealReply(&moved))
 	}
-	cur := store.NewCursor(resp)
-	moved := int(cur.U32())
-	if err := cur.Err(); err != nil {
-		return 0, fmt.Errorf("gthinker: malformed steal reply: %w", err)
-	}
-	return moved, nil
+	return moved, err
 }
 
 // Recover delivers a dead-machine directive to surviving machine m.
 func (c *ClusterClient) Recover(m int, d RecoverDirective) error {
-	_, err := c.pool.roundTrip(m, opRecover, appendRecover(nil, d), maxFramePayload, &c.sent, &c.recvd)
+	_, err := c.call(m, opRecover, d.walk, maxFramePayload)
 	return err
 }
 
 // Shutdown stops machine m's workers and joins them.
 func (c *ClusterClient) Shutdown(m int) error {
-	_, err := c.pool.roundTrip(m, opShutdown, c.jobHeader(), maxFramePayload, &c.sent, &c.recvd)
+	_, err := c.call(m, opShutdown, c.current().walk, maxFramePayload)
 	return err
 }
 
@@ -501,11 +401,15 @@ func (c *ClusterClient) Shutdown(m int) error {
 // after Shutdown(m) (same pooled connection, so the worker's join of
 // its mining threads is ordered before this read).
 func (c *ClusterClient) CollectMetrics(m int) (*Metrics, error) {
-	resp, err := c.pool.roundTrip(m, opMetrics, c.jobHeader(), maxFramePayload, &c.sent, &c.recvd)
+	resp, err := c.call(m, opMetrics, c.current().walk, maxFramePayload)
 	if err != nil {
 		return nil, err
 	}
-	return decodeMetrics(resp)
+	met := &Metrics{}
+	if err := store.Decode(resp, "metrics payload", met.walk); err != nil {
+		return nil, err
+	}
+	return met, nil
 }
 
 // CollectTrace fetches machine m's retained trace spans (empty when
@@ -514,7 +418,7 @@ func (c *ClusterClient) CollectMetrics(m int) (*Metrics, error) {
 // full set of per-worker rings legitimately exceeds the request
 // budget.
 func (c *ClusterClient) CollectTrace(m int) (*obs.Trace, error) {
-	resp, err := c.pool.roundTrip(m, opTrace, c.jobHeader(), maxWireFrame, &c.sent, &c.recvd)
+	resp, err := c.call(m, opTrace, c.current().walk, maxWireFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -528,7 +432,7 @@ func (c *ClusterClient) CollectTrace(m int) (*obs.Trace, error) {
 // one frame, and a big mining run legitimately exceeds the 64 MiB
 // request budget (writeFrame allows the same ceiling on the sender).
 func (c *ClusterClient) CollectResults(m int) ([]byte, error) {
-	return c.pool.roundTrip(m, opResults, c.jobHeader(), maxWireFrame, &c.sent, &c.recvd)
+	return c.call(m, opResults, c.current().walk, maxWireFrame)
 }
 
 // Exit tells machine m's host process to terminate after replying.

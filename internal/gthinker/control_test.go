@@ -1,12 +1,15 @@
 package gthinker
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"reflect"
 	"testing"
 
 	"gthinkerqc/internal/datagen"
+	"gthinkerqc/internal/obs"
+	"gthinkerqc/internal/store"
 )
 
 func TestStatusWireRoundTrip(t *testing.T) {
@@ -18,17 +21,18 @@ func TestStatusWireRoundTrip(t *testing.T) {
 		{AllSpawned: true, Live: 1, BigPending: 2, SentOut: 3, RecvIn: 4, Spawned: 5, Counters: distinctCounters(6)},
 		{AllSpawned: true, Failure: "machine on fire"},
 	} {
-		got, err := decodeStatus(appendStatus(nil, st))
-		if err != nil {
+		var got MachineStatus
+		if err := store.Decode(store.Encode(nil, st.walk), "status", got.walk); err != nil {
 			t.Fatal(err)
 		}
 		if got != st {
 			t.Fatalf("status round trip: %+v vs %+v", got, st)
 		}
 	}
-	data := appendStatus(nil, MachineStatus{Failure: "x"})
+	st := MachineStatus{Failure: "x"}
+	data := store.Encode(nil, st.walk)
 	for _, bad := range [][]byte{{}, {1, 2}, data[:len(data)-1], append(append([]byte{}, data...), 1)} {
-		if _, err := decodeStatus(bad); err == nil {
+		if err := store.Decode(bad, "status", new(MachineStatus).walk); err == nil {
 			t.Fatalf("corrupt status reply of %d bytes accepted", len(bad))
 		}
 	}
@@ -36,8 +40,8 @@ func TestStatusWireRoundTrip(t *testing.T) {
 
 func TestJoinRequestRoundTrip(t *testing.T) {
 	r := joinRequest{MachineID: 2, Machines: 5, NumVerts: 1000, NumEdges: 5000, Spec: []byte("spec-bytes")}
-	got, err := decodeJoinRequest(appendJoinRequest(nil, r))
-	if err != nil {
+	var got joinRequest
+	if err := store.Decode(store.Encode(nil, r.walk), "join request", got.walk); err != nil {
 		t.Fatal(err)
 	}
 	if got.MachineID != 2 || got.Machines != 5 || got.NumVerts != 1000 ||
@@ -45,44 +49,134 @@ func TestJoinRequestRoundTrip(t *testing.T) {
 		t.Fatalf("join round trip: %+v", got)
 	}
 	// Wrong protocol version is refused.
-	bad := appendJoinRequest(nil, r)
+	bad := store.Encode(nil, r.walk)
 	bad[0] = 99
-	if _, err := decodeJoinRequest(bad); err == nil {
+	if err := store.Decode(bad, "join request", got.walk); err == nil {
 		t.Fatal("wrong protocol version accepted")
 	}
 }
 
 func TestRecoverDirectiveRoundTrip(t *testing.T) {
 	d := RecoverDirective{Dead: 3, Fallback: 1, Adopter: 1, Adopt: []int{3, 5, 7}}
-	got, err := decodeRecover(appendRecover(nil, d))
-	if err != nil {
+	var got RecoverDirective
+	if err := store.Decode(store.Encode(nil, d.walk), "recover directive", got.walk); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, d) {
 		t.Fatalf("recover directive round trip: %+v vs %+v", got, d)
 	}
 	// Truncated and oversized payloads are rejected, not crash.
-	data := appendRecover(nil, d)
+	data := store.Encode(nil, d.walk)
 	for _, bad := range [][]byte{{}, data[:5], data[:len(data)-2], append(append([]byte{}, data...), 9)} {
-		if _, err := decodeRecover(bad); err == nil {
+		if err := store.Decode(bad, "recover directive", new(RecoverDirective).walk); err == nil {
 			t.Fatalf("corrupt recover payload of %d bytes accepted", len(bad))
 		}
 	}
 }
 
 func TestAddrTableRoundTrip(t *testing.T) {
-	v := []string{"a:1", "b:2", "c:3"}
-	ta := []string{"a:4", "", "c:6"}
-	gv, gt, err := decodeAddrTable(appendAddrTable(nil, v, ta))
-	if err != nil {
+	in := addrTable{[]string{"a:1", "b:2", "c:3"}, []string{"a:4", "", "c:6"}}
+	var got addrTable
+	if err := store.Decode(store.Encode(nil, in.walk), "address table", got.walk); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gv, v) || !reflect.DeepEqual(gt, ta) {
-		t.Fatalf("addr table round trip: %v %v", gv, gt)
+	if !reflect.DeepEqual(got, in) {
+		t.Fatalf("addr table round trip: %v", got)
 	}
-	if _, _, err := decodeAddrTable([]byte{255, 255, 255, 255}); err == nil {
+	if err := store.Decode([]byte{255, 255, 255, 255}, "address table", got.walk); err == nil {
 		t.Fatal("absurd machine count accepted")
 	}
+}
+
+// controlPayloads is every control-plane payload decoded off a socket
+// that has no fuzzer of its own (status and metrics have theirs), each
+// with a non-default value to seed from. decode reads data as the
+// receiver does and re-encodes what it accepted.
+var controlPayloads = []struct {
+	name   string
+	seed   []byte
+	decode func(data []byte) ([]byte, error)
+}{
+	{"join request", store.Encode(nil, (&joinRequest{MachineID: 1, Machines: 3, NumVerts: 9, NumEdges: 1 << 40, Spec: []byte("QJS3")}).walk),
+		walked("join request", func() func(*store.Walker) { return new(joinRequest).walk })},
+	{"join reply", store.Encode(nil, addrPair(ptr("10.0.0.1:1"), ptr("10.0.0.1:2"))),
+		walked("join reply", func() func(*store.Walker) { return addrPair(new(string), new(string)) })},
+	{"address table", store.Encode(nil, (&addrTable{[]string{"a:1", ""}, []string{"", "b:2"}}).walk),
+		walked("address table", func() func(*store.Walker) { return new(addrTable).walk })},
+	{"job request", store.Encode(nil, (&jobRequest{job: 7}).walk),
+		walked("job request", func() func(*store.Walker) { return new(jobRequest).walk })},
+	{"run request", store.Encode(nil, (&jobRequest{job: 8, spec: []byte("QJS3")}).walkRun),
+		walked("run request", func() func(*store.Walker) { return new(jobRequest).walkRun })},
+	{"steal directive", store.Encode(nil, (&jobRequest{job: 9, recv: 2, want: 32}).walkSteal),
+		walked("steal directive", func() func(*store.Walker) { return new(jobRequest).walkSteal })},
+	{"steal reply", store.Encode(nil, stealReply(ptr(5))),
+		walked("steal reply", func() func(*store.Walker) { return stealReply(new(int)) })},
+	{"recover directive", store.Encode(nil, (&RecoverDirective{Dead: 2, Fallback: 1, Adopter: 0, Adopt: []int{2, 4}}).walk),
+		walked("recover directive", func() func(*store.Walker) { return new(RecoverDirective).walk })},
+	{"trace", obs.AppendTrace(nil, &obs.Trace{Dropped: 3, Spans: []obs.Span{{Kind: obs.KindFetch, Pid: 1, Tid: -1, Start: 5, Dur: 6, Arg2: 34}}}),
+		func(data []byte) ([]byte, error) {
+			tr, err := obs.DecodeTrace(data)
+			if err != nil {
+				return nil, err
+			}
+			return obs.AppendTrace(nil, tr), nil
+		}},
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// walked decodes through the walk fresh returns, then re-encodes
+// through the same walk, now bound to what was decoded.
+func walked(what string, fresh func() func(*store.Walker)) func([]byte) ([]byte, error) {
+	return func(data []byte) ([]byte, error) {
+		walk := fresh()
+		if err := store.Decode(data, what, walk); err != nil {
+			return nil, err
+		}
+		return store.Encode(nil, walk), nil
+	}
+}
+
+// TestControlPayloadsRefuseDamage: every control payload decodes its
+// seed back to the same bytes and refuses each truncation of it and
+// the seed with a byte appended.
+func TestControlPayloadsRefuseDamage(t *testing.T) {
+	for _, p := range controlPayloads {
+		if re, err := p.decode(p.seed); err != nil || !bytes.Equal(re, p.seed) {
+			t.Fatalf("%s: seed re-encodes to %x, %v", p.name, re, err)
+		}
+		for cut := 0; cut < len(p.seed); cut++ {
+			if _, err := p.decode(p.seed[:cut]); err == nil {
+				t.Fatalf("%s: %d of %d bytes accepted", p.name, cut, len(p.seed))
+			}
+		}
+		if _, err := p.decode(append(append([]byte{}, p.seed...), 0)); err == nil {
+			t.Fatalf("%s: trailing byte accepted", p.name)
+		}
+	}
+}
+
+// FuzzControlPayloads feeds arbitrary bytes to the control payloads'
+// decoders, the first byte picking which: garbage is an error — never a
+// panic or an allocation past the bytes present — and whatever a
+// decoder accepts re-encodes to the same bytes.
+func FuzzControlPayloads(f *testing.F) {
+	for i, p := range controlPayloads {
+		tag := []byte{byte(i)}
+		f.Add(append(tag, p.seed...))
+		f.Add(append(tag, p.seed[:len(p.seed)-1]...))
+		f.Add(append(append(tag, p.seed...), 0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		p := controlPayloads[int(data[0])%len(controlPayloads)]
+		re, err := p.decode(data[1:])
+		if err == nil && !bytes.Equal(re, data[1:]) {
+			t.Fatalf("%s: accepted %x, re-encodes to %x", p.name, data[1:], re)
+		}
+	})
 }
 
 func exitTestHost(t *testing.T) *WorkerHost {

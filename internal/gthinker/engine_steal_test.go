@@ -172,7 +172,7 @@ func TestStealHysteresisOffCycle(t *testing.T) {
 	// Machine 0 ends up holding a skewed backlog of big tasks (one root
 	// there fans out into 64 of them); machine 1 spawns nothing and
 	// sits idle.
-	root := OwnedVertices(g.NumVertices(), 0, 2)[0]
+	root := partition{machines: 2}.ownedVertices(g.NumVertices(), 0)[0]
 
 	gate := make(chan struct{})
 	var open sync.Once

@@ -144,22 +144,11 @@ func (c *Counters) merge(o *Counters) {
 	}
 }
 
-// appendCounters encodes c: one little-endian u64 per table row.
-func appendCounters(dst []byte, c *Counters) []byte {
+// walk visits the counter table: one little-endian u64 per row.
+func (c *Counters) walk(w *store.Walker) {
 	for i := range counterTable {
-		dst = store.AppendU64(dst, *counterTable[i].field(c))
+		store.U64(w, counterTable[i].field(c))
 	}
-	return dst
-}
-
-// decodeCounters reverses appendCounters; a short read surfaces as the
-// cursor's sticky error.
-func decodeCounters(cur *store.Cursor) Counters {
-	var c Counters
-	for i := range counterTable {
-		*counterTable[i].field(&c) = cur.U64()
-	}
-	return c
 }
 
 // samples appends c's rows in the debug server's sample model: the
@@ -270,19 +259,6 @@ func (m *Metrics) String() string {
 		m.BusyImbalance(), trace, kernel)
 }
 
-// appendMetrics encodes one machine's metrics for the control plane's
-// opMetrics flush: wall time, the counter table, the per-worker busy
-// times, the kernel name.
-func appendMetrics(dst []byte, m *Metrics) []byte {
-	dst = store.AppendU64(dst, uint64(m.Wall))
-	dst = appendCounters(dst, &m.Counters)
-	dst = store.AppendU32(dst, uint32(len(m.WorkerBusy)))
-	for _, b := range m.WorkerBusy {
-		dst = store.AppendU64(dst, uint64(b))
-	}
-	return store.AppendString(dst, m.Kernel)
-}
-
 // maxWireWorkers bounds the WorkerBusy count accepted off the wire
 // before the slice is allocated.
 const maxWireWorkers = 1 << 20
@@ -291,28 +267,12 @@ const maxWireWorkers = 1 << 20
 // wire ("avx2"/"scalar"/"mixed" today; generous for future variants).
 const maxWireKernelName = 64
 
-// decodeMetrics decodes one appendMetrics payload.
-func decodeMetrics(data []byte) (*Metrics, error) {
-	c := store.NewCursor(data)
-	m := &Metrics{Wall: time.Duration(c.U64())}
-	m.Counters = decodeCounters(c)
-	nb := int(c.U32())
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("gthinker: malformed metrics payload: %w", err)
-	}
-	if nb > maxWireWorkers || nb*8 > c.Remaining() {
-		return nil, fmt.Errorf("gthinker: metrics payload claims %d workers in %d bytes", nb, c.Remaining())
-	}
-	m.WorkerBusy = make([]time.Duration, nb)
-	for i := range m.WorkerBusy {
-		m.WorkerBusy[i] = time.Duration(c.U64())
-	}
-	m.Kernel = c.String(maxWireKernelName)
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("gthinker: malformed metrics payload: %w", err)
-	}
-	if c.Remaining() != 0 {
-		return nil, fmt.Errorf("gthinker: %d trailing bytes in metrics payload", c.Remaining())
-	}
-	return m, nil
+// walk visits one machine's metrics as the control plane's opMetrics
+// flush carries them: wall time, the counter table, the per-worker
+// busy times, the kernel name.
+func (m *Metrics) walk(w *store.Walker) {
+	store.U64(w, &m.Wall)
+	m.Counters.walk(w)
+	store.Slice(w, &m.WorkerBusy, maxWireWorkers, 8, func(b *time.Duration) { store.U64(w, b) })
+	w.String(&m.Kernel, maxWireKernelName)
 }

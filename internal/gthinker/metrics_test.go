@@ -11,6 +11,7 @@ import (
 
 	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/obs"
+	"gthinkerqc/internal/store"
 )
 
 // distinctCounters gives every Counters field its own value (base plus
@@ -61,16 +62,16 @@ func TestCounterTable(t *testing.T) {
 		WorkerBusy: []time.Duration{time.Second, 2 * time.Second},
 		Kernel:     "avx2",
 	}
-	data := appendMetrics(nil, m)
-	got, err := decodeMetrics(data)
-	if err != nil {
+	data := store.Encode(nil, m.walk)
+	got := &Metrics{}
+	if err := store.Decode(data, "metrics", got.walk); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("metrics wire round trip:\n got  %+v\n want %+v", got, m)
 	}
 	for _, bad := range [][]byte{{}, data[:9], data[:len(data)-3], append(append([]byte{}, data...), 1)} {
-		if _, err := decodeMetrics(bad); err == nil {
+		if err := store.Decode(bad, "metrics", new(Metrics).walk); err == nil {
 			t.Fatalf("corrupt metrics payload of %d bytes accepted", len(bad))
 		}
 	}
@@ -168,34 +169,34 @@ func TestScrapeAgreesAcrossEndpoints(t *testing.T) {
 }
 
 // FuzzDecodeMetrics and FuzzDecodeStatus feed arbitrary bytes to the
-// table-driven decoders behind opMetrics and opStatus: garbage is an
+// table-driven walks behind opMetrics and opStatus: garbage is an
 // error — never a panic or an allocation past the bytes present — and
 // whatever they accept re-encodes to the same bytes.
 func FuzzDecodeMetrics(f *testing.F) {
-	seed := appendMetrics(nil, &Metrics{Wall: 5, Counters: distinctCounters(1), WorkerBusy: []time.Duration{7, 8}, Kernel: "avx2"})
+	seed := store.Encode(nil, (&Metrics{Wall: 5, Counters: distinctCounters(1), WorkerBusy: []time.Duration{7, 8}, Kernel: "avx2"}).walk)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	f.Add(append(append([]byte{}, seed...), 0))
 	// A worker count far past the bytes present.
-	huge := appendCounters([]byte{0, 0, 0, 0, 0, 0, 0, 0}, &Counters{})
+	huge := store.Encode([]byte{0, 0, 0, 0, 0, 0, 0, 0}, new(Counters).walk)
 	f.Add(append(huge, 0xff, 0xff, 0xff, 0x7f))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeMetrics(data)
-		if err != nil {
+		m := &Metrics{}
+		if err := store.Decode(data, "metrics", m.walk); err != nil {
 			return
 		}
 		if len(m.WorkerBusy) > maxWireWorkers || len(m.Kernel) > maxWireKernelName {
 			t.Fatalf("accepted %d workers, %d-byte kernel name", len(m.WorkerBusy), len(m.Kernel))
 		}
-		if !bytes.Equal(appendMetrics(nil, m), data) {
+		if !bytes.Equal(store.Encode(nil, m.walk), data) {
 			t.Fatal("accepted metrics payload does not re-encode to itself")
 		}
 	})
 }
 
 func FuzzDecodeStatus(f *testing.F) {
-	seed := appendStatus(nil, MachineStatus{AllSpawned: true, Live: 1, BigPending: 2, SentOut: 3, RecvIn: 4, Spawned: 5, Counters: distinctCounters(6), Failure: "boom"})
+	seed := store.Encode(nil, (&MachineStatus{AllSpawned: true, Live: 1, BigPending: 2, SentOut: 3, RecvIn: 4, Spawned: 5, Counters: distinctCounters(6), Failure: "boom"}).walk)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-2])
 	f.Add(append(append([]byte{}, seed...), 0))
@@ -203,8 +204,8 @@ func FuzzDecodeStatus(f *testing.F) {
 	f.Add(append(seed[:len(seed)-8], 0xff, 0xff, 0xff, 0x7f))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeStatus(data)
-		if err != nil {
+		var st MachineStatus
+		if err := store.Decode(data, "status", st.walk); err != nil {
 			return
 		}
 		if len(st.Failure) > maxFailureLen {
@@ -212,7 +213,7 @@ func FuzzDecodeStatus(f *testing.F) {
 		}
 		// Only bit 0 of the flags byte is defined; the rest re-encode
 		// as zero.
-		if !bytes.Equal(appendStatus(nil, st)[1:], data[1:]) {
+		if !bytes.Equal(store.Encode(nil, st.walk)[1:], data[1:]) {
 			t.Fatal("accepted status reply does not re-encode to itself")
 		}
 	})

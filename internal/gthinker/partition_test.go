@@ -9,7 +9,8 @@ import (
 )
 
 // TestPartitionHashMatchesLegacy pins the nil-bounds partition to the
-// splitmix helpers it wraps.
+// splitmix owner function, and its partitions to a brute-force owner
+// loop.
 func TestPartitionHashMatchesLegacy(t *testing.T) {
 	p := partition{machines: 4}
 	for v := graph.V(0); v < 1000; v++ {
@@ -17,8 +18,16 @@ func TestPartitionHashMatchesLegacy(t *testing.T) {
 			t.Fatalf("owner(%d) = %d, want %d", v, got, want)
 		}
 	}
-	if got, want := p.ownedVertices(1000, 2), OwnedVertices(1000, 2, 4); !slices.Equal(got, want) {
-		t.Fatalf("ownedVertices = %v, want %v", got, want)
+	for id, part := range p.partitionAll(1000) {
+		var want []graph.V
+		for v := graph.V(0); v < 1000; v++ {
+			if owner(v, 4) == id {
+				want = append(want, v)
+			}
+		}
+		if !slices.Equal(part, want) || !slices.Equal(p.ownedVertices(1000, id), want) {
+			t.Fatalf("partition %d = %v, want %v", id, part, want)
+		}
 	}
 }
 

@@ -175,48 +175,6 @@ func (rt *MachineRuntime) TraceSnapshot() *obs.Trace {
 	return rt.jb().tracer.Snapshot()
 }
 
-// OwnedVertices returns the sorted vertex partition of machine id in a
-// cluster of `machines` machines under the hash-partitioning scheme
-// (store.OwnerSchemeSplitmix): every process computes the same answer
-// from the manifest alone, with no partition table to ship.
-func OwnedVertices(n, id, machines int) []graph.V {
-	count := 0
-	for v := 0; v < n; v++ {
-		if owner(graph.V(v), machines) == id {
-			count++
-		}
-	}
-	verts := make([]graph.V, 0, count)
-	for v := 0; v < n; v++ {
-		if owner(graph.V(v), machines) == id {
-			verts = append(verts, graph.V(v))
-		}
-	}
-	return verts
-}
-
-// partitionVertices computes every machine's partition in ONE pass
-// over the vertices (counting first sizes each partition exactly, so
-// the slices are single contiguous allocations). An in-process
-// cluster uses it instead of M OwnedVertices calls, which would hash
-// every vertex 2M times; a worker process genuinely needs only its
-// own partition and pays OwnedVertices once.
-func partitionVertices(n, machines int) [][]graph.V {
-	counts := make([]int, machines)
-	for v := 0; v < n; v++ {
-		counts[owner(graph.V(v), machines)]++
-	}
-	parts := make([][]graph.V, machines)
-	for i := range parts {
-		parts[i] = make([]graph.V, 0, counts[i])
-	}
-	for v := 0; v < n; v++ {
-		o := owner(graph.V(v), machines)
-		parts[o] = append(parts[o], graph.V(v))
-	}
-	return parts
-}
-
 // ID returns the runtime's machine id.
 func (rt *MachineRuntime) ID() int { return rt.id }
 

@@ -38,63 +38,68 @@ import (
 //	            framing, records encoded by the engine's TaskCodec —
 //	            byte-identical to a spill file's contents)
 //	            reply:   empty (acknowledgement after delivery)
-//	opHealth    payload: empty
-//	            reply:   u64 requests-served counter
 //	opError     reply payload: UTF-8 message; the server closes the
 //	            connection afterwards (the stream may be out of sync)
 //
 // Control-plane ops (control.go; served by a machine's control server,
-// spoken by the coordinator's ClusterClient):
+// spoken by the coordinator's ClusterClient). Each payload is one walk
+// (store.Walker), named in brackets, that both sides run:
 //
-//	opJoin      payload: proto u32, machineID u32, machines u32,
-//	            n u32, m u64, specLen u32 + opaque app job spec.
-//	            The worker verifies it serves that machine of that
-//	            cluster over a graph with that fingerprint, builds its
-//	            runtime (and app, from the spec), and replies with its
-//	            vertex- and task-server addresses (u32-len strings).
-//	opStart     payload: machines u32, machines × { vertex, task }
-//	            addresses. The worker builds its peer transport
-//	            (TCPTransport) from the table. reply: empty.
-//	opRun       payload: job u64, specLen u32 + opaque app job spec.
-//	            Resets the machine onto that job with the application
-//	            built from the spec and starts its mining workers.
-//	            reply: empty. Every later job-scoped op (opStatus,
-//	            opStealDo, opShutdown, opMetrics, opTrace, opResults)
-//	            prefixes its payload with the same job u64 and is
-//	            refused by a machine that is on another job.
-//	opStatus    payload: empty. reply: flags u8 (bit0 = all spawned),
-//	            live u64, bigPending u64, sentOut u64, recvIn u64,
-//	            spawned u64, the counter table, failure string — the
-//	            liveness report feeding the coordinator's termination
-//	            detection, steal planner, and per-machine durable-state
-//	            tracking for worker-loss recovery. A long poll: a busy
-//	            machine holds the reply for up to its StatusInterval
-//	            and sends it the instant it goes quiescent or its job
-//	            fails, so the exchange doubles as the termination and
-//	            failure signal.
-//	opStealDo   payload: recv u32, want u32 — a steal directive: the
-//	            donor pops up to want big tasks and ships them to
-//	            machine recv itself (opTaskSteal, GQS1 bytes); the
-//	            coordinator never relays task data. reply: moved u32.
-//	opMetrics   payload: empty. reply: the machine's Metrics, flat
-//	            little-endian (metrics.go). Valid after opShutdown.
-//	opResults   payload: empty. reply: opaque app-level result bytes
-//	            (the miner's quasi-clique sets). Valid after
+//	opJoin      payload [joinRequest.walk]: proto u32, machineID u32,
+//	            machines u32, n u32, m u64, specLen u32 + opaque app
+//	            job spec. The worker verifies it serves that machine of
+//	            that cluster over a graph with that fingerprint, builds
+//	            its runtime (and app, from the spec), and replies
+//	            [addrPair] with its vertex- and task-server addresses
+//	            (u32-len strings).
+//	opStart     payload [addrTable.walk]: machines u32, machines ×
+//	            { vertex, task } addresses. The worker builds its peer
+//	            transport (TCPTransport) from the table. reply: empty.
+//	opRun       payload [jobRequest.walkRun]: job u64, specLen u32 +
+//	            opaque app job spec. Resets the machine onto that job
+//	            with the application built from the spec and starts its
+//	            mining workers. reply: empty. Every later job-scoped op
+//	            (opStatus, opStealDo, opShutdown, opMetrics, opTrace,
+//	            opResults) opens its payload with the same job u64
+//	            [jobRequest.walk] and is refused by a machine that is on
+//	            another job.
+//	opStatus    payload: job. reply [MachineStatus.walk]: flags u8
+//	            (bit0 = all spawned), live u64, bigPending u64,
+//	            sentOut u64, recvIn u64, spawned u64, the counter table
+//	            [Counters.walk], failure string — the liveness report
+//	            feeding the coordinator's termination detection, steal
+//	            planner, and per-machine durable-state tracking for
+//	            worker-loss recovery. A long poll: a busy machine holds
+//	            the reply for up to its StatusInterval and sends it the
+//	            instant it goes quiescent or its job fails, so the
+//	            exchange doubles as the termination and failure signal.
+//	opStealDo   payload [jobRequest.walkSteal]: job, recv u32, want u32
+//	            — a steal directive: the donor pops up to want big tasks
+//	            and ships them to machine recv itself (opTaskSteal, GQS1
+//	            bytes); the coordinator never relays task data.
+//	            reply [stealReply]: moved u32.
+//	opMetrics   payload: job. reply [Metrics.walk]: wall u64, the
+//	            counter table, workers u32 + that many busy u64s, kernel
+//	            string. Valid after opShutdown.
+//	opTrace     payload: job. reply: the machine's spans as OTR1
+//	            [obs.Trace.walk]. Valid after opShutdown.
+//	opResults   payload: job. reply: opaque app-level result bytes
+//	            (the miner's QRS2 quasi-clique sets). Valid after
 //	            opShutdown.
-//	opShutdown  payload: empty. Stops and joins the machine's workers;
+//	opShutdown  payload: job. Stops and joins the machine's workers;
 //	            the process keeps serving (metrics/results flushes
 //	            follow). reply: empty, or opError carrying the failure
 //	            the machine's job recorded.
 //	opExit      payload: empty. reply: empty; the worker host's
 //	            WaitExit returns and the process terminates.
-//	opRecover   payload: dead u32, fallback u32, adopter u32,
-//	            nAdopt u32, nAdopt × u32 partition ids. Announces a
-//	            dead machine to one survivor: the survivor redirects
-//	            its adjacency fetches for the dead machine to
-//	            fallback's vertex server, re-enqueues any task batches
-//	            it had shipped to the dead machine, and — if it is the
-//	            designated adopter — takes over spawning the listed
-//	            hash partitions' root tasks. reply: empty.
+//	opRecover   payload [RecoverDirective.walk]: dead u32, fallback
+//	            u32, adopter u32, nAdopt u32, nAdopt × u32 partition
+//	            ids. Announces a dead machine to one survivor: the
+//	            survivor redirects its adjacency fetches for the dead
+//	            machine to fallback's vertex server, re-enqueues any
+//	            task batches it had shipped to the dead machine, and —
+//	            if it is the designated adopter — takes over spawning
+//	            the listed hash partitions' root tasks. reply: empty.
 //
 // Batching is the point: the engine resolves the remote pulls of a
 // batch of C tasks with one opAdjBatch per owning machine instead of
@@ -114,7 +119,6 @@ import (
 const (
 	opAdjBatch  byte = 0x01
 	opTaskSteal byte = 0x02
-	opHealth    byte = 0x03
 	opError     byte = 0x7F
 )
 
@@ -289,8 +293,7 @@ func (l *listener) close() error {
 	return err
 }
 
-// VertexServer serves adjacency lists of a graph over TCP (opAdjBatch
-// and opHealth).
+// VertexServer serves adjacency lists of a graph over TCP (opAdjBatch).
 type VertexServer struct {
 	g      *graph.Graph
 	l      listener
@@ -327,8 +330,6 @@ func (s *VertexServer) handle(conn net.Conn) {
 		switch op {
 		case opAdjBatch:
 			return s.adjBatch(payload)
-		case opHealth:
-			return store.AppendU64(nil, s.served.Load()), nil
 		default:
 			return nil, fmt.Errorf("gthinker: vertex server: unknown op 0x%02x", op)
 		}
@@ -433,8 +434,6 @@ func (s *TaskServer) handle(conn net.Conn) {
 			s.deliver(tasks)
 			s.delivered.Add(uint64(len(tasks)))
 			return nil, nil
-		case opHealth:
-			return store.AppendU64(nil, s.delivered.Load()), nil
 		default:
 			return nil, fmt.Errorf("gthinker: task server: unknown op 0x%02x", op)
 		}
@@ -455,7 +454,7 @@ var (
 	retryBackoffCap     = 200 * time.Millisecond
 
 	// dataOpAttempts is the idempotent-retry budget of the data plane
-	// (opAdjBatch, opHealth). Its total backoff window must exceed the
+	// (opAdjBatch). Its total backoff window must exceed the
 	// coordinator's worst-case failure-detection latency: a survivor
 	// fetching a dead machine's rows keeps retrying — re-resolving the
 	// fetch redirect each attempt — until the coordinator has declared
@@ -597,7 +596,7 @@ func (p *connPool) target(i int) int {
 // a silent double-enqueue.
 func idempotentOp(op byte) bool {
 	switch op {
-	case opAdjBatch, opHealth, opStatus:
+	case opAdjBatch, opStatus:
 		return true
 	}
 	return false
@@ -850,21 +849,6 @@ func (t *TCPTransport) SendTasks(dest int, batch []byte) error {
 	}
 	t.shipped.Add(1)
 	return nil
-}
-
-// Health performs one opHealth round trip to machine's VertexServer
-// and returns its served counter.
-func (t *TCPTransport) Health(machine int) (uint64, error) {
-	resp, err := t.verts.roundTrip(machine, opHealth, nil, maxFramePayload, &t.sent, &t.recvd)
-	if err != nil {
-		return 0, err
-	}
-	c := store.NewCursor(resp)
-	served := c.U64()
-	if err := c.Err(); err != nil {
-		return 0, fmt.Errorf("gthinker: malformed health response: %w", err)
-	}
-	return served, nil
 }
 
 // Fetches returns the number of adjacency lists fetched.

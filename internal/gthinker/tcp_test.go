@@ -251,27 +251,6 @@ func TestVertexServerUnknownOp(t *testing.T) {
 	}
 }
 
-// TestHealthOp: the health probe reports the server's served counter.
-func TestHealthOp(t *testing.T) {
-	g := datagen.ErdosRenyi(20, 0.2, 2)
-	srv, err := ServeVertexTable("127.0.0.1:0", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr := NewTCPTransport([]string{srv.Addr()}, g.NumVertices())
-	defer tr.Close()
-	if n, err := tr.Health(0); err != nil || n != 0 {
-		t.Fatalf("health before traffic: %d, %v", n, err)
-	}
-	if _, err := tr.FetchAdjBatch(0, []graph.V{1, 2, 3}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := tr.Health(0); err != nil || n != 3 {
-		t.Fatalf("health after batch of 3: %d, %v", n, err)
-	}
-}
-
 // TestTaskServerWireRoundTrip ships a GQS1 batch through SendTasks and
 // checks the decoded tasks that reach the sink are identical — the
 // spill serialization doubling as the wire format.

@@ -162,7 +162,7 @@ func (p partition) owner(v graph.V) int {
 	}
 	// Binary search the range table: the result is the last i with
 	// bounds[i] <= v. Empty ranges (equal bounds) resolve to the
-	// higher machine, matching ownedVertices below.
+	// higher machine.
 	lo, hi := 0, p.machines-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -175,30 +175,28 @@ func (p partition) owner(v graph.V) int {
 	return lo
 }
 
-// ownedVertices returns machine id's sorted vertex partition over a
-// graph of n vertices.
-func (p partition) ownedVertices(n, id int) []graph.V {
-	if p.bounds == nil {
-		return OwnedVertices(n, id, p.machines)
-	}
-	lo := min(int(p.bounds[id]), n)
-	hi := min(int(p.bounds[id+1]), n)
-	verts := make([]graph.V, 0, max(hi-lo, 0))
-	for v := lo; v < hi; v++ {
-		verts = append(verts, graph.V(v))
-	}
-	return verts
-}
-
-// partitionAll computes every machine's partition (the in-process
-// cluster's one-pass equivalent of M ownedVertices calls).
+// partitionAll computes every machine's sorted vertex partition over a
+// graph of n vertices in one pass over owner(v); counting first sizes
+// each partition exactly. Every process computes the same answer from
+// the manifest alone.
 func (p partition) partitionAll(n int) [][]graph.V {
-	if p.bounds == nil {
-		return partitionVertices(n, p.machines)
+	counts := make([]int, p.machines)
+	for v := 0; v < n; v++ {
+		counts[p.owner(graph.V(v))]++
 	}
 	parts := make([][]graph.V, p.machines)
 	for i := range parts {
-		parts[i] = p.ownedVertices(n, i)
+		parts[i] = make([]graph.V, 0, counts[i])
+	}
+	for v := 0; v < n; v++ {
+		o := p.owner(graph.V(v))
+		parts[o] = append(parts[o], graph.V(v))
 	}
 	return parts
+}
+
+// ownedVertices returns machine id's partition. The pass is the same
+// one partitionAll takes; the other machines' partitions are dropped.
+func (p partition) ownedVertices(n, id int) []graph.V {
+	return p.partitionAll(n)[id]
 }

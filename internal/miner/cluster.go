@@ -8,7 +8,6 @@ package miner
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -27,89 +26,39 @@ import (
 // kernel flags and the two dense-kernel scalars. A worker built for
 // another layout is refused at join instead of mis-parsing every field
 // after it.
-var jobSpecMagic = [4]byte{'Q', 'J', 'S', '3'}
+const jobSpecMagic = "QJS3"
 
-// specWalker visits the job spec's fields in wire order: encoding
-// (cur nil) appends each to buf, decoding reads each from cur. Both
-// directions walk jobSpecFields, so a field is spelled once.
-type specWalker struct {
-	buf []byte
-	cur *store.Cursor
-}
-
-// num carries v as width little-endian bytes.
-func (w *specWalker) num(width int, v uint64) uint64 {
-	var b [8]byte
-	if w.cur == nil {
-		binary.LittleEndian.PutUint64(b[:], v)
-		w.buf = append(w.buf, b[:width]...)
-		return v
-	}
-	copy(b[:], w.cur.Bytes(width))
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (w *specWalker) float(p *float64)     { *p = math.Float64frombits(w.num(8, math.Float64bits(*p))) }
-func (w *specWalker) dur(p *time.Duration) { *p = time.Duration(w.num(8, uint64(*p))) }
-func (w *specWalker) narrow(p *int)        { *p = int(w.num(4, uint64(uint32(*p)))) }
-
-// wide carries an int whose negative values mean something ("off").
-func (w *specWalker) wide(p *int) { *p = int(int64(w.num(8, uint64(int64(*p))))) }
-
-// flags carries booleans as one u32 bitmask, bit i for bits[i].
-func (w *specWalker) flags(bits ...*bool) {
-	var mask uint64
-	for i, b := range bits {
-		if *b {
-			mask |= 1 << i
-		}
-	}
-	mask = w.num(4, mask)
-	for i, b := range bits {
-		*b = mask&(1<<i) != 0
-	}
-}
-
-// str carries a u32 length and that many bytes; a decoded length is
-// checked against the bytes present before anything is copied.
-func (w *specWalker) str(p *string) {
-	if w.cur == nil {
-		w.buf = store.AppendString(w.buf, *p)
-	} else {
-		*p = w.cur.String(w.cur.Remaining())
-	}
-}
-
-// jobSpecFields is the QJS3 layout after the magic: every field of the
+// jobSpecFields is the QJS3 layout: the magic, then every field of the
 // miner and engine configs that crosses the wire, in order. The engine
 // config travels without a SpillDir (each worker process spills into
 // its own temporary directory) and without transport fields (the
 // handshake wires those).
-func jobSpecFields(w *specWalker, cfg *Config, ecfg *gthinker.Config) {
+func jobSpecFields(w *store.Walker, cfg *Config, ecfg *gthinker.Config) {
 	o := &cfg.Options
-	w.float(&cfg.Params.Gamma)
-	w.narrow(&cfg.Params.MinSize)
-	w.narrow(&cfg.TauSplit)
-	w.dur(&cfg.TauTime)
-	cfg.Strategy = Strategy(w.num(1, uint64(cfg.Strategy)))
-	w.flags(&o.DisableKCore, &o.DisableLookahead, &o.DisableCoverVertex,
+	w.Const(jobSpecMagic, "job spec version")
+	w.Float(&cfg.Params.Gamma)
+	store.U32(w, &cfg.Params.MinSize)
+	store.U32(w, &cfg.TauSplit)
+	store.U64(w, &cfg.TauTime)
+	store.U8(w, &cfg.Strategy)
+	w.Flags(4, &o.DisableKCore, &o.DisableLookahead, &o.DisableCoverVertex,
 		&o.DisableCriticalVertex, &o.DisableUpperBound, &o.DisableLowerBound,
 		&o.DisableDegreePruning, &o.QuickCompat, &o.SkipMaximalityFilter)
-	w.dur(&cfg.TimeBudget)
+	store.U64(w, &cfg.TimeBudget)
 
-	w.narrow(&ecfg.Machines)
-	w.narrow(&ecfg.WorkersPerMachine)
-	w.narrow(&ecfg.QueueCap)
-	w.narrow(&ecfg.BatchSize)
-	w.narrow(&ecfg.CacheCap)
-	w.dur(&ecfg.StealInterval)
-	w.dur(&ecfg.StatusInterval)
-	w.wide(&ecfg.StealIdlePolls)
-	w.flags(&ecfg.DisableStealing, &ecfg.DisableGlobalQueue, &ecfg.DisableRecovery, &ecfg.Trace)
-	w.dur(&ecfg.FrameTimeout)
-	w.dur(&ecfg.DialTimeout)
-	w.wide(&ecfg.DeadAfterPolls)
-	w.str(&ecfg.FaultSpec)
+	store.U32(w, &ecfg.Machines)
+	store.U32(w, &ecfg.WorkersPerMachine)
+	store.U32(w, &ecfg.QueueCap)
+	store.U32(w, &ecfg.BatchSize)
+	store.U32(w, &ecfg.CacheCap)
+	store.U64(w, &ecfg.StealInterval)
+	store.U64(w, &ecfg.StatusInterval)
+	store.U64(w, &ecfg.StealIdlePolls) // negative means off
+	w.Flags(4, &ecfg.DisableStealing, &ecfg.DisableGlobalQueue, &ecfg.DisableRecovery, &ecfg.Trace)
+	store.U64(w, &ecfg.FrameTimeout)
+	store.U64(w, &ecfg.DialTimeout)
+	store.U64(w, &ecfg.DeadAfterPolls) // negative means off
+	w.String(&ecfg.FaultSpec, math.MaxInt32)
 }
 
 // AppendJobSpec encodes the mining job (miner config + engine shape)
@@ -118,77 +67,37 @@ func jobSpecFields(w *specWalker, cfg *Config, ecfg *gthinker.Config) {
 // is not N command lines.
 func AppendJobSpec(dst []byte, cfg Config, ecfg gthinker.Config) []byte {
 	cfg = cfg.withDefaults()
-	w := specWalker{buf: append(dst, jobSpecMagic[:]...)}
-	jobSpecFields(&w, &cfg, &ecfg)
-	return w.buf
+	return store.Encode(dst, func(w *store.Walker) { jobSpecFields(w, &cfg, &ecfg) })
 }
 
-// DecodeJobSpec reverses AppendJobSpec.
-func DecodeJobSpec(data []byte) (Config, gthinker.Config, error) {
-	var cfg Config
-	var ecfg gthinker.Config
-	if len(data) < 4 || string(data[:3]) != string(jobSpecMagic[:3]) {
-		return cfg, ecfg, fmt.Errorf("miner: bad job spec magic")
-	}
-	if data[3] != jobSpecMagic[3] {
-		return cfg, ecfg, fmt.Errorf("miner: unsupported job spec version %q (this build speaks %q); coordinator and qcworker must come from the same build",
-			data[:4], jobSpecMagic[:])
-	}
-	w := specWalker{cur: store.NewCursor(data[4:])}
-	jobSpecFields(&w, &cfg, &ecfg)
-	if err := w.cur.Err(); err != nil {
-		return cfg, ecfg, fmt.Errorf("miner: malformed job spec: %w", err)
-	}
-	if w.cur.Remaining() != 0 {
-		return cfg, ecfg, fmt.Errorf("miner: %d trailing bytes in job spec", w.cur.Remaining())
-	}
-	return cfg, ecfg, nil
+// DecodeJobSpec reverses AppendJobSpec. A spec of another version is
+// refused: coordinator and qcworker must come from the same build.
+func DecodeJobSpec(data []byte) (cfg Config, ecfg gthinker.Config, err error) {
+	err = store.Decode(data, "QJS3 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg, &ecfg) })
+	return cfg, ecfg, err
 }
 
-// resultsMagic versions the worker→coordinator result flush.
-var resultsMagic = [4]byte{'Q', 'R', 'S', '2'}
+// resultsFields is the QRS2 layout of one machine's opResults flush:
+// the sets it ships and, next to them, how many candidates its workers
+// emitted — the shipped sets are survivors of the machine's own
+// filter, so the count cannot be recovered from them.
+func resultsFields(w *store.Walker, sets *[][]graph.V, emitted *int64) {
+	w.Const("QRS2", "results version")
+	store.U64(w, emitted)
+	store.Slice(w, sets, math.MaxInt32, 4, func(s *[]graph.V) {
+		w.U32s(s, w.Count(len(*s), math.MaxInt32, 4))
+	})
+}
 
-// AppendResults encodes one machine's opResults flush: the sets it
-// ships and, next to them, how many candidates its workers emitted —
-// the shipped sets are survivors of the machine's own filter, so the
-// count cannot be recovered from them.
+// AppendResults encodes one machine's opResults flush.
 func AppendResults(dst []byte, sets [][]graph.V, emitted int64) []byte {
-	dst = append(dst, resultsMagic[:]...)
-	dst = store.AppendU64(dst, uint64(emitted))
-	dst = store.AppendU32(dst, uint32(len(sets)))
-	for _, s := range sets {
-		dst = store.AppendU32(dst, uint32(len(s)))
-		dst = store.AppendU32s(dst, s)
-	}
-	return dst
+	return store.Encode(dst, func(w *store.Walker) { resultsFields(w, &sets, &emitted) })
 }
 
-// DecodeResults reverses AppendResults, bounds-checking every count
-// against the bytes present before allocating.
+// DecodeResults reverses AppendResults.
 func DecodeResults(data []byte) (sets [][]graph.V, emitted int64, err error) {
-	if len(data) < 4 || string(data[:4]) != string(resultsMagic[:]) {
-		return nil, 0, fmt.Errorf("miner: bad results magic")
-	}
-	c := store.NewCursor(data[4:])
-	emitted = int64(c.U64())
-	n := int(c.U32())
-	if err := c.Err(); err != nil {
-		return nil, 0, fmt.Errorf("miner: malformed results: %w", err)
-	}
-	if n > c.Remaining()/4 {
-		return nil, 0, fmt.Errorf("miner: results claim %d sets in %d bytes", n, c.Remaining())
-	}
-	sets = make([][]graph.V, n)
-	for i := range sets {
-		sets[i] = c.U32s(int(c.U32()))
-	}
-	if err := c.Err(); err != nil {
-		return nil, 0, fmt.Errorf("miner: malformed results: %w", err)
-	}
-	if c.Remaining() != 0 {
-		return nil, 0, fmt.Errorf("miner: %d trailing bytes in results", c.Remaining())
-	}
-	return sets, emitted, nil
+	err = store.Decode(data, "QRS2 results", func(w *store.Walker) { resultsFields(w, &sets, &emitted) })
+	return sets, emitted, err
 }
 
 // workerResults finalizes one worker process's collectors — so unless

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +85,36 @@ func TestJobSpecGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(AppendJobSpec(nil, cfg, ecfg)); got != golden {
 		t.Fatalf("QJS3 bytes changed:\n got  %s\n want %s", got, golden)
+	}
+}
+
+// TestWireGolden pins the QRS2 bytes a qcworker ships back after a job.
+// Each row must encode to its bytes and decode back to its value (the
+// QJS3 job spec has its own golden test above).
+func TestWireGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sets    [][]graph.V
+		emitted int64
+		hex     string
+	}{
+		{"empty", [][]graph.V{}, 0, "51525332" + "0000000000000000" + "00000000"},
+		{"sets", [][]graph.V{{1, 2, 3}, {7, 1 << 31}, {}}, 1<<40 + 5, "51525332" + "0500000000010000" + "03000000" +
+			"03000000" + "01000000" + "02000000" + "03000000" + "02000000" + "07000000" + "00000080" + "00000000"},
+	} {
+		if got := hex.EncodeToString(AppendResults(nil, tc.sets, tc.emitted)); got != tc.hex {
+			t.Errorf("%s: QRS2 bytes changed:\n got  %s\n want %s", tc.name, got, tc.hex)
+		}
+		data, _ := hex.DecodeString(tc.hex)
+		sets, emitted, err := DecodeResults(data)
+		if err != nil || emitted != tc.emitted || len(sets) != len(tc.sets) {
+			t.Fatalf("%s: golden bytes decode to %v, %d, %v", tc.name, sets, emitted, err)
+		}
+		for i := range sets {
+			if !slices.Equal(sets[i], tc.sets[i]) {
+				t.Errorf("%s: set %d decodes to %v, want %v", tc.name, i, sets[i], tc.sets[i])
+			}
+		}
 	}
 }
 

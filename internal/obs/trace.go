@@ -9,7 +9,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"sort"
@@ -233,8 +232,6 @@ func Merge(traces ...*Trace) *Trace {
 // op ships. Versioned and bounds-checked like every other on-wire
 // format in the repo.
 const (
-	traceMagic   = "OTR1"
-	traceVersion = 1
 	// spanWireSize is one fixed-size record: kind u8 + pid u32 +
 	// tid u32 + start u64 + dur u64 + arg1 u64 + arg2 u64.
 	spanWireSize = 1 + 4 + 4 + 8 + 8 + 8 + 8
@@ -244,63 +241,35 @@ const (
 	maxWireSpans = 1 << 26
 )
 
+// walk visits the OTR1 layout: the magic and a u32 version 1, the
+// dropped count, then the spans.
+func (tr *Trace) walk(w *store.Walker) {
+	w.Const("OTR1\x01\x00\x00\x00", "trace version")
+	store.U64(w, &tr.Dropped)
+	store.Slice(w, &tr.Spans, maxWireSpans, spanWireSize, func(s *Span) {
+		store.U8(w, &s.Kind)
+		store.U32(w, &s.Pid)
+		store.U32(w, &s.Tid)
+		store.U64(w, &s.Start)
+		store.U64(w, &s.Dur)
+		store.U64(w, &s.Arg1)
+		store.U64(w, &s.Arg2)
+	})
+}
+
 // AppendTrace encodes tr (nil encodes as empty).
 func AppendTrace(dst []byte, tr *Trace) []byte {
 	if tr == nil {
 		tr = &Trace{}
 	}
-	dst = append(dst, traceMagic...)
-	dst = store.AppendU32(dst, traceVersion)
-	dst = store.AppendU64(dst, tr.Dropped)
-	dst = store.AppendU32(dst, uint32(len(tr.Spans)))
-	for _, s := range tr.Spans {
-		dst = append(dst, byte(s.Kind))
-		dst = store.AppendU32(dst, uint32(s.Pid))
-		dst = store.AppendU32(dst, uint32(s.Tid))
-		dst = store.AppendU64(dst, uint64(s.Start))
-		dst = store.AppendU64(dst, uint64(s.Dur))
-		dst = store.AppendU64(dst, s.Arg1)
-		dst = store.AppendU64(dst, s.Arg2)
-	}
-	return dst
+	return store.Encode(dst, tr.walk)
 }
 
 // DecodeTrace decodes one AppendTrace payload.
 func DecodeTrace(data []byte) (*Trace, error) {
-	c := store.NewCursor(data)
-	if magic := c.Bytes(len(traceMagic)); c.Err() != nil || string(magic) != traceMagic {
-		return nil, fmt.Errorf("obs: trace payload lacks %q magic", traceMagic)
-	}
-	if v := c.U32(); c.Err() == nil && v != traceVersion {
-		return nil, fmt.Errorf("obs: trace payload version %d, want %d", v, traceVersion)
-	}
-	tr := &Trace{Dropped: c.U64()}
-	n := int(c.U32())
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("obs: malformed trace payload: %w", err)
-	}
-	if n < 0 || n > maxWireSpans || n*spanWireSize > c.Remaining() {
-		return nil, fmt.Errorf("obs: trace payload claims %d spans in %d bytes", n, c.Remaining())
-	}
-	tr.Spans = make([]Span, n)
-	for i := range tr.Spans {
-		kind := c.Bytes(1)
-		s := &tr.Spans[i]
-		if len(kind) == 1 {
-			s.Kind = SpanKind(kind[0])
-		}
-		s.Pid = int32(c.U32())
-		s.Tid = int32(c.U32())
-		s.Start = int64(c.U64())
-		s.Dur = int64(c.U64())
-		s.Arg1 = c.U64()
-		s.Arg2 = c.U64()
-	}
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("obs: malformed trace payload: %w", err)
-	}
-	if c.Remaining() != 0 {
-		return nil, fmt.Errorf("obs: %d trailing bytes in trace payload", c.Remaining())
+	tr := &Trace{}
+	if err := store.Decode(data, "OTR1 trace", tr.walk); err != nil {
+		return nil, err
 	}
 	return tr, nil
 }

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -232,5 +234,32 @@ func BenchmarkRecordEnabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Record(0, KindCompute, start, 0, 1, 0)
+	}
+}
+
+// TestWireGolden pins the OTR1 bytes a machine ships to the coordinator
+// at trace collection. Each row must encode to its bytes and decode
+// back to its value.
+func TestWireGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+		hex  string
+	}{
+		{"empty", &Trace{Spans: []Span{}}, "4f545231" + "01000000" + "0000000000000000" + "00000000"},
+		{"spans", &Trace{Dropped: 9, Spans: []Span{
+			{Kind: KindFetch, Pid: 1, Tid: 3, Start: 1700000000123456789, Dur: 4500, Arg1: 2, Arg2: 17},
+			{Kind: KindResolve, Pid: -1, Tid: -2, Start: -5, Dur: 1 << 40, Arg1: 1<<64 - 1},
+		}}, "4f545231" + "01000000" + "0900000000000000" + "02000000" +
+			"04" + "01000000" + "03000000" + "15cd853dfe9c9717" + "9411000000000000" + "0200000000000000" + "1100000000000000" +
+			"0a" + "ffffffff" + "feffffff" + "fbffffffffffffff" + "0000000000010000" + "ffffffffffffffff" + "0000000000000000"},
+	} {
+		if got := hex.EncodeToString(AppendTrace(nil, tc.tr)); got != tc.hex {
+			t.Errorf("%s: OTR1 bytes changed:\n got  %s\n want %s", tc.name, got, tc.hex)
+		}
+		data, _ := hex.DecodeString(tc.hex)
+		if tr, err := DecodeTrace(data); err != nil || !reflect.DeepEqual(tr, tc.tr) {
+			t.Errorf("%s: golden bytes decode to %+v, %v", tc.name, tr, err)
+		}
 	}
 }

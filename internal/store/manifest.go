@@ -29,9 +29,6 @@ import (
 // whose mapped graph disagrees refuses to join, so a stale manifest
 // cannot silently mix partitions of two different graphs.
 
-// manifestMagic identifies (and versions) the partition manifest.
-var manifestMagic = [4]byte{'G', 'Q', 'M', '1'}
-
 // OwnerSchemeSplitmix is the default vertex-ownership scheme:
 // owner(v) = splitmix64(v) mod machines (the gthinker engine's hash
 // partitioning). New schemes get new numbers; a reader must reject
@@ -124,75 +121,41 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
+// walk visits the GQM1 layout.
+func (m *Manifest) walk(w *Walker) {
+	w.Const("GQM1", "manifest version")
+	U32(w, &m.Scheme)
+	// Every machine row needs at least its three length prefixes.
+	machines := w.Count(len(m.Machines), maxManifestMachines, 12)
+	U32(w, &m.NumVertices)
+	U64(w, &m.NumEdges)
+	if m.Scheme == OwnerSchemeRange {
+		w.U32s(&m.Bounds, machines+1)
+	}
+	if w.Decoding() {
+		m.Machines = make([]MachineSpec, machines)
+	}
+	for i := range m.Machines {
+		spec := &m.Machines[i]
+		w.String(&spec.Control, maxManifestAddr)
+		w.String(&spec.Vertex, maxManifestAddr)
+		w.String(&spec.Task, maxManifestAddr)
+	}
+}
+
 // AppendManifest appends m's encoding to dst.
 func AppendManifest(dst []byte, m *Manifest) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	dst = append(dst, manifestMagic[:]...)
-	dst = AppendU32(dst, m.Scheme)
-	dst = AppendU32(dst, uint32(len(m.Machines)))
-	dst = AppendU32(dst, uint32(m.NumVertices))
-	dst = AppendU64(dst, m.NumEdges)
-	if m.Scheme == OwnerSchemeRange {
-		dst = AppendU32s(dst, m.Bounds)
-	}
-	for _, spec := range m.Machines {
-		dst = AppendString(dst, spec.Control)
-		dst = AppendString(dst, spec.Vertex)
-		dst = AppendString(dst, spec.Task)
-	}
-	return dst, nil
+	return Encode(dst, m.walk), nil
 }
 
-// DecodeManifest parses and validates one GQM1 manifest. Counts are
-// bounds-checked against the bytes present before any allocation
-// depends on them.
+// DecodeManifest parses and validates one GQM1 manifest.
 func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("store: manifest too short (%d bytes)", len(data))
-	}
-	var magic [4]byte
-	copy(magic[:], data)
-	if magic != manifestMagic {
-		return nil, fmt.Errorf("store: bad manifest magic %q (want %q)", magic[:], manifestMagic[:])
-	}
-	c := NewCursor(data[4:])
-	m := &Manifest{Scheme: c.U32()}
-	machines := int(c.U32())
-	m.NumVertices = int(c.U32())
-	m.NumEdges = c.U64()
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("store: truncated manifest header: %w", err)
-	}
-	if machines < 1 || machines > maxManifestMachines {
-		return nil, fmt.Errorf("store: manifest claims %d machines", machines)
-	}
-	if m.Scheme == OwnerSchemeRange {
-		// machines is bounded above, so this allocation is too; the
-		// cursor bounds-checks the bytes before materializing.
-		bounds := c.U32s(machines + 1)
-		if err := c.Err(); err != nil {
-			return nil, fmt.Errorf("store: truncated range bounds: %w", err)
-		}
-		// U32s may alias the input buffer; the manifest outlives it.
-		m.Bounds = append([]uint32(nil), bounds...)
-	}
-	// Every machine row needs at least its three length prefixes.
-	if machines > c.Remaining()/12 {
-		return nil, fmt.Errorf("store: manifest claims %d machines in %d bytes", machines, c.Remaining())
-	}
-	m.Machines = make([]MachineSpec, machines)
-	for i := range m.Machines {
-		m.Machines[i].Control = c.String(maxManifestAddr)
-		m.Machines[i].Vertex = c.String(maxManifestAddr)
-		m.Machines[i].Task = c.String(maxManifestAddr)
-	}
-	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("store: truncated manifest: %w", err)
-	}
-	if c.Remaining() != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes in manifest", c.Remaining())
+	m := &Manifest{}
+	if err := Decode(data, "GQM1 manifest", m.walk); err != nil {
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/hex"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -198,4 +200,36 @@ func FuzzDecodeManifest(f *testing.F) {
 			t.Fatal("manifest round trip unstable")
 		}
 	})
+}
+
+// TestWireGolden pins the GQM1 bytes. Manifests are files on disk that
+// a coordinator and qcworkers of different builds share, so the layout
+// may move only with the magic. Each row must encode to its bytes and
+// decode back to its value.
+func TestWireGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *Manifest
+		hex  string
+	}{
+		{"splitmix", testManifest(), "47514d31" + "00000000" + "03000000" + "d2040000" + "cd81010000000000" +
+			"0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303031" + "0e0000003132372e302e302e313a39303032" +
+			"0e0000003132372e302e302e313a39303130" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000"},
+		{"range", testRangeManifest(), "47514d31" + "01000000" + "03000000" + "d2040000" + "cd81010000000000" +
+			"00000000" + "90010000" + "90010000" + "d2040000" +
+			"0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303031" + "0e0000003132372e302e302e313a39303032" +
+			"0e0000003132372e302e302e313a39303130" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000"},
+	} {
+		data, err := AppendManifest(nil, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(data); got != tc.hex {
+			t.Errorf("%s: GQM1 bytes changed:\n got  %s\n want %s", tc.name, got, tc.hex)
+		}
+		want, _ := hex.DecodeString(tc.hex)
+		if m, err := DecodeManifest(want); err != nil || !reflect.DeepEqual(m, tc.m) {
+			t.Errorf("%s: golden bytes decode to %+v, %v", tc.name, m, err)
+		}
+	}
 }

@@ -73,6 +73,22 @@
 // like a corrupt count read off disk, before any allocation depends
 // on it.
 //
+// # Wire payloads (walk.go)
+//
+// Every payload the system sends once per poll or once per job — the
+// gthinker control plane's requests and replies, the Metrics flush,
+// the OTR1 trace, the miner's QJS3 job spec and QRS2 results, and the
+// GQM1 manifest — is spelled as one walk function over a Walker: the
+// fields in wire order, each through a typed method (fixed-width
+// integers, float, flag mask, length-prefixed string and bytes,
+// counted lists, []uint32, constants). Encode runs the walk to append
+// the fields; Decode runs the same walk to read them back, refusing a
+// magic or version mismatch, a count above its bound or above what the
+// remaining bytes can hold (before anything is allocated), a short
+// read, and trailing bytes. The per-task bulk codecs (GQS1 and the
+// adjacency batches) stay hand-written: their decoders alias the read
+// buffer on the hot path.
+//
 // All integers are little-endian. On big-endian hosts, or at
 // misaligned offsets, the zero-copy casts degrade to copying loops
 // with identical results.
@@ -233,29 +249,4 @@ func (c *Cursor) U32s(n int) []uint32 {
 		return nil
 	}
 	return Uint32s(b)
-}
-
-// AppendString appends a u32 length prefix and the raw bytes of s.
-func AppendString(dst []byte, s string) []byte {
-	dst = AppendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-// String consumes one length-prefixed string of at most max bytes (the
-// bound is checked before any dependent allocation, like every other
-// cursor read).
-func (c *Cursor) String(max int) string {
-	n := int(c.U32())
-	if c.err != nil {
-		return ""
-	}
-	if n > max {
-		c.err = fmt.Errorf("store: string of %d bytes at offset %d exceeds limit %d", n, c.off, max)
-		return ""
-	}
-	b := c.Bytes(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
 }
