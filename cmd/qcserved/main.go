@@ -14,7 +14,7 @@
 //	curl http://localhost:7700/v1/jobs/j1/results
 //	curl -X DELETE http://localhost:7700/v1/jobs/j1
 //
-// Jobs queue behind a priority+FIFO scheduler (the cluster mines one
+// Jobs queue behind a priority+FIFO queue (the cluster mines one
 // at a time), respect per-job wall-clock budgets, and repeat queries
 // are answered from an LRU result cache.
 package main

@@ -18,8 +18,8 @@ import (
 // (NewLocalCluster: this process; StartProcsCluster: qcworker child
 // processes) and how they are reached (direct calls or framed
 // sockets); RunJob is the one job lifecycle all of them share. Not
-// safe for concurrent use — wrap it in a Scheduler to queue
-// overlapping submissions.
+// safe for concurrent use — serve.Server queues overlapping
+// submissions in front of one.
 type Cluster struct {
 	cfg      Config
 	ctl      ControlPlane

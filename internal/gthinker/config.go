@@ -2,7 +2,6 @@ package gthinker
 
 import (
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -109,10 +108,8 @@ type Config struct {
 	DebugAddr string
 	// Progress, when positive, logs a one-line cluster progress
 	// summary (live tasks, spawn cursors, steals, recoveries) to
-	// ProgressWriter at this period. Coordinator-side only.
+	// stderr at this period. Coordinator-side only.
 	Progress time.Duration
-	// ProgressWriter receives Progress lines; nil means os.Stderr.
-	ProgressWriter io.Writer
 	// StatusSink, when non-nil, observes every successful status poll
 	// the coordinator makes (machine id, its report). It is invoked
 	// from the coordinator's poll loop, so it must be fast and must

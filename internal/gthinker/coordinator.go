@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -266,10 +265,6 @@ func (c *coordinator) shutdown() error {
 // -progress line. The returned stop function tears both down; it is
 // safe to call when nothing was started.
 func (c *coordinator) startObs() (func(), error) {
-	w := c.cfg.ProgressWriter
-	if w == nil {
-		w = os.Stderr
-	}
 	var ds *obs.DebugServer
 	if c.cfg.DebugAddr != "" {
 		var err error
@@ -278,14 +273,14 @@ func (c *coordinator) startObs() (func(), error) {
 			return nil, err
 		}
 		ds.AddSource(c.lv.Samples)
-		fmt.Fprintf(w, "gthinker: debug server listening on http://%s\n", ds.Addr())
+		fmt.Fprintf(os.Stderr, "gthinker: debug server listening on http://%s\n", ds.Addr())
 	}
 	var stopProgress chan struct{}
 	var progressDone chan struct{}
 	if c.cfg.Progress > 0 {
 		stopProgress = make(chan struct{})
 		progressDone = make(chan struct{})
-		go func(w io.Writer) {
+		go func() {
 			defer close(progressDone)
 			tick := time.NewTicker(c.cfg.Progress)
 			defer tick.Stop()
@@ -294,10 +289,10 @@ func (c *coordinator) startObs() (func(), error) {
 				case <-stopProgress:
 					return
 				case <-tick.C:
-					fmt.Fprintf(w, "gthinker: %s\n", c.lv.String())
+					fmt.Fprintf(os.Stderr, "gthinker: %s\n", c.lv.String())
 				}
 			}
-		}(w)
+		}()
 	}
 	return func() {
 		if stopProgress != nil {

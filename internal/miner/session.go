@@ -45,8 +45,8 @@ func validateJob(cfg Config) (Config, error) {
 var ErrSessionClosed = errors.New("miner: session is closed")
 
 // Session mines many jobs over one graph on one cluster. Mine calls
-// are serialized: the cluster runs one job at a time (wrap a Session
-// in a gthinker.Scheduler to queue overlapping submissions).
+// are serialized: the cluster runs one job at a time (serve.Server
+// queues overlapping submissions in front of one).
 type Session struct {
 	ecfg gthinker.Config
 	// g is the graph when the machines live in this process: every job

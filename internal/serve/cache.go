@@ -2,16 +2,14 @@ package serve
 
 import (
 	"container/list"
-	"sync"
 
 	"gthinkerqc/internal/miner"
 )
 
 // lruCache maps canonical job keys to completed results. Entries are
 // immutable once inserted (the server never mutates a finished
-// Result), so hits can share the pointer.
+// Result), so hits can share the pointer. Guarded by Server.mu.
 type lruCache struct {
-	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recent
 	entries map[[32]byte]*list.Element
@@ -31,8 +29,6 @@ func newLRUCache(capacity int) *lruCache {
 }
 
 func (c *lruCache) get(key [32]byte) (*miner.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
@@ -42,8 +38,6 @@ func (c *lruCache) get(key [32]byte) (*miner.Result, bool) {
 }
 
 func (c *lruCache) put(key [32]byte, res *miner.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).res = res
 		c.order.MoveToFront(el)
@@ -58,7 +52,5 @@ func (c *lruCache) put(key [32]byte, res *miner.Result) {
 }
 
 func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.order.Len()
 }

@@ -54,15 +54,21 @@
 //     also "done", flagged "partial":true — the budget bounds when the
 //     job stops, and the results found inside it are valid.
 //   - canceled: DELETE reached it. A queued job is dequeued without
-//     ever touching the cluster; a running job has its context
-//     aborted, terminates promptly, and frees the cluster for the
-//     next job in queue. Either way its quota slot frees immediately.
+//     ever touching the cluster, and the DELETE response already reads
+//     "canceled" with its quota slot free. A running job has its
+//     context aborted and reads "running" until the backend returns;
+//     only then does it read "canceled", free its quota slot, and free
+//     the cluster for the next job in queue.
 //   - failed: the mining run itself errored.
 //
 // The cluster mines one job at a time (results must stay
 // bit-identical to a serial mine, and the engine owns every core
-// while mining); concurrency lives at admission. Queued jobs dispatch
-// by priority, FIFO within a priority band.
+// while mining); concurrency lives at admission. The queue lives in
+// this package: the Server keeps its waiting jobs in admission order,
+// and one dispatcher goroutine runs them on the backend by priority,
+// FIFO within a priority band. Server.Close cancels the queued jobs,
+// waits for the running one, and returns once every admitted job is
+// terminal.
 //
 // The server remembers every queued and running job and the most
 // recent finished ones — as many as the result cache holds entries

@@ -105,29 +105,38 @@ const (
 	StateCanceled JobState = "canceled"
 )
 
-// job is one submission and (eventually) its outcome.
+// job is one submission and (eventually) its outcome. The fields
+// above state never change after admission; state and those below it
+// are guarded by Server.mu.
 type job struct {
-	id      string
-	req     JobRequest
-	created time.Time
+	id     string
+	req    JobRequest
+	cfg    miner.Config
+	key    [32]byte // result cache key
+	cached bool
+	ctx    context.Context // nil for cache hits
+	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	terminal JobState // "" until the job finishes
-	cached   bool
-	partial  bool // aborted early; results are a valid subset
-	result   *miner.Result
-	errMsg   string
-	wall     time.Duration
-	qj       *gthinker.QueuedJob // nil for cache hits
+	state   JobState // queued → running → done, failed or canceled
+	partial bool     // aborted early; results are a valid subset
+	result  *miner.Result
+	errMsg  string
+	wall    time.Duration
 }
 
-// Server is the HTTP service over one Backend.
+// Server is the HTTP service over one Backend. It owns the job queue:
+// one dispatcher goroutine runs the queued jobs on the backend one at
+// a time, highest priority first, FIFO within a priority band — the
+// G-thinker composition underneath runs exactly one job's tasks across
+// its machines, so overlap lives at admission, not execution.
 type Server struct {
 	cfg   Config
-	sched *gthinker.Scheduler
 	cache *lruCache
 
 	mu       sync.Mutex
+	wake     *sync.Cond    // on mu: the queue grew or the server closed
+	idle     chan struct{} // closed when the dispatcher exits
+	queue    []*job        // queued jobs in admission order
 	jobs     map[string]*job
 	order    []string // submission order, for listing
 	finished []string // finish order: the retained terminal jobs, oldest first
@@ -143,8 +152,8 @@ type Server struct {
 	cacheHits uint64
 }
 
-// NewServer wires the service. Call Close to stop the scheduler and
-// the backend.
+// NewServer wires the service and starts its dispatcher. Call Close to
+// stop both and the backend.
 func NewServer(cfg Config) *Server {
 	if cfg.Quota == 0 {
 		cfg.Quota = 64
@@ -157,13 +166,16 @@ func NewServer(cfg Config) *Server {
 	if cfg.CacheSize >= 0 {
 		cache = newLRUCache(retain)
 	}
-	return &Server{
+	s := &Server{
 		cfg:    cfg,
-		sched:  gthinker.NewScheduler(),
 		cache:  cache,
+		idle:   make(chan struct{}),
 		jobs:   make(map[string]*job),
 		retain: retain,
 	}
+	s.wake = sync.NewCond(&s.mu)
+	go s.dispatch()
+	return s
 }
 
 // retire records that job id reached a terminal state and forgets the
@@ -182,8 +194,9 @@ func (s *Server) retire(id string) {
 	}
 }
 
-// Close cancels every live job, stops the scheduler, and closes the
-// backend.
+// Close cancels every live job, waits for the running one to return,
+// and closes the backend. Every admitted job is terminal once Close
+// returns.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -191,21 +204,12 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	live := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		live = append(live, j)
+	for _, j := range s.jobs { // finish may delete retired entries; a map range allows that
+		s.cancelLocked(j)
 	}
+	s.wake.Signal()
 	s.mu.Unlock()
-	for _, j := range live {
-		j.mu.Lock()
-		qj := j.qj
-		done := j.terminal != ""
-		j.mu.Unlock()
-		if qj != nil && !done {
-			qj.Cancel()
-		}
-	}
-	s.sched.Close()
+	<-s.idle
 	return s.cfg.Backend.Close()
 }
 
@@ -230,16 +234,16 @@ func (s *Server) Submit(req JobRequest) (*job, error) {
 	key := s.cacheKey(cfg)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, &apiError{http.StatusServiceUnavailable, "server is shutting down"}
 	}
 	s.seq++
 	id := fmt.Sprintf("j%d", s.seq)
-	j := &job{id: id, req: req, created: time.Now()}
+	j := &job{id: id, req: req, cfg: cfg, key: key, state: StateQueued}
 	if s.cache != nil {
 		if res, ok := s.cache.get(key); ok {
-			j.terminal = StateDone
+			j.state = StateDone
 			j.cached = true
 			j.result = res
 			s.jobs[id] = j
@@ -248,88 +252,110 @@ func (s *Server) Submit(req JobRequest) (*job, error) {
 			s.submitted++
 			s.cacheHits++
 			s.completed++
-			s.mu.Unlock()
 			return j, nil
 		}
 	}
 	if s.active >= s.cfg.Quota {
 		s.seq-- // the rejected submission never existed
-		s.mu.Unlock()
 		return nil, &apiError{http.StatusTooManyRequests,
 			fmt.Sprintf("job quota (%d in flight) exceeded; retry later", s.cfg.Quota)}
 	}
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 	s.active++
 	s.submitted++
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.mu.Unlock()
-
-	qj, err := s.sched.Submit(req.Priority, func(ctx context.Context) error {
-		start := time.Now()
-		res, err := s.cfg.Backend.Mine(ctx, cfg)
-		j.mu.Lock()
-		j.result = res
-		j.wall = time.Since(start)
-		j.mu.Unlock()
-		return err
-	})
-	if err != nil {
-		s.mu.Lock()
-		s.active--
-		delete(s.jobs, id)
-		s.mu.Unlock()
-		return nil, &apiError{http.StatusServiceUnavailable, err.Error()}
-	}
-	j.mu.Lock()
-	j.qj = qj
-	j.mu.Unlock()
-	go s.watch(j, key)
+	s.queue = append(s.queue, j)
+	s.wake.Signal()
 	return j, nil
 }
 
-// watch finalizes a job once its scheduler handle terminates: state,
-// counters, quota, and (for clean completions) the result cache.
-func (s *Server) watch(j *job, key [32]byte) {
-	<-j.qj.Done()
-	err := j.qj.Err()
+// dispatch is the queue's single consumer: take the earliest job of
+// the highest priority, mine it to completion, finalize it, repeat. A
+// linear scan is enough, because Quota bounds the queue. It exits once
+// the server is closed and the queue is empty.
+func (s *Server) dispatch() {
+	defer close(s.idle)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.queue) == 0 && !s.closed {
+			s.wake.Wait()
+		}
+		if len(s.queue) == 0 {
+			return
+		}
+		next := 0
+		for i, j := range s.queue {
+			if j.req.Priority > s.queue[next].req.Priority {
+				next = i
+			}
+		}
+		j := s.queue[next]
+		s.queue = slices.Delete(s.queue, next, next+1)
+		j.state = StateRunning
+		s.mu.Unlock()
 
-	j.mu.Lock()
-	res := j.result
+		start := time.Now()
+		res, err := s.cfg.Backend.Mine(j.ctx, j.cfg)
+		if err == nil && j.ctx.Err() != nil {
+			// Canceled mid-run, but the backend still finished cleanly.
+			err = j.ctx.Err()
+		}
+
+		s.mu.Lock()
+		j.result = res
+		j.wall = time.Since(start)
+		s.finish(j, err)
+	}
+}
+
+// finish moves a queued or running job to its terminal state and
+// settles everything the job held: counters, quota, retention and
+// (for clean completions) the result cache. Caller holds s.mu.
+func (s *Server) finish(j *job, err error) {
 	switch {
 	case err == nil:
-		j.terminal = StateDone
+		j.state = StateDone
+		s.completed++
+		if j.result != nil && s.cache != nil {
+			s.cache.put(j.key, j.result)
+		}
 	case errors.Is(err, context.DeadlineExceeded):
 		// The job's own budget expired: it completed with the partial
 		// results found inside the budget — that is the contract, not
 		// a failure.
-		j.terminal = StateDone
+		j.state = StateDone
 		j.partial = true
-		j.errMsg = err.Error()
-	case errors.Is(err, context.Canceled):
-		j.terminal = StateCanceled
-		j.partial = res != nil
-		j.errMsg = err.Error()
-	default:
-		j.terminal = StateFailed
-		j.errMsg = err.Error()
-	}
-	state := j.terminal
-	j.mu.Unlock()
-
-	s.mu.Lock()
-	s.active--
-	s.retire(j.id)
-	switch state {
-	case StateDone:
 		s.completed++
-	case StateCanceled:
+	case errors.Is(err, context.Canceled):
+		j.state = StateCanceled
+		j.partial = j.result != nil
 		s.canceled++
 	default:
+		j.state = StateFailed
 		s.failed++
 	}
-	s.mu.Unlock()
-	if err == nil && res != nil && s.cache != nil {
-		s.cache.put(key, res)
+	if err != nil {
+		j.errMsg = err.Error()
+	}
+	j.cancel()
+	s.active--
+	s.retire(j.id)
+}
+
+// cancelLocked aborts j: a queued job is finalized on the spot and
+// never reaches the backend; a running job has its context fired and
+// is finalized by the dispatcher once Mine returns. A no-op on
+// terminal jobs. Caller holds s.mu.
+func (s *Server) cancelLocked(j *job) {
+	switch j.state {
+	case StateQueued:
+		i := slices.Index(s.queue, j)
+		s.queue = slices.Delete(s.queue, i, i+1)
+		s.finish(j, context.Canceled)
+	case StateRunning:
+		j.cancel()
 	}
 }
 
@@ -357,38 +383,33 @@ type jobStatus struct {
 	Error      string `json:"error,omitempty"`
 }
 
+// status snapshots j. Caller holds the server's lock.
 func (j *job) status() jobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	st := jobStatus{
-		ID: j.id, Gamma: j.req.Gamma, MinSize: j.req.MinSize,
+		ID: j.id, State: string(j.state), Gamma: j.req.Gamma, MinSize: j.req.MinSize,
 		Cached: j.cached, Partial: j.partial, Error: j.errMsg,
 		WallMS: j.wall.Milliseconds(),
 	}
-	switch {
-	case j.terminal != "":
-		st.State = string(j.terminal)
-	case j.qj != nil && j.qj.Phase() == gthinker.JobRunning:
-		st.State = string(StateRunning)
-	default:
-		st.State = string(StateQueued)
-	}
-	if j.terminal != "" && j.result != nil {
+	if j.result != nil {
 		st.Cliques = len(j.result.Cliques)
 		st.Candidates = j.result.Candidates
 	}
 	return st
 }
 
-// cancel aborts the job (no-op when already terminal).
-func (j *job) cancel() {
-	j.mu.Lock()
-	qj := j.qj
-	done := j.terminal != ""
-	j.mu.Unlock()
-	if qj != nil && !done {
-		qj.Cancel()
-	}
+// status snapshots j under the server's lock.
+func (s *Server) status(j *job) jobStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.status()
+}
+
+// cancel aborts j (see cancelLocked) and returns its status after.
+func (s *Server) cancel(j *job) jobStatus {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cancelLocked(j)
+	return j.status()
 }
 
 // apiError carries an HTTP status with a message.
@@ -447,22 +468,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		st := j.status()
 		code := http.StatusAccepted
-		if st.State == string(StateDone) {
-			code = http.StatusOK // cache hit: the answer already exists
+		if j.cached {
+			code = http.StatusOK // the answer already exists
 		}
-		writeJSON(w, code, st)
+		writeJSON(w, code, s.status(j))
 	case http.MethodGet:
 		s.mu.Lock()
-		ids := append([]string(nil), s.order...)
-		s.mu.Unlock()
-		list := make([]jobStatus, 0, len(ids))
-		for _, id := range ids {
-			if j, ok := s.get(id); ok {
-				list = append(list, j.status())
-			}
+		list := make([]jobStatus, 0, len(s.order))
+		for _, id := range s.order {
+			list = append(list, s.jobs[id].status())
 		}
+		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{"jobs": list})
 	default:
 		writeErr(w, &apiError{http.StatusMethodNotAllowed, "use POST or GET"})
@@ -479,10 +496,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case sub == "" && r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, j.status())
+		writeJSON(w, http.StatusOK, s.status(j))
 	case sub == "" && r.Method == http.MethodDelete:
-		j.cancel()
-		writeJSON(w, http.StatusOK, j.status())
+		writeJSON(w, http.StatusOK, s.cancel(j))
 	case sub == "results" && r.Method == http.MethodGet:
 		s.streamResults(w, j)
 	default:
@@ -493,16 +509,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // streamResults writes the job's quasi-cliques as NDJSON: one JSON
 // array of vertex IDs per line.
 func (s *Server) streamResults(w http.ResponseWriter, j *job) {
-	j.mu.Lock()
-	terminal := j.terminal
-	res := j.result
-	j.mu.Unlock()
-	if terminal == "" {
+	s.mu.Lock()
+	state, res := j.state, j.result
+	s.mu.Unlock()
+	if state == StateQueued || state == StateRunning {
 		writeErr(w, &apiError{http.StatusConflict, "job has not finished; poll its status"})
 		return
 	}
 	if res == nil {
-		writeErr(w, &apiError{http.StatusConflict, "job finished without results: " + string(terminal)})
+		writeErr(w, &apiError{http.StatusConflict, "job finished without results: " + string(state)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -515,11 +530,11 @@ func (s *Server) streamResults(w http.ResponseWriter, j *job) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
 	entries := 0
 	if s.cache != nil {
 		entries = s.cache.len()
 	}
-	s.mu.Lock()
 	samples := []obs.Sample{
 		{Name: "qcserved_jobs_submitted_total", Help: "jobs accepted, cache hits included", Value: float64(s.submitted)},
 		{Name: "qcserved_jobs_completed_total", Help: "jobs that reached done, cache hits and expired budgets included", Value: float64(s.completed)},

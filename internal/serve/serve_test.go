@@ -222,20 +222,36 @@ func TestServeOverlappingJobsBitIdentical(t *testing.T) {
 }
 
 // blockingBackend serves canned results but holds every Mine call
-// until its gate is closed (or the job context aborts), so tests can
-// park jobs in the running state deterministically.
+// until its gate is closed (or, unless ignoreCtx is set, the job
+// context aborts), so tests can park jobs in the running state
+// deterministically. It records each call's MinSize, which the tests
+// use as a job tag, and the most calls it ever saw in flight at once.
 type blockingBackend struct {
-	mu    sync.Mutex
-	gate  chan struct{} // nil: complete immediately
-	calls int
+	mu          sync.Mutex
+	gate        chan struct{} // nil: complete immediately
+	ignoreCtx   bool          // hold until the gate opens even after ctx fires
+	mined       []int         // MinSize of each Mine call, in call order
+	inFlight    int
+	maxInFlight int
 }
 
 func (b *blockingBackend) Mine(ctx context.Context, cfg miner.Config) (*miner.Result, error) {
 	b.mu.Lock()
-	b.calls++
-	gate := b.gate
+	b.mined = append(b.mined, cfg.Params.MinSize)
+	b.inFlight++
+	b.maxInFlight = max(b.maxInFlight, b.inFlight)
+	gate, ignoreCtx := b.gate, b.ignoreCtx
 	b.mu.Unlock()
-	if gate != nil {
+	defer func() {
+		b.mu.Lock()
+		b.inFlight--
+		b.mu.Unlock()
+	}()
+	switch {
+	case gate == nil:
+	case ignoreCtx:
+		<-gate
+	default:
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -247,10 +263,123 @@ func (b *blockingBackend) Mine(ctx context.Context, cfg miner.Config) (*miner.Re
 
 func (b *blockingBackend) Close() error { return nil }
 
+// open releases every held and future Mine call. Idempotent.
+func (b *blockingBackend) open() {
+	b.mu.Lock()
+	gate := b.gate
+	b.gate = nil
+	b.mu.Unlock()
+	if gate != nil {
+		close(gate)
+	}
+}
+
+// minedTags returns the MinSize of every Mine call so far.
+func (b *blockingBackend) minedTags() []int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return slices.Clone(b.mined)
+}
+
+// waitMined waits until the backend has been called n times.
+func waitMined(t *testing.T, b *blockingBackend, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(b.minedTags()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend reached %d Mine calls, want %d", len(b.minedTags()), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitJob waits until j is terminal and returns its status.
+func waitJob(t *testing.T, srv *Server, j *job) jobStatus {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st := srv.status(j)
+		if st.State != string(StateQueued) && st.State != string(StateRunning) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s", j.id, st.State)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+func deleteJob(t *testing.T, base, id string) jobStatus {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE %s: HTTP %d", id, resp.StatusCode)
+	}
+	var st jobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func activeJobs(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.active
+}
+
+// TestServeQueuePriorityFIFO checks the dispatch contract: one Mine
+// call at a time, higher priorities first, FIFO within a band.
+func TestServeQueuePriorityFIFO(t *testing.T) {
+	backend := &blockingBackend{gate: make(chan struct{})}
+	srv := NewServer(Config{Backend: backend, Fingerprint: "fake", CacheSize: -1})
+	defer srv.Close()
+
+	submit := func(tag, priority int) *job {
+		j, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: tag, Priority: priority})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	// Job 2 runs and holds the backend while the rest queue up behind
+	// it: two bands, admitted interleaved.
+	jobs := []*job{submit(2, 0)}
+	waitMined(t, backend, 1)
+	for _, q := range [][2]int{{3, 0}, {4, 5}, {5, 0}, {6, 5}, {7, -1}} {
+		jobs = append(jobs, submit(q[0], q[1]))
+	}
+	if st := srv.status(jobs[0]); st.State != string(StateRunning) {
+		t.Fatalf("held job reads %s, want running", st.State)
+	}
+	if st := srv.status(jobs[1]); st.State != string(StateQueued) {
+		t.Fatalf("waiting job reads %s, want queued", st.State)
+	}
+	backend.open()
+	for _, j := range jobs {
+		if st := waitJob(t, srv, j); st.State != string(StateDone) {
+			t.Fatalf("job %s ended %s", j.id, st.State)
+		}
+	}
+	if got, want := backend.minedTags(), []int{2, 4, 6, 3, 5, 7}; !slices.Equal(got, want) {
+		t.Fatalf("mine order %v, want %v", got, want)
+	}
+	backend.mu.Lock()
+	defer backend.mu.Unlock()
+	if backend.maxInFlight != 1 {
+		t.Fatalf("%d Mine calls overlapped", backend.maxInFlight)
+	}
+}
+
 // TestServeCancelFreesQuota drives the admission quota end to end:
 // fill it, get 429, cancel a queued job and a running job, watch the
 // quota free up, and confirm the backend still completes a clean job
-// afterwards.
+// afterwards. The canceled queued job must never reach the backend.
 func TestServeCancelFreesQuota(t *testing.T) {
 	backend := &blockingBackend{gate: make(chan struct{})}
 	srv := NewServer(Config{Backend: backend, Fingerprint: "fake", Quota: 2, CacheSize: -1})
@@ -274,46 +403,192 @@ func TestServeCancelFreesQuota(t *testing.T) {
 
 	// Cancel the QUEUED job over HTTP: it must terminate without ever
 	// reaching the backend, and its slot must free.
-	reqDel, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+j2.id, nil)
-	if resp, err := http.DefaultClient.Do(reqDel); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-	}
+	deleteJob(t, hs.URL, j2.id)
 	st := waitDone(t, hs.URL, j2.id)
 	if st.State != string(StateCanceled) {
 		t.Fatalf("canceled queued job state = %s, want canceled", st.State)
 	}
 	waitQuota(t, srv, 1)
-	if _, err := srv.Submit(req(5)); err != nil {
+	j3, err := srv.Submit(req(5))
+	if err != nil {
 		t.Fatalf("submit after freeing quota: %v", err)
 	}
 
-	// Cancel the RUNNING job: its context aborts the backend call.
-	j1.cancel()
+	// Cancel the RUNNING job: its context aborts the backend call, and
+	// the job queued behind it is dispatched (still held by the gate).
+	srv.cancel(j1)
 	if st := waitDone(t, hs.URL, j1.id); st.State != string(StateCanceled) {
 		t.Fatalf("canceled running job state = %s, want canceled", st.State)
 	}
+	waitMined(t, backend, 2)
 
 	// The runtime is reusable after both cancellations: open the gate
 	// and the remaining queued job (and a fresh one) complete cleanly.
-	backend.mu.Lock()
-	gate := backend.gate
-	backend.gate = nil
-	backend.mu.Unlock()
-	close(gate)
+	backend.open()
 	j4, err := srv.Submit(req(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitDone(t, hs.URL, j4.id); st.State != string(StateDone) {
-		t.Fatalf("post-cancel job state = %s (err %q), want done", st.State, st.Error)
+	for _, j := range []*job{j3, j4} {
+		if st := waitDone(t, hs.URL, j.id); st.State != string(StateDone) {
+			t.Fatalf("post-cancel job %s state = %s (err %q), want done", j.id, st.State, st.Error)
+		}
 	}
-	backend.mu.Lock()
-	calls := backend.calls
-	backend.mu.Unlock()
-	if calls < 2 {
-		t.Fatalf("backend ran %d jobs, want ≥ 2 (canceled-queued job must not reach it)", calls)
+	if got, want := backend.minedTags(), []int{3, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("backend mined %v, want %v (the canceled queued job must not reach it)", got, want)
+	}
+}
+
+// TestServeCancelQueuedAndRunning covers both cancellation paths
+// without HTTP or a quota: a queued job is dropped without ever
+// reaching Mine, and a running job has its context fired and ends
+// canceled while the gate is still shut, without wedging the
+// dispatcher for the job submitted after it.
+func TestServeCancelQueuedAndRunning(t *testing.T) {
+	backend := &blockingBackend{gate: make(chan struct{})}
+	srv := NewServer(Config{Backend: backend, Fingerprint: "fake", CacheSize: -1})
+	defer srv.Close()
+	defer backend.open()
+
+	submit := func(tag int) *job {
+		j, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: tag})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	blocker := submit(3)
+	waitMined(t, backend, 1)
+	queued := submit(4)
+	if st := srv.cancel(queued); st.State != string(StateCanceled) {
+		t.Fatalf("canceled queued job reads %s, want canceled", st.State)
+	}
+
+	// Only the job's context can end this Mine call: the gate stays shut.
+	srv.cancel(blocker)
+	if st := waitJob(t, srv, blocker); st.State != string(StateCanceled) {
+		t.Fatalf("canceled running job ended %s, want canceled", st.State)
+	}
+
+	backend.open()
+	after := submit(5)
+	if st := waitJob(t, srv, after); st.State != string(StateDone) {
+		t.Fatalf("job after cancellations ended %s (err %q), want done", st.State, st.Error)
+	}
+	if got, want := backend.minedTags(), []int{3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("backend mined %v, want %v (the canceled queued job must not reach it)", got, want)
+	}
+}
+
+// TestServeCancelRunningReadsRunning cancels a running job whose
+// backend does not look at its context: the job must read "running"
+// (not "queued") until Mine returns, and "canceled" after.
+func TestServeCancelRunningReadsRunning(t *testing.T) {
+	backend := &blockingBackend{gate: make(chan struct{}), ignoreCtx: true}
+	srv := NewServer(Config{Backend: backend, Fingerprint: "fake"})
+	defer srv.Close()
+	defer backend.open() // a failed check must not leave Close waiting on Mine
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	j, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitMined(t, backend, 1)
+	if st := deleteJob(t, hs.URL, j.id); st.State != string(StateRunning) {
+		t.Fatalf("DELETE of a running job answered %s, want running", st.State)
+	}
+	for i := 0; i < 20; i++ {
+		if st := srv.status(j); st.State != string(StateRunning) {
+			t.Fatalf("canceled job reads %s while Mine is still running, want running", st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	backend.open()
+	if st := waitJob(t, srv, j); st.State != string(StateCanceled) {
+		t.Fatalf("canceled job ended %s, want canceled", st.State)
+	}
+	if n := metricValue(t, hs.URL, "qcserved_jobs_canceled_total"); n != 1 {
+		t.Fatalf("canceled = %d, want 1", n)
+	}
+}
+
+// TestServeCancelQueuedIsImmediate cancels a queued job over HTTP: the
+// DELETE response itself must read "canceled", with the quota slot
+// already given back.
+func TestServeCancelQueuedIsImmediate(t *testing.T) {
+	backend := &blockingBackend{gate: make(chan struct{})}
+	srv := NewServer(Config{Backend: backend, Fingerprint: "fake"})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	if _, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: 3}); err != nil {
+		t.Fatal(err)
+	}
+	waitMined(t, backend, 1)
+	for i := 0; i < 20; i++ {
+		j, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: 4 + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := deleteJob(t, hs.URL, j.id); st.State != string(StateCanceled) {
+			t.Fatalf("DELETE of queued job %s answered %s, want canceled", j.id, st.State)
+		}
+		if n := activeJobs(srv); n != 1 {
+			t.Fatalf("%d jobs active right after DELETE of %s, want 1", n, j.id)
+		}
+	}
+	backend.open()
+	if got := backend.minedTags(); !slices.Equal(got, []int{3}) {
+		t.Fatalf("backend mined %v, want only the running job", got)
+	}
+}
+
+// TestServeCloseFinalizesEveryJob closes a server holding a running
+// job and two queued ones: Close must cancel the queued jobs without
+// mining them, wait for the running one's Mine to return, and leave
+// every admitted job terminal. Submissions after Close are refused
+// with 503.
+func TestServeCloseFinalizesEveryJob(t *testing.T) {
+	backend := &blockingBackend{gate: make(chan struct{}), ignoreCtx: true}
+	srv := NewServer(Config{Backend: backend, Fingerprint: "fake"})
+	var jobs []*job
+	for tag := 3; tag <= 5; tag++ {
+		j, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: tag})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	waitMined(t, backend, 1)
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while Mine was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	backend.open()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if st := srv.status(j); st.State != string(StateCanceled) {
+			t.Fatalf("job %s reads %s after Close, want canceled", j.id, st.State)
+		}
+	}
+	if got := backend.minedTags(); !slices.Equal(got, []int{3}) {
+		t.Fatalf("backend mined %v, want only the running job", got)
+	}
+	if n := activeJobs(srv); n != 0 {
+		t.Fatalf("%d jobs active after Close", n)
+	}
+	var ae *apiError
+	if _, err := srv.Submit(JobRequest{Gamma: 0.9, MinSize: 6}); !errors.As(err, &ae) || ae.code != http.StatusServiceUnavailable {
+		t.Fatalf("submit after Close: err = %v, want 503", err)
 	}
 }
 
@@ -321,10 +596,7 @@ func waitQuota(t *testing.T, srv *Server, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		srv.mu.Lock()
-		active := srv.active
-		srv.mu.Unlock()
-		if active == want {
+		if activeJobs(srv) == want {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -489,9 +761,8 @@ func TestServeSelectiveJobFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-j.qj.Done()
-		if err := j.qj.Err(); err != nil {
-			t.Fatal(err)
+		if st := waitJob(t, srv, j); st.State != string(StateDone) {
+			t.Fatalf("job %s ended %s (err %q)", j.id, st.State, st.Error)
 		}
 		if i > 0 {
 			walls = append(walls, time.Since(start))
