@@ -17,36 +17,21 @@ type Config struct {
 	// queue spills a batch of tasks to disk. Default 1024.
 	QueueCap int
 	// BatchSize is C: the number of tasks per spill file, per refill,
-	// and the per-period cap on stolen tasks. Default 32.
+	// and per steal directive. Default 32.
 	BatchSize int
 	// SpillDir is where spill files live; empty means os.MkdirTemp.
 	SpillDir string
 	// CacheCap bounds the remote-vertex cache entries per machine.
 	// Default 1 << 16.
 	CacheCap int
-	// StealInterval is the master's load-balancing period (the paper
-	// uses 1 s on a real cluster; the in-process default is 20 ms).
-	StealInterval time.Duration
 	// StatusInterval is the longest a busy machine holds a status
 	// reply, and so the cadence of the coordinator's view of a working
-	// cluster (steal planning, hysteresis streaks, the live metrics)
-	// and its failure-detection heartbeat: a machine that stops
-	// answering is noticed one interval later. It is not a termination
-	// delay — a machine that goes quiescent or fails answers at once.
-	// Default 1 ms.
+	// cluster (one steal round per scan, the live metrics) and its
+	// failure-detection heartbeat: a machine that stops answering is
+	// noticed one interval later. It is not a termination delay — a
+	// machine that goes quiescent or fails answers at once. Default
+	// 1 ms.
 	StatusInterval time.Duration
-	// StealIdlePolls is the steal-ahead hysteresis trigger: when a
-	// machine reports itself completely idle (all local vertices
-	// spawned, nothing alive) for this many consecutive status scans
-	// (one per StatusInterval while any machine works) while another
-	// machine's big-task backlog EWMA stays ≥ 1, the coordinator runs
-	// an off-cycle steal round immediately instead of waiting for the
-	// next StealInterval tick. 0 means the default
-	// (4); a negative value disables off-cycle stealing.
-	StealIdlePolls int
-	// DisableStealing turns off the big-task stealing master
-	// (ablation).
-	DisableStealing bool
 	// DisableGlobalQueue routes every task to local queues, reverting
 	// the paper's reforge (ablation: original G-thinker behavior).
 	DisableGlobalQueue bool
@@ -68,15 +53,11 @@ type Config struct {
 	// retry a few times with jittered backoff). Default 5 s.
 	DialTimeout time.Duration
 	// DeadAfterPolls is the number of consecutive failed status polls
-	// after which the coordinator declares a machine dead and runs
-	// recovery (or, with DisableRecovery, aborts). Transient drops are
-	// already absorbed by the transport's retry-once on opStatus, so
-	// this threshold distinguishes slow from dead. Default 5.
+	// after which the coordinator declares a machine dead and recovers
+	// its work onto the survivors. Transient drops are already absorbed
+	// by the transport's retry-once on opStatus, so this threshold
+	// distinguishes slow from dead. Default 5.
 	DeadAfterPolls int
-	// DisableRecovery restores fail-fast semantics: a machine declared
-	// dead aborts the whole run with an error wrapping ErrMachineLost
-	// instead of being recovered onto the survivors.
-	DisableRecovery bool
 	// FaultSpec is a seeded fault-injection plan ("seed:directives",
 	// see ParseFaultPlan) applied to this process's transports and
 	// worker hosts. Empty means no injected faults. Test/chaos knob.
@@ -135,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheCap == 0 {
 		c.CacheCap = 1 << 16
 	}
-	if c.StealInterval == 0 {
-		c.StealInterval = 20 * time.Millisecond
-	}
 	if c.StatusInterval == 0 {
 		c.StatusInterval = time.Millisecond
 	}
@@ -157,26 +135,6 @@ func (c Config) withDefaults() Config {
 // apart and the control plane's retry-once, five consecutive failures
 // is decisively dead rather than momentarily slow.
 const defaultDeadAfterPolls = 5
-
-// defaultStealIdlePolls is the hysteresis streak length when
-// Config.StealIdlePolls is left zero: at the default 1 ms scan cadence
-// of a working cluster, four scans of sustained idleness trigger an
-// off-cycle steal — well under the 20 ms steal period it is meant to
-// beat, well above the single-scan noise of a queue mid-refill.
-const defaultStealIdlePolls = 4
-
-// stealIdlePolls resolves the hysteresis knob to an effective streak
-// length: 0 means the default, negative disables (returns 0).
-func (c Config) stealIdlePolls() int {
-	switch {
-	case c.StealIdlePolls < 0:
-		return 0
-	case c.StealIdlePolls == 0:
-		return defaultStealIdlePolls
-	default:
-		return c.StealIdlePolls
-	}
-}
 
 // TotalWorkers returns Machines × WorkersPerMachine with defaults
 // applied; apps use it to size per-worker state before a job runs.

@@ -25,8 +25,9 @@ import (
 // loudly instead of mixing two jobs' state), and opRun carries a
 // per-job spec so one joined cluster can run many jobs with different
 // parameters without re-handshaking. Version 5 ships the whole counter
-// table (metrics.go) in the status reply and the metrics payload.
-const controlProtoVersion = 5
+// table (metrics.go) in the status reply and the metrics payload;
+// version 6 drops the table's off-cycle steal row.
+const controlProtoVersion = 6
 
 // Control-plane ops (continuing the tcp.go data-plane numbering).
 const (

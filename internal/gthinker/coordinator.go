@@ -63,8 +63,8 @@ type RecoverDirective struct {
 
 // ErrMachineLost is the sentinel matched by errors.Is against the
 // typed error a run returns when a machine is declared dead and
-// recovery is disabled or impossible (no survivors, no recovery
-// support on the control plane).
+// recovery is impossible (no survivors, or a survivor refused the
+// recovery directive).
 var ErrMachineLost = errors.New("gthinker: machine lost")
 
 // MachineLostError reports a machine declared dead after
@@ -153,24 +153,11 @@ type coordinatorStats struct {
 	Trace *obs.Trace
 }
 
-// ewmaAlpha smooths the coordinator's per-machine backlog estimate:
-// high enough to track a draining queue within a few polls, low
-// enough that a single empty sample does not erase a backlog.
-const ewmaAlpha = 0.25
-
-// donorEwmaFloor is the smoothed backlog a machine needs to count as
-// a hysteresis donor. It must be reachable by a SUSTAINED backlog of
-// one task (whose EWMA converges to 1 from below, never touching it):
-// 0.5 means "pending more often than not across recent polls", which
-// is exactly the single-straggler skew the off-cycle path exists for.
-const donorEwmaFloor = 0.5
-
 // coordinator runs cluster-wide scheduling over a ControlPlane:
 // termination detection (two consecutive status scans must agree that
 // everything is spawned, nothing is alive, and no transfer moved in
-// between), the periodic task-stealing master (Section 5), and the
-// steal-ahead hysteresis that fires an off-cycle steal when a machine
-// sits persistently idle while another's backlog EWMA stays high.
+// between) and the task-stealing master (Section 5), which plans one
+// round of steals from every complete scan (planSteals).
 type coordinator struct {
 	ctl ControlPlane
 	cfg Config
@@ -312,22 +299,9 @@ func (c *coordinator) startObs() (func(), error) {
 // working cluster takes one interval, and the scan in which the last
 // task finishes returns at that moment. The confirming scan follows at
 // once — every machine is quiescent and answers immediately — so the
-// termination tail is two round trips, not two ticks. Steal rounds
-// ride on the scans: the periodic master when its ticker has fired,
-// else the off-cycle hysteresis.
+// termination tail is two round trips, not two ticks. Every complete
+// scan that does not confirm termination runs one steal round.
 func (c *coordinator) loop(ctx context.Context) error {
-	n := c.ctl.Machines()
-	stealEnabled := !c.cfg.DisableStealing && n > 1
-	var stealC <-chan time.Time
-	if stealEnabled {
-		st := time.NewTicker(c.cfg.StealInterval)
-		defer st.Stop()
-		stealC = st.C
-	}
-	hyst := c.cfg.stealIdlePolls()
-
-	ewma := make([]float64, n)
-	idle := make([]int, n)
 	var prev []MachineStatus
 	for {
 		if err := ctx.Err(); err != nil {
@@ -345,20 +319,16 @@ func (c *coordinator) loop(ctx context.Context) error {
 			prev = nil
 		case c.terminated(prev, sts):
 			return nil
+		case c.steal(sts):
+			// Queues moved, or a transfer failed half-way and was
+			// tolerated: the scan is stale and the termination window
+			// restarts.
+			prev = nil
 		default:
-			// A round that moved nothing leaves the termination window
-			// open (a transfer would show in the counters terminated
-			// compares anyway); one that moved tasks restarts it.
+			// A round that moved nothing leaves the window open (a
+			// transfer would show in the counters terminated compares
+			// anyway).
 			prev = sts
-			if stealEnabled {
-				restart, err := c.rebalance(sts, stealC, ewma, idle, hyst)
-				if err != nil {
-					return err
-				}
-				if restart {
-					prev = nil
-				}
-			}
 		}
 		if prev != nil && c.quiescent(prev) {
 			continue // the confirming scan, taken immediately
@@ -378,33 +348,6 @@ func (c *coordinator) loop(ctx context.Context) error {
 	}
 }
 
-// rebalance runs the steal decision of one complete scan: the
-// master's periodic round when its ticker has fired, and, when that
-// moved nothing, an off-cycle steal for a machine the hysteresis
-// reports starved. restart reports that queues moved — or a transfer
-// failed half-way and was tolerated — so the scan is stale.
-func (c *coordinator) rebalance(sts []MachineStatus, stealC <-chan time.Time, ewma []float64, idle []int, hyst int) (restart bool, err error) {
-	recv := -1
-	if hyst > 0 {
-		recv = c.hysteresis(sts, ewma, idle, hyst)
-	}
-	moved := 0
-	select {
-	case <-stealC:
-		moved, err = c.stealRound(sts)
-	default:
-	}
-	if moved == 0 && err == nil && recv >= 0 {
-		if moved, err = c.stealFor(recv, sts); moved > 0 {
-			c.counts.OffCycleSteals++
-		}
-	}
-	if err != nil {
-		return true, c.stealFailed(err)
-	}
-	return moved > 0, nil
-}
-
 // quiescent reports that every live machine of a complete scan is
 // quiescent.
 func (c *coordinator) quiescent(sts []MachineStatus) bool {
@@ -414,18 +357,6 @@ func (c *coordinator) quiescent(sts []MachineStatus) bool {
 		}
 	}
 	return true
-}
-
-// stealFailed classifies a failed steal directive: with recovery
-// enabled it is tolerated (the donor or receiver may be mid-death;
-// the poll loop will declare it and recover), with DisableRecovery it
-// keeps the historical fail-fast semantics.
-func (c *coordinator) stealFailed(err error) error {
-	if c.cfg.DisableRecovery {
-		return err
-	}
-	c.counts.StealErrors++
-	return nil
 }
 
 // scan polls every live machine once — concurrently, so the scan
@@ -439,8 +370,7 @@ func (c *coordinator) stealFailed(err error) error {
 // failed poll increments that machine's consecutive-failure count —
 // transient drops are already retried once inside the control
 // transport, so DeadAfterPolls consecutive failures declare the
-// machine dead and trigger recovery (or, with DisableRecovery, a
-// typed abort). A machine-REPORTED failure still aborts: the machine
+// machine dead and trigger recovery. A machine-REPORTED failure still aborts: the machine
 // is reachable and says its app failed, which re-mining would only
 // repeat. The second return is false when any live machine missed
 // this scan (the view is partial).
@@ -502,9 +432,6 @@ func (c *coordinator) scan() ([]MachineStatus, bool, error) {
 // partition respawn would regenerate).
 func (c *coordinator) recoverMachine(m int, cause error) error {
 	lost := &MachineLostError{Machine: m, Polls: c.failPolls[m], Err: cause}
-	if c.cfg.DisableRecovery {
-		return lost
-	}
 	var rstart time.Time
 	if c.tracer != nil {
 		rstart = time.Now()
@@ -563,164 +490,77 @@ func (c *coordinator) terminated(prev, cur []MachineStatus) bool {
 	return true
 }
 
-// hysteresis updates the per-machine backlog EWMAs and idle streaks
-// from one scan, and returns the machine an off-cycle steal should
-// feed (or -1): some machine has been completely idle (all local
-// vertices spawned, nothing alive) for hyst consecutive polls while a
-// donor machine's backlog has persisted across polls. Acting between
-// StealInterval ticks catches skew that would otherwise drain
-// single-threaded on the donor while an idle machine waits.
-func (c *coordinator) hysteresis(sts []MachineStatus, ewma []float64, idle []int, hyst int) int {
-	donor := false
-	for i, st := range sts {
-		if !c.alive[i] {
-			ewma[i], idle[i] = 0, 0
-			continue
+// stealDirective is one move of a steal plan: ship up to want big
+// tasks from machine donor to machine recv.
+type stealDirective struct{ donor, recv, want int }
+
+// planSteals is the master's one steal rule, a pure function of one
+// complete scan. Each live machine's load is its big-task backlog,
+// less one if it is quiescent: an idle machine counts as -1, so a
+// single task queued behind a busy donor (load 1) is worth moving to
+// it, while the same task beside a busy peer (load 0) is not. The most
+// and least loaded machines pair up; a gap of at least two moves half
+// of it, bounded by the donor's backlog and by batch (C). Both leave
+// the pool and the next extremes pair, so each machine takes part in
+// at most one directive per scan. Dead machines are neither donors
+// nor receivers.
+func planSteals(sts []MachineStatus, alive []bool, batch int) []stealDirective {
+	load := func(m int) int64 {
+		if sts[m].quiescent() {
+			return sts[m].BigPending - 1
 		}
-		ewma[i] = ewmaAlpha*float64(st.BigPending) + (1-ewmaAlpha)*ewma[i]
-		if st.quiescent() {
-			idle[i]++
-		} else {
-			idle[i] = 0
-		}
-		if ewma[i] >= donorEwmaFloor && st.BigPending > 0 {
-			donor = true
+		return sts[m].BigPending
+	}
+	var pool []int
+	for m := range sts {
+		if alive[m] {
+			pool = append(pool, m)
 		}
 	}
-	if !donor {
-		return -1
-	}
-	for i := range sts {
-		if c.alive[i] && idle[i] >= hyst {
-			for j := range idle {
-				idle[j] = 0
-			}
-			return i
+	sort.SliceStable(pool, func(a, b int) bool { return load(pool[a]) > load(pool[b]) })
+	var plan []stealDirective
+	for i, j := 0, len(pool)-1; i < j; i, j = i+1, j-1 {
+		donor, recv := pool[i], pool[j]
+		gap := load(donor) - load(recv)
+		if gap < 2 {
+			break
 		}
+		want := min(gap/2, sts[donor].BigPending, int64(batch))
+		plan = append(plan, stealDirective{donor: donor, recv: recv, want: int(want)})
 	}
-	return -1
+	return plan
 }
 
-// stealFor executes an off-cycle steal: feed the idle machine recv
-// from the largest backlog, moving up to half of it (at least one
-// task). Unlike the periodic stealRound it ignores the avg+1 equity
-// guard — a single queued task behind a busy worker IS the skew the
-// hysteresis exists to catch, and an idle machine beats a fair
-// average.
-func (c *coordinator) stealFor(recv int, sts []MachineStatus) (int, error) {
-	donor, best := -1, int64(0)
-	for i, st := range sts {
-		if c.alive[i] && i != recv && st.BigPending > best {
-			donor, best = i, st.BigPending
-		}
-	}
-	if donor < 0 {
-		return 0, nil
-	}
-	want := int(best+1) / 2
-	if want > c.cfg.BatchSize {
-		want = c.cfg.BatchSize
-	}
-	if want < 1 {
-		want = 1
+// steal runs one steal round: it plans from the scan and executes
+// every directive. It reports whether the scan went stale — tasks
+// moved, or a directive failed. A failed directive is tolerated (the
+// donor or receiver may be mid-death; the poll loop will declare it
+// and recover) and the round's other directives still run.
+func (c *coordinator) steal(sts []MachineStatus) (stale bool) {
+	plan := planSteals(sts, c.alive, c.cfg.BatchSize)
+	if len(plan) == 0 {
+		return false
 	}
 	var sstart time.Time
 	if c.tracer != nil {
 		sstart = time.Now()
 	}
-	moved, err := c.ctl.Steal(donor, recv, want)
-	if err != nil {
-		return 0, err
+	moved := 0
+	for _, d := range plan {
+		n, err := c.ctl.Steal(d.donor, d.recv, d.want)
+		if err != nil {
+			c.counts.StealErrors++
+			stale = true
+			continue
+		}
+		moved += n
 	}
 	if moved > 0 {
 		c.counts.TasksStolen += uint64(moved)
 		c.counts.StealRounds++
 		if c.tracer != nil {
-			c.tracer.Record(0, obs.KindSteal, sstart, time.Since(sstart), uint64(moved), 1)
+			c.tracer.Record(0, obs.KindSteal, sstart, time.Since(sstart), uint64(moved), uint64(len(plan)))
 		}
 	}
-	return moved, nil
-}
-
-// stealRoundNow scans and runs one steal round immediately — the unit
-// tests' entry point into the master's plan.
-func (c *coordinator) stealRoundNow() (int, error) {
-	sts, complete, err := c.scan()
-	if err != nil {
-		return 0, err
-	}
-	if !complete {
-		return 0, nil
-	}
-	return c.stealRound(sts)
-}
-
-// stealRound implements the master's plan: compute the average big-task
-// backlog and direct batches (≤ C per machine per period) from loaded
-// machines to idle ones. counts come from the scan that triggered the
-// round. Dead machines are neither donors nor receivers.
-func (c *coordinator) stealRound(sts []MachineStatus) (int, error) {
-	counts := make([]int, len(sts))
-	total := 0
-	var order []int
-	for i, st := range sts {
-		if !c.alive[i] {
-			continue
-		}
-		counts[i] = int(st.BigPending)
-		total += counts[i]
-		order = append(order, i)
-	}
-	n := len(order)
-	if total == 0 || n < 2 {
-		return 0, nil
-	}
-	var sstart time.Time
-	if c.tracer != nil {
-		sstart = time.Now()
-	}
-	avg := total / n
-	sort.Slice(order, func(a, b int) bool { return counts[order[a]] > counts[order[b]] })
-	movedTotal := 0
-	lo := n - 1
-	for _, hi := range order {
-		if counts[hi] <= avg+1 {
-			break
-		}
-		for lo >= 0 && counts[order[lo]] >= avg {
-			lo--
-		}
-		if lo < 0 || order[lo] == hi {
-			break
-		}
-		recv := order[lo]
-		want := counts[hi] - avg
-		if deficit := avg - counts[recv]; deficit < want {
-			want = deficit
-		}
-		if want > c.cfg.BatchSize {
-			want = c.cfg.BatchSize
-		}
-		if want < 1 {
-			want = 1
-		}
-		moved, err := c.ctl.Steal(hi, recv, want)
-		if err != nil {
-			return movedTotal, err
-		}
-		if moved == 0 {
-			continue
-		}
-		c.counts.TasksStolen += uint64(moved)
-		counts[hi] -= moved
-		counts[recv] += moved
-		movedTotal += moved
-	}
-	if movedTotal > 0 {
-		c.counts.StealRounds++
-		if c.tracer != nil {
-			c.tracer.Record(0, obs.KindSteal, sstart, time.Since(sstart), uint64(movedTotal), 0)
-		}
-	}
-	return movedTotal, nil
+	return stale || moved > 0
 }

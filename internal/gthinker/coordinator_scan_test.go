@@ -100,13 +100,10 @@ func TestScanSkipsDeadAndToleratesFailures(t *testing.T) {
 	}
 }
 
-// TestTerminationNotStarvedBySteals: with the steal period below the
-// status period every status scan is followed by steal ticks before
-// the next one. An idle steal round must not restart the two-scan
-// termination window, or an idle cluster is only declared done when
-// the scheduler happens to deliver two status ticks back to back
-// (seconds to minutes in the worker-kill e2e, which polls at 5 ms and
-// steals at 1 ms).
+// TestTerminationNotStarvedBySteals: every complete status scan that
+// does not confirm termination runs a steal round. An idle round must
+// not restart the two-scan termination window, or an idle cluster is
+// never declared done.
 func TestTerminationNotStarvedBySteals(t *testing.T) {
 	sc := &slowControl{n: 3}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -114,7 +111,7 @@ func TestTerminationNotStarvedBySteals(t *testing.T) {
 	start := time.Now()
 	_, err := runCoordinator(ctx, sc, Config{
 		Machines: 3, WorkersPerMachine: 1,
-		StatusInterval: 5 * time.Millisecond, StealInterval: time.Millisecond,
+		StatusInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("idle cluster not declared terminated: %v", err)

@@ -17,9 +17,10 @@
 //     then ready small tasks, then popping big tasks, then local ones,
 //     and stop a spawn batch as soon as it produces a big task,
 //   - a coordinator that rebalances pending big tasks across machines
-//     (task stealing) both periodically and off-cycle when an idle
-//     machine faces a persistent backlog elsewhere, refilling donors
-//     from their spill lists so a backlog on disk still donates,
+//     (task stealing) by one rule on every status scan — an idle
+//     machine counts as one task below empty, so even a single queued
+//     task moves to it — refilling donors from their spill lists so a
+//     backlog on disk still donates,
 //   - a batched RPC plane (tcp.go): a multi-op length-prefixed frame
 //     protocol serving adjacency batches (one round trip per owning
 //     machine per batch of C tasks, not per task or vertex), a task
@@ -170,13 +171,13 @@
 //
 // The coordinator scans all machines concurrently and back to back
 // (coordinator.loop). While anything works, a scan lasts one
-// StatusInterval — the cadence of steal planning, hysteresis streaks
-// and the live metrics — and the scan during which the last machine
-// drains returns the moment it does. Termination is declared when two
-// consecutive scans agree that every machine has spawned its roots,
-// counts zero live tasks, and has identical sentOut/recvIn transfer
-// counters; the second follows the first immediately, since quiescent
-// machines do not hold their replies. The prompt edge does not make
+// StatusInterval — the cadence of steal rounds and the live metrics —
+// and the scan during which the last machine drains returns the moment
+// it does. Termination is declared when two consecutive scans agree
+// that every machine has spawned its roots, counts zero live tasks,
+// and has identical sentOut/recvIn transfer counters; the second
+// follows the first immediately, since quiescent machines do not hold
+// their replies. The prompt edge does not make
 // the second scan redundant: the replies of one scan are read at
 // different instants, so machine A can be read before a task is stolen
 // into it and machine B after donating it — each quiescent when read,
@@ -185,6 +186,17 @@
 // cluster-wide live sum never under-counts and any completed transfer
 // moves a monotone counter: two all-quiescent scans with equal
 // counters bracket a window in which no task existed anywhere.
+//
+// Every complete scan that does not confirm termination is also the
+// master's steal round (Section 5), planned by one rule (planSteals):
+// a live machine's load is its big-task backlog, less one if it is
+// quiescent; the most and least loaded machines pair up, and a gap of
+// at least two moves min(gap/2, the donor's backlog, C) tasks; both
+// leave the pool and the next extremes pair. Counting an idle machine
+// as -1 is what sends a lone task queued behind a busy worker to it,
+// while two busy machines one task apart stay put. There is no steal
+// timer: the scan cadence is the period. A round that moved tasks
+// restarts the termination window; an idle round leaves it open.
 //
 // A failed poll is not held by anyone, so the coordinator spaces
 // scans that found a machine unreachable one StatusInterval apart:
@@ -253,8 +265,9 @@
 // locally, and the adopter re-spawns the dead machine's hash
 // partitions after its own partition drains. Termination detection,
 // stealing, shutdown, and metrics aggregation all mask dead machines
-// thereafter. Config.DisableRecovery opts out: the run then fails
-// fast with a MachineLostError (errors.Is ErrMachineLost).
+// thereafter. Recovery is always on; a run fails with a
+// MachineLostError (errors.Is ErrMachineLost) only when no survivor
+// is left to recover onto or a survivor refuses the directive.
 //
 // Transport hardening backs this up: every dial is bounded
 // (Config.DialTimeout) and retried with jittered exponential backoff,
@@ -292,8 +305,8 @@
 //     machine, vertex count), nested inside its batch's resolve
 //   - steal-send / steal-recv — a stolen GQS1 batch leaving a donor /
 //     landing at a receiver
-//   - steal-round — one coordinator rebalance decision (arg2=1 for an
-//     off-cycle steal)
+//   - steal-round — one coordinator steal round that moved tasks
+//     (args: tasks moved, directives planned)
 //   - recover / recover-peer — the coordinator declaring a machine
 //     dead and driving recovery / one survivor adopting its work
 //

@@ -52,9 +52,7 @@ func TestStealRoundDirect(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rts[0].jb().pushGlobal(NewTask(nil))
 	}
-	if _, err := co.stealRoundNow(); err != nil {
-		t.Fatal(err)
-	}
+	stealNow(t, co)
 	m0, m1 := rts[0].jb().qglobal.len(), rts[1].jb().qglobal.len()
 	if m1 == 0 {
 		t.Fatalf("no tasks stolen: %d / %d", m0, m1)
@@ -67,8 +65,8 @@ func TestStealRoundDirect(t *testing.T) {
 	}
 	// Balanced queues: nothing moves.
 	before := co.counts.TasksStolen
-	co.stealRoundNow()
-	co.stealRoundNow()
+	stealNow(t, co)
+	stealNow(t, co)
 	after := co.counts.TasksStolen
 	if after-before > uint64(m0+m1) {
 		t.Fatalf("stealing thrashes on balanced queues: %d moved", after-before)
@@ -77,7 +75,7 @@ func TestStealRoundDirect(t *testing.T) {
 	c2 := testCluster(t, g, Config{Machines: 2, SpillDir: t.TempDir()})
 	installJob(t, c2, &nilApp{})
 	co2 := newCoordinator(c2.ctl, c2.cfg)
-	co2.stealRoundNow()
+	stealNow(t, co2)
 	if co2.counts.TasksStolen != 0 {
 		t.Fatal("stole from empty cluster")
 	}

@@ -1,6 +1,7 @@
 package gthinker
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,9 +44,7 @@ func TestStealRefillsFromSpilledBacklog(t *testing.T) {
 			rts[0].jb().qglobal.len(), rts[0].bigPending())
 	}
 
-	if _, err := co.stealRoundNow(); err != nil {
-		t.Fatal(err)
-	}
+	stealNow(t, co)
 
 	if got := rts[1].jb().qglobal.len(); got == 0 {
 		t.Fatal("spilled backlog donated nothing")
@@ -115,9 +114,7 @@ func TestStealRoundShipsRemote(t *testing.T) {
 		rts[0].jb().pushGlobal(tk)
 	}
 
-	if _, err := co.stealRoundNow(); err != nil {
-		t.Fatal(err)
-	}
+	stealNow(t, co)
 
 	if rts[0].jb().tasksStolenRemote.Load() == 0 {
 		t.Fatal("steal moved tasks in memory despite a configured task channel")
@@ -152,22 +149,60 @@ func TestStealRoundShipsRemote(t *testing.T) {
 	}
 }
 
-// TestStealHysteresisOffCycle is the steal-ahead regression test: one
-// machine holds the entire big-task backlog while the other is idle,
-// and the steal period is far longer than the run — only the
-// coordinator's idle-machine hysteresis can move work. Without it the
-// idle machine would starve until the (never-arriving) steal tick.
-// The backlog is gated: its tasks block until the coordinator's own
-// status view shows machine 1 received something, so the job cannot
-// end before the hysteresis fires however slowly this test is
-// scheduled; a regression shows as the deadline opening the gate and
-// the counters staying zero, not as a hang.
-func TestStealHysteresisOffCycle(t *testing.T) {
+// TestPlanSteals pins the master's one steal rule on hand-made scans.
+func TestPlanSteals(t *testing.T) {
+	busy := func(pending int64) MachineStatus { return MachineStatus{Live: pending + 1, BigPending: pending} }
+	idle := MachineStatus{AllSpawned: true}
+	for _, tc := range []struct {
+		name  string
+		sts   []MachineStatus
+		dead  []int
+		batch int
+		want  []stealDirective
+	}{
+		{"one task behind a busy donor feeds a quiescent peer", []MachineStatus{busy(1), idle}, nil, 32,
+			[]stealDirective{{donor: 0, recv: 1, want: 1}}},
+		{"one task does not move to a busy peer", []MachineStatus{busy(1), busy(0)}, nil, 32, nil},
+		{"half the gap", []MachineStatus{busy(10), busy(0)}, nil, 32,
+			[]stealDirective{{donor: 0, recv: 1, want: 5}}},
+		{"capped at the batch size", []MachineStatus{busy(0), busy(100)}, nil, 8,
+			[]stealDirective{{donor: 1, recv: 0, want: 8}}},
+		{"one directive per machine per scan", []MachineStatus{busy(9), busy(0), busy(0)}, nil, 32,
+			[]stealDirective{{donor: 0, recv: 2, want: 4}}},
+		{"extremes pair first, then the next extremes", []MachineStatus{busy(7), idle, busy(9), busy(0)}, nil, 32,
+			[]stealDirective{{donor: 2, recv: 1, want: 5}, {donor: 0, recv: 3, want: 3}}},
+		{"dead machines excluded", []MachineStatus{busy(10), {}, busy(4)}, []int{1}, 32,
+			[]stealDirective{{donor: 0, recv: 2, want: 3}}},
+		{"a lone live machine", []MachineStatus{busy(10), {}}, []int{1}, 32, nil},
+		{"an idle cluster", []MachineStatus{idle, idle, idle}, nil, 32, nil},
+	} {
+		alive := make([]bool, len(tc.sts))
+		for m := range alive {
+			alive[m] = true
+		}
+		for _, m := range tc.dead {
+			alive[m] = false
+		}
+		if got := planSteals(tc.sts, alive, tc.batch); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: planned %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestStealFeedsIdleMachine: one machine holds the entire big-task
+// backlog while the other is idle, and the steal rule must move work
+// to the idle machine within the run. The backlog is gated: its tasks
+// block until the coordinator's own status view shows machine 1
+// received something, so the job cannot end before a steal round
+// fires however slowly this test is scheduled; a regression shows as
+// the deadline opening the gate and the counters staying zero, not as
+// a hang.
+func TestStealFeedsIdleMachine(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
 	cfg := Config{
 		Machines: 2, WorkersPerMachine: 1,
-		StealInterval:  time.Hour, // the periodic master never fires
 		StatusInterval: 200 * time.Microsecond,
+		SpillDir:       t.TempDir(),
 	}
 	// Machine 0 ends up holding a skewed backlog of big tasks (one root
 	// there fans out into 64 of them); machine 1 spawns nothing and
@@ -179,32 +214,15 @@ func TestStealHysteresisOffCycle(t *testing.T) {
 	release := func() { open.Do(func() { close(gate) }) }
 	deadline := time.AfterFunc(10*time.Second, release)
 	defer deadline.Stop()
-	cfg.SpillDir = t.TempDir()
-	cfg.StealIdlePolls = 2
 	cfg.StatusSink = func(machine int, st MachineStatus) {
 		if machine == 1 && st.RecvIn > 0 {
 			release()
 		}
 	}
 	met := mustRunApp(t, g, &skewApp{root: root, gate: gate}, cfg).Metrics
-	if met.TasksStolen == 0 || met.OffCycleSteals == 0 {
-		t.Fatalf("hysteresis never fired: stolen=%d offcycle=%d rounds=%d",
-			met.TasksStolen, met.OffCycleSteals, met.StealRounds)
-	}
-	if met.TasksFinished != 65 {
-		t.Fatalf("finished %d of 65 tasks", met.TasksFinished)
-	}
-
-	// Disabled hysteresis (negative): the same skew drains donor-side
-	// only — no steals can happen inside the run. Ungated: each task
-	// sleeps instead, so the backlog outlives several status polls.
-	cfg.SpillDir = t.TempDir()
-	cfg.StealIdlePolls = -1
-	cfg.StatusSink = nil
-	met = mustRunApp(t, g, &skewApp{root: root}, cfg).Metrics
-	if met.TasksStolen != 0 || met.OffCycleSteals != 0 {
-		t.Fatalf("steals happened with hysteresis disabled and a 1h period: stolen=%d offcycle=%d",
-			met.TasksStolen, met.OffCycleSteals)
+	if met.TasksStolen == 0 || met.StealRounds == 0 {
+		t.Fatalf("the idle machine was never fed: stolen=%d rounds=%d",
+			met.TasksStolen, met.StealRounds)
 	}
 	if met.TasksFinished != 65 {
 		t.Fatalf("finished %d of 65 tasks", met.TasksFinished)
@@ -213,7 +231,7 @@ func TestStealHysteresisOffCycle(t *testing.T) {
 
 // skewApp puts the whole job on one machine: the task spawned from
 // vertex root adds 64 subtasks; every task is big. A subtask waits for
-// gate when there is one, and otherwise sleeps a millisecond.
+// gate.
 type skewApp struct {
 	nilApp
 	root graph.V
@@ -232,12 +250,8 @@ func (a *skewApp) Compute(t *Task, _ [][]graph.V, ctx *Ctx) bool {
 	for i := graph.V(0); i < p[0]; i++ {
 		ctx.AddTask(NewTask([]graph.V{0}))
 	}
-	switch {
-	case p[0] != 0:
-	case a.gate != nil:
+	if p[0] == 0 {
 		<-a.gate
-	default:
-		time.Sleep(time.Millisecond)
 	}
 	return false
 }

@@ -3,7 +3,6 @@ package gthinker
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/graph"
@@ -187,7 +186,7 @@ func TestEngineStealing(t *testing.T) {
 	app := &fanApp{spawnDepth: 3, fanout: 4}
 	met := mustRunApp(t, g, app, Config{
 		Machines: 4, WorkersPerMachine: 1,
-		SpillDir: t.TempDir(), StealInterval: time.Millisecond,
+		SpillDir: t.TempDir(),
 	}).Metrics
 	want := int64(40 * (1 + 4 + 16 + 64))
 	if got := app.computed.Load(); got != want {

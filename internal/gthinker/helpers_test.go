@@ -90,6 +90,19 @@ func installJob(t testing.TB, c *Cluster, app App) []*MachineRuntime {
 	return rts
 }
 
+// stealNow runs one status scan and, when it is complete, that scan's
+// steal round: the white-box tests' entry point into the master.
+func stealNow(t testing.TB, co *coordinator) {
+	t.Helper()
+	sts, complete, err := co.scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if complete {
+		co.steal(sts)
+	}
+}
+
 // runCoordinator drives a scripted ControlPlane through the part of
 // Cluster.RunJob a fake can answer: the coordinator loop, then
 // shutdown.

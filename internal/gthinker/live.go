@@ -25,6 +25,11 @@ type LiveView struct {
 	coord   Counters // the coordinator's own rows
 }
 
+// backlogSmoothing weighs the newest sample in the gthinker_backlog_ewma
+// gauge: high enough to track a draining queue within a few polls, low
+// enough that a single empty sample does not erase a backlog.
+const backlogSmoothing = 0.25
+
 // NewLiveView builds a view over n machines.
 func NewLiveView(n int) *LiveView {
 	lv := &LiveView{
@@ -49,7 +54,7 @@ func (lv *LiveView) Observe(m int, st MachineStatus) {
 	}
 	lv.sts[m] = st
 	lv.seen[m] = true
-	lv.ewma[m] = ewmaAlpha*float64(st.BigPending) + (1-ewmaAlpha)*lv.ewma[m]
+	lv.ewma[m] = backlogSmoothing*float64(st.BigPending) + (1-backlogSmoothing)*lv.ewma[m]
 }
 
 // ObserveDead marks machine m as declared dead.

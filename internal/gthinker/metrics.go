@@ -41,19 +41,15 @@ type Counters struct {
 	RefillBatches     uint64 // spill files refilled (and unlinked)
 	PeakSpillBytes    uint64 // high-water mark of on-disk task bytes
 
-	StealRounds uint64 // master periods that moved at least one task
+	StealRounds uint64 // steal rounds (one per status scan) that moved at least one task
 	TasksStolen uint64
 	// TasksStolenRemote counts stolen tasks that crossed the wire as
 	// GQS1 batches through the transport's task channel (a subset of
 	// TasksStolen; the rest moved in memory).
 	TasksStolenRemote uint64
-	// OffCycleSteals counts steal rounds fired by the coordinator's
-	// idle-machine hysteresis between StealInterval ticks (a subset of
-	// StealRounds).
-	OffCycleSteals uint64
 	// StealErrors counts steal directives that failed against a machine
-	// that had not (yet) been declared dead; with recovery enabled they
-	// are tolerated, not fatal.
+	// that had not (yet) been declared dead; they are tolerated, not
+	// fatal.
 	StealErrors uint64
 
 	PeakHeapAlloc uint64 // sampled runtime heap high-water mark
@@ -116,10 +112,9 @@ var counterTable = []counterDesc{
 	{"gthinker_spill_bytes_read_total", "task bytes read back by batch refills", mergeSum, func(c *Counters) *uint64 { return &c.SpillBytesRead }},
 	{"gthinker_refill_batches_total", "spill files refilled and unlinked", mergeSum, func(c *Counters) *uint64 { return &c.RefillBatches }},
 	{"gthinker_peak_spill_bytes", "high-water mark of on-disk task bytes", mergeSum, func(c *Counters) *uint64 { return &c.PeakSpillBytes }},
-	{"gthinker_steal_rounds_total", "steal rounds that moved at least one task", mergeCoordinator, func(c *Counters) *uint64 { return &c.StealRounds }},
+	{"gthinker_steal_rounds_total", "status scans whose steal round moved at least one task", mergeCoordinator, func(c *Counters) *uint64 { return &c.StealRounds }},
 	{"gthinker_tasks_stolen_total", "tasks moved between machines by steal directives", mergeCoordinator, func(c *Counters) *uint64 { return &c.TasksStolen }},
 	{"gthinker_tasks_stolen_wire_total", "stolen tasks shipped over the task channel", mergeSum, func(c *Counters) *uint64 { return &c.TasksStolenRemote }},
-	{"gthinker_offcycle_steals_total", "steal rounds fired by the idle-machine hysteresis", mergeCoordinator, func(c *Counters) *uint64 { return &c.OffCycleSteals }},
 	{"gthinker_steal_errors_total", "steal directives that failed and were tolerated", mergeCoordinator, func(c *Counters) *uint64 { return &c.StealErrors }},
 	{"gthinker_peak_heap_bytes", "sampled runtime heap high-water mark", mergeMax, func(c *Counters) *uint64 { return &c.PeakHeapAlloc }},
 	{"gthinker_recoveries_total", "worker-loss recoveries executed", mergeCoordinator, func(c *Counters) *uint64 { return &c.Recoveries }},

@@ -68,9 +68,8 @@ func idleStatus() (MachineStatus, error) {
 func recoveryTestConfig() Config {
 	return Config{
 		Machines: 3, WorkersPerMachine: 1,
-		StatusInterval:  time.Millisecond,
-		DeadAfterPolls:  3,
-		DisableStealing: true,
+		StatusInterval: time.Millisecond,
+		DeadAfterPolls: 3,
 	}
 }
 
@@ -144,37 +143,9 @@ func TestCoordinatorToleratesTransientPollFailures(t *testing.T) {
 	}
 }
 
-// TestCoordinatorDisableRecovery pins the opt-out: with recovery
-// disabled a lost machine aborts the run with the typed error.
-func TestCoordinatorDisableRecovery(t *testing.T) {
-	fake := newFakeControl(3, func(m, call int) (MachineStatus, error) {
-		if m == 1 {
-			return MachineStatus{}, fmt.Errorf("connection refused")
-		}
-		return MachineStatus{Live: 1}, nil
-	})
-	cfg := recoveryTestConfig()
-	cfg.DisableRecovery = true
-	_, err := runCoordinator(context.Background(), fake, cfg)
-	if err == nil {
-		t.Fatal("lost machine with DisableRecovery did not fail the run")
-	}
-	if !errors.Is(err, ErrMachineLost) {
-		t.Fatalf("want ErrMachineLost, got %v", err)
-	}
-	var lost *MachineLostError
-	if !errors.As(err, &lost) || lost.Machine != 1 || lost.Polls != 3 {
-		t.Fatalf("wrong typed error detail: %+v", lost)
-	}
-	fake.mu.Lock()
-	defer fake.mu.Unlock()
-	if len(fake.recovers[0])+len(fake.recovers[2]) != 0 {
-		t.Fatal("DisableRecovery still sent recovery directives")
-	}
-}
-
 // TestCoordinatorNoSurvivors: when the last machine dies there is
-// nowhere to recover onto — a typed error, not a hang or a panic.
+// nowhere to recover onto — a typed error carrying the machine and its
+// failed polls, not a hang or a panic.
 func TestCoordinatorNoSurvivors(t *testing.T) {
 	fake := newFakeControl(1, func(m, call int) (MachineStatus, error) {
 		return MachineStatus{}, fmt.Errorf("connection refused")
@@ -184,6 +155,10 @@ func TestCoordinatorNoSurvivors(t *testing.T) {
 	_, err := runCoordinator(context.Background(), fake, cfg)
 	if !errors.Is(err, ErrMachineLost) {
 		t.Fatalf("want ErrMachineLost when no survivors remain, got %v", err)
+	}
+	var lost *MachineLostError
+	if !errors.As(err, &lost) || lost.Machine != 0 || lost.Polls != 3 {
+		t.Fatalf("wrong typed error detail: %+v", lost)
 	}
 }
 

@@ -591,9 +591,9 @@ func (rt *MachineRuntime) StealTo(recv, want int) (int, error) {
 
 // shipChunk sends the longest prefix of batch that encodes within one
 // wire frame and returns its length. A single task too large for a
-// frame is an error, not an infinite loop. With recovery enabled, a
-// copy of each delivered chunk is retained keyed by its destination,
-// so the tasks can be re-owned if that machine later dies.
+// frame is an error, not an infinite loop. A copy of each delivered
+// chunk is retained keyed by its destination, so the tasks can be
+// re-owned if that machine later dies.
 func (rt *MachineRuntime) shipChunk(tc TaskChannel, recv int, batch []*Task) (int, error) {
 	enc := batchEncoders.Get().(*store.BatchEncoder)
 	defer batchEncoders.Put(enc)
@@ -607,9 +607,7 @@ func (rt *MachineRuntime) shipChunk(tc TaskChannel, recv int, batch []*Task) (in
 			if err := tc.SendTasks(recv, data); err != nil {
 				return 0, err
 			}
-			if !rt.cfg.DisableRecovery {
-				rt.retain(recv, data)
-			}
+			rt.retain(recv, data)
 			return k, nil
 		}
 		if k == 1 {

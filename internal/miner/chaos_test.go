@@ -48,7 +48,7 @@ func chaosMine(t *testing.T, g *graph.Graph, plan string) (*Result, error) {
 	}
 	ecfg := gthinker.Config{
 		Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir(),
-		StealInterval: time.Millisecond, InProcessTCP: true,
+		InProcessTCP:   true,
 		StatusInterval: 2 * time.Millisecond,
 		DeadAfterPolls: 3,
 		FrameTimeout:   2 * time.Second,

@@ -23,12 +23,14 @@ import (
 
 // jobSpecMagic versions the miner job spec carried inside opJoin and
 // opRun. QJS2 dropped QJS1's spill-format byte; QJS3 dropped the two
-// kernel flags and the two dense-kernel scalars. A worker built for
+// kernel flags and the two dense-kernel scalars; QJS4 dropped the
+// steal period, the steal hysteresis streak and the stealing and
+// recovery opt-outs. A worker built for
 // another layout is refused at join instead of mis-parsing every field
 // after it.
-const jobSpecMagic = "QJS3"
+const jobSpecMagic = "QJS4"
 
-// jobSpecFields is the QJS3 layout: the magic, then every field of the
+// jobSpecFields is the QJS4 layout: the magic, then every field of the
 // miner and engine configs that crosses the wire, in order. The engine
 // config travels without a SpillDir (each worker process spills into
 // its own temporary directory) and without transport fields (the
@@ -51,10 +53,8 @@ func jobSpecFields(w *store.Walker, cfg *Config, ecfg *gthinker.Config) {
 	store.U32(w, &ecfg.QueueCap)
 	store.U32(w, &ecfg.BatchSize)
 	store.U32(w, &ecfg.CacheCap)
-	store.U64(w, &ecfg.StealInterval)
 	store.U64(w, &ecfg.StatusInterval)
-	store.U64(w, &ecfg.StealIdlePolls) // negative means off
-	w.Flags(4, &ecfg.DisableStealing, &ecfg.DisableGlobalQueue, &ecfg.DisableRecovery, &ecfg.Trace)
+	w.Flags(4, &ecfg.DisableGlobalQueue, &ecfg.Trace)
 	store.U64(w, &ecfg.FrameTimeout)
 	store.U64(w, &ecfg.DialTimeout)
 	store.U64(w, &ecfg.DeadAfterPolls) // negative means off
@@ -73,7 +73,7 @@ func AppendJobSpec(dst []byte, cfg Config, ecfg gthinker.Config) []byte {
 // DecodeJobSpec reverses AppendJobSpec. A spec of another version is
 // refused: coordinator and qcworker must come from the same build.
 func DecodeJobSpec(data []byte) (cfg Config, ecfg gthinker.Config, err error) {
-	err = store.Decode(data, "QJS3 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg, &ecfg) })
+	err = store.Decode(data, "QJS4 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg, &ecfg) })
 	return cfg, ecfg, err
 }
 

@@ -97,8 +97,8 @@ func TestPreFilteredResultsBitIdentical(t *testing.T) {
 	par := quasiclique.Params{Gamma: 0.8, MinSize: 7}
 	want := serialReference(t, g, par)
 	cfg := Config{Params: par, TauTime: time.Nanosecond, TauSplit: 4}
-	oneByW := gthinker.Config{Machines: 1, WorkersPerMachine: 4, StealInterval: time.Millisecond}
-	twoByOne := gthinker.Config{Machines: 2, WorkersPerMachine: 1, StealInterval: time.Millisecond, InProcessTCP: true}
+	oneByW := gthinker.Config{Machines: 1, WorkersPerMachine: 4}
+	twoByOne := gthinker.Config{Machines: 2, WorkersPerMachine: 1, InProcessTCP: true}
 
 	for _, ecfg := range []gthinker.Config{oneByW, twoByOne} {
 		res, err := Mine(g, cfg, ecfg)
@@ -129,7 +129,7 @@ func TestPreFilteredResultsBitIdentical(t *testing.T) {
 		t.Fatalf("filtering the unfiltered output gives %d cliques, serial %d", len(got), len(want))
 	}
 
-	pool := procsPool(t, gthinker.Config{Machines: 2, WorkersPerMachine: 2, StealInterval: time.Millisecond})
+	pool := procsPool(t, gthinker.Config{Machines: 2, WorkersPerMachine: 2})
 	res, err := pool.RunJob(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,13 +2,11 @@ package miner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -97,7 +95,6 @@ func TestMineProcsWorkerKilledRecovers(t *testing.T) {
 	cfg := Config{Params: par, TauTime: time.Nanosecond, TauSplit: 4}
 	ecfg := gthinker.Config{
 		Machines: 4, WorkersPerMachine: 2,
-		StealInterval:  time.Millisecond,
 		StatusInterval: time.Millisecond,
 		DeadAfterPolls: 3,
 		DialTimeout:    time.Second,
@@ -145,62 +142,6 @@ func TestMineProcsWorkerKilledRecovers(t *testing.T) {
 	t.Logf("recovered run: %v", met)
 }
 
-// TestMineProcsWorkerKilledNoRecovery pins the opt-out: with
-// DisableRecovery a killed worker must fail the job with the typed
-// machine-lost error — promptly, never a hang.
-func TestMineProcsWorkerKilledNoRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns OS processes")
-	}
-	_, graphPath := writeProcsGraph(t, t.TempDir())
-	var workers []*exec.Cmd
-	var kill sync.Once
-	command := helperWorkerCommand(graphPath)
-	pool, err := StartProcsPool(gthinker.Config{
-		Machines: 2, WorkersPerMachine: 2,
-		StealInterval:   time.Millisecond,
-		StatusInterval:  5 * time.Millisecond,
-		DeadAfterPolls:  3,
-		DialTimeout:     time.Second,
-		FrameTimeout:    5 * time.Second,
-		DisableRecovery: true,
-		// Kill machine 1 under the running job: on the first status
-		// poll any machine answers.
-		StatusSink: func(int, gthinker.MachineStatus) {
-			kill.Do(func() { workers[1].Process.Kill() })
-		},
-	}, ProcsConfig{
-		GraphPath: graphPath,
-		Command: func(machine int, manifestPath string) *exec.Cmd {
-			cmd := command(machine, manifestPath)
-			workers = append(workers, cmd)
-			return cmd
-		},
-		ExitTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.Mine(context.Background(), Config{
-			Params: quasiclique.Params{Gamma: 0.8, MinSize: 7}, TauTime: time.Nanosecond, TauSplit: 4,
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, gthinker.ErrMachineLost) {
-			t.Fatalf("want ErrMachineLost, got: %v", err)
-		}
-		t.Logf("job failed as expected: %v", err)
-	case <-time.After(60 * time.Second):
-		t.Fatal("coordinator hung on a dead worker")
-	}
-}
-
 // TestMineProcsRangePartition is the process leg of
 // TestCompositionsBitIdentical, on 3×2, under the range-partition
 // deployment: the pool derives equal-entry bounds,
@@ -217,7 +158,6 @@ func TestMineProcsRangePartition(t *testing.T) {
 	cfg := Config{Params: par, TauTime: time.Nanosecond, TauSplit: 4}
 	ecfg := gthinker.Config{
 		Machines: 3, WorkersPerMachine: 2,
-		StealInterval: time.Millisecond,
 	}
 
 	serial, _, err := quasiclique.MineGraph(g, par, quasiclique.Options{})

@@ -125,7 +125,6 @@ func TestCompositionsBitIdentical(t *testing.T) {
 					t.Skip("spawns OS processes")
 				}
 				ecfg := comp.ecfg
-				ecfg.StealInterval = time.Millisecond
 				if strat.spill {
 					ecfg.QueueCap, ecfg.BatchSize = 2, 2
 				}

@@ -25,7 +25,7 @@ func TestMineChaosKillTraced(t *testing.T) {
 	// TestMineChaosKillRecovers so the recovery path is deterministic.
 	ecfg := gthinker.Config{
 		Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir(),
-		StealInterval: time.Millisecond, InProcessTCP: true,
+		InProcessTCP:   true,
 		StatusInterval: 2 * time.Millisecond,
 		DeadAfterPolls: 3,
 		FrameTimeout:   2 * time.Second,

@@ -46,7 +46,7 @@ const (
 	// (arg1 = tasks delivered).
 	KindStealRecv
 	// KindSteal is a coordinator steal round (arg1 = tasks moved,
-	// arg2 = 1 for an off-cycle hysteresis round).
+	// arg2 = directives planned).
 	KindSteal
 	// KindRecover is the coordinator declaring a machine dead and
 	// directing the survivors (arg1 = dead machine id).
@@ -73,7 +73,7 @@ var spanNames = [numSpanKinds]struct{ name, arg1, arg2 string }{
 	KindFetch:       {"fetch", "owner", "ids"},
 	KindStealSend:   {"steal-send", "recv", "tasks"},
 	KindStealRecv:   {"steal-recv", "tasks", ""},
-	KindSteal:       {"steal-round", "moved", "offcycle"},
+	KindSteal:       {"steal-round", "moved", "directives"},
 	KindRecover:     {"recover", "dead", ""},
 	KindRecoverPeer: {"recover-peer", "dead", "reowned"},
 	KindResolve:     {"resolve", "tasks", "remote_ids"},

@@ -58,8 +58,7 @@ func sessionServer(t *testing.T, quota int) (*Server, *httptest.Server) {
 	g := serveTestGraph(t)
 	s := miner.NewSession(g, gthinker.Config{
 		Machines: 2, WorkersPerMachine: 2,
-		StealInterval: time.Millisecond,
-		SpillDir:      t.TempDir(),
+		SpillDir: t.TempDir(),
 	})
 	srv := NewServer(Config{
 		Backend:     SessionBackend(s),
