@@ -56,7 +56,7 @@ func main() {
 		mlist      = flag.String("mlist", "1,2,4", "machine counts for table5b")
 		figDS      = flag.String("figure-dataset", "YouTube", "dataset for figures 1-3")
 		csvDir     = flag.String("csvdir", "", "also write raw series as CSV files into this directory")
-		useTCP     = flag.Bool("tcp", false, "reach the in-process machines over real loopback sockets: per-machine vertex/task servers plus a batched TCP transport (remote pulls and stolen task batches cross the wire)")
+		useTCP     = flag.Bool("tcp", false, "reach the in-process machines over real loopback sockets: one listener per machine plus a batched TCP transport (remote pulls and stolen task batches cross the wire)")
 		procs      = flag.Int("procs", 0, "make every cell's machines REAL qcworker OS processes (one vertex partition each, composed from a generated partition manifest over the TCP control plane), N of them unless the experiment sweeps the machine count; overrides -machines/-tcp")
 		qcworker   = flag.String("qcworker", "", "path to the qcworker binary for -procs (default: next to this binary, then $PATH)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")

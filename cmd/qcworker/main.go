@@ -1,7 +1,8 @@
 // Command qcworker serves ONE machine of a distributed quasi-clique
 // mining cluster: it mmaps a binary graph file (GQC2), validates it
-// against the partition manifest, and hosts a single machine runtime —
-// vertex server, task server, and control server — until the
+// against the partition manifest, and hosts a single machine runtime
+// behind one listener — control frames from the coordinator,
+// adjacency and stolen-task frames from its peers — until the
 // coordinator tells it to exit.
 //
 // Usage:
@@ -10,13 +11,13 @@
 //
 // On startup it prints
 //
-//	GTHINKER-WORKER READY control=<addr>
+//	GTHINKER-WORKER READY addr=<addr>
 //
-// on stdout; the coordinator (qcmine -procs, or any
-// ClusterClient) dials that address, sends the join handshake carrying
-// the job spec, distributes peer addresses, and drives the run. The
-// worker binds the addresses named in its manifest row, or dynamic
-// 127.0.0.1 ports when the row is empty (the single-host flow).
+// on stdout; the coordinator (qcmine -procs, or any ClusterClient)
+// dials that address, sends the join carrying the job spec and every
+// machine's address, and drives the run. The worker binds the address
+// named in its manifest row, or a dynamic 127.0.0.1 port when the row
+// is empty (the single-host flow).
 //
 // Observability: -debug-addr serves this process's live /metrics,
 // /healthz, expvar, and pprof over HTTP while it mines; -trace FILE
@@ -44,7 +45,7 @@ import (
 func main() {
 	var (
 		graphPath    = flag.String("graph", "", "binary graph file (GQC2, written by qcgen/qcmine)")
-		manifestPath = flag.String("manifest", "", "partition manifest file (GQM1)")
+		manifestPath = flag.String("manifest", "", "partition manifest file (GQM2)")
 		machine      = flag.Int("machine", -1, "machine id this process serves")
 		faultPlan    = flag.String("faultplan", os.Getenv("QCWORKER_FAULTPLAN"), "seeded fault-injection plan overriding the job spec's (chaos testing; e.g. '7:kill=1@3')")
 		tracePath    = flag.String("trace", "", "force tracing on and write this worker's local Chrome trace-event JSON here at exit")

@@ -89,8 +89,8 @@ type JobResult struct {
 // NewLocalCluster composes cfg.Machines machines inside this process
 // over g, which must stay immutable while the cluster lives. By default
 // they are reached by direct calls; with cfg.InProcessTCP each sits
-// behind its own control, vertex, and task servers on loopback TCP and
-// is joined and driven exactly like a qcworker process.
+// behind its own loopback listener and is joined and driven exactly
+// like a qcworker process.
 func NewLocalCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 	return newLocalCluster(g, cfg, nil)
 }
@@ -161,11 +161,11 @@ func newLocalCluster(g *graph.Graph, cfg Config, transport func(machine int) Tra
 		c.ctl = &directControl{hosts: c.hosts}
 		return c, nil
 	}
-	ctlAddrs := make([]string, len(c.hosts))
+	addrs := make([]string, len(c.hosts))
 	for i, h := range c.hosts {
-		ctlAddrs[i] = h.ControlAddr()
+		addrs[i] = h.Addr()
 	}
-	cc, err := joinCluster(cfg, ctlAddrs, g.NumVertices(), uint64(g.NumEdges()), nil)
+	cc, err := joinCluster(cfg, addrs, g.NumVertices(), uint64(g.NumEdges()), nil)
 	if err != nil {
 		c.teardown(nil)
 		return nil, err
@@ -182,7 +182,7 @@ func newLocalCluster(g *graph.Graph, cfg Config, transport func(machine int) Tra
 // numVerts and numEdges fingerprint the graph every worker must serve.
 func StartProcsCluster(cfg Config, procs *WorkerProcs, numVerts int, numEdges uint64, joinSpec []byte, exitTimeout time.Duration) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	cc, err := joinCluster(cfg, procs.ControlAddrs, numVerts, numEdges, joinSpec)
+	cc, err := joinCluster(cfg, procs.Addrs, numVerts, numEdges, joinSpec)
 	if err != nil {
 		procs.Kill()
 		return nil, err

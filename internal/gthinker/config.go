@@ -38,11 +38,10 @@ type Config struct {
 	// InProcessTCP selects how the machines of an in-process cluster
 	// are reached: false (default) composes them over direct calls —
 	// an ownership-checked loopback data plane and in-memory steals;
-	// true puts every machine behind its own control, vertex, and task
-	// servers on 127.0.0.1 and drives them with the same framed
-	// protocol a qcworker process speaks, so every remote adjacency
-	// pull, stolen big-task batch, status poll, and metrics flush
-	// crosses a real socket.
+	// true puts every machine behind its own listener on 127.0.0.1 and
+	// drives it with the same framed protocol a qcworker process
+	// speaks, so every remote adjacency pull, stolen big-task batch,
+	// status poll, and metrics flush crosses a real socket.
 	InProcessTCP bool
 	// FrameTimeout bounds each framed request/response exchange on
 	// the control and data planes (one conn deadline per attempt), so
@@ -56,7 +55,7 @@ type Config struct {
 	// after which the coordinator declares a machine dead and recovers
 	// its work onto the survivors. Transient drops are already absorbed
 	// by the transport's retry-once on opStatus, so this threshold
-	// distinguishes slow from dead. Default 5.
+	// distinguishes slow from dead. Default 5; negative is refused.
 	DeadAfterPolls int
 	// FaultSpec is a seeded fault-injection plan ("seed:directives",
 	// see ParseFaultPlan) applied to this process's transports and
@@ -71,7 +70,7 @@ type Config struct {
 	// in the mmap'd graph file (see store.MappedGraph.AdviseWillNeed),
 	// trading the hash scheme's statistical balance for ~1/N residency
 	// per worker. Typically produced by Graph.RangeBounds and carried
-	// in the GQM1 manifest so every process derives the same owners.
+	// in the GQM2 manifest so every process derives the same owners.
 	PartitionBounds []uint32
 	// Trace enables the event tracer: every machine records
 	// spawn/compute/spill/refill/fetch/steal/recovery spans into
@@ -155,6 +154,9 @@ func (c Config) validate() error {
 	}
 	if c.BatchSize > c.QueueCap {
 		return fmt.Errorf("gthinker: BatchSize %d exceeds QueueCap %d", c.BatchSize, c.QueueCap)
+	}
+	if c.DeadAfterPolls < 0 {
+		return fmt.Errorf("gthinker: DeadAfterPolls %d must not be negative", c.DeadAfterPolls)
 	}
 	if c.FrameTimeout > 0 && c.StatusInterval >= c.FrameTimeout {
 		return fmt.Errorf("gthinker: StatusInterval %v must be below FrameTimeout %v (a busy machine holds its status reply that long)",

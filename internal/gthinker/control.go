@@ -10,12 +10,13 @@ import (
 	"gthinkerqc/internal/store"
 )
 
-// The control plane extends the PR 4 frame protocol with the ops a
-// coordinator needs to run a cluster of isolated machine runtimes —
+// The control plane extends the frame protocol of tcp.go with the ops
+// a coordinator needs to run a cluster of isolated machine runtimes —
 // termination detection, steal directives, and metrics flushes cross
-// the same length-prefixed frames as adjacency batches, so one process
-// per machine (cmd/qcworker) needs nothing an InProcessTCP cluster
-// does not also exercise. See the op table in tcp.go.
+// the same listener, in the same length-prefixed frames, as adjacency
+// batches, so one process per machine (cmd/qcworker) needs nothing an
+// InProcessTCP cluster does not also exercise. See the op table in
+// tcp.go.
 
 // controlProtoVersion is the handshake version; a coordinator and
 // worker disagreeing on it refuse to pair. Since version 4 the cluster
@@ -26,13 +27,15 @@ import (
 // per-job spec so one joined cluster can run many jobs with different
 // parameters without re-handshaking. Version 5 ships the whole counter
 // table (metrics.go) in the status reply and the metrics payload;
-// version 6 drops the table's off-cycle steal row.
-const controlProtoVersion = 6
+// version 6 drops the table's off-cycle steal row. Version 7 gives
+// each machine one address: opJoin carries the peer table and gets an
+// empty reply, and op 0x05 is retired.
+const controlProtoVersion = 7
 
-// Control-plane ops (continuing the tcp.go data-plane numbering).
+// Control-plane ops (continuing the tcp.go data-plane numbering; 0x05
+// is retired).
 const (
 	opJoin     byte = 0x04
-	opStart    byte = 0x05
 	opStatus   byte = 0x06
 	opStealDo  byte = 0x07
 	opMetrics  byte = 0x08
@@ -65,13 +68,15 @@ var ctlVersion = string(store.AppendU32(nil, controlProtoVersion))
 
 // joinRequest is the coordinator's opJoin payload: the identity the
 // worker must agree with before it serves (protocol version, its own
-// machine id, the cluster size, the graph fingerprint) plus the
-// opaque app-level job spec.
+// machine id, the cluster size, the graph fingerprint), every
+// machine's address in machine order, and the opaque app-level job
+// spec.
 type joinRequest struct {
 	MachineID int
 	Machines  int
 	NumVerts  int
 	NumEdges  uint64
+	Peers     []string
 	Spec      []byte
 }
 
@@ -81,30 +86,8 @@ func (r *joinRequest) walk(w *store.Walker) {
 	store.U32(w, &r.Machines)
 	store.U32(w, &r.NumVerts)
 	store.U64(w, &r.NumEdges)
+	store.Slice(w, &r.Peers, maxFramePayload/4, 4, func(a *string) { w.String(a, maxCtlAddr) })
 	w.Bytes(&r.Spec, maxFramePayload)
-}
-
-// addrPair walks one machine's vertex- and task-server addresses: the
-// opJoin reply, and each row of the opStart address table.
-func addrPair(vaddr, taddr *string) func(*store.Walker) {
-	return func(w *store.Walker) {
-		w.String(vaddr, maxCtlAddr)
-		w.String(taddr, maxCtlAddr)
-	}
-}
-
-// addrTable is the opStart payload: every machine's addresses, in
-// machine order.
-type addrTable struct{ vaddrs, taddrs []string }
-
-func (t *addrTable) walk(w *store.Walker) {
-	n := w.Count(len(t.vaddrs), maxFramePayload/8, 8)
-	if w.Decoding() {
-		t.vaddrs, t.taddrs = make([]string, n), make([]string, n)
-	}
-	for i := range t.vaddrs {
-		addrPair(&t.vaddrs[i], &t.taddrs[i])(w)
-	}
 }
 
 // walk visits the opStatus reply.
@@ -153,12 +136,14 @@ func (d *RecoverDirective) walk(w *store.Walker) {
 	store.Slice(w, &d.Adopt, maxAdoptList, 4, func(id *int) { store.U32(w, id) })
 }
 
-// controlHandler is what a ControlServer dispatches into — implemented
+// controlHandler is what a controlServer dispatches into — implemented
 // by WorkerHost. Ops that act on a specific job carry its id so the
-// handler can reject frames from a coordinator it disagrees with.
+// handler can reject frames from a coordinator it disagrees with. The
+// two data ops hand over their raw payloads: they have no walk.
 type controlHandler interface {
-	handleJoin(r joinRequest) (vaddr, taddr string, err error)
-	handleStart(vaddrs, taddrs []string) error
+	handleJoin(r joinRequest) error
+	handleAdjBatch(payload []byte) ([]byte, error)
+	handleTasks(payload []byte) error
 	handleRun(job uint64, spec []byte) error
 	handleStatus(job uint64) (MachineStatus, error)
 	handleSteal(job uint64, recv, want int) (int, error)
@@ -170,16 +155,20 @@ type controlHandler interface {
 	handleExit()
 }
 
-// controlServer answers control-plane ops for one machine.
+// controlServer answers every op for one machine on its one listener:
+// the control plane, adjacency batches and stolen task batches.
 type controlServer struct {
-	l listener
-	h controlHandler
+	l      listener
+	h      controlHandler
+	maxAdj int // opAdjBatch request cap: adjRequestLimit of the served graph
 }
 
-func serveControl(addr string, h controlHandler) (*controlServer, error) {
-	s := &controlServer{h: h}
+// serveControl listens on addr for a machine serving a graph of
+// numVertices vertices.
+func serveControl(addr string, h controlHandler, numVertices int) (*controlServer, error) {
+	s := &controlServer{h: h, maxAdj: adjRequestLimit(numVertices)}
 	if err := s.l.serve(addr, s.handle); err != nil {
-		return nil, fmt.Errorf("gthinker: control server: %w", err)
+		return nil, fmt.Errorf("gthinker: worker host: %w", err)
 	}
 	return s, nil
 }
@@ -188,27 +177,41 @@ func (s *controlServer) addr() string { return s.l.addr() }
 func (s *controlServer) close() error { return s.l.close() }
 
 func (s *controlServer) handle(conn net.Conn) {
-	serveFrames(conn, maxFramePayload, s.dispatch, func(op byte) {
+	serveFrames(conn, s.maxRequest, s.dispatch, func(op byte) {
 		if op == opExit {
 			s.h.handleExit()
 		}
 	})
 }
 
-// dispatch decodes one request through its op's walk and answers it.
+// maxRequest bounds a request frame by its op: an adjacency batch to
+// what a VertexServer of the same graph accepts, the rest to
+// maxFramePayload.
+func (s *controlServer) maxRequest(op byte) int {
+	if op == opAdjBatch {
+		return s.maxAdj
+	}
+	return maxFramePayload
+}
+
+// dispatch answers one request: a data op straight from its payload,
+// a control op after decoding it through the op's walk.
 func (s *controlServer) dispatch(op byte, payload []byte) ([]byte, error) {
+	switch op {
+	case opAdjBatch:
+		return s.h.handleAdjBatch(payload)
+	case opTaskSteal:
+		return nil, s.h.handleTasks(payload)
+	}
 	var (
-		join  joinRequest
-		table addrTable
-		rec   RecoverDirective
-		req   jobRequest
+		join joinRequest
+		rec  RecoverDirective
+		req  jobRequest
 	)
 	walk, what := req.walk, "job request"
 	switch op {
 	case opJoin:
 		walk, what = join.walk, "join request"
-	case opStart:
-		walk, what = table.walk, "address table"
 	case opRun:
 		walk, what = req.walkRun, "run request"
 	case opStealDo:
@@ -219,20 +222,14 @@ func (s *controlServer) dispatch(op byte, payload []byte) ([]byte, error) {
 		walk, what = func(*store.Walker) {}, "exit request"
 	case opStatus, opMetrics, opTrace, opResults, opShutdown:
 	default:
-		return nil, fmt.Errorf("gthinker: control server: unknown op 0x%02x", op)
+		return nil, fmt.Errorf("gthinker: worker host: unknown op 0x%02x", op)
 	}
 	if err := store.Decode(payload, what, walk); err != nil {
 		return nil, err
 	}
 	switch op {
 	case opJoin:
-		vaddr, taddr, err := s.h.handleJoin(join)
-		if err != nil {
-			return nil, err
-		}
-		return store.Encode(nil, addrPair(&vaddr, &taddr)), nil
-	case opStart:
-		return nil, s.h.handleStart(table.vaddrs, table.taddrs)
+		return nil, s.h.handleJoin(join)
 	case opRun:
 		return nil, s.h.handleRun(req.job, req.spec)
 	case opStatus:
@@ -270,9 +267,9 @@ func (s *controlServer) dispatch(op byte, payload []byte) ([]byte, error) {
 }
 
 // ClusterClient is the ControlPlane over framed TCP: one pooled
-// connection per machine's control server. It drives both an
-// InProcessTCP cluster and real qcworker processes — the coordinator
-// cannot tell the difference, which is the point.
+// connection per machine's host. It drives both an InProcessTCP
+// cluster and real qcworker processes — the coordinator cannot tell
+// the difference, which is the point.
 //
 // Methods are safe for one coordinator goroutine per machine; the
 // shutdown→metrics→results ordering guarantee relies on each machine's
@@ -296,15 +293,14 @@ type ClusterClient struct {
 // Machines returns the cluster size.
 func (c *ClusterClient) Machines() int { return len(c.pool.addrs) }
 
-// joinCluster dials the machines' control servers and runs the
-// handshake up to the point where jobs can run: every machine joins
-// with the shared identity (cluster size, graph fingerprint, spec) —
-// checking it, building its runtime, and reporting its data-plane
-// listen addresses — and then receives the full peer address table to
-// wire its TCPTransport over.
-func joinCluster(cfg Config, ctlAddrs []string, numVerts int, numEdges uint64, spec []byte) (*ClusterClient, error) {
-	if cfg.Machines != len(ctlAddrs) {
-		return nil, fmt.Errorf("gthinker: joining %d machines with %d control addresses", cfg.Machines, len(ctlAddrs))
+// joinCluster dials the machines' hosts and runs the handshake up to
+// the point where jobs can run: every machine joins with the shared
+// identity (cluster size, graph fingerprint, spec) and the peer table
+// — the addresses dialed here — checking the identity, building its
+// runtime, and wiring its TCPTransport over the table.
+func joinCluster(cfg Config, addrs []string, numVerts int, numEdges uint64, spec []byte) (*ClusterClient, error) {
+	if cfg.Machines != len(addrs) {
+		return nil, fmt.Errorf("gthinker: joining %d machines with %d addresses", cfg.Machines, len(addrs))
 	}
 	fault, err := ParseFaultPlan(cfg.FaultSpec)
 	if err != nil {
@@ -314,7 +310,7 @@ func joinCluster(cfg Config, ctlAddrs []string, numVerts int, numEdges uint64, s
 	// retry-once on the idempotent opStatus poll; zero DialTimeout /
 	// FrameTimeout keep the defaults, a negative FrameTimeout disables
 	// the deadline.
-	c := &ClusterClient{pool: newConnPool(ctlAddrs)}
+	c := &ClusterClient{pool: newConnPool(addrs)}
 	c.pool.opAttempts = ctlOpAttempts
 	c.pool.retriedDials = &c.retriedDials
 	c.pool.retriedOps = &c.retriedOps
@@ -323,20 +319,10 @@ func joinCluster(cfg Config, ctlAddrs []string, numVerts int, numEdges uint64, s
 		c.Close()
 		return nil, err
 	}
-	table := addrTable{make([]string, cfg.Machines), make([]string, cfg.Machines)}
-	for m := range table.vaddrs {
-		req := joinRequest{MachineID: m, Machines: cfg.Machines, NumVerts: numVerts, NumEdges: numEdges, Spec: spec}
-		resp, err := c.call(m, opJoin, req.walk, maxFramePayload)
-		if err == nil {
-			err = store.Decode(resp, "join reply", addrPair(&table.vaddrs[m], &table.taddrs[m]))
-		}
-		if err != nil {
+	for m := range addrs {
+		req := joinRequest{MachineID: m, Machines: cfg.Machines, NumVerts: numVerts, NumEdges: numEdges, Peers: addrs, Spec: spec}
+		if _, err := c.call(m, opJoin, req.walk, maxFramePayload); err != nil {
 			return fail(fmt.Errorf("gthinker: join machine %d: %w", m, err))
-		}
-	}
-	for m := range table.vaddrs {
-		if _, err := c.call(m, opStart, table.walk, maxFramePayload); err != nil {
-			return fail(fmt.Errorf("gthinker: start machine %d: %w", m, err))
 		}
 	}
 	return c, nil

@@ -39,13 +39,13 @@ func TestStatusWireRoundTrip(t *testing.T) {
 }
 
 func TestJoinRequestRoundTrip(t *testing.T) {
-	r := joinRequest{MachineID: 2, Machines: 5, NumVerts: 1000, NumEdges: 5000, Spec: []byte("spec-bytes")}
+	r := joinRequest{MachineID: 2, Machines: 5, NumVerts: 1000, NumEdges: 5000,
+		Peers: []string{"a:1", "b:2", "", "d:4", "e:5"}, Spec: []byte("spec-bytes")}
 	var got joinRequest
 	if err := store.Decode(store.Encode(nil, r.walk), "join request", got.walk); err != nil {
 		t.Fatal(err)
 	}
-	if got.MachineID != 2 || got.Machines != 5 || got.NumVerts != 1000 ||
-		got.NumEdges != 5000 || string(got.Spec) != "spec-bytes" {
+	if !reflect.DeepEqual(got, r) {
 		t.Fatalf("join round trip: %+v", got)
 	}
 	// Wrong protocol version is refused.
@@ -74,20 +74,6 @@ func TestRecoverDirectiveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAddrTableRoundTrip(t *testing.T) {
-	in := addrTable{[]string{"a:1", "b:2", "c:3"}, []string{"a:4", "", "c:6"}}
-	var got addrTable
-	if err := store.Decode(store.Encode(nil, in.walk), "address table", got.walk); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("addr table round trip: %v", got)
-	}
-	if err := store.Decode([]byte{255, 255, 255, 255}, "address table", got.walk); err == nil {
-		t.Fatal("absurd machine count accepted")
-	}
-}
-
 // controlPayloads is every control-plane payload decoded off a socket
 // that has no fuzzer of its own (status and metrics have theirs), each
 // with a non-default value to seed from. decode reads data as the
@@ -97,12 +83,16 @@ var controlPayloads = []struct {
 	seed   []byte
 	decode func(data []byte) ([]byte, error)
 }{
-	{"join request", store.Encode(nil, (&joinRequest{MachineID: 1, Machines: 3, NumVerts: 9, NumEdges: 1 << 40, Spec: []byte("QJS3")}).walk),
+	{"join request", store.Encode(nil, (&joinRequest{MachineID: 1, Machines: 3, NumVerts: 9, NumEdges: 1 << 40,
+		Peers: []string{"10.0.0.1:1", "", "10.0.0.3:3"}, Spec: []byte("QJS4")}).walk),
 		walked("join request", func() func(*store.Walker) { return new(joinRequest).walk })},
-	{"join reply", store.Encode(nil, addrPair(ptr("10.0.0.1:1"), ptr("10.0.0.1:2"))),
-		walked("join reply", func() func(*store.Walker) { return addrPair(new(string), new(string)) })},
-	{"address table", store.Encode(nil, (&addrTable{[]string{"a:1", ""}, []string{"", "b:2"}}).walk),
-		walked("address table", func() func(*store.Walker) { return new(addrTable).walk })},
+	// The peer table's edges: none (a join the host refuses, but one
+	// the decoder must read) and a cluster of eight.
+	{"join request, no peers", store.Encode(nil, (&joinRequest{Machines: 1, NumVerts: 1}).walk),
+		walked("join request", func() func(*store.Walker) { return new(joinRequest).walk })},
+	{"join request, 8 peers", store.Encode(nil, (&joinRequest{MachineID: 7, Machines: 8, NumVerts: 1 << 20, NumEdges: 1 << 24,
+		Peers: []string{"h0:9000", "h1:9000", "h2:9000", "h3:9000", "h4:9000", "h5:9000", "h6:9000", "[::1]:9000"}}).walk),
+		walked("join request", func() func(*store.Walker) { return new(joinRequest).walk })},
 	{"job request", store.Encode(nil, (&jobRequest{job: 7}).walk),
 		walked("job request", func() func(*store.Walker) { return new(jobRequest).walk })},
 	{"run request", store.Encode(nil, (&jobRequest{job: 8, spec: []byte("QJS3")}).walkRun),
@@ -246,7 +236,7 @@ func TestExitAckSurvivesHostClose(t *testing.T) {
 			h.Close()
 			close(closed)
 		}()
-		cc := &ClusterClient{pool: newConnPool([]string{h.ControlAddr()})}
+		cc := &ClusterClient{pool: newConnPool([]string{h.Addr()})}
 		err := cc.Exit(0)
 		cc.Close()
 		<-closed

@@ -56,7 +56,7 @@ type ControlPlane interface {
 // deterministically regenerate the lost root ranges).
 type RecoverDirective struct {
 	Dead     int   // the machine declared dead
-	Fallback int   // survivor whose vertex server now serves Dead's rows
+	Fallback int   // survivor that now serves Dead's adjacency rows
 	Adopter  int   // survivor that respawns Dead's root partitions
 	Adopt    []int // hash-partition ids Adopter takes over
 }
@@ -426,7 +426,7 @@ func (c *coordinator) scan() ([]MachineStatus, bool, error) {
 // only flush at shutdown, so everything m had mined was lost with it
 // and the fingerprint-deduplicating collector makes re-mining exact
 // rather than duplicating — and every survivor redirects its
-// adjacency fetches for m to the fallback's vertex server and
+// adjacency fetches for m to the fallback machine and
 // re-owns any task batches it had shipped to m (the retained GQS1
 // bytes cover subtrees stolen INTO m from still-live roots, which no
 // partition respawn would regenerate).

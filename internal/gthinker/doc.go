@@ -53,11 +53,12 @@
 //   - how they are reached: by direct calls (directControl invoking
 //     the host's handlers as methods, a loopback Transport reading the
 //     shared graph, steals as in-memory queue moves — the default for
-//     local machines) or over framed sockets (ClusterClient against
-//     each host's control server, TCPTransports between vertex and
-//     task servers — Config.InProcessTCP for local machines, always
-//     for processes). Every remote pull, stolen batch, liveness poll,
-//     steal directive, and metrics flush then crosses the wire.
+//     local machines) or over framed sockets (each host behind one
+//     listener that answers the coordinator's ClusterClient and its
+//     peers' TCPTransports alike — Config.InProcessTCP for local
+//     machines, always for processes). Every remote pull, stolen
+//     batch, liveness poll, steal directive, and metrics flush then
+//     crosses the wire.
 //
 // # Scheduling: the worker loop and what wakes it
 //
@@ -88,7 +89,7 @@
 //
 //   - a big task entering Qglobal: spawned, created by Compute, refilled
 //     from Lbig, returned by a failed steal shipment;
-//   - a stolen batch landing (DeliverTasks — the task server's callback,
+//   - a stolen batch landing (DeliverTasks — the host's opTaskSteal answer,
 //     the in-memory steal move, and recovery's re-owned batches);
 //   - a resolved big task entering Bglobal;
 //   - a dead peer's partition being adopted;
@@ -206,11 +207,11 @@
 //
 // # Deploying a multi-process cluster
 //
-// A deployment is described by a partition manifest (GQM1, see
+// A deployment is described by a partition manifest (GQM2, see
 // internal/store): the ownership scheme, the machine count, a graph
-// fingerprint (|V|, |E|), and per machine the control / vertex / task
-// listen addresses (empty = bind 127.0.0.1:0 and report through the
-// handshake). Every process derives owner(v) from the manifest alone.
+// fingerprint (|V|, |E|), and per machine its one listen address
+// (empty = bind 127.0.0.1:0 and report it on the ready line). Every
+// process derives owner(v) from the manifest alone.
 //
 // Single host, automatic (the coordinator spawns workers):
 //
@@ -221,14 +222,16 @@
 //
 //	qcworker -graph g.bin -manifest cluster.gqm -machine 0   # × N
 //
-// each worker prints "GTHINKER-WORKER READY control=<addr>"; the
-// coordinator dials every control address (StartProcsCluster) and
-// runs the lifecycle: opJoin (identity check + engine shape) → opStart
-// (peer address table; workers build their TCPTransports), then per
-// job opRun (job id + spec; mining starts) → opStatus long polls /
-// opStealDo directives → opShutdown → opMetrics + opTrace + opResults
-// flushes, and finally opExit. The op table lives in
-// tcp.go; the app-opaque job-spec and result encodings for the
+// each worker prints "GTHINKER-WORKER READY addr=<addr>"; the
+// coordinator dials every address (StartProcsCluster) and runs the
+// lifecycle: opJoin (identity check + engine shape + the table of
+// addresses it dialed; each worker builds its TCPTransport over that
+// table and from then on answers its peers' adjacency and task
+// frames on the same listener), then per job opRun (job id + spec;
+// mining starts) → opStatus long polls / opStealDo directives →
+// opShutdown → opMetrics + opTrace + opResults flushes, and finally
+// opExit. The op table lives in tcp.go; the app-opaque job-spec and
+// result encodings for the
 // quasi-clique miner live in internal/miner (AppendJobSpec,
 // AppendResults).
 //

@@ -214,6 +214,11 @@ func TestEngineConfigValidation(t *testing.T) {
 	if _, err := NewLocalCluster(g, Config{QueueCap: 2, BatchSize: 50}); err == nil {
 		t.Fatal("batch > queue accepted")
 	}
+	// A negative threshold would declare a machine dead on its first
+	// failed poll.
+	if _, err := NewLocalCluster(g, Config{DeadAfterPolls: -1}); err == nil {
+		t.Fatal("negative DeadAfterPolls accepted")
+	}
 }
 
 func TestEngineDisableGlobalQueue(t *testing.T) {

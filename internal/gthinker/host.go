@@ -29,11 +29,10 @@ type WorkerHostConfig struct {
 	// coordinator's size (it is still fingerprint-checked against the
 	// manifest by the process main).
 	Machines int
-	// ControlAddr / VertexAddr / TaskAddr are listen addresses; empty
-	// means 127.0.0.1:0 (dynamic, reported through the handshake).
-	ControlAddr string
-	VertexAddr  string
-	TaskAddr    string
+	// Addr is the one listen address of the machine: control frames,
+	// adjacency batches and stolen task batches all arrive there.
+	// Empty means 127.0.0.1:0 (dynamic, reported on the ready line).
+	Addr string
 
 	// NewApp turns the coordinator's opaque spec into an application
 	// and the engine configuration it runs under. It is called at join
@@ -78,12 +77,12 @@ type WorkerHostConfig struct {
 
 // WorkerHost runs ONE MachineRuntime and answers the control plane for
 // it (join/run/status/steal/shutdown/metrics/results). Reached over
-// sockets (StartWorkerHost) it additionally owns a control server, a
-// vertex server for the data plane, and a task server for incoming
-// stolen batches: cmd/qcworker runs exactly one such host per OS
-// process, an InProcessTCP cluster N of them. Reached by direct calls
-// (newDirectHost) the same handlers are invoked as methods and no
-// socket exists. Either way a job takes the same path through it.
+// sockets (StartWorkerHost) it owns one listener, which also answers
+// its peers' adjacency batches and stolen task batches: cmd/qcworker
+// runs exactly one such host per OS process, an InProcessTCP cluster N
+// of them. Reached by direct calls (newDirectHost) the same handlers
+// are invoked as methods and no socket exists. Either way a job takes
+// the same path through it.
 type WorkerHost struct {
 	hc WorkerHostConfig
 
@@ -91,13 +90,9 @@ type WorkerHost struct {
 
 	mu      sync.Mutex
 	cfg     Config
-	rt      *MachineRuntime
-	vserver *VertexServer
-	tserver *TaskServer
+	rt      *MachineRuntime // nil until join
 	tr      *TCPTransport
 	fault   *FaultPlan
-	joined  bool
-	wired   bool
 	stopped bool
 	killed  bool
 
@@ -110,9 +105,8 @@ type WorkerHost struct {
 	exitCh   chan struct{}
 }
 
-// StartWorkerHost begins listening for the coordinator on the control
-// address. The runtime is built at join time and starts mining at
-// start time.
+// StartWorkerHost begins listening on the host's address. The runtime
+// and its transport are built at join and mine from each run.
 func StartWorkerHost(hc WorkerHostConfig) (*WorkerHost, error) {
 	if hc.Graph == nil {
 		return nil, fmt.Errorf("gthinker: worker host needs a graph")
@@ -121,11 +115,11 @@ func StartWorkerHost(hc WorkerHostConfig) (*WorkerHost, error) {
 		return nil, fmt.Errorf("gthinker: worker host needs a NewApp factory")
 	}
 	h := &WorkerHost{hc: hc, exitCh: make(chan struct{})}
-	addr := hc.ControlAddr
+	addr := hc.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	ctl, err := serveControl(addr, h)
+	ctl, err := serveControl(addr, h, hc.Graph.NumVertices())
 	if err != nil {
 		return nil, err
 	}
@@ -142,22 +136,18 @@ func newDirectHost(hc WorkerHostConfig, machines int, tr Transport) (*WorkerHost
 		return nil, err
 	}
 	h.rt.SetTransport(tr)
-	h.wired = true
 	return h, nil
 }
 
-// ControlAddr returns the bound control-plane address.
-func (h *WorkerHost) ControlAddr() string { return h.ctl.addr() }
+// Addr returns the host's bound address.
+func (h *WorkerHost) Addr() string { return h.ctl.addr() }
 
-// Runtime returns the hosted runtime once it is joined AND wired to its
-// transport; nil before that, so a debug scrape racing the handshake
-// sees "no runtime yet" rather than one without a data plane.
+// Runtime returns the hosted runtime once it has joined (and so has
+// its transport); nil before, so a debug scrape racing the handshake
+// sees "no runtime yet".
 func (h *WorkerHost) Runtime() *MachineRuntime {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.wired {
-		return nil
-	}
 	return h.rt
 }
 
@@ -165,27 +155,21 @@ func (h *WorkerHost) Runtime() *MachineRuntime {
 // called).
 func (h *WorkerHost) WaitExit() { <-h.exitCh }
 
-// Close tears the host down: control and data servers, transport, and
-// the runtime's workers.
+// Close tears the host down: its listener, transport, and the
+// runtime's workers.
 func (h *WorkerHost) Close() {
 	h.exitOnce.Do(func() { close(h.exitCh) })
 	if h.ctl != nil {
 		h.ctl.close()
 	}
 	h.mu.Lock()
-	rt, vs, ts, tr := h.rt, h.vserver, h.tserver, h.tr
+	rt, tr := h.rt, h.tr
 	h.mu.Unlock()
 	if rt != nil {
 		rt.Stop()
 	}
 	if tr != nil {
 		tr.Close()
-	}
-	if ts != nil {
-		ts.Close()
-	}
-	if vs != nil {
-		vs.Close()
 	}
 	// The host owns its machine's spill directory; without this sweep a
 	// cancelled or failed run leaks spilled task files.
@@ -194,53 +178,42 @@ func (h *WorkerHost) Close() {
 	}
 }
 
-func (h *WorkerHost) handleJoin(r joinRequest) (vaddr, taddr string, err error) {
+// handleJoin checks the coordinator's identity, builds the runtime,
+// and wires its TCPTransport over the peer table: from here the
+// machine answers data frames, and each opRun starts a job on it.
+func (h *WorkerHost) handleJoin(r joinRequest) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.joined {
-		return "", "", fmt.Errorf("gthinker: machine %d joined twice", h.hc.MachineID)
+	if h.rt != nil {
+		return fmt.Errorf("gthinker: machine %d joined twice", h.hc.MachineID)
 	}
 	if r.MachineID != h.hc.MachineID {
-		return "", "", fmt.Errorf("gthinker: this host serves machine %d, not %d", h.hc.MachineID, r.MachineID)
+		return fmt.Errorf("gthinker: this host serves machine %d, not %d", h.hc.MachineID, r.MachineID)
 	}
 	if h.hc.Machines != 0 && r.Machines != h.hc.Machines {
-		return "", "", fmt.Errorf("gthinker: manifest names %d machines, coordinator %d", h.hc.Machines, r.Machines)
+		return fmt.Errorf("gthinker: manifest names %d machines, coordinator %d", h.hc.Machines, r.Machines)
 	}
 	if r.Machines < 1 || h.hc.MachineID >= r.Machines {
-		return "", "", fmt.Errorf("gthinker: machine %d cannot serve a cluster of %d", h.hc.MachineID, r.Machines)
+		return fmt.Errorf("gthinker: machine %d cannot serve a cluster of %d", h.hc.MachineID, r.Machines)
+	}
+	if len(r.Peers) != r.Machines {
+		return fmt.Errorf("gthinker: peer table of %d machines for a cluster of %d", len(r.Peers), r.Machines)
 	}
 	if r.NumVerts != h.hc.Graph.NumVertices() || r.NumEdges != uint64(h.hc.Graph.NumEdges()) {
-		return "", "", fmt.Errorf("gthinker: graph fingerprint mismatch: serving |V|=%d |E|=%d, coordinator expects |V|=%d |E|=%d",
+		return fmt.Errorf("gthinker: graph fingerprint mismatch: serving |V|=%d |E|=%d, coordinator expects |V|=%d |E|=%d",
 			h.hc.Graph.NumVertices(), h.hc.Graph.NumEdges(), r.NumVerts, r.NumEdges)
 	}
 	if err := h.build(r.Machines, r.Spec); err != nil {
-		return "", "", err
+		return err
 	}
-	rt := h.rt
-	va := h.hc.VertexAddr
-	if va == "" {
-		va = "127.0.0.1:0"
-	}
-	vs, err := ServeVertexTable(va, h.hc.Graph)
-	if err != nil {
-		h.rt = nil
-		rt.CleanupSpill()
-		return "", "", err
-	}
-	ta := h.hc.TaskAddr
-	if ta == "" {
-		ta = "127.0.0.1:0"
-	}
-	ts, err := ServeTasks(ta, rt, rt.DeliverTasks)
-	if err != nil {
-		h.rt = nil
-		vs.Close()
-		rt.CleanupSpill()
-		return "", "", err
-	}
-	h.vserver, h.tserver = vs, ts
-	h.joined = true
-	return vs.Addr(), ts.Addr(), nil
+	// Two pools over the one peer table: a task send never queues
+	// behind a fetch to the same machine.
+	tr := NewTCPTransport(r.Peers, h.hc.Graph.NumVertices())
+	tr.SetTaskAddrs(r.Peers)
+	tr.Configure(h.cfg.DialTimeout, h.cfg.FrameTimeout, h.fault)
+	h.tr = tr
+	h.rt.SetTransport(tr)
+	return nil
 }
 
 // build constructs the hosted runtime for a cluster of `machines` from
@@ -274,30 +247,6 @@ func (h *WorkerHost) build(machines int, spec []byte) error {
 	return nil
 }
 
-// handleStart wires the data plane: the runtime gets a TCPTransport
-// over the full peer address table. Mining starts separately (opRun),
-// so a coordinator composes a cluster once and then runs many jobs.
-func (h *WorkerHost) handleStart(vaddrs, taddrs []string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.joined {
-		return fmt.Errorf("gthinker: start before join")
-	}
-	if h.wired {
-		return fmt.Errorf("gthinker: machine %d wired twice", h.hc.MachineID)
-	}
-	if len(vaddrs) != h.cfg.Machines {
-		return fmt.Errorf("gthinker: address table of %d machines for a cluster of %d", len(vaddrs), h.cfg.Machines)
-	}
-	tr := NewTCPTransport(vaddrs, h.hc.Graph.NumVertices())
-	tr.SetTaskAddrs(taddrs)
-	tr.Configure(h.cfg.DialTimeout, h.cfg.FrameTimeout, h.fault)
-	h.tr = tr
-	h.rt.SetTransport(tr)
-	h.wired = true
-	return nil
-}
-
 // handleRun starts mining job `job`: the runtime is reset onto a fresh
 // jobState (same graph, same partition, warm cache) running the
 // application NewApp makes of this job's spec. This is what makes one
@@ -322,12 +271,31 @@ func (h *WorkerHost) handleRun(job uint64, spec []byte) error {
 }
 
 func (h *WorkerHost) runtime() (*MachineRuntime, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.wired {
-		return nil, fmt.Errorf("gthinker: machine %d has no transport yet", h.hc.MachineID)
+	if rt := h.Runtime(); rt != nil {
+		return rt, nil
 	}
-	return h.rt, nil
+	return nil, fmt.Errorf("gthinker: machine %d has not joined", h.hc.MachineID)
+}
+
+// handleAdjBatch answers a peer's adjacency batch from the served
+// graph, once joined.
+func (h *WorkerHost) handleAdjBatch(payload []byte) ([]byte, error) {
+	if _, err := h.runtime(); err != nil {
+		return nil, err
+	}
+	resp, _, err := adjBatch(h.hc.Graph, payload)
+	return resp, err
+}
+
+// handleTasks delivers a batch of big tasks a peer stole for this
+// machine, once joined.
+func (h *WorkerHost) handleTasks(payload []byte) error {
+	rt, err := h.runtime()
+	if err != nil {
+		return err
+	}
+	_, err = deliverBatch(payload, rt, rt.DeliverTasks)
+	return err
 }
 
 // jobRuntime is runtime() plus the version-4 job check: a frame
@@ -373,7 +341,7 @@ func (h *WorkerHost) handleStatus(job uint64) (MachineStatus, error) {
 				kill()
 			} else {
 				// In-process: tear the host down off this goroutine —
-				// Close blocks on the control server's handler waitgroup,
+				// Close blocks on the listener's handler waitgroup,
 				// which includes the connection running THIS handler.
 				go h.Close()
 			}
@@ -457,7 +425,7 @@ func (h *WorkerHost) handleResults(job uint64) ([]byte, error) {
 	return h.hc.Results(rt.jb().app)
 }
 
-// handleExit releases WaitExit. The control server calls it only after
+// handleExit releases WaitExit. The listener calls it only after
 // the opExit acknowledgement is flushed: the host's main goroutine
 // answers WaitExit with Close, which would otherwise cut the control
 // connection under its own ack.
@@ -466,13 +434,13 @@ func (h *WorkerHost) handleExit() {
 }
 
 // WorkerReadyPrefix is the line a worker process prints on stdout once
-// its control server listens; the text after it is the control
-// address the coordinator should dial.
-const WorkerReadyPrefix = "GTHINKER-WORKER READY control="
+// its host listens; the text after it is the machine's one address,
+// which the coordinator dials and hands every peer in the join.
+const WorkerReadyPrefix = "GTHINKER-WORKER READY addr="
 
 // PrintWorkerReady emits the readiness line for w's host.
 func PrintWorkerReady(w io.Writer, h *WorkerHost) {
-	fmt.Fprintf(w, "%s%s\n", WorkerReadyPrefix, h.ControlAddr())
+	fmt.Fprintf(w, "%s%s\n", WorkerReadyPrefix, h.Addr())
 }
 
 // WorkerProcs manages a set of spawned worker OS processes. Each
@@ -483,9 +451,9 @@ type WorkerProcs struct {
 	cmds     []*exec.Cmd
 	waitOnce []sync.Once
 	waitErr  []error
-	// ControlAddrs holds each worker's reported control address, in
-	// machine order.
-	ControlAddrs []string
+	// Addrs holds each worker's reported address — the one it serves
+	// control, adjacency and task frames on — in machine order.
+	Addrs []string
 }
 
 // reap waits for child i exactly once and returns its exit error.
@@ -505,15 +473,15 @@ func (p *WorkerProcs) signalKill() {
 
 // SpawnWorkerProcs launches one worker process per machine via the
 // command factory, scans each child's stdout for its readiness line,
-// and returns the collected control addresses. The factory's command
+// and returns the collected addresses. The factory's command
 // must print WorkerReadyPrefix+addr on stdout (cmd/qcworker does);
 // stderr passes through to this process. On any error the children
 // already spawned are killed.
 func SpawnWorkerProcs(machines int, command func(machine int) *exec.Cmd, timeout time.Duration) (*WorkerProcs, error) {
 	p := &WorkerProcs{
-		ControlAddrs: make([]string, machines),
-		waitOnce:     make([]sync.Once, machines),
-		waitErr:      make([]error, machines),
+		Addrs:    make([]string, machines),
+		waitOnce: make([]sync.Once, machines),
+		waitErr:  make([]error, machines),
 	}
 	type ready struct {
 		machine int
@@ -561,7 +529,7 @@ func SpawnWorkerProcs(machines int, command func(machine int) *exec.Cmd, timeout
 				p.Kill()
 				return nil, r.err
 			}
-			p.ControlAddrs[r.machine] = r.addr
+			p.Addrs[r.machine] = r.addr
 		case <-deadline.C:
 			p.Kill()
 			return nil, fmt.Errorf("gthinker: workers not ready after %v", timeout)

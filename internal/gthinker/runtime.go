@@ -121,8 +121,8 @@ func (s *heapSampler) sampleNow() {
 // it): the in-process cluster partitions all machines in one pass
 // instead of M hash sweeps. The runtime holds neither a data plane nor
 // an application yet: its host installs the first with SetTransport
-// (the join/start handshake learns peer addresses after construction)
-// and every job brings the second through ResetJob.
+// (over the join's peer table, once the runtime is built) and every
+// job brings the second through ResetJob.
 func newMachineRuntime(g *graph.Graph, cfg Config, id int, verts []graph.V) (*MachineRuntime, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -401,7 +401,7 @@ func (rt *MachineRuntime) nextAdopted() (graph.V, bool) {
 // RecoverPeer absorbs a dead machine on this (surviving) runtime: the
 // control plane's opRecover handler and the in-process composition
 // both land here. Fetches addressed to the dead machine are
-// redirected to the fallback's vertex server, every retained task
+// redirected to the fallback machine, every retained task
 // batch this runtime had shipped to the dead machine is re-owned
 // (decoded and re-enqueued locally), and, on the designated adopter,
 // the dead machine's hash partitions are adopted for respawning.
@@ -491,10 +491,10 @@ func (rt *MachineRuntime) addGlobal(t *Task) {
 }
 
 // DeliverTasks lands a batch of stolen tasks on this machine's global
-// queue — the TaskServer's delivery callback and the direct-call
-// control plane's in-memory steal move share it. Liveness and the transfer counter are bumped BEFORE
-// the tasks become poppable, so no scan can observe a reachable task
-// that is not yet counted.
+// queue — a host's opTaskSteal answer and the direct-call control
+// plane's in-memory steal move share it. Liveness and the transfer
+// counter are bumped BEFORE the tasks become poppable, so no scan can
+// observe a reachable task that is not yet counted.
 func (rt *MachineRuntime) DeliverTasks(tasks []*Task) {
 	if len(tasks) == 0 {
 		return

@@ -16,11 +16,14 @@ import (
 	"gthinkerqc/internal/store"
 )
 
-// The TCP layer gives the engine a real network path: each simulated
-// machine's vertex partition is served by a VertexServer, stolen
-// big-task batches are delivered to a TaskServer, and TCPTransport
-// connects to both. Every exchange is one length-prefixed multi-op
-// frame in each direction:
+// The TCP layer gives the engine a real network path: each machine's
+// WorkerHost answers adjacency batches, stolen big-task batches and
+// the control plane below on one listener (control.go), and
+// TCPTransport connects to those hosts. The standalone VertexServer
+// and TaskServer answer the same two data ops with the same functions
+// (adjBatch, deliverBatch) for callers that want one plane without a
+// host. Every exchange is one length-prefixed multi-op frame in each
+// direction:
 //
 //	frame: op uint8, payloadLen uint32 (LE), payload [payloadLen]byte
 //
@@ -41,20 +44,23 @@ import (
 //	opError     reply payload: UTF-8 message; the server closes the
 //	            connection afterwards (the stream may be out of sync)
 //
-// Control-plane ops (control.go; served by a machine's control server,
+// A host refuses both data ops until it has joined.
+//
+// Control-plane ops (control.go; answered by the same host listener,
 // spoken by the coordinator's ClusterClient). Each payload is one walk
 // (store.Walker), named in brackets, that both sides run:
 //
 //	opJoin      payload [joinRequest.walk]: proto u32, machineID u32,
-//	            machines u32, n u32, m u64, specLen u32 + opaque app
-//	            job spec. The worker verifies it serves that machine of
-//	            that cluster over a graph with that fingerprint, builds
-//	            its runtime (and app, from the spec), and replies
-//	            [addrPair] with its vertex- and task-server addresses
-//	            (u32-len strings).
-//	opStart     payload [addrTable.walk]: machines u32, machines ×
-//	            { vertex, task } addresses. The worker builds its peer
-//	            transport (TCPTransport) from the table. reply: empty.
+//	            machines u32, n u32, m u64, peers u32 + peers × u32-len
+//	            address strings (every machine's host address, in
+//	            machine order: the addresses the coordinator dialed),
+//	            specLen u32 + opaque app job spec. The worker verifies
+//	            it serves that machine of that cluster over a graph
+//	            with that fingerprint and that the peer table has one
+//	            row per machine, builds its runtime (and app, from the
+//	            spec) and its TCPTransport over the peer table.
+//	            reply: empty.
+//	0x05        retired; never reused.
 //	opRun       payload [jobRequest.walkRun]: job u64, specLen u32 +
 //	            opaque app job spec. Resets the machine onto that job
 //	            with the application built from the spec and starts its
@@ -96,7 +102,7 @@ import (
 //	            u32, adopter u32, nAdopt u32, nAdopt × u32 partition
 //	            ids. Announces a dead machine to one survivor: the
 //	            survivor redirects its adjacency fetches for the dead
-//	            machine to fallback's vertex server, re-enqueues any
+//	            machine to fallback's host, re-enqueues any
 //	            task batches it had shipped to the dead machine, and —
 //	            if it is the designated adopter — takes over spawning
 //	            the listed hash partitions' root tasks. reply: empty.
@@ -180,9 +186,9 @@ func writeFrame(w *bufio.Writer, op byte, payload []byte) error {
 var errFrameTooLarge = errors.New("frame exceeds size limit")
 
 // readFrame reads one frame, bounding the payload allocation by
-// maxPayload before it happens. The returned payload is freshly
+// maxPayload(op) before it happens. The returned payload is freshly
 // allocated per frame, so decoded slices may alias it indefinitely.
-func readFrame(r *bufio.Reader, maxPayload int) (byte, []byte, error) {
+func readFrame(r *bufio.Reader, maxPayload func(op byte) int) (byte, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -191,9 +197,9 @@ func readFrame(r *bufio.Reader, maxPayload int) (byte, []byte, error) {
 	// declared length ≥ 2³¹ must hit this check, not wrap negative and
 	// panic the allocation below.
 	n32 := binary.LittleEndian.Uint32(hdr[1:])
-	if uint64(n32) > uint64(maxPayload) {
+	if limit := maxPayload(hdr[0]); uint64(n32) > uint64(limit) {
 		return 0, nil, fmt.Errorf("gthinker: %w: %d bytes declared, limit %d",
-			errFrameTooLarge, n32, maxPayload)
+			errFrameTooLarge, n32, limit)
 	}
 	payload := make([]byte, int(n32))
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -202,13 +208,20 @@ func readFrame(r *bufio.Reader, maxPayload int) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
+// anyOp is the frame limit that caps every op at n bytes.
+func anyOp(n int) func(byte) int { return func(byte) int { return n } }
+
+// adjRequestLimit caps an opAdjBatch request for a graph of n
+// vertices: the largest well-formed one asks for every vertex once.
+func adjRequestLimit(n int) int { return min(8+4*n, maxFramePayload) }
+
 // serveFrames is the per-connection loop shared by all servers: read
 // a request frame, dispatch it, write the reply. A dispatch error is
 // reported to the client as an opError frame and closes the
 // connection (after opError the stream state is not trusted). replied,
 // when non-nil, runs after each successful reply is flushed — for an
 // op whose effect must not overtake its own acknowledgement.
-func serveFrames(conn net.Conn, maxReq int, dispatch func(op byte, payload []byte) ([]byte, error), replied func(op byte)) {
+func serveFrames(conn net.Conn, maxReq func(op byte) int, dispatch func(op byte, payload []byte) ([]byte, error), replied func(op byte)) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
@@ -235,7 +248,7 @@ func serveFrames(conn net.Conn, maxReq int, dispatch func(op byte, payload []byt
 
 // listener wraps the accept loop shared by all servers. It tracks its
 // live connections so close can interrupt handlers blocked reading
-// from peers that tear down later — machine A's vertex server must not
+// from peers that tear down later — machine A's host must not
 // wait for machine B's transport to hang up first, or a cluster-wide
 // shutdown deadlocks on its own ordering.
 type listener struct {
@@ -321,55 +334,50 @@ func (s *VertexServer) Served() uint64 { return s.served.Load() }
 func (s *VertexServer) Close() error { return s.l.close() }
 
 func (s *VertexServer) handle(conn net.Conn) {
-	// The largest well-formed request asks for every vertex once.
-	maxReq := 8 + 4*s.g.NumVertices()
-	if maxReq > maxFramePayload {
-		maxReq = maxFramePayload
-	}
-	serveFrames(conn, maxReq, func(op byte, payload []byte) ([]byte, error) {
-		switch op {
-		case opAdjBatch:
-			return s.adjBatch(payload)
-		default:
+	serveFrames(conn, anyOp(adjRequestLimit(s.g.NumVertices())), func(op byte, payload []byte) ([]byte, error) {
+		if op != opAdjBatch {
 			return nil, fmt.Errorf("gthinker: vertex server: unknown op 0x%02x", op)
 		}
+		resp, answered, err := adjBatch(s.g, payload)
+		s.served.Add(uint64(answered))
+		return resp, err
 	}, nil)
 }
 
-// adjBatch answers one batched fetch. Malformed requests (bad counts,
-// out-of-range vertices, trailing bytes) produce an error — reported
-// to the client as opError — instead of a silently dropped connection.
-// When the full reply would overflow the frame budget, the server
-// answers the longest prefix that fits (always at least one id, which
-// adjResponseLimit guarantees is shippable) and the client re-requests
-// the rest.
-func (s *VertexServer) adjBatch(payload []byte) ([]byte, error) {
-	n := s.g.NumVertices()
+// adjBatch answers one batched fetch against g, reporting how many ids
+// it answered. Malformed requests (bad counts, out-of-range vertices,
+// trailing bytes) produce an error — reported to the client as opError
+// — instead of a silently dropped connection. When the full reply
+// would overflow the frame budget, the server answers the longest
+// prefix that fits (always at least one id, which adjResponseLimit
+// guarantees is shippable) and the client re-requests the rest.
+func adjBatch(g *graph.Graph, payload []byte) ([]byte, int, error) {
+	n := g.NumVertices()
 	c := store.NewCursor(payload)
 	count := int(c.U32())
 	if count > n {
-		return nil, fmt.Errorf("gthinker: vertex server: batch of %d requests exceeds vertex count %d", count, n)
+		return nil, 0, fmt.Errorf("gthinker: adjacency batch: %d requests exceed vertex count %d", count, n)
 	}
 	if count < 1 {
-		return nil, fmt.Errorf("gthinker: vertex server: empty batch request")
+		return nil, 0, fmt.Errorf("gthinker: adjacency batch: empty request")
 	}
 	ids := c.U32s(count)
 	if err := c.Err(); err != nil {
-		return nil, fmt.Errorf("gthinker: vertex server: malformed batch request: %w", err)
+		return nil, 0, fmt.Errorf("gthinker: adjacency batch: malformed request: %w", err)
 	}
 	if c.Remaining() != 0 {
-		return nil, fmt.Errorf("gthinker: vertex server: %d trailing bytes in batch request", c.Remaining())
+		return nil, 0, fmt.Errorf("gthinker: adjacency batch: %d trailing bytes in request", c.Remaining())
 	}
 	for _, id := range ids {
 		if int(id) >= n {
-			return nil, fmt.Errorf("gthinker: vertex server: vertex %d out of range [0,%d)", id, n)
+			return nil, 0, fmt.Errorf("gthinker: adjacency batch: vertex %d out of range [0,%d)", id, n)
 		}
 	}
 	limit := adjResponseLimit(n)
 	size := 4
 	answered := 0
 	for _, id := range ids {
-		need := 4 + 4*len(s.g.Adj(id))
+		need := 4 + 4*len(g.Adj(id))
 		if answered > 0 && size+need > limit {
 			break
 		}
@@ -379,12 +387,11 @@ func (s *VertexServer) adjBatch(payload []byte) ([]byte, error) {
 	resp := make([]byte, 0, size)
 	resp = store.AppendU32(resp, uint32(answered))
 	for _, id := range ids[:answered] {
-		adj := s.g.Adj(id)
+		adj := g.Adj(id)
 		resp = store.AppendU32(resp, uint32(len(adj)))
 		resp = store.AppendU32s(resp, adj)
 	}
-	s.served.Add(uint64(answered))
-	return resp, nil
+	return resp, answered, nil
 }
 
 // TaskServer receives stolen big-task batches (opTaskSteal) for one
@@ -424,20 +431,30 @@ func (s *TaskServer) Delivered() uint64 { return s.delivered.Load() }
 func (s *TaskServer) Close() error { return s.l.close() }
 
 func (s *TaskServer) handle(conn net.Conn) {
-	serveFrames(conn, maxFramePayload, func(op byte, payload []byte) ([]byte, error) {
-		switch op {
-		case opTaskSteal:
-			tasks, err := decodeTaskBatch(payload, s.codec)
-			if err != nil {
-				return nil, fmt.Errorf("gthinker: task server: %w", err)
-			}
-			s.deliver(tasks)
-			s.delivered.Add(uint64(len(tasks)))
-			return nil, nil
-		default:
+	serveFrames(conn, anyOp(maxFramePayload), func(op byte, payload []byte) ([]byte, error) {
+		if op != opTaskSteal {
 			return nil, fmt.Errorf("gthinker: task server: unknown op 0x%02x", op)
 		}
+		n, err := deliverBatch(payload, s.codec, s.deliver)
+		if err != nil {
+			return nil, fmt.Errorf("gthinker: task server: %w", err)
+		}
+		s.delivered.Add(uint64(n))
+		return nil, nil
 	}, nil)
+}
+
+// deliverBatch decodes one opTaskSteal payload with codec and hands
+// the tasks to deliver, returning how many it delivered. The caller
+// acknowledges only after it returns, so a sender's SendTasks return
+// means the tasks are enqueued.
+func deliverBatch(payload []byte, codec TaskCodec, deliver func([]*Task)) (int, error) {
+	tasks, err := decodeTaskBatch(payload, codec)
+	if err != nil {
+		return 0, err
+	}
+	deliver(tasks)
+	return len(tasks), nil
 }
 
 // Dial and retry policy. Every dial in the package goes through
@@ -661,7 +678,7 @@ func (p *connPool) exchange(i int, op byte, payload []byte, maxResp int, sent, r
 		return nil, err, true
 	}
 	sent.Add(uint64(frameHeaderLen + len(payload)))
-	respOp, resp, err := readFrame(cc.r, maxResp)
+	respOp, resp, err := readFrame(cc.r, anyOp(maxResp))
 	if err != nil {
 		p.drop(i)
 		if errors.Is(err, errFrameTooLarge) {
@@ -705,8 +722,9 @@ func (p *connPool) close() error {
 }
 
 // TCPTransport is the socket implementation of Transport (plus
-// TaskChannel and TransportStats): adjacency batches go to per-machine
-// VertexServers, stolen task batches to per-machine TaskServers.
+// TaskChannel and TransportStats): adjacency batches and stolen task
+// batches go to each machine's host. The two kinds travel on separate
+// connection pools, so a task send never queues behind a fetch.
 type TCPTransport struct {
 	verts       *connPool
 	tasks       *connPool
@@ -714,7 +732,6 @@ type TCPTransport struct {
 
 	fetches      atomic.Uint64
 	batches      atomic.Uint64
-	shipped      atomic.Uint64
 	sent         atomic.Uint64
 	recvd        atomic.Uint64
 	retriedDials atomic.Uint64
@@ -725,8 +742,8 @@ type TCPTransport struct {
 	fault        *FaultPlan
 }
 
-// NewTCPTransport returns a transport over one VertexServer address
-// per machine. numVertices is the served graph's vertex count, used to
+// NewTCPTransport returns a transport fetching adjacency from one
+// address per machine (a WorkerHost or a VertexServer). numVertices is the served graph's vertex count, used to
 // validate counts and degrees read off the wire before any dependent
 // allocation; pass the real count (0 disables only the semantic check,
 // the frame-size cap always applies).
@@ -749,11 +766,11 @@ func (t *TCPTransport) Configure(dialTimeout, frameTimeout time.Duration, fault 
 }
 
 // Redirect reroutes adjacency fetches addressed to machine `dead` to
-// machine `fallback`'s vertex server — the data-plane half of worker
-// loss recovery. Sound because every machine serves the full mmap'd
-// graph: the vertex server answers any valid id regardless of the
-// hash partition. Task delivery is deliberately not redirected; the
-// steal planner stops targeting dead machines instead.
+// machine `fallback` — the data-plane half of worker loss recovery.
+// Sound because every machine serves the full mmap'd graph: a host
+// answers any valid id regardless of the hash partition. Task delivery
+// is deliberately not redirected; the steal planner stops targeting
+// dead machines instead.
 func (t *TCPTransport) Redirect(dead, fallback int) {
 	t.verts.setRedirect(dead, fallback)
 }
@@ -764,8 +781,9 @@ func (t *TCPTransport) wirePool(p *connPool, opAttempts int) {
 	p.retriedOps = &t.retriedOps
 }
 
-// SetTaskAddrs configures the task channel with one TaskServer address
-// per machine, enabling remote task stealing. Call before the engine
+// SetTaskAddrs configures the task channel with one address per
+// machine (a WorkerHost or a TaskServer), enabling remote task
+// stealing. Call before the engine
 // runs; the transport is not ready to ship tasks without it.
 func (t *TCPTransport) SetTaskAddrs(addrs []string) {
 	t.tasks = newConnPool(addrs)
@@ -838,17 +856,14 @@ func appendAdjBatchResponse(dst [][]graph.V, payload []byte, requested, numVerti
 	return dst, answered, nil
 }
 
-// SendTasks ships one GQS1 task batch to machine dest's TaskServer and
-// waits for the acknowledgement (sent after delivery).
+// SendTasks ships one GQS1 task batch to machine dest and waits for
+// the acknowledgement (sent after delivery).
 func (t *TCPTransport) SendTasks(dest int, batch []byte) error {
 	if t.tasks == nil || len(t.tasks.addrs) == 0 {
 		return fmt.Errorf("gthinker: task channel not configured (SetTaskAddrs)")
 	}
-	if _, err := t.tasks.roundTrip(dest, opTaskSteal, batch, maxFramePayload, &t.sent, &t.recvd); err != nil {
-		return err
-	}
-	t.shipped.Add(1)
-	return nil
+	_, err := t.tasks.roundTrip(dest, opTaskSteal, batch, maxFramePayload, &t.sent, &t.recvd)
+	return err
 }
 
 // Fetches returns the number of adjacency lists fetched.
@@ -856,9 +871,6 @@ func (t *TCPTransport) Fetches() uint64 { return t.fetches.Load() }
 
 // BatchedFetches returns the number of fetch round trips.
 func (t *TCPTransport) BatchedFetches() uint64 { return t.batches.Load() }
-
-// BatchesShipped returns the number of task batches sent.
-func (t *TCPTransport) BatchesShipped() uint64 { return t.shipped.Load() }
 
 // WireBytes returns total bytes sent and received, frame headers
 // included.

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,7 +127,7 @@ func rogueServer(t *testing.T, resp []byte) string {
 				defer conn.Close()
 				r := bufio.NewReader(conn)
 				for {
-					if _, _, err := readFrame(r, maxFramePayload); err != nil {
+					if _, _, err := readFrame(r, anyOp(maxFramePayload)); err != nil {
 						return
 					}
 					if _, err := conn.Write(resp); err != nil {
@@ -242,7 +244,7 @@ func TestVertexServerUnknownOp(t *testing.T) {
 	if err := writeFrame(w, 0x42, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	op, payload, err := readFrame(bufio.NewReader(conn), maxFramePayload)
+	op, payload, err := readFrame(bufio.NewReader(conn), anyOp(maxFramePayload))
 	if err != nil {
 		t.Fatalf("no response to unknown op: %v", err)
 	}
@@ -337,31 +339,125 @@ func TestTaskFrameBeforeFirstJob(t *testing.T) {
 	}
 }
 
-// TestHostRuntimeHiddenUntilWired: between join (runtime built) and
-// start (transport installed) Runtime() stays nil, so qcworker's debug
-// scrape reports "no series" instead of reading a runtime without a
-// data plane.
-func TestHostRuntimeHiddenUntilWired(t *testing.T) {
-	g := datagen.ErdosRenyi(40, 0.1, 3)
+// unjoinedHost starts a socket host for machine 0 of any cluster size
+// over g that has not joined yet.
+func unjoinedHost(t *testing.T, g *graph.Graph) *WorkerHost {
+	t.Helper()
 	h, err := StartWorkerHost(WorkerHostConfig{Graph: g, NewApp: func([]byte, int) (App, Config, error) {
 		return nilApp{}, Config{WorkersPerMachine: 1, SpillDir: t.TempDir()}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	va, ta, err := h.handleJoin(joinRequest{Machines: 1, NumVerts: g.NumVertices(), NumEdges: uint64(g.NumEdges())})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(h.Close)
+	return h
+}
+
+// joinAlone is the join of a one-machine cluster whose peer table is
+// peers.
+func joinAlone(g *graph.Graph, peers ...string) joinRequest {
+	return joinRequest{Machines: 1, NumVerts: g.NumVertices(), NumEdges: uint64(g.NumEdges()), Peers: peers}
+}
+
+// TestHostRuntimeNilBeforeJoin: Runtime() is nil until the join, so
+// qcworker's debug scrape reports "no series" instead of reading a
+// runtime that does not exist; the join builds the runtime and its
+// transport together, and from then on Runtime() is non-nil.
+func TestHostRuntimeNilBeforeJoin(t *testing.T) {
+	g := datagen.ErdosRenyi(40, 0.1, 3)
+	h := unjoinedHost(t, g)
 	if h.Runtime() != nil {
-		t.Fatal("runtime visible before the transport is wired")
+		t.Fatal("runtime visible before the join")
 	}
-	if err := h.handleStart([]string{va}, []string{ta}); err != nil {
+	if err := h.handleJoin(joinAlone(g, h.Addr())); err != nil {
 		t.Fatal(err)
 	}
 	if rt := h.Runtime(); rt == nil || len(rt.Samples()) == 0 {
-		t.Fatal("no runtime after start")
+		t.Fatal("no runtime after the join")
+	}
+}
+
+// TestHostJoinChecksPeerTable: a join whose peer table does not hold
+// exactly one address per machine is refused and leaves the host
+// unjoined, so a correct join still succeeds afterwards.
+func TestHostJoinChecksPeerTable(t *testing.T) {
+	g := datagen.ErdosRenyi(40, 0.1, 3)
+	h := unjoinedHost(t, g)
+	for _, peers := range [][]string{nil, {h.Addr(), h.Addr()}} {
+		err := h.handleJoin(joinAlone(g, peers...))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("peer table of %d machines for a cluster of 1", len(peers))) {
+			t.Fatalf("join with %d peers: %v", len(peers), err)
+		}
+		if h.Runtime() != nil {
+			t.Fatalf("refused join with %d peers built a runtime", len(peers))
+		}
+	}
+	if err := h.handleJoin(joinAlone(g, h.Addr())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHostRefusesDataBeforeJoin: adjacency and task frames reaching a
+// host's address before its join are answered with an error, not
+// served from a machine that has no cluster yet.
+func TestHostRefusesDataBeforeJoin(t *testing.T) {
+	g := datagen.ErdosRenyi(40, 0.1, 3)
+	h := unjoinedHost(t, g)
+	tr := NewTCPTransport([]string{h.Addr()}, g.NumVertices())
+	tr.SetTaskAddrs([]string{h.Addr()})
+	defer tr.Close()
+	if _, err := fetchOne(tr, 0, 1); err == nil || !strings.Contains(err.Error(), "has not joined") {
+		t.Fatalf("adjacency batch before join: %v", err)
+	}
+	var enc store.BatchEncoder
+	data, err := encodeTaskBatch(&enc, []*Task{NewTask([]graph.V{1, 2, 3})}, toyCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.SendTasks(0, data); err == nil || !strings.Contains(err.Error(), "has not joined") {
+		t.Fatalf("task batch before join: %v", err)
+	}
+}
+
+// TestHostOneAddressServesEveryOp: the address a socket host reports
+// answers the coordinator's status poll, a peer's adjacency batch and
+// a peer's stolen task batch — one listener per machine.
+func TestHostOneAddressServesEveryOp(t *testing.T) {
+	g := datagen.ErdosRenyi(60, 0.1, 7)
+	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 1, InProcessTCP: true, SpillDir: t.TempDir()})
+	rts := installJob(t, c, nilApp{})
+	addr := c.hosts[1].Addr()
+
+	ctl := &ClusterClient{pool: newConnPool([]string{addr})}
+	defer ctl.Close()
+	if _, err := ctl.Status(0); err != nil {
+		t.Fatalf("status poll: %v", err)
+	}
+
+	tr := NewTCPTransport([]string{addr}, g.NumVertices())
+	tr.SetTaskAddrs([]string{addr})
+	defer tr.Close()
+	ids := []graph.V{0, 17, 59}
+	rows, err := tr.FetchAdjBatch(0, ids, nil)
+	if err != nil {
+		t.Fatalf("adjacency batch: %v", err)
+	}
+	for i, v := range ids {
+		if !reflect.DeepEqual(rows[i], g.Adj(v)) {
+			t.Fatalf("adjacency of %d: %v, want %v", v, rows[i], g.Adj(v))
+		}
+	}
+
+	var enc store.BatchEncoder
+	data, err := encodeTaskBatch(&enc, []*Task{NewTask([]graph.V{4, 5})}, toyCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.SendTasks(0, data); err != nil {
+		t.Fatalf("task batch: %v", err)
+	}
+	if got := rts[1].jb().qglobal.popBackBatch(10); len(got) != 1 || !reflect.DeepEqual(got[0].Payload, []graph.V{4, 5}) {
+		t.Fatalf("delivered %v", got)
 	}
 }
 
@@ -443,13 +539,12 @@ func TestEngineTCPTransport(t *testing.T) {
 // over-allocate.
 func FuzzAdjBatchRequest(f *testing.F) {
 	g := datagen.ErdosRenyi(30, 0.2, 5)
-	srv := &VertexServer{g: g}
 	good := store.AppendU32s(store.AppendU32(nil, 3), []graph.V{1, 2, 3})
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add(store.AppendU32(nil, 1<<31))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := srv.adjBatch(data)
+		resp, _, err := adjBatch(g, data)
 		if err == nil {
 			// A valid request must round-trip through the client decoder.
 			count := int(binary.LittleEndian.Uint32(data))
@@ -494,7 +589,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
-			if _, _, err := readFrame(r, 1<<16); err != nil {
+			if _, _, err := readFrame(r, anyOp(1<<16)); err != nil {
 				return
 			}
 		}

@@ -39,7 +39,7 @@ type Transport interface {
 
 // TaskChannel is an optional Transport extension: a transport that can
 // ship an encoded big-task batch (GQS1 bytes, see internal/store) to
-// the TaskServer of another machine. A steal directive executes on the
+// another machine. A steal directive executes on the
 // donor's machine through it, with the same serialization as spill
 // files — one codec for disk, wire, and in-memory refill.
 type TaskChannel interface {
@@ -54,8 +54,8 @@ type TaskChannel interface {
 // addressed to a dead machine to a coordinator-designated fallback
 // owner. This is the one sanctioned exception to the "reject
 // mis-routed ids" contract above — it is only sound for transports
-// whose peers each serve the full graph (the TCP vertex servers do:
-// every machine mmaps the whole GQC2 file).
+// whose peers each serve the full graph (the TCP hosts do: every
+// machine mmaps the whole GQC2 file).
 type Redirector interface {
 	Redirect(dead, fallback int)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gthinkerqc/internal/obs"
+	"gthinkerqc/internal/store"
 )
 
 // goldenHandler is a control handler with fixed, non-default answers
@@ -37,14 +38,14 @@ var (
 	}}
 )
 
-func (h *goldenHandler) handleJoin(r joinRequest) (string, string, error) {
+func (h *goldenHandler) handleJoin(r joinRequest) error {
 	h.note(r)
-	return "10.0.0.1:7001", "10.0.0.1:7002", nil
-}
-func (h *goldenHandler) handleStart(vaddrs, taddrs []string) error {
-	h.note([2][]string{vaddrs, taddrs})
 	return nil
 }
+func (h *goldenHandler) handleAdjBatch([]byte) ([]byte, error) {
+	panic("no data frames in the golden run")
+}
+func (h *goldenHandler) handleTasks([]byte) error { panic("no data frames in the golden run") }
 func (h *goldenHandler) handleRun(job uint64, spec []byte) error {
 	h.note([]any{job, string(spec)})
 	return nil
@@ -104,7 +105,7 @@ func recordingProxy(t *testing.T, target string) (string, func() []wireFrame) {
 		mu.Unlock()
 	}
 	pipe := func(src *bufio.Reader, dst *bufio.Writer) bool {
-		op, payload, err := readFrame(src, maxWireFrame)
+		op, payload, err := readFrame(src, anyOp(maxWireFrame))
 		if err != nil {
 			return false
 		}
@@ -147,13 +148,13 @@ func recordingProxy(t *testing.T, target string) (string, func() []wireFrame) {
 // trace payloads the control plane carries, byte for byte: a real
 // ClusterClient drives a real control server through a recording
 // proxy, and each request and reply must equal the table, which holds
-// whatever implements the codecs to the protocol-version-6 layout a
+// whatever implements the codecs to the protocol-version-7 layout a
 // qcworker of another build speaks. The handler's view of each request
 // and the client's view of each reply are checked against the values
 // encoded, so both directions of every payload are exercised.
 func TestWireGolden(t *testing.T) {
 	h := &goldenHandler{exit: make(chan struct{})}
-	srv, err := serveControl("127.0.0.1:0", h)
+	srv, err := serveControl("127.0.0.1:0", h, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +203,13 @@ func TestWireGolden(t *testing.T) {
 	zeros := func(n int) string { return strings.Repeat("0000000000000000", n) }
 	const (
 		jobID = "0807060504030201"
-		addrs = "0d00000031302e302e302e313a37303031" + "0d00000031302e302e302e313a37303032"
 		spec0 = "06000000737065632d30"
 	)
+	// The peer table is the two addresses the client dialed: the
+	// proxy's, twice.
+	proxy := hex.EncodeToString(store.AppendU32(nil, uint32(len(addr)))) + hex.EncodeToString([]byte(addr))
 	join := func(machine string) string {
-		return "06000000" + machine + "02000000" + "e8030000" + "8813000000000000" + spec0
+		return "07000000" + machine + "02000000" + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy + spec0
 	}
 	status := "01" + "0300000000000000" + "0200000000000000" + "0b00000000000000" + "0c00000000000000" + "2800000000000000" +
 		"2800000000000000" + zeros(10) + "0000000002000000" + zeros(17) + "0700000000000000" +
@@ -217,10 +220,8 @@ func TestWireGolden(t *testing.T) {
 	trace := "4f545231" + "01000000" + "0300000000000000" + "01000000" +
 		"04" + "01000000" + "ffffffff" + "15cd853dfe9c9717" + "c409000000000000" + "0000000000000000" + "2200000000000000"
 	want := []wireFrame{
-		{opJoin, join("00000000")}, {opJoin, addrs},
-		{opJoin, join("01000000")}, {opJoin, addrs},
-		{opStart, "02000000" + addrs + addrs}, {opStart, ""},
-		{opStart, "02000000" + addrs + addrs}, {opStart, ""},
+		{opJoin, join("00000000")}, {opJoin, ""},
+		{opJoin, join("01000000")}, {opJoin, ""},
 		{opRun, jobID + "06000000737065632d31"}, {opRun, ""},
 		{opStatus, jobID}, {opStatus, status},
 		{opStealDo, jobID + "00000000" + "05000000"}, {opStealDo, "02000000"},
@@ -241,10 +242,8 @@ func TestWireGolden(t *testing.T) {
 	}
 
 	wantSeen := []any{
-		joinRequest{MachineID: 0, Machines: 2, NumVerts: 1000, NumEdges: 5000, Spec: []byte("spec-0")},
-		joinRequest{MachineID: 1, Machines: 2, NumVerts: 1000, NumEdges: 5000, Spec: []byte("spec-0")},
-		[2][]string{{"10.0.0.1:7001", "10.0.0.1:7001"}, {"10.0.0.1:7002", "10.0.0.1:7002"}},
-		[2][]string{{"10.0.0.1:7001", "10.0.0.1:7001"}, {"10.0.0.1:7002", "10.0.0.1:7002"}},
+		joinRequest{MachineID: 0, Machines: 2, NumVerts: 1000, NumEdges: 5000, Peers: []string{addr, addr}, Spec: []byte("spec-0")},
+		joinRequest{MachineID: 1, Machines: 2, NumVerts: 1000, NumEdges: 5000, Peers: []string{addr, addr}, Spec: []byte("spec-0")},
 		[]any{uint64(job), "spec-1"},
 		uint64(job),
 		[]any{uint64(job), 0, 5},

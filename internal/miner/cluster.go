@@ -57,7 +57,7 @@ func jobSpecFields(w *store.Walker, cfg *Config, ecfg *gthinker.Config) {
 	w.Flags(4, &ecfg.DisableGlobalQueue, &ecfg.Trace)
 	store.U64(w, &ecfg.FrameTimeout)
 	store.U64(w, &ecfg.DialTimeout)
-	store.U64(w, &ecfg.DeadAfterPolls) // negative means off
+	store.U64(w, &ecfg.DeadAfterPolls)
 	w.String(&ecfg.FaultSpec, math.MaxInt32)
 }
 
@@ -147,17 +147,14 @@ func HostWorker(graphPath, manifestPath string, machineID int, faultSpec string,
 		// graph (or a platform without madvise) skips it.
 		_ = mg.AdviseWillNeed(man.Bounds[machineID], man.Bounds[machineID+1])
 	}
-	spec := man.Machines[machineID]
 	host, err := gthinker.StartWorkerHost(gthinker.WorkerHostConfig{
-		Graph:       g,
-		MachineID:   machineID,
-		Machines:    len(man.Machines),
-		ControlAddr: spec.Control,
-		VertexAddr:  spec.Vertex,
-		TaskAddr:    spec.Task,
-		FaultSpec:   faultSpec,
-		Trace:       trace,
-		Kill:        func() { os.Exit(137) },
+		Graph:     g,
+		MachineID: machineID,
+		Machines:  len(man.Machines),
+		Addr:      man.Machines[machineID].Addr,
+		FaultSpec: faultSpec,
+		Trace:     trace,
+		Kill:      func() { os.Exit(137) },
 		NewApp: func(specBytes []byte, machines int) (gthinker.App, gthinker.Config, error) {
 			cfg, ecfg, err := DecodeJobSpec(specBytes)
 			if err != nil {

@@ -5,25 +5,25 @@ import (
 	"os"
 )
 
-// The partition manifest (format "GQM1") is the deployment descriptor
+// The partition manifest (format "GQM2") is the deployment descriptor
 // of a multi-process cluster run: every process — the coordinator and
 // each qcworker — derives the same vertex ownership and peer address
 // set from it, so no process ever has to trust another's idea of
 // owner(v). Layout (all integers little-endian, like GQC2/GQS1):
 //
-//	magic    [4]byte  "GQM1"
+//	magic    [4]byte  "GQM2"
 //	scheme   uint32   vertex-ownership scheme (OwnerScheme*)
 //	machines uint32   cluster size
 //	n        uint32   graph vertex count   (fingerprint)
 //	m        uint64   graph edge count     (fingerprint)
 //	bounds   [machines+1]uint32   (OwnerSchemeRange only)
-//	machines × { control, vertex, task: u32 len + bytes }
+//	machines × { addr: u32 len + bytes }
 //
-// The per-machine addresses are TCP listen addresses; an empty string
-// means "dynamic" — the worker binds :0 and reports the bound address
-// through its join handshake (the single-host qcmine flow).
-// Pre-assigned addresses are for multi-host deployments where workers
-// must bind known endpoints.
+// Each machine has one TCP listen address, which answers its control,
+// adjacency and task frames; an empty string means "dynamic" — the
+// worker binds 127.0.0.1:0 and reports the bound address on its ready
+// line (the single-host qcmine flow). Pre-assigned addresses are for
+// multi-host deployments where workers must bind known endpoints.
 //
 // The n/m fingerprint ties a manifest to one graph file: a worker
 // whose mapped graph disagrees refuses to join, so a stale manifest
@@ -55,13 +55,9 @@ const maxManifestAddr = 1 << 12
 
 // MachineSpec is one machine's row in the manifest.
 type MachineSpec struct {
-	// Control is the machine's control-plane listen address (join,
-	// status, steal directives, metrics, shutdown).
-	Control string
-	// Vertex is the machine's VertexServer listen address.
-	Vertex string
-	// Task is the machine's TaskServer listen address.
-	Task string
+	// Addr is the machine's listen address: the coordinator's control
+	// frames and its peers' adjacency and task frames all arrive there.
+	Addr string
 }
 
 // Manifest describes one cluster deployment.
@@ -112,21 +108,19 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("store: manifest vertex count %d", m.NumVertices)
 	}
 	for i, spec := range m.Machines {
-		for _, a := range [...]string{spec.Control, spec.Vertex, spec.Task} {
-			if len(a) > maxManifestAddr {
-				return fmt.Errorf("store: machine %d address of %d bytes", i, len(a))
-			}
+		if len(spec.Addr) > maxManifestAddr {
+			return fmt.Errorf("store: machine %d address of %d bytes", i, len(spec.Addr))
 		}
 	}
 	return nil
 }
 
-// walk visits the GQM1 layout.
+// walk visits the GQM2 layout.
 func (m *Manifest) walk(w *Walker) {
-	w.Const("GQM1", "manifest version")
+	w.Const("GQM2", "manifest version")
 	U32(w, &m.Scheme)
-	// Every machine row needs at least its three length prefixes.
-	machines := w.Count(len(m.Machines), maxManifestMachines, 12)
+	// Every machine row needs at least its length prefix.
+	machines := w.Count(len(m.Machines), maxManifestMachines, 4)
 	U32(w, &m.NumVertices)
 	U64(w, &m.NumEdges)
 	if m.Scheme == OwnerSchemeRange {
@@ -136,10 +130,7 @@ func (m *Manifest) walk(w *Walker) {
 		m.Machines = make([]MachineSpec, machines)
 	}
 	for i := range m.Machines {
-		spec := &m.Machines[i]
-		w.String(&spec.Control, maxManifestAddr)
-		w.String(&spec.Vertex, maxManifestAddr)
-		w.String(&spec.Task, maxManifestAddr)
+		w.String(&m.Machines[i].Addr, maxManifestAddr)
 	}
 }
 
@@ -151,10 +142,10 @@ func AppendManifest(dst []byte, m *Manifest) ([]byte, error) {
 	return Encode(dst, m.walk), nil
 }
 
-// DecodeManifest parses and validates one GQM1 manifest.
+// DecodeManifest parses and validates one GQM2 manifest.
 func DecodeManifest(data []byte) (*Manifest, error) {
 	m := &Manifest{}
-	if err := Decode(data, "GQM1 manifest", m.walk); err != nil {
+	if err := Decode(data, "GQM2 manifest", m.walk); err != nil {
 		return nil, err
 	}
 	if err := m.Validate(); err != nil {

@@ -14,8 +14,8 @@ func testManifest() *Manifest {
 		NumVertices: 1234,
 		NumEdges:    98765,
 		Machines: []MachineSpec{
-			{Control: "127.0.0.1:9000", Vertex: "127.0.0.1:9001", Task: "127.0.0.1:9002"},
-			{Control: "127.0.0.1:9010", Vertex: "", Task: ""},
+			{Addr: "127.0.0.1:9000"},
+			{Addr: "127.0.0.1:9010"},
 			{},
 		},
 	}
@@ -54,7 +54,7 @@ func TestManifestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Machines) != 3 || got.Machines[0].Vertex != "127.0.0.1:9001" {
+	if len(got.Machines) != 3 || got.Machines[1].Addr != "127.0.0.1:9010" {
 		t.Fatalf("file round trip corrupted: %+v", got)
 	}
 }
@@ -70,9 +70,9 @@ func TestManifestRejectsCorruption(t *testing.T) {
 		"bad magic":   append([]byte("GQS1"), good[4:]...),
 		"truncated":   good[:len(good)-2],
 		"trailing":    append(append([]byte{}, good...), 0xFF),
-		"bad scheme":  append([]byte("GQM1\x07\x00\x00\x00"), good[8:]...),
-		"huge count":  append([]byte("GQM1\x00\x00\x00\x00\xff\xff\xff\x7f"), good[12:]...),
-		"zero count":  append([]byte("GQM1\x00\x00\x00\x00\x00\x00\x00\x00"), good[12:]...),
+		"bad scheme":  append([]byte("GQM2\x07\x00\x00\x00"), good[8:]...),
+		"huge count":  append([]byte("GQM2\x00\x00\x00\x00\xff\xff\xff\x7f"), good[12:]...),
+		"zero count":  append([]byte("GQM2\x00\x00\x00\x00\x00\x00\x00\x00"), good[12:]...),
 		"header only": good[:20],
 	}
 	for name, data := range cases {
@@ -163,7 +163,7 @@ func TestManifestRejectsInvalid(t *testing.T) {
 		t.Fatal("empty machine list encoded")
 	}
 	long := strings.Repeat("x", maxManifestAddr+1)
-	if _, err := AppendManifest(nil, &Manifest{Machines: []MachineSpec{{Control: long}}}); err == nil {
+	if _, err := AppendManifest(nil, &Manifest{Machines: []MachineSpec{{Addr: long}}}); err == nil {
 		t.Fatal("oversized address encoded")
 	}
 }
@@ -181,8 +181,9 @@ func FuzzDecodeManifest(f *testing.F) {
 	if rng, err := AppendManifest(nil, testRangeManifest()); err == nil {
 		f.Add(rng)
 	}
-	f.Add([]byte("GQM1"))
-	f.Add([]byte("GQM1\x00\x00\x00\x00\x01\x00\x00\x00\x05\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("GQM2"))
+	f.Add([]byte("GQM2\x00\x00\x00\x00\x01\x00\x00\x00\x05\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(gqm1Splitmix)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeManifest(data)
 		if err != nil {
@@ -202,34 +203,46 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// TestWireGolden pins the GQM1 bytes. Manifests are files on disk that
+// TestWireGolden pins the GQM2 bytes. Manifests are files on disk that
 // a coordinator and qcworkers of different builds share, so the layout
 // may move only with the magic. Each row must encode to its bytes and
 // decode back to its value.
 func TestWireGolden(t *testing.T) {
+	const rows = "0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303130" + "00000000"
 	for _, tc := range []struct {
 		name string
 		m    *Manifest
 		hex  string
 	}{
-		{"splitmix", testManifest(), "47514d31" + "00000000" + "03000000" + "d2040000" + "cd81010000000000" +
-			"0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303031" + "0e0000003132372e302e302e313a39303032" +
-			"0e0000003132372e302e302e313a39303130" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000"},
-		{"range", testRangeManifest(), "47514d31" + "01000000" + "03000000" + "d2040000" + "cd81010000000000" +
-			"00000000" + "90010000" + "90010000" + "d2040000" +
-			"0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303031" + "0e0000003132372e302e302e313a39303032" +
-			"0e0000003132372e302e302e313a39303130" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000"},
+		{"splitmix", testManifest(), "47514d32" + "00000000" + "03000000" + "d2040000" + "cd81010000000000" + rows},
+		{"range", testRangeManifest(), "47514d32" + "01000000" + "03000000" + "d2040000" + "cd81010000000000" +
+			"00000000" + "90010000" + "90010000" + "d2040000" + rows},
 	} {
 		data, err := AppendManifest(nil, tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(data); got != tc.hex {
-			t.Errorf("%s: GQM1 bytes changed:\n got  %s\n want %s", tc.name, got, tc.hex)
+			t.Errorf("%s: GQM2 bytes changed:\n got  %s\n want %s", tc.name, got, tc.hex)
 		}
 		want, _ := hex.DecodeString(tc.hex)
 		if m, err := DecodeManifest(want); err != nil || !reflect.DeepEqual(m, tc.m) {
 			t.Errorf("%s: golden bytes decode to %+v, %v", tc.name, m, err)
 		}
+	}
+}
+
+// gqm1Splitmix is a GQM1 manifest as the previous layout wrote it:
+// three addresses (control, vertex, task) per machine.
+var gqm1Splitmix, _ = hex.DecodeString("47514d31" + "00000000" + "03000000" + "d2040000" + "cd81010000000000" +
+	"0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303031" + "0e0000003132372e302e302e313a39303032" +
+	"0e0000003132372e302e302e313a39303130" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000")
+
+// TestManifestRefusesGQM1: a manifest of the three-address layout is
+// refused by its version, not mis-read as one address per row.
+func TestManifestRefusesGQM1(t *testing.T) {
+	_, err := DecodeManifest(gqm1Splitmix)
+	if err == nil || !strings.Contains(err.Error(), `unsupported manifest version "GQM1"`) {
+		t.Fatalf("GQM1 manifest: %v", err)
 	}
 }

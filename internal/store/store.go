@@ -78,7 +78,7 @@
 // Every payload the system sends once per poll or once per job — the
 // gthinker control plane's requests and replies, the Metrics flush,
 // the OTR1 trace, the miner's QJS4 job spec and QRS2 results, and the
-// GQM1 manifest — is spelled as one walk function over a Walker: the
+// GQM2 manifest — is spelled as one walk function over a Walker: the
 // fields in wire order, each through a typed method (fixed-width
 // integers, float, flag mask, length-prefixed string and bytes,
 // counted lists, []uint32, constants). Encode runs the walk to append
