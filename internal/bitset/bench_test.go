@@ -33,18 +33,6 @@ func benchVariants(b *testing.B, width int, fn func(b *testing.B, a, bb, dst []u
 	}
 }
 
-func BenchmarkCountWords(b *testing.B) {
-	for _, w := range benchWidths {
-		benchVariants(b, w, func(b *testing.B, a, _, _ []uint64) {
-			s := 0
-			for i := 0; i < b.N; i++ {
-				s += CountWords(a)
-			}
-			sinkInt = s
-		})
-	}
-}
-
 func BenchmarkAndCount(b *testing.B) {
 	for _, w := range benchWidths {
 		benchVariants(b, w, func(b *testing.B, a, bb, _ []uint64) {

@@ -1,16 +1,16 @@
-// Package bitset provides a dense bitset over small integer universes.
+// Package bitset provides dense bit rows over small integer universes:
+// the task-local vertex indices (0..n-1) of a task subgraph, where n
+// is the subgraph's size.
 //
-// The miner uses bitsets for membership marks over task-local vertex
-// indices (0..n-1), where n is the size of a task subgraph. Operations
-// are not safe for concurrent mutation; each task owns its bitsets.
-//
-// Beyond the pointer-based Set, the package exposes a flat Matrix (n
-// rows of ⌈n/64⌉ words in one packed array) and word-slice kernels
-// (AndCount, AndTo, AndCountTo, OrWith, ...) that operate on raw
-// []uint64 rows. These are the dense-adjacency hot loops of the
-// quasi-clique mining kernel: a degree-into-set query becomes one
-// popcount-over-AND sweep of a matrix row against a membership row,
-// with no per-row pointer chasing.
+// A row is a raw []uint64 of ⌈n/64⌉ words. Matrix packs n such rows
+// into one array (a task's dense adjacency), RowCache builds rows
+// lazily (the miner's two-hop bitmaps), and the word-slice kernels
+// (AndCount, AndTo, AndCountTo, OrWith, FillBits, ...) operate on
+// rows. These are the dense-adjacency hot loops of the quasi-clique
+// mining kernel: a degree-into-set query becomes one popcount-over-AND
+// sweep of a matrix row against a membership row, with no per-row
+// pointer chasing. Rows are not safe for concurrent mutation; each
+// task owns its rows.
 //
 // # Kernel dispatch
 //
@@ -46,8 +46,8 @@
 // mismatched row lengths cannot make the vector code read out of
 // bounds. Rows sliced from a Matrix all share one stride, so in the
 // mining hot loops the clamp never bites. No alignment is required
-// (the assembly uses unaligned loads); for in-place forms (AndWith,
-// OrWith, AndCountTo with dst == a or dst == b) operands may alias
+// (the assembly uses unaligned loads); for in-place forms (OrWith, and
+// AndTo or AndCountTo with dst == a or dst == b) operands may alias
 // exactly, but partial overlap is undefined.
 //
 // # Adding a kernel
@@ -73,157 +73,6 @@ const wordBits = 64
 // WordsFor returns the number of 64-bit words needed to cover a
 // universe of n bits.
 func WordsFor(n int) int { return (n + wordBits - 1) / wordBits }
-
-// Set is a fixed-universe bitset. The zero value is an empty set over an
-// empty universe; use New to size it.
-type Set struct {
-	words []uint64
-	n     int // universe size
-}
-
-// New returns an empty set over the universe [0, n).
-func New(n int) *Set {
-	if n < 0 {
-		panic("bitset: negative universe")
-	}
-	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
-}
-
-// Len returns the universe size.
-func (s *Set) Len() int { return s.n }
-
-// Add inserts i into the set.
-func (s *Set) Add(i int) {
-	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Remove deletes i from the set.
-func (s *Set) Remove(i int) {
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
-// Contains reports whether i is in the set.
-func (s *Set) Contains(i int) bool {
-	if i < 0 || i >= s.n {
-		return false
-	}
-	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// Count returns the number of elements in the set.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Clear removes all elements, keeping the universe size.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// AddAll inserts every element of xs.
-func (s *Set) AddAll(xs []int) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
-// Clone returns an independent copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
-}
-
-// IntersectWith replaces s with s ∩ t. The universes must match.
-func (s *Set) IntersectWith(t *Set) {
-	if s.n != t.n {
-		panic("bitset: universe mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-}
-
-// UnionWith replaces s with s ∪ t. The universes must match.
-func (s *Set) UnionWith(t *Set) {
-	if s.n != t.n {
-		panic("bitset: universe mismatch")
-	}
-	for i := range s.words {
-		s.words[i] |= t.words[i]
-	}
-}
-
-// DifferenceWith replaces s with s \ t. The universes must match.
-func (s *Set) DifferenceWith(t *Set) {
-	if s.n != t.n {
-		panic("bitset: universe mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
-	}
-}
-
-// IntersectionCount returns |s ∩ t| without allocating.
-func (s *Set) IntersectionCount(t *Set) int {
-	if s.n != t.n {
-		panic("bitset: universe mismatch")
-	}
-	c := 0
-	for i := range s.words {
-		c += bits.OnesCount64(s.words[i] & t.words[i])
-	}
-	return c
-}
-
-// Equal reports whether s and t contain the same elements over the same
-// universe.
-func (s *Set) Equal(t *Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i := range s.words {
-		if s.words[i] != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Elements appends the members of s in increasing order to dst and
-// returns the extended slice.
-func (s *Set) Elements(dst []int) []int {
-	for wi, w := range s.words {
-		base := wi * wordBits
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			dst = append(dst, base+b)
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// ForEach calls fn for each member in increasing order. If fn returns
-// false, iteration stops.
-func (s *Set) ForEach(fn func(i int) bool) {
-	for wi, w := range s.words {
-		base := wi * wordBits
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(base + b) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
 
 // Matrix is a flat n×n bit matrix: n rows of Stride() words each,
 // packed into one backing array. Row i is the dense adjacency (or any
@@ -264,11 +113,6 @@ func (m *Matrix) Stride() int { return m.stride }
 // aliases the matrix storage and is invalidated by the next Reset.
 func (m *Matrix) Row(i int) []uint64 {
 	return m.words[i*m.stride : (i+1)*m.stride : (i+1)*m.stride]
-}
-
-// Set sets bit j in row i.
-func (m *Matrix) Set(i, j int) {
-	m.words[i*m.stride+j/wordBits] |= 1 << (uint(j) % wordBits)
 }
 
 // RowCache is a Matrix variant for lazily built per-vertex rows (the
@@ -407,14 +251,6 @@ func FillBits(dst []uint64, xs []uint32) {
 	fillBitsGeneric(dst, xs)
 }
 
-// CountWords returns the population count of the row.
-func CountWords(w []uint64) int {
-	if simdOn.Load() && len(w) >= minAsmWords {
-		return countAsm(&w[0], len(w))
-	}
-	return countWordsGeneric(w)
-}
-
 // AndCount returns the population count of a ∩ b without writing
 // anything — the miner's degree-into-set query. Only the first
 // min(len(a), len(b)) words are read.
@@ -438,8 +274,8 @@ func AndTo(dst, a, b []uint64) {
 }
 
 // AndCountTo stores a ∩ b into dst and returns its population count in
-// the same pass — the fused form of AndTo + CountWords that the cover
-// and bounding loops run per candidate. Only the first min(len) words
+// the same pass — the fused AND-and-popcount that the cover and
+// bounding loops run per candidate. Only the first min(len) words
 // are touched. dst may alias a or b exactly.
 func AndCountTo(dst, a, b []uint64) int {
 	n := min(len(dst), len(a), len(b))
@@ -448,11 +284,6 @@ func AndCountTo(dst, a, b []uint64) int {
 		return andCountToAsm(&dst[0], &a[0], &b[0], n)
 	}
 	return andCountToGeneric(dst, a, b)
-}
-
-// AndWith replaces dst with dst ∩ a over the first min(len) words.
-func AndWith(dst, a []uint64) {
-	AndTo(dst, dst, a)
 }
 
 // OrWith replaces dst with dst ∪ a over the first min(len) words.
@@ -496,14 +327,6 @@ func fillBitsGeneric(dst []uint64, xs []uint32) {
 	for _, x := range xs {
 		dst[x/wordBits] |= 1 << (uint64(x) % wordBits)
 	}
-}
-
-func countWordsGeneric(w []uint64) int {
-	c := 0
-	for _, x := range w {
-		c += bits.OnesCount64(x)
-	}
-	return c
 }
 
 func andCountGeneric(a, b []uint64) int {

@@ -57,40 +57,6 @@ GLOBL nibMask<>(SB), RODATA|NOPTR, $32
 	VPXOR   Y5, Y5, Y5        \
 	VPXOR   Y4, Y4, Y4
 
-// func countAsm(a *uint64, n int) int
-TEXT ·countAsm(SB), NOSPLIT, $0-24
-	MOVQ a+0(FP), AX
-	MOVQ n+8(FP), CX
-	XORQ R8, R8
-	CMPQ CX, $8
-	JL   countTail
-	loadCountConsts
-
-countLoop8:
-	VMOVDQU (AX), Y0
-	popcountYmm
-	VMOVDQU 32(AX), Y0
-	popcountYmm
-	ADDQ $64, AX
-	SUBQ $8, CX
-	CMPQ CX, $8
-	JGE  countLoop8
-	foldAcc
-
-countTail:
-	TESTQ CX, CX
-	JZ    countDone
-	MOVQ  (AX), R9
-	POPCNTQ R9, R9
-	ADDQ  R9, R8
-	ADDQ  $8, AX
-	DECQ  CX
-	JMP   countTail
-
-countDone:
-	MOVQ R8, ret+16(FP)
-	RET
-
 // func andCountAsm(a, b *uint64, n int) int
 TEXT ·andCountAsm(SB), NOSPLIT, $0-32
 	MOVQ a+0(FP), AX

@@ -1,213 +1,18 @@
 package bitset
 
 import (
-	"math/rand"
-	"sort"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
 
-func TestBasicAddRemoveContains(t *testing.T) {
-	s := New(130)
-	if s.Count() != 0 {
-		t.Fatalf("new set not empty: %d", s.Count())
+// onesCount is the reference popcount of a row.
+func onesCount(w []uint64) int {
+	c := 0
+	for _, x := range w {
+		c += bits.OnesCount64(x)
 	}
-	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
-		s.Add(i)
-		if !s.Contains(i) {
-			t.Errorf("Contains(%d) = false after Add", i)
-		}
-	}
-	if got := s.Count(); got != 8 {
-		t.Fatalf("Count = %d, want 8", got)
-	}
-	s.Remove(64)
-	if s.Contains(64) {
-		t.Error("Contains(64) after Remove")
-	}
-	if got := s.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
-	}
-}
-
-func TestContainsOutOfRange(t *testing.T) {
-	s := New(10)
-	if s.Contains(-1) || s.Contains(10) || s.Contains(1000) {
-		t.Error("Contains out of range must be false")
-	}
-}
-
-func TestAddIdempotent(t *testing.T) {
-	s := New(64)
-	s.Add(5)
-	s.Add(5)
-	if s.Count() != 1 {
-		t.Fatalf("Count = %d after double Add, want 1", s.Count())
-	}
-	s.Remove(7) // removing absent element is a no-op
-	if s.Count() != 1 {
-		t.Fatalf("Count = %d after Remove of absent, want 1", s.Count())
-	}
-}
-
-func TestClearAndClone(t *testing.T) {
-	s := New(100)
-	s.AddAll([]int{1, 2, 3, 99})
-	c := s.Clone()
-	s.Clear()
-	if s.Count() != 0 {
-		t.Fatal("Clear did not empty set")
-	}
-	if c.Count() != 4 || !c.Contains(99) {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
-func TestSetAlgebra(t *testing.T) {
-	a := New(200)
-	b := New(200)
-	a.AddAll([]int{1, 2, 3, 100, 150})
-	b.AddAll([]int{2, 3, 4, 150, 199})
-
-	inter := a.Clone()
-	inter.IntersectWith(b)
-	if got := inter.Elements(nil); !equalInts(got, []int{2, 3, 150}) {
-		t.Errorf("intersection = %v", got)
-	}
-	if got := a.IntersectionCount(b); got != 3 {
-		t.Errorf("IntersectionCount = %d, want 3", got)
-	}
-
-	uni := a.Clone()
-	uni.UnionWith(b)
-	if got := uni.Elements(nil); !equalInts(got, []int{1, 2, 3, 4, 100, 150, 199}) {
-		t.Errorf("union = %v", got)
-	}
-
-	diff := a.Clone()
-	diff.DifferenceWith(b)
-	if got := diff.Elements(nil); !equalInts(got, []int{1, 100}) {
-		t.Errorf("difference = %v", got)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := New(70)
-	b := New(70)
-	a.Add(69)
-	if a.Equal(b) {
-		t.Error("unequal sets reported equal")
-	}
-	b.Add(69)
-	if !a.Equal(b) {
-		t.Error("equal sets reported unequal")
-	}
-	c := New(71)
-	c.Add(69)
-	if a.Equal(c) {
-		t.Error("different universes must not be Equal")
-	}
-}
-
-func TestElementsSortedAndForEach(t *testing.T) {
-	s := New(300)
-	want := []int{0, 7, 64, 65, 128, 256, 299}
-	for i := len(want) - 1; i >= 0; i-- { // insert in reverse
-		s.Add(want[i])
-	}
-	got := s.Elements(nil)
-	if !equalInts(got, want) {
-		t.Fatalf("Elements = %v, want %v", got, want)
-	}
-	var walked []int
-	s.ForEach(func(i int) bool { walked = append(walked, i); return true })
-	if !equalInts(walked, want) {
-		t.Fatalf("ForEach walked %v, want %v", walked, want)
-	}
-	// Early stop.
-	walked = walked[:0]
-	s.ForEach(func(i int) bool { walked = append(walked, i); return len(walked) < 3 })
-	if len(walked) != 3 {
-		t.Fatalf("ForEach early stop walked %d elements, want 3", len(walked))
-	}
-}
-
-func TestUniverseMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on universe mismatch")
-		}
-	}()
-	New(10).IntersectWith(New(11))
-}
-
-// Property: Set behaves like a map[int]bool reference model.
-func TestQuickAgainstMapModel(t *testing.T) {
-	f := func(ops []uint16, seed int64) bool {
-		const n = 257
-		s := New(n)
-		model := map[int]bool{}
-		rng := rand.New(rand.NewSource(seed))
-		for _, op := range ops {
-			i := int(op) % n
-			switch rng.Intn(3) {
-			case 0:
-				s.Add(i)
-				model[i] = true
-			case 1:
-				s.Remove(i)
-				delete(model, i)
-			case 2:
-				if s.Contains(i) != model[i] {
-					return false
-				}
-			}
-		}
-		if s.Count() != len(model) {
-			return false
-		}
-		var want []int
-		for k := range model {
-			want = append(want, k)
-		}
-		sort.Ints(want)
-		return equalInts(s.Elements(nil), want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: De Morgan-ish identity |A∩B| + |A\B| = |A|.
-func TestQuickIntersectionDifferencePartition(t *testing.T) {
-	f := func(as, bs []uint16) bool {
-		const n = 300
-		a, b := New(n), New(n)
-		for _, x := range as {
-			a.Add(int(x) % n)
-		}
-		for _, x := range bs {
-			b.Add(int(x) % n)
-		}
-		diff := a.Clone()
-		diff.DifferenceWith(b)
-		return a.IntersectionCount(b)+diff.Count() == a.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return c
 }
 
 func TestMatrixBasics(t *testing.T) {
@@ -216,27 +21,27 @@ func TestMatrixBasics(t *testing.T) {
 	if m.N() != 130 || m.Stride() != 3 {
 		t.Fatalf("N=%d Stride=%d", m.N(), m.Stride())
 	}
-	m.Set(0, 5)
-	m.Set(0, 129)
-	m.Set(129, 0)
+	SetBit(m.Row(0), 5)
+	SetBit(m.Row(0), 129)
+	SetBit(m.Row(129), 0)
 	if !TestBit(m.Row(0), 5) || !TestBit(m.Row(0), 129) || !TestBit(m.Row(129), 0) {
 		t.Fatal("set bits not visible")
 	}
 	if TestBit(m.Row(1), 5) || TestBit(m.Row(128), 0) {
 		t.Fatal("bit bled into wrong row")
 	}
-	if CountWords(m.Row(0)) != 2 {
-		t.Fatalf("row 0 count = %d", CountWords(m.Row(0)))
+	if onesCount(m.Row(0)) != 2 {
+		t.Fatalf("row 0 count = %d", onesCount(m.Row(0)))
 	}
 	// Reset must clear reused storage.
 	m.Reset(64)
-	if m.Stride() != 1 || CountWords(m.Row(0)) != 0 {
+	if m.Stride() != 1 || onesCount(m.Row(0)) != 0 {
 		t.Fatal("Reset left stale bits")
 	}
 	// Growing again reuses or reallocates, always clean.
 	m.Reset(200)
 	for i := 0; i < 200; i++ {
-		if CountWords(m.Row(i)) != 0 {
+		if onesCount(m.Row(i)) != 0 {
 			t.Fatalf("row %d dirty after grow", i)
 		}
 	}
@@ -259,9 +64,9 @@ func TestWordKernels(t *testing.T) {
 	if got := AppendBits(nil, dst); !equalU32(got, []uint32{3, 64, 189}) {
 		t.Fatalf("AndTo bits = %v", got)
 	}
-	AndWith(dst, mk([]uint32{3, 189}))
-	if CountWords(dst) != 2 {
-		t.Fatalf("AndWith count = %d", CountWords(dst))
+	AndTo(dst, dst, mk([]uint32{3, 189}))
+	if onesCount(dst) != 2 {
+		t.Fatalf("in-place AndTo count = %d", onesCount(dst))
 	}
 	OrWith(dst, mk([]uint32{7}))
 	if got := AppendBits(nil, dst); !equalU32(got, []uint32{3, 7, 189}) {
@@ -275,29 +80,34 @@ func TestWordKernels(t *testing.T) {
 	}
 }
 
+// TestMatrixAgainstSet checks matrix rows against a [][]bool set model.
 func TestMatrixAgainstSet(t *testing.T) {
 	f := func(edges []uint16, probe []uint16) bool {
 		const n = 150
 		var m Matrix
 		m.Reset(n)
-		s := make([]*Set, n)
-		for i := range s {
-			s[i] = New(n)
+		model := make([][]bool, n)
+		for i := range model {
+			model[i] = make([]bool, n)
 		}
 		for k := 0; k+1 < len(edges); k += 2 {
 			i, j := int(edges[k])%n, int(edges[k+1])%n
-			m.Set(i, j)
-			s[i].Add(j)
+			SetBit(m.Row(i), j)
+			model[i][j] = true
 		}
 		for _, p := range probe {
 			i := int(p) % n
-			if CountWords(m.Row(i)) != s[i].Count() {
-				return false
-			}
+			want := 0
 			for j := 0; j < n; j++ {
-				if TestBit(m.Row(i), j) != s[i].Contains(j) {
+				if TestBit(m.Row(i), j) != model[i][j] {
 					return false
 				}
+				if model[i][j] {
+					want++
+				}
+			}
+			if onesCount(m.Row(i)) != want {
+				return false
 			}
 		}
 		return true

@@ -9,9 +9,6 @@ package bitset
 // cover short and odd lengths.
 
 //go:noescape
-func countAsm(a *uint64, n int) int
-
-//go:noescape
 func andCountAsm(a, b *uint64, n int) int
 
 //go:noescape

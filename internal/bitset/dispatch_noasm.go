@@ -9,7 +9,6 @@ package bitset
 
 const simdAvailable = false
 
-func countAsm(a *uint64, n int) int              { panic("bitset: asm kernel on noasm build") }
 func andCountAsm(a, b *uint64, n int) int        { panic("bitset: asm kernel on noasm build") }
 func andToAsm(dst, a, b *uint64, n int)          { panic("bitset: asm kernel on noasm build") }
 func andCountToAsm(dst, a, b *uint64, n int) int { panic("bitset: asm kernel on noasm build") }

@@ -59,9 +59,6 @@ func (b *Builder) Grow(n int) {
 	}
 }
 
-// NumVertices returns the current vertex-universe size.
-func (b *Builder) NumVertices() int { return b.n }
-
 // NumEntries returns the number of adjacency entries recorded so far
 // (2x the edge count, before deduplication).
 func (b *Builder) NumEntries() int { return len(b.edges) }
@@ -382,18 +379,6 @@ func FromEdges(n int, edges [][2]V) *Graph {
 	b.Reserve(len(edges))
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
-	}
-	return b.MustBuild()
-}
-
-// FromAdjacency builds a graph directly from pre-made adjacency lists
-// (they are deduplicated and symmetrized).
-func FromAdjacency(adj [][]V) *Graph {
-	b := NewBuilder(len(adj))
-	for v, a := range adj {
-		for _, u := range a {
-			b.AddEdge(V(v), u)
-		}
 	}
 	return b.MustBuild()
 }

@@ -96,17 +96,17 @@ func NewLocalCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 }
 
 // newLocalCluster is NewLocalCluster with the direct-call composition's
-// data plane injectable: tests hand each machine a failing or
-// hand-wired Transport through it. Nil means a loopback per machine.
-func newLocalCluster(g *graph.Graph, cfg Config, transport func(machine int) Transport) (*Cluster, error) {
+// data plane injectable: wrap, when not nil, is handed each machine's
+// loopback and returns the Transport that machine uses instead — a
+// failing or hand-wired one in tests.
+func newLocalCluster(g *graph.Graph, cfg Config, wrap func(machine int, lb *loopback) Transport) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg}
-	if transport == nil {
-		transport = func(int) Transport { return newLoopback(g, cfg.partition()) }
-	}
+	// Loopbacks deliver stolen batches to c.hosts, so it is sized
+	// before the first host exists.
+	c := &Cluster{cfg: cfg, hosts: make([]*WorkerHost, cfg.Machines)}
 
 	// One spill root holds every machine's spill subdirectory, so a
 	// user-provided SpillDir ends empty and a cluster-owned temp dir is
@@ -127,7 +127,9 @@ func newLocalCluster(g *graph.Graph, cfg Config, transport func(machine int) Tra
 			cc.Close()
 		}
 		for _, h := range c.hosts {
-			h.Close()
+			if h != nil {
+				h.Close()
+			}
 		}
 		if ownSpill {
 			os.RemoveAll(rcfg.SpillDir)
@@ -149,13 +151,18 @@ func newLocalCluster(g *graph.Graph, cfg Config, transport func(machine int) Tra
 		if cfg.InProcessTCP {
 			h, err = StartWorkerHost(hc)
 		} else {
-			h, err = newDirectHost(hc, cfg.Machines, transport(i))
+			lb := newLoopback(g, cfg.partition(), c.hosts)
+			var tr Transport = lb
+			if wrap != nil {
+				tr = wrap(i, lb)
+			}
+			h, err = newDirectHost(hc, cfg.Machines, tr)
 		}
 		if err != nil {
 			c.teardown(nil)
 			return nil, err
 		}
-		c.hosts = append(c.hosts, h)
+		c.hosts[i] = h
 	}
 	if !cfg.InProcessTCP {
 		c.ctl = &directControl{hosts: c.hosts}

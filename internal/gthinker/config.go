@@ -37,11 +37,14 @@ type Config struct {
 	DisableGlobalQueue bool
 	// InProcessTCP selects how the machines of an in-process cluster
 	// are reached: false (default) composes them over direct calls —
-	// an ownership-checked loopback data plane and in-memory steals;
+	// an ownership-checked loopback data plane that reads the shared
+	// graph and hands each stolen GQS1 batch to the receiving host;
 	// true puts every machine behind its own listener on 127.0.0.1 and
 	// drives it with the same framed protocol a qcworker process
 	// speaks, so every remote adjacency pull, stolen big-task batch,
-	// status poll, and metrics flush crosses a real socket.
+	// status poll, and metrics flush crosses a real socket. Either way
+	// a steal ships through the donor's Transport and is kept for
+	// recovery, so the two compute the same results.
 	InProcessTCP bool
 	// FrameTimeout bounds each framed request/response exchange on
 	// the control and data planes (one conn deadline per attempt), so

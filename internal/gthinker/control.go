@@ -29,8 +29,10 @@ import (
 // table (metrics.go) in the status reply and the metrics payload;
 // version 6 drops the table's off-cycle steal row. Version 7 gives
 // each machine one address: opJoin carries the peer table and gets an
-// empty reply, and op 0x05 is retired.
-const controlProtoVersion = 7
+// empty reply, and op 0x05 is retired. Version 8 drops the wire-steal
+// row: every steal crosses the donor's Transport, so it equalled the
+// stolen-task row.
+const controlProtoVersion = 8
 
 // Control-plane ops (continuing the tcp.go data-plane numbering; 0x05
 // is retired).

@@ -87,7 +87,8 @@ func (e *MachineLostError) Is(target error) bool { return target == ErrMachineLo
 // directControl is the ControlPlane over machines living in this
 // process and reached without sockets: every call is the WorkerHost
 // handler a control server would have dispatched to, invoked as a
-// method, and steals are in-memory queue moves.
+// method. A steal directive runs on the donor like any other, and its
+// batch travels through the donor's loopback Transport.
 type directControl struct {
 	hosts []*WorkerHost
 	job   uint64 // set by Run, before the coordinator's goroutines exist
@@ -104,18 +105,8 @@ func (dc *directControl) Status(m int) (MachineStatus, error) {
 	return dc.hosts[m].handleStatus(dc.job)
 }
 
-// Steal moves tasks donor→recv in memory. Delivery precedes the
-// donor-side uncount, preserving the never-under-count invariant the
-// termination scan relies on.
 func (dc *directControl) Steal(donor, recv, want int) (int, error) {
-	from, to := dc.hosts[donor].rt, dc.hosts[recv].rt
-	batch := from.stealLocal(want)
-	if len(batch) == 0 {
-		return 0, nil
-	}
-	to.DeliverTasks(batch)
-	from.finishSteal(len(batch))
-	return len(batch), nil
+	return dc.hosts[donor].handleSteal(dc.job, recv, want)
 }
 
 func (dc *directControl) Recover(m int, d RecoverDirective) error {

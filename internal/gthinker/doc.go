@@ -52,13 +52,18 @@
 //     graph file and rebuilding the application from the job's spec);
 //   - how they are reached: by direct calls (directControl invoking
 //     the host's handlers as methods, a loopback Transport reading the
-//     shared graph, steals as in-memory queue moves — the default for
-//     local machines) or over framed sockets (each host behind one
-//     listener that answers the coordinator's ClusterClient and its
-//     peers' TCPTransports alike — Config.InProcessTCP for local
-//     machines, always for processes). Every remote pull, stolen
-//     batch, liveness poll, steal directive, and metrics flush then
-//     crosses the wire.
+//     shared graph and handing each stolen GQS1 batch to the receiving
+//     host — the default for local machines) or over framed sockets
+//     (each host behind one listener that answers the coordinator's
+//     ClusterClient and its peers' TCPTransports alike —
+//     Config.InProcessTCP for local machines, always for processes).
+//     Every remote pull, stolen batch, liveness poll, steal directive,
+//     and metrics flush then crosses the wire.
+//
+// A steal takes one path in every composition: the donor's host runs
+// the directive (MachineRuntime.StealTo), encodes the batch, ships it
+// through its Transport, and keeps a copy until the job ends, so a
+// receiver that dies re-homes the batch on its donor (RecoverPeer).
 //
 // # Scheduling: the worker loop and what wakes it
 //
@@ -89,8 +94,9 @@
 //
 //   - a big task entering Qglobal: spawned, created by Compute, refilled
 //     from Lbig, returned by a failed steal shipment;
-//   - a stolen batch landing (DeliverTasks — the host's opTaskSteal answer,
-//     the in-memory steal move, and recovery's re-owned batches);
+//   - a stolen batch landing (DeliverTasks — the host's opTaskSteal
+//     answer, over a socket or a loopback, and recovery's re-owned
+//     batches);
 //   - a resolved big task entering Bglobal;
 //   - a dead peer's partition being adopted;
 //   - the job ending: Stop and fail close one channel every parked

@@ -113,20 +113,18 @@ func TestEngineRunContextCancelled(t *testing.T) {
 
 // failingTransport errors on every fetch: the engine must surface the
 // error and terminate rather than hang.
-type failingTransport struct{ fetches atomic.Uint64 }
+type failingTransport struct{ *loopback }
 
-func (f *failingTransport) FetchAdjBatch(int, []graph.V, [][]graph.V) ([][]graph.V, error) {
-	f.fetches.Add(1)
+func (f failingTransport) FetchAdjBatch(int, []graph.V, [][]graph.V) ([][]graph.V, error) {
 	return nil, errors.New("synthetic transport failure")
 }
-func (f *failingTransport) Fetches() uint64 { return f.fetches.Load() }
 
 func TestEngineTransportFailure(t *testing.T) {
 	g := datagen.ErdosRenyi(100, 0.1, 3)
 	app := &triApp{g: g}
 	c, err := newLocalCluster(g, Config{
 		Machines: 3, WorkersPerMachine: 1, SpillDir: t.TempDir(),
-	}, func(int) Transport { return &failingTransport{} })
+	}, func(_ int, lb *loopback) Transport { return failingTransport{lb} })
 	if err != nil {
 		t.Fatal(err)
 	}

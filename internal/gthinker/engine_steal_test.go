@@ -77,9 +77,12 @@ func TestStealFromPartialRefill(t *testing.T) {
 	if err := rts[0].jb().lbig.spill(ts); err != nil {
 		t.Fatal(err)
 	}
-	batch := rts[0].stealLocal(2)
-	if len(batch) != 2 {
-		t.Fatalf("stealLocal returned %d tasks, want 2", len(batch))
+	moved, err := rts[0].StealTo(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved != 2 || rts[1].jb().qglobal.len() != 2 {
+		t.Fatalf("moved %d tasks, receiver holds %d, want 2 and 2", moved, rts[1].jb().qglobal.len())
 	}
 	if got := rts[0].jb().qglobal.len(); got != 4 {
 		t.Fatalf("refill excess lost: %d queued, want 4", got)
@@ -116,9 +119,6 @@ func TestStealRoundShipsRemote(t *testing.T) {
 
 	stealNow(t, co)
 
-	if rts[0].jb().tasksStolenRemote.Load() == 0 {
-		t.Fatal("steal moved tasks in memory despite a configured task channel")
-	}
 	got := rts[1].jb().qglobal.popBackBatch(100)
 	if len(got) == 0 {
 		t.Fatal("receiver got nothing")
@@ -139,13 +139,55 @@ func TestStealRoundShipsRemote(t *testing.T) {
 			t.Fatalf("task %d payload corrupted: %v vs %v", tk.ID, p, q)
 		}
 	}
-	if int(rts[0].jb().tasksStolenRemote.Load()) != len(got) {
-		t.Fatalf("remote-steal counter %d != received %d",
-			rts[0].jb().tasksStolenRemote.Load(), len(got))
-	}
 	if rts[1].jb().recvIn.Load() != uint64(len(got)) || rts[0].jb().sentOut.Load() != uint64(len(got)) {
 		t.Fatalf("transfer counters wrong: sentOut=%d recvIn=%d moved=%d",
 			rts[0].jb().sentOut.Load(), rts[1].jb().recvIn.Load(), len(got))
+	}
+}
+
+// TestStealReownedAfterPeerLoss: a batch a steal round shipped is kept
+// by its donor, so when the receiver dies before running it the donor
+// re-owns every task — over direct calls exactly as over sockets.
+func TestStealReownedAfterPeerLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tcp  bool
+	}{{"direct", false}, {"tcp", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := datagen.ErdosRenyi(10, 0.2, 1)
+			c := testCluster(t, g, Config{
+				Machines: 2, WorkersPerMachine: 1,
+				SpillDir: t.TempDir(), InProcessTCP: tc.tcp,
+			})
+			rts := installJob(t, c, nilApp{})
+			co := newCoordinator(c.ctl, c.cfg)
+			want := make(map[uint64]bool, 10)
+			for i := 0; i < 10; i++ {
+				tk := NewTask([]graph.V{graph.V(i)})
+				want[tk.ID] = true
+				rts[0].jb().pushGlobal(tk)
+			}
+
+			stealNow(t, co)
+
+			sent := rts[1].jb().qglobal.len()
+			if sent == 0 {
+				t.Fatal("the steal round moved nothing")
+			}
+			if err := rts[0].RecoverPeer(RecoverDirective{Dead: 1, Fallback: 0, Adopter: 0, Adopt: []int{1}}); err != nil {
+				t.Fatal(err)
+			}
+			got := rts[0].jb().qglobal.popBackBatch(100)
+			for _, tk := range got {
+				if !want[tk.ID] {
+					t.Fatalf("task %d is not one of the ten, or is held twice", tk.ID)
+				}
+				delete(want, tk.ID)
+			}
+			if len(want) != 0 {
+				t.Fatalf("machine 0 re-owned %d of the %d tasks machine 1 received", sent-len(want), sent)
+			}
+		})
 	}
 }
 

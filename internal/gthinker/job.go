@@ -92,11 +92,10 @@ type jobState struct {
 	errMu sync.Mutex
 	err   error
 
-	bigTasks          atomic.Uint64
-	smallTasks        atomic.Uint64
-	spawnedTasks      atomic.Uint64
-	subtasksAdded     atomic.Uint64
-	tasksStolenRemote atomic.Uint64
+	bigTasks      atomic.Uint64
+	smallTasks    atomic.Uint64
+	spawnedTasks  atomic.Uint64
+	subtasksAdded atomic.Uint64
 
 	// Formerly plain per-worker fields, migrated to job atomics so
 	// a status reply can sample them live (the incremental counter

@@ -43,10 +43,6 @@ type Counters struct {
 
 	StealRounds uint64 // steal rounds (one per status scan) that moved at least one task
 	TasksStolen uint64
-	// TasksStolenRemote counts stolen tasks that crossed the wire as
-	// GQS1 batches through the transport's task channel (a subset of
-	// TasksStolen; the rest moved in memory).
-	TasksStolenRemote uint64
 	// StealErrors counts steal directives that failed against a machine
 	// that had not (yet) been declared dead; they are tolerated, not
 	// fatal.
@@ -114,7 +110,6 @@ var counterTable = []counterDesc{
 	{"gthinker_peak_spill_bytes", "high-water mark of on-disk task bytes", mergeSum, func(c *Counters) *uint64 { return &c.PeakSpillBytes }},
 	{"gthinker_steal_rounds_total", "status scans whose steal round moved at least one task", mergeCoordinator, func(c *Counters) *uint64 { return &c.StealRounds }},
 	{"gthinker_tasks_stolen_total", "tasks moved between machines by steal directives", mergeCoordinator, func(c *Counters) *uint64 { return &c.TasksStolen }},
-	{"gthinker_tasks_stolen_wire_total", "stolen tasks shipped over the task channel", mergeSum, func(c *Counters) *uint64 { return &c.TasksStolenRemote }},
 	{"gthinker_steal_errors_total", "steal directives that failed and were tolerated", mergeCoordinator, func(c *Counters) *uint64 { return &c.StealErrors }},
 	{"gthinker_peak_heap_bytes", "sampled runtime heap high-water mark", mergeMax, func(c *Counters) *uint64 { return &c.PeakHeapAlloc }},
 	{"gthinker_recoveries_total", "worker-loss recoveries executed", mergeCoordinator, func(c *Counters) *uint64 { return &c.Recoveries }},
@@ -243,9 +238,9 @@ func (m *Metrics) String() string {
 		trace = fmt.Sprintf(" trace=%d(-%d)", m.TraceSpans, m.TraceDropped)
 	}
 	return fmt.Sprintf(
-		"wall=%v tasks=%d(+%d sub) big=%d small=%d compute=%d steals=%d(%d wire) spill=%dB(peak %dB) refill=%dB/%d cache=%d/%d rpc=%d/%d wire=%dB/%dB retry=%d/%d recover=%d/%d busy=%v imbalance=%.2f%s kernel=%s",
+		"wall=%v tasks=%d(+%d sub) big=%d small=%d compute=%d steals=%d spill=%dB(peak %dB) refill=%dB/%d cache=%d/%d rpc=%d/%d wire=%dB/%dB retry=%d/%d recover=%d/%d busy=%v imbalance=%.2f%s kernel=%s",
 		m.Wall.Round(time.Millisecond), m.TasksSpawned, m.SubtasksAdded, m.BigTasks,
-		m.SmallTasks, m.ComputeCalls, m.TasksStolen, m.TasksStolenRemote, m.SpillBytesWritten, m.PeakSpillBytes,
+		m.SmallTasks, m.ComputeCalls, m.TasksStolen, m.SpillBytesWritten, m.PeakSpillBytes,
 		m.SpillBytesRead, m.RefillBatches,
 		m.CacheHits, m.CacheHits+m.CacheMisses,
 		m.BatchedFetches, m.RemoteFetches, m.WireBytesSent, m.WireBytesReceived,

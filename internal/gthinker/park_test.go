@@ -86,8 +86,8 @@ func awaitParked(t *testing.T, rt *MachineRuntime, jb *jobState) {
 }
 
 // TestParkedWorkerWokenBySteal: a batch landing through DeliverTasks —
-// the task server's callback and the in-memory steal move — reaches
-// workers that had parked on an empty machine.
+// what a host's opTaskSteal answer calls, over a socket or a loopback —
+// reaches workers that had parked on an empty machine.
 func TestParkedWorkerWokenBySteal(t *testing.T) {
 	g := datagen.ErdosRenyi(40, 0.1, 3)
 	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir()})

@@ -95,7 +95,7 @@ func TestPartitionRangeClamped(t *testing.T) {
 // range ownership on fetches.
 func TestLoopbackRangeOwnership(t *testing.T) {
 	g := graph.FromEdges(6, [][2]graph.V{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
-	tr := newLoopback(g, partition{machines: 2, bounds: []uint32{0, 3, 6}})
+	tr := newLoopback(g, partition{machines: 2, bounds: []uint32{0, 3, 6}}, nil)
 	if _, err := fetchOne(tr, 0, 2); err != nil {
 		t.Fatalf("fetch of owned vertex failed: %v", err)
 	}

@@ -152,8 +152,7 @@ func newResolveFixture(t testing.TB, app App, cfg Config, wrap func(*loopback) T
 	t.Helper()
 	g := datagen.ErdosRenyi(400, 0.03, 5)
 	cfg.Machines, cfg.WorkersPerMachine, cfg.SpillDir = 3, 1, t.TempDir()
-	c, err := newLocalCluster(g, cfg, func(m int) Transport {
-		lb := newLoopback(g, partition{machines: 3})
+	c, err := newLocalCluster(g, cfg, func(m int, lb *loopback) Transport {
 		if m == 0 && wrap != nil {
 			return wrap(lb)
 		}
@@ -402,8 +401,8 @@ func TestResolveBatchFailureLeavesNoPins(t *testing.T) {
 func TestEngineTransportFailureMidBatch(t *testing.T) {
 	g := datagen.ErdosRenyi(300, 0.05, 7)
 	c, err := newLocalCluster(g, Config{Machines: 3, WorkersPerMachine: 1, SpillDir: t.TempDir()},
-		func(int) Transport {
-			return &secondOwnerFails{loopback: newLoopback(g, partition{machines: 3}), first: -1}
+		func(_ int, lb *loopback) Transport {
+			return &secondOwnerFails{loopback: lb, first: -1}
 		})
 	if err != nil {
 		t.Fatal(err)

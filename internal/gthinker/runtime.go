@@ -417,9 +417,7 @@ func (rt *MachineRuntime) RecoverPeer(d RecoverDirective) error {
 	if jb.tracer != nil {
 		start = time.Now()
 	}
-	if rd, ok := rt.transport.(Redirector); ok {
-		rd.Redirect(d.Dead, d.Fallback)
-	}
+	rt.transport.Redirect(d.Dead, d.Fallback)
 	jb.retainMu.Lock()
 	batches := jb.retained[d.Dead]
 	delete(jb.retained, d.Dead)
@@ -491,8 +489,8 @@ func (rt *MachineRuntime) addGlobal(t *Task) {
 }
 
 // DeliverTasks lands a batch of stolen tasks on this machine's global
-// queue — a host's opTaskSteal answer and the direct-call control
-// plane's in-memory steal move share it. Liveness and the transfer
+// queue — a host's opTaskSteal answer (over a socket or a loopback)
+// and recovery's re-owned batches share it. Liveness and the transfer
 // counter are bumped BEFORE the tasks become poppable, so no scan can
 // observe a reachable task that is not yet counted.
 func (rt *MachineRuntime) DeliverTasks(tasks []*Task) {
@@ -549,21 +547,17 @@ func (rt *MachineRuntime) finishSteal(n int) {
 	rt.release(jb, n)
 }
 
-// StealTo executes a coordinator steal directive on the donor side:
-// pop up to want big tasks and ship them to machine recv through the
-// transport's task channel as GQS1 bytes — the same serialization as
-// spill files. Batches whose encoding exceeds one wire frame ship as
-// smaller chunks. Returns the number of tasks actually moved; on a
-// transport error the unshipped remainder returns to the donor queue
-// and the error is reported (the coordinator fails the run — there is
-// no in-memory fallback across process boundaries).
+// StealTo executes a coordinator steal directive on the donor side —
+// the one way a task is stolen, in every composition: pop up to want
+// big tasks and ship them to machine recv through the transport as
+// GQS1 bytes, the same serialization as spill files. Batches whose
+// encoding exceeds one wire frame ship as smaller chunks. Returns the
+// number of tasks actually moved; on a transport error the unshipped
+// remainder returns to the donor queue and the error is reported (the
+// coordinator counts it and carries on).
 func (rt *MachineRuntime) StealTo(recv, want int) (int, error) {
 	if recv < 0 || recv >= rt.cfg.Machines || recv == rt.id {
 		return 0, fmt.Errorf("gthinker: steal directive to invalid machine %d", recv)
-	}
-	tc, ok := rt.transport.(TaskChannel)
-	if !ok {
-		return 0, fmt.Errorf("gthinker: machine %d has no task channel (its transport cannot ship tasks)", rt.id)
 	}
 	jb := rt.jb()
 	var start time.Time
@@ -573,14 +567,13 @@ func (rt *MachineRuntime) StealTo(recv, want int) (int, error) {
 	batch := rt.stealLocal(want)
 	moved := 0
 	for len(batch) > 0 {
-		k, err := rt.shipChunk(tc, recv, batch)
+		k, err := rt.shipChunk(recv, batch)
 		if err != nil {
 			jb.pushGlobal(batch...)
 			return moved, err
 		}
 		moved += k
 		rt.finishSteal(k)
-		jb.tasksStolenRemote.Add(uint64(k))
 		batch = batch[k:]
 	}
 	if jb.tracer != nil && moved > 0 {
@@ -594,7 +587,7 @@ func (rt *MachineRuntime) StealTo(recv, want int) (int, error) {
 // frame is an error, not an infinite loop. A copy of each delivered
 // chunk is retained keyed by its destination, so the tasks can be
 // re-owned if that machine later dies.
-func (rt *MachineRuntime) shipChunk(tc TaskChannel, recv int, batch []*Task) (int, error) {
+func (rt *MachineRuntime) shipChunk(recv int, batch []*Task) (int, error) {
 	enc := batchEncoders.Get().(*store.BatchEncoder)
 	defer batchEncoders.Put(enc)
 	k := len(batch)
@@ -604,7 +597,7 @@ func (rt *MachineRuntime) shipChunk(tc TaskChannel, recv int, batch []*Task) (in
 			return 0, err
 		}
 		if len(data) <= maxFramePayload {
-			if err := tc.SendTasks(recv, data); err != nil {
+			if err := rt.transport.SendTasks(recv, data); err != nil {
 				return 0, err
 			}
 			rt.retain(recv, data)
@@ -662,14 +655,11 @@ func (rt *MachineRuntime) liveCounters() Counters {
 		SpillBytesRead:    uint64(rt.disk.read.Load()),
 		RefillBatches:     uint64(rt.disk.refills.Load()),
 		PeakSpillBytes:    uint64(rt.disk.peak.Load()),
-		TasksStolenRemote: jb.tasksStolenRemote.Load(),
 		PeakHeapAlloc:     uint64(procHeap.peak.Load()),
 	}
 	c.CacheHits, c.CacheMisses, c.CacheEvicted = rt.cache.stats()
-	if ts, ok := rt.transport.(TransportStats); ok {
-		c.BatchedFetches = ts.BatchedFetches()
-		c.WireBytesSent, c.WireBytesReceived = ts.WireBytes()
-	}
+	c.BatchedFetches = rt.transport.BatchedFetches()
+	c.WireBytesSent, c.WireBytesReceived = rt.transport.WireBytes()
 	if rs, ok := rt.transport.(RetryStats); ok {
 		c.RetriedDials = rs.RetriedDials()
 		c.RetriedOps = rs.RetriedOps()

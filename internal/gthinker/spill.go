@@ -196,8 +196,8 @@ func (l *spillList) spill(tasks []*Task) error {
 }
 
 // encodeTaskBatch encodes tasks as one GQS1 batch via codec — the one
-// serialization shared by spill files, the TCP task channel (stolen
-// batches cross the wire as these exact bytes), and batch refills.
+// serialization shared by spill files, steals (every Transport ships
+// stolen batches as these exact bytes), and batch refills.
 // The returned bytes alias enc's buffer and are valid until its next
 // Reset.
 func encodeTaskBatch(enc *store.BatchEncoder, tasks []*Task, codec TaskCodec) ([]byte, error) {

@@ -722,8 +722,8 @@ func (p *connPool) close() error {
 }
 
 // TCPTransport is the socket implementation of Transport (plus
-// TaskChannel and TransportStats): adjacency batches and stolen task
-// batches go to each machine's host. The two kinds travel on separate
+// RetryStats): adjacency batches and stolen task batches go to each
+// machine's host. The two kinds travel on separate
 // connection pools, so a task send never queues behind a fetch.
 type TCPTransport struct {
 	verts       *connPool

@@ -496,7 +496,7 @@ func TestEngineTCPTransport(t *testing.T) {
 	app := &triApp{g: g}
 	c, err := newLocalCluster(g, Config{
 		Machines: machines, WorkersPerMachine: 2, SpillDir: t.TempDir(),
-	}, func(int) Transport {
+	}, func(int, *loopback) Transport {
 		tr := NewTCPTransport(addrs, g.NumVertices())
 		trs = append(trs, tr)
 		return tr

@@ -8,10 +8,12 @@ import (
 )
 
 // Transport abstracts the network between machines: a machine fetches
-// adjacency lists it does not own through it. The in-process loopback
-// implementation reads the shared immutable graph directly; the TCP
-// implementation (tcp.go) performs real socket round trips —
-// everything above this interface is transport-agnostic.
+// adjacency lists it does not own through it, and ships the big tasks
+// a steal directive takes from it. The in-process loopback
+// implementation reads the shared immutable graph directly and hands
+// task batches to the destination host; the TCP implementation
+// (tcp.go) performs real socket round trips — everything above this
+// interface is transport-agnostic.
 //
 // Contract: FetchAdjBatch(owner, ids, dst) returns exactly one
 // adjacency list per requested id, in request order, appended to dst
@@ -35,28 +37,23 @@ type Transport interface {
 	// Fetches returns the number of adjacency lists fetched remotely
 	// (each id of a batch counts once).
 	Fetches() uint64
-}
-
-// TaskChannel is an optional Transport extension: a transport that can
-// ship an encoded big-task batch (GQS1 bytes, see internal/store) to
-// another machine. A steal directive executes on the
-// donor's machine through it, with the same serialization as spill
-// files — one codec for disk, wire, and in-memory refill.
-type TaskChannel interface {
-	// SendTasks delivers one GQS1 batch to machine dest and waits for
-	// its acknowledgement; on return the tasks are on dest's global
-	// queue.
+	// BatchedFetches returns the number of batched fetch round trips
+	// (≤ Fetches; the gap is the saving over per-vertex fetching).
+	BatchedFetches() uint64
+	// WireBytes returns the total bytes written to and read from the
+	// network, including frame headers.
+	WireBytes() (sent, received uint64)
+	// SendTasks delivers one GQS1 batch (see internal/store) to
+	// machine dest and waits for its acknowledgement; on return the
+	// tasks are on dest's global queue. The batch is the caller's: it
+	// may be reused once SendTasks returns.
 	SendTasks(dest int, batch []byte) error
-}
-
-// Redirector is an optional Transport extension used by worker-loss
-// recovery: Redirect(dead, fallback) reroutes adjacency fetches
-// addressed to a dead machine to a coordinator-designated fallback
-// owner. This is the one sanctioned exception to the "reject
-// mis-routed ids" contract above — it is only sound for transports
-// whose peers each serve the full graph (the TCP hosts do: every
-// machine mmaps the whole GQC2 file).
-type Redirector interface {
+	// Redirect(dead, fallback) reroutes adjacency fetches addressed
+	// to a dead machine to a coordinator-designated fallback owner —
+	// worker-loss recovery's one sanctioned exception to the "reject
+	// mis-routed ids" contract above. It is only sound because every
+	// peer serves the full graph (the TCP hosts each mmap the whole
+	// GQC2 file; the loopback reads the one shared graph).
 	Redirect(dead, fallback int)
 }
 
@@ -68,32 +65,24 @@ type RetryStats interface {
 	RetriedOps() uint64
 }
 
-// TransportStats is an optional Transport extension surfacing
-// wire-level counters into Metrics.
-type TransportStats interface {
-	// BatchedFetches returns the number of batched fetch round trips
-	// (≤ Fetches; the gap is the saving over per-vertex fetching).
-	BatchedFetches() uint64
-	// WireBytes returns the total bytes written to and read from the
-	// network, including frame headers.
-	WireBytes() (sent, received uint64)
-}
-
 // loopback is the in-process Transport standing in for the cluster
 // network when machines are reached by direct calls (see the
 // composition section of doc.go). It validates ownership exactly like a real
 // per-machine vertex server would: a fetch routed to the wrong owner
 // fails loudly instead of being silently satisfied from the shared
-// graph, so partitioning bugs surface in loopback tests too.
+// graph, so partitioning bugs surface in loopback tests too. A task
+// batch goes to the destination host's handleTasks, exactly as a
+// socket would deliver it.
 type loopback struct {
 	g       *graph.Graph
 	part    partition
+	hosts   []*WorkerHost // indexed by machine; filled in as the cluster composes
 	fetches atomic.Uint64
 	batches atomic.Uint64
 }
 
-func newLoopback(g *graph.Graph, part partition) *loopback {
-	return &loopback{g: g, part: part}
+func newLoopback(g *graph.Graph, part partition, hosts []*WorkerHost) *loopback {
+	return &loopback{g: g, part: part, hosts: hosts}
 }
 
 // checkOwned validates one routed fetch against the partition map.
@@ -128,6 +117,16 @@ func (t *loopback) Fetches() uint64        { return t.fetches.Load() }
 func (t *loopback) BatchedFetches() uint64 { return t.batches.Load() }
 
 func (t *loopback) WireBytes() (uint64, uint64) { return 0, 0 }
+
+// SendTasks hands machine dest a copy of batch, as a socket would: the
+// decoded tasks alias the bytes they came from, the receiver's miner
+// reorders them in place, and the sender reuses its encode buffer.
+func (t *loopback) SendTasks(dest int, batch []byte) error {
+	return t.hosts[dest].handleTasks(append([]byte(nil), batch...))
+}
+
+// Redirect is a no-op: every machine reads the one shared graph.
+func (t *loopback) Redirect(dead, fallback int) {}
 
 // owner maps a vertex to its machine with a splitmix hash, like
 // G-thinker's hash partitioning of the vertex table. This is scheme 0

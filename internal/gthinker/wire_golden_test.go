@@ -148,7 +148,7 @@ func recordingProxy(t *testing.T, target string) (string, func() []wireFrame) {
 // trace payloads the control plane carries, byte for byte: a real
 // ClusterClient drives a real control server through a recording
 // proxy, and each request and reply must equal the table, which holds
-// whatever implements the codecs to the protocol-version-7 layout a
+// whatever implements the codecs to the protocol-version-8 layout a
 // qcworker of another build speaks. The handler's view of each request
 // and the client's view of each reply are checked against the values
 // encoded, so both directions of every payload are exercised.
@@ -209,13 +209,13 @@ func TestWireGolden(t *testing.T) {
 	// proxy's, twice.
 	proxy := hex.EncodeToString(store.AppendU32(nil, uint32(len(addr)))) + hex.EncodeToString([]byte(addr))
 	join := func(machine string) string {
-		return "07000000" + machine + "02000000" + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy + spec0
+		return "08000000" + machine + "02000000" + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy + spec0
 	}
 	status := "01" + "0300000000000000" + "0200000000000000" + "0b00000000000000" + "0c00000000000000" + "2800000000000000" +
-		"2800000000000000" + zeros(10) + "0000000002000000" + zeros(17) + "0700000000000000" +
+		"2800000000000000" + zeros(10) + "0000000002000000" + zeros(16) + "0700000000000000" +
 		"09000000" + "6469736b2066756c6c"
 	metrics := "002f685900000000" +
-		zeros(3) + "0900000000000000" + zeros(19) + "0000000000010000" + zeros(6) +
+		zeros(3) + "0900000000000000" + zeros(18) + "0000000000010000" + zeros(6) +
 		"02000000" + "404b4c0000000000" + "808d5b0000000000" + "04000000" + "61767832"
 	trace := "4f545231" + "01000000" + "0300000000000000" + "01000000" +
 		"04" + "01000000" + "ffffffff" + "15cd853dfe9c9717" + "c409000000000000" + "0000000000000000" + "2200000000000000"

@@ -37,10 +37,11 @@ func chaosGraph(t *testing.T) (*graph.Graph, [][]graph.V) {
 	return g, want
 }
 
-// chaosMine runs one in-process TCP mining job under the given fault
-// plan with a hang guard: a seeded plan must end in bit-identical
-// results or a clean error — never a stall past the frame deadlines.
-func chaosMine(t *testing.T, g *graph.Graph, plan string) (*Result, error) {
+// chaosMine runs one in-process mining job, over loopback TCP when tcp
+// is set and direct calls otherwise, under the given fault plan with a
+// hang guard: a seeded plan must end in bit-identical results or a
+// clean error — never a stall past the frame deadlines.
+func chaosMine(t *testing.T, g *graph.Graph, plan string, tcp bool) (*Result, error) {
 	t.Helper()
 	cfg := Config{
 		Params:  quasiclique.Params{Gamma: 0.8, MinSize: 7},
@@ -48,7 +49,7 @@ func chaosMine(t *testing.T, g *graph.Graph, plan string) (*Result, error) {
 	}
 	ecfg := gthinker.Config{
 		Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir(),
-		InProcessTCP:   true,
+		InProcessTCP:   tcp,
 		StatusInterval: 2 * time.Millisecond,
 		DeadAfterPolls: 3,
 		FrameTimeout:   2 * time.Second,
@@ -91,7 +92,7 @@ func TestMineChaosMatrix(t *testing.T) {
 	for _, plan := range plans {
 		plan := plan
 		t.Run(fmt.Sprintf("plan=%q", plan), func(t *testing.T) {
-			res, err := chaosMine(t, g, plan)
+			res, err := chaosMine(t, g, plan, true)
 			if err != nil {
 				// A fault landing on a non-idempotent frame (join, steal,
 				// shutdown) aborts the run cleanly: acceptable, as long as
@@ -111,24 +112,33 @@ func TestMineChaosMatrix(t *testing.T) {
 
 // TestMineChaosKillRecovers is the in-process half of the worker-loss
 // acceptance: a seeded kill plan murders machine 1 mid-run (its
-// sockets die, its runtime stops), the coordinator declares it dead
-// after DeadAfterPolls failed polls, and the survivor adopts its
-// partitions — the run MUST complete with results bit-identical to the
-// serial miner, counting exactly one recovery.
+// runtime stops, and over TCP its sockets die), the coordinator
+// declares it dead after DeadAfterPolls failed polls, and the survivor
+// adopts its partitions — the run MUST complete with results
+// bit-identical to the serial miner, counting exactly one recovery.
+// Both in-process compositions run the kill: qcmine -machines N
+// -faultplan reaches its machines by direct calls.
 func TestMineChaosKillRecovers(t *testing.T) {
 	g, want := chaosGraph(t)
-	res, err := chaosMine(t, g, "5:kill=1@2")
-	if err != nil {
-		t.Fatalf("run did not survive the worker kill: %v", err)
+	for _, tc := range []struct {
+		name string
+		tcp  bool
+	}{{"direct", false}, {"tcp", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := chaosMine(t, g, "5:kill=1@2", tc.tcp)
+			if err != nil {
+				t.Fatalf("run did not survive the worker kill: %v", err)
+			}
+			if !quasiclique.SetsEqual(res.Cliques, want) {
+				t.Fatalf("post-recovery results diverge from serial: got %d cliques, want %d",
+					len(res.Cliques), len(want))
+			}
+			met := res.Engine
+			if met.DeadMachines != 1 || met.Recoveries != 1 {
+				t.Fatalf("want exactly one recovery of one dead machine, got recover=%d/%d",
+					met.Recoveries, met.DeadMachines)
+			}
+			t.Logf("survived kill: %v", met)
+		})
 	}
-	if !quasiclique.SetsEqual(res.Cliques, want) {
-		t.Fatalf("post-recovery results diverge from serial: got %d cliques, want %d",
-			len(res.Cliques), len(want))
-	}
-	met := res.Engine
-	if met.DeadMachines != 1 || met.Recoveries != 1 {
-		t.Fatalf("want exactly one recovery of one dead machine, got recover=%d/%d",
-			met.Recoveries, met.DeadMachines)
-	}
-	t.Logf("survived kill: %v", met)
 }

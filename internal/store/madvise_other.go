@@ -4,7 +4,5 @@ package store
 
 // madvise hints are advisory: platforms without them get correct (just
 // cold-start-slower) behavior, so the stubs succeed silently.
-const madviseSupported = false
-
 func madviseRandom(data []byte) error   { return nil }
 func madviseWillNeed(data []byte) error { return nil }

@@ -4,10 +4,6 @@ package store
 
 import "syscall"
 
-// madviseSupported gates the residency hints: on these platforms
-// syscall.Madvise and the MADV_* constants exist.
-const madviseSupported = true
-
 // madviseRandom marks the mapping as random-access, suppressing the
 // kernel's sequential readahead: a worker that owns 1/N of the rows
 // should not fault in its neighbors' pages just because they are
