@@ -33,7 +33,6 @@ func main() {
 		tausplit  = flag.Int("tausplit", 256, "big-task threshold τsplit (|ext(S)|)")
 		tautime   = flag.Duration("tautime", 100*time.Millisecond, "time-delayed decomposition budget τtime")
 		machines  = flag.Int("machines", 1, "simulated machines")
-		partition = flag.String("partition", "hash", "vertex-ownership scheme: 'hash' (splitmix) or 'range' (contiguous vertex ranges; keeps each -procs worker's owned rows in one byte span of the mapped graph)")
 		threads   = flag.Int("threads", 2, "mining threads per machine")
 		serial    = flag.Bool("serial", false, "use the serial miner (Section 4) instead of G-thinker")
 		procs     = flag.Int("procs", 0, "coordinator mode: mine on N real qcworker OS processes (one vertex partition each) spawned from a generated partition manifest")
@@ -94,14 +93,6 @@ func main() {
 		TracePath:      *tracePath,
 		DebugAddr:      *debugAddr,
 		Progress:       *progress,
-	}
-	switch *partition {
-	case "hash":
-	case "range":
-		cfg.RangePartition = true
-	default:
-		fmt.Fprintf(os.Stderr, "qcmine: -partition must be 'hash' or 'range', got %q\n", *partition)
-		os.Exit(2)
 	}
 	var res *gthinkerqc.Result
 	switch {

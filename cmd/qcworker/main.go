@@ -45,7 +45,7 @@ import (
 func main() {
 	var (
 		graphPath    = flag.String("graph", "", "binary graph file (GQC2, written by qcgen/qcmine)")
-		manifestPath = flag.String("manifest", "", "partition manifest file (GQM2)")
+		manifestPath = flag.String("manifest", "", "partition manifest file (GQM3: machine count, graph fingerprint, one address per machine)")
 		machine      = flag.Int("machine", -1, "machine id this process serves")
 		faultPlan    = flag.String("faultplan", os.Getenv("QCWORKER_FAULTPLAN"), "seeded fault-injection plan overriding the job spec's (chaos testing; e.g. '7:kill=1@3')")
 		tracePath    = flag.String("trace", "", "force tracing on and write this worker's local Chrome trace-event JSON here at exit")

@@ -79,17 +79,11 @@ type Config struct {
 	SizeThresholdOnly bool
 
 	// Machines and WorkersPerMachine size the simulated cluster.
-	// Defaults: 1 machine, 1 worker.
+	// Defaults: 1 machine, 1 worker. Each machine owns the vertices
+	// the splitmix hash of the vertex id assigns it, as G-thinker
+	// hash-partitions its vertex table.
 	Machines          int
 	WorkersPerMachine int
-	// RangePartition assigns each machine one contiguous vertex range
-	// (near-equal adjacency-entry shares) instead of the default
-	// splitmix hash partition. Because the CSR layout packs rows in
-	// vertex order, a range partition keeps each cluster worker's owned
-	// rows in one contiguous byte span of the mapped graph file, so a
-	// worker touches ~1/Machines of the file instead of all of it.
-	// Mining results are identical under either scheme.
-	RangePartition bool
 	// QueueCap and BatchSize bound in-memory task queues and the
 	// spill/steal batch (defaults 1024 / 32).
 	QueueCap  int
@@ -198,9 +192,6 @@ func MineParallelContext(ctx context.Context, g *Graph, cfg Config) (*Result, er
 	start := time.Now()
 	mcfg, ecfg := cfg.sessionConfigs()
 	ecfg.SpillDir = cfg.SpillDir
-	if cfg.RangePartition {
-		ecfg.PartitionBounds = g.RangeBounds(max(cfg.Machines, 1))
-	}
 	res, err := miner.MineContext(ctx, g, mcfg, ecfg)
 	return cfg.result(start, res, err)
 }
@@ -290,10 +281,9 @@ func MineCluster(ctx context.Context, cfg Config, opts ClusterOptions) (*Result,
 	start := time.Now()
 	mcfg, ecfg := cfg.sessionConfigs()
 	res, err := miner.MineProcs(ctx, mcfg, ecfg, miner.ProcsConfig{
-		GraphPath:      opts.GraphPath,
-		Command:        opts.WorkerCommand,
-		ManifestDir:    opts.ManifestDir,
-		RangePartition: cfg.RangePartition,
+		GraphPath:   opts.GraphPath,
+		Command:     opts.WorkerCommand,
+		ManifestDir: opts.ManifestDir,
 	})
 	if err != nil {
 		return nil, err

@@ -36,9 +36,7 @@
 // parallel on top of that; LoadOptions.SizeHint pre-sizes the ID
 // remap, and ScanEdgeList streams (u,v) pairs to a callback for
 // callers — like the external-memory converter in internal/store —
-// that must not materialize the edge set in memory. RangeBounds
-// splits the vertex space into parts with near-equal adjacency
-// volume, the basis of the engine's range-partitioned ownership.
+// that must not materialize the edge set in memory.
 package graph
 
 import (
@@ -74,40 +72,6 @@ func (g *Graph) Adj(v V) []V {
 
 // Degree returns d(v).
 func (g *Graph) Degree(v V) int { return int(g.offsets[v+1] - g.offsets[v]) }
-
-// RangeBounds splits the vertex space into `parts` contiguous ranges
-// holding near-equal shares of the packed adjacency entries: part i is
-// vertices [bounds[i], bounds[i+1]), and the returned slice has
-// parts+1 entries with bounds[0] == 0 and bounds[parts] == n. Because
-// CSR packs rows in vertex order, each part is also one contiguous
-// byte span of the neighbors array — the property the range partition
-// scheme (store.OwnerSchemeRange) uses to keep ~1/parts of an mmap'd
-// graph resident per worker. Hub-free balance is only approximate: a
-// single vertex heavier than total/parts cannot be split further.
-func (g *Graph) RangeBounds(parts int) []uint32 {
-	if parts < 1 {
-		parts = 1
-	}
-	n := g.NumVertices()
-	total := uint64(len(g.neighbors))
-	bounds := make([]uint32, parts+1)
-	bounds[parts] = uint32(n)
-	for k := 1; k < parts; k++ {
-		target := uint32(total * uint64(k) / uint64(parts))
-		// Smallest v with offsets[v] >= target; offsets is monotone.
-		lo, hi := int(bounds[k-1]), n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if g.offsets[mid] >= target {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		bounds[k] = uint32(lo)
-	}
-	return bounds
-}
 
 // HasEdge reports whether {u, v} ∈ E.
 func (g *Graph) HasEdge(u, v V) bool {

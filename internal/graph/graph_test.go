@@ -331,54 +331,3 @@ func graphsEqual(a, b *Graph) bool {
 	}
 	return true
 }
-
-func TestRangeBounds(t *testing.T) {
-	// Skewed graph: vertex 0 is a hub with ~half the entries.
-	b := NewBuilder(101)
-	for v := V(1); v <= 100; v++ {
-		b.AddEdge(0, v)
-	}
-	for v := V(1); v < 50; v++ {
-		b.AddEdge(v, v+1)
-	}
-	g := b.MustBuild()
-	for _, parts := range []int{1, 2, 3, 7, 101, 500} {
-		bounds := g.RangeBounds(parts)
-		if len(bounds) != parts+1 {
-			t.Fatalf("parts=%d: %d bounds", parts, len(bounds))
-		}
-		if bounds[0] != 0 || int(bounds[parts]) != g.NumVertices() {
-			t.Fatalf("parts=%d: bounds span [%d,%d]", parts, bounds[0], bounds[parts])
-		}
-		for i := 1; i <= parts; i++ {
-			if bounds[i] < bounds[i-1] {
-				t.Fatalf("parts=%d: bounds decrease at %d: %v", parts, i, bounds)
-			}
-		}
-	}
-	// Balance on a skew-free graph: every part within one row of even.
-	b2 := NewBuilder(1000)
-	for v := V(0); v < 999; v++ {
-		b2.AddEdge(v, v+1)
-	}
-	g2 := b2.MustBuild()
-	bounds := g2.RangeBounds(4)
-	total := 2 * g2.NumEdges()
-	for i := 0; i < 4; i++ {
-		entries := 0
-		for v := bounds[i]; v < bounds[i+1]; v++ {
-			entries += g2.Degree(v)
-		}
-		if lo, hi := total/4-2, total/4+2; entries < lo || entries > hi {
-			t.Fatalf("part %d has %d entries, want ~%d: bounds %v", i, entries, total/4, bounds)
-		}
-	}
-	// Degenerate inputs must not panic.
-	empty := NewBuilder(0).MustBuild()
-	if got := empty.RangeBounds(3); len(got) != 4 || got[3] != 0 {
-		t.Fatalf("empty graph bounds %v", got)
-	}
-	if got := g.RangeBounds(0); len(got) != 2 {
-		t.Fatalf("parts=0 bounds %v", got)
-	}
-}

@@ -137,7 +137,7 @@ func newLocalCluster(g *graph.Graph, cfg Config, wrap func(machine int, lb *loop
 		return nil
 	}
 
-	for i, verts := range cfg.partition().partitionAll(g.NumVertices()) {
+	for i, verts := range partitionAll(g.NumVertices(), cfg.Machines) {
 		hc := WorkerHostConfig{
 			Graph: g, MachineID: i,
 			NewApp: func([]byte, int) (App, Config, error) {
@@ -151,7 +151,7 @@ func newLocalCluster(g *graph.Graph, cfg Config, wrap func(machine int, lb *loop
 		if cfg.InProcessTCP {
 			h, err = StartWorkerHost(hc)
 		} else {
-			lb := newLoopback(g, cfg.partition(), c.hosts)
+			lb := newLoopback(g, cfg.Machines, c.hosts)
 			var tr Transport = lb
 			if wrap != nil {
 				tr = wrap(i, lb)

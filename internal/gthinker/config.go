@@ -64,17 +64,6 @@ type Config struct {
 	// see ParseFaultPlan) applied to this process's transports and
 	// worker hosts. Empty means no injected faults. Test/chaos knob.
 	FaultSpec string
-	// PartitionBounds switches vertex ownership from splitmix hashing
-	// (nil, the default — store.OwnerSchemeSplitmix) to contiguous
-	// ranges (store.OwnerSchemeRange): machine i owns vertices
-	// [PartitionBounds[i], PartitionBounds[i+1]), so the table must
-	// have Machines+1 nondecreasing entries starting at 0. Range
-	// partitions keep each machine's owned adjacency rows contiguous
-	// in the mmap'd graph file (see store.MappedGraph.AdviseWillNeed),
-	// trading the hash scheme's statistical balance for ~1/N residency
-	// per worker. Typically produced by Graph.RangeBounds and carried
-	// in the GQM2 manifest so every process derives the same owners.
-	PartitionBounds []uint32
 	// Trace enables the event tracer: every machine records
 	// spawn/compute/spill/refill/fetch/steal/recovery spans into
 	// per-worker ring buffers (internal/obs), and the coordinator can
@@ -93,12 +82,11 @@ type Config struct {
 	// summary (live tasks, spawn cursors, steals, recoveries) to
 	// stderr at this period. Coordinator-side only.
 	Progress time.Duration
-	// StatusSink, when non-nil, observes every successful status poll
-	// the coordinator makes (machine id, its report). It is invoked
-	// from the coordinator's poll loop, so it must be fast and must
-	// not call back into the control plane. Coordinator-side only —
-	// callers use it to feed an external live view.
-	StatusSink func(machine int, st MachineStatus)
+
+	// statusHook, when non-nil, observes every successful status poll
+	// the coordinator makes, from its poll loop. Tests use it to watch
+	// the cluster mid-run.
+	statusHook func(machine int, st MachineStatus)
 }
 
 // withDefaults fills zero fields.
@@ -165,26 +153,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("gthinker: StatusInterval %v must be below FrameTimeout %v (a busy machine holds its status reply that long)",
 			c.StatusInterval, c.FrameTimeout)
 	}
-	if c.PartitionBounds != nil {
-		if len(c.PartitionBounds) != c.Machines+1 {
-			return fmt.Errorf("gthinker: PartitionBounds has %d entries for %d machines (want machines+1)", len(c.PartitionBounds), c.Machines)
-		}
-		if c.PartitionBounds[0] != 0 {
-			return fmt.Errorf("gthinker: PartitionBounds must start at 0, got %d", c.PartitionBounds[0])
-		}
-		for i := 1; i < len(c.PartitionBounds); i++ {
-			if c.PartitionBounds[i] < c.PartitionBounds[i-1] {
-				return fmt.Errorf("gthinker: PartitionBounds decrease at %d (%d < %d)", i, c.PartitionBounds[i], c.PartitionBounds[i-1])
-			}
-		}
-	}
 	if _, err := ParseFaultPlan(c.FaultSpec); err != nil {
 		return err
 	}
 	return nil
-}
-
-// partition returns the vertex-ownership function this config selects.
-func (c Config) partition() partition {
-	return partition{machines: c.Machines, bounds: c.PartitionBounds}
 }

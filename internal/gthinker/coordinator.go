@@ -403,8 +403,8 @@ func (c *coordinator) scan() ([]MachineStatus, bool, error) {
 			return nil, false, fmt.Errorf("gthinker: machine %d failed: %s", m, st.Failure)
 		}
 		c.lv.Observe(m, st)
-		if c.cfg.StatusSink != nil {
-			c.cfg.StatusSink(m, st)
+		if c.cfg.statusHook != nil {
+			c.cfg.statusHook(m, st)
 		}
 	}
 	c.lv.ObserveCoordinator(c.counts)

@@ -213,11 +213,12 @@
 //
 // # Deploying a multi-process cluster
 //
-// A deployment is described by a partition manifest (GQM2, see
-// internal/store): the ownership scheme, the machine count, a graph
-// fingerprint (|V|, |E|), and per machine its one listen address
-// (empty = bind 127.0.0.1:0 and report it on the ready line). Every
-// process derives owner(v) from the manifest alone.
+// A deployment is described by a partition manifest (GQM3, see
+// internal/store): the machine count, a graph fingerprint (|V|, |E|),
+// and per machine its one listen address (empty = bind 127.0.0.1:0 and
+// report it on the ready line). Every process derives owner(v) — the
+// splitmix hash of v modulo the machine count — from the manifest
+// alone.
 //
 // Single host, automatic (the coordinator spawns workers):
 //
@@ -355,6 +356,5 @@
 // carries the machine's Counters snapshot, read from the runtime's
 // existing atomics, so the coordinator's LiveView is current to within
 // one StatusInterval with zero extra RPCs. The same
-// view feeds Config.Progress one-line summaries; Config.StatusSink
-// hands every status reply to a caller that keeps a view of its own.
+// view feeds Config.Progress one-line summaries.
 package gthinker

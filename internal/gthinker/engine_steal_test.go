@@ -249,14 +249,14 @@ func TestStealFeedsIdleMachine(t *testing.T) {
 	// Machine 0 ends up holding a skewed backlog of big tasks (one root
 	// there fans out into 64 of them); machine 1 spawns nothing and
 	// sits idle.
-	root := partition{machines: 2}.ownedVertices(g.NumVertices(), 0)[0]
+	root := ownedVertices(g.NumVertices(), 2, 0)[0]
 
 	gate := make(chan struct{})
 	var open sync.Once
 	release := func() { open.Do(func() { close(gate) }) }
 	deadline := time.AfterFunc(10*time.Second, release)
 	defer deadline.Stop()
-	cfg.StatusSink = func(machine int, st MachineStatus) {
+	cfg.statusHook = func(machine int, st MachineStatus) {
 		if machine == 1 && st.RecvIn > 0 {
 			release()
 		}

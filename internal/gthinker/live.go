@@ -12,9 +12,9 @@ import (
 
 // LiveView is the coordinator's continuously-updated per-machine
 // picture, built from the counter samples piggybacked on the status
-// replies. It serves two consumers concurrently with the scan loop: the debug server's /metrics endpoint (Samples) and the
-// -progress log line (String). External callers can also feed one
-// through Config.StatusSink.
+// replies. It serves two consumers concurrently with the scan loop:
+// the debug server's /metrics endpoint (Samples) and the -progress log
+// line (String).
 type LiveView struct {
 	mu      sync.Mutex
 	started time.Time

@@ -134,7 +134,7 @@ func TestScrapeAgreesAcrossEndpoints(t *testing.T) {
 	lv := NewLiveView(2)
 	c := testCluster(t, g, Config{
 		Machines: 2, WorkersPerMachine: 1, InProcessTCP: true,
-		SpillDir: t.TempDir(), StatusSink: lv.Observe,
+		SpillDir: t.TempDir(), statusHook: lv.Observe,
 	})
 	if _, err := c.RunJob(context.Background(), Job{App: &triApp{g: g}}); err != nil {
 		t.Fatal(err)

@@ -115,7 +115,7 @@ func TestParkedWorkerWokenByAdopt(t *testing.T) {
 	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir()})
 	app := newCountApp(func(graph.V) bool { return true })
 	rt, jb := startParked(t, c, 0, app)
-	own := len(partition{machines: 2}.ownedVertices(g.NumVertices(), 0))
+	own := len(ownedVertices(g.NumVertices(), 2, 0))
 	app.awaitComputed(t, own, "own partition")
 
 	if err := rt.RecoverPeer(RecoverDirective{Dead: 1, Fallback: 0, Adopter: 0, Adopt: []int{1}}); err != nil {

@@ -32,7 +32,6 @@ type MachineRuntime struct {
 	transport Transport
 
 	verts []graph.V // local vertex partition (sorted)
-	part  partition // vertex-ownership function (hash or range)
 
 	cache   *vertexCache
 	workers []*worker
@@ -131,7 +130,7 @@ func newMachineRuntime(g *graph.Graph, cfg Config, id int, verts []graph.V) (*Ma
 	if id < 0 || id >= cfg.Machines {
 		return nil, fmt.Errorf("gthinker: machine id %d out of range [0,%d)", id, cfg.Machines)
 	}
-	rt := &MachineRuntime{id: id, g: g, cfg: cfg, part: cfg.partition()}
+	rt := &MachineRuntime{id: id, g: g, cfg: cfg}
 
 	if cfg.SpillDir == "" {
 		dir, err := os.MkdirTemp("", "gthinker-spill-")
@@ -148,7 +147,7 @@ func newMachineRuntime(g *graph.Graph, cfg Config, id int, verts []graph.V) (*Ma
 	}
 
 	if verts == nil {
-		verts = rt.part.ownedVertices(g.NumVertices(), id)
+		verts = ownedVertices(g.NumVertices(), cfg.Machines, id)
 	}
 	rt.verts = verts
 	rt.cache = newVertexCache(cfg.CacheCap)
@@ -442,7 +441,7 @@ func (rt *MachineRuntime) RecoverPeer(d RecoverDirective) error {
 			if id < 0 || id >= rt.cfg.Machines {
 				return fmt.Errorf("gthinker: recover directive adopts partition %d of %d", id, rt.cfg.Machines)
 			}
-			verts = append(verts, rt.part.ownedVertices(rt.g.NumVertices(), id)...)
+			verts = append(verts, ownedVertices(rt.g.NumVertices(), rt.cfg.Machines, id)...)
 		}
 		rt.adopt(verts)
 	}

@@ -74,26 +74,26 @@ type RetryStats interface {
 // batch goes to the destination host's handleTasks, exactly as a
 // socket would deliver it.
 type loopback struct {
-	g       *graph.Graph
-	part    partition
-	hosts   []*WorkerHost // indexed by machine; filled in as the cluster composes
-	fetches atomic.Uint64
-	batches atomic.Uint64
+	g        *graph.Graph
+	machines int
+	hosts    []*WorkerHost // indexed by machine; filled in as the cluster composes
+	fetches  atomic.Uint64
+	batches  atomic.Uint64
 }
 
-func newLoopback(g *graph.Graph, part partition, hosts []*WorkerHost) *loopback {
-	return &loopback{g: g, part: part, hosts: hosts}
+func newLoopback(g *graph.Graph, machines int, hosts []*WorkerHost) *loopback {
+	return &loopback{g: g, machines: machines, hosts: hosts}
 }
 
 // checkOwned validates one routed fetch against the partition map.
 func (t *loopback) checkOwned(own int, v graph.V) error {
-	if own < 0 || own >= t.part.machines {
-		return fmt.Errorf("gthinker: loopback fetch from machine %d of %d", own, t.part.machines)
+	if own < 0 || own >= t.machines {
+		return fmt.Errorf("gthinker: loopback fetch from machine %d of %d", own, t.machines)
 	}
 	if int(v) >= t.g.NumVertices() {
 		return fmt.Errorf("gthinker: loopback fetch of vertex %d out of range [0,%d)", v, t.g.NumVertices())
 	}
-	if o := t.part.owner(v); o != own {
+	if o := owner(v, t.machines); o != own {
 		return fmt.Errorf("gthinker: vertex %d routed to machine %d but owned by %d", v, own, o)
 	}
 	return nil
@@ -129,10 +129,9 @@ func (t *loopback) SendTasks(dest int, batch []byte) error {
 func (t *loopback) Redirect(dead, fallback int) {}
 
 // owner maps a vertex to its machine with a splitmix hash, like
-// G-thinker's hash partitioning of the vertex table. This is scheme 0
-// (store.OwnerSchemeSplitmix) of the partition manifest: every process
-// of a deployment derives the same owner(v) from the machine count
-// alone.
+// G-thinker's hash partitioning of the vertex table, and the one
+// ownership scheme of every composition: every process of a deployment
+// derives the same owner(v) from the manifest's machine count alone.
 func owner(v graph.V, machines int) int {
 	if machines == 1 {
 		return 0
@@ -144,58 +143,34 @@ func owner(v graph.V, machines int) int {
 	return int(z % uint64(machines))
 }
 
-// partition is the vertex-ownership function of one deployment:
-// splitmix hashing (store.OwnerSchemeSplitmix) when bounds is nil, or
-// contiguous ranges (store.OwnerSchemeRange) when bounds holds the
-// machines+1 range table from the manifest. It is a small value type —
-// copy it freely.
-type partition struct {
-	machines int
-	bounds   []uint32 // nil => splitmix; else machine i owns [bounds[i], bounds[i+1])
-}
-
-// owner returns the machine owning v.
-func (p partition) owner(v graph.V) int {
-	if p.bounds == nil {
-		return owner(v, p.machines)
-	}
-	// Binary search the range table: the result is the last i with
-	// bounds[i] <= v. Empty ranges (equal bounds) resolve to the
-	// higher machine.
-	lo, hi := 0, p.machines-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if p.bounds[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
 // partitionAll computes every machine's sorted vertex partition over a
 // graph of n vertices in one pass over owner(v); counting first sizes
 // each partition exactly. Every process computes the same answer from
-// the manifest alone.
-func (p partition) partitionAll(n int) [][]graph.V {
-	counts := make([]int, p.machines)
+// the machine count alone.
+func partitionAll(n, machines int) [][]graph.V {
+	counts := make([]int, machines)
 	for v := 0; v < n; v++ {
-		counts[p.owner(graph.V(v))]++
+		counts[owner(graph.V(v), machines)]++
 	}
-	parts := make([][]graph.V, p.machines)
+	parts := make([][]graph.V, machines)
 	for i := range parts {
 		parts[i] = make([]graph.V, 0, counts[i])
 	}
 	for v := 0; v < n; v++ {
-		o := p.owner(graph.V(v))
+		o := owner(graph.V(v), machines)
 		parts[o] = append(parts[o], graph.V(v))
 	}
 	return parts
 }
 
-// ownedVertices returns machine id's partition. The pass is the same
-// one partitionAll takes; the other machines' partitions are dropped.
-func (p partition) ownedVertices(n, id int) []graph.V {
-	return p.partitionAll(n)[id]
+// ownedVertices returns machine id's sorted partition in one pass that
+// keeps only id's vertices.
+func ownedVertices(n, machines, id int) []graph.V {
+	verts := make([]graph.V, 0, n/machines+1)
+	for v := 0; v < n; v++ {
+		if owner(graph.V(v), machines) == id {
+			verts = append(verts, graph.V(v))
+		}
+	}
+	return verts
 }

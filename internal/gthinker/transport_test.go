@@ -27,7 +27,7 @@ func ownedBy(n, m, machines, want int) []graph.V {
 // from the shared graph.
 func TestLoopbackValidatesOwner(t *testing.T) {
 	g := datagen.ErdosRenyi(64, 0.2, 7)
-	tr := newLoopback(g, partition{machines: 4}, nil)
+	tr := newLoopback(g, 4, nil)
 	mine := ownedBy(64, 1, 4, 3)
 	theirs := ownedBy(64, 2, 4, 1)
 
@@ -62,7 +62,7 @@ func TestLoopbackValidatesOwner(t *testing.T) {
 // fresh [][]graph.V per call).
 func TestLoopbackBatchReusesDst(t *testing.T) {
 	g := datagen.ErdosRenyi(64, 0.2, 7)
-	tr := newLoopback(g, partition{machines: 2}, nil)
+	tr := newLoopback(g, 2, nil)
 	ids := ownedBy(64, 1, 2, 4)
 	scratch := make([][]graph.V, 0, 16)
 	allocs := testing.AllocsPerRun(100, func() {

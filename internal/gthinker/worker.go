@@ -354,7 +354,7 @@ func (w *worker) resolveBatch(ts []*Task) {
 	for _, t := range ts {
 		first := len(pins)
 		for _, id := range t.Pulls {
-			if rt.part.owner(id) == rt.id {
+			if owner(id, rt.cfg.Machines) == rt.id {
 				frontier[slot] = rt.g.Adj(id)
 			} else {
 				if pins == nil {
@@ -413,7 +413,7 @@ func (w *worker) fetchMissing(pins []graph.V, frontier [][]graph.V) bool {
 	keys := rs.keys[:0]
 	for _, j := range rs.missing {
 		id := pins[j]
-		keys = append(keys, uint64(rt.part.owner(id))<<32|uint64(id))
+		keys = append(keys, uint64(owner(id, rt.cfg.Machines))<<32|uint64(id))
 	}
 	rs.keys = keys
 	rs.want = append(rs.want[:0], keys...)

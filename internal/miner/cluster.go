@@ -141,12 +141,6 @@ func HostWorker(graphPath, manifestPath string, machineID int, faultSpec string,
 		return nil, nil, fmt.Errorf("miner: graph %s (|V|=%d |E|=%d) does not match manifest fingerprint (|V|=%d |E|=%d)",
 			graphPath, g.NumVertices(), g.NumEdges(), man.NumVertices, man.NumEdges)
 	}
-	if man.Scheme == store.OwnerSchemeRange {
-		// Warm this worker's owned byte span of the mapped graph while
-		// the rest stays cold under MADV_RANDOM. Advisory: a heap-backed
-		// graph (or a platform without madvise) skips it.
-		_ = mg.AdviseWillNeed(man.Bounds[machineID], man.Bounds[machineID+1])
-	}
 	host, err := gthinker.StartWorkerHost(gthinker.WorkerHostConfig{
 		Graph:     g,
 		MachineID: machineID,
@@ -165,12 +159,6 @@ func HostWorker(graphPath, manifestPath string, machineID int, faultSpec string,
 			}
 			if ecfg.Machines != machines {
 				return nil, gthinker.Config{}, fmt.Errorf("miner: job spec names %d machines, join %d", ecfg.Machines, machines)
-			}
-			// Ownership comes from the manifest, not the job spec:
-			// every process of the deployment read the same bounds next
-			// to the same graph fingerprint.
-			if man.Scheme == store.OwnerSchemeRange {
-				ecfg.PartitionBounds = man.Bounds
 			}
 			cfg = cfg.withDefaults()
 			return newApp(g, cfg, ecfg.TotalWorkers()), ecfg, nil
@@ -223,7 +211,10 @@ func QCWorkerCommand(bin, graphPath string) func(machine int, manifestPath strin
 	}
 }
 
-// ProcsConfig shapes a multi-process mining run.
+// ProcsConfig shapes a multi-process mining run. The pool writes one
+// GQM3 manifest (machine count, graph fingerprint, one address per
+// machine); every worker derives hash ownership from its machine
+// count, exactly as an in-process cluster does.
 type ProcsConfig struct {
 	// GraphPath is the binary graph file (GQC2) every worker maps.
 	GraphPath string
@@ -235,14 +226,6 @@ type ProcsConfig struct {
 	// after the pool closes, for inspection. Empty writes it to
 	// os.TempDir() and removes it on close.
 	ManifestDir string
-	// RangePartition switches the deployment from splitmix hash
-	// ownership to contiguous vertex ranges (store.OwnerSchemeRange):
-	// the pool derives equal-entry bounds from the graph
-	// (graph.RangeBounds) unless ecfg.PartitionBounds is already set,
-	// and ships them in the manifest so each worker keeps only its own
-	// ~1/N byte span of the mapped graph warm (MappedGraph.
-	// AdviseWillNeed). Results are identical either way.
-	RangePartition bool
 	// ReadyTimeout bounds worker startup; ExitTimeout bounds teardown.
 	// Both default to 30 s.
 	ReadyTimeout time.Duration

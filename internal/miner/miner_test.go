@@ -304,27 +304,3 @@ func TestRecorderTopKAndHistogram(t *testing.T) {
 		t.Fatalf("TopK returned %d", len(top))
 	}
 }
-
-// TestRangePartitionMatchesHash: mining under contiguous-range vertex
-// ownership must return exactly the hash partition's (and the naive
-// miner's) result set — the partition scheme decides residency, never
-// results.
-func TestRangePartitionMatchesHash(t *testing.T) {
-	par := quasiclique.Params{Gamma: 0.6, MinSize: 3}
-	for seed := int64(0); seed < 8; seed++ {
-		g := randomGraph(seed, 9+int(seed%5), 0.45)
-		want := quasiclique.NaiveMaximal(g, par)
-		ecfg := gthinker.Config{
-			Machines: 3, WorkersPerMachine: 2,
-			SpillDir:        t.TempDir(),
-			PartitionBounds: g.RangeBounds(3),
-		}
-		res, err := Mine(g, Config{Params: par}, ecfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !quasiclique.SetsEqual(res.Cliques, want) {
-			t.Fatalf("seed=%d:\n got  %v\n want %v", seed, res.Cliques, want)
-		}
-	}
-}

@@ -142,13 +142,12 @@ func TestMineProcsWorkerKilledRecovers(t *testing.T) {
 	t.Logf("recovered run: %v", met)
 }
 
-// TestMineProcsRangePartition is the process leg of
-// TestCompositionsBitIdentical, on 3×2, under the range-partition
-// deployment: the pool derives equal-entry bounds,
-// ships them in the manifest, and each worker process adopts range
-// ownership (plus the madvise residency hint on its owned byte span).
-// Results must be bit-identical to the serial miner.
-func TestMineProcsRangePartition(t *testing.T) {
+// TestMineProcsKeptManifest is the process leg of
+// TestCompositionsBitIdentical on 3×2: three worker processes, each
+// with two threads, mine through the manifest the pool keeps in
+// ManifestDir. Results must be bit-identical to the serial miner, and
+// the kept manifest must describe the deployment.
+func TestMineProcsKeptManifest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
@@ -166,22 +165,20 @@ func TestMineProcsRangePartition(t *testing.T) {
 	}
 	manDir := t.TempDir()
 	res, err := MineProcs(context.Background(), cfg, ecfg, ProcsConfig{
-		GraphPath:      graphPath,
-		Command:        helperWorkerCommand(graphPath),
-		ManifestDir:    manDir,
-		RangePartition: true,
+		GraphPath:   graphPath,
+		Command:     helperWorkerCommand(graphPath),
+		ManifestDir: manDir,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !quasiclique.SetsEqual(res.Cliques, serial) {
-		t.Fatalf("range-partition cluster diverges from serial: %d vs %d cliques",
+		t.Fatalf("3-process cluster diverges from serial: %d vs %d cliques",
 			len(res.Cliques), len(serial))
 	}
 	if res.Engine.RemoteFetches == 0 {
 		t.Fatalf("no cross-process fetches: %+v", res.Engine)
 	}
-	// The kept manifest must carry the range scheme with valid bounds.
 	ents, err := os.ReadDir(manDir)
 	if err != nil || len(ents) != 1 {
 		t.Fatalf("manifest dir: %v entries, err %v", len(ents), err)
@@ -190,10 +187,8 @@ func TestMineProcsRangePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Scheme != store.OwnerSchemeRange {
-		t.Fatalf("manifest scheme %d, want range", man.Scheme)
-	}
-	if len(man.Bounds) != ecfg.Machines+1 || int(man.Bounds[ecfg.Machines]) != g.NumVertices() {
-		t.Fatalf("manifest bounds %v for n=%d", man.Bounds, g.NumVertices())
+	if len(man.Machines) != ecfg.Machines || man.NumVertices != g.NumVertices() {
+		t.Fatalf("manifest has %d machines and |V|=%d, want %d and %d",
+			len(man.Machines), man.NumVertices, ecfg.Machines, g.NumVertices())
 	}
 }

@@ -105,34 +105,17 @@ func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) 
 	}
 
 	// Fingerprint the graph for the manifest (the mapping is released
-	// immediately — the coordinator never mines), and derive the range
-	// bounds here if a range partition was requested without explicit
-	// bounds: the coordinator is the one process guaranteed to see the
-	// graph before the manifest is written.
+	// immediately — the coordinator never mines).
 	mg, err := store.MapGraph(pcfg.GraphPath)
 	if err != nil {
 		return nil, err
 	}
-	numVerts := mg.Graph().NumVertices()
-	numEdges := uint64(mg.Graph().NumEdges())
-	if pcfg.RangePartition && ecfg.PartitionBounds == nil {
-		ecfg.PartitionBounds = mg.Graph().RangeBounds(ecfg.Machines)
-	}
-	mg.Close()
-
 	man := &store.Manifest{
-		Scheme:      store.OwnerSchemeSplitmix,
-		NumVertices: numVerts,
-		NumEdges:    numEdges,
+		NumVertices: mg.Graph().NumVertices(),
+		NumEdges:    uint64(mg.Graph().NumEdges()),
 		Machines:    make([]store.MachineSpec, ecfg.Machines),
 	}
-	if ecfg.PartitionBounds != nil {
-		// Ownership travels in the manifest (scheme + bounds), not the
-		// job spec: every worker derives it from the same file it
-		// validated its graph against.
-		man.Scheme = store.OwnerSchemeRange
-		man.Bounds = ecfg.PartitionBounds
-	}
+	mg.Close()
 	// The manifest is per-deployment state: a unique name (two
 	// concurrent coordinators must not read each other's deployment)
 	// in the temp dir — the graph's directory may be read-only shared
@@ -162,7 +145,7 @@ func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) 
 		return pcfg.Command(machine, manifestPath)
 	}, pcfg.ReadyTimeout)
 	if err == nil {
-		s.cluster, err = gthinker.StartProcsCluster(ecfg, procs, numVerts, numEdges, bootstrapSpec(ecfg), pcfg.ExitTimeout)
+		s.cluster, err = gthinker.StartProcsCluster(ecfg, procs, man.NumVertices, man.NumEdges, bootstrapSpec(ecfg), pcfg.ExitTimeout)
 	}
 	if err != nil {
 		s.cleanup()

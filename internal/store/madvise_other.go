@@ -2,7 +2,6 @@
 
 package store
 
-// madvise hints are advisory: platforms without them get correct (just
-// cold-start-slower) behavior, so the stubs succeed silently.
-func madviseRandom(data []byte) error   { return nil }
-func madviseWillNeed(data []byte) error { return nil }
+// madvise hints are advisory: platforms without them get correct
+// behavior, so the stub succeeds silently.
+func madviseRandom(data []byte) error { return nil }

@@ -5,18 +5,18 @@ import (
 	"os"
 )
 
-// The partition manifest (format "GQM2") is the deployment descriptor
+// The partition manifest (format "GQM3") is the deployment descriptor
 // of a multi-process cluster run: every process — the coordinator and
 // each qcworker — derives the same vertex ownership and peer address
 // set from it, so no process ever has to trust another's idea of
-// owner(v). Layout (all integers little-endian, like GQC2/GQS1):
+// owner(v). Ownership is the gthinker engine's splitmix hash of v
+// modulo the machine count, so the count is all a process needs.
+// Layout (all integers little-endian, like GQC2/GQS1):
 //
-//	magic    [4]byte  "GQM2"
-//	scheme   uint32   vertex-ownership scheme (OwnerScheme*)
+//	magic    [4]byte  "GQM3"
 //	machines uint32   cluster size
 //	n        uint32   graph vertex count   (fingerprint)
 //	m        uint64   graph edge count     (fingerprint)
-//	bounds   [machines+1]uint32   (OwnerSchemeRange only)
 //	machines × { addr: u32 len + bytes }
 //
 // Each machine has one TCP listen address, which answers its control,
@@ -28,23 +28,6 @@ import (
 // The n/m fingerprint ties a manifest to one graph file: a worker
 // whose mapped graph disagrees refuses to join, so a stale manifest
 // cannot silently mix partitions of two different graphs.
-
-// OwnerSchemeSplitmix is the default vertex-ownership scheme:
-// owner(v) = splitmix64(v) mod machines (the gthinker engine's hash
-// partitioning). New schemes get new numbers; a reader must reject
-// schemes it does not implement.
-const OwnerSchemeSplitmix uint32 = 0
-
-// OwnerSchemeRange assigns each machine one contiguous vertex range:
-// machine i owns [Bounds[i], Bounds[i+1]). Because GQC2 packs
-// adjacency rows in vertex order, a range partition is also a
-// *byte-range* partition of the mapped neighbors array — each worker's
-// owned rows are one contiguous span it can madvise and keep resident
-// while the rest of the graph stays cold (~1/N residency per worker).
-// Bounds are chosen by the partitioner (typically equal-entry splits
-// from graph.RangeBounds) and shipped in the manifest, so every
-// process derives identical ownership without hashing.
-const OwnerSchemeRange uint32 = 1
 
 // maxManifestMachines bounds the machine count accepted from a
 // manifest before any dependent allocation.
@@ -62,45 +45,15 @@ type MachineSpec struct {
 
 // Manifest describes one cluster deployment.
 type Manifest struct {
-	// Scheme selects the vertex-ownership function.
-	Scheme uint32
 	// NumVertices / NumEdges fingerprint the graph being served.
 	NumVertices int
 	NumEdges    uint64
 	// Machines lists one spec per machine, indexed by machine id.
 	Machines []MachineSpec
-	// Bounds is the range-partition table (OwnerSchemeRange only):
-	// machine i owns vertices [Bounds[i], Bounds[i+1]). len is
-	// len(Machines)+1, Bounds[0] == 0, nondecreasing, and the last
-	// entry equals NumVertices.
-	Bounds []uint32
 }
 
 // Validate checks the manifest's internal consistency.
 func (m *Manifest) Validate() error {
-	switch m.Scheme {
-	case OwnerSchemeSplitmix:
-		if len(m.Bounds) != 0 {
-			return fmt.Errorf("store: splitmix manifest carries %d range bounds", len(m.Bounds))
-		}
-	case OwnerSchemeRange:
-		if len(m.Bounds) != len(m.Machines)+1 {
-			return fmt.Errorf("store: range manifest has %d bounds for %d machines (want machines+1)", len(m.Bounds), len(m.Machines))
-		}
-		if m.Bounds[0] != 0 {
-			return fmt.Errorf("store: range bounds start at %d, want 0", m.Bounds[0])
-		}
-		for i := 1; i < len(m.Bounds); i++ {
-			if m.Bounds[i] < m.Bounds[i-1] {
-				return fmt.Errorf("store: range bounds decrease at %d (%d < %d)", i, m.Bounds[i], m.Bounds[i-1])
-			}
-		}
-		if int(m.Bounds[len(m.Bounds)-1]) != m.NumVertices {
-			return fmt.Errorf("store: range bounds end at %d, want the vertex count %d", m.Bounds[len(m.Bounds)-1], m.NumVertices)
-		}
-	default:
-		return fmt.Errorf("store: unknown ownership scheme %d", m.Scheme)
-	}
 	if len(m.Machines) < 1 || len(m.Machines) > maxManifestMachines {
 		return fmt.Errorf("store: manifest has %d machines", len(m.Machines))
 	}
@@ -115,17 +68,13 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// walk visits the GQM2 layout.
+// walk visits the GQM3 layout.
 func (m *Manifest) walk(w *Walker) {
-	w.Const("GQM2", "manifest version")
-	U32(w, &m.Scheme)
+	w.Const("GQM3", "manifest version")
 	// Every machine row needs at least its length prefix.
 	machines := w.Count(len(m.Machines), maxManifestMachines, 4)
 	U32(w, &m.NumVertices)
 	U64(w, &m.NumEdges)
-	if m.Scheme == OwnerSchemeRange {
-		w.U32s(&m.Bounds, machines+1)
-	}
 	if w.Decoding() {
 		m.Machines = make([]MachineSpec, machines)
 	}
@@ -142,10 +91,10 @@ func AppendManifest(dst []byte, m *Manifest) ([]byte, error) {
 	return Encode(dst, m.walk), nil
 }
 
-// DecodeManifest parses and validates one GQM2 manifest.
+// DecodeManifest parses and validates one GQM3 manifest.
 func DecodeManifest(data []byte) (*Manifest, error) {
 	m := &Manifest{}
-	if err := Decode(data, "GQM2 manifest", m.walk); err != nil {
+	if err := Decode(data, "GQM3 manifest", m.walk); err != nil {
 		return nil, err
 	}
 	if err := m.Validate(); err != nil {

@@ -10,7 +10,6 @@ import (
 
 func testManifest() *Manifest {
 	return &Manifest{
-		Scheme:      OwnerSchemeSplitmix,
 		NumVertices: 1234,
 		NumEdges:    98765,
 		Machines: []MachineSpec{
@@ -31,7 +30,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Scheme != m.Scheme || got.NumVertices != m.NumVertices || got.NumEdges != m.NumEdges {
+	if got.NumVertices != m.NumVertices || got.NumEdges != m.NumEdges {
 		t.Fatalf("header corrupted: %+v vs %+v", got, m)
 	}
 	if len(got.Machines) != len(m.Machines) {
@@ -70,10 +69,9 @@ func TestManifestRejectsCorruption(t *testing.T) {
 		"bad magic":   append([]byte("GQS1"), good[4:]...),
 		"truncated":   good[:len(good)-2],
 		"trailing":    append(append([]byte{}, good...), 0xFF),
-		"bad scheme":  append([]byte("GQM2\x07\x00\x00\x00"), good[8:]...),
-		"huge count":  append([]byte("GQM2\x00\x00\x00\x00\xff\xff\xff\x7f"), good[12:]...),
-		"zero count":  append([]byte("GQM2\x00\x00\x00\x00\x00\x00\x00\x00"), good[12:]...),
-		"header only": good[:20],
+		"huge count":  append([]byte("GQM3\xff\xff\xff\x7f"), good[8:]...),
+		"zero count":  append([]byte("GQM3\x00\x00\x00\x00"), good[8:]...),
+		"header only": good[:16],
 	}
 	for name, data := range cases {
 		if _, err := DecodeManifest(data); err == nil {
@@ -82,83 +80,7 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	}
 }
 
-func testRangeManifest() *Manifest {
-	m := testManifest()
-	m.Scheme = OwnerSchemeRange
-	m.Bounds = []uint32{0, 400, 400, 1234}
-	return m
-}
-
-func TestManifestRangeRoundTrip(t *testing.T) {
-	m := testRangeManifest()
-	data, err := AppendManifest(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeManifest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Scheme != OwnerSchemeRange {
-		t.Fatalf("scheme %d, want range", got.Scheme)
-	}
-	if len(got.Bounds) != len(m.Bounds) {
-		t.Fatalf("bounds %v, want %v", got.Bounds, m.Bounds)
-	}
-	for i := range m.Bounds {
-		if got.Bounds[i] != m.Bounds[i] {
-			t.Fatalf("bounds %v, want %v", got.Bounds, m.Bounds)
-		}
-	}
-	// The decoded bounds must not alias the input buffer (U32s may).
-	data[len(data)-1] = 0xFF
-	if got.Bounds[len(got.Bounds)-1] != m.Bounds[len(m.Bounds)-1] {
-		t.Fatal("decoded bounds alias the input buffer")
-	}
-}
-
-func TestManifestRangeValidate(t *testing.T) {
-	mutate := func(f func(*Manifest)) *Manifest {
-		m := testRangeManifest()
-		f(m)
-		return m
-	}
-	cases := map[string]*Manifest{
-		"short bounds":      mutate(func(m *Manifest) { m.Bounds = []uint32{0, 1234} }),
-		"long bounds":       mutate(func(m *Manifest) { m.Bounds = []uint32{0, 1, 2, 3, 1234} }),
-		"nonzero start":     mutate(func(m *Manifest) { m.Bounds[0] = 1 }),
-		"decreasing":        mutate(func(m *Manifest) { m.Bounds[2] = 399 }),
-		"bad end":           mutate(func(m *Manifest) { m.Bounds[3] = 1000 }),
-		"splitmix + bounds": mutate(func(m *Manifest) { m.Scheme = OwnerSchemeSplitmix }),
-	}
-	for name, m := range cases {
-		if err := m.Validate(); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-		if _, err := AppendManifest(nil, m); err == nil {
-			t.Errorf("%s encoded", name)
-		}
-	}
-	if err := testRangeManifest().Validate(); err != nil {
-		t.Fatalf("valid range manifest rejected: %v", err)
-	}
-}
-
-func TestManifestRangeRejectsTruncatedBounds(t *testing.T) {
-	good, err := AppendManifest(nil, testRangeManifest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut inside the bounds table: header is 20 bytes, bounds are 16.
-	if _, err := DecodeManifest(good[:26]); err == nil {
-		t.Fatal("truncated bounds accepted")
-	}
-}
-
 func TestManifestRejectsInvalid(t *testing.T) {
-	if _, err := AppendManifest(nil, &Manifest{Scheme: 9, Machines: []MachineSpec{{}}}); err == nil {
-		t.Fatal("unknown scheme encoded")
-	}
 	if _, err := AppendManifest(nil, &Manifest{Machines: nil}); err == nil {
 		t.Fatal("empty machine list encoded")
 	}
@@ -178,12 +100,11 @@ func FuzzDecodeManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	if rng, err := AppendManifest(nil, testRangeManifest()); err == nil {
-		f.Add(rng)
+	f.Add([]byte("GQM3"))
+	f.Add([]byte("GQM3\x01\x00\x00\x00\x05\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	for _, rv := range retiredManifests {
+		f.Add(rv.data)
 	}
-	f.Add([]byte("GQM2"))
-	f.Add([]byte("GQM2\x00\x00\x00\x00\x01\x00\x00\x00\x05\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add(gqm1Splitmix)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeManifest(data)
 		if err != nil {
@@ -203,46 +124,60 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-// TestWireGolden pins the GQM2 bytes. Manifests are files on disk that
+// TestWireGolden pins the GQM3 bytes. Manifests are files on disk that
 // a coordinator and qcworkers of different builds share, so the layout
-// may move only with the magic. Each row must encode to its bytes and
+// may move only with the magic. The row must encode to its bytes and
 // decode back to its value.
 func TestWireGolden(t *testing.T) {
-	const rows = "0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303130" + "00000000"
-	for _, tc := range []struct {
-		name string
-		m    *Manifest
-		hex  string
-	}{
-		{"splitmix", testManifest(), "47514d32" + "00000000" + "03000000" + "d2040000" + "cd81010000000000" + rows},
-		{"range", testRangeManifest(), "47514d32" + "01000000" + "03000000" + "d2040000" + "cd81010000000000" +
-			"00000000" + "90010000" + "90010000" + "d2040000" + rows},
-	} {
-		data, err := AppendManifest(nil, tc.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(data); got != tc.hex {
-			t.Errorf("%s: GQM2 bytes changed:\n got  %s\n want %s", tc.name, got, tc.hex)
-		}
-		want, _ := hex.DecodeString(tc.hex)
-		if m, err := DecodeManifest(want); err != nil || !reflect.DeepEqual(m, tc.m) {
-			t.Errorf("%s: golden bytes decode to %+v, %v", tc.name, m, err)
-		}
+	const want = "47514d33" + "03000000" + "d2040000" + "cd81010000000000" + manifestRows
+	data, err := AppendManifest(nil, testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != want {
+		t.Errorf("GQM3 bytes changed:\n got  %s\n want %s", got, want)
+	}
+	raw, _ := hex.DecodeString(want)
+	if m, err := DecodeManifest(raw); err != nil || !reflect.DeepEqual(m, testManifest()) {
+		t.Errorf("golden bytes decode to %+v, %v", m, err)
 	}
 }
 
-// gqm1Splitmix is a GQM1 manifest as the previous layout wrote it:
-// three addresses (control, vertex, task) per machine.
-var gqm1Splitmix, _ = hex.DecodeString("47514d31" + "00000000" + "03000000" + "d2040000" + "cd81010000000000" +
-	"0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303031" + "0e0000003132372e302e302e313a39303032" +
-	"0e0000003132372e302e302e313a39303130" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000")
+// manifestRows is testManifest's three address rows.
+const manifestRows = "0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303130" + "00000000"
 
-// TestManifestRefusesGQM1: a manifest of the three-address layout is
-// refused by its version, not mis-read as one address per row.
-func TestManifestRefusesGQM1(t *testing.T) {
-	_, err := DecodeManifest(gqm1Splitmix)
-	if err == nil || !strings.Contains(err.Error(), `unsupported manifest version "GQM1"`) {
-		t.Fatalf("GQM1 manifest: %v", err)
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// retiredManifests are testManifest as earlier layouts wrote it: GQM1
+// with three addresses (control, vertex, task) per machine, and GQM2
+// with an ownership-scheme word, in its hash and range forms (the
+// range form carries a bounds table).
+var retiredManifests = []struct {
+	name, version string
+	data          []byte
+}{
+	{"GQM1", "GQM1", mustHex("47514d31" + "00000000" + "03000000" + "d2040000" + "cd81010000000000" +
+		"0e0000003132372e302e302e313a39303030" + "0e0000003132372e302e302e313a39303031" + "0e0000003132372e302e302e313a39303032" +
+		"0e0000003132372e302e302e313a39303130" + "00000000" + "00000000" + "00000000" + "00000000" + "00000000")},
+	{"GQM2 splitmix", "GQM2", mustHex("47514d32" + "00000000" + "03000000" + "d2040000" + "cd81010000000000" + manifestRows)},
+	{"GQM2 range", "GQM2", mustHex("47514d32" + "01000000" + "03000000" + "d2040000" + "cd81010000000000" +
+		"00000000" + "90010000" + "90010000" + "d2040000" + manifestRows)},
+}
+
+// TestManifestRefusesRetiredVersions: a manifest of a retired layout is
+// refused by its version, not mis-read as the current one.
+func TestManifestRefusesRetiredVersions(t *testing.T) {
+	for _, rv := range retiredManifests {
+		_, err := DecodeManifest(rv.data)
+		want := `unsupported manifest version "` + rv.version + `"`
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s manifest: %v, want %s", rv.name, err, want)
+		}
 	}
 }

@@ -30,12 +30,6 @@ var mmapDisabled = false
 type MappedGraph struct {
 	g    *graph.Graph
 	data []byte // non-nil iff the arrays alias a live mapping
-
-	// Row-addressing state for AdviseWillNeed (mapped graphs only):
-	// offsets aliases the mapped CSR offsets array, nbrOff is the byte
-	// offset of the neighbors array within data.
-	offsets []uint32
-	nbrOff  int
 }
 
 // Graph returns the loaded graph. See MappedGraph for lifetime rules.
@@ -51,43 +45,10 @@ func (m *MappedGraph) Close() error {
 	data := m.data
 	m.data = nil
 	m.g = nil
-	m.offsets = nil
 	if data == nil {
 		return nil
 	}
 	return munmap(data)
-}
-
-// AdviseWillNeed hints the kernel to page in the adjacency rows of
-// vertices [lo, hi) — a range-partitioned worker calls it with its
-// owned range so its ~1/N share of the neighbors array warms up while
-// the rest of the file stays cold (MapGraph marks the whole mapping
-// MADV_RANDOM to suppress cross-partition readahead). Purely advisory:
-// on heap-backed graphs, platforms without madvise, or an empty range
-// it is a no-op returning nil, and mining is correct without it.
-func (m *MappedGraph) AdviseWillNeed(lo, hi graph.V) error {
-	if m.data == nil || m.offsets == nil || lo >= hi {
-		return nil
-	}
-	if n := graph.V(len(m.offsets) - 1); hi > n {
-		hi = n
-		if lo >= hi {
-			return nil
-		}
-	}
-	start := m.nbrOff + 4*int(m.offsets[lo])
-	end := m.nbrOff + 4*int(m.offsets[hi])
-	// madvise wants a page-aligned address; the mapping base is
-	// page-aligned, so align the byte offset within it.
-	page := os.Getpagesize()
-	start = start / page * page
-	if end > len(m.data) {
-		end = len(m.data)
-	}
-	if start >= end {
-		return nil
-	}
-	return madviseWillNeed(m.data[start:end])
 }
 
 // MapGraph loads the binary graph file at path, mmap'ing GQC2 files
@@ -149,11 +110,9 @@ func MapGraph(path string) (*MappedGraph, error) {
 		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	// Default the whole mapping to random access: adjacency walks jump
-	// rows, and under a range partition most of the file belongs to
-	// other machines. Best-effort — the mapping works without it.
+	// rows. Best-effort — the mapping works without it.
 	_ = madviseRandom(data)
-	return &MappedGraph{g: g, data: data,
-		offsets: offsets, nbrOff: gqc2HeaderSize + 4*int(n+1)}, nil
+	return &MappedGraph{g: g, data: data}, nil
 }
 
 // heapFallback is the portable load path: the graph codec's buffered

@@ -188,51 +188,3 @@ func TestMapGraphRejectsCorruptFiles(t *testing.T) {
 		}
 	})
 }
-
-// TestAdviseWillNeedMapped: residency hints on a real mapping must
-// accept any vertex range (full, partial, empty, out-of-range clamp)
-// without error — they are advisory, never load-bearing.
-func TestAdviseWillNeedMapped(t *testing.T) {
-	path, g := writeTestGraph(t)
-	m, err := store.MapGraph(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if !m.Mapped() {
-		t.Skip("no mapping on this platform")
-	}
-	n := graph.V(g.NumVertices())
-	for _, r := range [][2]graph.V{
-		{0, n}, {0, 1}, {n / 3, 2 * n / 3}, {n - 1, n},
-		{5, 5}, {7, 3}, {0, n + 100}, {n, n + 1},
-	} {
-		if err := m.AdviseWillNeed(r[0], r[1]); err != nil {
-			t.Fatalf("AdviseWillNeed(%d, %d): %v", r[0], r[1], err)
-		}
-	}
-	// The graph must still read correctly afterwards.
-	graphsEqual(t, g, m.Graph())
-}
-
-// TestAdviseWillNeedFallback: on the heap path (and after Close) the
-// hint must be a silent no-op — the portable behavior of platforms
-// without madvise.
-func TestAdviseWillNeedFallback(t *testing.T) {
-	path, _ := writeTestGraph(t)
-	store.SetMmapDisabledForTest(true)
-	defer store.SetMmapDisabledForTest(false)
-	m, err := store.MapGraph(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AdviseWillNeed(0, 100); err != nil {
-		t.Fatalf("heap-backed AdviseWillNeed: %v", err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AdviseWillNeed(0, 100); err != nil {
-		t.Fatalf("closed AdviseWillNeed: %v", err)
-	}
-}

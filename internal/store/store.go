@@ -37,12 +37,10 @@
 // cmd/qcconvert front end), ConvertGraph for in-memory graphs.
 //
 // Residency: MapGraph advises the whole mapping MADV_RANDOM (adjacency
-// access during mining has no sequential pattern worth readahead), and
-// MappedGraph.AdviseWillNeed marks one vertex range's rows — which is
-// one contiguous byte span, since GQC2 stores rows in vertex order —
-// as wanted. Under range partitioning each worker advises only its
-// owned span, so N workers on one graph keep ~1/N resident each. Both
-// calls are advisory and compile to no-ops where madvise is absent.
+// access during mining has no sequential pattern worth readahead). The
+// hint is advisory and compiles to a no-op where madvise is absent.
+// Worker processes on one host share the page cache of the one mapped
+// file, so each maps the whole graph.
 //
 // # GQS1 — columnar task-spill batches (spill.go)
 //
@@ -78,7 +76,7 @@
 // Every payload the system sends once per poll or once per job — the
 // gthinker control plane's requests and replies, the Metrics flush,
 // the OTR1 trace, the miner's QJS4 job spec and QRS2 results, and the
-// GQM2 manifest — is spelled as one walk function over a Walker: the
+// GQM3 manifest — is spelled as one walk function over a Walker: the
 // fields in wire order, each through a typed method (fixed-width
 // integers, float, flag mask, length-prefixed string and bytes,
 // counted lists, []uint32, constants). Encode runs the walk to append
