@@ -19,12 +19,13 @@
 // named in its manifest row, or a dynamic 127.0.0.1 port when the row
 // is empty (the single-host flow).
 //
-// Observability: -debug-addr serves this process's live /metrics,
-// /healthz, expvar, and pprof over HTTP while it mines; -trace FILE
-// forces span tracing on for this worker and writes ITS local timeline
-// as Chrome trace-event JSON at exit (the coordinator separately
-// collects every worker's spans into the cluster-wide timeline when
-// the job itself was started with tracing).
+// The job spec is the worker's only configuration: mining parameters,
+// engine shape, tracing and the fault plan all come from the
+// coordinator (qcmine -trace collects every worker's spans into one
+// timeline; qcmine -faultplan reaches every worker, and kill=M@N aims
+// at one machine). The one flag beyond the three above is
+// -debug-addr, which serves this process's live /metrics, /healthz,
+// expvar, and pprof over HTTP while it mines.
 //
 // Everything this process executes — scheduling, spilling, stealing,
 // termination — is the same MachineRuntime the in-process engine
@@ -47,8 +48,6 @@ func main() {
 		graphPath    = flag.String("graph", "", "binary graph file (GQC2, written by qcgen/qcmine)")
 		manifestPath = flag.String("manifest", "", "partition manifest file (GQM3: machine count, graph fingerprint, one address per machine)")
 		machine      = flag.Int("machine", -1, "machine id this process serves")
-		faultPlan    = flag.String("faultplan", os.Getenv("QCWORKER_FAULTPLAN"), "seeded fault-injection plan overriding the job spec's (chaos testing; e.g. '7:kill=1@3')")
-		tracePath    = flag.String("trace", "", "force tracing on and write this worker's local Chrome trace-event JSON here at exit")
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /healthz, expvar, and pprof on this address (e.g. :6061)")
 	)
 	flag.Parse()
@@ -57,7 +56,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	host, cleanup, err := miner.HostWorker(*graphPath, *manifestPath, *machine, *faultPlan, *tracePath != "")
+	host, cleanup, err := miner.HostWorker(*graphPath, *manifestPath, *machine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qcworker:", err)
 		os.Exit(1)
@@ -82,12 +81,5 @@ func main() {
 	}
 	gthinker.PrintWorkerReady(os.Stdout, host)
 	host.WaitExit()
-	if *tracePath != "" {
-		if rt := host.Runtime(); rt != nil {
-			if err := obs.WriteChromeTraceFile(*tracePath, rt.TraceSnapshot()); err != nil {
-				fmt.Fprintln(os.Stderr, "qcworker: write trace:", err)
-			}
-		}
-	}
 	cleanup()
 }

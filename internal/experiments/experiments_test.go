@@ -146,7 +146,7 @@ func TestHelperWorkerProcess(t *testing.T) {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
 	}
-	host, cleanup, err := miner.HostWorker(os.Getenv("QCWORKER_GRAPH"), os.Getenv("QCWORKER_MANIFEST"), machine, "", false)
+	host, cleanup, err := miner.HostWorker(os.Getenv("QCWORKER_GRAPH"), os.Getenv("QCWORKER_MANIFEST"), machine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)

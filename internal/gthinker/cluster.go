@@ -218,8 +218,8 @@ func StartProcsCluster(cfg Config, procs *WorkerProcs, numVerts int, numEdges ui
 // RunJob runs one job to completion — the one lifecycle every
 // composition shares: start the job on every machine, drive the
 // coordinator loop (status polls, termination detection, steals,
-// recovery), shut every machine down, collect each survivor's metrics,
-// trace, and result frame, and merge. When ctx is cancelled or expires
+// recovery), shut every machine down, which returns each survivor's
+// report (metrics, spans, result frame), and merge. When ctx is cancelled or expires
 // the machines stop promptly (in-flight Compute calls observe
 // Ctx.Aborted) and what they had gathered is returned together with
 // the context error; any other failure returns no result. The cluster
@@ -249,7 +249,8 @@ func (c *Cluster) RunJob(ctx context.Context, job Job) (*JobResult, error) {
 	if runErr == nil {
 		runErr = co.run(ctx)
 	}
-	if err := co.shutdown(); runErr == nil {
+	reps, err := co.shutdown()
+	if runErr == nil {
 		runErr = err
 	}
 	// Join in-process workers from THIS goroutine too: the shutdown may
@@ -268,30 +269,20 @@ func (c *Cluster) RunJob(ctx context.Context, job Job) (*JobResult, error) {
 		return nil, runErr
 	}
 
-	// A recovered-from machine stays out of every collection: the
-	// adopter re-mined its partitions, so the corpse's partial work
-	// would double-count.
+	// A recovered-from machine has no report: the adopter re-mined its
+	// partitions, so the corpse's partial work would double-count.
 	per := make([]*Metrics, n)
 	res := &JobResult{Results: make([][]byte, n)}
 	traces := []*obs.Trace{st.Trace}
-	for m := 0; m < n; m++ {
-		if m < len(st.Dead) && st.Dead[m] {
+	for m, rep := range reps {
+		if rep == nil {
+			if co.alive[m] {
+				return nil, err // a survivor did not answer its shutdown
+			}
 			continue
 		}
-		var err error
-		if per[m], err = c.ctl.CollectMetrics(m); err != nil {
-			return nil, fmt.Errorf("gthinker: metrics from machine %d: %w", m, err)
-		}
-		if c.cfg.Trace {
-			tr, err := c.ctl.CollectTrace(m)
-			if err != nil {
-				return nil, fmt.Errorf("gthinker: trace from machine %d: %w", m, err)
-			}
-			traces = append(traces, tr)
-		}
-		if res.Results[m], err = c.ctl.CollectResults(m); err != nil {
-			return nil, fmt.Errorf("gthinker: results from machine %d: %w", m, err)
-		}
+		per[m], res.Results[m] = rep.Metrics, rep.Results
+		traces = append(traces, rep.Trace)
 	}
 	if c.cfg.Trace {
 		res.Trace = obs.Merge(traces...)

@@ -42,7 +42,7 @@ type Config struct {
 	// true puts every machine behind its own listener on 127.0.0.1 and
 	// drives it with the same framed protocol a qcworker process
 	// speaks, so every remote adjacency pull, stolen big-task batch,
-	// status poll, and metrics flush crosses a real socket. Either way
+	// status poll, and machine report crosses a real socket. Either way
 	// a steal ships through the donor's Transport and is kept for
 	// recovery, so the two compute the same results.
 	InProcessTCP bool
@@ -51,9 +51,6 @@ type Config struct {
 	// a hung peer surfaces as a timeout instead of a stuck run.
 	// Default 30 s; negative disables the deadline.
 	FrameTimeout time.Duration
-	// DialTimeout bounds each TCP dial attempt (dials additionally
-	// retry a few times with jittered backoff). Default 5 s.
-	DialTimeout time.Duration
 	// DeadAfterPolls is the number of consecutive failed status polls
 	// after which the coordinator declares a machine dead and recovers
 	// its work onto the survivors. Transient drops are already absorbed
@@ -111,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FrameTimeout == 0 {
 		c.FrameTimeout = defaultFrameTimeout
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = defaultDialTimeout
 	}
 	if c.DeadAfterPolls == 0 {
 		c.DeadAfterPolls = defaultDeadAfterPolls

@@ -12,7 +12,7 @@ import (
 
 // The control plane extends the frame protocol of tcp.go with the ops
 // a coordinator needs to run a cluster of isolated machine runtimes —
-// termination detection, steal directives, and metrics flushes cross
+// termination detection, steal directives, and each job's report cross
 // the same listener, in the same length-prefixed frames, as adjacency
 // batches, so one process per machine (cmd/qcworker) needs nothing an
 // InProcessTCP cluster does not also exercise. See the op table in
@@ -20,8 +20,7 @@ import (
 
 // controlProtoVersion is the handshake version; a coordinator and
 // worker disagreeing on it refuse to pair. Since version 4 the cluster
-// is multi-job: a JobID prefixes the opRun, opStatus, opStealDo,
-// opShutdown, opMetrics, opResults, and opTrace payloads (a stale
+// is multi-job: a JobID prefixes every job-scoped payload (a stale
 // worker and a coordinator disagreeing about which job is running fail
 // loudly instead of mixing two jobs' state), and opRun carries a
 // per-job spec so one joined cluster can run many jobs with different
@@ -31,22 +30,21 @@ import (
 // each machine one address: opJoin carries the peer table and gets an
 // empty reply, and op 0x05 is retired. Version 8 drops the wire-steal
 // row: every steal crosses the donor's Transport, so it equalled the
-// stolen-task row.
-const controlProtoVersion = 8
+// stolen-task row. Version 9 ends a job in one exchange: the
+// opShutdown reply is the machine's whole report (MachineReport), and
+// ops 0x08, 0x09 and 0x0E are retired.
+const controlProtoVersion = 9
 
-// Control-plane ops (continuing the tcp.go data-plane numbering; 0x05
-// is retired).
+// Control-plane ops (continuing the tcp.go data-plane numbering; 0x05,
+// 0x08, 0x09 and 0x0E are retired).
 const (
 	opJoin     byte = 0x04
 	opStatus   byte = 0x06
 	opStealDo  byte = 0x07
-	opMetrics  byte = 0x08
-	opResults  byte = 0x09
 	opShutdown byte = 0x0A
 	opExit     byte = 0x0B
 	opRun      byte = 0x0C
 	opRecover  byte = 0x0D
-	opTrace    byte = 0x0E
 )
 
 // maxCtlAddr bounds one address string read off the wire.
@@ -130,6 +128,52 @@ func stealReply(moved *int) func(*store.Walker) {
 	return func(w *store.Walker) { store.U32(w, moved) }
 }
 
+// MachineReport is what one machine hands back when its job ends: the
+// opShutdown reply.
+type MachineReport struct {
+	// Failure is the first failure the machine's job recorded; empty
+	// when it recorded none. A failed machine still reports its work.
+	Failure string
+	// Metrics holds the machine's local counters, joined workers'
+	// busy times and kernel variant.
+	Metrics *Metrics
+	// Trace holds the machine's spans; empty unless the job traces.
+	Trace *obs.Trace
+	// Results is the host's opaque result frame; empty when the host
+	// shares the coordinator's process.
+	Results []byte
+}
+
+// walk visits the opShutdown reply: the failure, the metrics, the
+// spans as length-prefixed OTR1 bytes, then the result frame. The
+// spans are the caller's: encoding carries them for r.Trace, decoding
+// leaves them to obs.DecodeTrace.
+func (r *MachineReport) walk(w *store.Walker, spans *[]byte) {
+	w.String(&r.Failure, maxFailureLen)
+	r.Metrics.walk(w)
+	w.Bytes(spans, maxWireFrame)
+	w.Bytes(&r.Results, maxWireFrame)
+}
+
+func (r *MachineReport) encode() []byte {
+	spans := obs.AppendTrace(nil, r.Trace)
+	return store.Encode(nil, func(w *store.Walker) { r.walk(w, &spans) })
+}
+
+func decodeReport(data []byte) (*MachineReport, error) {
+	r := &MachineReport{Metrics: &Metrics{}}
+	var spans []byte
+	if err := store.Decode(data, "shutdown reply", func(w *store.Walker) { r.walk(w, &spans) }); err != nil {
+		return nil, err
+	}
+	tr, err := obs.DecodeTrace(spans)
+	if err != nil {
+		return nil, err
+	}
+	r.Trace = tr
+	return r, nil
+}
+
 // walk visits the opRecover payload.
 func (d *RecoverDirective) walk(w *store.Walker) {
 	store.U32(w, &d.Dead)
@@ -150,10 +194,7 @@ type controlHandler interface {
 	handleStatus(job uint64) (MachineStatus, error)
 	handleSteal(job uint64, recv, want int) (int, error)
 	handleRecover(d RecoverDirective) error
-	handleMetrics(job uint64) (*Metrics, error)
-	handleTrace(job uint64) (*obs.Trace, error)
-	handleResults(job uint64) ([]byte, error)
-	handleShutdown(job uint64) error
+	handleShutdown(job uint64) (*MachineReport, error)
 	handleExit()
 }
 
@@ -222,7 +263,7 @@ func (s *controlServer) dispatch(op byte, payload []byte) ([]byte, error) {
 		walk, what = rec.walk, "recover directive"
 	case opExit:
 		walk, what = func(*store.Walker) {}, "exit request"
-	case opStatus, opMetrics, opTrace, opResults, opShutdown:
+	case opStatus, opShutdown:
 	default:
 		return nil, fmt.Errorf("gthinker: worker host: unknown op 0x%02x", op)
 	}
@@ -248,22 +289,12 @@ func (s *controlServer) dispatch(op byte, payload []byte) ([]byte, error) {
 		return store.Encode(nil, stealReply(&moved)), nil
 	case opRecover:
 		return nil, s.h.handleRecover(rec)
-	case opMetrics:
-		met, err := s.h.handleMetrics(req.job)
-		if err != nil {
-			return nil, err
-		}
-		return store.Encode(nil, met.walk), nil
-	case opTrace:
-		tr, err := s.h.handleTrace(req.job)
-		if err != nil {
-			return nil, err
-		}
-		return obs.AppendTrace(nil, tr), nil
-	case opResults:
-		return s.h.handleResults(req.job)
 	case opShutdown:
-		return nil, s.h.handleShutdown(req.job)
+		rep, err := s.h.handleShutdown(req.job)
+		if err != nil {
+			return nil, err
+		}
+		return rep.encode(), nil
 	}
 	return nil, nil // opExit: acted on once the ack is flushed, above
 }
@@ -273,9 +304,7 @@ func (s *controlServer) dispatch(op byte, payload []byte) ([]byte, error) {
 // cluster and real qcworker processes — the coordinator cannot tell
 // the difference, which is the point.
 //
-// Methods are safe for one coordinator goroutine per machine; the
-// shutdown→metrics→results ordering guarantee relies on each machine's
-// requests sharing its pooled connection.
+// Methods are safe for one coordinator goroutine per machine.
 type ClusterClient struct {
 	pool         *connPool
 	sent         atomic.Uint64
@@ -284,8 +313,7 @@ type ClusterClient struct {
 	retriedOps   atomic.Uint64
 
 	// job is the id the client stamps on every job-scoped frame
-	// (status polls, steal directives, shutdown, metrics/trace/results
-	// collection). Run advances it.
+	// (status polls, steal directives, shutdown). Run advances it.
 	job atomic.Uint64
 
 	mu     sync.Mutex
@@ -309,14 +337,13 @@ func joinCluster(cfg Config, addrs []string, numVerts int, numEdges uint64, spec
 		return nil, err
 	}
 	// Connections are established lazily, with timed dials and a
-	// retry-once on the idempotent opStatus poll; zero DialTimeout /
-	// FrameTimeout keep the defaults, a negative FrameTimeout disables
-	// the deadline.
+	// retry-once on the idempotent opStatus poll; a zero FrameTimeout
+	// keeps the default, a negative one disables the deadline.
 	c := &ClusterClient{pool: newConnPool(addrs)}
 	c.pool.opAttempts = ctlOpAttempts
 	c.pool.retriedDials = &c.retriedDials
 	c.pool.retriedOps = &c.retriedOps
-	c.pool.configure(cfg.DialTimeout, cfg.FrameTimeout, fault)
+	c.pool.configure(cfg.FrameTimeout, fault)
 	fail := func(err error) (*ClusterClient, error) {
 		c.Close()
 		return nil, err
@@ -380,48 +407,17 @@ func (c *ClusterClient) Recover(m int, d RecoverDirective) error {
 	return err
 }
 
-// Shutdown stops machine m's workers and joins them.
-func (c *ClusterClient) Shutdown(m int) error {
-	_, err := c.call(m, opShutdown, c.current().walk, maxFramePayload)
-	return err
-}
-
-// CollectMetrics flushes machine m's metrics over the wire. Only valid
-// after Shutdown(m) (same pooled connection, so the worker's join of
-// its mining threads is ordered before this read).
-func (c *ClusterClient) CollectMetrics(m int) (*Metrics, error) {
-	resp, err := c.call(m, opMetrics, c.current().walk, maxFramePayload)
+// Shutdown stops machine m's workers, joins them, and returns the
+// machine's report. Unlike request traffic, the reply is accepted up to
+// the absolute frame ceiling: a worker's whole result set ships in it,
+// and a big mining run legitimately exceeds the 64 MiB request budget
+// (writeFrame allows the same ceiling on the sender).
+func (c *ClusterClient) Shutdown(m int) (*MachineReport, error) {
+	resp, err := c.call(m, opShutdown, c.current().walk, maxWireFrame)
 	if err != nil {
 		return nil, err
 	}
-	met := &Metrics{}
-	if err := store.Decode(resp, "metrics payload", met.walk); err != nil {
-		return nil, err
-	}
-	return met, nil
-}
-
-// CollectTrace fetches machine m's retained trace spans (empty when
-// tracing is disabled there). Only valid after Shutdown(m). The reply
-// is accepted up to the absolute frame ceiling, like CollectResults: a
-// full set of per-worker rings legitimately exceeds the request
-// budget.
-func (c *ClusterClient) CollectTrace(m int) (*obs.Trace, error) {
-	resp, err := c.call(m, opTrace, c.current().walk, maxWireFrame)
-	if err != nil {
-		return nil, err
-	}
-	return obs.DecodeTrace(resp)
-}
-
-// CollectResults fetches machine m's app-level result bytes (opaque to
-// the engine; the app's session decodes and merges them). Only valid
-// after Shutdown(m). Unlike request traffic, the reply is accepted up
-// to the absolute frame ceiling: a worker's whole result set ships as
-// one frame, and a big mining run legitimately exceeds the 64 MiB
-// request budget (writeFrame allows the same ceiling on the sender).
-func (c *ClusterClient) CollectResults(m int) ([]byte, error) {
-	return c.call(m, opResults, c.current().walk, maxWireFrame)
+	return decodeReport(resp)
 }
 
 // Exit tells machine m's host process to terminate after replying.

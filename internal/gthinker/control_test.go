@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/obs"
@@ -84,7 +85,7 @@ var controlPayloads = []struct {
 	decode func(data []byte) ([]byte, error)
 }{
 	{"join request", store.Encode(nil, (&joinRequest{MachineID: 1, Machines: 3, NumVerts: 9, NumEdges: 1 << 40,
-		Peers: []string{"10.0.0.1:1", "", "10.0.0.3:3"}, Spec: []byte("QJS4")}).walk),
+		Peers: []string{"10.0.0.1:1", "", "10.0.0.3:3"}, Spec: []byte("QJS5")}).walk),
 		walked("join request", func() func(*store.Walker) { return new(joinRequest).walk })},
 	// The peer table's edges: none (a join the host refuses, but one
 	// the decoder must read) and a cluster of eight.
@@ -110,6 +111,19 @@ var controlPayloads = []struct {
 				return nil, err
 			}
 			return obs.AppendTrace(nil, tr), nil
+		}},
+	// The report nests the metrics walk and the OTR1 trace inside its
+	// own walk.
+	{"shutdown reply", (&MachineReport{Failure: "disk full",
+		Metrics: &Metrics{Wall: 7, Counters: Counters{ComputeCalls: 9}, WorkerBusy: []time.Duration{5, 6}, Kernel: "avx2"},
+		Trace:   &obs.Trace{Dropped: 1, Spans: []obs.Span{{Kind: obs.KindCompute, Pid: 2, Tid: 1, Start: 5, Dur: 6, Arg1: 3}}},
+		Results: []byte("QRS2")}).encode(),
+		func(data []byte) ([]byte, error) {
+			rep, err := decodeReport(data)
+			if err != nil {
+				return nil, err
+			}
+			return rep.encode(), nil
 		}},
 }
 

@@ -14,7 +14,7 @@ import (
 
 // ControlPlane is how a cluster's machines are reached: one entry per
 // machine, addressed by machine id. It is the ONLY channel through
-// which a job is started, scheduled, stopped, and collected — the
+// which a job is started, scheduled, and ended — the
 // coordinator never reads another machine's memory. Implementations:
 // directControl (method calls on WorkerHosts living in this process)
 // and ClusterClient (framed TCP ops against per-machine control
@@ -36,16 +36,10 @@ type ControlPlane interface {
 	// the dead machine, and (on the adopter) take over the dead
 	// machine's root-task partitions.
 	Recover(m int, d RecoverDirective) error
-	// Shutdown stops machine m's workers, joins them, and reports the
-	// machine's failure if its job recorded one. Idempotent.
-	Shutdown(m int) error
-	// CollectMetrics, CollectTrace, and CollectResults return machine
-	// m's local metrics, its trace spans (empty when tracing is off),
-	// and its host's opaque result frame (empty when the host shares
-	// the caller's process). Only valid after Shutdown(m).
-	CollectMetrics(m int) (*Metrics, error)
-	CollectTrace(m int) (*obs.Trace, error)
-	CollectResults(m int) ([]byte, error)
+	// Shutdown stops machine m's workers, joins them, and returns the
+	// machine's report: the failure its job recorded, if any, beside
+	// its metrics, spans and result frame. Idempotent.
+	Shutdown(m int) (*MachineReport, error)
 }
 
 // RecoverDirective tells a survivor how to absorb a dead machine. The
@@ -113,18 +107,8 @@ func (dc *directControl) Recover(m int, d RecoverDirective) error {
 	return dc.hosts[m].handleRecover(d)
 }
 
-func (dc *directControl) Shutdown(m int) error { return dc.hosts[m].handleShutdown(dc.job) }
-
-func (dc *directControl) CollectMetrics(m int) (*Metrics, error) {
-	return dc.hosts[m].handleMetrics(dc.job)
-}
-
-func (dc *directControl) CollectTrace(m int) (*obs.Trace, error) {
-	return dc.hosts[m].handleTrace(dc.job)
-}
-
-func (dc *directControl) CollectResults(m int) ([]byte, error) {
-	return dc.hosts[m].handleResults(dc.job)
+func (dc *directControl) Shutdown(m int) (*MachineReport, error) {
+	return dc.hosts[m].handleShutdown(dc.job)
 }
 
 // coordinatorStats is what a coordinator leaves behind after one run.
@@ -223,18 +207,26 @@ func (c *coordinator) run(ctx context.Context) error {
 }
 
 // shutdown stops every machine still alive (a dead one cannot answer)
-// and returns the first failure a machine reports.
-func (c *coordinator) shutdown() error {
+// and returns their reports in machine order, nil for a machine that
+// is dead or did not answer, with the first failure: a machine that
+// did not answer, or a report that carries one.
+func (c *coordinator) shutdown() ([]*MachineReport, error) {
+	reps := make([]*MachineReport, c.ctl.Machines())
 	var first error
-	for m := 0; m < c.ctl.Machines(); m++ {
+	for m := range reps {
 		if !c.alive[m] {
 			continue
 		}
-		if err := c.ctl.Shutdown(m); err != nil && first == nil {
+		rep, err := c.ctl.Shutdown(m)
+		if err == nil && rep.Failure != "" {
+			err = fmt.Errorf("gthinker: machine %d failed: %s", m, rep.Failure)
+		}
+		if err != nil && first == nil {
 			first = err
 		}
+		reps[m] = rep
 	}
-	return first
+	return reps, first
 }
 
 // startObs brings up the coordinator's observability side-cars per the
@@ -414,10 +406,10 @@ func (c *coordinator) scan() ([]MachineStatus, bool, error) {
 // recoverMachine declares m dead and redistributes its work: one
 // survivor (the adopter) takes over m's hash-partition segments —
 // respawning every root task of those partitions, because results
-// only flush at shutdown, so everything m had mined was lost with it
-// and the fingerprint-deduplicating collector makes re-mining exact
-// rather than duplicating — and every survivor redirects its
-// adjacency fetches for m to the fallback machine and
+// only leave a machine in its shutdown report, so everything m had
+// mined was lost with it and the fingerprint-deduplicating collector
+// makes re-mining exact rather than duplicating — and every survivor
+// redirects its adjacency fetches for m to the fallback machine and
 // re-owns any task batches it had shipped to m (the retained GQS1
 // bytes cover subtrees stolen INTO m from still-live roots, which no
 // partition respawn would regenerate).

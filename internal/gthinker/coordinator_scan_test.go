@@ -11,8 +11,8 @@ import (
 // slowControl is a ControlPlane whose every status poll sleeps for a
 // fixed delay — the scan-latency fixture. Machines listed in fail
 // answer polls with an error instead (after the same delay). The
-// embedded nil interface stands in for the job-start and collection
-// calls the coordinator never makes.
+// embedded nil interface stands in for the job-start call the
+// coordinator never makes.
 type slowControl struct {
 	ControlPlane
 	n     int
@@ -34,7 +34,9 @@ func (s *slowControl) Status(m int) (MachineStatus, error) {
 
 func (s *slowControl) Steal(donor, recv, want int) (int, error) { return 0, nil }
 func (s *slowControl) Recover(m int, d RecoverDirective) error  { return nil }
-func (s *slowControl) Shutdown(m int) error                     { return nil }
+func (s *slowControl) Shutdown(m int) (*MachineReport, error) {
+	return &MachineReport{Metrics: &Metrics{}}, nil
+}
 
 // TestScanPollsConcurrently pins the coordinator's status scan to
 // concurrent fan-out: 8 machines × 10 ms per poll must complete in

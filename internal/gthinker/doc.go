@@ -58,7 +58,7 @@
 //     ClusterClient and its peers' TCPTransports alike —
 //     Config.InProcessTCP for local machines, always for processes).
 //     Every remote pull, stolen batch, liveness poll, steal directive,
-//     and metrics flush then crosses the wire.
+//     and machine report then crosses the wire.
 //
 // A steal takes one path in every composition: the donor's host runs
 // the directive (MachineRuntime.StealTo), encodes the batch, ships it
@@ -236,9 +236,11 @@
 // table and from then on answers its peers' adjacency and task
 // frames on the same listener), then per job opRun (job id + spec;
 // mining starts) → opStatus long polls / opStealDo directives →
-// opShutdown → opMetrics + opTrace + opResults flushes, and finally
-// opExit. The op table lives in tcp.go; the app-opaque job-spec and
-// result encodings for the
+// opShutdown, whose reply is the machine's whole report (failure,
+// metrics, spans, result frame), and finally opExit. The job spec is a
+// worker's only configuration: its mining parameters, engine shape,
+// tracing and fault plan all arrive in it. The op table lives in
+// tcp.go; the app-opaque job-spec and result encodings for the
 // quasi-clique miner live in internal/miner (AppendJobSpec,
 // AppendResults).
 //
@@ -252,14 +254,14 @@
 //
 // Worker-machine loss is survivable; coordinator loss is not (a dead
 // coordinator fails the job — restart it). The recovery invariant
-// rests on two facts: results only leave a worker at shutdown (the
-// opResults flush), so a machine that dies mid-run has contributed
-// NOTHING to the output yet and its entire partition can simply be
-// mined again; and the result Collector deduplicates by fingerprint,
-// so any overlap between the dead machine's lost partial work and the
-// re-mine changes nothing. Re-mining is therefore exact, not
-// approximate — every composition's recovery runs are asserted
-// bit-identical to the serial miner in CI.
+// rests on two facts: results only leave a worker in its opShutdown
+// reply, so a machine that dies mid-run has contributed NOTHING to the
+// output yet and its entire partition can simply be mined again; and
+// the result Collector deduplicates by fingerprint, so any overlap
+// between the dead machine's lost partial work and the re-mine changes
+// nothing. Re-mining is therefore exact, not approximate — every
+// composition's recovery runs are asserted bit-identical to the serial
+// miner in CI.
 //
 // The lifecycle: the coordinator's status scan tolerates up to
 // Config.DeadAfterPolls consecutive poll failures per machine
@@ -279,30 +281,31 @@
 // MachineLostError (errors.Is ErrMachineLost) only when no survivor
 // is left to recover onto or a survivor refuses the directive.
 //
-// Transport hardening backs this up: every dial is bounded
-// (Config.DialTimeout) and retried with jittered exponential backoff,
-// every frame exchange carries a deadline (Config.FrameTimeout), and
-// read-only ops (status, health, adjacency batches) retry on fresh
-// connections — non-idempotent ops (join, steal, shutdown) never
-// retry, so a fault there fails cleanly rather than double-applying.
-// The seeded fault-injection harness (FaultPlan, Config.FaultSpec,
-// -faultplan on every binary) replays dial failures, frame delays,
-// mid-frame resets, and worker kills deterministically; the chaos
-// matrix in internal/miner asserts every plan ends bit-identical or
-// cleanly errored, never hung.
+// Transport hardening backs this up: every dial is bounded (5 s per
+// attempt) and retried with jittered exponential backoff, every frame
+// exchange carries a deadline (Config.FrameTimeout), and read-only ops
+// (status, health, adjacency batches) retry on fresh connections —
+// non-idempotent ops (join, steal, shutdown) never retry, so a fault
+// there fails cleanly rather than double-applying. The seeded
+// fault-injection harness (FaultPlan, Config.FaultSpec, qcmine
+// -faultplan, carried to every worker in the job spec; kill=M@N aims
+// at one machine) replays dial failures, frame delays, mid-frame
+// resets, and worker kills deterministically; the chaos matrix in
+// internal/miner asserts every plan ends bit-identical or cleanly
+// errored, never hung.
 //
 // # Observability
 //
 // Three instruments share one design rule: zero cost when off, and no
 // new synchronization on the mining hot path when on.
 //
-// Span tracing (Config.Trace; -trace on qcmine and qcworker)
-// records fixed-size span records into per-worker ring buffers
-// (internal/obs.Tracer): an atomic cursor claims slots, timestamps are
-// absolute epoch nanoseconds so spans from different processes merge
-// onto one timeline with no clock negotiation, and a disabled tracer
-// is a nil pointer — Record is a single branch. The span taxonomy
-// mirrors the engine's moving parts:
+// Span tracing (Config.Trace; qcmine -trace, carried to every worker
+// in the job spec) records fixed-size span records into per-worker
+// ring buffers (internal/obs.Tracer): an atomic cursor claims slots,
+// timestamps are absolute epoch nanoseconds so spans from different
+// processes merge onto one timeline with no clock negotiation, and a
+// disabled tracer is a nil pointer — Record is a single branch. The
+// span taxonomy mirrors the engine's moving parts:
 //
 //   - spawn — one spawn scan over the partition (args: tasks
 //     spawned, root vertices tested)
@@ -329,16 +332,16 @@
 //
 // Pid is the machine id (-1 = coordinator), Tid the worker (negative
 // = a machine's control track). After shutdown Cluster.RunJob merges
-// every participant's snapshot into one Trace, pulling each machine's
-// spans over the control plane (a method call, or opTrace in the OTR1
-// wire format) — so `qcmine -procs 4 -trace out.json`
+// every participant's snapshot into one Trace, taking each machine's
+// spans from its shutdown report (a method call, or OTR1 bytes inside
+// the opShutdown reply) — so `qcmine -procs 4 -trace out.json`
 // writes ONE cluster-wide timeline, loadable in Perfetto or
 // chrome://tracing (obs.WriteChromeTraceFile). Metrics.TraceSpans /
 // TraceDropped account for ring overflow.
 //
 // Every engine counter is defined once, as a row of counterTable
 // (metrics.go): its Counters field, series name, help text, and merge
-// rule. The opMetrics and opStatus codecs, MergeMachineMetrics and
+// rule. The opShutdown and opStatus codecs, MergeMachineMetrics and
 // both /metrics renderings are loops over that table, so it is the
 // metric reference, and a series name means the same thing wherever
 // it is scraped.

@@ -109,7 +109,7 @@ func stealNow(t testing.TB, co *coordinator) {
 func runCoordinator(ctx context.Context, ctl ControlPlane, cfg Config) (coordinatorStats, error) {
 	co := newCoordinator(ctl, cfg.withDefaults())
 	err := co.run(ctx)
-	if serr := co.shutdown(); err == nil {
+	if _, serr := co.shutdown(); err == nil {
 		err = serr
 	}
 	return co.stats(), err

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/obs"
 )
 
 // WorkerHostConfig configures one hosted machine runtime.
@@ -42,22 +41,11 @@ type WorkerHostConfig struct {
 	// living in the coordinator's process ignores it and returns the
 	// application value the Cluster was handed for the job.
 	NewApp func(spec []byte, machines int) (App, Config, error)
-	// Results encodes the app's results for the results flush after
-	// shutdown. Nil answers an empty frame: the caller shares the
+	// Results encodes the app's results for the machine's report at
+	// shutdown. Nil reports an empty frame: the caller shares the
 	// process and reads the application's state as Go values.
 	Results func(app App) ([]byte, error)
 
-	// FaultSpec, when non-empty, overrides the job config's fault plan
-	// for THIS host (cmd/qcworker threads a per-process -faultplan
-	// through it, so a chaos test can inject faults into one machine of
-	// a homogeneous cluster). Empty defers to the coordinator's
-	// Config.FaultSpec carried in the job spec.
-	FaultSpec string
-	// Trace forces span tracing on for this host even when the job spec
-	// does not request it (cmd/qcworker threads -trace through it, so a
-	// single worker can be traced locally without the coordinator
-	// collecting cluster-wide). False defers to the job config.
-	Trace bool
 	// Kill is invoked when the fault plan's kill directive fires on
 	// this machine. Nil defaults to tearing the host down in-process
 	// (Close); a real worker process should exit hard instead
@@ -76,7 +64,7 @@ type WorkerHostConfig struct {
 }
 
 // WorkerHost runs ONE MachineRuntime and answers the control plane for
-// it (join/run/status/steal/shutdown/metrics/results). Reached over
+// it (join/run/status/steal/recover/shutdown). Reached over
 // sockets (StartWorkerHost) it owns one listener, which also answers
 // its peers' adjacency batches and stolen task batches: cmd/qcworker
 // runs exactly one such host per OS process, an InProcessTCP cluster N
@@ -88,13 +76,12 @@ type WorkerHost struct {
 
 	ctl *controlServer // nil on a direct-call host
 
-	mu      sync.Mutex
-	cfg     Config
-	rt      *MachineRuntime // nil until join
-	tr      *TCPTransport
-	fault   *FaultPlan
-	stopped bool
-	killed  bool
+	mu     sync.Mutex
+	cfg    Config
+	rt     *MachineRuntime // nil until join
+	tr     *TCPTransport
+	fault  *FaultPlan
+	killed bool
 
 	// miningPolls counts status polls that observed spawning underway;
 	// the fault plan's kill directive fires on the Nth such poll so a
@@ -210,7 +197,7 @@ func (h *WorkerHost) handleJoin(r joinRequest) error {
 	// behind a fetch to the same machine.
 	tr := NewTCPTransport(r.Peers, h.hc.Graph.NumVertices())
 	tr.SetTaskAddrs(r.Peers)
-	tr.Configure(h.cfg.DialTimeout, h.cfg.FrameTimeout, h.fault)
+	tr.Configure(h.cfg.FrameTimeout, h.fault)
 	h.tr = tr
 	h.rt.SetTransport(tr)
 	return nil
@@ -225,16 +212,8 @@ func (h *WorkerHost) build(machines int, spec []byte) error {
 		return err
 	}
 	cfg.Machines = machines
-	if h.hc.Trace {
-		cfg.Trace = true
-	}
 	cfg = cfg.withDefaults()
-
-	fspec := cfg.FaultSpec
-	if h.hc.FaultSpec != "" {
-		fspec = h.hc.FaultSpec
-	}
-	fault, err := ParseFaultPlan(fspec)
+	fault, err := ParseFaultPlan(cfg.FaultSpec)
 	if err != nil {
 		return err
 	}
@@ -263,9 +242,6 @@ func (h *WorkerHost) handleRun(job uint64, spec []byte) error {
 	if err := rt.ResetJob(app, job); err != nil {
 		return err
 	}
-	h.mu.Lock()
-	h.stopped = false
-	h.mu.Unlock()
 	h.miningPolls.Store(0)
 	return rt.Start()
 }
@@ -370,59 +346,24 @@ func (h *WorkerHost) handleSteal(job uint64, recv, want int) (int, error) {
 	return rt.StealTo(recv, want)
 }
 
-func (h *WorkerHost) handleShutdown(job uint64) error {
+// handleShutdown stops and joins the machine's workers and reports the
+// job: its failure, metrics, spans and result frame.
+func (h *WorkerHost) handleShutdown(job uint64) (*MachineReport, error) {
 	rt, err := h.jobRuntime(job)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	h.mu.Lock()
-	h.stopped = true
-	h.mu.Unlock()
 	rt.Stop()
-	return rt.Err()
-}
-
-// afterShutdown guards the reads that need the workers joined, and —
-// version 4 — pins them to the job the coordinator thinks it is
-// collecting.
-func (h *WorkerHost) afterShutdown(job uint64) (*MachineRuntime, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.stopped || h.rt == nil {
-		return nil, fmt.Errorf("gthinker: machine %d still running (shutdown first)", h.hc.MachineID)
+	rep := &MachineReport{Metrics: rt.LocalMetrics(), Trace: rt.TraceSnapshot()}
+	if err := rt.Err(); err != nil {
+		rep.Failure = err.Error()
 	}
-	if cur := h.rt.JobID(); job != cur {
-		return nil, fmt.Errorf("gthinker: machine %d is on job %d, not job %d", h.hc.MachineID, cur, job)
+	if h.hc.Results != nil {
+		if rep.Results, err = h.hc.Results(rt.jb().app); err != nil {
+			return nil, err
+		}
 	}
-	return h.rt, nil
-}
-
-func (h *WorkerHost) handleMetrics(job uint64) (*Metrics, error) {
-	rt, err := h.afterShutdown(job)
-	if err != nil {
-		return nil, err
-	}
-	return rt.LocalMetrics(), nil
-}
-
-// handleTrace snapshots the hosted runtime's span rings for the
-// coordinator's cluster-wide timeline merge. Like metrics it is only
-// meaningful once the workers have quiesced, so it shares the
-// shutdown guard.
-func (h *WorkerHost) handleTrace(job uint64) (*obs.Trace, error) {
-	rt, err := h.afterShutdown(job)
-	if err != nil {
-		return nil, err
-	}
-	return rt.TraceSnapshot(), nil
-}
-
-func (h *WorkerHost) handleResults(job uint64) ([]byte, error) {
-	rt, err := h.afterShutdown(job)
-	if err != nil || h.hc.Results == nil {
-		return nil, err
-	}
-	return h.hc.Results(rt.jb().app)
+	return rep, nil
 }
 
 // handleExit releases WaitExit. The listener calls it only after

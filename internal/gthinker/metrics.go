@@ -257,8 +257,8 @@ const maxWireWorkers = 1 << 20
 // wire ("avx2"/"scalar"/"mixed" today; generous for future variants).
 const maxWireKernelName = 64
 
-// walk visits one machine's metrics as the control plane's opMetrics
-// flush carries them: wall time, the counter table, the per-worker
+// walk visits one machine's metrics as its opShutdown report carries
+// them: wall time, the counter table, the per-worker
 // busy times, the kernel name.
 func (m *Metrics) walk(w *store.Walker) {
 	store.U64(w, &m.Wall)

@@ -169,7 +169,8 @@ func TestScrapeAgreesAcrossEndpoints(t *testing.T) {
 }
 
 // FuzzDecodeMetrics and FuzzDecodeStatus feed arbitrary bytes to the
-// table-driven walks behind opMetrics and opStatus: garbage is an
+// table-driven walks behind the opShutdown report's metrics and the
+// opStatus reply: garbage is an
 // error — never a panic or an allocation past the bytes present — and
 // whatever they accept re-encodes to the same bytes.
 func FuzzDecodeMetrics(f *testing.F) {

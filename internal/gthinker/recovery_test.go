@@ -12,8 +12,8 @@ import (
 // fakeControl is a scripted ControlPlane for coordinator unit tests:
 // statusFn decides each machine's poll outcome from its 1-based call
 // count, and every Recover directive is recorded. The embedded nil
-// interface stands in for the job-start and collection calls the
-// coordinator never makes.
+// interface stands in for the job-start call the coordinator never
+// makes.
 type fakeControl struct {
 	ControlPlane
 	n        int
@@ -53,11 +53,11 @@ func (f *fakeControl) Recover(m int, d RecoverDirective) error {
 	return nil
 }
 
-func (f *fakeControl) Shutdown(m int) error {
+func (f *fakeControl) Shutdown(m int) (*MachineReport, error) {
 	f.mu.Lock()
 	f.shutdown[m] = true
 	f.mu.Unlock()
-	return nil
+	return &MachineReport{Metrics: &Metrics{}}, nil
 }
 
 // idleStatus is a terminated machine's report.

@@ -254,7 +254,7 @@ type MachineStatus struct {
 	// Counters is the machine's live counter snapshot, piggybacked on
 	// the status reply so the coordinator holds a continuously-updated
 	// per-machine view (its debug server and -progress line) instead of
-	// learning everything at the shutdown metrics flush. All cheap
+	// learning everything from the shutdown report. All cheap
 	// atomic reads on the machine.
 	Counters
 	// Failure carries the machine's first error, or "".

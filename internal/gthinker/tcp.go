@@ -65,10 +65,9 @@ import (
 //	            opaque app job spec. Resets the machine onto that job
 //	            with the application built from the spec and starts its
 //	            mining workers. reply: empty. Every later job-scoped op
-//	            (opStatus, opStealDo, opShutdown, opMetrics, opTrace,
-//	            opResults) opens its payload with the same job u64
-//	            [jobRequest.walk] and is refused by a machine that is on
-//	            another job.
+//	            (opStatus, opStealDo, opShutdown) opens its payload with
+//	            the same job u64 [jobRequest.walk] and is refused by a
+//	            machine that is on another job.
 //	opStatus    payload: job. reply [MachineStatus.walk]: flags u8
 //	            (bit0 = all spawned), live u64, bigPending u64,
 //	            sentOut u64, recvIn u64, spawned u64, the counter table
@@ -84,18 +83,18 @@ import (
 //	            and ships them to machine recv itself (opTaskSteal, GQS1
 //	            bytes); the coordinator never relays task data.
 //	            reply [stealReply]: moved u32.
-//	opMetrics   payload: job. reply [Metrics.walk]: wall u64, the
-//	            counter table, workers u32 + that many busy u64s, kernel
-//	            string. Valid after opShutdown.
-//	opTrace     payload: job. reply: the machine's spans as OTR1
-//	            [obs.Trace.walk]. Valid after opShutdown.
-//	opResults   payload: job. reply: opaque app-level result bytes
-//	            (the miner's QRS2 quasi-clique sets). Valid after
-//	            opShutdown.
+//	0x08, 0x09  retired (the metrics, results and trace flushes that
+//	and 0x0E    followed opShutdown until version 9); never reused.
 //	opShutdown  payload: job. Stops and joins the machine's workers;
-//	            the process keeps serving (metrics/results flushes
-//	            follow). reply: empty, or opError carrying the failure
-//	            the machine's job recorded.
+//	            the process keeps serving. reply [MachineReport.walk]:
+//	            the failure string the machine's job recorded (empty if
+//	            none), its metrics [Metrics.walk]: wall u64, the counter
+//	            table, workers u32 + that many busy u64s, kernel string;
+//	            then u32-len spans as OTR1 [obs.Trace.walk] (empty unless
+//	            the job traces), then u32-len opaque app-level result
+//	            bytes (the miner's QRS2 quasi-clique sets). A failed
+//	            machine still reports its work; only a frame for
+//	            another job is answered with opError.
 //	opExit      payload: empty. reply: empty; the worker host's
 //	            WaitExit returns and the process terminates.
 //	opRecover   payload [RecoverDirective.walk]: dead u32, fallback
@@ -458,7 +457,7 @@ func deliverBatch(payload []byte, codec TaskCodec, deliver func([]*Task)) (int, 
 }
 
 // Dial and retry policy. Every dial in the package goes through
-// dialWithRetry: a bounded DialTimeout per attempt plus a few
+// dialWithRetry: a bounded dial timeout per attempt plus a few
 // exponential-backoff retries with jitter, so a peer mid-restart or a
 // dropped SYN does not immediately read as a dead machine. Vars (not
 // consts) so tests can tighten the windows.
@@ -543,7 +542,6 @@ type connPool struct {
 	mu    []sync.Mutex
 	conns []*tcpConn
 
-	dialTimeout  time.Duration
 	frameTimeout time.Duration
 	dialAttempts int
 	opAttempts   int // per-op attempts for idempotent ops (≥ 1)
@@ -564,7 +562,6 @@ func newConnPool(addrs []string) *connPool {
 		addrs:        addrs,
 		mu:           make([]sync.Mutex, len(addrs)),
 		conns:        make([]*tcpConn, len(addrs)),
-		dialTimeout:  defaultDialTimeout,
 		frameTimeout: defaultFrameTimeout,
 		dialAttempts: defaultDialAttempts,
 		opAttempts:   1,
@@ -572,12 +569,9 @@ func newConnPool(addrs []string) *connPool {
 	}
 }
 
-// configure applies the hardening knobs; zero durations keep the pool
-// defaults, negative disable the corresponding deadline.
-func (p *connPool) configure(dialTimeout, frameTimeout time.Duration, fault *FaultPlan) {
-	if dialTimeout != 0 {
-		p.dialTimeout = dialTimeout
-	}
+// configure applies the hardening knobs; a zero frameTimeout keeps the
+// pool default, a negative one disables the deadline.
+func (p *connPool) configure(frameTimeout time.Duration, fault *FaultPlan) {
 	if frameTimeout != 0 {
 		p.frameTimeout = frameTimeout
 	}
@@ -663,7 +657,7 @@ func (p *connPool) exchange(i int, op byte, payload []byte, maxResp int, sent, r
 	defer p.mu[i].Unlock()
 	cc := p.conns[i]
 	if cc == nil {
-		c, err := dialRetryInject(p.addrs[i], p.dialTimeout, p.dialAttempts, p.fault, p.retriedDials)
+		c, err := dialRetryInject(p.addrs[i], defaultDialTimeout, p.dialAttempts, p.fault, p.retriedDials)
 		if err != nil {
 			return nil, err, true
 		}
@@ -737,7 +731,6 @@ type TCPTransport struct {
 	retriedDials atomic.Uint64
 	retriedOps   atomic.Uint64
 
-	dialTimeout  time.Duration
 	frameTimeout time.Duration
 	fault        *FaultPlan
 }
@@ -753,15 +746,14 @@ func NewTCPTransport(addrs []string, numVertices int) *TCPTransport {
 	return t
 }
 
-// Configure applies the hardening knobs to both planes: per-attempt
-// dial timeout, per-exchange frame deadline (zero keeps the 30 s
-// default, negative disables), and an optional fault-injection plan.
-// Call before the engine runs.
-func (t *TCPTransport) Configure(dialTimeout, frameTimeout time.Duration, fault *FaultPlan) {
-	t.dialTimeout, t.frameTimeout, t.fault = dialTimeout, frameTimeout, fault
-	t.verts.configure(dialTimeout, frameTimeout, fault)
+// Configure applies the hardening knobs to both planes: per-exchange
+// frame deadline (zero keeps the 30 s default, negative disables) and
+// an optional fault-injection plan. Call before the engine runs.
+func (t *TCPTransport) Configure(frameTimeout time.Duration, fault *FaultPlan) {
+	t.frameTimeout, t.fault = frameTimeout, fault
+	t.verts.configure(frameTimeout, fault)
 	if t.tasks != nil {
-		t.tasks.configure(dialTimeout, frameTimeout, fault)
+		t.tasks.configure(frameTimeout, fault)
 	}
 }
 
@@ -790,7 +782,7 @@ func (t *TCPTransport) SetTaskAddrs(addrs []string) {
 	// Task delivery is not idempotent (a lost ack after delivery must
 	// not replay the batch), so the task pool never retries ops.
 	t.wirePool(t.tasks, 1)
-	t.tasks.configure(t.dialTimeout, t.frameTimeout, t.fault)
+	t.tasks.configure(t.frameTimeout, t.fault)
 }
 
 // FetchAdjBatch fetches the adjacency lists of ids from their owner,
@@ -798,22 +790,30 @@ func (t *TCPTransport) SetTaskAddrs(addrs []string) {
 // a prefix to keep a reply inside the frame budget, the remainder is
 // re-requested, so a huge batch costs extra round trips instead of
 // failing. The appended inner lists alias their receive buffers
-// (fresh per frame), never dst.
-func (t *TCPTransport) FetchAdjBatch(owner int, ids []graph.V, dst [][]graph.V) ([][]graph.V, error) {
+// (fresh per frame), never dst. An id the addressed machine does not
+// own is refused before anything is sent: the check runs on the
+// address the caller routed to, ahead of any recovery redirect.
+func (t *TCPTransport) FetchAdjBatch(own int, ids []graph.V, dst [][]graph.V) ([][]graph.V, error) {
+	machines := len(t.verts.addrs)
+	for _, id := range ids {
+		if o := owner(id, machines); o != own {
+			return nil, fmt.Errorf("gthinker: vertex %d routed to machine %d but owned by %d", id, own, o)
+		}
+	}
 	out := dst
 	maxResp := adjResponseLimit(t.numVertices)
 	for rest := ids; len(rest) > 0; {
 		req := make([]byte, 0, 4+4*len(rest))
 		req = store.AppendU32(req, uint32(len(rest)))
 		req = store.AppendU32s(req, rest)
-		resp, err := t.verts.roundTrip(owner, opAdjBatch, req, maxResp, &t.sent, &t.recvd)
+		resp, err := t.verts.roundTrip(own, opAdjBatch, req, maxResp, &t.sent, &t.recvd)
 		if err != nil {
 			return nil, err
 		}
 		var answered int
 		out, answered, err = appendAdjBatchResponse(out, resp, len(rest), t.numVertices)
 		if err != nil {
-			return nil, fmt.Errorf("gthinker: machine %d: %w", owner, err)
+			return nil, fmt.Errorf("gthinker: machine %d: %w", own, err)
 		}
 		rest = rest[answered:]
 		t.batches.Add(1)

@@ -108,6 +108,46 @@ func TestTCPTransportErrors(t *testing.T) {
 	}
 }
 
+// TestTCPTransportRefusesMisroutedFetch: the socket data plane keeps
+// the Transport contract the loopback keeps — a vertex asked of a
+// machine that does not own it is refused before anything is sent,
+// though the server there would answer it. A recovery redirect still
+// works: the fetch is addressed to the dead owner, then rerouted.
+func TestTCPTransportRefusesMisroutedFetch(t *testing.T) {
+	g := datagen.ErdosRenyi(40, 0.2, 3)
+	var addrs []string
+	var servers []*VertexServer
+	for i := 0; i < 2; i++ {
+		srv, err := ServeVertexTable("127.0.0.1:0", g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		servers = append(servers, srv)
+		addrs = append(addrs, srv.Addr())
+	}
+	tr := NewTCPTransport(addrs, g.NumVertices())
+	defer tr.Close()
+	v := graph.V(0)
+	for owner(v, 2) != 1 {
+		v++
+	}
+	if _, err := fetchOne(tr, 0, v); err == nil || !strings.Contains(err.Error(), "owned by") {
+		t.Fatalf("vertex %d of machine 1 fetched from machine 0: err = %v", v, err)
+	}
+	if servers[0].Served() != 0 {
+		t.Fatalf("machine 0 served %d rows for a refused fetch", servers[0].Served())
+	}
+	tr.Redirect(1, 0)
+	adj, err := fetchOne(tr, 1, v)
+	if err != nil || !vset.Equal(adj, g.Adj(v)) {
+		t.Fatalf("redirected fetch of %d: %v, %v", v, adj, err)
+	}
+	if servers[0].Served() != 1 || servers[1].Served() != 0 {
+		t.Fatalf("redirect served %d/%d rows, want 1/0", servers[0].Served(), servers[1].Served())
+	}
+}
+
 // rogueServer accepts one connection and answers every frame with a
 // fixed raw response, for driving the client through malformed input.
 func rogueServer(t *testing.T, resp []byte) string {
@@ -458,6 +498,25 @@ func TestHostOneAddressServesEveryOp(t *testing.T) {
 	}
 	if got := rts[1].jb().qglobal.popBackBatch(10); len(got) != 1 || !reflect.DeepEqual(got[0].Payload, []graph.V{4, 5}) {
 		t.Fatalf("delivered %v", got)
+	}
+}
+
+// TestShutdownRefusesOtherJob: a machine reports only the job it is
+// on. A shutdown stamped with another job is answered with opError,
+// not with this job's report; the right job's shutdown then reports.
+func TestShutdownRefusesOtherJob(t *testing.T) {
+	g := datagen.ErdosRenyi(60, 0.1, 7)
+	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 1, InProcessTCP: true, SpillDir: t.TempDir()})
+	installJob(t, c, nilApp{})
+	ctl := c.ctl.(*ClusterClient)
+	ctl.job.Store(1)
+	if rep, err := ctl.Shutdown(1); err == nil || !strings.Contains(err.Error(), "is on job 0, not job 1") {
+		t.Fatalf("shutdown for another job: %+v, %v", rep, err)
+	}
+	ctl.job.Store(0)
+	rep, err := ctl.Shutdown(1)
+	if err != nil || rep.Failure != "" || rep.Metrics == nil || len(rep.Trace.Spans) != 0 || len(rep.Results) != 0 {
+		t.Fatalf("shutdown report: %+v, %v", rep, err)
 	}
 }
 

@@ -25,7 +25,11 @@ import (
 // that buffer is never reused). Implementations must be safe for
 // concurrent use by every worker of every machine, and must reject
 // ids that machine `owner` does not own — a mis-routed fetch is a
-// partitioning bug, not a request to satisfy from somewhere else.
+// partitioning bug, not a request to satisfy from somewhere else. The
+// loopback checks each id against the partition map and TCPTransport
+// against its address table, both before a recovery redirect applies;
+// a host itself answers any id of its graph, which is what lets it
+// stand in for a dead peer.
 type Transport interface {
 	// FetchAdjBatch returns the adjacency lists of ids (all owned by
 	// machine `owner`) in one round trip, appended to dst. The

@@ -36,6 +36,7 @@ var (
 	goldenTrace = &obs.Trace{Dropped: 3, Spans: []obs.Span{
 		{Kind: obs.KindFetch, Pid: 1, Tid: -1, Start: 1700000000123456789, Dur: 2500, Arg1: 0, Arg2: 34},
 	}}
+	goldenReport = &MachineReport{Failure: "out of memory", Metrics: goldenMetrics, Trace: goldenTrace, Results: []byte("opaque")}
 )
 
 func (h *goldenHandler) handleJoin(r joinRequest) error {
@@ -62,21 +63,9 @@ func (h *goldenHandler) handleRecover(d RecoverDirective) error {
 	h.note(d)
 	return nil
 }
-func (h *goldenHandler) handleMetrics(job uint64) (*Metrics, error) {
+func (h *goldenHandler) handleShutdown(job uint64) (*MachineReport, error) {
 	h.note(job)
-	return goldenMetrics, nil
-}
-func (h *goldenHandler) handleTrace(job uint64) (*obs.Trace, error) {
-	h.note(job)
-	return goldenTrace, nil
-}
-func (h *goldenHandler) handleResults(job uint64) ([]byte, error) {
-	h.note(job)
-	return []byte("opaque"), nil
-}
-func (h *goldenHandler) handleShutdown(job uint64) error {
-	h.note(job)
-	return nil
+	return goldenReport, nil
 }
 func (h *goldenHandler) handleExit() { close(h.exit) }
 
@@ -145,10 +134,10 @@ func recordingProxy(t *testing.T, target string) (string, func() []wireFrame) {
 }
 
 // TestWireGolden pins every control-plane payload, and the metrics and
-// trace payloads the control plane carries, byte for byte: a real
+// trace payloads the shutdown report carries, byte for byte: a real
 // ClusterClient drives a real control server through a recording
 // proxy, and each request and reply must equal the table, which holds
-// whatever implements the codecs to the protocol-version-8 layout a
+// whatever implements the codecs to the protocol-version-9 layout a
 // qcworker of another build speaks. The handler's view of each request
 // and the client's view of each reply are checked against the values
 // encoded, so both directions of every payload are exercised.
@@ -180,17 +169,8 @@ func TestWireGolden(t *testing.T) {
 	if err := c.Recover(1, rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Shutdown(1); err != nil {
-		t.Fatal(err)
-	}
-	if met, err := c.CollectMetrics(1); err != nil || !reflect.DeepEqual(met, goldenMetrics) {
-		t.Fatalf("metrics reply decoded as %+v, %v", met, err)
-	}
-	if tr, err := c.CollectTrace(1); err != nil || !reflect.DeepEqual(tr, goldenTrace) {
-		t.Fatalf("trace reply decoded as %+v, %v", tr, err)
-	}
-	if res, err := c.CollectResults(1); err != nil || string(res) != "opaque" {
-		t.Fatalf("results reply %q, %v", res, err)
+	if rep, err := c.Shutdown(1); err != nil || !reflect.DeepEqual(rep, goldenReport) {
+		t.Fatalf("shutdown reply decoded as %+v, %v", rep, err)
 	}
 	if err := c.Exit(1); err != nil {
 		t.Fatal(err)
@@ -209,7 +189,7 @@ func TestWireGolden(t *testing.T) {
 	// proxy's, twice.
 	proxy := hex.EncodeToString(store.AppendU32(nil, uint32(len(addr)))) + hex.EncodeToString([]byte(addr))
 	join := func(machine string) string {
-		return "08000000" + machine + "02000000" + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy + spec0
+		return "09000000" + machine + "02000000" + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy + spec0
 	}
 	status := "01" + "0300000000000000" + "0200000000000000" + "0b00000000000000" + "0c00000000000000" + "2800000000000000" +
 		"2800000000000000" + zeros(10) + "0000000002000000" + zeros(16) + "0700000000000000" +
@@ -219,6 +199,7 @@ func TestWireGolden(t *testing.T) {
 		"02000000" + "404b4c0000000000" + "808d5b0000000000" + "04000000" + "61767832"
 	trace := "4f545231" + "01000000" + "0300000000000000" + "01000000" +
 		"04" + "01000000" + "ffffffff" + "15cd853dfe9c9717" + "c409000000000000" + "0000000000000000" + "2200000000000000"
+	report := "0d000000" + "6f7574206f66206d656d6f7279" + metrics + "3d000000" + trace + "06000000" + "6f7061717565"
 	want := []wireFrame{
 		{opJoin, join("00000000")}, {opJoin, ""},
 		{opJoin, join("01000000")}, {opJoin, ""},
@@ -226,10 +207,7 @@ func TestWireGolden(t *testing.T) {
 		{opStatus, jobID}, {opStatus, status},
 		{opStealDo, jobID + "00000000" + "05000000"}, {opStealDo, "02000000"},
 		{opRecover, "02000000" + "01000000" + "00000000" + "02000000" + "02000000" + "04000000"}, {opRecover, ""},
-		{opShutdown, jobID}, {opShutdown, ""},
-		{opMetrics, jobID}, {opMetrics, metrics},
-		{opTrace, jobID}, {opTrace, trace},
-		{opResults, jobID}, {opResults, hex.EncodeToString([]byte("opaque"))},
+		{opShutdown, jobID}, {opShutdown, report},
 		{opExit, ""}, {opExit, ""},
 	}
 	if len(frames) != len(want) {
@@ -248,7 +226,7 @@ func TestWireGolden(t *testing.T) {
 		uint64(job),
 		[]any{uint64(job), 0, 5},
 		rec,
-		uint64(job), uint64(job), uint64(job), uint64(job),
+		uint64(job),
 	}
 	if !reflect.DeepEqual(h.got, wantSeen) {
 		t.Fatalf("handler decoded\n  %+v\nwant\n  %+v", h.got, wantSeen)

@@ -53,7 +53,6 @@ func chaosMine(t *testing.T, g *graph.Graph, plan string, tcp bool) (*Result, er
 		StatusInterval: 2 * time.Millisecond,
 		DeadAfterPolls: 3,
 		FrameTimeout:   2 * time.Second,
-		DialTimeout:    time.Second,
 		FaultSpec:      plan,
 	}
 	type outcome struct {

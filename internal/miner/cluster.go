@@ -1,7 +1,7 @@
 // Multi-process deployment glue: the app-level halves of the cluster
 // protocol. The gthinker control plane ships two opaque byte blobs —
 // the job spec a coordinator hands every worker at join and with each
-// run, and the result set a worker hands back after shutdown — and
+// run, and the result set a worker reports at shutdown — and
 // this file owns both encodings for the quasi-clique miner, plus the
 // worker-process entry point (cmd/qcworker) and the one-shot MineProcs.
 package miner
@@ -25,16 +25,17 @@ import (
 // opRun. QJS2 dropped QJS1's spill-format byte; QJS3 dropped the two
 // kernel flags and the two dense-kernel scalars; QJS4 dropped the
 // steal period, the steal hysteresis streak and the stealing and
-// recovery opt-outs. A worker built for
+// recovery opt-outs; QJS5 dropped the dial timeout. A worker built for
 // another layout is refused at join instead of mis-parsing every field
 // after it.
-const jobSpecMagic = "QJS4"
+const jobSpecMagic = "QJS5"
 
-// jobSpecFields is the QJS4 layout: the magic, then every field of the
+// jobSpecFields is the QJS5 layout: the magic, then every field of the
 // miner and engine configs that crosses the wire, in order. The engine
 // config travels without a SpillDir (each worker process spills into
 // its own temporary directory) and without transport fields (the
-// handshake wires those).
+// handshake wires those). The spec is a worker's only configuration:
+// its fault plan and tracing come from here.
 func jobSpecFields(w *store.Walker, cfg *Config, ecfg *gthinker.Config) {
 	o := &cfg.Options
 	w.Const(jobSpecMagic, "job spec version")
@@ -56,7 +57,6 @@ func jobSpecFields(w *store.Walker, cfg *Config, ecfg *gthinker.Config) {
 	store.U64(w, &ecfg.StatusInterval)
 	w.Flags(4, &ecfg.DisableGlobalQueue, &ecfg.Trace)
 	store.U64(w, &ecfg.FrameTimeout)
-	store.U64(w, &ecfg.DialTimeout)
 	store.U64(w, &ecfg.DeadAfterPolls)
 	w.String(&ecfg.FaultSpec, math.MaxInt32)
 }
@@ -73,11 +73,12 @@ func AppendJobSpec(dst []byte, cfg Config, ecfg gthinker.Config) []byte {
 // DecodeJobSpec reverses AppendJobSpec. A spec of another version is
 // refused: coordinator and qcworker must come from the same build.
 func DecodeJobSpec(data []byte) (cfg Config, ecfg gthinker.Config, err error) {
-	err = store.Decode(data, "QJS4 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg, &ecfg) })
+	err = store.Decode(data, "QJS5 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg, &ecfg) })
 	return cfg, ecfg, err
 }
 
-// resultsFields is the QRS2 layout of one machine's opResults flush:
+// resultsFields is the QRS2 layout of the result frame in one
+// machine's shutdown report:
 // the sets it ships and, next to them, how many candidates its workers
 // emitted — the shipped sets are survivors of the machine's own
 // filter, so the count cannot be recovered from them.
@@ -89,7 +90,7 @@ func resultsFields(w *store.Walker, sets *[][]graph.V, emitted *int64) {
 	})
 }
 
-// AppendResults encodes one machine's opResults flush.
+// AppendResults encodes one machine's result frame.
 func AppendResults(dst []byte, sets [][]graph.V, emitted int64) []byte {
 	return store.Encode(dst, func(w *store.Walker) { resultsFields(w, &sets, &emitted) })
 }
@@ -117,13 +118,11 @@ func workerResults(a gthinker.App) ([]byte, error) {
 // and starts the worker host serving machine machineID. It is the
 // entire body of cmd/qcworker (and of the test harness's re-executed
 // process): callers print the ready line, wait for the coordinator's
-// exit op, and close. faultSpec, when non-empty, overrides the job
-// spec's fault plan for this process (chaos tests inject faults into
-// one machine of a cluster); a fault-plan kill exits the process hard
-// with status 137, indistinguishable from an external SIGKILL. trace
-// forces span tracing on for this process even when the job spec does
-// not request it (cmd/qcworker threads -trace through it).
-func HostWorker(graphPath, manifestPath string, machineID int, faultSpec string, trace bool) (*gthinker.WorkerHost, func(), error) {
+// exit op, and close. Everything else — mining parameters, engine
+// shape, tracing, the fault plan — arrives in the job spec; a
+// fault-plan kill aimed at this machine (kill=M@N) exits the process
+// hard with status 137, indistinguishable from an external SIGKILL.
+func HostWorker(graphPath, manifestPath string, machineID int) (*gthinker.WorkerHost, func(), error) {
 	man, err := store.ReadManifestFile(manifestPath)
 	if err != nil {
 		return nil, nil, err
@@ -146,8 +145,6 @@ func HostWorker(graphPath, manifestPath string, machineID int, faultSpec string,
 		MachineID: machineID,
 		Machines:  len(man.Machines),
 		Addr:      man.Machines[machineID].Addr,
-		FaultSpec: faultSpec,
-		Trace:     trace,
 		Kill:      func() { os.Exit(137) },
 		NewApp: func(specBytes []byte, machines int) (gthinker.App, gthinker.Config, error) {
 			cfg, ecfg, err := DecodeJobSpec(specBytes)

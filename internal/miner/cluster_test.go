@@ -28,7 +28,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		Machines: 4, WorkersPerMachine: 3, QueueCap: 64, BatchSize: 8,
 		CacheCap: 1 << 10, StatusInterval: 2 * time.Millisecond,
 		DisableGlobalQueue: true, Trace: true,
-		FrameTimeout: 7 * time.Second, DialTimeout: 3 * time.Second,
+		FrameTimeout:   7 * time.Second,
 		DeadAfterPolls: 9, FaultSpec: "5:reset=0.01",
 	}
 	gcfg, gecfg, err := DecodeJobSpec(AppendJobSpec(nil, cfg, ecfg))
@@ -44,10 +44,10 @@ func TestJobSpecRoundTrip(t *testing.T) {
 
 	// A spec from a build with another layout (QJS1 carried a
 	// spill-format byte, QJS2 the kernel flags and scalars, QJS3 the
-	// steal period, hysteresis streak and steal/recovery opt-outs) is
-	// refused by version, not mis-parsed.
+	// steal period, hysteresis streak and steal/recovery opt-outs, QJS4
+	// the dial timeout) is refused by version, not mis-parsed.
 	data := AppendJobSpec(nil, cfg, ecfg)
-	for _, old := range []string{"QJS1", "QJS2", "QJS3"} {
+	for _, old := range []string{"QJS1", "QJS2", "QJS3", "QJS4"} {
 		stale := append([]byte(old), data[4:]...)
 		if _, _, err := DecodeJobSpec(stale); err == nil || !strings.Contains(err.Error(), "unsupported job spec version") {
 			t.Fatalf("%s spec: err = %v, want an unsupported-version error", old, err)
@@ -60,12 +60,12 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobSpecGolden pins the QJS4 bytes of one fully-populated config:
+// TestJobSpecGolden pins the QJS5 bytes of one fully-populated config:
 // field order, widths and flag bit positions are the protocol.
 func TestJobSpecGolden(t *testing.T) {
-	const golden = "514a5334333333333333eb3f090000004d000000c0c62d0000000000012d01000000046bf414000000" +
+	const golden = "514a5335333333333333eb3f090000004d000000c0c62d0000000000012d01000000046bf414000000" +
 		"040000000300000040000000080000000004000080841e0000000000" + "03000000" +
-		"00863ba101000000005ed0b20000000009000000000000000c000000353a72657365743d302e3031"
+		"00863ba10100000009000000000000000c000000353a72657365743d302e3031"
 	cfg := Config{
 		Params: quasiclique.Params{Gamma: 0.85, MinSize: 9},
 		Options: quasiclique.Options{
@@ -79,17 +79,17 @@ func TestJobSpecGolden(t *testing.T) {
 		Machines: 4, WorkersPerMachine: 3, QueueCap: 64, BatchSize: 8,
 		CacheCap: 1 << 10, StatusInterval: 2 * time.Millisecond,
 		DisableGlobalQueue: true, Trace: true,
-		FrameTimeout: 7 * time.Second, DialTimeout: 3 * time.Second,
+		FrameTimeout:   7 * time.Second,
 		DeadAfterPolls: 9, FaultSpec: "5:reset=0.01",
 	}
 	if got := hex.EncodeToString(AppendJobSpec(nil, cfg, ecfg)); got != golden {
-		t.Fatalf("QJS4 bytes changed:\n got  %s\n want %s", got, golden)
+		t.Fatalf("QJS5 bytes changed:\n got  %s\n want %s", got, golden)
 	}
 }
 
 // TestWireGolden pins the QRS2 bytes a qcworker ships back after a job.
 // Each row must encode to its bytes and decode back to its value (the
-// QJS4 job spec has its own golden test above).
+// QJS5 job spec has its own golden test above).
 func TestWireGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

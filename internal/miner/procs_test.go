@@ -31,7 +31,7 @@ func TestHelperWorkerProcess(t *testing.T) {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
 	}
-	host, cleanup, err := HostWorker(os.Getenv("QCWORKER_GRAPH"), os.Getenv("QCWORKER_MANIFEST"), machine, os.Getenv("QCWORKER_FAULTPLAN"), os.Getenv("QCWORKER_TRACE") == "1")
+	host, cleanup, err := HostWorker(os.Getenv("QCWORKER_GRAPH"), os.Getenv("QCWORKER_MANIFEST"), machine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		os.Exit(1)
@@ -97,7 +97,6 @@ func TestMineProcsWorkerKilledRecovers(t *testing.T) {
 		Machines: 4, WorkersPerMachine: 2,
 		StatusInterval: time.Millisecond,
 		DeadAfterPolls: 3,
-		DialTimeout:    time.Second,
 		FrameTimeout:   5 * time.Second,
 		// Kill machine 1 on its 2nd status poll that observed mining
 		// (a busy machine answers one per StatusInterval; the job lasts

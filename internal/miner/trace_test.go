@@ -29,7 +29,6 @@ func TestMineChaosKillTraced(t *testing.T) {
 		StatusInterval: 2 * time.Millisecond,
 		DeadAfterPolls: 3,
 		FrameTimeout:   2 * time.Second,
-		DialTimeout:    time.Second,
 		FaultSpec:      "5:kill=1@2",
 		Trace:          true,
 	}

@@ -74,8 +74,9 @@
 // # Wire payloads (walk.go)
 //
 // Every payload the system sends once per poll or once per job — the
-// gthinker control plane's requests and replies, the Metrics flush,
-// the OTR1 trace, the miner's QJS4 job spec and QRS2 results, and the
+// gthinker control plane's requests and replies (a job ends with one
+// machine report carrying the Metrics, the OTR1 trace and the result
+// frame), the miner's QJS5 job spec and QRS2 results, and the
 // GQM3 manifest — is spelled as one walk function over a Walker: the
 // fields in wire order, each through a typed method (fixed-width
 // integers, float, flag mask, length-prefixed string and bytes,
