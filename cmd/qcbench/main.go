@@ -18,11 +18,11 @@
 //
 // qcbench prints tables; everything about one mine lives in the tools
 // that mine. To trace a stand-in, inject faults into it, watch its
-// /metrics, time the scalar kernels or print its heaviest roots:
+// /metrics or print its heaviest roots:
 //
 //	qcgen -type standin -name YouTube -o yt.bin    # prints its Table 2 γ, τsize
 //	qcmine -input yt.bin -gamma 0.9 -minsize 16 -trace t.json -debug-addr :6060 \
-//	       -faultplan ... -frame-timeout ... -dead-after ... -nosimd -rootstats 10
+//	       -faultplan ... -frame-timeout ... -dead-after ... -rootstats 10
 //
 // and qcconvert -budget is the external-memory write path.
 //

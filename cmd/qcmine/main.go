@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"gthinkerqc"
-	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/metrics"
 	"gthinkerqc/internal/miner"
 )
@@ -39,7 +38,6 @@ func main() {
 		qcworker  = flag.String("qcworker", "", "path to the qcworker binary for -procs (default: next to this binary, then $PATH)")
 		sizeOnly  = flag.Bool("size-threshold", false, "use size-threshold decomposition (Algorithm 8) instead of time-delayed (Algorithm 10)")
 		keepAll   = flag.Bool("keep-nonmaximal", false, "skip the maximality post-filter (mirrors the paper's released code)")
-		noSIMD    = flag.Bool("nosimd", false, "force the scalar bitset kernels (disable the vectorized AVX2 path) in this process, for A/B timing; not with -procs")
 		frameTO   = flag.Duration("frame-timeout", 0, "cluster frame-exchange deadline (0 = default 30s, negative disables)")
 		deadAfter = flag.Int("dead-after", 0, "consecutive failed status polls before a worker is declared dead (0 = default 5)")
 		faultPlan = flag.String("faultplan", "", "seeded fault-injection plan for chaos testing, e.g. '7:dialfail=0.1,kill=1@3'")
@@ -55,14 +53,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qcmine: -input is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *noSIMD {
-		if *procs > 0 {
-			fmt.Fprintln(os.Stderr, "qcmine: -nosimd switches this process's kernels only, and under -procs the mining runs in qcworker processes; build qcworker with -tags noasm for scalar kernels there")
-			os.Exit(2)
-		}
-		bitset.SetSIMD(false)
 	}
 
 	var g *gthinkerqc.Graph

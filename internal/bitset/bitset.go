@@ -12,61 +12,40 @@
 // pointer chasing. Rows are not safe for concurrent mutation; each
 // task owns its rows.
 //
-// # Kernel dispatch
+// # Kernels
 //
-// The word-row kernels have two implementations: portable scalar Go
-// loops (math/bits.OnesCount64 over ranged words) and AVX2 assembly
-// (bitset_amd64.s — VPAND/VPOR plus the VPSHUFB nibble-lookup popcount
-// of Muła et al., with a POPCNT scalar tail). The variant is selected
-// once at package init by a hand-rolled CPUID probe (OSXSAVE + AVX +
-// POPCNT, XCR0 XMM|YMM enabled, and the leaf-7 AVX2 bit) — no cgo, no
-// external dependency — and every exported kernel dispatches through
-// one predictable branch on an atomic flag. Rows shorter than
-// minAsmWords stay on the scalar loops, whose per-call cost is lower
-// than the vector setup. Before any of that, FillBits, AndCount and
-// OrWith test for one-word rows — every task subgraph of at most 64
-// vertices — and handle them in a path the compiler inlines into the
-// caller: one OnesCount64, or one word built in a register and stored
-// once, with no call, clamp or flag load.
-//
-// Three ways to force the portable path:
-//
-//   - build with the noasm tag (the assembly is not even assembled;
-//     CI keeps this leg green so the portable kernels cannot rot);
-//   - call SetSIMD(false) at runtime, once, for rebuild-free A/B runs
-//     (qcmine -nosimd does, for its own process only: mining never
-//     touches the switch);
-//   - run on a non-amd64 or pre-AVX2 host, where detection fails.
+// Every word-row kernel is one portable Go loop (math/bits.OnesCount64
+// over ranged words, which the compiler lowers to POPCNT where the
+// target has it). Mining rows are narrow — a task subgraph of at most
+// 64 vertices is one word, and the widest mined task spans a few — so
+// a node's cost is the miner's bookkeeping around the calls, not the
+// words they sweep. FillBits, AndCount and OrWith therefore test for
+// one-word rows first and handle them in a path the compiler inlines
+// into the caller: one OnesCount64, or one word built in a register
+// and stored once, with no call or clamp.
 //
 // # Length preconditions
 //
 // Kernels operate on the first min(len(...)) words of their operands
-// and never read past the shorter row — an explicit guard enforced in
-// the Go wrappers BEFORE the assembly is entered, so a caller with
-// mismatched row lengths cannot make the vector code read out of
-// bounds. Rows sliced from a Matrix all share one stride, so in the
-// mining hot loops the clamp never bites. No alignment is required
-// (the assembly uses unaligned loads); for in-place forms (OrWith, and
-// AndTo or AndCountTo with dst == a or dst == b) operands may alias
-// exactly, but partial overlap is undefined.
+// and never read past the shorter row: each clamps its operands before
+// its loop, which also lets the compiler drop the loop's bounds
+// checks. Rows sliced from a Matrix all share one stride, so in the
+// mining hot loops the clamp never bites. No alignment is required;
+// for in-place forms (OrWith, and AndTo or AndCountTo with dst == a or
+// dst == b) operands may alias exactly, but partial overlap is
+// undefined.
 //
 // # Adding a kernel
 //
-// Add the scalar loop (xxxGeneric) next to the existing ones, the
-// assembly routine to bitset_amd64.s, its //go:noescape declaration to
-// dispatch_amd64.go, a stub to dispatch_noasm.go, and an exported
-// wrapper here that clamps lengths and dispatches on simdOn (if the
-// miner calls it per node, give it the one-word path and put it in
-// CI's inline check, as AndCount has). Then
-// extend the parity fuzz target (FuzzKernelParity) so the two
-// implementations are compared bit-for-bit, including odd lengths and
-// unaligned tails.
+// Add an exported function here that clamps its operands and runs its
+// loop (if the miner calls it per node, give it the one-word path and
+// put it in CI's inline check, as AndCount has). Then add it to the
+// per-bit model tests (TestKernelParityAcrossDispatch and
+// FuzzKernelParity), which check every kernel bit by bit over odd
+// lengths, unaligned tails and mismatched operand lengths.
 package bitset
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 const wordBits = 64
 
@@ -171,49 +150,12 @@ func (c *RowCache) MarkBuilt(i int) { c.stamp[i] = c.epoch }
 
 // Word-slice kernels — the branch-free inner loops of the dense mining
 // kernel. Each exported kernel clamps its operands to the shortest row
-// (see the package doc's length preconditions) and then dispatches to
-// either the AVX2 assembly or the portable scalar loop; the two
-// implementations are verified bit-identical by the parity fuzz suite.
+// (see the package doc's length preconditions) and runs a Go loop.
 
-// simdOn gates the vector kernels at runtime. It is initialized by the
-// per-arch dispatch file (CPUID probe on amd64, always false under
-// noasm or on other architectures) and can be cleared with SetSIMD for
-// A/B runs. Atomic so a -nosimd toggle racing a straggler worker from
-// a previous run stays benign; the Load compiles to a plain MOV on
-// amd64.
-var simdOn atomic.Bool
-
-func init() { simdOn.Store(simdAvailable) }
-
-// minAsmWords is the row width below which the exported kernels keep
-// the scalar loops: under ~8 words the vector routine's call and
-// LUT-setup overhead exceeds the popcount work it saves, and the
-// ≤64-vertex subgraphs that dominate task counts are 1-word rows.
-const minAsmWords = 8
-
-// SetSIMD enables or disables the vectorized kernels at runtime.
-// Enabling is capped by what the build and the CPU support, so
-// SetSIMD(true) on a scalar-only build is a no-op. The switch is
-// process-global: flip it between runs (the -nosimd flag does), not
-// while miners are in flight, or A/B timings will blur.
-func SetSIMD(on bool) { simdOn.Store(on && simdAvailable) }
-
-// SIMDAvailable reports whether this build and CPU have the vector
-// kernels at all (amd64 with AVX2+POPCNT, built without noasm).
-func SIMDAvailable() bool { return simdAvailable }
-
-// SIMDEnabled reports whether the vector kernels are currently
-// selected.
-func SIMDEnabled() bool { return simdOn.Load() }
-
-// KernelVariant names the kernel implementation currently selected —
-// "avx2" or "scalar" — for surfacing in run metrics.
-func KernelVariant() string {
-	if simdOn.Load() {
-		return "avx2"
-	}
-	return "scalar"
-}
+// KernelVariant names the kernel implementation for the benchmark
+// report's header. There is one, the portable Go loops, so it is
+// always "scalar".
+func KernelVariant() string { return "scalar" }
 
 // SetBit sets bit i in row w.
 func SetBit(w []uint64, i int) {
@@ -226,12 +168,10 @@ func TestBit(w []uint64, i int) bool {
 }
 
 // FillBits, AndCount and OrWith are "test for one word, else call the
-// general body" and nothing more, to stay within the compiler's inline
-// budget of 80 (see the package doc's kernel dispatch); CI fails if
-// go build -gcflags=-m stops reporting "can inline" for the three.
-// AndTo and AndCountTo take three rows, and the guard, the call and the
-// one-word body cost about 90 together, so they stay single functions;
-// the miner calls them far less often.
+// loop" and nothing more, to stay within the compiler's inline budget
+// of 80 (see the package doc); AndTo and AndCountTo are a clamp and a
+// loop, which fits too. CI fails if go build -gcflags=-m stops
+// reporting "can inline" for any of the five.
 
 // FillBits clears dst and sets the bit of every member of xs. A member
 // outside dst panics with an index out of range.
@@ -248,7 +188,7 @@ func FillBits(dst []uint64, xs []uint32) {
 		dst[hi/wordBits] = w
 		return
 	}
-	fillBitsGeneric(dst, xs)
+	fillBitsLoop(dst, xs)
 }
 
 // AndCount returns the population count of a ∩ b without writing
@@ -258,7 +198,7 @@ func AndCount(a, b []uint64) int {
 	if min(len(a), len(b)) == 1 {
 		return bits.OnesCount64(a[0] & b[0])
 	}
-	return andCountDispatch(a, b)
+	return andCountLoop(a, b)
 }
 
 // AndTo stores a ∩ b into dst. Only the first min(len) words of the
@@ -266,11 +206,9 @@ func AndCount(a, b []uint64) int {
 func AndTo(dst, a, b []uint64) {
 	n := min(len(dst), len(a), len(b))
 	dst, a, b = dst[:n], a[:n], b[:n]
-	if simdOn.Load() && n >= minAsmWords {
-		andToAsm(&dst[0], &a[0], &b[0], n)
-		return
+	for i, x := range a {
+		dst[i] = x & b[i]
 	}
-	andToGeneric(dst, a, b)
 }
 
 // AndCountTo stores a ∩ b into dst and returns its population count in
@@ -280,70 +218,6 @@ func AndTo(dst, a, b []uint64) {
 func AndCountTo(dst, a, b []uint64) int {
 	n := min(len(dst), len(a), len(b))
 	dst, a, b = dst[:n], a[:n], b[:n]
-	if simdOn.Load() && n >= minAsmWords {
-		return andCountToAsm(&dst[0], &a[0], &b[0], n)
-	}
-	return andCountToGeneric(dst, a, b)
-}
-
-// OrWith replaces dst with dst ∪ a over the first min(len) words.
-func OrWith(dst, a []uint64) {
-	if min(len(dst), len(a)) == 1 {
-		dst[0] |= a[0]
-		return
-	}
-	orWithDispatch(dst, a)
-}
-
-// General bodies of the wrappers above: clamp every operand to the
-// shortest (which also drops the scalar loop's bounds checks), then the
-// assembly for rows of at least minAsmWords when it is on, else the
-// scalar loop.
-
-func andCountDispatch(a, b []uint64) int {
-	n := min(len(a), len(b))
-	a, b = a[:n], b[:n]
-	if simdOn.Load() && n >= minAsmWords {
-		return andCountAsm(&a[0], &b[0], n)
-	}
-	return andCountGeneric(a, b)
-}
-
-func orWithDispatch(dst, a []uint64) {
-	n := min(len(dst), len(a))
-	dst, a = dst[:n], a[:n]
-	if simdOn.Load() && n >= minAsmWords {
-		orWithAsm(&dst[0], &a[0], n)
-		return
-	}
-	orWithGeneric(dst, a)
-}
-
-// Scalar kernel bodies: the portable fallback (and the reference the
-// assembly is fuzzed against). Callers have already clamped lengths.
-
-func fillBitsGeneric(dst []uint64, xs []uint32) {
-	clear(dst)
-	for _, x := range xs {
-		dst[x/wordBits] |= 1 << (uint64(x) % wordBits)
-	}
-}
-
-func andCountGeneric(a, b []uint64) int {
-	c := 0
-	for i, x := range a {
-		c += bits.OnesCount64(x & b[i])
-	}
-	return c
-}
-
-func andToGeneric(dst, a, b []uint64) {
-	for i, x := range a {
-		dst[i] = x & b[i]
-	}
-}
-
-func andCountToGeneric(dst, a, b []uint64) int {
 	c := 0
 	for i, x := range a {
 		w := x & b[i]
@@ -353,7 +227,38 @@ func andCountToGeneric(dst, a, b []uint64) int {
 	return c
 }
 
-func orWithGeneric(dst, a []uint64) {
+// OrWith replaces dst with dst ∪ a over the first min(len) words.
+func OrWith(dst, a []uint64) {
+	if min(len(dst), len(a)) == 1 {
+		dst[0] |= a[0]
+		return
+	}
+	orWithLoop(dst, a)
+}
+
+// Loops behind the one-word paths above. Each clamps its operands to
+// the shortest, which also drops the bounds checks inside the loop.
+
+func fillBitsLoop(dst []uint64, xs []uint32) {
+	clear(dst)
+	for _, x := range xs {
+		dst[x/wordBits] |= 1 << (uint64(x) % wordBits)
+	}
+}
+
+func andCountLoop(a, b []uint64) int {
+	n := min(len(a), len(b))
+	a, b = a[:n], b[:n]
+	c := 0
+	for i, x := range a {
+		c += bits.OnesCount64(x & b[i])
+	}
+	return c
+}
+
+func orWithLoop(dst, a []uint64) {
+	n := min(len(dst), len(a))
+	dst, a = dst[:n], a[:n]
 	for i := range dst {
 		dst[i] |= a[i]
 	}

@@ -1,7 +1,9 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -22,100 +24,129 @@ func randRow(rng *rand.Rand, n int) []uint64 {
 	return w
 }
 
-// withSIMD runs f twice, once with the vector kernels selected and
-// once forced scalar, restoring the prior setting after. On builds or
-// CPUs without the vector kernels both runs are scalar, which keeps
-// the test meaningful (it then checks the wrappers against the
-// generics) without skipping.
-func withSIMD(t *testing.T, f func(t *testing.T, simd bool)) {
+// bitAt reads bit i of w without any kernel: the per-bit model below
+// is built from it alone.
+func bitAt(w []uint64, i int) bool { return w[i/64]>>(i%64)&1 == 1 }
+
+// modelAnd computes a ∩ b and its population count one bit at a time,
+// over the first min(len(a), len(b)) words.
+func modelAnd(a, b []uint64) ([]uint64, int) {
+	out := make([]uint64, min(len(a), len(b)))
+	c := 0
+	for i := 0; i < len(out)*64; i++ {
+		if bitAt(a, i) && bitAt(b, i) {
+			out[i/64] |= 1 << (i % 64)
+			c++
+		}
+	}
+	return out, c
+}
+
+// modelOr returns a copy of dst with every bit of a set in it, over the
+// first min(len(dst), len(a)) words; the words past them keep dst's.
+func modelOr(dst, a []uint64) []uint64 {
+	out := append([]uint64(nil), dst...)
+	for i := 0; i < min(len(dst), len(a))*64; i++ {
+		if bitAt(a, i) {
+			out[i/64] |= 1 << (i % 64)
+		}
+	}
+	return out
+}
+
+// modelMembers lists the set bits of w in increasing order.
+func modelMembers(w []uint64) []uint32 {
+	var xs []uint32
+	for i := 0; i < len(w)*64; i++ {
+		if bitAt(w, i) {
+			xs = append(xs, uint32(i))
+		}
+	}
+	return xs
+}
+
+// checkKernels runs every exported kernel on (dst, a, b), each writing
+// kernel on its own copy of dst, and compares it with the per-bit
+// model: the clamped prefix holds the model's words and every word past
+// it keeps dst's. AppendBits must list a's members, and FillBits must
+// rebuild a from them.
+func checkKernels(t *testing.T, what string, dst, a, b []uint64) {
 	t.Helper()
-	prev := SIMDEnabled()
-	defer SetSIMD(prev)
-	for _, on := range []bool{true, false} {
-		SetSIMD(on)
-		f(t, SIMDEnabled())
+	_, wantCount := modelAnd(a, b)
+	if got := AndCount(a, b); got != wantCount {
+		t.Fatalf("%s: AndCount=%d want %d", what, got, wantCount)
+	}
+
+	n := min(len(dst), len(a), len(b))
+	wantAnd, wantAndCount := modelAnd(a[:n], b[:n])
+	wantDst := append(wantAnd, dst[n:]...)
+	got := append([]uint64(nil), dst...)
+	AndTo(got, a, b)
+	if !slices.Equal(got, wantDst) {
+		t.Fatalf("%s: AndTo = %#x want %#x", what, got, wantDst)
+	}
+	got = append(got[:0], dst...)
+	if c := AndCountTo(got, a, b); c != wantAndCount {
+		t.Fatalf("%s: AndCountTo=%d want %d", what, c, wantAndCount)
+	}
+	if !slices.Equal(got, wantDst) {
+		t.Fatalf("%s: AndCountTo wrote %#x want %#x", what, got, wantDst)
+	}
+
+	wantOr := modelOr(dst, b)
+	got = append(got[:0], dst...)
+	OrWith(got, b)
+	if !slices.Equal(got, wantOr) {
+		t.Fatalf("%s: OrWith = %#x want %#x", what, got, wantOr)
+	}
+
+	members := modelMembers(a)
+	if xs := AppendBits(nil, a); !slices.Equal(xs, members) {
+		t.Fatalf("%s: AppendBits = %v want %v", what, xs, members)
+	}
+	filled := append([]uint64(nil), dst...) // stale bits FillBits must clear
+	if len(filled) >= len(a) {
+		filled = filled[:len(a)]
+		FillBits(filled, members)
+		if !slices.Equal(filled, a) {
+			t.Fatalf("%s: FillBits = %#x want %#x", what, filled, a)
+		}
 	}
 }
 
-// kernelLens covers the dispatch boundary (minAsmWords=8), odd
-// lengths, non-multiple-of-8 tails, and the degenerate 0/1 cases.
+// kernelLens covers the degenerate 0/1 cases, the one-word path's
+// boundary, odd lengths and tails that are not a multiple of 4 or 8.
 var kernelLens = []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 255, 256, 1000}
 
+// TestKernelParityAcrossDispatch checks every exported kernel against
+// the per-bit model over kernelLens, with equal operand lengths and
+// with each operand in turn one word longer or shorter than the other
+// two.
 func TestKernelParityAcrossDispatch(t *testing.T) {
-	withSIMD(t, func(t *testing.T, simd bool) {
-		rng := rand.New(rand.NewSource(42))
-		for _, n := range kernelLens {
-			a := randRow(rng, n)
-			b := randRow(rng, n)
-
-			if got, want := AndCount(a, b), andCountGeneric(a, b); got != want {
-				t.Fatalf("simd=%v n=%d: AndCount=%d want %d", simd, n, got, want)
-			}
-
-			dst := make([]uint64, n)
-			want := make([]uint64, n)
-			AndTo(dst, a, b)
-			andToGeneric(want, a, b)
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("simd=%v n=%d: AndTo word %d = %#x want %#x", simd, n, i, dst[i], want[i])
-				}
-			}
-
-			clear(dst)
-			wantC := andCountToGeneric(want, a, b)
-			if got := AndCountTo(dst, a, b); got != wantC {
-				t.Fatalf("simd=%v n=%d: AndCountTo=%d want %d", simd, n, got, wantC)
-			}
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("simd=%v n=%d: AndCountTo word %d = %#x want %#x", simd, n, i, dst[i], want[i])
-				}
-			}
-
-			copy(dst, a)
-			copy(want, a)
-			OrWith(dst, b)
-			orWithGeneric(want, b)
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("simd=%v n=%d: OrWith word %d = %#x want %#x", simd, n, i, dst[i], want[i])
-				}
-			}
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range kernelLens {
+		for _, d := range [][3]int{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}} {
+			ld, la, lb := n+d[0], n+d[1], n+d[2]
+			checkKernels(t, fmt.Sprintf("len=%d/%d/%d", ld, la, lb),
+				randRow(rng, ld), randRow(rng, la), randRow(rng, lb))
 		}
-	})
+	}
 }
 
-// TestKernelUnalignedTails runs the binary kernels on sub-slices at
-// every offset of a shared backing array, so the asm sees every
-// 8-byte (mis)alignment relative to 32-byte vector loads.
+// TestKernelUnalignedTails runs the kernels on sub-slices at every
+// word offset of a shared backing array, so the operands start at
+// every 8-byte offset of a 64-byte cache line.
 func TestKernelUnalignedTails(t *testing.T) {
-	withSIMD(t, func(t *testing.T, simd bool) {
-		rng := rand.New(rand.NewSource(7))
-		const total = 64
-		back := randRow(rng, total)
-		other := randRow(rng, total)
-		for off := 0; off < 8; off++ {
-			for _, n := range []int{8, 9, 12, 24, 40} {
-				a := back[off : off+n]
-				b := other[off : off+n]
-				if got, want := AndCount(a, b), andCountGeneric(a, b); got != want {
-					t.Fatalf("simd=%v off=%d n=%d: AndCount=%d want %d", simd, off, n, got, want)
-				}
-				dst := make([]uint64, n)
-				wantDst := make([]uint64, n)
-				wantC := andCountToGeneric(wantDst, a, b)
-				if got := AndCountTo(dst, a, b); got != wantC {
-					t.Fatalf("simd=%v off=%d n=%d: AndCountTo=%d want %d", simd, off, n, got, wantC)
-				}
-				for i := range dst {
-					if dst[i] != wantDst[i] {
-						t.Fatalf("simd=%v off=%d n=%d: AndCountTo word %d mismatch", simd, off, n, i)
-					}
-				}
-			}
+	rng := rand.New(rand.NewSource(7))
+	const total = 64
+	back := randRow(rng, total)
+	other := randRow(rng, total)
+	for off := 0; off < 8; off++ {
+		for _, n := range []int{1, 2, 8, 9, 12, 24, 40} {
+			checkKernels(t, fmt.Sprintf("off=%d n=%d", off, n),
+				randRow(rng, n), back[off:off+n], other[off:off+n])
 		}
-	})
+	}
 }
 
 // TestKernelLengthClamping checks the min-length guards: mismatched
@@ -123,56 +154,14 @@ func TestKernelUnalignedTails(t *testing.T) {
 // write out of bounds. The one-word cases sit on the inlined path's
 // guard: AndCount([1], [0]) is 0, not a read of b[0].
 func TestKernelLengthClamping(t *testing.T) {
-	withSIMD(t, func(t *testing.T, simd bool) {
-		rng := rand.New(rand.NewSource(11))
-		for _, tc := range []struct{ la, lb int }{
-			{20, 12}, {12, 20}, {9, 8}, {8, 9}, {16, 0}, {0, 16}, {1, 40},
-			{1, 0}, {0, 1}, {1, 1}, {1, 2}, {2, 1},
-		} {
-			a := randRow(rng, tc.la)
-			b := randRow(rng, tc.lb)
-			n := min(tc.la, tc.lb)
-			want := andCountGeneric(a[:n], b[:n])
-			if got := AndCount(a, b); got != want {
-				t.Fatalf("simd=%v la=%d lb=%d: AndCount=%d want %d", simd, tc.la, tc.lb, got, want)
-			}
-
-			dst := randRow(rng, tc.la)
-			tail := append([]uint64(nil), dst[n:]...)
-			AndTo(dst, a, b)
-			for i := 0; i < n; i++ {
-				if dst[i] != a[i]&b[i] {
-					t.Fatalf("simd=%v la=%d lb=%d: AndTo word %d wrong", simd, tc.la, tc.lb, i)
-				}
-			}
-			for i, w := range dst[n:] {
-				if w != tail[i] {
-					t.Fatalf("simd=%v la=%d lb=%d: AndTo wrote past clamped length at word %d", simd, tc.la, tc.lb, n+i)
-				}
-			}
-
-			dst = randRow(rng, tc.la)
-			tail = append([]uint64(nil), dst[n:]...)
-			if got := AndCountTo(dst, a, b); got != want {
-				t.Fatalf("simd=%v la=%d lb=%d: AndCountTo=%d want %d", simd, tc.la, tc.lb, got, want)
-			}
-			for i, w := range dst[n:] {
-				if w != tail[i] {
-					t.Fatalf("simd=%v la=%d lb=%d: AndCountTo wrote past clamped length at word %d", simd, tc.la, tc.lb, n+i)
-				}
-			}
-
-			dst = randRow(rng, tc.la)
-			wantOr := append([]uint64(nil), dst...)
-			orWithGeneric(wantOr[:n], b[:n])
-			OrWith(dst, b)
-			for i := range dst {
-				if dst[i] != wantOr[i] {
-					t.Fatalf("simd=%v la=%d lb=%d: OrWith word %d = %#x want %#x (clamped length %d)", simd, tc.la, tc.lb, i, dst[i], wantOr[i], n)
-				}
-			}
-		}
-	})
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct{ la, lb int }{
+		{20, 12}, {12, 20}, {9, 8}, {8, 9}, {16, 0}, {0, 16}, {1, 40},
+		{1, 0}, {0, 1}, {1, 1}, {1, 2}, {2, 1},
+	} {
+		checkKernels(t, fmt.Sprintf("la=%d lb=%d", tc.la, tc.lb),
+			randRow(rng, tc.la), randRow(rng, tc.la), randRow(rng, tc.lb))
+	}
 }
 
 // TestFillBits checks both paths against a SetBit loop: a one-word row
@@ -219,51 +208,25 @@ func TestFillBitsOutOfRangePanics(t *testing.T) {
 // TestKernelAliasing checks the documented exact-aliasing contracts:
 // dst == a and dst == b for the writing kernels.
 func TestKernelAliasing(t *testing.T) {
-	withSIMD(t, func(t *testing.T, simd bool) {
-		rng := rand.New(rand.NewSource(3))
-		for _, n := range []int{1, 8, 17, 64} {
-			a := randRow(rng, n)
-			b := randRow(rng, n)
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 8, 17, 64} {
+		a := randRow(rng, n)
+		b := randRow(rng, n)
+		want, wantC := modelAnd(a, b)
 
-			got := append([]uint64(nil), a...)
-			AndTo(got, got, b) // dst aliases a
-			for i := range got {
-				if got[i] != a[i]&b[i] {
-					t.Fatalf("simd=%v n=%d: AndTo(dst==a) word %d wrong", simd, n, i)
-				}
-			}
-
-			got = append([]uint64(nil), b...)
-			wantC := andCountGeneric(a, b)
-			if c := AndCountTo(got, a, got); c != wantC { // dst aliases b
-				t.Fatalf("simd=%v n=%d: AndCountTo(dst==b)=%d want %d", simd, n, c, wantC)
-			}
-			for i := range got {
-				if got[i] != a[i]&b[i] {
-					t.Fatalf("simd=%v n=%d: AndCountTo(dst==b) word %d wrong", simd, n, i)
-				}
-			}
+		got := append([]uint64(nil), a...)
+		AndTo(got, got, b) // dst aliases a
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: AndTo(dst==a) = %#x want %#x", n, got, want)
 		}
-	})
-}
 
-func TestKernelVariantNames(t *testing.T) {
-	prev := SIMDEnabled()
-	defer SetSIMD(prev)
-	SetSIMD(false)
-	if got := KernelVariant(); got != "scalar" {
-		t.Fatalf("KernelVariant with SIMD off = %q, want scalar", got)
-	}
-	if SIMDEnabled() {
-		t.Fatal("SIMDEnabled true after SetSIMD(false)")
-	}
-	SetSIMD(true)
-	if SIMDAvailable() {
-		if got := KernelVariant(); got != "avx2" {
-			t.Fatalf("KernelVariant with SIMD on = %q, want avx2", got)
+		got = append([]uint64(nil), b...)
+		if c := AndCountTo(got, a, got); c != wantC { // dst aliases b
+			t.Fatalf("n=%d: AndCountTo(dst==b)=%d want %d", n, c, wantC)
 		}
-	} else if SIMDEnabled() {
-		t.Fatal("SetSIMD(true) enabled SIMD on a build without vector kernels")
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: AndCountTo(dst==b) = %#x want %#x", n, got, want)
+		}
 	}
 }
 
@@ -299,8 +262,9 @@ func TestRowCache(t *testing.T) {
 	}
 }
 
-// FuzzKernelParity cross-checks every dispatched kernel against its
-// scalar reference on fuzz-chosen words, lengths, and offsets.
+// FuzzKernelParity checks every exported kernel against the per-bit
+// model on fuzz-chosen words, lengths and offsets; a and b may each be
+// up to three words longer than dst.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint8(0), uint8(0))
 	f.Add(^uint64(0), uint64(1)<<63, uint8(17), uint8(3))
@@ -308,39 +272,13 @@ func FuzzKernelParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seedA, seedB uint64, lenByte, offByte uint8) {
 		n := int(lenByte) % 300
 		off := int(offByte) % 8
+		la := n + int(offByte>>3)%4
+		lb := n + int(offByte>>5)%4
 		rngA := rand.New(rand.NewSource(int64(seedA)))
 		rngB := rand.New(rand.NewSource(int64(seedB)))
-		back := randRow(rngA, n+off)
-		other := randRow(rngB, n+off)
-		a := back[off : off+n]
-		b := other[off : off+n]
-
-		prev := SIMDEnabled()
-		defer SetSIMD(prev)
-		SetSIMD(true)
-
-		if got, want := AndCount(a, b), andCountGeneric(a, b); got != want {
-			t.Fatalf("AndCount=%d want %d (n=%d off=%d)", got, want, n, off)
-		}
-		dst := make([]uint64, n)
-		want := make([]uint64, n)
-		wantC := andCountToGeneric(want, a, b)
-		if got := AndCountTo(dst, a, b); got != wantC {
-			t.Fatalf("AndCountTo=%d want %d (n=%d off=%d)", got, wantC, n, off)
-		}
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("AndCountTo word %d = %#x want %#x (n=%d off=%d)", i, dst[i], want[i], n, off)
-			}
-		}
-		copy(dst, a)
-		copy(want, a)
-		OrWith(dst, b)
-		orWithGeneric(want, b)
-		for i := range dst {
-			if dst[i] != want[i] {
-				t.Fatalf("OrWith word %d = %#x want %#x (n=%d off=%d)", i, dst[i], want[i], n, off)
-			}
-		}
+		back := randRow(rngA, la+off)
+		other := randRow(rngB, lb+off)
+		checkKernels(t, fmt.Sprintf("n=%d la=%d lb=%d off=%d", n, la, lb, off),
+			randRow(rngA, n), back[off:off+la], other[off:off+lb])
 	})
 }

@@ -4,9 +4,8 @@
 // is a RunSpec mined on a Cluster through miner.Mine / miner.MineProcs,
 // each experiment returns structured rows, and print.go / csv.go render
 // them in the paper's layout. cmd/qcbench is the only caller. Anything
-// about a single mine — fault plans, tracing, a debug server, timeouts,
-// kernel selection — belongs to qcmine on a qcgen stand-in file, not
-// here.
+// about a single mine — fault plans, tracing, a debug server,
+// timeouts — belongs to qcmine on a qcgen stand-in file, not here.
 //
 // Scaling note: the stand-ins are up to 25× smaller than the paper's
 // graphs (datagen.Standin.ScaleNote), so the τtime sweeps use milliseconds where

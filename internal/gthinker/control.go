@@ -32,8 +32,9 @@ import (
 // row: every steal crosses the donor's Transport, so it equalled the
 // stolen-task row. Version 9 ends a job in one exchange: the
 // opShutdown reply is the machine's whole report (MachineReport), and
-// ops 0x08, 0x09 and 0x0E are retired.
-const controlProtoVersion = 9
+// ops 0x08, 0x09 and 0x0E are retired. Version 10 drops the kernel
+// name from the metrics walk: there is one bitset kernel.
+const controlProtoVersion = 10
 
 // Control-plane ops (continuing the tcp.go data-plane numbering; 0x05,
 // 0x08, 0x09 and 0x0E are retired).
@@ -134,8 +135,8 @@ type MachineReport struct {
 	// Failure is the first failure the machine's job recorded; empty
 	// when it recorded none. A failed machine still reports its work.
 	Failure string
-	// Metrics holds the machine's local counters, joined workers'
-	// busy times and kernel variant.
+	// Metrics holds the machine's local counters and joined workers'
+	// busy times.
 	Metrics *Metrics
 	// Trace holds the machine's spans; empty unless the job traces.
 	Trace *obs.Trace

@@ -115,7 +115,7 @@ var controlPayloads = []struct {
 	// The report nests the metrics walk and the OTR1 trace inside its
 	// own walk.
 	{"shutdown reply", (&MachineReport{Failure: "disk full",
-		Metrics: &Metrics{Wall: 7, Counters: Counters{ComputeCalls: 9}, WorkerBusy: []time.Duration{5, 6}, Kernel: "avx2"},
+		Metrics: &Metrics{Wall: 7, Counters: Counters{ComputeCalls: 9}, WorkerBusy: []time.Duration{5, 6}},
 		Trace:   &obs.Trace{Dropped: 1, Spans: []obs.Span{{Kind: obs.KindCompute, Pid: 2, Tid: 1, Start: 5, Dur: 6, Arg1: 3}}},
 		Results: []byte("QRS2")}).encode(),
 		func(data []byte) ([]byte, error) {

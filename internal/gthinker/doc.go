@@ -349,11 +349,10 @@
 // The debug server (Config.DebugAddr; -debug-addr on qcmine and
 // qcworker; ":0" picks a port and logs it) serves /metrics (Prometheus
 // text), /healthz, /debug/vars (expvar), and /debug/pprof/* while the
-// run is live. A qcworker exports its own runtime's rows plus the
-// kernel variant; the coordinator exports every machine's rows under
-// a machine label, its own rows unlabelled, and the gauges only a
-// status poll knows (liveness, queue depths, backlog EWMA, spawn
-// cursor).
+// run is live. A qcworker exports its own runtime's rows; the
+// coordinator exports every machine's rows under a machine label, its
+// own rows unlabelled, and the gauges only a status poll knows
+// (liveness, queue depths, backlog EWMA, spawn cursor).
 //
 // Live metrics piggyback on the status exchange: each MachineStatus
 // carries the machine's Counters snapshot, read from the runtime's

@@ -165,11 +165,6 @@ type Metrics struct {
 	// IDs across machines). The spread between workers is the paper's
 	// load-balance evidence.
 	WorkerBusy []time.Duration
-
-	// Kernel names the bitset kernel variant the machine mined with
-	// ("avx2" or "scalar"); a cluster merge reports "mixed" when
-	// machines disagree, which is worth noticing in an A/B run.
-	Kernel string
 }
 
 // TotalBusy sums per-worker compute time (the "aggregate mining time"
@@ -204,9 +199,8 @@ func (m *Metrics) BusyImbalance() float64 {
 
 // MergeMachineMetrics folds per-machine metrics into one cluster
 // aggregate: counters combine by their table rule, WorkerBusy
-// concatenates in machine order (preserving dense worker IDs), and
-// Kernel reads "mixed" when machines disagree. Wall is left for the
-// caller.
+// concatenates in machine order (preserving dense worker IDs). Wall is
+// left for the caller.
 func MergeMachineMetrics(per []*Metrics) *Metrics {
 	out := &Metrics{}
 	for _, m := range per {
@@ -215,13 +209,6 @@ func MergeMachineMetrics(per []*Metrics) *Metrics {
 		}
 		out.Counters.merge(&m.Counters)
 		out.WorkerBusy = append(out.WorkerBusy, m.WorkerBusy...)
-		switch {
-		case m.Kernel == "":
-		case out.Kernel == "":
-			out.Kernel = m.Kernel
-		case out.Kernel != m.Kernel:
-			out.Kernel = "mixed"
-		}
 	}
 	return out
 }
@@ -229,16 +216,12 @@ func MergeMachineMetrics(per []*Metrics) *Metrics {
 // String renders a compact summary. The trace clause appears only
 // when tracing recorded anything, so untraced runs read as before.
 func (m *Metrics) String() string {
-	kernel := m.Kernel
-	if kernel == "" {
-		kernel = "unknown"
-	}
 	trace := ""
 	if m.TraceSpans > 0 || m.TraceDropped > 0 {
 		trace = fmt.Sprintf(" trace=%d(-%d)", m.TraceSpans, m.TraceDropped)
 	}
 	return fmt.Sprintf(
-		"wall=%v tasks=%d(+%d sub) big=%d small=%d compute=%d steals=%d spill=%dB(peak %dB) refill=%dB/%d cache=%d/%d rpc=%d/%d wire=%dB/%dB retry=%d/%d recover=%d/%d busy=%v imbalance=%.2f%s kernel=%s",
+		"wall=%v tasks=%d(+%d sub) big=%d small=%d compute=%d steals=%d spill=%dB(peak %dB) refill=%dB/%d cache=%d/%d rpc=%d/%d wire=%dB/%dB retry=%d/%d recover=%d/%d busy=%v imbalance=%.2f%s",
 		m.Wall.Round(time.Millisecond), m.TasksSpawned, m.SubtasksAdded, m.BigTasks,
 		m.SmallTasks, m.ComputeCalls, m.TasksStolen, m.SpillBytesWritten, m.PeakSpillBytes,
 		m.SpillBytesRead, m.RefillBatches,
@@ -246,23 +229,17 @@ func (m *Metrics) String() string {
 		m.BatchedFetches, m.RemoteFetches, m.WireBytesSent, m.WireBytesReceived,
 		m.RetriedDials, m.RetriedOps, m.Recoveries, m.DeadMachines,
 		m.TotalBusy().Round(time.Millisecond),
-		m.BusyImbalance(), trace, kernel)
+		m.BusyImbalance(), trace)
 }
 
 // maxWireWorkers bounds the WorkerBusy count accepted off the wire
 // before the slice is allocated.
 const maxWireWorkers = 1 << 20
 
-// maxWireKernelName bounds the kernel-variant string accepted off the
-// wire ("avx2"/"scalar"/"mixed" today; generous for future variants).
-const maxWireKernelName = 64
-
 // walk visits one machine's metrics as its opShutdown report carries
-// them: wall time, the counter table, the per-worker
-// busy times, the kernel name.
+// them: wall time, the counter table, the per-worker busy times.
 func (m *Metrics) walk(w *store.Walker) {
 	store.U64(w, &m.Wall)
 	m.Counters.walk(w)
 	store.Slice(w, &m.WorkerBusy, maxWireWorkers, 8, func(b *time.Duration) { store.U64(w, b) })
-	w.String(&m.Kernel, maxWireKernelName)
 }

@@ -60,7 +60,6 @@ func TestCounterTable(t *testing.T) {
 		Wall:       123 * time.Millisecond,
 		Counters:   distinctCounters(100),
 		WorkerBusy: []time.Duration{time.Second, 2 * time.Second},
-		Kernel:     "avx2",
 	}
 	data := store.Encode(nil, m.walk)
 	got := &Metrics{}
@@ -79,9 +78,9 @@ func TestCounterTable(t *testing.T) {
 	// Merging two machines applies each row's rule.
 	a, b := distinctCounters(100), distinctCounters(1000)
 	merged := MergeMachineMetrics([]*Metrics{
-		{Counters: a, WorkerBusy: []time.Duration{1, 2}, Kernel: "avx2"},
+		{Counters: a, WorkerBusy: []time.Duration{1, 2}},
 		nil, // a machine that died
-		{Counters: b, WorkerBusy: []time.Duration{3}, Kernel: "scalar"},
+		{Counters: b, WorkerBusy: []time.Duration{3}},
 	})
 	for _, d := range counterTable {
 		av, bv, want := *d.field(&a), *d.field(&b), uint64(0)
@@ -95,8 +94,8 @@ func TestCounterTable(t *testing.T) {
 			t.Fatalf("%s merged to %d, want %d", d.name, got, want)
 		}
 	}
-	if merged.Kernel != "mixed" || !reflect.DeepEqual(merged.WorkerBusy, []time.Duration{1, 2, 3}) {
-		t.Fatalf("merge: kernel %q, busy %v", merged.Kernel, merged.WorkerBusy)
+	if !reflect.DeepEqual(merged.WorkerBusy, []time.Duration{1, 2, 3}) {
+		t.Fatalf("merge: busy %v", merged.WorkerBusy)
 	}
 
 	// Every row reaches the exposition, typed: machine rows under the
@@ -174,7 +173,7 @@ func TestScrapeAgreesAcrossEndpoints(t *testing.T) {
 // error — never a panic or an allocation past the bytes present — and
 // whatever they accept re-encodes to the same bytes.
 func FuzzDecodeMetrics(f *testing.F) {
-	seed := store.Encode(nil, (&Metrics{Wall: 5, Counters: distinctCounters(1), WorkerBusy: []time.Duration{7, 8}, Kernel: "avx2"}).walk)
+	seed := store.Encode(nil, (&Metrics{Wall: 5, Counters: distinctCounters(1), WorkerBusy: []time.Duration{7, 8}}).walk)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	f.Add(append(append([]byte{}, seed...), 0))
@@ -187,8 +186,8 @@ func FuzzDecodeMetrics(f *testing.F) {
 		if err := store.Decode(data, "metrics", m.walk); err != nil {
 			return
 		}
-		if len(m.WorkerBusy) > maxWireWorkers || len(m.Kernel) > maxWireKernelName {
-			t.Fatalf("accepted %d workers, %d-byte kernel name", len(m.WorkerBusy), len(m.Kernel))
+		if len(m.WorkerBusy) > maxWireWorkers {
+			t.Fatalf("accepted %d workers", len(m.WorkerBusy))
 		}
 		if !bytes.Equal(store.Encode(nil, m.walk), data) {
 			t.Fatal("accepted metrics payload does not re-encode to itself")

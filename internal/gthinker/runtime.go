@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/obs"
 	"gthinkerqc/internal/store"
@@ -614,25 +613,20 @@ func (rt *MachineRuntime) shipChunk(recv int, batch []*Task) (int, error) {
 // goroutines while they run.
 func (rt *MachineRuntime) LocalMetrics() *Metrics {
 	procHeap.sampleNow()
-	met := &Metrics{Counters: rt.liveCounters(), Kernel: bitset.KernelVariant()}
+	met := &Metrics{Counters: rt.liveCounters()}
 	for _, w := range rt.workers {
 		met.WorkerBusy = append(met.WorkerBusy, w.busy)
 	}
 	return met
 }
 
-// Samples renders this machine's rows of the counter table, plus the
-// kernel variant, in the debug server's sample model — a qcworker's
-// /metrics. Safe while mining runs; the method matches the
-// obs.DebugServer source signature.
+// Samples renders this machine's rows of the counter table in the
+// debug server's sample model — a qcworker's /metrics. Safe while
+// mining runs; the method matches the obs.DebugServer source
+// signature.
 func (rt *MachineRuntime) Samples() []obs.Sample {
-	lbl := machineLabel(rt.id)
 	c := rt.liveCounters()
-	return append(c.samples(nil, lbl, false), obs.Sample{
-		Name:   "gthinker_kernel_info",
-		Labels: []obs.Label{lbl[0], {Key: "variant", Value: bitset.KernelVariant()}},
-		Value:  1,
-	})
+	return c.samples(nil, machineLabel(rt.id), false)
 }
 
 // liveCounters reads every machine-side counter from its source: job

@@ -89,7 +89,7 @@ import (
 //	            the process keeps serving. reply [MachineReport.walk]:
 //	            the failure string the machine's job recorded (empty if
 //	            none), its metrics [Metrics.walk]: wall u64, the counter
-//	            table, workers u32 + that many busy u64s, kernel string;
+//	            table, workers u32 + that many busy u64s;
 //	            then u32-len spans as OTR1 [obs.Trace.walk] (empty unless
 //	            the job traces), then u32-len opaque app-level result
 //	            bytes (the miner's QRS2 quasi-clique sets). A failed

@@ -32,7 +32,7 @@ var (
 	goldenStatus = MachineStatus{AllSpawned: true, Live: 3, BigPending: 2, SentOut: 11, RecvIn: 12, Spawned: 40,
 		Counters: Counters{TasksSpawned: 40, CacheHits: 1 << 33, TraceDropped: 7}, Failure: "disk full"}
 	goldenMetrics = &Metrics{Wall: 1500 * time.Millisecond, Counters: Counters{ComputeCalls: 9, PeakHeapAlloc: 1 << 40},
-		WorkerBusy: []time.Duration{5 * time.Millisecond, 6 * time.Millisecond}, Kernel: "avx2"}
+		WorkerBusy: []time.Duration{5 * time.Millisecond, 6 * time.Millisecond}}
 	goldenTrace = &obs.Trace{Dropped: 3, Spans: []obs.Span{
 		{Kind: obs.KindFetch, Pid: 1, Tid: -1, Start: 1700000000123456789, Dur: 2500, Arg1: 0, Arg2: 34},
 	}}
@@ -137,7 +137,7 @@ func recordingProxy(t *testing.T, target string) (string, func() []wireFrame) {
 // trace payloads the shutdown report carries, byte for byte: a real
 // ClusterClient drives a real control server through a recording
 // proxy, and each request and reply must equal the table, which holds
-// whatever implements the codecs to the protocol-version-9 layout a
+// whatever implements the codecs to the protocol-version-10 layout a
 // qcworker of another build speaks. The handler's view of each request
 // and the client's view of each reply are checked against the values
 // encoded, so both directions of every payload are exercised.
@@ -189,14 +189,14 @@ func TestWireGolden(t *testing.T) {
 	// proxy's, twice.
 	proxy := hex.EncodeToString(store.AppendU32(nil, uint32(len(addr)))) + hex.EncodeToString([]byte(addr))
 	join := func(machine string) string {
-		return "09000000" + machine + "02000000" + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy + spec0
+		return "0a000000" + machine + "02000000" + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy + spec0
 	}
 	status := "01" + "0300000000000000" + "0200000000000000" + "0b00000000000000" + "0c00000000000000" + "2800000000000000" +
 		"2800000000000000" + zeros(10) + "0000000002000000" + zeros(16) + "0700000000000000" +
 		"09000000" + "6469736b2066756c6c"
 	metrics := "002f685900000000" +
 		zeros(3) + "0900000000000000" + zeros(18) + "0000000000010000" + zeros(6) +
-		"02000000" + "404b4c0000000000" + "808d5b0000000000" + "04000000" + "61767832"
+		"02000000" + "404b4c0000000000" + "808d5b0000000000"
 	trace := "4f545231" + "01000000" + "0300000000000000" + "01000000" +
 		"04" + "01000000" + "ffffffff" + "15cd853dfe9c9717" + "c409000000000000" + "0000000000000000" + "2200000000000000"
 	report := "0d000000" + "6f7574206f66206d656d6f7279" + metrics + "3d000000" + trace + "06000000" + "6f7061717565"

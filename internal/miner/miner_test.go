@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/gthinker"
@@ -50,29 +49,6 @@ func TestParallelMatchesNaive(t *testing.T) {
 					seed, ecfg.Machines, ecfg.WorkersPerMachine, res.Cliques, want)
 			}
 		}
-	}
-}
-
-// TestMineLeavesSIMDSwitch: the vector-kernel switch belongs to the
-// process (qcmine -nosimd sets it once); neither a serial mine nor an
-// engine job may flip it back.
-func TestMineLeavesSIMDSwitch(t *testing.T) {
-	defer bitset.SetSIMD(bitset.SIMDEnabled())
-	bitset.SetSIMD(false)
-	g := randomGraph(1, 12, 0.45)
-	par := quasiclique.Params{Gamma: 0.6, MinSize: 3}
-	if _, _, err := quasiclique.MineGraph(g, par, quasiclique.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if bitset.SIMDEnabled() {
-		t.Fatal("serial MineGraph switched the vector kernels back on")
-	}
-	ecfg := gthinker.Config{Machines: 1, WorkersPerMachine: 2, SpillDir: t.TempDir()}
-	if _, err := Mine(g, Config{Params: par}, ecfg); err != nil {
-		t.Fatal(err)
-	}
-	if bitset.SIMDEnabled() {
-		t.Fatal("miner.Mine switched the vector kernels back on")
 	}
 }
 

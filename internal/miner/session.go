@@ -28,15 +28,23 @@ import (
 	"gthinkerqc/internal/store"
 )
 
-// validateJob applies defaults and rejects unrunnable job parameters,
-// so a bad query fails identically on every composition.
-func validateJob(cfg Config) (Config, error) {
+// ValidateJob applies defaults and rejects unrunnable job parameters.
+// It is the one job check: Session.Mine runs it, so a bad query fails
+// identically on every composition, and serve.Server runs it at
+// admission, so a query it would fail is refused before it is queued.
+func ValidateJob(cfg Config) (Config, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Params.Validate(); err != nil {
 		return cfg, err
 	}
 	if cfg.TauSplit < 1 {
 		return cfg, fmt.Errorf("miner: TauSplit must be positive, got %d", cfg.TauSplit)
+	}
+	if cfg.TauTime < 0 {
+		return cfg, fmt.Errorf("miner: TauTime must not be negative, got %v", cfg.TauTime)
+	}
+	if cfg.TimeBudget < 0 {
+		return cfg, fmt.Errorf("miner: TimeBudget must not be negative, got %v", cfg.TimeBudget)
 	}
 	return cfg, nil
 }
@@ -163,7 +171,7 @@ func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) 
 // partitions were adopted for that job only. After Close it fails with
 // ErrSessionClosed.
 func (s *Session) Mine(ctx context.Context, cfg Config) (*Result, error) {
-	cfg, err := validateJob(cfg)
+	cfg, err := ValidateJob(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -229,40 +229,6 @@ func setEqualV(a, b []graph.V) bool {
 	return true
 }
 
-// TestKernelVariantParityMatrix: the vector and the scalar bitset
-// kernels must produce the same emission stream IN ORDER when driving
-// RecursiveMine directly, and identical final result sets through the
-// full driver.
-func TestKernelVariantParityMatrix(t *testing.T) {
-	defer bitset.SetSIMD(bitset.SIMDEnabled()) // restore the process default
-	par := Params{Gamma: 0.6, MinSize: 3}
-	for seed := int64(0); seed < 15; seed++ {
-		g := randomGraph(seed*7+1, 14, 0.45)
-		sub, S, ext := allVertexSub(g)
-		var streams [2][][]graph.V
-		var results [2][][]graph.V
-		for i, simd := range []bool{true, false} {
-			bitset.SetSIMD(simd)
-			streams[i], _ = mineDirect(sub, S, ext, par)
-			var err error
-			if results[i], _, err = MineGraph(g, par, Options{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(streams[0]) != len(streams[1]) {
-			t.Fatalf("seed=%d: avx2 emitted %d, scalar %d", seed, len(streams[0]), len(streams[1]))
-		}
-		for i := range streams[0] {
-			if !setEqualV(streams[0][i], streams[1][i]) {
-				t.Fatalf("seed=%d emission %d: avx2 %v, scalar %v", seed, i, streams[0][i], streams[1][i])
-			}
-		}
-		if !SetsEqual(results[0], results[1]) {
-			t.Fatalf("seed=%d: driver results disagree\n avx2   %v\n scalar %v", seed, results[0], results[1])
-		}
-	}
-}
-
 // TestTwoHopCacheAcrossReuse reuses one pooled miner across tasks so
 // the epoch-stamped two-hop RowCache must correctly invalidate: a row
 // built for one subgraph must never leak into the next. Each task is

@@ -39,9 +39,11 @@ import (
 // or across them.
 
 const (
-	// chunkWords is the posting-row width of a full chunk: the
-	// narrowest row the vector kernels take (bitset keeps shorter rows
-	// on the scalar loop). Components with fewer sets use narrower rows.
+	// chunkWords is the posting-row width of a full chunk (512 sets).
+	// It caps what the index spends per element of the kept sets at
+	// one row of 8·chunkWords+4 = 68 bytes (see Memory above), and the
+	// probe's scratch row fits on the stack. Components with fewer
+	// sets use narrower rows.
 	chunkWords = 8
 	// minParallelLevel is the shortest size level worth splitting over
 	// goroutines; below it the spawn and join cost more than the probes.

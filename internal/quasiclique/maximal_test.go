@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/graph"
 )
 
@@ -123,9 +122,7 @@ func checkAgainstOracle(t *testing.T, name string, sets [][]graph.V) {
 // oracle over the shapes that stress its boundaries: universes and
 // kept-set counts on both sides of every word and chunk boundary, one
 // component against many, vertex IDs that force the sparse renumbering,
-// and levels long enough to be probed by several goroutines. Each case
-// runs on the dispatched kernels and on the scalar ones; a -tags noasm
-// build makes both legs scalar.
+// and levels long enough to be probed by several goroutines.
 func TestFilterMaximalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	type tc struct {
@@ -179,13 +176,9 @@ func TestFilterMaximalDifferential(t *testing.T) {
 	}
 	cases = append(cases, tc{"parallel-levels", wide})
 
-	for _, simd := range []bool{true, false} {
-		bitset.SetSIMD(simd)
-		for _, c := range cases {
-			checkAgainstOracle(t, fmt.Sprintf("%s/%s", bitset.KernelVariant(), c.name), c.sets)
-		}
+	for _, c := range cases {
+		checkAgainstOracle(t, c.name, c.sets)
 	}
-	bitset.SetSIMD(true)
 }
 
 // TestFilterMaximalManyComponents is the shape a dense

@@ -227,8 +227,8 @@ func (s *Server) cacheKey(cfg miner.Config) [32]byte {
 // Submit admits a job (or answers it from the cache). It is the
 // programmatic core of POST /v1/jobs.
 func (s *Server) Submit(req JobRequest) (*job, error) {
-	cfg := req.config(s.cfg.DefaultBudget)
-	if err := cfg.Params.Validate(); err != nil {
+	cfg, err := miner.ValidateJob(req.config(s.cfg.DefaultBudget))
+	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
 	}
 	key := s.cacheKey(cfg)

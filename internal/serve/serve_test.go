@@ -604,8 +604,9 @@ func waitQuota(t *testing.T, srv *Server, want int) {
 }
 
 // TestServeBadRequests covers the API's refusals: malformed JSON,
-// invalid parameters, an oversized body, unknown jobs, and premature
-// result fetches.
+// invalid parameters (each check of miner.ValidateJob, refused at
+// submission rather than failed in the backend), an oversized body,
+// unknown jobs, and premature result fetches.
 func TestServeBadRequests(t *testing.T) {
 	backend := &blockingBackend{gate: make(chan struct{})}
 	defer close(backend.gate)
@@ -625,8 +626,15 @@ func TestServeBadRequests(t *testing.T) {
 	if code := post("{not json"); code != http.StatusBadRequest {
 		t.Fatalf("malformed body: HTTP %d, want 400", code)
 	}
-	if code := post(`{"gamma":0.2,"min_size":5}`); code != http.StatusBadRequest {
-		t.Fatalf("invalid gamma: HTTP %d, want 400", code)
+	for _, body := range []string{
+		`{"gamma":0.2,"min_size":5}`,
+		`{"gamma":0.9,"min_size":5,"tau_split":-3}`,
+		`{"gamma":0.9,"min_size":5,"tau_time_ms":-5}`,
+		`{"gamma":0.9,"min_size":5,"time_budget_ms":-1}`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Fatalf("invalid parameters %s: HTTP %d, want 400", body, code)
+		}
 	}
 	// A request naming a field the API does not have is refused, not
 	// admitted with the field dropped.
@@ -643,7 +651,7 @@ func TestServeBadRequests(t *testing.T) {
 	admitted := len(srv.jobs)
 	srv.mu.Unlock()
 	if admitted != 0 {
-		t.Fatalf("%d jobs exist after four refused submissions", admitted)
+		t.Fatalf("%d jobs exist after seven refused submissions", admitted)
 	}
 	if resp, err := http.Get(hs.URL + "/v1/jobs/j999"); err != nil {
 		t.Fatal(err)

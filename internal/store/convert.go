@@ -392,30 +392,6 @@ func heapDown(h []*runCursor, i int) {
 	}
 }
 
-// ConvertGraph writes an already-built graph through the external
-// pipeline (useful to produce budget-bounded conversions of generated
-// graphs, and as the oracle-free path in tools that accept both text
-// and binary inputs).
-func ConvertGraph(g *graph.Graph, outPath string, opt ConvertOptions) (ConvertStats, error) {
-	w, err := NewExternalGraphWriter(outPath, opt)
-	if err != nil {
-		return ConvertStats{}, err
-	}
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		for _, u := range g.Adj(graph.V(v)) {
-			if u > graph.V(v) {
-				if err := w.Add(graph.V(v), u); err != nil {
-					w.Abort()
-					return ConvertStats{}, err
-				}
-			}
-		}
-	}
-	w.Grow(n)
-	return w.Finish()
-}
-
 // ConvertEdgeList streams the text edge list in r into a GQC2 file at
 // outPath under copt's memory budget. It returns the conversion stats
 // and the dense-remap table (nil with lopt.KeepIDs), exactly as

@@ -117,26 +117,6 @@ func TestConvertEmptyAndIsolated(t *testing.T) {
 	}
 }
 
-func TestConvertGraphHelper(t *testing.T) {
-	g := graph.FromEdges(6, [][2]graph.V{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}})
-	out := filepath.Join(t.TempDir(), "g.gqc")
-	stats, err := ConvertGraph(g, out, ConvertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.NumVertices != 6 || stats.NumEdges != 5 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := os.ReadFile(out)
-	if !bytes.Equal(got, buf.Bytes()) {
-		t.Fatal("ConvertGraph output differs from WriteBinary")
-	}
-}
-
 func TestConvertEdgeListMatchesLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var sb strings.Builder

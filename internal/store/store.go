@@ -34,7 +34,7 @@
 // is spilled as sorted runs, and a k-way merge streams the deduped
 // adjacency straight into the GQC2 layout — only the offsets array
 // must fit in memory. ConvertEdgeList wraps it for text input (the
-// cmd/qcconvert front end), ConvertGraph for in-memory graphs.
+// cmd/qcconvert front end).
 //
 // Residency: MapGraph advises the whole mapping MADV_RANDOM (adjacency
 // access during mining has no sequential pattern worth readahead). The
