@@ -43,7 +43,6 @@ func main() {
 		faultPlan = flag.String("faultplan", "", "seeded fault-injection plan for chaos testing, e.g. '7:dialfail=0.1,kill=1@3'")
 		tracePath = flag.String("trace", "", "record an execution timeline and write it as Chrome trace-event JSON to this file (load in Perfetto); cluster runs merge every worker's spans")
 		debugAddr = flag.String("debug-addr", "", "serve live /metrics, /healthz, expvar, and pprof on this address during the run (e.g. :6060, or :0 for a dynamic port)")
-		progress  = flag.Duration("progress", 0, "log a one-line cluster progress summary to stderr at this interval (0 = off)")
 		rootStats = flag.Int("rootstats", 0, "print the N heaviest root tasks (by attributed mining time) to stderr after the run")
 		output    = flag.String("o", "", "result file (default stdout)")
 		quiet     = flag.Bool("q", false, "suppress the stats summary on stderr")
@@ -82,7 +81,6 @@ func main() {
 		FaultPlan:      *faultPlan,
 		TracePath:      *tracePath,
 		DebugAddr:      *debugAddr,
-		Progress:       *progress,
 	}
 	var res *gthinkerqc.Result
 	switch {

@@ -114,9 +114,6 @@ type Config struct {
 	// coordinator's per-machine status view, /healthz, expvar, and
 	// net/http/pprof. Use ":0" for a dynamic port (logged to stderr).
 	DebugAddr string
-	// Progress, when positive, logs a one-line cluster progress summary
-	// to stderr at this interval during the run.
-	Progress time.Duration
 
 	// KeepNonMaximal skips the maximality post-filter, mirroring the
 	// paper's released code.
@@ -219,7 +216,6 @@ func (c Config) sessionConfigs() (miner.Config, gthinker.Config) {
 			FaultSpec:         c.FaultPlan,
 			Trace:             c.TracePath != "",
 			DebugAddr:         c.DebugAddr,
-			Progress:          c.Progress,
 		}
 }
 

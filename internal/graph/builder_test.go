@@ -7,49 +7,60 @@ import (
 	"testing"
 )
 
-// buildBoth assembles the same edge set through the serial and the
-// parallel paths and fails unless the CSR arrays are bit-identical.
-func buildBoth(t *testing.T, n int, edges [][2]V, workers int) *Graph {
+// buildChecked builds edges over [0, n) and fails unless the CSR
+// matches a per-row model: every vertex keeps a set of neighbours,
+// listed sorted and deduplicated; self loops are dropped and the
+// universe grows to the largest ID plus one.
+func buildChecked(t *testing.T, n int, edges [][2]V) {
 	t.Helper()
-	bs := NewBuilder(n)
-	bs.Workers = 1
-	bp := NewBuilder(n)
-	bp.Workers = workers
+	b := NewBuilder(n)
 	for _, e := range edges {
-		bs.AddEdge(e[0], e[1])
-		bp.AddEdge(e[0], e[1])
+		b.AddEdge(e[0], e[1])
 	}
-	serial, err := bs.Build()
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := parallelBuildMin
-	parallelBuildMin = 0
-	defer func() { parallelBuildMin = old }()
-	par, err := bp.Build()
-	if err != nil {
+	for _, e := range edges {
+		n = max(n, int(max(e[0], e[1]))+1)
+	}
+	sets := make([]map[V]bool, n)
+	for v := range sets {
+		sets[v] = map[V]bool{}
+	}
+	for _, e := range edges {
+		if e[0] != e[1] {
+			sets[e[0]][e[1]] = true
+			sets[e[1]][e[0]] = true
+		}
+	}
+	if g.NumVertices() != n {
+		t.Fatalf("n = %d, want %d", g.NumVertices(), n)
+	}
+	entries := 0
+	for v, set := range sets {
+		want := make([]V, 0, len(set))
+		for u := range set {
+			want = append(want, u)
+		}
+		slices.Sort(want)
+		if got := g.Adj(V(v)); !slices.Equal(got, want) {
+			t.Fatalf("row %d = %v, want %v", v, got, want)
+		}
+		entries += len(want)
+	}
+	if g.NumEdges() != entries/2 || len(g.neighbors) != entries {
+		t.Fatalf("m = %d with %d entries, want %d", g.NumEdges(), len(g.neighbors), entries/2)
+	}
+	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(serial.offsets, par.offsets) {
-		t.Fatalf("offsets differ: serial %d entries, parallel %d", len(serial.offsets), len(par.offsets))
-	}
-	if !slices.Equal(serial.neighbors, par.neighbors) {
-		t.Fatalf("neighbors differ (m=%d vs %d)", serial.m, par.m)
-	}
-	if serial.m != par.m {
-		t.Fatalf("m: %d vs %d", serial.m, par.m)
-	}
-	if err := par.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return par
 }
 
-func TestBuildParallelBitIdentical(t *testing.T) {
+func TestBuildMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for iter := 0; iter < 60; iter++ {
 		n := 1 + rng.Intn(200)
-		workers := 1 + rng.Intn(9)
 		var edges [][2]V
 		count := rng.Intn(4 * n)
 		for i := 0; i < count; i++ {
@@ -68,24 +79,28 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 				edges = append(edges, [2]V{v, u})
 			}
 		}
-		buildBoth(t, n, edges, workers)
+		buildChecked(t, n, edges)
 	}
 }
 
-func TestBuildParallelEdgeCases(t *testing.T) {
+func TestBuildEdgeCases(t *testing.T) {
 	// Empty graph, no edges.
-	buildBoth(t, 0, nil, 4)
+	buildChecked(t, 0, nil)
 	// Vertices but no edges.
-	buildBoth(t, 17, nil, 4)
+	buildChecked(t, 17, nil)
 	// One hub vertex holding every edge (single giant row).
 	var star [][2]V
 	for i := 1; i < 300; i++ {
 		star = append(star, [2]V{0, V(i)})
 		star = append(star, [2]V{0, V(i)}) // all duplicated
 	}
-	buildBoth(t, 300, star, 7)
-	// More workers than vertices and than edges.
-	buildBoth(t, 3, [][2]V{{0, 1}, {1, 2}}, 16)
+	buildChecked(t, 300, star)
+	// Self loops, duplicates and both directions of one edge.
+	buildChecked(t, 3, [][2]V{{0, 1}, {1, 0}, {1, 1}, {0, 1}, {2, 2}})
+	// An edge past the declared universe grows it; an isolated
+	// high vertex below the declared size stays.
+	buildChecked(t, 2, [][2]V{{0, 5}})
+	buildChecked(t, 40, [][2]V{{0, 1}})
 }
 
 func TestBuildTooLargeError(t *testing.T) {
@@ -151,7 +166,7 @@ func benchEdges(nVerts, nEdges int) *Builder {
 	return b
 }
 
-func benchBuild(b *testing.B, workers int) {
+func BenchmarkBuild(b *testing.B) {
 	const nVerts, nEdges = 1 << 20, 10 << 20
 	src := benchEdges(nVerts, nEdges)
 	b.SetBytes(int64(8 * nEdges))
@@ -160,14 +175,9 @@ func benchBuild(b *testing.B, workers int) {
 		b.StopTimer()
 		bld := NewBuilder(src.n)
 		bld.edges = slices.Clone(src.edges)
-		bld.Workers = workers
 		b.StartTimer()
 		if _, err := bld.Build(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkBuildSerial(b *testing.B)    { benchBuild(b, 1) }
-func BenchmarkBuildParallel(b *testing.B)  { benchBuild(b, 0) }
-func BenchmarkBuildParallel8(b *testing.B) { benchBuild(b, 8) }

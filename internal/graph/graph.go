@@ -28,15 +28,15 @@
 //
 // # Ingestion
 //
-// Builder.Build shards its count/scatter/sort phases across
-// GOMAXPROCS when the edge volume warrants it, producing bytes
-// identical to the serial build (CSR construction is deterministic:
-// per-vertex degrees, a prefix sum, and per-row sort/dedup have no
-// cross-shard ordering freedom). LoadEdgeList parses text chunks in
-// parallel on top of that; LoadOptions.SizeHint pre-sizes the ID
-// remap, and ScanEdgeList streams (u,v) pairs to a callback for
-// callers — like the external-memory converter in internal/store —
-// that must not materialize the edge set in memory.
+// Builder.Build is one serial pass: per-vertex degrees, a prefix sum,
+// a scatter, and a per-row sort/dedup. The result is canonical — the
+// same edge set gives the same bytes in any insertion order — which
+// is what lets the external-memory converter in internal/store write
+// files identical to an in-memory build. Ingest runs once per graph,
+// before any mining. LoadEdgeList parses text chunks in parallel in
+// front of the build; LoadOptions.SizeHint pre-sizes the ID remap, and
+// ScanEdgeList streams (u,v) pairs to a callback for callers that must
+// not materialize the edge set in memory.
 package graph
 
 import (

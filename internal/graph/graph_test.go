@@ -166,6 +166,14 @@ func TestLoadEdgeListKeepIDs(t *testing.T) {
 	if res.Graph.NumVertices() != 4 || res.OrigID != nil {
 		t.Fatalf("KeepIDs: n=%d orig=%v", res.Graph.NumVertices(), res.OrigID)
 	}
+	// The largest ID counts even when it appears only in a self loop.
+	res, err = LoadEdgeList(strings.NewReader("0 3\n7 7\n"), LoadOptions{KeepIDs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Graph.NumVertices() != 8 || res.Graph.NumEdges() != 1 {
+		t.Fatalf("KeepIDs self loop: n=%d m=%d, want n=8 m=1", res.Graph.NumVertices(), res.Graph.NumEdges())
+	}
 }
 
 func TestLoadEdgeListErrors(t *testing.T) {

@@ -58,8 +58,8 @@ func LoadEdgeList(r io.Reader, opt LoadOptions) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Make sure isolated high-numbered vertices referenced only via
-	// remap (e.g. only as self loops) exist in the universe.
+	// Make sure vertices referenced only in self loops, which the
+	// builder drops, exist in the universe.
 	b.Grow(n)
 	g, err := b.Build()
 	if err != nil {
@@ -174,6 +174,8 @@ func ScanEdgeList(r io.Reader, opt LoadOptions, emit func(u, v V) error) ([]int6
 		}
 	}()
 
+	// n is the vertex universe: max ID + 1 under KeepIDs, else the
+	// number of distinct IDs. Every parsed ID counts, self loops too.
 	n := 0
 	dense := func(raw int64) (V, error) {
 		if opt.KeepIDs {
@@ -183,6 +185,7 @@ func ScanEdgeList(r io.Reader, opt LoadOptions, emit func(u, v V) error) ([]int6
 			if raw >= int64(1)<<32 {
 				return 0, fmt.Errorf("graph: vertex ID %d exceeds the uint32 range; remap IDs (drop KeepIDs) to load this file", raw)
 			}
+			n = max(n, int(raw)+1)
 			return V(raw), nil
 		}
 		if id, ok := remap[raw]; ok {
@@ -191,6 +194,7 @@ func ScanEdgeList(r io.Reader, opt LoadOptions, emit func(u, v V) error) ([]int6
 		id := V(len(orig))
 		remap[raw] = id
 		orig = append(orig, raw)
+		n = len(orig)
 		return id, nil
 	}
 	line := 0
@@ -212,11 +216,6 @@ func ScanEdgeList(r io.Reader, opt LoadOptions, emit func(u, v V) error) ([]int6
 					ferr = err
 					break
 				}
-				if du != dv && opt.KeepIDs {
-					if grow := int(max(du, dv)) + 1; grow > n {
-						n = grow
-					}
-				}
 				ferr = emit(du, dv)
 			}
 			if ferr != nil {
@@ -235,9 +234,6 @@ func ScanEdgeList(r io.Reader, opt LoadOptions, emit func(u, v V) error) ([]int6
 	}
 	if readErr != nil {
 		return nil, 0, fmt.Errorf("graph: scan: %w", readErr)
-	}
-	if !opt.KeepIDs {
-		n = len(orig)
 	}
 	return orig, n, nil
 }

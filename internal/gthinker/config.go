@@ -75,10 +75,6 @@ type Config struct {
 	// logged to stderr. Coordinator-side only — not part of the job
 	// spec (worker processes mount their own via cmd/qcworker).
 	DebugAddr string
-	// Progress, when positive, logs a one-line cluster progress
-	// summary (live tasks, spawn cursors, steals, recoveries) to
-	// stderr at this period. Coordinator-side only.
-	Progress time.Duration
 
 	// statusHook, when non-nil, observes every successful status poll
 	// the coordinator makes, from its poll loop. Tests use it to watch

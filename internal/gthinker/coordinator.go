@@ -194,9 +194,8 @@ func (c *coordinator) stats() coordinatorStats {
 
 // run drives the started job to completion: it polls, steals, and
 // detects termination (or failure, or cancellation). The returned
-// error is nil only for a clean termination. The observability
-// side-cars — debug HTTP server and -progress ticker — live exactly as
-// long as the loop.
+// error is nil only for a clean termination. The debug HTTP server,
+// when configured, lives exactly as long as the loop.
 func (c *coordinator) run(ctx context.Context) error {
 	stopObs, err := c.startObs()
 	if err != nil {
@@ -229,11 +228,10 @@ func (c *coordinator) shutdown() ([]*MachineReport, error) {
 	return reps, first
 }
 
-// startObs brings up the coordinator's observability side-cars per the
-// config: the debug HTTP server on DebugAddr (live /metrics from the
-// status-poll view, /healthz, expvar, pprof) and the periodic
-// -progress line. The returned stop function tears both down; it is
-// safe to call when nothing was started.
+// startObs brings up the coordinator's debug HTTP server on DebugAddr
+// (live /metrics from the status-poll view, /healthz, expvar, pprof).
+// The returned stop function tears it down; it is safe to call when
+// nothing was started.
 func (c *coordinator) startObs() (func(), error) {
 	var ds *obs.DebugServer
 	if c.cfg.DebugAddr != "" {
@@ -245,30 +243,7 @@ func (c *coordinator) startObs() (func(), error) {
 		ds.AddSource(c.lv.Samples)
 		fmt.Fprintf(os.Stderr, "gthinker: debug server listening on http://%s\n", ds.Addr())
 	}
-	var stopProgress chan struct{}
-	var progressDone chan struct{}
-	if c.cfg.Progress > 0 {
-		stopProgress = make(chan struct{})
-		progressDone = make(chan struct{})
-		go func() {
-			defer close(progressDone)
-			tick := time.NewTicker(c.cfg.Progress)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProgress:
-					return
-				case <-tick.C:
-					fmt.Fprintf(os.Stderr, "gthinker: %s\n", c.lv.String())
-				}
-			}
-		}()
-	}
 	return func() {
-		if stopProgress != nil {
-			close(stopProgress)
-			<-progressDone
-		}
 		if ds != nil {
 			ds.Close()
 		}

@@ -357,6 +357,5 @@
 // Live metrics piggyback on the status exchange: each MachineStatus
 // carries the machine's Counters snapshot, read from the runtime's
 // existing atomics, so the coordinator's LiveView is current to within
-// one StatusInterval with zero extra RPCs. The same
-// view feeds Config.Progress one-line summaries.
+// one StatusInterval with zero extra RPCs.
 package gthinker

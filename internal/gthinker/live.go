@@ -1,28 +1,23 @@
 package gthinker
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"gthinkerqc/internal/obs"
 )
 
 // LiveView is the coordinator's continuously-updated per-machine
 // picture, built from the counter samples piggybacked on the status
-// replies. It serves two consumers concurrently with the scan loop:
-// the debug server's /metrics endpoint (Samples) and the -progress log
-// line (String).
+// replies. It serves the debug server's /metrics endpoint (Samples)
+// concurrently with the scan loop.
 type LiveView struct {
-	mu      sync.Mutex
-	started time.Time
-	sts     []MachineStatus
-	seen    []bool
-	alive   []bool
-	ewma    []float64
-	coord   Counters // the coordinator's own rows
+	mu    sync.Mutex
+	sts   []MachineStatus
+	seen  []bool
+	alive []bool
+	ewma  []float64
+	coord Counters // the coordinator's own rows
 }
 
 // backlogSmoothing weighs the newest sample in the gthinker_backlog_ewma
@@ -33,11 +28,10 @@ const backlogSmoothing = 0.25
 // NewLiveView builds a view over n machines.
 func NewLiveView(n int) *LiveView {
 	lv := &LiveView{
-		started: time.Now(),
-		sts:     make([]MachineStatus, n),
-		seen:    make([]bool, n),
-		alive:   make([]bool, n),
-		ewma:    make([]float64, n),
+		sts:   make([]MachineStatus, n),
+		seen:  make([]bool, n),
+		alive: make([]bool, n),
+		ewma:  make([]float64, n),
 	}
 	for m := range lv.alive {
 		lv.alive[m] = true
@@ -112,33 +106,4 @@ func (lv *LiveView) Samples() []obs.Sample {
 		out = st.Counters.samples(out, lbl, false)
 	}
 	return lv.coord.samples(out, nil, true)
-}
-
-// String renders the one-line -progress summary.
-func (lv *LiveView) String() string {
-	lv.mu.Lock()
-	defer lv.mu.Unlock()
-	var live, pending, spawned, finished int64
-	dead := 0
-	var perMachine []string
-	for m := range lv.sts {
-		if !lv.alive[m] {
-			dead++
-			perMachine = append(perMachine, "x")
-			continue
-		}
-		st := lv.sts[m]
-		live += st.Live
-		pending += st.BigPending
-		spawned += st.Spawned
-		finished += int64(st.TasksFinished)
-		perMachine = append(perMachine, strconv.FormatInt(st.Live, 10))
-	}
-	s := fmt.Sprintf("t=%v live=%d big-pending=%d spawned=%d finished=%d stolen=%d(%d rounds)",
-		time.Since(lv.started).Round(time.Millisecond),
-		live, pending, spawned, finished, lv.coord.TasksStolen, lv.coord.StealRounds)
-	if lv.coord.Recoveries > 0 || dead > 0 {
-		s += fmt.Sprintf(" recovered=%d dead=%d", lv.coord.Recoveries, dead)
-	}
-	return s + " live/machine=[" + strings.Join(perMachine, " ") + "]"
 }

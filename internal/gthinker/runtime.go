@@ -252,7 +252,7 @@ type MachineStatus struct {
 	Spawned int64
 	// Counters is the machine's live counter snapshot, piggybacked on
 	// the status reply so the coordinator holds a continuously-updated
-	// per-machine view (its debug server and -progress line) instead of
+	// per-machine view (its debug server's /metrics) instead of
 	// learning everything from the shutdown report. All cheap
 	// atomic reads on the machine.
 	Counters

@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"time"
 
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/gthinker"
@@ -223,10 +222,6 @@ type ProcsConfig struct {
 	// after the pool closes, for inspection. Empty writes it to
 	// os.TempDir() and removes it on close.
 	ManifestDir string
-	// ReadyTimeout bounds worker startup; ExitTimeout bounds teardown.
-	// Both default to 30 s.
-	ReadyTimeout time.Duration
-	ExitTimeout  time.Duration
 }
 
 // MineProcs mines the graph at pcfg.GraphPath on a cluster of REAL

@@ -92,6 +92,10 @@ func bootstrapSpec(ecfg gthinker.Config) []byte {
 	return AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 1, MinSize: 2}}, ecfg)
 }
 
+// procsTimeout bounds a procs pool's worker startup (the ready line)
+// and its teardown (the process exits).
+const procsTimeout = 30 * time.Second
+
 // StartProcsPool deploys a cluster of real worker OS processes —
 // partition manifest, worker processes, join handshake, transport
 // wiring — and returns the session over it. Each worker mmaps the
@@ -104,12 +108,6 @@ func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) 
 	}
 	if ecfg.Machines < 1 {
 		return nil, fmt.Errorf("miner: procs pool needs ecfg.Machines ≥ 1, got %d", ecfg.Machines)
-	}
-	if pcfg.ReadyTimeout == 0 {
-		pcfg.ReadyTimeout = 30 * time.Second
-	}
-	if pcfg.ExitTimeout == 0 {
-		pcfg.ExitTimeout = 30 * time.Second
 	}
 
 	// Fingerprint the graph for the manifest (the mapping is released
@@ -151,9 +149,9 @@ func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) 
 
 	procs, err := gthinker.SpawnWorkerProcs(ecfg.Machines, func(machine int) *exec.Cmd {
 		return pcfg.Command(machine, manifestPath)
-	}, pcfg.ReadyTimeout)
+	}, procsTimeout)
 	if err == nil {
-		s.cluster, err = gthinker.StartProcsCluster(ecfg, procs, man.NumVertices, man.NumEdges, bootstrapSpec(ecfg), pcfg.ExitTimeout)
+		s.cluster, err = gthinker.StartProcsCluster(ecfg, procs, man.NumVertices, man.NumEdges, bootstrapSpec(ecfg), procsTimeout)
 	}
 	if err != nil {
 		s.cleanup()

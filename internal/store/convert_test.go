@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,30 +125,32 @@ func TestConvertEdgeListMatchesLoad(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		fmt.Fprintf(&sb, "%d %d\n", rng.Intn(400)+7, rng.Intn(400)+7)
 	}
+	// The largest ID appears only in a self loop.
+	sb.WriteString("900 900\n")
 	text := sb.String()
-	res, err := graph.LoadEdgeList(strings.NewReader(text), graph.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := graph.WriteBinary(&want, res.Graph); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(t.TempDir(), "el.gqc")
-	stats, orig, err := ConvertEdgeList(strings.NewReader(text), out, graph.LoadOptions{}, ConvertOptions{MemoryBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := os.ReadFile(out)
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("converted bytes differ (%d runs)", stats.Runs)
-	}
-	if len(orig) != len(res.OrigID) {
-		t.Fatalf("orig len %d vs %d", len(orig), len(res.OrigID))
-	}
-	for i := range orig {
-		if orig[i] != res.OrigID[i] {
-			t.Fatalf("orig[%d] = %d, want %d", i, orig[i], res.OrigID[i])
+	for _, lopt := range []graph.LoadOptions{{}, {KeepIDs: true}} {
+		res, err := graph.LoadEdgeList(strings.NewReader(text), lopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lopt.KeepIDs && res.Graph.NumVertices() != 901 {
+			t.Fatalf("KeepIDs: n = %d, want 901", res.Graph.NumVertices())
+		}
+		var want bytes.Buffer
+		if err := graph.WriteBinary(&want, res.Graph); err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(t.TempDir(), "el.gqc")
+		stats, orig, err := ConvertEdgeList(strings.NewReader(text), out, lopt, ConvertOptions{MemoryBudget: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := os.ReadFile(out)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("KeepIDs=%v: converted bytes differ (%d runs)", lopt.KeepIDs, stats.Runs)
+		}
+		if !slices.Equal(orig, res.OrigID) {
+			t.Fatalf("KeepIDs=%v: orig %d entries, want %d", lopt.KeepIDs, len(orig), len(res.OrigID))
 		}
 	}
 }
