@@ -87,11 +87,12 @@ func TestPublicAPILoaders(t *testing.T) {
 	if err := SaveBinaryFile(bin, g); err != nil {
 		t.Fatal(err)
 	}
-	g3, err := LoadBinaryFile(bin)
+	m3, err := MapBinaryFile(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g3.NumEdges() != g.NumEdges() {
+	defer m3.Close()
+	if g3 := m3.Graph(); g3.NumEdges() != g.NumEdges() {
 		t.Fatal("binary round trip broken")
 	}
 }

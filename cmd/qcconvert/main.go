@@ -2,6 +2,8 @@
 // list (SNAP/KONECT style "u v" lines) into the binary GQC2 format
 // that qcmine, qcworker, and qcserved map directly, using an
 // external-memory sort so the input may be far larger than RAM.
+// The text is parsed in one serial pass (graph.ScanEdgeList), and the
+// output is byte-identical to graph.LoadEdgeList + graph.WriteBinary.
 //
 // Usage:
 //
@@ -15,7 +17,8 @@
 //
 // With -ids the original vertex IDs are written (one per line, dense
 // ID = line number) so results can be mapped back to the input's
-// numbering.
+// numbering. -keepids does no remap, so -ids with -keepids is refused
+// before any input is read.
 package main
 
 import (
@@ -43,7 +46,6 @@ func main() {
 		tmp      = flag.String("tmp", "", "directory for sorted temp runs (default: output dir)")
 		keepIDs  = flag.Bool("keepids", false, "keep raw vertex IDs (graph sized to max ID + 1)")
 		comments = flag.String("comments", "", "comma-separated comment prefixes (default \"#,%\")")
-		sizeHint = flag.Int("sizehint", 0, "expected distinct vertex count (pre-sizes the remap)")
 		idsOut   = flag.String("ids", "", "also write the dense->original ID table to this file")
 		quiet    = flag.Bool("q", false, "suppress the summary line")
 	)
@@ -51,6 +53,9 @@ func main() {
 	if *in == "" || *out == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *idsOut != "" && *keepIDs {
+		log.Fatal("-ids is meaningless with -keepids (no remap happens)")
 	}
 	budgetBytes, err := parseBytes(*budget)
 	if err != nil {
@@ -67,7 +72,7 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	lopt := graph.LoadOptions{KeepIDs: *keepIDs, SizeHint: *sizeHint}
+	lopt := graph.LoadOptions{KeepIDs: *keepIDs}
 	if *comments != "" {
 		lopt.Comments = strings.Split(*comments, ",")
 	}
@@ -80,9 +85,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if *idsOut != "" {
-		if *keepIDs {
-			log.Fatal("-ids is meaningless with -keepids (no remap happened)")
-		}
 		if err := writeIDs(*idsOut, orig); err != nil {
 			log.Fatal(err)
 		}

@@ -54,22 +54,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var g *gthinkerqc.Graph
-	var err error
-	if *procs > 0 && strings.HasSuffix(*input, ".bin") {
-		// Coordinator mode never mines locally: map the file instead of
-		// copying a possibly huge CSR into this process's heap (the
-		// graph is only consulted for the manifest fingerprint and the
-		// stats summary).
-		mg, merr := gthinkerqc.MapBinaryFile(*input)
-		if merr != nil {
-			fatal(merr)
-		}
-		defer mg.Close()
-		g = mg.Graph()
-	} else if g, err = loadGraph(*input); err != nil {
+	g, closeGraph, err := loadGraph(*input)
+	if err != nil {
 		fatal(err)
 	}
+	defer closeGraph()
 	cfg := gthinkerqc.Config{
 		Gamma: *gamma, MinSize: *minsize,
 		TauSplit: *tausplit, TauTime: *tautime,
@@ -167,11 +156,18 @@ func mineCluster(g *gthinkerqc.Graph, cfg gthinkerqc.Config, input string, n int
 	})
 }
 
-func loadGraph(path string) (*gthinkerqc.Graph, error) {
+// loadGraph maps a .bin file or parses an edge list. The returned
+// close releases the mapping; the graph must not be used after it.
+func loadGraph(path string) (*gthinkerqc.Graph, func() error, error) {
 	if strings.HasSuffix(path, ".bin") {
-		return gthinkerqc.LoadBinaryFile(path)
+		mg, err := gthinkerqc.MapBinaryFile(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		return mg.Graph(), mg.Close, nil
 	}
-	return gthinkerqc.LoadEdgeListFile(path)
+	g, err := gthinkerqc.LoadEdgeListFile(path)
+	return g, func() error { return nil }, err
 }
 
 func fatal(err error) {

@@ -31,7 +31,11 @@ func main() {
 	var g *gthinkerqc.Graph
 	var err error
 	if strings.HasSuffix(*input, ".bin") {
-		g, err = gthinkerqc.LoadBinaryFile(*input)
+		var mg *gthinkerqc.MappedGraph
+		if mg, err = gthinkerqc.MapBinaryFile(*input); err == nil {
+			defer mg.Close()
+			g = mg.Graph()
+		}
 	} else {
 		g, err = gthinkerqc.LoadEdgeListFile(*input)
 	}

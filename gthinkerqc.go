@@ -272,7 +272,8 @@ type ClusterOptions struct {
 // detection, task-steal directives, metrics aggregation) over the TCP
 // control plane. Results are bit-identical to MineParallel on the same
 // graph. cfg.SpillDir is ignored — each worker spills into its own
-// temporary directory.
+// temporary directory. A run stopped by ctx returns its partial result
+// together with the context's error, as MineParallelContext does.
 func MineCluster(ctx context.Context, cfg Config, opts ClusterOptions) (*Result, error) {
 	start := time.Now()
 	mcfg, ecfg := cfg.sessionConfigs()
@@ -281,10 +282,7 @@ func MineCluster(ctx context.Context, cfg Config, opts ClusterOptions) (*Result,
 		Command:     opts.WorkerCommand,
 		ManifestDir: opts.ManifestDir,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cfg.result(start, res, nil)
+	return cfg.result(start, res, err)
 }
 
 // IsQuasiClique reports whether the sorted vertex set S induces a

@@ -3,14 +3,12 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"os"
 )
 
-// Binary codec for graphs. The format ("GQC2") serializes the
-// CSR arrays verbatim so a prebuilt graph loads with two contiguous
-// array reads and zero per-vertex work:
+// Binary writer for graphs. The format ("GQC2") serializes the CSR
+// arrays verbatim, so the file's payload is the in-memory layout:
 //
 //	magic     [4]byte   "GQC2"
 //	n         uint32    number of vertices
@@ -18,17 +16,16 @@ import (
 //	offsets   [n+1]uint32
 //	neighbors [2m]uint32  (packed sorted adjacency)
 //
-// Files of the retired "GQC1" layout (degree array + concatenated
-// adjacency) are refused with an "unsupported version" error that says
-// how to regenerate them, not mistaken for corruption.
+// This package only writes the format. Its one reader is
+// internal/store's MapGraph, which maps the file (or reads it into the
+// heap where it cannot), points the arrays at it through FromCSR, and
+// refuses a malformed file, including one of the retired "GQC1"
+// layout, with an error.
 
-var (
-	magicV2 = [4]byte{'G', 'Q', 'C', '2'}
-	magicV1 = [4]byte{'G', 'Q', 'C', '1'}
-)
+var magicV2 = [4]byte{'G', 'Q', 'C', '2'}
 
 // ioBufSize sizes the bufio layers; chunkSize is the conversion
-// buffer the uint32 array codec stages through.
+// buffer the uint32 array writer stages through.
 const (
 	ioBufSize = 1 << 20
 	chunkSize = 1 << 16
@@ -48,24 +45,6 @@ func writeUint32s(w io.Writer, xs []uint32, buf []byte) error {
 			return err
 		}
 		xs = xs[n:]
-	}
-	return nil
-}
-
-// readUint32s fills dst from little-endian data through buf.
-func readUint32s(r io.Reader, dst []uint32, buf []byte) error {
-	for len(dst) > 0 {
-		n := len(buf) / 4
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
-		}
-		dst = dst[n:]
 	}
 	return nil
 }
@@ -92,62 +71,6 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary. Loads get
-// O(|E|) structural validation (monotone offsets, in-range IDs,
-// strictly sorted rows) — enough to make a corrupt file an error
-// instead of a panic without paying the per-edge symmetry search of
-// full Validate, which would dominate the contiguous-read fast path
-// on large graphs. Callers loading untrusted files that need the
-// symmetry guarantee can run Validate themselves.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, ioBufSize)
-	var m4 [4]byte
-	if _, err := io.ReadFull(br, m4[:]); err != nil {
-		return nil, fmt.Errorf("graph: read magic: %w", err)
-	}
-	switch m4 {
-	case magicV2:
-	case magicV1:
-		return nil, fmt.Errorf("graph: unsupported version %q: only GQC2 files are read; regenerate the file from its edge list (qcconvert, qcgen)", m4[:])
-	default:
-		return nil, fmt.Errorf("graph: bad magic %q", m4[:])
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: read header: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	m := binary.LittleEndian.Uint64(hdr[4:12])
-	if 2*m > uint64(^uint32(0)) {
-		return nil, fmt.Errorf("graph: edge count %d exceeds uint32 offsets", m)
-	}
-	g, err := readCSR(br, n, m)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.validateStructure(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// readCSR reads the payload: the two CSR arrays, verbatim.
-func readCSR(br io.Reader, n int, m uint64) (*Graph, error) {
-	buf := make([]byte, chunkSize)
-	offsets := make([]uint32, n+1)
-	if err := readUint32s(br, offsets, buf); err != nil {
-		return nil, fmt.Errorf("graph: read offsets: %w", err)
-	}
-	if uint64(offsets[n]) != 2*m {
-		return nil, fmt.Errorf("graph: offsets end %d != 2m = %d", offsets[n], 2*m)
-	}
-	neighbors := make([]V, 2*m)
-	if err := readUint32s(br, neighbors, buf); err != nil {
-		return nil, fmt.Errorf("graph: read adjacency: %w", err)
-	}
-	return &Graph{offsets: offsets, neighbors: neighbors, m: int(m)}, nil
-}
-
 // WriteBinaryFile writes g to path.
 func WriteBinaryFile(path string, g *Graph) error {
 	f, err := os.Create(path)
@@ -159,14 +82,4 @@ func WriteBinaryFile(path string, g *Graph) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadBinaryFile reads a graph from path.
-func ReadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }

@@ -1,31 +1,41 @@
-package graph
+package graph_test
 
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gthinkerqc/internal/datagen"
+	"gthinkerqc/internal/graph"
+	"gthinkerqc/internal/store"
 )
 
-func codecTestGraph() *Graph {
+// This package writes GQC2 and validates a CSR (FromCSR); its reader is
+// store.MapGraph. These tests hold the writers to the layout that
+// reader accepts. store's own tables cover the reader's checks on both
+// load paths.
+
+func codecTestGraph() *graph.Graph {
 	// Two triangles bridged by an edge, plus an isolated vertex —
 	// exercises empty rows and non-uniform degrees.
-	return FromEdges(7, [][2]V{
+	return graph.FromEdges(7, [][2]graph.V{
 		{0, 1}, {1, 2}, {0, 2},
 		{3, 4}, {4, 5}, {3, 5},
 		{2, 3},
 	})
 }
 
-func requireGraphsEqual(t *testing.T, a, b *Graph) {
+func requireGraphsEqual(t *testing.T, a, b *graph.Graph) {
 	t.Helper()
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		t.Fatalf("shape mismatch: (%d,%d) vs (%d,%d)",
 			a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
 	}
 	for v := 0; v < a.NumVertices(); v++ {
-		av, bv := a.Adj(V(v)), b.Adj(V(v))
+		av, bv := a.Adj(graph.V(v)), b.Adj(graph.V(v))
 		if len(av) != len(bv) {
 			t.Fatalf("degree mismatch at %d", v)
 		}
@@ -37,36 +47,98 @@ func requireGraphsEqual(t *testing.T, a, b *Graph) {
 	}
 }
 
-func TestBinaryRoundtripCSR(t *testing.T) {
-	g := codecTestGraph()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[:4]; !bytes.Equal(got, magicV2[:]) {
-		t.Fatalf("magic = %q, want %q", got, magicV2[:])
-	}
-	g2, err := ReadBinary(&buf)
+// mapFile maps path and returns its graph; the mapping is closed when
+// the test ends.
+func mapFile(t *testing.T, path string) *graph.Graph {
+	t.Helper()
+	m, err := store.MapGraph(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g2.Validate(); err != nil {
+	t.Cleanup(func() { m.Close() })
+	if err := m.Graph().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return m.Graph()
+}
+
+// TestBinaryRoundtripCSR: WriteBinary's bytes are the documented
+// layout, and its two arrays are a CSR that FromCSR accepts back.
+func TestBinaryRoundtripCSR(t *testing.T) {
+	g := codecTestGraph()
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if got := string(data[:4]); got != "GQC2" {
+		t.Fatalf("magic = %q, want GQC2", got)
+	}
+	n := int(binary.LittleEndian.Uint32(data[4:8]))
+	m := int(binary.LittleEndian.Uint64(data[8:16]))
+	if n != g.NumVertices() || m != g.NumEdges() {
+		t.Fatalf("header (n=%d, m=%d), want (%d, %d)", n, m, g.NumVertices(), g.NumEdges())
+	}
+	if want := 16 + 4*(n+1) + 8*m; len(data) != want {
+		t.Fatalf("size = %d, want %d", len(data), want)
+	}
+	words := make([]uint32, (len(data)-16)/4)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint32(data[16+4*i:])
+	}
+	g2, err := graph.FromCSR(words[:n+1], words[n+1:], m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	requireGraphsEqual(t, g, g2)
 }
 
+// TestBinaryRoundtripFile: a file from WriteBinaryFile maps back equal.
 func TestBinaryRoundtripFile(t *testing.T) {
 	g := codecTestGraph()
 	path := filepath.Join(t.TempDir(), "g.gqc")
-	if err := WriteBinaryFile(path, g); err != nil {
+	if err := graph.WriteBinaryFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinaryFile(path)
+	requireGraphsEqual(t, g, mapFile(t, path))
+}
+
+// TestBinaryRoundTrip: the stream writer's output, saved as a file,
+// maps back equal on a graph with thousands of edges (several writer
+// chunks).
+func TestBinaryRoundTrip(t *testing.T) {
+	g := datagen.ErdosRenyi(600, 0.05, 3)
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.gqc")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireGraphsEqual(t, g, mapFile(t, path))
+}
+
+// TestBinaryFileRoundTrip: WriteBinaryFile writes exactly WriteBinary's
+// bytes, and the file maps back equal.
+func TestBinaryFileRoundTrip(t *testing.T) {
+	g := datagen.ErdosRenyi(600, 0.05, 3)
+	var buf bytes.Buffer
+	if err := graph.WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.gqc")
+	if err := graph.WriteBinaryFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireGraphsEqual(t, g, g2)
+	if !bytes.Equal(data, buf.Bytes()) {
+		t.Fatal("WriteBinaryFile and WriteBinary wrote different bytes")
+	}
+	requireGraphsEqual(t, g, mapFile(t, path))
 }
 
 // TestReadBinaryRetiredVersion: a GQC1 file is refused for its
@@ -74,69 +146,39 @@ func TestBinaryRoundtripFile(t *testing.T) {
 // rather than read, or reported as a corrupt GQC2.
 func TestReadBinaryRetiredVersion(t *testing.T) {
 	old := append([]byte("GQC1"), make([]byte, 12)...) // a header-only GQC1 file
-	_, err := ReadBinary(bytes.NewReader(old))
-	if err == nil || !strings.Contains(err.Error(), "unsupported version") || !strings.Contains(err.Error(), "GQC1") {
+	path := filepath.Join(t.TempDir(), "v1.gqc")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := store.MapGraph(path)
+	if err == nil {
+		m.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "unsupported version") ||
+		!strings.Contains(err.Error(), "GQC1") || !strings.Contains(err.Error(), "regenerate") {
 		t.Fatalf("GQC1 file: err = %v, want an unsupported-version error naming it", err)
 	}
 }
 
-func TestReadBinaryBadMagic(t *testing.T) {
-	g := codecTestGraph()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[3] = '9' // "GQC9": unknown version
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Fatal("unknown magic accepted")
-	}
-}
-
+// TestReadBinaryTruncatedCSR: every proper prefix of a written file —
+// inside the magic, the header, the offsets array or the neighbors
+// array — is refused.
 func TestReadBinaryTruncatedCSR(t *testing.T) {
-	g := codecTestGraph()
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := graph.WriteBinary(&buf, codecTestGraph()); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	// Every prefix must fail cleanly: magic, header, offsets array,
-	// neighbors array.
-	for _, cut := range []int{0, 2, 8, 15, 20, len(full) - 3} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	dir := t.TempDir()
+	for cut := 0; cut < len(full); cut++ {
+		path := filepath.Join(dir, "cut.gqc")
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestReadBinaryCorruptOffsets(t *testing.T) {
-	g := codecTestGraph()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// offsets live after magic(4)+header(12); corrupt the final offset
-	// so it disagrees with 2m.
-	lastOff := 16 + 4*g.NumVertices()
-	binary.LittleEndian.PutUint32(data[lastOff:], 9999)
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Fatal("corrupt offsets accepted")
-	}
-}
-
-func TestReadBinaryCorruptNeighbor(t *testing.T) {
-	g := codecTestGraph()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// First neighbor entry: out-of-range vertex ID must be rejected by
-	// validation, not read into a panic later.
-	first := 16 + 4*(g.NumVertices()+1)
-	binary.LittleEndian.PutUint32(data[first:], 1<<30)
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Fatal("out-of-range neighbor accepted")
+		m, err := store.MapGraph(path)
+		if err == nil {
+			m.Close()
+			t.Fatalf("truncation at %d of %d bytes accepted", cut, len(full))
+		}
 	}
 }

@@ -33,10 +33,11 @@
 // same edge set gives the same bytes in any insertion order — which
 // is what lets the external-memory converter in internal/store write
 // files identical to an in-memory build. Ingest runs once per graph,
-// before any mining. LoadEdgeList parses text chunks in parallel in
-// front of the build; LoadOptions.SizeHint pre-sizes the ID remap, and
-// ScanEdgeList streams (u,v) pairs to a callback for callers that must
-// not materialize the edge set in memory.
+// before any mining. LoadEdgeList parses text one line at a time in
+// front of the build, and ScanEdgeList streams the same (u,v) pairs to
+// a callback for callers that must not materialize the edge set in
+// memory. Binary GQC2 files are written here (WriteBinary) and read by
+// internal/store's MapGraph alone, through FromCSR.
 package graph
 
 import (
@@ -96,28 +97,17 @@ func (g *Graph) MaxDegree() int {
 // FromCSR wraps prebuilt CSR arrays as a Graph without copying: the
 // Graph aliases offsets and neighbors, so the caller controls their
 // lifetime (internal/store points them into an mmap'd GQC2 file, in
-// which case the Graph dies with the mapping). Validation is the O(n)
-// offsets invariants only — the caller vouches for the O(|E|) row
-// properties (strictly sorted, symmetric, self-loop-free, IDs in
-// range), as for arrays produced by WriteBinary. Run Validate for
-// untrusted data.
+// which case the Graph dies with the mapping). It is the one check a
+// loaded graph passes: validateStructure's O(n) offsets invariants and
+// O(|E|) row scan (IDs in range, rows strictly sorted, no self loops,
+// edge count), so a corrupt file is an error here and never an index
+// panic in a miner. Symmetry is not probed; run Validate for that.
 func FromCSR(offsets []uint32, neighbors []V, m int) (*Graph, error) {
-	if len(offsets) == 0 || offsets[0] != 0 {
-		return nil, fmt.Errorf("graph: offsets must start at 0")
+	g := &Graph{offsets: offsets, neighbors: neighbors, m: m}
+	if err := g.validateStructure(); err != nil {
+		return nil, err
 	}
-	for v := 1; v < len(offsets); v++ {
-		if offsets[v] < offsets[v-1] {
-			return nil, fmt.Errorf("graph: offsets not monotone at %d", v-1)
-		}
-	}
-	if int(offsets[len(offsets)-1]) != len(neighbors) {
-		return nil, fmt.Errorf("graph: offsets end %d != |neighbors| = %d",
-			offsets[len(offsets)-1], len(neighbors))
-	}
-	if len(neighbors) != 2*m {
-		return nil, fmt.Errorf("graph: |neighbors| = %d != 2m = %d", len(neighbors), 2*m)
-	}
-	return &Graph{offsets: offsets, neighbors: neighbors, m: m}, nil
+	return g, nil
 }
 
 // Scratch is a reusable epoch-stamped visited marker over the vertex
@@ -253,42 +243,50 @@ func (g *Graph) ConnectedComponents() [][]V {
 	return comps
 }
 
-// validateStructure checks the O(|E|) invariants that make a Graph
-// safe to traverse: monotone offsets matching the neighbors array,
-// strictly sorted rows, no self loops, IDs in range, and the edge
-// count. It does not probe symmetry — that is Validate's per-edge
-// binary search, too costly for the codec's contiguous-read path.
+// validateStructure checks the invariants that make a Graph safe to
+// traverse: offsets start at 0, are monotone and end at |neighbors|;
+// every row is strictly sorted, self-loop-free and in range; and
+// |neighbors| is 2m. It does not probe symmetry — that is Validate's
+// per-edge binary search, too costly for every load.
 func (g *Graph) validateStructure() error {
 	if len(g.offsets) == 0 || g.offsets[0] != 0 {
 		return fmt.Errorf("graph: offsets must start at 0")
 	}
-	for v := 0; v < g.NumVertices(); v++ {
+	n := g.NumVertices()
+	for v := 0; v < n; v++ {
 		if g.offsets[v+1] < g.offsets[v] {
 			return fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
 	}
-	if int(g.offsets[g.NumVertices()]) != len(g.neighbors) {
+	if int(g.offsets[n]) != len(g.neighbors) {
 		return fmt.Errorf("graph: offsets end %d != |neighbors| = %d",
-			g.offsets[g.NumVertices()], len(g.neighbors))
+			g.offsets[n], len(g.neighbors))
 	}
-	edges := 0
-	for v := 0; v < g.NumVertices(); v++ {
+	for v := 0; v < n; v++ {
 		a := g.Adj(V(v))
-		if !vset.IsSorted(a) {
-			return fmt.Errorf("graph: adjacency of %d not strictly sorted", v)
+		if len(a) == 0 {
+			continue
 		}
-		for _, u := range a {
+		prev := a[0]
+		if prev == V(v) {
+			return fmt.Errorf("graph: self loop at %d", v)
+		}
+		for _, u := range a[1:] {
+			if u <= prev {
+				return fmt.Errorf("graph: adjacency of %d not strictly sorted", v)
+			}
 			if u == V(v) {
 				return fmt.Errorf("graph: self loop at %d", v)
 			}
-			if int(u) >= g.NumVertices() {
-				return fmt.Errorf("graph: edge (%d,%d) out of range", v, u)
-			}
+			prev = u
 		}
-		edges += len(a)
+		// Strictly sorted: the last ID is the largest.
+		if int(prev) >= n {
+			return fmt.Errorf("graph: edge (%d,%d) out of range", v, prev)
+		}
 	}
-	if edges != 2*g.m {
-		return fmt.Errorf("graph: edge count %d != sum(deg)/2 = %d", g.m, edges/2)
+	if len(g.neighbors) != 2*g.m {
+		return fmt.Errorf("graph: edge count %d != sum(deg)/2 = %d", g.m, len(g.neighbors)/2)
 	}
 	return nil
 }

@@ -203,45 +203,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := figure4()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, g2) {
-		t.Fatal("binary round trip changed graph")
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Error("want error on bad magic")
-	}
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("want error on empty input")
-	}
-}
-
-func TestBinaryFileRoundTrip(t *testing.T) {
-	g := figure4()
-	path := t.TempDir() + "/g.bin"
-	if err := WriteBinaryFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, g2) {
-		t.Fatal("file round trip changed graph")
-	}
-}
-
 func TestStats(t *testing.T) {
 	g := figure4()
 	s := ComputeStats(g)
@@ -300,30 +261,6 @@ func TestWithin2MatchesBFS(t *testing.T) {
 		return vset.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickBinaryRoundTripRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(40)
-		b := NewBuilder(n)
-		for i := 0; i < n; i++ {
-			b.AddEdge(V(rng.Intn(n+1)), V(rng.Intn(n+1)))
-		}
-		g := b.MustBuild()
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			return false
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		return graphsEqual(g, g2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,19 +2,10 @@ package graph
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
-
-// loadBlockSize is the read-block granularity of the chunked parser.
-// A variable so tests can shrink it to exercise chunk boundaries and
-// block growth on small inputs.
-var loadBlockSize = 1 << 20
 
 // LoadOptions controls text edge-list parsing.
 type LoadOptions struct {
@@ -25,11 +16,6 @@ type LoadOptions struct {
 	// max ID + 1). When false (default), IDs are remapped to a dense
 	// [0, n) range in first-appearance order.
 	KeepIDs bool
-	// SizeHint, when positive, pre-sizes the dense-remap table and the
-	// original-ID slice for roughly this many distinct vertices,
-	// avoiding rehash storms on large inputs. Purely an optimization;
-	// the structures still grow past it.
-	SizeHint int
 }
 
 // LoadResult is a loaded graph plus the original-ID mapping (nil when
@@ -44,11 +30,8 @@ type LoadResult struct {
 // in the format used by SNAP and KONECT dumps. Extra columns (weights,
 // timestamps) are ignored. Self loops and duplicate edges are dropped.
 //
-// Parsing is chunked: the input is read in large blocks, split at line
-// boundaries, and the blocks are parsed in parallel on GOMAXPROCS
-// goroutines with the dense remap applied in input order, so the
-// resulting graph is identical to a line-at-a-time parse. Lines of any
-// length are accepted (the read block grows to fit).
+// Parsing is one serial pass over the input, a line at a time (see
+// ScanEdgeList); lines of any length are accepted.
 func LoadEdgeList(r io.Reader, opt LoadOptions) (*LoadResult, error) {
 	b := NewBuilder(0)
 	orig, n, err := ScanEdgeList(r, opt, func(u, v V) error {
@@ -76,6 +59,10 @@ func LoadEdgeList(r io.Reader, opt LoadOptions) (*LoadResult, error) {
 // KeepIDs) and the vertex-universe size implied by the input, matching
 // LoadEdgeList's sizing rules. An emit error aborts the scan.
 //
+// The scan is one serial pass: each line is read, parsed, remapped and
+// emitted in input order, on the caller's goroutine. A line longer
+// than the read buffer is reassembled, so lines of any length load.
+//
 // This is the out-of-core entry point: the external-memory GQC2
 // converter feeds an edge spiller from it, so only the remap table —
 // vertices, not edges — must fit in memory.
@@ -87,93 +74,8 @@ func ScanEdgeList(r io.Reader, opt LoadOptions, emit func(u, v V) error) ([]int6
 	var remap map[int64]V
 	var orig []int64
 	if !opt.KeepIDs {
-		remap = make(map[int64]V, opt.SizeHint)
-		if opt.SizeHint > 0 {
-			orig = make([]int64, 0, opt.SizeHint)
-		}
+		remap = make(map[int64]V)
 	}
-
-	type chunk struct {
-		data    []byte
-		pairs   []int64
-		lines   int
-		errLine int // 1-based within the chunk, 0 when err is nil
-		err     error
-		done    chan struct{}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	work := make(chan *chunk, workers)
-	order := make(chan *chunk, 2*workers+2)
-	free := make(chan []byte, cap(order))
-	var abort atomic.Bool
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				if !abort.Load() {
-					c.pairs, c.lines, c.errLine, c.err = parseEdgeChunk(c.data, comments)
-				}
-				close(c.done)
-			}
-		}()
-	}
-
-	var readErr error
-	go func() {
-		defer close(order)
-		defer close(work)
-		var carry []byte
-		eof := false
-		for !eof && !abort.Load() {
-			var block []byte
-			select {
-			case b := <-free:
-				block = b[:0]
-			default:
-				block = make([]byte, 0, loadBlockSize)
-			}
-			block = append(block, carry...)
-			// Read until the block holds at least one full line (or
-			// EOF), growing it when a single line exceeds the block.
-			sawNL := bytes.IndexByte(block, '\n') >= 0
-			for !sawNL {
-				if len(block) == cap(block) {
-					grown := make([]byte, len(block), 2*cap(block))
-					copy(grown, block)
-					block = grown
-				}
-				m, err := r.Read(block[len(block):cap(block)])
-				if m > 0 {
-					sawNL = bytes.IndexByte(block[len(block):len(block)+m], '\n') >= 0
-					block = block[:len(block)+m]
-				}
-				if err == io.EOF {
-					eof = true
-					break
-				}
-				if err != nil {
-					readErr = err
-					eof = true
-					break
-				}
-			}
-			cut := bytes.LastIndexByte(block, '\n') + 1
-			if eof {
-				cut = len(block)
-			}
-			carry = append(carry[:0], block[cut:]...)
-			if cut == 0 {
-				continue
-			}
-			c := &chunk{data: block[:cut], done: make(chan struct{})}
-			work <- c
-			order <- c
-		}
-	}()
-
 	// n is the vertex universe: max ID + 1 under KeepIDs, else the
 	// number of distinct IDs. Every parsed ID counts, self loops too.
 	n := 0
@@ -197,87 +99,72 @@ func ScanEdgeList(r io.Reader, opt LoadOptions, emit func(u, v V) error) ([]int6
 		n = len(orig)
 		return id, nil
 	}
-	line := 0
-	var ferr error
-	for c := range order {
-		<-c.done
-		if ferr == nil {
-			if c.err != nil {
-				ferr = fmt.Errorf("graph: line %d: %v", line+c.errLine, c.err)
+
+	br := bufio.NewReaderSize(r, ioBufSize)
+	var long []byte // a line longer than br's buffer, reassembled
+	for line := 1; ; line++ {
+		ln, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = append(long[:0], ln...)
+			for rerr == bufio.ErrBufferFull {
+				ln, rerr = br.ReadSlice('\n')
+				long = append(long, ln...)
 			}
-			for i := 0; i+1 < len(c.pairs) && ferr == nil; i += 2 {
-				du, err := dense(c.pairs[i])
-				if err != nil {
-					ferr = err
-					break
-				}
-				dv, err := dense(c.pairs[i+1])
-				if err != nil {
-					ferr = err
-					break
-				}
-				ferr = emit(du, dv)
+			ln = long
+		}
+		if len(ln) > 0 && ln[len(ln)-1] == '\n' {
+			ln = ln[:len(ln)-1]
+		}
+		u, v, ok, err := parseEdgeLine(ln, comments)
+		if err != nil {
+			return nil, 0, fmt.Errorf("graph: line %d: %v", line, err)
+		}
+		if ok {
+			du, err := dense(u)
+			if err != nil {
+				return nil, 0, err
 			}
-			if ferr != nil {
-				abort.Store(true)
+			dv, err := dense(v)
+			if err != nil {
+				return nil, 0, err
+			}
+			if err := emit(du, dv); err != nil {
+				return nil, 0, err
 			}
 		}
-		line += c.lines
-		select {
-		case free <- c.data[:0]:
-		default:
+		if rerr == io.EOF {
+			return orig, n, nil
+		}
+		if rerr != nil {
+			return nil, 0, fmt.Errorf("graph: scan: %w", rerr)
 		}
 	}
-	wg.Wait()
-	if ferr != nil {
-		return nil, 0, ferr
-	}
-	if readErr != nil {
-		return nil, 0, fmt.Errorf("graph: scan: %w", readErr)
-	}
-	return orig, n, nil
 }
 
-// parseEdgeChunk parses one block of whole lines into flat raw (u, v)
-// pairs. It returns the pairs, the number of lines consumed, and — on
-// error — the 1-based line index within the chunk.
-func parseEdgeChunk(data []byte, comments []string) (pairs []int64, lines, errLine int, err error) {
-	// Guess two numbers ~8 bytes each per line to size the result.
-	pairs = make([]int64, 0, len(data)/8)
-next:
-	for len(data) > 0 {
-		var ln []byte
-		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
-			ln, data = data[:nl], data[nl+1:]
-		} else {
-			ln, data = data, nil
-		}
-		lines++
-		ln = trimSpaceASCII(ln)
-		if len(ln) == 0 {
-			continue
-		}
-		for _, c := range comments {
-			if len(ln) >= len(c) && string(ln[:len(c)]) == c {
-				continue next
-			}
-		}
-		f1, rest := nextField(ln)
-		f2, _ := nextField(rest)
-		if len(f2) == 0 {
-			return pairs, lines, lines, fmt.Errorf("want at least 2 fields, got %q", string(ln))
-		}
-		u, perr := parseIntBytes(f1)
-		if perr != nil {
-			return pairs, lines, lines, perr
-		}
-		v, perr := parseIntBytes(f2)
-		if perr != nil {
-			return pairs, lines, lines, perr
-		}
-		pairs = append(pairs, u, v)
+// parseEdgeLine parses one line, without its newline, into a raw
+// (u, v) pair. ok is false for blank and comment lines.
+func parseEdgeLine(ln []byte, comments []string) (u, v int64, ok bool, err error) {
+	ln = trimSpaceASCII(ln)
+	if len(ln) == 0 {
+		return 0, 0, false, nil
 	}
-	return pairs, lines, 0, nil
+	for _, c := range comments {
+		if len(ln) >= len(c) && string(ln[:len(c)]) == c {
+			return 0, 0, false, nil
+		}
+	}
+	f1, rest := nextField(ln)
+	f2, _ := nextField(rest)
+	if len(f2) == 0 {
+		return 0, 0, false, fmt.Errorf("want at least 2 fields, got %q", string(ln))
+	}
+	if u, err = parseIntBytes(f1); err != nil {
+		return 0, 0, false, err
+	}
+	if v, err = parseIntBytes(f2); err != nil {
+		return 0, 0, false, err
+	}
+	return u, v, true, nil
 }
 
 func isSpaceASCII(b byte) bool {

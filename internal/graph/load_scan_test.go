@@ -2,23 +2,30 @@ package graph
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// withBlockSize shrinks the parser read block so small inputs exercise
-// chunk boundaries, block growth, and the parallel pipeline.
-func withBlockSize(t *testing.T, size int) {
-	t.Helper()
-	old := loadBlockSize
-	loadBlockSize = size
-	t.Cleanup(func() { loadBlockSize = old })
+// smallReads hands out at most n bytes per Read, so lines arrive split
+// across reads at every offset.
+type smallReads struct {
+	r io.Reader
+	n int
+}
+
+func (s *smallReads) Read(p []byte) (int, error) {
+	if len(p) > s.n {
+		p = p[:s.n]
+	}
+	return s.r.Read(p)
 }
 
 func TestLoadEdgeListChunkBoundaries(t *testing.T) {
-	// Build a reference input and parse it at many block sizes; the
-	// result must be identical regardless of where chunks split.
+	// Build a reference input and parse it through readers that return
+	// at most block bytes per Read; the result must be identical
+	// regardless of where the reads split lines.
 	rng := rand.New(rand.NewSource(7))
 	var sb strings.Builder
 	sb.WriteString("# header comment\n")
@@ -35,13 +42,12 @@ func TestLoadEdgeListChunkBoundaries(t *testing.T) {
 	}
 	for _, bs := range []int{1, 2, 3, 7, 16, 64, 1024} {
 		t.Run(fmt.Sprintf("block=%d", bs), func(t *testing.T) {
-			withBlockSize(t, bs)
-			got, err := LoadEdgeList(strings.NewReader(input), LoadOptions{})
+			got, err := LoadEdgeList(&smallReads{strings.NewReader(input), bs}, LoadOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !graphsEqual(want.Graph, got.Graph) {
-				t.Fatal("graph differs from single-block parse")
+				t.Fatal("graph differs from single-read parse")
 			}
 			if len(want.OrigID) != len(got.OrigID) {
 				t.Fatalf("OrigID len %d vs %d", len(want.OrigID), len(got.OrigID))
@@ -56,10 +62,9 @@ func TestLoadEdgeListChunkBoundaries(t *testing.T) {
 }
 
 func TestLoadEdgeListLongLine(t *testing.T) {
-	// A single line far beyond the read block must parse (the old
-	// Scanner path errored past its fixed 1 MiB buffer).
-	withBlockSize(t, 32)
-	pad := strings.Repeat("x", 4096)
+	// Lines far beyond the read buffer must parse, two in a row (the
+	// old Scanner path errored past its fixed 1 MiB buffer).
+	pad := strings.Repeat("x", ioBufSize+4096)
 	input := "# " + pad + "\n0 1 " + pad + "\n1 2\n"
 	res, err := LoadEdgeList(strings.NewReader(input), LoadOptions{KeepIDs: true})
 	if err != nil {
@@ -87,31 +92,20 @@ func TestLoadEdgeListScannerCapGone(t *testing.T) {
 }
 
 func TestLoadEdgeListErrorLineNumbers(t *testing.T) {
-	withBlockSize(t, 8)
 	input := "1 2\n2 3\n\n# c\nbogus\n3 4\n"
-	_, err := LoadEdgeList(strings.NewReader(input), LoadOptions{})
+	_, err := LoadEdgeList(&smallReads{strings.NewReader(input), 3}, LoadOptions{})
 	if err == nil || !strings.Contains(err.Error(), "line 5") {
 		t.Fatalf("err = %v, want line 5 mentioned", err)
+	}
+	// A line longer than the read buffer counts once.
+	input = "1 2\n# " + strings.Repeat("x", ioBufSize+10) + "\nbogus\n"
+	_, err = LoadEdgeList(strings.NewReader(input), LoadOptions{})
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("err = %v, want line 3 mentioned", err)
 	}
 	_, err = LoadEdgeList(strings.NewReader("1 2\n1 2x\n"), LoadOptions{})
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line 2 mentioned", err)
-	}
-}
-
-func TestLoadEdgeListSizeHint(t *testing.T) {
-	input := "10 20\n20 30\n30 10\n"
-	for _, hint := range []int{0, 3, 1000} {
-		res, err := LoadEdgeList(strings.NewReader(input), LoadOptions{SizeHint: hint})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Graph.NumVertices() != 3 || res.Graph.NumEdges() != 3 {
-			t.Fatalf("hint %d: n=%d m=%d", hint, res.Graph.NumVertices(), res.Graph.NumEdges())
-		}
-		if res.OrigID[0] != 10 || res.OrigID[1] != 20 || res.OrigID[2] != 30 {
-			t.Fatalf("hint %d: OrigID = %v", hint, res.OrigID)
-		}
 	}
 }
 
@@ -123,7 +117,6 @@ func TestLoadEdgeListKeepIDsOverflow(t *testing.T) {
 }
 
 func TestScanEdgeListStreams(t *testing.T) {
-	withBlockSize(t, 4)
 	var got [][2]V
 	orig, n, err := ScanEdgeList(strings.NewReader("5 6\n6 6\n6 7\n"), LoadOptions{}, func(u, v V) error {
 		got = append(got, [2]V{u, v})
@@ -149,7 +142,6 @@ func TestScanEdgeListStreams(t *testing.T) {
 }
 
 func TestScanEdgeListEmitError(t *testing.T) {
-	withBlockSize(t, 4)
 	var sb strings.Builder
 	for i := 0; i < 10000; i++ {
 		fmt.Fprintf(&sb, "%d %d\n", i, i+1)

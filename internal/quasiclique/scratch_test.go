@@ -1,7 +1,7 @@
 package quasiclique
 
 import (
-	"bytes"
+	"path/filepath"
 	"testing"
 
 	"gthinkerqc/internal/graph"
@@ -121,14 +121,16 @@ func TestCollectorFingerprintDedup(t *testing.T) {
 // quasi-clique set as the in-memory original.
 func TestMineDecodedGraphIdentical(t *testing.T) {
 	g := benchGraph(600, 7)
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, g); err != nil {
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := graph.WriteBinaryFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := graph.ReadBinary(&buf)
+	mg, err := store.MapGraph(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer mg.Close()
+	g2 := mg.Graph()
 	par := Params{Gamma: 0.6, MinSize: 4}
 	want, _, err := MineGraph(g, par, Options{})
 	if err != nil {

@@ -21,26 +21,8 @@ func benchGraphFile(b *testing.B) (string, int64) {
 	return path, size
 }
 
-// BenchmarkReadBinaryFile is the heap load: two contiguous array reads
-// plus the O(|E|) structural validation.
-func BenchmarkReadBinaryFile(b *testing.B) {
-	path, size := benchGraphFile(b)
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := graph.ReadBinaryFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if g.NumVertices() == 0 {
-			b.Fatal("empty graph")
-		}
-	}
-}
-
-// BenchmarkMapGraph is the zero-copy load: header + O(n) offsets
-// validation, with the adjacency left to fault in on demand.
+// BenchmarkMapGraph is the whole load: the mapping, the header and
+// size checks, and FromCSR's offsets check and one pass over every row.
 func BenchmarkMapGraph(b *testing.B) {
 	path, size := benchGraphFile(b)
 	b.SetBytes(size)
@@ -60,9 +42,9 @@ func BenchmarkMapGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkMapGraphFirstTouch adds one full scan of every adjacency
-// list, charging the page faults a real mining run would pay lazily —
-// the fair end-to-end comparison against the heap loader.
+// BenchmarkMapGraphFirstTouch adds one walk of every adjacency row
+// after the load, the access a mining run makes. The load's own row
+// scan has already faulted every page in.
 func BenchmarkMapGraphFirstTouch(b *testing.B) {
 	path, size := benchGraphFile(b)
 	b.SetBytes(size)

@@ -109,10 +109,12 @@ func TestConvertEmptyAndIsolated(t *testing.T) {
 	if _, err := w2.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.ReadBinaryFile(out2)
+	mg, err := MapGraph(out2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer mg.Close()
+	g := mg.Graph()
 	if g.NumVertices() != 10 || g.NumEdges() != 1 {
 		t.Fatalf("n=%d m=%d, want 10/1", g.NumVertices(), g.NumEdges())
 	}

@@ -2,20 +2,25 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 
 	"gthinkerqc/internal/graph"
 )
 
-// gqc2Magic is the CSR graph format written by graph.WriteBinary; only
-// this version is laid out as the in-memory arrays verbatim, so only
-// it is mappable. Other versions fall back to the heap loader.
-var gqc2Magic = [4]byte{'G', 'Q', 'C', '2'}
+// gqc2Magic is the CSR graph format written by graph.WriteBinary; its
+// payload is the in-memory arrays verbatim. gqc1Magic is the retired
+// degree-array layout, refused by name so a stale file is not mistaken
+// for corruption.
+var (
+	gqc2Magic = [4]byte{'G', 'Q', 'C', '2'}
+	gqc1Magic = [4]byte{'G', 'Q', 'C', '1'}
+)
 
 const gqc2HeaderSize = 16 // magic + n(uint32) + m(uint64)
 
-// mmapDisabled forces the heap fallback; tests set it to exercise the
+// mmapDisabled forces the heap read; tests set it to exercise the
 // portable path on platforms where mmap would succeed.
 var mmapDisabled = false
 
@@ -51,63 +56,28 @@ func (m *MappedGraph) Close() error {
 	return munmap(data)
 }
 
-// MapGraph loads the binary graph file at path, mmap'ing GQC2 files
-// and aliasing the CSR arrays directly into the mapping. Validation is
-// the header, the exact file size, and the O(n) offsets invariants —
-// deliberately not the O(|E|) row scan of the heap loader, so load
-// cost stays independent of graph size; the adjacency bytes are
-// trusted the way a cache file written by this process is. When the
-// file cannot be mapped it is read into the heap instead
-// (Mapped()==false); a malformed file is an error either way.
+// MapGraph loads the GQC2 graph file at path; it is the only GQC2
+// reader. The file is mmap'd and the Graph's CSR arrays alias the
+// mapping; where that is unavailable (non-unix platform, big-endian
+// host, mmap error) the file is read into the heap instead
+// (Mapped()==false). Either way the same checks run: the header
+// (magic, a retired GQC1 refused by name), the exact file size, and
+// graph.FromCSR's offsets invariants and O(|E|) row scan. A malformed
+// file is an error, never a graph a miner could index out of range.
 func MapGraph(path string) (*MappedGraph, error) {
-	f, err := os.Open(path)
+	data, mapped, err := readFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-
-	var hdr [gqc2HeaderSize]byte
-	if n, err := f.ReadAt(hdr[:], 0); err != nil || n != len(hdr) {
-		return nil, fmt.Errorf("store: %s: read header: short file", path)
-	}
-	var magic [4]byte
-	copy(magic[:], hdr[:4])
-	if magic != gqc2Magic {
-		// Not CSR-verbatim: the graph codec's loader owns the verdict
-		// (a retired version, or not a graph file at all).
-		return heapFallback(path)
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[4:8]))
-	m := binary.LittleEndian.Uint64(hdr[8:16])
-	if 2*m > uint64(^uint32(0)) {
-		return nil, fmt.Errorf("store: %s: edge count %d exceeds uint32 offsets", path, m)
-	}
-	st, err := f.Stat()
+	g, err := decodeGQC2(data)
 	if err != nil {
-		return nil, err
-	}
-	want := int64(gqc2HeaderSize) + 4*(n+1) + 4*2*int64(m)
-	if st.Size() != want {
-		return nil, fmt.Errorf("store: %s: size %d, GQC2 header implies %d (n=%d m=%d)",
-			path, st.Size(), want, n, m)
-	}
-
-	if mmapDisabled || !hostLittleEndian {
-		return heapFallback(path)
-	}
-	data, err := mmapFile(f, int(st.Size()))
-	if err != nil {
-		return heapFallback(path)
-	}
-
-	// Pointer fix-up: the payload is the two arrays back to back, both
-	// 4-aligned within the page-aligned mapping.
-	offsets := Uint32s(data[gqc2HeaderSize : gqc2HeaderSize+4*(n+1)])
-	neighbors := Uint32s(data[gqc2HeaderSize+4*(n+1):])
-	g, err := graph.FromCSR(offsets, neighbors, int(m))
-	if err != nil {
-		munmap(data)
+		if mapped {
+			munmap(data)
+		}
 		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	if !mapped {
+		return &MappedGraph{g: g}, nil
 	}
 	// Default the whole mapping to random access: adjacency walks jump
 	// rows. Best-effort — the mapping works without it.
@@ -115,12 +85,51 @@ func MapGraph(path string) (*MappedGraph, error) {
 	return &MappedGraph{g: g, data: data}, nil
 }
 
-// heapFallback is the portable load path: the graph codec's buffered
-// contiguous read, with full structural validation.
-func heapFallback(path string) (*MappedGraph, error) {
-	g, err := graph.ReadBinaryFile(path)
-	if err != nil {
-		return nil, err
+// readFile returns the bytes of path: a read-only mapping (mapped)
+// when the host allows one, else the file read into the heap.
+func readFile(path string) (data []byte, mapped bool, err error) {
+	if !mmapDisabled && hostLittleEndian {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, false, err
+		}
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			return nil, false, err
+		}
+		if data, err := mmapFile(f, int(st.Size())); err == nil {
+			return data, true, nil
+		}
 	}
-	return &MappedGraph{g: g}, nil
+	data, err = os.ReadFile(path)
+	return data, false, err
+}
+
+// decodeGQC2 checks the header and size of a GQC2 image and points a
+// Graph's arrays into it (the payload is two 4-aligned arrays back to
+// back; Uint32s aliases them where the host allows).
+func decodeGQC2(data []byte) (*graph.Graph, error) {
+	if len(data) < gqc2HeaderSize {
+		return nil, errors.New("read header: short file")
+	}
+	switch magic := [4]byte(data[:4]); magic {
+	case gqc2Magic:
+	case gqc1Magic:
+		return nil, fmt.Errorf("unsupported version %q: only GQC2 files are read; regenerate the file from its edge list (qcconvert, qcgen)", magic[:])
+	default:
+		return nil, fmt.Errorf("bad magic %q", magic[:])
+	}
+	n := int64(binary.LittleEndian.Uint32(data[4:8]))
+	m := binary.LittleEndian.Uint64(data[8:16])
+	if m > uint64(^uint32(0))/2 {
+		return nil, fmt.Errorf("edge count %d exceeds uint32 offsets", m)
+	}
+	want := int64(gqc2HeaderSize) + 4*(n+1) + 4*2*int64(m)
+	if int64(len(data)) != want {
+		return nil, fmt.Errorf("size %d, GQC2 header implies %d (n=%d m=%d)", len(data), want, n, m)
+	}
+	offsets := Uint32s(data[gqc2HeaderSize : gqc2HeaderSize+4*(n+1)])
+	neighbors := Uint32s(data[gqc2HeaderSize+4*(n+1):])
+	return graph.FromCSR(offsets, neighbors, int(m))
 }

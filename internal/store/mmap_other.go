@@ -8,7 +8,7 @@ import (
 )
 
 // mmapFile on platforms without syscall.Mmap always errors, which
-// routes MapGraph to the heap fallback.
+// routes MapGraph to its heap read.
 func mmapFile(f *os.File, size int) ([]byte, error) {
 	return nil, errors.New("store: mmap not supported on this platform")
 }

@@ -17,17 +17,20 @@
 //	neighbors [2m]uint32
 //
 // Because the payload *is* the in-memory layout, MapGraph can mmap the
-// file and alias offsets/neighbors straight into the mapping: startup
-// cost is header validation plus an O(n) offsets check, independent of
-// |E|, and page faults lazily materialize only the adjacency actually
-// touched. When the platform, file version, or alignment rules out
-// aliasing, MapGraph falls back to the heap loader transparently.
+// file and alias offsets/neighbors straight into the mapping; page
+// faults bring in the adjacency. MapGraph is the only GQC2 reader.
+// Every load checks the header, the exact file size, and — through
+// graph.FromCSR — the offsets and one pass over every row (IDs in
+// range, strictly sorted, no self loops, edge count), so load cost is
+// O(|E|) sequential reads. When the platform or byte order rules out
+// aliasing, or mmap fails, MapGraph reads the file into the heap and
+// runs the same checks.
 //
 // Alias-lifetime rule: a mapped Graph's arrays live in the mapping,
 // so the Graph (and every Adj slice handed out from it) is valid only
 // until MappedGraph.Close munmaps the file. Close only after the last
-// user of the Graph is done; heap-fallback loads have no such
-// constraint (Close is then a no-op).
+// user of the Graph is done; heap reads have no such constraint
+// (Close is then a no-op).
 //
 // GQC2 files larger than RAM are produced by ExternalGraphWriter
 // (convert.go): edges accumulate in a budget-bounded buffer, overflow

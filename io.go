@@ -29,23 +29,18 @@ func LoadEdgeListFile(path string) (*Graph, error) {
 	return res.Graph, nil
 }
 
-// LoadBinaryFile reads a graph in the library's compact binary format
-// (written by SaveBinaryFile or cmd/qcgen).
-func LoadBinaryFile(path string) (*Graph, error) {
-	return graph.ReadBinaryFile(path)
-}
-
 // MappedGraph is a Graph whose CSR arrays (ideally) alias a read-only
 // file mapping; see MapBinaryFile.
 type MappedGraph = store.MappedGraph
 
-// MapBinaryFile memory-maps a binary graph file written by
-// SaveBinaryFile and points the Graph's CSR arrays straight at the
-// mapping: load cost is header validation plus an O(n) offsets check,
-// independent of edge count, and only the adjacency actually touched
-// is ever faulted in. The Graph is valid until Close; when zero-copy
-// mapping is unavailable (legacy file version, unsupported platform)
-// the file is read into the heap instead and Close is a no-op.
+// MapBinaryFile loads a binary graph file written by SaveBinaryFile
+// (or cmd/qcgen, cmd/qcconvert); it is the library's one binary
+// reader. The file is memory-mapped and the Graph's CSR arrays point
+// straight at the mapping. Every load checks the header, the file size
+// and each adjacency row (IDs in range, rows strictly sorted, no self
+// loops), so a corrupt file is an error. The Graph is valid until
+// Close; where mapping is unavailable (unsupported platform, big-endian
+// host) the file is read into the heap instead and Close is a no-op.
 func MapBinaryFile(path string) (*MappedGraph, error) {
 	return store.MapGraph(path)
 }
