@@ -11,12 +11,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"gthinkerqc"
 	"gthinkerqc/internal/quasiclique"
-	"gthinkerqc/internal/vset"
 )
 
 func main() {
@@ -70,7 +70,7 @@ func main() {
 			}
 			S = append(S, gthinkerqc.V(id))
 		}
-		vset.Sort(S)
+		slices.Sort(S)
 		sets = append(sets, S)
 	}
 	if err := sc.Err(); err != nil {

@@ -43,8 +43,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-
-	"gthinkerqc/internal/vset"
 )
 
 // V is a vertex identifier.
@@ -80,7 +78,8 @@ func (g *Graph) HasEdge(u, v V) bool {
 	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
-	return vset.Contains(g.Adj(u), v)
+	_, ok := slices.BinarySearch(g.Adj(u), v)
+	return ok
 }
 
 // MaxDegree returns the maximum vertex degree (0 for the empty graph).
@@ -176,16 +175,6 @@ func (g *Graph) Within2Scratch(v V, dst []V, s *Scratch) []V {
 	return dst
 }
 
-// InducedDegrees returns, for each vertex of S (sorted), its degree in
-// the subgraph induced by S. Used by validity checks.
-func (g *Graph) InducedDegrees(S []V) []int {
-	degs := make([]int, len(S))
-	for i, v := range S {
-		degs[i] = vset.IntersectCount(g.Adj(v), S)
-	}
-	return degs
-}
-
 // IsConnectedSubset reports whether the subgraph induced by the sorted
 // vertex set S is connected. The empty set is considered connected.
 func (g *Graph) IsConnectedSubset(S []V) bool {
@@ -211,36 +200,6 @@ func (g *Graph) IsConnectedSubset(S []V) bool {
 		}
 	}
 	return visited == len(S)
-}
-
-// ConnectedComponents returns the vertex sets of the connected
-// components, each sorted, in order of smallest member.
-func (g *Graph) ConnectedComponents() [][]V {
-	n := g.NumVertices()
-	seen := make([]bool, n)
-	var comps [][]V
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		var comp []V
-		stack := []V{V(s)}
-		seen[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for _, w := range g.Adj(v) {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		vset.Sort(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // validateStructure checks the invariants that make a Graph safe to
@@ -300,7 +259,7 @@ func (g *Graph) Validate() error {
 	}
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, u := range g.Adj(V(v)) {
-			if !vset.Contains(g.Adj(u), V(v)) {
+			if _, ok := slices.BinarySearch(g.Adj(u), V(v)); !ok {
 				return fmt.Errorf("graph: edge (%d,%d) not symmetric", v, u)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/graph"
+	"gthinkerqc/internal/store"
 )
 
 // TestStealRefillsFromSpilledBacklog is the regression test for the
@@ -112,7 +113,7 @@ func TestStealRoundShipsRemote(t *testing.T) {
 	orig := make(map[uint64]*Task, 10)
 	for i := 0; i < 10; i++ {
 		tk := NewTask([]graph.V{graph.V(i), graph.V(i * 2)})
-		tk.Pulls = []graph.V{graph.V(i + 50)}
+		tk.Pulls = []graph.V{graph.V(9 - i)} // in range: the receiver refuses others
 		orig[tk.ID] = tk
 		rts[0].jb().pushGlobal(tk)
 	}
@@ -142,6 +143,30 @@ func TestStealRoundShipsRemote(t *testing.T) {
 	if rts[1].jb().recvIn.Load() != uint64(len(got)) || rts[0].jb().sentOut.Load() != uint64(len(got)) {
 		t.Fatalf("transfer counters wrong: sentOut=%d recvIn=%d moved=%d",
 			rts[0].jb().sentOut.Load(), rts[1].jb().recvIn.Load(), len(got))
+	}
+}
+
+// TestHandleTasksRefusesPullPastGraph: a steal frame naming a pull past
+// |V| is answered with an error and delivers nothing. Unchecked, a pull
+// whose hash owner is the receiver reached g.Adj in resolve and
+// panicked the receiving worker.
+func TestHandleTasksRefusesPullPastGraph(t *testing.T) {
+	g := datagen.ErdosRenyi(10, 0.2, 1)
+	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 1, SpillDir: t.TempDir()})
+	rts := installJob(t, c, nilApp{})
+	good, bad := NewTask([]graph.V{1, 2}), NewTask([]graph.V{3, 4})
+	good.Pulls = []graph.V{9}
+	bad.Pulls = []graph.V{5, 100000}
+	var enc store.BatchEncoder
+	data, err := encodeTaskBatch(&enc, []*Task{good, bad}, nilApp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.hosts[1].handleTasks(data); err == nil {
+		t.Fatal("a pull past |V| was delivered")
+	}
+	if n := rts[1].jb().qglobal.len(); n != 0 {
+		t.Fatalf("receiver queued %d tasks of a refused batch", n)
 	}
 }
 

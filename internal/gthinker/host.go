@@ -270,7 +270,7 @@ func (h *WorkerHost) handleTasks(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = deliverBatch(payload, rt, rt.DeliverTasks)
+	_, err = deliverBatch(payload, rt, rt.g.NumVertices(), rt.DeliverTasks)
 	return err
 }
 

@@ -216,7 +216,7 @@ func (rt *MachineRuntime) newJobState(id uint64, app App) *jobState {
 		quietCh: make(chan struct{}, 1),
 		doneCh:  make(chan struct{}),
 	}
-	jb.lbig = newSpillList(rt.spillDir, "big", &rt.disk, app)
+	jb.lbig = newSpillList(rt.spillDir, "big", &rt.disk, app, rt.g.NumVertices())
 	if rt.cfg.Trace {
 		// One track per worker (tid = dense worker id) plus the control
 		// track (tid = -(machine+1), distinct from the coordinator's

@@ -95,7 +95,7 @@ func TestReadyConcurrent(t *testing.T) {
 
 func TestSpillListRoundTrip(t *testing.T) {
 	var acct diskAccount
-	l := newSpillList(t.TempDir(), "test", &acct, toyCodec{})
+	l := newSpillList(t.TempDir(), "test", &acct, toyCodec{}, testVertices)
 	in := make([]*Task, 10)
 	for i := range in {
 		in[i] = NewTask([]graph.V{graph.V(i), graph.V(i * 2)})
@@ -147,7 +147,7 @@ func TestSpillListRoundTrip(t *testing.T) {
 
 func TestSpillEmptyBatchNoop(t *testing.T) {
 	var acct diskAccount
-	l := newSpillList(t.TempDir(), "x", &acct, toyCodec{})
+	l := newSpillList(t.TempDir(), "x", &acct, toyCodec{}, testVertices)
 	if err := l.spill(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func newMachineRuntime(g *graph.Graph, cfg Config, id int, verts []graph.V) (*Ma
 	base := id * cfg.WorkersPerMachine
 	for j := 0; j < cfg.WorkersPerMachine; j++ {
 		w := &worker{id: base + j, rt: rt, tracer: jb.tracer, track: j,
-			lsmall: newSpillList(rt.spillDir, "small-"+strconv.Itoa(j), &rt.disk, nil)}
+			lsmall: newSpillList(rt.spillDir, "small-"+strconv.Itoa(j), &rt.disk, nil, g.NumVertices())}
 		w.ctx = Ctx{WorkerID: base + j, MachineID: id, aborted: rt.aborted}
 		rt.workers = append(rt.workers, w)
 	}
@@ -422,7 +422,7 @@ func (rt *MachineRuntime) RecoverPeer(d RecoverDirective) error {
 	jb.retainMu.Unlock()
 	reowned := 0
 	for _, data := range batches {
-		tasks, err := decodeTaskBatch(data, jb.app)
+		tasks, err := decodeTaskBatch(data, jb.app, rt.g.NumVertices())
 		if err != nil {
 			return fmt.Errorf("gthinker: machine %d re-owning batch shipped to dead machine %d: %w", rt.id, d.Dead, err)
 		}

@@ -92,6 +92,7 @@ type spillList struct {
 	werr  error // first async write failure, surfaced on the next spill
 	acct  *diskAccount
 	codec TaskCodec
+	nv    int // vertex count every decoded pull must stay below
 
 	slot chan struct{} // capacity 1: the single in-flight write token
 }
@@ -104,8 +105,8 @@ type spillFile struct {
 	err   error         // write outcome; read only after done
 }
 
-func newSpillList(dir, name string, acct *diskAccount, codec TaskCodec) *spillList {
-	l := &spillList{dir: dir, name: name, acct: acct, codec: codec,
+func newSpillList(dir, name string, acct *diskAccount, codec TaskCodec, numVertices int) *spillList {
+	l := &spillList{dir: dir, name: name, acct: acct, codec: codec, nv: numVertices,
 		slot: make(chan struct{}, 1)}
 	l.slot <- struct{}{}
 	return l
@@ -228,8 +229,10 @@ func encodeTaskBatch(enc *store.BatchEncoder, tasks []*Task, codec TaskCodec) ([
 // decodeTaskBatch decodes one GQS1 batch (read from a spill file or
 // received as an opTaskSteal frame) back into tasks. Decoded slices
 // alias data, which the tasks keep alive; each record's regions belong
-// to exactly one task, so in-place mutation stays safe.
-func decodeTaskBatch(data []byte, codec TaskCodec) ([]*Task, error) {
+// to exactly one task, so in-place mutation stays safe. A pull at or
+// past numVertices is corruption: resolve would index the graph with
+// it.
+func decodeTaskBatch(data []byte, codec TaskCodec, numVertices int) ([]*Task, error) {
 	d, err := store.DecodeBatch(data)
 	if err != nil {
 		return nil, err
@@ -246,6 +249,11 @@ func decodeTaskBatch(data []byte, codec TaskCodec) ([]*Task, error) {
 		c := store.NewCursor(rec)
 		t := &Task{ID: c.U64()}
 		t.Pulls = c.U32s(int(c.U32()))
+		for _, id := range t.Pulls {
+			if int64(id) >= int64(numVertices) {
+				return nil, fmt.Errorf("gthinker: decode task: pull %d out of range [0,%d)", id, numVertices)
+			}
+		}
 		hasPayload := c.U32()
 		if hasPayload != 0 {
 			payload := c.Bytes(int(c.U32()))
@@ -289,7 +297,7 @@ func (l *spillList) refill() (tasks []*Task, ok bool, err error) {
 			return nil, false, sf.err
 		}
 	}
-	tasks, err = readColumnar(sf.path, l.codec)
+	tasks, err = readColumnar(sf.path, l.codec, l.nv)
 	if err == nil {
 		err = os.Remove(sf.path)
 	}
@@ -311,12 +319,12 @@ func (l *spillList) refill() (tasks []*Task, ok bool, err error) {
 // readColumnar loads one GQS1 batch: a single sequential read, then
 // per task a header walk plus pointer fix-up (decoded arrays alias the
 // batch buffer, which the tasks keep alive).
-func readColumnar(path string, codec TaskCodec) ([]*Task, error) {
+func readColumnar(path string, codec TaskCodec, numVertices int) ([]*Task, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("gthinker: refill: %w", err)
 	}
-	tasks, err := decodeTaskBatch(data, codec)
+	tasks, err := decodeTaskBatch(data, codec, numVertices)
 	if err != nil {
 		return nil, fmt.Errorf("gthinker: refill %s: %w", path, err)
 	}

@@ -32,22 +32,24 @@ func (subCodec) DecodeTaskPayload(data []byte) (any, error) {
 	return s, nil
 }
 
+// benchVertices is the vertex count of benchBatch's graph.
+const benchVertices = 2000
+
 // benchBatch builds one spill batch of Sub-carrying tasks shaped like
 // the miner's iteration-3 decomposition subtasks (~120-vertex task
 // subgraphs).
 func benchBatch(b *testing.B, count int) []*Task {
 	b.Helper()
-	g := datagen.ErdosRenyi(2000, 0.06, 42)
-	var sc quasiclique.Scratch
+	g := datagen.ErdosRenyi(benchVertices, 0.06, 42)
 	tasks := make([]*Task, count)
 	for i := range tasks {
 		verts := make([]graph.V, 0, 120)
 		for v := i; len(verts) < 120; v += 3 {
-			verts = append(verts, graph.V(v%2000))
+			verts = append(verts, graph.V(v%benchVertices))
 		}
 		// verts must be sorted and unique for SubFromGraph.
 		verts = dedupSorted(verts)
-		tasks[i] = NewTask(quasiclique.SubFromGraphScratch(g, verts, &sc))
+		tasks[i] = NewTask(quasiclique.SubFromGraph(g, verts))
 		tasks[i].Pulls = verts[:8]
 	}
 	return tasks
@@ -75,7 +77,7 @@ func dedupSorted(vs []graph.V) []graph.V {
 func BenchmarkSpillRefillColumnar(b *testing.B) {
 	tasks := benchBatch(b, 32)
 	var acct diskAccount
-	l := newSpillList(b.TempDir(), "bench", &acct, subCodec{})
+	l := newSpillList(b.TempDir(), "bench", &acct, subCodec{}, benchVertices)
 	// One warm-up round trip to size buffers and report bytes/op.
 	if err := l.spill(tasks); err != nil {
 		b.Fatal(err)

@@ -9,6 +9,10 @@ import (
 	"gthinkerqc/internal/graph"
 )
 
+// testVertices is the vertex count the spill and steal tests decode
+// against; their pulls stay below it.
+const testVertices = 1 << 16
+
 func mkVecTasks(n int) []*Task {
 	ts := make([]*Task, n)
 	for i := range ts {
@@ -20,7 +24,7 @@ func mkVecTasks(n int) []*Task {
 func TestSpillListColumnarRoundTrip(t *testing.T) {
 	var acct diskAccount
 	dir := t.TempDir()
-	l := newSpillList(dir, "col", &acct, toyCodec{})
+	l := newSpillList(dir, "col", &acct, toyCodec{}, testVertices)
 	in := make([]*Task, 10)
 	for i := range in {
 		in[i] = NewTask([]graph.V{graph.V(i), graph.V(i * 2)})
@@ -68,7 +72,7 @@ func TestSpillListColumnarRoundTrip(t *testing.T) {
 func TestSpillListColumnarRejectsCorruptFile(t *testing.T) {
 	var acct diskAccount
 	dir := t.TempDir()
-	l := newSpillList(dir, "col", &acct, toyCodec{})
+	l := newSpillList(dir, "col", &acct, toyCodec{}, testVertices)
 	if err := l.spill(mkVecTasks(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +104,7 @@ func TestSpillListColumnarRejectsCorruptFile(t *testing.T) {
 func TestSpillListRemoveAll(t *testing.T) {
 	var acct diskAccount
 	dir := t.TempDir()
-	l := newSpillList(dir, "col", &acct, toyCodec{})
+	l := newSpillList(dir, "col", &acct, toyCodec{}, testVertices)
 	for i := 0; i < 3; i++ {
 		if err := l.spill(mkVecTasks(2)); err != nil {
 			t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 // write-behind instead of reading a half-written file.
 func TestSpillRefillWaitsForWrite(t *testing.T) {
 	var acct diskAccount
-	l := newSpillList(t.TempDir(), "wb", &acct, toyCodec{})
+	l := newSpillList(t.TempDir(), "wb", &acct, toyCodec{}, testVertices)
 	for round := 0; round < 50; round++ {
 		in := mkVecTasks(8)
 		if err := l.spill(in); err != nil {
@@ -41,7 +41,7 @@ func TestSpillRefillWaitsForWrite(t *testing.T) {
 func TestSpillRemoveAllDrainsInflight(t *testing.T) {
 	var acct diskAccount
 	dir := t.TempDir()
-	l := newSpillList(dir, "wb", &acct, toyCodec{})
+	l := newSpillList(dir, "wb", &acct, toyCodec{}, testVertices)
 	for i := 0; i < 5; i++ {
 		if err := l.spill(mkVecTasks(3)); err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func TestSpillRemoveAllDrainsInflight(t *testing.T) {
 func TestSpillWriteBehindErrorSurfaces(t *testing.T) {
 	var acct diskAccount
 	dir := filepath.Join(t.TempDir(), "missing", "deeper") // unwritable
-	l := newSpillList(dir, "wb", &acct, toyCodec{})
+	l := newSpillList(dir, "wb", &acct, toyCodec{}, testVertices)
 	if err := l.spill(mkVecTasks(2)); err != nil {
 		t.Fatalf("first spill should fail asynchronously, got sync error: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -434,7 +435,9 @@ func (s *TaskServer) handle(conn net.Conn) {
 		if op != opTaskSteal {
 			return nil, fmt.Errorf("gthinker: task server: unknown op 0x%02x", op)
 		}
-		n, err := deliverBatch(payload, s.codec, s.deliver)
+		// A bare task server holds no graph, so any pull passes: no
+		// slice, and so no graph, has more than MaxInt entries.
+		n, err := deliverBatch(payload, s.codec, math.MaxInt, s.deliver)
 		if err != nil {
 			return nil, fmt.Errorf("gthinker: task server: %w", err)
 		}
@@ -443,12 +446,13 @@ func (s *TaskServer) handle(conn net.Conn) {
 	}, nil)
 }
 
-// deliverBatch decodes one opTaskSteal payload with codec and hands
-// the tasks to deliver, returning how many it delivered. The caller
-// acknowledges only after it returns, so a sender's SendTasks return
-// means the tasks are enqueued.
-func deliverBatch(payload []byte, codec TaskCodec, deliver func([]*Task)) (int, error) {
-	tasks, err := decodeTaskBatch(payload, codec)
+// deliverBatch decodes one opTaskSteal payload with codec, refusing a
+// pull at or past numVertices, and hands the tasks to deliver,
+// returning how many it delivered. The caller acknowledges only after
+// it returns, so a sender's SendTasks return means the tasks are
+// enqueued.
+func deliverBatch(payload []byte, codec TaskCodec, numVertices int, deliver func([]*Task)) (int, error) {
+	tasks, err := decodeTaskBatch(payload, codec, numVertices)
 	if err != nil {
 		return 0, err
 	}

@@ -9,13 +9,13 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/store"
-	"gthinkerqc/internal/vset"
 )
 
 func TestVertexServerRoundTrip(t *testing.T) {
@@ -32,7 +32,7 @@ func TestVertexServerRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vset.Equal(adj, g.Adj(graph.V(v))) {
+		if !slices.Equal(adj, g.Adj(graph.V(v))) {
 			t.Fatalf("adjacency of %d corrupted over TCP: %v vs %v", v, adj, g.Adj(graph.V(v)))
 		}
 	}
@@ -82,7 +82,7 @@ func TestFetchAdjBatchParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !vset.Equal(adjs[i], single) || !vset.Equal(adjs[i], g.Adj(id)) {
+			if !slices.Equal(adjs[i], single) || !slices.Equal(adjs[i], g.Adj(id)) {
 				t.Fatalf("batch adjacency of %d diverges: %v vs %v vs %v",
 					id, adjs[i], single, g.Adj(id))
 			}
@@ -140,7 +140,7 @@ func TestTCPTransportRefusesMisroutedFetch(t *testing.T) {
 	}
 	tr.Redirect(1, 0)
 	adj, err := fetchOne(tr, 1, v)
-	if err != nil || !vset.Equal(adj, g.Adj(v)) {
+	if err != nil || !slices.Equal(adj, g.Adj(v)) {
 		t.Fatalf("redirected fetch of %d: %v, %v", v, adj, err)
 	}
 	if servers[0].Served() != 1 || servers[1].Served() != 0 {
@@ -257,7 +257,7 @@ func TestFetchAdjBatchPrefixAnswer(t *testing.T) {
 		t.Fatalf("tiny budget produced %d round trips; prefix answering not exercised", trips)
 	}
 	for i, id := range ids {
-		if !vset.Equal(adjs[i], g.Adj(id)) {
+		if !slices.Equal(adjs[i], g.Adj(id)) {
 			t.Fatalf("adjacency of %d corrupted across prefix answers", id)
 		}
 	}
@@ -329,7 +329,7 @@ func TestTaskServerWireRoundTrip(t *testing.T) {
 		t.Fatalf("delivered %d of %d tasks", len(got), len(in))
 	}
 	for i, tk := range got {
-		if tk.ID != in[i].ID || !vset.Equal(tk.Pulls, in[i].Pulls) {
+		if tk.ID != in[i].ID || !slices.Equal(tk.Pulls, in[i].Pulls) {
 			t.Fatalf("task %d corrupted over the wire: %+v vs %+v", i, tk, in[i])
 		}
 		if i == 4 {
@@ -338,7 +338,7 @@ func TestTaskServerWireRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		if !vset.Equal(tk.Payload.([]graph.V), in[i].Payload.([]graph.V)) {
+		if !slices.Equal(tk.Payload.([]graph.V), in[i].Payload.([]graph.V)) {
 			t.Fatalf("task %d payload corrupted: %v vs %v", i, tk.Payload, in[i].Payload)
 		}
 	}
@@ -637,7 +637,7 @@ func FuzzTaskBatchDecode(f *testing.F) {
 	f.Add([]byte("GQS1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeTaskBatch(data, toyCodec{}) // must not panic
+		decodeTaskBatch(data, toyCodec{}, testVertices) // must not panic
 	})
 }
 

@@ -1,12 +1,12 @@
 package gthinker
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/vset"
 )
 
 // ownedBy collects the first vertices owned by machine m.
@@ -36,7 +36,7 @@ func TestLoopbackValidatesOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range mine {
-		if !vset.Equal(adjs[i], g.Adj(v)) {
+		if !slices.Equal(adjs[i], g.Adj(v)) {
 			t.Fatalf("adjacency of %d corrupted", v)
 		}
 	}

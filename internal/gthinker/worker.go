@@ -66,7 +66,7 @@ func (w *worker) resetJob(jb *jobState) {
 	w.qlocal = deque{}
 	w.blocal, w.bnext = dropTasks(w.blocal), 0
 	w.pending = dropTasks(w.pending)
-	w.lsmall = newSpillList(w.lsmall.dir, w.lsmall.name, w.lsmall.acct, jb.app)
+	w.lsmall = newSpillList(w.lsmall.dir, w.lsmall.name, w.lsmall.acct, jb.app, w.lsmall.nv)
 	w.busy = 0
 	w.tracer = jb.tracer
 }

@@ -1,6 +1,7 @@
 package miner
 
 import (
+	"slices"
 	"time"
 
 	"gthinkerqc/internal/graph"
@@ -8,21 +9,20 @@ import (
 	"gthinkerqc/internal/kcore"
 	"gthinkerqc/internal/metrics"
 	"gthinkerqc/internal/quasiclique"
-	"gthinkerqc/internal/vset"
 )
 
 // wscratch is one worker's reusable task-construction state: an
 // epoch-stamped marker over global vertex IDs (the shared
-// graph.Scratch core) with two value slots, plus the row-pointer
-// buffer of iteration 2. It replaces the per-Compute maps (V2 split,
-// known/pull dedup, global→local index) that dominated task-spawn
-// cost. Owned by exactly one worker.
+// graph.Scratch core) with one value slot, the row-pointer buffer of
+// iteration 2 and the quasiclique.Scratch its induction, its peel and
+// iteration 3's subtasks run on. It replaces the per-Compute maps (V2
+// split, known/pull dedup, global→local index) that dominated
+// task-spawn cost. Owned by exactly one worker.
 type wscratch struct {
 	marks graph.Scratch
 	idxA  []uint32            // global → collect-order row index (iterations 1–2)
-	idxB  []uint32            // global → sorted local index (iteration 2)
 	rows  [][]graph.V         // iteration-2 row pointers, collect order
-	qs    quasiclique.Scratch // iteration-2 k-core peel buffers
+	qs    quasiclique.Scratch // iteration-2 induction and peel, iteration-3 subtasks
 	peel  kcore.PeelScratch   // iteration-1 partial-peel buffers
 }
 
@@ -32,7 +32,6 @@ func (ws *wscratch) begin(n int) {
 	ws.marks.Begin(n)
 	if len(ws.idxA) < n {
 		ws.idxA = make([]uint32, n)
-		ws.idxB = make([]uint32, n)
 	}
 }
 
@@ -274,35 +273,17 @@ func (a *app) iteration2(p *Payload, pulls []graph.V, frontier [][]graph.V, ws *
 			ws.rows = append(ws.rows, adj)
 		}
 	}
-	vset.Sort(verts)
-	for i, u := range verts {
-		ws.idxB[u] = uint32(i)
-	}
+	slices.Sort(verts)
 
 	// Exact induced adjacency over members (destinations outside the
 	// member set cannot belong to any valid quasi-clique rooted at v:
-	// they are < v, degree-pruned, or beyond two hops). Source rows
-	// are sorted by global ID and verts→local is monotone, so rows
-	// come out sorted without a per-row sort.
-	total := 0
-	for _, u := range verts {
-		for _, w := range ws.rows[ws.idxA[u]] {
-			if ws.marks.Marked(w) && w != u {
-				total++
-			}
-		}
-	}
-	flat := make([]uint32, 0, total)
-	adj := make([][]uint32, len(verts))
-	for i, u := range verts {
-		start := len(flat)
-		for _, w := range ws.rows[ws.idxA[u]] {
-			if ws.marks.Marked(w) && w != u {
-				flat = append(flat, ws.idxB[w])
-			}
-		}
-		adj[i] = flat[start:len(flat):len(flat)]
-	}
+	// they are < v, degree-pruned, or beyond two hops). Every row is a
+	// graph row or a filtered copy of one, a graph holds no self loops
+	// (Builder drops them, FromCSR refuses them) and DecodeTaskPayload
+	// refuses a GAdj row that names its own vertex, so no row yields
+	// its own vertex.
+	_, adj := quasiclique.Induce(verts, a.g.NumVertices(),
+		func(i int) []uint32 { return ws.rows[ws.idxA[verts[i]]] }, 0, 0, &ws.qs)
 	sub := &quasiclique.Sub{Label: verts, Adj: adj}
 
 	// Line 9: final k-core peel.

@@ -65,8 +65,13 @@ func (a *app) AppendTaskPayload(dst []byte, payload any) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeTaskPayload implements gthinker.TaskCodec.
+// DecodeTaskPayload implements gthinker.TaskCodec. A spill file or a
+// steal frame is bytes from outside the process, so the walk also
+// refuses every ID a later iteration would index out of range: Root,
+// GVerts and GAdj entries past the app's graph, a GAdj row that names
+// its own vertex, and S or Ext entries past the Sub (or with no Sub).
 func (a *app) DecodeTaskPayload(data []byte) (any, error) {
+	nv := uint32(a.g.NumVertices())
 	c := store.NewCursor(data)
 	p := &Payload{}
 	p.Iteration = int(c.U32())
@@ -79,6 +84,9 @@ func (a *app) DecodeTaskPayload(data []byte) (any, error) {
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("miner: corrupt spilled payload: %w", err)
 	}
+	if p.Root >= nv {
+		return nil, fmt.Errorf("miner: corrupt spilled payload: root %d out of range [0,%d)", p.Root, nv)
+	}
 	gadj, err := store.SplitRows(flat, rowLen)
 	if err != nil {
 		return nil, fmt.Errorf("miner: corrupt spilled payload: GAdj %w", err)
@@ -88,6 +96,16 @@ func (a *app) DecodeTaskPayload(data []byte) (any, error) {
 		// corruption that would panic iteration 2 later.
 		return nil, fmt.Errorf("miner: corrupt spilled payload: %d GAdj rows for %d GVerts",
 			rows, len(p.GVerts))
+	}
+	for i, u := range p.GVerts {
+		if u >= nv {
+			return nil, fmt.Errorf("miner: corrupt spilled payload: GVerts entry %d out of range [0,%d)", u, nv)
+		}
+		for _, w := range gadj[i] {
+			if w >= nv || w == u {
+				return nil, fmt.Errorf("miner: corrupt spilled payload: GAdj entry %d in the row of %d", w, u)
+			}
+		}
 	}
 	if rows > 0 {
 		p.GAdj = gadj
@@ -105,6 +123,19 @@ func (a *app) DecodeTaskPayload(data []byte) (any, error) {
 	}
 	if c.Remaining() != 0 {
 		return nil, fmt.Errorf("miner: corrupt spilled payload: %d trailing bytes", c.Remaining())
+	}
+	if len(p.S)+len(p.Ext) > 0 {
+		if p.Sub == nil {
+			return nil, fmt.Errorf("miner: corrupt spilled payload: S/Ext without a Sub")
+		}
+		n := uint32(p.Sub.N())
+		for _, set := range [2][]uint32{p.S, p.Ext} {
+			for _, x := range set {
+				if x >= n {
+					return nil, fmt.Errorf("miner: corrupt spilled payload: local index %d out of range [0,%d)", x, n)
+				}
+			}
+		}
 	}
 	return p, nil
 }

@@ -16,6 +16,12 @@ import (
 	"gthinkerqc/internal/store"
 )
 
+// codecApp is an app over an edgeless n-vertex graph: the codec reads
+// only the graph's vertex count, which bounds every decoded ID.
+func codecApp(n int) *app {
+	return &app{g: graph.NewBuilder(n).MustBuild()}
+}
+
 func codecRoundTrip(t *testing.T, a *app, p *Payload) *Payload {
 	t.Helper()
 	data, err := a.AppendTaskPayload(nil, p)
@@ -34,7 +40,7 @@ func codecRoundTrip(t *testing.T, a *app, p *Payload) *Payload {
 // (with nil/empty slices normalized, which the engine never
 // distinguishes).
 func TestPayloadCodecRoundTrip(t *testing.T) {
-	a := &app{}
+	a := codecApp(256)
 	sub := quasiclique.SubFromGraph(datagen.ErdosRenyi(60, 0.2, 1), []graph.V{0, 1, 2, 3, 4, 5, 6, 7})
 	cases := []*Payload{
 		{Iteration: 1, Root: 42},
@@ -96,7 +102,7 @@ func normalizeSub(s *quasiclique.Sub) *quasiclique.Sub {
 }
 
 func TestPayloadCodecRejectsCorruption(t *testing.T) {
-	a := &app{}
+	a := codecApp(60)
 	sub := quasiclique.SubFromGraph(datagen.ErdosRenyi(40, 0.2, 2), []graph.V{0, 1, 2, 3, 4})
 	good, err := a.AppendTaskPayload(nil, &Payload{Iteration: 3, Root: 0, Sub: sub, S: []uint32{0}, Ext: []uint32{1, 2}})
 	if err != nil {
@@ -115,6 +121,36 @@ func TestPayloadCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, err := a.AppendTaskPayload(nil, "not a payload"); err == nil {
 		t.Fatal("foreign payload type accepted")
+	}
+
+	// Well-formed bytes naming IDs a later iteration would index out of
+	// range: each must be refused at decode, not panic in Compute.
+	sub8 := quasiclique.SubFromGraph(datagen.ErdosRenyi(60, 0.2, 1), []graph.V{0, 1, 2, 3, 4, 5, 6, 7})
+	for _, tc := range []struct {
+		name string
+		p    *Payload
+	}{
+		{"root past |V|", &Payload{Iteration: 1, Root: 100000}},
+		{"GVerts entry past |V|", &Payload{Iteration: 2, Root: 7,
+			GVerts: []graph.V{7, 60}, GAdj: [][]graph.V{{60}, {7}}}},
+		{"GAdj entry past |V|", &Payload{Iteration: 2, Root: 7,
+			GVerts: []graph.V{7, 9}, GAdj: [][]graph.V{{9, 4000}, {7}}}},
+		{"GAdj row names its own vertex", &Payload{Iteration: 2, Root: 7,
+			GVerts: []graph.V{7, 9}, GAdj: [][]graph.V{{7, 9}, {7}}}},
+		{"Ext index past the Sub", &Payload{Iteration: 3, Root: 0, Sub: sub8,
+			S: []uint32{0}, Ext: []uint32{1, 2, 3, 500}}},
+		{"S index past the Sub", &Payload{Iteration: 3, Root: 0, Sub: sub8,
+			S: []uint32{8}, Ext: []uint32{1}}},
+		{"S and Ext without a Sub", &Payload{Iteration: 3, Root: 0,
+			S: []uint32{0}, Ext: []uint32{1}}},
+	} {
+		data, err := a.AppendTaskPayload(nil, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.DecodeTaskPayload(data); err == nil {
+			t.Errorf("%s: decoded cleanly", tc.name)
+		}
 	}
 }
 
@@ -156,7 +192,7 @@ func TestSpillDirEmptyAfterCancel(t *testing.T) {
 // TestPayloadRawViaStoreBatch threads a payload through the full GQS1
 // batch framing (the exact on-disk path) rather than the codec alone.
 func TestPayloadRawViaStoreBatch(t *testing.T) {
-	a := &app{}
+	a := codecApp(50)
 	sub := quasiclique.SubFromGraph(datagen.ErdosRenyi(50, 0.25, 4), []graph.V{0, 2, 4, 6, 8})
 	p := &Payload{Iteration: 3, Root: 0, Sub: sub, S: []uint32{0, 1}, Ext: []uint32{2, 3, 4}}
 	var enc store.BatchEncoder

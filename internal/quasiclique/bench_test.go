@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/vset"
 )
 
 // benchGraph mirrors the generator in internal/graph's benchmarks.
@@ -34,21 +33,6 @@ func BenchmarkSubFromGraph(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s := SubFromGraph(g, verts); s.N() != len(verts) {
-			b.Fatal("bad sub")
-		}
-	}
-}
-
-// BenchmarkSubFromGraphScratch is the scratch-threaded variant used by
-// the serial driver and the G-thinker workers.
-func BenchmarkSubFromGraphScratch(b *testing.B) {
-	g := benchGraph(20000, 8)
-	verts := g.Within2(100, nil)
-	var sc Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := SubFromGraphScratch(g, verts, &sc); s.N() != len(verts) {
 			b.Fatal("bad sub")
 		}
 	}
@@ -100,7 +84,7 @@ func denseCoreCandidates() [][]graph.V {
 		for i := range top {
 			top[i] = graph.V(1000 + perm[i])
 		}
-		vset.Sort(top)
+		slices.Sort(top)
 		sets = append(sets, top)
 		for k := 0; k < 10; k++ {
 			sub := slices.Clone(top)

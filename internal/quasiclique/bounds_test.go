@@ -44,7 +44,8 @@ func mkMinerStateP(t *testing.T, seed int64, gamma, p float64) (*Miner, []uint32
 	for _, p := range perm[sLen : sLen+extLen] {
 		ext = append(ext, uint32(p))
 	}
-	m := NewMiner(sub, Params{Gamma: gamma, MinSize: 2}, Options{})
+	m := NewPooledMiner(Params{Gamma: gamma, MinSize: 2}, Options{})
+	m.Reset(sub)
 	m.Emit = func([]uint32) {}
 	return m, S, ext, m.stageDegrees(S, ext)
 }
@@ -342,7 +343,8 @@ func sortedPrefix(dS []int32, ext []uint32) []int {
 func TestPrefixByDegreeCounting(t *testing.T) {
 	const n = 130 // three words
 	rng := rand.New(rand.NewSource(5))
-	m := NewMiner(&Sub{Label: make([]graph.V, n), Adj: make([][]uint32, n)}, Params{Gamma: 0.8, MinSize: 2}, Options{})
+	m := NewPooledMiner(Params{Gamma: 0.8, MinSize: 2}, Options{})
+	m.Reset(&Sub{Label: make([]graph.V, n), Adj: make([][]uint32, n)})
 	for trial := 0; trial < 2000; trial++ {
 		perm := rng.Perm(n)
 		sLen := 1 + rng.Intn(n-1)

@@ -1,8 +1,9 @@
 package quasiclique
 
 import (
+	"slices"
+
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/vset"
 )
 
 // IsQuasiClique reports whether the vertex set S (sorted) induces a
@@ -16,11 +17,29 @@ func IsQuasiClique(g *graph.Graph, S []graph.V, gamma float64) bool {
 	}
 	need := CeilMul(gamma, len(S)-1)
 	for _, v := range S {
-		if vset.IntersectCount(g.Adj(v), S) < need {
+		if intersectCount(g.Adj(v), S) < need {
 			return false
 		}
 	}
 	return g.IsConnectedSubset(S)
+}
+
+// intersectCount returns |a ∩ b| for sorted strictly increasing a, b.
+func intersectCount(a, b []uint32) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }
 
 // OneStepExtensible reports whether some single vertex u ∉ S yields a
@@ -45,7 +64,7 @@ func OneStepExtensible(g *graph.Graph, S []graph.V, gamma float64) bool {
 		su := make([]graph.V, 0, len(S)+1)
 		su = append(su, S...)
 		su = append(su, u)
-		vset.Sort(su)
+		slices.Sort(su)
 		if IsQuasiClique(g, su, gamma) {
 			return true
 		}
@@ -80,7 +99,7 @@ func SetsEqual(a, b [][]graph.V) bool {
 	SortSets(a)
 	SortSets(b)
 	for i := range a {
-		if !vset.Equal(a[i], b[i]) {
+		if !slices.Equal(a[i], b[i]) {
 			return false
 		}
 	}

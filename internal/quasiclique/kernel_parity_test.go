@@ -48,7 +48,8 @@ func allVertexSub(g *graph.Graph) (*Sub, []uint32, []uint32) {
 // mineDirect drives RecursiveMine on one Sub with a fresh miner and
 // returns the emission stream translated through m.Sub.
 func mineDirect(sub *Sub, S, ext []uint32, par Params) ([][]graph.V, *Miner) {
-	m := NewMiner(sub, par, Options{})
+	m := NewPooledMiner(par, Options{})
+	m.Reset(sub)
 	var got [][]graph.V
 	m.Emit = func(locals []uint32) { got = append(got, m.Sub.Labels(locals)) }
 	m.RecursiveMine(append([]uint32(nil), S...), append([]uint32(nil), ext...))
@@ -195,7 +196,8 @@ func TestOversizeNeverBuildsBigMatrix(t *testing.T) {
 		sub, S, ext := allVertexSub(g)
 		want, _ := mineDirect(sub, S, ext, par)
 		withMatrixCap(c, func() {
-			m := NewMiner(sub, par, Options{})
+			m := NewPooledMiner(par, Options{})
+			m.Reset(sub)
 			var got [][]graph.V
 			m.Emit = func(locals []uint32) {
 				if m.mat.N() > c {

@@ -2,10 +2,10 @@ package quasiclique
 
 import (
 	"context"
+	"slices"
 
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/kcore"
-	"gthinkerqc/internal/vset"
 )
 
 // MineStats summarizes one serial mining run.
@@ -61,7 +61,7 @@ func (c *Collector) Add(S []graph.V) {
 	c.emitted++
 	fp := fingerprintSet(S)
 	for _, i := range c.seen[fp] {
-		if vset.Equal(c.sets[i], S) {
+		if slices.Equal(c.sets[i], S) {
 			return
 		}
 	}
@@ -213,7 +213,9 @@ func BuildRootSubScratch(gk *graph.Graph, v graph.V, par Params, opt Options, s 
 		return nil, 0
 	}
 	s.cand = gk.Within2Scratch(v, s.cand[:0], &s.marks)
-	cand := vset.FilterGreater(s.cand[:0], s.cand, v)
+	// Within2 leaves v out, so v's insertion point starts the IDs > v.
+	i, _ := slices.BinarySearch(s.cand, v)
+	cand := s.cand[i:]
 	if 1+len(cand) < par.MinSize {
 		return nil, 0
 	}

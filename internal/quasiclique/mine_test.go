@@ -2,10 +2,10 @@ package quasiclique
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/vset"
 )
 
 // figure4 is the paper's illustrative graph (a..i -> 0..8).
@@ -82,19 +82,21 @@ func TestSubFromGraphAndInduce(t *testing.T) {
 		t.Fatalf("N = %d", sub.N())
 	}
 	// a(0) is adjacent to b,c,e → locals 1,2,3.
-	if !vset.Equal(sub.Adj[0], []uint32{1, 2, 3}) {
+	if !slices.Equal(sub.Adj[0], []uint32{1, 2, 3}) {
 		t.Fatalf("Adj[a] = %v", sub.Adj[0])
 	}
 	if sub.NumEdges() != 6 { // a-b a-c a-e b-c b-e c-e
 		t.Fatalf("edges = %d", sub.NumEdges())
 	}
-	// Induce on {a, b, c}.
-	sub2 := sub.Induce([]uint32{0, 1, 2})
-	if sub2.N() != 3 || sub2.NumEdges() != 3 {
-		t.Fatalf("induced: n=%d m=%d", sub2.N(), sub2.NumEdges())
+	// Induce on {a, b, c}, with a one-entry head and tail left free.
+	keep := []uint32{0, 1, 2}
+	buf, adj := Induce(keep, sub.N(), func(i int) []uint32 { return sub.Adj[keep[i]] }, 1, 1, new(Scratch))
+	sub2 := &Sub{Label: []graph.V{0, 1, 2}, Adj: adj}
+	if sub2.N() != 3 || sub2.NumEdges() != 3 || len(buf) != 1+6+1 {
+		t.Fatalf("induced: n=%d m=%d buf=%d", sub2.N(), sub2.NumEdges(), len(buf))
 	}
-	if sub2.Label[2] != 2 {
-		t.Fatalf("labels = %v", sub2.Label)
+	if !slices.Equal(adj[0], []uint32{1, 2}) || &adj[0][0] != &buf[1] {
+		t.Fatalf("row of a = %v, not at the head's end", adj[0])
 	}
 }
 
@@ -105,7 +107,7 @@ func TestSubPeelKCore(t *testing.T) {
 		all[i] = graph.V(i)
 	}
 	sub := SubFromGraph(g, all)
-	peeled, kept := sub.PeelKCore(3)
+	peeled, kept := sub.PeelKCoreScratch(3, new(Scratch))
 	// Vertices f,g,h,i have degree 2 and peel away; {a,b,c,d,e} all
 	// keep degree ≥ 3 among themselves.
 	if peeled.N() != 5 {
@@ -157,10 +159,10 @@ func TestMineGraphPaperExample(t *testing.T) {
 	// S2 = {a,b,c,d,e} must be among the results and S1 must not.
 	foundS2 := false
 	for _, s := range got {
-		if vset.Equal(s, []graph.V{0, 1, 2, 3, 4}) {
+		if slices.Equal(s, []graph.V{0, 1, 2, 3, 4}) {
 			foundS2 = true
 		}
-		if vset.Equal(s, []graph.V{0, 1, 2, 3}) {
+		if slices.Equal(s, []graph.V{0, 1, 2, 3}) {
 			t.Error("non-maximal S1 in results")
 		}
 	}
@@ -392,7 +394,8 @@ func TestDecompositionEquivalence(t *testing.T) {
 				col := NewCollector()
 				var queue []task
 				mineTask := func(tk task) {
-					m := NewMiner(tk.sub, par, Options{})
+					m := NewPooledMiner(par, Options{})
+					m.Reset(tk.sub)
 					m.Emit = func(locals []uint32) { col.Add(m.Sub.Labels(locals)) }
 					calls := 0
 					m.TimedOut = func() bool { calls++; return calls > K }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"gthinkerqc/internal/bitset"
-	"gthinkerqc/internal/vset"
 )
 
 // matrixCap is the largest task subgraph the miner builds a matrix for:
@@ -25,8 +24,7 @@ var matrixCap = 1024
 // subgraph. All internal state — the adjacency matrix, the two-hop
 // cache, the membership rows, and the per-depth recursion arena —
 // grows monotonically and is reused across tasks, so steady-state
-// mining allocates nothing per expanded tree node. NewMiner remains as
-// the one-shot convenience constructor (NewPooledMiner + Reset).
+// mining allocates nothing per expanded tree node.
 //
 // Every rule runs on the bound Sub's bitset adjacency matrix (see the
 // package doc's "One representation").
@@ -115,7 +113,7 @@ type Miner struct {
 	critBuf  []uint32
 	mergeBuf []uint32
 
-	// sc materialises a split's children, which are copied out of it.
+	// sc materialises a split's children.
 	sc Scratch
 }
 
@@ -123,13 +121,6 @@ type Miner struct {
 type frame struct {
 	S   []uint32
 	ext []uint32
-}
-
-// NewMiner returns a Miner bound to sub with the given parameters.
-func NewMiner(sub *Sub, par Params, opt Options) *Miner {
-	m := NewPooledMiner(par, opt)
-	m.Reset(sub)
-	return m
 }
 
 // NewPooledMiner returns an unbound Miner for per-worker reuse. Bind a
@@ -388,7 +379,7 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 				if !m.Opt.QuickCompat {
 					m.checkEmit(S)
 				}
-				m.mergeBuf = vset.Union(m.mergeBuf[:0], S, I)
+				m.mergeBuf = union(m.mergeBuf[:0], S, I)
 				S = append(S[:0], m.mergeBuf...)
 				ext = m.removeMarked(ext, I)
 				moved = true
@@ -813,6 +804,29 @@ func insertSortedInto(dst, S []uint32, v uint32) []uint32 {
 	dst = append(dst, S[:i]...)
 	dst = append(dst, v)
 	dst = append(dst, S[i:]...)
+	return dst
+}
+
+// union appends a ∪ b (both sorted strictly increasing) to dst and
+// returns the extended slice.
+func union(dst, a, b []uint32) []uint32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	dst = append(dst, b[j:]...)
 	return dst
 }
 

@@ -38,6 +38,14 @@
 // candidate and no bounding, so only its search tree differs; a child
 // that finds nothing gets mine's conservative emission check, so
 // results stay exact.
+//
+// Every task subgraph the matrix is built from comes out of one
+// induction routine, Induce: the root task's (BuildRootSub), each
+// k-core peel's (PeelKCoreScratch), every decomposed subtask's
+// (MakeSubtaskScratch, filled straight into the storage the child
+// keeps) and the G-thinker app's iteration-2 build. It marks the kept
+// IDs in the Scratch's epoch-stamped marker, counts the kept entries
+// of each row exactly and fills them into one allocation.
 package quasiclique
 
 import (

@@ -2,11 +2,11 @@ package quasiclique
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/store"
-	"gthinkerqc/internal/vset"
 )
 
 // TestScratchVariantsMatch checks that the scratch-threaded hot paths
@@ -19,7 +19,7 @@ func TestScratchVariantsMatch(t *testing.T) {
 	for v := 0; v < 200; v++ {
 		want := g.Within2(graph.V(v), nil)
 		dst = g.Within2Scratch(graph.V(v), dst[:0], &sc.marks)
-		if !vset.Equal(want, dst) {
+		if !slices.Equal(want, dst) {
 			t.Fatalf("Within2Scratch(%d) = %v, want %v", v, dst, want)
 		}
 		if len(want) == 0 {
@@ -27,12 +27,12 @@ func TestScratchVariantsMatch(t *testing.T) {
 		}
 		verts := append([]graph.V{}, want...)
 		a := SubFromGraph(g, verts)
-		b := SubFromGraphScratch(g, verts, &sc)
-		if !vset.Equal(a.Label, b.Label) || a.N() != b.N() {
+		b := subFromGraph(g, verts, &sc, true)
+		if !slices.Equal(a.Label, b.Label) || a.N() != b.N() {
 			t.Fatalf("labels differ at %d", v)
 		}
 		for i := range a.Adj {
-			if !vset.Equal(a.Adj[i], b.Adj[i]) {
+			if !slices.Equal(a.Adj[i], b.Adj[i]) {
 				t.Fatalf("row %d differs at root %d", i, v)
 			}
 		}
@@ -54,11 +54,11 @@ func TestBuildRootSubScratchMatches(t *testing.T) {
 		if a == nil {
 			continue
 		}
-		if !vset.Equal(a.Label, b.Label) {
+		if !slices.Equal(a.Label, b.Label) {
 			t.Fatalf("labels differ at %d", v)
 		}
 		for i := range a.Adj {
-			if !vset.Equal(a.Adj[i], b.Adj[i]) {
+			if !slices.Equal(a.Adj[i], b.Adj[i]) {
 				t.Fatalf("row %d differs at %d", i, v)
 			}
 		}
@@ -80,14 +80,14 @@ func TestSubRawRoundtripOwned(t *testing.T) {
 	if err := back.DecodeRaw(store.NewCursor(sub.AppendRaw(nil))); err != nil {
 		t.Fatal(err)
 	}
-	if !vset.Equal(sub.Label, back.Label) {
+	if !slices.Equal(sub.Label, back.Label) {
 		t.Fatalf("labels differ: %v vs %v", sub.Label, back.Label)
 	}
 	if len(sub.Adj) != len(back.Adj) {
 		t.Fatalf("row count %d vs %d", len(sub.Adj), len(back.Adj))
 	}
 	for i := range sub.Adj {
-		if !vset.Equal(sub.Adj[i], back.Adj[i]) {
+		if !slices.Equal(sub.Adj[i], back.Adj[i]) {
 			t.Fatalf("row %d differs", i)
 		}
 	}

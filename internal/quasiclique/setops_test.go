@@ -1,61 +1,23 @@
-package vset
+package quasiclique
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]uint32{1, 2, 9}) || !IsSorted(nil) || !IsSorted([]uint32{4}) {
-		t.Error("IsSorted false negatives")
-	}
-	if IsSorted([]uint32{1, 1}) || IsSorted([]uint32{2, 1}) {
-		t.Error("IsSorted false positives")
-	}
-}
-
-func TestContains(t *testing.T) {
-	xs := []uint32{2, 4, 8, 16}
-	for _, x := range xs {
-		if !Contains(xs, x) {
-			t.Errorf("Contains(%d) = false", x)
-		}
-	}
-	for _, x := range []uint32{0, 3, 17} {
-		if Contains(xs, x) {
-			t.Errorf("Contains(%d) = true", x)
-		}
-	}
-	if Contains(nil, 1) {
-		t.Error("Contains on nil slice")
-	}
-}
-
 func TestIntersectCountUnion(t *testing.T) {
 	a := []uint32{1, 3, 5, 7, 9}
 	b := []uint32{3, 4, 5, 10}
-	if got := IntersectCount(a, b); got != 2 {
-		t.Errorf("IntersectCount = %d", got)
+	if got := intersectCount(a, b); got != 2 {
+		t.Errorf("intersectCount = %d", got)
 	}
-	if got := Union(nil, a, b); !Equal(got, []uint32{1, 3, 4, 5, 7, 9, 10}) {
-		t.Errorf("Union = %v", got)
+	if got := union(nil, a, b); !slices.Equal(got, []uint32{1, 3, 4, 5, 7, 9, 10}) {
+		t.Errorf("union = %v", got)
 	}
-	if got := Union([]uint32{42}, []uint32{1}, []uint32{2}); !Equal(got, []uint32{42, 1, 2}) {
-		t.Errorf("Union with dst = %v", got)
-	}
-}
-
-func TestFilterGreater(t *testing.T) {
-	xs := []uint32{1, 5, 9, 12}
-	if got := FilterGreater(nil, xs, 5); !Equal(got, []uint32{9, 12}) {
-		t.Fatalf("FilterGreater = %v", got)
-	}
-	if got := FilterGreater(nil, xs, 0); !Equal(got, xs) {
-		t.Fatalf("FilterGreater(0) = %v", got)
-	}
-	if got := FilterGreater(nil, xs, 12); len(got) != 0 {
-		t.Fatalf("FilterGreater(max) = %v", got)
+	if got := union([]uint32{42}, []uint32{1}, []uint32{2}); !slices.Equal(got, []uint32{42, 1, 2}) {
+		t.Errorf("union with dst = %v", got)
 	}
 }
 
@@ -96,7 +58,7 @@ func TestQuickAlgebraAgainstMaps(t *testing.T) {
 			wantU = append(wantU, k)
 		}
 		sort.Slice(wantU, func(i, j int) bool { return wantU[i] < wantU[j] })
-		return Equal(Union(nil, a, b), wantU) && IntersectCount(a, b) == wantI
+		return slices.Equal(union(nil, a, b), wantU) && intersectCount(a, b) == wantI
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -107,8 +69,8 @@ func TestQuickAlgebraAgainstMaps(t *testing.T) {
 func TestQuickInclusionExclusion(t *testing.T) {
 	f := func(ra, rb []uint16) bool {
 		a, b := mkSorted(ra), mkSorted(rb)
-		u := Union(nil, a, b)
-		return len(u) == len(a)+len(b)-IntersectCount(a, b)
+		u := union(nil, a, b)
+		return len(u) == len(a)+len(b)-intersectCount(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

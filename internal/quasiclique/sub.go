@@ -2,11 +2,11 @@ package quasiclique
 
 import (
 	"fmt"
+	"slices"
 
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/kcore"
 	"gthinkerqc/internal/store"
-	"gthinkerqc/internal/vset"
 )
 
 // Sub is a task-local subgraph with vertices remapped to dense local
@@ -39,48 +39,75 @@ func (s *Sub) Labels(locals []uint32) []graph.V {
 	for i, l := range locals {
 		out[i] = s.Label[l]
 	}
-	vset.Sort(out)
+	slices.Sort(out)
 	return out
 }
 
-// Scratch is the per-worker reusable state for task construction: an
-// epoch-stamped global→local index map (replacing the per-call maps
-// the hot paths used to allocate) and the candidate/vertex buffers of
-// BuildRootSub. The marker doubles as the two-hop scratch for
-// Within2Scratch — the two phases never overlap within a call. A zero
+// Scratch is the per-worker reusable state for task construction: the
+// epoch-stamped ID → position map Induce relabels through (no O(n)
+// clear per task), the candidate/vertex buffers of BuildRootSub, the
+// peel buffers, and one buffer for a subtask's sorted S ∪ ext. The
+// marker doubles as the two-hop scratch for Within2Scratch — the two
+// phases never overlap within a call. Nothing a caller keeps lives
+// here: every Sub the package returns owns its storage. A zero
 // Scratch is ready to use. Not safe for concurrent use — the serial
 // driver owns one, and the G-thinker app threads one per worker.
 type Scratch struct {
-	marks  graph.Scratch // epoch-stamped marker over global vertex IDs
-	idx    []uint32      // global → local index, valid when marked
-	rowLen []uint32      // per-local-vertex row sizes (exact-count pass)
-	cand   []graph.V     // BuildRootSub candidate buffer
-	verts  []graph.V     // BuildRootSub vertex-set buffer
+	marks graph.Scratch // epoch-stamped marker over Induce's ID space
+	idx   []uint32      // ID → position in Induce's keep, valid when marked
+	cand  []graph.V     // BuildRootSub candidate buffer
+	verts []graph.V     // BuildRootSub vertex-set buffer
 
-	remap   []int32           // InduceScratch local remap table
-	keep    []uint32          // PeelKCoreScratch survivor list
+	keep    []uint32          // peel survivors, or a subtask's sorted S ∪ ext
 	peel    kcore.PeelScratch // PeelKCoreScratch peel buffers
 	rootS   []uint32          // serial driver's root S = {v}
 	rootExt []uint32          // serial driver's root ext(S)
-
-	// MakeSubtaskInto output buffers: the child subgraph and its
-	// ⟨S′, ext′⟩ live here between calls, so the subtask spawn loop is
-	// allocation-free until the Offload boundary copies them out.
-	childKeep  []uint32   // sorted S ∪ ext (parent-local)
-	childLabel []graph.V  // child Label
-	childFlat  []uint32   // child packed adjacency
-	childAdj   [][]uint32 // child row headers
-	childS     []uint32   // S′ (child-local)
-	childExt   []uint32   // ext′ (child-local)
-	childSub   Sub        // child Sub header returned by MakeSubtaskInto
 }
 
-// begin starts a new global→local mapping generation over n vertices.
-func (s *Scratch) begin(n int) {
-	s.marks.Begin(n)
-	if len(s.idx) < n {
-		s.idx = make([]uint32, n)
+// Induce is the one induction routine: every task subgraph — a root
+// task's, a peeled core, a decomposed subtask, the engine's iteration-2
+// build — comes out of it. keep is a strictly increasing set of IDs in
+// [0, n), and row(i) returns keep[i]'s sorted neighbour row in that
+// space. Induce marks keep in sc's epoch-stamped marker, so nothing of
+// size n is cleared, counts the rows' entries inside keep exactly, and
+// allocates one []uint32 of head + count + tail entries. Its middle
+// holds the rows relabelled to positions in keep, and adj[i] slices
+// row i out of it, capacity clamped; rows come out sorted because keep
+// is sorted and the relabelling is monotone. The head and tail are
+// left zero for the caller (a Label, a subtask's S′ and ext′), and
+// sc.idx maps each member of keep to its position until sc's next use.
+func Induce(keep []uint32, n int, row func(i int) []uint32, head, tail int, sc *Scratch) (buf []uint32, adj [][]uint32) {
+	sc.marks.Begin(n)
+	if len(sc.idx) < n {
+		sc.idx = make([]uint32, n)
 	}
+	marks, idx := &sc.marks, sc.idx
+	for i, v := range keep {
+		marks.Mark(v)
+		idx[v] = uint32(i)
+	}
+	total := 0
+	for i := range keep {
+		for _, u := range row(i) {
+			if marks.Marked(u) {
+				total++
+			}
+		}
+	}
+	buf = make([]uint32, head+total+tail)
+	adj = make([][]uint32, len(keep))
+	off := head
+	for i := range keep {
+		start := off
+		for _, u := range row(i) {
+			if marks.Marked(u) {
+				buf[off] = idx[u]
+				off++
+			}
+		}
+		adj[i] = buf[start:off:off]
+	}
+	return buf, adj
 }
 
 // SubFromGraph induces the subgraph of g on the sorted vertex set
@@ -90,127 +117,43 @@ func SubFromGraph(g *graph.Graph, verts []graph.V) *Sub {
 	return subFromGraph(g, verts, &s, true)
 }
 
-// SubFromGraphScratch is SubFromGraph with a caller-provided Scratch:
-// only the three allocations that escape into the returned Sub remain
-// (label, row headers, packed adjacency).
-func SubFromGraphScratch(g *graph.Graph, verts []graph.V, s *Scratch) *Sub {
-	return subFromGraph(g, verts, s, true)
-}
-
-// subFromGraph is the core induction. With copyLabel false the Sub's
-// Label aliases verts, so the caller must guarantee verts outlives the
-// Sub (or that the Sub dies first, as in the peeled root-task path).
+// subFromGraph induces g on the sorted set verts. With copyLabel false
+// the Sub's Label aliases verts, so the caller must guarantee verts
+// outlives the Sub (or that the Sub dies first, as in the peeled
+// root-task path); otherwise the Label shares the rows' allocation.
 func subFromGraph(g *graph.Graph, verts []graph.V, s *Scratch, copyLabel bool) *Sub {
-	s.begin(g.NumVertices())
-	for i, v := range verts {
-		s.marks.Mark(v)
-		s.idx[v] = uint32(i)
+	head := 0
+	if copyLabel {
+		head = len(verts)
 	}
-	// Exact-count pass: row sizes, so rows slice one packed array
-	// instead of growing n separate ones.
-	if cap(s.rowLen) < len(verts) {
-		s.rowLen = make([]uint32, len(verts))
-	}
-	s.rowLen = s.rowLen[:len(verts)]
-	total := 0
-	for i, v := range verts {
-		c := uint32(0)
-		for _, u := range g.Adj(v) {
-			if s.marks.Marked(u) {
-				c++
-			}
-		}
-		s.rowLen[i] = c
-		total += int(c)
-	}
-	flat := make([]uint32, 0, total)
-	adj := make([][]uint32, len(verts))
-	for i, v := range verts {
-		start := len(flat)
-		for _, u := range g.Adj(v) {
-			if s.marks.Marked(u) {
-				flat = append(flat, s.idx[u])
-			}
-		}
-		adj[i] = flat[start:len(flat):len(flat)]
-		// sorted: g.Adj sorted and verts→local monotone
-	}
+	buf, adj := Induce(verts, g.NumVertices(), func(i int) []uint32 { return g.Adj(verts[i]) }, head, 0, s)
 	label := verts
 	if copyLabel {
-		label = make([]graph.V, len(verts))
+		label = buf[:head:head]
 		copy(label, verts)
 	}
 	return &Sub{Label: label, Adj: adj}
 }
 
-// Induce returns the subgraph of s induced on the sorted local index
-// set keep, with indices remapped densely. Rows are exact-counted into
-// one packed backing array.
-func (s *Sub) Induce(keep []uint32) *Sub {
-	var sc Scratch
-	return s.InduceScratch(keep, &sc)
-}
-
-// InduceScratch is Induce with a caller-provided Scratch: the remap
-// table comes from the scratch, so only the three allocations that
-// escape into the returned Sub remain (label, row headers, packed
-// adjacency).
-func (s *Sub) InduceScratch(keep []uint32, sc *Scratch) *Sub {
-	if cap(sc.remap) < s.N() {
-		sc.remap = make([]int32, s.N())
-	}
-	remap := sc.remap[:s.N()]
-	for i := range remap {
-		remap[i] = -1
-	}
-	for i, v := range keep {
-		remap[v] = int32(i)
-	}
-	total := 0
-	for _, v := range keep {
-		for _, u := range s.Adj[v] {
-			if remap[u] >= 0 {
-				total++
-			}
-		}
-	}
-	flat := make([]uint32, 0, total)
-	label := make([]graph.V, len(keep))
-	adj := make([][]uint32, len(keep))
-	for i, v := range keep {
-		label[i] = s.Label[v]
-		start := len(flat)
-		for _, u := range s.Adj[v] {
-			if r := remap[u]; r >= 0 {
-				flat = append(flat, uint32(r))
-			}
-		}
-		adj[i] = flat[start:len(flat):len(flat)]
-	}
-	return &Sub{Label: label, Adj: adj}
-}
-
-// PeelKCore returns the k-core of s as a new Sub plus the sorted local
-// indices (w.r.t. s) that survived. If the core is empty it returns an
-// empty Sub.
-func (s *Sub) PeelKCore(k int) (*Sub, []uint32) {
-	var sc Scratch
-	return s.PeelKCoreScratch(k, &sc)
-}
-
-// PeelKCoreScratch is PeelKCore with a caller-provided Scratch: the
-// peel buffers, survivor list, and induction remap table are all
-// reused. The returned index slice aliases the scratch and is valid
-// until its next use.
+// PeelKCoreScratch returns the k-core of s as a new Sub plus the sorted
+// local indices (w.r.t. s) that survived; an empty core is an empty
+// Sub. The index slice aliases sc and is valid until its next use.
 func (s *Sub) PeelKCoreScratch(k int, sc *Scratch) (*Sub, []uint32) {
 	keepMask := kcore.PeelLocalScratch(s.Adj, k, nil, &sc.peel)
-	sc.keep = sc.keep[:0]
+	keep := sc.keep[:0]
 	for i, ok := range keepMask {
 		if ok {
-			sc.keep = append(sc.keep, uint32(i))
+			keep = append(keep, uint32(i))
 		}
 	}
-	return s.InduceScratch(sc.keep, sc), sc.keep
+	sc.keep = keep
+	n := len(keep)
+	buf, adj := Induce(keep, s.N(), func(i int) []uint32 { return s.Adj[keep[i]] }, n, 0, sc)
+	label := buf[:n:n]
+	for i, v := range keep {
+		label[i] = s.Label[v]
+	}
+	return &Sub{Label: label, Adj: adj}, keep
 }
 
 // AppendRaw appends the Sub's columnar encoding for the engine's GQS1
