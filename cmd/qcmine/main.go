@@ -118,7 +118,7 @@ func main() {
 			top = res.Tasks.TopK(*rootStats)
 		}
 		if len(top) == 0 {
-			fmt.Fprintln(os.Stderr, "qcmine: -rootstats: no per-root statistics on this path (serial or multi-process run)")
+			fmt.Fprintln(os.Stderr, "qcmine: -rootstats: no per-root statistics on this path (serial run)")
 		} else {
 			fmt.Fprintf(os.Stderr, "qcmine: top %d roots by mining time (total mining %v, materialize %v)\n",
 				len(top), res.Tasks.TotalMining().Round(time.Microsecond),

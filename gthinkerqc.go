@@ -138,7 +138,8 @@ type Result struct {
 	Wall time.Duration
 	// Engine holds engine-level metrics; nil for serial runs.
 	Engine *gthinker.Metrics
-	// Tasks exposes per-root task timing; nil for serial runs.
+	// Tasks exposes per-root task timing, merged from every surviving
+	// machine's report (worker processes too); nil for serial runs.
 	Tasks *metrics.Recorder
 	// SerialStats holds serial-path statistics; zero for parallel.
 	SerialStats quasiclique.MineStats

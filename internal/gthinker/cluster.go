@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"gthinkerqc/internal/graph"
@@ -17,21 +16,20 @@ import (
 // it closes. The constructors differ only in where the machines live
 // (NewLocalCluster: this process; StartProcsCluster: qcworker child
 // processes) and how they are reached (direct calls or framed
-// sockets); RunJob is the one job lifecycle all of them share. Not
-// safe for concurrent use — serve.Server queues overlapping
-// submissions in front of one.
+// sockets); RunJob, which hands every machine a job spec and takes back
+// its report, is the one job lifecycle all of them share. Not safe for
+// concurrent use — serve.Server queues overlapping submissions in
+// front of one.
 type Cluster struct {
 	cfg      Config
 	ctl      ControlPlane
 	teardown func(dead []bool) error
 
-	// Machines living in this process (nil for child processes). Their
-	// hosts take each job's application from app — a Go value cannot
-	// cross even a loopback socket — and spill to one shared disk,
-	// whose footprint disk tracks so PeakSpillBytes is the process-wide
-	// peak of the sum rather than a sum of per-machine peaks.
+	// Machines living in this process (nil for child processes). They
+	// spill to one shared disk, whose footprint disk tracks so
+	// PeakSpillBytes is the process-wide peak of the sum rather than a
+	// sum of per-machine peaks.
 	hosts []*WorkerHost
-	app   appSlot
 	disk  diskAccount
 
 	jobSeq uint64
@@ -39,40 +37,10 @@ type Cluster struct {
 	closed bool
 }
 
-// appSlot hands the current job's application to the in-process
-// hosts, whose control handlers may run on socket goroutines.
-type appSlot struct {
-	mu  sync.Mutex
-	app App
-}
-
-func (s *appSlot) set(app App) {
-	s.mu.Lock()
-	s.app = app
-	s.mu.Unlock()
-}
-
-func (s *appSlot) get() App {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.app
-}
-
 // ErrClusterClosed is returned by RunJob after Close.
 var ErrClusterClosed = errors.New("gthinker: cluster is closed")
 
-// Job is one unit of work for a Cluster. Machines living in the
-// caller's process run App as it is; machines in worker processes
-// rebuild their application from Spec (WorkerHostConfig.NewApp). A
-// cluster has one kind of machine, so a caller fills in the one its
-// constructor calls for.
-type Job struct {
-	App  App
-	Spec []byte
-}
-
-// JobResult is what a job leaves behind besides the application's own
-// state.
+// JobResult is what a job leaves behind.
 type JobResult struct {
 	// Metrics merges every surviving machine's counters with the
 	// coordinator's scheduling counters.
@@ -81,8 +49,7 @@ type JobResult struct {
 	// coordinator) when Config.Trace is set; nil otherwise.
 	Trace *obs.Trace
 	// Results holds each machine's opaque result frame, in machine
-	// order; empty for machines that died or whose host shares the
-	// caller's process (read the Job's App instead).
+	// order; nil for a machine the job lost.
 	Results [][]byte
 }
 
@@ -90,16 +57,18 @@ type JobResult struct {
 // over g, which must stay immutable while the cluster lives. By default
 // they are reached by direct calls; with cfg.InProcessTCP each sits
 // behind its own loopback listener and is joined and driven exactly
-// like a qcworker process.
-func NewLocalCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
-	return newLocalCluster(g, cfg, nil)
+// like a qcworker process. newApp and results are each machine's
+// WorkerHostConfig.NewApp and Results, as in a worker process; the
+// Config newApp returns is ignored, because the machines run under cfg.
+func NewLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machines int) (App, Config, error), results func(App) ([]byte, error)) (*Cluster, error) {
+	return newLocalCluster(g, cfg, newApp, results, nil)
 }
 
 // newLocalCluster is NewLocalCluster with the direct-call composition's
 // data plane injectable: wrap, when not nil, is handed each machine's
 // loopback and returns the Transport that machine uses instead — a
 // failing or hand-wired one in tests.
-func newLocalCluster(g *graph.Graph, cfg Config, wrap func(machine int, lb *loopback) Transport) (*Cluster, error) {
+func newLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machines int) (App, Config, error), results func(App) ([]byte, error), wrap func(machine int, lb *loopback) Transport) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -139,10 +108,8 @@ func newLocalCluster(g *graph.Graph, cfg Config, wrap func(machine int, lb *loop
 
 	for i, verts := range partitionAll(g.NumVertices(), cfg.Machines) {
 		hc := WorkerHostConfig{
-			Graph: g, MachineID: i,
-			NewApp: func([]byte, int) (App, Config, error) {
-				return c.app.get(), rcfg, nil
-			},
+			Graph: g, MachineID: i, NewApp: newApp, Results: results,
+			presetCfg:   &rcfg,
 			presetVerts: verts,
 			diskParent:  &c.disk,
 		}
@@ -215,8 +182,9 @@ func StartProcsCluster(cfg Config, procs *WorkerProcs, numVerts int, numEdges ui
 	}}, nil
 }
 
-// RunJob runs one job to completion — the one lifecycle every
-// composition shares: start the job on every machine, drive the
+// RunJob runs the job spec describes to completion — the one
+// lifecycle every composition shares: start the job on every machine
+// (each builds its application from spec), drive the
 // coordinator loop (status polls, termination detection, steals,
 // recovery), shut every machine down, which returns each survivor's
 // report (metrics, spans, result frame), and merge. When ctx is cancelled or expires
@@ -226,7 +194,7 @@ func StartProcsCluster(cfg Config, procs *WorkerProcs, numVerts int, numEdges ui
 // stays usable after either, unless the job lost a machine: the
 // survivors adopted its partitions for that job only (its result is
 // complete), so later jobs are refused.
-func (c *Cluster) RunJob(ctx context.Context, job Job) (*JobResult, error) {
+func (c *Cluster) RunJob(ctx context.Context, spec []byte) (*JobResult, error) {
 	if c.closed {
 		return nil, ErrClusterClosed
 	}
@@ -234,7 +202,6 @@ func (c *Cluster) RunJob(ctx context.Context, job Job) (*JobResult, error) {
 		return nil, fmt.Errorf("gthinker: cluster is degraded: lost a machine during job %d", c.jobSeq)
 	}
 	c.jobSeq++
-	c.app.set(job.App)
 	// Only the peak is per-job; current is zero here because every job
 	// ends by sweeping what it left on disk (below).
 	c.disk.peak.Store(0)
@@ -244,7 +211,7 @@ func (c *Cluster) RunJob(ctx context.Context, job Job) (*JobResult, error) {
 	co := newCoordinator(c.ctl, c.cfg)
 	var runErr error
 	for m := 0; m < n && runErr == nil; m++ {
-		runErr = c.ctl.Run(m, c.jobSeq, job.Spec)
+		runErr = c.ctl.Run(m, c.jobSeq, spec)
 	}
 	if runErr == nil {
 		runErr = co.run(ctx)
@@ -254,8 +221,8 @@ func (c *Cluster) RunJob(ctx context.Context, job Job) (*JobResult, error) {
 		runErr = err
 	}
 	// Join in-process workers from THIS goroutine too: the shutdown may
-	// have crossed a socket, and the caller is about to read application
-	// state the workers wrote. An aborted job's spill leftovers go now,
+	// have crossed a socket, and whatever the workers wrote must happen
+	// before RunJob returns. An aborted job's spill leftovers go now,
 	// not at each machine's next reset: the machines share this
 	// process's disk account, and the next job's peak-of-sum must not
 	// start from files of this one.

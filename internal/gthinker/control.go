@@ -140,8 +140,7 @@ type MachineReport struct {
 	Metrics *Metrics
 	// Trace holds the machine's spans; empty unless the job traces.
 	Trace *obs.Trace
-	// Results is the host's opaque result frame; empty when the host
-	// shares the coordinator's process.
+	// Results is the application's opaque result frame.
 	Results []byte
 }
 

@@ -117,7 +117,7 @@ var controlPayloads = []struct {
 	{"shutdown reply", (&MachineReport{Failure: "disk full",
 		Metrics: &Metrics{Wall: 7, Counters: Counters{ComputeCalls: 9}, WorkerBusy: []time.Duration{5, 6}},
 		Trace:   &obs.Trace{Dropped: 1, Spans: []obs.Span{{Kind: obs.KindCompute, Pid: 2, Tid: 1, Start: 5, Dur: 6, Arg1: 3}}},
-		Results: []byte("QRS2")}).encode(),
+		Results: []byte("QRS3")}).encode(),
 		func(data []byte) ([]byte, error) {
 			rep, err := decodeReport(data)
 			if err != nil {
@@ -187,7 +187,7 @@ func exitTestHost(t *testing.T) *WorkerHost {
 	t.Helper()
 	h, err := StartWorkerHost(WorkerHostConfig{Graph: datagen.ErdosRenyi(10, 0.2, 1), NewApp: func([]byte, int) (App, Config, error) {
 		return nilApp{}, Config{}, nil
-	}})
+	}, Results: noResults})
 	if err != nil {
 		t.Fatal(err)
 	}

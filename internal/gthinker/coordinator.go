@@ -205,27 +205,34 @@ func (c *coordinator) run(ctx context.Context) error {
 	return c.loop(ctx)
 }
 
-// shutdown stops every machine still alive (a dead one cannot answer)
-// and returns their reports in machine order, nil for a machine that
-// is dead or did not answer, with the first failure: a machine that
-// did not answer, or a report that carries one.
+// shutdown stops every machine still alive (a dead one cannot answer),
+// all at once, since each builds its result frame while answering, and
+// returns their reports in machine order, nil for a machine that is
+// dead or did not answer, with the first failure in machine order.
 func (c *coordinator) shutdown() ([]*MachineReport, error) {
 	reps := make([]*MachineReport, c.ctl.Machines())
-	var first error
+	errs := make([]error, len(reps))
+	var wg sync.WaitGroup
 	for m := range reps {
 		if !c.alive[m] {
 			continue
 		}
-		rep, err := c.ctl.Shutdown(m)
-		if err == nil && rep.Failure != "" {
-			err = fmt.Errorf("gthinker: machine %d failed: %s", m, rep.Failure)
-		}
-		if err != nil && first == nil {
-			first = err
-		}
-		reps[m] = rep
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			reps[m], errs[m] = c.ctl.Shutdown(m)
+			if errs[m] == nil && reps[m].Failure != "" {
+				errs[m] = fmt.Errorf("gthinker: machine %d failed: %s", m, reps[m].Failure)
+			}
+		}(m)
 	}
-	return reps, first
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return reps, err
+		}
+	}
+	return reps, nil
 }
 
 // startObs brings up the coordinator's debug HTTP server on DebugAddr

@@ -41,15 +41,16 @@
 //
 // A Cluster is a ControlPlane over N such hosts plus whatever must be
 // closed with it. There is one way to run a job on it —
-// Cluster.RunJob: start the job on every machine, drive the
-// coordinator loop, shut every machine down, collect and merge what
-// the survivors hold — and the constructors differ only along two
-// axes:
+// Cluster.RunJob: hand every machine the job's spec, from which it
+// builds its own application (WorkerHostConfig.NewApp), drive the
+// coordinator loop, shut every machine down, and merge the survivors'
+// reports, each carrying a result frame (WorkerHostConfig.Results) —
+// and the constructors differ only along two axes:
 //
 //   - where the machines live: in this process (NewLocalCluster, all
-//     machines sharing one graph and one application value per job) or
-//     in qcworker child processes (StartProcsCluster, each mapping the
-//     graph file and rebuilding the application from the job's spec);
+//     machines sharing one graph, engine config and spill root) or in
+//     qcworker child processes (StartProcsCluster, each mapping the
+//     graph file and taking its engine config from the join's spec);
 //   - how they are reached: by direct calls (directControl invoking
 //     the host's handlers as methods, a loopback Transport reading the
 //     shared graph and handing each stolen GQS1 batch to the receiving
@@ -239,9 +240,10 @@
 // opShutdown, whose reply is the machine's whole report (failure,
 // metrics, spans, result frame), and finally opExit. The job spec is a
 // worker's only configuration: its mining parameters, engine shape,
-// tracing and fault plan all arrive in it. The op table lives in
-// tcp.go; the app-opaque job-spec and result encodings for the
-// quasi-clique miner live in internal/miner (AppendJobSpec,
+// tracing and fault plan all arrive in it. An in-process machine takes
+// the same steps, as method calls when reached directly. The op table
+// lives in tcp.go; the app-opaque job-spec and result encodings for
+// the quasi-clique miner live in internal/miner (AppendJobSpec,
 // AppendResults).
 //
 // Engine mechanisms the paper evaluates all live above the Transport

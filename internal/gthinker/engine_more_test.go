@@ -46,7 +46,7 @@ func TestMetricsHelpers(t *testing.T) {
 func TestStealRoundDirect(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
 	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 1, SpillDir: t.TempDir()})
-	rts := installJob(t, c, &nilApp{})
+	rts := installJob(t, c.Cluster, &nilApp{})
 	co := newCoordinator(c.ctl, c.cfg)
 	// Load machine 0 with 10 big tasks; machine 1 has none.
 	for i := 0; i < 10; i++ {
@@ -73,7 +73,7 @@ func TestStealRoundDirect(t *testing.T) {
 	}
 	// Empty queues: no-op.
 	c2 := testCluster(t, g, Config{Machines: 2, SpillDir: t.TempDir()})
-	installJob(t, c2, &nilApp{})
+	installJob(t, c2.Cluster, &nilApp{})
 	co2 := newCoordinator(c2.ctl, c2.cfg)
 	stealNow(t, co2)
 	if co2.counts.TasksStolen != 0 {
@@ -94,7 +94,7 @@ func TestEngineRunContextCancelled(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	res, err := c.RunJob(ctx, Job{App: app})
+	res, err := c.run(ctx, app)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -122,7 +122,7 @@ func (f failingTransport) FetchAdjBatch(int, []graph.V, [][]graph.V) ([][]graph.
 func TestEngineTransportFailure(t *testing.T) {
 	g := datagen.ErdosRenyi(100, 0.1, 3)
 	app := &triApp{g: g}
-	c, err := newLocalCluster(g, Config{
+	c, err := newTestCluster(g, Config{
 		Machines: 3, WorkersPerMachine: 1, SpillDir: t.TempDir(),
 	}, func(_ int, lb *loopback) Transport { return failingTransport{lb} })
 	if err != nil {
@@ -132,7 +132,7 @@ func TestEngineTransportFailure(t *testing.T) {
 	done := make(chan struct{})
 	var runErr error
 	go func() {
-		_, runErr = c.RunJob(context.Background(), Job{App: app})
+		_, runErr = c.run(context.Background(), app)
 		close(done)
 	}()
 	select {

@@ -23,7 +23,7 @@ func TestStealRefillsFromSpilledBacklog(t *testing.T) {
 		Machines: 2, WorkersPerMachine: 1,
 		QueueCap: 8, BatchSize: 4, SpillDir: t.TempDir(),
 	})
-	rts := installJob(t, c, nilApp{})
+	rts := installJob(t, c.Cluster, nilApp{})
 	co := newCoordinator(c.ctl, c.cfg)
 	// Machine 0's entire backlog is on disk, as after QueueCap
 	// overflow: two spilled batches, an empty queue.
@@ -70,7 +70,7 @@ func TestStealFromPartialRefill(t *testing.T) {
 		Machines: 2, WorkersPerMachine: 1,
 		QueueCap: 8, BatchSize: 8, SpillDir: t.TempDir(),
 	})
-	rts := installJob(t, c, nilApp{})
+	rts := installJob(t, c.Cluster, nilApp{})
 	ts := make([]*Task, 6)
 	for i := range ts {
 		ts[i] = NewTask([]graph.V{graph.V(i)})
@@ -105,7 +105,7 @@ func TestStealRoundShipsRemote(t *testing.T) {
 		Machines: 2, WorkersPerMachine: 1,
 		SpillDir: t.TempDir(), InProcessTCP: true,
 	})
-	rts := installJob(t, c, nilApp{})
+	rts := installJob(t, c.Cluster, nilApp{})
 	co := newCoordinator(c.ctl, c.cfg)
 	if _, ok := c.ctl.(*ClusterClient); !ok {
 		t.Fatalf("in-process TCP control plane is %T, want *ClusterClient", c.ctl)
@@ -153,7 +153,7 @@ func TestStealRoundShipsRemote(t *testing.T) {
 func TestHandleTasksRefusesPullPastGraph(t *testing.T) {
 	g := datagen.ErdosRenyi(10, 0.2, 1)
 	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 1, SpillDir: t.TempDir()})
-	rts := installJob(t, c, nilApp{})
+	rts := installJob(t, c.Cluster, nilApp{})
 	good, bad := NewTask([]graph.V{1, 2}), NewTask([]graph.V{3, 4})
 	good.Pulls = []graph.V{9}
 	bad.Pulls = []graph.V{5, 100000}
@@ -184,7 +184,7 @@ func TestStealReownedAfterPeerLoss(t *testing.T) {
 				Machines: 2, WorkersPerMachine: 1,
 				SpillDir: t.TempDir(), InProcessTCP: tc.tcp,
 			})
-			rts := installJob(t, c, nilApp{})
+			rts := installJob(t, c.Cluster, nilApp{})
 			co := newCoordinator(c.ctl, c.cfg)
 			want := make(map[uint64]bool, 10)
 			for i := 0; i < 10; i++ {

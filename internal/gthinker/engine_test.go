@@ -208,15 +208,15 @@ func TestEngineNoTasks(t *testing.T) {
 
 func TestEngineConfigValidation(t *testing.T) {
 	g := datagen.ErdosRenyi(5, 0.5, 1)
-	if _, err := NewLocalCluster(g, Config{Machines: -1}); err == nil {
+	if _, err := newTestCluster(g, Config{Machines: -1}, nil); err == nil {
 		t.Fatal("negative machines accepted")
 	}
-	if _, err := NewLocalCluster(g, Config{QueueCap: 2, BatchSize: 50}); err == nil {
+	if _, err := newTestCluster(g, Config{QueueCap: 2, BatchSize: 50}, nil); err == nil {
 		t.Fatal("batch > queue accepted")
 	}
 	// A negative threshold would declare a machine dead on its first
 	// failed poll.
-	if _, err := NewLocalCluster(g, Config{DeadAfterPolls: -1}); err == nil {
+	if _, err := newTestCluster(g, Config{DeadAfterPolls: -1}, nil); err == nil {
 		t.Fatal("negative DeadAfterPolls accepted")
 	}
 }

@@ -3,6 +3,7 @@ package gthinker
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"gthinkerqc/internal/graph"
@@ -51,11 +52,52 @@ func (nilApp) Spawn(graph.V, []graph.V, *Ctx) *Task  { return nil }
 func (nilApp) Compute(*Task, [][]graph.V, *Ctx) bool { return false }
 func (nilApp) IsBig(*Task) bool                      { return false }
 
+// sharedApp is the application factory these tests hand a cluster:
+// every machine of a job runs the one app the test set, so the test
+// can read what the app gathered once the job is done. It ships no
+// result frame.
+type sharedApp struct {
+	mu  sync.Mutex
+	app App
+}
+
+func (s *sharedApp) newApp([]byte, int) (App, Config, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.app, Config{}, nil
+}
+
+func noResults(App) ([]byte, error) { return nil, nil }
+
+// localCluster is a local cluster whose jobs run a shared test app.
+type localCluster struct {
+	*Cluster
+	shared *sharedApp
+}
+
+// newTestCluster is newLocalCluster over a sharedApp factory.
+func newTestCluster(g *graph.Graph, cfg Config, wrap func(machine int, lb *loopback) Transport) (*localCluster, error) {
+	s := &sharedApp{}
+	c, err := newLocalCluster(g, cfg, s.newApp, noResults, wrap)
+	if err != nil {
+		return nil, err
+	}
+	return &localCluster{Cluster: c, shared: s}, nil
+}
+
+// run runs app as the cluster's next job.
+func (c *localCluster) run(ctx context.Context, app App) (*JobResult, error) {
+	c.shared.mu.Lock()
+	c.shared.app = app
+	c.shared.mu.Unlock()
+	return c.RunJob(ctx, nil)
+}
+
 // testCluster composes a local cluster over g that closes with the
 // test.
-func testCluster(t testing.TB, g *graph.Graph, cfg Config) *Cluster {
+func testCluster(t testing.TB, g *graph.Graph, cfg Config) *localCluster {
 	t.Helper()
-	c, err := NewLocalCluster(g, cfg)
+	c, err := newTestCluster(g, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +109,7 @@ func testCluster(t testing.TB, g *graph.Graph, cfg Config) *Cluster {
 // expects it to succeed.
 func mustRunApp(t testing.TB, g *graph.Graph, app App, cfg Config) *JobResult {
 	t.Helper()
-	res, err := testCluster(t, g, cfg).RunJob(context.Background(), Job{App: app})
+	res, err := testCluster(t, g, cfg).run(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
 	}

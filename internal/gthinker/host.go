@@ -33,17 +33,15 @@ type WorkerHostConfig struct {
 	// Empty means 127.0.0.1:0 (dynamic, reported on the ready line).
 	Addr string
 
-	// NewApp turns the coordinator's opaque spec into an application
-	// and the engine configuration it runs under. It is called at join
-	// for the configuration (which fixes the runtime's shape) and again
-	// at every run for that job's application. A worker process decodes
-	// the spec (cmd/qcworker wires the miner's decoder here); a machine
-	// living in the coordinator's process ignores it and returns the
-	// application value the Cluster was handed for the job.
+	// NewApp turns a job spec into the job's application and the
+	// engine configuration it runs under: the only way a job reaches a
+	// machine. It is called at every run for that job's application and,
+	// on a worker process, at join for the configuration (which fixes
+	// the runtime's shape); cmd/qcworker and an in-process cluster wire
+	// the miner's decoder here alike.
 	NewApp func(spec []byte, machines int) (App, Config, error)
 	// Results encodes the app's results for the machine's report at
-	// shutdown. Nil reports an empty frame: the caller shares the
-	// process and reads the application's state as Go values.
+	// shutdown: the only way a job's results leave a machine.
 	Results func(app App) ([]byte, error)
 
 	// Kill is invoked when the fault plan's kill directive fires on
@@ -53,6 +51,10 @@ type WorkerHostConfig struct {
 	// worker loss to the coordinator.
 	Kill func()
 
+	// presetCfg, when set, is the engine configuration the host runs
+	// under in place of the one NewApp derives from the join spec (an
+	// in-process cluster's machines share its config and spill root).
+	presetCfg *Config
 	// presetVerts hands the host a precomputed vertex partition (the
 	// in-process cluster partitions all machines in one pass); nil
 	// derives it from the ownership function at join.
@@ -98,8 +100,8 @@ func StartWorkerHost(hc WorkerHostConfig) (*WorkerHost, error) {
 	if hc.Graph == nil {
 		return nil, fmt.Errorf("gthinker: worker host needs a graph")
 	}
-	if hc.NewApp == nil {
-		return nil, fmt.Errorf("gthinker: worker host needs a NewApp factory")
+	if hc.NewApp == nil || hc.Results == nil {
+		return nil, fmt.Errorf("gthinker: worker host needs a NewApp factory and a Results encoder")
 	}
 	h := &WorkerHost{hc: hc, exitCh: make(chan struct{})}
 	addr := hc.Addr
@@ -204,12 +206,17 @@ func (h *WorkerHost) handleJoin(r joinRequest) error {
 }
 
 // build constructs the hosted runtime for a cluster of `machines` from
-// the engine configuration NewApp derives from spec. Caller holds h.mu
-// (or is the constructor).
+// the preset engine configuration or, without one, the configuration
+// NewApp derives from spec. Caller holds h.mu (or is the constructor).
 func (h *WorkerHost) build(machines int, spec []byte) error {
-	_, cfg, err := h.hc.NewApp(spec, machines)
-	if err != nil {
-		return err
+	var cfg Config
+	if h.hc.presetCfg != nil {
+		cfg = *h.hc.presetCfg
+	} else {
+		var err error
+		if _, cfg, err = h.hc.NewApp(spec, machines); err != nil {
+			return err
+		}
 	}
 	cfg.Machines = machines
 	cfg = cfg.withDefaults()
@@ -358,10 +365,8 @@ func (h *WorkerHost) handleShutdown(job uint64) (*MachineReport, error) {
 	if err := rt.Err(); err != nil {
 		rep.Failure = err.Error()
 	}
-	if h.hc.Results != nil {
-		if rep.Results, err = h.hc.Results(rt.jb().app); err != nil {
-			return nil, err
-		}
+	if rep.Results, err = h.hc.Results(rt.jb().app); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

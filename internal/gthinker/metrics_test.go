@@ -135,7 +135,7 @@ func TestScrapeAgreesAcrossEndpoints(t *testing.T) {
 		Machines: 2, WorkersPerMachine: 1, InProcessTCP: true,
 		SpillDir: t.TempDir(), statusHook: lv.Observe,
 	})
-	if _, err := c.RunJob(context.Background(), Job{App: &triApp{g: g}}); err != nil {
+	if _, err := c.run(context.Background(), &triApp{g: g}); err != nil {
 		t.Fatal(err)
 	}
 	key := func(s obs.Sample) string { return fmt.Sprint(s.Name, s.Labels) }

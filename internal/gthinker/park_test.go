@@ -92,7 +92,7 @@ func TestParkedWorkerWokenBySteal(t *testing.T) {
 	g := datagen.ErdosRenyi(40, 0.1, 3)
 	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir()})
 	app := newCountApp(nil)
-	rt, jb := startParked(t, c, 1, app)
+	rt, jb := startParked(t, c.Cluster, 1, app)
 	if !rt.quiescent(jb) {
 		t.Fatal("a machine that spawned nothing is not quiescent")
 	}
@@ -114,7 +114,7 @@ func TestParkedWorkerWokenByAdopt(t *testing.T) {
 	g := datagen.ErdosRenyi(60, 0.1, 5)
 	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir()})
 	app := newCountApp(func(graph.V) bool { return true })
-	rt, jb := startParked(t, c, 0, app)
+	rt, jb := startParked(t, c.Cluster, 0, app)
 	own := len(ownedVertices(g.NumVertices(), 2, 0))
 	app.awaitComputed(t, own, "own partition")
 
@@ -142,7 +142,7 @@ func TestParkedWorkerReleasedByStopAndFail(t *testing.T) {
 				// A held reply that is not released never returns.
 				StatusInterval: time.Hour, FrameTimeout: -1,
 			})
-			rt, jb := startParked(t, c, 0, newCountApp(nil))
+			rt, jb := startParked(t, c.Cluster, 0, newCountApp(nil))
 			jb.live.Add(1) // a task that never finishes: the machine stays busy
 			status := make(chan MachineStatus, 1)
 			go func() {
@@ -203,7 +203,7 @@ func TestParkedWorkerReleasedByCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RunJob(ctx, Job{App: app})
+		_, err := c.run(ctx, app)
 		done <- err
 	}()
 	rt := c.hosts[0].Runtime()
@@ -238,7 +238,7 @@ func TestParkedWorkerReleasedByCancel(t *testing.T) {
 func TestParkSeesTaskBehindMissedTryLock(t *testing.T) {
 	g := datagen.ErdosRenyi(20, 0.1, 3)
 	c := testCluster(t, g, Config{Machines: 1, WorkersPerMachine: 1, SpillDir: t.TempDir()})
-	rt := installJob(t, c, nilApp{})[0]
+	rt := installJob(t, c.Cluster, nilApp{})[0]
 	jb, w := rt.jb(), rt.workers[0]
 	jb.spawnCursor.Store(int64(len(rt.verts))) // the spawn scan is over
 
@@ -293,7 +293,7 @@ func TestNoLostWakeUnderContention(t *testing.T) {
 	g := datagen.ErdosRenyi(20, 0.1, 3)
 	c := testCluster(t, g, Config{Machines: 1, WorkersPerMachine: 4, SpillDir: t.TempDir()})
 	app := newCountApp(nil)
-	rt, jb := startParked(t, c, 0, app)
+	rt, jb := startParked(t, c.Cluster, 0, app)
 	const producers, each = 4, 500
 	for p := 0; p < producers; p++ {
 		go func(p int) {
@@ -329,7 +329,7 @@ func TestThousandShortJobsOneCluster(t *testing.T) {
 				for i := 0; i < jobs; i++ {
 					app := &fanApp{spawnDepth: 2, fanout: 2}
 					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-					_, err := c.RunJob(ctx, Job{App: app})
+					_, err := c.run(ctx, app)
 					cancel()
 					if err != nil {
 						t.Fatalf("job %d: %v", i, err)

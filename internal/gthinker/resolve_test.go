@@ -152,7 +152,7 @@ func newResolveFixture(t testing.TB, app App, cfg Config, wrap func(*loopback) T
 	t.Helper()
 	g := datagen.ErdosRenyi(400, 0.03, 5)
 	cfg.Machines, cfg.WorkersPerMachine, cfg.SpillDir = 3, 1, t.TempDir()
-	c, err := newLocalCluster(g, cfg, func(m int, lb *loopback) Transport {
+	c, err := newTestCluster(g, cfg, func(m int, lb *loopback) Transport {
 		if m == 0 && wrap != nil {
 			return wrap(lb)
 		}
@@ -162,7 +162,7 @@ func newResolveFixture(t testing.TB, app App, cfg Config, wrap func(*loopback) T
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	f := &resolveFixture{g: g, rt: installJob(t, c, app)[0]}
+	f := &resolveFixture{g: g, rt: installJob(t, c.Cluster, app)[0]}
 	f.jb, f.w = f.rt.jb(), f.rt.workers[0]
 	for v := 0; v < g.NumVertices(); v++ {
 		o := owner(graph.V(v), 3)
@@ -400,7 +400,7 @@ func TestResolveBatchFailureLeavesNoPins(t *testing.T) {
 // hit it ends with nothing pinned.
 func TestEngineTransportFailureMidBatch(t *testing.T) {
 	g := datagen.ErdosRenyi(300, 0.05, 7)
-	c, err := newLocalCluster(g, Config{Machines: 3, WorkersPerMachine: 1, SpillDir: t.TempDir()},
+	c, err := newTestCluster(g, Config{Machines: 3, WorkersPerMachine: 1, SpillDir: t.TempDir()},
 		func(_ int, lb *loopback) Transport {
 			return &secondOwnerFails{loopback: lb, first: -1}
 		})
@@ -408,7 +408,7 @@ func TestEngineTransportFailureMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.RunJob(context.Background(), Job{App: &hopApp{sums: make([]uint64, g.NumVertices())}})
+	_, err = c.run(context.Background(), &hopApp{sums: make([]uint64, g.NumVertices())})
 	if err == nil || !strings.Contains(err.Error(), errSecondOwner.Error()) {
 		t.Fatalf("RunJob err = %v, want the transport's failure", err)
 	}

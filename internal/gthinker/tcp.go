@@ -93,9 +93,9 @@ import (
 //	            table, workers u32 + that many busy u64s;
 //	            then u32-len spans as OTR1 [obs.Trace.walk] (empty unless
 //	            the job traces), then u32-len opaque app-level result
-//	            bytes (the miner's QRS2 quasi-clique sets). A failed
-//	            machine still reports its work; only a frame for
-//	            another job is answered with opError.
+//	            bytes (the miner's QRS3 quasi-clique sets and root
+//	            rows). A failed machine still reports its work; only a
+//	            frame for another job is answered with opError.
 //	opExit      payload: empty. reply: empty; the worker host's
 //	            WaitExit returns and the process terminates.
 //	opRecover   payload [RecoverDirective.walk]: dead u32, fallback

@@ -371,7 +371,7 @@ func TestTaskFrameBeforeFirstJob(t *testing.T) {
 		t.Fatalf("task frame to an idle machine: %v", err)
 	}
 	app := &triApp{g: g}
-	if _, err := c.RunJob(context.Background(), Job{App: app}); err != nil {
+	if _, err := c.run(context.Background(), app); err != nil {
 		t.Fatal(err)
 	}
 	if want := bruteTriangles(g); app.count.Load() != want {
@@ -385,7 +385,7 @@ func unjoinedHost(t *testing.T, g *graph.Graph) *WorkerHost {
 	t.Helper()
 	h, err := StartWorkerHost(WorkerHostConfig{Graph: g, NewApp: func([]byte, int) (App, Config, error) {
 		return nilApp{}, Config{WorkersPerMachine: 1, SpillDir: t.TempDir()}, nil
-	}})
+	}, Results: noResults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestHostRefusesDataBeforeJoin(t *testing.T) {
 func TestHostOneAddressServesEveryOp(t *testing.T) {
 	g := datagen.ErdosRenyi(60, 0.1, 7)
 	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 1, InProcessTCP: true, SpillDir: t.TempDir()})
-	rts := installJob(t, c, nilApp{})
+	rts := installJob(t, c.Cluster, nilApp{})
 	addr := c.hosts[1].Addr()
 
 	ctl := &ClusterClient{pool: newConnPool([]string{addr})}
@@ -507,7 +507,7 @@ func TestHostOneAddressServesEveryOp(t *testing.T) {
 func TestShutdownRefusesOtherJob(t *testing.T) {
 	g := datagen.ErdosRenyi(60, 0.1, 7)
 	c := testCluster(t, g, Config{Machines: 2, WorkersPerMachine: 1, InProcessTCP: true, SpillDir: t.TempDir()})
-	installJob(t, c, nilApp{})
+	installJob(t, c.Cluster, nilApp{})
 	ctl := c.ctl.(*ClusterClient)
 	ctl.job.Store(1)
 	if rep, err := ctl.Shutdown(1); err == nil || !strings.Contains(err.Error(), "is on job 0, not job 1") {
@@ -553,7 +553,7 @@ func TestEngineTCPTransport(t *testing.T) {
 		}
 	}()
 	app := &triApp{g: g}
-	c, err := newLocalCluster(g, Config{
+	c, err := newTestCluster(g, Config{
 		Machines: machines, WorkersPerMachine: 2, SpillDir: t.TempDir(),
 	}, func(int, *loopback) Transport {
 		tr := NewTCPTransport(addrs, g.NumVertices())
@@ -564,7 +564,7 @@ func TestEngineTCPTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	res, err := c.RunJob(context.Background(), Job{App: app})
+	res, err := c.run(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
 	}

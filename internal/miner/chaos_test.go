@@ -1,7 +1,9 @@
 package miner
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,11 +43,11 @@ func chaosGraph(t *testing.T) (*graph.Graph, [][]graph.V) {
 // is set and direct calls otherwise, under the given fault plan with a
 // hang guard: a seeded plan must end in bit-identical results or a
 // clean error — never a stall past the frame deadlines.
-func chaosMine(t *testing.T, g *graph.Graph, plan string, tcp bool) (*Result, error) {
+func chaosMine(t *testing.T, g *graph.Graph, plan string, tcp bool, strategy Strategy) (*Result, error) {
 	t.Helper()
 	cfg := Config{
 		Params:  quasiclique.Params{Gamma: 0.8, MinSize: 7},
-		TauTime: time.Nanosecond, TauSplit: 4,
+		TauTime: time.Nanosecond, TauSplit: 4, Strategy: strategy,
 	}
 	ecfg := gthinker.Config{
 		Machines: 2, WorkersPerMachine: 2, SpillDir: t.TempDir(),
@@ -91,7 +93,7 @@ func TestMineChaosMatrix(t *testing.T) {
 	for _, plan := range plans {
 		plan := plan
 		t.Run(fmt.Sprintf("plan=%q", plan), func(t *testing.T) {
-			res, err := chaosMine(t, g, plan, true)
+			res, err := chaosMine(t, g, plan, true, TimeDelayed)
 			if err != nil {
 				// A fault landing on a non-idempotent frame (join, steal,
 				// shutdown) aborts the run cleanly: acceptable, as long as
@@ -116,15 +118,22 @@ func TestMineChaosMatrix(t *testing.T) {
 // adopts its partitions — the run MUST complete with results
 // bit-identical to the serial miner, counting exactly one recovery.
 // Both in-process compositions run the kill: qcmine -machines N
-// -faultplan reaches its machines by direct calls.
+// -faultplan reaches its machines by direct calls. Under SizeThreshold
+// a task's emissions and subtasks depend only on the task, so the
+// recovered run must also count what a fault-free run counts: the dead
+// machine's partial work drops with its report.
 func TestMineChaosKillRecovers(t *testing.T) {
 	g, want := chaosGraph(t)
 	for _, tc := range []struct {
-		name string
-		tcp  bool
-	}{{"direct", false}, {"tcp", true}} {
+		name     string
+		tcp      bool
+		strategy Strategy
+	}{
+		{"direct", false, TimeDelayed}, {"tcp", true, TimeDelayed},
+		{"direct/size-threshold", false, SizeThreshold}, {"tcp/size-threshold", true, SizeThreshold},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := chaosMine(t, g, "5:kill=1@2", tc.tcp)
+			res, err := chaosMine(t, g, "5:kill=1@2", tc.tcp, tc.strategy)
 			if err != nil {
 				t.Fatalf("run did not survive the worker kill: %v", err)
 			}
@@ -138,6 +147,46 @@ func TestMineChaosKillRecovers(t *testing.T) {
 					met.Recoveries, met.DeadMachines)
 			}
 			t.Logf("survived kill: %v", met)
+			if tc.strategy == SizeThreshold {
+				clean, err := chaosMine(t, g, "", tc.tcp, tc.strategy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameWork(t, res, clean)
+			}
 		})
+	}
+}
+
+// rootWork is what a run did for one root task, timing aside.
+type rootWork struct {
+	Root              graph.V
+	SubSize, Subtasks int
+}
+
+// workByRoot lists a run's per-root rows in root order; a run that
+// reports none fails t.
+func workByRoot(t *testing.T, res *Result) []rootWork {
+	t.Helper()
+	var out []rootWork
+	for _, s := range res.Recorder.PerRoot() {
+		out = append(out, rootWork{s.Root, s.SubSize, s.Subtasks})
+	}
+	if len(out) == 0 {
+		t.Fatal("the run reported no per-root rows")
+	}
+	slices.SortFunc(out, func(a, b rootWork) int { return cmp.Compare(a.Root, b.Root) })
+	return out
+}
+
+// assertSameWork fails t unless got counted want's candidate emissions
+// and did want's work for every root.
+func assertSameWork(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.Candidates != want.Candidates {
+		t.Fatalf("%d candidates, want %d", got.Candidates, want.Candidates)
+	}
+	if g, w := workByRoot(t, got), workByRoot(t, want); !slices.Equal(g, w) {
+		t.Fatalf("per-root work differs: %d roots, want %d", len(g), len(w))
 	}
 }

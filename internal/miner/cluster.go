@@ -1,8 +1,8 @@
-// Multi-process deployment glue: the app-level halves of the cluster
-// protocol. The gthinker control plane ships two opaque byte blobs —
-// the job spec a coordinator hands every worker at join and with each
-// run, and the result set a worker reports at shutdown — and
-// this file owns both encodings for the quasi-clique miner, plus the
+// Cluster glue: the app-level halves of the cluster protocol. The
+// gthinker control plane ships two opaque byte blobs — the job spec
+// every machine builds its app from, and the result frame it reports
+// at shutdown — and this file owns both encodings for the quasi-clique
+// miner, the factory and encoder every machine runs, the
 // worker-process entry point (cmd/qcworker) and the one-shot MineProcs.
 package miner
 
@@ -16,6 +16,7 @@ import (
 
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/gthinker"
+	"gthinkerqc/internal/metrics"
 	"gthinkerqc/internal/quasiclique"
 	"gthinkerqc/internal/store"
 )
@@ -76,41 +77,93 @@ func DecodeJobSpec(data []byte) (cfg Config, ecfg gthinker.Config, err error) {
 	return cfg, ecfg, err
 }
 
-// resultsFields is the QRS2 layout of the result frame in one
-// machine's shutdown report:
-// the sets it ships and, next to them, how many candidates its workers
-// emitted — the shipped sets are survivors of the machine's own
-// filter, so the count cannot be recovered from them.
-func resultsFields(w *store.Walker, sets *[][]graph.V, emitted *int64) {
-	w.Const("QRS2", "results version")
+// resultsFields is the QRS3 layout of the result frame in one
+// machine's shutdown report: how many candidates its workers emitted
+// (the sets are survivors of the machine's own filter, so the count
+// cannot be recovered from them), the sets, and one row per root task
+// it worked on: root, subgraph size, mining ns, materialize ns,
+// subtasks.
+func resultsFields(w *store.Walker, sets *[][]graph.V, emitted *int64, roots *[]metrics.RootStat) {
+	w.Const("QRS3", "results version")
 	store.U64(w, emitted)
 	store.Slice(w, sets, math.MaxInt32, 4, func(s *[]graph.V) {
 		w.U32s(s, w.Count(len(*s), math.MaxInt32, 4))
 	})
+	store.Slice(w, roots, math.MaxInt32, 28, func(r *metrics.RootStat) {
+		store.U32(w, &r.Root)
+		store.U32(w, &r.SubSize)
+		store.U64(w, &r.Mining)
+		store.U64(w, &r.Materialize)
+		store.U32(w, &r.Subtasks)
+	})
 }
 
 // AppendResults encodes one machine's result frame.
-func AppendResults(dst []byte, sets [][]graph.V, emitted int64) []byte {
-	return store.Encode(dst, func(w *store.Walker) { resultsFields(w, &sets, &emitted) })
+func AppendResults(dst []byte, sets [][]graph.V, emitted int64, roots []metrics.RootStat) []byte {
+	return store.Encode(dst, func(w *store.Walker) { resultsFields(w, &sets, &emitted, &roots) })
 }
 
-// DecodeResults reverses AppendResults.
-func DecodeResults(data []byte) (sets [][]graph.V, emitted int64, err error) {
-	err = store.Decode(data, "QRS2 results", func(w *store.Walker) { resultsFields(w, &sets, &emitted) })
-	return sets, emitted, err
+// DecodeResults reverses AppendResults for a graph of numVerts
+// vertices. A frame is refused if a set is not strictly ascending, or
+// a set member, a root or a subgraph size lies past the graph.
+func DecodeResults(data []byte, numVerts int) (sets [][]graph.V, emitted int64, roots []metrics.RootStat, err error) {
+	err = store.Decode(data, "QRS3 results", func(w *store.Walker) { resultsFields(w, &sets, &emitted, &roots) })
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	for i, s := range sets {
+		for j, v := range s {
+			if int(v) >= numVerts || j > 0 && v <= s[j-1] {
+				return nil, 0, nil, fmt.Errorf("QRS3 results: set %d is not strictly ascending below |V| = %d", i, numVerts)
+			}
+		}
+	}
+	for _, r := range roots {
+		if int(r.Root) >= numVerts || r.SubSize > numVerts {
+			return nil, 0, nil, fmt.Errorf("QRS3 results: root %d with a %d-vertex subgraph lies past |V| = %d", r.Root, r.SubSize, numVerts)
+		}
+	}
+	return sets, emitted, roots, nil
 }
 
-// workerResults finalizes one worker process's collectors — so unless
-// the job skips the filter, only the sets that are maximal on this
-// machine travel; the coordinator filters the union — and encodes them
-// with the machine's emission count.
+// workerResults is every machine's report encoder: it finalizes its
+// workers' finds — so unless the job skips the filter, only the sets
+// maximal on this machine travel; the coordinator filters the union —
+// and encodes them with the machine's emissions and per-root rows.
 func workerResults(a gthinker.App) ([]byte, error) {
 	ma, ok := a.(*app)
 	if !ok {
 		return nil, fmt.Errorf("miner: results requested from %T", a)
 	}
-	parts, emitted := ma.collected()
-	return AppendResults(nil, quasiclique.Finalize(parts, ma.cfg.Options.SkipMaximalityFilter), emitted), nil
+	var parts [][][]graph.V
+	var emitted int64
+	for _, col := range ma.collectors {
+		if sets := col.Sets(); len(sets) > 0 { // slots of other machines' workers stay empty
+			parts = append(parts, sets)
+		}
+		emitted += col.Emitted()
+	}
+	return AppendResults(nil, quasiclique.Finalize(parts, ma.cfg.Options.SkipMaximalityFilter), emitted, ma.rec.PerRoot()), nil
+}
+
+// appFactory is every machine's application factory, in a worker
+// process and in the coordinator's process alike: it decodes the job
+// spec, validates it, and builds the job's app over g.
+func appFactory(g *graph.Graph) func(spec []byte, machines int) (gthinker.App, gthinker.Config, error) {
+	return func(spec []byte, machines int) (gthinker.App, gthinker.Config, error) {
+		cfg, ecfg, err := DecodeJobSpec(spec)
+		if err == nil {
+			cfg, err = ValidateJob(cfg)
+		}
+		if err != nil {
+			return nil, gthinker.Config{}, err
+		}
+		// A spec that leaves Machines at its default names one machine.
+		if max(ecfg.Machines, 1) != machines {
+			return nil, gthinker.Config{}, fmt.Errorf("miner: job spec names %d machines, join %d", ecfg.Machines, machines)
+		}
+		return newApp(g, cfg, ecfg.TotalWorkers()), ecfg, nil
+	}
 }
 
 // HostWorker loads the graph file, validates it against the manifest,
@@ -145,21 +198,8 @@ func HostWorker(graphPath, manifestPath string, machineID int) (*gthinker.Worker
 		Machines:  len(man.Machines),
 		Addr:      man.Machines[machineID].Addr,
 		Kill:      func() { os.Exit(137) },
-		NewApp: func(specBytes []byte, machines int) (gthinker.App, gthinker.Config, error) {
-			cfg, ecfg, err := DecodeJobSpec(specBytes)
-			if err != nil {
-				return nil, gthinker.Config{}, err
-			}
-			if err := cfg.Params.Validate(); err != nil {
-				return nil, gthinker.Config{}, err
-			}
-			if ecfg.Machines != machines {
-				return nil, gthinker.Config{}, fmt.Errorf("miner: job spec names %d machines, join %d", ecfg.Machines, machines)
-			}
-			cfg = cfg.withDefaults()
-			return newApp(g, cfg, ecfg.TotalWorkers()), ecfg, nil
-		},
-		Results: workerResults,
+		NewApp:    appFactory(g),
+		Results:   workerResults,
 	})
 	if err != nil {
 		mg.Close()

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/hex"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/gthinker"
+	"gthinkerqc/internal/metrics"
 	"gthinkerqc/internal/quasiclique"
 )
 
@@ -87,7 +87,7 @@ func TestJobSpecGolden(t *testing.T) {
 	}
 }
 
-// TestWireGolden pins the QRS2 bytes a qcworker ships back after a job.
+// TestWireGolden pins the QRS3 bytes a machine ships back after a job.
 // Each row must encode to its bytes and decode back to its value (the
 // QJS5 job spec has its own golden test above).
 func TestWireGolden(t *testing.T) {
@@ -95,54 +95,56 @@ func TestWireGolden(t *testing.T) {
 		name    string
 		sets    [][]graph.V
 		emitted int64
+		roots   []metrics.RootStat
 		hex     string
 	}{
-		{"empty", [][]graph.V{}, 0, "51525332" + "0000000000000000" + "00000000"},
-		{"sets", [][]graph.V{{1, 2, 3}, {7, 1 << 31}, {}}, 1<<40 + 5, "51525332" + "0500000000010000" + "03000000" +
-			"03000000" + "01000000" + "02000000" + "03000000" + "02000000" + "07000000" + "00000080" + "00000000"},
+		{"empty", [][]graph.V{}, 0, []metrics.RootStat{}, "51525333" + "0000000000000000" + "00000000" + "00000000"},
+		{"sets", [][]graph.V{{1, 2, 3}, {7, 1 << 31}, {}}, 1<<40 + 5,
+			[]metrics.RootStat{{Root: 9, SubSize: 40, Mining: 1500, Materialize: 2, Subtasks: 3}},
+			"51525333" + "0500000000010000" + "03000000" +
+				"03000000" + "01000000" + "02000000" + "03000000" + "02000000" + "07000000" + "00000080" + "00000000" +
+				"01000000" + "09000000" + "28000000" + "dc05000000000000" + "0200000000000000" + "03000000"},
 	} {
-		if got := hex.EncodeToString(AppendResults(nil, tc.sets, tc.emitted)); got != tc.hex {
-			t.Errorf("%s: QRS2 bytes changed:\n got  %s\n want %s", tc.name, got, tc.hex)
+		if got := hex.EncodeToString(AppendResults(nil, tc.sets, tc.emitted, tc.roots)); got != tc.hex {
+			t.Errorf("%s: QRS3 bytes changed:\n got  %s\n want %s", tc.name, got, tc.hex)
 		}
 		data, _ := hex.DecodeString(tc.hex)
-		sets, emitted, err := DecodeResults(data)
-		if err != nil || emitted != tc.emitted || len(sets) != len(tc.sets) {
-			t.Fatalf("%s: golden bytes decode to %v, %d, %v", tc.name, sets, emitted, err)
-		}
-		for i := range sets {
-			if !slices.Equal(sets[i], tc.sets[i]) {
-				t.Errorf("%s: set %d decodes to %v, want %v", tc.name, i, sets[i], tc.sets[i])
-			}
+		sets, emitted, roots, err := DecodeResults(data, 1<<32)
+		if err != nil || emitted != tc.emitted || !reflect.DeepEqual(sets, tc.sets) || !reflect.DeepEqual(roots, tc.roots) {
+			t.Fatalf("%s: golden bytes decode to %v, %d, %v, %v", tc.name, sets, emitted, roots, err)
 		}
 	}
 }
 
+// TestResultsRoundTrip: a frame decodes to what was encoded, and a
+// frame that is truncated, padded, of another version, or names a set
+// or a root the coordinator's graph of |V| = 10 cannot hold is refused
+// — before Finalize indexes by its members.
 func TestResultsRoundTrip(t *testing.T) {
+	const numVerts = 10
 	sets := [][]graph.V{{1, 2, 3}, {7, 9}, {}}
-	got, emitted, err := DecodeResults(AppendResults(nil, sets, 1<<40+5))
+	roots := []metrics.RootStat{{Root: 9, SubSize: 10, Mining: time.Second, Materialize: time.Millisecond, Subtasks: 4}, {Root: 0}}
+	got, emitted, gotRoots, err := DecodeResults(AppendResults(nil, sets, 1<<40+5, roots), numVerts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if emitted != 1<<40+5 {
-		t.Fatalf("emission count came back as %d", emitted)
+	if emitted != 1<<40+5 || !reflect.DeepEqual(got, sets) || !reflect.DeepEqual(gotRoots, roots) {
+		t.Fatalf("round trip: %v, %d, %v", got, emitted, gotRoots)
 	}
-	if len(got) != len(sets) {
-		t.Fatalf("%d sets, want %d", len(got), len(sets))
+	data := AppendResults(nil, sets, 3, roots)
+	bad := [][]byte{{}, data[:3], data[:9], data[:len(data)-2], append(append([]byte{}, data...), 1), []byte("QRS9....")}
+	for _, set := range [][]graph.V{{9, 1}, {2, 9, 1}, {1, 4294967295}, {1, 1, 2}, {10}} {
+		bad = append(bad, AppendResults(nil, [][]graph.V{{1, 2}, set}, 2, nil))
 	}
-	for i := range sets {
-		if len(got[i]) != len(sets[i]) {
-			t.Fatalf("set %d corrupted: %v vs %v", i, got[i], sets[i])
-		}
-		for j := range sets[i] {
-			if got[i][j] != sets[i][j] {
-				t.Fatalf("set %d corrupted: %v vs %v", i, got[i], sets[i])
-			}
-		}
+	for _, r := range []metrics.RootStat{{Root: 10}, {Root: 4294967295}, {Root: 1, SubSize: 11}} {
+		bad = append(bad, AppendResults(nil, sets, 2, []metrics.RootStat{r}))
 	}
-	data := AppendResults(nil, sets, 3)
-	for _, bad := range [][]byte{{}, data[:3], data[:9], data[:len(data)-2], append(append([]byte{}, data...), 1), []byte("QRS9....")} {
-		if _, _, err := DecodeResults(bad); err == nil {
-			t.Fatalf("corrupt results of %d bytes accepted", len(bad))
+	stale := append([]byte{}, data...)
+	stale[3] = '2' // the version before root rows
+	bad = append(bad, stale)
+	for i, b := range bad {
+		if _, _, _, err := DecodeResults(b, numVerts); err == nil {
+			t.Fatalf("corrupt results frame %d (%d bytes) accepted", i, len(b))
 		}
 	}
 }
@@ -171,16 +173,20 @@ func FuzzDecodeJobSpec(f *testing.F) {
 }
 
 func FuzzDecodeResults(f *testing.F) {
-	f.Add(AppendResults(nil, [][]graph.V{{1, 2, 3}, {}, {9}}, 7))
-	f.Add(append([]byte("QRS2"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff))
+	f.Add(AppendResults(nil, [][]graph.V{{1, 2, 3}, {}, {9}}, 7, []metrics.RootStat{{Root: 3, SubSize: 5, Mining: 9, Subtasks: 1}}))
+	f.Add(append([]byte("QRS3"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff))
+	for _, set := range [][]graph.V{{9, 1}, {2, 9, 1}, {1, 4294967295}, {1, 1, 2}} {
+		f.Add(AppendResults(nil, [][]graph.V{set}, 1, nil))
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sets, emitted, err := DecodeResults(data)
+		sets, emitted, roots, err := DecodeResults(data, 10)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(AppendResults(nil, sets, emitted), data) {
+		if !bytes.Equal(AppendResults(nil, sets, emitted, roots), data) {
 			t.Fatal("accepted results frame does not re-encode to itself")
 		}
+		quasiclique.Finalize([][][]graph.V{sets}, false) // must not panic
 	})
 }

@@ -74,8 +74,8 @@ type Result struct {
 	Cliques [][]graph.V
 	// Candidates counts candidate emissions, repeats included: what
 	// the search produced before any deduplication or filtering, summed
-	// over workers (and, on a process cluster, carried in each
-	// machine's results frame next to the sets it ships). It is
+	// over the machines that finished the job (each carries its count
+	// in its result frame next to the sets it ships). It is
 	// quasiclique.MineStats.Candidates for the same search; a search
 	// that decomposes tasks emits more, because the parent of an
 	// offloaded subtree cannot wait to learn whether the subtree found
@@ -85,7 +85,8 @@ type Result struct {
 	// stealing, per-worker busy time).
 	Engine *gthinker.Metrics
 	// Recorder exposes per-root mining/materialization accounting
-	// (Figures 1–3, Table 6).
+	// (Figures 1–3, Table 6), merged from the surviving machines'
+	// result frames: the largest SubSize, the other fields summed.
 	Recorder *metrics.Recorder
 	// Trace is the merged cluster span timeline when the engine config
 	// asked for tracing (gthinker.Config.Trace); nil otherwise. Export

@@ -146,24 +146,31 @@ func TestPreFilteredResultsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerShipsSurvivorsOnly drives the worker half of the cluster
-// protocol on a finished app: the results frame holds exactly the sets
-// that are maximal among this machine's candidates, fewer than it
-// collected, with the emission count beside them; with the filter
-// skipped it holds every distinct candidate.
+// TestWorkerShipsSurvivorsOnly drives the machine half of the cluster
+// protocol: the result frame in the shutdown report holds exactly the
+// sets that are maximal among this machine's candidates, fewer than it
+// collected, with the emission count and the per-root rows beside
+// them; with the filter skipped it holds every distinct candidate.
 func TestWorkerShipsSurvivorsOnly(t *testing.T) {
 	g := sessionTestGraph(t)
+	ecfg := gthinker.Config{Machines: 1, WorkersPerMachine: 3}
 	for _, skip := range []bool{false, true} {
 		cfg := Config{
 			Params: quasiclique.Params{Gamma: 0.8, MinSize: 7}, TauTime: time.Nanosecond, TauSplit: 4,
 			Options: quasiclique.Options{SkipMaximalityFilter: skip},
 		}
-		a := newApp(g, cfg, 3)
-		cluster, err := gthinker.NewLocalCluster(g, gthinker.Config{Machines: 1, WorkersPerMachine: 3})
+		// The machine's own factory, keeping the app it builds.
+		var a *app
+		newApp := func(spec []byte, machines int) (gthinker.App, gthinker.Config, error) {
+			ga, c, err := appFactory(g)(spec, machines)
+			a, _ = ga.(*app)
+			return ga, c, err
+		}
+		cluster, err := gthinker.NewLocalCluster(g, ecfg, newApp, workerResults)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = cluster.RunJob(context.Background(), gthinker.Job{App: a})
+		out, err := cluster.RunJob(context.Background(), AppendJobSpec(nil, cfg, ecfg))
 		cluster.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -177,16 +184,15 @@ func TestWorkerShipsSurvivorsOnly(t *testing.T) {
 		survivors := quasiclique.FilterMaximal(all)
 		distinct := quasiclique.Finalize([][][]graph.V{append([][]graph.V(nil), all...)}, true)
 
-		frame, err := workerResults(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shipped, count, err := DecodeResults(frame)
+		shipped, count, roots, err := DecodeResults(out.Results[0], g.NumVertices())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if count != emitted {
 			t.Fatalf("skip=%v: frame carries %d emissions, collectors counted %d", skip, count, emitted)
+		}
+		if n := len(a.rec.PerRoot()); len(roots) != n || n == 0 {
+			t.Fatalf("skip=%v: frame carries %d root rows, the recorder holds %d", skip, len(roots), n)
 		}
 		want := survivors
 		if skip {

@@ -79,12 +79,15 @@ func writeProcsGraph(t *testing.T, dir string) (*graph.Graph, string) {
 }
 
 // TestMineProcsWorkerKilledRecovers is the worker-loss end-to-end: a
-// 4-process cluster whose job spec carries a fault plan that kills one
-// worker process (hard exit 137) mid-run. The coordinator must detect
-// the loss, hand the dead machine's partition to a survivor, and finish
-// with results bit-identical to the serial miner. Before recovery
-// landed, the first failed status poll aborted the whole run — this
-// test is the regression gate for that behavior.
+// cluster of worker processes whose job spec carries a fault plan that
+// kills one worker process (hard exit 137) mid-run. The coordinator
+// must detect the loss, hand the dead machine's partition to a
+// survivor, and finish with results bit-identical to the serial miner.
+// Before recovery landed, the first failed status poll aborted the
+// whole run — this test is the regression gate for that behavior.
+// Under SizeThreshold the recovered run must also count what a
+// fault-free run counts, as TestMineChaosKillRecovers asks of the
+// in-process compositions.
 func TestMineProcsWorkerKilledRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
@@ -92,18 +95,6 @@ func TestMineProcsWorkerKilledRecovers(t *testing.T) {
 	dir := t.TempDir()
 	g, graphPath := writeProcsGraph(t, dir)
 	par := quasiclique.Params{Gamma: 0.8, MinSize: 7}
-	cfg := Config{Params: par, TauTime: time.Nanosecond, TauSplit: 4}
-	ecfg := gthinker.Config{
-		Machines: 4, WorkersPerMachine: 2,
-		StatusInterval: time.Millisecond,
-		DeadAfterPolls: 3,
-		FrameTimeout:   5 * time.Second,
-		// Kill machine 1 on its 2nd status poll that observed mining
-		// (a busy machine answers one per StatusInterval; the job lasts
-		// tens of them).
-		FaultSpec: "9:kill=1@2",
-	}
-
 	serial, _, err := quasiclique.MineGraph(g, par, quasiclique.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,34 +102,62 @@ func TestMineProcsWorkerKilledRecovers(t *testing.T) {
 	if len(serial) == 0 {
 		t.Fatal("planted graph yields no results; parameters are wrong")
 	}
+	mine := func(cfg Config, ecfg gthinker.Config) *Result {
+		t.Helper()
+		done := make(chan struct{})
+		var res *Result
+		go func() {
+			defer close(done)
+			res, err = MineProcs(context.Background(), cfg, ecfg, ProcsConfig{
+				GraphPath: graphPath,
+				Command:   helperWorkerCommand(graphPath),
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(120 * time.Second):
+			t.Fatal("coordinator hung on a dead worker")
+		}
+		if err != nil {
+			t.Fatalf("plan %q: %v", ecfg.FaultSpec, err)
+		}
+		if !quasiclique.SetsEqual(res.Cliques, serial) {
+			t.Fatalf("plan %q: results diverge from serial: %d vs %d cliques",
+				ecfg.FaultSpec, len(res.Cliques), len(serial))
+		}
+		return res
+	}
 
-	done := make(chan struct{})
-	var res *Result
-	go func() {
-		defer close(done)
-		res, err = MineProcs(context.Background(), cfg, ecfg, ProcsConfig{
-			GraphPath: graphPath,
-			Command:   helperWorkerCommand(graphPath),
+	for _, tc := range []struct {
+		name     string
+		machines int
+		strategy Strategy
+	}{{"4x2", 4, TimeDelayed}, {"2x2/size-threshold", 2, SizeThreshold}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Params: par, TauTime: time.Nanosecond, TauSplit: 4, Strategy: tc.strategy}
+			ecfg := gthinker.Config{
+				Machines: tc.machines, WorkersPerMachine: 2,
+				StatusInterval: time.Millisecond,
+				DeadAfterPolls: 3,
+				FrameTimeout:   5 * time.Second,
+				// Kill machine 1 on its 2nd status poll that observed
+				// mining (a busy machine answers one per StatusInterval;
+				// the job lasts tens of them).
+				FaultSpec: "9:kill=1@2",
+			}
+			res := mine(cfg, ecfg)
+			met := res.Engine
+			if met.DeadMachines != 1 || met.Recoveries != 1 {
+				t.Fatalf("want exactly one recovered loss, got dead=%d recoveries=%d",
+					met.DeadMachines, met.Recoveries)
+			}
+			t.Logf("recovered run: %v", met)
+			if tc.strategy == SizeThreshold {
+				ecfg.FaultSpec = ""
+				assertSameWork(t, res, mine(cfg, ecfg))
+			}
 		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(120 * time.Second):
-		t.Fatal("coordinator hung on a dead worker")
 	}
-	if err != nil {
-		t.Fatalf("run did not survive the worker kill: %v", err)
-	}
-	if !quasiclique.SetsEqual(res.Cliques, serial) {
-		t.Fatalf("post-recovery results diverge from serial: %d vs %d cliques",
-			len(res.Cliques), len(serial))
-	}
-	met := res.Engine
-	if met.DeadMachines != 1 || met.Recoveries != 1 {
-		t.Fatalf("want exactly one recovered loss, got dead=%d recoveries=%d",
-			met.DeadMachines, met.Recoveries)
-	}
-	t.Logf("recovered run: %v", met)
 }
 
 // TestMineProcsKeptManifest is the process leg of

@@ -7,8 +7,9 @@
 // the machines live: NewSession puts them in this process (reached by
 // direct calls, or over loopback sockets with Config.InProcessTCP),
 // StartProcsPool in qcworker child processes. After that a job takes
-// the same path everywhere: gthinker.Cluster.RunJob runs it, and Mine
-// finalizes what the workers collected. The one-shot entry points
+// the same path everywhere: every machine builds its application from
+// the job's spec, gthinker.Cluster.RunJob runs it, and Mine merges the
+// result frames the survivors report. The one-shot entry points
 // (MineContext, MineProcs) open a session, run one job, and close it.
 package miner
 
@@ -57,11 +58,11 @@ var ErrSessionClosed = errors.New("miner: session is closed")
 // queues overlapping submissions in front of one).
 type Session struct {
 	ecfg gthinker.Config
-	// g is the graph when the machines live in this process: every job
-	// then runs ONE application value shared by all of them, and its
-	// results are read from it directly. Nil when the machines are
-	// worker processes, which get a job spec and ship result frames.
+	// g is the graph the first Mine composes an in-process cluster
+	// over; nil when the machines are worker processes.
 	g *graph.Graph
+	// numVerts is |V|, which bounds every vertex a result frame names.
+	numVerts int
 	// cleanup runs after the cluster has closed (the pool's deployment
 	// manifest); nil when there is nothing besides the cluster.
 	cleanup func()
@@ -81,15 +82,7 @@ type ProcsPool = Session
 // in each Mine call's Config. The cluster is composed by the first
 // Mine.
 func NewSession(g *graph.Graph, ecfg gthinker.Config) *Session {
-	return &Session{g: g, ecfg: ecfg}
-}
-
-// bootstrapSpec is the spec workers receive at join, before any real
-// query exists: it carries the cluster's engine shape (which IS fixed
-// at join) plus the loosest valid mining parameters. Every job
-// delivers its own spec with opRun.
-func bootstrapSpec(ecfg gthinker.Config) []byte {
-	return AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 1, MinSize: 2}}, ecfg)
+	return &Session{g: g, numVerts: g.NumVertices(), ecfg: ecfg}
 }
 
 // procsTimeout bounds a procs pool's worker startup (the ready line)
@@ -137,7 +130,7 @@ func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) 
 	}
 	manifestPath := mf.Name()
 	mf.Close()
-	s := &Session{ecfg: ecfg, cleanup: func() {
+	s := &Session{ecfg: ecfg, numVerts: man.NumVertices, cleanup: func() {
 		if pcfg.ManifestDir == "" {
 			os.Remove(manifestPath)
 		}
@@ -151,7 +144,10 @@ func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) 
 		return pcfg.Command(machine, manifestPath)
 	}, procsTimeout)
 	if err == nil {
-		s.cluster, err = gthinker.StartProcsCluster(ecfg, procs, man.NumVertices, man.NumEdges, bootstrapSpec(ecfg), procsTimeout)
+		// The join spec fixes the engine shape, with the loosest valid
+		// mining parameters: every job delivers its own spec with opRun.
+		boot := AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 1, MinSize: 2}}, ecfg)
+		s.cluster, err = gthinker.StartProcsCluster(ecfg, procs, man.NumVertices, man.NumEdges, boot, procsTimeout)
 	}
 	if err != nil {
 		s.cleanup()
@@ -179,55 +175,48 @@ func (s *Session) Mine(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, ErrSessionClosed
 	}
 	if s.cluster == nil {
-		if s.cluster, err = gthinker.NewLocalCluster(s.g, s.ecfg); err != nil {
+		if s.cluster, err = gthinker.NewLocalCluster(s.g, s.ecfg, appFactory(s.g), workerResults); err != nil {
 			return nil, err
 		}
-	}
-	var job gthinker.Job
-	var local *app
-	if s.g != nil {
-		local = newApp(s.g, cfg, s.ecfg.TotalWorkers())
-		job.App = local
-	} else {
-		job.Spec = AppendJobSpec(nil, cfg, s.ecfg)
 	}
 	if cfg.TimeBudget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.TimeBudget)
 		defer cancel()
 	}
-	out, runErr := s.cluster.RunJob(ctx, job)
+	out, runErr := s.cluster.RunJob(ctx, AppendJobSpec(nil, cfg, s.ecfg))
 	if out == nil {
 		return nil, runErr
 	}
 
-	// What the workers collected: one part per worker of the shared
-	// application, or — from worker processes, where per-root recorder
-	// data stays behind and each machine already filtered its own
-	// workers' finds — the union of the machines' frames as one part.
+	// What the surviving machines reported: each one's survivors of its
+	// own filter, its emission count and its per-root rows. A machine
+	// the job lost reported nothing, so its partial work drops with it.
 	res := &Result{Engine: out.Metrics, Trace: out.Trace, Recorder: metrics.NewRecorder()}
-	var parts [][][]graph.V
-	var emitted int64
-	if local != nil {
-		parts, emitted = local.collected()
-		res.Recorder = local.rec
-	} else {
-		var union [][]graph.V
-		for m, frame := range out.Results {
-			if len(frame) == 0 {
-				continue // a machine the job lost
-			}
-			sets, n, err := DecodeResults(frame)
-			if err != nil {
-				return nil, fmt.Errorf("miner: results from machine %d: %w", m, err)
-			}
-			union = append(union, sets...)
-			emitted += n
+	var union [][]graph.V
+	reported := 0
+	for m, frame := range out.Results {
+		if frame == nil {
+			continue
 		}
-		parts = [][][]graph.V{union}
+		sets, emitted, roots, err := DecodeResults(frame, s.numVerts)
+		if err != nil {
+			return nil, fmt.Errorf("miner: results from machine %d: %w", m, err)
+		}
+		union = append(union, sets...)
+		res.Candidates += int(emitted)
+		for _, r := range roots {
+			res.Recorder.RootStarted(r.Root, r.SubSize)
+			res.Recorder.TaskDone(r.Root, r.Mining, r.Materialize, r.Subtasks)
+		}
+		reported++
 	}
-	res.Candidates = int(emitted)
-	res.Cliques = quasiclique.Finalize(parts, cfg.Options.SkipMaximalityFilter)
+	// One machine's frame is already Finalize output: the answer as
+	// shipped. Sets from several meet in one more filter.
+	res.Cliques = union
+	if reported > 1 {
+		res.Cliques = quasiclique.Finalize([][][]graph.V{union}, cfg.Options.SkipMaximalityFilter)
+	}
 	return res, runErr
 }
 

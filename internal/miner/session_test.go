@@ -60,8 +60,11 @@ func serialReference(t *testing.T, g *graph.Graph, par quasiclique.Params) [][]g
 //     ErrSessionClosed and the caller's SpillDir must be empty.
 //
 // Every completed job must equal quasiclique.MineGraph with that job's
-// parameters — the same sets in the same order. CI runs it under
-// -race; the process composition is skipped under -short.
+// parameters — the same sets in the same order — and report per-root
+// rows; under size-threshold decomposition the emission count and each
+// root's (root, subgraph size, subtasks) must match across
+// compositions. CI runs it under -race; the process composition is
+// skipped under -short.
 func TestCompositionsBitIdentical(t *testing.T) {
 	// Denser background than sessionTestGraph: root tasks big enough
 	// for size-threshold decomposition to overflow the tiny queues.
@@ -118,6 +121,7 @@ func TestCompositionsBitIdentical(t *testing.T) {
 		{name: "size-threshold-spill", cfg: Config{Strategy: SizeThreshold, TauSplit: 7}, spill: true},
 	}
 
+	first := map[string]*Result{} // each strategy's first composition's last job
 	for _, comp := range compositions {
 		for _, strat := range strategies {
 			t.Run(comp.name+"/"+strat.name, func(t *testing.T) {
@@ -198,10 +202,15 @@ func TestCompositionsBitIdentical(t *testing.T) {
 					t.Fatalf("budgeted job err = %v, want context.DeadlineExceeded", err)
 				}
 				res := mustMatch("job after aborts", 0)
-				// Per-root accounting lives where the miners run: in the
-				// result of an in-process session, not across processes.
-				if got := len(res.Recorder.TopK(1)); (got == 0) != comp.procs {
-					t.Fatalf("recorder holds %d roots with procs=%v", got, comp.procs)
+				// Every machine reports its per-root rows at shutdown, so
+				// every composition has them, and under size-threshold
+				// decomposition they, like the emission count, depend
+				// only on the job.
+				workByRoot(t, res)
+				if ref, ok := first[strat.name]; !ok {
+					first[strat.name] = res
+				} else if strat.spill {
+					assertSameWork(t, res, ref)
 				}
 
 				if err := s.Close(); err != nil {

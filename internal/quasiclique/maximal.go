@@ -77,13 +77,12 @@ func FilterMaximal(sets [][]graph.V) [][]graph.V {
 }
 
 // Finalize is the post-processing phase every mining entry point ends
-// with — serial MineGraph, the in-process session and the worker and
-// coordinator halves of a process cluster. parts are candidate
-// collections gathered independently (one per worker, or one per
-// machine); Finalize consumes them. A set that is not maximal among
-// its own part is not maximal globally, so each part is first filtered
-// on its own, all parts in parallel, and only the survivors meet in
-// the final filter. With skipFilter the result is every distinct
+// with — serial MineGraph and the machine and coordinator halves of a
+// cluster. parts are candidate collections gathered independently (one
+// per worker, or one per machine); Finalize consumes them. A set that
+// is not maximal among its own part is not maximal globally, so each
+// part is first filtered on its own, all parts in parallel, and only
+// the survivors meet in the final filter. With skipFilter the result is every distinct
 // candidate, canonically ordered, and nothing is filtered anywhere.
 func Finalize(parts [][][]graph.V, skipFilter bool) [][]graph.V {
 	if len(parts) == 0 {
