@@ -1,8 +1,9 @@
 // Command qcstats summarizes a graph: size, degree distribution and
-// core decomposition. Useful for choosing γ and τsize before mining:
-// the paper's Theorem 2 prunes every vertex of degree < ⌈γ(τsize−1)⌉,
-// so the pruning preview's k-core size predicts how much of the graph
-// a parameter choice removes.
+// core decomposition (graph.CoreNumbers, the array every mining path
+// tests). Useful for choosing γ and τsize before mining: every path
+// mines only inside the k-core, k = ⌈γ(τsize−1)⌉ (the paper's T1), so
+// the pruning preview's k-core size predicts how much of the graph a
+// parameter choice removes.
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 
 	"gthinkerqc"
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/kcore"
 	"gthinkerqc/internal/quasiclique"
 )
 
@@ -52,14 +52,13 @@ func main() {
 	fmt.Println("degree distribution:")
 	printLogHist(hist)
 
-	cores := kcore.CoreNumbers(g)
 	// Pruning preview (Theorem 2): the k-core is every vertex of core
 	// number at least k.
 	k := quasiclique.CeilMul(*gamma, *minsize-1)
 	maxCore, kept := 0, 0
-	for _, c := range cores {
-		maxCore = max(maxCore, c)
-		if c >= k {
+	for _, c := range g.CoreNumbers() {
+		maxCore = max(maxCore, int(c))
+		if int(c) >= k {
 			kept++
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/kcore"
 	"gthinkerqc/internal/quasiclique"
 )
 
@@ -34,11 +33,11 @@ func TestAllStandinsBuildValid(t *testing.T) {
 
 // coreStats returns the size of g's k-core and g's largest core number.
 func coreStats(g *graph.Graph, k int) (size, maxCore int) {
-	for _, c := range kcore.CoreNumbers(g) {
-		if c >= k {
+	for _, c := range g.CoreNumbers() {
+		if int(c) >= k {
 			size++
 		}
-		maxCore = max(maxCore, c)
+		maxCore = max(maxCore, int(c))
 	}
 	return size, maxCore
 }

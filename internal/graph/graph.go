@@ -21,6 +21,15 @@
 // array, so callers cannot append into a sibling's row. Nothing in
 // this package mutates a built Graph.
 //
+// The one value derived from a Graph and kept beside it is its
+// core-number array (CoreNumbers, 4 B per vertex): computed once, in
+// O(n + m), by whichever caller asks first, under a sync.Once, and
+// shared read-only from then on. Every job, session and worker over
+// the same *Graph reads that one array — the in-process machines of a
+// session share the caller's graph, and each worker process its
+// mapped one — so a job's k-core is the test core[v] ≥ k, never a
+// fresh peel.
+//
 // Traversals that need per-call visited marks take a *Scratch — a
 // reusable epoch-stamped marker — instead of allocating maps, so the
 // per-task hot paths (Within2, subgraph induction) are allocation-free
@@ -43,6 +52,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // V is a vertex identifier.
@@ -53,6 +63,9 @@ type Graph struct {
 	offsets   []uint32 // len n+1; row v is neighbors[offsets[v]:offsets[v+1]]
 	neighbors []V      // packed sorted adjacency lists
 	m         int      // number of undirected edges
+
+	coreOnce sync.Once
+	core     []uint32 // CoreNumbers, set once by coreOnce
 }
 
 // NumVertices returns |V|.

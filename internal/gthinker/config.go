@@ -117,7 +117,7 @@ func (c Config) withDefaults() Config {
 const defaultDeadAfterPolls = 5
 
 // TotalWorkers returns Machines × WorkersPerMachine with defaults
-// applied; apps use it to size per-worker state before a job runs.
+// applied: the cluster's thread count.
 func (c Config) TotalWorkers() int {
 	c = c.withDefaults()
 	return c.Machines * c.WorkersPerMachine

@@ -152,11 +152,10 @@ func newMachineRuntime(g *graph.Graph, cfg Config, id int, verts []graph.V) (*Ma
 	rt.cache = newVertexCache(cfg.CacheCap)
 	jb := rt.newJobState(0, nil)
 	rt.job.Store(jb)
-	base := id * cfg.WorkersPerMachine
 	for j := 0; j < cfg.WorkersPerMachine; j++ {
-		w := &worker{id: base + j, rt: rt, tracer: jb.tracer, track: j,
+		w := &worker{rt: rt, tracer: jb.tracer, track: j,
 			lsmall: newSpillList(rt.spillDir, "small-"+strconv.Itoa(j), &rt.disk, nil, g.NumVertices())}
-		w.ctx = Ctx{WorkerID: base + j, MachineID: id, aborted: rt.aborted}
+		w.ctx = Ctx{WorkerID: j, MachineID: id, aborted: rt.aborted}
 		rt.workers = append(rt.workers, w)
 	}
 	return rt, nil

@@ -37,9 +37,9 @@ func NewTask(payload any) *Task {
 // Ctx is handed to the Compute UDF for requesting vertex pulls and
 // emitting new (sub)tasks.
 type Ctx struct {
-	// WorkerID is a dense index over all workers of all machines
-	// (machine*workersPerMachine + worker); apps use it for
-	// per-worker result collectors.
+	// WorkerID is the executing worker's index on its machine, in
+	// [0, WorkersPerMachine). Every machine runs its own App, so apps
+	// index per-worker state (result collectors, scratch) with it.
 	WorkerID int
 	// MachineID is the executing machine.
 	MachineID int

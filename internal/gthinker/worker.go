@@ -12,7 +12,6 @@ import (
 // worker is one mining thread with its own small-task queue, spill
 // list, and ready buffer.
 type worker struct {
-	id int // dense across machines: machine*WorkersPerMachine + index
 	rt *MachineRuntime
 
 	qlocal deque

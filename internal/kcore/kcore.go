@@ -1,83 +1,13 @@
-// Package kcore implements the O(m) core-decomposition peeling
-// algorithm of Batagelj and Zaversnik, used by the miner as the
-// size-threshold preprocessing (paper T1 / Theorem 2): a vertex with
-// degree < k = ⌈γ·(τsize−1)⌉ cannot appear in any valid quasi-clique,
-// so shrinking a graph to its k-core is sound and, per the paper, the
-// dominating factor in scaling beyond small graphs.
+// Package kcore peels task-local subgraphs to their k-core: the
+// in-task peel of Algorithms 6 and 7 (t.g ← k-core(t.g)). A vertex
+// with fewer than k = ⌈γ·(τsize−1)⌉ neighbours inside a task cannot
+// appear in any valid quasi-clique of that task (Theorem 2), and
+// removing it can drop its neighbours below k in turn.
+//
+// The whole graph's k-core is not computed here: every path reads it
+// as core[v] ≥ k from the graph's one memoized core-number array,
+// graph.(*Graph).CoreNumbers.
 package kcore
-
-import (
-	"gthinkerqc/internal/graph"
-)
-
-// CoreNumbers returns the core number of every vertex: the largest k
-// such that the vertex belongs to the k-core. Runs in O(m) via bucket
-// sort.
-func CoreNumbers(g *graph.Graph) []int {
-	n := g.NumVertices()
-	deg := make([]int, n)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(graph.V(v))
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	// Bucket sort vertices by degree.
-	bin := make([]int, maxDeg+2)
-	for v := 0; v < n; v++ {
-		bin[deg[v]]++
-	}
-	start := 0
-	for d := 0; d <= maxDeg; d++ {
-		c := bin[d]
-		bin[d] = start
-		start += c
-	}
-	pos := make([]int, n)  // position of vertex in vert
-	vert := make([]int, n) // vertices sorted by degree
-	for v := 0; v < n; v++ {
-		pos[v] = bin[deg[v]]
-		vert[pos[v]] = v
-		bin[deg[v]]++
-	}
-	for d := maxDeg; d > 0; d-- {
-		bin[d] = bin[d-1]
-	}
-	bin[0] = 0
-
-	core := make([]int, n)
-	copy(core, deg)
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		for _, uv := range g.Adj(graph.V(v)) {
-			u := int(uv)
-			if core[u] > core[v] {
-				du := core[u]
-				pu := pos[u]
-				pw := bin[du]
-				w := vert[pw]
-				if u != w {
-					pos[u], pos[w] = pw, pu
-					vert[pu], vert[pw] = w, u
-				}
-				bin[du]++
-				core[u]--
-			}
-		}
-	}
-	return core
-}
-
-// KCoreMask returns keep[v] = true iff v belongs to the k-core of g.
-func KCoreMask(g *graph.Graph, k int) []bool {
-	core := CoreNumbers(g)
-	keep := make([]bool, len(core))
-	for v, c := range core {
-		keep[v] = c >= k
-	}
-	return keep
-}
 
 // PeelLocal peels a task-local subgraph, given local adjacency lists
 // over indices [0, n), down to its k-core. It returns keep[i] = true

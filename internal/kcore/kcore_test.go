@@ -8,130 +8,9 @@ import (
 	"gthinkerqc/internal/graph"
 )
 
-// triangleWithTail: 0-1-2 triangle, 2-3 tail, isolated 4.
-func triangleWithTail() *graph.Graph {
-	return graph.FromEdges(5, [][2]graph.V{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-}
-
-func TestCoreNumbersSmall(t *testing.T) {
-	g := triangleWithTail()
-	core := CoreNumbers(g)
-	want := []int{2, 2, 2, 1, 0}
-	for v := range want {
-		if core[v] != want[v] {
-			t.Fatalf("core = %v, want %v", core, want)
-		}
-	}
-}
-
-func TestCoreNumbersClique(t *testing.T) {
-	// K5: every vertex has core number 4.
-	var edges [][2]graph.V
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			edges = append(edges, [2]graph.V{graph.V(i), graph.V(j)})
-		}
-	}
-	g := graph.FromEdges(5, edges)
-	for v, c := range CoreNumbers(g) {
-		if c != 4 {
-			t.Fatalf("core[%d] = %d, want 4", v, c)
-		}
-	}
-}
-
-func TestKCoreMask(t *testing.T) {
-	g := triangleWithTail()
-	for _, tc := range []struct {
-		k    int
-		want []bool
-	}{
-		{0, []bool{true, true, true, true, true}},
-		{2, []bool{true, true, true, false, false}},
-		{3, []bool{false, false, false, false, false}},
-	} {
-		got := KCoreMask(g, tc.k)
-		for v := range tc.want {
-			if got[v] != tc.want[v] {
-				t.Fatalf("%d-core mask = %v, want %v", tc.k, got, tc.want)
-			}
-		}
-	}
-}
-
-func TestEmptyGraph(t *testing.T) {
-	g := graph.FromEdges(0, nil)
-	if len(CoreNumbers(g)) != 0 {
-		t.Fatal("core numbers of empty graph")
-	}
-}
-
-// naiveCore computes core numbers by repeated peeling — the O(n·m)
-// reference model.
-func naiveCore(g *graph.Graph) []int {
-	n := g.NumVertices()
-	core := make([]int, n)
-	for k := 1; ; k++ {
-		// Peel to k-core.
-		alive := make([]bool, n)
-		deg := make([]int, n)
-		for v := 0; v < n; v++ {
-			alive[v] = true
-			deg[v] = g.Degree(graph.V(v))
-		}
-		for changed := true; changed; {
-			changed = false
-			for v := 0; v < n; v++ {
-				if alive[v] && deg[v] < k {
-					alive[v] = false
-					changed = true
-					for _, u := range g.Adj(graph.V(v)) {
-						if alive[u] {
-							deg[u]--
-						}
-					}
-				}
-			}
-		}
-		any := false
-		for v := 0; v < n; v++ {
-			if alive[v] {
-				core[v] = k
-				any = true
-			}
-		}
-		if !any {
-			return core
-		}
-	}
-}
-
-func TestQuickCoreNumbersAgainstNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
-		b := graph.NewBuilder(n)
-		for i := 0; i < n*3; i++ {
-			b.AddEdge(graph.V(rng.Intn(n)), graph.V(rng.Intn(n)))
-		}
-		g := b.MustBuild()
-		got := CoreNumbers(g)
-		want := naiveCore(g)
-		for v := range want {
-			if got[v] != want[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: in the k-core, every vertex has >= k neighbors inside the
-// core, and the core is maximal (every excluded vertex would have < k
-// neighbors if the peeling order were replayed).
+// Property: peeling a whole graph's adjacency with PeelLocal keeps
+// exactly the vertices whose core number is at least k, and in that
+// k-core every vertex has at least k neighbours inside it.
 func TestQuickKCoreInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -142,8 +21,12 @@ func TestQuickKCoreInvariant(t *testing.T) {
 			b.AddEdge(graph.V(rng.Intn(n)), graph.V(rng.Intn(n)))
 		}
 		g := b.MustBuild()
-		keep := KCoreMask(g, k)
+		keep := PeelLocal(wholeAdj(g), k, nil)
+		core := g.CoreNumbers()
 		for v := 0; v < n; v++ {
+			if keep[v] != (int(core[v]) >= k) {
+				return false
+			}
 			if !keep[v] {
 				continue
 			}
@@ -161,6 +44,64 @@ func TestQuickKCoreInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// triangleWithTail: 0-1-2 triangle, 2-3 tail, isolated 4.
+func triangleWithTail() *graph.Graph {
+	return graph.FromEdges(5, [][2]graph.V{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
+}
+
+// wholeAdj lists g's adjacency as PeelLocal's local lists.
+func wholeAdj(g *graph.Graph) [][]uint32 {
+	adj := make([][]uint32, g.NumVertices())
+	for v := range adj {
+		adj[v] = g.Adj(graph.V(v))
+	}
+	return adj
+}
+
+// The core number of v is the largest k whose peel keeps v: peeling the
+// whole graph at every k reproduces the core numbers, and they agree
+// with the graph's memoized ones.
+func TestCoreNumbersSmall(t *testing.T) {
+	g := triangleWithTail()
+	adj := wholeAdj(g)
+	want := []int{2, 2, 2, 1, 0}
+	got := make([]int, len(want))
+	for k := 1; k <= len(want); k++ {
+		for v, kept := range PeelLocal(adj, k, nil) {
+			if kept {
+				got[v] = k
+			}
+		}
+	}
+	core := g.CoreNumbers()
+	for v := range want {
+		if got[v] != want[v] || int(core[v]) != want[v] {
+			t.Fatalf("peeled core = %v, memoized core = %v, want %v", got, core, want)
+		}
+	}
+}
+
+func TestKCoreMask(t *testing.T) {
+	g := triangleWithTail()
+	adj := wholeAdj(g)
+	core := g.CoreNumbers()
+	for _, tc := range []struct {
+		k    int
+		want []bool
+	}{
+		{0, []bool{true, true, true, true, true}},
+		{2, []bool{true, true, true, false, false}},
+		{3, []bool{false, false, false, false, false}},
+	} {
+		got := PeelLocal(adj, tc.k, nil)
+		for v := range tc.want {
+			if got[v] != tc.want[v] || (int(core[v]) >= tc.k) != tc.want[v] {
+				t.Fatalf("%d-core mask = %v, core = %v, want %v", tc.k, got, core, tc.want)
+			}
+		}
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // epoch-stamped marker over global vertex IDs (the shared
 // graph.Scratch core) with one value slot, the row-pointer buffer of
 // iteration 2 and the quasiclique.Scratch its induction, its peel and
-// iteration 3's subtasks run on. It replaces the per-Compute maps (V2
-// split, known/pull dedup, global→local index) that dominated
-// task-spawn cost. Owned by exactly one worker.
+// iteration 3's subtasks run on. It replaces the per-Compute maps
+// (known/pull dedup, global→local index) that dominated task-spawn
+// cost. Owned by exactly one worker.
 type wscratch struct {
 	marks graph.Scratch
 	idxA  []uint32            // global → collect-order row index (iterations 1–2)
@@ -35,11 +35,14 @@ func (ws *wscratch) begin(n int) {
 	}
 }
 
-// app implements gthinker.App for quasi-clique mining.
+// app implements gthinker.App for quasi-clique mining. Each machine
+// builds its own app for each job, so the per-worker slices hold one
+// entry per worker of that machine.
 type app struct {
-	g   *graph.Graph
-	cfg Config
-	k   int // ⌈γ(τsize−1)⌉
+	g    *graph.Graph
+	cfg  Config
+	k    int      // ⌈γ(τsize−1)⌉
+	core []uint32 // g.CoreNumbers(); nil under Options.DisableKCore
 
 	collectors []*quasiclique.Collector // one per worker
 	scratches  []*wscratch              // one per worker
@@ -49,6 +52,9 @@ type app struct {
 
 func newApp(g *graph.Graph, cfg Config, workers int) *app {
 	a := &app{g: g, cfg: cfg, k: cfg.Params.K(), rec: metrics.NewRecorder()}
+	if !cfg.Options.DisableKCore {
+		a.core = g.CoreNumbers()
+	}
 	a.collectors = make([]*quasiclique.Collector, workers)
 	a.scratches = make([]*wscratch, workers)
 	a.miners = make([]*quasiclique.Miner, workers)
@@ -63,16 +69,30 @@ func newApp(g *graph.Graph, cfg Config, workers int) *app {
 	return a
 }
 
-// Spawn is Algorithm 4: one task per vertex v with degree ≥ k, pulling
-// the adjacency lists of v's larger neighbors — in ascending order,
-// which iteration1 relies on.
+// live reports whether u can belong to a result: it lies in G's
+// k-core (T1, Theorem 2 applied to the whole graph), or, with
+// Options.DisableKCore, it has degree ≥ k (Theorem 2 alone). It is the
+// one membership test of root spawning and of both pull rounds.
+func (a *app) live(u graph.V) bool {
+	if a.core == nil {
+		return a.g.Degree(u) >= a.k
+	}
+	return int(a.core[u]) >= a.k
+}
+
+// Spawn is Algorithm 4 inside G's k-core: one task per live vertex v,
+// pulling the adjacency lists of v's live larger neighbors — in
+// ascending order, which iteration1 relies on. Every member of a
+// result is live, and reaches its minimum vertex within two hops
+// through other members, so nothing outside the core is spawned or
+// pulled.
 func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {
-	if len(adj) < a.k {
+	if !a.live(v) {
 		return nil
 	}
 	var pulls []graph.V
 	for _, u := range adj {
-		if u > v {
+		if u > v && a.live(u) {
 			pulls = append(pulls, u)
 		}
 	}
@@ -107,46 +127,33 @@ func (a *app) Compute(t *gthinker.Task, frontier [][]graph.V, ctx *gthinker.Ctx)
 }
 
 // iteration1 is Algorithm 6: absorb the pulled 1-hop neighborhood
-// (frontier[i] is the adjacency list of pulls[i]), degree-filter it
-// (Theorem 2), peel the partial subgraph to its k-core counting
-// unpulled 2-hop destinations toward degrees, and pull those 2-hop
-// vertices.
+// (frontier[i] is the adjacency list of pulls[i]), keep its live
+// entries, peel the partial subgraph to its k-core counting unpulled
+// 2-hop destinations toward degrees, and pull those 2-hop vertices.
 func (a *app) iteration1(p *Payload, pulls []graph.V, frontier [][]graph.V, ctx *gthinker.Ctx) bool {
 	v := p.Root
 	n := a.g.NumVertices()
 	ws := a.scratches[ctx.WorkerID]
 
-	// V1/V2 split by global degree (lines 3–4); V2 members are marked
-	// in the scratch instead of a per-call set. Spawn pulled in
-	// ascending order, so V1 comes out sorted.
-	ws.begin(n)
-	v1 := make([]graph.V, 0, len(pulls))
-	cells := 0
-	for i, u := range pulls {
-		if len(frontier[i]) >= a.k {
-			v1 = append(v1, u)
-			cells += len(frontier[i])
-		} else {
-			ws.marks.Mark(u)
-		}
-	}
-
-	// t.g over V1 ∪ {v} (lines 5–9): keep destinations w ≥ v that are
-	// not degree-pruned; destinations beyond V1 ∪ v are unpulled
-	// 2-hop vertices and stay untouched. V1's rows share one backing
-	// array, each capped at its own end.
-	p.GVerts = append(make([]graph.V, 0, len(v1)+1), v)
-	p.GVerts = append(p.GVerts, v1...)
-	p.GAdj = make([][]graph.V, 1, len(p.GVerts))
-	p.GAdj[0] = v1 // v's neighbors > v with degree ≥ k
-	flat := make([]graph.V, 0, cells)
+	// t.g over {v} ∪ pulls (lines 3–9). Spawn pulled only live vertices,
+	// in ascending order, so the paper's V1 is all of pulls and its V2
+	// (pruned 1-hop vertices) is empty. Rows keep the live destinations
+	// w ≥ v; those beyond pulls ∪ v are unpulled 2-hop vertices and stay
+	// untouched. The rows share one backing array, each capped at its
+	// own end; v's row, first, is pulls.
+	cells := len(pulls)
 	for _, src := range frontier {
-		if len(src) < a.k {
-			continue
-		}
+		cells += len(src)
+	}
+	flat := append(make([]graph.V, 0, cells), pulls...)
+	p.GVerts = append(make([]graph.V, 0, len(pulls)+1), v)
+	p.GVerts = append(p.GVerts, pulls...)
+	p.GAdj = make([][]graph.V, 1, len(p.GVerts))
+	p.GAdj[0] = flat[:len(pulls):len(pulls)]
+	for _, src := range frontier {
 		start := len(flat)
 		for _, w := range src {
-			if w >= v && !ws.marks.Marked(w) {
+			if w >= v && a.live(w) {
 				flat = append(flat, w)
 			}
 		}
@@ -233,16 +240,16 @@ func (a *app) peelPartial(p *Payload, ws *wscratch) bool {
 	return true
 }
 
-// iteration2 is Algorithm 7: absorb the pulled 2-hop vertices
-// (degree-filtered; frontier[i] is the adjacency list of pulls[i]),
-// induce the exact subgraph over the final member set, peel to the
-// k-core, and set up the mining state.
+// iteration2 is Algorithm 7: absorb the pulled 2-hop vertices (all
+// live; frontier[i] is the adjacency list of pulls[i]), induce the
+// exact subgraph over the final member set, peel to the k-core, and
+// set up the mining state.
 func (a *app) iteration2(p *Payload, pulls []graph.V, frontier [][]graph.V, ws *wscratch) bool {
 	v := p.Root
 	ws.begin(a.g.NumVertices())
 	// Collect the member set: the peeled partial subgraph plus every
-	// pulled 2-hop vertex that survives the degree filter. idxA
-	// remembers each member's row in collect order.
+	// pulled 2-hop vertex. idxA remembers each member's row in collect
+	// order.
 	verts := make([]graph.V, 0, len(p.GVerts)+len(frontier))
 	clear(ws.rows) // drop slice headers pinning the previous task's rows
 	ws.rows = ws.rows[:0]
@@ -254,7 +261,7 @@ func (a *app) iteration2(p *Payload, pulls []graph.V, frontier [][]graph.V, ws *
 	}
 	for i, adj := range frontier {
 		u := pulls[i]
-		if len(adj) >= a.k && !ws.marks.Marked(u) {
+		if !ws.marks.Marked(u) {
 			ws.marks.Mark(u)
 			ws.idxA[u] = uint32(len(ws.rows))
 			verts = append(verts, u)
@@ -265,11 +272,11 @@ func (a *app) iteration2(p *Payload, pulls []graph.V, frontier [][]graph.V, ws *
 
 	// Exact induced adjacency over members (destinations outside the
 	// member set cannot belong to any valid quasi-clique rooted at v:
-	// they are < v, degree-pruned, or beyond two hops). Every row is a
-	// graph row or a filtered copy of one, a graph holds no self loops
-	// (Builder drops them, FromCSR refuses them) and DecodeTaskPayload
-	// refuses a GAdj row that names its own vertex, so no row yields
-	// its own vertex.
+	// they are < v, outside G's k-core, or beyond two hops through
+	// live vertices). Every row is a graph row or a filtered copy of
+	// one, a graph holds no self loops (Builder drops them, FromCSR
+	// refuses them) and DecodeTaskPayload refuses a GAdj row that names
+	// its own vertex, so no row yields its own vertex.
 	_, adj := quasiclique.Induce(verts, a.g.NumVertices(),
 		func(i int) []uint32 { return ws.rows[ws.idxA[verts[i]]] }, 0, 0, &ws.qs)
 	sub := &quasiclique.Sub{Label: verts, Adj: adj}

@@ -138,9 +138,7 @@ func workerResults(a gthinker.App) ([]byte, error) {
 	var parts [][][]graph.V
 	var emitted int64
 	for _, col := range ma.collectors {
-		if sets := col.Sets(); len(sets) > 0 { // slots of other machines' workers stay empty
-			parts = append(parts, sets)
-		}
+		parts = append(parts, col.Sets())
 		emitted += col.Emitted()
 	}
 	return AppendResults(nil, quasiclique.Finalize(parts, ma.cfg.Options.SkipMaximalityFilter), emitted, ma.rec.PerRoot()), nil
@@ -162,7 +160,7 @@ func appFactory(g *graph.Graph) func(spec []byte, machines int) (gthinker.App, g
 		if max(ecfg.Machines, 1) != machines {
 			return nil, gthinker.Config{}, fmt.Errorf("miner: job spec names %d machines, join %d", ecfg.Machines, machines)
 		}
-		return newApp(g, cfg, ecfg.TotalWorkers()), ecfg, nil
+		return newApp(g, cfg, max(ecfg.WorkersPerMachine, 1)), ecfg, nil
 	}
 }
 

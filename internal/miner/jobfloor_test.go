@@ -14,7 +14,7 @@ import (
 )
 
 // emptyScanGraph is a sparse graph (60 000 vertices, mean degree 6) on
-// which emptyScanQuery's degree test passes no vertex: a job is the
+// which emptyScanQuery's spawn gate passes no vertex: a job is the
 // spawn scan, termination and nothing else.
 func emptyScanGraph() *graph.Graph { return datagen.ErdosRenyiM(60000, 180000, 7) }
 

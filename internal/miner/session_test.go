@@ -65,6 +65,12 @@ func serialReference(t *testing.T, g *graph.Graph, par quasiclique.Params) [][]g
 // root's (root, subgraph size, subtasks) must match across
 // compositions. CI runs it under -race; the process composition is
 // skipped under -short.
+//
+// The k-core compositions are a metamorphic leg: they mine G's k-core
+// graph (PrepareGraph's output at the jobs' smallest k) instead of G.
+// Every job's k-core lies inside it, so their answers must be G's, and
+// since every composition spawns and pulls only inside the k-core,
+// their per-root work must be G's too.
 func TestCompositionsBitIdentical(t *testing.T) {
 	// Denser background than sessionTestGraph: root tasks big enough
 	// for size-threshold decomposition to overflow the tiny queues.
@@ -89,8 +95,21 @@ func TestCompositionsBitIdentical(t *testing.T) {
 		{Gamma: 0.8, MinSize: 7},
 	}
 	want := make([][][]graph.V, len(jobs))
+	low := jobs[0]
 	for i, par := range jobs {
 		want[i] = serialReference(t, g, par)
+		if par.K() < low.K() {
+			low = par
+		}
+	}
+	gk, _ := quasiclique.PrepareGraph(g, low, quasiclique.Options{})
+	if gk.NumEdges() == g.NumEdges() {
+		t.Fatalf("the %d-core keeps every edge: the k-core leg would test nothing", low.K())
+	}
+	for i, par := range jobs {
+		if got := serialReference(t, gk, par); !slices.EqualFunc(got, want[i], slices.Equal[[]graph.V]) {
+			t.Fatalf("serial on the %d-core graph (γ=%v τ=%d): %d cliques, want %d", low.K(), par.Gamma, par.MinSize, len(got), len(want[i]))
+		}
 	}
 
 	compositions := []struct {
@@ -98,11 +117,15 @@ func TestCompositionsBitIdentical(t *testing.T) {
 		ecfg     gthinker.Config
 		procs    bool
 		overWire bool // remote pulls and steals cross a socket
+		core     bool // mine gk instead of g
 	}{
 		{name: "direct-1x3", ecfg: gthinker.Config{Machines: 1, WorkersPerMachine: 3}},
 		{name: "direct-2x2", ecfg: gthinker.Config{Machines: 2, WorkersPerMachine: 2}},
 		{name: "sockets-2x1", ecfg: gthinker.Config{Machines: 2, WorkersPerMachine: 1, InProcessTCP: true}, overWire: true},
 		{name: "processes-2x1", ecfg: gthinker.Config{Machines: 2, WorkersPerMachine: 1}, procs: true, overWire: true},
+		{name: "kcore-direct-1x1", ecfg: gthinker.Config{Machines: 1, WorkersPerMachine: 1}, core: true},
+		{name: "kcore-direct-3x2", ecfg: gthinker.Config{Machines: 3, WorkersPerMachine: 2}, core: true},
+		{name: "kcore-sockets-2x1", ecfg: gthinker.Config{Machines: 2, WorkersPerMachine: 1, InProcessTCP: true}, overWire: true, core: true},
 	}
 	strategies := []struct {
 		name  string
@@ -119,6 +142,9 @@ func TestCompositionsBitIdentical(t *testing.T) {
 		// disk and come back however the threads are scheduled. Which
 		// subtasks a compute makes depends only on its task.
 		{name: "size-threshold-spill", cfg: Config{Strategy: SizeThreshold, TauSplit: 7}, spill: true},
+		// Size-threshold decomposition at τsplit 4 on roomy queues:
+		// every task above four candidates splits at its top level.
+		{name: "size-threshold", cfg: Config{Strategy: SizeThreshold, TauSplit: 4}},
 	}
 
 	first := map[string]*Result{} // each strategy's first composition's last job
@@ -143,7 +169,11 @@ func TestCompositionsBitIdentical(t *testing.T) {
 				} else {
 					spillDir = t.TempDir()
 					ecfg.SpillDir = spillDir
-					s = NewSession(g, ecfg)
+					if comp.core {
+						s = NewSession(gk, ecfg)
+					} else {
+						s = NewSession(g, ecfg)
+					}
 				}
 				defer s.Close()
 				mine := func(ctx context.Context, par quasiclique.Params, budget time.Duration) (*Result, error) {
@@ -209,7 +239,7 @@ func TestCompositionsBitIdentical(t *testing.T) {
 				workByRoot(t, res)
 				if ref, ok := first[strat.name]; !ok {
 					first[strat.name] = res
-				} else if strat.spill {
+				} else if strat.cfg.Strategy == SizeThreshold {
 					assertSameWork(t, res, ref)
 				}
 

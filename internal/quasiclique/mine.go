@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/kcore"
 )
 
 // MineStats summarizes one serial mining run.
@@ -134,7 +133,9 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 
 // PrepareGraph applies the global k-core preprocessing and returns the
 // shrunk graph (same vertex universe, edges only among survivors) plus
-// the sorted list of surviving vertices.
+// the sorted list of surviving vertices. Its keep-test is core[v] ≥ k
+// over g's memoized core numbers, so jobs on one graph pay for the
+// core pass once.
 func PrepareGraph(g *graph.Graph, par Params, opt Options) (*graph.Graph, []graph.V) {
 	n := g.NumVertices()
 	if opt.DisableKCore {
@@ -144,16 +145,16 @@ func PrepareGraph(g *graph.Graph, par Params, opt Options) (*graph.Graph, []grap
 		}
 		return g, all
 	}
-	keep := kcore.KCoreMask(g, par.K())
+	core, k := g.CoreNumbers(), par.K()
 	b := graph.NewBuilder(n)
 	var kept []graph.V
 	for v := 0; v < n; v++ {
-		if !keep[v] {
+		if int(core[v]) < k {
 			continue
 		}
 		kept = append(kept, graph.V(v))
 		for _, u := range g.Adj(graph.V(v)) {
-			if u > graph.V(v) && keep[u] {
+			if u > graph.V(v) && int(core[u]) >= k {
 				b.AddEdge(graph.V(v), u)
 			}
 		}

@@ -105,8 +105,10 @@ func FloorDiv(x int, gamma float64) int {
 // provably fruitless work); it changes running time and the number of
 // non-maximal candidates emitted before post-processing.
 type Options struct {
-	// DisableKCore skips the global k-core preprocessing (T1). The
-	// paper reports this is "a dominating factor to scale beyond a
+	// DisableKCore skips the global k-core preprocessing (T1): the
+	// serial path mines G unshrunk, and the engine spawns roots and
+	// pulls vertices by degree ≥ k instead of core number ≥ k. The
+	// paper reports T1 is "a dominating factor to scale beyond a
 	// small graph".
 	DisableKCore bool
 	// DisableLookahead skips the G(S ∪ ext(S)) early-accept of [27]
