@@ -14,16 +14,16 @@
 //	GTHINKER-WORKER READY addr=<addr>
 //
 // on stdout; the coordinator (qcmine -procs, or any ClusterClient)
-// dials that address, sends the join carrying the job spec and every
-// machine's address, and drives the run. The worker binds the address
-// named in its manifest row, or a dynamic 127.0.0.1 port when the row
-// is empty (the single-host flow).
+// dials that address, sends the join carrying the engine configuration
+// and every machine's address, and drives the run. The worker binds
+// the address named in its manifest row, or a dynamic 127.0.0.1 port
+// when the row is empty (the single-host flow).
 //
-// The job spec is the worker's only configuration: mining parameters,
-// engine shape, tracing and the fault plan all come from the
-// coordinator (qcmine -trace collects every worker's spans into one
-// timeline; qcmine -faultplan reaches every worker, and kill=M@N aims
-// at one machine). The one flag beyond the three above is
+// Everything else comes from the coordinator: the join carries the
+// engine shape, tracing and the fault plan, and each job's spec its
+// mining parameters (qcmine -trace collects every worker's spans into
+// one timeline; qcmine -faultplan reaches every worker, and kill=M@N
+// aims at one machine). The one flag beyond the three above is
 // -debug-addr, which serves this process's live /metrics, /healthz,
 // expvar, and pprof over HTTP while it mines.
 //

@@ -55,20 +55,20 @@ type JobResult struct {
 
 // NewLocalCluster composes cfg.Machines machines inside this process
 // over g, which must stay immutable while the cluster lives. By default
-// they are reached by direct calls; with cfg.InProcessTCP each sits
-// behind its own loopback listener and is joined and driven exactly
-// like a qcworker process. newApp and results are each machine's
-// WorkerHostConfig.NewApp and Results, as in a worker process; the
-// Config newApp returns is ignored, because the machines run under cfg.
-func NewLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machines int) (App, Config, error), results func(App) ([]byte, error)) (*Cluster, error) {
-	return newLocalCluster(g, cfg, newApp, results, nil)
+// they are reached by direct calls, each built under cfg; with
+// cfg.InProcessTCP each sits behind its own loopback listener and is
+// joined and driven exactly like a qcworker process, taking cfg from
+// the join. newApp is each machine's WorkerHostConfig.NewApp, as in a
+// worker process.
+func NewLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, workers int) (App, error)) (*Cluster, error) {
+	return newLocalCluster(g, cfg, newApp, nil)
 }
 
 // newLocalCluster is NewLocalCluster with the direct-call composition's
 // data plane injectable: wrap, when not nil, is handed each machine's
 // loopback and returns the Transport that machine uses instead — a
 // failing or hand-wired one in tests.
-func newLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machines int) (App, Config, error), results func(App) ([]byte, error), wrap func(machine int, lb *loopback) Transport) (*Cluster, error) {
+func newLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, workers int) (App, error), wrap func(machine int, lb *loopback) Transport) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -80,15 +80,15 @@ func newLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machin
 	// One spill root holds every machine's spill subdirectory, so a
 	// user-provided SpillDir ends empty and a cluster-owned temp dir is
 	// removed wholesale.
-	rcfg := cfg
-	ownSpill := cfg.SpillDir == ""
+	spillDir := cfg.SpillDir
+	ownSpill := spillDir == ""
 	if ownSpill {
 		dir, err := os.MkdirTemp("", "gthinker-spill-")
 		if err != nil {
 			return nil, err
 		}
-		rcfg.SpillDir = dir
-	} else if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
+		spillDir = dir
+	} else if err := os.MkdirAll(spillDir, 0o755); err != nil {
 		return nil, err
 	}
 	c.teardown = func([]bool) error {
@@ -101,15 +101,15 @@ func newLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machin
 			}
 		}
 		if ownSpill {
-			os.RemoveAll(rcfg.SpillDir)
+			os.RemoveAll(spillDir)
 		}
 		return nil
 	}
 
 	for i, verts := range partitionAll(g.NumVertices(), cfg.Machines) {
 		hc := WorkerHostConfig{
-			Graph: g, MachineID: i, NewApp: newApp, Results: results,
-			presetCfg:   &rcfg,
+			Graph: g, MachineID: i, NewApp: newApp,
+			spillDir:    spillDir,
 			presetVerts: verts,
 			diskParent:  &c.disk,
 		}
@@ -123,7 +123,7 @@ func newLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machin
 			if wrap != nil {
 				tr = wrap(i, lb)
 			}
-			h, err = newDirectHost(hc, cfg.Machines, tr)
+			h, err = newDirectHost(hc, cfg, tr)
 		}
 		if err != nil {
 			c.teardown(nil)
@@ -139,7 +139,7 @@ func newLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machin
 	for i, h := range c.hosts {
 		addrs[i] = h.Addr()
 	}
-	cc, err := joinCluster(cfg, addrs, g.NumVertices(), uint64(g.NumEdges()), nil)
+	cc, err := joinCluster(cfg, addrs, g.NumVertices(), uint64(g.NumEdges()))
 	if err != nil {
 		c.teardown(nil)
 		return nil, err
@@ -149,14 +149,14 @@ func newLocalCluster(g *graph.Graph, cfg Config, newApp func(spec []byte, machin
 }
 
 // StartProcsCluster joins and wires the worker processes procs (see
-// SpawnWorkerProcs) into a cluster, handing each joinSpec — the opaque
-// spec its NewApp derives the engine configuration from — and takes
-// ownership of them: they are killed if the handshake fails, and asked
-// to exit (then reaped, within exitTimeout) when the cluster closes.
-// numVerts and numEdges fingerprint the graph every worker must serve.
-func StartProcsCluster(cfg Config, procs *WorkerProcs, numVerts int, numEdges uint64, joinSpec []byte, exitTimeout time.Duration) (*Cluster, error) {
+// SpawnWorkerProcs) into a cluster, handing each the engine
+// configuration cfg in the join, and takes ownership of them: they are
+// killed if the handshake fails, and asked to exit (then reaped, within
+// exitTimeout) when the cluster closes. numVerts and numEdges
+// fingerprint the graph every worker must serve.
+func StartProcsCluster(cfg Config, procs *WorkerProcs, numVerts int, numEdges uint64, exitTimeout time.Duration) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	cc, err := joinCluster(cfg, procs.Addrs, numVerts, numEdges, joinSpec)
+	cc, err := joinCluster(cfg, procs.Addrs, numVerts, numEdges)
 	if err != nil {
 		procs.Kill()
 		return nil, err

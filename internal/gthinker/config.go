@@ -3,6 +3,8 @@ package gthinker
 import (
 	"fmt"
 	"time"
+
+	"gthinkerqc/internal/store"
 )
 
 // Config sizes the simulated cluster and its queues.
@@ -66,14 +68,14 @@ type Config struct {
 	// per-worker ring buffers (internal/obs), and the coordinator can
 	// merge them into one cluster-wide timeline. Off by default; the
 	// disabled fast path is a nil-pointer check per event. Carried in
-	// the cluster job spec so worker processes trace too.
+	// the join so worker processes trace too.
 	Trace bool
 	// DebugAddr, when non-empty, starts a debug HTTP server on the
 	// coordinator for the duration of the run: /metrics (Prometheus
 	// text of the live per-machine view), /healthz, expvar, and
 	// net/http/pprof. ":0" picks a free port; the bound address is
-	// logged to stderr. Coordinator-side only — not part of the job
-	// spec (worker processes mount their own via cmd/qcworker).
+	// logged to stderr. Coordinator-side only — not part of the join
+	// (worker processes mount their own via cmd/qcworker).
 	DebugAddr string
 
 	// statusHook, when non-nil, observes every successful status poll
@@ -123,11 +125,19 @@ func (c Config) TotalWorkers() int {
 	return c.Machines * c.WorkersPerMachine
 }
 
+// maxTotalWorkers bounds a cluster's threads, far above the paper's
+// 16 × 32: a join's shape sizes per-worker state and trace track ids.
+const maxTotalWorkers = 1 << 16
+
 // validate rejects nonsensical configurations.
 func (c Config) validate() error {
 	if c.Machines < 1 || c.WorkersPerMachine < 1 {
 		return fmt.Errorf("gthinker: need at least one machine and one worker, got %d×%d",
 			c.Machines, c.WorkersPerMachine)
+	}
+	if c.Machines > maxTotalWorkers/c.WorkersPerMachine { // M×W > max, without overflow
+		return fmt.Errorf("gthinker: %d×%d workers exceeds the limit of %d",
+			c.Machines, c.WorkersPerMachine, maxTotalWorkers)
 	}
 	if c.QueueCap < 1 || c.BatchSize < 1 {
 		return fmt.Errorf("gthinker: QueueCap (%d) and BatchSize (%d) must be positive",
@@ -147,4 +157,19 @@ func (c Config) validate() error {
 		return err
 	}
 	return nil
+}
+
+// walk is the join's engine config: all of Config but SpillDir (each
+// host's own) and the coordinator's DebugAddr, InProcessTCP and hook.
+func (c *Config) walk(w *store.Walker) {
+	store.U32(w, &c.Machines)
+	store.U32(w, &c.WorkersPerMachine)
+	store.U32(w, &c.QueueCap)
+	store.U32(w, &c.BatchSize)
+	store.U32(w, &c.CacheCap)
+	store.U64(w, &c.StatusInterval)
+	w.Flags(4, &c.DisableGlobalQueue, &c.Trace)
+	store.U64(w, &c.FrameTimeout)
+	store.U64(w, &c.DeadAfterPolls)
+	w.String(&c.FaultSpec, maxFramePayload)
 }

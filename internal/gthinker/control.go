@@ -33,8 +33,9 @@ import (
 // stolen-task row. Version 9 ends a job in one exchange: the
 // opShutdown reply is the machine's whole report (MachineReport), and
 // ops 0x08, 0x09 and 0x0E are retired. Version 10 drops the kernel
-// name from the metrics walk: there is one bitset kernel.
-const controlProtoVersion = 10
+// name from the metrics walk: there is one bitset kernel. Version 11's
+// join carries the engine Config, not the cluster size and a job spec.
+const controlProtoVersion = 11
 
 // Control-plane ops (continuing the tcp.go data-plane numbering; 0x05,
 // 0x08, 0x09 and 0x0E are retired).
@@ -69,26 +70,24 @@ var ctlVersion = string(store.AppendU32(nil, controlProtoVersion))
 
 // joinRequest is the coordinator's opJoin payload: the identity the
 // worker must agree with before it serves (protocol version, its own
-// machine id, the cluster size, the graph fingerprint), every
-// machine's address in machine order, and the opaque app-level job
-// spec.
+// machine id, the graph fingerprint), the engine configuration every
+// machine runs under (its Machines is the cluster size), and every
+// machine's address in machine order.
 type joinRequest struct {
 	MachineID int
-	Machines  int
+	Config    Config
 	NumVerts  int
 	NumEdges  uint64
 	Peers     []string
-	Spec      []byte
 }
 
 func (r *joinRequest) walk(w *store.Walker) {
 	w.Const(ctlVersion, "control protocol version")
 	store.U32(w, &r.MachineID)
-	store.U32(w, &r.Machines)
+	r.Config.walk(w)
 	store.U32(w, &r.NumVerts)
 	store.U64(w, &r.NumEdges)
 	store.Slice(w, &r.Peers, maxFramePayload/4, 4, func(a *string) { w.String(a, maxCtlAddr) })
-	w.Bytes(&r.Spec, maxFramePayload)
 }
 
 // walk visits the opStatus reply.
@@ -325,10 +324,10 @@ func (c *ClusterClient) Machines() int { return len(c.pool.addrs) }
 
 // joinCluster dials the machines' hosts and runs the handshake up to
 // the point where jobs can run: every machine joins with the shared
-// identity (cluster size, graph fingerprint, spec) and the peer table
-// — the addresses dialed here — checking the identity, building its
-// runtime, and wiring its TCPTransport over the table.
-func joinCluster(cfg Config, addrs []string, numVerts int, numEdges uint64, spec []byte) (*ClusterClient, error) {
+// identity (graph fingerprint), the engine config cfg and the peer
+// table — the addresses dialed here — checking the identity, building
+// its runtime under cfg, and wiring its TCPTransport over the table.
+func joinCluster(cfg Config, addrs []string, numVerts int, numEdges uint64) (*ClusterClient, error) {
 	if cfg.Machines != len(addrs) {
 		return nil, fmt.Errorf("gthinker: joining %d machines with %d addresses", cfg.Machines, len(addrs))
 	}
@@ -349,7 +348,7 @@ func joinCluster(cfg Config, addrs []string, numVerts int, numEdges uint64, spec
 		return nil, err
 	}
 	for m := range addrs {
-		req := joinRequest{MachineID: m, Machines: cfg.Machines, NumVerts: numVerts, NumEdges: numEdges, Peers: addrs, Spec: spec}
+		req := joinRequest{MachineID: m, Config: cfg, NumVerts: numVerts, NumEdges: numEdges, Peers: addrs}
 		if _, err := c.call(m, opJoin, req.walk, maxFramePayload); err != nil {
 			return fail(fmt.Errorf("gthinker: join machine %d: %w", m, err))
 		}

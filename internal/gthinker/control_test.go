@@ -39,9 +39,39 @@ func TestStatusWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConfigWireRoundTrip: every engine-config field the join carries
+// comes back as sent (a negative FrameTimeout and a fault plan
+// included), and the ones it leaves out — the spill directory, which
+// each host chooses, and the coordinator's own settings — come back
+// zero. Every field is set, so a field added to Config must be added
+// here too, on one side or the other.
+func TestConfigWireRoundTrip(t *testing.T) {
+	in := Config{
+		Machines: 4, WorkersPerMachine: 3, QueueCap: 64, BatchSize: 8, SpillDir: "/spill",
+		CacheCap: 1 << 10, StatusInterval: 2 * time.Millisecond, DisableGlobalQueue: true,
+		InProcessTCP: true, FrameTimeout: -time.Second, DeadAfterPolls: 9, FaultSpec: "5:reset=0.01",
+		Trace: true, DebugAddr: ":6060", statusHook: func(int, MachineStatus) {},
+	}
+	v := reflect.ValueOf(in)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("Config.%s is not set", v.Type().Field(i).Name)
+		}
+	}
+	var got Config
+	if err := store.Decode(store.Encode(nil, in.walk), "engine config", got.walk); err != nil {
+		t.Fatal(err)
+	}
+	want := in
+	want.SpillDir, want.InProcessTCP, want.DebugAddr, want.statusHook = "", false, "", nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine config round trip:\n got  %+v\n want %+v", got, want)
+	}
+}
+
 func TestJoinRequestRoundTrip(t *testing.T) {
-	r := joinRequest{MachineID: 2, Machines: 5, NumVerts: 1000, NumEdges: 5000,
-		Peers: []string{"a:1", "b:2", "", "d:4", "e:5"}, Spec: []byte("spec-bytes")}
+	r := joinRequest{MachineID: 2, Config: Config{Machines: 5, WorkersPerMachine: 2, FaultSpec: "1:kill=3@2"},
+		NumVerts: 1000, NumEdges: 5000, Peers: []string{"a:1", "b:2", "", "d:4", "e:5"}}
 	var got joinRequest
 	if err := store.Decode(store.Encode(nil, r.walk), "join request", got.walk); err != nil {
 		t.Fatal(err)
@@ -84,14 +114,19 @@ var controlPayloads = []struct {
 	seed   []byte
 	decode func(data []byte) ([]byte, error)
 }{
-	{"join request", store.Encode(nil, (&joinRequest{MachineID: 1, Machines: 3, NumVerts: 9, NumEdges: 1 << 40,
-		Peers: []string{"10.0.0.1:1", "", "10.0.0.3:3"}, Spec: []byte("QJS5")}).walk),
+	{"join request", store.Encode(nil, (&joinRequest{MachineID: 1, Config: Config{Machines: 3, WorkersPerMachine: 2,
+		QueueCap: 64, BatchSize: 8, CacheCap: 1 << 10, StatusInterval: time.Millisecond, DisableGlobalQueue: true,
+		Trace: true, FrameTimeout: -1, DeadAfterPolls: 5, FaultSpec: "7:dialfail=0.2,kill=1@4"},
+		NumVerts: 9, NumEdges: 1 << 40, Peers: []string{"10.0.0.1:1", "", "10.0.0.3:3"}}).walk),
 		walked("join request", func() func(*store.Walker) { return new(joinRequest).walk })},
 	// The peer table's edges: none (a join the host refuses, but one
-	// the decoder must read) and a cluster of eight.
-	{"join request, no peers", store.Encode(nil, (&joinRequest{Machines: 1, NumVerts: 1}).walk),
+	// the decoder must read) and a cluster of eight, each with an
+	// engine config of zeros (the coordinator applies defaults before
+	// it joins, so a host refuses such a config, but the decoder must
+	// read it).
+	{"join request, no peers", store.Encode(nil, (&joinRequest{Config: Config{Machines: 1}, NumVerts: 1}).walk),
 		walked("join request", func() func(*store.Walker) { return new(joinRequest).walk })},
-	{"join request, 8 peers", store.Encode(nil, (&joinRequest{MachineID: 7, Machines: 8, NumVerts: 1 << 20, NumEdges: 1 << 24,
+	{"join request, 8 peers", store.Encode(nil, (&joinRequest{MachineID: 7, Config: Config{Machines: 8}, NumVerts: 1 << 20, NumEdges: 1 << 24,
 		Peers: []string{"h0:9000", "h1:9000", "h2:9000", "h3:9000", "h4:9000", "h5:9000", "h6:9000", "[::1]:9000"}}).walk),
 		walked("join request", func() func(*store.Walker) { return new(joinRequest).walk })},
 	{"job request", store.Encode(nil, (&jobRequest{job: 7}).walk),
@@ -185,9 +220,9 @@ func FuzzControlPayloads(f *testing.F) {
 
 func exitTestHost(t *testing.T) *WorkerHost {
 	t.Helper()
-	h, err := StartWorkerHost(WorkerHostConfig{Graph: datagen.ErdosRenyi(10, 0.2, 1), NewApp: func([]byte, int) (App, Config, error) {
-		return nilApp{}, Config{}, nil
-	}, Results: noResults})
+	h, err := StartWorkerHost(WorkerHostConfig{Graph: datagen.ErdosRenyi(10, 0.2, 1), NewApp: func([]byte, int) (App, error) {
+		return nilApp{}, nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

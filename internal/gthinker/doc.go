@@ -44,13 +44,13 @@
 // Cluster.RunJob: hand every machine the job's spec, from which it
 // builds its own application (WorkerHostConfig.NewApp), drive the
 // coordinator loop, shut every machine down, and merge the survivors'
-// reports, each carrying a result frame (WorkerHostConfig.Results) —
-// and the constructors differ only along two axes:
+// reports, each carrying a result frame (App.Results) — and the
+// constructors differ only along two axes:
 //
 //   - where the machines live: in this process (NewLocalCluster, all
 //     machines sharing one graph, engine config and spill root) or in
 //     qcworker child processes (StartProcsCluster, each mapping the
-//     graph file and taking its engine config from the join's spec);
+//     graph file and taking the engine config from the join);
 //   - how they are reached: by direct calls (directControl invoking
 //     the host's handlers as methods, a loopback Transport reading the
 //     shared graph and handing each stolen GQS1 batch to the receiving
@@ -232,19 +232,19 @@
 //
 // each worker prints "GTHINKER-WORKER READY addr=<addr>"; the
 // coordinator dials every address (StartProcsCluster) and runs the
-// lifecycle: opJoin (identity check + engine shape + the table of
-// addresses it dialed; each worker builds its TCPTransport over that
-// table and from then on answers its peers' adjacency and task
-// frames on the same listener), then per job opRun (job id + spec;
-// mining starts) → opStatus long polls / opStealDo directives →
-// opShutdown, whose reply is the machine's whole report (failure,
-// metrics, spans, result frame), and finally opExit. The job spec is a
-// worker's only configuration: its mining parameters, engine shape,
-// tracing and fault plan all arrive in it. An in-process machine takes
-// the same steps, as method calls when reached directly. The op table
-// lives in tcp.go; the app-opaque job-spec and result encodings for
-// the quasi-clique miner live in internal/miner (AppendJobSpec,
-// AppendResults).
+// lifecycle: opJoin (identity check + engine Config + the table of
+// addresses it dialed; each worker validates the config, builds its
+// runtime and its TCPTransport over that table, and from then on
+// answers its peers' adjacency and task frames on the same listener),
+// then per job opRun (job id + spec; the app is built, mining starts)
+// → opStatus long polls / opStealDo directives → opShutdown, whose
+// reply is the machine's whole report (failure, metrics, spans, result
+// frame), and finally opExit. The join carries the engine shape,
+// tracing and fault plan; the job spec carries only the job. An
+// in-process machine takes the same steps, as method calls when
+// reached directly. The op table lives in tcp.go; the app-opaque
+// job-spec and result encodings for the quasi-clique miner live in
+// internal/miner (AppendJobSpec, AppendResults).
 //
 // Engine mechanisms the paper evaluates all live above the Transport
 // and ControlPlane interfaces, so a local cluster exercises the same

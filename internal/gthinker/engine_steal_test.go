@@ -333,7 +333,7 @@ func (a *skewApp) IsBig(*Task) bool { return true }
 // back off qlocal within the same step and computed even after a
 // premature doneFlag).
 type slowSpawnApp struct {
-	toyCodec
+	nilApp
 	computed atomic.Int64
 }
 

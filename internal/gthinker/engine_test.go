@@ -17,7 +17,7 @@ type triPayload struct {
 }
 
 type triApp struct {
-	toyCodec
+	nilApp
 	g     *graph.Graph
 	count atomic.Int64
 }
@@ -111,7 +111,7 @@ type fanPayload struct {
 }
 
 type fanApp struct {
-	toyCodec
+	nilApp
 	spawnDepth int
 	fanout     int
 	computed   atomic.Int64

@@ -10,8 +10,8 @@ import (
 	"gthinkerqc/internal/store"
 )
 
-// toyCodec is the TaskCodec half every toy app in these tests embeds:
-// a payload travels as a kind word followed by its fields flattened to
+// toyCodec is the TaskCodec half of every toy app in these tests
+// (each embeds it through nilApp): a payload travels as a kind word followed by its fields flattened to
 // uint32s.
 type toyCodec struct{}
 
@@ -44,30 +44,28 @@ func (toyCodec) DecodeTaskPayload(data []byte) (any, error) {
 	return nil, fmt.Errorf("toyCodec: bad payload kind %q with %d words", kind, len(words))
 }
 
-// nilApp spawns nothing; other toy apps embed it for the App methods
-// they do not care about.
+// nilApp spawns nothing and reports no result frame; other toy apps
+// embed it for the App methods they do not care about.
 type nilApp struct{ toyCodec }
 
 func (nilApp) Spawn(graph.V, []graph.V, *Ctx) *Task  { return nil }
 func (nilApp) Compute(*Task, [][]graph.V, *Ctx) bool { return false }
 func (nilApp) IsBig(*Task) bool                      { return false }
+func (nilApp) Results() ([]byte, error)              { return nil, nil }
 
 // sharedApp is the application factory these tests hand a cluster:
 // every machine of a job runs the one app the test set, so the test
-// can read what the app gathered once the job is done. It ships no
-// result frame.
+// can read what the app gathered once the job is done.
 type sharedApp struct {
 	mu  sync.Mutex
 	app App
 }
 
-func (s *sharedApp) newApp([]byte, int) (App, Config, error) {
+func (s *sharedApp) newApp([]byte, int) (App, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.app, Config{}, nil
+	return s.app, nil
 }
-
-func noResults(App) ([]byte, error) { return nil, nil }
 
 // localCluster is a local cluster whose jobs run a shared test app.
 type localCluster struct {
@@ -78,7 +76,7 @@ type localCluster struct {
 // newTestCluster is newLocalCluster over a sharedApp factory.
 func newTestCluster(g *graph.Graph, cfg Config, wrap func(machine int, lb *loopback) Transport) (*localCluster, error) {
 	s := &sharedApp{}
-	c, err := newLocalCluster(g, cfg, s.newApp, noResults, wrap)
+	c, err := newLocalCluster(g, cfg, s.newApp, wrap)
 	if err != nil {
 		return nil, err
 	}

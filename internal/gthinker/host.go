@@ -33,16 +33,11 @@ type WorkerHostConfig struct {
 	// Empty means 127.0.0.1:0 (dynamic, reported on the ready line).
 	Addr string
 
-	// NewApp turns a job spec into the job's application and the
-	// engine configuration it runs under: the only way a job reaches a
-	// machine. It is called at every run for that job's application and,
-	// on a worker process, at join for the configuration (which fixes
-	// the runtime's shape); cmd/qcworker and an in-process cluster wire
-	// the miner's decoder here alike.
-	NewApp func(spec []byte, machines int) (App, Config, error)
-	// Results encodes the app's results for the machine's report at
-	// shutdown: the only way a job's results leave a machine.
-	Results func(app App) ([]byte, error)
+	// NewApp turns a job spec into the job's application for the
+	// machine's WorkersPerMachine workers: the only way a job reaches a
+	// machine, called only at opRun. cmd/qcworker and an in-process
+	// cluster wire the miner's factory here alike.
+	NewApp func(spec []byte, workers int) (App, error)
 
 	// Kill is invoked when the fault plan's kill directive fires on
 	// this machine. Nil defaults to tearing the host down in-process
@@ -51,10 +46,9 @@ type WorkerHostConfig struct {
 	// worker loss to the coordinator.
 	Kill func()
 
-	// presetCfg, when set, is the engine configuration the host runs
-	// under in place of the one NewApp derives from the join spec (an
-	// in-process cluster's machines share its config and spill root).
-	presetCfg *Config
+	// spillDir is the spill root an in-process cluster's machines
+	// share; empty means a temporary directory of the machine's own.
+	spillDir string
 	// presetVerts hands the host a precomputed vertex partition (the
 	// in-process cluster partitions all machines in one pass); nil
 	// derives it from the ownership function at join.
@@ -79,7 +73,6 @@ type WorkerHost struct {
 	ctl *controlServer // nil on a direct-call host
 
 	mu     sync.Mutex
-	cfg    Config
 	rt     *MachineRuntime // nil until join
 	tr     *TCPTransport
 	fault  *FaultPlan
@@ -100,8 +93,8 @@ func StartWorkerHost(hc WorkerHostConfig) (*WorkerHost, error) {
 	if hc.Graph == nil {
 		return nil, fmt.Errorf("gthinker: worker host needs a graph")
 	}
-	if hc.NewApp == nil || hc.Results == nil {
-		return nil, fmt.Errorf("gthinker: worker host needs a NewApp factory and a Results encoder")
+	if hc.NewApp == nil {
+		return nil, fmt.Errorf("gthinker: worker host needs a NewApp factory")
 	}
 	h := &WorkerHost{hc: hc, exitCh: make(chan struct{})}
 	addr := hc.Addr
@@ -117,11 +110,11 @@ func StartWorkerHost(hc WorkerHostConfig) (*WorkerHost, error) {
 }
 
 // newDirectHost builds a host the coordinator reaches by direct method
-// calls: the runtime is built at once for a cluster of `machines` and
-// wired to tr; nothing listens.
-func newDirectHost(hc WorkerHostConfig, machines int, tr Transport) (*WorkerHost, error) {
+// calls: the runtime is built at once under the cluster's cfg and wired
+// to tr; nothing listens.
+func newDirectHost(hc WorkerHostConfig, cfg Config, tr Transport) (*WorkerHost, error) {
 	h := &WorkerHost{hc: hc, exitCh: make(chan struct{})}
-	if err := h.build(machines, nil); err != nil {
+	if err := h.build(cfg); err != nil {
 		return nil, err
 	}
 	h.rt.SetTransport(tr)
@@ -167,9 +160,10 @@ func (h *WorkerHost) Close() {
 	}
 }
 
-// handleJoin checks the coordinator's identity, builds the runtime,
-// and wires its TCPTransport over the peer table: from here the
-// machine answers data frames, and each opRun starts a job on it.
+// handleJoin checks the coordinator's identity, builds the runtime
+// under the joined config, and wires its TCPTransport over the peer
+// table: from here the machine answers data frames, and each opRun
+// starts a job on it.
 func (h *WorkerHost) handleJoin(r joinRequest) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -179,57 +173,46 @@ func (h *WorkerHost) handleJoin(r joinRequest) error {
 	if r.MachineID != h.hc.MachineID {
 		return fmt.Errorf("gthinker: this host serves machine %d, not %d", h.hc.MachineID, r.MachineID)
 	}
-	if h.hc.Machines != 0 && r.Machines != h.hc.Machines {
-		return fmt.Errorf("gthinker: manifest names %d machines, coordinator %d", h.hc.Machines, r.Machines)
+	machines := r.Config.Machines
+	if h.hc.Machines != 0 && machines != h.hc.Machines {
+		return fmt.Errorf("gthinker: manifest names %d machines, coordinator %d", h.hc.Machines, machines)
 	}
-	if r.Machines < 1 || h.hc.MachineID >= r.Machines {
-		return fmt.Errorf("gthinker: machine %d cannot serve a cluster of %d", h.hc.MachineID, r.Machines)
+	if machines < 1 || h.hc.MachineID >= machines {
+		return fmt.Errorf("gthinker: machine %d cannot serve a cluster of %d", h.hc.MachineID, machines)
 	}
-	if len(r.Peers) != r.Machines {
-		return fmt.Errorf("gthinker: peer table of %d machines for a cluster of %d", len(r.Peers), r.Machines)
+	if len(r.Peers) != machines {
+		return fmt.Errorf("gthinker: peer table of %d machines for a cluster of %d", len(r.Peers), machines)
 	}
 	if r.NumVerts != h.hc.Graph.NumVertices() || r.NumEdges != uint64(h.hc.Graph.NumEdges()) {
 		return fmt.Errorf("gthinker: graph fingerprint mismatch: serving |V|=%d |E|=%d, coordinator expects |V|=%d |E|=%d",
 			h.hc.Graph.NumVertices(), h.hc.Graph.NumEdges(), r.NumVerts, r.NumEdges)
 	}
-	if err := h.build(r.Machines, r.Spec); err != nil {
+	if err := h.build(r.Config); err != nil {
 		return err
 	}
 	// Two pools over the one peer table: a task send never queues
 	// behind a fetch to the same machine.
 	tr := NewTCPTransport(r.Peers, h.hc.Graph.NumVertices())
 	tr.SetTaskAddrs(r.Peers)
-	tr.Configure(h.cfg.FrameTimeout, h.fault)
+	tr.Configure(h.rt.cfg.FrameTimeout, h.fault)
 	h.tr = tr
 	h.rt.SetTransport(tr)
 	return nil
 }
 
-// build constructs the hosted runtime for a cluster of `machines` from
-// the preset engine configuration or, without one, the configuration
-// NewApp derives from spec. Caller holds h.mu (or is the constructor).
-func (h *WorkerHost) build(machines int, spec []byte) error {
-	var cfg Config
-	if h.hc.presetCfg != nil {
-		cfg = *h.hc.presetCfg
-	} else {
-		var err error
-		if _, cfg, err = h.hc.NewApp(spec, machines); err != nil {
-			return err
-		}
-	}
-	cfg.Machines = machines
-	cfg = cfg.withDefaults()
-	fault, err := ParseFaultPlan(cfg.FaultSpec)
-	if err != nil {
-		return err
-	}
+// build constructs the hosted runtime under the coordinator's engine
+// configuration, spilling where the host says; newMachineRuntime
+// validates cfg (its fault plan included) before it allocates
+// anything. Caller holds h.mu (or is the constructor).
+func (h *WorkerHost) build(cfg Config) error {
+	cfg.SpillDir = h.hc.spillDir
 	rt, err := newMachineRuntime(h.hc.Graph, cfg, h.hc.MachineID, h.hc.presetVerts)
 	if err != nil {
 		return err
 	}
 	rt.disk.parent = h.hc.diskParent
-	h.cfg, h.rt, h.fault = cfg, rt, fault
+	h.rt = rt
+	h.fault, _ = ParseFaultPlan(rt.cfg.FaultSpec)
 	return nil
 }
 
@@ -242,7 +225,7 @@ func (h *WorkerHost) handleRun(job uint64, spec []byte) error {
 	if err != nil {
 		return err
 	}
-	app, _, err := h.hc.NewApp(spec, h.cfg.Machines)
+	app, err := h.hc.NewApp(spec, rt.cfg.WorkersPerMachine)
 	if err != nil {
 		return err
 	}
@@ -308,7 +291,7 @@ func (h *WorkerHost) handleStatus(job uint64) (MachineStatus, error) {
 	}
 	// A long poll: this is how every composition's coordinator learns
 	// of termination and failure the moment they happen.
-	rt.awaitQuiet(h.cfg.StatusInterval)
+	rt.awaitQuiet(rt.cfg.StatusInterval)
 	st := rt.Status()
 	// Kill hook: count only polls that observed mining underway, so a
 	// seeded kill=M@N lands on the Nth mid-run poll and the crash
@@ -365,8 +348,10 @@ func (h *WorkerHost) handleShutdown(job uint64) (*MachineReport, error) {
 	if err := rt.Err(); err != nil {
 		rep.Failure = err.Error()
 	}
-	if rep.Results, err = h.hc.Results(rt.jb().app); err != nil {
-		return nil, err
+	if app := rt.jb().app; app != nil { // nil until the machine's first job
+		if rep.Results, err = app.Results(); err != nil {
+			return nil, err
+		}
 	}
 	return rep, nil
 }

@@ -20,7 +20,7 @@ const parkTimeout = 10 * time.Second
 // channel. Spawn hands out one small task per vertex of spawn (nil:
 // no vertex spawns).
 type countApp struct {
-	toyCodec
+	nilApp
 	spawn    func(v graph.V) bool
 	computed chan struct{}
 }

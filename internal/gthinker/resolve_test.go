@@ -18,7 +18,7 @@ import (
 // and folds each frontier it is handed — ids and rows, in order — into
 // one word per root. Payload is {root, iteration}.
 type hopApp struct {
-	toyCodec
+	nilApp
 	sums []uint64 // per root; a root is computed by one task at a time
 }
 

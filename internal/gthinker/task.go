@@ -92,6 +92,9 @@ type App interface {
 	// global queue and are eligible for stealing. For the miner this
 	// is |ext(S)| > τsplit.
 	IsBig(t *Task) bool
+	// Results encodes what the stopped workers found: the opaque result
+	// frame of the machine's shutdown report, the only way out for them.
+	Results() ([]byte, error)
 }
 
 // TaskCodec is the payload-serialization half of App, named on its own

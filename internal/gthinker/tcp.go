@@ -52,15 +52,19 @@ import (
 // (store.Walker), named in brackets, that both sides run:
 //
 //	opJoin      payload [joinRequest.walk]: proto u32, machineID u32,
-//	            machines u32, n u32, m u64, peers u32 + peers × u32-len
-//	            address strings (every machine's host address, in
-//	            machine order: the addresses the coordinator dialed),
-//	            specLen u32 + opaque app job spec. The worker verifies
-//	            it serves that machine of that cluster over a graph
-//	            with that fingerprint and that the peer table has one
-//	            row per machine, builds its runtime (and app, from the
-//	            spec) and its TCPTransport over the peer table.
-//	            reply: empty.
+//	            the engine config [Config.walk]: machines u32,
+//	            workersPerMachine u32, queueCap u32, batchSize u32,
+//	            cacheCap u32, statusInterval u64, flags u32 (bit0 =
+//	            no global queue, bit1 = trace), frameTimeout u64,
+//	            deadAfterPolls u64, u32-len fault spec; then n u32, m
+//	            u64, peers u32 + peers × u32-len address strings (every
+//	            machine's host address, in machine order: the addresses
+//	            the coordinator dialed). The worker verifies it serves
+//	            that machine of that cluster over a graph with that
+//	            fingerprint and that the peer table has one row per
+//	            machine, builds its runtime under the config (which it
+//	            validates first) and its TCPTransport over the peer
+//	            table; no application exists until opRun. reply: empty.
 //	0x05        retired; never reused.
 //	opRun       payload [jobRequest.walkRun]: job u64, specLen u32 +
 //	            opaque app job spec. Resets the machine onto that job

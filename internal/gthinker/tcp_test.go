@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"gthinkerqc/internal/datagen"
@@ -379,24 +380,116 @@ func TestTaskFrameBeforeFirstJob(t *testing.T) {
 	}
 }
 
+// appCalls records a host's NewApp calls: the worker count of each.
+type appCalls struct {
+	mu      sync.Mutex
+	workers []int
+}
+
+func (c *appCalls) newApp(_ []byte, workers int) (App, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.workers = append(c.workers, workers)
+	return nilApp{}, nil
+}
+
+func (c *appCalls) seen() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.workers)
+}
+
 // unjoinedHost starts a socket host for machine 0 of any cluster size
-// over g that has not joined yet.
-func unjoinedHost(t *testing.T, g *graph.Graph) *WorkerHost {
+// over g that has not joined yet, and the record of its NewApp calls.
+func unjoinedHost(t *testing.T, g *graph.Graph) (*WorkerHost, *appCalls) {
 	t.Helper()
-	h, err := StartWorkerHost(WorkerHostConfig{Graph: g, NewApp: func([]byte, int) (App, Config, error) {
-		return nilApp{}, Config{WorkersPerMachine: 1, SpillDir: t.TempDir()}, nil
-	}, Results: noResults})
+	calls := &appCalls{}
+	h, err := StartWorkerHost(WorkerHostConfig{Graph: g, NewApp: calls.newApp, spillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(h.Close)
-	return h
+	return h, calls
 }
 
 // joinAlone is the join of a one-machine cluster whose peer table is
 // peers.
 func joinAlone(g *graph.Graph, peers ...string) joinRequest {
-	return joinRequest{Machines: 1, NumVerts: g.NumVertices(), NumEdges: uint64(g.NumEdges()), Peers: peers}
+	return joinRequest{Config: Config{Machines: 1}.withDefaults(), NumVerts: g.NumVertices(), NumEdges: uint64(g.NumEdges()), Peers: peers}
+}
+
+// TestHostJoinBuildsNoApp: a join builds the runtime under the joined
+// engine config and no application, so a shutdown before any run
+// reports no results; the first opRun builds the job's application,
+// sized for the joined WorkersPerMachine.
+func TestHostJoinBuildsNoApp(t *testing.T) {
+	g := datagen.ErdosRenyi(40, 0.1, 3)
+	h, calls := unjoinedHost(t, g)
+	c, err := joinCluster(Config{Machines: 1, WorkersPerMachine: 3}.withDefaults(), []string{h.Addr()}, g.NumVertices(), uint64(g.NumEdges()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := calls.seen(); len(got) != 0 {
+		t.Fatalf("the join called NewApp %d times, want 0", len(got))
+	}
+	if rt := h.Runtime(); rt == nil || len(rt.workers) != 3 {
+		t.Fatal("the join did not build a runtime of 3 workers")
+	}
+	// An idle client stamps job 0: a machine with no app reports none.
+	if rep, err := c.Shutdown(0); err != nil || len(rep.Results) != 0 {
+		t.Fatalf("shutdown before the first run: %+v, %v", rep, err)
+	}
+	if err := c.Run(0, 1, []byte("job 1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.seen(); !slices.Equal(got, []int{3}) {
+		t.Fatalf("NewApp called with workers %v, want [3]", got)
+	}
+}
+
+// TestHostJoinRefusesInvalidConfig: a join whose engine config fails
+// validation, one naming more workers than a cluster may run included,
+// is refused with validate's error before a runtime or an application
+// exists; a valid join still succeeds afterwards.
+func TestHostJoinRefusesInvalidConfig(t *testing.T) {
+	g := datagen.ErdosRenyi(40, 0.1, 3)
+	h, calls := unjoinedHost(t, g)
+	join := func(cfg Config) error {
+		c, err := joinCluster(cfg, []string{h.Addr()}, g.NumVertices(), uint64(g.NumEdges()))
+		if err == nil {
+			c.Close()
+		}
+		return err
+	}
+	one := Config{Machines: 1}.withDefaults()
+	for _, tc := range []struct {
+		name string
+		bad  func(c *Config)
+		want string
+	}{
+		{"batch over queue", func(c *Config) { c.QueueCap, c.BatchSize = 8, 16 }, "BatchSize 16 exceeds QueueCap 8"},
+		{"status interval at the frame timeout", func(c *Config) { c.StatusInterval = c.FrameTimeout }, "must be below FrameTimeout"},
+		{"1x2^20 workers", func(c *Config) { c.WorkersPerMachine = 1 << 20 }, "1×1048576 workers exceeds the limit of 65536"},
+	} {
+		cfg := one
+		tc.bad(&cfg)
+		if err := join(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: join err = %v, want %q", tc.name, err, tc.want)
+		}
+		if h.Runtime() != nil {
+			t.Fatalf("%s: refused join built a runtime", tc.name)
+		}
+	}
+	if got := calls.seen(); len(got) != 0 {
+		t.Fatalf("refused joins called NewApp %d times", len(got))
+	}
+	if err := join(one); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestHostRuntimeNilBeforeJoin: Runtime() is nil until the join, so
@@ -405,7 +498,7 @@ func joinAlone(g *graph.Graph, peers ...string) joinRequest {
 // transport together, and from then on Runtime() is non-nil.
 func TestHostRuntimeNilBeforeJoin(t *testing.T) {
 	g := datagen.ErdosRenyi(40, 0.1, 3)
-	h := unjoinedHost(t, g)
+	h, _ := unjoinedHost(t, g)
 	if h.Runtime() != nil {
 		t.Fatal("runtime visible before the join")
 	}
@@ -422,7 +515,7 @@ func TestHostRuntimeNilBeforeJoin(t *testing.T) {
 // unjoined, so a correct join still succeeds afterwards.
 func TestHostJoinChecksPeerTable(t *testing.T) {
 	g := datagen.ErdosRenyi(40, 0.1, 3)
-	h := unjoinedHost(t, g)
+	h, _ := unjoinedHost(t, g)
 	for _, peers := range [][]string{nil, {h.Addr(), h.Addr()}} {
 		err := h.handleJoin(joinAlone(g, peers...))
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("peer table of %d machines for a cluster of 1", len(peers))) {
@@ -442,7 +535,7 @@ func TestHostJoinChecksPeerTable(t *testing.T) {
 // served from a machine that has no cluster yet.
 func TestHostRefusesDataBeforeJoin(t *testing.T) {
 	g := datagen.ErdosRenyi(40, 0.1, 3)
-	h := unjoinedHost(t, g)
+	h, _ := unjoinedHost(t, g)
 	tr := NewTCPTransport([]string{h.Addr()}, g.NumVertices())
 	tr.SetTaskAddrs([]string{h.Addr()})
 	defer tr.Close()

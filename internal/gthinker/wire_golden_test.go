@@ -137,7 +137,7 @@ func recordingProxy(t *testing.T, target string) (string, func() []wireFrame) {
 // trace payloads the shutdown report carries, byte for byte: a real
 // ClusterClient drives a real control server through a recording
 // proxy, and each request and reply must equal the table, which holds
-// whatever implements the codecs to the protocol-version-10 layout a
+// whatever implements the codecs to the protocol-version-11 layout a
 // qcworker of another build speaks. The handler's view of each request
 // and the client's view of each reply are checked against the values
 // encoded, so both directions of every payload are exercised.
@@ -150,7 +150,12 @@ func TestWireGolden(t *testing.T) {
 	defer srv.close()
 	addr, stop := recordingProxy(t, srv.addr())
 
-	c, err := joinCluster(Config{Machines: 2}, []string{addr, addr}, 1000, 5000, []byte("spec-0"))
+	// Every engine-config field off its default; the fault plan's one
+	// directive acts on hosts only, so the client's frames are clean.
+	cfg := Config{Machines: 2, WorkersPerMachine: 3, QueueCap: 64, BatchSize: 8, CacheCap: 1 << 10,
+		StatusInterval: 2 * time.Millisecond, DisableGlobalQueue: true, Trace: true,
+		FrameTimeout: 7 * time.Second, DeadAfterPolls: 9, FaultSpec: "5:kill=1@9"}
+	c, err := joinCluster(cfg, []string{addr, addr}, 1000, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +188,17 @@ func TestWireGolden(t *testing.T) {
 	zeros := func(n int) string { return strings.Repeat("0000000000000000", n) }
 	const (
 		jobID = "0807060504030201"
-		spec0 = "06000000737065632d30"
+		// machines, workers, queue, batch, cache, status interval,
+		// flags (no global queue, trace), frame timeout, dead-after
+		// polls, fault spec.
+		engine = "02000000" + "03000000" + "40000000" + "08000000" + "00040000" + "80841e0000000000" +
+			"03000000" + "00863ba101000000" + "0900000000000000" + "0a000000" + "353a6b696c6c3d314039"
 	)
 	// The peer table is the two addresses the client dialed: the
 	// proxy's, twice.
 	proxy := hex.EncodeToString(store.AppendU32(nil, uint32(len(addr)))) + hex.EncodeToString([]byte(addr))
 	join := func(machine string) string {
-		return "0a000000" + machine + "02000000" + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy + spec0
+		return "0b000000" + machine + engine + "e8030000" + "8813000000000000" + "02000000" + proxy + proxy
 	}
 	status := "01" + "0300000000000000" + "0200000000000000" + "0b00000000000000" + "0c00000000000000" + "2800000000000000" +
 		"2800000000000000" + zeros(10) + "0000000002000000" + zeros(16) + "0700000000000000" +
@@ -220,8 +229,8 @@ func TestWireGolden(t *testing.T) {
 	}
 
 	wantSeen := []any{
-		joinRequest{MachineID: 0, Machines: 2, NumVerts: 1000, NumEdges: 5000, Peers: []string{addr, addr}, Spec: []byte("spec-0")},
-		joinRequest{MachineID: 1, Machines: 2, NumVerts: 1000, NumEdges: 5000, Peers: []string{addr, addr}, Spec: []byte("spec-0")},
+		joinRequest{MachineID: 0, Config: cfg, NumVerts: 1000, NumEdges: 5000, Peers: []string{addr, addr}},
+		joinRequest{MachineID: 1, Config: cfg, NumVerts: 1000, NumEdges: 5000, Peers: []string{addr, addr}},
 		[]any{uint64(job), "spec-1"},
 		uint64(job),
 		[]any{uint64(job), 0, 5},

@@ -107,6 +107,20 @@ func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {
 	return t
 }
 
+// Results is every machine's report encoder: it finalizes its workers'
+// finds — so unless the job skips the filter, only the sets maximal on
+// this machine travel; the coordinator filters the union — and encodes
+// them with the machine's emissions and per-root rows.
+func (a *app) Results() ([]byte, error) {
+	var parts [][][]graph.V
+	var emitted int64
+	for _, col := range a.collectors {
+		parts = append(parts, col.Sets())
+		emitted += col.Emitted()
+	}
+	return AppendResults(nil, quasiclique.Finalize(parts, a.cfg.Options.SkipMaximalityFilter), emitted, a.rec.PerRoot()), nil
+}
+
 // IsBig classifies tasks by (estimated) |ext(S)| against τsplit.
 func (a *app) IsBig(t *gthinker.Task) bool {
 	p := t.Payload.(*Payload)

@@ -2,8 +2,8 @@
 // gthinker control plane ships two opaque byte blobs — the job spec
 // every machine builds its app from, and the result frame it reports
 // at shutdown — and this file owns both encodings for the quasi-clique
-// miner, the factory and encoder every machine runs, the
-// worker-process entry point (cmd/qcworker) and the one-shot MineProcs.
+// miner, the factory every machine runs, the worker-process entry
+// point (cmd/qcworker) and the one-shot MineProcs.
 package miner
 
 import (
@@ -17,26 +17,23 @@ import (
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/gthinker"
 	"gthinkerqc/internal/metrics"
-	"gthinkerqc/internal/quasiclique"
 	"gthinkerqc/internal/store"
 )
 
-// jobSpecMagic versions the miner job spec carried inside opJoin and
-// opRun. QJS2 dropped QJS1's spill-format byte; QJS3 dropped the two
-// kernel flags and the two dense-kernel scalars; QJS4 dropped the
-// steal period, the steal hysteresis streak and the stealing and
-// recovery opt-outs; QJS5 dropped the dial timeout. A worker built for
-// another layout is refused at join instead of mis-parsing every field
-// after it.
-const jobSpecMagic = "QJS5"
+// jobSpecMagic versions the miner job spec carried inside opRun. QJS2
+// dropped QJS1's spill-format byte; QJS3 dropped the two kernel flags
+// and the two dense-kernel scalars; QJS4 dropped the steal period, the
+// steal hysteresis streak and the stealing and recovery opt-outs; QJS5
+// dropped the dial timeout; QJS6 dropped the engine config, which the
+// join carries. A worker built for another layout refuses the job
+// instead of mis-parsing every field after it.
+const jobSpecMagic = "QJS6"
 
-// jobSpecFields is the QJS5 layout: the magic, then every field of the
-// miner and engine configs that crosses the wire, in order. The engine
-// config travels without a SpillDir (each worker process spills into
-// its own temporary directory) and without transport fields (the
-// handshake wires those). The spec is a worker's only configuration:
-// its fault plan and tracing come from here.
-func jobSpecFields(w *store.Walker, cfg *Config, ecfg *gthinker.Config) {
+// jobSpecFields is the QJS6 layout: the magic, then every field of the
+// miner config that crosses the wire, in order. It carries the job
+// only; the engine shape, tracing and fault plan a machine runs under
+// come from the join.
+func jobSpecFields(w *store.Walker, cfg *Config) {
 	o := &cfg.Options
 	w.Const(jobSpecMagic, "job spec version")
 	w.Float(&cfg.Params.Gamma)
@@ -48,33 +45,21 @@ func jobSpecFields(w *store.Walker, cfg *Config, ecfg *gthinker.Config) {
 		&o.DisableCriticalVertex, &o.DisableUpperBound, &o.DisableLowerBound,
 		&o.DisableDegreePruning, &o.QuickCompat, &o.SkipMaximalityFilter)
 	store.U64(w, &cfg.TimeBudget)
-
-	store.U32(w, &ecfg.Machines)
-	store.U32(w, &ecfg.WorkersPerMachine)
-	store.U32(w, &ecfg.QueueCap)
-	store.U32(w, &ecfg.BatchSize)
-	store.U32(w, &ecfg.CacheCap)
-	store.U64(w, &ecfg.StatusInterval)
-	w.Flags(4, &ecfg.DisableGlobalQueue, &ecfg.Trace)
-	store.U64(w, &ecfg.FrameTimeout)
-	store.U64(w, &ecfg.DeadAfterPolls)
-	w.String(&ecfg.FaultSpec, math.MaxInt32)
 }
 
-// AppendJobSpec encodes the mining job (miner config + engine shape)
-// for the join handshake, so every worker process mines with exactly
-// the coordinator's parameters — there is one source of truth and it
-// is not N command lines.
-func AppendJobSpec(dst []byte, cfg Config, ecfg gthinker.Config) []byte {
+// AppendJobSpec encodes the mining job for opRun, so every machine
+// mines with exactly the coordinator's parameters — there is one
+// source of truth and it is not N command lines.
+func AppendJobSpec(dst []byte, cfg Config) []byte {
 	cfg = cfg.withDefaults()
-	return store.Encode(dst, func(w *store.Walker) { jobSpecFields(w, &cfg, &ecfg) })
+	return store.Encode(dst, func(w *store.Walker) { jobSpecFields(w, &cfg) })
 }
 
 // DecodeJobSpec reverses AppendJobSpec. A spec of another version is
 // refused: coordinator and qcworker must come from the same build.
-func DecodeJobSpec(data []byte) (cfg Config, ecfg gthinker.Config, err error) {
-	err = store.Decode(data, "QJS5 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg, &ecfg) })
-	return cfg, ecfg, err
+func DecodeJobSpec(data []byte) (cfg Config, err error) {
+	err = store.Decode(data, "QJS6 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg) })
+	return cfg, err
 }
 
 // resultsFields is the QRS3 layout of the result frame in one
@@ -126,41 +111,20 @@ func DecodeResults(data []byte, numVerts int) (sets [][]graph.V, emitted int64, 
 	return sets, emitted, roots, nil
 }
 
-// workerResults is every machine's report encoder: it finalizes its
-// workers' finds — so unless the job skips the filter, only the sets
-// maximal on this machine travel; the coordinator filters the union —
-// and encodes them with the machine's emissions and per-root rows.
-func workerResults(a gthinker.App) ([]byte, error) {
-	ma, ok := a.(*app)
-	if !ok {
-		return nil, fmt.Errorf("miner: results requested from %T", a)
-	}
-	var parts [][][]graph.V
-	var emitted int64
-	for _, col := range ma.collectors {
-		parts = append(parts, col.Sets())
-		emitted += col.Emitted()
-	}
-	return AppendResults(nil, quasiclique.Finalize(parts, ma.cfg.Options.SkipMaximalityFilter), emitted, ma.rec.PerRoot()), nil
-}
-
 // appFactory is every machine's application factory, in a worker
 // process and in the coordinator's process alike: it decodes the job
-// spec, validates it, and builds the job's app over g.
-func appFactory(g *graph.Graph) func(spec []byte, machines int) (gthinker.App, gthinker.Config, error) {
-	return func(spec []byte, machines int) (gthinker.App, gthinker.Config, error) {
-		cfg, ecfg, err := DecodeJobSpec(spec)
+// spec, validates it, and builds the job's app over g for the
+// machine's workers.
+func appFactory(g *graph.Graph) func(spec []byte, workers int) (gthinker.App, error) {
+	return func(spec []byte, workers int) (gthinker.App, error) {
+		cfg, err := DecodeJobSpec(spec)
 		if err == nil {
 			cfg, err = ValidateJob(cfg)
 		}
 		if err != nil {
-			return nil, gthinker.Config{}, err
+			return nil, err
 		}
-		// A spec that leaves Machines at its default names one machine.
-		if max(ecfg.Machines, 1) != machines {
-			return nil, gthinker.Config{}, fmt.Errorf("miner: job spec names %d machines, join %d", ecfg.Machines, machines)
-		}
-		return newApp(g, cfg, max(ecfg.WorkersPerMachine, 1)), ecfg, nil
+		return newApp(g, cfg, workers), nil
 	}
 }
 
@@ -168,10 +132,11 @@ func appFactory(g *graph.Graph) func(spec []byte, machines int) (gthinker.App, g
 // and starts the worker host serving machine machineID. It is the
 // entire body of cmd/qcworker (and of the test harness's re-executed
 // process): callers print the ready line, wait for the coordinator's
-// exit op, and close. Everything else — mining parameters, engine
-// shape, tracing, the fault plan — arrives in the job spec; a
-// fault-plan kill aimed at this machine (kill=M@N) exits the process
-// hard with status 137, indistinguishable from an external SIGKILL.
+// exit op, and close. Everything else arrives from the coordinator —
+// the engine shape, tracing and the fault plan in the join, the mining
+// parameters in each job's spec; a fault-plan kill aimed at this
+// machine (kill=M@N) exits the process hard with status 137,
+// indistinguishable from an external SIGKILL.
 func HostWorker(graphPath, manifestPath string, machineID int) (*gthinker.WorkerHost, func(), error) {
 	man, err := store.ReadManifestFile(manifestPath)
 	if err != nil {
@@ -197,7 +162,6 @@ func HostWorker(graphPath, manifestPath string, machineID int) (*gthinker.Worker
 		Addr:      man.Machines[machineID].Addr,
 		Kill:      func() { os.Exit(137) },
 		NewApp:    appFactory(g),
-		Results:   workerResults,
 	})
 	if err != nil {
 		mg.Close()

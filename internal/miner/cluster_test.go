@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gthinkerqc/internal/graph"
-	"gthinkerqc/internal/gthinker"
 	"gthinkerqc/internal/metrics"
 	"gthinkerqc/internal/quasiclique"
 )
@@ -24,48 +23,38 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		TauSplit: 77, TauTime: 3 * time.Millisecond, Strategy: SizeThreshold,
 		TimeBudget: 90 * time.Second,
 	}
-	ecfg := gthinker.Config{
-		Machines: 4, WorkersPerMachine: 3, QueueCap: 64, BatchSize: 8,
-		CacheCap: 1 << 10, StatusInterval: 2 * time.Millisecond,
-		DisableGlobalQueue: true, Trace: true,
-		FrameTimeout:   7 * time.Second,
-		DeadAfterPolls: 9, FaultSpec: "5:reset=0.01",
-	}
-	gcfg, gecfg, err := DecodeJobSpec(AppendJobSpec(nil, cfg, ecfg))
+	got, err := DecodeJobSpec(AppendJobSpec(nil, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gcfg, cfg) {
-		t.Fatalf("miner config round trip:\n got  %+v\n want %+v", gcfg, cfg)
-	}
-	if !reflect.DeepEqual(gecfg, ecfg) {
-		t.Fatalf("engine config round trip:\n got  %+v\n want %+v", gecfg, ecfg)
+	if !reflect.DeepEqual(got, cfg) {
+		t.Fatalf("miner config round trip:\n got  %+v\n want %+v", got, cfg)
 	}
 
 	// A spec from a build with another layout (QJS1 carried a
 	// spill-format byte, QJS2 the kernel flags and scalars, QJS3 the
 	// steal period, hysteresis streak and steal/recovery opt-outs, QJS4
-	// the dial timeout) is refused by version, not mis-parsed.
-	data := AppendJobSpec(nil, cfg, ecfg)
-	for _, old := range []string{"QJS1", "QJS2", "QJS3", "QJS4"} {
+	// the dial timeout, QJS5 the engine config) is refused by version,
+	// not mis-parsed.
+	data := AppendJobSpec(nil, cfg)
+	for _, old := range []string{"QJS1", "QJS2", "QJS3", "QJS4", "QJS5"} {
 		stale := append([]byte(old), data[4:]...)
-		if _, _, err := DecodeJobSpec(stale); err == nil || !strings.Contains(err.Error(), "unsupported job spec version") {
+		if _, err := DecodeJobSpec(stale); err == nil || !strings.Contains(err.Error(), "unsupported job spec version") {
 			t.Fatalf("%s spec: err = %v, want an unsupported-version error", old, err)
 		}
 	}
 	for _, bad := range [][]byte{{}, data[:3], data[:len(data)-1], append(append([]byte{}, data...), 7), []byte("XXXX")} {
-		if _, _, err := DecodeJobSpec(bad); err == nil {
+		if _, err := DecodeJobSpec(bad); err == nil {
 			t.Fatalf("corrupt job spec of %d bytes accepted", len(bad))
 		}
 	}
 }
 
-// TestJobSpecGolden pins the QJS5 bytes of one fully-populated config:
+// TestJobSpecGolden pins the QJS6 bytes of one fully-populated config:
 // field order, widths and flag bit positions are the protocol.
 func TestJobSpecGolden(t *testing.T) {
-	const golden = "514a5335333333333333eb3f090000004d000000c0c62d0000000000012d01000000046bf414000000" +
-		"040000000300000040000000080000000004000080841e0000000000" + "03000000" +
-		"00863ba10100000009000000000000000c000000353a72657365743d302e3031"
+	const golden = "514a5336" + "333333333333eb3f" + "09000000" + "4d000000" + "c0c62d0000000000" + "01" +
+		"2d010000" + "00046bf414000000"
 	cfg := Config{
 		Params: quasiclique.Params{Gamma: 0.85, MinSize: 9},
 		Options: quasiclique.Options{
@@ -75,21 +64,14 @@ func TestJobSpecGolden(t *testing.T) {
 		TauSplit: 77, TauTime: 3 * time.Millisecond, Strategy: SizeThreshold,
 		TimeBudget: 90 * time.Second,
 	}
-	ecfg := gthinker.Config{
-		Machines: 4, WorkersPerMachine: 3, QueueCap: 64, BatchSize: 8,
-		CacheCap: 1 << 10, StatusInterval: 2 * time.Millisecond,
-		DisableGlobalQueue: true, Trace: true,
-		FrameTimeout:   7 * time.Second,
-		DeadAfterPolls: 9, FaultSpec: "5:reset=0.01",
-	}
-	if got := hex.EncodeToString(AppendJobSpec(nil, cfg, ecfg)); got != golden {
-		t.Fatalf("QJS5 bytes changed:\n got  %s\n want %s", got, golden)
+	if got := hex.EncodeToString(AppendJobSpec(nil, cfg)); got != golden {
+		t.Fatalf("QJS6 bytes changed:\n got  %s\n want %s", got, golden)
 	}
 }
 
 // TestWireGolden pins the QRS3 bytes a machine ships back after a job.
 // Each row must encode to its bytes and decode back to its value (the
-// QJS5 job spec has its own golden test above).
+// QJS6 job spec has its own golden test above).
 func TestWireGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -154,19 +136,18 @@ func TestResultsRoundTrip(t *testing.T) {
 // garbage with an error — never panic or allocate past the bytes
 // present — and whatever they accept must re-encode to the same bytes.
 func FuzzDecodeJobSpec(f *testing.F) {
-	f.Add(AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 0.9, MinSize: 5}},
-		gthinker.Config{Machines: 2, FaultSpec: "1:dialfail=0.5"}))
-	f.Add([]byte("QJS2"))
+	f.Add(AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 0.9, MinSize: 5}, Strategy: SizeThreshold}))
+	f.Add([]byte("QJS5"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, ecfg, err := DecodeJobSpec(data)
+		cfg, err := DecodeJobSpec(data)
 		if err != nil {
 			return
 		}
 		// Encoding applies defaults, so compare at the fixed point.
-		again := AppendJobSpec(nil, cfg, ecfg)
-		cfg2, ecfg2, err := DecodeJobSpec(again)
-		if err != nil || !bytes.Equal(AppendJobSpec(nil, cfg2, ecfg2), again) {
+		again := AppendJobSpec(nil, cfg)
+		cfg2, err := DecodeJobSpec(again)
+		if err != nil || !bytes.Equal(AppendJobSpec(nil, cfg2), again) {
 			t.Fatalf("accepted spec does not round-trip: %v", err)
 		}
 	})

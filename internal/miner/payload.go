@@ -19,7 +19,7 @@
 // the union of the survivors once. Duplicates are dropped there too —
 // equal sets end up adjacent in canonical order — so there is no
 // merged collector and no second hash pass. On a process cluster the
-// worker half runs inside workerResults, so a machine ships only its
+// worker half runs inside app.Results, so a machine ships only its
 // own survivors (about a tenth of its candidates on a dense core)
 // plus its emission count, and the session filters the union of the
 // machines' frames. The filter itself (quasiclique.FilterMaximal)

@@ -161,16 +161,16 @@ func TestWorkerShipsSurvivorsOnly(t *testing.T) {
 		}
 		// The machine's own factory, keeping the app it builds.
 		var a *app
-		newApp := func(spec []byte, machines int) (gthinker.App, gthinker.Config, error) {
-			ga, c, err := appFactory(g)(spec, machines)
+		newApp := func(spec []byte, workers int) (gthinker.App, error) {
+			ga, err := appFactory(g)(spec, workers)
 			a, _ = ga.(*app)
-			return ga, c, err
+			return ga, err
 		}
-		cluster, err := gthinker.NewLocalCluster(g, ecfg, newApp, workerResults)
+		cluster, err := gthinker.NewLocalCluster(g, ecfg, newApp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := cluster.RunJob(context.Background(), AppendJobSpec(nil, cfg, ecfg))
+		out, err := cluster.RunJob(context.Background(), AppendJobSpec(nil, cfg))
 		cluster.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -94,7 +94,8 @@ const procsTimeout = 30 * time.Second
 // wiring — and returns the session over it. Each worker mmaps the
 // graph once; every job after that only ships a job spec, so the
 // per-query cost is the query, not the deployment. ecfg fixes the
-// engine shape for the pool's lifetime.
+// engine shape for the pool's lifetime; every worker takes it from the
+// join.
 func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) {
 	if pcfg.Command == nil {
 		return nil, fmt.Errorf("miner: procs pool needs a worker Command factory")
@@ -144,10 +145,7 @@ func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) 
 		return pcfg.Command(machine, manifestPath)
 	}, procsTimeout)
 	if err == nil {
-		// The join spec fixes the engine shape, with the loosest valid
-		// mining parameters: every job delivers its own spec with opRun.
-		boot := AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 1, MinSize: 2}}, ecfg)
-		s.cluster, err = gthinker.StartProcsCluster(ecfg, procs, man.NumVertices, man.NumEdges, boot, procsTimeout)
+		s.cluster, err = gthinker.StartProcsCluster(ecfg, procs, man.NumVertices, man.NumEdges, procsTimeout)
 	}
 	if err != nil {
 		s.cleanup()
@@ -175,7 +173,7 @@ func (s *Session) Mine(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, ErrSessionClosed
 	}
 	if s.cluster == nil {
-		if s.cluster, err = gthinker.NewLocalCluster(s.g, s.ecfg, appFactory(s.g), workerResults); err != nil {
+		if s.cluster, err = gthinker.NewLocalCluster(s.g, s.ecfg, appFactory(s.g)); err != nil {
 			return nil, err
 		}
 	}
@@ -184,7 +182,7 @@ func (s *Session) Mine(ctx context.Context, cfg Config) (*Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, cfg.TimeBudget)
 		defer cancel()
 	}
-	out, runErr := s.cluster.RunJob(ctx, AppendJobSpec(nil, cfg, s.ecfg))
+	out, runErr := s.cluster.RunJob(ctx, AppendJobSpec(nil, cfg))
 	if out == nil {
 		return nil, runErr
 	}

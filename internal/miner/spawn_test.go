@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"gthinkerqc/internal/datagen"
@@ -81,13 +82,41 @@ func TestSpawnGateLiveRoots(t *testing.T) {
 	want := serialReference(t, g, par)
 
 	ecfg := gthinker.Config{Machines: 3, WorkersPerMachine: 2}
-	a, _, err := appFactory(g)(AppendJobSpec(nil, Config{Params: par}, ecfg), ecfg.Machines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ma := a.(*app); len(ma.collectors) != 2 || len(ma.scratches) != 2 || len(ma.miners) != 2 {
-		t.Fatalf("a machine's app holds %d collectors, %d scratches and %d miners, want 2 each",
-			len(ma.collectors), len(ma.scratches), len(ma.miners))
+	// Each machine builds one app for its own two workers, whether its
+	// host was handed the config (direct calls) or took it from the
+	// join (sockets).
+	for _, tcp := range []bool{false, true} {
+		var mu sync.Mutex
+		var apps []*app
+		newApp := func(spec []byte, workers int) (gthinker.App, error) {
+			a, err := appFactory(g)(spec, workers)
+			if err == nil {
+				mu.Lock()
+				apps = append(apps, a.(*app))
+				mu.Unlock()
+			}
+			return a, err
+		}
+		cfg := ecfg
+		cfg.InProcessTCP, cfg.SpillDir = tcp, t.TempDir()
+		cluster, err := gthinker.NewLocalCluster(g, cfg, newApp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cluster.RunJob(context.Background(), AppendJobSpec(nil, Config{Params: par}))
+		cluster.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(apps) != ecfg.Machines {
+			t.Fatalf("tcp=%v: %d apps built for %d machines", tcp, len(apps), ecfg.Machines)
+		}
+		for _, ma := range apps {
+			if len(ma.collectors) != 2 || len(ma.scratches) != 2 || len(ma.miners) != 2 {
+				t.Fatalf("tcp=%v: a machine's app holds %d collectors, %d scratches and %d miners, want 2 each",
+					tcp, len(ma.collectors), len(ma.scratches), len(ma.miners))
+			}
+		}
 	}
 
 	graphPath := filepath.Join(t.TempDir(), "fringe.gqc")

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"gthinkerqc/internal/gthinker"
 	"gthinkerqc/internal/miner"
 	"gthinkerqc/internal/obs"
 	"gthinkerqc/internal/quasiclique"
@@ -220,7 +219,7 @@ func (s *Server) Close() error {
 // regardless of how sparsely they were written.
 func (s *Server) cacheKey(cfg miner.Config) [32]byte {
 	cfg.TimeBudget = 0
-	spec := miner.AppendJobSpec([]byte(s.cfg.Fingerprint), cfg, gthinker.Config{})
+	spec := miner.AppendJobSpec([]byte(s.cfg.Fingerprint), cfg)
 	return sha256.Sum256(spec)
 }
 

@@ -79,7 +79,7 @@
 // Every payload the system sends once per poll or once per job — the
 // gthinker control plane's requests and replies (a job ends with one
 // machine report carrying the Metrics, the OTR1 trace and the result
-// frame), the miner's QJS5 job spec and QRS3 results, and the
+// frame), the miner's QJS6 job spec and QRS3 results, and the
 // GQM3 manifest — is spelled as one walk function over a Walker: the
 // fields in wire order, each through a typed method (fixed-width
 // integers, float, flag mask, length-prefixed string and bytes,

@@ -90,7 +90,8 @@ func (w *Walker) Float(p *float64) {
 }
 
 // Flags walks booleans as one width-byte mask, bit i for bits[i].
-// Decoding ignores the bits no boolean is named for.
+// Decoding refuses a mask with a bit no boolean is named for, so every
+// mask it accepts re-encodes to itself.
 func (w *Walker) Flags(width int, bits ...*bool) {
 	var mask uint64
 	for i, b := range bits {
@@ -100,6 +101,9 @@ func (w *Walker) Flags(width int, bits ...*bool) {
 	}
 	mask = w.num(width, mask)
 	if w.cur != nil {
+		if mask>>len(bits) != 0 {
+			w.fail("flags %#x set a bit past the %d defined", mask, len(bits))
+		}
 		for i, b := range bits {
 			*b = mask&(1<<i) != 0
 		}

@@ -62,9 +62,9 @@ func TestWalkerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWalkerRefuses: a wrong constant, and a count or length above its
-// bound or above the bytes left, fail the walk before anything is
-// allocated for them.
+// TestWalkerRefuses: a wrong constant, a flag bit no boolean is named
+// for, and a count or length above its bound or above the bytes left,
+// fail the walk before anything is allocated for them.
 func TestWalkerRefuses(t *testing.T) {
 	good := Encode(nil, (&walkAll{}).walk)
 	wrong := append([]byte("WLK2"), good[4:]...)
@@ -87,6 +87,12 @@ func TestWalkerRefuses(t *testing.T) {
 		if err == nil || len(got) != 0 || cap(got) != 0 {
 			t.Fatalf("%s: err = %v, decoded %d elements (cap %d)", tc.name, err, len(got), cap(got))
 		}
+	}
+	// walkAll's flags byte names two bits.
+	flags := Encode(nil, (&walkAll{}).walk)
+	flags[4+1+4+8+8+8] = 4
+	if err := Decode(flags, "walk", new(walkAll).walk); err == nil || !strings.Contains(err.Error(), "past the 2 defined") {
+		t.Fatalf("undefined flag bit: err = %v", err)
 	}
 	long := Encode(nil, (&walkAll{s: "123456789"}).walk)
 	if err := Decode(long, "walk", new(walkAll).walk); err == nil {
