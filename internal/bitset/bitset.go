@@ -82,6 +82,23 @@ func (m *Matrix) Reset(n int) {
 	clear(m.words)
 }
 
+// Load resizes the matrix to n×n and copies words in as its rows: n
+// rows of WordsFor(n) words each, the layout Row slices. Storage is
+// reused as by Reset; words is not retained.
+func (m *Matrix) Load(n int, words []uint64) {
+	m.n = n
+	m.stride = WordsFor(n)
+	need := n * m.stride
+	if len(words) != need {
+		panic("bitset: matrix rows of the wrong length")
+	}
+	if cap(m.words) < need {
+		m.words = make([]uint64, need)
+	}
+	m.words = m.words[:need]
+	copy(m.words, words)
+}
+
 // N returns the number of rows (= universe size).
 func (m *Matrix) N() int { return m.n }
 

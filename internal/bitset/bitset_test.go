@@ -128,3 +128,28 @@ func equalU32(a, b []uint32) bool {
 	}
 	return true
 }
+
+// TestMatrixLoad: Load takes rows verbatim at the stride Row slices,
+// over storage a bigger earlier matrix left dirty, and keeps no alias.
+func TestMatrixLoad(t *testing.T) {
+	var m Matrix
+	m.Reset(200)
+	for i := 0; i < 200; i++ {
+		m.Row(i)[0] = ^uint64(0)
+	}
+	words := []uint64{0, 0b110, 0b101, 0b011, 0} // rows 0–2 of a 3-vertex matrix at words[1:4]
+	m.Load(3, words[1:4])
+	if m.N() != 3 || m.Stride() != 1 || m.Row(0)[0] != 0b110 || m.Row(2)[0] != 0b011 {
+		t.Fatalf("Load(3): N=%d stride=%d rows %b %b", m.N(), m.Stride(), m.Row(0), m.Row(2))
+	}
+	words[1] = 0
+	if m.Row(0)[0] != 0b110 {
+		t.Fatal("Load aliased its input")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Load of the wrong length did not panic")
+		}
+	}()
+	m.Load(3, words[:2])
+}

@@ -100,8 +100,9 @@ type App interface {
 // TaskCodec is the payload-serialization half of App, named on its own
 // because a TaskServer needs nothing else. Payloads travel inside the
 // columnar GQS1 batch format of internal/store: spill writes each
-// payload's flat arrays verbatim and refill is one sequential read
-// plus pointer fix-up, with no reflection and no per-field allocation.
+// payload's flat arrays verbatim (the miner's are vertex IDs and a
+// subtask's bit rows) and refill is one sequential read plus pointer
+// fix-up, with no reflection and no per-field allocation.
 type TaskCodec interface {
 	// AppendTaskPayload appends the payload's raw encoding to dst and
 	// returns the extended buffer (append-style).

@@ -14,15 +14,15 @@ import (
 // wscratch is one worker's reusable task-construction state: an
 // epoch-stamped marker over global vertex IDs (the shared
 // graph.Scratch core) with one value slot, the row-pointer buffer of
-// iteration 2 and the quasiclique.Scratch its induction, its peel and
-// iteration 3's subtasks run on. It replaces the per-Compute maps
-// (known/pull dedup, global→local index) that dominated task-spawn
-// cost. Owned by exactly one worker.
+// iteration 2 and the quasiclique.Scratch its induction and its peel
+// run on (iteration 3's subtasks come from the miner's matrix). It
+// replaces the per-Compute maps (known/pull dedup, global→local index)
+// that dominated task-spawn cost. Owned by exactly one worker.
 type wscratch struct {
 	marks graph.Scratch
 	idxA  []uint32            // global → collect-order row index (iterations 1–2)
 	rows  [][]graph.V         // iteration-2 row pointers, collect order
-	qs    quasiclique.Scratch // iteration-2 induction and peel, iteration-3 subtasks
+	qs    quasiclique.Scratch // iteration-2 induction and peel
 	peel  kcore.PeelScratch   // iteration-1 partial-peel buffers
 }
 
@@ -321,17 +321,17 @@ func (a *app) iteration3(p *Payload, ctx *gthinker.Ctx) bool {
 		return false
 	}
 	m := a.miners[ctx.WorkerID]
-	ws := a.scratches[ctx.WorkerID]
 	m.Reset(sub)
 	m.Abort = ctx.Aborted
 
 	var mater time.Duration
 	subtasks := 0
 	// S and ext index the Sub the miner is bound to, which a split of
-	// an oversized task rebinds to each child.
+	// an oversized task rebinds to each child; Subtask compacts the
+	// child from that Sub's matrix.
 	offload := func(S, ext []uint32) {
 		t0 := time.Now()
-		child, s2, e2 := quasiclique.MakeSubtaskScratch(m.Sub, S, ext, &ws.qs)
+		child, s2, e2 := m.Subtask(S, ext)
 		nt := gthinker.NewTask(&Payload{
 			Iteration: 3, Root: p.Root, Sub: child, S: s2, Ext: e2,
 		})

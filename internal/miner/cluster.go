@@ -25,11 +25,14 @@ import (
 // and the two dense-kernel scalars; QJS4 dropped the steal period, the
 // steal hysteresis streak and the stealing and recovery opt-outs; QJS5
 // dropped the dial timeout; QJS6 dropped the engine config, which the
-// join carries. A worker built for another layout refuses the job
-// instead of mis-parsing every field after it.
-const jobSpecMagic = "QJS6"
+// join carries. QJS7 has QJS6's fields: it versions the task payload
+// (spillcodec.go), whose Sub is now bit rows, because the app that
+// decodes the spec is the app that decodes the payloads a steal moves.
+// A worker built for another layout refuses the job at opRun instead
+// of mis-parsing every field after it, or a task, later.
+const jobSpecMagic = "QJS7"
 
-// jobSpecFields is the QJS6 layout: the magic, then every field of the
+// jobSpecFields is the QJS7 layout: the magic, then every field of the
 // miner config that crosses the wire, in order. It carries the job
 // only; the engine shape, tracing and fault plan a machine runs under
 // come from the join.
@@ -58,7 +61,7 @@ func AppendJobSpec(dst []byte, cfg Config) []byte {
 // DecodeJobSpec reverses AppendJobSpec. A spec of another version is
 // refused: coordinator and qcworker must come from the same build.
 func DecodeJobSpec(data []byte) (cfg Config, err error) {
-	err = store.Decode(data, "QJS6 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg) })
+	err = store.Decode(data, "QJS7 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg) })
 	return cfg, err
 }
 

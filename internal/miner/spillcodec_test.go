@@ -1,11 +1,13 @@
 package miner
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -87,18 +89,17 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 		if (got.Sub == nil) != (p.Sub == nil) {
 			t.Fatalf("case %d: Sub presence", i)
 		}
-		if p.Sub != nil && !reflect.DeepEqual(normalizeSub(got.Sub), normalizeSub(p.Sub)) {
+		if p.Sub != nil && !sameSub(got.Sub, p.Sub) {
 			t.Fatalf("case %d: Sub differs", i)
 		}
 	}
 }
 
-func normalizeSub(s *quasiclique.Sub) *quasiclique.Sub {
-	out := &quasiclique.Sub{Label: append([]graph.V{}, s.Label...), Adj: make([][]uint32, len(s.Adj))}
-	for i, row := range s.Adj {
-		out.Adj[i] = append([]uint32{}, row...)
-	}
-	return out
+// sameSub reports whether two Subs hold the same labels and edges,
+// whatever their form: AppendRaw writes both as the same canonical
+// rows record.
+func sameSub(a, b *quasiclique.Sub) bool {
+	return bytes.Equal(a.AppendRaw(nil), b.AppendRaw(nil))
 }
 
 func TestPayloadCodecRejectsCorruption(t *testing.T) {
@@ -118,6 +119,11 @@ func TestPayloadCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, err := a.DecodeTaskPayload(append(append([]byte(nil), good...), 0, 0, 0, 0)); err == nil {
 		t.Fatal("trailing bytes decoded cleanly")
+	}
+	unknownFlag := append([]byte(nil), good...)
+	unknownFlag[8] |= 2 // flags word: bit 0 is the only one defined
+	if _, err := a.DecodeTaskPayload(unknownFlag); err == nil {
+		t.Fatal("unknown flag bit decoded cleanly")
 	}
 	if _, err := a.AppendTaskPayload(nil, "not a payload"); err == nil {
 		t.Fatal("foreign payload type accepted")
@@ -143,6 +149,17 @@ func TestPayloadCodecRejectsCorruption(t *testing.T) {
 			S: []uint32{8}, Ext: []uint32{1}}},
 		{"S and Ext without a Sub", &Payload{Iteration: 3, Root: 0,
 			S: []uint32{0}, Ext: []uint32{1}}},
+		{"S out of order", &Payload{Iteration: 3, Root: 0, Sub: sub8,
+			S: []uint32{2, 1}, Ext: []uint32{3}}},
+		{"S entry repeated", &Payload{Iteration: 3, Root: 0, Sub: sub8,
+			S: []uint32{1, 1}, Ext: []uint32{3}}},
+		{"Ext entry repeated", &Payload{Iteration: 3, Root: 0, Sub: sub8,
+			S: []uint32{0}, Ext: []uint32{3, 5, 3}}},
+		{"Ext entry in S", &Payload{Iteration: 3, Root: 0, Sub: sub8,
+			S: []uint32{0, 4}, Ext: []uint32{1, 4}}},
+		{"Sub label past |V|", &Payload{Iteration: 3, Root: 0,
+			Sub: &quasiclique.Sub{Label: []graph.V{0, 60}, Adj: [][]uint32{{1}, {0}}},
+			S:   []uint32{0}, Ext: []uint32{1}}},
 	} {
 		data, err := a.AppendTaskPayload(nil, tc.p)
 		if err != nil {
@@ -219,7 +236,108 @@ func TestPayloadRawViaStoreBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(normalizeSub(got.(*Payload).Sub), normalizeSub(sub)) {
+	if !sameSub(got.(*Payload).Sub, sub) {
 		t.Fatal("Sub corrupted through batch framing")
 	}
+}
+
+// goldenSubtask is the iteration-3 subtask that TestTaskPayloadGolden
+// pins: the child ⟨{0}, {3, 1, 4}⟩ of a five-vertex task, compacted
+// from the bound matrix as the app's offload does.
+func goldenSubtask() *Payload {
+	parent := &quasiclique.Sub{
+		Label: []graph.V{3, 8, 9, 12, 20},
+		Adj:   [][]uint32{{1, 3, 4}, {0, 2, 3}, {1, 4}, {0, 1, 4}, {0, 2, 3}},
+	}
+	m := quasiclique.NewPooledMiner(quasiclique.Params{Gamma: 0.5, MinSize: 2}, quasiclique.Options{})
+	m.Reset(parent)
+	child, s, ext := m.Subtask([]uint32{0}, []uint32{3, 1, 4})
+	return &Payload{Iteration: 3, Root: 3, Sub: child, S: s, Ext: ext}
+}
+
+// TestTaskPayloadGolden pins one subtask record byte for byte: the
+// layout is the app's wire (a stolen task crosses it), so a change to
+// it must move jobSpecMagic, not only this hex.
+func TestTaskPayloadGolden(t *testing.T) {
+	const golden = "03000000" + "03000000" + "01000000" + // iteration, root, flags: a Sub
+		"00000000" + "00000000" + "00000000" + // no GVerts, GAdj rows or GAdj entries
+		"04000000" + "03000000" + "08000000" + "0c000000" + "14000000" + // n, labels {3, 8, 12, 20}
+		"0e00000000000000" + "0500000000000000" + "0b00000000000000" + "0500000000000000" + // rows {1,2,3} {0,2} {0,1,3} {0,2}
+		"01000000" + "00000000" + "03000000" + "01000000" + "02000000" + "03000000" // S {0}, Ext {1, 2, 3}
+	a := codecApp(64)
+	p := goldenSubtask()
+	data, err := a.AppendTaskPayload(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("subtask record changed:\n got  %s\n want %s", got, golden)
+	}
+	raw, _ := hex.DecodeString(golden)
+	back, err := a.DecodeTaskPayload(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := back.(*Payload)
+	if q.Iteration != 3 || q.Root != 3 || !sameSub(q.Sub, p.Sub) || !slices.Equal(q.S, p.S) || !slices.Equal(q.Ext, p.Ext) {
+		t.Fatalf("golden bytes decode to %+v", q)
+	}
+}
+
+// FuzzDecodeTaskPayload feeds arbitrary bytes to the decoder a steal
+// frame and a spill file reach: it must refuse garbage with an error,
+// never panic; whatever it accepts must re-encode to the same bytes;
+// and mining an accepted task (binding its Sub and running
+// RecursiveMine on its S and Ext, as iteration 3 does) must not panic.
+func FuzzDecodeTaskPayload(f *testing.F) {
+	a := codecApp(256)
+	for _, p := range []*Payload{
+		goldenSubtask(),
+		{Iteration: 1, Root: 42},
+		{Iteration: 2, Root: 7, GVerts: []graph.V{7, 9, 13}, GAdj: [][]graph.V{{9, 13}, {7, 200}, {}}},
+	} {
+		data, err := a.AppendTaskPayload(nil, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// A two-word subtask of a 90-vertex task.
+	wide := quasiclique.SubFromGraph(datagen.ErdosRenyi(90, 0.5, 6), allVerts(90))
+	m := quasiclique.NewPooledMiner(quasiclique.Params{Gamma: 0.5, MinSize: 2}, quasiclique.Options{})
+	m.Reset(wide)
+	child, s, ext := m.Subtask([]uint32{2, 40}, []uint32{89, 0, 64, 63, 65, 7, 70, 12})
+	data, err := a.AppendTaskPayload(nil, &Payload{Iteration: 3, Root: 0, Sub: child, S: s, Ext: ext})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := a.DecodeTaskPayload(data)
+		if err != nil {
+			return
+		}
+		p := v.(*Payload)
+		again, err := a.AppendTaskPayload(nil, p)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("accepted payload does not re-encode to itself: %v", err)
+		}
+		if p.Sub == nil {
+			return
+		}
+		m := quasiclique.NewPooledMiner(quasiclique.Params{Gamma: 0.6, MinSize: 3}, quasiclique.Options{})
+		m.Emit = func(locals []uint32) { m.Sub.Labels(locals) }
+		m.Abort = func() bool { return m.Nodes > 20000 } // bound a dense accepted Sub's search
+		m.Reset(p.Sub)
+		m.RecursiveMine(p.S, p.Ext)
+	})
+}
+
+func allVerts(n int) []graph.V {
+	all := make([]graph.V, n)
+	for i := range all {
+		all[i] = graph.V(i)
+	}
+	return all
 }

@@ -378,7 +378,8 @@ func TestQuickCompatMissesResults(t *testing.T) {
 // after K bounding calls, for several K, reproducing Figure 9's mixed
 // granularity. With the matrix cap lowered to 4 the root tasks are
 // split, so offloads also come from split children, as in the engine:
-// the off-load materialises from m.Sub, the Sub the miner is bound to.
+// the off-load compacts the child from the matrix of m.Sub, the Sub the
+// miner is bound to (Subtask), and each child is bound from its rows.
 func TestDecompositionEquivalence(t *testing.T) {
 	type task struct {
 		sub    *Sub
@@ -400,7 +401,7 @@ func TestDecompositionEquivalence(t *testing.T) {
 					calls := 0
 					m.TimedOut = func() bool { calls++; return calls > K }
 					m.Offload = func(S, ext []uint32) {
-						child, s2, e2 := MakeSubtaskScratch(m.Sub, S, ext, new(Scratch))
+						child, s2, e2 := m.Subtask(S, ext)
 						queue = append(queue, task{child, s2, e2})
 					}
 					m.RecursiveMine(tk.S, tk.ext)

@@ -60,7 +60,7 @@ type Miner struct {
 	// into decomposition mode: instead of recursing into a child
 	// ⟨S′, ext(S′)⟩ it calls Offload(S′, ext′) (Algorithm 10 lines
 	// 18–24). S′ and ext′ are local indices of m.Sub. Offload must copy
-	// its arguments if it retains them.
+	// its arguments if it retains them; Subtask makes the child task.
 	TimedOut func() bool
 	Offload  func(S, ext []uint32)
 
@@ -91,8 +91,9 @@ type Miner struct {
 	tBits  []uint64
 	t2Bits []uint64
 
-	dS      []int32 // degree toward S, per local vertex
-	dE      []int32 // degree toward ext(S), per local vertex
+	dS      []int32  // degree toward S, per local vertex
+	dE      []int32  // degree toward ext(S), per local vertex
+	pos     []uint32 // Subtask's position table: local vertex → child index
 	unionBf []uint32
 	hist    []int32 // prefixByDegree's dS histogram
 	prefix  []int   // prefixByDegree's sums, as of the last stageDegrees
@@ -134,8 +135,9 @@ func NewPooledMiner(par Params, opt Options) *Miner {
 // internal buffer is retained and grown monotonically, so a pooled
 // miner reaches a steady state with no per-task allocation. For a Sub
 // of at most 1 024 vertices Reset builds its adjacency matrix in
-// miner-owned storage; a bigger Sub gets none, and RecursiveMine splits
-// it. Par may change between tasks: Reset reads it.
+// miner-owned storage — a copy of a rows Sub's Rows, or filled from a
+// list Sub's Adj; a bigger Sub gets none, and RecursiveMine splits it.
+// Par may change between tasks: Reset reads it.
 func (m *Miner) Reset(sub *Sub) {
 	m.bind(sub)
 	m.Nodes, m.EmitCount, m.OffloadCount = 0, 0, 0
@@ -151,6 +153,7 @@ func (m *Miner) bind(sub *Sub) {
 	if len(m.dS) < n {
 		m.dS = make([]int32, n)
 		m.dE = make([]int32, n)
+		m.pos = make([]uint32, n)
 		m.hist = make([]int32, n+1)
 		m.prefix = make([]int, n+1)
 	}
@@ -176,11 +179,15 @@ func (m *Miner) bind(sub *Sub) {
 		copy(frames, m.frames)
 		m.frames = frames
 	}
-	m.mat.Reset(n)
-	for i, row := range sub.Adj {
-		r := m.mat.Row(i)
-		for _, u := range row {
-			bitset.SetBit(r, int(u))
+	if sub.Rows != nil {
+		m.mat.Load(n, sub.Rows)
+	} else {
+		m.mat.Reset(n)
+		for i, row := range sub.Adj {
+			r := m.mat.Row(i)
+			for _, u := range row {
+				bitset.SetBit(r, int(u))
+			}
 		}
 	}
 	m.twoHop.Reset(n)

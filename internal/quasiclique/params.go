@@ -39,13 +39,20 @@
 // that finds nothing gets mine's conservative emission check, so
 // results stay exact.
 //
-// Every task subgraph the matrix is built from comes out of one
-// induction routine, Induce: the root task's (BuildRootSub), each
-// k-core peel's (PeelKCoreScratch), every decomposed subtask's
-// (MakeSubtaskScratch, filled straight into the storage the child
-// keeps) and the G-thinker app's iteration-2 build. It marks the kept
-// IDs in the Scratch's epoch-stamped marker, counts the kept entries
-// of each row exactly and fills them into one allocation.
+// A decomposed subtask keeps the matrix's form. Miner.Subtask compacts
+// the child from the bound matrix — each kept row's bits over the
+// sorted S ∪ ext, mapped to the child's indices — into a rows Sub, and
+// the child stays bit rows through the engine's queue, spill file and
+// steal frame (Sub.AppendRaw writes the words verbatim) until the
+// next miner binds it with a copy.
+//
+// Every list Sub comes out of one induction routine, Induce: the root
+// task's (BuildRootSub), each k-core peel's (PeelKCoreScratch), the
+// G-thinker app's iteration-2 build, and the children of an oversize
+// split (MakeSubtaskScratch), whose parent has no matrix to compact
+// from. It marks the kept IDs in the Scratch's epoch-stamped marker,
+// counts the kept entries of each row exactly and fills them into one
+// allocation.
 package quasiclique
 
 import (

@@ -83,13 +83,8 @@ func TestSubRawRoundtripOwned(t *testing.T) {
 	if !slices.Equal(sub.Label, back.Label) {
 		t.Fatalf("labels differ: %v vs %v", sub.Label, back.Label)
 	}
-	if len(sub.Adj) != len(back.Adj) {
-		t.Fatalf("row count %d vs %d", len(sub.Adj), len(back.Adj))
-	}
-	for i := range sub.Adj {
-		if !slices.Equal(sub.Adj[i], back.Adj[i]) {
-			t.Fatalf("row %d differs", i)
-		}
+	if err := rowsMatchAdj(back.Rows, sub.Adj); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,8 +2,10 @@ package quasiclique
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
+	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/kcore"
 	"gthinkerqc/internal/store"
@@ -12,13 +14,24 @@ import (
 // Sub is a task-local subgraph with vertices remapped to dense local
 // indices [0, n). Label maps local index → global vertex ID and is
 // strictly increasing, so comparisons on local indices agree with
-// global ID order (which the set-enumeration tree relies on). Adj rows
-// built by this package share one packed backing array (CSR-style),
-// mirroring the graph substrate's layout. A Sub is only the subgraph:
-// the bitset matrix mining runs on belongs to the Miner bound to it.
+// global ID order (which the set-enumeration tree relies on). A Sub is
+// only the subgraph: the bitset matrix mining runs on belongs to the
+// Miner bound to it.
+//
+// Its adjacency takes one of two forms. A list Sub — a root task's, a
+// k-core peel's, a child of an oversize split — holds sorted rows in
+// Adj that share one packed backing array (CSR-style, mirroring the
+// graph substrate's layout); Induce builds every one. A rows Sub — a
+// decomposed subtask, compacted from its parent's matrix by
+// Miner.Subtask, or decoded from a spill file or a steal frame by
+// DecodeRaw — holds Rows instead: n bit rows of bitset.WordsFor(n)
+// words, row i the local neighbours of vertex i, which is the layout of
+// the matrix a Miner binds, so binding one is a copy. A rows Sub is
+// never above matrixCap.
 type Sub struct {
 	Label []graph.V
-	Adj   [][]uint32 // sorted local adjacency
+	Adj   [][]uint32 // list Sub: sorted local adjacency
+	Rows  []uint64   // rows Sub: n·bitset.WordsFor(n) adjacency words
 }
 
 // N returns the number of local vertices.
@@ -29,6 +42,9 @@ func (s *Sub) NumEdges() int {
 	t := 0
 	for _, a := range s.Adj {
 		t += len(a)
+	}
+	for _, w := range s.Rows {
+		t += bits.OnesCount64(w)
 	}
 	return t / 2
 }
@@ -46,7 +62,7 @@ func (s *Sub) Labels(locals []uint32) []graph.V {
 // Scratch is the per-worker reusable state for task construction: the
 // epoch-stamped ID → position map Induce relabels through (no O(n)
 // clear per task), the candidate/vertex buffers of BuildRootSub, the
-// peel buffers, and one buffer for a subtask's sorted S ∪ ext. The
+// peel buffers, and one buffer for a split child's sorted S ∪ ext. The
 // marker doubles as the two-hop scratch for Within2Scratch — the two
 // phases never overlap within a call. Nothing a caller keeps lives
 // here: every Sub the package returns owns its storage. A zero
@@ -58,14 +74,14 @@ type Scratch struct {
 	cand  []graph.V     // BuildRootSub candidate buffer
 	verts []graph.V     // BuildRootSub vertex-set buffer
 
-	keep    []uint32          // peel survivors, or a subtask's sorted S ∪ ext
+	keep    []uint32          // peel survivors, or a split child's sorted S ∪ ext
 	peel    kcore.PeelScratch // PeelKCoreScratch peel buffers
 	rootS   []uint32          // serial driver's root S = {v}
 	rootExt []uint32          // serial driver's root ext(S)
 }
 
-// Induce is the one induction routine: every task subgraph — a root
-// task's, a peeled core, a decomposed subtask, the engine's iteration-2
+// Induce is the one induction routine: every list Sub — a root task's,
+// a peeled core, an oversize split's child, the engine's iteration-2
 // build — comes out of it. keep is a strictly increasing set of IDs in
 // [0, n), and row(i) returns keep[i]'s sorted neighbour row in that
 // space. Induce marks keep in sc's epoch-stamped marker, so nothing of
@@ -74,7 +90,7 @@ type Scratch struct {
 // holds the rows relabelled to positions in keep, and adj[i] slices
 // row i out of it, capacity clamped; rows come out sorted because keep
 // is sorted and the relabelling is monotone. The head and tail are
-// left zero for the caller (a Label, a subtask's S′ and ext′), and
+// left zero for the caller (a Label, a split child's S′ and ext′), and
 // sc.idx maps each member of keep to its position until sc's next use.
 func Induce(keep []uint32, n int, row func(i int) []uint32, head, tail int, sc *Scratch) (buf []uint32, adj [][]uint32) {
 	sc.marks.Begin(n)
@@ -135,9 +151,10 @@ func subFromGraph(g *graph.Graph, verts []graph.V, s *Scratch, copyLabel bool) *
 	return &Sub{Label: label, Adj: adj}
 }
 
-// PeelKCoreScratch returns the k-core of s as a new Sub plus the sorted
-// local indices (w.r.t. s) that survived; an empty core is an empty
-// Sub. The index slice aliases sc and is valid until its next use.
+// PeelKCoreScratch returns the k-core of the list Sub s as a new Sub
+// plus the sorted local indices (w.r.t. s) that survived; an empty core
+// is an empty Sub. The index slice aliases sc and is valid until its
+// next use.
 func (s *Sub) PeelKCoreScratch(k int, sc *Scratch) (*Sub, []uint32) {
 	keepMask := kcore.PeelLocalScratch(s.Adj, k, nil, &sc.peel)
 	keep := sc.keep[:0]
@@ -156,58 +173,62 @@ func (s *Sub) PeelKCoreScratch(k int, sc *Scratch) (*Sub, []uint32) {
 	return &Sub{Label: label, Adj: adj}, keep
 }
 
-// AppendRaw appends the Sub's columnar encoding for the engine's GQS1
-// spill path: the three flat arrays written verbatim, little-endian,
+// AppendRaw appends the Sub's encoding for the engine's GQS1 spill
+// and steal path: a rows Sub's fields written verbatim, little-endian,
 // with no reflection —
 //
-//	n       uint32        number of local vertices
-//	flatLen uint32        total adjacency entries (2·|E|)
-//	labels  [n]uint32
-//	rowLens [n]uint32
-//	flat    [flatLen]uint32
+//	n      uint32             number of local vertices
+//	labels [n]uint32
+//	rows   [n·⌈n/64⌉]uint64   row i: the local neighbours of vertex i as bits
 //
-// DecodeRaw restores it with pointer fix-up, no reflective decode.
+// A list Sub is written as its rows. Precondition: n ≤ matrixCap
+// (1 024), which every subtask meets because Miner.Subtask compacts it
+// from a bound matrix; DecodeRaw refuses a larger record.
 func (s *Sub) AppendRaw(dst []byte) []byte {
-	total := 0
-	for _, row := range s.Adj {
-		total += len(row)
-	}
-	dst = store.AppendU32(dst, uint32(len(s.Label)))
-	dst = store.AppendU32(dst, uint32(total))
+	dst = store.AppendU32(dst, uint32(s.N()))
 	dst = store.AppendU32s(dst, s.Label)
-	for _, row := range s.Adj {
-		dst = store.AppendU32(dst, uint32(len(row)))
+	if s.Rows != nil {
+		return store.AppendU64s(dst, s.Rows)
 	}
-	for _, row := range s.Adj {
-		dst = store.AppendU32s(dst, row)
+	row := make([]uint64, bitset.WordsFor(s.N()))
+	for _, adj := range s.Adj {
+		bitset.FillBits(row, adj)
+		dst = store.AppendU64s(dst, row)
 	}
 	return dst
 }
 
-// DecodeRaw restores a Sub written by AppendRaw from c. The label and
-// adjacency arrays may alias the cursor's buffer (each spilled task's
-// regions are exclusively its own, so the usual in-place mining
-// mutations remain safe); rows are rebuilt as capacity-clamped slices
-// of the packed array. Corrupt input is an error, never a panic.
+// DecodeRaw restores a Sub written by AppendRaw from c as a rows Sub.
+// The label and row arrays may alias the cursor's buffer (each spilled
+// task's regions are exclusively its own, and mining only reads them).
+// Corrupt input is an error, never a panic: DecodeRaw refuses a record
+// above matrixCap, labels that do not increase, a bit at or past n, a
+// diagonal (self-loop) bit, and truncated words.
 func (s *Sub) DecodeRaw(c *store.Cursor) error {
 	n := int(c.U32())
-	flatLen := int(c.U32())
+	if c.Err() == nil && n > matrixCap {
+		return fmt.Errorf("quasiclique: corrupt raw Sub: %d vertices, above the cap of %d", n, matrixCap)
+	}
 	label := c.U32s(n)
-	rowLen := c.U32s(n)
-	flat := c.U32s(flatLen)
+	stride := bitset.WordsFor(n)
+	rows := c.U64s(n * stride)
 	if err := c.Err(); err != nil {
 		return fmt.Errorf("quasiclique: corrupt raw Sub: %w", err)
 	}
-	adj, err := store.SplitRows(flat, rowLen)
-	if err != nil {
-		return fmt.Errorf("quasiclique: corrupt raw Sub: %w", err)
-	}
-	for _, u := range flat {
-		if int(u) >= n {
-			return fmt.Errorf("quasiclique: corrupt raw Sub: local index %d out of range [0,%d)", u, n)
+	for i := 1; i < n; i++ {
+		if label[i] <= label[i-1] {
+			return fmt.Errorf("quasiclique: corrupt raw Sub: label %d follows %d", label[i], label[i-1])
 		}
 	}
-	s.Label = label
-	s.Adj = adj
+	for i := 0; i < n; i++ {
+		row := rows[i*stride : (i+1)*stride]
+		if n%64 != 0 && row[stride-1]>>(n%64) != 0 {
+			return fmt.Errorf("quasiclique: corrupt raw Sub: row %d names a local index at or past %d", i, n)
+		}
+		if bitset.TestBit(row, i) {
+			return fmt.Errorf("quasiclique: corrupt raw Sub: row %d names its own vertex", i)
+		}
+	}
+	s.Label, s.Adj, s.Rows = label, nil, rows
 	return nil
 }

@@ -143,6 +143,104 @@ func TestMakeSubtaskScratchAllocs(t *testing.T) {
 	}
 }
 
+// randomDisjoint picks a random disjoint (S, ext) pair of n parent
+// locals, either side possibly empty, S sorted and ext in random order.
+func randomDisjoint(rng *rand.Rand, n int) (S, ext []uint32) {
+	perm := rng.Perm(n)
+	ns := rng.Intn(min(n, 4) + 1)
+	ne := rng.Intn(n - ns + 1)
+	for _, v := range perm[:ns] {
+		S = append(S, uint32(v))
+	}
+	for _, v := range perm[ns : ns+ne] {
+		ext = append(ext, uint32(v))
+	}
+	slices.Sort(S)
+	return S, ext
+}
+
+// TestSubtaskRowsMatchInduce checks Miner.Subtask against
+// MakeSubtaskScratch on random parents of 1–200 vertices (row strides
+// of one to four words, across the 63/64/65 and 128/129 edges) and
+// random disjoint S/ext, on ONE miner rebound to every parent, so stale
+// position-table or transient-row contents must not leak: the labels,
+// S′ and ext′ must be equal, and row i of the child must hold exactly
+// the induced child's Adj[i]. A warm Subtask takes at most two
+// allocations.
+func TestSubtaskRowsMatchInduce(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	m := NewPooledMiner(Params{Gamma: 0.5, MinSize: 2}, Options{})
+	var sc Scratch
+	sizes := []int{1, 2, 63, 64, 65, 127, 128, 129, 200}
+	for len(sizes) < 60 {
+		sizes = append(sizes, 1+rng.Intn(200))
+	}
+	for iter, n := range sizes {
+		parent := SubFromGraph(randomGraph(int64(iter), n, 0.05+0.6*rng.Float64()), allVerts(n))
+		m.Reset(parent)
+		for split := 0; split < 4; split++ {
+			S, ext := randomDisjoint(rng, n)
+			want, wantS, wantExt := MakeSubtaskScratch(parent, S, ext, &sc)
+			got, gotS, gotExt := m.Subtask(S, ext)
+			if !slices.Equal(got.Label, want.Label) || !slices.Equal(gotS, wantS) || !slices.Equal(gotExt, wantExt) {
+				t.Fatalf("n=%d split %d: labels/S'/ext' %v/%v/%v, want %v/%v/%v",
+					n, split, got.Label, gotS, gotExt, want.Label, wantS, wantExt)
+			}
+			if got.Adj != nil {
+				t.Fatalf("n=%d split %d: Subtask built adjacency lists", n, split)
+			}
+			if err := rowsMatchAdj(got.Rows, want.Adj); err != nil {
+				t.Fatalf("n=%d split %d: %v", n, split, err)
+			}
+		}
+	}
+
+	parent := SubFromGraph(randomGraph(9, 129, 0.3), allVerts(129))
+	m.Reset(parent)
+	S, ext := randomSplit(rng, 129)
+	m.Subtask(S, ext) // warm
+	if allocs := testing.AllocsPerRun(100, func() { m.Subtask(S, ext) }); allocs > 2 {
+		t.Fatalf("Subtask: %v allocs/op warm, want ≤ 2", allocs)
+	}
+}
+
+// TestSubtaskIndependence is TestMakeSubtaskScratchIndependence for
+// Subtask: a retained child stays intact while the miner makes later
+// children and is rebound to another task.
+func TestSubtaskIndependence(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	parent := SubFromGraph(randomGraph(3, 20, 0.5), allVerts(20))
+	m := NewPooledMiner(Params{Gamma: 0.5, MinSize: 2}, Options{})
+	m.Reset(parent)
+
+	S1, ext1 := randomSplit(rng, 20)
+	child1, s1, e1 := m.Subtask(S1, ext1)
+	wantSub, wantS, wantExt := makeSubtaskReference(parent, S1, ext1)
+
+	// Clobber the miner with different splits and another parent.
+	for i := 0; i < 10; i++ {
+		S2, ext2 := randomSplit(rng, 20)
+		m.Subtask(S2, ext2)
+	}
+	m.Reset(SubFromGraph(randomGraph(4, 70, 0.4), allVerts(70)))
+	S3, ext3 := randomSplit(rng, 70)
+	m.Subtask(S3, ext3)
+	if !slices.Equal(child1.Label, wantSub.Label) || !slices.Equal(s1, wantS) || !slices.Equal(e1, wantExt) {
+		t.Fatal("retained child's labels or sets mutated by later subtasks")
+	}
+	if err := rowsMatchAdj(child1.Rows, wantSub.Adj); err != nil {
+		t.Fatalf("retained child's rows mutated by later subtasks: %v", err)
+	}
+}
+
+func allVerts(n int) []graph.V {
+	all := make([]graph.V, n)
+	for i := range all {
+		all[i] = graph.V(i)
+	}
+	return all
+}
+
 func BenchmarkMakeSubtask(b *testing.B) {
 	g := randomGraph(9, 256, 0.2)
 	all := make([]graph.V, 256)
@@ -167,6 +265,14 @@ func BenchmarkMakeSubtask(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			MakeSubtaskScratch(parent, S, ext, &sc)
+		}
+	})
+	b.Run("rows", func(b *testing.B) {
+		m := NewPooledMiner(Params{Gamma: 0.5, MinSize: 2}, Options{})
+		m.Reset(parent)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Subtask(S, ext)
 		}
 	})
 }

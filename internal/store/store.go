@@ -79,7 +79,7 @@
 // Every payload the system sends once per poll or once per job — the
 // gthinker control plane's requests and replies (a job ends with one
 // machine report carrying the Metrics, the OTR1 trace and the result
-// frame), the miner's QJS6 job spec and QRS3 results, and the
+// frame), the miner's QJS7 job spec and QRS3 results, and the
 // GQM3 manifest — is spelled as one walk function over a Walker: the
 // fields in wire order, each through a typed method (fixed-width
 // integers, float, flag mask, length-prefixed string and bytes,
@@ -142,6 +142,21 @@ func AppendU32s(dst []byte, xs []uint32) []byte {
 	return dst
 }
 
+// AppendU64s appends the raw values of xs little-endian (no count
+// prefix), in one bulk copy on little-endian hosts, as AppendU32s does.
+func AppendU64s(dst []byte, xs []uint64) []byte {
+	if len(xs) == 0 {
+		return dst
+	}
+	if hostLittleEndian {
+		return append(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))...)
+	}
+	for _, x := range xs {
+		dst = AppendU64(dst, x)
+	}
+	return dst
+}
+
 // Uint32s reinterprets data (len must be 4n) as n little-endian
 // uint32s. When the host is little-endian and data is 4-aligned the
 // result aliases data — the "pointer fix-up" fast path — otherwise the
@@ -158,6 +173,24 @@ func Uint32s(data []byte) []uint32 {
 	out := make([]uint32, n)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(data[4*i:])
+	}
+	return out
+}
+
+// Uint64s is Uint32s for 64-bit words: data (len must be 8n) read as n
+// little-endian uint64s, aliasing data when the host is little-endian
+// and data is 8-aligned, copied out otherwise.
+func Uint64s(data []byte) []uint64 {
+	n := len(data) / 8
+	if n == 0 {
+		return nil
+	}
+	if zeroCopy && hostLittleEndian && uintptr(unsafe.Pointer(&data[0]))%8 == 0 {
+		return unsafe.Slice((*uint64)(unsafe.Pointer(&data[0])), n)
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(data[8*i:])
 	}
 	return out
 }
@@ -251,4 +284,18 @@ func (c *Cursor) U32s(n int) []uint32 {
 		return nil
 	}
 	return Uint32s(b)
+}
+
+// U64s consumes n uint64s, bounds-checked before any allocation like
+// U32s; the result may alias the buffer (see Uint64s).
+func (c *Cursor) U64s(n int) []uint64 {
+	if n < 0 || n > (len(c.data)-c.off)/8 {
+		c.fail(8 * n)
+		return nil
+	}
+	b := c.Bytes(8 * n)
+	if b == nil {
+		return nil
+	}
+	return Uint64s(b)
 }

@@ -92,3 +92,31 @@ func TestUint32sCopyFallbackMatches(t *testing.T) {
 		t.Fatalf("fast %v != slow %v", fast, slow)
 	}
 }
+
+// TestU64sRoundTrip: 64-bit words come back from an aligned buffer
+// aliased, and from a misaligned one or the portable path copied with
+// equal values.
+func TestU64sRoundTrip(t *testing.T) {
+	words := []uint64{0, 1 << 63, 0x0123456789abcdef}
+	b := AppendU64s(AppendU32(nil, 7), words) // words start at offset 4
+	b = AppendU64s(b, nil)
+	c := NewCursor(b)
+	c.U32()
+	if got := c.U64s(3); !reflect.DeepEqual(got, words) || c.Err() != nil || c.Remaining() != 0 {
+		t.Fatalf("U64s = %v, err %v, %d left", got, c.Err(), c.Remaining())
+	}
+	aligned := AppendU64s(make([]byte, 0, 24), words)
+	if got := Uint64s(aligned); hostLittleEndian && unsafe.Pointer(&got[0]) != unsafe.Pointer(&aligned[0]) {
+		t.Fatal("aligned words were copied, not aliased")
+	}
+	SetZeroCopyForTest(false)
+	defer SetZeroCopyForTest(true)
+	if got := Uint64s(aligned); !reflect.DeepEqual(got, words) {
+		t.Fatalf("portable Uint64s = %v", got)
+	}
+	for _, n := range []int{4, -1, 1 << 61} {
+		if c := NewCursor(b); c.U64s(n) != nil || c.Err() == nil {
+			t.Fatalf("U64s(%d) of %d bytes accepted", n, len(b))
+		}
+	}
+}
