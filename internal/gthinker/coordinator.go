@@ -389,12 +389,13 @@ func (c *coordinator) scan() ([]MachineStatus, bool, error) {
 // survivor (the adopter) takes over m's hash-partition segments —
 // respawning every root task of those partitions, because results
 // only leave a machine in its shutdown report, so everything m had
-// mined was lost with it and the fingerprint-deduplicating collector
-// makes re-mining exact rather than duplicating — and every survivor
-// redirects its adjacency fetches for m to the fallback machine and
-// re-owns any task batches it had shipped to m (the retained GQS1
-// bytes cover subtrees stolen INTO m from still-live roots, which no
-// partition respawn would regenerate).
+// mined was lost with it, and the app's final pass (the miner's
+// quasiclique.Finalize) drops repeats, so re-mining is exact rather
+// than duplicating — and every survivor redirects its adjacency
+// fetches for m to the fallback machine and re-owns any task batches
+// it had shipped to m (the retained GQS1 bytes cover subtrees stolen
+// INTO m from still-live roots, which no partition respawn would
+// regenerate).
 func (c *coordinator) recoverMachine(m int, cause error) error {
 	lost := &MachineLostError{Machine: m, Polls: c.failPolls[m], Err: cause}
 	var rstart time.Time

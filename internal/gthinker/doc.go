@@ -259,9 +259,10 @@
 // rests on two facts: results only leave a worker in its opShutdown
 // reply, so a machine that dies mid-run has contributed NOTHING to the
 // output yet and its entire partition can simply be mined again; and
-// the result Collector deduplicates by fingerprint, so any overlap
-// between the dead machine's lost partial work and the re-mine changes
-// nothing. Re-mining is therefore exact, not approximate — every
+// the app's final pass drops repeated results (the miner's
+// quasiclique.Finalize sorts them canonically and keeps one of each),
+// so any overlap between the dead machine's lost partial work and the
+// re-mine changes nothing. Re-mining is therefore exact, not approximate — every
 // composition's recovery runs are asserted bit-identical to the serial
 // miner in CI.
 //

@@ -55,8 +55,9 @@ type jobState struct {
 	// batches are decoded and re-enqueued locally: they cover subtrees
 	// stolen INTO the dead machine from still-live roots, which no
 	// partition respawn would regenerate. Bounded by the job's total
-	// stolen-task volume; the fingerprint-deduplicating collector
-	// makes re-mining the already-processed ones exact, not duplicate.
+	// stolen-task volume; the app's final pass (the miner's
+	// quasiclique.Finalize) drops repeats, so re-mining the
+	// already-processed ones is exact, not duplicate.
 	retainMu sync.Mutex
 	retained map[int][][]byte
 

@@ -39,7 +39,7 @@ func NewTask(payload any) *Task {
 type Ctx struct {
 	// WorkerID is the executing worker's index on its machine, in
 	// [0, WorkersPerMachine). Every machine runs its own App, so apps
-	// index per-worker state (result collectors, scratch) with it.
+	// index per-worker state (result lists, scratch) with it.
 	WorkerID int
 	// MachineID is the executing machine.
 	MachineID int

@@ -44,10 +44,10 @@ type app struct {
 	k    int      // ⌈γ(τsize−1)⌉
 	core []uint32 // g.CoreNumbers(); nil under Options.DisableKCore
 
-	collectors []*quasiclique.Collector // one per worker
-	scratches  []*wscratch              // one per worker
-	miners     []*quasiclique.Miner     // one per worker, Reset per task
-	rec        *metrics.Recorder
+	found     [][][]graph.V        // one list of emitted sets per worker
+	scratches []*wscratch          // one per worker
+	miners    []*quasiclique.Miner // one per worker, Reset per task
+	rec       *metrics.Recorder
 }
 
 func newApp(g *graph.Graph, cfg Config, workers int) *app {
@@ -55,15 +55,14 @@ func newApp(g *graph.Graph, cfg Config, workers int) *app {
 	if !cfg.Options.DisableKCore {
 		a.core = g.CoreNumbers()
 	}
-	a.collectors = make([]*quasiclique.Collector, workers)
+	a.found = make([][][]graph.V, workers)
 	a.scratches = make([]*wscratch, workers)
 	a.miners = make([]*quasiclique.Miner, workers)
-	for i := range a.collectors {
-		col := quasiclique.NewCollector()
-		a.collectors[i] = col
+	for i := range a.found {
+		found := &a.found[i] // bound here: under go 1.21 every closure would share i
 		a.scratches[i] = &wscratch{}
 		m := quasiclique.NewPooledMiner(cfg.Params, cfg.Options)
-		m.Emit = func(locals []uint32) { col.Add(m.Sub.Labels(locals)) }
+		m.Emit = func(locals []uint32) { *found = append(*found, m.Sub.Labels(locals)) }
 		a.miners[i] = m
 	}
 	return a
@@ -110,15 +109,16 @@ func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {
 // Results is every machine's report encoder: it finalizes its workers'
 // finds — so unless the job skips the filter, only the sets maximal on
 // this machine travel; the coordinator filters the union — and encodes
-// them with the machine's emissions and per-root rows.
+// them with the machine's emissions (every set a worker appended) and
+// per-root rows. Finalize overwrites the parts it is handed, so it gets
+// a copy of the outer slice and the per-worker lists stay as mined.
 func (a *app) Results() ([]byte, error) {
-	var parts [][][]graph.V
 	var emitted int64
-	for _, col := range a.collectors {
-		parts = append(parts, col.Sets())
-		emitted += col.Emitted()
+	for _, f := range a.found {
+		emitted += int64(len(f))
 	}
-	return AppendResults(nil, quasiclique.Finalize(parts, a.cfg.Options.SkipMaximalityFilter), emitted, a.rec.PerRoot()), nil
+	sets := quasiclique.Finalize(slices.Clone(a.found), a.cfg.Options.SkipMaximalityFilter)
+	return AppendResults(nil, sets, emitted, a.rec.PerRoot()), nil
 }
 
 // IsBig classifies tasks by (estimated) |ext(S)| against τsplit.
@@ -288,9 +288,9 @@ func (a *app) iteration2(p *Payload, pulls []graph.V, frontier [][]graph.V, ws *
 	// member set cannot belong to any valid quasi-clique rooted at v:
 	// they are < v, outside G's k-core, or beyond two hops through
 	// live vertices). Every row is a graph row or a filtered copy of
-	// one, a graph holds no self loops (Builder drops them, FromCSR
-	// refuses them) and DecodeTaskPayload refuses a GAdj row that names
-	// its own vertex, so no row yields its own vertex.
+	// one (GAdj never leaves this worker: no task record carries it),
+	// and a graph holds no self loops (Builder drops them, FromCSR
+	// refuses them), so no row yields its own vertex.
 	_, adj := quasiclique.Induce(verts, a.g.NumVertices(),
 		func(i int) []uint32 { return ws.rows[ws.idxA[verts[i]]] }, 0, 0, &ws.qs)
 	sub := &quasiclique.Sub{Label: verts, Adj: adj}

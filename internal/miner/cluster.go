@@ -25,14 +25,16 @@ import (
 // and the two dense-kernel scalars; QJS4 dropped the steal period, the
 // steal hysteresis streak and the stealing and recovery opt-outs; QJS5
 // dropped the dial timeout; QJS6 dropped the engine config, which the
-// join carries. QJS7 has QJS6's fields: it versions the task payload
-// (spillcodec.go), whose Sub is now bit rows, because the app that
-// decodes the spec is the app that decodes the payloads a steal moves.
+// join carries. QJS7 and QJS8 have QJS6's fields: they version the
+// task payload (spillcodec.go), because the app that decodes the spec
+// is the app that decodes the payloads a steal moves. QJS7 came with a
+// subtask's Sub as bit rows; QJS8 dropped the flags word and the
+// iteration-2 GVerts/GAdj section, so a record is a root or a subtask.
 // A worker built for another layout refuses the job at opRun instead
 // of mis-parsing every field after it, or a task, later.
-const jobSpecMagic = "QJS7"
+const jobSpecMagic = "QJS8"
 
-// jobSpecFields is the QJS7 layout: the magic, then every field of the
+// jobSpecFields is the QJS8 layout: the magic, then every field of the
 // miner config that crosses the wire, in order. It carries the job
 // only; the engine shape, tracing and fault plan a machine runs under
 // come from the join.
@@ -61,7 +63,7 @@ func AppendJobSpec(dst []byte, cfg Config) []byte {
 // DecodeJobSpec reverses AppendJobSpec. A spec of another version is
 // refused: coordinator and qcworker must come from the same build.
 func DecodeJobSpec(data []byte) (cfg Config, err error) {
-	err = store.Decode(data, "QJS7 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg) })
+	err = store.Decode(data, "QJS8 job spec", func(w *store.Walker) { jobSpecFields(w, &cfg) })
 	return cfg, err
 }
 

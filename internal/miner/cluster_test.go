@@ -35,9 +35,11 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	// spill-format byte, QJS2 the kernel flags and scalars, QJS3 the
 	// steal period, hysteresis streak and steal/recovery opt-outs, QJS4
 	// the dial timeout, QJS5 the engine config, QJS6 came with the list
-	// encoding of a task's Sub) is refused by version, not mis-parsed.
+	// encoding of a task's Sub, QJS7 with the flags word and the
+	// iteration-2 section of a task record) is refused by version, not
+	// mis-parsed.
 	data := AppendJobSpec(nil, cfg)
-	for _, old := range []string{"QJS1", "QJS2", "QJS3", "QJS4", "QJS5", "QJS6"} {
+	for _, old := range []string{"QJS1", "QJS2", "QJS3", "QJS4", "QJS5", "QJS6", "QJS7"} {
 		stale := append([]byte(old), data[4:]...)
 		if _, err := DecodeJobSpec(stale); err == nil || !strings.Contains(err.Error(), "unsupported job spec version") {
 			t.Fatalf("%s spec: err = %v, want an unsupported-version error", old, err)
@@ -50,10 +52,10 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobSpecGolden pins the QJS7 bytes of one fully-populated config:
+// TestJobSpecGolden pins the QJS8 bytes of one fully-populated config:
 // field order, widths and flag bit positions are the protocol.
 func TestJobSpecGolden(t *testing.T) {
-	const golden = "514a5337" + "333333333333eb3f" + "09000000" + "4d000000" + "c0c62d0000000000" + "01" +
+	const golden = "514a5338" + "333333333333eb3f" + "09000000" + "4d000000" + "c0c62d0000000000" + "01" +
 		"2d010000" + "00046bf414000000"
 	cfg := Config{
 		Params: quasiclique.Params{Gamma: 0.85, MinSize: 9},
@@ -65,13 +67,13 @@ func TestJobSpecGolden(t *testing.T) {
 		TimeBudget: 90 * time.Second,
 	}
 	if got := hex.EncodeToString(AppendJobSpec(nil, cfg)); got != golden {
-		t.Fatalf("QJS7 bytes changed:\n got  %s\n want %s", got, golden)
+		t.Fatalf("QJS8 bytes changed:\n got  %s\n want %s", got, golden)
 	}
 }
 
 // TestWireGolden pins the QRS3 bytes a machine ships back after a job.
 // Each row must encode to its bytes and decode back to its value (the
-// QJS7 job spec has its own golden test above).
+// QJS8 job spec has its own golden test above).
 func TestWireGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -137,7 +139,7 @@ func TestResultsRoundTrip(t *testing.T) {
 // present — and whatever they accept must re-encode to the same bytes.
 func FuzzDecodeJobSpec(f *testing.F) {
 	f.Add(AppendJobSpec(nil, Config{Params: quasiclique.Params{Gamma: 0.9, MinSize: 5}, Strategy: SizeThreshold}))
-	f.Add([]byte("QJS6"))
+	f.Add([]byte("QJS7"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := DecodeJobSpec(data)

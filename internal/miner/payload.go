@@ -9,24 +9,24 @@
 //
 // The search emits valid quasi-cliques that need not be maximal, so
 // every job ends with the maximality filter — and nothing of it runs
-// on one goroutine behind an idle cluster. Each worker collects into
-// its own quasiclique.Collector. When the job returns, app.collected
-// hands the collectors to quasiclique.Finalize, the one finalize
-// function that serial MineGraph, Session.Mine and the worker process
-// all call: it filters every worker's candidates on
+// on one goroutine behind an idle cluster. Each worker appends every
+// set it emits to its own list (app.found). When the job returns, each
+// machine's app.Results hands its lists to quasiclique.Finalize, the
+// one finalize function that serial MineGraph, Session.Mine and the
+// worker process all call: it filters every worker's candidates on
 // their own, W goroutines side by side (a set that is not maximal
 // among one worker's finds is not maximal at all), and then filters
-// the union of the survivors once. Duplicates are dropped there too —
-// equal sets end up adjacent in canonical order — so there is no
-// merged collector and no second hash pass. On a process cluster the
-// worker half runs inside app.Results, so a machine ships only its
-// own survivors (about a tenth of its candidates on a dense core)
-// plus its emission count, and the session filters the union of the
-// machines' frames. The filter itself (quasiclique.FilterMaximal)
-// splits the sets into vertex-disjoint components and answers
-// containment from per-vertex posting bitmaps; see maximal.go there.
-// Options.SkipMaximalityFilter turns all of it off: every distinct
-// candidate comes back and no pre-filter runs anywhere.
+// the union of the survivors once. So a machine ships only its own
+// survivors (about a tenth of its candidates on a dense core) plus its
+// emission count, and the session filters the union of the machines'
+// frames. Finalize is also the one place repeats are dropped — equal
+// sets end up adjacent in canonical order — whether one search reached
+// a set twice or a recovered machine's roots were mined again. The
+// filter itself (quasiclique.FilterMaximal) splits the sets into
+// vertex-disjoint components and answers containment from per-vertex
+// posting bitmaps; see maximal.go there. Options.SkipMaximalityFilter
+// turns all of it off: every distinct candidate comes back and no
+// pre-filter runs anywhere.
 package miner
 
 import (
@@ -47,7 +47,9 @@ type Payload struct {
 	// Partial two-hop subgraph under construction (iterations 1–2):
 	// GVerts is sorted; GAdj is parallel to it and may reference
 	// not-yet-pulled two-hop vertices (they count toward degree in
-	// the iteration-1 peel, per Algorithm 6).
+	// the iteration-1 peel, per Algorithm 6). It lives only while the
+	// task waits on its worker's pending list, so the task codec never
+	// writes it.
 	GVerts []graph.V
 	GAdj   [][]graph.V
 

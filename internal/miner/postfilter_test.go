@@ -88,9 +88,9 @@ func TestCandidatesOneDefinition(t *testing.T) {
 }
 
 // TestPreFilteredResultsBitIdentical runs a maximally decomposed job —
-// every worker collects non-maximal extras and repeats of its peers'
-// finds — through each composition and requires the serial miner's
-// result in the serial miner's order. With the filter skipped the
+// every worker appends non-maximal candidates to its own list beside
+// its peers' — through each composition and requires the serial
+// miner's result in the serial miner's order. With the filter skipped the
 // distinct candidates come back instead, identically from 1×W and 2×1.
 func TestPreFilteredResultsBitIdentical(t *testing.T) {
 	g := sessionTestGraph(t)
@@ -148,9 +148,10 @@ func TestPreFilteredResultsBitIdentical(t *testing.T) {
 
 // TestWorkerShipsSurvivorsOnly drives the machine half of the cluster
 // protocol: the result frame in the shutdown report holds exactly the
-// sets that are maximal among this machine's candidates, fewer than it
-// collected, with the emission count and the per-root rows beside
-// them; with the filter skipped it holds every distinct candidate.
+// sets that are maximal among this machine's candidates, fewer than
+// its workers' lists hold, with the emission count (the lists'
+// lengths) and the per-root rows beside them; with the filter skipped
+// it holds every distinct candidate.
 func TestWorkerShipsSurvivorsOnly(t *testing.T) {
 	g := sessionTestGraph(t)
 	ecfg := gthinker.Config{Machines: 1, WorkersPerMachine: 3}
@@ -177,9 +178,9 @@ func TestWorkerShipsSurvivorsOnly(t *testing.T) {
 		}
 		var all [][]graph.V
 		var emitted int64
-		for _, col := range a.collectors {
-			all = append(all, col.Sets()...)
-			emitted += col.Emitted()
+		for _, found := range a.found {
+			all = append(all, found...)
+			emitted += int64(len(found))
 		}
 		survivors := quasiclique.FilterMaximal(all)
 		distinct := quasiclique.Finalize([][][]graph.V{append([][]graph.V(nil), all...)}, true)
@@ -189,7 +190,7 @@ func TestWorkerShipsSurvivorsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		if count != emitted {
-			t.Fatalf("skip=%v: frame carries %d emissions, collectors counted %d", skip, count, emitted)
+			t.Fatalf("skip=%v: frame carries %d emissions, the workers' lists hold %d", skip, count, emitted)
 		}
 		if n := len(a.rec.PerRoot()); len(roots) != n || n == 0 {
 			t.Fatalf("skip=%v: frame carries %d root rows, the recorder holds %d", skip, len(roots), n)

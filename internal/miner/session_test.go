@@ -53,7 +53,7 @@ func serialReference(t *testing.T, g *graph.Graph, par quasiclique.Params) [][]g
 //   - three back-to-back jobs with different γ/τsize — the cluster is
 //     reset, not rebuilt, between them, and the third repeats the
 //     first, so state leaking across jobs (queues, spill lists,
-//     liveness counters, collector contents) shows up as a diff;
+//     liveness counters, result lists) shows up as a diff;
 //   - a cancelled job and a job whose TimeBudget expires, then a clean
 //     job on the same session;
 //   - Close (twice), after which Mine must fail at once with

@@ -112,9 +112,9 @@ func TestSpawnGateLiveRoots(t *testing.T) {
 			t.Fatalf("tcp=%v: %d apps built for %d machines", tcp, len(apps), ecfg.Machines)
 		}
 		for _, ma := range apps {
-			if len(ma.collectors) != 2 || len(ma.scratches) != 2 || len(ma.miners) != 2 {
-				t.Fatalf("tcp=%v: a machine's app holds %d collectors, %d scratches and %d miners, want 2 each",
-					tcp, len(ma.collectors), len(ma.scratches), len(ma.miners))
+			if len(ma.found) != 2 || len(ma.scratches) != 2 || len(ma.miners) != 2 {
+				t.Fatalf("tcp=%v: a machine's app holds %d result lists, %d scratches and %d miners, want 2 each",
+					tcp, len(ma.found), len(ma.scratches), len(ma.miners))
 			}
 		}
 	}

@@ -37,44 +37,25 @@ func codecRoundTrip(t *testing.T, a *app, p *Payload) *Payload {
 	return got.(*Payload)
 }
 
-// TestPayloadCodecRoundTrip covers the payload shapes of all three
-// compute iterations, pinning the raw codec against reflect.DeepEqual
-// (with nil/empty slices normalized, which the engine never
-// distinguishes).
+// TestPayloadCodecRoundTrip covers the two task shapes a queue holds —
+// a spawned root and a decomposed subtask — pinning the raw codec
+// field by field (nil and empty slices are not told apart, as the
+// engine never distinguishes them).
 func TestPayloadCodecRoundTrip(t *testing.T) {
 	a := codecApp(256)
 	sub := quasiclique.SubFromGraph(datagen.ErdosRenyi(60, 0.2, 1), []graph.V{0, 1, 2, 3, 4, 5, 6, 7})
 	cases := []*Payload{
 		{Iteration: 1, Root: 42},
-		{Iteration: 2, Root: 7,
-			GVerts: []graph.V{7, 9, 13},
-			GAdj:   [][]graph.V{{9, 13}, {7, 200}, {}}},
 		{Iteration: 3, Root: 0, Sub: sub, S: []uint32{0}, Ext: []uint32{1, 2, 3, 5}},
-		{Iteration: 3, Root: 0, Sub: &quasiclique.Sub{}, S: []uint32{}, Ext: nil},
+		{Iteration: 3, Root: 5, Sub: quasiclique.SubFromGraph(datagen.ErdosRenyi(60, 0.2, 1), []graph.V{5}), S: []uint32{0}},
 	}
 	for i, p := range cases {
 		got := codecRoundTrip(t, a, p)
 		if got.Iteration != p.Iteration || got.Root != p.Root {
 			t.Fatalf("case %d: header %d/%d vs %d/%d", i, got.Iteration, got.Root, p.Iteration, p.Root)
 		}
-		if len(got.GVerts) != len(p.GVerts) || len(got.GAdj) != len(p.GAdj) ||
-			len(got.S) != len(p.S) || len(got.Ext) != len(p.Ext) {
+		if len(got.S) != len(p.S) || len(got.Ext) != len(p.Ext) {
 			t.Fatalf("case %d: slice lengths differ: %+v vs %+v", i, got, p)
-		}
-		for j := range p.GVerts {
-			if got.GVerts[j] != p.GVerts[j] {
-				t.Fatalf("case %d: GVerts[%d]", i, j)
-			}
-		}
-		for j := range p.GAdj {
-			if len(got.GAdj[j]) != len(p.GAdj[j]) {
-				t.Fatalf("case %d: GAdj[%d] length", i, j)
-			}
-			for k := range p.GAdj[j] {
-				if got.GAdj[j][k] != p.GAdj[j][k] {
-					t.Fatalf("case %d: GAdj[%d][%d]", i, j, k)
-				}
-			}
 		}
 		for j := range p.S {
 			if got.S[j] != p.S[j] {
@@ -120,13 +101,27 @@ func TestPayloadCodecRejectsCorruption(t *testing.T) {
 	if _, err := a.DecodeTaskPayload(append(append([]byte(nil), good...), 0, 0, 0, 0)); err == nil {
 		t.Fatal("trailing bytes decoded cleanly")
 	}
-	unknownFlag := append([]byte(nil), good...)
-	unknownFlag[8] |= 2 // flags word: bit 0 is the only one defined
-	if _, err := a.DecodeTaskPayload(unknownFlag); err == nil {
-		t.Fatal("unknown flag bit decoded cleanly")
+	// The subtask record under another iteration word: 1 makes a root
+	// record followed by a Sub, the others name iterations no queue
+	// holds (2 waits on its worker's pending list).
+	for _, it := range []byte{0, 1, 2, 7} {
+		bad := append([]byte(nil), good...)
+		bad[0] = it
+		if _, err := a.DecodeTaskPayload(bad); err == nil {
+			t.Errorf("subtask record relabelled iteration %d decoded cleanly", it)
+		}
+		if _, err := a.DecodeTaskPayload(bad[:8]); err == nil && it != 1 {
+			t.Errorf("an iteration-%d header decoded cleanly", it)
+		}
 	}
-	if _, err := a.AppendTaskPayload(nil, "not a payload"); err == nil {
-		t.Fatal("foreign payload type accepted")
+	for _, p := range []any{
+		"not a payload",
+		&Payload{Iteration: 2, Root: 7, GVerts: []graph.V{7, 9}, GAdj: [][]graph.V{{9}, {7}}},
+		&Payload{Iteration: 3, Root: 0, S: []uint32{0}, Ext: []uint32{1}}, // a subtask without a Sub
+	} {
+		if _, err := a.AppendTaskPayload(nil, p); err == nil {
+			t.Errorf("%+v encoded: no queue holds it", p)
+		}
 	}
 
 	// Well-formed bytes naming IDs a later iteration would index out of
@@ -137,18 +132,16 @@ func TestPayloadCodecRejectsCorruption(t *testing.T) {
 		p    *Payload
 	}{
 		{"root past |V|", &Payload{Iteration: 1, Root: 100000}},
-		{"GVerts entry past |V|", &Payload{Iteration: 2, Root: 7,
-			GVerts: []graph.V{7, 60}, GAdj: [][]graph.V{{60}, {7}}}},
-		{"GAdj entry past |V|", &Payload{Iteration: 2, Root: 7,
-			GVerts: []graph.V{7, 9}, GAdj: [][]graph.V{{9, 4000}, {7}}}},
-		{"GAdj row names its own vertex", &Payload{Iteration: 2, Root: 7,
-			GVerts: []graph.V{7, 9}, GAdj: [][]graph.V{{7, 9}, {7}}}},
+		{"subtask root past |V|", &Payload{Iteration: 3, Root: 60, Sub: sub8,
+			S: []uint32{0}, Ext: []uint32{1}}},
+		{"S and Ext past an empty Sub", &Payload{Iteration: 3, Root: 0, Sub: &quasiclique.Sub{},
+			S: []uint32{0}, Ext: []uint32{1}}},
+		{"empty Sub, S and Ext", &Payload{Iteration: 3, Root: 0, Sub: &quasiclique.Sub{}}},
+		{"empty S", &Payload{Iteration: 3, Root: 0, Sub: sub8, Ext: []uint32{1, 2}}},
 		{"Ext index past the Sub", &Payload{Iteration: 3, Root: 0, Sub: sub8,
 			S: []uint32{0}, Ext: []uint32{1, 2, 3, 500}}},
 		{"S index past the Sub", &Payload{Iteration: 3, Root: 0, Sub: sub8,
 			S: []uint32{8}, Ext: []uint32{1}}},
-		{"S and Ext without a Sub", &Payload{Iteration: 3, Root: 0,
-			S: []uint32{0}, Ext: []uint32{1}}},
 		{"S out of order", &Payload{Iteration: 3, Root: 0, Sub: sub8,
 			S: []uint32{2, 1}, Ext: []uint32{3}}},
 		{"S entry repeated", &Payload{Iteration: 3, Root: 0, Sub: sub8,
@@ -259,8 +252,7 @@ func goldenSubtask() *Payload {
 // layout is the app's wire (a stolen task crosses it), so a change to
 // it must move jobSpecMagic, not only this hex.
 func TestTaskPayloadGolden(t *testing.T) {
-	const golden = "03000000" + "03000000" + "01000000" + // iteration, root, flags: a Sub
-		"00000000" + "00000000" + "00000000" + // no GVerts, GAdj rows or GAdj entries
+	const golden = "03000000" + "03000000" + // iteration, root
 		"04000000" + "03000000" + "08000000" + "0c000000" + "14000000" + // n, labels {3, 8, 12, 20}
 		"0e00000000000000" + "0500000000000000" + "0b00000000000000" + "0500000000000000" + // rows {1,2,3} {0,2} {0,1,3} {0,2}
 		"01000000" + "00000000" + "03000000" + "01000000" + "02000000" + "03000000" // S {0}, Ext {1, 2, 3}
@@ -294,7 +286,6 @@ func FuzzDecodeTaskPayload(f *testing.F) {
 	for _, p := range []*Payload{
 		goldenSubtask(),
 		{Iteration: 1, Root: 42},
-		{Iteration: 2, Root: 7, GVerts: []graph.V{7, 9, 13}, GAdj: [][]graph.V{{9, 13}, {7, 200}, {}}},
 	} {
 		data, err := a.AppendTaskPayload(nil, p)
 		if err != nil {
@@ -308,6 +299,13 @@ func FuzzDecodeTaskPayload(f *testing.F) {
 	m.Reset(wide)
 	child, s, ext := m.Subtask([]uint32{2, 40}, []uint32{89, 0, 64, 63, 65, 7, 70, 12})
 	data, err := a.AppendTaskPayload(nil, &Payload{Iteration: 3, Root: 0, Sub: child, S: s, Ext: ext})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	// The smallest subtask: one vertex, its root, nothing left to add.
+	data, err = a.AppendTaskPayload(nil, &Payload{Iteration: 3, Root: 5,
+		Sub: quasiclique.SubFromGraph(datagen.ErdosRenyi(60, 0.2, 1), []graph.V{5}), S: []uint32{0}})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -51,26 +51,6 @@ func BenchmarkBuildRootSub(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectorAdd measures candidate deduplication. Half the adds
-// are duplicates, matching the miner's emission pattern where subtask
-// overlap re-finds sets.
-func BenchmarkCollectorAdd(b *testing.B) {
-	sets := make([][]graph.V, 256)
-	for i := range sets {
-		s := make([]graph.V, 16)
-		for j := range s {
-			s[j] = graph.V(i*31 + j*7)
-		}
-		sets[i] = s
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	c := NewCollector()
-	for i := 0; i < b.N; i++ {
-		c.Add(sets[i%len(sets)])
-	}
-}
-
 // denseCoreCandidates imitates what mining one dense 32-vertex core
 // emits: a few thousand large sets over the same 32 vertices and, for
 // each, about ten subsets that lost one to three members — ~36k sets in

@@ -246,7 +246,10 @@ func TestFilterMaximalGiantComponent(t *testing.T) {
 // TestFinalizeSplitsAgree is the property the per-worker pre-filter
 // rests on: filtering each part of any split and then the union of the
 // survivors equals one filter over everything; and with the filter
-// skipped, the distinct sets come back whatever the split.
+// skipped, the distinct sets come back whatever the split. Workers
+// append every set they emit, so Finalize is the one place repeats are
+// dropped: the fixed rows below repeat sets inside one part and across
+// parts, the empty set included.
 func TestFinalizeSplitsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 60; round++ {
@@ -276,6 +279,29 @@ func TestFinalizeSplitsAgree(t *testing.T) {
 	}
 	if got := Finalize(nil, false); len(got) != 0 {
 		t.Fatalf("Finalize(nil) = %v", got)
+	}
+
+	repeats := []func() [][][]graph.V{
+		func() [][][]graph.V { // one part
+			return [][][]graph.V{{{1, 2, 3}, {1, 2, 4}, {1, 2, 3}, {2, 3}, {}, {}, {1, 2, 4}, {7, 8}, {2, 3}}}
+		},
+		func() [][][]graph.V { // inside parts and across them
+			return [][][]graph.V{
+				{{1, 2, 3}, {1, 2, 4}, {1, 2, 3}, {2, 3}, {}, {}, {1, 2, 4}},
+				{{2, 3}, {7, 8}, {7, 8}, {}},
+				{{1, 2, 3}},
+			}
+		},
+	}
+	distinct := [][]graph.V{{1, 2, 3}, {1, 2, 4}, {2, 3}, {7, 8}, {}}
+	maximal := [][]graph.V{{1, 2, 3}, {1, 2, 4}, {7, 8}}
+	for i, parts := range repeats {
+		if got := Finalize(parts(), true); !reflect.DeepEqual(got, distinct) {
+			t.Fatalf("repeats %d, unfiltered: got %v, want %v", i, got, distinct)
+		}
+		if got := Finalize(parts(), false); !reflect.DeepEqual(got, maximal) {
+			t.Fatalf("repeats %d, filtered: got %v, want %v", i, got, maximal)
+		}
 	}
 }
 

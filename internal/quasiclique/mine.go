@@ -25,55 +25,6 @@ type MineStats struct {
 	Results int
 }
 
-// Collector accumulates emitted candidates with deduplication. Dedup
-// keys are 64-bit fingerprints of the sorted vertex set; the rare
-// colliding fingerprints fall back to comparing the actual sets in a
-// collision bucket, so adding a duplicate allocates nothing (the old
-// map[string]bool built a 4·|S|-byte string key per Add). It is not
-// safe for concurrent use; the parallel engine gives each worker its
-// own collector and hands their sets to Finalize.
-type Collector struct {
-	seen    map[uint64][]uint32 // fingerprint → indices into sets
-	sets    [][]graph.V
-	emitted int64
-}
-
-// NewCollector returns an empty Collector.
-func NewCollector() *Collector {
-	return &Collector{seen: make(map[uint64][]uint32)}
-}
-
-// fingerprintSet hashes a sorted vertex set (FNV-1a over 32-bit
-// words). Collisions are handled by the caller, so quality only
-// affects bucket sizes, never correctness.
-func fingerprintSet(S []graph.V) uint64 {
-	h := uint64(1469598103934665603)
-	for _, v := range S {
-		h ^= uint64(v)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Add records the sorted vertex set S if it has not been seen.
-func (c *Collector) Add(S []graph.V) {
-	c.emitted++
-	fp := fingerprintSet(S)
-	for _, i := range c.seen[fp] {
-		if slices.Equal(c.sets[i], S) {
-			return
-		}
-	}
-	c.seen[fp] = append(c.seen[fp], uint32(len(c.sets)))
-	c.sets = append(c.sets, S)
-}
-
-// Sets returns the collected sets (shared storage).
-func (c *Collector) Sets() [][]graph.V { return c.sets }
-
-// Emitted returns the number of Add calls, repeats included.
-func (c *Collector) Emitted() int64 { return c.emitted }
-
 // MineGraph runs the paper's serial algorithm over an entire graph:
 // global k-core shrink (T1), then one root task per surviving vertex v
 // mining quasi-cliques whose minimum vertex is v (Section 3.1's
@@ -92,7 +43,7 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 	}
 	gk, kept := PrepareGraph(g, par, opt)
 	stats.KCoreKept = len(kept)
-	col := NewCollector()
+	var found [][]graph.V // every emission; Finalize drops repeats
 	var ctxErr error
 	// Poll ctx cheaply: a done channel probe per tree node would be
 	// costly, so roots check directly and the per-node Abort hook
@@ -114,7 +65,7 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 	var scratch Scratch
 	m := NewPooledMiner(par, opt)
 	m.Abort = cancelled
-	m.Emit = func(locals []uint32) { col.Add(m.Sub.Labels(locals)) }
+	m.Emit = func(locals []uint32) { found = append(found, m.Sub.Labels(locals)) }
 	for _, v := range kept {
 		if cancelled() {
 			break
@@ -126,7 +77,7 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 			stats.Roots++
 		}
 	}
-	results := Finalize([][][]graph.V{col.Sets()}, opt.SkipMaximalityFilter)
+	results := Finalize([][][]graph.V{found}, opt.SkipMaximalityFilter)
 	stats.Results = len(results)
 	return results, stats, ctxErr
 }

@@ -392,12 +392,12 @@ func TestDecompositionEquivalence(t *testing.T) {
 		for _, c := range []int{matrixCap, 4} {
 			for _, K := range []int{0, 1, 3, 10} {
 				gk, kept := PrepareGraph(g, par, Options{})
-				col := NewCollector()
+				var found [][]graph.V
 				var queue []task
 				mineTask := func(tk task) {
 					m := NewPooledMiner(par, Options{})
 					m.Reset(tk.sub)
-					m.Emit = func(locals []uint32) { col.Add(m.Sub.Labels(locals)) }
+					m.Emit = func(locals []uint32) { found = append(found, m.Sub.Labels(locals)) }
 					calls := 0
 					m.TimedOut = func() bool { calls++; return calls > K }
 					m.Offload = func(S, ext []uint32) {
@@ -424,32 +424,12 @@ func TestDecompositionEquivalence(t *testing.T) {
 						mineTask(tk)
 					}
 				})
-				got := FilterMaximal(col.Sets())
+				got := FilterMaximal(found)
 				if !SetsEqual(got, want) {
 					t.Fatalf("seed=%d cap=%d K=%d:\n got  %v\n want %v", seed, c, K, got, want)
 				}
 			}
 		}
-	}
-}
-
-func TestCollector(t *testing.T) {
-	c := NewCollector()
-	c.Add([]graph.V{1, 2})
-	c.Add([]graph.V{1, 2}) // dup
-	c.Add([]graph.V{3})
-	if len(c.Sets()) != 2 {
-		t.Fatalf("Len = %d", len(c.Sets()))
-	}
-	c2 := NewCollector()
-	c2.Add([]graph.V{3}) // dup with c
-	c2.Add([]graph.V{4})
-	if c.Emitted() != 3 || c2.Emitted() != 2 {
-		t.Fatalf("Emitted = %d, %d, want 3, 2", c.Emitted(), c2.Emitted())
-	}
-	// Collectors meet in Finalize, which drops cross-collector repeats.
-	if got := Finalize([][][]graph.V{c.Sets(), c2.Sets()}, true); len(got) != 3 {
-		t.Fatalf("Finalize of both = %v, want 3 distinct sets", got)
 	}
 }
 
@@ -532,8 +512,9 @@ func TestSkipMaximalityFilter(t *testing.T) {
 	}
 }
 
-// setKey is the test-local canonical string key for a vertex set (the
-// production dedup uses fingerprintSet with collision buckets).
+// setKey is the test-local canonical string key for a vertex set
+// (production drops repeats in Finalize, where equal sets sort
+// together).
 func setKey(s []graph.V) string {
 	buf := make([]byte, 0, len(s)*4)
 	for _, v := range s {

@@ -88,29 +88,6 @@ func TestSubRawRoundtripOwned(t *testing.T) {
 	}
 }
 
-// TestCollectorFingerprintDedup exercises the fingerprint collector:
-// duplicates (including re-adds after many inserts) are dropped,
-// distinct sets that could share a bucket are kept.
-func TestCollectorFingerprintDedup(t *testing.T) {
-	c := NewCollector()
-	c.Add([]graph.V{1, 2, 3})
-	c.Add([]graph.V{1, 2, 4})
-	c.Add([]graph.V{1, 2, 3}) // dup
-	c.Add([]graph.V{2, 3})
-	c.Add([]graph.V{})        // empty set is a valid key
-	c.Add([]graph.V{})        // dup empty
-	c.Add([]graph.V{1, 2, 4}) // dup
-	if len(c.Sets()) != 4 {
-		t.Fatalf("len = %d, want 4", len(c.Sets()))
-	}
-	other := NewCollector()
-	other.Add([]graph.V{2, 3}) // dup of c's
-	other.Add([]graph.V{7, 8})
-	if got := Finalize([][][]graph.V{c.Sets(), other.Sets()}, true); len(got) != 5 {
-		t.Fatalf("Finalize of both = %d sets, want 5", len(got))
-	}
-}
-
 // TestMineDecodedGraphIdentical is the codec cross-check: a graph that
 // went through encode→decode must mine the exact same maximal
 // quasi-clique set as the in-memory original.

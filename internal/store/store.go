@@ -56,8 +56,8 @@
 //	count × { recLen uint32; record [recLen]byte }
 //
 // Record bytes are produced by the app's task codec (flat little-
-// endian arrays — for the quasi-clique miner the Sub's label /
-// row-length / packed-adjacency arrays written verbatim), so a refill
+// endian arrays — for the quasi-clique miner a subtask's labels, bit
+// rows, S and Ext written verbatim), so a refill
 // is one sequential file read plus pointer fix-up: Uint32s
 // reinterprets 4-aligned regions of the read buffer as []uint32
 // in place, and decoded slices alias the batch buffer. The buffer is
@@ -79,7 +79,7 @@
 // Every payload the system sends once per poll or once per job — the
 // gthinker control plane's requests and replies (a job ends with one
 // machine report carrying the Metrics, the OTR1 trace and the result
-// frame), the miner's QJS7 job spec and QRS3 results, and the
+// frame), the miner's QJS8 job spec and QRS3 results, and the
 // GQM3 manifest — is spelled as one walk function over a Walker: the
 // fields in wire order, each through a typed method (fixed-width
 // integers, float, flag mask, length-prefixed string and bytes,
@@ -193,27 +193,6 @@ func Uint64s(data []byte) []uint64 {
 		out[i] = binary.LittleEndian.Uint64(data[8*i:])
 	}
 	return out
-}
-
-// SplitRows re-slices the packed array flat into len(rowLens)
-// capacity-clamped rows — the pointer fix-up shared by every columnar
-// decoder. The rows must cover flat exactly; anything else is
-// corruption, reported as an error before any row escapes.
-func SplitRows(flat []uint32, rowLens []uint32) ([][]uint32, error) {
-	rows := make([][]uint32, len(rowLens))
-	off := 0
-	for i, rl := range rowLens {
-		end := off + int(rl)
-		if end < off || end > len(flat) {
-			return nil, fmt.Errorf("store: corrupt rows: need %d entries, have %d", end, len(flat))
-		}
-		rows[i] = flat[off:end:end]
-		off = end
-	}
-	if off != len(flat) {
-		return nil, fmt.Errorf("store: corrupt rows: cover %d of %d entries", off, len(flat))
-	}
-	return rows, nil
 }
 
 // Cursor walks a byte buffer of little-endian fields with a sticky
