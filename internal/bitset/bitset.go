@@ -111,6 +111,13 @@ func (m *Matrix) Row(i int) []uint64 {
 	return m.words[i*m.stride : (i+1)*m.stride : (i+1)*m.stride]
 }
 
+// Words returns the matrix storage: row i is Words()[i*Stride() :
+// (i+1)*Stride()], so with a stride of 1 row i is the word Words()[i]
+// and a one-word caller can read rows without slicing them. The slice
+// aliases the matrix storage and is invalidated by the next Reset or
+// Load.
+func (m *Matrix) Words() []uint64 { return m.words }
+
 // RowCache is a Matrix variant for lazily built per-vertex rows (the
 // miner's two-hop bitmaps): rows start unbuilt and carry an epoch
 // stamp instead of being cleared, so Reset is O(n) stamp-compare-free
@@ -188,7 +195,8 @@ func TestBit(w []uint64, i int) bool {
 // loop" and nothing more, to stay within the compiler's inline budget
 // of 80 (see the package doc); AndTo and AndCountTo are a clamp and a
 // loop, which fits too. CI fails if go build -gcflags=-m stops
-// reporting "can inline" for any of the five.
+// reporting "can inline" for any of the five, or for Matrix.Words,
+// through which the miner reads one-word rows as plain words.
 
 // FillBits clears dst and sets the bit of every member of xs. A member
 // outside dst panics with an index out of range.

@@ -110,8 +110,9 @@ func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {
 // finds — so unless the job skips the filter, only the sets maximal on
 // this machine travel; the coordinator filters the union — and encodes
 // them with the machine's emissions (every set a worker appended) and
-// per-root rows. Finalize overwrites the parts it is handed, so it gets
-// a copy of the outer slice and the per-worker lists stay as mined.
+// per-root rows. Finalize replaces the entries of the outer slice it is
+// handed, so it gets a copy of that slice; it never writes into a
+// worker's list, which stays as mined.
 func (a *app) Results() ([]byte, error) {
 	var emitted int64
 	for _, f := range a.found {

@@ -1,6 +1,7 @@
 package quasiclique
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -10,13 +11,13 @@ import (
 )
 
 // mkMinerState builds a Miner over a random graph with a random
-// disjoint (S, ext) split and stages the degrees exactly the way
+// disjoint (S, ext) split and stages the round exactly the way
 // iterativeBounding does before calling computeUpper / computeLower.
-func mkMinerState(t *testing.T, seed int64, gamma float64) (*Miner, []uint32, []uint32, int) {
+func mkMinerState(t *testing.T, seed int64, gamma float64) (*Miner, []uint32, []uint32, staged) {
 	return mkMinerStateP(t, seed, gamma, 0.5)
 }
 
-func mkMinerStateP(t *testing.T, seed int64, gamma, p float64) (*Miner, []uint32, []uint32, int) {
+func mkMinerStateP(t *testing.T, seed int64, gamma, p float64) (*Miner, []uint32, []uint32, staged) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 4 + rng.Intn(9)
@@ -78,11 +79,11 @@ func validExtensionSizes(m *Miner, S, ext []uint32) map[int]bool {
 func TestUpperBoundSoundness(t *testing.T) {
 	for _, gamma := range []float64{0.5, 0.6, 0.75, 0.9, 1.0} {
 		for seed := int64(0); seed < 120; seed++ {
-			m, S, ext, sumS := mkMinerState(t, seed, gamma)
+			m, S, ext, st := mkMinerState(t, seed, gamma)
 			if len(ext) == 0 {
 				continue
 			}
-			ub := m.computeUpper(S, ext, sumS)
+			ub := m.computeUpper(&st)
 			sizes := validExtensionSizes(m, S, ext)
 			maxValid := -1
 			for s := range sizes {
@@ -111,11 +112,11 @@ func TestUpperBoundSoundness(t *testing.T) {
 func TestLowerBoundSoundness(t *testing.T) {
 	for _, gamma := range []float64{0.5, 0.6, 0.75, 0.9, 1.0} {
 		for seed := int64(0); seed < 120; seed++ {
-			m, S, ext, sumS := mkMinerState(t, seed, gamma)
+			m, S, ext, st := mkMinerState(t, seed, gamma)
 			if len(ext) == 0 {
 				continue
 			}
-			lb := m.computeLower(S, ext, sumS)
+			lb := m.computeLower(&st)
 			sizes := validExtensionSizes(m, S, ext)
 			minValid := -1
 			for s := range sizes {
@@ -151,7 +152,7 @@ func TestLowerBoundSoundness(t *testing.T) {
 func TestBoundsAgreeOnContradiction(t *testing.T) {
 	hits := 0
 	for seed := int64(0); seed < 400; seed++ {
-		m, S, ext, sumS := mkMinerStateP(t, seed, 0.95, 0.3)
+		m, S, ext, st := mkMinerStateP(t, seed, 0.95, 0.3)
 		if len(ext) == 0 {
 			continue
 		}
@@ -161,7 +162,7 @@ func TestBoundsAgreeOnContradiction(t *testing.T) {
 		feasible := make([]bool, len(ext)+1)
 		first, last := -1, -1
 		for tt := 0; tt <= len(ext); tt++ {
-			feasible[tt] = sumS+prefix[tt] >= len(S)*CeilMul(gamma, len(S)+tt-1)
+			feasible[tt] = st.sumS+prefix[tt] >= len(S)*CeilMul(gamma, len(S)+tt-1)
 			if feasible[tt] {
 				if first == -1 {
 					first = tt
@@ -174,8 +175,8 @@ func TestBoundsAgreeOnContradiction(t *testing.T) {
 				t.Fatalf("seed=%d: sum-condition feasible set not an interval: %v", seed, feasible)
 			}
 		}
-		ub := m.computeUpper(S, ext, sumS)
-		lb := m.computeLower(S, ext, sumS)
+		ub := m.computeUpper(&st)
+		lb := m.computeLower(&st)
 		if ub.have && lb.have && ub.value < lb.value {
 			hits++
 			if len(validExtensionSizes(m, S, ext)) != 0 {
@@ -337,32 +338,131 @@ func sortedPrefix(dS []int32, ext []uint32) []int {
 	return prefix
 }
 
-// TestPrefixByDegreeCounting: the counting-pass prefix equals the
-// sort-based one on random degrees toward S — ties, zeros, an empty
-// ext, and a top no degree reaches included.
+// TestPrefixByDegreeCounting: the counting-pass prefix over the
+// occupied degree band equals the sort-based one on random degrees
+// toward S — ties, zeros, a narrow band of one or two values well above
+// zero, and an empty ext included.
 func TestPrefixByDegreeCounting(t *testing.T) {
 	const n = 130 // three words
 	rng := rand.New(rand.NewSource(5))
 	m := NewPooledMiner(Params{Gamma: 0.8, MinSize: 2}, Options{})
 	m.Reset(&Sub{Label: make([]graph.V, n), Adj: make([][]uint32, n)})
-	for trial := 0; trial < 2000; trial++ {
+	for trial := 0; trial < 3000; trial++ {
 		perm := rng.Perm(n)
 		sLen := 1 + rng.Intn(n-1)
 		ext := make([]uint32, rng.Intn(n-sLen+1))
 		for i := range ext {
 			ext[i] = uint32(perm[sLen+i])
 		}
+		narrow := trial%2 == 0
+		base := rng.Intn(sLen)    // a narrow band's floor
 		top := rng.Intn(sLen + 1) // few distinct values when small
+		lo, hi := sLen, 0         // what stageDegrees passes for an empty ext
 		for _, u := range ext {
-			if rng.Intn(4) > 0 {
+			switch {
+			case narrow:
+				m.dS[u] = int32(min(base+rng.Intn(2), sLen))
+			case rng.Intn(4) > 0:
 				m.dS[u] = int32(rng.Intn(top + 1))
-			} else {
+			default:
 				m.dS[u] = 0
 			}
+			lo, hi = min(lo, int(m.dS[u])), max(hi, int(m.dS[u]))
 		}
-		got := m.prefixByDegree(ext, sLen)
+		got := m.prefixByDegree(ext, lo, hi)
 		if want := sortedPrefix(m.dS, ext); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (|S|=%d, top=%d): counting %v, sorted %v", trial, sLen, top, got, want)
+			t.Fatalf("trial %d (|S|=%d, band [%d, %d]): counting %v, sorted %v", trial, sLen, lo, hi, got, want)
 		}
+	}
+	if got := m.prefixByDegree(nil, 7, 0); !slices.Equal(got, []int{0}) {
+		t.Fatalf("empty ext: prefix %v, want [0]", got)
+	}
+}
+
+// TestStagedRoundMatchesBruteForce checks one staging pass against the
+// same values recounted from the Sub's adjacency lists — dS and dE of
+// every staged vertex, Σ dS, min dS and min(dS+dE) over S, the Theorem
+// 4 flags, ext's dS range and the degree prefix — on Subs of one, two
+// and three words, with ext of any size, empty included. It also holds
+// the staged emission check to isQC.
+func TestStagedRoundMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := NewPooledMiner(Params{MinSize: 1}, Options{})
+	emitted := 0
+	m.Emit = func([]uint32) { emitted++ }
+	flags := [2]int{}
+	for trial := 0; trial < 900; trial++ {
+		n := [...]int{2 + rng.Intn(40), 65 + rng.Intn(20), 129 + rng.Intn(40)}[trial%3]
+		gamma := 0.5 + 0.5*rng.Float64()
+		m.Par.Gamma = gamma
+		sub, _, _ := allVertexSub(randomGraph(int64(trial), n, 0.2+0.75*rng.Float64()))
+		m.Reset(sub)
+		perm := rng.Perm(n)
+		ns := 1 + rng.Intn(min(n, 24))
+		ne := rng.Intn(n - ns + 1)
+		S, ext := make([]uint32, ns), make([]uint32, ne)
+		inS, inE := make([]bool, n), make([]bool, n)
+		for i := range S {
+			S[i] = uint32(perm[i])
+			inS[S[i]] = true
+		}
+		for i := range ext {
+			ext[i] = uint32(perm[ns+i])
+			inE[ext[i]] = true
+		}
+		slices.Sort(S)
+		st := m.stageDegrees(S, ext)
+
+		count := func(v uint32, in []bool) int {
+			c := 0
+			for _, u := range sub.Adj[v] {
+				if in[u] {
+					c++
+				}
+			}
+			return c
+		}
+		want := staged{nS: ns, nExt: ne, minDS: math.MaxInt, minDSE: math.MaxInt, extLo: ns}
+		for _, v := range S {
+			a, b := count(v, inS), count(v, inE)
+			if int(m.dS[v]) != a || int(m.dE[v]) != b {
+				t.Fatalf("trial %d: S member %d staged dS=%d dE=%d, recount %d %d", trial, v, m.dS[v], m.dE[v], a, b)
+			}
+			want.sumS += a
+			want.minDS, want.minDSE = min(want.minDS, a), min(want.minDSE, a+b)
+			if a+b < CeilMul(gamma, ns-1+b) {
+				want.thm4ii = true
+			}
+			if b == 0 && a < CeilMul(gamma, ns) {
+				want.thm4i = true
+			}
+		}
+		for _, u := range ext {
+			a := count(u, inS)
+			if int(m.dS[u]) != a {
+				t.Fatalf("trial %d: ext member %d staged dS=%d, recount %d", trial, u, m.dS[u], a)
+			}
+			want.extLo, want.extHi = min(want.extLo, a), max(want.extHi, a)
+		}
+		if st != want {
+			t.Fatalf("trial %d (n=%d γ=%v |S|=%d |ext|=%d): staged %+v, recount %+v", trial, n, gamma, ns, ne, st, want)
+		}
+		if !slices.Equal(m.prefix, sortedPrefix(m.dS, ext)) {
+			t.Fatalf("trial %d: staged prefix %v, sorted %v", trial, m.prefix, sortedPrefix(m.dS, ext))
+		}
+		before := emitted
+		m.emitStaged(S, &st)
+		if qc := m.isQC(S); (emitted > before) != qc {
+			t.Fatalf("trial %d: staged emission check %v, isQC %v (S=%v)", trial, emitted > before, qc, S)
+		}
+		if st.thm4i {
+			flags[0]++
+		}
+		if st.thm4ii {
+			flags[1]++
+		}
+	}
+	if flags[0] == 0 || flags[1] == 0 {
+		t.Fatalf("Theorem 4 flags never both raised: (i) %d, (ii) %d times", flags[0], flags[1])
 	}
 }

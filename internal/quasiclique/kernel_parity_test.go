@@ -256,3 +256,87 @@ func TestTwoHopCacheAcrossReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestRecursiveMineRefusesEmptyS: every search-tree node holds a
+// vertex, so RecursiveMine answers false to an empty S without mining,
+// on a fresh miner bound to a 0-vertex Sub and on a non-empty Sub alike.
+func TestRecursiveMineRefusesEmptyS(t *testing.T) {
+	m := NewPooledMiner(Params{Gamma: 0.8, MinSize: 2}, Options{})
+	m.Emit = func(locals []uint32) { t.Fatalf("emitted %v", locals) }
+	m.Reset(&Sub{})
+	if m.RecursiveMine(nil, nil) {
+		t.Fatal("empty S and ext on a 0-vertex Sub: found something")
+	}
+	sub, _, ext := allVertexSub(randomGraph(1, 10, 0.6))
+	m.Reset(sub)
+	if m.RecursiveMine(nil, ext) || m.Nodes != 0 {
+		t.Fatalf("empty S on a %d-vertex Sub: mined %d nodes", sub.N(), m.Nodes)
+	}
+}
+
+// TestWordWidthParity mines one ⟨S, ext⟩ twice: on its own Sub of at
+// most 64 vertices, where every row is one word, and embedded in a
+// 150-vertex Sub (three words) with its labels shifted so the task
+// straddles the first word boundary, the added vertices isolated.
+// Nodes, EmitCount and the emission sequence must be identical. No
+// benchmark task is wider than one word, so this is what holds the
+// multi-word loops to the one-word path.
+func TestWordWidthParity(t *testing.T) {
+	const wide = 150
+	rng := rand.New(rand.NewSource(46))
+	var nodes, emitted int64
+	for seed := int64(0); seed < 16; seed++ {
+		n := 10 + rng.Intn(13)
+		var g *graph.Graph
+		if seed%2 == 0 {
+			g = randomGraph(seed, n, 0.3+0.4*rng.Float64())
+		} else {
+			g = plantedGraph(rng, n, 0.2, 1, n*2/3, 0.9)
+		}
+		small, _, _ := allVertexSub(g)
+		off := uint32(64 - n/2)
+		big := &Sub{Label: make([]graph.V, wide), Adj: make([][]uint32, wide)}
+		for i := range big.Label {
+			big.Label[i] = graph.V(1000 + i)
+		}
+		for v := 0; v < n; v++ {
+			big.Label[off+uint32(v)] = small.Label[v]
+			for _, u := range small.Adj[v] {
+				big.Adj[off+uint32(v)] = append(big.Adj[off+uint32(v)], u+off)
+			}
+		}
+		perm := rng.Perm(n)
+		S, ext := []uint32{uint32(perm[0])}, make([]uint32, n-1)
+		for i, v := range perm[1:] {
+			ext[i] = uint32(v)
+		}
+		shift := func(xs []uint32) []uint32 {
+			out := make([]uint32, len(xs))
+			for i, x := range xs {
+				out[i] = x + off
+			}
+			return out
+		}
+		for _, gamma := range []float64{0.5, 0.6, 0.75, 0.9, 1.0} {
+			for tau := 2; tau <= 5; tau++ {
+				par := Params{Gamma: gamma, MinSize: tau}
+				want, one := mineDirect(small, S, ext, par)
+				got, multi := mineDirect(big, shift(S), shift(ext), par)
+				if one.Nodes != multi.Nodes || one.EmitCount != multi.EmitCount {
+					t.Fatalf("seed=%d n=%d γ=%v τ=%d: one word %d nodes / %d emitted, three words %d / %d",
+						seed, n, gamma, tau, one.Nodes, one.EmitCount, multi.Nodes, multi.EmitCount)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed=%d γ=%v τ=%d: %d emissions on one word, %d on three", seed, gamma, tau, len(want), len(got))
+				}
+				for i := range got {
+					if !setEqualV(got[i], want[i]) {
+						t.Fatalf("seed=%d γ=%v τ=%d emission %d: one word %v, three words %v", seed, gamma, tau, i, want[i], got[i])
+					}
+				}
+				nodes, emitted = nodes+one.Nodes, emitted+one.EmitCount
+			}
+		}
+	}
+	t.Logf("%d nodes and %d emissions agree", nodes, emitted)
+}

@@ -84,6 +84,9 @@ func FilterMaximal(sets [][]graph.V) [][]graph.V {
 // part is first filtered on its own, all parts in parallel, and only
 // the survivors meet in the final filter. With skipFilter the result is every distinct
 // candidate, canonically ordered, and nothing is filtered anywhere.
+// Finalize may replace the entries of parts, but it never writes into a
+// part's own list: the union is sorted and filtered in a slice of its
+// own.
 func Finalize(parts [][][]graph.V, skipFilter bool) [][]graph.V {
 	if len(parts) == 0 {
 		return nil
@@ -99,8 +102,12 @@ func Finalize(parts [][][]graph.V, skipFilter bool) [][]graph.V {
 		}
 		wg.Wait()
 	}
-	all := parts[0]
-	for _, part := range parts[1:] {
+	total := 0
+	for _, part := range parts {
+		total += len(part)
+	}
+	all := make([][]graph.V, 0, total)
+	for _, part := range parts {
 		all = append(all, part...)
 	}
 	if skipFilter {

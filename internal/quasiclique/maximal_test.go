@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -301,6 +302,45 @@ func TestFinalizeSplitsAgree(t *testing.T) {
 		}
 		if got := Finalize(parts(), false); !reflect.DeepEqual(got, maximal) {
 			t.Fatalf("repeats %d, filtered: got %v, want %v", i, got, maximal)
+		}
+	}
+}
+
+// TestFinalizeLeavesPartsAlone: Finalize reads the lists it is handed
+// and never writes into them — not their sets, their order, nor the
+// spare capacity past their length — whether it filters or not, with
+// one part or several. Every part has spare capacity holding a marker
+// set, and its sets are out of canonical order, so sorting or appending
+// in place would show.
+func TestFinalizeLeavesPartsAlone(t *testing.T) {
+	marker := []graph.V{999}
+	lists := [][][]graph.V{
+		{{2, 3}, {1, 2, 3}, {7, 8}, {1, 2, 4}},
+		{{7, 8}, {5}, {1, 2, 3, 4}},
+		{{0, 9}, {2, 3}},
+	}
+	for _, skip := range []bool{false, true} {
+		for n := 1; n <= len(lists); n++ {
+			parts := make([][][]graph.V, n)
+			for i := range parts {
+				full := make([][]graph.V, len(lists[i])+3)
+				for j := copy(full, lists[i]); j < len(full); j++ {
+					full[j] = marker
+				}
+				parts[i] = full[:len(lists[i])]
+			}
+			mined := slices.Clone(parts) // the caller's own references
+			Finalize(parts, skip)
+			for i, part := range mined {
+				if !reflect.DeepEqual(part, lists[i]) {
+					t.Fatalf("skip=%v, %d parts: part %d became %v, want %v", skip, n, i, part, lists[i])
+				}
+				for _, set := range part[len(part):cap(part)] {
+					if !slices.Equal(set, marker) {
+						t.Fatalf("skip=%v, %d parts: part %d's spare capacity was written: %v", skip, n, i, part[:cap(part)])
+					}
+				}
+			}
 		}
 	}
 }

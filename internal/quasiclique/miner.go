@@ -1,8 +1,9 @@
 package quasiclique
 
 import (
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"gthinkerqc/internal/bitset"
 )
@@ -29,22 +30,31 @@ var matrixCap = 1024
 // Every rule runs on the bound Sub's bitset adjacency matrix (see the
 // package doc's "One representation").
 //
-// Per-node cost. Four things keep a search-tree node down to its
+// Per-node cost. Five things keep a search-tree node down to its
 // popcounts. (1) Every degree threshold is a table lookup: Reset fills
 // ⌈γ·k⌉ and ⌊x/γ⌋ for k, x ∈ [0, n] from CeilMul and FloorDiv, the one
 // definition of each rounding, and refills them only when n outgrows
-// them or Par.Gamma changed. (2) Each bounding round stages the degrees
-// once (stageDegrees) and builds the degree-sorted prefix sums of U_S
-// and L_S from them once, by counting rather than sorting. (3) The
-// cover-vertex search reads what bounding staged: mine is only ever
-// entered on a node whose membership rows and degrees toward S are
-// current for exactly ⟨S, ext⟩ — descend calls it when
-// iterativeBounding has just returned from a staging round that removed
-// nothing, and RecursiveMine stages the root. (4) On a Sub of at most 64
-// vertices every row is one word, and bitset.FillBits and AndCount (and
-// OrWith, for two-hop rows) inline a one-word path into these loops: a
-// degree is one OnesCount64 and a membership row is built in a
-// register, with no call.
+// them or Par.Gamma changed. (2) A bounding round makes one pass over
+// S ∪ ext (stageDegrees): it loads the membership rows, stores dS and
+// dE of S and dS of ext, and folds them as it goes into everything the
+// round's rules read — Σ dS, min dS and min(dS+dE) over S, the
+// Theorem 4 flags, and the dS range of ext, over which a counting pass
+// builds the degree-sorted prefix sums of U_S and L_S. The bounds keep
+// only their t-loops, Type II is a few comparisons, and Type I counts
+// each EE degree in the loop that tests it. (3) Where a round ends with
+// S's degrees staged and current, the emission check of G(S) is min dS
+// against one threshold (emitStaged), not a rebuilt row. (4) mine reads
+// what bounding staged: it is only ever entered on a node whose
+// membership rows and degrees toward S are current for exactly
+// ⟨S, ext⟩ — descend calls it when iterativeBounding has just returned
+// from a staging round that removed nothing, and RecursiveMine stages
+// the root — so the cover search needs no staging of its own, and the
+// look-ahead row S ∪ ext[i:] is sBits|eBits at entry with one bit
+// cleared per candidate. (5) On a Sub of at most 64 vertices (a matrix
+// stride of one word), staging, Type I, the look-ahead, the cover
+// search, isQC and the two-hop filter read rows as plain words of
+// bitset.Matrix.Words and hold S, ext and the set under test in local
+// words; wider Subs take the same routines' row-slice loops.
 type Miner struct {
 	Sub *Sub
 	Par Params
@@ -92,10 +102,10 @@ type Miner struct {
 	t2Bits []uint64
 
 	dS      []int32  // degree toward S, per local vertex
-	dE      []int32  // degree toward ext(S), per local vertex
+	dE      []int32  // degree toward ext(S), per member of S
 	pos     []uint32 // Subtask's position table: local vertex → child index
 	unionBf []uint32
-	hist    []int32 // prefixByDegree's dS histogram
+	hist    []int32 // prefixByDegree's dS histogram over ext's dS range
 	prefix  []int   // prefixByDegree's sums, as of the last stageDegrees
 
 	// ceilMul[k] = CeilMul(γ, k) and floorDiv[x] = FloorDiv(x, γ) for
@@ -118,10 +128,12 @@ type Miner struct {
 	sc Scratch
 }
 
-// frame is one recursion level's child buffers.
+// frame is one recursion level's child buffers, and the look-ahead row
+// of the mine call at that level.
 type frame struct {
-	S   []uint32
-	ext []uint32
+	S     []uint32
+	ext   []uint32
+	union []uint64 // S ∪ ext[i:] of mine's loop, one stride long
 }
 
 // NewPooledMiner returns an unbound Miner for per-worker reuse. Bind a
@@ -215,12 +227,36 @@ func (m *Miner) checkEmit(S []uint32) bool {
 	return true
 }
 
+// emitStaged is checkEmit for an S whose degrees the current bounding
+// round staged: G(S) is a γ-quasi-clique iff its smallest degree toward
+// S meets ⌈γ(|S|−1)⌉, which is what isQC tests member by member.
+func (m *Miner) emitStaged(S []uint32, st *staged) {
+	if len(S) < m.Par.MinSize || st.minDS < m.ceilMul[len(S)-1] {
+		return
+	}
+	m.EmitCount++
+	m.Emit(S)
+}
+
 // isQC reports whether the set S (local indices) induces a
 // γ-quasi-clique. For γ ≥ 0.5 the degree condition implies
 // connectivity (any two non-adjacent members must share a neighbor),
 // so no reachability check is needed. S must be non-empty.
 func (m *Miner) isQC(S []uint32) bool {
 	need := m.ceilMul[len(S)-1]
+	if m.mat.Stride() == 1 {
+		w := m.mat.Words()
+		var s uint64
+		for _, v := range S {
+			s |= 1 << (v % 64)
+		}
+		for _, v := range S {
+			if bits.OnesCount64(w[v]&s) < need {
+				return false
+			}
+		}
+		return true
+	}
 	bitset.FillBits(m.tBits, S)
 	for _, v := range S {
 		if bitset.AndCount(m.mat.Row(int(v)), m.tBits) < need {
@@ -230,21 +266,32 @@ func (m *Miner) isQC(S []uint32) bool {
 	return true
 }
 
-// isUnionQC reports whether S ∪ rem induces a γ-quasi-clique (the
-// lookahead test of Algorithm 2 lines 8–10).
-func (m *Miner) isUnionQC(S, rem []uint32) bool {
+// isUnionQC reports whether S ∪ rem, whose membership row is union,
+// induces a γ-quasi-clique (the lookahead test of Algorithm 2 lines
+// 8–10).
+func (m *Miner) isUnionQC(S, rem []uint32, union []uint64) bool {
 	need := m.ceilMul[len(S)+len(rem)-1]
-	bitset.FillBits(m.tBits, S)
-	for _, v := range rem {
-		bitset.SetBit(m.tBits, int(v))
+	if m.mat.Stride() == 1 {
+		w, u := m.mat.Words(), union[0]
+		for _, v := range S {
+			if bits.OnesCount64(w[v]&u) < need {
+				return false
+			}
+		}
+		for _, v := range rem {
+			if bits.OnesCount64(w[v]&u) < need {
+				return false
+			}
+		}
+		return true
 	}
 	for _, v := range S {
-		if bitset.AndCount(m.mat.Row(int(v)), m.tBits) < need {
+		if bitset.AndCount(m.mat.Row(int(v)), union) < need {
 			return false
 		}
 	}
 	for _, v := range rem {
-		if bitset.AndCount(m.mat.Row(int(v)), m.tBits) < need {
+		if bitset.AndCount(m.mat.Row(int(v)), union) < need {
 			return false
 		}
 	}
@@ -292,6 +339,15 @@ func (m *Miner) emitInduced(sub *Sub) bool {
 // resort it and change the enumeration order.
 func (m *Miner) filterTwoHopInto(v uint32, cand, dst []uint32) []uint32 {
 	tb := m.twoHopRow(int(v))
+	if len(tb) == 1 {
+		hop := tb[0]
+		for _, u := range cand {
+			if hop&(1<<(u%64)) != 0 {
+				dst = append(dst, u)
+			}
+		}
+		return dst
+	}
 	for _, u := range cand {
 		if bitset.TestBit(tb, int(u)) {
 			dst = append(dst, u)
@@ -329,6 +385,20 @@ type boundsResult struct {
 	have      bool
 }
 
+// staged is what one bounding round reads about ⟨S, ext⟩, gathered by
+// stageDegrees in its one pass over S ∪ ext (dS and dE are each
+// vertex's degrees toward S and toward ext).
+type staged struct {
+	nS, nExt int  // |S| and |ext|
+	sumS     int  // Σ_{v∈S} dS(v)
+	minDS    int  // min_{v∈S} dS(v)
+	minDSE   int  // min_{v∈S} dS(v) + dE(v)
+	thm4i    bool // some v ∈ S has dE(v) = 0 and dS(v) < ⌈γ·|S|⌉
+	thm4ii   bool // some v ∈ S has dS(v) + dE(v) < ⌈γ·(|S| − 1 + dE(v))⌉
+	extLo    int  // min_{u∈ext} dS(u); |S| when ext is empty
+	extHi    int  // max_{u∈ext} dS(u); 0 when ext is empty
+}
+
 // iterativeBounding is Algorithm 1: it applies the Type II rules
 // (Theorems 4, 6, 8), critical-vertex expansion (Theorem 9), and the
 // iterative Type I rules (Theorems 3, 5, 7) until a fixpoint.
@@ -342,20 +412,20 @@ type boundsResult struct {
 // false implies the returned ext is non-empty.
 func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []uint32) {
 	need := m.ceilMul
+	if len(ext) == 0 {
+		m.checkEmit(S)
+		return true, S, ext
+	}
 	for {
-		if len(ext) == 0 {
-			m.checkEmit(S)
-			return true, S, ext
-		}
-		sumS := m.stageDegrees(S, ext)
-		ub := m.computeUpper(S, ext, sumS)
+		st := m.stageDegrees(S, ext)
+		ub := m.computeUpper(&st)
 		if ub.prune {
 			if !ub.pruneSelf {
-				m.checkEmit(S)
+				m.emitStaged(S, &st)
 			}
 			return true, S, ext
 		}
-		lb := m.computeLower(S, ext, sumS)
+		lb := m.computeLower(&st)
 		if lb.prune {
 			return true, S, ext // lower-bound failures invalidate S too
 		}
@@ -365,8 +435,9 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 			return true, S, ext
 		}
 
-		// Critical-vertex pruning (P6, Theorem 9): needs L_S.
-		if lb.have && !m.Opt.DisableCriticalVertex {
+		// Critical-vertex pruning (P6, Theorem 9): needs L_S. A member
+		// with dS + dE = crit exists only if the minimum is ≤ crit.
+		if lb.have && !m.Opt.DisableCriticalVertex && st.minDSE <= need[len(S)+lb.value-1] {
 			crit := need[len(S)+lb.value-1]
 			moved := false
 			for _, v := range S {
@@ -384,7 +455,7 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 				// the result is missed if the expansion fails. Quick
 				// omits this check.
 				if !m.Opt.QuickCompat {
-					m.checkEmit(S)
+					m.emitStaged(S, &st)
 				}
 				m.mergeBuf = union(m.mergeBuf[:0], S, I)
 				S = append(S[:0], m.mergeBuf...)
@@ -401,56 +472,27 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 			}
 		}
 
-		// Type II pruning (Theorems 4, 6, 8).
-		extOnlyPruned := false
-		for _, v := range S {
-			a, b := int(m.dS[v]), int(m.dE[v])
-			if !m.Opt.DisableDegreePruning && a+b < need[len(S)-1+b] {
-				return true, S, ext // Thm 4(ii): S and extensions pruned
-			}
-			if ub.have && a+ub.value < need[len(S)+ub.value-1] {
-				return true, S, ext // Thm 6: includes S′ = S
-			}
-			if lb.have && a+b < need[len(S)+lb.value-1] {
-				return true, S, ext // Thm 8: includes S′ = S
-			}
-			if !m.Opt.DisableDegreePruning && b == 0 && a < need[len(S)] {
-				extOnlyPruned = true // Thm 4(i): spares S itself
-			}
+		// Type II pruning (Theorems 4, 6, 8), each a test of what the
+		// round staged over S. Theorem 4(i) spares S itself, so it
+		// applies only when none of the others does.
+		if !m.Opt.DisableDegreePruning && st.thm4ii {
+			return true, S, ext // Thm 4(ii): S and extensions pruned
 		}
-		if extOnlyPruned {
-			m.checkEmit(S)
+		if ub.have && st.minDS+ub.value < need[len(S)+ub.value-1] {
+			return true, S, ext // Thm 6: includes S′ = S
+		}
+		if lb.have && st.minDSE < need[len(S)+lb.value-1] {
+			return true, S, ext // Thm 8: includes S′ = S
+		}
+		if !m.Opt.DisableDegreePruning && st.thm4i {
+			m.emitStaged(S, &st)
 			return true, S, ext
 		}
 
-		// Type I pruning (Theorems 3, 5, 7). EE degrees computed here,
-		// only when Type II did not already settle the node.
-		for _, u := range ext {
-			m.dE[u] = int32(bitset.AndCount(m.mat.Row(int(u)), m.eBits))
-		}
-		kept := ext[:0]
-		removed := false
-		for _, u := range ext {
-			a, b := int(m.dS[u]), int(m.dE[u])
-			drop := false
-			if !m.Opt.DisableDegreePruning && a+b < need[len(S)+b] {
-				drop = true // Thm 3
-			}
-			if !drop && ub.have && a+ub.value-1 < need[len(S)+ub.value-1] {
-				drop = true // Thm 5
-			}
-			if !drop && lb.have && a+b < need[len(S)+lb.value-1] {
-				drop = true // Thm 7
-			}
-			if drop {
-				removed = true
-			} else {
-				kept = append(kept, u)
-			}
-		}
-		ext = kept
+		var removed bool
+		ext, removed = m.pruneExt(ext, &st, ub, lb)
 		if len(ext) == 0 {
-			m.checkEmit(S)
+			m.emitStaged(S, &st)
 			return true, S, ext
 		}
 		if !removed {
@@ -459,71 +501,126 @@ func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []
 	}
 }
 
-// stageDegrees loads the membership rows of S and ext and the degrees
-// the bounds read — dS and dE of S members, dS of ext members; EE
-// degrees are delayed until Type I, per the paper's T2 — builds the
-// degree prefix U_S and L_S share, and returns Σ_{v∈S} dS(v).
-func (m *Miner) stageDegrees(S, ext []uint32) int {
-	bitset.FillBits(m.sBits, S)
-	bitset.FillBits(m.eBits, ext)
-	sumS := 0
-	for _, v := range S {
-		row := m.mat.Row(int(v))
-		ds := bitset.AndCount(row, m.sBits)
-		m.dS[v], m.dE[v] = int32(ds), int32(bitset.AndCount(row, m.eBits))
-		sumS += ds
+// pruneExt is a round's Type I pruning (Theorems 3, 5, 7): it filters
+// ext in place, keeping the members no rule drops, and reports whether
+// it dropped any. Each member's EE degree is counted in the loop that
+// tests it, only when Type II did not already settle the node (the
+// paper's T2). Requires stageDegrees(S, ext).
+func (m *Miner) pruneExt(ext []uint32, st *staged, ub, lb boundsResult) ([]uint32, bool) {
+	need, ns := m.ceilMul, st.nS
+	degRule := !m.Opt.DisableDegreePruning
+	one := m.mat.Stride() == 1
+	w := m.mat.Words()
+	var e uint64 // ext's row when it is one word
+	if one {
+		e = m.eBits[0]
 	}
+	kept := ext[:0]
 	for _, u := range ext {
-		m.dS[u] = int32(bitset.AndCount(m.mat.Row(int(u)), m.sBits))
+		a := int(m.dS[u])
+		var b int
+		if one {
+			b = bits.OnesCount64(w[u] & e)
+		} else {
+			b = bitset.AndCount(m.mat.Row(int(u)), m.eBits)
+		}
+		switch {
+		case degRule && a+b < need[ns+b]: // Thm 3
+		case ub.have && a+ub.value-1 < need[ns+ub.value-1]: // Thm 5
+		case lb.have && a+b < need[ns+lb.value-1]: // Thm 7
+		default:
+			kept = append(kept, u)
+		}
 	}
-	m.prefix = m.prefixByDegree(ext, len(S))
-	return sumS
+	return kept, len(kept) < len(ext)
 }
 
-// computeUpper derives U_S (P4, Eqs 1–4). Requires stageDegrees(S, ext).
-func (m *Miner) computeUpper(S, ext []uint32, sumS int) boundsResult {
+// stageDegrees makes a bounding round's one pass over S ∪ ext: it
+// loads the membership rows of S and ext, stores dS and dE of S members
+// and dS of ext members (EE degrees are delayed until Type I, per the
+// paper's T2), folds them into the round's staged values, and builds
+// the degree prefix U_S and L_S share. S must be non-empty.
+func (m *Miner) stageDegrees(S, ext []uint32) staged {
+	need, ns := m.ceilMul, len(S)
+	one := m.mat.Stride() == 1
+	w := m.mat.Words()
+	var s, e uint64 // S's and ext's rows when they are one word
+	if one {
+		for _, v := range S {
+			s |= 1 << (v % 64)
+		}
+		for _, u := range ext {
+			e |= 1 << (u % 64)
+		}
+		m.sBits[0], m.eBits[0] = s, e
+	} else {
+		bitset.FillBits(m.sBits, S)
+		bitset.FillBits(m.eBits, ext)
+	}
+	sum, minDS, minDSE := 0, ns, math.MaxInt
+	thm4i, thm4ii := false, false
+	for _, v := range S {
+		var a, b int
+		if one {
+			a, b = bits.OnesCount64(w[v]&s), bits.OnesCount64(w[v]&e)
+		} else {
+			row := m.mat.Row(int(v))
+			a, b = bitset.AndCount(row, m.sBits), bitset.AndCount(row, m.eBits)
+		}
+		m.dS[v], m.dE[v] = int32(a), int32(b)
+		sum += a
+		minDS, minDSE = min(minDS, a), min(minDSE, a+b)
+		thm4ii = thm4ii || a+b < need[ns-1+b]
+		thm4i = thm4i || b == 0 && a < need[ns]
+	}
+	lo, hi := ns, 0
+	for _, u := range ext {
+		var a int
+		if one {
+			a = bits.OnesCount64(w[u] & s)
+		} else {
+			a = bitset.AndCount(m.mat.Row(int(u)), m.sBits)
+		}
+		m.dS[u] = int32(a)
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	m.prefix = m.prefixByDegree(ext, lo, hi)
+	return staged{
+		nS: ns, nExt: len(ext), sumS: sum, minDS: minDS, minDSE: minDSE,
+		thm4i: thm4i, thm4ii: thm4ii, extLo: lo, extHi: hi,
+	}
+}
+
+// computeUpper derives U_S (P4, Eqs 1–4) from a round's staged values.
+func (m *Miner) computeUpper(st *staged) boundsResult {
 	if m.Opt.DisableUpperBound {
 		return boundsResult{}
 	}
-	need := m.ceilMul
-	dmin := int(m.dS[S[0]] + m.dE[S[0]])
-	for _, v := range S[1:] {
-		if d := int(m.dS[v] + m.dE[v]); d < dmin {
-			dmin = d
-		}
-	}
-	umin := m.floorDiv[dmin] + 1 - len(S) // Eq (3)
+	need, ns := m.ceilMul, st.nS
+	umin := m.floorDiv[st.minDSE] + 1 - ns // Eq (3)
 	if umin < 1 {
 		// No extension size is feasible; G(S) itself remains a
 		// candidate (the paper's note below Eq (4)).
 		return boundsResult{prune: true}
 	}
-	if umin > len(ext) {
-		umin = len(ext)
-	}
+	umin = min(umin, st.nExt)
 	for t := umin; t >= 1; t-- { // Eq (4): max feasible t
-		if sumS+m.prefix[t] >= len(S)*need[len(S)+t-1] {
+		if st.sumS+m.prefix[t] >= ns*need[ns+t-1] {
 			return boundsResult{value: t, have: true}
 		}
 	}
 	return boundsResult{prune: true}
 }
 
-// computeLower derives L_S (P5, Eqs 6–8). Requires stageDegrees(S, ext).
-func (m *Miner) computeLower(S, ext []uint32, sumS int) boundsResult {
+// computeLower derives L_S (P5, Eqs 6–8) from a round's staged values.
+func (m *Miner) computeLower(st *staged) boundsResult {
 	if m.Opt.DisableLowerBound {
 		return boundsResult{}
 	}
-	need := m.ceilMul
-	dminS := int(m.dS[S[0]])
-	for _, v := range S[1:] {
-		if d := int(m.dS[v]); d < dminS {
-			dminS = d
-		}
-	}
+	need, ns := m.ceilMul, st.nS
 	lmin := -1
-	for t := 0; t <= len(ext); t++ { // Eq (7)
-		if dminS+t >= need[len(S)+t-1] {
+	for t := 0; t <= st.nExt; t++ { // Eq (7)
+		if st.minDS+t >= need[ns+t-1] {
 			lmin = t
 			break
 		}
@@ -531,8 +628,8 @@ func (m *Miner) computeLower(S, ext []uint32, sumS int) boundsResult {
 	if lmin < 0 {
 		return boundsResult{prune: true, pruneSelf: true}
 	}
-	for t := lmin; t <= len(ext); t++ { // Eq (8): min feasible t
-		if sumS+m.prefix[t] >= len(S)*need[len(S)+t-1] {
+	for t := lmin; t <= st.nExt; t++ { // Eq (8): min feasible t
+		if st.sumS+m.prefix[t] >= ns*need[ns+t-1] {
 			return boundsResult{value: t, have: true}
 		}
 	}
@@ -540,21 +637,24 @@ func (m *Miner) computeLower(S, ext []uint32, sumS int) boundsResult {
 }
 
 // prefixByDegree returns prefix[t] = Σ_{i≤t} dS(u_i) with ext sorted by
-// dS non-increasing (Figures 6 and 7), for ext's dS values in [0, top].
+// dS non-increasing (Figures 6 and 7), for ext's dS values in [lo, hi].
 // The sums depend only on the multiset of those values, so ties cannot
-// change them and a counting pass stands in for the sort. The returned
-// slice aliases the miner's prefix buffer.
-func (m *Miner) prefixByDegree(ext []uint32, top int) []int {
-	hist := m.hist[:top+1]
-	clear(hist)
-	for _, u := range ext {
-		hist[m.dS[u]]++
-	}
+// change them and a counting pass over the occupied band stands in for
+// the sort. The returned slice aliases the miner's prefix buffer.
+func (m *Miner) prefixByDegree(ext []uint32, lo, hi int) []int {
 	prefix := m.prefix[:len(ext)+1]
 	prefix[0] = 0
+	if len(ext) == 0 {
+		return prefix
+	}
+	hist := m.hist[:hi-lo+1]
+	clear(hist)
+	for _, u := range ext {
+		hist[int(m.dS[u])-lo]++
+	}
 	i := 0
-	for d := top; d >= 0; d-- {
-		for c := hist[d]; c > 0; c-- {
+	for d := hi; d >= lo; d-- {
+		for c := hist[d-lo]; c > 0; c-- {
 			prefix[i+1] = prefix[i] + d
 			i++
 		}
@@ -574,6 +674,9 @@ func (m *Miner) prefixByDegree(ext []uint32, top int) []int {
 // contract already requires the callee to copy — and at a split, which
 // materialises each child of a Sub above 1 024 vertices.
 func (m *Miner) RecursiveMine(S, ext []uint32) bool {
+	if len(S) == 0 {
+		return false // not a node of the search tree: every node holds a vertex
+	}
 	if sub := m.Sub; sub.N() > matrixCap {
 		defer func() { m.Sub = sub }()
 		return m.split(sub, S, ext)
@@ -592,6 +695,15 @@ func (m *Miner) mine(S, ext []uint32, depth int) bool {
 		ext, coverLen = m.applyCover(S, ext)
 	}
 	fr := &m.frames[depth]
+	// union is S ∪ ext[i:]: the staged rows at entry (the cover search
+	// only reorders ext), less one candidate per iteration.
+	stride := len(m.sBits)
+	if cap(fr.union) < stride {
+		fr.union = make([]uint64, stride)
+	}
+	union := fr.union[:stride]
+	copy(union, m.sBits)
+	bitset.OrWith(union, m.eBits)
 	limit := len(ext) - coverLen
 	for i := 0; i < limit; i++ {
 		if m.Abort != nil && m.Abort() {
@@ -605,11 +717,12 @@ func (m *Miner) mine(S, ext []uint32, depth int) bool {
 		// Lookahead (lines 8–10): if S ∪ ext is itself a
 		// quasi-clique it is the unique maximal result below this
 		// node.
-		if !m.Opt.DisableLookahead && m.isUnionQC(S, rem) {
+		if !m.Opt.DisableLookahead && m.isUnionQC(S, rem, union) {
 			m.emitUnion(S, rem)
 			return true
 		}
 		v := ext[i]
+		union[v/64] &^= 1 << (v % 64)
 		m.Nodes++
 		fr.S = insertSortedInto(fr.S[:0], S, v)
 		fr.ext = m.filterTwoHopInto(v, ext[i+1:], fr.ext[:0])
@@ -756,6 +869,69 @@ func (m *Miner) applyCover(S, ext []uint32) ([]uint32, int) {
 		return ext, 0
 	}
 	thresh := m.ceilMul[len(S)]
+	var bestLen int
+	if m.mat.Stride() == 1 {
+		bestLen = m.coverWord(S, ext, thresh)
+	} else {
+		bestLen = m.coverRows(S, ext, thresh)
+	}
+	if bestLen == 0 {
+		return ext, 0
+	}
+	m.coverBuf = bitset.AppendBits(m.coverBuf[:0], m.t2Bits)
+	w := 0
+	for _, u := range ext {
+		if !bitset.TestBit(m.t2Bits, int(u)) {
+			ext[w] = u
+			w++
+		}
+	}
+	copy(ext[w:], m.coverBuf)
+	return ext, bestLen
+}
+
+// coverWord is applyCover's search on one-word rows: it leaves the
+// largest C_S(u) in t2Bits and returns its size, 0 if no cover vertex
+// applies.
+func (m *Miner) coverWord(S, ext []uint32, thresh int) int {
+	w, e := m.mat.Words(), m.eBits[0]
+	bestLen := 0
+	var best uint64
+	for _, u := range ext {
+		if int(m.dS[u]) < thresh {
+			continue
+		}
+		row := w[u]
+		c := row & e
+		cnt := bits.OnesCount64(c)
+		if cnt <= bestLen {
+			continue
+		}
+		ok := true
+		for _, v := range S {
+			if row&(1<<(v%64)) != 0 {
+				continue
+			}
+			if int(m.dS[v]) < thresh {
+				ok = false
+				break
+			}
+			c &= w[v]
+			if cnt = bits.OnesCount64(c); cnt <= bestLen {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			bestLen, best = cnt, c
+		}
+	}
+	m.t2Bits[0] = best
+	return bestLen
+}
+
+// coverRows is coverWord on row slices, for Subs wider than one word.
+func (m *Miner) coverRows(S, ext []uint32, thresh int) int {
 	bestLen := 0
 	for _, u := range ext {
 		// Applicability: dS(u) ≥ ⌈γ|S|⌉.
@@ -790,24 +966,12 @@ func (m *Miner) applyCover(S, ext []uint32) ([]uint32, int) {
 			copy(m.t2Bits, m.tBits)
 		}
 	}
-	if bestLen == 0 {
-		return ext, 0
-	}
-	m.coverBuf = bitset.AppendBits(m.coverBuf[:0], m.t2Bits)
-	w := 0
-	for _, u := range ext {
-		if !bitset.TestBit(m.t2Bits, int(u)) {
-			ext[w] = u
-			w++
-		}
-	}
-	copy(ext[w:], m.coverBuf)
-	return ext, bestLen
+	return bestLen
 }
 
 // insertSortedInto appends sorted S ∪ {v} to dst and returns it.
 func insertSortedInto(dst, S []uint32, v uint32) []uint32 {
-	i := sort.Search(len(S), func(i int) bool { return S[i] >= v })
+	i, _ := slices.BinarySearch(S, v)
 	dst = append(dst, S[:i]...)
 	dst = append(dst, v)
 	dst = append(dst, S[i:]...)
