@@ -116,7 +116,9 @@ type Config struct {
 	DebugAddr string
 
 	// KeepNonMaximal skips the maximality post-filter, mirroring the
-	// paper's released code.
+	// paper's released code. The miner's emission screen still runs,
+	// so the sets returned are the candidates that survive it: no set
+	// one vertex of its own task extends.
 	KeepNonMaximal bool
 	// Ablations exposes the per-rule switches used by the ablation
 	// benchmarks.
@@ -129,10 +131,12 @@ type Result struct {
 	// canonical order). With KeepNonMaximal it holds all candidates.
 	Cliques [][]V
 	// Candidates is the number of candidate emissions, repeats
-	// included, before deduplication and the maximality filter — the
-	// same count on the serial and the parallel paths. Decomposing
-	// tasks adds emissions (see miner.Result), so it can differ between
-	// two runs that return the same Cliques.
+	// included, before deduplication and the maximality filter: the
+	// quasi-cliques the search reports that survive its emission screen
+	// (no vertex of the task's subgraph extends them by one). It is the
+	// same count on the serial and the parallel paths when no task is
+	// decomposed; decomposition moves it (see miner.Result), so it can
+	// differ between two runs that return the same Cliques.
 	Candidates int
 	// Wall is the mining wall time (excluding graph loading).
 	Wall time.Duration

@@ -42,6 +42,34 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// TestTable2MaximalPinned pins Table 2's Maximal# column, the filtered
+// result count of each stand-in at its own parameters. It is an exact
+// answer on a fixed graph, the same on every cluster shape and at every
+// τtime, so a pruning, screening or decomposition change that loses a
+// result (or keeps a non-maximal one) moves it. Result# and Time are
+// not pinned: both move with the search and the host.
+func TestTable2MaximalPinned(t *testing.T) {
+	want := map[string]int{
+		"CX_GSE1730": 13, "CX_GSE10158": 112, "Ca-GrQc": 54, "Enron": 2571,
+		"DBLP": 12, "Amazon": 3, "Hyves": 53, "YouTube": 1623,
+	}
+	rows, err := Table2(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d Table 2 rows, want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		if w, ok := want[r.Name]; !ok || r.Maximal != w {
+			t.Errorf("%s: Maximal# %d, want %d", r.Name, r.Maximal, w)
+		}
+		if r.Results < r.Maximal {
+			t.Errorf("%s: Result# %d below Maximal# %d", r.Name, r.Results, r.Maximal)
+		}
+	}
+}
+
 func TestRunSmallDataset(t *testing.T) {
 	out, err := Run(RunSpec{Dataset: "CX_GSE1730"}, small)
 	if err != nil {

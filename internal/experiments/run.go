@@ -82,6 +82,8 @@ type RunSpec struct {
 	// KeepNonMaximal skips the maximality filter, mirroring the
 	// paper's released code (its Table 2–4 result counts include
 	// non-maximal quasi-cliques, which is why they vary with τtime).
+	// The miner's emission screen still runs, so the counts are those
+	// of the sets that survive it.
 	KeepNonMaximal bool
 	// DisableGlobalQueue reverts the engine reforge (ablation).
 	DisableGlobalQueue bool

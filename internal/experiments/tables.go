@@ -50,8 +50,10 @@ type Table2Row struct {
 	Time     time.Duration
 	RAM      uint64
 	Disk     int64
-	// Results mirrors the paper's count (no maximality filter, like
-	// the released code); Maximal is the filtered count.
+	// Results is the unfiltered count, as in the released code, but
+	// not the paper's number: the miner's emission screen already
+	// drops every set one vertex of its task extends, which the
+	// paper's code reports. Maximal is the filtered count.
 	Results int
 	Maximal int
 }

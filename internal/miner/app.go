@@ -354,8 +354,20 @@ func (a *app) iteration3(p *Payload, ctx *gthinker.Ctx) bool {
 			m.Offload = offload
 		}
 	default: // TimeDelayed, Algorithm 10
+		// The miner asks once per descend; the clock is read on the
+		// first call and every 64th after it, and the answer latches
+		// once the deadline has passed. An offload so comes at most 63
+		// node expansions late (tens of µs against τtime), and which
+		// subtrees become subtasks never changes the results.
 		deadline := start.Add(a.cfg.TauTime)
-		m.TimedOut = func() bool { return !time.Now().Before(deadline) }
+		polls, late := 0, false
+		m.TimedOut = func() bool {
+			if !late && polls%64 == 0 {
+				late = !time.Now().Before(deadline)
+			}
+			polls++
+			return late
+		}
 		m.Offload = offload
 	}
 	m.RecursiveMine(p.S, p.Ext)

@@ -72,14 +72,17 @@ type Result struct {
 	// collected by then: valid quasi-cliques, maximal among themselves,
 	// not necessarily maximal in the graph.
 	Cliques [][]graph.V
-	// Candidates counts candidate emissions, repeats included: what
-	// the search produced before any deduplication or filtering, summed
-	// over the machines that finished the job (each carries its count
-	// in its result frame next to the sets it ships). It is
-	// quasiclique.MineStats.Candidates for the same search; a search
-	// that decomposes tasks emits more, because the parent of an
-	// offloaded subtree cannot wait to learn whether the subtree found
-	// a superset and has to emit its own set.
+	// Candidates counts candidate emissions, repeats included: the
+	// sets the search produced that survive its emission screen (no
+	// vertex of the task's subgraph extends one by a vertex), before
+	// any deduplication or filtering, summed over the machines that
+	// finished the job (each carries its count in its result frame
+	// next to the sets it ships). It is quasiclique.MineStats.Candidates
+	// for the same search. Decomposition moves it either way: the
+	// parent of an offloaded subtree cannot wait to learn whether the
+	// subtree found a superset and emits its own set, while a subtask
+	// screens against the witness rows Miner.Subtask keeps, not the
+	// parent's whole subgraph.
 	Candidates int
 	// Engine reports engine-level metrics (queues, spilling,
 	// stealing, per-worker busy time).

@@ -34,9 +34,13 @@ func procsPool(t *testing.T, ecfg gthinker.Config) *ProcsPool {
 // they are emitted — before any deduplication or (pre-)filter, so
 // neither the skip option nor survivors-only shipping moves it. When
 // no task is decomposed the parallel search is the serial search and
-// the counts are equal; a decomposed subtree's parent has to emit on
-// its child's behalf, so with decomposition the count is higher, but
-// it is the same on every cluster shape.
+// the counts are equal. With decomposition a subtree's parent emits on
+// its child's behalf, and the child's witness rows screen out of the
+// child what the parent's Sub would have (Miner.Subtask), so the count
+// may land on either side of the serial one; on this graph it equals
+// it. Which subtasks exist depends only on τsplit under SizeThreshold,
+// so it is the same on every cluster shape, and every result is one of
+// the candidates.
 func TestCandidatesOneDefinition(t *testing.T) {
 	g := sessionTestGraph(t)
 	par := quasiclique.Params{Gamma: 0.8, MinSize: 7}
@@ -74,8 +78,8 @@ func TestCandidatesOneDefinition(t *testing.T) {
 	if a.Engine.SubtasksAdded == 0 {
 		t.Fatal("τsplit=4 decomposed nothing; test parameters are wrong")
 	}
-	if a.Candidates != b.Candidates || int64(a.Candidates) <= stats.Candidates {
-		t.Fatalf("decomposed: 1×3 counts %d, 2×1 TCP %d, serial %d", a.Candidates, b.Candidates, stats.Candidates)
+	if a.Candidates != b.Candidates || a.Candidates < len(a.Cliques) {
+		t.Fatalf("decomposed: 1×3 counts %d, 2×1 TCP %d, for %d results", a.Candidates, b.Candidates, len(a.Cliques))
 	}
 	pool := procsPool(t, gthinker.Config{Machines: 2, WorkersPerMachine: 1})
 	c, err := pool.RunJob(context.Background(), split)

@@ -236,7 +236,9 @@ func TestPayloadRawViaStoreBatch(t *testing.T) {
 
 // goldenSubtask is the iteration-3 subtask that TestTaskPayloadGolden
 // pins: the child ⟨{0}, {3, 1, 4}⟩ of a five-vertex task, compacted
-// from the bound matrix as the app's offload does.
+// from the bound matrix as the app's offload does. Parent vertex 2
+// (label 9) has two neighbours in K = {0, 1, 3, 4}, at least
+// ⌈0.5·max(|S|, τsize)⌉ = 1, so the child carries it as a witness row.
 func goldenSubtask() *Payload {
 	parent := &quasiclique.Sub{
 		Label: []graph.V{3, 8, 9, 12, 20},
@@ -250,12 +252,19 @@ func goldenSubtask() *Payload {
 
 // TestTaskPayloadGolden pins one subtask record byte for byte: the
 // layout is the app's wire (a stolen task crosses it), so a change to
-// it must move jobSpecMagic, not only this hex.
+// it must move jobSpecMagic, not only this hex. The record now carries
+// a witness row (local 2, in neither S nor Ext, listed by no other
+// row), but its layout is the one QJS8 always had: a rows Sub, then S
+// and Ext as local indices of it. A decoder that predates witness rows
+// reads it as a Sub with one vertex outside S ∪ Ext, which it never
+// mines and which changes no other row's two-hop reach, and a new
+// decoder reads an old record as a child without witnesses; both mine
+// either one exactly. So jobSpecMagic stays.
 func TestTaskPayloadGolden(t *testing.T) {
 	const golden = "03000000" + "03000000" + // iteration, root
-		"04000000" + "03000000" + "08000000" + "0c000000" + "14000000" + // n, labels {3, 8, 12, 20}
-		"0e00000000000000" + "0500000000000000" + "0b00000000000000" + "0500000000000000" + // rows {1,2,3} {0,2} {0,1,3} {0,2}
-		"01000000" + "00000000" + "03000000" + "01000000" + "02000000" + "03000000" // S {0}, Ext {1, 2, 3}
+		"05000000" + "03000000" + "08000000" + "09000000" + "0c000000" + "14000000" + // n, labels {3, 8, 9, 12, 20}
+		"1a00000000000000" + "0900000000000000" + "1200000000000000" + "1300000000000000" + "0900000000000000" + // rows {1,3,4} {0,3} {1,4} {0,1,4} {0,3}
+		"01000000" + "00000000" + "03000000" + "01000000" + "03000000" + "04000000" // S {0}, Ext {1, 3, 4}
 	a := codecApp(64)
 	p := goldenSubtask()
 	data, err := a.AppendTaskPayload(nil, p)

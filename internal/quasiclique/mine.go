@@ -18,8 +18,10 @@ type MineStats struct {
 	// Nodes is the total number of set-enumeration tree nodes.
 	Nodes int64
 	// Candidates is the number of candidate emissions, repeats
-	// included, before deduplication and the maximality filter (the
-	// same count miner.Result.Candidates carries for parallel runs).
+	// included, before deduplication and the maximality filter: the
+	// quasi-cliques the search reports that survive the emission screen
+	// (Miner.Emit), the same count miner.Result.Candidates carries for
+	// parallel runs.
 	Candidates int64
 	// Results is the final result count.
 	Results int

@@ -61,9 +61,14 @@ type Miner struct {
 	Opt Options
 
 	// Emit receives every candidate quasi-clique as local indices of
-	// m.Sub (unsorted). The slice is only valid during the call. A split
-	// rebinds m.Sub to each child it mines, so translate through m.Sub,
-	// not through a Sub captured when the task started.
+	// m.Sub (unsorted): every quasi-clique of at least τsize vertices
+	// the search reports that survives the screen, i.e. that no vertex
+	// of m.Sub extends by one (extendable). A candidate may still be
+	// non-maximal — a larger quasi-clique may differ by more than one
+	// vertex, or its extra vertex lie outside m.Sub — and Finalize drops
+	// those. The slice is only valid during the call. A split rebinds
+	// m.Sub to each child it mines, so translate through m.Sub, not
+	// through a Sub captured when the task started.
 	Emit func(locals []uint32)
 
 	// TimedOut, when non-nil and returning true, switches the miner
@@ -83,7 +88,7 @@ type Miner struct {
 	// Counters, zeroed by Reset; they accumulate across the children a
 	// split mines.
 	Nodes        int64 // set-enumeration tree nodes expanded
-	EmitCount    int64 // candidates emitted
+	EmitCount    int64 // candidates emitted: the calls of Emit
 	OffloadCount int64 // subtrees wrapped into subtasks
 
 	// mat is the bound Sub's adjacency matrix (row v = Γ(v) as bits).
@@ -216,26 +221,103 @@ func (m *Miner) bind(sub *Sub) {
 	m.t2Bits = m.t2Bits[:stride]
 }
 
-// checkEmit emits S if it is a valid quasi-clique of size ≥ τsize and
-// reports whether it did.
+// checkEmit emits S if it is a valid quasi-clique of size ≥ τsize
+// that no vertex of the bound Sub extends (see emit), and reports
+// whether S is a valid quasi-clique of size ≥ τsize, emitted or
+// screened out: either way no proper subset of S is maximal, so the
+// parent has found something.
 func (m *Miner) checkEmit(S []uint32) bool {
 	if len(S) < m.Par.MinSize || !m.isQC(S) {
 		return false
 	}
-	m.EmitCount++
-	m.Emit(S)
+	m.emit(S)
 	return true
 }
 
 // emitStaged is checkEmit for an S whose degrees the current bounding
-// round staged: G(S) is a γ-quasi-clique iff its smallest degree toward
-// S meets ⌈γ(|S|−1)⌉, which is what isQC tests member by member.
+// round staged (see stagedQC).
 func (m *Miner) emitStaged(S []uint32, st *staged) {
-	if len(S) < m.Par.MinSize || st.minDS < m.ceilMul[len(S)-1] {
+	if m.stagedQC(S, st) {
+		m.emit(S)
+	}
+}
+
+// stagedQC reports whether S, of at least τsize vertices, is a
+// γ-quasi-clique, read off a round's staging: G(S) is one iff its
+// smallest degree toward S meets ⌈γ(|S|−1)⌉, which is what isQC tests
+// member by member.
+func (m *Miner) stagedQC(S []uint32, st *staged) bool {
+	return len(S) >= m.Par.MinSize && st.minDS >= m.ceilMul[len(S)-1]
+}
+
+// emit hands the quasi-clique T to Emit unless extendable proves it is
+// not maximal: then some strictly larger quasi-clique holds it, every
+// maximal quasi-clique is emitted by the task whose minimum vertex is
+// its own, and T would only be dropped by the maximality filter.
+func (m *Miner) emit(T []uint32) {
+	if m.extendable(T) {
 		return
 	}
 	m.EmitCount++
-	m.Emit(S)
+	m.Emit(T)
+}
+
+// extendable reports whether some vertex u of the bound Sub outside T
+// makes T ∪ {u} a γ-quasi-clique, exactly. Let need = ⌈γ|T|⌉, the
+// degree every member of T ∪ {u} needs. A member of T with degree
+// below need−1 inside T cannot reach it with u's one edge; one at
+// exactly need−1 is critical and needs u as a neighbour. So u extends
+// T iff no member is below need−1, u has at least need neighbours in T
+// and u is adjacent to every critical member. It reads u's own row,
+// not the rows of T toward u: a subtask's witness rows are listed by
+// no member row (see Subtask).
+func (m *Miner) extendable(T []uint32) bool {
+	n, need := m.mat.N(), m.ceilMul[len(T)]
+	if m.mat.Stride() == 1 {
+		w := m.mat.Words()
+		var t, crit uint64
+		for _, v := range T {
+			t |= 1 << (v % 64)
+		}
+		for _, v := range T {
+			switch d := bits.OnesCount64(w[v] & t); {
+			case d < need-1:
+				return false
+			case d == need-1:
+				crit |= 1 << (v % 64)
+			}
+		}
+		for rest := ^t & (^uint64(0) >> (64 - n)); rest != 0; rest &= rest - 1 {
+			r := w[bits.TrailingZeros64(rest)]
+			if r&crit == crit && bits.OnesCount64(r&t) >= need {
+				return true
+			}
+		}
+		return false
+	}
+	tb, crit := m.tBits, m.t2Bits
+	bitset.FillBits(tb, T)
+	clear(crit)
+	ncrit := 0
+	for _, v := range T {
+		switch d := bitset.AndCount(m.mat.Row(int(v)), tb); {
+		case d < need-1:
+			return false
+		case d == need-1:
+			bitset.SetBit(crit, int(v))
+			ncrit++
+		}
+	}
+	for u := 0; u < n; u++ {
+		if bitset.TestBit(tb, u) {
+			continue
+		}
+		row := m.mat.Row(u)
+		if bitset.AndCount(row, tb) >= need && bitset.AndCount(row, crit) == ncrit {
+			return true
+		}
+	}
+	return false
 }
 
 // isQC reports whether the set S (local indices) induces a
@@ -298,12 +380,12 @@ func (m *Miner) isUnionQC(S, rem []uint32, union []uint64) bool {
 	return true
 }
 
+// emitUnion emits S ∪ rem, which isUnionQC accepted.
 func (m *Miner) emitUnion(S, rem []uint32) {
 	m.unionBf = m.unionBf[:0]
 	m.unionBf = append(m.unionBf, S...)
 	m.unionBf = append(m.unionBf, rem...)
-	m.EmitCount++
-	m.Emit(m.unionBf)
+	m.emit(m.unionBf)
 }
 
 // emitInduced emits all of sub when it induces a γ-quasi-clique of at
@@ -665,9 +747,10 @@ func (m *Miner) prefixByDegree(ext []uint32, lo, hi int) []int {
 // RecursiveMine is Algorithm 2 (and, with TimedOut/Offload set,
 // Algorithm 10). S must be sorted; ext is an ordered candidate list,
 // which the miner may reorder and shrink in place. It returns true iff
-// some valid quasi-clique strictly extending S was found (or offloaded
-// children made that undecidable and a candidate was emitted
-// conservatively).
+// some valid quasi-clique strictly extending S was found — emitted, or
+// held back by the emission screen because a larger one contains it —
+// (or offloaded children made that undecidable and a candidate was
+// emitted conservatively).
 //
 // All per-node state lives in the miner's depth-indexed recursion
 // arena: the only copies made are at the Offload boundary, whose

@@ -143,5 +143,7 @@ type Options struct {
 	// SkipMaximalityFilter leaves non-maximal candidates in the
 	// output, mirroring the paper's released code ("currently we do
 	// not include a processing step to remove non-maximal results").
+	// The output is then every distinct emission that survived the
+	// miner's screen (Miner.Emit), which runs either way.
 	SkipMaximalityFilter bool
 }

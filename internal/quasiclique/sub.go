@@ -27,7 +27,9 @@ import (
 // DecodeRaw — holds Rows instead: n bit rows of bitset.WordsFor(n)
 // words, row i the local neighbours of vertex i, which is the layout of
 // the matrix a Miner binds, so binding one is a copy. A rows Sub is
-// never above matrixCap.
+// never above matrixCap. A subtask's rows may include witness rows
+// (see Miner.Subtask): vertices outside its S′ ∪ ext′ whose rows list
+// their neighbours in S′ ∪ ext′ and which no other row lists.
 type Sub struct {
 	Label []graph.V
 	Adj   [][]uint32 // list Sub: sorted local adjacency
@@ -37,7 +39,8 @@ type Sub struct {
 // N returns the number of local vertices.
 func (s *Sub) N() int { return len(s.Label) }
 
-// NumEdges returns the number of undirected edges.
+// NumEdges returns the number of undirected edges (a witness row's,
+// listed one way only, count half).
 func (s *Sub) NumEdges() int {
 	t := 0
 	for _, a := range s.Adj {

@@ -11,47 +11,63 @@ import (
 // Subtask materializes the divide-and-conquer child ⟨S, ext(S)⟩ of the
 // bound Sub as an independent task over its own induced subgraph
 // (Algorithm 8 line 19 / Algorithm 10 lines 20–21): the subgraph
-// induced on S ∪ ext(S), which shrinks at every division, so subtask
-// subgraphs — and their materialization cost, measured in Table 6 —
-// keep getting smaller.
+// induced on K = S ∪ ext(S), which shrinks at every division, so
+// subtask subgraphs — and their materialization cost, measured in Table
+// 6 — keep getting smaller.
 //
-// The child is a rows Sub compacted from the bound matrix: row i is
-// the matrix row of the i-th member of the sorted set K = S ∪ ext with
-// its bits outside K dropped and the rest mapped through a position
-// table, so a subtask never goes back through adjacency lists, and
-// binding it is a copy. It is the child MakeSubtaskScratch(m.Sub, S,
-// ext, …) induces, in rows: the same labels, and S′ and ext′ sorted
-// local indices of the child.
+// The child is a rows Sub compacted from the bound matrix: the row of a
+// member of K is its matrix row with the bits outside K dropped and the
+// rest mapped through a position table, so a subtask never goes back
+// through adjacency lists, and binding it is a copy. Restricted to K it
+// is the child MakeSubtaskScratch(m.Sub, S, ext, …) induces, in rows:
+// the same labels, and S′ and ext′ sorted local indices of the child.
 //
-// S and ext are disjoint local indices of the bound Sub (ext in any
-// order), which has a matrix (at most matrixCap vertices), so the child
-// does too. The child's row words, label, S′ and ext′ share one
+// It also keeps witness rows, which decomposition would otherwise hide
+// from the child's emission screen (extendable): a vertex w of the
+// bound Sub outside K with at least ⌈γ·max(|S|, τsize)⌉ neighbours in
+// K. Every set T the child emits holds S, lies in K and has at least
+// τsize vertices, so a vertex that makes T ∪ {w} a quasi-clique has at
+// least ⌈γ|T|⌉ of that many neighbours in K and passes. A witness takes
+// its place in the child's label order, but it is in neither S′ nor
+// ext′, so it is never mined, and its row lists its neighbours in K
+// while no row of K lists it, so the child's two-hop rows, and with
+// them its search tree, are those of K alone. Witnesses are kept in
+// ascending order while the child's stride stays WordsFor(|K|).
+//
+// S (sorted) and ext (any order) are disjoint local indices of the
+// bound Sub, which has a matrix (at most matrixCap vertices), so the
+// child does too. The child's row words, label, S′ and ext′ share one
 // allocation, which the caller may retain (the Offload contract
 // requires it): a subtask costs two allocations with its Sub header.
-// Subtask builds K in the miner's two transient rows, which hold
-// nothing across the Offload call it serves.
+// Subtask builds its vertex sets in the miner's two transient rows,
+// which hold nothing across the Offload call it serves.
 func (m *Miner) Subtask(S, ext []uint32) (*Sub, []uint32, []uint32) {
-	inS, keep := m.tBits, m.t2Bits
-	bitset.FillBits(inS, S)
-	copy(keep, inS)
+	inK, keep := m.tBits, m.t2Bits
+	bitset.FillBits(inK, S)
 	for _, v := range ext {
-		bitset.SetBit(keep, int(v))
+		bitset.SetBit(inK, int(v))
 	}
-	n, ns := len(S)+len(ext), len(S)
-	stride := bitset.WordsFor(n)
-	rows, ids := subtaskStorage(n*stride, 2*n)
-	label, newS, newExt := ids[:n:n], ids[n:n:n+ns], ids[n+ns:n+ns:2*n]
-	// Members of K in ascending order take child indices 0, 1, ...;
-	// S′ and ext′ come out sorted because K is walked in order.
-	i := uint32(0)
+	copy(keep, inK)
+	nk, ns := len(S)+len(ext), len(S)
+	stride := bitset.WordsFor(nk)
+	thr := CeilMul(m.Par.Gamma, max(ns, m.Par.MinSize))
+	n := nk + m.addWitnesses(keep, inK, 64*stride-nk, thr)
+	rows, ids := subtaskStorage(n*stride, n+nk)
+	label, newS, newExt := ids[:n:n], ids[n:n:n+ns], ids[n+ns:n+ns:n+nk]
+	// Members of keep in ascending order take child indices 0, 1, ...;
+	// S′ and ext′ come out sorted because keep is walked in order, and
+	// S is sorted, so one cursor tells its members.
+	i, j := uint32(0), 0
 	for wi, w := range keep {
 		for ; w != 0; w &= w - 1 {
 			v := wi*64 + bits.TrailingZeros64(w)
 			m.pos[v] = i
 			label[i] = m.Sub.Label[v]
-			if bitset.TestBit(inS, v) {
+			switch {
+			case j < ns && S[j] == uint32(v):
 				newS = append(newS, i)
-			} else {
+				j++
+			case bitset.TestBit(inK, v):
 				newExt = append(newExt, i)
 			}
 			i++
@@ -62,7 +78,7 @@ func (m *Miner) Subtask(S, ext []uint32) (*Sub, []uint32, []uint32) {
 		for ; w != 0; w &= w - 1 {
 			row := m.mat.Row(wi*64 + bits.TrailingZeros64(w))
 			for xi, x := range row {
-				for x &= keep[xi]; x != 0; x &= x - 1 {
+				for x &= inK[xi]; x != 0; x &= x - 1 {
 					p := m.pos[xi*64+bits.TrailingZeros64(x)]
 					dst[p/64] |= 1 << (p % 64)
 				}
@@ -71,6 +87,48 @@ func (m *Miner) Subtask(S, ext []uint32) (*Sub, []uint32, []uint32) {
 		}
 	}
 	return &Sub{Label: label, Rows: rows}, newS, newExt
+}
+
+// addWitnesses adds to keep the vertices of the bound Sub outside inK
+// with at least thr neighbours in inK, in ascending order and at most
+// room of them, and returns how many it added: one popcount per word of
+// each candidate's row, and no allocation.
+func (m *Miner) addWitnesses(keep, inK []uint64, room, thr int) int {
+	if room == 0 {
+		return 0
+	}
+	added, n := 0, m.mat.N()
+	if m.mat.Stride() == 1 {
+		w, k := m.mat.Words(), inK[0]
+		for out := ^k & (^uint64(0) >> (64 - n)); out != 0; out &= out - 1 {
+			u := bits.TrailingZeros64(out)
+			if bits.OnesCount64(w[u]&k) < thr {
+				continue
+			}
+			keep[0] |= 1 << u
+			if added++; added == room {
+				break
+			}
+		}
+		return added
+	}
+	for wi, k := range inK {
+		out := ^k
+		if tail := n - wi*64; tail < 64 {
+			out &= 1<<tail - 1
+		}
+		for ; out != 0; out &= out - 1 {
+			u := wi*64 + bits.TrailingZeros64(out)
+			if bitset.AndCount(m.mat.Row(u), inK) < thr {
+				continue
+			}
+			keep[wi] |= 1 << (u % 64)
+			if added++; added == room {
+				return added
+			}
+		}
+	}
+	return added
 }
 
 // subtaskStorage returns a child's nw row words and nids uint32s (its

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/graph"
 )
 
@@ -32,6 +33,94 @@ func makeSubtaskReference(parent *Sub, S, ext []uint32) (*Sub, []uint32, []uint3
 	}
 	slices.Sort(newExt)
 	return &Sub{Label: label, Adj: adj}, newS, newExt
+}
+
+// witnessReference is the test oracle for Subtask's witness rows: the
+// parent locals outside K = S ∪ ext with at least ⌈γ·max(|S|, τsize)⌉
+// neighbours in K, ascending, and how many of them fit K's row stride.
+func witnessReference(parent *Sub, S, ext []uint32, par Params) (qualify []uint32, room int) {
+	inK := map[uint32]bool{}
+	for _, v := range append(slices.Clone(S), ext...) {
+		inK[v] = true
+	}
+	room = 64*bitset.WordsFor(len(inK)) - len(inK)
+	thr := CeilMul(par.Gamma, max(len(S), par.MinSize))
+	var out []uint32
+	for v := 0; v < parent.N(); v++ {
+		deg := 0
+		for _, u := range parent.Adj[v] {
+			if inK[u] {
+				deg++
+			}
+		}
+		if !inK[uint32(v)] && deg >= thr {
+			out = append(out, uint32(v))
+		}
+	}
+	return out, min(room, len(out))
+}
+
+// subtaskReference is the test oracle for Subtask: the child over K =
+// S ∪ ext and witnessReference's witnesses, in label order, as
+// adjacency lists. Every row lists its vertex's neighbours in K, so a
+// witness lists its own and no row lists a witness.
+func subtaskReference(parent *Sub, S, ext []uint32, par Params) (*Sub, []uint32, []uint32) {
+	inK := map[uint32]bool{}
+	all := append(slices.Clone(S), ext...)
+	for _, v := range all {
+		inK[v] = true
+	}
+	witnesses, room := witnessReference(parent, S, ext, par)
+	all = append(all, witnesses[:room]...)
+	slices.Sort(all)
+	pos := map[uint32]uint32{}
+	for i, v := range all {
+		pos[v] = uint32(i)
+	}
+	child := &Sub{Label: make([]graph.V, len(all)), Adj: make([][]uint32, len(all))}
+	for i, v := range all {
+		child.Label[i] = parent.Label[v]
+		for _, u := range parent.Adj[v] {
+			if inK[u] {
+				child.Adj[i] = append(child.Adj[i], pos[u])
+			}
+		}
+		slices.Sort(child.Adj[i])
+	}
+	mapSorted := func(xs []uint32) []uint32 {
+		out := make([]uint32, len(xs))
+		for i, x := range xs {
+			out[i] = pos[x]
+		}
+		slices.Sort(out)
+		return out
+	}
+	return child, mapSorted(S), mapSorted(ext)
+}
+
+// dropWitnesses restricts a rows child to its members of S′ ∪ ext′, as
+// a list Sub with S′ and ext′ renumbered: what the child would be
+// without witness rows.
+func dropWitnesses(child *Sub, S, ext []uint32) (*Sub, []uint32, []uint32) {
+	keep := append(slices.Clone(S), ext...)
+	slices.Sort(keep)
+	stride := bitset.WordsFor(child.N())
+	_, adj := naiveInduce(keep, func(i int) []uint32 {
+		v := int(keep[i])
+		return bitset.AppendBits(nil, child.Rows[v*stride:(v+1)*stride])
+	})
+	out := &Sub{Label: make([]graph.V, len(keep)), Adj: adj}
+	for i, v := range keep {
+		out.Label[i] = child.Label[v]
+	}
+	renumber := func(xs []uint32) []uint32 {
+		out := make([]uint32, len(xs))
+		for i, x := range xs {
+			out[i] = uint32(slices.Index(keep, x))
+		}
+		return out
+	}
+	return out, renumber(S), renumber(ext)
 }
 
 // randomSplit picks a random disjoint (S, ext) pair of parent locals.
@@ -159,40 +248,59 @@ func randomDisjoint(rng *rand.Rand, n int) (S, ext []uint32) {
 	return S, ext
 }
 
-// TestSubtaskRowsMatchInduce checks Miner.Subtask against
-// MakeSubtaskScratch on random parents of 1–200 vertices (row strides
-// of one to four words, across the 63/64/65 and 128/129 edges) and
-// random disjoint S/ext, on ONE miner rebound to every parent, so stale
-// position-table or transient-row contents must not leak: the labels,
-// S′ and ext′ must be equal, and row i of the child must hold exactly
-// the induced child's Adj[i]. A warm Subtask takes at most two
-// allocations.
+// TestSubtaskRowsMatchInduce checks Miner.Subtask on random parents of
+// 1–200 vertices (row strides of one to four words, across the 63/64/65
+// and 128/129 edges) and random disjoint S/ext, on ONE miner rebound to
+// every parent, so stale position-table or transient-row contents must
+// not leak. Without its witness rows the child must be what
+// MakeSubtaskScratch induces on S ∪ ext: the labels, S′ and ext′ equal,
+// and row i holding exactly the induced child's Adj[i]. With them it
+// must be subtaskReference's child, rows of the same stride. A warm
+// Subtask takes at most two allocations.
 func TestSubtaskRowsMatchInduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	m := NewPooledMiner(Params{Gamma: 0.5, MinSize: 2}, Options{})
+	par := Params{Gamma: 0.5, MinSize: 2}
+	m := NewPooledMiner(par, Options{})
 	var sc Scratch
 	sizes := []int{1, 2, 63, 64, 65, 127, 128, 129, 200}
 	for len(sizes) < 60 {
 		sizes = append(sizes, 1+rng.Intn(200))
 	}
+	witnesses := 0
 	for iter, n := range sizes {
 		parent := SubFromGraph(randomGraph(int64(iter), n, 0.05+0.6*rng.Float64()), allVerts(n))
 		m.Reset(parent)
 		for split := 0; split < 4; split++ {
 			S, ext := randomDisjoint(rng, n)
 			want, wantS, wantExt := MakeSubtaskScratch(parent, S, ext, &sc)
-			got, gotS, gotExt := m.Subtask(S, ext)
+			child, childS, childExt := m.Subtask(S, ext)
+			if child.Adj != nil {
+				t.Fatalf("n=%d split %d: Subtask built adjacency lists", n, split)
+			}
+			got, gotS, gotExt := dropWitnesses(child, childS, childExt)
 			if !slices.Equal(got.Label, want.Label) || !slices.Equal(gotS, wantS) || !slices.Equal(gotExt, wantExt) {
 				t.Fatalf("n=%d split %d: labels/S'/ext' %v/%v/%v, want %v/%v/%v",
 					n, split, got.Label, gotS, gotExt, want.Label, wantS, wantExt)
 			}
-			if got.Adj != nil {
-				t.Fatalf("n=%d split %d: Subtask built adjacency lists", n, split)
+			if !subsEqual(got, want) {
+				t.Fatalf("n=%d split %d: K's rows differ from the induced child", n, split)
 			}
-			if err := rowsMatchAdj(got.Rows, want.Adj); err != nil {
+			ref, refS, refExt := subtaskReference(parent, S, ext, par)
+			if !slices.Equal(child.Label, ref.Label) || !slices.Equal(childS, refS) || !slices.Equal(childExt, refExt) {
+				t.Fatalf("n=%d split %d: with witnesses labels/S'/ext' %v/%v/%v, want %v/%v/%v",
+					n, split, child.Label, childS, childExt, ref.Label, refS, refExt)
+			}
+			if err := rowsMatchAdj(child.Rows, ref.Adj); err != nil {
 				t.Fatalf("n=%d split %d: %v", n, split, err)
 			}
+			if bitset.WordsFor(child.N()) != bitset.WordsFor(len(S)+len(ext)) {
+				t.Fatalf("n=%d split %d: witness rows widened the stride", n, split)
+			}
+			witnesses += child.N() - len(S) - len(ext)
 		}
+	}
+	if witnesses == 0 {
+		t.Fatal("no subtask kept a witness row")
 	}
 
 	parent := SubFromGraph(randomGraph(9, 129, 0.3), allVerts(129))
@@ -215,7 +323,7 @@ func TestSubtaskIndependence(t *testing.T) {
 
 	S1, ext1 := randomSplit(rng, 20)
 	child1, s1, e1 := m.Subtask(S1, ext1)
-	wantSub, wantS, wantExt := makeSubtaskReference(parent, S1, ext1)
+	wantSub, wantS, wantExt := subtaskReference(parent, S1, ext1, m.Par)
 
 	// Clobber the miner with different splits and another parent.
 	for i := 0; i < 10; i++ {

@@ -47,7 +47,8 @@ type JobRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// SizeThresholdOnly decomposes by τsplit alone (Algorithm 8).
 	SizeThresholdOnly bool `json:"size_threshold_only,omitempty"`
-	// KeepNonMaximal skips the maximality post-filter.
+	// KeepNonMaximal skips the maximality post-filter: the job returns
+	// every distinct emission that survives the miner's screen.
 	KeepNonMaximal bool `json:"keep_non_maximal,omitempty"`
 }
 
@@ -375,8 +376,9 @@ type jobStatus struct {
 	Cached  bool    `json:"cached,omitempty"`
 	Partial bool    `json:"partial,omitempty"`
 	Cliques int     `json:"cliques,omitempty"`
-	// Candidates counts candidate emissions, repeats included, before
-	// deduplication and the maximality filter (miner.Result.Candidates).
+	// Candidates counts candidate emissions that survive the miner's
+	// screen, repeats included, before deduplication and the
+	// maximality filter (miner.Result.Candidates).
 	Candidates int    `json:"candidates,omitempty"`
 	WallMS     int64  `json:"wall_ms,omitempty"`
 	Error      string `json:"error,omitempty"`
