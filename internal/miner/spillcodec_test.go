@@ -237,8 +237,9 @@ func TestPayloadRawViaStoreBatch(t *testing.T) {
 // goldenSubtask is the iteration-3 subtask that TestTaskPayloadGolden
 // pins: the child ⟨{0}, {3, 1, 4}⟩ of a five-vertex task, compacted
 // from the bound matrix as the app's offload does. Parent vertex 2
-// (label 9) has two neighbours in K = {0, 1, 3, 4}, at least
-// ⌈0.5·max(|S|, τsize)⌉ = 1, so the child carries it as a witness row.
+// (label 9) is outside K = {0, 1, 3, 4} and adjacent to 1 and 4, so it
+// would extend the set {0, 1, 4} the child may emit (to {0, 1, 2, 4},
+// every degree 2), and the child carries it as a witness row.
 func goldenSubtask() *Payload {
 	parent := &quasiclique.Sub{
 		Label: []graph.V{3, 8, 9, 12, 20},

@@ -23,16 +23,16 @@ import (
 // the same labels, and S′ and ext′ sorted local indices of the child.
 //
 // It also keeps witness rows, which decomposition would otherwise hide
-// from the child's emission screen (extendable): a vertex w of the
-// bound Sub outside K with at least ⌈γ·max(|S|, τsize)⌉ neighbours in
-// K. Every set T the child emits holds S, lies in K and has at least
-// τsize vertices, so a vertex that makes T ∪ {w} a quasi-clique has at
-// least ⌈γ|T|⌉ of that many neighbours in K and passes. A witness takes
-// its place in the child's label order, but it is in neither S′ nor
-// ext′, so it is never mined, and its row lists its neighbours in K
-// while no row of K lists it, so the child's two-hop rows, and with
-// them its search tree, are those of K alone. Witnesses are kept in
-// ascending order while the child's stride stays WordsFor(|K|).
+// from the child's emission screen (extendable): the vertices w of the
+// bound Sub outside K whose neighbours in S and in ext allow some set T
+// the child emits to make T ∪ {w} a quasi-clique (addWitnesses), so no
+// witness the screen could use is left out while there is room. A
+// witness takes its place in the child's label order, but it is in
+// neither S′ nor ext′, so it is never mined, and its row lists its
+// neighbours in K while no row of K lists it, so the child's two-hop
+// rows, and with them its search tree, are those of K alone. Witnesses
+// are kept in ascending order while the child's stride stays
+// WordsFor(|K|).
 //
 // S (sorted) and ext (any order) are disjoint local indices of the
 // bound Sub, which has a matrix (at most matrixCap vertices), so the
@@ -50,8 +50,7 @@ func (m *Miner) Subtask(S, ext []uint32) (*Sub, []uint32, []uint32) {
 	copy(keep, inK)
 	nk, ns := len(S)+len(ext), len(S)
 	stride := bitset.WordsFor(nk)
-	thr := CeilMul(m.Par.Gamma, max(ns, m.Par.MinSize))
-	n := nk + m.addWitnesses(keep, inK, 64*stride-nk, thr)
+	n := nk + m.addWitnesses(keep, inK, S, nk)
 	rows, ids := subtaskStorage(n*stride, n+nk)
 	label, newS, newExt := ids[:n:n], ids[n:n:n+ns], ids[n+ns:n+ns:n+nk]
 	// Members of keep in ascending order take child indices 0, 1, ...;
@@ -73,45 +72,45 @@ func (m *Miner) Subtask(S, ext []uint32) (*Sub, []uint32, []uint32) {
 			i++
 		}
 	}
+	// A row's bits in K map to ascending child positions, so each child
+	// word is built in a register and stored once.
 	dst := rows
 	for wi, w := range keep {
 		for ; w != 0; w &= w - 1 {
 			row := m.mat.Row(wi*64 + bits.TrailingZeros64(w))
+			cur, acc := uint32(0), uint64(0)
 			for xi, x := range row {
 				for x &= inK[xi]; x != 0; x &= x - 1 {
 					p := m.pos[xi*64+bits.TrailingZeros64(x)]
-					dst[p/64] |= 1 << (p % 64)
+					if p/64 != cur {
+						dst[cur], cur, acc = acc, p/64, 0
+					}
+					acc |= 1 << (p % 64)
 				}
 			}
+			dst[cur] = acc
 			dst = dst[stride:]
 		}
 	}
 	return &Sub{Label: label, Rows: rows}, newS, newExt
 }
 
-// addWitnesses adds to keep the vertices of the bound Sub outside inK
-// with at least thr neighbours in inK, in ascending order and at most
-// room of them, and returns how many it added: one popcount per word of
-// each candidate's row, and no allocation.
-func (m *Miner) addWitnesses(keep, inK []uint64, room, thr int) int {
-	if room == 0 {
+// addWitnesses adds to keep the vertices of the bound Sub outside inK,
+// the nk members of K, that can extend a set the child emits, in
+// ascending order and only as many as leave the child's stride at
+// WordsFor(nk), and returns how many it added, with no allocation. The
+// child's sets T hold S and more, lie in K and have at least τsize
+// vertices, so t0 = max(|S|+1, τsize) ≤ |T| ≤ nk. A vertex w with a
+// neighbours in S and b in ext has at most a + min(|T|−|S|, b) of them
+// in T, so T ∪ {w} is a γ-quasi-clique only if a+b ≥ ⌈γ·max(|S|+b, t0)⌉:
+// one popcount per row word tests a+b against ⌈γ·t0⌉, and only a vertex
+// that passes has its neighbours in S counted.
+func (m *Miner) addWitnesses(keep, inK []uint64, S []uint32, nk int) int {
+	room, t0 := 64*bitset.WordsFor(nk)-nk, max(len(S)+1, m.Par.MinSize)
+	if room == 0 || t0 > nk {
 		return 0
 	}
-	added, n := 0, m.mat.N()
-	if m.mat.Stride() == 1 {
-		w, k := m.mat.Words(), inK[0]
-		for out := ^k & (^uint64(0) >> (64 - n)); out != 0; out &= out - 1 {
-			u := bits.TrailingZeros64(out)
-			if bits.OnesCount64(w[u]&k) < thr {
-				continue
-			}
-			keep[0] |= 1 << u
-			if added++; added == room {
-				break
-			}
-		}
-		return added
-	}
+	added, n, thr := 0, m.mat.N(), CeilMul(m.Par.Gamma, t0)
 	for wi, k := range inK {
 		out := ^k
 		if tail := n - wi*64; tail < 64 {
@@ -119,7 +118,18 @@ func (m *Miner) addWitnesses(keep, inK []uint64, room, thr int) int {
 		}
 		for ; out != 0; out &= out - 1 {
 			u := wi*64 + bits.TrailingZeros64(out)
-			if bitset.AndCount(m.mat.Row(u), inK) < thr {
+			row := m.mat.Row(u)
+			d := bitset.AndCount(row, inK)
+			if d < thr {
+				continue
+			}
+			a := 0
+			for _, v := range S {
+				if bitset.TestBit(row, int(v)) {
+					a++
+				}
+			}
+			if t := len(S) + d - a; t > t0 && d < m.ceilMul[t] {
 				continue
 			}
 			keep[wi] |= 1 << (u % 64)

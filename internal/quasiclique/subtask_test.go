@@ -36,25 +36,37 @@ func makeSubtaskReference(parent *Sub, S, ext []uint32) (*Sub, []uint32, []uint3
 }
 
 // witnessReference is the test oracle for Subtask's witness rows: the
-// parent locals outside K = S ∪ ext with at least ⌈γ·max(|S|, τsize)⌉
-// neighbours in K, ascending, and how many of them fit K's row stride.
+// parent locals outside K = S ∪ ext that could extend some set T with
+// S ⊊ T ⊆ K and |T| ≥ τsize, ascending, and how many of them fit K's
+// row stride.
 func witnessReference(parent *Sub, S, ext []uint32, par Params) (qualify []uint32, room int) {
 	inK := map[uint32]bool{}
 	for _, v := range append(slices.Clone(S), ext...) {
 		inK[v] = true
 	}
 	room = 64*bitset.WordsFor(len(inK)) - len(inK)
-	thr := CeilMul(par.Gamma, max(len(S), par.MinSize))
 	var out []uint32
 	for v := 0; v < parent.N(); v++ {
-		deg := 0
+		if inK[uint32(v)] {
+			continue
+		}
+		// w qualifies if some size t of a set T with S ⊊ T ⊆ K and
+		// |T| ≥ τsize leaves it ⌈γt⌉ neighbours in T: its a
+		// neighbours in S and at most min(t−|S|, b) of its b in ext.
+		a, b := 0, 0
 		for _, u := range parent.Adj[v] {
-			if inK[u] {
-				deg++
+			switch {
+			case slices.Contains(S, u):
+				a++
+			case inK[u]:
+				b++
 			}
 		}
-		if !inK[uint32(v)] && deg >= thr {
-			out = append(out, uint32(v))
+		for t := max(len(S)+1, par.MinSize); t <= len(inK); t++ {
+			if a+min(t-len(S), b) >= CeilMul(par.Gamma, t) {
+				out = append(out, uint32(v))
+				break
+			}
 		}
 	}
 	return out, min(room, len(out))
