@@ -11,8 +11,9 @@ import (
 )
 
 // mkMinerState builds a Miner over a random graph with a random
-// disjoint (S, ext) split and stages the round exactly the way
-// iterativeBounding does before calling computeUpper / computeLower.
+// disjoint (S, ext) split and stages the round eagerly (stageEager):
+// every value computeUpper and computeLower read, however the S pass of
+// iterativeBounding would have ended.
 func mkMinerState(t *testing.T, seed int64, gamma float64) (*Miner, []uint32, []uint32, staged) {
 	return mkMinerStateP(t, seed, gamma, 0.5)
 }
@@ -48,7 +49,7 @@ func mkMinerStateP(t *testing.T, seed int64, gamma, p float64) (*Miner, []uint32
 	m := NewPooledMiner(Params{Gamma: gamma, MinSize: 2}, Options{})
 	m.Reset(sub)
 	m.Emit = func([]uint32) {}
-	return m, S, ext, m.stageDegrees(S, ext)
+	return m, S, ext, stageEager(m, S, ext).staged
 }
 
 // validExtensionSizes brute-forces every Z ⊆ ext and returns the sizes
@@ -107,8 +108,8 @@ func TestUpperBoundSoundness(t *testing.T) {
 }
 
 // TestLowerBoundSoundness: L_S (Eq 8) must lower-bound |Z| for every
-// valid non-empty extension; a pruneSelf outcome asserts S itself is
-// not a valid quasi-clique either.
+// valid extension, the empty one included: a prune asserts that S
+// itself is not a valid quasi-clique either.
 func TestLowerBoundSoundness(t *testing.T) {
 	for _, gamma := range []float64{0.5, 0.6, 0.75, 0.9, 1.0} {
 		for seed := int64(0); seed < 120; seed++ {
@@ -276,7 +277,7 @@ func TestIterativeBoundingContract(t *testing.T) {
 				}
 			}
 		}
-		pruned, S2, ext2 := m.iterativeBounding(append([]uint32{}, S...), ext)
+		pruned, _, S2, ext2 := m.iterativeBounding(append([]uint32{}, S...), ext)
 		if pruned {
 			continue
 		}
@@ -303,16 +304,24 @@ func TestIterativeBoundingContract(t *testing.T) {
 
 // TestThresholdTables: the miner's threshold tables agree with CeilMul
 // and FloorDiv at every index up to the largest matrix a miner builds,
-// for each γ in turn on one pooled miner — so a γ change between Resets
-// refills them.
+// and θU[k] is the least d with FloorDiv(d) ≥ k (so the S pass's Eq (3)
+// test is U_S^min < 1 exactly), for each γ in turn on one pooled miner
+// — so a γ change between Resets refills them.
 func TestThresholdTables(t *testing.T) {
 	const n = 1024
 	sub := &Sub{Label: make([]graph.V, n), Adj: make([][]uint32, n)}
 	m := NewPooledMiner(Params{MinSize: 2}, Options{})
-	for _, gamma := range []float64{0.5, 0.6, 2.0 / 3, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0} {
+	for _, gamma := range []float64{0.5, 0.55, 0.6, 2.0 / 3, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0} {
 		m.Par.Gamma = gamma
 		m.Reset(sub)
 		for k := 0; k <= n; k++ {
+			want := 0
+			for want <= n && FloorDiv(want, gamma) < k {
+				want++
+			}
+			if m.thetaU[k] != want {
+				t.Fatalf("γ=%v: θU[%d] = %d, least d with FloorDiv(d) ≥ %d is %d", gamma, k, m.thetaU[k], k, want)
+			}
 			if got, want := m.ceilMul[k], CeilMul(gamma, k); got != want {
 				t.Fatalf("γ=%v: ceilMul[%d] = %d, CeilMul = %d", gamma, k, got, want)
 			}
@@ -357,7 +366,7 @@ func TestPrefixByDegreeCounting(t *testing.T) {
 		narrow := trial%2 == 0
 		base := rng.Intn(sLen)    // a narrow band's floor
 		top := rng.Intn(sLen + 1) // few distinct values when small
-		lo, hi := sLen, 0         // what stageDegrees passes for an empty ext
+		lo, hi := sLen, 0         // what stageExt passes for an empty ext
 		for _, u := range ext {
 			switch {
 			case narrow:
@@ -379,14 +388,15 @@ func TestPrefixByDegreeCounting(t *testing.T) {
 	}
 }
 
-// TestStagedRoundMatchesBruteForce checks one staging pass against the
-// same values recounted from the Sub's adjacency lists — dS and dE of
-// every staged vertex, Σ dS, min dS and min(dS+dE) over S, the Theorem
-// 4 flags, ext's dS range and the degree prefix — on Subs of one, two
-// and three words, with ext of any size, empty included. It also holds
-// the staged emission threshold (min dS against ⌈γ(|S|−1)⌉, stagedQC)
-// to isQC, apart from the emission screen that follows it
-// (TestEmissionScreenExact holds that one).
+// TestStagedRoundMatchesBruteForce checks a round's staging that no
+// test stops — the S pass (stageS), the ext pass (stageExt) and the
+// Theorem 4 pass (theorem4) — against the same values recounted from
+// the Sub's adjacency lists: dS and dE of every staged vertex, Σ dS,
+// min dS and min(dS+dE) over S, the Theorem 4 flags and the degree
+// prefix, on Subs of one, two and three words, with ext of any size,
+// empty included. It also holds the staged emission threshold (min dS
+// against ⌈γ(|S|−1)⌉, stagedQC) to isQC, apart from the emission screen
+// that follows it (TestEmissionScreenExact holds that one).
 func TestStagedRoundMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := NewPooledMiner(Params{MinSize: 1}, Options{})
@@ -411,7 +421,14 @@ func TestStagedRoundMatchesBruteForce(t *testing.T) {
 			inE[ext[i]] = true
 		}
 		slices.Sort(S)
-		st := m.stageDegrees(S, ext)
+		m.loadRows(S, ext)
+		st, cut := m.stageS(S, 0, 0)
+		if cut != cutNone {
+			t.Fatalf("trial %d: the S pass stopped (%d) with its tests off", trial, cut)
+		}
+		st.nExt = ne
+		m.stageExt(ext, ns)
+		thm4i, thm4ii := m.theorem4(S)
 
 		count := func(v uint32, in []bool) int {
 			c := 0
@@ -422,7 +439,8 @@ func TestStagedRoundMatchesBruteForce(t *testing.T) {
 			}
 			return c
 		}
-		want := staged{nS: ns, nExt: ne, minDS: math.MaxInt, minDSE: math.MaxInt, extLo: ns}
+		want := staged{nS: ns, nExt: ne, minDS: math.MaxInt, minDSE: math.MaxInt}
+		var want4i, want4ii bool
 		for _, v := range S {
 			a, b := count(v, inS), count(v, inE)
 			if int(m.dS[v]) != a || int(m.dE[v]) != b {
@@ -431,10 +449,10 @@ func TestStagedRoundMatchesBruteForce(t *testing.T) {
 			want.sumS += a
 			want.minDS, want.minDSE = min(want.minDS, a), min(want.minDSE, a+b)
 			if a+b < CeilMul(gamma, ns-1+b) {
-				want.thm4ii = true
+				want4ii = true
 			}
 			if b == 0 && a < CeilMul(gamma, ns) {
-				want.thm4i = true
+				want4i = true
 			}
 		}
 		for _, u := range ext {
@@ -442,10 +460,10 @@ func TestStagedRoundMatchesBruteForce(t *testing.T) {
 			if int(m.dS[u]) != a {
 				t.Fatalf("trial %d: ext member %d staged dS=%d, recount %d", trial, u, m.dS[u], a)
 			}
-			want.extLo, want.extHi = min(want.extLo, a), max(want.extHi, a)
 		}
-		if st != want {
-			t.Fatalf("trial %d (n=%d γ=%v |S|=%d |ext|=%d): staged %+v, recount %+v", trial, n, gamma, ns, ne, st, want)
+		if st != want || thm4i != want4i || thm4ii != want4ii {
+			t.Fatalf("trial %d (n=%d γ=%v |S|=%d |ext|=%d): staged %+v, Theorem 4 %v %v; recount %+v, %v %v",
+				trial, n, gamma, ns, ne, st, thm4i, thm4ii, want, want4i, want4ii)
 		}
 		if !slices.Equal(m.prefix, sortedPrefix(m.dS, ext)) {
 			t.Fatalf("trial %d: staged prefix %v, sorted %v", trial, m.prefix, sortedPrefix(m.dS, ext))
@@ -453,10 +471,10 @@ func TestStagedRoundMatchesBruteForce(t *testing.T) {
 		if staged, qc := m.stagedQC(S, &st), m.isQC(S); staged != qc {
 			t.Fatalf("trial %d: staged emission check %v, isQC %v (S=%v)", trial, staged, qc, S)
 		}
-		if st.thm4i {
+		if thm4i {
 			flags[0]++
 		}
-		if st.thm4ii {
+		if thm4ii {
 			flags[1]++
 		}
 	}

@@ -21,7 +21,9 @@ type MineStats struct {
 	// included, before deduplication and the maximality filter: the
 	// quasi-cliques the search reports that survive the emission screen
 	// (Miner.Emit), the same count miner.Result.Candidates carries for
-	// parallel runs.
+	// parallel runs. A node's own G(S) is checked only when no check
+	// below it, bounding's included, met a quasi-clique holding S (see
+	// Miner.RecursiveMine).
 	Candidates int64
 	// Results is the final result count.
 	Results int

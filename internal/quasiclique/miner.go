@@ -33,28 +33,35 @@ var matrixCap = 1024
 // Per-node cost. Five things keep a search-tree node down to its
 // popcounts. (1) Every degree threshold is a table lookup: Reset fills
 // ⌈γ·k⌉ and ⌊x/γ⌋ for k, x ∈ [0, n] from CeilMul and FloorDiv, the one
-// definition of each rounding, and refills them only when n outgrows
-// them or Par.Gamma changed. (2) A bounding round makes one pass over
-// S ∪ ext (stageDegrees): it loads the membership rows, stores dS and
-// dE of S and dS of ext, and folds them as it goes into everything the
-// round's rules read — Σ dS, min dS and min(dS+dE) over S, the
-// Theorem 4 flags, and the dS range of ext, over which a counting pass
-// builds the degree-sorted prefix sums of U_S and L_S. The bounds keep
-// only their t-loops, Type II is a few comparisons, and Type I counts
-// each EE degree in the loop that tests it. (3) Where a round ends with
-// S's degrees staged and current, the emission check of G(S) is min dS
-// against one threshold (emitStaged), not a rebuilt row. (4) mine reads
-// what bounding staged: it is only ever entered on a node whose
-// membership rows and degrees toward S are current for exactly
-// ⟨S, ext⟩ — descend calls it when iterativeBounding has just returned
-// from a staging round that removed nothing, and RecursiveMine stages
+// definition of each rounding, and θU[k], the least d with ⌊d/γ⌋ ≥ k,
+// from the second; it refills them only when n outgrows them or
+// Par.Gamma changed. (2) A bounding round stages lazily, cheapest rule
+// first (see iterativeBounding): one pass over S (stageS) counts dS and
+// dE and stops at the first member that fails Eq (3) or Eq (7), which
+// settles about two rounds in five; only a round that gets past it
+// counts ext's dS and builds the degree-sorted prefix sums of U_S and
+// L_S (stageExt), and only a round that reaches Type II reads the
+// Theorem 4 flags off the stored degrees. Type I counts each EE degree
+// in the loop that tests it. (3) Where a round ends with S's degrees
+// staged and current, the emission check of G(S) is min dS against one
+// threshold (emitStaged), not a rebuilt row. (4) Below the root, S's and
+// ext's membership rows are derived, not rebuilt from the lists: on a
+// one-word Sub mine makes a child's S word s | v and its ext word (S ∪
+// ext[i+1:]) \ S ∩ twoHop(v) and places v in S by popcount rank, and a
+// round updates both rows after a critical move (reading the grown S off
+// its row) and after Type I. mine reads what bounding staged: it is only
+// ever entered on a node whose rows and degrees toward S are current for
+// exactly ⟨S, ext⟩ — descend calls it when iterativeBounding has just
+// returned from a round that removed nothing, and RecursiveMine stages
 // the root — so the cover search needs no staging of its own, and the
 // look-ahead row S ∪ ext[i:] is sBits|eBits at entry with one bit
 // cleared per candidate. (5) On a Sub of at most 64 vertices (a matrix
-// stride of one word), staging, Type I, the look-ahead, the cover
-// search, isQC and the two-hop filter read rows as plain words of
-// bitset.Matrix.Words and hold S, ext and the set under test in local
-// words; wider Subs take the same routines' row-slice loops.
+// stride of one word), staging, Type I, the look-ahead, the cover search
+// (which rejects a cover vertex with one mask test against S's
+// low-degree members), isQC and the two-hop filter read rows as plain
+// words of bitset.Matrix.Words and hold sets in local words; wider Subs
+// take the same routines' row-slice loops, in the same rule order, with
+// no word masks.
 type Miner struct {
 	Sub *Sub
 	Par Params
@@ -111,12 +118,14 @@ type Miner struct {
 	pos     []uint32 // Subtask's position table: local vertex → child index
 	unionBf []uint32
 	hist    []int32 // prefixByDegree's dS histogram over ext's dS range
-	prefix  []int   // prefixByDegree's sums, as of the last stageDegrees
+	prefix  []int   // prefixByDegree's sums, as of the last stageExt
 
-	// ceilMul[k] = CeilMul(γ, k) and floorDiv[x] = FloorDiv(x, γ) for
+	// ceilMul[k] = CeilMul(γ, k), floorDiv[x] = FloorDiv(x, γ) and
+	// thetaU[k] = the least d ≤ n with floorDiv[d] ≥ k (n+1 if none) for
 	// k, x ∈ [0, n], filled for γ = tableGamma.
 	ceilMul    []int
 	floorDiv   []int
+	thetaU     []int
 	tableGamma float64
 
 	// Recursion arena: frames[d] holds the reusable S′/ext′ buffers
@@ -124,10 +133,8 @@ type Miner struct {
 	// never grows (and frame pointers never move) mid-recursion.
 	frames []frame
 
-	// applyCover / critical-vertex scratch, live only within one call.
+	// applyCover's scratch, live only within one call.
 	coverBuf []uint32
-	critBuf  []uint32
-	mergeBuf []uint32
 
 	// sc materialises a split's children.
 	sc Scratch
@@ -181,10 +188,19 @@ func (m *Miner) bind(sub *Sub) {
 		if len(m.ceilMul) <= n {
 			m.ceilMul = make([]int, n+1)
 			m.floorDiv = make([]int, n+1)
+			m.thetaU = make([]int, n+1)
 		}
 		for k := range m.ceilMul {
 			m.ceilMul[k] = CeilMul(m.Par.Gamma, k)
 			m.floorDiv[k] = FloorDiv(k, m.Par.Gamma)
+		}
+		// floorDiv never falls as x grows, so one cursor finds every θU.
+		d := 0
+		for k := range m.thetaU {
+			for d < len(m.floorDiv) && m.floorDiv[d] < k {
+				d++
+			}
+			m.thetaU[k] = d
 		}
 		m.tableGamma = m.Par.Gamma
 	}
@@ -236,10 +252,12 @@ func (m *Miner) checkEmit(S []uint32) bool {
 
 // emitStaged is checkEmit for an S whose degrees the current bounding
 // round staged (see stagedQC).
-func (m *Miner) emitStaged(S []uint32, st *staged) {
-	if m.stagedQC(S, st) {
-		m.emit(S)
+func (m *Miner) emitStaged(S []uint32, st *staged) bool {
+	if !m.stagedQC(S, st) {
+		return false
 	}
+	m.emit(S)
+	return true
 }
 
 // stagedQC reports whether S, of at least τsize vertices, is a
@@ -413,14 +431,13 @@ func (m *Miner) emitInduced(sub *Sub) bool {
 	return true
 }
 
-// filterTwoHopInto appends to dst the members of cand within two hops
-// of v in the task subgraph (diameter pruning P1 applied to ext(S′),
-// Algorithm 2 line 12) and returns the extended slice. cand keeps its
+// filterTwoHopInto appends to dst the members of cand in tb, a
+// vertex's two-hop row (diameter pruning P1 applied to ext(S′),
+// Algorithm 2 line 12), and returns the extended slice. cand keeps its
 // order (it carries applyCover's reordering), so membership is tested
 // per element rather than extracted from the row — extraction would
 // resort it and change the enumeration order.
-func (m *Miner) filterTwoHopInto(v uint32, cand, dst []uint32) []uint32 {
-	tb := m.twoHopRow(int(v))
+func filterTwoHopInto(tb []uint64, cand, dst []uint32) []uint32 {
 	if len(tb) == 1 {
 		hop := tb[0]
 		for _, u := range cand {
@@ -461,139 +478,202 @@ func (m *Miner) twoHopRow(v int) []uint64 {
 // boundsResult carries the outcome of one upper/lower bound
 // computation inside iterativeBounding.
 type boundsResult struct {
-	prune     bool // prune S's extensions
-	pruneSelf bool // S itself is provably invalid too (no emission check)
-	value     int
-	have      bool
+	prune bool // prune S's extensions
+	value int
+	have  bool
 }
 
-// staged is what one bounding round reads about ⟨S, ext⟩, gathered by
-// stageDegrees in its one pass over S ∪ ext (dS and dE are each
-// vertex's degrees toward S and toward ext).
+// staged is what one bounding round reads about S, gathered by stageS
+// in its pass over S (dS and dE are each member's degrees toward S and
+// toward ext).
 type staged struct {
-	nS, nExt int  // |S| and |ext|
-	sumS     int  // Σ_{v∈S} dS(v)
-	minDS    int  // min_{v∈S} dS(v)
-	minDSE   int  // min_{v∈S} dS(v) + dE(v)
-	thm4i    bool // some v ∈ S has dE(v) = 0 and dS(v) < ⌈γ·|S|⌉
-	thm4ii   bool // some v ∈ S has dS(v) + dE(v) < ⌈γ·(|S| − 1 + dE(v))⌉
-	extLo    int  // min_{u∈ext} dS(u); |S| when ext is empty
-	extHi    int  // max_{u∈ext} dS(u); 0 when ext is empty
+	nS, nExt int // |S| and |ext|
+	sumS     int // Σ_{v∈S} dS(v)
+	minDS    int // min_{v∈S} dS(v)
+	minDSE   int // min_{v∈S} dS(v) + dE(v)
 }
 
-// iterativeBounding is Algorithm 1: it applies the Type II rules
-// (Theorems 4, 6, 8), critical-vertex expansion (Theorem 9), and the
-// iterative Type I rules (Theorems 3, 5, 7) until a fixpoint.
+// The tests that end a round's S pass (stageS) at a member.
+const (
+	cutNone = iota
+	cutEq3  // dS(v)+dE(v) < θU[|S|]: U_S^min < 1 (Eq 3)
+	cutEq7  // dS(v)+|ext| < ⌈γ(|S|+|ext|−1)⌉: no L_S^min (Eq 7)
+)
+
+// iterativeBounding is Algorithm 1: it applies the bounds (P4, P5),
+// critical-vertex expansion (Theorem 9), the Type II rules (Theorems 4,
+// 6, 8) and the iterative Type I rules (Theorems 3, 5, 7) until a
+// fixpoint. S must be sorted and ext non-empty, and sBits and eBits
+// must hold them.
 //
 // It returns pruned = true iff extending S (beyond S itself) is
 // pruned; when extensions are pruned but S survives the Type II
-// checks, G(S) is emission-checked internally. The returned S may have
-// grown (critical-vertex moves, in place when capacity allows) and the
+// checks, G(S) is emission-checked internally. found reports whether a
+// check inside the rounds met a valid quasi-clique of at least τsize
+// vertices (emitted or screened): it holds the original S, so no
+// proper subset of it is maximal. The returned S may have grown
+// (critical-vertex moves, in place when capacity allows) and the
 // returned ext is the shrunk candidate set; iterativeBounding takes
-// ownership of both input slices and mutates them in place. pruned ==
-// false implies the returned ext is non-empty.
-func (m *Miner) iterativeBounding(S, ext []uint32) (pruned bool, outS, outExt []uint32) {
+// ownership of both input slices and mutates them in place, and leaves
+// sBits and eBits holding them. pruned == false implies the returned
+// ext is non-empty.
+//
+// A round runs the rules cheapest first, and stages only what the next
+// rule reads:
+//   - The S pass (stageS) counts dS and dE of each member of S and stops
+//     at the first that fails Eq (3) or Eq (7). Eq (3) fails, U_S^min =
+//     ⌊min(dS+dE)/γ⌋ + 1 − |S| < 1, iff some member has dS+dE below θU[|S|],
+//     the least d with ⌊d/γ⌋ ≥ |S|, as ⌊d/γ⌋ never falls as d grows.
+//     Then no extension is feasible, but G(S) is (the note below Eq 4),
+//     so it is emission-checked by isQC: the pass stopped before min dS
+//     was known. Eq (7) fails, no t ∈ [0, |ext|] has min dS + t ≥
+//     ⌈γ(|S|+t−1)⌉, iff some member has dS + |ext| < ⌈γ(|S|+|ext|−1)⌉,
+//     because ⌈γ(k+1)⌉ ≤ ⌈γk⌉ + 1 for γ ≤ 1, so ⌈γ(|S|+t−1)⌉ − t never
+//     rises with t and t = |ext| is the loosest. At t = 0 the same test
+//     shows S is no quasi-clique, so the round ends with no emission,
+//     as the eager order (the upper bound's t-loop first) would have
+//     emitted nothing either.
+//   - The ext pass (stageExt) counts ext's dS and builds the degree
+//     prefix, and the t-loops of Eqs (4) and (8) run on it.
+//   - Critical-vertex expansion, then Type II: Theorems 6 and 8 are
+//     comparisons; Theorem 4's flags are read off the stored dS and dE
+//     (theorem4), only when degree pruning is on and min dS or
+//     min(dS+dE) is low enough for either. Theorem 4(i) spares S
+//     itself, so it applies only when none of the others does.
+//   - Type I (pruneExt), which loops when it removed a vertex.
+//
+// A pruned round leaves dS and dE stale: from the member an S pass
+// stopped at onward they hold an earlier round's values, and ext's dS
+// and the prefix are not counted. Nothing reads them before the next staging:
+// the Eq (3) check reads the matrix, and mine is entered only after a
+// round that pruned nothing.
+func (m *Miner) iterativeBounding(S, ext []uint32) (pruned, found bool, outS, outExt []uint32) {
 	need := m.ceilMul
-	if len(ext) == 0 {
-		m.checkEmit(S)
-		return true, S, ext
-	}
 	for {
-		st := m.stageDegrees(S, ext)
+		ns, ne := len(S), len(ext)
+		th3, th7 := 0, 0 // 0: the test is off (no degree is below it)
+		if !m.Opt.DisableUpperBound {
+			th3 = m.thetaU[ns]
+		}
+		if !m.Opt.DisableLowerBound {
+			th7 = need[ns+ne-1] - ne
+		}
+		st, cut := m.stageS(S, th3, th7)
+		switch cut {
+		case cutEq3:
+			return true, m.checkEmit(S) || found, S, ext
+		case cutEq7:
+			return true, found, S, ext
+		}
+		st.nExt = ne
+		m.stageExt(ext, ns)
 		ub := m.computeUpper(&st)
 		if ub.prune {
-			if !ub.pruneSelf {
-				m.emitStaged(S, &st)
-			}
-			return true, S, ext
+			return true, m.emitStaged(S, &st) || found, S, ext
 		}
 		lb := m.computeLower(&st)
 		if lb.prune {
-			return true, S, ext // lower-bound failures invalidate S too
+			return true, found, S, ext // lower-bound failures invalidate S too
 		}
 		if ub.have && lb.have && ub.value < lb.value {
 			// S needs ≥ L_S ≥ 1 more vertices but can take at most
 			// U_S < L_S, so neither S nor any extension is valid.
-			return true, S, ext
+			return true, found, S, ext
 		}
 
 		// Critical-vertex pruning (P6, Theorem 9): needs L_S. A member
 		// with dS + dE = crit exists only if the minimum is ≤ crit.
-		if lb.have && !m.Opt.DisableCriticalVertex && st.minDSE <= need[len(S)+lb.value-1] {
-			crit := need[len(S)+lb.value-1]
+		if lb.have && !m.Opt.DisableCriticalVertex && st.minDSE <= need[ns+lb.value-1] {
+			crit := need[ns+lb.value-1]
 			moved := false
 			for _, v := range S {
-				if int(m.dS[v]+m.dE[v]) != crit {
-					continue
-				}
-				// I = Γ(v) ∩ ext(S); all of I must join S.
-				bitset.AndTo(m.tBits, m.mat.Row(int(v)), m.eBits)
-				I := bitset.AppendBits(m.critBuf[:0], m.tBits)
-				m.critBuf = I
-				if len(I) == 0 {
+				// I = Γ(v) ∩ ext(S), empty when dE(v) = 0; all of I
+				// must join S.
+				if int(m.dS[v]+m.dE[v]) != crit || m.dE[v] == 0 {
 					continue
 				}
 				// The paper (T5): examine G(S) before expanding, or
 				// the result is missed if the expansion fails. Quick
 				// omits this check.
-				if !m.Opt.QuickCompat {
-					m.emitStaged(S, &st)
+				if !m.Opt.QuickCompat && m.emitStaged(S, &st) {
+					found = true
 				}
-				m.mergeBuf = union(m.mergeBuf[:0], S, I)
-				S = append(S[:0], m.mergeBuf...)
-				ext = m.removeMarked(ext, I)
+				bitset.AndTo(m.tBits, m.mat.Row(int(v)), m.eBits)
+				bitset.OrWith(m.sBits, m.tBits)
+				for i, x := range m.tBits {
+					m.eBits[i] &^= x
+				}
+				S = bitset.AppendBits(S[:0], m.sBits)
+				ext = removeMarked(ext, m.tBits)
 				moved = true
 				break
 			}
 			if moved {
 				if len(ext) == 0 {
-					m.checkEmit(S)
-					return true, S, ext
+					return true, m.checkEmit(S) || found, S, ext
 				}
 				continue // recompute degrees and bounds from scratch
 			}
 		}
 
-		// Type II pruning (Theorems 4, 6, 8), each a test of what the
-		// round staged over S. Theorem 4(i) spares S itself, so it
-		// applies only when none of the others does.
-		if !m.Opt.DisableDegreePruning && st.thm4ii {
-			return true, S, ext // Thm 4(ii): S and extensions pruned
+		// Type II pruning (Theorems 4, 6, 8).
+		if ub.have && st.minDS+ub.value < need[ns+ub.value-1] {
+			return true, found, S, ext // Thm 6: includes S′ = S
 		}
-		if ub.have && st.minDS+ub.value < need[len(S)+ub.value-1] {
-			return true, S, ext // Thm 6: includes S′ = S
+		if lb.have && st.minDSE < need[ns+lb.value-1] {
+			return true, found, S, ext // Thm 8: includes S′ = S
 		}
-		if lb.have && st.minDSE < need[len(S)+lb.value-1] {
-			return true, S, ext // Thm 8: includes S′ = S
-		}
-		if !m.Opt.DisableDegreePruning && st.thm4i {
-			m.emitStaged(S, &st)
-			return true, S, ext
+		// Theorem 4 needs min dS or min(dS+dE) low (see theorem4).
+		if !m.Opt.DisableDegreePruning && (st.minDS < need[ns-1] || st.minDSE < need[ns]) {
+			thm4i, thm4ii := m.theorem4(S)
+			if thm4ii {
+				return true, found, S, ext // Thm 4(ii): S and extensions pruned
+			}
+			if thm4i {
+				return true, m.emitStaged(S, &st) || found, S, ext
+			}
 		}
 
 		var removed bool
 		ext, removed = m.pruneExt(ext, &st, ub, lb)
 		if len(ext) == 0 {
-			m.emitStaged(S, &st)
-			return true, S, ext
+			return true, m.emitStaged(S, &st) || found, S, ext
 		}
 		if !removed {
-			return false, S, ext
+			return false, found, S, ext
 		}
 	}
 }
 
+// theorem4 reports Theorem 4's two conditions over S, read off the dS
+// and dE the round's S pass stored: (i) some v ∈ S has dE(v) = 0 and
+// dS(v) < ⌈γ·|S|⌉; (ii) some v ∈ S has dS(v) + dE(v) < ⌈γ·(|S| − 1 +
+// dE(v))⌉. So (i) needs min(dS+dE) < ⌈γ·|S|⌉, and (ii), which reads
+// dS(v) < ⌈γ(|S|−1+b)⌉ − b, needs min dS < ⌈γ(|S|−1)⌉, as that
+// threshold never rises with b (as in Eq 7's test): S is then no
+// quasi-clique.
+func (m *Miner) theorem4(S []uint32) (thm4i, thm4ii bool) {
+	need, ns := m.ceilMul, len(S)
+	for _, v := range S {
+		a, b := int(m.dS[v]), int(m.dE[v])
+		thm4ii = thm4ii || a+b < need[ns-1+b]
+		thm4i = thm4i || b == 0 && a < need[ns]
+	}
+	return thm4i, thm4ii
+}
+
 // pruneExt is a round's Type I pruning (Theorems 3, 5, 7): it filters
-// ext in place, keeping the members no rule drops, and reports whether
-// it dropped any. Each member's EE degree is counted in the loop that
-// tests it, only when Type II did not already settle the node (the
-// paper's T2). Requires stageDegrees(S, ext).
+// ext in place, keeping the members no rule drops, updates eBits to
+// match, and reports whether it dropped any. Each member's EE degree
+// is counted in the loop that tests it, only when Type II did not
+// already settle the node (the paper's T2). Requires the round's
+// stageS and stageExt.
 func (m *Miner) pruneExt(ext []uint32, st *staged, ub, lb boundsResult) ([]uint32, bool) {
 	need, ns := m.ceilMul, st.nS
 	degRule := !m.Opt.DisableDegreePruning
 	one := m.mat.Stride() == 1
 	w := m.mat.Words()
-	var e uint64 // ext's row when it is one word
+	var e, kw uint64 // ext's row and its kept members when they are one word
 	if one {
 		e = m.eBits[0]
 	}
@@ -612,35 +692,31 @@ func (m *Miner) pruneExt(ext []uint32, st *staged, ub, lb boundsResult) ([]uint3
 		case lb.have && a+b < need[ns+lb.value-1]: // Thm 7
 		default:
 			kept = append(kept, u)
+			kw |= 1 << (u % 64)
 		}
 	}
-	return kept, len(kept) < len(ext)
+	removed := len(kept) < len(ext)
+	switch {
+	case one:
+		m.eBits[0] = kw
+	case removed:
+		bitset.FillBits(m.eBits, kept)
+	}
+	return kept, removed
 }
 
-// stageDegrees makes a bounding round's one pass over S ∪ ext: it
-// loads the membership rows of S and ext, stores dS and dE of S members
-// and dS of ext members (EE degrees are delayed until Type I, per the
-// paper's T2), folds them into the round's staged values, and builds
-// the degree prefix U_S and L_S share. S must be non-empty.
-func (m *Miner) stageDegrees(S, ext []uint32) staged {
-	need, ns := m.ceilMul, len(S)
+// stageS is a bounding round's pass over S: it stores dS and dE of
+// each member and folds them into the round's staged values, and stops
+// at the first member with dS+dE < th3 (cutEq3) or dS < th7 (cutEq7),
+// returning which; a threshold of 0 never stops it. It reads S's and
+// ext's membership rows from sBits and eBits. The returned nExt is
+// unset.
+func (m *Miner) stageS(S []uint32, th3, th7 int) (staged, int) {
+	ns := len(S)
 	one := m.mat.Stride() == 1
 	w := m.mat.Words()
-	var s, e uint64 // S's and ext's rows when they are one word
-	if one {
-		for _, v := range S {
-			s |= 1 << (v % 64)
-		}
-		for _, u := range ext {
-			e |= 1 << (u % 64)
-		}
-		m.sBits[0], m.eBits[0] = s, e
-	} else {
-		bitset.FillBits(m.sBits, S)
-		bitset.FillBits(m.eBits, ext)
-	}
+	s, e := m.sBits[0], m.eBits[0] // the rows, when they are one word
 	sum, minDS, minDSE := 0, ns, math.MaxInt
-	thm4i, thm4ii := false, false
 	for _, v := range S {
 		var a, b int
 		if one {
@@ -649,13 +725,28 @@ func (m *Miner) stageDegrees(S, ext []uint32) staged {
 			row := m.mat.Row(int(v))
 			a, b = bitset.AndCount(row, m.sBits), bitset.AndCount(row, m.eBits)
 		}
+		if a+b < th3 {
+			return staged{}, cutEq3
+		}
+		if a < th7 {
+			return staged{}, cutEq7
+		}
 		m.dS[v], m.dE[v] = int32(a), int32(b)
 		sum += a
 		minDS, minDSE = min(minDS, a), min(minDSE, a+b)
-		thm4ii = thm4ii || a+b < need[ns-1+b]
-		thm4i = thm4i || b == 0 && a < need[ns]
 	}
-	lo, hi := ns, 0
+	return staged{nS: ns, sumS: sum, minDS: minDS, minDSE: minDSE}, cutNone
+}
+
+// stageExt is a bounding round's pass over ext, for the rules that read
+// it: it stores each member's dS (|S| = ns) and builds the degree
+// prefix U_S and L_S share. EE degrees wait for Type I (the paper's
+// T2).
+func (m *Miner) stageExt(ext []uint32, ns int) {
+	one := m.mat.Stride() == 1
+	w := m.mat.Words()
+	s := m.sBits[0]
+	lo, hi := ns, 0 // ext's dS range
 	for _, u := range ext {
 		var a int
 		if one {
@@ -667,10 +758,6 @@ func (m *Miner) stageDegrees(S, ext []uint32) staged {
 		lo, hi = min(lo, a), max(hi, a)
 	}
 	m.prefix = m.prefixByDegree(ext, lo, hi)
-	return staged{
-		nS: ns, nExt: len(ext), sumS: sum, minDS: minDS, minDSE: minDSE,
-		thm4i: thm4i, thm4ii: thm4ii, extLo: lo, extHi: hi,
-	}
 }
 
 // computeUpper derives U_S (P4, Eqs 1–4) from a round's staged values.
@@ -679,13 +766,8 @@ func (m *Miner) computeUpper(st *staged) boundsResult {
 		return boundsResult{}
 	}
 	need, ns := m.ceilMul, st.nS
-	umin := m.floorDiv[st.minDSE] + 1 - ns // Eq (3)
-	if umin < 1 {
-		// No extension size is feasible; G(S) itself remains a
-		// candidate (the paper's note below Eq (4)).
-		return boundsResult{prune: true}
-	}
-	umin = min(umin, st.nExt)
+	// Eq (3); below 1 (the S pass's cut) the t-loop is empty.
+	umin := min(m.floorDiv[st.minDSE]+1-ns, st.nExt)
 	for t := umin; t >= 1; t-- { // Eq (4): max feasible t
 		if st.sumS+m.prefix[t] >= ns*need[ns+t-1] {
 			return boundsResult{value: t, have: true}
@@ -695,27 +777,22 @@ func (m *Miner) computeUpper(st *staged) boundsResult {
 }
 
 // computeLower derives L_S (P5, Eqs 6–8) from a round's staged values.
+// A prune also proves S itself invalid.
 func (m *Miner) computeLower(st *staged) boundsResult {
 	if m.Opt.DisableLowerBound {
 		return boundsResult{}
 	}
 	need, ns := m.ceilMul, st.nS
-	lmin := -1
-	for t := 0; t <= st.nExt; t++ { // Eq (7)
-		if st.minDS+t >= need[ns+t-1] {
-			lmin = t
-			break
-		}
+	t := 0 // Eq (7): L_S^min, which the S pass found to exist
+	for t <= st.nExt && st.minDS+t < need[ns+t-1] {
+		t++
 	}
-	if lmin < 0 {
-		return boundsResult{prune: true, pruneSelf: true}
-	}
-	for t := lmin; t <= st.nExt; t++ { // Eq (8): min feasible t
+	for ; t <= st.nExt; t++ { // Eq (8): min feasible t
 		if st.sumS+m.prefix[t] >= ns*need[ns+t-1] {
 			return boundsResult{value: t, have: true}
 		}
 	}
-	return boundsResult{prune: true, pruneSelf: true}
+	return boundsResult{prune: true}
 }
 
 // prefixByDegree returns prefix[t] = Σ_{i≤t} dS(u_i) with ext sorted by
@@ -747,10 +824,13 @@ func (m *Miner) prefixByDegree(ext []uint32, lo, hi int) []int {
 // RecursiveMine is Algorithm 2 (and, with TimedOut/Offload set,
 // Algorithm 10). S must be sorted; ext is an ordered candidate list,
 // which the miner may reorder and shrink in place. It returns true iff
-// some valid quasi-clique strictly extending S was found — emitted, or
-// held back by the emission screen because a larger one contains it —
-// (or offloaded children made that undecidable and a candidate was
-// emitted conservatively).
+// an emission check below S met a valid quasi-clique of at least τsize
+// vertices strictly containing S — emitted, or held back by the
+// emission screen because a larger one contains it. The checks inside
+// bounding count (see iterativeBounding), and so does an offloaded
+// child's own G(S′), checked when it is offloaded; the subtask's
+// outcome is unknown here. A node whose children found something skips
+// its own check of G(S), which could only be non-maximal.
 //
 // All per-node state lives in the miner's depth-indexed recursion
 // arena: the only copies made are at the Offload boundary, whose
@@ -764,13 +844,23 @@ func (m *Miner) RecursiveMine(S, ext []uint32) bool {
 		defer func() { m.Sub = sub }()
 		return m.split(sub, S, ext)
 	}
-	m.stageDegrees(S, ext)
+	m.loadRows(S, ext)
+	m.stageS(S, 0, 0)
+	m.stageExt(ext, len(S))
 	return m.mine(S, ext, 0)
+}
+
+// loadRows fills sBits and eBits from the lists S and ext.
+func (m *Miner) loadRows(S, ext []uint32) {
+	bitset.FillBits(m.sBits, S)
+	bitset.FillBits(m.eBits, ext)
 }
 
 // mine expands the node ⟨S, ext⟩, whose degrees are staged: sBits,
 // eBits and dS of every vertex of S ∪ ext describe exactly ⟨S, ext⟩
-// (see the Miner doc's "Per-node cost").
+// (see the Miner doc's "Per-node cost"). Each child's rows go to
+// descend in sBits and eBits; on a one-word Sub they are derived from
+// S's word s, held here across the recursion, and the look-ahead row.
 func (m *Miner) mine(S, ext []uint32, depth int) bool {
 	found := false
 	coverLen := 0
@@ -787,6 +877,7 @@ func (m *Miner) mine(S, ext []uint32, depth int) bool {
 	union := fr.union[:stride]
 	copy(union, m.sBits)
 	bitset.OrWith(union, m.eBits)
+	one, s := stride == 1, m.sBits[0]
 	limit := len(ext) - coverLen
 	for i := 0; i < limit; i++ {
 		if m.Abort != nil && m.Abort() {
@@ -805,16 +896,27 @@ func (m *Miner) mine(S, ext []uint32, depth int) bool {
 			return true
 		}
 		v := ext[i]
-		union[v/64] &^= 1 << (v % 64)
+		union[v/64] &^= 1 << (v % 64) // union is now S ∪ ext[i+1:]
 		m.Nodes++
-		fr.S = insertSortedInto(fr.S[:0], S, v)
-		fr.ext = m.filterTwoHopInto(v, ext[i+1:], fr.ext[:0])
+		hop := m.twoHopRow(int(v))
+		fr.ext = filterTwoHopInto(hop, ext[i+1:], fr.ext[:0])
+		bit := uint64(1) << (v % 64)
+		if one {
+			fr.S = insertAt(fr.S[:0], S, bits.OnesCount64(s&(bit-1)), v)
+		} else {
+			fr.S = insertSortedInto(fr.S[:0], S, v)
+		}
 		if len(fr.ext) == 0 {
 			// Quick misses this check (the paper, T6).
 			if !m.Opt.QuickCompat && m.checkEmit(fr.S) {
 				found = true
 			}
 			continue
+		}
+		if one {
+			m.sBits[0], m.eBits[0] = s|bit, union[0]&^s&hop[0]
+		} else {
+			m.loadRows(fr.S, fr.ext)
 		}
 		if m.descend(fr, depth+1) {
 			found = true
@@ -824,15 +926,17 @@ func (m *Miner) mine(S, ext []uint32, depth int) bool {
 }
 
 // descend finishes the loop body of Algorithm 2 for the child
-// ⟨fr.S, fr.ext⟩ whose ext is diameter-filtered and non-empty:
-// bounding, the size cut, then off-load or recursion at depth, and the
-// emission check of G(S′) when nothing below it was found. It reports
-// whether something was found.
+// ⟨fr.S, fr.ext⟩ whose ext is diameter-filtered and non-empty and
+// whose rows sBits and eBits hold: bounding, the size cut, then
+// off-load or recursion at depth, and the emission check of G(S′) when
+// nothing below it was found. It reports whether something containing
+// fr.S was found, bounding's own checks included; a hit of the check
+// before a critical move does not spare the grown S′ its check.
 func (m *Miner) descend(fr *frame, depth int) bool {
-	pruned, S2, ext2 := m.iterativeBounding(fr.S, fr.ext)
+	pruned, found, S2, ext2 := m.iterativeBounding(fr.S, fr.ext)
 	fr.S, fr.ext = S2, ext2 // keep any grown capacity for reuse
 	if pruned || len(S2)+len(ext2) < m.Par.MinSize {
-		return false
+		return found
 	}
 	if m.TimedOut != nil && m.Offload != nil && m.TimedOut() {
 		// Time-delayed decomposition (Algorithm 10 lines 18–24): wrap
@@ -842,10 +946,9 @@ func (m *Miner) descend(fr *frame, depth int) bool {
 		// post-filter removes it then.
 		m.OffloadCount++
 		m.Offload(S2, ext2)
-		m.checkEmit(S2)
-		return false
+		return m.checkEmit(S2) || found
 	}
-	return m.mine(S2, ext2, depth) || m.checkEmit(S2)
+	return m.mine(S2, ext2, depth) || m.checkEmit(S2) || found
 }
 
 // split mines ⟨S, ext⟩ of parent, a Sub above matrixCap and so without
@@ -916,6 +1019,7 @@ func (m *Miner) mineChild(parent *Sub, S, ext []uint32) bool {
 		return m.emitInduced(sub) // sub is G(S)
 	}
 	m.bind(sub)
+	m.loadRows(S, ext)
 	return m.descend(&frame{S: S, ext: ext}, 0)
 }
 
@@ -975,9 +1079,17 @@ func (m *Miner) applyCover(S, ext []uint32) ([]uint32, int) {
 
 // coverWord is applyCover's search on one-word rows: it leaves the
 // largest C_S(u) in t2Bits and returns its size, 0 if no cover vertex
-// applies.
+// applies. A candidate u is rejected with one mask test when a
+// non-neighbour of u in S is below thresh, and otherwise intersects the
+// rows of its non-neighbours in S alone.
 func (m *Miner) coverWord(S, ext []uint32, thresh int) int {
-	w, e := m.mat.Words(), m.eBits[0]
+	w, s, e := m.mat.Words(), m.sBits[0], m.eBits[0]
+	var low uint64 // the members of S with dS < thresh
+	for _, v := range S {
+		if int(m.dS[v]) < thresh {
+			low |= 1 << (v % 64)
+		}
+	}
 	bestLen := 0
 	var best uint64
 	for _, u := range ext {
@@ -987,19 +1099,13 @@ func (m *Miner) coverWord(S, ext []uint32, thresh int) int {
 		row := w[u]
 		c := row & e
 		cnt := bits.OnesCount64(c)
-		if cnt <= bestLen {
+		non := s &^ row // u's non-neighbours in S
+		if cnt <= bestLen || non&low != 0 {
 			continue
 		}
 		ok := true
-		for _, v := range S {
-			if row&(1<<(v%64)) != 0 {
-				continue
-			}
-			if int(m.dS[v]) < thresh {
-				ok = false
-				break
-			}
-			c &= w[v]
+		for ; non != 0; non &= non - 1 {
+			c &= w[bits.TrailingZeros64(non)]
 			if cnt = bits.OnesCount64(c); cnt <= bestLen {
 				ok = false
 				break
@@ -1055,41 +1161,23 @@ func (m *Miner) coverRows(S, ext []uint32, thresh int) int {
 // insertSortedInto appends sorted S ∪ {v} to dst and returns it.
 func insertSortedInto(dst, S []uint32, v uint32) []uint32 {
 	i, _ := slices.BinarySearch(S, v)
+	return insertAt(dst, S, i, v)
+}
+
+// insertAt appends S with v inserted at index i to dst and returns it.
+func insertAt(dst, S []uint32, i int, v uint32) []uint32 {
 	dst = append(dst, S[:i]...)
 	dst = append(dst, v)
 	dst = append(dst, S[i:]...)
 	return dst
 }
 
-// union appends a ∪ b (both sorted strictly increasing) to dst and
-// returns the extended slice.
-func union(dst, a, b []uint32) []uint32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// removeMarked returns ext minus the members of I, filtering in place.
-func (m *Miner) removeMarked(ext, I []uint32) []uint32 {
-	bitset.FillBits(m.t2Bits, I)
+// removeMarked returns ext minus the members of the row I, filtering
+// in place.
+func removeMarked(ext []uint32, I []uint64) []uint32 {
 	out := ext[:0]
 	for _, u := range ext {
-		if !bitset.TestBit(m.t2Bits, int(u)) {
+		if !bitset.TestBit(I, int(u)) {
 			out = append(out, u)
 		}
 	}

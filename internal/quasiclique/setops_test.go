@@ -7,17 +7,14 @@ import (
 	"testing/quick"
 )
 
-func TestIntersectCountUnion(t *testing.T) {
+func TestIntersectCount(t *testing.T) {
 	a := []uint32{1, 3, 5, 7, 9}
 	b := []uint32{3, 4, 5, 10}
 	if got := intersectCount(a, b); got != 2 {
 		t.Errorf("intersectCount = %d", got)
 	}
-	if got := union(nil, a, b); !slices.Equal(got, []uint32{1, 3, 4, 5, 7, 9, 10}) {
-		t.Errorf("union = %v", got)
-	}
-	if got := union([]uint32{42}, []uint32{1}, []uint32{2}); !slices.Equal(got, []uint32{42, 1, 2}) {
-		t.Errorf("union with dst = %v", got)
+	if got := intersectCount(a, nil); got != 0 {
+		t.Errorf("intersectCount with an empty set = %d", got)
 	}
 }
 
@@ -49,16 +46,7 @@ func TestQuickAlgebraAgainstMaps(t *testing.T) {
 				wantI++
 			}
 		}
-		var wantU []uint32
-		seen := map[uint32]bool{}
-		for _, x := range append(append([]uint32{}, a...), b...) {
-			seen[x] = true
-		}
-		for k := range seen {
-			wantU = append(wantU, k)
-		}
-		sort.Slice(wantU, func(i, j int) bool { return wantU[i] < wantU[j] })
-		return slices.Equal(union(nil, a, b), wantU) && intersectCount(a, b) == wantI
+		return intersectCount(a, b) == wantI
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -69,7 +57,10 @@ func TestQuickAlgebraAgainstMaps(t *testing.T) {
 func TestQuickInclusionExclusion(t *testing.T) {
 	f := func(ra, rb []uint16) bool {
 		a, b := mkSorted(ra), mkSorted(rb)
-		u := union(nil, a, b)
+		u := map[uint32]bool{}
+		for _, x := range append(slices.Clone(a), b...) {
+			u[x] = true
+		}
 		return len(u) == len(a)+len(b)-intersectCount(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
