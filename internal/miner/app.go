@@ -11,19 +11,29 @@ import (
 	"gthinkerqc/internal/quasiclique"
 )
 
-// wscratch is one worker's reusable task-construction state: an
-// epoch-stamped marker over global vertex IDs (the shared
-// graph.Scratch core) with one value slot, the row-pointer buffer of
-// iteration 2 and the quasiclique.Scratch its induction and its peel
-// run on (iteration 3's subtasks come from the miner's matrix). It
-// replaces the per-Compute maps (known/pull dedup, global→local index)
-// that dominated task-spawn cost. Owned by exactly one worker.
+// wscratch is one worker's reusable task-construction state, so that a
+// warm worker allocates only what a root keeps: an epoch-stamped marker
+// over global vertex IDs (the shared graph.Scratch core) with one value
+// slot, the rows and degree credit iteration 1's partial peel runs on,
+// iteration 2's member set and row pointers, and the
+// quasiclique.Scratch RootSub builds and peels the root's matrix in
+// (iteration 3's subtasks come from the miner's matrix). It replaces
+// the per-Compute maps (known/pull dedup, global→local index) and the
+// per-root temporaries that dominated task-spawn cost. Owned by
+// exactly one worker.
 type wscratch struct {
 	marks graph.Scratch
-	idxA  []uint32            // global → collect-order row index (iterations 1–2)
-	rows  [][]graph.V         // iteration-2 row pointers, collect order
-	qs    quasiclique.Scratch // iteration-2 induction and peel
-	peel  kcore.PeelScratch   // iteration-1 partial-peel buffers
+	idxA  []uint32 // global → member index, valid when marked
+
+	flat  []graph.V  // iteration 1: the live rows over global IDs, packed
+	bound []int      // iteration 1: row i is flat[bound[i]:bound[i+1]]
+	local []uint32   // iteration 1: the rows' member entries as member indices
+	lrows [][]uint32 // iteration 1: row i of local, what the peel reads
+	extra []int      // iteration 1: per member, its entries not yet pulled
+	peel  kcore.PeelScratch
+	verts []graph.V   // iteration 1's kept members; iteration 2's member set
+	rows  [][]graph.V // iteration 2: member rows in collect order
+	qs    quasiclique.Scratch
 }
 
 // begin starts a new mark generation over n vertices. Marks from
@@ -89,17 +99,27 @@ func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {
 	if !a.live(v) {
 		return nil
 	}
-	var pulls []graph.V
-	for _, u := range adj {
-		if u > v && a.live(u) {
-			pulls = append(pulls, u)
+	// adj is sorted and holds no v, so v's insertion point starts the
+	// larger neighbours; one count sizes pulls exactly.
+	i, _ := slices.BinarySearch(adj, v)
+	larger := adj[i:]
+	n := 0
+	for _, u := range larger {
+		if a.live(u) {
+			n++
 		}
 	}
 	// Any quasi-clique whose minimum vertex is v needs ≥ τsize−1
 	// members larger than v, all within two hops; with no larger
 	// neighbors there is nothing to find.
-	if len(pulls) == 0 {
+	if n == 0 {
 		return nil
+	}
+	pulls := make([]graph.V, 0, n)
+	for _, u := range larger {
+		if a.live(u) {
+			pulls = append(pulls, u)
+		}
 	}
 	t := gthinker.NewTask(&Payload{Iteration: 1, Root: v})
 	t.Pulls = pulls
@@ -110,15 +130,14 @@ func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {
 // finds — so unless the job skips the filter, only the sets maximal on
 // this machine travel; the coordinator filters the union — and encodes
 // them with the machine's emissions (every set a worker appended) and
-// per-root rows. Finalize replaces the entries of the outer slice it is
-// handed, so it gets a copy of that slice; it never writes into a
-// worker's list, which stays as mined.
+// per-root rows. Finalize only reads the workers' lists, which stay as
+// mined.
 func (a *app) Results() ([]byte, error) {
 	var emitted int64
 	for _, f := range a.found {
 		emitted += int64(len(f))
 	}
-	sets := quasiclique.Finalize(slices.Clone(a.found), a.cfg.Options.SkipMaximalityFilter)
+	sets := quasiclique.Finalize(a.found, a.cfg.Options.SkipMaximalityFilter)
 	return AppendResults(nil, sets, emitted, a.rec.PerRoot()), nil
 }
 
@@ -145,142 +164,144 @@ func (a *app) Compute(t *gthinker.Task, frontier [][]graph.V, ctx *gthinker.Ctx)
 // (frontier[i] is the adjacency list of pulls[i]), keep its live
 // entries, peel the partial subgraph to its k-core counting unpulled
 // 2-hop destinations toward degrees, and pull those 2-hop vertices.
+// The peel runs on worker scratch; the root keeps only the survivors
+// and their rows, in one allocation (Payload.Partial).
 func (a *app) iteration1(p *Payload, pulls []graph.V, frontier [][]graph.V, ctx *gthinker.Ctx) bool {
 	v := p.Root
-	n := a.g.NumVertices()
 	ws := a.scratches[ctx.WorkerID]
 
-	// t.g over {v} ∪ pulls (lines 3–9). Spawn pulled only live vertices,
-	// in ascending order, so the paper's V1 is all of pulls and its V2
-	// (pruned 1-hop vertices) is empty. Rows keep the live destinations
-	// w ≥ v; those beyond pulls ∪ v are unpulled 2-hop vertices and stay
-	// untouched. The rows share one backing array, each capped at its
-	// own end; v's row, first, is pulls.
-	cells := len(pulls)
-	for _, src := range frontier {
-		cells += len(src)
+	// t.g over {v} ∪ pulls (lines 3–9): member 0 is v, member i+1 is
+	// pulls[i]. Spawn pulled only live vertices, in ascending order, so
+	// the paper's V1 is all of pulls and its V2 (pruned 1-hop vertices)
+	// is empty. Rows keep the live destinations w ≥ v; those beyond
+	// pulls ∪ v are unpulled 2-hop vertices, which the peel counts as
+	// degree credit and never removes. v's row is pulls. One generation
+	// marks the members here and, below, each 2-hop vertex as it is
+	// pulled, so neither needs a map.
+	ws.begin(a.g.NumVertices())
+	ws.marks.Mark(v)
+	ws.idxA[v] = 0
+	for i, u := range pulls {
+		ws.marks.Mark(u)
+		ws.idxA[u] = uint32(i + 1)
 	}
-	flat := append(make([]graph.V, 0, cells), pulls...)
-	p.GVerts = append(make([]graph.V, 0, len(pulls)+1), v)
-	p.GVerts = append(p.GVerts, pulls...)
-	p.GAdj = make([][]graph.V, 1, len(p.GVerts))
-	p.GAdj[0] = flat[:len(pulls):len(pulls)]
-	for _, src := range frontier {
-		start := len(flat)
+	m := len(pulls) + 1
+	ws.flat = append(ws.flat[:0], pulls...)
+	ws.bound = append(ws.bound[:0], 0, len(pulls))
+	ws.local = ws.local[:0]
+	for i := range pulls {
+		ws.local = append(ws.local, uint32(i+1))
+	}
+	if cap(ws.extra) < m {
+		ws.extra = make([]int, m)
+	}
+	ws.extra = ws.extra[:m]
+	ws.extra[0] = 0
+	for i, src := range frontier {
+		extra := 0
 		for _, w := range src {
-			if w >= v && a.live(w) {
-				flat = append(flat, w)
+			if w < v || !a.live(w) {
+				continue
+			}
+			ws.flat = append(ws.flat, w)
+			if ws.marks.Marked(w) {
+				ws.local = append(ws.local, ws.idxA[w])
+			} else {
+				extra++
 			}
 		}
-		p.GAdj = append(p.GAdj, flat[start:len(flat):len(flat)])
+		ws.extra[i+1] = extra
+		ws.bound = append(ws.bound, len(ws.flat))
+	}
+	// Row i has bound[i+1]−bound[i] live entries, extra[i] of them not
+	// members, so local holds the rest, row after row.
+	ws.lrows = ws.lrows[:0]
+	start := 0
+	for i := 0; i < m; i++ {
+		end := start + ws.bound[i+1] - ws.bound[i] - ws.extra[i]
+		ws.lrows = append(ws.lrows, ws.local[start:end:end])
+		start = end
 	}
 
 	// Line 10: t.g ← k-core(t.g), counting unpulled destinations.
-	if !a.peelPartial(p, ws) {
+	keep := kcore.PeelLocalScratch(ws.lrows, a.k, ws.extra, &ws.peel)
+	if !keep[0] {
 		return false // v was peeled (line 11)
 	}
-
-	// Lines 12–15: pull all 2-hop vertices (w > v, not already known).
-	// One generation marks both the known set (v and the frontier) and
-	// each vertex as it is pulled, so the pull set needs no map either.
-	ws.begin(n)
-	ws.marks.Mark(v)
-	for _, u := range pulls {
-		ws.marks.Mark(u)
-	}
-	for _, row := range p.GAdj {
+	// Drop the peeled members and their entries: flat and bound are
+	// compacted in place (a kept row never starts past its old start),
+	// then copied into the root's one buffer.
+	kept := ws.verts[:0]
+	cells := 0
+	for i, ok := range keep {
+		row := ws.flat[ws.bound[i]:ws.bound[i+1]]
+		if !ok {
+			continue
+		}
+		ws.bound[len(kept)] = cells
+		if i == 0 {
+			kept = append(kept, v)
+		} else {
+			kept = append(kept, pulls[i-1])
+		}
 		for _, w := range row {
-			if w > v && !ws.marks.Marked(w) {
-				ws.marks.Mark(w) // now pulled: dedup further hits
-				ctx.Pull(w)
+			if !ws.marks.Marked(w) || keep[ws.idxA[w]] {
+				ws.flat[cells] = w
+				cells++
 			}
+		}
+	}
+	ws.verts = kept
+	km := len(kept)
+	ws.bound[km] = cells
+	h := makePartial(km, cells)
+	copy(h.members(), kept)
+	base := 2 + 2*km
+	for i, b := range ws.bound[:km+1] {
+		h.bounds()[i] = graph.V(base + b)
+	}
+	copy(h[base:], ws.flat[:cells])
+	p.Partial = h
+
+	// Lines 12–15: pull all 2-hop vertices (w > v, not already known),
+	// marking each as it is pulled, so the pull set needs no map either.
+	for _, w := range h[base:] {
+		if w > v && !ws.marks.Marked(w) {
+			ws.marks.Mark(w)
+			ctx.Pull(w)
 		}
 	}
 	p.Iteration = 2
 	return true
 }
 
-// peelPartial shrinks p.GVerts/GAdj to the k-core, treating adjacency
-// entries outside GVerts as fixed degree credit. Returns false if the
-// root fell out.
-func (a *app) peelPartial(p *Payload, ws *wscratch) bool {
-	ws.begin(a.g.NumVertices())
-	for i, u := range p.GVerts {
-		ws.marks.Mark(u)
-		ws.idxA[u] = uint32(i)
-	}
-	// Exact-count pass, then one packed array for the local rows.
-	extra := make([]int, len(p.GVerts))
-	total := 0
-	for i, row := range p.GAdj {
-		for _, w := range row {
-			if ws.marks.Marked(w) {
-				total++
-			} else {
-				extra[i]++
-			}
-		}
-	}
-	flat := make([]uint32, 0, total)
-	local := make([][]uint32, len(p.GVerts))
-	for i, row := range p.GAdj {
-		start := len(flat)
-		for _, w := range row {
-			if ws.marks.Marked(w) {
-				flat = append(flat, ws.idxA[w])
-			}
-		}
-		local[i] = flat[start:len(flat):len(flat)]
-	}
-	keep := kcore.PeelLocalScratch(local, a.k, extra, &ws.peel)
-	if !keep[0] { // root is GVerts[0]
-		return false
-	}
-	verts := p.GVerts[:0]
-	adj := p.GAdj[:0]
-	for i, ok := range keep {
-		if !ok {
-			continue
-		}
-		row := p.GAdj[i][:0]
-		for _, w := range p.GAdj[i] {
-			if !ws.marks.Marked(w) || keep[ws.idxA[w]] {
-				row = append(row, w)
-			}
-		}
-		verts = append(verts, p.GVerts[i])
-		adj = append(adj, row)
-	}
-	p.GVerts, p.GAdj = verts, adj
-	return true
-}
-
 // iteration2 is Algorithm 7: absorb the pulled 2-hop vertices (all
-// live; frontier[i] is the adjacency list of pulls[i]), induce the
-// exact subgraph over the final member set, peel to the k-core, and
-// set up the mining state.
+// live; frontier[i] is the adjacency list of pulls[i]), then build the
+// root over the final member set with quasiclique.RootSub: the exact
+// induced subgraph, peeled to the k-core, with S = {v} and the rest in
+// ext(S).
 func (a *app) iteration2(p *Payload, pulls []graph.V, frontier [][]graph.V, ws *wscratch) bool {
 	v := p.Root
-	ws.begin(a.g.NumVertices())
+	part := p.Partial
+	p.Partial = nil
 	// Collect the member set: the peeled partial subgraph plus every
 	// pulled 2-hop vertex. idxA remembers each member's row in collect
 	// order.
-	verts := make([]graph.V, 0, len(p.GVerts)+len(frontier))
-	clear(ws.rows) // drop slice headers pinning the previous task's rows
-	ws.rows = ws.rows[:0]
-	for i, u := range p.GVerts {
+	ws.begin(a.g.NumVertices())
+	verts, rows := ws.verts[:0], ws.rows[:0]
+	for i, u := range part.members() {
 		ws.marks.Mark(u)
-		ws.idxA[u] = uint32(len(ws.rows))
+		ws.idxA[u] = uint32(len(rows))
 		verts = append(verts, u)
-		ws.rows = append(ws.rows, p.GAdj[i])
+		rows = append(rows, part.row(i))
 	}
 	for i, adj := range frontier {
 		u := pulls[i]
 		if !ws.marks.Marked(u) {
 			ws.marks.Mark(u)
-			ws.idxA[u] = uint32(len(ws.rows))
+			ws.idxA[u] = uint32(len(rows))
 			verts = append(verts, u)
-			ws.rows = append(ws.rows, adj)
+			rows = append(rows, adj)
 		}
 	}
 	slices.Sort(verts)
@@ -288,28 +309,21 @@ func (a *app) iteration2(p *Payload, pulls []graph.V, frontier [][]graph.V, ws *
 	// Exact induced adjacency over members (destinations outside the
 	// member set cannot belong to any valid quasi-clique rooted at v:
 	// they are < v, outside G's k-core, or beyond two hops through
-	// live vertices). Every row is a graph row or a filtered copy of
-	// one (GAdj never leaves this worker: no task record carries it),
-	// and a graph holds no self loops (Builder drops them, FromCSR
-	// refuses them), so no row yields its own vertex.
-	_, adj := quasiclique.Induce(verts, a.g.NumVertices(),
-		func(i int) []uint32 { return ws.rows[ws.idxA[verts[i]]] }, 0, 0, &ws.qs)
-	sub := &quasiclique.Sub{Label: verts, Adj: adj}
-
-	// Line 9: final k-core peel.
-	peeled, _ := sub.PeelKCoreScratch(a.k, &ws.qs)
-	if peeled.N() == 0 || peeled.Label[0] != v {
+	// live vertices), peeled to the k-core (line 9). Every row is a
+	// graph row or a filtered copy of one, and a graph holds no self
+	// loops (Builder drops them, FromCSR refuses them), so no row
+	// yields its own vertex.
+	idx := ws.idxA
+	sub, S, ext := quasiclique.RootSub(verts, a.g.NumVertices(),
+		func(i int) []uint32 { return rows[idx[verts[i]]] }, a.k, &ws.qs)
+	clear(rows) // drop the row headers pinning this task's frontier
+	ws.verts, ws.rows = verts, rows[:0]
+	if sub == nil {
 		return false // line 10: v pruned
 	}
-	p.GVerts, p.GAdj = nil, nil
-	p.Sub = peeled
-	p.S = []uint32{0} // v is the smallest label
-	p.Ext = make([]uint32, 0, peeled.N()-1)
-	for i := 1; i < peeled.N(); i++ {
-		p.Ext = append(p.Ext, uint32(i))
-	}
+	p.Sub, p.S, p.Ext = sub, S, ext
 	p.Iteration = 3
-	a.rec.RootStarted(v, peeled.N())
+	a.rec.RootStarted(v, sub.N())
 	return true // no pulls: engine runs iteration 3 immediately
 }
 

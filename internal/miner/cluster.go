@@ -29,7 +29,8 @@ import (
 // task payload (spillcodec.go), because the app that decodes the spec
 // is the app that decodes the payloads a steal moves. QJS7 came with a
 // subtask's Sub as bit rows; QJS8 dropped the flags word and the
-// iteration-2 GVerts/GAdj section, so a record is a root or a subtask.
+// iteration-2 partial-subgraph section, so a record is a root or a
+// subtask.
 // A worker built for another layout refuses the job at opRun instead
 // of mis-parsing every field after it, or a task, later.
 const jobSpecMagic = "QJS8"

@@ -8,25 +8,23 @@
 // # Post-processing
 //
 // The search emits valid quasi-cliques that need not be maximal, so
-// every job ends with the maximality filter — and nothing of it runs
-// on one goroutine behind an idle cluster. Each worker appends every
+// every job ends with the maximality filter. Each worker appends every
 // set it emits to its own list (app.found). When the job returns, each
 // machine's app.Results hands its lists to quasiclique.Finalize, the
 // one finalize function that serial MineGraph, Session.Mine and the
-// worker process all call: it filters every worker's candidates on
-// their own, W goroutines side by side (a set that is not maximal
-// among one worker's finds is not maximal at all), and then filters
-// the union of the survivors once. So a machine ships only its own
-// survivors (about a tenth of its candidates on a dense core) plus its
-// emission count, and the session filters the union of the machines'
-// frames. Finalize is also the one place repeats are dropped — equal
-// sets end up adjacent in canonical order — whether one search reached
-// a set twice or a recovered machine's roots were mined again. The
-// filter itself (quasiclique.FilterMaximal) splits the sets into
-// vertex-disjoint components and answers containment from per-vertex
-// posting bitmaps; see maximal.go there. Options.SkipMaximalityFilter
-// turns all of it off: every distinct candidate comes back and no
-// pre-filter runs anywhere.
+// worker process all call: it filters the union of the workers'
+// candidates once (filtering each worker's list first, side by side,
+// measured slower). So a machine ships only its own survivors (about a
+// tenth of its candidates on a dense core) plus its emission count,
+// and the session filters the union of the machines' frames. Finalize
+// is also the one place repeats are dropped — equal sets end up
+// adjacent in canonical order — whether one search reached a set twice
+// or a recovered machine's roots were mined again. The filter itself
+// (quasiclique.FilterMaximal) splits the sets into vertex-disjoint
+// components and answers containment from per-vertex posting bitmaps,
+// probing long levels on several goroutines; see maximal.go there.
+// Options.SkipMaximalityFilter turns all of it off: every distinct
+// candidate comes back.
 package miner
 
 import (
@@ -44,14 +42,14 @@ type Payload struct {
 	// timing is attributed to it.
 	Root graph.V
 
-	// Partial two-hop subgraph under construction (iterations 1–2):
-	// GVerts is sorted; GAdj is parallel to it and may reference
-	// not-yet-pulled two-hop vertices (they count toward degree in
-	// the iteration-1 peel, per Algorithm 6). It lives only while the
-	// task waits on its worker's pending list, so the task codec never
-	// writes it.
-	GVerts []graph.V
-	GAdj   [][]graph.V
+	// Partial is the peeled partial two-hop subgraph of iterations 1–2
+	// (see partialGraph): the kept 1-hop members, v first, and their
+	// rows, which may name not-yet-pulled two-hop vertices (they count
+	// toward degree in the iteration-1 peel, per Algorithm 6). It is
+	// the one allocation a root makes in iteration 1, and it lives only
+	// while the task waits on its worker's pending list, so the task
+	// codec never writes it.
+	Partial partialGraph
 
 	// Mining state (iteration 3, including decomposed subtasks).
 	Sub *quasiclique.Sub
@@ -66,8 +64,39 @@ func (p *Payload) extSize(pullCount int) int {
 	case 3:
 		return len(p.Ext)
 	case 2:
-		return len(p.GVerts)
+		return p.Partial.len()
 	default:
 		return pullCount
 	}
+}
+
+// partialGraph is a list subgraph over global IDs in one buffer: m,
+// then the m members in ascending order, then m+1 row bounds (indices
+// into the buffer), then the rows. A nil partialGraph is empty.
+type partialGraph []graph.V
+
+// makePartial returns a zeroed partialGraph of m members and cells row
+// entries, its m in place.
+func makePartial(m, cells int) partialGraph {
+	h := make(partialGraph, 2+2*m+cells)
+	h[0] = graph.V(m)
+	return h
+}
+
+func (h partialGraph) len() int {
+	if len(h) == 0 {
+		return 0
+	}
+	return int(h[0])
+}
+
+func (h partialGraph) members() []graph.V { return h[1 : 1+h.len()] }
+
+// bounds returns the m+1 row bounds.
+func (h partialGraph) bounds() []graph.V { m := h.len(); return h[1+m : 2+2*m] }
+
+// row returns member i's row.
+func (h partialGraph) row(i int) []graph.V {
+	b := h.bounds()
+	return h[b[i]:b[i+1]:b[i+1]]
 }

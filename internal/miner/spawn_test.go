@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"gthinkerqc/internal/bitset"
 	"gthinkerqc/internal/datagen"
 	"gthinkerqc/internal/graph"
 	"gthinkerqc/internal/gthinker"
@@ -166,5 +167,77 @@ func TestSpawnGateLiveRoots(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRootPathAllocs holds a warm worker to the allocations a root
+// keeps, from Spawn to the start of iteration 3: Spawn's task, payload
+// and pull list, iteration 1's partial subgraph (Payload.Partial), and
+// iteration 2's Sub and the one allocation its rows, label, S and Ext
+// share — six in all. The frontiers are built outside the measured
+// runs, as the engine resolves them; the engine's own copy of each
+// iteration's pulls is not the app's. Roots of one and of two matrix
+// words are both measured.
+func TestRootPathAllocs(t *testing.T) {
+	g := fringeGraph(t)
+	a := newApp(g, Config{Params: quasiclique.Params{Gamma: 0.6, MinSize: 5}}, 1)
+	ctx := &gthinker.Ctx{}
+	rows := func(pulls []graph.V) [][]graph.V {
+		out := make([][]graph.V, len(pulls))
+		for i, u := range pulls {
+			out[i] = g.Adj(u)
+		}
+		return out
+	}
+	widths := map[int]bool{}
+	for v := graph.V(0); int(v) < g.NumVertices() && len(widths) < 2; v++ {
+		t1 := a.Spawn(v, g.Adj(v), ctx)
+		if t1 == nil {
+			continue
+		}
+		front1 := rows(t1.Pulls)
+		p := t1.Payload.(*Payload)
+		if !a.Compute(t1, front1, ctx) {
+			continue
+		}
+		// Iteration 1 pulled the partial subgraph's vertices beyond
+		// {v} ∪ pulls, in order of first appearance.
+		known := map[graph.V]bool{v: true}
+		for _, u := range t1.Pulls {
+			known[u] = true
+		}
+		var pulls2 []graph.V
+		for _, w := range p.Partial[2+2*p.Partial.len():] {
+			if w > v && !known[w] {
+				known[w] = true
+				pulls2 = append(pulls2, w)
+			}
+		}
+		front2 := rows(pulls2)
+		t1.Pulls = pulls2
+		if !a.Compute(t1, front2, ctx) || p.Iteration != 3 {
+			continue
+		}
+		words := bitset.WordsFor(p.Sub.N())
+		if widths[words] || words > 2 {
+			continue
+		}
+		widths[words] = true
+		allocs := testing.AllocsPerRun(50, func() {
+			t := a.Spawn(v, g.Adj(v), ctx)
+			a.Compute(t, front1, ctx)
+			t.Pulls = pulls2
+			a.Compute(t, front2, ctx)
+			if t.Payload.(*Payload).Iteration != 3 {
+				panic("root did not reach iteration 3")
+			}
+		})
+		t.Logf("root %d: %d vertices, %d-word rows, %v allocations", v, p.Sub.N(), words, allocs)
+		if allocs > 6 {
+			t.Errorf("root %d: %v allocations from Spawn to iteration 3, want ≤ 6", v, allocs)
+		}
+	}
+	if len(widths) < 2 {
+		t.Fatalf("roots measured at widths %v, want one and two words", widths)
 	}
 }

@@ -27,7 +27,7 @@ import (
 // iteration-2 task waits for its pulls on its worker's pending list
 // and runs on into iteration 3 in one compute call, so it never
 // reaches a queue, a spill file or a steal frame, and neither it nor
-// its partial subgraph (GVerts, GAdj) has a record. The layout is part
+// its partial subgraph (Payload.Partial) has a record. The layout is part
 // of the app's wire: a change to it bumps jobSpecMagic (cluster.go),
 // so a mixed build fails at opRun.
 //

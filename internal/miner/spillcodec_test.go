@@ -116,7 +116,8 @@ func TestPayloadCodecRejectsCorruption(t *testing.T) {
 	}
 	for _, p := range []any{
 		"not a payload",
-		&Payload{Iteration: 2, Root: 7, GVerts: []graph.V{7, 9}, GAdj: [][]graph.V{{9}, {7}}},
+		// Members 7 and 9, with rows {9} and {7}.
+		&Payload{Iteration: 2, Root: 7, Partial: partialGraph{2, 7, 9, 6, 7, 8, 9, 7}},
 		&Payload{Iteration: 3, Root: 0, S: []uint32{0}, Ext: []uint32{1}}, // a subtask without a Sub
 	} {
 		if _, err := a.AppendTaskPayload(nil, p); err == nil {

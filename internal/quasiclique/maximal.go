@@ -79,28 +79,16 @@ func FilterMaximal(sets [][]graph.V) [][]graph.V {
 // Finalize is the post-processing phase every mining entry point ends
 // with — serial MineGraph and the machine and coordinator halves of a
 // cluster. parts are candidate collections gathered independently (one
-// per worker, or one per machine); Finalize consumes them. A set that
-// is not maximal among its own part is not maximal globally, so each
-// part is first filtered on its own, all parts in parallel, and only
-// the survivors meet in the final filter. With skipFilter the result is every distinct
-// candidate, canonically ordered, and nothing is filtered anywhere.
-// Finalize may replace the entries of parts, but it never writes into a
-// part's own list: the union is sorted and filtered in a slice of its
-// own.
+// per worker, or one per machine), and Finalize filters their union
+// once. (A set that is not maximal among its own part is not maximal
+// globally, so the parts could be filtered first, side by side; on the
+// engine benchmarks that pre-pass cost more than it saved.) With
+// skipFilter the result is every distinct candidate, canonically
+// ordered, and nothing is filtered. Finalize only reads parts: the
+// union is sorted and filtered in a slice of its own.
 func Finalize(parts [][][]graph.V, skipFilter bool) [][]graph.V {
 	if len(parts) == 0 {
 		return nil
-	}
-	if !skipFilter && len(parts) > 1 {
-		var wg sync.WaitGroup
-		for i := range parts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				parts[i] = FilterMaximal(parts[i])
-			}(i)
-		}
-		wg.Wait()
 	}
 	total := 0
 	for _, part := range parts {

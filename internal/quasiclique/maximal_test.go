@@ -244,10 +244,10 @@ func TestFilterMaximalGiantComponent(t *testing.T) {
 	}
 }
 
-// TestFinalizeSplitsAgree is the property the per-worker pre-filter
-// rests on: filtering each part of any split and then the union of the
-// survivors equals one filter over everything; and with the filter
-// skipped, the distinct sets come back whatever the split. Workers
+// TestFinalizeSplitsAgree: however the candidates are split into parts
+// (workers or machines), Finalize gives one filter over everything; and
+// with the filter skipped, the distinct sets come back whatever the
+// split. Workers
 // append every set they emit, so Finalize is the one place repeats are
 // dropped: the fixed rows below repeat sets inside one part and across
 // parts, the empty set included.

@@ -113,9 +113,8 @@ type Miner struct {
 	tBits  []uint64
 	t2Bits []uint64
 
-	dS      []int32  // degree toward S, per local vertex
-	dE      []int32  // degree toward ext(S), per member of S
-	pos     []uint32 // Subtask's position table: local vertex → child index
+	dS      []int32 // degree toward S, per local vertex
+	dE      []int32 // degree toward ext(S), per member of S
 	unionBf []uint32
 	hist    []int32 // prefixByDegree's dS histogram over ext's dS range
 	prefix  []int   // prefixByDegree's sums, as of the last stageExt
@@ -135,6 +134,9 @@ type Miner struct {
 
 	// applyCover's scratch, live only within one call.
 	coverBuf []uint32
+
+	// pack compacts Subtask's child rows.
+	pack compactor
 
 	// sc materialises a split's children.
 	sc Scratch
@@ -177,7 +179,6 @@ func (m *Miner) bind(sub *Sub) {
 	if len(m.dS) < n {
 		m.dS = make([]int32, n)
 		m.dE = make([]int32, n)
-		m.pos = make([]uint32, n)
 		m.hist = make([]int32, n+1)
 		m.prefix = make([]int, n+1)
 	}

@@ -44,13 +44,16 @@
 // sorted S ∪ ext, mapped to the child's indices — into a rows Sub, and
 // the child stays bit rows through the engine's queue, spill file and
 // steal frame (Sub.AppendRaw writes the words verbatim) until the
-// next miner binds it with a copy.
+// next miner binds it with a copy. The G-thinker app's root task is a
+// rows Sub from the start: RootSub fills its induced matrix in worker
+// scratch, peels it by popcount and compacts the survivors the same
+// way.
 //
-// Every list Sub comes out of one induction routine, Induce: the root
-// task's (BuildRootSub), each k-core peel's (PeelKCoreScratch), the
-// G-thinker app's iteration-2 build, and the children of an oversize
-// split (MakeSubtaskScratch), whose parent has no matrix to compact
-// from. It marks the kept IDs in the Scratch's epoch-stamped marker,
+// Every list Sub comes out of one induction routine, Induce: the serial
+// driver's root task (BuildRootSub), each k-core peel's
+// (PeelKCoreScratch), an app root above matrixCap (RootSub's
+// fallback), and the children of an oversize split
+// (MakeSubtaskScratch), whose parent has no matrix to compact from. It marks the kept IDs in the Scratch's epoch-stamped marker,
 // counts the kept entries of each row exactly and fills them into one
 // allocation.
 package quasiclique

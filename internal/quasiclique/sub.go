@@ -18,13 +18,15 @@ import (
 // only the subgraph: the bitset matrix mining runs on belongs to the
 // Miner bound to it.
 //
-// Its adjacency takes one of two forms. A list Sub — a root task's, a
-// k-core peel's, a child of an oversize split — holds sorted rows in
-// Adj that share one packed backing array (CSR-style, mirroring the
-// graph substrate's layout); Induce builds every one. A rows Sub — a
-// decomposed subtask, compacted from its parent's matrix by
-// Miner.Subtask, or decoded from a spill file or a steal frame by
-// DecodeRaw — holds Rows instead: n bit rows of bitset.WordsFor(n)
+// Its adjacency takes one of two forms. A list Sub — a root task of
+// the serial driver (BuildRootSub), a k-core peel's, a child of an
+// oversize split, an engine root above matrixCap — holds sorted rows
+// in Adj that share one packed backing array (CSR-style, mirroring the
+// graph substrate's layout); Induce builds every one. A rows Sub — an
+// engine root up to matrixCap, built and peeled as bit rows by RootSub,
+// a decomposed subtask, compacted from its parent's matrix by
+// Miner.Subtask, or either decoded from a spill file or a steal frame
+// by DecodeRaw — holds Rows instead: n bit rows of bitset.WordsFor(n)
 // words, row i the local neighbours of vertex i, which is the layout of
 // the matrix a Miner binds, so binding one is a copy. A rows Sub is
 // never above matrixCap. A subtask's rows may include witness rows
@@ -63,10 +65,11 @@ func (s *Sub) Labels(locals []uint32) []graph.V {
 }
 
 // Scratch is the per-worker reusable state for task construction: the
-// epoch-stamped ID → position map Induce relabels through (no O(n)
-// clear per task), the candidate/vertex buffers of BuildRootSub, the
-// peel buffers, and one buffer for a split child's sorted S ∪ ext. The
-// marker doubles as the two-hop scratch for Within2Scratch — the two
+// epoch-stamped ID → position map Induce and RootSub relabel through
+// (no O(n) clear per task), the candidate/vertex buffers of
+// BuildRootSub, the peel buffers, one buffer for a split child's
+// sorted S ∪ ext, and RootSub's bit matrix, peel state and compactor.
+// The marker doubles as the two-hop scratch for Within2Scratch — the two
 // phases never overlap within a call. Nothing a caller keeps lives
 // here: every Sub the package returns owns its storage. A zero
 // Scratch is ready to use. Not safe for concurrent use — the serial
@@ -81,11 +84,17 @@ type Scratch struct {
 	peel    kcore.PeelScratch // PeelKCoreScratch peel buffers
 	rootS   []uint32          // serial driver's root S = {v}
 	rootExt []uint32          // serial driver's root ext(S)
+
+	mat   bitset.Matrix // RootSub's induced adjacency
+	deg   []int32       // RootSub's peel degrees, per matrix row
+	alive []uint64      // RootSub's peel survivors
+	queue []uint32      // RootSub's peel queue
+	pack  compactor     // RootSub's survivor compaction
 }
 
-// Induce is the one induction routine: every list Sub — a root task's,
-// a peeled core, an oversize split's child, the engine's iteration-2
-// build — comes out of it. keep is a strictly increasing set of IDs in
+// Induce is the one induction routine: every list Sub — a serial root
+// task's, a peeled core, an oversize split's child, an engine root
+// above matrixCap — comes out of it. keep is a strictly increasing set of IDs in
 // [0, n), and row(i) returns keep[i]'s sorted neighbour row in that
 // space. Induce marks keep in sc's epoch-stamped marker, so nothing of
 // size n is cleared, counts the rows' entries inside keep exactly, and

@@ -17,10 +17,11 @@ import (
 //
 // The child is a rows Sub compacted from the bound matrix: the row of a
 // member of K is its matrix row with the bits outside K dropped and the
-// rest mapped through a position table, so a subtask never goes back
-// through adjacency lists, and binding it is a copy. Restricted to K it
-// is the child MakeSubtaskScratch(m.Sub, S, ext, …) induces, in rows:
-// the same labels, and S′ and ext′ sorted local indices of the child.
+// rest moved to their child positions by word compaction (compactor),
+// so a subtask never goes back through adjacency lists, and binding it
+// is a copy. Restricted to K it is the child MakeSubtaskScratch(m.Sub,
+// S, ext, …) induces, in rows: the same labels, and S′ and ext′ sorted
+// local indices of the child.
 //
 // It also keeps witness rows, which decomposition would otherwise hide
 // from the child's emission screen (extendable): the vertices w of the
@@ -60,7 +61,6 @@ func (m *Miner) Subtask(S, ext []uint32) (*Sub, []uint32, []uint32) {
 	for wi, w := range keep {
 		for ; w != 0; w &= w - 1 {
 			v := wi*64 + bits.TrailingZeros64(w)
-			m.pos[v] = i
 			label[i] = m.Sub.Label[v]
 			switch {
 			case j < ns && S[j] == uint32(v):
@@ -72,23 +72,12 @@ func (m *Miner) Subtask(S, ext []uint32) (*Sub, []uint32, []uint32) {
 			i++
 		}
 	}
-	// A row's bits in K map to ascending child positions, so each child
-	// word is built in a register and stored once.
+	// Each row keeps its bits in K, moved to their child positions.
+	m.pack.init(keep)
 	dst := rows
 	for wi, w := range keep {
 		for ; w != 0; w &= w - 1 {
-			row := m.mat.Row(wi*64 + bits.TrailingZeros64(w))
-			cur, acc := uint32(0), uint64(0)
-			for xi, x := range row {
-				for x &= inK[xi]; x != 0; x &= x - 1 {
-					p := m.pos[xi*64+bits.TrailingZeros64(x)]
-					if p/64 != cur {
-						dst[cur], cur, acc = acc, p/64, 0
-					}
-					acc |= 1 << (p % 64)
-				}
-			}
-			dst[cur] = acc
+			m.pack.row(dst[:stride:stride], m.mat.Row(wi*64+bits.TrailingZeros64(w)), inK)
 			dst = dst[stride:]
 		}
 	}
@@ -139,6 +128,87 @@ func (m *Miner) addWitnesses(keep, inK []uint64, S []uint32, nk int) int {
 		}
 	}
 	return added
+}
+
+// compactor packs bit rows onto the members of one keep mask: bit p of
+// a row, for p in the mask, moves to bit rank(p), the number of mask
+// members below p, and every other bit is dropped. It is how Subtask
+// and RootSub compact a matrix into a child's rows. init builds, once
+// per mask, each non-empty mask word's mover masks for Hacker's
+// Delight's compress (Warren, fig. 7-1, at 64 bits) and its first
+// rank; row then moves each of a row's words with one branch-free
+// compress and one or two shifted ORs, instead of one lookup and one
+// branch per bit. Its buffer grows monotonically.
+type compactor struct {
+	words []packWord
+}
+
+// packWord is one non-empty word of a compactor's mask.
+type packWord struct {
+	wi    int       // word index in the mask
+	off   int       // rank of the word's lowest member
+	split bool      // its members straddle a child word boundary
+	mask  uint64    // the mask word
+	mv    [6]uint64 // bits that move right by 1, 2, 4, 8, 16, 32 places
+}
+
+// init prepares the compactor for keep and returns its member count.
+func (c *compactor) init(keep []uint64) int {
+	c.words = c.words[:0]
+	off := 0
+	for wi, m := range keep {
+		if m == 0 {
+			continue
+		}
+		pw := packWord{wi: wi, off: off, mask: m}
+		// Each step moves every bit right by the step's share of the
+		// count of non-members below it (mk marks them, shifted in).
+		mk := ^m << 1
+		for i := range pw.mv {
+			mp := mk ^ mk<<1
+			mp ^= mp << 2
+			mp ^= mp << 4
+			mp ^= mp << 8
+			mp ^= mp << 16
+			mp ^= mp << 32
+			mv := mp & m
+			pw.mv[i] = mv
+			m = m ^ mv | mv>>(1<<i)
+			mk &^= mp
+		}
+		last := off + bits.OnesCount64(pw.mask) - 1
+		pw.split = last/64 != off/64
+		c.words = append(c.words, pw)
+		off = last + 1
+	}
+	return off
+}
+
+// row ORs src ∩ filter, restricted to the mask and compacted, into dst,
+// which holds WordsFor(members) words. filter is a subset of the mask
+// or the mask itself; src and filter are at least as long as the mask.
+func (c *compactor) row(dst, src, filter []uint64) {
+	for i := range c.words {
+		pw := &c.words[i]
+		x := src[pw.wi] & filter[pw.wi] & pw.mask
+		t := x & pw.mv[0]
+		x = x ^ t | t>>1
+		t = x & pw.mv[1]
+		x = x ^ t | t>>2
+		t = x & pw.mv[2]
+		x = x ^ t | t>>4
+		t = x & pw.mv[3]
+		x = x ^ t | t>>8
+		t = x & pw.mv[4]
+		x = x ^ t | t>>16
+		t = x & pw.mv[5]
+		x = x ^ t | t>>32
+		lo, sh := pw.off/64, uint(pw.off%64)
+		dst[lo] |= x << sh
+		if pw.split {
+			dst[lo+1] |= x >> (64 - sh)
+		}
+	}
 }
 
 // subtaskStorage returns a child's nw row words and nids uint32s (its
