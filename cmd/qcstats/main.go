@@ -3,7 +3,8 @@
 // tests). Useful for choosing γ and τsize before mining: every path
 // mines only inside the k-core, k = ⌈γ(τsize−1)⌉ (the paper's T1), so
 // the pruning preview's k-core size predicts how much of the graph a
-// parameter choice removes.
+// parameter choice removes, and its root count is the number of root
+// tasks a mine spawns: the vertices quasiclique.Gate admits as roots.
 package main
 
 import (
@@ -53,19 +54,26 @@ func main() {
 	printLogHist(hist)
 
 	// Pruning preview (Theorem 2): the k-core is every vertex of core
-	// number at least k.
-	k := quasiclique.CeilMul(*gamma, *minsize-1)
-	maxCore, kept := 0, 0
-	for _, c := range g.CoreNumbers() {
+	// number at least k, and a root task is spawned for each vertex of
+	// it with at least k neighbours above it in the core.
+	par := quasiclique.Params{Gamma: *gamma, MinSize: *minsize}
+	k := par.K()
+	gate := quasiclique.NewGate(g, par, quasiclique.Options{})
+	maxCore, kept, roots := 0, 0, 0
+	for v, c := range g.CoreNumbers() {
 		maxCore = max(maxCore, int(c))
 		if int(c) >= k {
 			kept++
+		}
+		if _, _, ok := gate.Root(graph.V(v), g.Adj(graph.V(v))); ok {
+			roots++
 		}
 	}
 	fmt.Printf("degeneracy (max core): %d\n", maxCore)
 	fmt.Printf("pruning preview: γ=%.2f τsize=%d ⇒ k=%d; k-core keeps %d/%d vertices (%.1f%%)\n",
 		*gamma, *minsize, k, kept, g.NumVertices(),
 		100*float64(kept)/float64(max(1, g.NumVertices())))
+	fmt.Printf("root tasks: %d\n", roots)
 }
 
 func printLogHist(hist []int) {

@@ -51,8 +51,8 @@ func (ws *wscratch) begin(n int) {
 type app struct {
 	g    *graph.Graph
 	cfg  Config
-	k    int      // ⌈γ(τsize−1)⌉
-	core []uint32 // g.CoreNumbers(); nil under Options.DisableKCore
+	k    int              // ⌈γ(τsize−1)⌉
+	gate quasiclique.Gate // the one root and membership test of spawning and both pull rounds
 
 	found     [][][]graph.V        // one list of emitted sets per worker
 	scratches []*wscratch          // one per worker
@@ -61,10 +61,8 @@ type app struct {
 }
 
 func newApp(g *graph.Graph, cfg Config, workers int) *app {
-	a := &app{g: g, cfg: cfg, k: cfg.Params.K(), rec: metrics.NewRecorder()}
-	if !cfg.Options.DisableKCore {
-		a.core = g.CoreNumbers()
-	}
+	a := &app{g: g, cfg: cfg, k: cfg.Params.K(), rec: metrics.NewRecorder(),
+		gate: quasiclique.NewGate(g, cfg.Params, cfg.Options)}
 	a.found = make([][][]graph.V, workers)
 	a.scratches = make([]*wscratch, workers)
 	a.miners = make([]*quasiclique.Miner, workers)
@@ -78,46 +76,24 @@ func newApp(g *graph.Graph, cfg Config, workers int) *app {
 	return a
 }
 
-// live reports whether u can belong to a result: it lies in G's
-// k-core (T1, Theorem 2 applied to the whole graph), or, with
-// Options.DisableKCore, it has degree ≥ k (Theorem 2 alone). It is the
-// one membership test of root spawning and of both pull rounds.
-func (a *app) live(u graph.V) bool {
-	if a.core == nil {
-		return a.g.Degree(u) >= a.k
-	}
-	return int(a.core[u]) >= a.k
-}
-
-// Spawn is Algorithm 4 inside G's k-core: one task per live vertex v,
-// pulling the adjacency lists of v's live larger neighbors — in
-// ascending order, which iteration1 relies on. Every member of a
-// result is live, and reaches its minimum vertex within two hops
-// through other members, so nothing outside the core is spawned or
-// pulled.
+// Spawn is Algorithm 4 inside G's k-core: one task per vertex v that
+// the gate admits as a root, pulling the adjacency lists of v's live
+// larger neighbors — in ascending order, which iteration1 relies on.
+// Every member of a result is live, and reaches its minimum vertex
+// within two hops through other members, so nothing outside the core
+// is spawned or pulled.
 func (a *app) Spawn(v graph.V, adj []graph.V, _ *gthinker.Ctx) *gthinker.Task {
-	if !a.live(v) {
-		return nil
-	}
-	// adj is sorted and holds no v, so v's insertion point starts the
-	// larger neighbours; one count sizes pulls exactly.
-	i, _ := slices.BinarySearch(adj, v)
-	larger := adj[i:]
-	n := 0
-	for _, u := range larger {
-		if a.live(u) {
-			n++
-		}
-	}
-	// Any quasi-clique whose minimum vertex is v needs ≥ τsize−1
-	// members larger than v, all within two hops; with no larger
-	// neighbors there is nothing to find.
-	if n == 0 {
+	// A root with fewer than k live larger neighbours holds no result
+	// (Gate.Root) and iteration1's peel would drop it at once, its row
+	// being pulls: refuse it before any task or fetch. Root's count of
+	// those neighbours sizes pulls exactly.
+	larger, n, ok := a.gate.Root(v, adj)
+	if !ok {
 		return nil
 	}
 	pulls := make([]graph.V, 0, n)
 	for _, u := range larger {
-		if a.live(u) {
+		if a.gate.Live(u) {
 			pulls = append(pulls, u)
 		}
 	}
@@ -175,7 +151,8 @@ func (a *app) iteration1(p *Payload, pulls []graph.V, frontier [][]graph.V, ctx 
 	// the paper's V1 is all of pulls and its V2 (pruned 1-hop vertices)
 	// is empty. Rows keep the live destinations w ≥ v; those beyond
 	// pulls ∪ v are unpulled 2-hop vertices, which the peel counts as
-	// degree credit and never removes. v's row is pulls. One generation
+	// degree credit and never removes. v's row is pulls, which the
+	// gate made at least k long, and it has no credit. One generation
 	// marks the members here and, below, each 2-hop vertex as it is
 	// pulled, so neither needs a map.
 	ws.begin(a.g.NumVertices())
@@ -200,7 +177,7 @@ func (a *app) iteration1(p *Payload, pulls []graph.V, frontier [][]graph.V, ctx 
 	for i, src := range frontier {
 		extra := 0
 		for _, w := range src {
-			if w < v || !a.live(w) {
+			if w < v || !a.gate.Live(w) {
 				continue
 			}
 			ws.flat = append(ws.flat, w)

@@ -2,6 +2,7 @@ package miner
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -47,10 +48,10 @@ func fringeGraph(t *testing.T) *graph.Graph {
 }
 
 // TestSpawnGateLiveRoots: every composition spawns a root task for
-// exactly the vertices inside G's k-core that have a larger neighbour
-// inside it, and no root in the fringe outside the core, however high
-// its degree. With Options.DisableKCore the same count is taken with
-// degree ≥ k as the membership test. The 3×2 cluster also checks that
+// exactly the vertices inside G's k-core that have at least k larger
+// neighbours inside it, and no root in the fringe outside the core,
+// however high its degree. With Options.DisableKCore the same count is
+// taken with degree ≥ k as the membership test. The 3×2 cluster also checks that
 // each machine builds an application for its own two workers only,
 // and that direct calls, loopback sockets and worker processes return
 // MineGraph's answer.
@@ -62,12 +63,13 @@ func TestSpawnGateLiveRoots(t *testing.T) {
 	live, degreeGate := 0, 0
 	for v := 0; v < g.NumVertices(); v++ {
 		larger := func(keep func(u graph.V) bool) bool {
+			n := 0
 			for _, u := range g.Adj(graph.V(v)) {
 				if u > graph.V(v) && keep(u) {
-					return true
+					n++
 				}
 			}
-			return false
+			return n >= k
 		}
 		if int(core[v]) >= k && larger(func(u graph.V) bool { return int(core[u]) >= k }) {
 			live++
@@ -78,6 +80,10 @@ func TestSpawnGateLiveRoots(t *testing.T) {
 	}
 	if live == 0 || degreeGate <= live {
 		t.Fatalf("graph has %d live roots and %d roots by degree: no fringe to test", live, degreeGate)
+	}
+	// 67 of the 120 core vertices with a larger core neighbour have k.
+	if live != 67 {
+		t.Fatalf("graph has %d live roots, want 67", live)
 	}
 	t.Logf("%d live roots, %d roots by degree", live, degreeGate)
 	want := serialReference(t, g, par)
@@ -240,4 +246,96 @@ func TestRootPathAllocs(t *testing.T) {
 	if len(widths) < 2 {
 		t.Fatalf("roots measured at widths %v, want one and two words", widths)
 	}
+}
+
+// TestRootGateDropsOnlyDeadRoots holds the root gate (a live root needs
+// k live larger neighbours) to what the pre-gate test (one live larger
+// neighbour) would have mined. Over random planted and RMAT graphs, γ
+// 0.5…1.0, τsize 2…8 and DisableKCore both ways, every vertex the old
+// test accepts and Spawn refuses must be a root that dies before
+// mining on both paths: (a) iteration1 on the ungated task (pulls = the
+// live larger neighbours, frontier = their rows) peels it, and (b)
+// Induce + PeelKCoreScratch over {v} ∪ v's larger two-hop set in
+// PrepareGraph's output peels it. Spawn must refuse every vertex the
+// old test refuses, and pull exactly the live larger neighbours of the
+// rest.
+func TestRootGateDropsOnlyDeadRoots(t *testing.T) {
+	var graphs []*graph.Graph
+	for seed := uint64(1); seed <= 2; seed++ {
+		planted, _, err := datagen.Planted(datagen.PlantedConfig{
+			N:          160,
+			Background: 0.03,
+			Communities: []datagen.Community{
+				{Size: 9, Density: 0.9, Count: 2},
+				{Size: 6, Density: 1.0, Count: 2},
+			},
+			Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, planted, datagen.RMAT(8, 900, 0.57, 0.19, 0.19, seed))
+	}
+	ctx := &gthinker.Ctx{}
+	var sc quasiclique.Scratch
+	refused := 0
+	for gi, g := range graphs {
+		core := g.CoreNumbers()
+		for _, gamma := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
+			for tau := 2; tau <= 8; tau++ {
+				par := quasiclique.Params{Gamma: gamma, MinSize: tau}
+				k := par.K()
+				for _, opt := range []quasiclique.Options{{}, {DisableKCore: true}} {
+					live := func(u graph.V) bool { return int(core[u]) >= k }
+					if opt.DisableKCore {
+						live = func(u graph.V) bool { return g.Degree(u) >= k }
+					}
+					a := newApp(g, Config{Params: par, Options: opt}, 1)
+					gk, _ := quasiclique.PrepareGraph(g, par, opt)
+					for v := graph.V(0); int(v) < g.NumVertices(); v++ {
+						var pulls []graph.V
+						for _, u := range g.Adj(v) {
+							if u > v && live(u) {
+								pulls = append(pulls, u)
+							}
+						}
+						old := live(v) && len(pulls) > 0
+						task := a.Spawn(v, g.Adj(v), ctx)
+						where := func() string {
+							return fmt.Sprintf("graph %d γ=%v τsize=%d %+v root %d (%d live larger, k=%d)",
+								gi, gamma, tau, opt, v, len(pulls), k)
+						}
+						if task != nil {
+							if !old || !slices.Equal(task.Pulls, pulls) {
+								t.Fatalf("%s: spawned with pulls %v, old test %v", where(), task.Pulls, old)
+							}
+							continue
+						}
+						if !old {
+							continue
+						}
+						refused++
+						frontier := make([][]graph.V, len(pulls))
+						for i, u := range pulls {
+							frontier[i] = g.Adj(u)
+						}
+						if a.iteration1(&Payload{Iteration: 1, Root: v}, pulls, frontier, ctx) {
+							t.Fatalf("%s: refused, but iteration1 keeps it", where())
+						}
+						cand := gk.Within2(v, nil)
+						i, _ := slices.BinarySearch(cand, v)
+						verts := append([]graph.V{v}, cand[i:]...)
+						sub, _ := quasiclique.SubFromGraph(gk, verts).PeelKCoreScratch(k, &sc)
+						if sub.N() > 0 && sub.Label[0] == v {
+							t.Fatalf("%s: refused, but the serial peel keeps it", where())
+						}
+					}
+				}
+			}
+		}
+	}
+	if refused == 0 {
+		t.Fatal("the gate refused no root the old test accepted: nothing tested")
+	}
+	t.Logf("%d roots refused over the grid", refused)
 }

@@ -86,11 +86,66 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 	return results, stats, ctxErr
 }
 
+// Gate is the vertex test every mining path applies before it builds
+// anything: Live says whether a vertex can belong to a result, Root
+// whether it can be the minimum vertex of one, so whether its root
+// task is worth spawning. The engine's Spawn and pull rounds, the
+// serial driver's BuildRootSubScratch and PrepareGraph, and qcstats's
+// root count all ask it.
+type Gate struct {
+	g    *graph.Graph
+	core []uint32 // g.CoreNumbers(); nil for the degree test
+	k    int
+}
+
+// NewGate returns g's gate for par: core number ≥ k is the membership
+// test, or degree ≥ k under opt.DisableKCore. The core numbers are g's
+// memoized array, so jobs on one graph pay for the core pass once.
+func NewGate(g *graph.Graph, par Params, opt Options) Gate {
+	gt := Gate{g: g, k: par.K()}
+	if !opt.DisableKCore {
+		gt.core = g.CoreNumbers()
+	}
+	return gt
+}
+
+// Live reports whether u can belong to a result: it lies in G's
+// k-core (T1, Theorem 2 applied to the whole graph), or, under the
+// degree test, it has degree ≥ k (Theorem 2 alone).
+func (gt Gate) Live(u graph.V) bool {
+	if gt.core == nil {
+		return gt.g.Degree(u) >= gt.k
+	}
+	return int(gt.core[u]) >= gt.k
+}
+
+// Root reports whether v can be the minimum vertex of a result: v is
+// live and has n ≥ k live neighbours larger than v. It also returns
+// those larger neighbours (live or not) and n; adj is v's sorted row,
+// which holds no v. The test is exact: in a result T whose minimum
+// vertex is v, v has at least ⌈γ(|T|−1)⌉ ≥ k neighbours, every one
+// larger than v and live. A root it refuses would be peeled before
+// mining on every path, since v's row in its task is those n
+// neighbours, so refusing it changes no result and no search tree.
+func (gt Gate) Root(v graph.V, adj []graph.V) (larger []graph.V, n int, ok bool) {
+	if !gt.Live(v) {
+		return nil, 0, false
+	}
+	// v's insertion point starts the larger neighbours.
+	i, _ := slices.BinarySearch(adj, v)
+	larger = adj[i:]
+	for _, u := range larger {
+		if gt.Live(u) {
+			n++
+		}
+	}
+	return larger, n, n >= gt.k
+}
+
 // PrepareGraph applies the global k-core preprocessing and returns the
 // shrunk graph (same vertex universe, edges only among survivors) plus
-// the sorted list of surviving vertices. Its keep-test is core[v] ≥ k
-// over g's memoized core numbers, so jobs on one graph pay for the
-// core pass once.
+// the sorted list of surviving vertices: the vertices and edges the
+// gate's Live keeps.
 func PrepareGraph(g *graph.Graph, par Params, opt Options) (*graph.Graph, []graph.V) {
 	n := g.NumVertices()
 	if opt.DisableKCore {
@@ -100,16 +155,16 @@ func PrepareGraph(g *graph.Graph, par Params, opt Options) (*graph.Graph, []grap
 		}
 		return g, all
 	}
-	core, k := g.CoreNumbers(), par.K()
+	gt := NewGate(g, par, opt)
 	b := graph.NewBuilder(n)
 	var kept []graph.V
 	for v := 0; v < n; v++ {
-		if int(core[v]) < k {
+		if !gt.Live(graph.V(v)) {
 			continue
 		}
 		kept = append(kept, graph.V(v))
 		for _, u := range g.Adj(graph.V(v)) {
-			if u > graph.V(v) && int(core[u]) >= k {
+			if u > graph.V(v) && gt.Live(u) {
 				b.AddEdge(graph.V(v), u)
 			}
 		}
@@ -152,9 +207,9 @@ func mineRoot(gk *graph.Graph, v graph.V, par Params, opt Options, m *Miner, s *
 
 // BuildRootSub constructs the k-core-peeled task subgraph for the root
 // vertex v over its >v two-hop neighborhood. It returns nil when the
-// task is pruned outright (candidate set below the size threshold, or
-// v peeled out of the core). The second return value is v's local
-// index.
+// task is pruned outright (v has fewer than k neighbours larger than
+// v, the candidate set is below the size threshold, or v is peeled out
+// of the core). The second return value is v's local index.
 func BuildRootSub(gk *graph.Graph, v graph.V, par Params, opt Options) (*Sub, uint32) {
 	var s Scratch
 	return BuildRootSubScratch(gk, v, par, opt, &s)
@@ -163,10 +218,20 @@ func BuildRootSub(gk *graph.Graph, v graph.V, par Params, opt Options) (*Sub, ui
 // BuildRootSubScratch is BuildRootSub with a caller-provided Scratch:
 // the two-hop scan, candidate filtering, and subgraph induction all
 // run on reusable per-worker buffers instead of per-call maps.
+//
+// With k-core peeling on, v must first pass the engine's root gate
+// (Gate.Root): at least k neighbours larger than v. On PrepareGraph's
+// k-core a vertex is live exactly when its degree is ≥ k, so the
+// degree gate over gk is the core gate over the input graph, and every
+// kept vertex that fails it would be peeled below. With DisableKCore
+// nothing is peeled and the gate is not asked.
 func BuildRootSubScratch(gk *graph.Graph, v graph.V, par Params, opt Options, s *Scratch) (*Sub, uint32) {
 	k := par.K()
-	if !opt.DisableKCore && gk.Degree(v) < k {
-		return nil, 0
+	if !opt.DisableKCore {
+		gate := NewGate(gk, par, Options{DisableKCore: true})
+		if _, _, ok := gate.Root(v, gk.Adj(v)); !ok {
+			return nil, 0
+		}
 	}
 	s.cand = gk.Within2Scratch(v, s.cand[:0], &s.marks)
 	// Within2 leaves v out, so v's insertion point starts the IDs > v.
