@@ -313,7 +313,10 @@
 //   - spawn — one spawn scan over the partition (args: tasks
 //     spawned, root vertices tested)
 //   - compute — one app Compute call (arg: subtasks created)
-//   - spill / refill — task batches crossing the disk boundary
+//   - spill / refill — task batches crossing the disk boundary; a
+//     spill span covers the encode and the file write of a batch from
+//     either queue (Qlocal to Lsmall, Qglobal to Lbig), on the worker
+//     that overflowed it
 //   - resolve — one batch of tasks having its pulls resolved (args:
 //     tasks, remote lookups); recorded only for a batch that pulled
 //     something

@@ -104,9 +104,6 @@ func TestSpillListRoundTrip(t *testing.T) {
 	if err := l.spill(in); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.sync(); err != nil { // wait out the write-behind
-		t.Fatal(err)
-	}
 	if l.count() != 10 {
 		t.Fatalf("count = %d", l.count())
 	}
@@ -136,9 +133,6 @@ func TestSpillListRoundTrip(t *testing.T) {
 	// LIFO order across files.
 	l.spill(mkTasks(1))
 	l.spill(in[:2])
-	if err := l.sync(); err != nil {
-		t.Fatal(err)
-	}
 	got, _, _ := l.refill()
 	if len(got) != 2 {
 		t.Fatalf("LIFO refill returned %d tasks, want newest file (2)", len(got))

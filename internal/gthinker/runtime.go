@@ -471,20 +471,6 @@ func (rt *MachineRuntime) isBig(t *Task) bool {
 	return !rt.cfg.DisableGlobalQueue && rt.jb().app.IsBig(t)
 }
 
-// addGlobal enqueues a big task, spilling a tail batch if the queue
-// overflows.
-func (rt *MachineRuntime) addGlobal(t *Task) {
-	jb := rt.jb()
-	jb.pushGlobal(t)
-	jb.bigTasks.Add(1)
-	if jb.qglobal.len() > rt.cfg.QueueCap {
-		batch := jb.qglobal.popBackBatch(rt.cfg.BatchSize)
-		if err := jb.lbig.spill(batch); err != nil {
-			jb.fail(err)
-		}
-	}
-}
-
 // DeliverTasks lands a batch of stolen tasks on this machine's global
 // queue — a host's opTaskSteal answer (over a socket or a loopback)
 // and recovery's re-owned batches share it. Liveness and the transfer

@@ -73,55 +73,28 @@ func (a *diskAccount) remove(n int64) {
 // most recently deferred work resumes first. Batches use the raw
 // columnar GQS1 format (internal/store), payloads encoded by codec.
 //
-// Writes are double-buffered: spill() encodes the batch on the calling
-// mining thread, then hands the bytes to a background goroutine and
-// returns — so encoding batch k+1 overlaps the disk write of batch k,
-// and the worker resumes mining without waiting for the write syscall.
-// At most one write per list is in flight (the slot channel), which
-// bounds retained memory to one encoded batch and keeps file order
-// deterministic. A refill or removeAll that reaches a still-pending
-// file waits on its done channel; an asynchronous write failure is
-// surfaced by the next spill() or by the refill that pops the failed
-// entry — either way the run fails, exactly like a synchronous error.
+// spill writes its batch on the calling thread and holds mu across the
+// write, so one write per list is in flight, files are listed in
+// sequence order, and every listed file is complete.
 type spillList struct {
 	mu    sync.Mutex
 	dir   string
 	name  string
 	seq   int
-	files []*spillFile
-	werr  error // first async write failure, surfaced on the next spill
+	files []spillFile
 	acct  *diskAccount
 	codec TaskCodec
 	nv    int // vertex count every decoded pull must stay below
-
-	slot chan struct{} // capacity 1: the single in-flight write token
 }
 
 type spillFile struct {
 	path  string
-	size  int64 // valid once done is closed (writer fills it)
+	size  int64
 	count int
-	done  chan struct{} // closed when the write-behind lands
-	err   error         // write outcome; read only after done
 }
 
 func newSpillList(dir, name string, acct *diskAccount, codec TaskCodec, numVertices int) *spillList {
-	l := &spillList{dir: dir, name: name, acct: acct, codec: codec, nv: numVertices,
-		slot: make(chan struct{}, 1)}
-	l.slot <- struct{}{}
-	return l
-}
-
-// sync waits for any in-flight write-behind to land and returns the
-// list's sticky write error: after sync, every tracked batch is
-// durable (or the failure is reported). Tests and sequencing points
-// that need a quiesced list use it; the hot paths never do.
-func (l *spillList) sync() error {
-	<-l.slot
-	l.slot <- struct{}{}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.werr
+	return &spillList{dir: dir, name: name, acct: acct, codec: codec, nv: numVertices}
 }
 
 // count returns the number of spilled tasks.
@@ -139,60 +112,33 @@ func (l *spillList) count() int {
 // across lists — Lbig spills race with Lsmall spills of every worker).
 var batchEncoders = sync.Pool{New: func() any { return new(store.BatchEncoder) }}
 
-// spill encodes tasks as one batch and schedules the file write behind
-// the caller. By the time it returns the batch is tracked (count and
-// refill see it) but the bytes may still be in flight; see spillList.
+// spill encodes tasks as one batch, outside the lock, and writes it to
+// the list's next file. A failed write leaves no file and no
+// accounting behind; the caller fails the run on the error.
 func (l *spillList) spill(tasks []*Task) error {
 	if len(tasks) == 0 {
 		return nil
 	}
 	enc := batchEncoders.Get().(*store.BatchEncoder)
+	defer batchEncoders.Put(enc) // data aliases enc's buffer
 	data, err := encodeTaskBatch(enc, tasks, l.codec)
 	if err != nil {
-		batchEncoders.Put(enc)
 		return fmt.Errorf("gthinker: spill: %w", err)
 	}
 
-	// Wait for the previous write to land (the encode above already
-	// overlapped it), then surface its error if it failed: the batch
-	// that just encoded is dropped, exactly as if this write had failed
-	// synchronously — the caller aborts the run either way.
-	<-l.slot
 	l.mu.Lock()
-	if err := l.werr; err != nil {
-		l.mu.Unlock()
-		l.slot <- struct{}{}
-		batchEncoders.Put(enc)
-		return err
-	}
+	defer l.mu.Unlock()
 	l.seq++
 	path := filepath.Join(l.dir, fmt.Sprintf("%s-%06d.gqs", l.name, l.seq))
-	sf := &spillFile{path: path, count: len(tasks), done: make(chan struct{})}
-	l.files = append(l.files, sf)
-	l.mu.Unlock()
-
-	go func() {
-		err := os.WriteFile(path, data, 0o644)
-		// data aliases enc's buffer: recycle only after the write.
-		batchEncoders.Put(enc)
-		if err != nil {
-			// A failed write can leave a partial file that nothing
-			// tracks; unlink it so the shutdown sweep's empty-SpillDir
-			// guarantee holds even on I/O errors (e.g. a full disk).
-			os.Remove(path)
-			sf.err = fmt.Errorf("gthinker: spill: %w", err)
-			l.mu.Lock()
-			if l.werr == nil {
-				l.werr = sf.err
-			}
-			l.mu.Unlock()
-		} else {
-			sf.size = int64(len(data))
-			l.acct.add(sf.size)
-		}
-		close(sf.done)
-		l.slot <- struct{}{}
-	}()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		// A failed write can leave a partial file that nothing tracks;
+		// unlink it so the shutdown sweep's empty-SpillDir guarantee
+		// holds even on I/O errors (e.g. a full disk).
+		os.Remove(path)
+		return fmt.Errorf("gthinker: spill: %w", err)
+	}
+	l.acct.add(int64(len(data)))
+	l.files = append(l.files, spillFile{path: path, size: int64(len(data)), count: len(tasks)})
 	return nil
 }
 
@@ -275,10 +221,7 @@ func decodeTaskBatch(data []byte, codec TaskCodec, numVertices int) ([]*Task, er
 }
 
 // refill pops the newest batch file, decodes its tasks, and unlinks
-// the file; ok=false when the list is empty. A popped file whose
-// write-behind has not landed yet is waited for first — LIFO refills
-// chase the freshest spill, so this wait is the write of the batch
-// spilled moments ago, not a backlog.
+// the file; ok=false when the list is empty.
 func (l *spillList) refill() (tasks []*Task, ok bool, err error) {
 	l.mu.Lock()
 	if len(l.files) == 0 {
@@ -289,14 +232,6 @@ func (l *spillList) refill() (tasks []*Task, ok bool, err error) {
 	l.files = l.files[:len(l.files)-1]
 	l.mu.Unlock()
 
-	if sf.done != nil {
-		<-sf.done
-		if sf.err != nil {
-			// The write never landed: there is no file to re-track and
-			// nothing was accounted — just surface the failure.
-			return nil, false, sf.err
-		}
-	}
 	tasks, err = readColumnar(sf.path, l.codec, l.nv)
 	if err == nil {
 		err = os.Remove(sf.path)
@@ -333,21 +268,14 @@ func readColumnar(path string, codec TaskCodec, numVertices int) ([]*Task, error
 
 // removeAll unlinks every remaining batch file (engine shutdown: a
 // cancelled or failed run can leave spilled tasks behind; a clean run
-// leaves nothing), draining any in-flight write-behind first so no
-// write can land after the sweep. Errors are ignored — the files are
-// best-effort temporaries at this point.
+// leaves nothing). Errors are ignored — the files are best-effort
+// temporaries at this point.
 func (l *spillList) removeAll() {
 	l.mu.Lock()
 	files := l.files
 	l.files = nil
 	l.mu.Unlock()
 	for _, f := range files {
-		if f.done != nil {
-			<-f.done
-			if f.err != nil {
-				continue // never landed: no file, nothing accounted
-			}
-		}
 		os.Remove(f.path)
 		l.acct.remove(f.size)
 	}

@@ -34,9 +34,6 @@ func TestSpillListColumnarRoundTrip(t *testing.T) {
 	if err := l.spill(in); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.sync(); err != nil { // wait out the write-behind
-		t.Fatal(err)
-	}
 	names, _ := filepath.Glob(filepath.Join(dir, "*.gqs"))
 	if len(names) != 1 {
 		t.Fatalf("want one .gqs file, got %v", names)
@@ -76,9 +73,6 @@ func TestSpillListColumnarRejectsCorruptFile(t *testing.T) {
 	if err := l.spill(mkVecTasks(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.sync(); err != nil {
-		t.Fatal(err)
-	}
 	names, _ := filepath.Glob(filepath.Join(dir, "*.gqs"))
 	data, err := os.ReadFile(names[0])
 	if err != nil {
@@ -110,9 +104,6 @@ func TestSpillListRemoveAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.sync(); err != nil {
-		t.Fatal(err)
-	}
 	if acct.current.Load() == 0 {
 		t.Fatal("nothing on disk")
 	}
@@ -125,5 +116,64 @@ func TestSpillListRemoveAll(t *testing.T) {
 	}
 	if _, ok, err := l.refill(); ok || err != nil {
 		t.Fatalf("refill after removeAll: %v %v", ok, err)
+	}
+}
+
+// TestSpillRefillRoundsReclaimDisk pops each batch right after
+// spilling it, 50 times over: every round gets its tasks back in order,
+// and the disk accounting ends at zero.
+func TestSpillRefillRoundsReclaimDisk(t *testing.T) {
+	var acct diskAccount
+	l := newSpillList(t.TempDir(), "col", &acct, toyCodec{}, testVertices)
+	for round := 0; round < 50; round++ {
+		in := mkVecTasks(8)
+		if err := l.spill(in); err != nil {
+			t.Fatal(err)
+		}
+		out, ok, err := l.refill()
+		if err != nil || !ok {
+			t.Fatalf("round %d: refill: %v %v", round, ok, err)
+		}
+		if len(out) != len(in) {
+			t.Fatalf("round %d: refilled %d of %d tasks", round, len(out), len(in))
+		}
+		for i := range out {
+			if out[i].ID != in[i].ID {
+				t.Fatalf("round %d task %d: ID %d != %d", round, i, out[i].ID, in[i].ID)
+			}
+		}
+	}
+	if acct.current.Load() != 0 {
+		t.Fatalf("disk accounting leaked: %d", acct.current.Load())
+	}
+}
+
+// TestSpillWriteErrorSurfaces: a write that fails reports it from the
+// spill call itself and leaves no file, no accounting and no listed
+// batch behind.
+func TestSpillWriteErrorSurfaces(t *testing.T) {
+	var acct diskAccount
+	root := t.TempDir()
+	dir := filepath.Join(root, "missing", "deeper") // unwritable
+	l := newSpillList(dir, "col", &acct, toyCodec{}, testVertices)
+	if err := l.spill(mkVecTasks(2)); err == nil || !strings.Contains(err.Error(), "spill") {
+		t.Fatalf("spill into a missing directory: err = %v", err)
+	}
+	if leftovers, _ := os.ReadDir(root); len(leftovers) != 0 {
+		t.Fatalf("failed spill left files: %v", leftovers)
+	}
+	if acct.written.Load() != 0 || acct.current.Load() != 0 || acct.files.Load() != 0 {
+		t.Fatalf("failed write was accounted: written=%d current=%d files=%d",
+			acct.written.Load(), acct.current.Load(), acct.files.Load())
+	}
+	if n := l.count(); n != 0 {
+		t.Fatalf("failed batch is listed: count = %d", n)
+	}
+	if _, ok, err := l.refill(); ok || err != nil {
+		t.Fatalf("refill after a failed spill: ok=%v err=%v", ok, err)
+	}
+	l.removeAll()
+	if acct.current.Load() != 0 {
+		t.Fatalf("removeAll moved the accounting: %d", acct.current.Load())
 	}
 }

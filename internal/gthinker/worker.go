@@ -81,17 +81,34 @@ func (w *worker) addLocal(t *Task) {
 	w.qlocal.pushBack(t)
 	w.rt.jb().smallTasks.Add(1)
 	if w.qlocal.len() > w.rt.cfg.QueueCap {
-		batch := w.qlocal.popBackBatch(w.rt.cfg.BatchSize)
-		var start time.Time
-		if w.tracer != nil {
-			start = time.Now()
-		}
-		if err := w.lsmall.spill(batch); err != nil {
-			w.rt.fail(err)
-		}
-		if w.tracer != nil {
-			w.tracer.Record(w.track, obs.KindSpill, start, time.Since(start), uint64(len(batch)), 0)
-		}
+		w.spill(w.lsmall, w.qlocal.popBackBatch(w.rt.cfg.BatchSize))
+	}
+}
+
+// addGlobal enqueues a big task on the machine-wide queue, spilling on
+// overflow.
+func (w *worker) addGlobal(t *Task) {
+	jb := w.rt.jb()
+	jb.pushGlobal(t)
+	jb.bigTasks.Add(1)
+	if jb.qglobal.len() > w.rt.cfg.QueueCap {
+		w.spill(jb.lbig, jb.qglobal.popBackBatch(w.rt.cfg.BatchSize))
+	}
+}
+
+// spill writes the tail batch of an overflowing queue to its list
+// (Qlocal to Lsmall, Qglobal to Lbig) and records the spill on this
+// worker's track. A failed write fails the job.
+func (w *worker) spill(l *spillList, batch []*Task) {
+	var start time.Time
+	if w.tracer != nil {
+		start = time.Now()
+	}
+	if err := l.spill(batch); err != nil {
+		w.rt.fail(err)
+	}
+	if w.tracer != nil {
+		w.tracer.Record(w.track, obs.KindSpill, start, time.Since(start), uint64(len(batch)), 0)
 	}
 }
 
@@ -99,7 +116,7 @@ func (w *worker) addLocal(t *Task) {
 // (reforge: big tasks to the machine-wide global queue).
 func (w *worker) route(t *Task) {
 	if w.rt.isBig(t) {
-		w.rt.addGlobal(t)
+		w.addGlobal(t)
 	} else {
 		w.addLocal(t)
 	}
@@ -299,7 +316,7 @@ func (w *worker) spawnScan() bool {
 		jb.spawnedTasks.Add(1)
 		spawned++
 		if rt.isBig(t) {
-			rt.addGlobal(t)
+			w.addGlobal(t)
 			break // stop at first big task
 		}
 		w.addLocal(t)

@@ -15,7 +15,7 @@ import (
 
 // procsPool starts a pool of real worker processes over the session
 // test graph, or skips under -short.
-func procsPool(t *testing.T, ecfg gthinker.Config) *ProcsPool {
+func procsPool(t *testing.T, ecfg gthinker.Config) *Session {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("spawns OS processes")

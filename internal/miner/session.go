@@ -72,10 +72,6 @@ type Session struct {
 	closed  bool
 }
 
-// ProcsPool is the session StartProcsPool returns, under its former
-// name.
-type ProcsPool = Session
-
 // NewSession prepares a session over g on an in-process cluster. The
 // engine configuration (cluster shape, queue capacities, spill
 // directory) is fixed for the session's lifetime; per-job knobs belong
@@ -96,7 +92,7 @@ const procsTimeout = 30 * time.Second
 // per-query cost is the query, not the deployment. ecfg fixes the
 // engine shape for the pool's lifetime; every worker takes it from the
 // join.
-func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*ProcsPool, error) {
+func StartProcsPool(ecfg gthinker.Config, pcfg ProcsConfig) (*Session, error) {
 	if pcfg.Command == nil {
 		return nil, fmt.Errorf("miner: procs pool needs a worker Command factory")
 	}
@@ -218,7 +214,8 @@ func (s *Session) Mine(ctx context.Context, cfg Config) (*Result, error) {
 	return res, runErr
 }
 
-// RunJob is Mine, under the name ProcsPool gave it.
+// RunJob is Mine, under the name the procs pool gave it when it was a
+// type of its own.
 func (s *Session) RunJob(ctx context.Context, cfg Config) (*Result, error) {
 	return s.Mine(ctx, cfg)
 }

@@ -536,12 +536,33 @@ const (
 //     emitted nothing either.
 //   - The ext pass (stageExt) counts ext's dS and builds the degree
 //     prefix, and the t-loops of Eqs (4) and (8) run on it.
-//   - Critical-vertex expansion, then Type II: Theorems 6 and 8 are
-//     comparisons; Theorem 4's flags are read off the stored dS and dE
-//     (theorem4), only when degree pruning is on and min dS or
-//     min(dS+dE) is low enough for either. Theorem 4(i) spares S
-//     itself, so it applies only when none of the others does.
+//   - Critical-vertex expansion, then Type II, which decides only
+//     under an ablation (below).
 //   - Type I (pruneExt), which loops when it removed a vertex.
+//
+// With both bounds and degree pruning on, no Type II rule decides,
+// because an earlier exit always fires first. Write need[k] = ⌈γk⌉, so
+// θU[|S|] = need[|S|]:
+//   - Thm 4(i), a member with dE = 0 and dS < need[|S|], has dS+dE below
+//     θU[|S|]: Eq (3) cut the round.
+//   - Thm 6, min dS + U_S < need[|S|+U_S−1], holds exactly when U_S <
+//     L_S^min, as need[|S|+t−1] − t never rises with t: U_S < L_S ended
+//     the round.
+//   - Thm 8, min(dS+dE) < need[|S|+L_S−1], means ⌊min(dS+dE)/γ⌋ + 1 − |S|
+//     < L_S, so U_S < L_S.
+//   - Thm 4(ii) for a member with dS = a and dE = b, a+b < need[|S|−1+b],
+//     gives U_S < b the same way, and a+t < need[|S|+t−1] for every
+//     t ≤ b, so U_S < L_S^min.
+//
+// The block stays because the rules do decide under DisableUpperBound
+// or DisableLowerBound: without it those ablations mine larger trees,
+// and an eager round under {DisableLowerBound, DisableCriticalVertex}
+// ends at Thm 6. TestBoundingRoundLazyExact fails if a round under the
+// default options ends at a Type II rule. Theorems 6 and 8 are
+// comparisons; Theorem 4's flags are read off the stored dS and dE
+// (theorem4), only when degree pruning is on and min dS or min(dS+dE)
+// is low enough for either. Theorem 4(i) spares S itself, so it applies
+// only when none of the others does.
 //
 // A pruned round leaves dS and dE stale: from the member an S pass
 // stopped at onward they hold an earlier round's values, and ext's dS

@@ -436,9 +436,9 @@ func denseIn(rng *rand.Rand, sub *Sub, pool []uint32, k int) []uint32 {
 // ext (in order), make the same emissions, and, when the node stays
 // open, leave mine the same rows and degrees and the same cover search.
 // Each rule that can end a round must end one on some input, on Subs
-// of one word and of more — the Type II exits, which decide no round of
-// a serial mine of the benchmark's hardcore graph, are only logged —
-// and critical moves must happen.
+// of one word and of more, and critical moves must happen. Under the
+// default options no round may end at a Type II rule (Theorems 4, 6,
+// 8): an earlier exit implies each of them (see iterativeBounding).
 func TestBoundingRoundLazyExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	inputs := roundInputs(rng)
@@ -481,6 +481,10 @@ func TestBoundingRoundLazyExact(t *testing.T) {
 					exits[width] = map[string]int{}
 				}
 				exits[width][exit]++
+				switch exit {
+				case "thm4i", "thm4ii", "thm6", "thm8":
+					fail("a round under the default options ended at Type II")
+				}
 				if exit == "eq3" && wf {
 					exits[width]["eq3, G(S) found"]++
 				}

@@ -30,7 +30,7 @@ func SessionBackend(s *miner.Session) Backend { return s }
 
 // PoolBackend is SessionBackend, under the name it had when a pool of
 // worker processes was a type of its own.
-func PoolBackend(p *miner.ProcsPool) Backend { return SessionBackend(p) }
+func PoolBackend(p *miner.Session) Backend { return SessionBackend(p) }
 
 // JobRequest is the POST /v1/jobs body: the per-query parameters.
 // Everything beyond gamma/min_size is optional.
