@@ -41,7 +41,7 @@ func AblationPruning(dataset string) ([]AblationRow, error) {
 		opt  quasiclique.Options
 	}{
 		{"full algorithm", quasiclique.Options{}},
-		{"no k-core preprocessing (T1)", quasiclique.Options{DisableKCore: true}},
+		{"degree gate, no k-core (T1)", quasiclique.Options{DisableKCore: true}},
 		{"no lookahead", quasiclique.Options{DisableLookahead: true}},
 		{"no cover-vertex (P7)", quasiclique.Options{DisableCoverVertex: true}},
 		{"no critical-vertex (P6)", quasiclique.Options{DisableCriticalVertex: true}},

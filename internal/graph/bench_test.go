@@ -32,16 +32,3 @@ func BenchmarkWithin2(b *testing.B) {
 		dst = g.Within2(V(i%1000), dst[:0])
 	}
 }
-
-// BenchmarkWithin2Scratch is the allocation-free path used by the
-// miner: a reusable epoch-stamped scratch threaded through the call.
-func BenchmarkWithin2Scratch(b *testing.B) {
-	g := benchGraph(20000, 8)
-	var s Scratch
-	var dst []V
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = g.Within2Scratch(V(i%1000), dst[:0], &s)
-	}
-}

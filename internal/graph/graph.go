@@ -8,9 +8,9 @@
 // adjacency list of vertex v is neighbors[offsets[v]:offsets[v+1]].
 // Vertices are dense uint32 IDs in [0, N). Compared to a slice of
 // per-vertex slices, CSR costs one allocation instead of n+1, keeps
-// every adjacency list contiguous in memory (the scans in Within2 and
-// task-subgraph construction walk neighbors-of-neighbors, so locality
-// matters), and serializes as two flat arrays (see codec.go).
+// every adjacency list contiguous in memory (root-task construction
+// walks neighbors-of-neighbors, so locality matters), and serializes
+// as two flat arrays (see codec.go).
 //
 // # Sharing invariants
 //
@@ -32,8 +32,9 @@
 //
 // Traversals that need per-call visited marks take a *Scratch — a
 // reusable epoch-stamped marker — instead of allocating maps, so the
-// per-task hot paths (Within2, subgraph induction) are allocation-free
-// when the caller threads one Scratch per worker.
+// miners' per-task hot paths (two-hop member collection, subgraph
+// induction) are allocation-free when the caller threads one Scratch
+// per worker.
 //
 // # Ingestion
 //
@@ -154,19 +155,12 @@ func (s *Scratch) Marked(v V) bool { return s.stamp[v] == s.epoch }
 
 // Within2 appends to dst every vertex u ≠ v with distance δ(u,v) ≤ 2
 // (the paper's B̄(v) minus v itself), sorted increasing, and returns the
-// extended slice. This is the candidate universe of a task spawned from
-// v under diameter-2 pruning (P1, valid for γ ≥ 0.5).
-//
-// Within2 allocates a fresh marker per call; the mining hot paths use
-// Within2Scratch with a per-worker Scratch instead.
+// extended slice: the candidate universe of a task spawned from v
+// under diameter-2 pruning (P1, valid for γ ≥ 0.5). It allocates its
+// own marker per call; it is the reference the miners' member
+// collections are tested against, not a hot path.
 func (g *Graph) Within2(v V, dst []V) []V {
 	var s Scratch
-	return g.Within2Scratch(v, dst, &s)
-}
-
-// Within2Scratch is Within2 with a caller-provided Scratch: zero
-// allocations beyond growth of dst (and one-time growth of s).
-func (g *Graph) Within2Scratch(v V, dst []V, s *Scratch) []V {
 	s.Begin(g.NumVertices())
 	s.Mark(v) // excluded from the result
 	adjV := g.Adj(v)

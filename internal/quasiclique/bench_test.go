@@ -38,16 +38,23 @@ func BenchmarkSubFromGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildRootSub is the full root-task construction: two-hop
-// candidate scan, induced subgraph, k-core peel.
+// BenchmarkBuildRootSub is the serial driver's full root-task
+// construction: the root gate and larger two-hop member scan over the
+// live vertices (rootMembers), then RootSub's induced matrix, peel and
+// compaction on G's own rows.
 func BenchmarkBuildRootSub(b *testing.B) {
 	g := benchGraph(20000, 8)
 	par := Params{Gamma: 0.9, MinSize: 4}
+	gt := NewGate(g, par, Options{})
 	var sc Scratch
+	var members []graph.V
+	row := func(i int) []uint32 { return g.Adj(members[i]) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildRootSubScratch(g, graph.V(i%1000), par, Options{}, &sc)
+		if members = gt.rootMembers(graph.V(i%1000), &sc); members != nil {
+			RootSub(members, g.NumVertices(), row, par.K(), &sc)
+		}
 	}
 }
 

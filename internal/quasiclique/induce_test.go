@@ -72,9 +72,9 @@ func TestInduceMatchesNaive(t *testing.T) {
 	}{
 		{"graph rows", func(rng *rand.Rand, g *graph.Graph, sc *Scratch) error {
 			verts := randomKeep(rng, g.NumVertices(), rng.Float64())
-			got := subFromGraph(g, verts, sc, true)
+			_, got := Induce(verts, g.NumVertices(), func(i int) []uint32 { return g.Adj(verts[i]) }, 0, 0, sc)
 			_, adj := naiveInduce(verts, func(i int) []uint32 { return g.Adj(verts[i]) })
-			return diffSub(got, &Sub{Label: verts, Adj: adj})
+			return diffSub(&Sub{Label: verts, Adj: got}, &Sub{Label: verts, Adj: adj})
 		}},
 		{"Sub rows relabelled by a peel", func(rng *rand.Rand, g *graph.Graph, sc *Scratch) error {
 			parent := SubFromGraph(g, randomKeep(rng, g.NumVertices(), 0.5+0.5*rng.Float64()))

@@ -9,11 +9,8 @@ import (
 
 // MineStats summarizes one serial mining run.
 type MineStats struct {
-	// KCoreKept is the number of vertices surviving the global k-core
-	// preprocessing (T1).
-	KCoreKept int
 	// Roots is the number of root tasks actually mined (vertices
-	// whose candidate set passed the size threshold).
+	// whose peeled root task passed the size threshold).
 	Roots int
 	// Nodes is the total number of set-enumeration tree nodes.
 	Nodes int64
@@ -30,8 +27,8 @@ type MineStats struct {
 }
 
 // MineGraph runs the paper's serial algorithm over an entire graph:
-// global k-core shrink (T1), then one root task per surviving vertex v
-// mining quasi-cliques whose minimum vertex is v (Section 3.1's
+// one root task per vertex v that Gate.Root admits, mining the
+// quasi-cliques whose minimum vertex is v (Section 3.1's
 // set-enumeration partitioning), then the maximality post-filter.
 func MineGraph(g *graph.Graph, par Params, opt Options) ([][]graph.V, MineStats, error) {
 	return MineGraphContext(context.Background(), g, par, opt)
@@ -40,13 +37,16 @@ func MineGraph(g *graph.Graph, par Params, opt Options) ([][]graph.V, MineStats,
 // MineGraphContext is MineGraph with cancellation: when ctx is done,
 // mining unwinds promptly and the call returns the results found so
 // far together with ctx.Err().
+//
+// Each root is built the way the engine builds one (Algorithm 7):
+// v's members are v and its larger live two-hop set (rootMembers), and
+// RootSub induces them on G's own rows and peels them to the k-core,
+// so no job rebuilds G's k-core as a graph.
 func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Options) ([][]graph.V, MineStats, error) {
 	var stats MineStats
 	if err := par.Validate(); err != nil {
 		return nil, stats, err
 	}
-	gk, kept := PrepareGraph(g, par, opt)
-	stats.KCoreKept = len(kept)
 	var found [][]graph.V // every emission; Finalize drops repeats
 	var ctxErr error
 	// Poll ctx cheaply: a done channel probe per tree node would be
@@ -70,16 +70,32 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 	m := NewPooledMiner(par, opt)
 	m.Abort = cancelled
 	m.Emit = func(locals []uint32) { found = append(found, m.Sub.Labels(locals)) }
-	for _, v := range kept {
+	gt := NewGate(g, par, opt)
+	n, k := g.NumVertices(), par.K()
+	var members []graph.V
+	row := func(i int) []uint32 { return g.Adj(members[i]) }
+	for v := graph.V(0); int(v) < n; v++ {
+		// Root's first test, inlined: a selective job refuses most
+		// vertices here, before any call.
+		if !gt.Live(v) {
+			continue
+		}
+		members = gt.rootMembers(v, &scratch)
+		if len(members) < par.MinSize {
+			continue
+		}
 		if cancelled() {
 			break
 		}
-		rs := mineRoot(gk, v, par, opt, m, &scratch)
-		stats.Nodes += rs.Nodes
-		stats.Candidates += rs.Candidates
-		if rs.Mined {
-			stats.Roots++
+		sub, S, ext := RootSub(members, n, row, k, &scratch)
+		if sub == nil || sub.N() < par.MinSize {
+			continue
 		}
+		m.Reset(sub)
+		m.RecursiveMine(S, ext)
+		stats.Roots++
+		stats.Nodes += m.Nodes
+		stats.Candidates += m.EmitCount
 	}
 	results := Finalize([][][]graph.V{found}, opt.SkipMaximalityFilter)
 	stats.Results = len(results)
@@ -90,8 +106,8 @@ func MineGraphContext(ctx context.Context, g *graph.Graph, par Params, opt Optio
 // anything: Live says whether a vertex can belong to a result, Root
 // whether it can be the minimum vertex of one, so whether its root
 // task is worth spawning. The engine's Spawn and pull rounds, the
-// serial driver's BuildRootSubScratch and PrepareGraph, and qcstats's
-// root count all ask it.
+// serial driver's root loop, PrepareGraph, and qcstats's root count
+// all ask it.
 type Gate struct {
 	g    *graph.Graph
 	core []uint32 // g.CoreNumbers(); nil for the degree test
@@ -172,90 +188,65 @@ func PrepareGraph(g *graph.Graph, par Params, opt Options) (*graph.Graph, []grap
 	return b.MustBuild(), kept
 }
 
-// RootStats reports one root task's work.
-type RootStats struct {
-	Mined      bool
-	Nodes      int64
-	Candidates int64
-}
-
-// mineRoot mines all quasi-cliques whose minimum vertex is v on a
-// pooled miner (Emit/Abort already installed) and per-run scratch: it
-// builds the task subgraph over {v} ∪ {u ∈ B̄(v) : u > v}, shrunk to its
-// k-core (Algorithms 6–7 do the same while pulling), and runs
-// RecursiveMine rooted at S = {v}.
-func mineRoot(gk *graph.Graph, v graph.V, par Params, opt Options, m *Miner, s *Scratch) RootStats {
-	var rs RootStats
-	sub, localV := BuildRootSubScratch(gk, v, par, opt, s)
-	if sub == nil {
-		return rs
+// rootMembers returns the member set of v's root task in s.verts, or
+// nil when Root refuses v: v followed by every live u > v within two
+// hops of v through a live neighbour of any ID, sorted. That is
+// {v} ∪ {u ∈ B̄(v) : u > v} over the graph of live vertices (P1 and
+// T1), the set Algorithm 7 induces; s's marker does the dedup.
+func (gt Gate) rootMembers(v graph.V, s *Scratch) []graph.V {
+	adj := gt.g.Adj(v)
+	if _, _, ok := gt.Root(v, adj); !ok {
+		return nil
 	}
-	m.Reset(sub)
-	s.rootS = append(s.rootS[:0], localV)
-	s.rootExt = s.rootExt[:0]
-	for i := 0; i < sub.N(); i++ {
-		if uint32(i) != localV {
-			s.rootExt = append(s.rootExt, uint32(i))
+	marks := &s.marks
+	marks.Begin(gt.g.NumVertices())
+	marks.Mark(v)
+	members := append(s.verts[:0], v)
+	for _, w := range adj {
+		if !gt.Live(w) {
+			continue
+		}
+		if !marks.Marked(w) && w > v {
+			marks.Mark(w)
+			members = append(members, w)
+		}
+		// Rows are sorted: v's insertion point starts the IDs > v.
+		row := gt.g.Adj(w)
+		i, _ := slices.BinarySearch(row, v)
+		for _, u := range row[i:] {
+			if !marks.Marked(u) {
+				marks.Mark(u) // a dead u stays out on every later sighting
+				if gt.Live(u) {
+					members = append(members, u)
+				}
+			}
 		}
 	}
-	rs.Mined = true
-	m.RecursiveMine(s.rootS, s.rootExt)
-	rs.Nodes = m.Nodes
-	rs.Candidates = m.EmitCount
-	return rs
+	slices.Sort(members[1:])
+	s.verts = members
+	return members
 }
 
-// BuildRootSub constructs the k-core-peeled task subgraph for the root
-// vertex v over its >v two-hop neighborhood. It returns nil when the
-// task is pruned outright (v has fewer than k neighbours larger than
-// v, the candidate set is below the size threshold, or v is peeled out
-// of the core). The second return value is v's local index.
+// BuildRootSub is the serial root task of v as a list Sub over gk,
+// PrepareGraph's output: rootMembers under the degree gate, which
+// equals the core gate on a k-core, induced and peeled by rootList. It
+// returns nil when the gate refuses v, the peel drops v, or fewer than
+// τsize vertices remain. The second return value is v's local index,
+// always 0. opt is not read: gk already carries it.
 func BuildRootSub(gk *graph.Graph, v graph.V, par Params, opt Options) (*Sub, uint32) {
 	var s Scratch
 	return BuildRootSubScratch(gk, v, par, opt, &s)
 }
 
-// BuildRootSubScratch is BuildRootSub with a caller-provided Scratch:
-// the two-hop scan, candidate filtering, and subgraph induction all
-// run on reusable per-worker buffers instead of per-call maps.
-//
-// With k-core peeling on, v must first pass the engine's root gate
-// (Gate.Root): at least k neighbours larger than v. On PrepareGraph's
-// k-core a vertex is live exactly when its degree is ≥ k, so the
-// degree gate over gk is the core gate over the input graph, and every
-// kept vertex that fails it would be peeled below. With DisableKCore
-// nothing is peeled and the gate is not asked.
-func BuildRootSubScratch(gk *graph.Graph, v graph.V, par Params, opt Options, s *Scratch) (*Sub, uint32) {
-	k := par.K()
-	if !opt.DisableKCore {
-		gate := NewGate(gk, par, Options{DisableKCore: true})
-		if _, _, ok := gate.Root(v, gk.Adj(v)); !ok {
-			return nil, 0
-		}
-	}
-	s.cand = gk.Within2Scratch(v, s.cand[:0], &s.marks)
-	// Within2 leaves v out, so v's insertion point starts the IDs > v.
-	i, _ := slices.BinarySearch(s.cand, v)
-	cand := s.cand[i:]
-	if 1+len(cand) < par.MinSize {
+// BuildRootSubScratch is BuildRootSub on a caller-provided Scratch.
+func BuildRootSubScratch(gk *graph.Graph, v graph.V, par Params, _ Options, s *Scratch) (*Sub, uint32) {
+	members := NewGate(gk, par, Options{DisableKCore: true}).rootMembers(v, s)
+	if len(members) < par.MinSize {
 		return nil, 0
 	}
-	s.verts = append(s.verts[:0], v)
-	s.verts = append(s.verts, cand...) // v < all of cand, so sorted
-	// With k-core peeling on (the default), the peel's Induce rebuilds
-	// Label from scratch and the unpeeled Sub dies here, so it may
-	// alias the scratch buffer; only the no-peel path needs its own
-	// label copy (the Sub escapes holding it).
-	sub := subFromGraph(gk, s.verts, s, opt.DisableKCore)
-	if !opt.DisableKCore {
-		peeled, _ := sub.PeelKCoreScratch(k, s)
-		sub = peeled
-		if sub.N() == 0 || sub.Label[0] != v {
-			return nil, 0 // v itself was peeled: no quasi-clique rooted here
-		}
-	}
-	if sub.N() < par.MinSize {
+	sub, _, _ := rootList(members, gk.NumVertices(), func(i int) []uint32 { return gk.Adj(members[i]) }, par.K(), s)
+	if sub == nil || sub.N() < par.MinSize {
 		return nil, 0
 	}
-	return sub, 0 // v is the smallest label, so local index 0
+	return sub, 0
 }

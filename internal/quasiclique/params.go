@@ -44,18 +44,18 @@
 // sorted S ∪ ext, mapped to the child's indices — into a rows Sub, and
 // the child stays bit rows through the engine's queue, spill file and
 // steal frame (Sub.AppendRaw writes the words verbatim) until the
-// next miner binds it with a copy. The G-thinker app's root task is a
-// rows Sub from the start: RootSub fills its induced matrix in worker
-// scratch, peels it by popcount and compacts the survivors the same
-// way.
+// next miner binds it with a copy. A root task up to matrixCap, of the
+// serial driver and the G-thinker app alike, is a rows Sub from the
+// start: RootSub fills its induced matrix in worker scratch, peels it
+// by popcount and compacts the survivors the same way.
 //
-// Every list Sub comes out of one induction routine, Induce: the serial
-// driver's root task (BuildRootSub), each k-core peel's
-// (PeelKCoreScratch), an app root above matrixCap (RootSub's
-// fallback), and the children of an oversize split
-// (MakeSubtaskScratch), whose parent has no matrix to compact from. It marks the kept IDs in the Scratch's epoch-stamped marker,
-// counts the kept entries of each row exactly and fills them into one
-// allocation.
+// Every list Sub comes out of one induction routine, Induce: each
+// k-core peel's (PeelKCoreScratch), a root above matrixCap (RootSub's
+// fallback), BuildRootSub's probe root, and the children of an
+// oversize split (MakeSubtaskScratch), whose parent has no matrix to
+// compact from. It marks the kept IDs in the Scratch's epoch-stamped
+// marker, counts the kept entries of each row exactly and fills them
+// into one allocation.
 package quasiclique
 
 import (
@@ -115,11 +115,11 @@ func FloorDiv(x int, gamma float64) int {
 // provably fruitless work); it changes running time and the number of
 // non-maximal candidates emitted before post-processing.
 type Options struct {
-	// DisableKCore skips the global k-core preprocessing (T1): the
-	// serial path mines G unshrunk, and the engine spawns roots and
-	// pulls vertices by degree ≥ k instead of core number ≥ k. The
-	// paper reports T1 is "a dominating factor to scale beyond a
-	// small graph".
+	// DisableKCore skips the global k-core preprocessing (T1): both
+	// drivers gate roots and members by degree ≥ k instead of core
+	// number ≥ k (Gate), and still peel each root task to its own
+	// k-core. The paper reports T1 is "a dominating factor to scale
+	// beyond a small graph".
 	DisableKCore bool
 	// DisableLookahead skips the G(S ∪ ext(S)) early-accept of [27]
 	// (Algorithm 2 lines 8–10).

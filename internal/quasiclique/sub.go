@@ -18,18 +18,18 @@ import (
 // only the subgraph: the bitset matrix mining runs on belongs to the
 // Miner bound to it.
 //
-// Its adjacency takes one of two forms. A list Sub — a root task of
-// the serial driver (BuildRootSub), a k-core peel's, a child of an
-// oversize split, an engine root above matrixCap — holds sorted rows
-// in Adj that share one packed backing array (CSR-style, mirroring the
-// graph substrate's layout); Induce builds every one. A rows Sub — an
-// engine root up to matrixCap, built and peeled as bit rows by RootSub,
-// a decomposed subtask, compacted from its parent's matrix by
-// Miner.Subtask, or either decoded from a spill file or a steal frame
-// by DecodeRaw — holds Rows instead: n bit rows of bitset.WordsFor(n)
-// words, row i the local neighbours of vertex i, which is the layout of
-// the matrix a Miner binds, so binding one is a copy. A rows Sub is
-// never above matrixCap. A subtask's rows may include witness rows
+// Its adjacency takes one of two forms. A list Sub — a k-core peel's,
+// a child of an oversize split, a root above matrixCap, BuildRootSub's
+// probe root — holds sorted rows in Adj that share one packed backing
+// array (CSR-style, mirroring the graph substrate's layout); Induce
+// builds every one. A rows Sub — a root up to matrixCap of either
+// driver, built and peeled as bit rows by RootSub, a decomposed
+// subtask, compacted from its parent's matrix by Miner.Subtask, or
+// either decoded from a spill file or a steal frame by DecodeRaw —
+// holds Rows instead: n bit rows of bitset.WordsFor(n) words, row i
+// the local neighbours of vertex i, which is the layout of the matrix
+// a Miner binds, so binding one is a copy. A rows Sub is never above
+// matrixCap. A subtask's rows may include witness rows
 // (see Miner.Subtask): vertices outside its S′ ∪ ext′ whose rows list
 // their neighbours in S′ ∪ ext′ and which no other row lists.
 type Sub struct {
@@ -66,24 +66,21 @@ func (s *Sub) Labels(locals []uint32) []graph.V {
 
 // Scratch is the per-worker reusable state for task construction: the
 // epoch-stamped ID → position map Induce and RootSub relabel through
-// (no O(n) clear per task), the candidate/vertex buffers of
-// BuildRootSub, the peel buffers, one buffer for a split child's
-// sorted S ∪ ext, and RootSub's bit matrix, peel state and compactor.
-// The marker doubles as the two-hop scratch for Within2Scratch — the two
-// phases never overlap within a call. Nothing a caller keeps lives
-// here: every Sub the package returns owns its storage. A zero
-// Scratch is ready to use. Not safe for concurrent use — the serial
-// driver owns one, and the G-thinker app threads one per worker.
+// (no O(n) clear per task), the serial driver's root member set, the
+// peel buffers, one buffer for a split child's sorted S ∪ ext, and
+// RootSub's bit matrix, peel state and compactor. The marker doubles
+// as the two-hop dedup of the member collection, which ends before
+// RootSub begins. Nothing a caller keeps lives here: every Sub the
+// package returns owns its storage. A zero Scratch is ready to use.
+// Not safe for concurrent use — the serial driver owns one, and the
+// G-thinker app threads one per worker.
 type Scratch struct {
 	marks graph.Scratch // epoch-stamped marker over Induce's ID space
 	idx   []uint32      // ID → position in Induce's keep, valid when marked
-	cand  []graph.V     // BuildRootSub candidate buffer
-	verts []graph.V     // BuildRootSub vertex-set buffer
+	verts []graph.V     // a serial root's member set (rootMembers)
 
-	keep    []uint32          // peel survivors, or a split child's sorted S ∪ ext
-	peel    kcore.PeelScratch // PeelKCoreScratch peel buffers
-	rootS   []uint32          // serial driver's root S = {v}
-	rootExt []uint32          // serial driver's root ext(S)
+	keep []uint32          // peel survivors, or a split child's sorted S ∪ ext
+	peel kcore.PeelScratch // PeelKCoreScratch peel buffers
 
 	mat   bitset.Matrix // RootSub's induced adjacency
 	deg   []int32       // RootSub's peel degrees, per matrix row
@@ -92,11 +89,10 @@ type Scratch struct {
 	pack  compactor     // RootSub's survivor compaction
 }
 
-// Induce is the one induction routine: every list Sub — a serial root
-// task's, a peeled core, an oversize split's child, an engine root
-// above matrixCap — comes out of it. keep is a strictly increasing set of IDs in
-// [0, n), and row(i) returns keep[i]'s sorted neighbour row in that
-// space. Induce marks keep in sc's epoch-stamped marker, so nothing of
+// Induce is the one induction routine: every list Sub — a peeled
+// core, an oversize split's child, a root above matrixCap — comes out
+// of it. keep is a strictly increasing set of IDs in [0, n), and
+// row(i) returns keep[i]'s sorted neighbour row in that space. Induce marks keep in sc's epoch-stamped marker, so nothing of
 // size n is cleared, counts the rows' entries inside keep exactly, and
 // allocates one []uint32 of head + count + tail entries. Its middle
 // holds the rows relabelled to positions in keep, and adj[i] slices
@@ -139,27 +135,13 @@ func Induce(keep []uint32, n int, row func(i int) []uint32, head, tail int, sc *
 }
 
 // SubFromGraph induces the subgraph of g on the sorted vertex set
-// verts. verts is copied; the caller keeps ownership.
+// verts as a list Sub. verts is copied; the caller keeps ownership.
 func SubFromGraph(g *graph.Graph, verts []graph.V) *Sub {
 	var s Scratch
-	return subFromGraph(g, verts, &s, true)
-}
-
-// subFromGraph induces g on the sorted set verts. With copyLabel false
-// the Sub's Label aliases verts, so the caller must guarantee verts
-// outlives the Sub (or that the Sub dies first, as in the peeled
-// root-task path); otherwise the Label shares the rows' allocation.
-func subFromGraph(g *graph.Graph, verts []graph.V, s *Scratch, copyLabel bool) *Sub {
-	head := 0
-	if copyLabel {
-		head = len(verts)
-	}
-	buf, adj := Induce(verts, g.NumVertices(), func(i int) []uint32 { return g.Adj(verts[i]) }, head, 0, s)
-	label := verts
-	if copyLabel {
-		label = buf[:head:head]
-		copy(label, verts)
-	}
+	n := len(verts)
+	buf, adj := Induce(verts, g.NumVertices(), func(i int) []uint32 { return g.Adj(verts[i]) }, n, 0, &s)
+	label := buf[:n:n]
+	copy(label, verts)
 	return &Sub{Label: label, Adj: adj}
 }
 
