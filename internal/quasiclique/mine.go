@@ -244,7 +244,7 @@ func BuildRootSubScratch(gk *graph.Graph, v graph.V, par Params, _ Options, s *S
 	if len(members) < par.MinSize {
 		return nil, 0
 	}
-	sub, _, _ := rootList(members, gk.NumVertices(), func(i int) []uint32 { return gk.Adj(members[i]) }, par.K(), s)
+	sub := rootList(members, gk.NumVertices(), func(i int) []uint32 { return gk.Adj(members[i]) }, par.K(), s)
 	if sub == nil || sub.N() < par.MinSize {
 		return nil, 0
 	}

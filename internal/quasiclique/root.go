@@ -25,7 +25,15 @@ import (
 // retained; sc holds nothing the result needs.
 func RootSub(members []graph.V, n int, row func(i int) []uint32, k int, sc *Scratch) (*Sub, []uint32, []uint32) {
 	if len(members) > matrixCap {
-		return rootList(members, n, row, k, sc)
+		sub := rootList(members, n, row, k, sc)
+		if sub == nil {
+			return nil, nil, nil
+		}
+		ext := make([]uint32, sub.N()-1)
+		for i := range ext {
+			ext[i] = uint32(i + 1)
+		}
+		return sub, []uint32{0}, ext
 	}
 	sc.marks.Begin(n)
 	if len(sc.idx) < n {
@@ -126,17 +134,14 @@ func (sc *Scratch) peelRows(k int) ([]uint64, bool) {
 	return alive, true
 }
 
-// rootList is RootSub's path above matrixCap: Induce and
-// PeelKCoreScratch make a list Sub.
-func rootList(members []graph.V, n int, row func(i int) []uint32, k int, sc *Scratch) (*Sub, []uint32, []uint32) {
+// rootList is RootSub's path above matrixCap, and BuildRootSub's:
+// Induce and PeelKCoreScratch make a list Sub, nil when the peel drops
+// the root.
+func rootList(members []graph.V, n int, row func(i int) []uint32, k int, sc *Scratch) *Sub {
 	_, adj := Induce(members, n, row, 0, 0, sc)
 	peeled, _ := (&Sub{Label: members, Adj: adj}).PeelKCoreScratch(k, sc)
 	if peeled.N() == 0 || peeled.Label[0] != members[0] {
-		return nil, nil, nil
+		return nil
 	}
-	ext := make([]uint32, peeled.N()-1)
-	for i := range ext {
-		ext[i] = uint32(i + 1)
-	}
-	return peeled, []uint32{0}, ext
+	return peeled
 }
